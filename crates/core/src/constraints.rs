@@ -15,9 +15,10 @@
 //! | [`IcDefinition::Epistemic`] | `Σ ⊨ IC`, IC modal | **this paper** (Def. 3.5) |
 
 use crate::ask::certain;
+use crate::demo;
 use epilog_datalog::{completion, Program};
 use epilog_prover::Prover;
-use epilog_syntax::{is_first_order, Formula, Theory};
+use epilog_syntax::{admissibility, admissible_constraint, is_first_order, Formula, Theory};
 use std::fmt;
 
 /// The five notions of a database satisfying an integrity constraint.
@@ -76,8 +77,11 @@ impl fmt::Display for IcReport {
 ///
 /// For [`IcDefinition::Epistemic`], `ic` may be any KFOPCE sentence and
 /// satisfaction is `Σ ⊨ IC` — which is *identical to query evaluation*
-/// (§3): this function simply asks whether the constraint-as-query is
-/// certain. The first-order definitions return
+/// (§3). A constraint whose [`admissible_constraint`] rewrite is
+/// admissible — every constraint of the paper — is evaluated by `demo`
+/// (Theorem 5.1: it succeeds iff `Σ ⊨ IC`), first-order prover calls
+/// only; the Levesque-style reduction of [`certain`] decides the rest.
+/// The first-order definitions return
 /// [`IcReport::Inapplicable`] on modal constraints, and the `Comp`
 /// definitions additionally require the database to be Prolog-like.
 pub fn ic_satisfaction(prover: &Prover, ic: &Formula, def: IcDefinition) -> IcReport {
@@ -89,7 +93,7 @@ pub fn ic_satisfaction(prover: &Prover, ic: &Formula, def: IcDefinition) -> IcRe
         }
     };
     match def {
-        IcDefinition::Epistemic => verdict(certain(prover, ic)),
+        IcDefinition::Epistemic => verdict(epistemically_entailed(prover, ic)),
         IcDefinition::Consistency => {
             if !is_first_order(ic) {
                 return IcReport::Inapplicable;
@@ -115,6 +119,17 @@ pub fn ic_satisfaction(prover: &Prover, ic: &Formula, def: IcDefinition) -> IcRe
             }
         }
     }
+}
+
+/// `Σ ⊨ IC` for a KFOPCE sentence (Definition 3.5).
+fn epistemically_entailed(prover: &Prover, ic: &Formula) -> bool {
+    let rewritten = admissible_constraint(ic);
+    if !admissibility(&rewritten).is_admissible() {
+        return certain(prover, ic);
+    }
+    // Theorem 5.1 is about satisfiable databases; an unsatisfiable one
+    // entails every sentence.
+    !prover.satisfiable() || demo::succeeds(prover, &rewritten)
 }
 
 /// `Comp(DB)` as a prover, when `DB` is Prolog-like (facts + Horn-ish

@@ -31,10 +31,10 @@ pub struct Rejection {
     /// The violated constraint, as registered.
     pub constraint: Formula,
     /// Ground witness tuples that trigger the violation in the rejected
-    /// candidate state. Best-effort: empty when no instantiation of the
-    /// constraint's positive patterns over the candidate's certain atoms
-    /// reproduces the violation (e.g. a disjunctive theory made a trigger
-    /// atom certain without any atom witnessing it).
+    /// candidate state: the constraint's positive `K`-patterns under the
+    /// first binding `demo` finds for its violation. Empty only for a
+    /// constraint outside the admissible `¬∃x̄ (K-conjunction)` fragment,
+    /// which has no patterns to instantiate.
     pub witnesses: Vec<Atom>,
     /// Proof trees for the witnesses the support table can explain (EDB
     /// witnesses appear as [`ProofTree::Fact`] leaves). Empty when

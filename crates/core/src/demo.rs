@@ -26,7 +26,7 @@ use epilog_prover::{AnswerIter, Prover};
 use epilog_syntax::{
     admissibility, is_first_order, transform, Admissibility, Formula, Param, Term, Var,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A binding environment: variables already bound to parameters.
 type Env = HashMap<Var, Param>;
@@ -87,14 +87,28 @@ pub fn demo<'a>(prover: &'a Prover, w: &Formula) -> Result<DemoStream<'a>, Admis
     if !verdict.is_admissible() {
         return Err(verdict);
     }
+    Ok(run(prover, w))
+}
+
+/// [`demo`] on a query the caller has already shown admissible — the
+/// compiled integrity constraints, whose admissibility is a property of
+/// the registered sentence (instantiating free variables preserves it).
+pub(crate) fn run<'a>(prover: &'a Prover, w: &Formula) -> DemoStream<'a> {
+    debug_assert!(admissibility(w).is_admissible(), "{w} is not admissible");
     // The safety rules are stated over the primitives ¬ ∧ ∃ K; expand the
     // defined connectives in modal positions. First-order subtrees go to
     // `prove` whole, whatever their shape.
     let kerneled = kernel_modal(w);
-    Ok(DemoStream {
+    DemoStream {
         inner: stream(prover, kerneled, Env::new()),
         vars: w.free_vars(),
-    })
+    }
+}
+
+/// Whether `demo` succeeds on the sentence `w`, which the caller has
+/// already shown admissible (see [`run`]).
+pub(crate) fn succeeds(prover: &Prover, w: &Formula) -> bool {
+    run(prover, w).next().is_some()
 }
 
 /// Run `demo` on a sentence, classifying the outcome.
@@ -111,13 +125,10 @@ pub fn demo_sentence(prover: &Prover, w: &Formula) -> Result<DemoOutcome, Admiss
 /// order (§6.1.1: iterating `demo` through failure prints all answers,
 /// possibly with repetitions — we deduplicate here).
 pub fn all_answers(prover: &Prover, w: &Formula) -> Result<Vec<Vec<Param>>, Admissibility> {
-    let mut seen = Vec::new();
-    for t in demo(prover, w)? {
-        if !seen.contains(&t) {
-            seen.push(t);
-        }
-    }
-    Ok(seen)
+    let mut seen = HashSet::new();
+    Ok(demo(prover, w)?
+        .filter(|t| seen.insert(t.clone()))
+        .collect())
 }
 
 /// Expand `∨ ⊃ ≡ ∀` inside modal regions only; first-order subtrees are

@@ -8,7 +8,9 @@
 //! exactly by the program's least model: `Σ ⊨ p(c̄)` iff `p(c̄)` is in the
 //! model. This module materializes that model once with the compiled
 //! semi-naive engine and attaches it to the prover, so every downstream
-//! ground-atom question becomes a tuple lookup instead of a SAT call.
+//! ground-atom question becomes a tuple lookup instead of a SAT call, and
+//! every open-atom enumeration (`prove(p(x̄), Σ)`) a selection on the
+//! atom's relation instead of a walk of the active domain.
 
 use epilog_datalog::Program;
 use epilog_prover::Prover;

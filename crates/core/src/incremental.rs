@@ -25,12 +25,21 @@
 //! back to a full recheck; the rest stay on the specialized (or skipped)
 //! route, with the routing reported through
 //! [`CheckStats`].
+//!
+//! **Evaluation.** Whatever the route, the sentence put to the database
+//! is the violation `∃x̄ body` of an admissible constraint or an instance
+//! of it, and it is run through [`demo`](mod@crate::demo): the constraint
+//! holds iff `demo` finitely fails on its violation (Theorem 5.1 with
+//! Lemma 5.2 — the violation is subjective). `demo` binds variables from
+//! the positive `K`-literals leftmost first, so a check looks up the atoms
+//! the violation names instead of expanding its quantifiers over the
+//! active domain.
 
-use crate::ask::certain;
+use crate::demo;
 use epilog_datalog::Program;
 use epilog_prover::Prover;
 use epilog_syntax::formula::{Atom, Formula};
-use epilog_syntax::{admissible_constraint, Param, Pred, Term, Theory, Var};
+use epilog_syntax::{admissibility, admissible_constraint, Param, Pred, Term, Theory, Var};
 use std::collections::{BTreeSet, HashMap};
 
 /// A constraint compiled for incremental checking.
@@ -57,7 +66,7 @@ pub struct CompiledConstraint {
     negative_patterns: Vec<Atom>,
 }
 
-/// Why compilation failed: the constraint is outside the
+/// Why compilation failed: the constraint is outside the admissible
 /// `¬∃x̄ (conjunction)` fragment this checker specializes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NotCompilable(pub String);
@@ -66,6 +75,11 @@ impl CompiledConstraint {
     /// Compile a constraint (in natural `∀/⊃` or already-rewritten form).
     pub fn compile(ic: &Formula) -> Result<Self, NotCompilable> {
         let rewritten = admissible_constraint(ic);
+        // Every check runs `demo` on (instances of) the rewrite.
+        let verdict = admissibility(&rewritten);
+        if !verdict.is_admissible() {
+            return Err(NotCompilable(format!("{rewritten}: {verdict}")));
+        }
         // Expect ¬∃x̄ body.
         let Formula::Not(inner) = &rewritten else {
             return Err(NotCompilable(rewritten.to_string()));
@@ -116,8 +130,8 @@ impl CompiledConstraint {
     /// The violation-check instances induced by a new ground fact: for
     /// each positive pattern matching the fact, the body with the matched
     /// variables bound and the rest existentially quantified. The
-    /// constraint (restricted to the update) is violated iff one of these
-    /// sentences is certain.
+    /// constraint (restricted to the update) is violated iff the database
+    /// knows one of these sentences.
     pub fn violation_instances(&self, fact: &Atom) -> Vec<Formula> {
         let mut out = Vec::new();
         for pattern in &self.positive_patterns {
@@ -147,7 +161,7 @@ impl CompiledConstraint {
     /// inner `∃` stay quantified — the removed atom only witnesses which
     /// instantiation to re-check, not the inner search) and the remaining
     /// outer variables re-quantified. The constraint, restricted to this
-    /// removal, is violated iff one of these sentences is certain.
+    /// removal, is violated iff the database knows one of these sentences.
     pub fn removal_violation_instances(&self, removed: &Atom) -> Vec<Formula> {
         let mut out = Vec::new();
         for pattern in &self.negative_patterns {
@@ -174,72 +188,34 @@ impl CompiledConstraint {
         out
     }
 
-    /// Ground witness tuples for a **violated** constraint: the first
-    /// instantiation of the positive `K`-patterns over the prover's
-    /// certain atoms under which the (remaining) violation body is
-    /// certain — the minimal facts responsible, in the sense of
-    /// consistency-based belief change. Candidate atoms come from the
-    /// attached least model when there is one, else from the theory's
-    /// ground-atom sentences; best-effort, so a violation only visible
-    /// through disjunctive reasoning yields an empty witness list.
-    pub fn violation_witnesses(&self, prover: &Prover) -> Vec<Atom> {
-        let candidates: Vec<Atom> = match prover.atom_model() {
-            Some(m) => m.atoms().collect(),
-            None => prover
-                .theory()
-                .sentences()
-                .iter()
-                .filter_map(|s| match s {
-                    Formula::Atom(a) if a.is_ground() => Some(a.clone()),
-                    _ => None,
-                })
-                .collect(),
-        };
-        let mut binding = HashMap::new();
-        let mut picked = Vec::new();
-        if self.witness_search(prover, &candidates, 0, &mut binding, &mut picked) {
-            picked
-        } else {
-            Vec::new()
-        }
+    /// Whether `Σ ⊨ IC`: `demo` succeeds on the `¬∃x̄ body` rewrite, i.e.
+    /// finitely fails on the violation. Presumes `Σ` satisfiable, as
+    /// Theorem 5.1 does.
+    pub fn holds(&self, prover: &Prover) -> bool {
+        demo::succeeds(prover, &self.rewritten)
     }
 
-    /// Depth-first search over pattern instantiations; on success `picked`
-    /// holds one ground atom per positive pattern, in pattern order.
-    fn witness_search(
-        &self,
-        prover: &Prover,
-        candidates: &[Atom],
-        idx: usize,
-        binding: &mut HashMap<Var, Param>,
-        picked: &mut Vec<Atom>,
-    ) -> bool {
-        if idx == self.positive_patterns.len() {
-            let map: HashMap<Var, Term> =
-                binding.iter().map(|(v, p)| (*v, Term::Param(*p))).collect();
-            let mut w = self.body.subst(&map);
-            for v in self.vars.iter().rev() {
-                if !binding.contains_key(v) {
-                    w = Formula::exists(*v, w);
-                }
-            }
-            return certain(prover, &w);
-        }
-        let pattern = &self.positive_patterns[idx];
-        for atom in candidates.iter().filter(|a| a.pred == pattern.pred) {
-            let Some(fresh) = match_pattern_extending(pattern, atom, binding) else {
-                continue;
-            };
-            picked.push(atom.clone());
-            if self.witness_search(prover, candidates, idx + 1, binding, picked) {
-                return true;
-            }
-            picked.pop();
-            for v in &fresh {
-                binding.remove(v);
-            }
-        }
-        false
+    /// Ground witness tuples for a **violated** constraint: the positive
+    /// `K`-patterns under the first binding of `x̄` for which `demo`
+    /// succeeds on the violation body — the minimal facts responsible, in
+    /// the sense of consistency-based belief change. Conjuncts bind left
+    /// to right, each in the prover's answer order, so the first binding
+    /// is the least one in that order. Empty when the constraint holds.
+    pub fn violation_witnesses(&self, prover: &Prover) -> Vec<Atom> {
+        let mut answers = demo::run(prover, &self.body);
+        let Some(tuple) = answers.next() else {
+            return Vec::new();
+        };
+        let binding: HashMap<Var, Term> = answers
+            .vars()
+            .iter()
+            .zip(tuple)
+            .map(|(v, p)| (*v, Term::Param(p)))
+            .collect();
+        self.positive_patterns
+            .iter()
+            .map(|pattern| pattern.subst(&binding))
+            .collect()
     }
 }
 
@@ -297,6 +273,14 @@ impl RuleGraph {
 }
 
 /// Incremental checker over a set of compiled constraints.
+///
+/// Every verdict comes from `demo` on a violation sentence (see the
+/// [module docs](self)). On a definite database the prover carries the
+/// least model, and then the model is the whole evaluator: a ground
+/// `K`-literal is a tuple lookup, an open one a selection on its
+/// relation, `K (y = z)` a comparison of two parameters — a check makes
+/// no SAT call and never walks the active domain. Without a model the
+/// same `demo` run asks the SAT-backed prover instead.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalChecker {
     constraints: Vec<CompiledConstraint>,
@@ -402,7 +386,7 @@ impl IncrementalChecker {
                 // A rule chain from the batch can derive a trigger atom
                 // the specialization would not see: one full recheck.
                 stats.full += 1;
-                if !certain(prover, &c.rewritten) {
+                if !c.holds(prover) {
                     return Some(c);
                 }
             } else if triggers.iter().any(|t| updated.contains(t))
@@ -413,20 +397,22 @@ impl IncrementalChecker {
                     if !triggers.contains(&fact.pred) {
                         continue;
                     }
-                    for violation in c.violation_instances(fact) {
-                        if certain(prover, &violation) {
-                            return Some(c);
-                        }
+                    if c.violation_instances(fact)
+                        .iter()
+                        .any(|w| demo::succeeds(prover, w))
+                    {
+                        return Some(c);
                     }
                 }
                 for gone in removed {
                     if !neg_triggers.contains(&gone.pred) {
                         continue;
                     }
-                    for violation in c.removal_violation_instances(gone) {
-                        if certain(prover, &violation) {
-                            return Some(c);
-                        }
+                    if c.removal_violation_instances(gone)
+                        .iter()
+                        .any(|w| demo::succeeds(prover, w))
+                    {
+                        return Some(c);
                     }
                 }
             } else {
@@ -438,9 +424,7 @@ impl IncrementalChecker {
 
     /// Full (non-incremental) check of every constraint, for comparison.
     pub fn check_full(&self, prover: &Prover) -> Option<&CompiledConstraint> {
-        self.constraints
-            .iter()
-            .find(|c| !certain(prover, &c.rewritten))
+        self.constraints.iter().find(|c| !c.holds(prover))
     }
 
     /// Number of compiled constraints.
@@ -565,41 +549,6 @@ fn collect_bare_atoms(w: &Formula, out: &mut Vec<Atom>) {
         }
         _ => {}
     }
-}
-
-/// Like [`match_pattern`], but *extending* a shared binding in place (for
-/// the multi-pattern witness search, where later patterns must agree with
-/// variables the earlier ones bound). Returns the variables this match
-/// freshly bound — the caller's undo list — or `None` on mismatch, with
-/// `binding` restored.
-fn match_pattern_extending(
-    pattern: &Atom,
-    fact: &Atom,
-    binding: &mut HashMap<Var, Param>,
-) -> Option<Vec<Var>> {
-    debug_assert_eq!(pattern.pred, fact.pred);
-    let mut fresh = Vec::new();
-    for (t, f) in pattern.terms.iter().zip(&fact.terms) {
-        let fp = f.as_param().expect("candidate atoms are ground");
-        let ok = match t {
-            Term::Param(p) => *p == fp,
-            Term::Var(v) => match binding.get(v) {
-                Some(prev) => *prev == fp,
-                None => {
-                    binding.insert(*v, fp);
-                    fresh.push(*v);
-                    true
-                }
-            },
-        };
-        if !ok {
-            for v in &fresh {
-                binding.remove(v);
-            }
-            return None;
-        }
-    }
-    Some(fresh)
 }
 
 /// Match a pattern atom against a ground fact, binding pattern variables.

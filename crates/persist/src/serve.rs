@@ -224,7 +224,9 @@ impl CommitHandle {
 /// Holds the writer between batches — a deterministic way for benches
 /// and tests to force a group: take the gate, enqueue transactions,
 /// then [`WriterGate::open`]; everything enqueued meanwhile lands in
-/// one batch (up to [`ServeOptions::max_batch`]).
+/// one batch (up to [`ServeOptions::max_batch`]). The writer takes
+/// nothing enqueued behind a gate off the queue until it opens, and a
+/// gate ends the batch being collected when the writer comes upon it.
 #[must_use = "dropping the gate opens it immediately"]
 pub struct WriterGate {
     _tx: SyncSender<()>,
@@ -555,12 +557,27 @@ struct Writer<'a> {
 
 impl Writer<'_> {
     fn run(&mut self, rx: &Receiver<Request>, max_batch: usize) {
+        // A gate drained off the queue while a batch was being collected;
+        // it is the next request to serve.
+        let mut parked_gate = None;
         // Exits when every ServingDb handle (and thus every sender) is
         // gone and the queue is drained.
-        while let Ok(first) = rx.recv() {
+        while let Some(first) = parked_gate.take().or_else(|| rx.recv().ok()) {
+            if let Request::Gate(gate) = first {
+                // Hold here, with nothing taken off the queue behind the
+                // gate: whatever is enqueued until it opens (or drops)
+                // is then collected together.
+                let _ = gate.recv();
+                continue;
+            }
             let mut batch = vec![first];
             while batch.len() < max_batch {
                 match rx.try_recv() {
+                    // A gate ends the batch being collected.
+                    Ok(gate @ Request::Gate(_)) => {
+                        parked_gate = Some(gate);
+                        break;
+                    }
                     Ok(req) => batch.push(req),
                     Err(_) => break,
                 }
@@ -591,10 +608,7 @@ impl Writer<'_> {
                     self.constraint(ic, reply, mark, &mut commit_acks, &mut constraint_acks);
                 }
                 Request::Flush(reply) => flushes.push(reply),
-                // Hold here; opening (or dropping) the gate unblocks.
-                Request::Gate(gate) => {
-                    let _ = gate.recv();
-                }
+                Request::Gate(_) => unreachable!("run() parks at gates, never batches them"),
                 // Not degraded: a heal is a successful no-op.
                 Request::Heal(reply) => {
                     let _ = reply.send(Ok(self.head.head_lsn()));
@@ -773,7 +787,7 @@ impl Writer<'_> {
 
     /// Answer a request while in degraded read-only mode: commits and
     /// constraints are rejected fast, flush holds at the durable head,
-    /// gates still gate, heal attempts the repair.
+    /// heal attempts the repair.
     fn answer_degraded(&mut self, req: Request) {
         let reason = self.degraded.clone().unwrap_or_default();
         match req {
@@ -786,9 +800,7 @@ impl Writer<'_> {
             Request::Flush(reply) => {
                 let _ = reply.send(self.head.head_lsn());
             }
-            Request::Gate(gate) => {
-                let _ = gate.recv();
-            }
+            Request::Gate(_) => unreachable!("run() parks at gates, never batches them"),
             Request::Heal(reply) => {
                 let healed = self.try_heal();
                 let _ = reply.send(healed);
@@ -982,6 +994,37 @@ mod tests {
         assert_eq!(s.fsyncs - base.fsyncs, 1, "one fsync for 8 commits");
         let snap = db.snapshot();
         assert_eq!(snap.ask(&parse("K emp(E7)").unwrap()), Answer::Yes);
+        db.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn commits_queued_behind_a_gate_wait_for_it() {
+        let d = dir();
+        // Eight queue slots force the interleaving: a send into the full
+        // queue returns only once the writer has taken something off it.
+        let opts = ServeOptions {
+            queue_depth: 8,
+            ..ServeOptions::default()
+        };
+        let db = ServingDb::create(&d, Theory::empty(), opts).unwrap();
+        let enroll = |i: usize| db.commit(vec![TxOp::Assert(f(&format!("emp(E{i})")))]);
+        // `gate` and seven commits fill the queue while the writer is
+        // held at `hold` — what a slow-waking writer finds behind a gate.
+        let hold = db.gate();
+        let gate = db.gate();
+        let mut handles: Vec<CommitHandle> = (0..7).map(enroll).collect();
+        hold.open();
+        // Lands once the writer has reached `gate`; it must then park
+        // there with the seven still queued, not holding them in a batch
+        // this one comes too late for.
+        handles.push(enroll(7));
+        gate.open();
+        for h in handles {
+            let _ = h.wait().unwrap();
+        }
+        let s = db.stats();
+        assert_eq!((s.commits, s.batches, s.fsyncs), (8, 1, 1), "one group");
         db.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }

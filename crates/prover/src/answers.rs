@@ -15,7 +15,9 @@
 //! exactly the case Definition 6.2's `F_Σ` machinery exists to exclude.
 
 use crate::entail::Prover;
-use epilog_syntax::{is_first_order, Formula, Param, Var};
+use epilog_storage::{Database, Selection};
+use epilog_syntax::formula::Atom;
+use epilog_syntax::{is_first_order, Formula, Param, Term, Var};
 
 /// Lazy stream of answer tuples for a first-order goal.
 ///
@@ -23,24 +25,52 @@ use epilog_syntax::{is_first_order, Formula, Param, Var};
 /// `Σ ⊨ f|p̄`, in deterministic order. A goal that is a sentence yields a
 /// single empty tuple if entailed, nothing otherwise.
 pub struct AnswerIter<'a> {
-    prover: &'a Prover,
-    formula: Formula,
     vars: Vec<Var>,
-    domain: Vec<Param>,
-    /// Position in the cartesian enumeration `domain^|vars|`.
-    cursor: usize,
-    /// Total number of candidate tuples.
-    total: usize,
+    source: Source<'a>,
+}
+
+enum Source<'a> {
+    /// Walk `domain^|vars|`, asking `entails` about every candidate.
+    Enumerate {
+        prover: &'a Prover,
+        formula: Formula,
+        domain: Vec<Param>,
+        /// Position in the cartesian enumeration.
+        cursor: usize,
+        /// Total number of candidate tuples.
+        total: usize,
+    },
+    /// The answers, read off the attached least model up front.
+    Model(std::vec::IntoIter<Vec<Param>>),
 }
 
 impl<'a> AnswerIter<'a> {
     /// Start the enumeration `prove(f, Σ)`.
+    ///
+    /// When `f` is a single open atom and the prover carries a least model
+    /// ([`Prover::with_atom_model`]), the model answers: the atom's
+    /// constants select the matching tuples of its relation (through a
+    /// column index where one is built) and no candidate is ever put to
+    /// `entails`. The model holds exactly the entailed ground atoms, so
+    /// these are the tuples the domain walk would have kept, and they are
+    /// yielded in the walk's order. Every other goal walks the answer
+    /// domain.
     ///
     /// # Panics
     /// Panics if `f` is not first-order.
     pub fn new(prover: &'a Prover, f: &Formula) -> Self {
         assert!(is_first_order(f), "prove() accepts FOPCE formulas only");
         let vars = f.free_vars();
+        if let (Some(model), Formula::Atom(atom)) = (prover.atom_model(), f) {
+            // A ground atom is one lookup: `entails` below does it.
+            if !vars.is_empty() {
+                let answers = model_answers(model, atom, &vars);
+                return AnswerIter {
+                    vars,
+                    source: Source::Model(answers.into_iter()),
+                };
+            }
+        }
         let domain = prover.answer_domain(f);
         let total = if vars.is_empty() {
             1
@@ -53,12 +83,14 @@ impl<'a> AnswerIter<'a> {
                 .expect("candidate space overflow")
         };
         AnswerIter {
-            prover,
-            formula: f.clone(),
             vars,
-            domain,
-            cursor: 0,
-            total,
+            source: Source::Enumerate {
+                prover,
+                formula: f.clone(),
+                domain,
+                cursor: 0,
+                total,
+            },
         }
     }
 
@@ -67,37 +99,77 @@ impl<'a> AnswerIter<'a> {
     pub fn vars(&self) -> &[Var] {
         &self.vars
     }
+}
 
-    fn tuple_at(&self, mut idx: usize) -> Vec<Param> {
-        let mut out = vec![self.domain[0]; self.vars.len()];
-        for slot in out.iter_mut().rev() {
-            *slot = self.domain[idx % self.domain.len()];
-            idx /= self.domain.len();
-        }
-        out
+/// The bindings of `vars` under which the open `atom` is in `model`, in
+/// the order the domain walk reports them: lexicographic by position in
+/// the answer domain, which for parameters of the model — all of them
+/// mentioned by `Σ`, hence in the sorted active domain — is parameter
+/// order.
+fn model_answers(model: &Database, atom: &Atom, vars: &[Var]) -> Vec<Vec<Param>> {
+    let pattern: Selection = atom.terms.iter().map(Term::as_param).collect();
+    // The columns each variable occupies; a tuple answers only if it
+    // repeats one parameter across all of them.
+    let columns: Vec<Vec<usize>> = vars
+        .iter()
+        .map(|v| {
+            (0..atom.terms.len())
+                .filter(|&c| atom.terms[c].as_var() == Some(*v))
+                .collect()
+        })
+        .collect();
+    let mut answers: Vec<Vec<Param>> = model
+        .select(atom.pred, &pattern)
+        .filter_map(|t| {
+            columns
+                .iter()
+                .map(|cols| {
+                    let p = t[cols[0]];
+                    cols.iter().all(|&c| t[c] == p).then_some(p)
+                })
+                .collect()
+        })
+        .collect();
+    answers.sort_unstable();
+    answers
+}
+
+fn tuple_at(domain: &[Param], arity: usize, mut idx: usize) -> Vec<Param> {
+    let mut out = vec![domain[0]; arity];
+    for slot in out.iter_mut().rev() {
+        *slot = domain[idx % domain.len()];
+        idx /= domain.len();
     }
+    out
 }
 
 impl Iterator for AnswerIter<'_> {
     type Item = Vec<Param>;
 
     fn next(&mut self) -> Option<Vec<Param>> {
-        while self.cursor < self.total {
-            let idx = self.cursor;
-            self.cursor += 1;
-            if self.vars.is_empty() {
-                if self.prover.entails(&self.formula) {
-                    return Some(Vec::new());
+        match &mut self.source {
+            Source::Model(answers) => answers.next(),
+            Source::Enumerate {
+                prover,
+                formula,
+                domain,
+                cursor,
+                total,
+            } => {
+                while *cursor < *total {
+                    let idx = *cursor;
+                    *cursor += 1;
+                    if self.vars.is_empty() {
+                        return prover.entails(formula).then(Vec::new);
+                    }
+                    let tuple = tuple_at(domain, self.vars.len(), idx);
+                    if prover.entails(&formula.bind_free(&tuple)) {
+                        return Some(tuple);
+                    }
                 }
-                return None;
-            }
-            let tuple = self.tuple_at(idx);
-            let bound = self.formula.bind_free(&tuple);
-            if self.prover.entails(&bound) {
-                return Some(tuple);
+                None
             }
         }
-        None
     }
 }
 
@@ -209,5 +281,79 @@ mod tests {
         let second = it.next().unwrap();
         assert_eq!(names(&second), vec!["b"]);
         assert!(p.sat_calls() > calls_after_first);
+    }
+
+    #[test]
+    fn model_answers_an_open_atom_without_asking_the_prover() {
+        let theory = Theory::from_text("e(a, b)\ne(a, a)\ne(b, c)").unwrap();
+        let mut model = epilog_storage::Database::new();
+        for s in theory.ground_atoms() {
+            model.insert(&s);
+        }
+        let p = Prover::new(theory).with_atom_model(model);
+        let answers = |src: &str| -> Vec<Vec<String>> {
+            AnswerIter::new(&p, &parse(src).unwrap())
+                .map(|t| names(&t))
+                .collect()
+        };
+        assert_eq!(answers("e(a, x)"), [["a"], ["b"]]);
+        assert_eq!(answers("e(x, x)"), [["a"]]);
+        assert_eq!(answers("e(x, y)"), [["a", "a"], ["a", "b"], ["b", "c"]]);
+        assert!(answers("e(c, x)").is_empty());
+        assert!(answers("f(x)").is_empty());
+        assert_eq!(p.sat_calls(), 0);
+        assert_eq!(p.memo_len(), 0, "no candidate was put to entails()");
+    }
+
+    mod properties {
+        use super::*;
+        use crate::testgen::{definite, goal_param, RawTheory};
+        use epilog_syntax::Term;
+        use proptest::prelude::*;
+
+        /// An atom over a predicate the theories use (or none does), each
+        /// term a constant or one of two variables — so variables repeat.
+        fn atom_goal((pred, terms): &(u8, Vec<(u8, u8)>)) -> Formula {
+            let (name, arity) = [
+                ("emp", 1),
+                ("ss", 2),
+                ("person", 1),
+                ("e", 2),
+                ("t", 2),
+                ("ghost", 2),
+            ][*pred as usize % 6];
+            let vars = [Var::new("x"), Var::new("y")];
+            let terms = (0..arity)
+                .map(|i| {
+                    let (kind, code) = terms[i % terms.len()];
+                    match kind % 3 {
+                        0 => Term::Param(goal_param(code)),
+                        k => Term::Var(vars[k as usize - 1]),
+                    }
+                })
+                .collect();
+            Formula::atom(name, terms)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Reading answers off the attached model yields the tuples
+            /// of the domain walk over the SAT-backed prover, in its order.
+            #[test]
+            fn model_answers_match_the_domain_walk(
+                raw in (0u8..8, proptest::collection::vec((0u8..8, 0u8..8, 0u8..8), 0..7)),
+                goal in (0u8..6, proptest::collection::vec((0u8..3, 0u8..9), 1..3)),
+            ) {
+                let raw: RawTheory = raw;
+                let goal = atom_goal(&goal);
+                let (theory, model) = definite(&raw);
+                let walked: Vec<_> = AnswerIter::new(&Prover::new(theory.clone()), &goal).collect();
+                let with_model = Prover::new(theory).with_atom_model(model);
+                let read: Vec<_> = AnswerIter::new(&with_model, &goal).collect();
+                prop_assert_eq!(&read, &walked, "goal {}", goal);
+                prop_assert_eq!(with_model.sat_calls(), 0);
+            }
+        }
     }
 }

@@ -7,12 +7,12 @@
 //! docs for the exactness discussion.
 
 use crate::ground::GroundContext;
-use epilog_sat::{tseitin, Cnf, SatResult, Solver};
+use epilog_sat::{tseitin, Cnf, Prop, SatResult, Solver};
 use epilog_storage::Database;
 use epilog_syntax::{is_first_order, transform, Formula, Param, Theory};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// How the finite grounding universe is chosen.
 #[derive(Debug, Clone, Copy)]
@@ -48,6 +48,12 @@ pub struct Prover {
     atom_model: Option<Database>,
     /// Count of SAT-solver invocations (see [`Prover::sat_calls`]).
     sat_calls: AtomicU64,
+    /// The theory's active domain, sorted; scanned out of the sentences on
+    /// first use and shared by every grounding universe and answer
+    /// enumeration afterwards.
+    active_domain: OnceLock<Vec<Param>>,
+    /// Whether `Σ` is satisfiable, decided at most once per prover.
+    satisfiable: OnceLock<bool>,
 }
 
 impl Clone for Prover {
@@ -58,6 +64,8 @@ impl Clone for Prover {
             memo: Mutex::new(self.memo.lock().unwrap().clone()),
             atom_model: self.atom_model.clone(),
             sat_calls: AtomicU64::new(self.sat_calls.load(Ordering::Relaxed)),
+            active_domain: self.active_domain.clone(),
+            satisfiable: self.satisfiable.clone(),
         }
     }
 }
@@ -86,6 +94,8 @@ impl Prover {
             memo: Mutex::new(HashMap::new()),
             atom_model: None,
             sat_calls: AtomicU64::new(0),
+            active_domain: OnceLock::new(),
+            satisfiable: OnceLock::new(),
         }
     }
 
@@ -126,6 +136,8 @@ impl Prover {
             memo: Mutex::new(HashMap::new()),
             atom_model: model,
             sat_calls: AtomicU64::new(0),
+            active_domain: OnceLock::new(),
+            satisfiable: OnceLock::new(),
         }
     }
 
@@ -134,15 +146,18 @@ impl Prover {
         &self.theory
     }
 
+    /// The theory's active domain (every parameter some sentence
+    /// mentions), sorted. Computed on first use and kept for the prover's
+    /// lifetime; [`Prover::updated`] starts a fresh one.
+    pub fn active_domain(&self) -> &[Param] {
+        self.active_domain
+            .get_or_init(|| self.theory.active_domain())
+    }
+
     /// The grounding universe for a goal: active domain ∪ goal parameters
     /// ∪ witnesses, deterministic order.
     pub fn universe_for(&self, goal: &Formula) -> Vec<Param> {
-        let mut u = self.theory.active_domain();
-        for p in goal.params() {
-            if !u.contains(&p) {
-                u.push(p);
-            }
-        }
+        let mut u = self.answer_domain(goal);
         u.extend(self.witnesses.iter().copied());
         u
     }
@@ -153,22 +168,30 @@ impl Prover {
     /// parameters would be, putting the goal outside the finite-instances
     /// fragment of §6).
     pub fn answer_domain(&self, goal: &Formula) -> Vec<Param> {
-        let mut u = self.theory.active_domain();
-        for p in goal.params() {
-            if !u.contains(&p) {
-                u.push(p);
-            }
-        }
+        let active = self.active_domain();
+        let mut u = active.to_vec();
+        // `params()` is sorted and duplicate-free, so membership in the
+        // sorted active domain is all there is to check.
+        u.extend(
+            goal.params()
+                .into_iter()
+                .filter(|p| active.binary_search(p).is_err()),
+        );
         u
     }
 
-    /// Whether `Σ` is satisfiable.
+    /// Whether `Σ` is satisfiable. Decided once per prover: a theory with
+    /// an attached least model is a definite program, which that model
+    /// satisfies; any other theory costs one SAT call, remembered.
     pub fn satisfiable(&self) -> bool {
-        // Σ satisfiable iff Σ ⊭ (p ∧ ¬p) for a fresh proposition.
-        !self.entails(&Formula::and(
-            Formula::prop("__absurd"),
-            Formula::not(Formula::prop("__absurd")),
-        ))
+        *self.satisfiable.get_or_init(|| {
+            // Σ satisfiable iff Σ ⊭ (p ∧ ¬p) for a fresh proposition.
+            self.atom_model.is_some()
+                || !self.entails_uncached(&Formula::and(
+                    Formula::prop("__absurd"),
+                    Formula::not(Formula::prop("__absurd")),
+                ))
+        })
     }
 
     /// Whether `Σ ∧ g` is satisfiable (the consistency reading of
@@ -179,6 +202,26 @@ impl Prover {
 
     /// Decide `Σ ⊨_FOPCE g` for a FOPCE sentence `g`.
     ///
+    /// Two kinds of goal never reach grounding + SAT:
+    ///
+    /// * a **ground atom**, when a least model is attached
+    ///   ([`Prover::with_atom_model`]): a tuple lookup;
+    /// * a **closed equality-only goal** — `=` between parameters under
+    ///   `¬ ∧ ∨ ⊃ ≡`, no atom, no quantifier — with or without a model.
+    ///   Parameters denote pairwise distinct individuals in every world,
+    ///   so such a goal has one truth value everywhere and `Σ` is
+    ///   irrelevant to it: a true one is entailed by any `Σ`, a false one
+    ///   exactly by an unsatisfiable `Σ` ([`Prover::satisfiable`], decided
+    ///   once). These are the truth constants `ask` reduces `K`-literals
+    ///   to and the `K (y = z)` heads of functional dependencies. (The
+    ///   one satisfiability verdict stands in for grounding `Σ` once per
+    ///   goal over a universe that also held the goal's parameters; the
+    ///   two can differ only where the witness budget is already too
+    ///   small for `Σ` — outside the crate's exact fragment.)
+    ///
+    /// Everything else is memoized per goal and decided by the SAT
+    /// pipeline.
+    ///
     /// # Panics
     /// Panics if `g` is modal or has free variables.
     pub fn entails(&self, g: &Formula) -> bool {
@@ -188,6 +231,9 @@ impl Prover {
             if a.is_ground() {
                 return model.contains(a);
             }
+        }
+        if let Some(truth) = equalities_value(g) {
+            return truth || !self.satisfiable();
         }
         if let Some(&cached) = self.memo.lock().unwrap().get(g) {
             return cached;
@@ -229,6 +275,28 @@ impl Prover {
     /// Reset the SAT-call counter (benches).
     pub fn reset_sat_calls(&self) {
         self.sat_calls.store(0, Ordering::Relaxed);
+    }
+}
+
+/// The truth value of a closed goal built from equalities between
+/// parameters with `¬ ∧ ∨ ⊃ ≡` — the same in every world, by unique
+/// names. `None` as soon as the goal mentions an atom or a quantifier.
+fn equalities_value(g: &Formula) -> Option<bool> {
+    let equalities_only = g.subformulas().iter().all(|w| {
+        !matches!(
+            w,
+            Formula::Atom(_) | Formula::Forall(..) | Formula::Exists(..)
+        )
+    });
+    if !equalities_only {
+        return None;
+    }
+    // Grounding decides `p = q` on the spot and folds constants, so with
+    // no atom to stand for a variable the whole goal folds to one.
+    match GroundContext::new(Vec::new()).ground(g) {
+        Prop::True => Some(true),
+        Prop::False => Some(false),
+        other => unreachable!("an atom-free grounding folds to a constant, got {other:?}"),
     }
 }
 
@@ -429,5 +497,76 @@ mod tests {
         // No self-loop is forced: a fresh witness serves as the target.
         assert!(!entails(&p, "edge(a, a)"));
         assert!(!entails(&p, "exists x. edge(x, x)"));
+    }
+
+    #[test]
+    fn closed_equality_goals_skip_the_sat_pipeline() {
+        let p = teach();
+        assert!(entails(&p, "John = John & Math != CS"));
+        assert!(!entails(&p, "John = Mary | ~(CS = CS)"));
+        assert_eq!(p.sat_calls(), 1, "one satisfiability check, no more");
+        // An unsatisfiable Σ entails the false ones too.
+        let absurd = Prover::new(Theory::from_text("p(a)\n~p(a)").unwrap());
+        assert!(entails(&absurd, "a = b"));
+        assert!(entails(&absurd, "~(a = a)"));
+        assert_eq!(absurd.sat_calls(), 1);
+    }
+
+    #[test]
+    fn active_domain_is_scanned_once_and_restarted_by_updates() {
+        let p = Prover::new(Theory::from_text("p(b)\np(a)").unwrap());
+        let (a, b, c) = (Param::new("a"), Param::new("b"), Param::new("c"));
+        let mut sorted = vec![a, b];
+        sorted.sort();
+        assert_eq!(p.active_domain(), sorted);
+        assert!(std::ptr::eq(p.active_domain(), p.active_domain()));
+        // Goal parameters outside the domain follow it; inside, no repeat.
+        let goal = parse("p(c) | p(a)").unwrap();
+        assert_eq!(p.answer_domain(&goal), [sorted.clone(), vec![c]].concat());
+        let mut theory = p.theory().clone();
+        theory.assert(parse("p(c)").unwrap()).unwrap();
+        assert!(p.updated(theory, None).active_domain().contains(&c));
+    }
+
+    mod properties {
+        use super::*;
+        use crate::testgen::{definite, equality_goal, non_definite, RawTheory};
+        use proptest::prelude::*;
+
+        fn raw_theory() -> impl Strategy<Value = RawTheory> {
+            (
+                0u8..8,
+                proptest::collection::vec((0u8..8, 0u8..8, 0u8..8), 0..7),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Deciding a closed equality-only goal by evaluation gives
+            /// the verdict of grounding `Σ ∧ ¬g` and running the solver —
+            /// with a model attached, without one, and on theories that
+            /// are not definite, unsatisfiable ones included.
+            #[test]
+            fn equality_goals_match_the_sat_verdict(
+                raw in raw_theory(),
+                codes in proptest::collection::vec(0u8..255, 1..40),
+            ) {
+                let goal = equality_goal(&mut codes.into_iter(), 3);
+                let (theory, model) = definite(&raw);
+                let provers = [
+                    Prover::new(theory.clone()).with_atom_model(model),
+                    Prover::new(theory),
+                    Prover::new(non_definite(&raw)),
+                ];
+                for p in &provers {
+                    prop_assert_eq!(
+                        p.entails(&goal),
+                        p.entails_uncached(&goal),
+                        "goal {} over {:?}", goal, p.theory().sentences()
+                    );
+                }
+            }
+        }
     }
 }

@@ -46,6 +46,8 @@ pub mod answers;
 pub mod canonical;
 pub mod entail;
 pub mod ground;
+#[cfg(test)]
+mod testgen;
 
 pub use answers::AnswerIter;
 pub use canonical::canonical_model;

@@ -10,9 +10,12 @@
 //! fast path, and the rejected-commit samples additionally pin atomicity:
 //! a refused batch leaves the database observably untouched.
 
-use epilog::core::{ic_satisfaction, prover_for, IcDefinition, IcReport};
+use epilog::core::ask::{answers, certain};
+use epilog::core::prover_for;
 use epilog::prelude::*;
+use epilog::syntax::formula::Atom;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const PARAMS: usize = 3;
 
@@ -55,11 +58,8 @@ fn op_formula((kind, pred, p1, p2): RawOp) -> (bool, Formula) {
     (kind % 3 != 1, parse(&src).unwrap())
 }
 
-/// Apply one batch through the rebuild-from-scratch oracle: clone the
-/// theory, replay the ops in order, rebuild the prover, full-check every
-/// constraint. Returns the accepted candidate theory, or `None` when the
-/// batch must be rejected.
-fn oracle_commit(theory: &Theory, batch: &[(bool, Formula)]) -> Option<Theory> {
+/// The theory a batch leaves behind when its ops are replayed in order.
+fn replay(theory: &Theory, batch: &[(bool, Formula)]) -> Theory {
     let mut candidate = theory.clone();
     for (is_assert, w) in batch {
         if *is_assert {
@@ -68,13 +68,125 @@ fn oracle_commit(theory: &Theory, batch: &[(bool, Formula)]) -> Option<Theory> {
             candidate.retract(w);
         }
     }
-    let prover = prover_for(candidate.clone());
+    candidate
+}
+
+/// Apply one batch through the rebuild-from-scratch oracle: clone the
+/// theory, replay the ops in order, rebuild the prover, full-check every
+/// constraint by the Levesque reduction (`certain` — the commit path
+/// itself evaluates constraints with `demo`). Returns the accepted
+/// candidate theory, or `None` when the batch must be rejected.
+fn oracle_commit(theory: &Theory, batch: &[(bool, Formula)]) -> Option<Theory> {
+    let candidate = replay(theory, batch);
+    oracle_rejection(&prover_for(candidate.clone()))
+        .is_none()
+        .then_some(candidate)
+}
+
+/// Each constraint of [`constraints`] as the oracle searches it: the
+/// positive `K`-patterns of its violation, and the violation body over
+/// the patterns' variables.
+const VIOLATIONS: [(&[&str], &str); 3] = [
+    (&["emp(x)"], "K emp(x) & ~(exists y. K ss(x, y))"),
+    (
+        &["ss(x, y)", "ss(x, z)"],
+        "K ss(x, y) & K ss(x, z) & ~K y = z",
+    ),
+    (&["bad(x)"], "K bad(x)"),
+];
+
+/// What a rejection must report, worked out with `certain` alone: the
+/// first constraint (in registration order) the state does not entail,
+/// and its first witnesses — the patterns instantiated leftmost first,
+/// each over the known atoms in the prover's answer order, such that the
+/// violation body is certain. `None` when every constraint holds.
+fn oracle_rejection(prover: &Prover) -> Option<(Formula, Vec<Atom>)> {
+    fn search(
+        prover: &Prover,
+        patterns: &[Formula],
+        body: &Formula,
+        binding: &mut HashMap<Var, Term>,
+        picked: &mut Vec<Atom>,
+    ) -> bool {
+        let Some((pattern, rest)) = patterns.split_first() else {
+            return certain(prover, &body.subst(binding));
+        };
+        let pattern = pattern.subst(binding);
+        let vars = pattern.free_vars();
+        for tuple in answers(prover, &Formula::know(pattern.clone())) {
+            let Formula::Atom(atom) = pattern.bind_free(&tuple) else {
+                unreachable!("patterns are atoms")
+            };
+            picked.push(atom);
+            for (v, p) in vars.iter().zip(&tuple) {
+                binding.insert(*v, Term::Param(*p));
+            }
+            if search(prover, rest, body, binding, picked) {
+                return true;
+            }
+            for v in &vars {
+                binding.remove(v);
+            }
+            picked.pop();
+        }
+        false
+    }
+    let (ic, (patterns, body)) = constraints()
+        .into_iter()
+        .zip(VIOLATIONS)
+        .find(|(ic, _)| !certain(prover, ic))?;
+    let patterns: Vec<Formula> = patterns.iter().map(|p| parse(p).unwrap()).collect();
+    let mut witnesses = Vec::new();
+    let found = search(
+        prover,
+        &patterns,
+        &parse(body).unwrap(),
+        &mut HashMap::new(),
+        &mut witnesses,
+    );
+    assert!(found, "a violated constraint has a witness");
+    Some((ic, witnesses))
+}
+
+/// Open a database over `src` under [`constraints`], commit each batch,
+/// and hold the verdict, the constraint a rejection names and its
+/// witnesses against [`oracle_rejection`] on the candidate state.
+fn rejections_match_oracle(
+    src: &str,
+    batches: &[Vec<RawOp>],
+    to_op: fn(RawOp) -> (bool, Formula),
+) -> Result<(), TestCaseError> {
+    let mut db = EpistemicDb::from_text(src).unwrap();
     for ic in constraints() {
-        if ic_satisfaction(&prover, &ic, IcDefinition::Epistemic) != IcReport::Satisfied {
-            return None;
+        db.add_constraint(ic).unwrap();
+    }
+    for raw_batch in batches {
+        let batch: Vec<(bool, Formula)> = raw_batch.iter().map(|op| to_op(*op)).collect();
+        let expected = oracle_rejection(&prover_for(replay(db.theory(), &batch)));
+        let mut txn = db.transaction();
+        for (is_assert, w) in &batch {
+            txn = if *is_assert {
+                txn.assert(w.clone())
+            } else {
+                txn.retract(w.clone())
+            };
+        }
+        match (txn.commit(), expected) {
+            (Ok(_), None) => {}
+            (Err(DbError::ConstraintViolated(got)), Some((ic, witnesses))) => {
+                prop_assert_eq!(&got.constraint, &ic, "on {:?}", batch);
+                prop_assert_eq!(&got.witnesses, &witnesses, "on {:?}", batch);
+            }
+            (got, want) => prop_assert!(
+                false,
+                "verdict mismatch on {:?}: commit {:?}, oracle {:?}",
+                batch,
+                got.map(|_| ()),
+                want
+            ),
         }
     }
-    Some(candidate)
+    Ok(())
 }
 
 /// A ground-facts-only op (no existentials), retract-weighted: 3 of 4
@@ -243,6 +355,37 @@ proptest! {
             prop_assert_eq!(db.prover().atom_model(), scratch.atom_model());
         }
         prop_assert!(db.satisfies_constraints());
+    }
+
+    /// The commit path decides constraints with `demo` (violation
+    /// instances on the routed path, the whole violation on the full one,
+    /// the open violation body for witnesses); the Levesque reduction is
+    /// the independent oracle. On assert-heavy streams (rule subsets,
+    /// existential facts that leave the definite fragment) and on
+    /// retract-heavy streams over a seeded registrar, every verdict, the
+    /// constraint a rejection names and its witnesses must be the
+    /// oracle's.
+    #[test]
+    fn demo_checked_commits_match_the_certain_oracle(
+        (mask, grow) in batches(),
+        shrink in proptest::collection::vec(
+            proptest::collection::vec((0u8..8, 0u8..8, 0u8..8, 0u8..8), 1..5),
+            1..6,
+        ),
+    ) {
+        let mut rules = String::new();
+        for (i, rule) in RULES.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                rules.push_str(rule);
+                rules.push('\n');
+            }
+        }
+        let mut seeded = rules.clone();
+        for i in 0..PARAMS {
+            seeded.push_str(&format!("emp(a{i})\nss(a{i}, n{i})\nhobby(a{i}, n{i})\n"));
+        }
+        rejections_match_oracle(&rules, &grow, op_formula)?;
+        rejections_match_oracle(&seeded, &shrink, ground_op)?;
     }
 
     /// MVCC snapshot consistency: handles pinned before/during/after a
