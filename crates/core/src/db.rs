@@ -8,16 +8,17 @@ use crate::ask;
 use crate::closure::ClosedDb;
 use crate::constraints::{ic_satisfaction, IcDefinition, IcReport};
 use crate::demo;
-use crate::engine::prover_for;
+use crate::engine::{definite_program, prover_and_program};
 use crate::incremental::{CompiledConstraint, IncrementalChecker, RuleGraph};
 use crate::transaction::Transaction;
-use epilog_datalog::{ProofTree, SupportTable};
+use epilog_datalog::{Program, ProofTree, RulePlan, SupportTable};
 use epilog_prover::Prover;
 use epilog_semantics::Answer;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::theory::TheoryError;
 use epilog_syntax::{Admissibility, Formula, Param, Theory};
 use std::fmt;
+use std::sync::Arc;
 
 /// The structured explanation of a constraint rejection: which constraint
 /// the update would violate, the ground tuples witnessing the violation
@@ -45,16 +46,18 @@ pub struct Rejection {
 impl Rejection {
     /// Build the explanation for a violated constraint against the
     /// (rejected) candidate state. `table` is the candidate's maintained
-    /// support table when provenance is enabled.
+    /// support table when provenance is enabled, `program` the
+    /// candidate's definite program (whose EDB the proofs bottom out in).
     pub(crate) fn explain(
         ic: &Formula,
         prover: &Prover,
         table: Option<&SupportTable>,
+        program: Option<&Program>,
     ) -> Box<Rejection> {
         let witnesses = CompiledConstraint::compile(ic)
             .map(|c| c.violation_witnesses(prover))
             .unwrap_or_default();
-        let proofs = match (table, crate::engine::definite_program(prover.theory())) {
+        let proofs = match (table, program) {
             (Some(t), Some(prog)) => witnesses
                 .iter()
                 .filter_map(|w| {
@@ -139,29 +142,44 @@ impl From<TheoryError> for DbError {
 /// An `EpistemicDb` is `Clone + Sync`: queries take `&self`, so an
 /// immutable clone wrapped in an `Arc` is a consistent snapshot any
 /// number of reader threads can query concurrently (see
-/// [`crate::mvcc`]). Cloning is cheap relative to commits — the theory,
-/// model, and compiled plans are copied, none recomputed.
+/// [`crate::mvcc`]). A clone shares with its original everything a
+/// ground-atom commit does not change: the least model's storage run by
+/// run (see [`epilog_storage::Relation`]), and the constraints, compiled
+/// checker, rule graph, rule plans and definite program whole, behind
+/// `Arc`s. What a clone still copies is the sentence list and, with
+/// provenance on, the support table.
 #[derive(Clone)]
 pub struct EpistemicDb {
     pub(crate) prover: Prover,
-    pub(crate) constraints: Vec<Formula>,
+    pub(crate) constraints: Arc<Vec<Formula>>,
     /// The constraints compiled for incremental checking; `None` when at
     /// least one registered constraint is outside the compilable
     /// `¬∃x̄ (K-conjunction)` fragment (commits then re-check in full).
-    pub(crate) checker: Option<IncrementalChecker>,
+    pub(crate) checker: Option<Arc<IncrementalChecker>>,
     /// The rule dependency graph used to route constraint checks, cached
     /// across commits: it depends only on the rule-shaped sentences, so
     /// ground-atom commits reuse it and only rule-changing commits (a
     /// retraction, or an asserted non-atom) rebuild it.
-    pub(crate) rule_graph: RuleGraph,
-    /// The compiled [`epilog_datalog::RulePlan`] set of the definite
-    /// program, cached across commits like the constraint `rule_graph`:
-    /// plans depend only on the rule-shaped sentences, so ground-atom
-    /// commits resume the fixpoint through these without compiling
-    /// anything, and only rule-changing commits rebuild them (with cost
-    /// statistics read from the then-current least model). `None` when
-    /// the theory is not a definite program.
-    pub(crate) rule_plans: Option<Vec<epilog_datalog::RulePlan>>,
+    pub(crate) rule_graph: Arc<RuleGraph>,
+    /// The theory as a definite Datalog program — what
+    /// [`definite_program`] would derive from the sentences — cached
+    /// across commits next to the plans compiled from it; `Some` exactly
+    /// when a least model is attached. The rules depend only on the
+    /// rule-shaped sentences and the EDB is the set of ground-atom
+    /// sentences, so a ground-atom commit produces its candidate's
+    /// program by editing a copy of the EDB with the batch's own added
+    /// and removed atoms (the copy shares storage with this one) and
+    /// never walks the sentence list; only rule-changing commits derive
+    /// it afresh. Debug builds re-derive it at every commit and compare.
+    pub(crate) program: Option<Arc<Program>>,
+    /// The compiled [`epilog_datalog::RulePlan`] set of `program`, one
+    /// per rule in order, cached across commits like the constraint
+    /// `rule_graph`: plans depend only on the rule-shaped sentences, so
+    /// ground-atom commits resume the fixpoint through these without
+    /// compiling anything, and only rule-changing commits rebuild them
+    /// (with cost statistics read from the then-current least model).
+    /// `Some` exactly when `program` is.
+    pub(crate) rule_plans: Option<Arc<Vec<RulePlan>>>,
     /// Total least-model size at the time `rule_plans` was compiled: the
     /// baseline for the staleness trigger. Cached plans embed literal
     /// orderings costed against the model as it looked back then; when the
@@ -186,36 +204,56 @@ impl EpistemicDb {
     /// theories are routed through the bottom-up engine: their least model
     /// is materialized once and answers ground-atom questions directly.
     pub fn new(theory: Theory) -> Self {
-        let rule_graph = RuleGraph::new(&theory);
-        let prover = prover_for(theory);
-        let rule_plans = Self::compile_rule_plans(&prover);
-        let plans_model_size = prover.atom_model().map_or(0, |m| m.len());
-        EpistemicDb {
-            prover,
-            constraints: Vec::new(),
-            checker: Some(IncrementalChecker::default()),
-            rule_graph,
-            rule_plans,
-            plans_model_size,
-            plan_recosts: 0,
-            support_table: None,
-        }
+        let (prover, program) = prover_and_program(theory);
+        Self::over(prover, program)
     }
 
-    /// Compile the cross-commit rule-plan cache for a prover whose theory
-    /// is a definite program, using the attached least model as the cost
-    /// statistics source (it covers intensional relations too). `None`
-    /// outside the definite fragment — those theories have no resumable
-    /// fixpoint to cache plans for.
-    pub(crate) fn compile_rule_plans(prover: &Prover) -> Option<Vec<epilog_datalog::RulePlan>> {
-        let model = prover.atom_model()?;
-        let prog = crate::engine::definite_program(prover.theory())?;
-        Some(
-            prog.rules
+    /// A constraint-free database over `prover`, whose theory `program`
+    /// is the definite reading of (`None`: it has none, and no model).
+    fn over(prover: Prover, program: Option<Program>) -> Self {
+        let mut db = EpistemicDb {
+            rule_graph: Arc::new(RuleGraph::new(prover.theory())),
+            plans_model_size: prover.atom_model().map_or(0, |m| m.len()),
+            prover,
+            constraints: Arc::default(),
+            checker: Some(Arc::default()),
+            program: program.map(Arc::new),
+            rule_plans: None,
+            plan_recosts: 0,
+            support_table: None,
+        };
+        db.rule_plans = db.compile_rule_plans();
+        db
+    }
+
+    /// Compile the cross-commit rule-plan cache for the cached definite
+    /// program, using the attached least model as the cost statistics
+    /// source (it covers intensional relations too). `None` outside the
+    /// definite fragment — those theories have no resumable fixpoint to
+    /// cache plans for.
+    pub(crate) fn compile_rule_plans(&self) -> Option<Arc<Vec<RulePlan>>> {
+        let model = self.prover.atom_model()?;
+        let rules = &self.program.as_ref()?.rules;
+        Some(Arc::new(
+            rules
                 .iter()
-                .map(|r| epilog_datalog::RulePlan::compile_with_stats(r, Some(model)))
+                .map(|r| RulePlan::compile_with_stats(r, Some(model)))
                 .collect(),
-        )
+        ))
+    }
+
+    /// Whether the cached program is what the sentences say it is (the
+    /// invariant every commit maintains; checked in debug builds).
+    pub(crate) fn program_is_current(&self) -> bool {
+        let fresh = self
+            .prover
+            .atom_model()
+            .and_then(|_| definite_program(self.prover.theory()));
+        match (self.program.as_deref(), fresh) {
+            (Some(cached), Some(fresh)) => cached.rules == fresh.rules && cached.edb == fresh.edb,
+            (None, None) => true,
+            _ => false,
+        }
     }
 
     /// Re-cost the cached rule plans when the attached least model has
@@ -233,7 +271,7 @@ impl EpistemicDb {
         let cur = model.len().max(1);
         let base = self.plans_model_size.max(1);
         if cur >= base * 2 || base >= cur * 2 {
-            self.rule_plans = Self::compile_rule_plans(&self.prover);
+            self.rule_plans = self.compile_rule_plans();
             self.plans_model_size = cur;
             self.plan_recosts += 1;
         }
@@ -257,20 +295,8 @@ impl EpistemicDb {
             Some(&model),
             "attached model must be the theory's least model"
         );
-        let rule_graph = RuleGraph::new(&theory);
-        let prover = Prover::new(theory).with_atom_model(model);
-        let rule_plans = Self::compile_rule_plans(&prover);
-        let plans_model_size = prover.atom_model().map_or(0, |m| m.len());
-        EpistemicDb {
-            prover,
-            constraints: Vec::new(),
-            checker: Some(IncrementalChecker::default()),
-            rule_graph,
-            rule_plans,
-            plans_model_size,
-            plan_recosts: 0,
-            support_table: None,
-        }
+        let program = definite_program(&theory);
+        Self::over(Prover::new(theory).with_atom_model(model), program)
     }
 
     /// Open a database from theory text.
@@ -310,7 +336,7 @@ impl EpistemicDb {
         if self.support_table.is_some() {
             return true;
         }
-        let Some(prog) = crate::engine::definite_program(self.prover.theory()) else {
+        let Some(prog) = &self.program else {
             return false;
         };
         let mut table = SupportTable::new();
@@ -345,8 +371,7 @@ impl EpistemicDb {
     pub fn why(&self, atom: &Atom) -> Option<ProofTree> {
         let table = self.support_table.as_ref()?;
         let tuple = epilog_datalog::provenance::params_of(atom)?;
-        let prog = crate::engine::definite_program(self.prover.theory())?;
-        table.why(&prog.edb, atom.pred, &tuple)
+        table.why(&self.program.as_ref()?.edb, atom.pred, &tuple)
     }
 
     /// The raw support table, for the persistence layer to serialize.
@@ -361,12 +386,9 @@ impl EpistemicDb {
     /// for the current theory; debug builds verify consistency.
     pub fn adopt_provenance(&mut self, table: SupportTable) {
         debug_assert!(
-            {
-                let prog = crate::engine::definite_program(self.prover.theory());
-                match (&prog, self.prover.atom_model()) {
-                    (Some(p), Some(m)) => table.consistent_with(m, p.rules.len()),
-                    _ => false,
-                }
+            match (&self.program, self.prover.atom_model()) {
+                (Some(p), Some(m)) => table.consistent_with(m, p.rules.len()),
+                _ => false,
             },
             "adopted support table is inconsistent with the attached model"
         );
@@ -413,11 +435,19 @@ impl EpistemicDb {
                 &ic,
                 &self.prover,
                 self.support_table.as_ref(),
+                self.program.as_deref(),
             )));
         }
-        self.constraints.push(ic);
-        self.checker = IncrementalChecker::new(&self.constraints).ok();
+        self.register(ic);
         Ok(())
+    }
+
+    /// Append an accepted constraint and recompile the checker.
+    fn register(&mut self, ic: Formula) {
+        Arc::make_mut(&mut self.constraints).push(ic);
+        self.checker = IncrementalChecker::new(&self.constraints)
+            .ok()
+            .map(Arc::new);
     }
 
     /// Register a constraint **without** verifying that the current state
@@ -435,8 +465,7 @@ impl EpistemicDb {
             ic_satisfaction(&self.prover, &ic, IcDefinition::Epistemic) == IcReport::Satisfied,
             "adopted constraint `{ic}` is violated by the current state"
         );
-        self.constraints.push(ic);
-        self.checker = IncrementalChecker::new(&self.constraints).ok();
+        self.register(ic);
         Ok(())
     }
 

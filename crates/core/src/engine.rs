@@ -41,9 +41,18 @@ pub fn definite_model(theory: &Theory) -> Option<Database> {
 /// Build a prover for `theory`, attaching the least model as a
 /// ground-atom fast path whenever the theory is a definite program.
 pub fn prover_for(theory: Theory) -> Prover {
-    match definite_model(&theory) {
-        Some(model) => Prover::new(theory).with_atom_model(model),
-        None => Prover::new(theory),
+    prover_and_program(theory).0
+}
+
+/// [`prover_for`], also handing back the definite program the model was
+/// computed from (`Some` exactly when a model is attached) so a caller
+/// that keeps the program — [`crate::EpistemicDb`] — does not derive it
+/// from the sentences a second time.
+pub(crate) fn prover_and_program(theory: Theory) -> (Prover, Option<Program>) {
+    let program = definite_program(&theory);
+    match program.as_ref().and_then(|p| p.eval().ok()) {
+        Some((model, _stats)) => (Prover::new(theory).with_atom_model(model), program),
+        None => (Prover::new(theory), None),
     }
 }
 

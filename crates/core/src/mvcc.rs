@@ -8,7 +8,11 @@
 //! writer builds the *next* state privately — through the ordinary
 //! [`Transaction::prepare`](crate::Transaction::prepare) /
 //! [`PreparedCommit`](crate::PreparedCommit) path — and publishes it
-//! into a [`StateCell`] with a pointer swap.
+//! into a [`StateCell`] with a pointer swap. The state it publishes is a
+//! clone of its working database, and a clone shares with its original
+//! every storage run of the model the commit did not write to and the
+//! rule-derived caches whole (see [`EpistemicDb`]), so keeping many
+//! states alive costs their differences, not their sizes.
 //!
 //! Readers call [`StateCell::snapshot`] and get a [`ReadHandle`]: an
 //! `Arc` clone of whatever state was head at that instant. Queries run

@@ -38,14 +38,15 @@
 
 use crate::constraints::{ic_satisfaction, IcDefinition, IcReport};
 use crate::db::{DbError, EpistemicDb, Rejection};
-use crate::engine::{definite_program, prover_for};
+use crate::engine::prover_and_program;
 use crate::incremental::{CheckStats, RuleGraph};
-use epilog_datalog::{EvalStats, SupportTable};
+use epilog_datalog::{EvalStats, Program, SupportTable};
 use epilog_prover::Prover;
 use epilog_storage::Database;
 use epilog_syntax::theory::TheoryError;
 use epilog_syntax::{is_first_order, Formula};
 use std::fmt;
+use std::sync::Arc;
 
 /// One batched update operation.
 #[derive(Debug, Clone)]
@@ -270,6 +271,7 @@ impl<'db> Transaction<'db> {
             return Ok(PreparedCommit {
                 db,
                 candidate: None,
+                program: None,
                 rules_changed: false,
                 report: CommitReport::unchanged(),
                 added,
@@ -307,66 +309,69 @@ impl<'db> Transaction<'db> {
         // the definite fragment).
         let mut support_update: Option<Option<SupportTable>> = None;
         let tracing = db.support_table.is_some();
-        let (candidate, model_update): (Prover, ModelUpdate) = 'prover: {
+        // `candidate_program` is the candidate theory as a definite
+        // program (`None` outside the fragment): installed with the
+        // candidate, and the EDB rejection proofs bottom out in.
+        type Candidate = (Prover, ModelUpdate, Option<Arc<Program>>);
+        let (candidate, model_update, candidate_program): Candidate = 'prover: {
             if facts_only {
-                if let (Some(old_model), Some(prog)) =
-                    (db.prover.atom_model(), definite_program(&theory))
+                if let (Some(old_model), Some(cached), Some(plans)) =
+                    (db.prover.atom_model(), &db.program, &db.rule_plans)
                 {
+                    // A facts-only commit leaves the rule set untouched,
+                    // so the candidate's program is the cached one with
+                    // this batch's atoms taken out of and put into its
+                    // EDB — no walk over the sentences — and the plans
+                    // cached on the db are exactly its plans: neither
+                    // fixpoint compiles anything
+                    // (`stats.plans_compiled == 0`).
+                    let mut prog = Program::clone(cached);
                     let mut new_facts = Database::new();
                     let mut removed_facts = Database::new();
-                    for w in &added {
-                        if let Formula::Atom(a) = w {
-                            new_facts.insert(a);
-                        }
-                    }
                     for w in &removed {
                         if let Formula::Atom(a) = w {
                             removed_facts.insert(a);
+                            prog.edb.remove(a);
                         }
                     }
-                    // A facts-only commit leaves the rule set untouched,
-                    // so the plans cached on the db are exactly the
-                    // candidate program's plans — neither fixpoint
-                    // compiles anything (`stats.plans_compiled == 0`).
-                    // The compiling fallbacks only cover a db whose cache
-                    // is unexpectedly cold.
-                    //
+                    for w in &added {
+                        if let Formula::Atom(a) = w {
+                            new_facts.insert(a);
+                            prog.edb.insert(a);
+                        }
+                    }
+                    prog.edb.prune_empty();
                     // With provenance on, the traced fixpoints maintain a
                     // clone of the support table in the same pass: DRed
                     // consumes recorded supports (skipping re-derivation
                     // probes where an alternative support survives) and
                     // purges the net-removed atoms, the growth fixpoint
                     // appends supports for its insertions.
-                    let mut traced_table = (tracing && db.rule_plans.is_some())
-                        .then(|| db.support_table.clone().expect("tracing implies a table"));
+                    let mut traced_table = db.support_table.clone();
                     let shrunk = if removed_facts.is_empty() {
                         Ok((old_model.clone(), EvalStats::default()))
                     } else {
-                        match (&db.rule_plans, traced_table.as_mut()) {
-                            (Some(plans), Some(table)) => prog.eval_decremental_traced(
+                        match traced_table.as_mut() {
+                            Some(table) => prog.eval_decremental_traced(
                                 plans,
                                 old_model.clone(),
                                 &removed_facts,
                                 table,
                             ),
-                            (Some(plans), None) => {
+                            None => {
                                 prog.eval_decremental_with(plans, old_model.clone(), &removed_facts)
                             }
-                            (None, _) => prog.eval_decremental(old_model.clone(), &removed_facts),
                         }
                     };
                     let maintained = shrunk.and_then(|(model, mut stats)| {
                         if new_facts.is_empty() {
                             return Ok((model, stats));
                         }
-                        let resumed = match (&db.rule_plans, traced_table.as_mut()) {
-                            (Some(plans), Some(table)) => {
+                        let resumed = match traced_table.as_mut() {
+                            Some(table) => {
                                 prog.eval_incremental_traced(plans, model, &new_facts, table)
                             }
-                            (Some(plans), None) => {
-                                prog.eval_incremental_with(plans, model, &new_facts)
-                            }
-                            (None, _) => prog.eval_incremental(model, &new_facts),
+                            None => prog.eval_incremental_with(plans, model, &new_facts),
                         };
                         resumed.map(|(model, grown)| {
                             stats.absorb(&grown);
@@ -375,24 +380,13 @@ impl<'db> Transaction<'db> {
                     });
                     if let Ok((model, stats)) = maintained {
                         if tracing {
-                            support_update = Some(match traced_table {
-                                Some(table) => Some(table),
-                                // Cold plan cache: the untraced fallback
-                                // ran, so re-record from scratch.
-                                None => {
-                                    let mut table = SupportTable::new();
-                                    prog.eval_traced(
-                                        epilog_datalog::EvalOptions::default(),
-                                        &mut table,
-                                    )
-                                    .ok()
-                                    .map(|_| table)
-                                }
-                            });
+                            support_update = Some(traced_table);
                         }
                         // `gone` is the exact model diff: everything the
                         // deletion fixpoint removed and the insertion
-                        // fixpoint did not re-add.
+                        // fixpoint did not re-add. The new model is a
+                        // clone of the old one a few edits on, so the
+                        // difference skips every run they still share.
                         let gone = if removed_facts.is_empty() {
                             Database::new()
                         } else {
@@ -408,11 +402,12 @@ impl<'db> Transaction<'db> {
                             stats,
                         };
                         removed_model_atoms = Some(gone.atoms().collect());
-                        break 'prover (db.prover.updated(theory, Some(model)), update);
+                        let candidate = db.prover.updated(theory, Some(model));
+                        break 'prover (candidate, update, Some(Arc::new(prog)));
                     }
                 }
             }
-            let rebuilt = prover_for(theory);
+            let (rebuilt, program) = prover_and_program(theory);
             let update = if rebuilt.atom_model().is_some() {
                 ModelUpdate::Rebuilt
             } else {
@@ -424,17 +419,14 @@ impl<'db> Transaction<'db> {
                 // scratch against the candidate program. A theory that
                 // left the definite fragment has no bottom-up derivations
                 // to record — provenance switches off.
-                support_update = Some(match definite_program(rebuilt.theory()) {
-                    Some(prog) => {
-                        let mut table = SupportTable::new();
-                        prog.eval_traced(epilog_datalog::EvalOptions::default(), &mut table)
-                            .ok()
-                            .map(|_| table)
-                    }
-                    None => None,
-                });
+                support_update = Some(program.as_ref().and_then(|prog| {
+                    let mut table = SupportTable::new();
+                    prog.eval_traced(epilog_datalog::EvalOptions::default(), &mut table)
+                        .ok()
+                        .map(|_| table)
+                }));
             }
-            (rebuilt, update)
+            (rebuilt, update, program.map(Arc::new))
         };
 
         // Phase 4 — verify the constraints. Facts-only commits on a
@@ -476,11 +468,12 @@ impl<'db> Transaction<'db> {
                         &c.original,
                         &candidate,
                         table,
+                        candidate_program.as_deref(),
                     )));
                 }
             }
             _ => {
-                for ic in &db.constraints {
+                for ic in db.constraints.iter() {
                     checks.full += 1;
                     if ic_satisfaction(&candidate, ic, IcDefinition::Epistemic)
                         != IcReport::Satisfied
@@ -490,7 +483,10 @@ impl<'db> Transaction<'db> {
                             .and_then(|t| t.as_ref())
                             .or(db.support_table.as_ref());
                         return Err(DbError::ConstraintViolated(Rejection::explain(
-                            ic, &candidate, table,
+                            ic,
+                            &candidate,
+                            table,
+                            candidate_program.as_deref(),
                         )));
                     }
                 }
@@ -505,6 +501,7 @@ impl<'db> Transaction<'db> {
         Ok(PreparedCommit {
             db,
             candidate: Some(candidate),
+            program: candidate_program,
             rules_changed,
             report: CommitReport {
                 asserted: added.len(),
@@ -529,6 +526,9 @@ pub struct PreparedCommit<'db> {
     db: &'db mut EpistemicDb,
     /// `None` when the batch reduced to a no-op: nothing to publish.
     candidate: Option<Prover>,
+    /// The candidate theory's definite program (`None` when it has none),
+    /// installed with the candidate.
+    program: Option<Arc<Program>>,
     rules_changed: bool,
     report: CommitReport,
     added: Vec<Formula>,
@@ -568,6 +568,11 @@ impl PreparedCommit<'_> {
     pub fn commit(self) -> CommitReport {
         if let Some(candidate) = self.candidate {
             self.db.prover = candidate;
+            self.db.program = self.program;
+            debug_assert!(
+                self.db.program_is_current(),
+                "cached program drifted from the theory"
+            );
             if let Some(table) = self.support_update {
                 self.db.support_table = table;
             }
@@ -577,8 +582,8 @@ impl PreparedCommit<'_> {
                 // commit reuses them as-is. The fresh plans are costed
                 // against the just-published model, so that becomes the
                 // staleness baseline.
-                self.db.rule_graph = RuleGraph::new(self.db.prover.theory());
-                self.db.rule_plans = EpistemicDb::compile_rule_plans(&self.db.prover);
+                self.db.rule_graph = Arc::new(RuleGraph::new(self.db.prover.theory()));
+                self.db.rule_plans = self.db.compile_rule_plans();
                 self.db.plans_model_size = self.db.prover.atom_model().map_or(0, |m| m.len());
             } else {
                 // Facts-only commits keep the cached plans but may drift
@@ -999,7 +1004,7 @@ mod tests {
     fn rule_commits_rebuild_the_plan_cache() {
         let mut d = db("e(a, b)\nforall x, y. e(x, y) -> t(x, y)");
         assert_eq!(
-            d.rule_plans.as_ref().map(Vec::len),
+            d.rule_plans.as_ref().map(|p| p.len()),
             Some(1),
             "one plan per rule"
         );

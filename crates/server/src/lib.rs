@@ -725,6 +725,74 @@ mod tests {
         std::fs::remove_dir_all(d).unwrap();
     }
 
+    /// 20 `ask` round trips and one multi-row `demo`, each reply checked
+    /// whole and in order, through `exchange` (send one request line,
+    /// return the reply's lines). No time bound yet: replies still leave
+    /// as two segments (`reply`, then `"\n"`), so every round trip waits
+    /// ≈ 44 ms on Nagle's algorithm against the peer's delayed ACK. The
+    /// change that sends one segment per message (ROADMAP item 1(a))
+    /// raises this to 200 round trips inside 2 s.
+    fn framing_round_trips(mut exchange: impl FnMut(&str, usize) -> Vec<String>) {
+        for i in 0..10 {
+            let reply = exchange(&format!("assert emp(e{i})"), 1);
+            assert_eq!(reply, [format!("ok committed @{} +1 -0", i + 1)]);
+        }
+        for i in 0..20 {
+            // Hired and never-hired employees interleave, so a reply out
+            // of order or cut short cannot pass for the expected one.
+            let verdict = if i % 3 == 0 { "yes" } else { "no" };
+            let who = if i % 3 == 0 { i % 10 } else { 10 + i };
+            let reply = exchange(&format!("ask K person(e{who})"), 1);
+            assert_eq!(reply, [format!("ok {verdict} @10")], "ask {i}");
+        }
+        let rows = exchange("demo K emp(x)", 11);
+        assert_eq!(rows[0], "ok rows 10 @10");
+        let want: Vec<String> = (0..10).map(|i| format!("row e{i}")).collect();
+        assert_eq!(rows[1..], want);
+        assert_eq!(
+            exchange("ask K emp(e3)", 1),
+            ["ok yes @10"],
+            "still in step"
+        );
+    }
+
+    #[test]
+    fn replies_arrive_whole_and_in_order_on_a_raw_socket() {
+        let d = dir();
+        let server = serve(&d);
+        // No helper: a plain socket with default options, as any
+        // third-party client would open it.
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        framing_round_trips(|request, lines| {
+            stream.write_all(format!("{request}\n").as_bytes()).unwrap();
+            (0..lines)
+                .map(|_| {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).unwrap();
+                    assert!(line.ends_with('\n'), "complete line, got {line:?}");
+                    line.trim_end().to_string()
+                })
+                .collect()
+        });
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn replies_arrive_whole_and_in_order_through_the_client() {
+        let d = dir();
+        let server = serve(&d);
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        framing_round_trips(|request, lines| {
+            let mut reply = vec![c.request(request).unwrap()];
+            reply.extend((1..lines).map(|_| c.read_line().unwrap()));
+            reply
+        });
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
     #[test]
     fn idle_sessions_time_out_and_the_server_keeps_serving() {
         let d = dir();

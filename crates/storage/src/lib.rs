@@ -10,10 +10,18 @@
 //!   over [`Database`] snapshots.
 //!
 //! Tuples are fixed-arity vectors of [`Param`]s (the function-free FOPCE
-//! fragment has no other ground terms). Relations maintain hash indexes per
-//! column, built on demand ([`Relation::ensure_index`]) and from then on
+//! fragment has no other ground terms). Relations maintain per-column
+//! indexes, built on demand ([`Relation::ensure_index`]) and from then on
 //! updated **incrementally** on every mutation, so selection with any
 //! partial binding pattern stays sub-linear across fixpoint rounds.
+//!
+//! Everything a [`Relation`] stores sits in one persistent container
+//! (sorted runs behind `Arc`s, private to this crate): cloning a
+//! [`Database`] copies pointers, not tuples, and the clone shares every
+//! run with its original until one of them writes to it. The layers
+//! above lean on that — a transaction's candidate model, the MVCC
+//! snapshot a commit publishes and each step of a recovery replay are
+//! all plain `.clone()`s. See [`Relation`] for the cost model.
 //!
 //! Two further pieces serve the bottom-up evaluators:
 //!
@@ -27,6 +35,7 @@ pub mod database;
 pub mod delta;
 pub mod plan;
 pub mod relation;
+mod runset;
 
 pub use database::Database;
 pub use delta::DeltaDatabase;

@@ -1,9 +1,11 @@
 //! Relations: ordered sets of fixed-arity tuples with incrementally
-//! maintained per-column hash indexes.
+//! maintained per-column indexes, stored in persistent run sets so a
+//! clone shares everything it does not change.
 
+use crate::runset::{self, RunSet};
 use crate::Tuple;
 use epilog_syntax::Param;
-use std::collections::{btree_set, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A selection pattern: per column, either a required parameter or a
 /// wildcard.
@@ -11,24 +13,91 @@ pub type Selection = Vec<Option<Param>>;
 
 /// A relation instance: a set of tuples of a fixed arity.
 ///
-/// Tuples are kept in a `BTreeSet` for deterministic iteration (important
-/// for the reproducibility of every experiment). Per-column hash indexes
-/// are built on demand via [`Relation::ensure_index`] and from then on
-/// maintained **incrementally** by `insert`/`remove`/`union_with` — a
-/// mutation never tears an index down, which is what lets the semi-naive
-/// fixpoint keep its indexes warm across iterations.
+/// Tuples iterate in lexicographic order (important for the
+/// reproducibility of every experiment). Per-column indexes are built on
+/// demand via [`Relation::ensure_index`] and from then on maintained
+/// **incrementally** by `insert`/`remove`/`union_with` — a mutation never
+/// tears an index down, which is what lets the semi-naive fixpoint keep
+/// its indexes warm across iterations.
+///
+/// # Cost model
+///
+/// The tuple set and every built index are one kind of container: a
+/// persistent sorted set of runs of at most 64 items, each run behind an
+/// `Arc` (see `runset.rs`; two levels — a list of runs — are enough at
+/// every size a workload here reaches, ≤ 4 641 runs at 148 500 tuples).
+/// The index of column `c` is that set over `(t[c], t)`, so all tuples
+/// with one key are contiguous and ordered as the relation orders them.
+/// With `n` tuples and `k` built indexes:
+///
+/// * **clone** — `(1 + k) · n/64` reference-count bumps, no tuple
+///   copied; the clone and the original share every run until one of
+///   them writes to it. This is what makes a database snapshot (the MVCC
+///   head, a transaction's candidate model, a recovery replay step) cost
+///   its pointers rather than its tuples.
+/// * **insert / remove** — per set, two binary searches and an edit of
+///   the one run the tuple lands in: in place when nobody shares the
+///   run (bulk loads copy nothing, ascending ones do not even search),
+///   after copying that run's ≤ 64 items when a snapshot does. So a
+///   snapshot costs later writers one run copy per run they touch,
+///   whatever `n` is.
+/// * **probe** ([`Relation::select`] on an indexed column) — two binary
+///   searches to the first entry with the key, then a walk that stops at
+///   the first entry with another key; that entry is not counted in
+///   [`Matches::examined`].
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     arity: usize,
-    tuples: BTreeSet<Tuple>,
-    /// `indexes[c]` maps a parameter to the tuples whose column `c` holds
-    /// it; each bucket iterates in set order, and mutation is logarithmic
-    /// even for heavily skewed keys. `None` when never built.
-    indexes: Vec<Option<HashMap<Param, BTreeSet<Tuple>>>>,
+    tuples: RunSet<Tuple>,
+    /// `indexes[c]` holds `(t[c], t)` for every tuple; `None` when never
+    /// built.
+    indexes: Vec<Option<ColumnIndex>>,
+}
+
+/// The index of one column: every tuple keyed by that column's value,
+/// plus the number of distinct keys (the planner's statistic), kept
+/// current by every mutation so no removal leaves residue to count
+/// around.
+#[derive(Debug, Clone)]
+struct ColumnIndex {
+    entries: RunSet<(Param, Tuple)>,
+    distinct: usize,
+}
+
+impl ColumnIndex {
+    fn build(tuples: &RunSet<Tuple>, c: usize) -> ColumnIndex {
+        let mut entries: Vec<(Param, Tuple)> = tuples.iter().map(|t| (t[c], t.clone())).collect();
+        entries.sort_unstable();
+        ColumnIndex {
+            distinct: entries.chunk_by(|a, b| a.0 == b.0).count(),
+            entries: entries.into_iter().collect(),
+        }
+    }
+
+    /// The entries from the first one keyed `key` (or above) onwards.
+    fn seek(&self, key: Param) -> runset::Iter<'_, (Param, Tuple)> {
+        self.entries.iter_from(|e| e.0 < key)
+    }
+
+    fn has_key(&self, key: Param) -> bool {
+        self.seek(key).next().is_some_and(|e| e.0 == key)
+    }
+
+    /// Add a tuple known to be new to the relation.
+    fn insert(&mut self, key: Param, t: Tuple) {
+        self.distinct += usize::from(!self.has_key(key));
+        self.entries.insert((key, t));
+    }
+
+    /// Drop a tuple known to be in the relation.
+    fn remove(&mut self, key: Param, t: &Tuple) {
+        self.entries.remove(&(key, t.clone()));
+        self.distinct -= usize::from(!self.has_key(key));
+    }
 }
 
 /// Borrowing iterator over the tuples matching a selection pattern, in
-/// deterministic (lexicographic within the probed bucket) order.
+/// deterministic (lexicographic within the probed key) order.
 pub struct Matches<'a> {
     inner: MatchesInner<'a>,
     pattern: &'a [Option<Param>],
@@ -37,8 +106,10 @@ pub struct Matches<'a> {
 
 enum MatchesInner<'a> {
     Empty,
-    Scan(btree_set::Iter<'a, Tuple>),
-    Bucket(btree_set::Iter<'a, Tuple>),
+    Scan(runset::Iter<'a, Tuple>),
+    /// An index walk from the first entry of the key; ends at the first
+    /// entry keyed otherwise.
+    Probe(runset::Iter<'a, (Param, Tuple)>, Param),
 }
 
 impl<'a> Matches<'a> {
@@ -55,8 +126,8 @@ impl<'a> Matches<'a> {
     /// the ones the residual pattern filter rejected. The join executor
     /// reads this after draining the iterator to report true work done
     /// (`EvalStats::rows_examined`), which is what separates an index
-    /// probe that lands on a selective bucket from one that residually
-    /// scans a large one.
+    /// probe that lands on a selective key from one that residually
+    /// scans a heavily repeated one.
     pub fn examined(&self) -> u64 {
         self.examined
     }
@@ -70,7 +141,13 @@ impl<'a> Iterator for Matches<'a> {
             let t = match &mut self.inner {
                 MatchesInner::Empty => return None,
                 MatchesInner::Scan(it) => it.next()?,
-                MatchesInner::Bucket(it) => it.next()?,
+                MatchesInner::Probe(it, key) => match it.next() {
+                    Some((k, t)) if k == key => t,
+                    _ => {
+                        self.inner = MatchesInner::Empty;
+                        return None;
+                    }
+                },
             };
             self.examined += 1;
             if Relation::matches(t, self.pattern) {
@@ -85,7 +162,7 @@ impl Relation {
     pub fn new(arity: usize) -> Self {
         Relation {
             arity,
-            tuples: BTreeSet::new(),
+            tuples: RunSet::default(),
             indexes: vec![None; arity],
         }
     }
@@ -112,15 +189,17 @@ impl Relation {
     /// Panics if the tuple's length differs from the relation's arity.
     pub fn insert(&mut self, t: Tuple) -> bool {
         assert_eq!(t.len(), self.arity, "tuple arity mismatch");
-        if self.tuples.contains(&t) {
+        if self.indexes.iter().all(Option::is_none) {
+            return self.tuples.insert(t);
+        }
+        if !self.tuples.insert(t.clone()) {
             return false;
         }
         for (c, idx) in self.indexes.iter_mut().enumerate() {
             if let Some(idx) = idx {
-                idx.entry(t[c]).or_default().insert(t.clone());
+                idx.insert(t[c], t.clone());
             }
         }
-        self.tuples.insert(t);
         true
     }
 
@@ -131,9 +210,7 @@ impl Relation {
         if removed {
             for (c, idx) in self.indexes.iter_mut().enumerate() {
                 if let Some(idx) = idx {
-                    if let Some(bucket) = idx.get_mut(&t[c]) {
-                        bucket.remove(t);
-                    }
+                    idx.remove(t[c], t);
                 }
             }
         }
@@ -153,14 +230,9 @@ impl Relation {
     /// Build the index for column `c` if it is not built yet; once built it
     /// is maintained incrementally by every mutation.
     pub fn ensure_index(&mut self, c: usize) {
-        if self.indexes[c].is_some() {
-            return;
+        if self.indexes[c].is_none() {
+            self.indexes[c] = Some(ColumnIndex::build(&self.tuples, c));
         }
-        let mut idx: HashMap<Param, BTreeSet<Tuple>> = HashMap::new();
-        for t in &self.tuples {
-            idx.entry(t[c]).or_default().insert(t.clone());
-        }
-        self.indexes[c] = Some(idx);
     }
 
     /// Whether the index for column `c` has been built.
@@ -170,12 +242,13 @@ impl Relation {
 
     /// Number of distinct parameters in column `c` — the per-column
     /// statistic the cost-based planner divides by. When the column's
-    /// index is built this is its (incrementally maintained) key count;
-    /// otherwise one scan computes it. Planners call this once per plan
-    /// compilation, not per probe.
+    /// index is built this is a counter the index keeps (read in O(1),
+    /// exact under any insert/remove history); otherwise one scan
+    /// computes it. Planners call this once per plan compilation, not
+    /// per probe.
     pub fn distinct_count(&self, c: usize) -> usize {
         match &self.indexes[c] {
-            Some(idx) => idx.iter().filter(|(_, b)| !b.is_empty()).count(),
+            Some(idx) => idx.distinct,
             None => self
                 .tuples
                 .iter()
@@ -198,12 +271,8 @@ impl Relation {
             let Some(idx) = &self.indexes[c] else {
                 continue;
             };
-            let inner = match idx.get(key) {
-                Some(bucket) => MatchesInner::Bucket(bucket.iter()),
-                None => MatchesInner::Empty,
-            };
             return Matches {
-                inner,
+                inner: MatchesInner::Probe(idx.seek(*key), *key),
                 pattern,
                 examined: 0,
             };
@@ -230,6 +299,13 @@ impl Relation {
             self.insert(t.clone());
         }
         self.len() - before
+    }
+
+    /// The tuples stored here that `other` does not hold, in order. Runs
+    /// the two relations still share (one is a clone of the other, a few
+    /// edits apart) are stepped over without being read.
+    pub(crate) fn difference<'a>(&'a self, other: &Relation) -> Vec<&'a Tuple> {
+        self.tuples.difference(&other.tuples)
     }
 
     /// The set of parameters appearing anywhere in the relation.
@@ -263,6 +339,7 @@ impl FromIterator<Tuple> for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p(n: &str) -> Param {
         Param::new(n)
@@ -439,5 +516,212 @@ mod tests {
     #[test]
     fn empty_matches_iterator() {
         assert_eq!(Matches::empty().count(), 0);
+    }
+
+    #[test]
+    fn probe_does_not_count_the_entry_that_ends_its_range() {
+        let mut r = Relation::new(2);
+        r.ensure_index(0);
+        for (a, b) in [("a", "x"), ("a", "y"), ("b", "x"), ("c", "x")] {
+            r.insert(vec![p(a), p(b)]);
+        }
+        // `a`'s range is followed by `b`'s entry, which stops the walk
+        // without being a candidate.
+        let pattern = vec![Some(p("a")), None];
+        let mut it = r.select(&pattern);
+        assert_eq!(it.by_ref().count(), 2);
+        assert_eq!(it.examined(), 2);
+        assert_eq!(it.next(), None, "stays finished");
+        // The last key's range ends with the index.
+        let pattern = vec![Some(p("c")), None];
+        let mut it = r.select(&pattern);
+        assert_eq!(it.by_ref().count(), 1);
+        assert_eq!(it.examined(), 1);
+    }
+
+    #[test]
+    fn fresh_key_churn_leaves_no_index_residue() {
+        // Parameters order by interning, so interning the churn keys in
+        // among the base keys lands them all over the sets, not only at
+        // their ends.
+        let mut leaves = Vec::new();
+        let mut base = Vec::new();
+        for i in 0..10_000 {
+            leaves.push(vec![
+                p(&format!("churn-leaf{i}")),
+                p(&format!("churn-w{i}")),
+            ]);
+            if i % 5 == 0 {
+                let (k, v) = (format!("churn-base{}", i % 400), format!("churn-v{i}"));
+                base.push(vec![p(&k), p(&v)]);
+            }
+        }
+        let mut r = Relation::new(2);
+        r.ensure_index(0);
+        r.ensure_index(1);
+        for t in base {
+            r.insert(t);
+        }
+        let shape = |r: &Relation| {
+            let idx: Vec<usize> = r
+                .indexes
+                .iter()
+                .map(|i| i.as_ref().unwrap().entries.run_count())
+                .collect();
+            (r.tuples.run_count(), idx)
+        };
+        let before = shape(&r);
+        // 10 000 insert/remove pairs on keys never seen before or again
+        // (the shape of `closure_write`'s leaf hires and fires).
+        for t in leaves {
+            assert!(r.insert(t.clone()));
+            assert!(r.remove(&t));
+        }
+        // Never more runs than before; fewer where a pair's removal found
+        // two short neighbours to join.
+        let after = shape(&r);
+        assert!(after.0 <= before.0, "{after:?} vs {before:?}");
+        assert!(after.1.iter().zip(&before.1).all(|(a, b)| a <= b));
+        assert!(after.0 * 2 > before.0, "and nothing but joins happened");
+        let scratch: Relation = r.iter().cloned().collect();
+        for c in 0..2 {
+            assert_eq!(r.distinct_count(c), scratch.distinct_count(c));
+        }
+        assert_eq!((r.distinct_count(0), r.distinct_count(1)), (80, 2000));
+    }
+
+    #[test]
+    fn a_clone_shares_all_but_the_touched_runs_of_every_set() {
+        let mut base = Relation::new(2);
+        base.ensure_index(0);
+        base.ensure_index(1);
+        for i in 0..5000 {
+            base.insert(vec![p(&format!("k{}", i % 70)), p(&format!("n{i}"))]);
+        }
+        let unshared = |a: &Relation, b: &Relation| {
+            let sets = |r: &Relation| {
+                let idx = r.indexes.iter().map(|i| &i.as_ref().unwrap().entries);
+                (
+                    r.tuples.run_count(),
+                    idx.map(RunSet::run_count).sum::<usize>(),
+                )
+            };
+            let (tuples, entries) = sets(a);
+            let shared_entries: usize = a
+                .indexes
+                .iter()
+                .zip(&b.indexes)
+                .map(|(x, y)| {
+                    let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
+                    x.entries.runs_shared_with(&y.entries)
+                })
+                .sum();
+            (
+                tuples - a.tuples.runs_shared_with(&b.tuples),
+                entries - shared_entries,
+            )
+        };
+        let snapshot = base.clone();
+        assert_eq!(unshared(&snapshot, &base), (0, 0));
+        base.insert(vec![p("k7"), p("fresh")]);
+        let (tuples, entries) = unshared(&snapshot, &base);
+        assert!(tuples <= 2 && entries <= 4, "{tuples} + {entries} copied");
+        base.remove(&vec![p("k7"), p("n77")]);
+        let (tuples, entries) = unshared(&snapshot, &base);
+        assert!(tuples <= 4 && entries <= 8, "{tuples} + {entries} copied");
+        // The snapshot still holds exactly what it held.
+        assert_eq!(snapshot.len(), 5000);
+        assert!(snapshot.contains(&vec![p("k7"), p("n77")]));
+        assert!(!snapshot.contains(&vec![p("k7"), p("fresh")]));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(u8, u8),
+        Remove(u8, u8),
+        Index(usize),
+        Snapshot,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            6 => (0u8..12, 0u8..40).prop_map(|(a, b)| Step::Insert(a, b)),
+            4 => (0u8..12, 0u8..40).prop_map(|(a, b)| Step::Remove(a, b)),
+            1 => (0usize..2).prop_map(Step::Index),
+            1 => Just(Step::Snapshot),
+        ]
+    }
+
+    fn tuple(a: u8, b: u8) -> Tuple {
+        vec![p(&format!("a{a}")), p(&format!("b{b}"))]
+    }
+
+    /// Everything a reader can observe of `r`, against the `BTreeSet`
+    /// that models it: scan order, every one- and two-column selection
+    /// with its `examined()` count, and the planner statistics.
+    fn check_against(r: &Relation, model: &BTreeSet<Tuple>) -> Result<(), TestCaseError> {
+        prop_assert_eq!(r.len(), model.len());
+        prop_assert!(r.iter().eq(model.iter()));
+        for c in 0..2 {
+            let keys: BTreeSet<Param> = model.iter().map(|t| t[c]).collect();
+            prop_assert_eq!(r.distinct_count(c), keys.len());
+        }
+        let mut patterns: Vec<Selection> = vec![vec![None, None]];
+        for t in [tuple(3, 7), tuple(0, 0), tuple(11, 39)]
+            .iter()
+            .chain(model.iter().take(3))
+        {
+            patterns.push(vec![Some(t[0]), None]);
+            patterns.push(vec![None, Some(t[1])]);
+            patterns.push(vec![Some(t[0]), Some(t[1])]);
+        }
+        for pattern in &patterns {
+            let want: Vec<&Tuple> = model
+                .iter()
+                .filter(|t| Relation::matches(t, pattern))
+                .collect();
+            let mut it = r.select(pattern);
+            let got: Vec<&Tuple> = it.by_ref().collect();
+            prop_assert_eq!(got, want);
+            // A probe pulls exactly the tuples carrying the key of the
+            // first bound indexed column; anything else scans.
+            let probed = (0..2).find(|c| pattern[*c].is_some() && r.has_index(*c));
+            let pulled = match probed {
+                Some(c) => model.iter().filter(|t| Some(t[c]) == pattern[c]).count(),
+                None => model.len(),
+            };
+            prop_assert_eq!(it.examined(), pulled as u64);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// `Relation` against a `BTreeSet` model over random edits, with
+        /// indexes appearing mid-stream and clones taken mid-stream:
+        /// every clone keeps answering for the state it was taken in.
+        #[test]
+        fn relation_matches_model_with_and_without_indexes(
+            steps in proptest::collection::vec(step(), 0..250),
+        ) {
+            let mut r = Relation::new(2);
+            let mut model: BTreeSet<Tuple> = BTreeSet::new();
+            let mut snapshots = Vec::new();
+            for s in steps {
+                match s {
+                    Step::Insert(a, b) => {
+                        prop_assert_eq!(r.insert(tuple(a, b)), model.insert(tuple(a, b)));
+                    }
+                    Step::Remove(a, b) => {
+                        prop_assert_eq!(r.remove(&tuple(a, b)), model.remove(&tuple(a, b)));
+                    }
+                    Step::Index(c) => r.ensure_index(c),
+                    Step::Snapshot => snapshots.push((r.clone(), model.clone())),
+                }
+            }
+            snapshots.push((r, model));
+            for (r, model) in &snapshots {
+                check_against(r, model)?;
+            }
+        }
     }
 }

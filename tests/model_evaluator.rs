@@ -121,3 +121,101 @@ fn ground_ask_on_a_closure_makes_no_sat_call() {
     assert_eq!(db.prover().sat_calls(), 0);
     println!("ask K t(a, b) on the 10 x 20-chain closure: {took:?}");
 }
+
+/// `chains` disjoint 30-edge chains under the two closure rules: 495
+/// model tuples per chain.
+fn closure(chains: usize) -> EpistemicDb {
+    let mut src = String::from(
+        "forall x, y. e(x, y) -> t(x, y)\nforall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n",
+    );
+    for c in 0..chains {
+        for i in 0..30 {
+            src.push_str(&format!("e(s{c}n{i}, s{c}n{})\n", i + 1));
+        }
+    }
+    EpistemicDb::from_text(&src).unwrap()
+}
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+/// One leaf commit the way the serving writer runs it — `prepare`,
+/// `commit`, a clone as the published snapshot, and the drop of the
+/// snapshot it replaces — timed; the receipt and the replaced snapshot's
+/// answers are checked.
+fn leaf_commit(db: &mut EpistemicDb, grow: bool, edge: &Formula, path: &Formula) -> Duration {
+    // `head` plays the published snapshot a reader still holds.
+    let head = db.clone();
+    let (report, took) = timed(|| {
+        let txn = db.transaction();
+        let txn = if grow {
+            txn.assert(edge.clone())
+        } else {
+            txn.retract(edge.clone())
+        };
+        let report = txn.prepare().unwrap().commit();
+        drop(db.clone());
+        report
+    });
+    let (before, after, delta) = if grow {
+        (Answer::No, Answer::Yes, (2, 0))
+    } else {
+        (Answer::Yes, Answer::No, (0, 2))
+    };
+    assert_eq!(head.ask(path), before, "a pinned snapshot keeps its state");
+    assert_eq!(db.ask(path), after);
+    let (_, freed) = timed(|| drop(head));
+    let ModelUpdate::Incremental {
+        tuples_added,
+        tuples_removed,
+        stats,
+    } = report.model
+    else {
+        panic!("a leaf commit is incremental, got {:?}", report.model);
+    };
+    assert_eq!((tuples_added, tuples_removed), delta);
+    assert_eq!((stats.full_firings, stats.plans_compiled), (0, 0));
+    took + freed
+}
+
+/// A leaf commit is ±2 model tuples whatever surrounds it, so its cost
+/// should not follow the size of the model. The timings are printed;
+/// what is asserted is the deterministic part: the receipts, and that a
+/// snapshot taken before a commit still answers for its own state.
+#[test]
+fn leaf_commits_cost_their_delta_at_any_closure_size() {
+    for chains in [10, 100, 300] {
+        let mut db = closure(chains);
+        let model = db.prover().atom_model().unwrap();
+        let tuples = model.len();
+        assert_eq!(tuples, chains * 495);
+        let model_clone = median((0..9).map(|_| timed(|| model.clone()).1).collect());
+        let db_clone = median((0..9).map(|_| timed(|| db.clone()).1).collect());
+
+        // Each leaf hangs off the end of a chain: the edge and the one
+        // path it closes are the whole consequence of the commit.
+        let leaves: Vec<(Formula, Formula)> = (0..5)
+            .map(|i| {
+                let end = format!("s{}n30", i * (chains - 1) / 4);
+                (
+                    f(&format!("e(leaf{i}, {end})")),
+                    f(&format!("K t(leaf{i}, {end})")),
+                )
+            })
+            .collect();
+        let mut run = |grow| {
+            let times = leaves.iter().map(|(e, t)| leaf_commit(&mut db, grow, e, t));
+            median(times.collect())
+        };
+        let (insert, retract) = (run(true), run(false));
+        assert_eq!(db.prover().atom_model().unwrap().len(), tuples);
+        assert_eq!(db.prover().sat_calls(), 0);
+        println!(
+            "closure {chains} x 30 ({tuples} tuples): model clone {model_clone:?}, \
+             db clone {db_clone:?}, leaf insert {insert:?}, leaf retract {retract:?} \
+             (prepare + commit + clone + drop of the replaced snapshot)"
+        );
+    }
+}
