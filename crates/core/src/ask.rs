@@ -34,8 +34,11 @@ pub fn ask(prover: &Prover, q: &Formula) -> Answer {
         q.is_sentence(),
         "ask() takes sentence queries; use answers() for open ones"
     );
-    let yes = certain(prover, q);
-    let no = certain(prover, &Formula::not(q.clone()));
+    // `¬q` reduces to the negation of what `q` reduces to, connective for
+    // connective: one reduction serves both entailment questions.
+    let reduced = reduce(prover, q);
+    let yes = prover.entails(&reduced);
+    let no = prover.entails(&Formula::not(reduced));
     Answer::from_entailments(yes, no)
 }
 
@@ -75,6 +78,12 @@ pub fn answers(prover: &Prover, q: &Formula) -> Vec<Vec<Param>> {
 /// `Σ ⊨ q` for a KFOPCE sentence: reduce `K`-subformulas to constants,
 /// then decide the first-order remainder by entailment.
 pub fn certain(prover: &Prover, q: &Formula) -> bool {
+    prover.entails(&reduce(prover, q))
+}
+
+/// The first-order sentence `q` comes to once every `K`-subformula is
+/// decided.
+fn reduce(prover: &Prover, q: &Formula) -> Formula {
     // Quantifiers into modal contexts range over *all* parameters, not
     // just the mentioned ones; spare parameters (about which the database
     // knows nothing) represent the unmentioned individuals. One spare per
@@ -84,8 +93,7 @@ pub fn certain(prover: &Prover, q: &Formula) -> bool {
     let spares: Vec<Param> = (0..modal_quantifier_depth(q).clamp(1, 3))
         .map(|i| Param::new(&format!("__spare{i}")))
         .collect();
-    let reduced = reduce_with(prover, q, &HashMap::new(), &spares);
-    prover.entails(&reduced)
+    reduce_with(prover, q, &HashMap::new(), &spares)
 }
 
 /// Nesting depth of quantifiers whose scope mentions `K`.

@@ -15,7 +15,7 @@
 //! exactly the case Definition 6.2's `F_Σ` machinery exists to exclude.
 
 use crate::entail::Prover;
-use epilog_storage::{Database, Selection};
+use epilog_storage::Selection;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{is_first_order, Formula, Param, Term, Var};
 
@@ -26,34 +26,31 @@ use epilog_syntax::{is_first_order, Formula, Param, Term, Var};
 /// single empty tuple if entailed, nothing otherwise.
 pub struct AnswerIter<'a> {
     vars: Vec<Var>,
-    source: Source<'a>,
-}
-
-enum Source<'a> {
-    /// Walk `domain^|vars|`, asking `entails` about every candidate.
-    Enumerate {
-        prover: &'a Prover,
-        formula: Formula,
-        domain: Vec<Param>,
-        /// Position in the cartesian enumeration.
-        cursor: usize,
-        /// Total number of candidate tuples.
-        total: usize,
-    },
-    /// The answers, read off the attached least model up front.
-    Model(std::vec::IntoIter<Vec<Param>>),
+    /// The tuples that may be answers, in answer-domain order.
+    candidates: Box<dyn Iterator<Item = Vec<Param>> + 'a>,
+    /// Who decides each candidate, and about which formula; `None` when
+    /// every candidate is an answer.
+    judge: Option<(&'a Prover, Formula)>,
 }
 
 impl<'a> AnswerIter<'a> {
     /// Start the enumeration `prove(f, Σ)`.
     ///
-    /// When `f` is a single open atom and the prover carries a least model
-    /// ([`Prover::with_atom_model`]), the model answers: the atom's
-    /// constants select the matching tuples of its relation (through a
-    /// column index where one is built) and no candidate is ever put to
-    /// `entails`. The model holds exactly the entailed ground atoms, so
-    /// these are the tuples the domain walk would have kept, and they are
-    /// yielded in the walk's order. Every other goal walks the answer
+    /// When `f` is a single open atom, a model says where to look:
+    ///
+    /// * a least model the prover carries ([`Prover::with_atom_model`])
+    ///   holds exactly the entailed ground atoms, so the atom's constants
+    ///   select the answers from its relation (through a column index
+    ///   where one is built) and no candidate is ever put to `entails`;
+    /// * otherwise the model kept with the grounding of `Σ` bounds them:
+    ///   an instance false in that model is refuted by it, one ground `Σ`
+    ///   never mentions is free in it, and neither is entailed by a
+    ///   satisfiable `Σ` — so only the instances true in the kept model
+    ///   are put to `entails`, one solver run each.
+    ///
+    /// Either way the tuples are the ones the domain walk would have kept,
+    /// in the walk's order. Every other goal — and every goal over an
+    /// unsatisfiable `Σ`, which entails all instances — walks the answer
     /// domain.
     ///
     /// # Panics
@@ -61,36 +58,48 @@ impl<'a> AnswerIter<'a> {
     pub fn new(prover: &'a Prover, f: &Formula) -> Self {
         assert!(is_first_order(f), "prove() accepts FOPCE formulas only");
         let vars = f.free_vars();
-        if let (Some(model), Formula::Atom(atom)) = (prover.atom_model(), f) {
-            // A ground atom is one lookup: `entails` below does it.
-            if !vars.is_empty() {
-                let answers = model_answers(model, atom, &vars);
-                return AnswerIter {
-                    vars,
-                    source: Source::Model(answers.into_iter()),
-                };
-            }
+        let open_atom = match f {
+            Formula::Atom(atom) if !vars.is_empty() => Some(atom),
+            _ => None,
+        };
+        if let (Some(atom), Some(model)) = (open_atom, prover.atom_model()) {
+            // Parameters of the least model are parameters of `Σ`, so
+            // their order is their position in the sorted active domain.
+            // The selection applies the atom's constants, through a
+            // column index where one is built.
+            let pattern: Selection = atom.terms.iter().map(Term::as_param).collect();
+            let selected = model.select(atom.pred, &pattern);
+            let mut answers = matching(selected.map(Vec::as_slice), atom, &vars);
+            answers.sort_unstable();
+            return AnswerIter {
+                vars,
+                candidates: Box::new(answers.into_iter()),
+                judge: None,
+            };
         }
-        let domain = prover.answer_domain(f);
-        let total = if vars.is_empty() {
-            1
-        } else if domain.is_empty() {
-            0
-        } else {
-            domain
-                .len()
-                .checked_pow(vars.len() as u32)
-                .expect("candidate space overflow")
+        let kept = open_atom.and_then(|atom| kept_model_candidates(prover, f, atom, &vars));
+        let candidates: Box<dyn Iterator<Item = Vec<Param>>> = match kept {
+            Some(candidates) => Box::new(candidates.into_iter()),
+            None => {
+                let domain = prover.answer_domain(f);
+                let arity = vars.len();
+                let total = if arity == 0 {
+                    1
+                } else if domain.is_empty() {
+                    0
+                } else {
+                    domain
+                        .len()
+                        .checked_pow(arity as u32)
+                        .expect("candidate space overflow")
+                };
+                Box::new((0..total).map(move |idx| tuple_at(&domain, arity, idx)))
+            }
         };
         AnswerIter {
             vars,
-            source: Source::Enumerate {
-                prover,
-                formula: f.clone(),
-                domain,
-                cursor: 0,
-                total,
-            },
+            candidates,
+            judge: Some((prover, f.clone())),
         }
     }
 
@@ -101,15 +110,16 @@ impl<'a> AnswerIter<'a> {
     }
 }
 
-/// The bindings of `vars` under which the open `atom` is in `model`, in
-/// the order the domain walk reports them: lexicographic by position in
-/// the answer domain, which for parameters of the model — all of them
-/// mentioned by `Σ`, hence in the sorted active domain — is parameter
-/// order.
-fn model_answers(model: &Database, atom: &Atom, vars: &[Var]) -> Vec<Vec<Param>> {
-    let pattern: Selection = atom.terms.iter().map(Term::as_param).collect();
-    // The columns each variable occupies; a tuple answers only if it
-    // repeats one parameter across all of them.
+/// The bindings of `vars` under which the open `atom` matches one of
+/// `rows` — argument rows of its predicate — in the rows' order.
+fn matching<'r>(
+    rows: impl Iterator<Item = &'r [Param]>,
+    atom: &Atom,
+    vars: &[Var],
+) -> Vec<Vec<Param>> {
+    // The columns each variable occupies; a row answers only if it
+    // repeats one parameter across all of them, and has the atom's
+    // constants where the atom has them.
     let columns: Vec<Vec<usize>> = vars
         .iter()
         .map(|v| {
@@ -118,28 +128,74 @@ fn model_answers(model: &Database, atom: &Atom, vars: &[Var]) -> Vec<Vec<Param>>
                 .collect()
         })
         .collect();
-    let mut answers: Vec<Vec<Param>> = model
-        .select(atom.pred, &pattern)
-        .filter_map(|t| {
-            columns
-                .iter()
-                .map(|cols| {
-                    let p = t[cols[0]];
-                    cols.iter().all(|&c| t[c] == p).then_some(p)
-                })
-                .collect()
-        })
-        .collect();
-    answers.sort_unstable();
-    answers
+    rows.filter(|row| {
+        let constant = |(c, t): (usize, &Term)| t.as_param().is_none_or(|p| row[c] == p);
+        atom.terms.iter().enumerate().all(constant)
+    })
+    .filter_map(|row| {
+        columns
+            .iter()
+            .map(|cols| {
+                let p = row[cols[0]];
+                cols.iter().all(|&c| row[c] == p).then_some(p)
+            })
+            .collect()
+    })
+    .collect()
 }
 
+/// The instances of the open atom `f` that the model kept with `Σ`'s
+/// grounding makes true, as tuples over the answer domain in the domain
+/// walk's order; `None` when ground `Σ` is unsatisfiable and keeps none.
+fn kept_model_candidates(
+    prover: &Prover,
+    f: &Formula,
+    atom: &Atom,
+    vars: &[Var],
+) -> Option<Vec<Vec<Param>>> {
+    let (grounding, rename) = prover.grounding_for(f);
+    let true_rows = grounding.true_rows(atom.pred)?;
+    let terms = atom
+        .terms
+        .iter()
+        .map(|t| t.as_param().map_or(*t, |p| Term::Param(rename.apply(p))))
+        .collect();
+    // The walk goes through the answer domain — the sorted active domain,
+    // then the goal's other parameters — leftmost variable slowest; the
+    // model also speaks of witnesses, which are no answers.
+    let domain = prover.answer_domain(f);
+    let active = prover.active_domain().len();
+    let position = |p: Param| {
+        let p = rename.undo(p);
+        domain[..active].binary_search(&p).ok().or_else(|| {
+            let rest = domain[active..].iter().position(|q| *q == p)?;
+            Some(active + rest)
+        })
+    };
+    let mut positions: Vec<Vec<usize>> = matching(true_rows, &Atom::new(atom.pred, terms), vars)
+        .into_iter()
+        .filter_map(|t| t.into_iter().map(position).collect())
+        .collect();
+    positions.sort_unstable();
+    Some(
+        positions
+            .into_iter()
+            .map(|t| t.into_iter().map(|i| domain[i]).collect())
+            .collect(),
+    )
+}
+
+/// Tuple number `idx` of `domain^arity`, the last position varying
+/// fastest.
 fn tuple_at(domain: &[Param], arity: usize, mut idx: usize) -> Vec<Param> {
-    let mut out = vec![domain[0]; arity];
-    for slot in out.iter_mut().rev() {
-        *slot = domain[idx % domain.len()];
-        idx /= domain.len();
-    }
+    let mut out: Vec<Param> = (0..arity)
+        .map(|_| {
+            let p = domain[idx % domain.len()];
+            idx /= domain.len();
+            p
+        })
+        .collect();
+    out.reverse();
     out
 }
 
@@ -147,29 +203,12 @@ impl Iterator for AnswerIter<'_> {
     type Item = Vec<Param>;
 
     fn next(&mut self) -> Option<Vec<Param>> {
-        match &mut self.source {
-            Source::Model(answers) => answers.next(),
-            Source::Enumerate {
-                prover,
-                formula,
-                domain,
-                cursor,
-                total,
-            } => {
-                while *cursor < *total {
-                    let idx = *cursor;
-                    *cursor += 1;
-                    if self.vars.is_empty() {
-                        return prover.entails(formula).then(Vec::new);
-                    }
-                    let tuple = tuple_at(domain, self.vars.len(), idx);
-                    if prover.entails(&formula.bind_free(&tuple)) {
-                        return Some(tuple);
-                    }
-                }
-                None
-            }
-        }
+        let Some((prover, formula)) = &self.judge else {
+            return self.candidates.next();
+        };
+        self.candidates
+            .by_ref()
+            .find(|tuple| prover.entails(&formula.bind_free(tuple)))
     }
 }
 
@@ -305,9 +344,43 @@ mod tests {
         assert_eq!(p.memo_len(), 0, "no candidate was put to entails()");
     }
 
+    #[test]
+    fn kept_model_bounds_the_candidates_of_an_open_atom() {
+        let p = teach();
+        let answers = |src: &str| -> Vec<Vec<String>> {
+            AnswerIter::new(&p, &parse(src).unwrap())
+                .map(|t| names(&t))
+                .collect()
+        };
+        assert_eq!(answers("Teach(x, y)"), [["John", "Math"]]);
+        // One run for the model of ground Σ; then one per instance true
+        // in it: the fact, one disjunct, one CS teacher — 49 candidates
+        // the walk would have put to the solver never reach it.
+        assert!(p.sat_calls() <= 5, "{} solver runs", p.sat_calls());
+        assert!(answers("Teach(x, Psych)").is_empty());
+        assert!(answers("Teach(Stranger, x)").is_empty());
+        assert!(answers("Ghost(x)").is_empty());
+        // Outside the finite-instances fragment a parameter Σ never
+        // mentions can be an answer; the walk reports it, so do we — last,
+        // where the goal's own parameters sit in the answer domain.
+        let reflexive = Prover::new(Theory::from_text("forall x. r(x, x)\nr(a, b)").unwrap());
+        let got: Vec<_> = AnswerIter::new(&reflexive, &parse("r(x, Stranger)").unwrap())
+            .map(|t| names(&t))
+            .collect();
+        assert_eq!(got, [["Stranger"]]);
+        let got: Vec<_> = AnswerIter::new(&reflexive, &parse("r(x, y)").unwrap())
+            .map(|t| names(&t))
+            .collect();
+        assert_eq!(got, [["a", "a"], ["a", "b"], ["b", "b"]]);
+        // An unsatisfiable Σ entails every instance: the walk has them all.
+        let absurd = Prover::new(Theory::from_text("p(a)\n~p(a)\nq(b)").unwrap());
+        let all: Vec<_> = AnswerIter::new(&absurd, &parse("q(x)").unwrap()).collect();
+        assert_eq!(all.len(), 2);
+    }
+
     mod properties {
         use super::*;
-        use crate::testgen::{definite, goal_param, RawTheory};
+        use crate::testgen::{definite, goal_param, non_definite, RawTheory};
         use epilog_syntax::Term;
         use proptest::prelude::*;
 
@@ -321,7 +394,9 @@ mod tests {
                 ("e", 2),
                 ("t", 2),
                 ("ghost", 2),
-            ][*pred as usize % 6];
+                ("p", 1),
+                ("q", 1),
+            ][*pred as usize % 8];
             let vars = [Var::new("x"), Var::new("y")];
             let terms = (0..arity)
                 .map(|i| {
@@ -333,6 +408,21 @@ mod tests {
                 })
                 .collect();
             Formula::atom(name, terms)
+        }
+
+        /// `prove(f, Σ)` as §5.1 specifies it: every tuple of the answer
+        /// domain, in order, kept when the from-scratch pipeline entails
+        /// its instance.
+        fn walk(p: &Prover, f: &Formula) -> Vec<Vec<Param>> {
+            let domain = p.answer_domain(f);
+            let arity = f.free_vars().len();
+            if domain.is_empty() && arity > 0 {
+                return Vec::new();
+            }
+            (0..domain.len().pow(arity as u32))
+                .map(|idx| tuple_at(&domain, arity, idx))
+                .filter(|t| p.entails_from_scratch(&f.bind_free(t)))
+                .collect()
         }
 
         proptest! {
@@ -348,11 +438,37 @@ mod tests {
                 let raw: RawTheory = raw;
                 let goal = atom_goal(&goal);
                 let (theory, model) = definite(&raw);
-                let walked: Vec<_> = AnswerIter::new(&Prover::new(theory.clone()), &goal).collect();
+                let walked = walk(&Prover::new(theory.clone()), &goal);
                 let with_model = Prover::new(theory).with_atom_model(model);
                 let read: Vec<_> = AnswerIter::new(&with_model, &goal).collect();
                 prop_assert_eq!(&read, &walked, "goal {}", goal);
                 prop_assert_eq!(with_model.sat_calls(), 0);
+            }
+
+            /// Without an attached model — a definite theory nobody
+            /// routed, a non-definite or an unsatisfiable one — the
+            /// enumeration still yields the walk's tuples in the walk's
+            /// order: for an open atom from the candidates the kept model
+            /// leaves, for a conjunction by walking.
+            #[test]
+            fn enumeration_matches_the_domain_walk(
+                raw in (0u8..8, proptest::collection::vec((0u8..8, 0u8..8, 0u8..8), 0..7)),
+                first in (0u8..8, proptest::collection::vec((0u8..3, 0u8..9), 1..3)),
+                second in (0u8..8, proptest::collection::vec((0u8..3, 0u8..9), 1..3)),
+                shape in 0u8..4,
+            ) {
+                let raw: RawTheory = raw;
+                let goal = match shape {
+                    0 => Formula::and(atom_goal(&first), atom_goal(&second)),
+                    _ => atom_goal(&first),
+                };
+                for p in [Prover::new(definite(&raw).0), Prover::new(non_definite(&raw))] {
+                    let read: Vec<_> = AnswerIter::new(&p, &goal).collect();
+                    prop_assert_eq!(
+                        &read, &walk(&p, &goal),
+                        "goal {} over {:?}", goal, p.theory().sentences()
+                    );
+                }
             }
         }
     }

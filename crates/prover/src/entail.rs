@@ -3,16 +3,17 @@
 //! `Σ ⊨_FOPCE g` iff `Σ ∧ ¬g` has no model. Models of FOPCE theories are
 //! worlds over the countably infinite parameter domain; we ground over the
 //! finite universe consisting of the active domain plus a budget of fresh
-//! witness parameters and hand the result to the CDCL solver. See the crate
-//! docs for the exactness discussion.
+//! witness parameters and hand the result to the CDCL solver. `Σ` is
+//! grounded once per prover and kept (`ground::Grounding`); a goal is decided
+//! against what was kept. See the crate docs for the exactness discussion.
 
-use crate::ground::GroundContext;
-use epilog_sat::{tseitin, Cnf, Prop, SatResult, Solver};
+use crate::ground::{GroundContext, Grounding, Renaming, Verdict};
+use epilog_sat::Prop;
 use epilog_storage::Database;
 use epilog_syntax::{is_first_order, transform, Formula, Param, Theory};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How the finite grounding universe is chosen.
 #[derive(Debug, Clone, Copy)]
@@ -31,14 +32,24 @@ impl Default for UniversePolicy {
 
 /// A theorem prover for one fixed FOPCE theory `Σ`.
 ///
-/// Entailment results are memoized per goal sentence — the `demo`
-/// evaluator asks the same ground questions repeatedly while backtracking.
+/// The first goal that needs the solver grounds `Σ`, runs Tseitin, builds
+/// one solver and solves it once; the prover keeps the registry, the model
+/// and the solver ([`Prover::entails`] says how each answers), and no
+/// later goal grounds a sentence of `Σ` again. [`Prover::new`] and
+/// [`Prover::updated`] build none of it. Verdicts the solver reached are
+/// memoized per goal sentence.
 ///
-/// A `Prover` is `Sync`: queries take `&self`, and the memo and SAT-call
-/// counter live behind a `Mutex`/atomic so an immutable committed state
-/// can be shared across reader threads (the MVCC serving layer). Two
-/// threads racing on the same uncached goal both compute it and insert
-/// the same answer; the lock is never held across a SAT call.
+/// A `Prover` is `Sync`: queries take `&self`, and the memo, the kept
+/// groundings and the counters live behind `Mutex`es/atomics so an
+/// immutable committed state can be shared across reader threads (the MVCC
+/// serving layer). A clone shares the kept groundings with its original
+/// (same `Σ`), so publishing a snapshot copies none of them; it copies the
+/// memo. Two threads racing on the same uncached goal both decide it and
+/// insert the same answer. The memo's lock is never held across a solver
+/// run; the kept solver's own lock is held for exactly one run, so goals
+/// the model does not refute queue on it per grounding, and the lock over
+/// the kept groundings is held while one is built — every goal behind it
+/// needs that grounding or one as costly.
 pub struct Prover {
     theory: Theory,
     witnesses: Vec<Param>,
@@ -46,14 +57,17 @@ pub struct Prover {
     /// A materialized least model answering ground-atom goals without SAT
     /// (see [`Prover::with_atom_model`]).
     atom_model: Option<Database>,
-    /// Count of SAT-solver invocations (see [`Prover::sat_calls`]).
+    /// Count of solver runs (see [`Prover::sat_calls`]).
     sat_calls: AtomicU64,
+    /// Count of goals a kept model refuted (see [`Prover::refuted`]).
+    refuted: AtomicU64,
     /// The theory's active domain, sorted; scanned out of the sentences on
     /// first use and shared by every grounding universe and answer
     /// enumeration afterwards.
     active_domain: OnceLock<Vec<Param>>,
-    /// Whether `Σ` is satisfiable, decided at most once per prover.
-    satisfiable: OnceLock<bool>,
+    /// `Σ` grounded and kept, by how many parameters outside the active
+    /// domain the universe makes room for (see `Prover::grounding_for`).
+    groundings: Arc<Mutex<BTreeMap<usize, Arc<Grounding>>>>,
 }
 
 impl Clone for Prover {
@@ -64,8 +78,9 @@ impl Clone for Prover {
             memo: Mutex::new(self.memo.lock().unwrap().clone()),
             atom_model: self.atom_model.clone(),
             sat_calls: AtomicU64::new(self.sat_calls.load(Ordering::Relaxed)),
+            refuted: AtomicU64::new(self.refuted.load(Ordering::Relaxed)),
             active_domain: self.active_domain.clone(),
-            satisfiable: self.satisfiable.clone(),
+            groundings: Arc::clone(&self.groundings),
         }
     }
 }
@@ -88,14 +103,20 @@ impl Prover {
         }
         let budget = (exists_nodes + 1).clamp(1, policy.witness_cap.max(1));
         let witnesses = (0..budget).map(|_| Param::fresh("w")).collect();
+        Prover::assemble(theory, witnesses, None)
+    }
+
+    /// A prover that has answered nothing yet.
+    fn assemble(theory: Theory, witnesses: Vec<Param>, atom_model: Option<Database>) -> Self {
         Prover {
             theory,
             witnesses,
             memo: Mutex::new(HashMap::new()),
-            atom_model: None,
+            atom_model,
             sat_calls: AtomicU64::new(0),
+            refuted: AtomicU64::new(0),
             active_domain: OnceLock::new(),
-            satisfiable: OnceLock::new(),
+            groundings: Arc::default(),
         }
     }
 
@@ -122,23 +143,16 @@ impl Prover {
     /// Build a prover for an updated theory, reusing this prover's witness
     /// budget — the model-maintenance hook for transactional updates.
     ///
-    /// The memo starts empty (entailments may have changed) and `model`,
-    /// when given, becomes the attached ground-atom model (same soundness
-    /// contract as [`Prover::with_atom_model`]). Carrying the witness
-    /// budget over is sound when the update adds or removes only **ground
-    /// atoms**: they contribute no existential nodes, so the recomputed
-    /// budget would be identical. Updates that change quantified
-    /// sentences should build a fresh [`Prover::new`] instead.
+    /// The memo starts empty (entailments may have changed), nothing is
+    /// grounded until a goal asks, and `model`, when given, becomes the
+    /// attached ground-atom model (same soundness contract as
+    /// [`Prover::with_atom_model`]). Carrying the witness budget over is
+    /// sound when the update adds or removes only **ground atoms**: they
+    /// contribute no existential nodes, so the recomputed budget would be
+    /// identical. Updates that change quantified sentences should build a
+    /// fresh [`Prover::new`] instead.
     pub fn updated(&self, theory: Theory, model: Option<Database>) -> Prover {
-        Prover {
-            theory,
-            witnesses: self.witnesses.clone(),
-            memo: Mutex::new(HashMap::new()),
-            atom_model: model,
-            sat_calls: AtomicU64::new(0),
-            active_domain: OnceLock::new(),
-            satisfiable: OnceLock::new(),
-        }
+        Prover::assemble(theory, self.witnesses.clone(), model)
     }
 
     /// The theory this prover answers questions about.
@@ -152,14 +166,6 @@ impl Prover {
     pub fn active_domain(&self) -> &[Param] {
         self.active_domain
             .get_or_init(|| self.theory.active_domain())
-    }
-
-    /// The grounding universe for a goal: active domain ∪ goal parameters
-    /// ∪ witnesses, deterministic order.
-    pub fn universe_for(&self, goal: &Formula) -> Vec<Param> {
-        let mut u = self.answer_domain(goal);
-        u.extend(self.witnesses.iter().copied());
-        u
     }
 
     /// The candidate answer domain: active domain ∪ goal parameters (no
@@ -180,18 +186,66 @@ impl Prover {
         u
     }
 
-    /// Whether `Σ` is satisfiable. Decided once per prover: a theory with
-    /// an attached least model is a definite program, which that model
-    /// satisfies; any other theory costs one SAT call, remembered.
+    /// Whether the universe of every grounding holds `p` whatever the
+    /// goal: a parameter of `Σ`, or a witness.
+    fn in_every_universe(&self, p: &Param) -> bool {
+        self.active_domain().binary_search(p).is_ok() || self.witnesses.contains(p)
+    }
+
+    /// The kept grounding that decides `goal`, and the renaming under
+    /// which it does.
+    ///
+    /// A goal is decided over the universe active domain ∪ the goal's
+    /// other ("foreign") parameters ∪ witnesses. `Σ` mentions no foreign
+    /// parameter, so its grounding over that universe depends on their
+    /// names only through a renaming: grounding `Σ` over `k` reserved
+    /// placeholders instead and renaming the goal's `k` foreign
+    /// parameters to them, in order, gives the same verdict. One
+    /// grounding per `k` therefore serves every goal, however many
+    /// distinct names clients send.
+    pub(crate) fn grounding_for(&self, goal: &Formula) -> (Arc<Grounding>, Renaming) {
+        let foreign: Vec<Param> = goal
+            .params()
+            .into_iter()
+            .filter(|p| !self.in_every_universe(p))
+            .collect();
+        let grounding = self.grounding(foreign.len());
+        let rename = Renaming::new(foreign, grounding.placeholders());
+        (grounding, rename)
+    }
+
+    /// `Σ` grounded over active domain ∪ `foreign` placeholders ∪
+    /// witnesses: built, solved once and kept on first request.
+    fn grounding(&self, foreign: usize) -> Arc<Grounding> {
+        let mut kept = self
+            .groundings
+            .lock()
+            .expect("building a grounding panicked");
+        if let Some(grounding) = kept.get(&foreign) {
+            return Arc::clone(grounding);
+        }
+        let placeholders = placeholders(foreign, |p| self.in_every_universe(p));
+        let active = self.active_domain();
+        let mut universe = active.to_vec();
+        universe.extend(&placeholders);
+        // An update may have put a witness's name into `Σ`.
+        universe.extend(
+            self.witnesses
+                .iter()
+                .filter(|w| active.binary_search(w).is_err()),
+        );
+        self.sat_calls.fetch_add(1, Ordering::Relaxed);
+        let grounding = Arc::new(Grounding::build(&self.theory, universe, placeholders));
+        kept.insert(foreign, Arc::clone(&grounding));
+        grounding
+    }
+
+    /// Whether `Σ` is satisfiable. A theory with an attached least model
+    /// is a definite program, which that model satisfies; any other theory
+    /// is as satisfiable as its kept grounding turned out to be when it
+    /// was solved for its model.
     pub fn satisfiable(&self) -> bool {
-        *self.satisfiable.get_or_init(|| {
-            // Σ satisfiable iff Σ ⊭ (p ∧ ¬p) for a fresh proposition.
-            self.atom_model.is_some()
-                || !self.entails_uncached(&Formula::and(
-                    Formula::prop("__absurd"),
-                    Formula::not(Formula::prop("__absurd")),
-                ))
-        })
+        self.atom_model.is_some() || self.grounding(0).satisfiable()
     }
 
     /// Whether `Σ ∧ g` is satisfiable (the consistency reading of
@@ -202,7 +256,7 @@ impl Prover {
 
     /// Decide `Σ ⊨_FOPCE g` for a FOPCE sentence `g`.
     ///
-    /// Two kinds of goal never reach grounding + SAT:
+    /// Two kinds of goal never reach a grounding:
     ///
     /// * a **ground atom**, when a least model is attached
     ///   ([`Prover::with_atom_model`]): a tuple lookup;
@@ -219,8 +273,23 @@ impl Prover {
     ///   two can differ only where the witness budget is already too
     ///   small for `Σ` — outside the crate's exact fragment.)
     ///
-    /// Everything else is memoized per goal and decided by the SAT
-    /// pipeline.
+    /// Everything else is put to the kept grounding of `Σ` — over the
+    /// active domain, the witnesses, and as many placeholders as `g` has
+    /// parameters `Σ` does not mention, `g`'s being renamed to them (`Σ`
+    /// cannot tell such parameters apart, so the verdict is the one over
+    /// `g`'s own names) — at a cost in the size of ground `g`, not of
+    /// ground `Σ`:
+    ///
+    /// * **the kept model answers first.** `g` is grounded beside the
+    ///   registry and evaluated under the model `M` found when `Σ` was
+    ///   grounded, the atoms ground `Σ` never mentions taken false. Those
+    ///   atoms are free in `Σ`, so that extension of `M` is a model of
+    ///   ground `Σ`; when `g` fails in it, it is a model of `Σ ∧ ¬g` and
+    ///   the verdict is `false` — the verdict the solver would reach, on
+    ///   any theory — with no solver run and no memo entry;
+    /// * otherwise **the kept solver** decides `¬g` under assumptions —
+    ///   bare literals for a ground atom, a clause or an existential over
+    ///   atoms, which then add nothing to it: the verdict is memoized.
     ///
     /// # Panics
     /// Panics if `g` is modal or has free variables.
@@ -238,22 +307,42 @@ impl Prover {
         if let Some(&cached) = self.memo.lock().unwrap().get(g) {
             return cached;
         }
-        let result = self.entails_uncached(g);
-        self.memo.lock().unwrap().insert(g.clone(), result);
-        result
+        let (grounding, rename) = self.grounding_for(g);
+        match grounding.entails(g, &rename) {
+            Verdict::Refuted => {
+                self.refuted.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            Verdict::Evident => true,
+            Verdict::Solved(result) => {
+                self.sat_calls.fetch_add(1, Ordering::Relaxed);
+                self.memo.lock().unwrap().insert(g.clone(), result);
+                result
+            }
+        }
     }
 
-    fn entails_uncached(&self, g: &Formula) -> bool {
-        self.sat_calls.fetch_add(1, Ordering::Relaxed);
-        let universe = self.universe_for(g);
-        let mut ctx = GroundContext::new(universe);
-        let mut cnf = Cnf::new();
-        let mut roots = Vec::with_capacity(self.theory.len() + 1);
-        for s in self.theory.sentences() {
-            roots.push(ctx.ground(s));
+    /// The from-scratch pipeline the kept grounding replaced, as the
+    /// oracle of the property suites: ground `Σ ∧ ¬g` over the goal's own
+    /// universe, run Tseitin, solve on a fresh solver.
+    #[cfg(test)]
+    pub(crate) fn entails_from_scratch(&self, g: &Formula) -> bool {
+        use epilog_sat::{tseitin, Cnf, SatResult, Solver};
+        let mut universe = self.answer_domain(g);
+        for w in &self.witnesses {
+            if !universe.contains(w) {
+                universe.push(*w);
+            }
         }
+        let mut ctx = GroundContext::new(universe);
+        let mut roots: Vec<Prop> = self
+            .theory
+            .sentences()
+            .iter()
+            .map(|s| ctx.ground(s))
+            .collect();
         roots.push(ctx.ground(&Formula::not(g.clone())));
-        // Atom variables come first, then Tseitin auxiliaries.
+        let mut cnf = Cnf::new();
         cnf.reserve_vars(ctx.num_atoms());
         for p in &roots {
             let root = tseitin(p, &mut cnf);
@@ -262,20 +351,54 @@ impl Prover {
         matches!(Solver::new(&cnf).solve(), SatResult::Unsat)
     }
 
+    /// How many groundings of `Σ` this prover and its clones keep.
+    #[cfg(test)]
+    pub(crate) fn groundings_kept(&self) -> usize {
+        self.groundings.lock().unwrap().len()
+    }
+
     /// Number of memoized entailment results (diagnostics).
     pub fn memo_len(&self) -> usize {
         self.memo.lock().unwrap().len()
     }
 
-    /// Number of SAT-solver invocations so far (benches/tests).
+    /// Number of solver runs so far — the one that finds the model of a
+    /// kept grounding included (benches/tests).
     pub fn sat_calls(&self) -> u64 {
         self.sat_calls.load(Ordering::Relaxed)
+    }
+
+    /// Number of goals a kept model refuted without a solver run.
+    pub fn refuted(&self) -> u64 {
+        self.refuted.load(Ordering::Relaxed)
     }
 
     /// Reset the SAT-call counter (benches).
     pub fn reset_sat_calls(&self) {
         self.sat_calls.store(0, Ordering::Relaxed);
     }
+}
+
+/// `k` parameters to stand in a universe for goal parameters `Σ` does not
+/// mention: the first `k` of one process-wide list — so a long-lived
+/// server interns a handful of names, not `k` per commit — that `taken`
+/// does not rule out (a client is free to assert a sentence that mentions
+/// one).
+fn placeholders(k: usize, taken: impl Fn(&Param) -> bool) -> Vec<Param> {
+    static POOL: Mutex<Vec<Param>> = Mutex::new(Vec::new());
+    let mut pool = POOL.lock().expect("interning a parameter panicked");
+    let mut out = Vec::with_capacity(k);
+    let mut i = 0;
+    while out.len() < k {
+        if i == pool.len() {
+            pool.push(Param::fresh("f"));
+        }
+        if !taken(&pool[i]) {
+            out.push(pool[i]);
+        }
+        i += 1;
+    }
+    out
 }
 
 /// The truth value of a closed goal built from equalities between
@@ -426,8 +549,18 @@ mod tests {
         let p = teach();
         let q = parse("Teach(John, Math)").unwrap();
         assert!(p.entails(&q));
+        assert_eq!(
+            p.sat_calls(),
+            2,
+            "one run finds the model of ground Σ, one decides the goal"
+        );
         assert!(p.entails(&q));
-        assert_eq!(p.sat_calls(), 1, "second call must hit the memo");
+        assert_eq!(p.sat_calls(), 2, "second call must hit the memo");
+        assert_eq!(p.memo_len(), 1);
+        // Ground Σ does not mention this atom, so the kept model refutes
+        // it: no run, nothing memoized.
+        assert!(!entails(&p, "Teach(Mary, Math)"));
+        assert_eq!((p.sat_calls(), p.refuted(), p.memo_len()), (2, 1, 1));
     }
 
     #[test]
@@ -448,9 +581,10 @@ mod tests {
             0,
             "ground atoms must bypass the SAT pipeline"
         );
-        // Non-atomic goals still go through grounding + SAT.
+        // Non-atomic goals still go through grounding + SAT: one run for
+        // the model of ground Σ, one for the goal.
         assert!(entails(&p, "exists x. person(x)"));
-        assert_eq!(p.sat_calls(), 1);
+        assert_eq!(p.sat_calls(), 2);
     }
 
     #[test]
@@ -503,8 +637,15 @@ mod tests {
     fn closed_equality_goals_skip_the_sat_pipeline() {
         let p = teach();
         assert!(entails(&p, "John = John & Math != CS"));
+        assert_eq!(p.sat_calls(), 0, "a true one holds whatever Σ says");
         assert!(!entails(&p, "John = Mary | ~(CS = CS)"));
-        assert_eq!(p.sat_calls(), 1, "one satisfiability check, no more");
+        assert!(!entails(&p, "John = Sue"));
+        assert_eq!(
+            p.sat_calls(),
+            1,
+            "the run that found ground Σ a model, no more"
+        );
+        assert_eq!(p.memo_len(), 0);
         // An unsatisfiable Σ entails the false ones too.
         let absurd = Prover::new(Theory::from_text("p(a)\n~p(a)").unwrap());
         assert!(entails(&absurd, "a = b"));
@@ -528,9 +669,89 @@ mod tests {
         assert!(p.updated(theory, None).active_domain().contains(&c));
     }
 
+    #[test]
+    fn sigma_is_grounded_once_and_only_when_asked() {
+        let p = Prover::new(
+            Theory::from_text(
+                "p(c0) | p(c1)
+                 exists x. q(x)
+                 forall x. p(x) -> r(x)
+                 r(c2)\nr(c3)\nr(c4)\nr(c5)\nr(c6)\nr(c7)\nr(c8)\nr(c9)",
+            )
+            .unwrap(),
+        );
+        assert_eq!(p.groundings_kept(), 0, "Prover::new grounds nothing");
+        // 1 200 distinct goals over the active domain.
+        for pred in ["p", "q", "r"] {
+            for x in 0..10 {
+                for y in 0..10 {
+                    for goal in [
+                        format!("{pred}(c{x}) | r(c{y})"),
+                        format!("~{pred}(c{x}) | q(c{y})"),
+                        format!("exists z. {pred}(z) & ~(z = c{x}) & ~(z = c{y})"),
+                        format!("{pred}(c{x}) & {pred}(c{y}) -> r(c{x})"),
+                    ] {
+                        let goal = parse(&goal).unwrap();
+                        assert_eq!(p.entails(&goal), p.entails_from_scratch(&goal), "{goal}");
+                    }
+                }
+            }
+        }
+        assert_eq!(p.groundings_kept(), 1);
+        // An update starts over, and builds nothing until asked.
+        let mut theory = p.theory().clone();
+        theory.assert(parse("q(c0)").unwrap()).unwrap();
+        let next = p.updated(theory, None);
+        assert_eq!(next.groundings_kept(), 0);
+        assert!(entails(&next, "q(c0)"));
+        assert_eq!((next.groundings_kept(), p.groundings_kept()), (1, 1));
+    }
+
+    #[test]
+    fn clones_share_the_kept_grounding() {
+        let p = teach();
+        let early = p.clone();
+        assert!(entails(&p, "exists x. Teach(x, Psych)"));
+        let late = p.clone();
+        let goal = parse("Teach(John, Math)").unwrap();
+        let kept = p.grounding_for(&goal).0;
+        for clone in [&early, &late] {
+            assert!(Arc::ptr_eq(&kept, &clone.grounding_for(&goal).0));
+            assert!(clone.entails(&goal));
+        }
+        assert_eq!(p.groundings_kept(), 1);
+        // A clone counts the runs it caused on top of those it inherited.
+        assert_eq!((early.sat_calls(), late.sat_calls()), (1, 3));
+    }
+
+    #[test]
+    fn fresh_names_do_not_grow_what_is_kept() {
+        let p = teach();
+        assert!(!entails(&p, "Teach(nobody, Math)"));
+        assert!(!entails(&p, "~Teach(nobody, Math)"));
+        let foreign = p.grounding_for(&parse("Teach(nobody, Math)").unwrap()).0;
+        let size = foreign.solver_size();
+        for i in 0..10_000 {
+            // An atom ground Σ never mentions, and one it does (under the
+            // existential) — neither reaches the solver.
+            assert!(!entails(&p, &format!("Teach(absent{i}, Math)")));
+            assert!(!entails(&p, &format!("Teach(John, absent{i})")));
+        }
+        assert!(p.groundings_kept() <= 2);
+        assert_eq!(foreign.solver_size(), size);
+        assert_eq!(p.memo_len(), 1, "only the solver's verdict was memoized");
+        // A literal goal that does reach the solver is a bare assumption:
+        // it may need a variable, never a clause.
+        for i in 0..50 {
+            assert!(!entails(&p, &format!("~Teach(absent{i}, Math)")));
+        }
+        assert_eq!(foreign.solver_size().1, size.1);
+        assert!(p.groundings_kept() <= 2);
+    }
+
     mod properties {
         use super::*;
-        use crate::testgen::{definite, equality_goal, non_definite, RawTheory};
+        use crate::testgen::{definite, equality_goal, goal, non_definite, RawTheory};
         use proptest::prelude::*;
 
         fn raw_theory() -> impl Strategy<Value = RawTheory> {
@@ -562,9 +783,49 @@ mod tests {
                 for p in &provers {
                     prop_assert_eq!(
                         p.entails(&goal),
-                        p.entails_uncached(&goal),
+                        p.entails_from_scratch(&goal),
                         "goal {} over {:?}", goal, p.theory().sentences()
                     );
+                }
+            }
+
+            /// A sequence of goals put to one prover — so the kept
+            /// registry, model, solver and memo are all exercised — gets,
+            /// goal for goal, the verdict of the from-scratch pipeline:
+            /// on definite theories (no model attached) and non-definite
+            /// ones, unsatisfiable ones included, with quantifiers,
+            /// equalities and parameters no theory mentions in the goals.
+            #[test]
+            fn kept_grounding_matches_the_from_scratch_pipeline(
+                raw in raw_theory(),
+                goals in proptest::collection::vec(
+                    proptest::collection::vec(0u8..255, 1..24),
+                    1..12,
+                ),
+            ) {
+                let provers = [Prover::new(definite(&raw).0), Prover::new(non_definite(&raw))];
+                for p in &provers {
+                    let cloned = p.clone();
+                    for (i, codes) in goals.iter().enumerate() {
+                        let goal = goal(&mut codes.iter().copied(), 3);
+                        let expected = p.entails_from_scratch(&goal);
+                        // Every other goal goes to a clone, which shares
+                        // the solver but not the memo; then again, to hit
+                        // the memo or the solver a second time.
+                        let asked = if i % 2 == 0 { p } else { &cloned };
+                        prop_assert_eq!(
+                            asked.entails(&goal),
+                            expected,
+                            "goal {} (#{}) over {:?}", goal, i, p.theory().sentences()
+                        );
+                        prop_assert_eq!(p.entails(&goal), expected, "asked again: {}", goal);
+                        prop_assert_eq!(
+                            p.consistent_with(&goal),
+                            !p.entails_from_scratch(&Formula::not(goal.clone())),
+                            "consistency of {}", goal
+                        );
+                    }
+                    prop_assert!(p.groundings_kept() <= 10, "goal_param has nine names");
                 }
             }
         }

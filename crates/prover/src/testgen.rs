@@ -3,7 +3,7 @@
 
 use epilog_storage::Database;
 use epilog_syntax::formula::Atom;
-use epilog_syntax::{parse, Formula, Param, Term, Theory};
+use epilog_syntax::{parse, Formula, Param, Term, Theory, Var};
 
 /// Raw material for one theory: a shape selector and fact/sentence codes.
 pub(crate) type RawTheory = (u8, Vec<(u8, u8, u8)>);
@@ -107,5 +107,57 @@ pub(crate) fn equality_goal(codes: &mut dyn Iterator<Item = u8>, depth: usize) -
         4 => Formula::or(sub(), sub()),
         5 => Formula::implies(sub(), sub()),
         _ => Formula::iff(sub(), sub()),
+    }
+}
+
+/// A closed FOPCE goal read off a byte stream: atoms over the predicates
+/// the generated theories use, equalities, every connective, and both
+/// quantifiers, over [`goal_param`]'s parameters and the variables in
+/// scope.
+pub(crate) fn goal(codes: &mut dyn Iterator<Item = u8>, depth: usize) -> Formula {
+    goal_in(codes, depth, &mut Vec::new())
+}
+
+fn goal_in(codes: &mut dyn Iterator<Item = u8>, depth: usize, scope: &mut Vec<Var>) -> Formula {
+    const PREDS: [(&str, usize); 7] = [
+        ("p", 1),
+        ("q", 1),
+        ("emp", 1),
+        ("ss", 2),
+        ("person", 1),
+        ("e", 2),
+        ("t", 2),
+    ];
+    let term = |codes: &mut dyn Iterator<Item = u8>, scope: &[Var]| {
+        let code = codes.next().unwrap_or(0);
+        match scope {
+            [.., _] if code.is_multiple_of(3) => Term::Var(scope[code as usize / 3 % scope.len()]),
+            _ => Term::Param(goal_param(code / 3)),
+        }
+    };
+    let shape = codes.next().unwrap_or(0) % if depth == 0 { 3 } else { 10 };
+    let mut sub = |scope: &mut Vec<Var>| goal_in(codes, depth - 1, scope);
+    match shape {
+        0 | 1 => {
+            let (name, arity) = PREDS[codes.next().unwrap_or(0) as usize % PREDS.len()];
+            Formula::atom(name, (0..arity).map(|_| term(codes, scope)).collect())
+        }
+        2 => Formula::Eq(term(codes, scope), term(codes, scope)),
+        3 => Formula::not(sub(scope)),
+        4 => Formula::and(sub(scope), sub(scope)),
+        5 => Formula::or(sub(scope), sub(scope)),
+        6 => Formula::implies(sub(scope), sub(scope)),
+        7 => Formula::iff(sub(scope), sub(scope)),
+        quantifier => {
+            let x = Var::new(["x", "y", "z"][scope.len() % 3]);
+            scope.push(x);
+            let body = sub(scope);
+            scope.pop();
+            if quantifier == 8 {
+                Formula::forall(x, body)
+            } else {
+                Formula::exists(x, body)
+            }
+        }
     }
 }

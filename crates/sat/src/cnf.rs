@@ -181,13 +181,18 @@ impl Prop {
 
     /// Evaluate under a total assignment (indexed by variable).
     pub fn eval(&self, assignment: &[bool]) -> bool {
+        self.eval_with(&|v| assignment[v as usize])
+    }
+
+    /// Evaluate with `value` giving each variable's truth value.
+    pub fn eval_with(&self, value: &impl Fn(u32) -> bool) -> bool {
         match self {
             Prop::True => true,
             Prop::False => false,
-            Prop::Var(v) => assignment[*v as usize],
-            Prop::Not(p) => !p.eval(assignment),
-            Prop::And(ps) => ps.iter().all(|p| p.eval(assignment)),
-            Prop::Or(ps) => ps.iter().any(|p| p.eval(assignment)),
+            Prop::Var(v) => value(*v),
+            Prop::Not(p) => !p.eval_with(value),
+            Prop::And(ps) => ps.iter().all(|p| p.eval_with(value)),
+            Prop::Or(ps) => ps.iter().any(|p| p.eval_with(value)),
         }
     }
 }
@@ -239,6 +244,25 @@ pub fn tseitin(p: &Prop, cnf: &mut Cnf) -> Lit {
             big.push(out.negate());
             cnf.add_clause(&big);
             out
+        }
+    }
+}
+
+/// Add `p` to `cnf` as a constraint: afterwards `cnf` is satisfiable iff
+/// it was together with `p`. Same models over the variables of `p` as
+/// `tseitin` followed by a unit on its root, but the top of the formula
+/// needs no definitions: a conjunction constrains conjunct by conjunct, a
+/// disjunction is one clause over its disjuncts' roots.
+pub fn constrain(p: &Prop, cnf: &mut Cnf) {
+    match p {
+        Prop::And(ps) => ps.iter().for_each(|q| constrain(q, cnf)),
+        Prop::Or(ps) => {
+            let lits: Vec<Lit> = ps.iter().map(|q| tseitin(q, cnf)).collect();
+            cnf.add_clause(&lits);
+        }
+        other => {
+            let root = tseitin(other, cnf);
+            cnf.add_unit(root);
         }
     }
 }
@@ -302,6 +326,36 @@ mod tests {
             }
             SatResult::Unsat => panic!("should be satisfiable"),
         }
+    }
+
+    #[test]
+    fn constraining_needs_no_definitions_at_the_top() {
+        // x0 ∧ (x1 ∨ ¬x2) ∧ ¬(x1 ∧ x3): a unit, a clause, and one
+        // definition for the conjunction under the negation.
+        let p = Prop::and_all(vec![
+            Prop::Var(0),
+            Prop::or_all(vec![Prop::Var(1), Prop::Var(2).negate()]),
+            Prop::and_all(vec![Prop::Var(1), Prop::Var(3)]).negate(),
+        ]);
+        let mut direct = Cnf::new();
+        direct.reserve_vars(4);
+        constrain(&p, &mut direct);
+        assert_eq!(direct.num_vars(), 5);
+        assert_eq!(direct.clauses().len(), 2 + 3 + 1);
+        // Same projected models as the encoding with a root unit.
+        let mut rooted = Cnf::new();
+        rooted.reserve_vars(4);
+        let root = tseitin(&p, &mut rooted);
+        rooted.add_unit(root);
+        let models = |cnf: &Cnf| {
+            let (mut found, complete) = Solver::enumerate(cnf, 4, 32);
+            assert!(complete);
+            found.sort();
+            found
+        };
+        assert_eq!(models(&direct), models(&rooted));
+        assert!(models(&direct).iter().all(|m| p.eval(m)));
+        assert_eq!(models(&direct).len(), 4);
     }
 
     #[test]

@@ -9,20 +9,24 @@
 //! Components:
 //!
 //! * [`Lit`]/[`Cnf`] — literals and clause databases;
-//! * [`Prop`] + [`tseitin`] — arbitrary propositional formulas and their
-//!   equisatisfiable CNF encoding;
+//! * [`Prop`] + [`tseitin`] / [`constrain`] — arbitrary propositional
+//!   formulas and their equisatisfiable CNF encoding;
 //! * [`Solver`] — conflict-driven clause learning with two-watched
-//!   literals, 1-UIP learning, VSIDS branching, and Luby restarts;
+//!   literals, 1-UIP learning, VSIDS branching off an activity heap, and
+//!   Luby restarts; long-lived: [`Solver::solve_with`] decides under
+//!   assumption literals, keeps what it learnt, and takes new variables
+//!   and clauses between runs — how the prover asks many goals of one
+//!   grounded theory;
 //! * [`solve_dpll`] — a plain DPLL baseline (unit propagation +
 //!   chronological backtracking, no learning), kept as the ablation
 //!   comparison for bench `f3_sat`;
-//! * model enumeration ([`Solver::enumerate`]) via blocking clauses, used
-//!   by the semantic oracle and by circumscription.
+//! * model enumeration ([`Solver::enumerate`]) via blocking clauses added
+//!   to one solver between runs.
 
 pub mod cnf;
 pub mod dpll;
 pub mod solver;
 
-pub use cnf::{tseitin, Cnf, Lit, Prop};
+pub use cnf::{constrain, tseitin, Cnf, Lit, Prop};
 pub use dpll::solve_dpll;
 pub use solver::{SatResult, Solver};

@@ -1,10 +1,11 @@
 //! A conflict-driven clause-learning (CDCL) SAT solver.
 //!
 //! Standard architecture: two-watched-literal propagation, first-UIP
-//! conflict analysis with clause learning, VSIDS variable activities with
-//! phase saving, and Luby-scheduled restarts. No clause deletion — the
-//! workloads this repository generates stay far below the sizes where
-//! database reduction pays off.
+//! conflict analysis with clause learning, VSIDS variable activities (an
+//! activity-ordered heap) with phase saving, Luby-scheduled restarts, and
+//! solving under assumptions on a solver that outlives the call. No clause
+//! deletion — the workloads this repository generates stay far below the
+//! sizes where database reduction pays off.
 
 use crate::cnf::{Cnf, Lit};
 
@@ -25,12 +26,23 @@ impl SatResult {
 }
 
 const UNASSIGNED: i8 = 0;
+/// `heap_pos` of a variable that is not in the heap.
+const ABSENT: usize = usize::MAX;
 
-/// The CDCL solver. Create with [`Solver::new`], run with
-/// [`Solver::solve`]; a solver instance is single-shot (build a fresh one
-/// per query — construction is linear in the formula).
+/// The CDCL solver. Create with [`Solver::new`], run with [`Solver::solve`]
+/// or, under assumptions, [`Solver::solve_with`].
+///
+/// A solver is **long-lived**: every run ends back at decision level 0
+/// with the level-0 assignment and all learnt clauses kept, so the next
+/// run starts from what the earlier ones worked out, and variables
+/// ([`Solver::new_var`]) and clauses ([`Solver::add_clause`]) can be added
+/// between runs. Assumptions are decided before anything else and undone
+/// when the run ends; a learnt clause follows from the clauses alone, so
+/// keeping it is sound whatever the next run assumes. The usual shape of a
+/// query is "are the clauses satisfiable together with `φ`": add `φ`'s
+/// Tseitin definitions (they constrain no earlier variable) and assume its
+/// root literal.
 pub struct Solver {
-    num_vars: usize,
     /// All clauses, original then learned. Clause ids index this vector.
     clauses: Vec<Vec<Lit>>,
     /// `watches[l.index()]`: ids of clauses currently watching literal `l`.
@@ -52,10 +64,16 @@ pub struct Solver {
     var_inc: f64,
     /// Saved phase per variable.
     phase: Vec<bool>,
-    /// Set when an original clause is empty (immediately unsat).
-    empty_clause: bool,
-    /// Unit original clauses, queued for level-0 propagation.
-    units: Vec<Lit>,
+    /// Binary heap over variables, most active first (lower index on
+    /// ties). Holds every unassigned variable; assigned ones linger until
+    /// `decide` pops them.
+    heap: Vec<u32>,
+    /// Where each variable sits in `heap`, or [`ABSENT`].
+    heap_pos: Vec<usize>,
+    /// `analyze`'s marks per variable; all false between calls.
+    seen: Vec<bool>,
+    /// Set once the clauses are unsatisfiable under no assumption at all.
+    unsat: bool,
     /// Statistics: number of conflicts seen (exposed for benches).
     pub conflicts: u64,
 }
@@ -63,34 +81,108 @@ pub struct Solver {
 impl Solver {
     /// Build a solver over a CNF.
     pub fn new(cnf: &Cnf) -> Self {
-        let num_vars = cnf.num_vars() as usize;
         let mut s = Solver {
-            num_vars,
             clauses: Vec::with_capacity(cnf.clauses().len()),
-            watches: vec![Vec::new(); num_vars * 2],
-            assign: vec![UNASSIGNED; num_vars],
-            level: vec![0; num_vars],
-            reason: vec![None; num_vars],
-            trail: Vec::with_capacity(num_vars),
+            watches: Vec::new(),
+            assign: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            activity: vec![0.0; num_vars],
+            activity: Vec::new(),
             var_inc: 1.0,
-            phase: vec![false; num_vars],
-            empty_clause: false,
-            units: Vec::new(),
+            phase: Vec::new(),
+            heap: Vec::new(),
+            heap_pos: Vec::new(),
+            seen: Vec::new(),
+            unsat: false,
             conflicts: 0,
         };
+        s.reserve_vars(cnf.num_vars());
         for c in cnf.clauses() {
-            s.add_clause(c.clone());
+            // A `Cnf` keeps its clauses sorted, duplicate- and tautology-free.
+            s.attach(c.clone());
         }
         s
     }
 
-    fn add_clause(&mut self, c: Vec<Lit>) {
+    /// The number of allocated variables.
+    pub fn num_vars(&self) -> u32 {
+        self.assign.len() as u32
+    }
+
+    /// The number of stored clauses of two or more literals, learnt ones
+    /// included (diagnostics).
+    pub fn num_clauses(&self) -> usize {
+        self.clauses.len()
+    }
+
+    /// Allocate a fresh variable, returning its index.
+    pub fn new_var(&mut self) -> u32 {
+        let v = self.num_vars();
+        self.reserve_vars(v + 1);
+        v
+    }
+
+    /// Ensure at least `n` variables exist.
+    pub fn reserve_vars(&mut self, n: u32) {
+        let (old, new) = (self.assign.len(), n as usize);
+        if new <= old {
+            return;
+        }
+        self.watches.resize_with(2 * new, Vec::new);
+        self.assign.resize(new, UNASSIGNED);
+        self.level.resize(new, 0);
+        self.reason.resize(new, None);
+        self.activity.resize(new, 0.0);
+        self.phase.resize(new, false);
+        self.seen.resize(new, false);
+        // No activity and the highest indexes: last in the heap's order,
+        // so they go in as leaves as they come.
+        self.heap_pos
+            .extend(self.heap.len()..self.heap.len() + (new - old));
+        self.heap.extend(old as u32..n);
+    }
+
+    /// Add a clause between runs. Duplicate literals are deduplicated and
+    /// tautological clauses dropped, as [`Cnf::add_clause`] does; the empty
+    /// clause makes the solver unsatisfiable for good.
+    ///
+    /// # Panics
+    /// Panics if a literal uses an unallocated variable.
+    pub fn add_clause(&mut self, lits: &[Lit]) {
+        let mut c = lits.to_vec();
+        c.sort_unstable();
+        c.dedup();
+        if c.windows(2).all(|w| w[0].var() != w[1].var()) {
+            self.attach(c);
+        }
+    }
+
+    /// Store a normalized clause, simplified by the level-0 assignment:
+    /// dropped when a literal already holds, shortened by those that
+    /// cannot, enqueued when one literal is left.
+    fn attach(&mut self, mut c: Vec<Lit>) {
+        debug_assert_eq!(self.decision_level(), 0, "clauses are added between runs");
+        let mut satisfied = false;
+        c.retain(|&l| {
+            assert!(
+                l.var() < self.num_vars(),
+                "literal uses unallocated variable"
+            );
+            satisfied |= self.value(l) == 1;
+            self.value(l) != -1
+        });
+        if satisfied {
+            return;
+        }
         match c.len() {
-            0 => self.empty_clause = true,
-            1 => self.units.push(c[0]),
+            0 => self.unsat = true,
+            1 => {
+                let ok = self.enqueue(c[0], None);
+                debug_assert!(ok, "the literal was unassigned");
+            }
             _ => {
                 let id = self.clauses.len();
                 self.watches[c[0].index()].push(id);
@@ -176,6 +268,70 @@ impl Solver {
         None
     }
 
+    /// Whether variable `a` is decided before `b`: higher activity, lower
+    /// index on ties — a total order, so the choice does not depend on how
+    /// the heap happens to be laid out.
+    fn before(&self, a: u32, b: u32) -> bool {
+        let (x, y) = (self.activity[a as usize], self.activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !self.before(v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.heap_pos[p as usize] = i;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.heap_pos[v as usize] = i;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len() && self.before(self.heap[child + 1], self.heap[child]) {
+                child += 1;
+            }
+            let c = self.heap[child];
+            if !self.before(c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.heap_pos[c as usize] = i;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.heap_pos[v as usize] = i;
+    }
+
+    fn heap_insert(&mut self, v: u32) {
+        if self.heap_pos[v as usize] == ABSENT {
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1);
+        }
+    }
+
+    fn heap_pop(&mut self) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("the heap has a first element");
+        self.heap_pos[top as usize] = ABSENT;
+        if top != last {
+            self.heap[0] = last;
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
     fn bump(&mut self, v: usize) {
         self.activity[v] += self.var_inc;
         if self.activity[v] > 1e100 {
@@ -183,6 +339,13 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Rescaling can round distinct activities into a tie, which the
+            // index then breaks: put the heap back in order.
+            for i in (0..self.heap.len() / 2).rev() {
+                self.sift_down(i);
+            }
+        } else if self.heap_pos[v] != ABSENT {
+            self.sift_up(self.heap_pos[v]);
         }
     }
 
@@ -190,7 +353,6 @@ impl Solver {
     /// literal first) and the backjump level.
     fn analyze(&mut self, mut confl: usize) -> (Vec<Lit>, u32) {
         let current = self.decision_level();
-        let mut seen = vec![false; self.num_vars];
         let mut learnt: Vec<Lit> = Vec::new();
         let mut counter = 0u32;
         let mut idx = self.trail.len();
@@ -201,8 +363,8 @@ impl Solver {
             for k in skip..self.clauses[confl].len() {
                 let q = self.clauses[confl][k];
                 let v = q.var() as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump(v);
                     if self.level[v] >= current {
                         counter += 1;
@@ -214,7 +376,7 @@ impl Solver {
             // Walk the trail backwards to the next marked literal.
             loop {
                 idx -= 1;
-                if seen[self.trail[idx].var() as usize] {
+                if self.seen[self.trail[idx].var() as usize] {
                     break;
                 }
             }
@@ -227,6 +389,11 @@ impl Solver {
             confl =
                 self.reason[pl.var() as usize].expect("non-decision literal must have a reason");
             p = Some(pl);
+        }
+        // Every mark sits on a learnt literal or on the stretch of trail
+        // just walked.
+        for l in learnt.iter().chain(&self.trail[idx..]) {
+            self.seen[l.var() as usize] = false;
         }
 
         let uip = p.expect("loop sets p before breaking").negate();
@@ -254,43 +421,51 @@ impl Solver {
     fn backtrack(&mut self, to_level: u32) {
         while self.decision_level() > to_level {
             let start = self.trail_lim.pop().expect("level > 0 implies a limit");
-            for l in self.trail.drain(start..) {
+            for i in start..self.trail.len() {
+                let l = self.trail[i];
                 let v = l.var() as usize;
                 self.phase[v] = l.is_pos();
                 self.assign[v] = UNASSIGNED;
                 self.reason[v] = None;
+                self.heap_insert(l.var());
             }
+            self.trail.truncate(start);
         }
         self.qhead = self.trail.len();
     }
 
+    /// The most active unassigned variable, in its saved phase.
     fn decide(&mut self) -> Option<Lit> {
-        let mut best: Option<usize> = None;
-        for v in 0..self.num_vars {
-            if self.assign[v] == UNASSIGNED
-                && best.is_none_or(|b| self.activity[v] > self.activity[b])
-            {
-                best = Some(v);
+        while let Some(v) = self.heap_pop() {
+            if self.assign[v as usize] == UNASSIGNED {
+                return Some(if self.phase[v as usize] {
+                    Lit::pos(v)
+                } else {
+                    Lit::neg(v)
+                });
             }
         }
-        best.map(|v| {
-            if self.phase[v] {
-                Lit::pos(v as u32)
-            } else {
-                Lit::neg(v as u32)
-            }
-        })
+        None
     }
 
     /// Run the CDCL loop to completion.
     pub fn solve(&mut self) -> SatResult {
-        if self.empty_clause {
+        self.solve_with(&[])
+    }
+
+    /// Decide whether the clauses are satisfiable with every literal of
+    /// `assumptions` true. The assumptions bind this run only: `Unsat`
+    /// here leaves the solver as satisfiable as it was without them.
+    ///
+    /// # Panics
+    /// Panics if an assumption uses an unallocated variable.
+    pub fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
+        assert!(
+            assumptions.iter().all(|l| l.var() < self.num_vars()),
+            "assumption uses unallocated variable"
+        );
+        if self.unsat {
             return SatResult::Unsat;
-        }
-        for &u in &self.units.clone() {
-            if !self.enqueue(u, None) {
-                return SatResult::Unsat;
-            }
         }
         let mut restart_count = 0u32;
         let mut conflicts_since_restart = 0u64;
@@ -300,6 +475,7 @@ impl Solver {
                 self.conflicts += 1;
                 conflicts_since_restart += 1;
                 if self.decision_level() == 0 {
+                    self.unsat = true;
                     return SatResult::Unsat;
                 }
                 let (clause, bl) = self.analyze(confl);
@@ -322,18 +498,28 @@ impl Solver {
                 conflicts_since_restart = 0;
                 self.backtrack(0);
             } else {
-                match self.decide() {
-                    None => {
-                        // Total assignment, no conflict: a model.
-                        let model = self.assign.iter().map(|&a| a == 1).collect::<Vec<bool>>();
-                        return SatResult::Sat(model);
+                // Assumption `i` is the decision of level `i + 1`; one
+                // that already holds gets an empty level of its own, so
+                // the correspondence survives backjumps and restarts.
+                let next = match assumptions.get(self.decision_level() as usize) {
+                    Some(&a) if self.value(a) == -1 => {
+                        // The clauses and the assumptions before `a`
+                        // force `¬a`.
+                        self.backtrack(0);
+                        return SatResult::Unsat;
                     }
-                    Some(l) => {
-                        self.trail_lim.push(self.trail.len());
-                        let ok = self.enqueue(l, None);
-                        debug_assert!(ok, "decision variable was unassigned");
-                    }
-                }
+                    Some(&a) => Some(a),
+                    None => self.decide(),
+                };
+                let Some(l) = next else {
+                    // Total assignment, no conflict: a model.
+                    let model = self.assign.iter().map(|&a| a == 1).collect::<Vec<bool>>();
+                    self.backtrack(0);
+                    return SatResult::Sat(model);
+                };
+                self.trail_lim.push(self.trail.len());
+                let ok = self.enqueue(l, None);
+                debug_assert!(ok, "a decision is unassigned, an assumption not false");
             }
         }
     }
@@ -344,17 +530,16 @@ impl Solver {
     /// together with a flag saying whether enumeration was exhaustive.
     ///
     /// Each found model is excluded with a blocking clause over the
-    /// projection and the solver is re-run; complexity is `limit` full
-    /// solves, which is fine at the scales of the semantic oracle.
+    /// projection and the one solver is run again.
     pub fn enumerate(cnf: &Cnf, project: u32, limit: usize) -> (Vec<Vec<bool>>, bool) {
         assert!(
             project <= cnf.num_vars(),
             "projection exceeds variable count"
         );
-        let mut blocked = cnf.clone();
+        let mut solver = Solver::new(cnf);
         let mut models = Vec::new();
         while models.len() < limit {
-            match Solver::new(&blocked).solve() {
+            match solver.solve() {
                 SatResult::Unsat => return (models, true),
                 SatResult::Sat(m) => {
                     let proj: Vec<bool> = m[..project as usize].to_vec();
@@ -370,7 +555,7 @@ impl Solver {
                             }
                         })
                         .collect();
-                    blocked.add_clause(&blocking);
+                    solver.add_clause(&blocking);
                     models.push(proj);
                     if project == 0 {
                         // Projection is trivial; one (empty) model is all
@@ -381,7 +566,7 @@ impl Solver {
             }
         }
         // Check whether anything is left.
-        let exhausted = matches!(Solver::new(&blocked).solve(), SatResult::Unsat);
+        let exhausted = matches!(solver.solve(), SatResult::Unsat);
         (models, exhausted)
     }
 }
@@ -554,6 +739,163 @@ mod tests {
         let (models, complete) = Solver::enumerate(&cnf, 1, 10);
         assert!(complete);
         assert_eq!(models.len(), 2);
+    }
+
+    #[test]
+    fn assumptions_bind_one_run_only() {
+        // (x1 ∨ x2) ∧ (¬x1 ∨ x3)
+        let cnf = cnf_of(3, &[&[1, 2], &[-1, 3]]);
+        let mut s = Solver::new(&cnf);
+        assert_eq!(
+            s.solve_with(&[Lit::neg(0), Lit::neg(1)]),
+            SatResult::Unsat,
+            "¬x1 ∧ ¬x2 contradicts the first clause"
+        );
+        match s.solve_with(&[Lit::pos(0)]) {
+            SatResult::Sat(m) => {
+                assert!(m[0] && m[2]);
+                check_model(&cnf, &m);
+            }
+            SatResult::Unsat => panic!("x1 is consistent with the clauses"),
+        }
+        assert_eq!(s.solve_with(&[Lit::pos(0), Lit::neg(2)]), SatResult::Unsat);
+        // An assumption and its complement, and one repeated.
+        assert_eq!(s.solve_with(&[Lit::pos(1), Lit::neg(1)]), SatResult::Unsat);
+        assert!(s.solve_with(&[Lit::pos(1), Lit::pos(1)]).is_sat());
+        assert!(s.solve().is_sat(), "no assumption outlives its run");
+    }
+
+    #[test]
+    fn clauses_and_variables_arrive_between_runs() {
+        let mut s = Solver::new(&cnf_of(2, &[&[1, 2]]));
+        assert!(s.solve().is_sat());
+        // x3 ≡ (x1 ∧ x2), then ask for ¬x3 with x1.
+        let x3 = s.new_var();
+        assert_eq!(x3, 2);
+        s.add_clause(&[Lit::neg(x3), Lit::pos(0)]);
+        s.add_clause(&[Lit::neg(x3), Lit::pos(1)]);
+        s.add_clause(&[Lit::pos(x3), Lit::neg(0), Lit::neg(1)]);
+        match s.solve_with(&[Lit::neg(x3), Lit::pos(0)]) {
+            SatResult::Sat(m) => assert!(m[0] && !m[1] && !m[2]),
+            SatResult::Unsat => panic!("x1 ∧ ¬x2 satisfies it"),
+        }
+        let clauses = s.num_clauses();
+        // A unit is propagated, a satisfied clause and a tautology dropped.
+        s.add_clause(&[Lit::pos(0)]);
+        s.add_clause(&[Lit::pos(0), Lit::pos(1)]);
+        s.add_clause(&[Lit::pos(1), Lit::neg(1)]);
+        assert_eq!(s.num_clauses(), clauses);
+        assert_eq!(s.solve_with(&[Lit::neg(0)]), SatResult::Unsat);
+        assert!(s.solve().is_sat());
+        // The empty clause — here a unit against the level-0 assignment —
+        // is for good.
+        s.add_clause(&[Lit::neg(0)]);
+        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(s.solve_with(&[Lit::pos(1)]), SatResult::Unsat);
+    }
+
+    #[test]
+    fn pigeonhole_under_an_activation_literal() {
+        // PHP(5, 4) guarded by `act`: unsatisfiable exactly when assumed.
+        let php = pigeonhole(4);
+        let act = php.num_vars();
+        let mut cnf = Cnf::new();
+        cnf.reserve_vars(act + 1);
+        for c in php.clauses() {
+            let mut guarded = c.clone();
+            guarded.push(Lit::neg(act));
+            cnf.add_clause(&guarded);
+        }
+        let mut s = Solver::new(&cnf);
+        assert_eq!(s.solve_with(&[Lit::pos(act)]), SatResult::Unsat);
+        assert!(s.conflicts > 0, "refuting PHP takes conflict analysis");
+        assert!(s.solve().is_sat());
+        assert_eq!(s.solve_with(&[Lit::pos(act)]), SatResult::Unsat);
+    }
+
+    #[test]
+    fn decisions_follow_activity_then_index() {
+        let mut s = Solver::new(&cnf_of(5, &[]));
+        s.bump(3);
+        s.bump(1);
+        s.bump(3);
+        let order: Vec<u32> = std::iter::from_fn(|| {
+            let l = s.decide()?;
+            s.trail_lim.push(s.trail.len());
+            s.enqueue(l, None);
+            Some(l.var())
+        })
+        .collect();
+        assert_eq!(order, [3, 1, 0, 2, 4]);
+        s.backtrack(0);
+        assert_eq!(s.heap.len(), 5, "backtracking returns every variable");
+    }
+
+    mod properties {
+        use super::*;
+        use crate::dpll::solve_dpll;
+        use proptest::prelude::*;
+
+        fn lit((v, sign): (u32, u8)) -> Lit {
+            if sign == 0 {
+                Lit::pos(v)
+            } else {
+                Lit::neg(v)
+            }
+        }
+
+        fn clause() -> impl Strategy<Value = Vec<(u32, u8)>> {
+            proptest::collection::vec((0u32..10, 0u8..2), 1..4)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// One long-lived solver, put through a sequence of assumption
+            /// sets with clauses arriving in between, answers each run as
+            /// a fresh solver over "clauses so far + assumptions as units"
+            /// does, and as DPLL does; a model it reports satisfies both,
+            /// and `Unsat` under assumptions never sticks.
+            #[test]
+            fn solve_with_matches_fresh_solvers_and_dpll(
+                base in proptest::collection::vec(clause(), 0..45),
+                steps in proptest::collection::vec(
+                    (proptest::collection::vec((0u32..10, 0u8..2), 0..4), clause()),
+                    1..10,
+                ),
+            ) {
+                let mut cnf = Cnf::new();
+                cnf.reserve_vars(10);
+                for c in &base {
+                    cnf.add_clause(&c.iter().copied().map(lit).collect::<Vec<_>>());
+                }
+                let mut kept = Solver::new(&cnf);
+                for (assumed, arriving) in &steps {
+                    let assumed: Vec<Lit> = assumed.iter().copied().map(lit).collect();
+                    let mut with_units = cnf.clone();
+                    for &a in &assumed {
+                        with_units.add_unit(a);
+                    }
+                    let fresh = Solver::new(&with_units).solve().is_sat();
+                    prop_assert_eq!(solve_dpll(&with_units).is_sat(), fresh);
+                    match kept.solve_with(&assumed) {
+                        SatResult::Sat(m) => {
+                            prop_assert!(fresh, "kept solver found a model, fresh one none");
+                            check_model(&with_units, &m);
+                        }
+                        SatResult::Unsat => prop_assert!(!fresh, "kept solver found no model"),
+                    }
+                    prop_assert_eq!(
+                        kept.solve().is_sat(),
+                        Solver::new(&cnf).solve().is_sat(),
+                        "assumptions {:?} outlived their run", assumed
+                    );
+                    let arriving: Vec<Lit> = arriving.iter().copied().map(lit).collect();
+                    cnf.add_clause(&arriving);
+                    kept.add_clause(&arriving);
+                }
+            }
+        }
     }
 
     #[test]

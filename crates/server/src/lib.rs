@@ -30,7 +30,7 @@
 //! | `constraint <sentence>` | `ok constraint @<lsn>` or `err rejected: … @<lsn>` |
 //! | `flush` | `ok flushed @<lsn>` |
 //! | `heal` | `ok healed @<lsn>` or `err heal failed: …` |
-//! | `stats` | `ok stats commits=… rejected=… batches=… fsyncs=… plan_recosts=… prov_atoms=… prov_supports=… io_errors=… heals=… degraded=…` |
+//! | `stats` | `ok stats commits=… rejected=… batches=… fsyncs=… plan_recosts=… prov_atoms=… prov_supports=… io_errors=… heals=… degraded=… sat_calls=… refuted=…` (the last two: solver runs, and goals its kept model refuted without one, on the head state's prover) |
 //! | `quit` | `ok bye`, connection closes |
 //! | `shutdown` | `ok shutting-down`, server drains and exits |
 //!
@@ -262,7 +262,7 @@ fn stats_line(db: &ServingDb) -> String {
     let snap = db.snapshot();
     let (prov_atoms, prov_supports) = snap.provenance_size();
     format!(
-        "ok stats commits={} rejected={} batches={} fsyncs={} plan_recosts={} prov_atoms={} prov_supports={} io_errors={} heals={} degraded={}",
+        "ok stats commits={} rejected={} batches={} fsyncs={} plan_recosts={} prov_atoms={} prov_supports={} io_errors={} heals={} degraded={} sat_calls={} refuted={}",
         s.commits,
         s.rejected,
         s.batches,
@@ -272,7 +272,9 @@ fn stats_line(db: &ServingDb) -> String {
         prov_supports,
         s.io_errors,
         s.heals,
-        s.degraded
+        s.degraded,
+        snap.prover().sat_calls(),
+        snap.prover().refuted()
     )
 }
 
@@ -659,6 +661,8 @@ mod tests {
 
         let stats = c.request("stats").unwrap();
         assert!(stats.starts_with("ok stats commits=1 "), "got {stats}");
+        // A definite database answers from its least model.
+        assert!(stats.ends_with(" sat_calls=0 refuted=0"), "got {stats}");
         assert_eq!(c.request("quit").unwrap(), "ok bye");
 
         // Two clients see the same committed state.
@@ -667,6 +671,41 @@ mod tests {
 
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.commits, 1);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn stats_count_the_head_provers_solver_runs_and_refutations() {
+        let d = dir();
+        let theory = Theory::from_text(
+            "Teach(John, Math)\nexists x. Teach(x, CS)\nTeach(Mary, Psych) | Teach(Sue, Psych)",
+        )
+        .unwrap();
+        let db = ServingDb::create(&d, theory, Default::default()).unwrap();
+        let server = Server::start(db, "127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        let counters = |c: &mut Client| -> (u64, u64) {
+            let stats = c.request("stats").unwrap();
+            let field = |key: &str| {
+                let rest = &stats[stats.find(key).expect(key) + key.len()..];
+                let digits = rest.split(' ').next().unwrap();
+                digits.parse().unwrap_or_else(|_| panic!("got {stats}"))
+            };
+            (field(" sat_calls="), field(" refuted="))
+        };
+        assert_eq!(counters(&mut c), (0, 0), "nothing is grounded unasked");
+        assert_eq!(c.request("ask K Teach(John, Math)").unwrap(), "ok yes @0");
+        // One run found ground Σ a model, one decided the fact.
+        assert_eq!(counters(&mut c), (2, 0));
+        assert_eq!(c.request("ask K Teach(Sue, Math)").unwrap(), "ok no @0");
+        assert_eq!(counters(&mut c), (2, 1), "the kept model refutes it");
+        // A commit publishes a new prover, which starts from zero.
+        assert_eq!(
+            c.request("assert Teach(Sue, Math)").unwrap(),
+            "ok committed @1 +1 -0"
+        );
+        assert_eq!(counters(&mut c), (0, 0));
+        server.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }
 

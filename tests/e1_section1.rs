@@ -6,9 +6,19 @@
 //! and the propositional examples against the brute-force semantic
 //! oracle.
 
+use epilog::core::ask::certain;
 use epilog::prelude::*;
 use epilog::semantics::ModelSet;
 use epilog::syntax::Pred;
+
+/// `ask` as Definition 2.1 spells it: `q` and `¬q` each reduced and
+/// decided on its own. `ask` itself reduces once.
+fn ask_in_two_passes(prover: &Prover, q: &Formula) -> Answer {
+    Answer::from_entailments(
+        certain(prover, q),
+        certain(prover, &Formula::not(q.clone())),
+    )
+}
 
 fn teach_db() -> EpistemicDb {
     EpistemicDb::from_text(
@@ -35,6 +45,7 @@ fn p_or_q_table() {
     for (q, expected) in table {
         let w = parse(q).unwrap();
         assert_eq!(db.ask(&w), expected, "ask({q})");
+        assert_eq!(ask_in_two_passes(db.prover(), &w), expected, "{q}");
         assert_eq!(oracle.answer(&w), expected, "oracle({q})");
     }
 }
@@ -57,6 +68,7 @@ fn teach_table() {
     for (q, expected) in table {
         let w = parse(q).unwrap();
         assert_eq!(db.ask(&w), expected, "ask({q})");
+        assert_eq!(ask_in_two_passes(db.prover(), &w), expected, "{q}");
     }
 }
 

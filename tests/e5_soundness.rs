@@ -14,6 +14,7 @@
 //! the prover's witness semantics at quantifier depth ≤ 1 — which is all
 //! the generated queries use.
 
+use epilog::core::ask::certain;
 use epilog::core::{demo, demo_sentence, DemoOutcome};
 use epilog::prelude::*;
 use epilog::semantics::ModelSet;
@@ -190,5 +191,12 @@ proptest! {
             oracle.answer(&w),
             "ask vs oracle on `{}` over\n{}", q, t
         );
+        // `ask` reduces the query once for both questions; reducing it
+        // per question, as Definition 2.1 reads, answers the same.
+        let two_passes = Answer::from_entailments(
+            certain(db.prover(), &w),
+            certain(db.prover(), &Formula::not(w.clone())),
+        );
+        prop_assert_eq!(db.ask(&w), two_passes, "`{}` over\n{}", q, t);
     }
 }

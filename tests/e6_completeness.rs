@@ -8,7 +8,8 @@
 //!   property-tested against the oracle for set equality of answers.
 //! * §6.1.1 — iterating `demo` through failure recovers all answers.
 
-use epilog::core::{all_answers, demo};
+use epilog::core::ask::certain;
+use epilog::core::{all_answers, ask, demo};
 use epilog::prelude::*;
 use epilog::prover::canonical_model;
 use epilog::semantics::ModelSet;
@@ -98,6 +99,18 @@ proptest! {
             got, expect,
             "answer sets differ for `{}` over\n{}", q, t
         );
+        // The query quantified into `K`, as a sentence for `ask`: one
+        // reduction put to both entailment questions answers what a
+        // reduction per question does.
+        let known = w
+            .free_vars()
+            .into_iter()
+            .fold(Formula::know(w.clone()), |body, x| Formula::exists(x, body));
+        let two_passes = Answer::from_entailments(
+            certain(&prover, &known),
+            certain(&prover, &Formula::not(known.clone())),
+        );
+        prop_assert_eq!(ask(&prover, &known), two_passes, "`{}` over\n{}", known, t);
     }
 
     /// Lemma 6.2: the canonical model exists, mentions only Σ's

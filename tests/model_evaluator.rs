@@ -1,8 +1,11 @@
 //! The attached least model as the evaluator of definite databases:
 //! commits, constraint registration and ground reads on the §3 registrar
 //! and on a transitive closure must not reach the SAT pipeline, whatever
-//! the size. The timings are printed (`--nocapture`), not asserted,
-//! except where the seed could not finish at all.
+//! the size. And the kept model as the first evaluator of the others: on
+//! the §1 Teach world a read costs the solver runs its answers need, not
+//! one grounding of `Σ` per candidate. The timings are printed
+//! (`--nocapture`), not asserted, except where the seed could not finish
+//! at all.
 
 use epilog::prelude::*;
 use std::time::{Duration, Instant};
@@ -217,5 +220,100 @@ fn leaf_commits_cost_their_delta_at_any_closure_size() {
              db clone {db_clone:?}, leaf insert {insert:?}, leaf retract {retract:?} \
              (prepare + commit + clone + drop of the replaced snapshot)"
         );
+    }
+}
+
+/// The §1 Teach world at the size the `teach_mixed` wire workload serves
+/// it: 100 facts, 10 disjunctions, one existential — 111 sentences, not
+/// definite, so no least model is attached.
+fn teach_world() -> EpistemicDb {
+    let mut src = String::new();
+    for i in 0..100 {
+        src.push_str(&format!("Teach(t{i}, c{i})\n"));
+    }
+    for j in 0..10 {
+        src.push_str(&format!("Teach(a{j}, P{j}) | Teach(b{j}, P{j})\n"));
+    }
+    src.push_str("exists x. Teach(x, CS)\n");
+    let db = EpistemicDb::from_text(&src).unwrap();
+    assert!(db.prover().atom_model().is_none());
+    db
+}
+
+/// `Σ` is grounded by the first goal that needs it and by no other: a
+/// cold read is the solver run that finds ground `Σ` a model plus one run
+/// per instance that model leaves standing, where the parent commit
+/// re-grounded all 111 sentences for each of 231 candidates. Answers are
+/// §1's, known by construction; the bounds are solver runs
+/// (`Prover::sat_calls`).
+#[test]
+fn non_definite_reads_cost_their_answers_in_solver_runs() {
+    let names = |rows: Vec<Vec<Param>>| -> Vec<Vec<String>> {
+        let mut rows: Vec<Vec<String>> = rows
+            .iter()
+            .map(|t| t.iter().map(Param::name).collect())
+            .collect();
+        rows.sort();
+        rows
+    };
+
+    // `demo K Teach(x, c_i)`: who is known to teach c_i.
+    let db = teach_world();
+    let (rows, first) = timed(|| db.demo_all(&f("K Teach(x, c9)")).unwrap());
+    assert_eq!(names(rows), [["t9"]]);
+    let first_runs = db.prover().sat_calls();
+    assert!(first_runs <= 2, "cold demo took {first_runs} solver runs");
+    let (rows, later) = timed(|| db.demo_all(&f("K Teach(x, c10)")).unwrap());
+    assert_eq!(names(rows), [["t10"]]);
+    assert!(db.prover().sat_calls() <= first_runs + 1);
+    println!(
+        "teach world, demo K Teach(x, c_i): first goal {first:?} ({first_runs} solver runs; \
+         parent 108 ms, 231 runs), a later goal on the same prover {later:?}"
+    );
+
+    // `ask ∃x K Teach(x, P_j)`: only the disjunction is known, no
+    // individual — §1's "no".
+    let db = teach_world();
+    let (answer, first) = timed(|| db.ask(&f("exists x. K Teach(x, P3)")));
+    assert_eq!(answer, Answer::No);
+    let first_runs = db.prover().sat_calls();
+    assert!(first_runs <= 3, "cold ask took {first_runs} solver runs");
+    let (answer, later) = timed(|| db.ask(&f("exists x. K Teach(x, P4)")));
+    assert_eq!(answer, Answer::No);
+    assert!(db.prover().sat_calls() <= first_runs + 2);
+    println!(
+        "teach world, ask exists x. K Teach(x, P_j): first goal {first:?} ({first_runs} solver \
+         runs; parent 108-145 ms, 233 runs), a later goal on the same prover {later:?}"
+    );
+
+    // `demo K Teach(x, y)`: the 100 facts, out of 231² candidates.
+    let db = teach_world();
+    let (rows, took) = timed(|| db.demo_all(&f("K Teach(x, y)")).unwrap());
+    let mut want: Vec<Vec<String>> = (0..100)
+        .map(|i| vec![format!("t{i}"), format!("c{i}")])
+        .collect();
+    want.sort();
+    assert_eq!(names(rows), want);
+    let runs = db.prover().sat_calls();
+    assert!(runs <= 125, "demo K Teach(x, y) took {runs} solver runs");
+    println!(
+        "teach world, demo K Teach(x, y): {took:?}, {runs} solver runs, {} goals the kept model \
+         refuted (parent: 53 361 groundings of the theory, about 25 s)",
+        db.prover().refuted()
+    );
+
+    // Each answer, and each near miss, as a prover that has kept nothing
+    // decides it on its own.
+    for (goal, expected) in [
+        ("Teach(t9, c9)", true),
+        ("Teach(t9, c10)", false),
+        ("Teach(a3, P3)", false),
+        ("Teach(b3, P3)", false),
+        ("Teach(a3, P3) | Teach(b3, P3)", true),
+        ("exists x. Teach(x, CS)", true),
+        ("Teach(t9, CS)", false),
+    ] {
+        let fresh = teach_world();
+        assert_eq!(fresh.prover().entails(&f(goal)), expected, "{goal}");
     }
 }

@@ -10,7 +10,17 @@
 //! * **Snapshot monotonicity** — successive snapshots taken by one
 //!   reader never go backwards in LSN.
 //! * **Serial equivalence** — the final recovered database equals the
-//!   sequential replay of the accepted commits, in receipt-LSN order.
+//!   sequential replay of the accepted commits, in the order the one
+//!   driver thread queued them (the writer's order).
+//!
+//! Two worlds go through it. The **registrar** is definite: reads come off
+//! the least model, commits run the constraint checks and some are
+//! refused. The **Teach world** of §1 is not: disjunctions are asserted and
+//! retracted under readers that put the six read shapes of the
+//! `teach_mixed` wire workload to each snapshot, so four threads share one
+//! kept grounding — registry, model and, behind its lock, the solver — per
+//! published state, and every answer must still be the one a prover built
+//! from scratch on the replayed theory gives.
 //!
 //! The commit stream is seeded (deterministic op sequence; only the
 //! batching and interleaving vary between runs). `EPILOG_SOAK_COMMITS`
@@ -56,17 +66,71 @@ fn pick_ops(roll: u64) -> Vec<TxOp> {
     }
 }
 
-fn queries() -> Vec<Formula> {
+/// What a registrar reader asks of a snapshot.
+fn registrar_reads(db: &EpistemicDb) -> Vec<String> {
+    [
+        "K emp(E0)",
+        "exists y. K ss(E1, y)",
+        "K person(E2)",
+        "K emp(Ghost)",
+    ]
+    .iter()
+    .map(|q| db.ask(&parse(q).unwrap()).to_string())
+    .collect()
+}
+
+const TEACHERS: usize = 8;
+const DISJUNCTIONS: usize = 3;
+
+fn teach_base() -> String {
+    let facts = (0..TEACHERS).map(|i| format!("Teach(T{i}, C{i})"));
+    let choices = (0..DISJUNCTIONS).map(|j| format!("Teach(A{j}, P{j}) | Teach(B{j}, P{j})"));
+    let mut lines: Vec<String> = facts.chain(choices).collect();
+    lines.push("exists x. Teach(x, CS)".to_string());
+    lines.join("\n")
+}
+
+/// Assert or retract one of four more disjunctions (a retract of an
+/// absent one, or an assert of a present one, is a no-op commit).
+fn pick_teach_ops(roll: u64) -> Vec<TxOp> {
+    let k = (roll >> 8) % 4;
+    let w = parse(&format!("Teach(H{k}, Q{k}) | Teach(G{k}, Q{k})")).unwrap();
+    vec![if roll.is_multiple_of(2) {
+        TxOp::Assert(w)
+    } else {
+        TxOp::Retract(w)
+    }]
+}
+
+/// The six read shapes of `teach_mixed`, over the base and over the
+/// disjunctions that come and go.
+fn teach_reads(db: &EpistemicDb) -> Vec<String> {
+    let ask = |q: &str| db.ask(&parse(q).unwrap()).to_string();
+    let demo = |q: &str| format!("{:?}", db.demo_all(&parse(q).unwrap()).unwrap());
     vec![
-        parse("K emp(E0)").unwrap(),
-        parse("exists y. K ss(E1, y)").unwrap(),
-        parse("K person(E2)").unwrap(),
-        parse("K emp(Ghost)").unwrap(),
+        ask("K Teach(T3, C3)"),
+        ask("exists x. K Teach(x, P1)"),
+        demo("K Teach(x, C5)"),
+        ask("K (Teach(A2, P2) | Teach(B2, P2))"),
+        ask("K (exists x. Teach(x, CS))"),
+        ask("Teach(A0, P0)"),
+        ask("exists x. K Teach(x, Q0)"),
+        ask("K (Teach(H1, Q1) | Teach(G1, Q1))"),
+        ask("Teach(G2, Q2)"),
+        ask("K (exists x. Teach(x, Q3))"),
+        demo("K Teach(x, y)"),
     ]
 }
 
-fn answers(db: &EpistemicDb, qs: &[Formula]) -> Vec<Answer> {
-    qs.iter().map(|q| db.ask(q)).collect()
+/// One soak: where the database starts, what commits arrive, what readers
+/// ask.
+struct World {
+    base: String,
+    ics: &'static [&'static str],
+    pick_ops: fn(u64) -> Vec<TxOp>,
+    reads: fn(&EpistemicDb) -> Vec<String>,
+    /// Whether the stream holds commits the constraints must refuse.
+    rejects: bool,
 }
 
 fn sentence_set(t: &epilog::syntax::Theory) -> Vec<String> {
@@ -75,39 +139,34 @@ fn sentence_set(t: &epilog::syntax::Theory) -> Vec<String> {
     v
 }
 
-fn soak(dir: &std::path::Path, total_commits: u64) {
-    const BASE: &str = "forall x. emp(x) -> person(x)";
-    let ics = [
-        "forall x. K emp(x) -> exists y. K ss(x, y)",
-        "forall x, y, z. K ss(x, y) & K ss(x, z) -> K y = z",
-    ];
-
+fn soak(dir: &std::path::Path, world: &World, total_commits: u64) {
     let db = ServingDb::create(
         dir,
-        epilog::syntax::Theory::from_text(BASE).unwrap(),
+        epilog::syntax::Theory::from_text(&world.base).unwrap(),
         ServeOptions {
             max_batch: 8,
             ..ServeOptions::default()
         },
     )
     .unwrap();
-    for ic in ics {
+    for ic in world.ics {
         db.add_constraint(parse(ic).unwrap()).unwrap();
     }
     let base_lsn = db.head_lsn();
 
-    let qs = queries();
+    let reads = world.reads;
     let stop = AtomicBool::new(false);
-    // Accepted commits, with receipt LSN, in queue order.
-    let mut accepted: Vec<(u64, Vec<TxOp>)> = Vec::new();
+    // Accepted commits in queue order, each with the LSN of its log
+    // record — `None` for one that changed nothing and wrote none.
+    let mut accepted: Vec<(Option<u64>, Vec<TxOp>)> = Vec::new();
     let mut rejected = 0u64;
     let mut effective = 0u64; // accepted commits with a non-empty delta
 
-    let samples: Vec<Vec<(u64, Vec<Answer>)>> = std::thread::scope(|s| {
+    let samples: Vec<Vec<(u64, Vec<String>)>> = std::thread::scope(|s| {
         let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 s.spawn(|| {
-                    let mut got: Vec<(u64, Vec<Answer>)> = Vec::new();
+                    let mut got: Vec<(u64, Vec<String>)> = Vec::new();
                     let mut prev = 0u64;
                     while !stop.load(Ordering::Relaxed) {
                         let snap = db.snapshot();
@@ -118,7 +177,7 @@ fn soak(dir: &std::path::Path, total_commits: u64) {
                             prev
                         );
                         prev = snap.lsn();
-                        got.push((snap.lsn(), answers(snap.db(), &qs)));
+                        got.push((snap.lsn(), reads(snap.db())));
                     }
                     got
                 })
@@ -136,17 +195,16 @@ fn soak(dir: &std::path::Path, total_commits: u64) {
                 lcg = lcg
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let ops = pick_ops(lcg >> 16);
+                let ops = (world.pick_ops)(lcg >> 16);
                 inflight.push((ops.clone(), db.commit(ops)));
                 issued += 1;
             }
             for (ops, handle) in inflight {
                 match handle.wait() {
                     Ok(receipt) => {
-                        if receipt.report.asserted + receipt.report.retracted > 0 {
-                            effective += 1;
-                        }
-                        accepted.push((receipt.lsn, ops));
+                        let logged = receipt.report.asserted + receipt.report.retracted > 0;
+                        effective += u64::from(logged);
+                        accepted.push((logged.then_some(receipt.lsn), ops));
                     }
                     Err(ServeError::Db(..)) => rejected += 1,
                     Err(e) => panic!("unexpected serve error: {e}"),
@@ -158,19 +216,32 @@ fn soak(dir: &std::path::Path, total_commits: u64) {
     });
 
     assert!(
-        !accepted.is_empty() && rejected > 0,
-        "the stream should exercise both outcomes: {} accepted, {rejected} rejected",
+        !accepted.is_empty() && (rejected > 0) == world.rejects,
+        "the stream should exercise its outcomes: {} accepted, {rejected} rejected",
         accepted.len()
     );
 
     // ----- Sequential-replay oracle -------------------------------------
-    let mut oracle = EpistemicDb::from_text(BASE).unwrap();
-    for ic in ics {
+    // Each state is answered by a database built from scratch on the
+    // replayed sentences, so nothing a live prover kept can leak in.
+    let from_scratch = |replayed: &EpistemicDb| {
+        let mut fresh = EpistemicDb::new(replayed.theory().clone());
+        for ic in world.ics {
+            fresh.add_constraint(parse(ic).unwrap()).unwrap();
+        }
+        reads(&fresh)
+    };
+    let mut oracle = EpistemicDb::from_text(&world.base).unwrap();
+    for ic in world.ics {
         oracle.add_constraint(parse(ic).unwrap()).unwrap();
     }
-    let mut per_lsn: HashMap<u64, Vec<Answer>> = HashMap::new();
-    per_lsn.insert(base_lsn, answers(&oracle, &qs));
-    accepted.sort_by_key(|(lsn, _)| *lsn);
+    let mut per_lsn: HashMap<u64, Vec<String>> = HashMap::new();
+    per_lsn.insert(base_lsn, from_scratch(&oracle));
+    // The writer applies requests in queue order. A commit that changes
+    // nothing is acknowledged at the LSN its batch started from, which an
+    // earlier commit of that batch may already have passed — so replay
+    // follows the queue, not the receipts, and only a logged commit
+    // defines the state at its LSN.
     for (lsn, ops) in &accepted {
         let mut txn = oracle.transaction();
         for op in ops {
@@ -179,10 +250,17 @@ fn soak(dir: &std::path::Path, total_commits: u64) {
                 TxOp::Retract(w) => txn.retract(w.clone()),
             };
         }
-        let _ = txn
+        let report = txn
             .commit()
             .expect("a commit the server accepted must replay cleanly");
-        per_lsn.insert(*lsn, answers(&oracle, &qs));
+        assert_eq!(
+            report.asserted + report.retracted > 0,
+            lsn.is_some(),
+            "replay and server disagree on whether {ops:?} changed anything"
+        );
+        if let Some(lsn) = lsn {
+            per_lsn.insert(*lsn, from_scratch(&oracle));
+        }
     }
 
     // ----- No torn reads: every sample matches the oracle at its LSN ----
@@ -210,20 +288,52 @@ fn soak(dir: &std::path::Path, total_commits: u64) {
         sentence_set(recovered.db().theory()),
         sentence_set(oracle.theory())
     );
-    assert_eq!(
-        answers(recovered.db(), &qs),
-        *per_lsn.get(&final_lsn).unwrap()
-    );
+    assert_eq!(reads(recovered.db()), *per_lsn.get(&final_lsn).unwrap());
+}
+
+fn soak_commits() -> u64 {
+    std::env::var("EPILOG_SOAK_COMMITS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(96u64)
 }
 
 #[test]
 fn concurrent_readers_see_only_published_states() {
-    let commits = std::env::var("EPILOG_SOAK_COMMITS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(96u64);
     let dir = std::env::temp_dir().join(format!("epilog-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    soak(&dir, commits);
+    let registrar = World {
+        base: "forall x. emp(x) -> person(x)".to_string(),
+        ics: &[
+            "forall x. K emp(x) -> exists y. K ss(x, y)",
+            "forall x, y, z. K ss(x, y) & K ss(x, z) -> K y = z",
+        ],
+        pick_ops,
+        reads: registrar_reads,
+        rejects: true,
+    };
+    soak(&dir, &registrar, soak_commits());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn concurrent_readers_share_one_solver_per_teach_world_state() {
+    let dir = std::env::temp_dir().join(format!("epilog-soak-teach-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let teach = World {
+        base: teach_base(),
+        ics: &[],
+        pick_ops: pick_teach_ops,
+        reads: teach_reads,
+        rejects: false,
+    };
+    // What §1 says of the base, whatever the prover: the shapes'
+    // answers by construction.
+    let base = teach_reads(&EpistemicDb::from_text(&teach.base).unwrap());
+    assert_eq!(
+        base[..6],
+        ["yes", "no", "[[T5]]", "yes", "yes", "unknown"].map(String::from)
+    );
+    soak(&dir, &teach, soak_commits());
     std::fs::remove_dir_all(&dir).unwrap();
 }
