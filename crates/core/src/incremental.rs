@@ -455,7 +455,7 @@ fn dependency_edges(theory: &Theory) -> Vec<(BTreeSet<Pred>, BTreeSet<Pred>)> {
         ));
     }
     for s in theory.sentences() {
-        if matches!(s, Formula::Atom(a) if a.is_ground()) {
+        if matches!(&**s, Formula::Atom(a) if a.is_ground()) {
             continue;
         }
         if let Ok(prog) = Program::from_sentences(std::slice::from_ref(s)) {

@@ -45,6 +45,7 @@ use epilog_prover::Prover;
 use epilog_storage::Database;
 use epilog_syntax::theory::TheoryError;
 use epilog_syntax::{is_first_order, Formula};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -53,6 +54,41 @@ use std::sync::Arc;
 enum Op {
     Assert(Formula),
     Retract(Formula),
+}
+
+/// The sentences a batch has so far added (or removed), in the order it
+/// did, with the membership test of a set: what Phase 1 of
+/// [`Transaction::prepare`] asks of its two lists once per queued
+/// operation.
+#[derive(Default)]
+struct Listed<'a> {
+    items: Vec<&'a Formula>,
+    /// Where in `items` each sentence sits.
+    at: HashMap<&'a Formula, usize>,
+}
+
+impl<'a> Listed<'a> {
+    fn contains(&self, w: &Formula) -> bool {
+        self.at.contains_key(w)
+    }
+
+    fn push(&mut self, w: &'a Formula) {
+        self.at.insert(w, self.items.len());
+        self.items.push(w);
+    }
+
+    /// `Vec::swap_remove` by value: the last sentence takes the place of
+    /// the removed one. Returns whether `w` was listed.
+    fn swap_remove(&mut self, w: &Formula) -> bool {
+        let Some(i) = self.at.remove(w) else {
+            return false;
+        };
+        self.items.swap_remove(i);
+        if let Some(moved) = self.items.get(i) {
+            self.at.insert(moved, i);
+        }
+        true
+    }
 }
 
 /// A batch of updates applied atomically on [`Transaction::commit`].
@@ -238,35 +274,28 @@ impl<'db> Transaction<'db> {
             }
         }
         let current = db.prover.theory();
-        let mut added: Vec<Formula> = Vec::new();
-        let mut removed: Vec<Formula> = Vec::new();
-        for op in ops {
+        let mut added = Listed::default();
+        let mut removed = Listed::default();
+        for op in &ops {
             match op {
                 Op::Assert(w) => {
-                    let present = if added.contains(&w) {
-                        true
-                    } else if removed.contains(&w) {
-                        false
-                    } else {
-                        current.sentences().contains(&w)
-                    };
-                    if !present {
-                        if let Some(i) = removed.iter().position(|x| *x == w) {
-                            removed.swap_remove(i); // it was ours: un-retract
-                        } else {
-                            added.push(w);
-                        }
+                    // Held by the batch, or retracted by it (it was ours:
+                    // un-retract), or held by the database: no change.
+                    if !added.contains(w) && !removed.swap_remove(w) && !current.contains(w) {
+                        added.push(w);
                     }
                 }
                 Op::Retract(w) => {
-                    if let Some(i) = added.iter().position(|x| *x == w) {
-                        added.swap_remove(i); // never committed: cancel
-                    } else if !removed.contains(&w) && current.sentences().contains(&w) {
+                    // Asserted by the batch (never committed: cancel), or
+                    // retracted already, or absent: no change.
+                    if !added.swap_remove(w) && !removed.contains(w) && current.contains(w) {
                         removed.push(w);
                     }
                 }
             }
         }
+        let added: Vec<Formula> = added.items.into_iter().cloned().collect();
+        let removed: Vec<Formula> = removed.items.into_iter().cloned().collect();
         if added.is_empty() && removed.is_empty() {
             return Ok(PreparedCommit {
                 db,
@@ -643,6 +672,27 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_op_hands_its_place_to_the_last_one() {
+        // The effective delta is what the log records and the order the
+        // theory stores: a cancellation moves the list's last sentence
+        // into the gap, on either side.
+        let mut d = db("p(a)\np(b)\np(c)\np(d)");
+        let queued = ["q(a)", "q(b)", "q(c)", "q(d)"];
+        let txn = queued.iter().fold(d.transaction(), |t, w| t.assert(f(w)));
+        let txn = queued
+            .iter()
+            .fold(txn, |t, w| t.retract(f(&w.replace('q', "p"))));
+        let prepared = txn
+            .retract(f("q(a)"))
+            .assert(f("p(b)"))
+            .assert(f("q(b)")) // still queued: no change
+            .prepare()
+            .unwrap();
+        assert_eq!(prepared.added(), [f("q(d)"), f("q(b)"), f("q(c)")]);
+        assert_eq!(prepared.removed(), [f("p(a)"), f("p(d)"), f("p(c)")]);
+    }
+
+    #[test]
     fn retract_then_assert_same_sentence_round_trips() {
         let mut d = db("p(a)");
         let report = d
@@ -653,7 +703,7 @@ mod tests {
             .unwrap();
         // The pair cancels: retract queued first, assert un-retracts it.
         assert_eq!((report.asserted, report.retracted), (0, 0));
-        assert!(d.theory().sentences().contains(&f("p(a)")));
+        assert!(d.theory().contains(&f("p(a)")));
     }
 
     #[test]
@@ -933,7 +983,7 @@ mod tests {
         let prepared = d.transaction().assert(f("q(b)")).prepare().unwrap();
         let report = prepared.commit();
         assert_eq!(report.asserted, 1);
-        assert!(d.theory().sentences().contains(&f("q(b)")));
+        assert!(d.theory().contains(&f("q(b)")));
     }
 
     #[test]

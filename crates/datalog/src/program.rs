@@ -4,6 +4,7 @@
 use epilog_storage::Database;
 use epilog_syntax::formula::{Atom, Formula};
 use epilog_syntax::{Pred, Var};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -124,10 +125,12 @@ impl Program {
 
     /// Build a program from FOPCE sentences of the restricted shapes:
     /// ground atoms (facts) and `∀x̄ (l₁ ∧ … ∧ lₙ ⊃ atom)` where each `lᵢ`
-    /// is an atom or negated atom.
-    pub fn from_sentences(sentences: &[Formula]) -> Result<Self, DatalogError> {
+    /// is an atom or negated atom. Takes owned formulas or the shared
+    /// pointers a `Theory` hands out.
+    pub fn from_sentences(sentences: &[impl Borrow<Formula>]) -> Result<Self, DatalogError> {
         let mut prog = Program::new();
         for s in sentences {
+            let s = s.borrow();
             match s {
                 Formula::Atom(a) if a.is_ground() => prog.fact(a),
                 _ => {

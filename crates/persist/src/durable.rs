@@ -27,7 +27,7 @@
 
 use crate::fault::FaultInjector;
 use crate::snapshot::{Snapshot, SnapshotError};
-use crate::wal::{FsyncPolicy, TornTail, Wal, WalOp, WAL_FILE};
+use crate::wal::{compaction_temp, FsyncPolicy, TornTail, Wal, WalOp, WAL_FILE};
 use epilog_core::db::DbError;
 use epilog_core::{CommitReport, EpistemicDb, Transaction};
 use epilog_syntax::{Formula, Theory};
@@ -223,6 +223,13 @@ impl DurableDb {
         options: RecoveryOptions,
     ) -> Result<(DurableDb, RecoveryReport), PersistError> {
         let dir = dir.as_ref().to_path_buf();
+        // Whatever a crash between a temp file's creation and its rename
+        // left behind is not state, and nothing else would ever remove it.
+        Snapshot::remove_stray_temps(&dir)?;
+        match std::fs::remove_file(compaction_temp(&dir.join(WAL_FILE))) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
         let mut snaps = Snapshot::list(&dir)?;
         if options.use_latest_snapshot {
             snaps.reverse(); // try newest first
@@ -686,6 +693,45 @@ mod tests {
         assert_eq!(report.snapshots_skipped, 1);
         assert_eq!(report.snapshot_lsn, Some(0), "fell back to genesis");
         assert_eq!(rec.theory(), &live_theory, "log replay covers the gap");
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn recovery_removes_stray_temp_files() {
+        let d = dir();
+        let mut db = populated(&d, FsyncPolicy::Never);
+        let lsn = db.snapshot().unwrap();
+        let _ = db.transaction().assert(f("hobby(Sue, chess)")).commit();
+        let live = db.db().clone();
+        drop(db);
+        let (clean, before) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
+        drop(clean);
+        // What crashes between create and rename leave: garbage, a
+        // plausible prefix of a *newer* snapshot, a half-compacted log.
+        let snapshot = std::fs::read(d.join(Snapshot::file_name(lsn))).unwrap();
+        let strays = [
+            d.join("snapshot-00000000000000000002.snap.tmp"),
+            d.join(Snapshot::file_name(lsn + 7))
+                .with_extension("snap.tmp"),
+            d.join("wal.log.tmp"),
+        ];
+        std::fs::write(&strays[0], b"\x00garbage\xff").unwrap();
+        std::fs::write(&strays[1], &snapshot[..snapshot.len() - 11]).unwrap();
+        std::fs::write(&strays[2], b"@9 1 00\nassert p(a").unwrap();
+        let (rec, after) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
+        assert_same_state(rec.db(), &live);
+        assert_eq!(after.to_string(), before.to_string());
+        assert_eq!(
+            (
+                after.snapshot_lsn,
+                after.records_replayed,
+                after.snapshots_skipped
+            ),
+            (Some(lsn), 1, 0)
+        );
+        for stray in &strays {
+            assert!(!stray.exists(), "{} survived recovery", stray.display());
+        }
         std::fs::remove_dir_all(d).unwrap();
     }
 

@@ -21,7 +21,18 @@
 //! read back with [`parse()`](fn@epilog_syntax::parse) — the same round-trip contract as the WAL.
 //! The optional `[model]` section is the materialized least model of a
 //! definite theory; restoring it skips the fixpoint recomputation at
-//! recovery (debug builds re-derive and verify it).
+//! recovery (debug builds re-derive and verify it). Its atoms, and the
+//! atoms of `[supports]`, are read back with
+//! [`parse_ground_atom`](fn@epilog_syntax::parse_ground_atom), which
+//! takes a line only if `parse()` reads it as that same ground atom.
+//!
+//! `[model]` and `[supports]` lines are written in **storage order** —
+//! per predicate, tuples as the relation holds them; supports as the
+//! table numbers them — so a write is one pass over the state, with no
+//! sort and no second rendering. Nothing depends on the order: `restore`
+//! inserts the lines into sets, and a file whose lines are ordered any
+//! other way (sorted by text, as every snapshot was before this was
+//! settled) is the same snapshot.
 //!
 //! The optional `[supports]` section is the provenance side table: one
 //! line per recorded support, `|`-separated (atom text never contains
@@ -35,11 +46,15 @@ use crate::fnv1a64;
 use epilog_core::EpistemicDb;
 use epilog_storage::Database;
 use epilog_syntax::formula::Atom;
-use epilog_syntax::{parse, Formula, Theory};
-use std::fmt;
+use epilog_syntax::{parse, parse_ground_atom, Formula, Theory};
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// What a snapshot is written under until its rename: the final name's
+/// `snap` with `.tmp` after it.
+const TMP_EXTENSION: &str = "snap.tmp";
 
 /// Why a snapshot failed to load.
 #[derive(Debug)]
@@ -77,11 +92,12 @@ pub struct Snapshot {
     pub sentences: Vec<Formula>,
     /// The registered integrity constraints, in registration order.
     pub constraints: Vec<Formula>,
-    /// The materialized least model (definite theories only), sorted.
+    /// The materialized least model (definite theories only), in storage
+    /// order (see the module docs: nothing reads the order).
     pub model: Option<Vec<Atom>>,
     /// The provenance support table as `(head, rule_idx, parents)`
-    /// entries, sorted; `Some` (possibly empty) exactly when provenance
-    /// was enabled on the captured database.
+    /// entries, in the table's order; `Some` (possibly empty) exactly
+    /// when provenance was enabled on the captured database.
     pub supports: Option<Vec<(Atom, u32, Vec<Atom>)>>,
 }
 
@@ -89,31 +105,21 @@ impl Snapshot {
     /// Capture the state of `db` as of log position `lsn`.
     pub fn of(db: &EpistemicDb, lsn: u64, include_model: bool) -> Snapshot {
         let model = if include_model {
-            db.prover().atom_model().map(|m: &Database| {
-                let mut atoms: Vec<Atom> = m.atoms().collect();
-                atoms.sort_by_cached_key(|a| a.to_string());
-                atoms
-            })
+            db.prover().atom_model().map(|m| m.atoms().collect())
         } else {
             None
         };
-        let supports = db.support_table().map(|t| {
-            let mut entries: Vec<(Atom, u32, Vec<Atom>)> = t.entries().collect();
-            entries.sort_by_cached_key(|(head, rule, parents)| {
-                (
-                    head.to_string(),
-                    *rule,
-                    parents.iter().map(Atom::to_string).collect::<Vec<_>>(),
-                )
-            });
-            entries
-        });
         Snapshot {
             lsn,
-            sentences: db.theory().sentences().to_vec(),
+            sentences: db
+                .theory()
+                .sentences()
+                .iter()
+                .map(|w| (**w).clone())
+                .collect(),
             constraints: db.constraints().to_vec(),
             model,
-            supports,
+            supports: db.support_table().map(|t| t.entries().collect()),
         }
     }
 
@@ -133,36 +139,9 @@ impl Snapshot {
     /// — the half-written temp file is removed (best effort) and no
     /// existing snapshot is disturbed.
     pub fn write_with(&self, dir: &Path, injector: Option<&FaultInjector>) -> io::Result<PathBuf> {
-        let mut payload = String::from("[theory]\n");
-        for w in &self.sentences {
-            payload.push_str(&w.to_string());
-            payload.push('\n');
-        }
-        payload.push_str("[constraints]\n");
-        for ic in &self.constraints {
-            payload.push_str(&ic.to_string());
-            payload.push('\n');
-        }
-        if let Some(model) = &self.model {
-            payload.push_str("[model]\n");
-            for a in model {
-                payload.push_str(&a.to_string());
-                payload.push('\n');
-            }
-        }
-        if let Some(supports) = &self.supports {
-            payload.push_str("[supports]\n");
-            for (head, rule, parents) in supports {
-                payload.push_str(&rule.to_string());
-                payload.push('|');
-                payload.push_str(&head.to_string());
-                for p in parents {
-                    payload.push('|');
-                    payload.push_str(&p.to_string());
-                }
-                payload.push('\n');
-            }
-        }
+        let mut payload = String::new();
+        self.render(&mut payload)
+            .expect("formatting into a String cannot fail");
         let header = format!(
             "#epilog-snapshot v1 {} {} {:016x}\n",
             self.lsn,
@@ -170,7 +149,7 @@ impl Snapshot {
             fnv1a64(payload.as_bytes())
         );
         let path = dir.join(Snapshot::file_name(self.lsn));
-        let tmp = path.with_extension("snap.tmp");
+        let tmp = path.with_extension(TMP_EXTENSION);
         let written = (|| -> io::Result<()> {
             let mut f = File::create(&tmp)?;
             fault::write_all(injector, &mut f, header.as_bytes())?;
@@ -184,6 +163,36 @@ impl Snapshot {
         std::fs::rename(&tmp, &path)?;
         crate::sync_dir(dir)?;
         Ok(path)
+    }
+
+    /// The payload: every section, each line formatted once, straight
+    /// into `out`.
+    fn render(&self, out: &mut String) -> fmt::Result {
+        out.push_str("[theory]\n");
+        for w in &self.sentences {
+            writeln!(out, "{w}")?;
+        }
+        out.push_str("[constraints]\n");
+        for ic in &self.constraints {
+            writeln!(out, "{ic}")?;
+        }
+        if let Some(model) = &self.model {
+            out.push_str("[model]\n");
+            for a in model {
+                writeln!(out, "{a}")?;
+            }
+        }
+        if let Some(supports) = &self.supports {
+            out.push_str("[supports]\n");
+            for (head, rule, parents) in supports {
+                write!(out, "{rule}|{head}")?;
+                for p in parents {
+                    write!(out, "|{p}")?;
+                }
+                out.push('\n');
+            }
+        }
+        Ok(())
     }
 
     /// Load and validate a snapshot file.
@@ -232,14 +241,8 @@ impl Snapshot {
             Supports,
         }
         fn ground_atom(text: &str) -> Result<Atom, SnapshotError> {
-            let w = parse(text)
-                .map_err(|e| SnapshotError::Corrupt(format!("unparseable line {text:?}: {e}")))?;
-            match w {
-                Formula::Atom(a) if a.is_ground() => Ok(a),
-                other => Err(SnapshotError::Corrupt(format!(
-                    "expected a ground atom, got: {other}"
-                ))),
-            }
+            parse_ground_atom(text)
+                .map_err(|e| SnapshotError::Corrupt(format!("not a ground atom {text:?}: {e}")))
         }
         let mut section = Section::None;
         for line in payload.lines() {
@@ -318,6 +321,20 @@ impl Snapshot {
         }
         out.sort();
         Ok(out)
+    }
+
+    /// Delete the temp files of snapshot writes a crash cut short between
+    /// create and rename. They are never state — [`Snapshot::list`] does
+    /// not see them — and no later write would reuse or remove them.
+    pub(crate) fn remove_stray_temps(dir: &Path) -> io::Result<()> {
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("snapshot-") && name.ends_with(TMP_EXTENSION) {
+                std::fs::remove_file(path)?;
+            }
+        }
+        Ok(())
     }
 
     /// Rebuild the database this snapshot captured. Returns the database
@@ -409,7 +426,8 @@ mod tests {
         let d = dir();
         let db = sample_db();
         let snap = Snapshot::of(&db, 7, true);
-        assert!(snap.model.is_some(), "definite theory has a model");
+        let stored: Vec<Atom> = db.prover().atom_model().unwrap().atoms().collect();
+        assert_eq!(snap.model.as_ref(), Some(&stored), "model in storage order");
         let path = snap.write(&d).unwrap();
         let loaded = Snapshot::load(&path).unwrap();
         assert_eq!(loaded.lsn, 7);
@@ -437,11 +455,21 @@ mod tests {
         assert!(atoms > 0 && supports > 0);
         let snap = Snapshot::of(&db, 9, true);
         assert!(snap.supports.as_ref().is_some_and(|s| !s.is_empty()));
+        let stored: Vec<Atom> = db.prover().atom_model().unwrap().atoms().collect();
+        assert_eq!(snap.model.as_ref(), Some(&stored), "model in storage order");
+        let table: Vec<_> = db.support_table().unwrap().entries().collect();
+        assert_eq!(
+            snap.supports.as_ref(),
+            Some(&table),
+            "supports in table order"
+        );
         let path = snap.write(&d).unwrap();
         let loaded = Snapshot::load(&path).unwrap();
         assert_eq!(loaded.supports, snap.supports);
+        assert_eq!(loaded.model, snap.model);
         let (restored, model_restored) = loaded.restore().unwrap();
         assert!(model_restored);
+        assert_eq!(restored.prover().atom_model(), db.prover().atom_model());
         assert!(restored.provenance_enabled());
         assert_eq!(restored.provenance_size(), db.provenance_size());
         let q: Atom = match parse("path(a, c)").unwrap() {
@@ -478,6 +506,52 @@ mod tests {
         std::fs::remove_dir_all(d).unwrap();
     }
 
+    /// A well-framed v1 file around `payload`: header, declared length and
+    /// checksum all right, so `load` gets as far as the lines.
+    fn write_v1(dir: &Path, lsn: u64, payload: &str) -> PathBuf {
+        let path = dir.join(Snapshot::file_name(lsn));
+        let header = format!(
+            "#epilog-snapshot v1 {lsn} {} {:016x}\n",
+            payload.len(),
+            fnv1a64(payload.as_bytes())
+        );
+        std::fs::write(&path, header + payload).unwrap();
+        path
+    }
+
+    const SAMPLE_HEAD: &str = "[theory]\nemp(Mary)\nss(Mary, n1)\nforall x. emp(x) -> person(x)\n\
+         [constraints]\nforall x. K emp(x) -> (exists y. K ss(x, y))\n";
+
+    #[test]
+    fn a_model_sorted_by_text_restores_to_the_same_state() {
+        // What every snapshot looked like before lines left in storage
+        // order. Relations sit in the order their predicates were first
+        // mentioned — by this test alone, hence the names — which is the
+        // reverse of their order as text.
+        let d = dir();
+        let theory = "zz_emp(Mary)\nmm_ss(Mary, n1)\nforall x. zz_emp(x) -> aa_person(x)\n";
+        let db = EpistemicDb::from_text(theory).unwrap();
+        let sorted = format!(
+            "[theory]\n{theory}[constraints]\n[model]\naa_person(Mary)\nmm_ss(Mary, n1)\nzz_emp(Mary)\n"
+        );
+        let written = Snapshot::of(&db, 5, true).write(&d).unwrap();
+        let ours = std::fs::read_to_string(&written).unwrap();
+        let old = std::fs::read_to_string(write_v1(&d, 6, &sorted)).unwrap();
+        assert_eq!(ours.len(), old.len(), "the same lines");
+        assert!(
+            ours.ends_with("[model]\nzz_emp(Mary)\nmm_ss(Mary, n1)\naa_person(Mary)\n"),
+            "in storage order: {ours}"
+        );
+        let (restored, model_restored) = Snapshot::load(&d.join(Snapshot::file_name(6)))
+            .unwrap()
+            .restore()
+            .unwrap();
+        assert!(model_restored);
+        assert_eq!(restored.theory(), db.theory());
+        assert_eq!(restored.prover().atom_model(), db.prover().atom_model());
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
     #[test]
     fn corruption_is_detected() {
         let d = dir();
@@ -491,6 +565,27 @@ mod tests {
             Snapshot::load(&path),
             Err(SnapshotError::Corrupt(_))
         ));
+        // Behind a valid checksum, a `[model]` or `[supports]` line has
+        // to be one ground atom and nothing else.
+        for bad in [
+            "[model]\nemp(x)\n",
+            "[model]\nK emp(Mary)\n",
+            "[model]\nemp(Mary) ss(Mary, n1)\n",
+            "[model]\nemp(Mary) & emp(Mary)\n",
+            "[model]\nemp(Mary,)\n",
+            "[model]\nMary = Mary\n",
+            "[model]\nemp(Mary)\n[supports]\n0|person(x)|emp(Mary)\n",
+            "[model]\nemp(Mary)\n[supports]\n0|person(Mary)|K emp(Mary)\n",
+            "[model]\nemp(Mary)\n[supports]\n0|person(Mary)|emp(Mary) \n|\n",
+        ] {
+            let path = write_v1(&d, 4, &format!("{SAMPLE_HEAD}{bad}"));
+            assert!(
+                matches!(Snapshot::load(&path), Err(SnapshotError::Corrupt(_))),
+                "{bad:?} must not load"
+            );
+        }
+        let fine = write_v1(&d, 4, &format!("{SAMPLE_HEAD}[model]\nemp(Mary)\n"));
+        assert!(Snapshot::load(&fine).is_ok());
         std::fs::remove_dir_all(d).unwrap();
     }
 

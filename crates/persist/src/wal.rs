@@ -41,6 +41,13 @@ use std::sync::Arc;
 /// File name of the log inside a durable database directory.
 pub const WAL_FILE: &str = "wal.log";
 
+/// Where [`Wal::compact_through`] builds the log at `path`'s shorter
+/// successor before renaming it into place. A crash in between strands
+/// the file; recovery deletes it.
+pub(crate) fn compaction_temp(path: &Path) -> PathBuf {
+    path.with_extension("log.tmp")
+}
+
 /// When appended records are forced to stable storage.
 ///
 /// # The loss window is crash-only
@@ -410,7 +417,7 @@ impl Wal {
             return Ok((0, 0));
         }
         let dropped = scan.records.iter().filter(|r| r.lsn <= through).count() as u64;
-        let tmp = self.path.with_extension("log.tmp");
+        let tmp = compaction_temp(&self.path);
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&bytes[keep_from..])?;

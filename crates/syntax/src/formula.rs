@@ -82,18 +82,7 @@ impl Atom {
 
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.pred)?;
-        if !self.terms.is_empty() {
-            write!(f, "(")?;
-            for (i, t) in self.terms.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{t}")?;
-            }
-            write!(f, ")")?;
-        }
-        Ok(())
+        fmt_atom(self, &[], f)
     }
 }
 
@@ -490,27 +479,23 @@ fn prec(w: &Formula) -> u8 {
 /// the `parse(display(w)) == w` round-trip the persistence layer's text
 /// formats rest on.
 fn fmt_term(t: &Term, bound: &[Var], f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    if let Term::Param(p) = t {
-        let name = p.name();
-        if bound.iter().any(|v| v.name() == name) && !crate::parse::is_conventional_var(&name) {
-            return write!(f, "${name}");
-        }
+    match t {
+        Term::Param(p) => p.fmt_escaped(bound.iter().any(|v| p.is_spelled_like(*v)), f),
+        Term::Var(v) => fmt::Display::fmt(v, f),
     }
-    // The conventional-name escape lives in `Term`'s Display.
-    write!(f, "{t}")
 }
 
 fn fmt_atom(a: &Atom, bound: &[Var], f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    write!(f, "{}", a.pred)?;
+    fmt::Display::fmt(&a.pred, f)?;
     if !a.terms.is_empty() {
-        write!(f, "(")?;
+        f.write_str("(")?;
         for (i, t) in a.terms.iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                f.write_str(", ")?;
             }
             fmt_term(t, bound, f)?;
         }
-        write!(f, ")")?;
+        f.write_str(")")?;
     }
     Ok(())
 }

@@ -44,8 +44,8 @@ impl Interner {
         id
     }
 
-    fn contains(&self, space: Space, name: &str) -> bool {
-        self.ids[space as usize].contains_key(name)
+    fn get(&self, space: Space, name: &str) -> Option<u32> {
+        self.ids[space as usize].get(name).copied()
     }
 
     fn name(&self, id: u32) -> &str {
@@ -58,19 +58,30 @@ fn table() -> &'static RwLock<Interner> {
     TABLE.get_or_init(|| RwLock::new(Interner::default()))
 }
 
+/// A hit — every symbol of a log or snapshot line after its first
+/// occurrence — is answered under the read lock; only a new name takes
+/// the write lock, and [`Interner::intern`] looks again under it.
 fn intern(space: Space, name: &str) -> u32 {
-    table()
-        .write()
+    let hit = table()
+        .read()
         .expect("symbol table poisoned")
-        .intern(space, name)
+        .get(space, name);
+    hit.unwrap_or_else(|| {
+        table()
+            .write()
+            .expect("symbol table poisoned")
+            .intern(space, name)
+    })
+}
+
+/// Run `f` on the name behind `id`, borrowed from the table. `f` must not
+/// touch the table: the read lock is held while it runs.
+fn with_name<R>(id: u32, f: impl FnOnce(&str) -> R) -> R {
+    f(table().read().expect("symbol table poisoned").name(id))
 }
 
 fn resolve(id: u32) -> String {
-    table()
-        .read()
-        .expect("symbol table poisoned")
-        .name(id)
-        .to_owned()
+    with_name(id, str::to_owned)
 }
 
 /// A predicate symbol together with its arity.
@@ -106,13 +117,13 @@ impl Pred {
 
 impl fmt::Display for Pred {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        with_name(self.id, |name| f.write_str(name))
     }
 }
 
 impl fmt::Debug for Pred {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.name(), self.arity)
+        write!(f, "{self}/{}", self.arity)
     }
 }
 
@@ -145,7 +156,7 @@ impl Param {
             // A user could in principle have interned this exact name; skip
             // collisions so freshness is real, not probabilistic.
             let guard = table().read().expect("symbol table poisoned");
-            let exists = guard.contains(Space::Param, &name);
+            let exists = guard.get(Space::Param, &name).is_some();
             drop(guard);
             if !exists {
                 return Param::new(&name);
@@ -160,19 +171,37 @@ impl Param {
 
     /// Whether this parameter was manufactured by [`Param::fresh`].
     pub fn is_fresh(&self) -> bool {
-        self.name().contains('#')
+        with_name(self.0, |name| name.contains('#'))
+    }
+
+    /// Whether the parameter and the variable are spelled alike, so that
+    /// a quantifier binding `v` would capture the printed parameter.
+    pub(crate) fn is_spelled_like(&self, v: Var) -> bool {
+        let table = table().read().expect("symbol table poisoned");
+        table.name(self.0) == table.name(v.0)
+    }
+
+    /// Print the name, `$`-escaped if it is spelled like a variable (see
+    /// [`Term`](crate::Term)'s `Display`) or `shadowed` by a binder.
+    pub(crate) fn fmt_escaped(&self, shadowed: bool, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        with_name(self.0, |name| {
+            if shadowed || crate::parse::is_conventional_var(name) {
+                f.write_str("$")?;
+            }
+            f.write_str(name)
+        })
     }
 }
 
 impl fmt::Display for Param {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        with_name(self.0, |name| f.write_str(name))
     }
 }
 
 impl fmt::Debug for Param {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        fmt::Display::fmt(self, f)
     }
 }
 
@@ -195,7 +224,7 @@ impl Var {
             let n = COUNTER.fetch_add(1, Ordering::Relaxed);
             let name = format!("{hint}'{n}");
             let guard = table().read().expect("symbol table poisoned");
-            let exists = guard.contains(Space::Var, &name);
+            let exists = guard.get(Space::Var, &name).is_some();
             drop(guard);
             if !exists {
                 return Var::new(&name);
@@ -211,13 +240,13 @@ impl Var {
 
 impl fmt::Display for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        with_name(self.0, |name| f.write_str(name))
     }
 }
 
 impl fmt::Debug for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "?{}", self.name())
+        write!(f, "?{self}")
     }
 }
 

@@ -62,15 +62,8 @@ impl fmt::Display for Term {
     /// `$`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Term::Var(v) => write!(f, "{v}"),
-            Term::Param(p) => {
-                let name = p.name();
-                if crate::parse::is_conventional_var(&name) {
-                    write!(f, "${name}")
-                } else {
-                    write!(f, "{p}")
-                }
-            }
+            Term::Var(v) => fmt::Display::fmt(v, f),
+            Term::Param(p) => p.fmt_escaped(false, f),
         }
     }
 }

@@ -11,8 +11,9 @@ use crate::classify::{decompose_rule, is_elementary_sentence, is_first_order};
 use crate::formula::{Atom, Formula};
 use crate::parse::{parse_theory, ParseError};
 use crate::symbols::{Param, Pred, Var};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Error raised when constructing a [`Theory`] from formulas that are not
 /// first-order sentences.
@@ -63,9 +64,37 @@ pub struct Rule {
 }
 
 /// A database: a finite set of FOPCE sentences.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// The sentences are listed in the order they were asserted (what
+/// [`Theory::sentences`], the log and the snapshot see) and indexed by a
+/// hash set (what makes membership — every update asks it — one
+/// look-up). List and index hold the same `Arc`s, so a sentence is stored
+/// once, and a clone of the theory bumps reference counts instead of
+/// copying formulas: the states a server keeps alive side by side share
+/// every sentence they agree on.
+#[derive(Clone, Default)]
 pub struct Theory {
-    sentences: Vec<Formula>,
+    sentences: Vec<Arc<Formula>>,
+    /// Exactly the `Arc`s of `sentences`.
+    index: HashSet<Arc<Formula>>,
+}
+
+/// Two theories are equal when they list the same sentences in the same
+/// order (the index follows from the list).
+impl PartialEq for Theory {
+    fn eq(&self, other: &Self) -> bool {
+        self.sentences == other.sentences
+    }
+}
+
+impl Eq for Theory {}
+
+impl fmt::Debug for Theory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Theory")
+            .field("sentences", &self.sentences)
+            .finish()
+    }
 }
 
 impl Theory {
@@ -99,7 +128,8 @@ impl Theory {
         if !w.is_sentence() {
             return Err(TheoryError::NotSentence(w.to_string()));
         }
-        if !self.sentences.contains(&w) {
+        let w = Arc::new(w);
+        if self.index.insert(Arc::clone(&w)) {
             self.sentences.push(w);
         }
         Ok(())
@@ -108,13 +138,26 @@ impl Theory {
     /// Remove a sentence (by syntactic identity). Returns whether it was
     /// present.
     pub fn retract(&mut self, w: &Formula) -> bool {
-        let before = self.sentences.len();
-        self.sentences.retain(|s| s != w);
-        self.sentences.len() != before
+        let Some(held) = self.index.take(w) else {
+            return false;
+        };
+        let at = self
+            .sentences
+            .iter()
+            .position(|s| Arc::ptr_eq(s, &held))
+            .expect("an indexed sentence is listed");
+        self.sentences.remove(at);
+        true
     }
 
-    /// The sentences of the theory.
-    pub fn sentences(&self) -> &[Formula] {
+    /// Whether `w` is one of the sentences (by syntactic identity).
+    pub fn contains(&self, w: &Formula) -> bool {
+        self.index.contains(w)
+    }
+
+    /// The sentences of the theory, in the order they were asserted, each
+    /// behind the pointer its clones share.
+    pub fn sentences(&self) -> &[Arc<Formula>] {
         &self.sentences
     }
 
@@ -150,7 +193,7 @@ impl Theory {
 
     /// Whether every sentence is elementary (Definition 6.3).
     pub fn is_elementary(&self) -> bool {
-        self.sentences.iter().all(is_elementary_sentence)
+        self.sentences.iter().all(|s| is_elementary_sentence(s))
     }
 
     /// The rules of the theory, in structured form. Non-rule sentences are
@@ -173,6 +216,7 @@ impl Theory {
     pub fn facts(&self) -> Vec<&Formula> {
         self.sentences
             .iter()
+            .map(|s| &**s)
             .filter(|s| decompose_rule(s).is_none())
             .collect()
     }
@@ -181,7 +225,7 @@ impl Theory {
     pub fn ground_atoms(&self) -> Vec<Atom> {
         self.sentences
             .iter()
-            .filter_map(|s| match s {
+            .filter_map(|s| match &**s {
                 Formula::Atom(a) if a.is_ground() => Some(a.clone()),
                 _ => None,
             })

@@ -5,7 +5,7 @@
 use epilog::prelude::*;
 use epilog::semantics::ModelSet;
 use epilog::syntax::transform::{elim_double_neg, kernel};
-use epilog::syntax::{flatten_k45, nnf, Pred};
+use epilog::syntax::{flatten_k45, nnf, parse_ground_atom, Atom};
 use proptest::prelude::*;
 
 const PARAMS: [&str; 2] = ["a", "b"];
@@ -101,6 +101,84 @@ fn db_sentence() -> impl Strategy<Value = Formula> {
     })
 }
 
+/// Names that strain the ground-atom reader: spelled like variables
+/// (printed `$x`), like keywords, or with the identifier charset's `'`,
+/// `#` and `_`.
+const TRICKY: [&str; 12] = [
+    "a", "John", "x", "y12", "z", "n'1", "w#3", "_u", "K", "forall", "some", "all",
+];
+
+/// A random ground atom, arity 0‥4, predicate and parameters both drawn
+/// from [`TRICKY`] — so `K(a)`, `forall`, `x($x)` all occur.
+fn ground_atom() -> impl Strategy<Value = Atom> {
+    (
+        0..TRICKY.len(),
+        proptest::collection::vec(0..TRICKY.len(), 0..5),
+    )
+        .prop_map(|(p, ts)| {
+            let terms: Vec<Term> = ts.iter().map(|&t| Param::new(TRICKY[t]).into()).collect();
+            Atom::new(Pred::new(TRICKY[p], terms.len()), terms)
+        })
+}
+
+/// The ground atom `parse` reads `line` as, if it reads it as one.
+fn parsed_as_ground_atom(line: &str) -> Option<Atom> {
+    match parse(line) {
+        Ok(Formula::Atom(a)) if a.is_ground() => Some(a),
+        _ => None,
+    }
+}
+
+/// `line` with one byte replaced, inserted (at the end: an extension) or
+/// deleted, and every proper prefix of it (a truncation).
+fn one_byte_edits(line: &str) -> Vec<String> {
+    const BYTES: &str = " \t\r(),.$#'_=!&|~<->%;/0xKaé";
+    let mut out: Vec<String> = (0..line.len()).map(|n| line[..n].to_string()).collect();
+    for at in 0..=line.len() {
+        for b in BYTES.chars() {
+            out.push(format!("{}{b}{}", &line[..at], &line[at..]));
+            if at < line.len() {
+                out.push(format!("{}{b}{}", &line[..at], &line[at + 1..]));
+            }
+        }
+        if at < line.len() {
+            out.push(format!("{}{}", &line[..at], &line[at + 1..]));
+        }
+    }
+    out
+}
+
+/// One step of the `Theory`-as-a-set model test. The first field picks
+/// which of two theories it lands on; a fork overwrites the other one
+/// with a clone of this one.
+#[derive(Debug, Clone)]
+enum SetOp {
+    Assert(usize, usize),
+    Retract(usize, usize),
+    Fork(usize),
+}
+
+fn set_ops() -> impl Strategy<Value = Vec<SetOp>> {
+    let op = (0..5usize, 0..2usize, 0..SENTENCES.len()).prop_map(|(kind, side, w)| match kind {
+        0 | 1 => SetOp::Assert(side, w),
+        2 | 3 => SetOp::Retract(side, w),
+        _ => SetOp::Fork(side),
+    });
+    proptest::collection::vec(op, 0..40)
+}
+
+/// A small pool, so asserts repeat and retracts hit.
+const SENTENCES: [&str; 8] = [
+    "p(a)",
+    "p(b)",
+    "q(a, b)",
+    "p($x)",
+    "r",
+    "p(a) | p(b)",
+    "exists x. q(x, a)",
+    "forall x. p(x) -> q(x, x)",
+];
+
 fn oracle() -> ModelSet {
     // An arbitrary nonempty theory over the vocabulary; equivalences must
     // hold in *every* (W, 𝒮), so we check truth pointwise over all worlds
@@ -148,6 +226,96 @@ proptest! {
         let reparsed = Theory::from_text(&theory.to_string()).unwrap();
         // Not just equal: identical sentence order (replay determinism).
         prop_assert_eq!(reparsed.sentences(), theory.sentences());
+    }
+
+    /// The ground-atom reader against `parse`. Complete on the printer's
+    /// output: it reads back every printed ground atom `parse` reads back.
+    /// Sound everywhere: on the printed line and on every one-byte edit of
+    /// it, whatever it accepts is the ground atom `parse` makes of the
+    /// same text — keywords, bare variable names, connectives and
+    /// trailing input included.
+    #[test]
+    fn ground_atom_reader_agrees_with_parse(a in ground_atom()) {
+        let line = a.to_string();
+        let by_parse = parsed_as_ground_atom(&line);
+        prop_assert_eq!(parse_ground_atom(&line).ok(), by_parse.clone(), "on {:?}", line);
+        let keyword = ["K", "forall", "some", "all"].contains(&a.pred.name().as_str());
+        prop_assert_eq!(by_parse, (!keyword).then_some(a), "parse on {:?}", line);
+        for edit in one_byte_edits(&line) {
+            if let Ok(read) = parse_ground_atom(&edit) {
+                prop_assert_eq!(Some(read), parsed_as_ground_atom(&edit), "on {:?}", edit);
+            }
+        }
+    }
+
+    /// Every symbol kind prints its bare name, width and fill ignored,
+    /// with the parameter escape only in term position — byte for byte
+    /// what the allocating printer wrote.
+    #[test]
+    fn symbols_print_their_names(a in ground_atom(), v in 0..TRICKY.len()) {
+        let escaped = |name: &str| {
+            let conventional = name.starts_with(['u', 'v', 'w', 'x', 'y', 'z'])
+                && name[1..].bytes().all(|b| b.is_ascii_digit());
+            format!("{}{name}", if conventional { "$" } else { "" })
+        };
+        let pred = a.pred.name();
+        prop_assert_eq!(a.pred.to_string(), pred.clone());
+        prop_assert_eq!(format!("{:>9}|{:?}", a.pred, a.pred), format!("{pred}|{pred}/{}", a.terms.len()));
+        let mut args = Vec::new();
+        for t in &a.terms {
+            let p = t.as_param().unwrap();
+            prop_assert_eq!(format!("{p}|{p:?}|{p:<7}"), format!("{0}|{0}|{0}", p.name()));
+            prop_assert_eq!(format!("{t}|{t:*^9}"), format!("{0}|{0}", escaped(&p.name())));
+            args.push(escaped(&p.name()));
+        }
+        let printed = if args.is_empty() { pred } else { format!("{pred}({})", args.join(", ")) };
+        prop_assert_eq!(a.to_string(), printed.clone());
+        prop_assert_eq!(Formula::Atom(a).to_string(), printed);
+        let var = Var::new(TRICKY[v]);
+        prop_assert_eq!(format!("{var}|{var:?}|{var:>6}"), format!("{0}|?{0}|{0}", TRICKY[v]));
+        prop_assert_eq!(Term::Var(var).to_string(), TRICKY[v]);
+    }
+
+    /// `Theory` is a set with a memory of insertion order: under random
+    /// asserts, retracts and forks it lists, contains and compares exactly
+    /// as a plain `Vec<Formula>` with a linear duplicate check does, and a
+    /// clone goes its own way once either side changes.
+    #[test]
+    fn theory_behaves_as_an_ordered_set(ops in set_ops()) {
+        let pool: Vec<Formula> = SENTENCES.iter().map(|s| parse(s).unwrap()).collect();
+        let mut theories = [Theory::empty(), Theory::empty()];
+        let mut lists: [Vec<Formula>; 2] = [Vec::new(), Vec::new()];
+        for op in ops {
+            match op {
+                SetOp::Assert(i, w) => {
+                    let w = &pool[w];
+                    theories[i].assert(w.clone()).unwrap();
+                    if !lists[i].contains(w) {
+                        lists[i].push(w.clone());
+                    }
+                }
+                SetOp::Retract(i, w) => {
+                    let w = &pool[w];
+                    let was_there = lists[i].contains(w);
+                    lists[i].retain(|s| s != w);
+                    prop_assert_eq!(theories[i].retract(w), was_there);
+                }
+                SetOp::Fork(i) => {
+                    theories[1 - i] = theories[i].clone();
+                    lists[1 - i] = lists[i].clone();
+                }
+            }
+            for (theory, list) in theories.iter().zip(&lists) {
+                let listed: Vec<&Formula> = theory.sentences().iter().map(|s| &**s).collect();
+                prop_assert_eq!(listed, list.iter().collect::<Vec<_>>());
+                prop_assert_eq!(theory.len(), list.len());
+                for w in &pool {
+                    prop_assert_eq!(theory.contains(w), list.contains(w), "contains {}", w);
+                }
+                prop_assert_eq!(&Theory::new(list.clone()).unwrap(), theory);
+            }
+            prop_assert_eq!(theories[0] == theories[1], lists[0] == lists[1]);
+        }
     }
 
     /// kernel() preserves truth in every world of the oracle's model set.

@@ -483,7 +483,7 @@ proptest! {
                     Err(_) => prop_assert!(oracle.is_none()),
                 }
             } else {
-                let was_present = shadow.sentences().contains(&w);
+                let was_present = shadow.contains(&w);
                 let oracle = oracle_commit(&shadow, &[(false, w.clone())]);
                 match db.retract(&w) {
                     Ok(removed) => {
