@@ -999,7 +999,7 @@ fn fire(
                     let start = sink.begin_record();
                     sink.push_tuple(plan.head.pred, &head);
                     for step in join.steps() {
-                        sink.push_template(&step.template, env);
+                        sink.push_tuple(step.template.pred, &step.template.ground(env));
                     }
                     sink.finish_record(rule_idx as u32, start);
                 }

@@ -24,7 +24,7 @@
 //! table contents are deterministic across thread counts); interning and
 //! deduplication happen once per run in [`SupportTable::absorb`].
 
-use epilog_storage::{AtomTemplate, Database, Tuple};
+use epilog_storage::{Database, Tuple};
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term};
 use std::collections::{HashMap, HashSet};
@@ -123,14 +123,6 @@ impl ProvenanceSink {
         self.atoms.push((pred, start, tuple.len() as u32));
     }
 
-    /// Ground `template` under `env` directly into the open record.
-    pub(crate) fn push_template(&mut self, template: &AtomTemplate, env: &[Option<Param>]) {
-        let start = self.params.len() as u32;
-        template.ground_into(env, &mut self.params);
-        self.atoms
-            .push((template.pred, start, self.params.len() as u32 - start));
-    }
-
     /// Close the record opened at `atoms_start` under the firing rule.
     pub(crate) fn finish_record(&mut self, rule_idx: u32, atoms_start: u32) {
         self.recs
@@ -194,14 +186,15 @@ impl SupportTable {
             return id;
         }
         let id = self.atoms.len() as u32;
-        self.atoms.push((pred, tuple.to_vec()));
+        let tuple: Tuple = tuple.iter().copied().collect();
+        self.atoms.push((pred, tuple.clone()));
         self.supports.push(Vec::new());
-        by_tuple.insert(tuple.to_vec(), id);
+        by_tuple.insert(tuple, id);
         id
     }
 
-    fn lookup(&self, pred: Pred, tuple: &Tuple) -> Option<u32> {
-        self.ids.get(&pred)?.get(tuple.as_slice()).copied()
+    fn lookup(&self, pred: Pred, tuple: &[Param]) -> Option<u32> {
+        self.ids.get(&pred)?.get(tuple).copied()
     }
 
     /// Record one derivation. Returns `true` when the support was novel
@@ -209,7 +202,7 @@ impl SupportTable {
     pub fn record(
         &mut self,
         head_pred: Pred,
-        head: &Tuple,
+        head: &[Param],
         rule_idx: u32,
         parents: &[(Pred, Tuple)],
     ) -> bool {
@@ -312,7 +305,7 @@ impl SupportTable {
     pub(crate) fn has_surviving_support(
         &self,
         pred: Pred,
-        tuple: &Tuple,
+        tuple: &[Param],
         over: &HashSet<u32>,
     ) -> bool {
         match self.lookup(pred, tuple) {
@@ -373,7 +366,7 @@ impl SupportTable {
     /// height 0; a support's height is one more than its highest parent),
     /// so the recursion strictly descends and recorded cycles — mutual
     /// supports among re-derived tuples — can never loop the walk.
-    pub fn why(&self, edb: &Database, pred: Pred, tuple: &Tuple) -> Option<ProofTree> {
+    pub fn why(&self, edb: &Database, pred: Pred, tuple: &[Param]) -> Option<ProofTree> {
         if edb.contains_tuple(pred, tuple) {
             return Some(ProofTree::Fact {
                 atom: atom_of(pred, tuple),
@@ -584,20 +577,14 @@ impl ProofTree {
 }
 
 /// Rebuild a ground [`Atom`] from a predicate and stored tuple.
-pub fn atom_of(pred: Pred, tuple: &Tuple) -> Atom {
+pub fn atom_of(pred: Pred, tuple: &[Param]) -> Atom {
     Atom::new(pred, tuple.iter().map(|&p| Term::Param(p)).collect())
 }
 
 /// The stored tuple of a ground atom, or `None` if any argument is a
 /// variable.
 pub fn params_of(atom: &Atom) -> Option<Tuple> {
-    atom.terms
-        .iter()
-        .map(|t| match t {
-            Term::Param(p) => Some(*p),
-            _ => None,
-        })
-        .collect()
+    atom.terms.iter().map(Term::as_param).collect()
 }
 
 #[cfg(test)]

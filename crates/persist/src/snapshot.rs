@@ -29,10 +29,12 @@
 //! `[model]` and `[supports]` lines are written in **storage order** —
 //! per predicate, tuples as the relation holds them; supports as the
 //! table numbers them — so a write is one pass over the state, with no
-//! sort and no second rendering. Nothing depends on the order: `restore`
-//! inserts the lines into sets, and a file whose lines are ordered any
-//! other way (sorted by text, as every snapshot was before this was
-//! settled) is the same snapshot.
+//! sort and no second rendering. Nothing depends on the order: `load`
+//! inserts each `[model]` line into its relation (an append while the
+//! lines ascend, a search otherwise), so a file whose lines are ordered
+//! any other way (sorted by text, as every snapshot was before this was
+//! settled) is the same snapshot. The model travels as the [`Database`]
+//! it is: captured by a clone that shares storage, restored by another.
 //!
 //! The optional `[supports]` section is the provenance side table: one
 //! line per recorded support, `|`-separated (atom text never contains
@@ -46,7 +48,7 @@ use crate::fnv1a64;
 use epilog_core::EpistemicDb;
 use epilog_storage::Database;
 use epilog_syntax::formula::Atom;
-use epilog_syntax::{parse, parse_ground_atom, Formula, Theory};
+use epilog_syntax::{parse, parse_ground_atom, Formula, Param, Pred, Term, Theory};
 use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io;
@@ -55,6 +57,21 @@ use std::path::{Path, PathBuf};
 /// What a snapshot is written under until its rename: the final name's
 /// `snap` with `.tmp` after it.
 const TMP_EXTENSION: &str = "snap.tmp";
+
+/// A stored tuple as [`Atom`]'s `Display` would print it (parameters
+/// under [`Term`]'s `$`-escape rule), with no `Atom` built.
+fn write_atom(out: &mut String, pred: Pred, tuple: &[Param]) -> fmt::Result {
+    write!(out, "{pred}")?;
+    let mut sep = "(";
+    for p in tuple {
+        write!(out, "{sep}{}", Term::Param(*p))?;
+        sep = ", ";
+    }
+    if !tuple.is_empty() {
+        out.push(')');
+    }
+    Ok(())
+}
 
 /// Why a snapshot failed to load.
 #[derive(Debug)]
@@ -92,9 +109,9 @@ pub struct Snapshot {
     pub sentences: Vec<Formula>,
     /// The registered integrity constraints, in registration order.
     pub constraints: Vec<Formula>,
-    /// The materialized least model (definite theories only), in storage
-    /// order (see the module docs: nothing reads the order).
-    pub model: Option<Vec<Atom>>,
+    /// The materialized least model (definite theories only): a clone
+    /// that shares the captured database's storage.
+    pub model: Option<Database>,
     /// The provenance support table as `(head, rule_idx, parents)`
     /// entries, in the table's order; `Some` (possibly empty) exactly
     /// when provenance was enabled on the captured database.
@@ -104,11 +121,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// Capture the state of `db` as of log position `lsn`.
     pub fn of(db: &EpistemicDb, lsn: u64, include_model: bool) -> Snapshot {
-        let model = if include_model {
-            db.prover().atom_model().map(|m| m.atoms().collect())
-        } else {
-            None
-        };
+        let model = db.prover().atom_model().filter(|_| include_model).cloned();
         Snapshot {
             lsn,
             sentences: db
@@ -178,8 +191,11 @@ impl Snapshot {
         }
         if let Some(model) = &self.model {
             out.push_str("[model]\n");
-            for a in model {
-                writeln!(out, "{a}")?;
+            for (pred, rel) in model.relations() {
+                for t in rel.iter() {
+                    write_atom(out, pred, t)?;
+                    out.push('\n');
+                }
             }
         }
         if let Some(supports) = &self.supports {
@@ -231,7 +247,7 @@ impl Snapshot {
         }
         let mut sentences = Vec::new();
         let mut constraints = Vec::new();
-        let mut model: Option<Vec<Atom>> = None;
+        let mut model: Option<Database> = None;
         let mut supports: Option<Vec<(Atom, u32, Vec<Atom>)>> = None;
         enum Section {
             None,
@@ -244,6 +260,9 @@ impl Snapshot {
             parse_ground_atom(text)
                 .map_err(|e| SnapshotError::Corrupt(format!("not a ground atom {text:?}: {e}")))
         }
+        // Said twice, a marker would start its section over and drop the
+        // lines read under the first.
+        let repeated = |marker| SnapshotError::Corrupt(format!("repeated {marker} marker"));
         let mut section = Section::None;
         for line in payload.lines() {
             match line {
@@ -251,11 +270,15 @@ impl Snapshot {
                 "[constraints]" => section = Section::Constraints,
                 "[model]" => {
                     section = Section::Model;
-                    model = Some(Vec::new());
+                    if model.replace(Database::new()).is_some() {
+                        return Err(repeated(line));
+                    }
                 }
                 "[supports]" => {
                     section = Section::Supports;
-                    supports = Some(Vec::new());
+                    if supports.replace(Vec::new()).is_some() {
+                        return Err(repeated(line));
+                    }
                 }
                 _ => match section {
                     Section::None => {
@@ -272,10 +295,10 @@ impl Snapshot {
                             _ => constraints.push(w),
                         }
                     }
-                    Section::Model => model
-                        .as_mut()
-                        .expect("section set")
-                        .push(ground_atom(line)?),
+                    Section::Model => {
+                        let model = model.as_mut().expect("section set");
+                        model.insert(&ground_atom(line)?);
+                    }
                     Section::Supports => {
                         let mut fields = line.split('|');
                         let rule: u32 =
@@ -350,14 +373,8 @@ impl Snapshot {
     pub fn restore(&self) -> Result<(EpistemicDb, bool), SnapshotError> {
         let theory = Theory::new(self.sentences.clone())
             .map_err(|e| SnapshotError::Corrupt(format!("invalid sentence: {e}")))?;
-        let (mut db, model_restored) = match &self.model {
-            Some(atoms) => {
-                let mut m = Database::new();
-                for a in atoms {
-                    m.insert(a);
-                }
-                (EpistemicDb::with_attached_model(theory, m), true)
-            }
+        let (mut db, model_restored) = match self.model.clone() {
+            Some(m) => (EpistemicDb::with_attached_model(theory, m), true),
             None => (EpistemicDb::new(theory), false),
         };
         for ic in &self.constraints {
@@ -426,8 +443,7 @@ mod tests {
         let d = dir();
         let db = sample_db();
         let snap = Snapshot::of(&db, 7, true);
-        let stored: Vec<Atom> = db.prover().atom_model().unwrap().atoms().collect();
-        assert_eq!(snap.model.as_ref(), Some(&stored), "model in storage order");
+        assert_eq!(snap.model.as_ref(), db.prover().atom_model());
         let path = snap.write(&d).unwrap();
         let loaded = Snapshot::load(&path).unwrap();
         assert_eq!(loaded.lsn, 7);
@@ -455,8 +471,7 @@ mod tests {
         assert!(atoms > 0 && supports > 0);
         let snap = Snapshot::of(&db, 9, true);
         assert!(snap.supports.as_ref().is_some_and(|s| !s.is_empty()));
-        let stored: Vec<Atom> = db.prover().atom_model().unwrap().atoms().collect();
-        assert_eq!(snap.model.as_ref(), Some(&stored), "model in storage order");
+        assert_eq!(snap.model.as_ref(), db.prover().atom_model());
         let table: Vec<_> = db.support_table().unwrap().entries().collect();
         assert_eq!(
             snap.supports.as_ref(),
@@ -549,6 +564,119 @@ mod tests {
         assert!(model_restored);
         assert_eq!(restored.theory(), db.theory());
         assert_eq!(restored.prover().atom_model(), db.prover().atom_model());
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    /// The payload as the parent commit rendered it: every `[model]` line
+    /// an [`Atom`] built from the stored tuple and printed by its
+    /// `Display`, in storage order.
+    fn render_through_atoms(snap: &Snapshot) -> String {
+        let mut out = String::from("[theory]\n");
+        for w in &snap.sentences {
+            writeln!(out, "{w}").unwrap();
+        }
+        out.push_str("[constraints]\n");
+        for ic in &snap.constraints {
+            writeln!(out, "{ic}").unwrap();
+        }
+        if let Some(model) = &snap.model {
+            out.push_str("[model]\n");
+            for a in model.atoms() {
+                writeln!(out, "{a}").unwrap();
+            }
+        }
+        if let Some(supports) = &snap.supports {
+            out.push_str("[supports]\n");
+            for (head, rule, parents) in supports {
+                let parents: String = parents.iter().map(|p| format!("|{p}")).collect();
+                writeln!(out, "{rule}|{head}{parents}").unwrap();
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_file_is_the_one_atoms_would_print_and_any_line_order_loads_it() {
+        // A proposition, a parameter spelled like a variable, a tuple too
+        // long to sit inline, derived tuples, and the support table.
+        // Predicates are first mentioned here, last in the alphabet
+        // first, so storage order is not text order.
+        let d = dir();
+        let mut db = EpistemicDb::from_text(
+            "zy_wide(a, b, c, d, e, g)\nyy_p($x)\nyy_p(Mary)\nxy_rain\nwy_edge(a, b)\n\
+             wy_edge(b, $y1)\nforall x. yy_p(x) -> ay_q(x)\n\
+             forall x, y. wy_edge(x, y) -> by_path(x, y)\n\
+             forall x, y, z. wy_edge(x, y) & by_path(y, z) -> by_path(x, z)",
+        )
+        .unwrap();
+        assert!(db.enable_provenance());
+        let snap = Snapshot::of(&db, 4, true);
+        assert_eq!(snap.model.as_ref(), db.prover().atom_model());
+        let file = std::fs::read_to_string(snap.write(&d).unwrap()).unwrap();
+        let (_, payload) = file.split_once('\n').unwrap();
+        assert_eq!(payload, render_through_atoms(&snap));
+        for line in [
+            "zy_wide(a, b, c, d, e, g)",
+            "yy_p($x)",
+            "xy_rain",
+            "by_path(a, $y1)",
+        ] {
+            assert!(payload.lines().any(|l| l == line), "{line} in {payload}");
+        }
+
+        // The same file with its `[model]` lines sorted as text.
+        let (head, rest) = payload.split_once("[model]\n").unwrap();
+        let (model, supports) = rest.split_once("[supports]\n").unwrap();
+        let mut lines: Vec<&str> = model.lines().collect();
+        lines.sort();
+        assert_ne!(lines, model.lines().collect::<Vec<_>>(), "another order");
+        let sorted = format!(
+            "{head}[model]\n{}\n[supports]\n{supports}",
+            lines.join("\n")
+        );
+        assert_eq!(sorted.len(), payload.len());
+        for path in [d.join(Snapshot::file_name(4)), write_v1(&d, 5, &sorted)] {
+            let loaded = Snapshot::load(&path).unwrap();
+            assert_eq!(loaded.model.as_ref(), db.prover().atom_model());
+            assert_eq!(loaded.supports, snap.supports);
+            let (restored, model_restored) = loaded.restore().unwrap();
+            assert!(model_restored && restored.provenance_enabled());
+            assert_eq!(restored.prover().atom_model(), db.prover().atom_model());
+            assert_eq!(restored.provenance_size(), db.provenance_size());
+        }
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_repeated_model_marker_is_corrupt() {
+        // It used to start the section over: a checksummed file restoring
+        // one atom where it lists two.
+        let d = dir();
+        let path = write_v1(
+            &d,
+            4,
+            &format!("{SAMPLE_HEAD}[model]\nemp(Mary)\nss(Mary, n1)\n[model]\nperson(Mary)\n"),
+        );
+        match Snapshot::load(&path) {
+            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("repeated [model]"), "{why}"),
+            other => panic!("loaded {other:?}"),
+        }
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_repeated_supports_marker_is_corrupt() {
+        let d = dir();
+        let model = "[model]\nemp(Mary)\nss(Mary, n1)\nperson(Mary)\n";
+        let once = format!("{SAMPLE_HEAD}{model}[supports]\n0|person(Mary)|emp(Mary)\n");
+        assert!(Snapshot::load(&write_v1(&d, 4, &once)).is_ok());
+        let path = write_v1(&d, 4, &format!("{once}[supports]\n"));
+        match Snapshot::load(&path) {
+            Err(SnapshotError::Corrupt(why)) => {
+                assert!(why.contains("repeated [supports]"), "{why}")
+            }
+            other => panic!("loaded {other:?}"),
+        }
         std::fs::remove_dir_all(d).unwrap();
     }
 

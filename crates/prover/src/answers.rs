@@ -69,7 +69,7 @@ impl<'a> AnswerIter<'a> {
             // column index where one is built.
             let pattern: Selection = atom.terms.iter().map(Term::as_param).collect();
             let selected = model.select(atom.pred, &pattern);
-            let mut answers = matching(selected.map(Vec::as_slice), atom, &vars);
+            let mut answers = matching(selected.map(|t| &**t), atom, &vars);
             answers.sort_unstable();
             return AnswerIter {
                 vars,

@@ -27,13 +27,8 @@ impl Database {
     /// # Panics
     /// Panics if the atom is not ground.
     pub fn insert(&mut self, atom: &Atom) -> bool {
-        let t = atom
-            .param_tuple()
-            .expect("Database::insert requires a ground atom");
-        self.relations
-            .entry(atom.pred)
-            .or_insert_with(|| Relation::new(atom.pred.arity()))
-            .insert(t)
+        let t = ground(atom).expect("Database::insert requires a ground atom");
+        self.insert_tuple(atom.pred, t)
     }
 
     /// Insert a tuple directly under a predicate.
@@ -46,30 +41,23 @@ impl Database {
 
     /// Remove a ground atom; returns `true` if it was present.
     pub fn remove(&mut self, atom: &Atom) -> bool {
-        let t = atom
-            .param_tuple()
-            .expect("Database::remove requires a ground atom");
-        self.relations
-            .get_mut(&atom.pred)
-            .is_some_and(|r| r.remove(&t))
+        let t = ground(atom).expect("Database::remove requires a ground atom");
+        self.remove_tuple(atom.pred, &t)
     }
 
     /// Remove a tuple directly under a predicate; returns `true` if it
     /// was present. Any column indexes are maintained incrementally.
-    pub fn remove_tuple(&mut self, pred: Pred, t: &Tuple) -> bool {
+    pub fn remove_tuple(&mut self, pred: Pred, t: &[Param]) -> bool {
         self.relations.get_mut(&pred).is_some_and(|r| r.remove(t))
     }
 
     /// Whether a ground atom is present.
     pub fn contains(&self, atom: &Atom) -> bool {
-        match atom.param_tuple() {
-            Some(t) => self.contains_tuple(atom.pred, &t),
-            None => false,
-        }
+        ground(atom).is_some_and(|t| self.contains_tuple(atom.pred, &t))
     }
 
     /// Whether a tuple is present under a predicate.
-    pub fn contains_tuple(&self, pred: Pred, t: &Tuple) -> bool {
+    pub fn contains_tuple(&self, pred: Pred, t: &[Param]) -> bool {
         self.relations.get(&pred).is_some_and(|r| r.contains(t))
     }
 
@@ -192,6 +180,12 @@ impl Database {
     }
 }
 
+/// If ground, the atom's parameter tuple — [`Atom::param_tuple`] without
+/// the `Vec`.
+fn ground(atom: &Atom) -> Option<Tuple> {
+    atom.terms.iter().map(Term::as_param).collect()
+}
+
 impl FromIterator<Atom> for Database {
     fn from_iter<I: IntoIterator<Item = Atom>>(iter: I) -> Self {
         let mut db = Database::new();
@@ -300,7 +294,10 @@ mod tests {
     fn apply(db: &mut Database, edits: &[Edit]) {
         for &(insert, pred, a, b) in edits {
             let pred = Pred::new(["dp", "dq", "dr"][pred as usize], 2);
-            let t = vec![Param::new(&format!("d{a}")), Param::new(&format!("d{b}"))];
+            let t = Tuple::from(vec![
+                Param::new(&format!("d{a}")),
+                Param::new(&format!("d{b}")),
+            ]);
             if insert {
                 db.insert_tuple(pred, t);
             } else {

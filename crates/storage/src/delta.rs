@@ -8,6 +8,7 @@
 //! both and keeps them consistent through [`DeltaDatabase::advance`].
 
 use crate::database::Database;
+use crate::relation::Relation;
 
 /// A database split into the stable total and the last round's delta.
 ///
@@ -56,22 +57,26 @@ impl DeltaDatabase {
         (&mut self.total, &mut self.delta)
     }
 
-    /// Finish a round: keep only the candidates not already in the total,
-    /// add them to the total, and install them as the new delta. Returns
-    /// the number of genuinely new facts (0 means the fixpoint is reached).
+    /// Finish a round: add the candidates to the total, and install the
+    /// ones it did not hold yet as the new delta. Returns the number of
+    /// those genuinely new facts (0 means the fixpoint is reached).
+    /// Each candidate is searched for once — the total's own insert says
+    /// whether it was new — and neither half is left holding a relation
+    /// without tuples ([`Database`] equality sees the catalogue).
     pub fn advance(&mut self, candidates: &Database) -> usize {
         let mut next = Database::new();
-        for (pred, rel) in candidates.relations() {
-            for t in rel.iter() {
-                if !self.total.contains_tuple(pred, t) {
-                    next.insert_tuple(pred, t.clone());
-                }
+        for (pred, rel) in candidates.relations().filter(|(_, r)| !r.is_empty()) {
+            // A relation created here takes its first candidate at once.
+            let total = self.total.relation_mut(pred);
+            // The new ones arrive ascending: `collect` appends.
+            let new = rel.iter().filter(|t| total.insert((*t).clone()));
+            let fresh: Relation = new.cloned().collect();
+            if !fresh.is_empty() {
+                *next.relation_mut(pred) = fresh;
             }
         }
-        let added = next.len();
-        self.total.union_with(&next);
         self.delta = next;
-        added
+        self.delta.len()
     }
 
     /// Unwrap the accumulated total.
@@ -83,8 +88,10 @@ impl DeltaDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tuple;
     use epilog_syntax::formula::Atom;
-    use epilog_syntax::parse;
+    use epilog_syntax::{parse, Param, Pred};
+    use proptest::prelude::*;
 
     fn ga(src: &str) -> Atom {
         match parse(src).unwrap() {
@@ -136,5 +143,88 @@ mod tests {
         assert_eq!(d.advance(&again), 0);
         assert!(d.delta().is_empty());
         assert_eq!(d.into_total().len(), 2);
+    }
+
+    /// [`DeltaDatabase::advance`] by its definition — filter the
+    /// candidates against the total, then union the survivors in — which
+    /// searched the total twice per new fact.
+    fn advance_by_definition(ddb: &mut DeltaDatabase, candidates: &Database) -> usize {
+        let mut next = Database::new();
+        for (pred, rel) in candidates.relations() {
+            for t in rel.iter() {
+                if !ddb.total.contains_tuple(pred, t) {
+                    next.insert_tuple(pred, t.clone());
+                }
+            }
+        }
+        let added = next.len();
+        ddb.total.union_with(&next);
+        ddb.delta = next;
+        added
+    }
+
+    type Fact = (u8, u8, u8);
+
+    fn facts(db: &mut Database, facts: &[Fact]) {
+        for &(pred, a, b) in facts {
+            let t: Tuple = [a, b]
+                .iter()
+                .map(|i| Param::new(&format!("v{i}")))
+                .collect();
+            db.insert_tuple(Pred::new(["ap", "aq", "ar"][pred as usize], 2), t);
+        }
+    }
+
+    proptest! {
+        /// The one-search `advance` against its definition (filter by
+        /// `contains`, then `union_with`), round after round on candidate
+        /// sets that overlap the total, with indexes on the total and
+        /// with candidate relations that hold nothing: same total, same
+        /// delta, same count, and no relation left without tuples.
+        #[test]
+        fn advance_matches_its_definition(
+            base in proptest::collection::vec((0u8..2, 0u8..12, 0u8..12), 0..200),
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, 0u8..12, 0u8..12), 0..120),
+                1..4,
+            ),
+            indexed in 0usize..3,
+        ) {
+            let mut initial = Database::new();
+            facts(&mut initial, &base);
+            for pred in initial.preds() {
+                for c in 0..indexed {
+                    initial.ensure_index(pred, c);
+                }
+            }
+            let mut fast = DeltaDatabase::new(initial);
+            let mut oracle = fast.clone();
+            for round in &rounds {
+                let mut candidates = Database::new();
+                facts(&mut candidates, round);
+                candidates.relation_mut(Pred::new("as", 2));
+                let added = fast.advance(&candidates);
+                prop_assert_eq!(added, advance_by_definition(&mut oracle, &candidates));
+                prop_assert_eq!(fast.delta().len(), added);
+                prop_assert_eq!(fast.total(), oracle.total());
+                prop_assert_eq!(fast.delta(), oracle.delta());
+                for db in [fast.total(), fast.delta()] {
+                    prop_assert!(db.relations().all(|(_, r)| !r.is_empty()));
+                }
+                // The indexes came along: every probe sees the new facts.
+                for (pred, rel) in fast.total().relations() {
+                    let scratch: crate::Relation = rel.iter().cloned().collect();
+                    for c in 0..2 {
+                        prop_assert_eq!(rel.distinct_count(c), scratch.distinct_count(c));
+                    }
+                    for t in rel.iter().take(5) {
+                        let pattern = vec![Some(t[0]), None];
+                        let want: Vec<&Tuple> = scratch.select(&pattern).collect();
+                        let got: Vec<&Tuple> = fast.total().select(pred, &pattern).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,11 +9,15 @@
 //! * the possible-world structures of `epilog-semantics` are thin wrappers
 //!   over [`Database`] snapshots.
 //!
-//! Tuples are fixed-arity vectors of [`Param`]s (the function-free FOPCE
-//! fragment has no other ground terms). Relations maintain per-column
-//! indexes, built on demand ([`Relation::ensure_index`]) and from then on
-//! updated **incrementally** on every mutation, so selection with any
-//! partial binding pattern stays sub-linear across fixpoint rounds.
+//! A [`Tuple`] is a fixed-arity sequence of
+//! [`Param`](epilog_syntax::Param)s (the function-free FOPCE fragment has
+//! no other ground terms) held by value: it derefs to `[Param]`, orders,
+//! hashes and prints as that slice, and keeps up to five parameters
+//! inside its own 24 bytes, so deriving, cloning and comparing stored
+//! facts allocates nothing. Relations maintain per-column indexes, built
+//! on demand ([`Relation::ensure_index`]) and from then on updated
+//! **incrementally** on every mutation, so selection with any partial
+//! binding pattern stays sub-linear across fixpoint rounds.
 //!
 //! Everything a [`Relation`] stores sits in one persistent container
 //! (sorted runs behind `Arc`s, private to this crate): cloning a
@@ -36,6 +40,7 @@ pub mod delta;
 pub mod plan;
 pub mod relation;
 mod runset;
+mod tuple;
 
 pub use database::Database;
 pub use delta::DeltaDatabase;
@@ -45,7 +50,4 @@ pub use plan::{
 };
 pub use relation::{Matches, Relation, Selection};
 
-use epilog_syntax::Param;
-
-/// A stored tuple: a fixed-arity vector of parameters.
-pub type Tuple = Vec<Param>;
+pub use tuple::Tuple;

@@ -157,19 +157,6 @@ impl AtomTemplate {
             })
             .collect()
     }
-
-    /// [`AtomTemplate::ground`] appended to a shared buffer — the traced
-    /// evaluation's allocation-free recording path.
-    ///
-    /// # Panics
-    /// Panics when a slot the template mentions is unbound (ruled out for
-    /// rule heads and negated literals by Datalog safety).
-    pub fn ground_into(&self, env: &[Option<Param>], out: &mut Vec<Param>) {
-        out.extend(self.args.iter().map(|a| match a {
-            PatTerm::Const(p) => *p,
-            PatTerm::Slot(s) => env[*s].expect("unbound slot in ground template"),
-        }));
-    }
 }
 
 /// How one join step enumerates its candidate tuples.
@@ -1175,6 +1162,9 @@ mod tests {
         let mut env = vec![None; slots.len()];
         let mut tuples = Vec::new();
         body.for_each_match(&db, None, &mut env, &mut |e| tuples.push(head.ground(e)));
-        assert_eq!(tuples, vec![vec![Param::new("b"), Param::new("a")]]);
+        assert_eq!(
+            tuples,
+            vec![Tuple::from(vec![Param::new("b"), Param::new("a")])]
+        );
     }
 }

@@ -95,37 +95,66 @@ impl<T: Ord + Clone> RunSet<T> {
         self.len == 0
     }
 
-    /// The only run that can hold `item`: the last one starting at or
-    /// below it (run 0 when `item` sorts below everything).
-    fn run_of(&self, item: &T) -> usize {
-        self.runs
-            .partition_point(|r| r[0] <= *item)
-            .saturating_sub(1)
+    /// Where the item sits that `cmp` describes — `cmp(x)` being `x`'s
+    /// order relative to it — as `(run, offset)`: `Ok` when stored, `Err`
+    /// with its slot in the only run that can hold it (the last one
+    /// starting at or below it; run 0 on an empty set) when not.
+    fn find(&self, cmp: impl Fn(&T) -> Ordering) -> Result<(usize, usize), (usize, usize)> {
+        let i = self
+            .runs
+            .partition_point(|r| cmp(&r[0]) != Ordering::Greater)
+            .saturating_sub(1);
+        let at = self.runs.get(i).map_or(Err(0), |r| r.binary_search_by(cmp));
+        at.map(|at| (i, at)).map_err(|at| (i, at))
     }
 
-    pub(crate) fn contains(&self, item: &T) -> bool {
-        self.runs
-            .get(self.run_of(item))
-            .is_some_and(|r| r.binary_search(item).is_ok())
+    /// `key` of the items directly below slot `at` of run `i` and at its
+    /// slot `to` (in the next run over if need be, `None` at an end of the
+    /// set): around an insertion at `at`, or with `to == at + 1` the item.
+    fn around<K>(&self, i: usize, at: usize, to: usize, key: impl Fn(&T) -> K) -> [Option<K>; 2] {
+        let below = match at.checked_sub(1) {
+            Some(b) => self.runs[i].get(b),
+            None => i.checked_sub(1).and_then(|h| self.runs[h].last()),
+        };
+        let above = self.runs[i]
+            .get(to)
+            .or_else(|| self.runs.get(i + 1).map(|r| &r[0]));
+        [below.map(&key), above.map(&key)]
+    }
+
+    /// Whether the item `cmp` describes (see [`RunSet::find`]) is stored.
+    pub(crate) fn contains(&self, cmp: impl Fn(&T) -> Ordering) -> bool {
+        self.find(cmp).is_ok()
     }
 
     /// Insert `item`; returns whether it was new.
     pub(crate) fn insert(&mut self, item: T) -> bool {
-        // Ascending loads (a sorted snapshot, an index build) append:
+        self.insert_between(item, |_| ()).is_some()
+    }
+
+    /// Insert `item` unless it is stored; if it was new, the result is
+    /// `key` of the items it now sits directly above and below of — the
+    /// one search also answers "is this the first item with its key?".
+    pub(crate) fn insert_between<K>(
+        &mut self,
+        item: T,
+        key: impl Fn(&T) -> K,
+    ) -> Option<[Option<K>; 2]> {
+        // Ascending loads (a sorted snapshot, a round's new facts) append:
         // one comparison, no search, and a full last run is followed by
         // a fresh one rather than split, so loaded runs stay full.
-        if self.runs.last().is_none_or(|r| r[r.len() - 1] < item) {
+        let top = self.runs.last().map(|r| &r[r.len() - 1]);
+        if top.is_none_or(|top| *top < item) {
+            let around = [top.map(key), None];
             match self.runs.last_mut() {
                 Some(r) if r.len() < RUN_LEN => Arc::make_mut(r).push(item),
                 _ => self.runs.push(Arc::new(vec![item])),
             }
             self.len += 1;
-            return true;
+            return Some(around);
         }
-        let i = self.run_of(&item);
-        let Err(at) = self.runs[i].binary_search(&item) else {
-            return false;
-        };
+        let (i, at) = self.find(|x| x.cmp(&item)).err()?;
+        let around = self.around(i, at, at, key);
         let run = Arc::make_mut(&mut self.runs[i]);
         run.insert(at, item);
         if run.len() > RUN_LEN {
@@ -133,15 +162,18 @@ impl<T: Ord + Clone> RunSet<T> {
             self.runs.insert(i + 1, Arc::new(upper));
         }
         self.len += 1;
-        true
+        Some(around)
     }
 
-    /// Remove `item`; returns whether it was present.
-    pub(crate) fn remove(&mut self, item: &T) -> bool {
-        let i = self.run_of(item);
-        let Some(Ok(at)) = self.runs.get(i).map(|r| r.binary_search(item)) else {
-            return false;
-        };
+    /// Remove the item `cmp` describes (see [`RunSet::find`]) if it is
+    /// stored; the result is then `key` of the items it sat between.
+    pub(crate) fn remove_between<K>(
+        &mut self,
+        cmp: impl Fn(&T) -> Ordering,
+        key: impl Fn(&T) -> K,
+    ) -> Option<[Option<K>; 2]> {
+        let (i, at) = self.find(cmp).ok()?;
+        let around = self.around(i, at, at + 1, key);
         Arc::make_mut(&mut self.runs[i]).remove(at);
         self.len -= 1;
         let fit = |a: &Arc<Vec<T>>, b: &Arc<Vec<T>>| a.len() + b.len() <= RUN_LEN;
@@ -152,7 +184,7 @@ impl<T: Ord + Clone> RunSet<T> {
         } else if i > 0 && fit(&self.runs[i - 1], &self.runs[i]) {
             self.join(i - 1);
         }
-        true
+        Some(around)
     }
 
     /// Append run `i + 1` to run `i`.
@@ -267,6 +299,10 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
+    fn remove<T: Ord + Clone>(set: &mut RunSet<T>, item: T) -> bool {
+        set.remove_between(|x| x.cmp(&item), |_| ()).is_some()
+    }
+
     /// The representation invariant every operation must preserve.
     fn check_shape<T: Ord + Clone + std::fmt::Debug>(set: &RunSet<T>) {
         assert!(set.runs.iter().all(|r| !r.is_empty() && r.len() <= RUN_LEN));
@@ -286,8 +322,8 @@ mod tests {
         assert!(set.insert(101));
         assert_eq!(set.run_count(), before + 1);
         assert!(!set.insert(101));
-        assert!(set.remove(&101));
-        assert!(!set.remove(&101));
+        assert!(remove(&mut set, 101));
+        assert!(!remove(&mut set, 101));
         assert_eq!(set.run_count(), before);
         check_shape(&set);
         assert!(set.iter().copied().eq((0..1000).map(|i| i * 2)));
@@ -297,13 +333,13 @@ mod tests {
     fn emptied_set_holds_no_runs() {
         let mut set: RunSet<u32> = (0..200).collect();
         for i in 0..200 {
-            assert!(set.remove(&i));
+            assert!(remove(&mut set, i));
         }
         assert!(set.is_empty());
         assert_eq!(set.run_count(), 0);
         assert_eq!(set.iter().count(), 0);
         assert!(set.insert(7));
-        assert!(set.contains(&7));
+        assert!(set.contains(|x| x.cmp(&7)));
     }
 
     #[test]
@@ -326,7 +362,7 @@ mod tests {
         grown.insert(5001);
         assert!(base.runs_shared_with(&grown) >= runs - 2);
         let mut shrunk = base.clone();
-        shrunk.remove(&5000);
+        remove(&mut shrunk, 5000);
         assert!(base.runs_shared_with(&shrunk) >= runs - 2);
         // The clones went their own way; the original is untouched.
         assert!(base.iter().copied().eq((0..10_000).map(|i| i * 2)));
@@ -353,8 +389,9 @@ mod tests {
     proptest! {
         /// The run set against a `BTreeSet` model over random edit
         /// sequences with clones taken mid-stream: every operation
-        /// answers as the model does, and every clone still iterates
-        /// exactly what it held when taken.
+        /// answers as the model does — an insert and a removal also
+        /// about the stored neighbours of the item — and every clone
+        /// still iterates exactly what it held when taken.
         #[test]
         fn matches_btreeset_model_and_clones_are_snapshots(
             steps in proptest::collection::vec(step(), 0..400),
@@ -365,8 +402,16 @@ mod tests {
             let mut snapshots: Vec<(RunSet<u16>, BTreeSet<u16>)> = Vec::new();
             for s in steps {
                 match s {
-                    Step::Insert(x) => prop_assert_eq!(set.insert(x), model.insert(x)),
-                    Step::Remove(x) => prop_assert_eq!(set.remove(&x), model.remove(&x)),
+                    Step::Insert(x) => {
+                        let around = [model.range(..x).next_back().copied(), model.range(x + 1..).next().copied()];
+                        let seen = set.insert_between(x, |y| *y);
+                        prop_assert_eq!(seen, model.insert(x).then_some(around));
+                    }
+                    Step::Remove(x) => {
+                        let around = [model.range(..x).next_back().copied(), model.range(x + 1..).next().copied()];
+                        let seen = set.remove_between(|y| y.cmp(&x), |y| *y);
+                        prop_assert_eq!(seen, model.remove(&x).then_some(around));
+                    }
                     Step::Snapshot => snapshots.push((set.clone(), model.clone())),
                 }
             }
@@ -376,7 +421,7 @@ mod tests {
                 prop_assert_eq!(set.len(), model.len());
                 prop_assert!(set.iter().eq(model.iter()));
                 for x in &probes {
-                    prop_assert_eq!(set.contains(x), model.contains(x));
+                    prop_assert_eq!(set.contains(|y| y.cmp(x)), model.contains(x));
                     prop_assert!(set.iter_from(|y| y < x).eq(model.range(x..)));
                 }
             }

@@ -319,8 +319,8 @@ fn bulk_build_compaction_and_recovery_on_the_closure() {
         println!(
             "closure {chains} x 30 built by 10 commits of {} edges: first commit {:?}, tenth \
              {:?}, compact {compact:?} ({} bytes), recover {recover:?}, first demo {demo:?}, \
-             Theory::new of its {} sentences {as_set:?} (parent at 100 chains: 5.3 ms, 12-20 ms, \
-             52-69 ms, 58-88 ms, -, 25.6 ms)",
+             Theory::new of its {} sentences {as_set:?} (parent at 100 chains: 6.7-6.9 ms, \
+             7.8-11.9 ms, 21.7-24.1 ms, 34.2-37.0 ms, 0.28-0.30 ms, 1.1 ms)",
             per_commit * 30,
             commits[0],
             commits[9],

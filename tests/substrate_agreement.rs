@@ -113,7 +113,7 @@ proptest! {
             let pred_sym = epilog::syntax::Pred::new(pred, arity);
             let mut expect: Vec<Vec<Param>> = model
                 .relation(pred_sym)
-                .map(|r| r.iter().cloned().collect())
+                .map(|r| r.iter().map(|t| t.to_vec()).collect())
                 .unwrap_or_default();
             expect.sort();
             prop_assert_eq!(got, expect, "rows differ for {} over\n{}", pred, src);
