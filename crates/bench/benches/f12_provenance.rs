@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epilog_bench::workloads::{dense_closure_program, scaling_program};
-use epilog_datalog::{EvalOptions, Program, RulePlan, SupportTable};
+use epilog_datalog::{PlannerMode, Program, RulePlan, SupportTable};
 use epilog_storage::Database;
 use std::hint::black_box;
 
@@ -26,7 +26,7 @@ fn retract_setup(m: usize) -> (Program, Database, Database, Vec<RulePlan>, Suppo
     let removed = Program::from_text("e(n0, n1)").unwrap().edb;
     let mut table = SupportTable::new();
     let (model, _) = full
-        .eval_traced(EvalOptions::default(), &mut table)
+        .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
         .unwrap();
     let plans: Vec<RulePlan> = post
         .rules
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
         let (plain_db, plain) = prog.eval().unwrap();
         let mut table = SupportTable::new();
         let (traced_db, traced) = prog
-            .eval_traced(EvalOptions::default(), &mut table)
+            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
             .unwrap();
         assert_eq!(plain_db, traced_db);
         assert!(traced.supports_recorded > 0);
@@ -58,12 +58,10 @@ fn bench(c: &mut Criterion) {
     // final model while strictly skipping re-derivation probes.
     {
         let (post, model, removed, plans, table) = retract_setup(6);
-        let (plain_db, plain) = post
-            .eval_decremental_with(&plans, model.clone(), &removed)
-            .unwrap();
+        let (plain_db, plain) = post.shrink(&plans, model.clone(), &removed, None).unwrap();
         let mut table = table;
         let (traced_db, traced) = post
-            .eval_decremental_traced(&plans, model, &removed, &mut table)
+            .shrink(&plans, model, &removed, Some(&mut table))
             .unwrap();
         let (oracle, _) = post.eval().unwrap();
         assert_eq!(traced_db, plain_db);
@@ -90,7 +88,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut table = SupportTable::new();
                 black_box(
-                    prog.eval_traced(EvalOptions::default(), &mut table)
+                    prog.fixpoint(true, PlannerMode::CostBased, Some(&mut table))
                         .unwrap(),
                 )
             })
@@ -103,7 +101,7 @@ fn bench(c: &mut Criterion) {
             let (post, model, removed, plans, _) = retract_setup(m);
             b.iter_with_setup(
                 || model.clone(),
-                |model| black_box(post.eval_decremental_with(&plans, model, &removed).unwrap()),
+                |model| black_box(post.shrink(&plans, model, &removed, None).unwrap()),
             )
         });
         g.bench_with_input(BenchmarkId::new("dred_supports", m), &m, |b, &m| {
@@ -112,7 +110,7 @@ fn bench(c: &mut Criterion) {
                 || (model.clone(), table.clone()),
                 |(model, mut table)| {
                     black_box(
-                        post.eval_decremental_traced(&plans, model, &removed, &mut table)
+                        post.shrink(&plans, model, &removed, Some(&mut table))
                             .unwrap(),
                     )
                 },

@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epilog_bench::workloads::scaling_program;
+use epilog_datalog::PlannerMode;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -15,7 +16,7 @@ fn bench(c: &mut Criterion) {
     {
         let p = scaling_program(16, 3);
         let (a, fast) = p.eval().unwrap();
-        let (b, slow) = p.eval_naive().unwrap();
+        let (b, slow) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
         assert_eq!(a, b);
         assert!(fast.rule_firings < slow.rule_firings);
         assert!(fast.derivations < slow.derivations);
@@ -29,7 +30,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(prog.eval().unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| black_box(prog.eval_naive().unwrap()))
+            b.iter(|| black_box(prog.fixpoint(false, PlannerMode::CostBased, None).unwrap()))
         });
     }
     g.finish();

@@ -17,8 +17,8 @@ fn bench(c: &mut Criterion) {
     // cost-based one hashes, and it examines at most half the rows.
     {
         let prog = join_heavy_program(1024, 8);
-        let (a, cost) = prog.eval_with(true, PlannerMode::CostBased).unwrap();
-        let (b, greedy) = prog.eval_with(true, PlannerMode::Greedy).unwrap();
+        let (a, cost) = prog.fixpoint(true, PlannerMode::CostBased, None).unwrap();
+        let (b, greedy) = prog.fixpoint(true, PlannerMode::Greedy, None).unwrap();
         assert_eq!(a, b);
         assert!(cost.hash_steps > 0);
         assert_eq!(greedy.hash_steps, 0);
@@ -30,19 +30,19 @@ fn bench(c: &mut Criterion) {
     for n in [256usize, 1024, 4096] {
         let prog = join_heavy_program(n, 8);
         g.bench_with_input(BenchmarkId::new("equijoin_hash", n), &n, |b, _| {
-            b.iter(|| black_box(prog.eval_with(true, PlannerMode::CostBased).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(true, PlannerMode::CostBased, None).unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("equijoin_probe", n), &n, |b, _| {
-            b.iter(|| black_box(prog.eval_with(true, PlannerMode::Greedy).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(true, PlannerMode::Greedy, None).unwrap()))
         });
     }
     for n in [256usize, 1024, 4096] {
         let prog = order_sensitive_program(n, 16);
         g.bench_with_input(BenchmarkId::new("order_cost", n), &n, |b, _| {
-            b.iter(|| black_box(prog.eval_with(true, PlannerMode::CostBased).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(true, PlannerMode::CostBased, None).unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("order_greedy", n), &n, |b, _| {
-            b.iter(|| black_box(prog.eval_with(true, PlannerMode::Greedy).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(true, PlannerMode::Greedy, None).unwrap()))
         });
     }
     g.finish();

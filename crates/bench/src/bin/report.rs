@@ -17,10 +17,9 @@ use epilog_core::{
     ModelUpdate,
 };
 use epilog_datalog::provenance::params_of;
-use epilog_datalog::{EvalOptions, PlannerMode, RulePlan, SupportTable, PAR_MIN_FANOUT_ROWS};
+use epilog_datalog::{PlannerMode, RulePlan, SupportTable};
 use epilog_prover::Prover;
 use epilog_semantics::{minimal_worlds, ModelSet};
-use epilog_storage::PAR_MIN_PROBE_OUTER;
 use epilog_syntax::{is_admissible, parse, Param, Pred, Theory};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -48,21 +47,6 @@ fn check(label: &str, expected: &str, got: &str) {
 }
 
 fn main() {
-    // Effective parallel configuration up front: the sample output is
-    // pinned at `EPILOG_THREADS=1`, so a diff against it on a host where
-    // the env override is missing fails here, on the config line, rather
-    // than deep inside a table.
-    println!(
-        "parallel config: threads={} ({}), rule fan-out >= {} delta rows, partitioned probe >= {} outer rows\n",
-        threadpool::configured(),
-        match std::env::var(threadpool::THREADS_ENV) {
-            Ok(v) => format!("{}={v}", threadpool::THREADS_ENV),
-            Err(_) => format!("{} unset: hardware default", threadpool::THREADS_ENV),
-        },
-        PAR_MIN_FANOUT_ROWS,
-        PAR_MIN_PROBE_OUTER,
-    );
-
     println!("E1 — Section 1 query table (Teach database)");
     let prover = Prover::new(teach_db());
     for (q, expected) in section1_queries() {
@@ -223,7 +207,7 @@ fn main() {
         let k = 3;
         let prog = scaling_program(n, k);
         let (db, fast) = prog.eval().unwrap();
-        let (naive_db, slow) = prog.eval_naive().unwrap();
+        let (naive_db, slow) = prog.fixpoint(false, PlannerMode::CostBased, None).unwrap();
         let t = db.relation(Pred::new("t", 2)).map_or(0, |r| r.len());
         let join = db.relation(Pred::new("join", 2)).map_or(0, |r| r.len());
         check(
@@ -255,7 +239,7 @@ fn main() {
         );
         // Cost-based literal ordering must never do more join work than
         // the seed greedy order on this workload.
-        let (greedy_db, greedy) = prog.eval_with(true, PlannerMode::Greedy).unwrap();
+        let (greedy_db, greedy) = prog.fixpoint(true, PlannerMode::Greedy, None).unwrap();
         check(
             &format!(
                 "n={n} rows cost-based {} <= greedy {} (same model)",
@@ -527,8 +511,8 @@ fn main() {
     println!("\nF9 — join planning (hash vs probe on skewed equi-joins; cost vs greedy order)");
     for n in [128usize, 512, 2048] {
         let prog = join_heavy_program(n, 8);
-        let (cost_db, cost) = prog.eval_with(true, PlannerMode::CostBased).unwrap();
-        let (greedy_db, greedy) = prog.eval_with(true, PlannerMode::Greedy).unwrap();
+        let (cost_db, cost) = prog.fixpoint(true, PlannerMode::CostBased, None).unwrap();
+        let (greedy_db, greedy) = prog.fixpoint(true, PlannerMode::Greedy, None).unwrap();
         check(
             &format!("n={n} |hit| (= n)"),
             &n.to_string(),
@@ -574,8 +558,8 @@ fn main() {
     }
     for n in [128usize, 512, 2048] {
         let prog = order_sensitive_program(n, 16);
-        let (cost_db, cost) = prog.eval_with(true, PlannerMode::CostBased).unwrap();
-        let (greedy_db, greedy) = prog.eval_with(true, PlannerMode::Greedy).unwrap();
+        let (cost_db, cost) = prog.fixpoint(true, PlannerMode::CostBased, None).unwrap();
+        let (greedy_db, greedy) = prog.fixpoint(true, PlannerMode::Greedy, None).unwrap();
         check(
             &format!("n={n} |out| (= 16) and models agree"),
             "16/yes",
@@ -596,164 +580,6 @@ fn main() {
             } else {
                 "no"
             },
-        );
-    }
-
-    println!(
-        "\nF10 — parallel fixpoint (rule fan-out + partitioned probes, explicit 4-thread budget)"
-    );
-    // Every equality row below uses an *explicit* thread budget via
-    // `EvalOptions`, so the measured values are identical on any host —
-    // including the single-core one the sample was pinned on — no matter
-    // what `EPILOG_THREADS` says. Only the final wall-clock row consults
-    // the environment, and it degrades to a fixed "skipped" line there.
-    let seq_opts = EvalOptions {
-        threads: 1,
-        ..EvalOptions::default()
-    };
-    let par_opts = EvalOptions {
-        threads: 4,
-        ..EvalOptions::default()
-    };
-    let forced_opts = EvalOptions {
-        threads: 4,
-        par_fanout_min_rows: 0,
-        par_probe_min_outer: 0,
-        ..EvalOptions::default()
-    };
-    let agrees = |seq_db: &epilog_storage::Database,
-                  seq: &epilog_datalog::EvalStats,
-                  par_db: &epilog_storage::Database,
-                  par: &epilog_datalog::EvalStats| {
-        seq_db == par_db
-            && seq.derivations == par.derivations
-            && seq.rule_firings == par.rule_firings
-            && seq.variants_skipped == par.variants_skipped
-            && seq.rows_examined == par.rows_examined
-    };
-    // F9's join-heavy workload: the single hash step's outer side is the
-    // whole `big` relation, so the probe loop partitions across workers.
-    for n in [512usize, 2048] {
-        let prog = join_heavy_program(n, 8);
-        let (seq_db, seq) = prog.eval_opts(seq_opts).unwrap();
-        let (par_db, par) = prog.eval_opts(par_opts).unwrap();
-        check(
-            &format!("n={n} join: parallel model + counters equal sequential"),
-            "yes",
-            if agrees(&seq_db, &seq, &par_db, &par) {
-                "yes"
-            } else {
-                "no"
-            },
-        );
-        check(
-            &format!(
-                "n={n} join: probes partitioned (threads {} rounds {})",
-                par.threads_used, par.parallel_rounds
-            ),
-            "yes",
-            if par.threads_used >= 2 && par.parallel_rounds >= 1 {
-                "yes"
-            } else {
-                "no"
-            },
-        );
-    }
-    // F6's scaling workload, grown past the fan-out threshold so the
-    // full-plan round fans the rule variants out across workers.
-    {
-        let n = 256;
-        let prog = scaling_program(n, 3);
-        let (seq_db, seq) = prog.eval_opts(seq_opts).unwrap();
-        let (par_db, par) = prog.eval_opts(par_opts).unwrap();
-        check(
-            &format!("n={n} scaling: parallel model + counters equal sequential"),
-            "yes",
-            if agrees(&seq_db, &seq, &par_db, &par) {
-                "yes"
-            } else {
-                "no"
-            },
-        );
-        check(
-            &format!(
-                "n={n} scaling: rules fanned out (threads {} rounds {})",
-                par.threads_used, par.parallel_rounds
-            ),
-            "yes",
-            if par.threads_used >= 2 && par.parallel_rounds >= 1 {
-                "yes"
-            } else {
-                "no"
-            },
-        );
-    }
-    // Threshold ablation: the same join shape below both thresholds must
-    // bypass the parallel machinery entirely under the default gates, yet
-    // still agree with sequential when the gates are forced open.
-    {
-        let n = 128;
-        let prog = join_heavy_program(n, 8);
-        let (seq_db, seq) = prog.eval_opts(seq_opts).unwrap();
-        let (gated_db, gated) = prog.eval_opts(par_opts).unwrap();
-        let (forced_db, forced) = prog.eval_opts(forced_opts).unwrap();
-        check(
-            &format!("n={n} ablation: default thresholds keep the run sequential"),
-            "yes",
-            if gated.threads_used == 0 && gated.parallel_rounds == 0 && seq_db == gated_db {
-                "yes"
-            } else {
-                "no"
-            },
-        );
-        check(
-            &format!("n={n} ablation: forced thresholds engage yet still agree"),
-            "yes",
-            if forced.threads_used >= 2 && agrees(&seq_db, &seq, &forced_db, &forced) {
-                "yes"
-            } else {
-                "no"
-            },
-        );
-        check(
-            "threads=1 budget reports zero parallel activity",
-            "yes",
-            if seq.threads_used == 0 && seq.parallel_rounds == 0 {
-                "yes"
-            } else {
-                "no"
-            },
-        );
-    }
-    // Wall-clock speedup needs real cores; under a pinned single-thread
-    // config (how the sample is generated) the row is a fixed skip line.
-    if threadpool::configured() >= 2 {
-        let n = 4096;
-        let prog = join_heavy_program(n, 8);
-        let seq = best_of(3, || {
-            let start = std::time::Instant::now();
-            let _ = prog.eval_opts(seq_opts).unwrap();
-            start.elapsed()
-        });
-        let par = best_of(3, || {
-            let start = std::time::Instant::now();
-            let _ = prog.eval_opts(par_opts).unwrap();
-            start.elapsed()
-        });
-        check(
-            &format!("n={n} wall-clock: parallel at least 1.5x sequential"),
-            "yes",
-            if seq.as_nanos() * 2 >= par.as_nanos() * 3 {
-                "yes"
-            } else {
-                "no"
-            },
-        );
-    } else {
-        check(
-            "n=4096 wall-clock: parallel at least 1.5x sequential",
-            "skipped",
-            "skipped",
         );
     }
 
@@ -911,7 +737,7 @@ fn main() {
             let (plain_db, plain) = prog.eval().unwrap();
             let mut table = SupportTable::new();
             let (traced_db, traced) = prog
-                .eval_traced(EvalOptions::default(), &mut table)
+                .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
                 .unwrap();
             let mut scrubbed = traced;
             scrubbed.supports_recorded = 0;
@@ -956,18 +782,16 @@ fn main() {
             let removed = epilog_datalog::Program::from_text("e(n0, n1)").unwrap().edb;
             let mut table = SupportTable::new();
             let (model, _) = full
-                .eval_traced(EvalOptions::default(), &mut table)
+                .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
                 .unwrap();
             let plans: Vec<RulePlan> = post
                 .rules
                 .iter()
                 .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
                 .collect();
-            let (plain_db, plain) = post
-                .eval_decremental_with(&plans, model.clone(), &removed)
-                .unwrap();
+            let (plain_db, plain) = post.shrink(&plans, model.clone(), &removed, None).unwrap();
             let (traced_db, traced) = post
-                .eval_decremental_traced(&plans, model, &removed, &mut table)
+                .shrink(&plans, model, &removed, Some(&mut table))
                 .unwrap();
             let (oracle, _) = post.eval().unwrap();
             check(
@@ -1107,7 +931,7 @@ fn main() {
                 let start = std::time::Instant::now();
                 let mut table = SupportTable::new();
                 let _ = prog
-                    .eval_traced(EvalOptions::default(), &mut table)
+                    .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
                     .unwrap();
                 start.elapsed()
             });

@@ -369,6 +369,7 @@ pub fn random_3sat(seed: u64, vars: u32, clauses: u32) -> Cnf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epilog_datalog::PlannerMode;
 
     #[test]
     fn generators_are_deterministic() {
@@ -435,18 +436,17 @@ mod tests {
 
     #[test]
     fn join_workload_shapes_and_planner_agreement() {
-        use epilog_datalog::PlannerMode;
         let prog = join_heavy_program(32, 4);
-        let (a, cost) = prog.eval_with(true, PlannerMode::CostBased).unwrap();
-        let (b, greedy) = prog.eval_with(true, PlannerMode::Greedy).unwrap();
+        let (a, cost) = prog.fixpoint(true, PlannerMode::CostBased, None).unwrap();
+        let (b, greedy) = prog.fixpoint(true, PlannerMode::Greedy, None).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.relation(Pred::new("hit", 2)).unwrap().len(), 32);
         assert!(cost.hash_steps > 0 && greedy.hash_steps == 0);
         assert!(cost.rows_examined < greedy.rows_examined);
 
         let prog = order_sensitive_program(32, 4);
-        let (a, cost) = prog.eval_with(true, PlannerMode::CostBased).unwrap();
-        let (b, greedy) = prog.eval_with(true, PlannerMode::Greedy).unwrap();
+        let (a, cost) = prog.fixpoint(true, PlannerMode::CostBased, None).unwrap();
+        let (b, greedy) = prog.fixpoint(true, PlannerMode::Greedy, None).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.relation(Pred::new("out", 2)).unwrap().len(), 4);
         assert!(cost.rows_examined < greedy.rows_examined);
@@ -480,7 +480,7 @@ mod tests {
                 n * (n + 1) / 2,
                 "closure size for n={n}"
             );
-            let (db2, slow) = p.eval_naive().unwrap();
+            let (db2, slow) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
             assert_eq!(db, db2);
             assert!(fast.rule_firings < slow.rule_firings, "n={n} k={k}");
         }

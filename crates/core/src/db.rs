@@ -11,7 +11,7 @@ use crate::demo;
 use crate::engine::{definite_program, prover_and_program};
 use crate::incremental::{CompiledConstraint, IncrementalChecker, RuleGraph};
 use crate::transaction::Transaction;
-use epilog_datalog::{Program, ProofTree, RulePlan, SupportTable};
+use epilog_datalog::{PlannerMode, Program, ProofTree, RulePlan, SupportTable};
 use epilog_prover::Prover;
 use epilog_semantics::Answer;
 use epilog_syntax::formula::Atom;
@@ -321,8 +321,8 @@ impl EpistemicDb {
 
     // ----- provenance -----------------------------------------------------
 
-    /// Turn on derivation tracking: re-run the definite fixpoint once with
-    /// a [`epilog_datalog::ProvenanceSink`] attached, recording one
+    /// Turn on derivation tracking: re-run the definite fixpoint once,
+    /// traced ([`Program::fixpoint`] with a table), recording one
     /// `Support { rule_idx, parents }` per derived tuple of the least
     /// model. From then on every ground-atom commit maintains the table
     /// incrementally (the growth fixpoint appends supports; the DRed
@@ -341,7 +341,7 @@ impl EpistemicDb {
         };
         let mut table = SupportTable::new();
         if prog
-            .eval_traced(epilog_datalog::EvalOptions::default(), &mut table)
+            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
             .is_err()
         {
             return false;

@@ -175,7 +175,7 @@ mod tests {
     fn concurrent_readers_and_publishes() {
         let cell = Arc::new(StateCell::new(db("p(a)"), 0));
         let q = parse("K p(a)").unwrap();
-        threadpool::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..3 {
                 let cell = Arc::clone(&cell);
                 let q = q.clone();

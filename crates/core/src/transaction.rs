@@ -17,9 +17,9 @@
 //!   only touches ground atoms, the attached least model is *not*
 //!   rebuilt. Assertions seed the semi-naive delta
 //!   (`DeltaDatabase::resume`) and the fixpoint continues with
-//!   delta-variant plans only (`Program::eval_incremental`); retractions
+//!   delta-variant plans only (`Program::grow`); retractions
 //!   run the over-delete/re-derive (DRed) fixpoint first
-//!   (`Program::eval_decremental`), and a mixed batch chains the two —
+//!   (`Program::shrink`), and a mixed batch chains the two —
 //!   both over the plan cache, so no full plan runs and nothing is
 //!   compiled. The result is spliced into the prover through
 //!   [`Prover::updated`].
@@ -40,7 +40,7 @@ use crate::constraints::{ic_satisfaction, IcDefinition, IcReport};
 use crate::db::{DbError, EpistemicDb, Rejection};
 use crate::engine::prover_and_program;
 use crate::incremental::{CheckStats, RuleGraph};
-use epilog_datalog::{EvalStats, Program, SupportTable};
+use epilog_datalog::{EvalStats, PlannerMode, Program, SupportTable};
 use epilog_prover::Prover;
 use epilog_storage::Database;
 use epilog_syntax::theory::TheoryError;
@@ -380,32 +380,22 @@ impl<'db> Transaction<'db> {
                     let shrunk = if removed_facts.is_empty() {
                         Ok((old_model.clone(), EvalStats::default()))
                     } else {
-                        match traced_table.as_mut() {
-                            Some(table) => prog.eval_decremental_traced(
-                                plans,
-                                old_model.clone(),
-                                &removed_facts,
-                                table,
-                            ),
-                            None => {
-                                prog.eval_decremental_with(plans, old_model.clone(), &removed_facts)
-                            }
-                        }
+                        prog.shrink(
+                            plans,
+                            old_model.clone(),
+                            &removed_facts,
+                            traced_table.as_mut(),
+                        )
                     };
                     let maintained = shrunk.and_then(|(model, mut stats)| {
                         if new_facts.is_empty() {
                             return Ok((model, stats));
                         }
-                        let resumed = match traced_table.as_mut() {
-                            Some(table) => {
-                                prog.eval_incremental_traced(plans, model, &new_facts, table)
-                            }
-                            None => prog.eval_incremental_with(plans, model, &new_facts),
-                        };
-                        resumed.map(|(model, grown)| {
-                            stats.absorb(&grown);
-                            (model, stats)
-                        })
+                        prog.grow(plans, model, &new_facts, traced_table.as_mut())
+                            .map(|(model, grown)| {
+                                stats.absorb(&grown);
+                                (model, stats)
+                            })
                     });
                     if let Ok((model, stats)) = maintained {
                         if tracing {
@@ -450,7 +440,7 @@ impl<'db> Transaction<'db> {
                 // to record — provenance switches off.
                 support_update = Some(program.as_ref().and_then(|prog| {
                     let mut table = SupportTable::new();
-                    prog.eval_traced(epilog_datalog::EvalOptions::default(), &mut table)
+                    prog.fixpoint(true, PlannerMode::CostBased, Some(&mut table))
                         .ok()
                         .map(|_| table)
                 }));

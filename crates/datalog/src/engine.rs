@@ -11,21 +11,19 @@
 //! variant per positive literal whose predicate actually gained facts —
 //! variants whose delta relation is empty are skipped without counting as
 //! a firing.
+//!
+//! Four entry points, one per mode: [`Program::eval`] (the default full
+//! fixpoint), [`Program::fixpoint`] (the full fixpoint with the
+//! reference-baseline selectors and optional provenance),
+//! [`Program::grow`] and [`Program::shrink`] (resume a least model after
+//! additions / retractions over caller-supplied plans). Everything runs
+//! on the calling thread.
 
 use crate::plan::RulePlan;
 use crate::program::{DatalogError, Program};
 use crate::provenance::{ProvenanceSink, SupportTable};
-use epilog_storage::{
-    ConjunctionPlan, Database, DeltaDatabase, StepStrategy, Tuple, PAR_MIN_PROBE_OUTER,
-};
+use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, StepStrategy, Tuple};
 use epilog_syntax::{Param, Pred};
-
-/// Default minimum number of driving rows — the delta of a semi-naive
-/// round, or the stable total seeding a full first round — before fanning
-/// a round's firing jobs out across threads pays for the spawn and merge
-/// overhead. Below it (one-row commit resumes, small strata) the round
-/// runs sequentially at its current latency.
-pub const PAR_MIN_FANOUT_ROWS: usize = 128;
 
 /// Which join planner compiles the rule plans of an evaluation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,9 +51,9 @@ pub struct EvalStats {
     pub rule_firings: u64,
     /// The subset of [`EvalStats::rule_firings`] that executed a **full**
     /// (non-delta) plan: every naive firing, and round 1 of each
-    /// semi-naive stratum. A resumed fixpoint
-    /// ([`Program::eval_incremental`]) reports 0 here — it only ever runs
-    /// delta variants.
+    /// semi-naive stratum. A resumed fixpoint ([`Program::grow`],
+    /// [`Program::shrink`]) reports 0 here — it only ever runs delta
+    /// variants.
     pub full_firings: u64,
     /// Number of head atoms derived (including duplicates).
     pub derivations: u64,
@@ -82,13 +80,15 @@ pub struct EvalStats {
     /// entries probed. The deterministic work-done measure the F9 report
     /// table compares planners by.
     pub rows_examined: u64,
-    /// Rule plans compiled for this run. Zero on the cached-plan path
-    /// ([`Program::eval_incremental_with`]) — the `CommitReport` evidence
-    /// that ground-atom commits recompile nothing.
+    /// Rule plans compiled for this run: positive for the full fixpoint
+    /// ([`Program::eval`], [`Program::fixpoint`]), zero for
+    /// [`Program::grow`] and [`Program::shrink`], which run the caller's
+    /// plans — the `CommitReport` evidence that ground-atom commits
+    /// recompile nothing.
     pub plans_compiled: u64,
-    /// DRed phase 1 ([`Program::eval_decremental_with`]): tuples the
-    /// over-deletion fixpoint removed from the model — the retracted
-    /// facts themselves plus everything transitively derivable from them.
+    /// DRed phase 1 ([`Program::shrink`]): tuples the over-deletion
+    /// fixpoint removed from the model — the retracted facts themselves
+    /// plus everything transitively derivable from them.
     pub tuples_overdeleted: u64,
     /// DRed phase 3: over-deleted tuples put back because an alternative
     /// derivation (or extensional membership) still supports them.
@@ -98,25 +98,16 @@ pub struct EvalStats {
     /// prebound `RulePlan::support` plan, never a full firing.
     pub support_checks: u64,
     /// Provenance: novel [`Support`](crate::provenance::Support) records
-    /// a traced run retained after deduplication. Always 0 on the
-    /// untraced entry points — the observable proof that tracking is off.
+    /// a traced run retained after deduplication. Always 0 when no
+    /// support table is passed — the observable proof that tracking is
+    /// off.
     pub supports_recorded: u64,
-    /// DRed phase 3 with a support table
-    /// ([`Program::eval_decremental_traced`]): over-deleted tuples whose
-    /// recorded alternative support had no over-deleted parent, seeding
-    /// re-derivation **without** running the support plan. Each hit is a
-    /// [`EvalStats::support_checks`] probe saved.
+    /// DRed phase 3 with a support table ([`Program::shrink`]):
+    /// over-deleted tuples whose recorded alternative support had no
+    /// over-deleted parent, seeding re-derivation **without** running the
+    /// support plan. Each hit is a [`EvalStats::support_checks`] probe
+    /// saved.
     pub support_hits: u64,
-    /// Fixpoint rounds whose firing jobs ran on ≥ 2 worker threads
-    /// (rule-variant fan-out or partitioned hash probes). Zero whenever
-    /// the thread budget is 1 or every round stayed under the work-size
-    /// thresholds — the observable proof that `EPILOG_THREADS=1` takes
-    /// the sequential path.
-    pub parallel_rounds: u64,
-    /// Maximum worker threads any parallel operation of the run engaged;
-    /// 0 when the whole run was sequential. [`EvalStats::absorb`] merges
-    /// this by maximum (it is a high-water mark, not a sum).
-    pub threads_used: u64,
 }
 
 impl EvalStats {
@@ -139,80 +130,6 @@ impl EvalStats {
         self.support_checks += other.support_checks;
         self.supports_recorded += other.supports_recorded;
         self.support_hits += other.support_hits;
-        self.parallel_rounds += other.parallel_rounds;
-        self.threads_used = self.threads_used.max(other.threads_used);
-    }
-}
-
-/// Evaluation options: strategy, planner, and the parallel-execution
-/// knobs. [`EvalOptions::default`] is what [`Program::eval`] runs —
-/// semi-naive, cost-based, thread budget resolved from the
-/// `EPILOG_THREADS` environment override (or the hardware parallelism),
-/// default work-size thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Semi-naive (`true`) or naive (`false`) fixpoint.
-    pub seminaive: bool,
-    /// Which planner compiles the rule plans.
-    pub planner: PlannerMode,
-    /// Worker-thread budget. `0` resolves to the `EPILOG_THREADS`
-    /// environment override when set, else the hardware parallelism;
-    /// `1` forces the sequential path bit-for-bit.
-    pub threads: usize,
-    /// Minimum driving rows before a round's firing jobs fan out
-    /// ([`PAR_MIN_FANOUT_ROWS`]).
-    pub par_fanout_min_rows: usize,
-    /// Minimum estimated outer cardinality before a hash step's probes
-    /// are partitioned ([`PAR_MIN_PROBE_OUTER`]).
-    pub par_probe_min_outer: u64,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            seminaive: true,
-            planner: PlannerMode::CostBased,
-            threads: 0,
-            par_fanout_min_rows: PAR_MIN_FANOUT_ROWS,
-            par_probe_min_outer: PAR_MIN_PROBE_OUTER,
-        }
-    }
-}
-
-/// Resolved parallel-execution context threaded through the fixpoint:
-/// an effective thread budget (never 0) plus the work-size thresholds.
-#[derive(Clone, Copy)]
-struct ParCtx {
-    threads: usize,
-    fanout_min_rows: usize,
-    probe_min_outer: u64,
-}
-
-impl ParCtx {
-    fn from_opts(opts: &EvalOptions) -> ParCtx {
-        let threads = if opts.threads == 0 {
-            threadpool::configured()
-        } else {
-            opts.threads
-        };
-        ParCtx {
-            threads,
-            fanout_min_rows: opts.par_fanout_min_rows,
-            probe_min_outer: opts.par_probe_min_outer,
-        }
-    }
-
-    /// The context of the incremental/decremental entry points, which
-    /// keep their historical signatures: default thresholds, thread
-    /// budget from the environment.
-    fn auto() -> ParCtx {
-        Self::from_opts(&EvalOptions::default())
-    }
-
-    /// The same thresholds with the thread budget collapsed to 1 — used
-    /// inside a fan-out so jobs never nest another parallel layer.
-    fn sequential(self) -> ParCtx {
-        ParCtx { threads: 1, ..self }
     }
 }
 
@@ -222,64 +139,81 @@ impl Program {
     /// previous round. Plans are compiled cost-based
     /// ([`PlannerMode::CostBased`]) from the EDB's live statistics.
     pub fn eval(&self) -> Result<(Database, EvalStats), DatalogError> {
-        self.eval_opts(EvalOptions::default())
+        self.fixpoint(true, PlannerMode::CostBased, None)
     }
 
-    /// Compute the perfect model by **naive** evaluation: re-derive
-    /// everything from scratch each iteration. Kept as the ablation
-    /// baseline.
-    pub fn eval_naive(&self) -> Result<(Database, EvalStats), DatalogError> {
-        self.eval_opts(EvalOptions {
-            seminaive: false,
-            ..EvalOptions::default()
-        })
-    }
-
-    /// Compute the perfect model with an explicit evaluation strategy and
-    /// join planner — the ablation surface behind [`Program::eval`] /
-    /// [`Program::eval_naive`], used by the planner-differential property
-    /// suite and the `f9_joins` bench.
-    pub fn eval_with(
-        &self,
-        seminaive: bool,
-        planner: PlannerMode,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        self.eval_opts(EvalOptions {
-            seminaive,
-            planner,
-            ..EvalOptions::default()
-        })
-    }
-
-    /// Compute the perfect model with full [`EvalOptions`] control —
-    /// notably an explicit thread budget and parallel work-size
-    /// thresholds, which the parallel differential tests use to compare
-    /// thread counts in-process without touching the environment.
-    pub fn eval_opts(&self, opts: EvalOptions) -> Result<(Database, EvalStats), DatalogError> {
-        self.run(opts, None)
-    }
-
-    /// [`Program::eval_opts`] with **provenance tracking**: every head
-    /// derivation of the fixpoint records a
-    /// [`Support`](crate::provenance::Support) — the firing rule and the
-    /// ground positive body tuples it matched — into `table`. The model
-    /// and every pre-existing [`EvalStats`] counter are identical to the
-    /// untraced run's (recording happens inside the same match callbacks;
-    /// parallel shards buffer their own records and merge in plan order).
+    /// Compute the perfect model with an explicit strategy — semi-naive
+    /// (`true`) or the **naive** baseline that re-derives everything each
+    /// iteration (`false`) — and join planner: the reference baselines the
+    /// differential property suites and the `f2`/`f6`/`f9` benches compare
+    /// [`Program::eval`] against.
+    ///
+    /// With a `table`, the run is **traced**: every head derivation of the
+    /// fixpoint records a [`Support`](crate::provenance::Support) — the
+    /// firing rule and the ground positive body tuples it matched — into
+    /// it. The model and every other [`EvalStats`] counter are identical
+    /// to the untraced run's (recording happens inside the same match
+    /// callbacks); without one the fixpoint pays one `Option` check per
+    /// derivation.
     ///
     /// Semi-naive evaluation fires every ground rule instantiation whose
     /// body first becomes true, so for a **definite** program the table
     /// affords a proof tree ([`SupportTable::why`]) for every derived
     /// tuple of the least model. With stratified negation the recorded
     /// parents are the positive premises only.
-    pub fn eval_traced(
+    pub fn fixpoint(
         &self,
-        opts: EvalOptions,
-        table: &mut SupportTable,
+        seminaive: bool,
+        planner: PlannerMode,
+        table: Option<&mut SupportTable>,
     ) -> Result<(Database, EvalStats), DatalogError> {
-        let mut sink = ProvenanceSink::new();
-        let (db, mut stats) = self.run(opts, Some(&mut sink))?;
-        stats.supports_recorded += table.absorb(sink);
+        let strata = self.stratify()?;
+        let max_stratum = strata.values().copied().max().unwrap_or(0);
+        let mut db = self.edb.clone();
+        let mut stats = EvalStats::default();
+        let mut sink = table.is_some().then(ProvenanceSink::new);
+
+        // Compile every rule exactly once; plans are reused each round.
+        let edb_stats = match planner {
+            PlannerMode::Greedy => None,
+            PlannerMode::CostBased => Some(&self.edb),
+        };
+        let plans: Vec<(usize, RulePlan)> = self
+            .rules
+            .iter()
+            .map(|r| {
+                (
+                    strata[&r.head.pred],
+                    RulePlan::compile_with_stats(r, edb_stats),
+                )
+            })
+            .collect();
+        stats.plans_compiled = plans.len() as u64;
+
+        for level in 0..=max_stratum {
+            // Each plan keeps its **global** rule index — the identity a
+            // provenance record names — independent of stratum grouping.
+            let level_plans: Vec<(usize, &RulePlan)> = plans
+                .iter()
+                .enumerate()
+                .filter(|(_, (l, _))| *l == level)
+                .map(|(i, (_, p))| (i, p))
+                .collect();
+            if level_plans.is_empty() {
+                continue;
+            }
+            if seminaive {
+                db = fix_seminaive(&level_plans, db, &mut stats, sink.as_mut());
+            } else {
+                fix_naive(&level_plans, &mut db, &mut stats, sink.as_mut());
+            }
+        }
+        // Index warm-up may have created empty relations for body
+        // predicates without facts; the result is a set of atoms.
+        db.prune_empty();
+        if let (Some(table), Some(sink)) = (table, sink) {
+            stats.supports_recorded += table.absorb(sink);
+        }
         Ok((db, stats))
     }
 
@@ -296,93 +230,39 @@ impl Program {
     /// returned [`EvalStats`] covers only the resumed work
     /// (`full_firings` is always 0 on this path).
     ///
+    /// `plans` must be the compiled plans of exactly `self.rules`, in
+    /// order — the cross-commit plan-cache hook (they depend only on the
+    /// rule shapes, so a cache owner invalidates them precisely when a
+    /// commit changes the rule set; a caller without a cache compiles
+    /// them with [`RulePlan::compile_with_stats`] against `model`).
+    /// Reports `plans_compiled == 0`: ground-atom commits recompile
+    /// nothing.
+    ///
+    /// With a `table` — which must already hold the supports of `model` —
+    /// every firing of the resumed fixpoint records its
+    /// [`Support`](crate::provenance::Support) into it.
+    ///
     /// Programs with negated body literals cannot be resumed
     /// monotonically — an addition may *retract* conclusions of a higher
-    /// stratum — so they fall back to a full [`Program::eval`].
-    pub fn eval_incremental(
-        &self,
-        model: Database,
-        new_facts: &Database,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            // Non-monotone: recompute from the enlarged EDB.
-            drop(model);
-            let mut prog = self.clone();
-            prog.edb.union_with(new_facts);
-            return prog.eval();
-        }
-        // Compile against the existing model: it covers the intensional
-        // relations too, so the cost estimates are exact.
-        let plans: Vec<RulePlan> = self
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
-        let mut result = self.eval_incremental_with(&plans, model, new_facts)?;
-        result.1.plans_compiled += plans.len() as u64;
-        Ok(result)
-    }
-
-    /// [`Program::eval_incremental`] with **caller-supplied plans** — the
-    /// cross-commit plan-cache hook. `plans` must be the compiled plans
-    /// of exactly `self.rules`, in order (they depend only on the rule
-    /// shapes, so a cache owner invalidates them precisely when a commit
-    /// changes the rule set). Reports `plans_compiled == 0`: the whole
-    /// point of the cache is that ground-atom commits recompile nothing.
-    ///
-    /// Falls back to a full [`Program::eval`] (which does compile) when
-    /// the program has negated body literals, exactly like
-    /// [`Program::eval_incremental`].
-    pub fn eval_incremental_with(
+    /// stratum — so they fall back to a full [`Program::eval`] over the
+    /// enlarged EDB (which does compile), rebuilding `table` from
+    /// scratch.
+    pub fn grow(
         &self,
         plans: &[RulePlan],
         model: Database,
         new_facts: &Database,
+        table: Option<&mut SupportTable>,
     ) -> Result<(Database, EvalStats), DatalogError> {
         if self.has_negation() {
             drop(model);
             let mut prog = self.clone();
             prog.edb.union_with(new_facts);
-            return prog.eval();
+            return prog.recompute(table);
         }
-        self.incremental_impl(plans, model, new_facts, None)
-    }
-
-    /// [`Program::eval_incremental_with`] with provenance: every firing
-    /// of the resumed fixpoint records its
-    /// [`Support`](crate::provenance::Support) into `table`, which must
-    /// already hold the supports of `model`. Falls back to a full traced
-    /// evaluation — rebuilding `table` from scratch — when the program
-    /// has negated body literals, exactly like the untraced entry point.
-    pub fn eval_incremental_traced(
-        &self,
-        plans: &[RulePlan],
-        model: Database,
-        new_facts: &Database,
-        table: &mut SupportTable,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            let mut prog = self.clone();
-            prog.edb.union_with(new_facts);
-            *table = SupportTable::new();
-            return prog.eval_traced(EvalOptions::default(), table);
-        }
-        let mut sink = ProvenanceSink::new();
-        let (db, mut stats) = self.incremental_impl(plans, model, new_facts, Some(&mut sink))?;
-        stats.supports_recorded += table.absorb(sink);
-        Ok((db, stats))
-    }
-
-    fn incremental_impl(
-        &self,
-        plans: &[RulePlan],
-        model: Database,
-        new_facts: &Database,
-        sink: Option<&mut ProvenanceSink>,
-    ) -> Result<(Database, EvalStats), DatalogError> {
         debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
         let mut stats = EvalStats::default();
+        let mut sink = table.is_some().then(ProvenanceSink::new);
         let plan_refs: Vec<(usize, &RulePlan)> = plans.iter().enumerate().collect();
         let mut ddb = DeltaDatabase::resume(model, new_facts);
         {
@@ -391,45 +271,19 @@ impl Program {
                 plan.ensure_total_indexes(total);
             }
         }
-        seminaive_rounds(
-            &plan_refs,
-            &mut ddb,
-            false,
-            &mut stats,
-            sink,
-            ParCtx::auto(),
-        );
+        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, sink.as_mut());
         let mut db = ddb.into_total();
         db.prune_empty();
+        if let (Some(table), Some(sink)) = (table, sink) {
+            stats.supports_recorded += table.absorb(sink);
+        }
         Ok((db, stats))
     }
 
     /// Shrink the least model of a **definite** program after a
     /// retraction, without recomputing it from scratch — the
-    /// delete-and-re-derive (DRed) algorithm. Compiles plans against the
-    /// pre-retraction model; see [`Program::eval_decremental_with`] for
-    /// the cached-plan variant and the contract.
-    pub fn eval_decremental(
-        &self,
-        model: Database,
-        removed_facts: &Database,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            return self.eval();
-        }
-        let plans: Vec<RulePlan> = self
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
-        let mut result = self.eval_decremental_with(&plans, model, removed_facts)?;
-        result.1.plans_compiled += plans.len() as u64;
-        Ok(result)
-    }
-
-    /// [`Program::eval_decremental`] with **caller-supplied plans** — the
-    /// cross-commit plan-cache hook for retract commits.
+    /// delete-and-re-derive (DRed) algorithm over caller-supplied plans
+    /// (the same contract as [`Program::grow`]'s).
     ///
     /// `self` must be the **post-retraction** program (its EDB no longer
     /// holds `removed_facts`), `model` the least model of the
@@ -455,57 +309,34 @@ impl Program {
     ///    from them.
     ///
     /// The returned stats report `full_firings == 0` and
-    /// `plans_compiled == 0`; programs with negated body literals fall
-    /// back to a full [`Program::eval`] exactly like the insertion path.
-    pub fn eval_decremental_with(
-        &self,
-        plans: &[RulePlan],
-        model: Database,
-        removed_facts: &Database,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            return self.eval();
-        }
-        self.decremental_impl(plans, model, removed_facts, None)
-    }
-
-    /// [`Program::eval_decremental_with`] both **consuming and
-    /// maintaining** a support table. Phase 3 consults the recorded
-    /// supports first: an over-deleted tuple with a support whose parents
-    /// all escaped over-deletion is known to survive without running its
-    /// support probe (`support_hits` counts the saved `support_checks`).
-    /// Probe fallbacks record the derivation they find, phase 4 records
-    /// its re-derivations, and supports deriving — or depending on — a
-    /// net-removed atom are purged, so `table` leaves holding exactly the
-    /// supports of the returned model. Falls back to a full traced
-    /// evaluation (rebuilding `table`) on programs with negation.
-    pub fn eval_decremental_traced(
-        &self,
-        plans: &[RulePlan],
-        model: Database,
-        removed_facts: &Database,
-        table: &mut SupportTable,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            *table = SupportTable::new();
-            return self.eval_traced(EvalOptions::default(), table);
-        }
-        self.decremental_impl(plans, model, removed_facts, Some(table))
-    }
-
-    fn decremental_impl(
+    /// `plans_compiled == 0`.
+    ///
+    /// With a `table` the run both **consumes and maintains** it. Phase 3
+    /// consults the recorded supports first: an over-deleted tuple with a
+    /// support whose parents all escaped over-deletion is known to
+    /// survive without running its support probe (`support_hits` counts
+    /// the saved `support_checks`). Probe fallbacks record the derivation
+    /// they find, phase 4 records its re-derivations, and supports
+    /// deriving — or depending on — a net-removed atom are purged, so
+    /// `table` leaves holding exactly the supports of the returned model.
+    ///
+    /// Programs with negated body literals fall back to a full
+    /// [`Program::eval`] (rebuilding `table`) exactly like the insertion
+    /// path.
+    pub fn shrink(
         &self,
         plans: &[RulePlan],
         model: Database,
         removed_facts: &Database,
         mut table: Option<&mut SupportTable>,
     ) -> Result<(Database, EvalStats), DatalogError> {
+        if self.has_negation() {
+            drop(model);
+            return self.recompute(table);
+        }
         debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
         let mut stats = EvalStats::default();
         let mut model = model;
-        let par = ParCtx::auto();
         let plan_refs: Vec<(usize, &RulePlan)> = plans.iter().enumerate().collect();
 
         // Phase 1 — over-delete. Seed with the removed facts actually in
@@ -541,30 +372,14 @@ impl Program {
                 }
             }
             let mut next = Database::new();
-            let mut jobs: Vec<(usize, &RulePlan, &ConjunctionPlan)> = Vec::new();
-            for (idx, plan) in &plan_refs {
-                for (pred, variant) in &plan.variants {
-                    if deleted.delta().relation(*pred).is_none_or(|r| r.is_empty()) {
-                        stats.variants_skipped += 1;
-                        continue;
-                    }
-                    jobs.push((*idx, plan, variant));
-                }
-            }
-            stats.rule_firings += jobs.len() as u64;
-            let round_threads = fire_jobs(
-                &jobs,
+            fire_delta_variants(
+                &plan_refs,
                 &model,
-                Some(deleted.delta()),
-                deleted.delta().len(),
+                deleted.delta(),
                 &mut next,
                 &mut stats,
                 None,
-                par,
             );
-            if round_threads >= 2 {
-                stats.parallel_rounds += 1;
-            }
             // Every candidate is already in the model (the model is closed
             // under the rules and the delta is a subset of it), so advance
             // filters only against what is already marked deleted.
@@ -658,7 +473,7 @@ impl Program {
                 plan.ensure_total_indexes(total);
             }
         }
-        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, sink.as_mut(), par);
+        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, sink.as_mut());
         let mut db = ddb.into_total();
         stats.tuples_rederived = deleted
             .relations()
@@ -689,56 +504,17 @@ impl Program {
             .any(|r| r.body.iter().any(|l| !l.positive))
     }
 
-    fn run(
+    /// The non-monotone fallback of [`Program::grow`] and
+    /// [`Program::shrink`]: recompute the model of `self` with the default
+    /// full fixpoint, into an emptied `table` when one is kept.
+    fn recompute(
         &self,
-        opts: EvalOptions,
-        mut sink: Option<&mut ProvenanceSink>,
+        mut table: Option<&mut SupportTable>,
     ) -> Result<(Database, EvalStats), DatalogError> {
-        let strata = self.stratify()?;
-        let max_stratum = strata.values().copied().max().unwrap_or(0);
-        let mut db = self.edb.clone();
-        let mut stats = EvalStats::default();
-        let par = ParCtx::from_opts(&opts);
-
-        // Compile every rule exactly once; plans are reused each round.
-        let edb_stats = match opts.planner {
-            PlannerMode::Greedy => None,
-            PlannerMode::CostBased => Some(&self.edb),
-        };
-        let plans: Vec<(usize, RulePlan)> = self
-            .rules
-            .iter()
-            .map(|r| {
-                (
-                    strata[&r.head.pred],
-                    RulePlan::compile_with_stats(r, edb_stats),
-                )
-            })
-            .collect();
-        stats.plans_compiled = plans.len() as u64;
-
-        for level in 0..=max_stratum {
-            // Each plan keeps its **global** rule index — the identity a
-            // provenance record names — independent of stratum grouping.
-            let level_plans: Vec<(usize, &RulePlan)> = plans
-                .iter()
-                .enumerate()
-                .filter(|(_, (l, _))| *l == level)
-                .map(|(i, (_, p))| (i, p))
-                .collect();
-            if level_plans.is_empty() {
-                continue;
-            }
-            if opts.seminaive {
-                db = fix_seminaive(&level_plans, db, &mut stats, sink.as_deref_mut(), par);
-            } else {
-                fix_naive(&level_plans, &mut db, &mut stats, sink.as_deref_mut(), par);
-            }
+        if let Some(table) = table.as_deref_mut() {
+            *table = SupportTable::new();
         }
-        // Index warm-up may have created empty relations for body
-        // predicates without facts; the result is a set of atoms.
-        db.prune_empty();
-        Ok((db, stats))
+        self.fixpoint(true, PlannerMode::CostBased, table)
     }
 }
 
@@ -748,7 +524,6 @@ fn fix_seminaive(
     db: Database,
     stats: &mut EvalStats,
     sink: Option<&mut ProvenanceSink>,
-    par: ParCtx,
 ) -> Database {
     let mut ddb = DeltaDatabase::new(db);
     // Warm the total-side indexes once; incremental maintenance keeps
@@ -759,7 +534,7 @@ fn fix_seminaive(
             plan.ensure_total_indexes(total);
         }
     }
-    seminaive_rounds(plans, &mut ddb, true, stats, sink, par);
+    seminaive_rounds(plans, &mut ddb, true, stats, sink);
     ddb.into_total()
 }
 
@@ -774,31 +549,21 @@ fn seminaive_rounds(
     full_first_round: bool,
     stats: &mut EvalStats,
     mut sink: Option<&mut ProvenanceSink>,
-    par: ParCtx,
 ) {
     let mut first_round = full_first_round;
     loop {
         stats.iterations += 1;
         let mut new_facts = Database::new();
-        let round_threads;
         if first_round {
             // Round 1: the delta is conceptually "everything", so each
-            // rule runs its full plan once; the stable total is the
-            // driving work size.
+            // rule runs its full plan once.
             first_round = false;
-            let jobs: Vec<(usize, &RulePlan, &ConjunctionPlan)> =
-                plans.iter().map(|(i, p)| (*i, *p, &p.full)).collect();
-            stats.rule_firings += jobs.len() as u64;
-            stats.full_firings += jobs.len() as u64;
-            round_threads = fire_jobs(
-                &jobs,
+            fire_full_plans(
+                plans,
                 ddb.total(),
-                None,
-                ddb.total().len(),
                 &mut new_facts,
                 stats,
                 sink.as_deref_mut(),
-                par,
             );
         } else {
             // The delta was replaced by `advance` (or pre-seeded by the
@@ -812,35 +577,14 @@ fn seminaive_rounds(
                     }
                 }
             }
-            // The skip/run decision is made up front on the coordinator —
-            // deterministic regardless of how the surviving jobs are
-            // scheduled below.
-            let mut jobs: Vec<(usize, &RulePlan, &ConjunctionPlan)> = Vec::new();
-            for (idx, plan) in plans {
-                for (pred, variant) in &plan.variants {
-                    if ddb.delta().relation(*pred).is_none_or(|r| r.is_empty()) {
-                        // Nothing new for this literal: the variant is
-                        // skipped, not fired with an empty result.
-                        stats.variants_skipped += 1;
-                        continue;
-                    }
-                    jobs.push((*idx, plan, variant));
-                }
-            }
-            stats.rule_firings += jobs.len() as u64;
-            round_threads = fire_jobs(
-                &jobs,
+            fire_delta_variants(
+                plans,
                 ddb.total(),
-                Some(ddb.delta()),
-                ddb.delta().len(),
+                ddb.delta(),
                 &mut new_facts,
                 stats,
                 sink.as_deref_mut(),
-                par,
             );
-        }
-        if round_threads >= 2 {
-            stats.parallel_rounds += 1;
         }
         if ddb.advance(&new_facts) == 0 {
             break;
@@ -854,7 +598,6 @@ fn fix_naive(
     db: &mut Database,
     stats: &mut EvalStats,
     mut sink: Option<&mut ProvenanceSink>,
-    par: ParCtx,
 ) {
     for (_, plan) in plans {
         plan.ensure_total_indexes(db);
@@ -862,108 +605,55 @@ fn fix_naive(
     loop {
         stats.iterations += 1;
         let mut new_facts = Database::new();
-        let jobs: Vec<(usize, &RulePlan, &ConjunctionPlan)> =
-            plans.iter().map(|(i, p)| (*i, *p, &p.full)).collect();
-        stats.rule_firings += jobs.len() as u64;
-        stats.full_firings += jobs.len() as u64;
-        let round_threads = fire_jobs(
-            &jobs,
-            db,
-            None,
-            db.len(),
-            &mut new_facts,
-            stats,
-            sink.as_deref_mut(),
-            par,
-        );
-        if round_threads >= 2 {
-            stats.parallel_rounds += 1;
-        }
+        fire_full_plans(plans, db, &mut new_facts, stats, sink.as_deref_mut());
         if db.union_with(&new_facts) == 0 {
             break;
         }
     }
 }
 
-/// Execute one round's firing jobs, fanning them out across worker
-/// threads when the thread budget and the round's driving work size
-/// allow. Each parallel job derives into its own candidate database and
-/// [`EvalStats`] shard; shards are merged **in plan order** on the
-/// coordinator, so every counter and the candidate set handed to
-/// [`DeltaDatabase::advance`] are identical to the sequential run's
-/// (candidates are sets, counters are sums — both order-independent).
-/// Jobs inside a fan-out run with a sequential context: one layer of
-/// parallelism at a time. Returns the maximum number of threads any part
-/// of the round engaged (1 = fully sequential).
-#[allow(clippy::too_many_arguments)]
-fn fire_jobs(
-    jobs: &[(usize, &RulePlan, &ConjunctionPlan)],
+/// Fire every rule's full plan once against `total`.
+fn fire_full_plans(
+    plans: &[(usize, &RulePlan)],
     total: &Database,
-    delta: Option<&Database>,
-    driving_rows: usize,
     out: &mut Database,
     stats: &mut EvalStats,
     mut sink: Option<&mut ProvenanceSink>,
-    par: ParCtx,
-) -> usize {
-    if par.threads < 2 || jobs.len() < 2 || driving_rows < par.fanout_min_rows {
-        let mut used = 1;
-        for (idx, plan, join) in jobs {
-            used = used.max(fire(
-                *idx,
-                plan,
-                join,
-                total,
-                delta,
-                out,
-                stats,
-                sink.as_deref_mut(),
-                par,
-            ));
-        }
-        return used;
+) {
+    for (idx, plan) in plans {
+        stats.rule_firings += 1;
+        stats.full_firings += 1;
+        let sink = sink.as_deref_mut();
+        fire(*idx, plan, &plan.full, total, None, out, stats, sink);
     }
-    let seq = par.sequential();
-    let tracing = sink.is_some();
-    let results = threadpool::parallel_map(jobs.len(), par.threads, |j| {
-        let (idx, plan, join) = jobs[j];
-        let mut shard_out = Database::new();
-        let mut shard = EvalStats::default();
-        // Tracing shards buffer their own records; the coordinator
-        // concatenates them in plan order below, so the sink contents are
-        // independent of scheduling.
-        let mut shard_sink = tracing.then(ProvenanceSink::new);
-        fire(
-            idx,
-            plan,
-            join,
-            total,
-            delta,
-            &mut shard_out,
-            &mut shard,
-            shard_sink.as_mut(),
-            seq,
-        );
-        (shard_out, shard, shard_sink)
-    });
-    for (shard_out, shard, shard_sink) in results {
-        out.union_with(&shard_out);
-        stats.absorb(&shard);
-        if let (Some(sink), Some(shard_sink)) = (sink.as_deref_mut(), shard_sink) {
-            sink.extend_from(&shard_sink);
+}
+
+/// Fire every delta variant whose predicate gained facts in `delta`; a
+/// variant with nothing new for its literal is skipped, not fired with an
+/// empty result.
+fn fire_delta_variants(
+    plans: &[(usize, &RulePlan)],
+    total: &Database,
+    delta: &Database,
+    out: &mut Database,
+    stats: &mut EvalStats,
+    mut sink: Option<&mut ProvenanceSink>,
+) {
+    for (idx, plan) in plans {
+        for (pred, variant) in &plan.variants {
+            if delta.relation(*pred).is_none_or(|r| r.is_empty()) {
+                stats.variants_skipped += 1;
+                continue;
+            }
+            stats.rule_firings += 1;
+            let sink = sink.as_deref_mut();
+            fire(*idx, plan, variant, total, Some(delta), out, stats, sink);
         }
     }
-    let engaged = par.threads.min(jobs.len());
-    stats.threads_used = stats.threads_used.max(engaged as u64);
-    engaged
 }
 
 /// Execute one join plan: for every complete match whose negated literals
-/// all fail against the total, ground the head into `out`. When the
-/// thread budget allows and the plan carries a parallel-eligible hash
-/// step, the probes are partitioned across threads
-/// ([`ConjunctionPlan::for_each_match_partitioned`] — callback order and
-/// counters stay bit-for-bit sequential). Returns the threads engaged.
+/// all fail against the total, ground the head into `out`.
 #[allow(clippy::too_many_arguments)]
 fn fire(
     rule_idx: usize,
@@ -974,8 +664,7 @@ fn fire(
     out: &mut Database,
     stats: &mut EvalStats,
     mut sink: Option<&mut ProvenanceSink>,
-    par: ParCtx,
-) -> usize {
+) {
     for step in join.steps() {
         match step.strategy {
             StepStrategy::IndexProbe => stats.probe_steps += 1,
@@ -985,9 +674,12 @@ fn fire(
     }
     let mut env = vec![None; plan.slots.len()];
     let mut derivations = 0u64;
-    let mut used = 1;
-    {
-        let mut on_match = |env: &[Option<Param>]| {
+    join.for_each_match_counting(
+        total,
+        delta,
+        &mut env,
+        &mut stats.rows_examined,
+        &mut |env: &[Option<Param>]| {
             let blocked = plan
                 .negatives
                 .iter()
@@ -1005,31 +697,9 @@ fn fire(
                 }
                 out.insert_tuple(plan.head.pred, head);
             }
-        };
-        if par.threads >= 2 && join.parallel_eligible_at(par.probe_min_outer) {
-            used = join.for_each_match_partitioned(
-                total,
-                delta,
-                &mut env,
-                par.threads,
-                &mut stats.rows_examined,
-                &mut on_match,
-            );
-        } else {
-            join.for_each_match_counting(
-                total,
-                delta,
-                &mut env,
-                &mut stats.rows_examined,
-                &mut on_match,
-            );
-        }
-    }
+        },
+    );
     stats.derivations += derivations;
-    if used >= 2 {
-        stats.threads_used = stats.threads_used.max(used as u64);
-    }
-    used
 }
 
 #[cfg(test)]
@@ -1056,6 +726,15 @@ mod tests {
         Program::from_text(&src).unwrap()
     }
 
+    /// Plans of `p` compiled afresh against `model` — what a caller of
+    /// `grow` / `shrink` without a plan cache passes.
+    fn plans_for(p: &Program, model: &Database) -> Vec<RulePlan> {
+        p.rules
+            .iter()
+            .map(|r| RulePlan::compile_with_stats(r, Some(model)))
+            .collect()
+    }
+
     #[test]
     fn transitive_closure_chain() {
         let p = chain(5);
@@ -1072,7 +751,7 @@ mod tests {
         for n in [1, 3, 6] {
             let p = chain(n);
             let (a, _) = p.eval().unwrap();
-            let (b, _) = p.eval_naive().unwrap();
+            let (b, _) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
             assert_eq!(a, b, "models differ for chain({n})");
         }
     }
@@ -1081,7 +760,7 @@ mod tests {
     fn seminaive_derives_less() {
         let p = chain(12);
         let (_, fast) = p.eval().unwrap();
-        let (_, slow) = p.eval_naive().unwrap();
+        let (_, slow) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
         assert!(
             fast.derivations < slow.derivations,
             "semi-naive {} vs naive {}",
@@ -1094,7 +773,7 @@ mod tests {
     fn seminaive_fires_fewer_plans() {
         let p = chain(12);
         let (_, fast) = p.eval().unwrap();
-        let (_, slow) = p.eval_naive().unwrap();
+        let (_, slow) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
         assert!(
             fast.rule_firings < slow.rule_firings,
             "empty-delta variants must be skipped: semi-naive {} vs naive {}",
@@ -1115,7 +794,9 @@ mod tests {
             for i in old..old + added {
                 new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
             }
-            let (inc, stats) = after.eval_incremental(model, &new_facts).unwrap();
+            let (inc, stats) = after
+                .grow(&plans_for(&after, &model), model, &new_facts, None)
+                .unwrap();
             let (scratch, _) = after.eval().unwrap();
             assert_eq!(inc, scratch, "resume diverged for chain({old})+{added}");
             assert_eq!(
@@ -1132,7 +813,9 @@ mod tests {
         let (model, _) = p.eval().unwrap();
         let mut dup = epilog_storage::Database::new();
         dup.insert(&atom("e(n0, n1)"));
-        let (inc, stats) = p.eval_incremental(model.clone(), &dup).unwrap();
+        let (inc, stats) = p
+            .grow(&plans_for(&p, &model), model.clone(), &dup, None)
+            .unwrap();
         assert_eq!(inc, model);
         assert_eq!(stats.rule_firings, 0, "empty delta fires nothing");
         assert_eq!(stats.full_firings, 0);
@@ -1148,16 +831,36 @@ mod tests {
              forall x, y. node(x) & node(y) & ~reach(x, y) -> sep(x, y)",
         )
         .unwrap();
-        let (model, _) = p.eval().unwrap();
+        let mut table = SupportTable::new();
+        let (model, _) = p
+            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
+            .unwrap();
         assert!(model.contains(&atom("sep(b, a)")));
         // Adding e(b, a) must *remove* sep(b, a): only the full fallback
-        // can do that.
+        // can do that — and, traced, only a rebuilt table forgets the
+        // support recorded for it.
         let mut new_facts = epilog_storage::Database::new();
         new_facts.insert(&atom("e(b, a)"));
-        let (inc, stats) = p.eval_incremental(model, &new_facts).unwrap();
-        assert!(!inc.contains(&atom("sep(b, a)")));
-        assert!(inc.contains(&atom("reach(b, a)")));
-        assert!(stats.full_firings > 0, "fallback runs full plans");
+        let plans = plans_for(&p, &model);
+        for traced in [false, true] {
+            let (inc, stats) = p
+                .grow(
+                    &plans,
+                    model.clone(),
+                    &new_facts,
+                    traced.then_some(&mut table),
+                )
+                .unwrap();
+            assert!(!inc.contains(&atom("sep(b, a)")));
+            assert!(inc.contains(&atom("reach(b, a)")));
+            assert!(stats.full_firings > 0, "fallback runs full plans");
+            assert_eq!(stats.supports_recorded > 0, traced);
+            assert_eq!(
+                table.consistent_with(&inc, p.rules.len()),
+                traced,
+                "the table matches the new model exactly when the run rebuilt it"
+            );
+        }
     }
 
     #[test]
@@ -1168,8 +871,8 @@ mod tests {
         }
         src.push_str("forall x, y. q(x, y) & big(x, y) -> hit(x, y)\n");
         let p = Program::from_text(&src).unwrap();
-        let (cost_db, cost) = p.eval_with(true, PlannerMode::CostBased).unwrap();
-        let (greedy_db, greedy) = p.eval_with(true, PlannerMode::Greedy).unwrap();
+        let (cost_db, cost) = p.fixpoint(true, PlannerMode::CostBased, None).unwrap();
+        let (greedy_db, greedy) = p.fixpoint(true, PlannerMode::Greedy, None).unwrap();
         assert_eq!(cost_db, greedy_db);
         assert_eq!(cost.derivations, greedy.derivations);
         assert_eq!(cost.rule_firings, greedy.rule_firings);
@@ -1198,8 +901,8 @@ mod tests {
         }
         src.push_str("forall x, y. r(x) & a(x, y) & b(x, y) -> r(y)\n");
         let p = Program::from_text(&src).unwrap();
-        let (cost_db, cost) = p.eval_with(true, PlannerMode::CostBased).unwrap();
-        let (greedy_db, greedy) = p.eval_with(true, PlannerMode::Greedy).unwrap();
+        let (cost_db, cost) = p.fixpoint(true, PlannerMode::CostBased, None).unwrap();
+        let (greedy_db, greedy) = p.fixpoint(true, PlannerMode::Greedy, None).unwrap();
         assert_eq!(cost_db, greedy_db);
         assert!(
             cost.rows_examined <= greedy.rows_examined,
@@ -1218,7 +921,7 @@ mod tests {
             "the e-delta variant is skipped after round 2"
         );
         // Naive evaluation has no variants to skip.
-        let (_, naive) = p.eval_naive().unwrap();
+        let (_, naive) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
         assert_eq!(naive.variants_skipped, 0);
     }
 
@@ -1231,21 +934,15 @@ mod tests {
         for i in 5..8 {
             new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
         }
-        let plans: Vec<crate::plan::RulePlan> = after
-            .rules
-            .iter()
-            .map(|r| crate::plan::RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
-        let (cached, cached_stats) = after
-            .eval_incremental_with(&plans, model.clone(), &new_facts)
-            .unwrap();
-        let (fresh, fresh_stats) = after.eval_incremental(model, &new_facts).unwrap();
-        assert_eq!(cached, fresh);
+        let plans = plans_for(&after, &model);
+        let (cached, cached_stats) = after.grow(&plans, model, &new_facts, None).unwrap();
+        let (scratch, scratch_stats) = after.eval().unwrap();
+        assert_eq!(cached, scratch);
         assert_eq!(
             cached_stats.plans_compiled, 0,
             "cache path compiles nothing"
         );
-        assert!(fresh_stats.plans_compiled > 0);
+        assert!(scratch_stats.plans_compiled > 0);
         assert_eq!(cached_stats.full_firings, 0);
     }
 
@@ -1266,7 +963,9 @@ mod tests {
             src.push_str("forall x, y. e(x, y) -> t(x, y)\n");
             src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
             let after = Program::from_text(&src).unwrap();
-            let (dec, stats) = after.eval_decremental(model, &removed).unwrap();
+            let (dec, stats) = after
+                .shrink(&plans_for(&after, &model), model, &removed, None)
+                .unwrap();
             let (scratch, _) = after.eval().unwrap();
             assert_eq!(dec, scratch, "DRed diverged for chain({n}) - edge {cut}");
             assert_eq!(stats.full_firings, 0, "DRed must never run a full plan");
@@ -1298,7 +997,9 @@ mod tests {
              forall x, y, z. e(x, y) & t(y, z) -> t(x, z)",
         )
         .unwrap();
-        let (dec, stats) = after.eval_decremental(model, &removed).unwrap();
+        let (dec, stats) = after
+            .shrink(&plans_for(&after, &model), model, &removed, None)
+            .unwrap();
         let (scratch, _) = after.eval().unwrap();
         assert_eq!(dec, scratch);
         assert!(dec.contains(&atom("t(a, b)")), "e2 still supports t(a, b)");
@@ -1327,7 +1028,9 @@ mod tests {
              forall x, y. e(x, y) -> t(x, y)",
         )
         .unwrap();
-        let (dec, _) = after.eval_decremental(model, &removed).unwrap();
+        let (dec, _) = after
+            .shrink(&plans_for(&after, &model), model, &removed, None)
+            .unwrap();
         let (scratch, _) = after.eval().unwrap();
         assert_eq!(dec, scratch);
         assert!(dec.contains(&atom("t(a, b)")));
@@ -1340,7 +1043,9 @@ mod tests {
         let (model, _) = p.eval().unwrap();
         let mut removed = epilog_storage::Database::new();
         removed.insert(&atom("e(n9, n10)"));
-        let (dec, stats) = p.eval_decremental(model.clone(), &removed).unwrap();
+        let (dec, stats) = p
+            .shrink(&plans_for(&p, &model), model.clone(), &removed, None)
+            .unwrap();
         assert_eq!(dec, model);
         assert_eq!(stats.rule_firings, 0, "empty seed deletes nothing");
         assert_eq!(stats.tuples_overdeleted, 0);
@@ -1357,9 +1062,13 @@ mod tests {
              forall x, y. node(x) & node(y) & ~reach(x, y) -> sep(x, y)",
         )
         .unwrap();
-        let (model, _) = p.eval().unwrap();
+        let mut table = SupportTable::new();
+        let (model, _) = p
+            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
+            .unwrap();
         assert!(!model.contains(&atom("sep(b, a)")));
-        // Removing e(b, a) must *add* sep(b, a): only the fallback can.
+        // Removing e(b, a) must *add* sep(b, a): only the fallback can —
+        // and, traced, only a rebuilt table forgets reach(b, a).
         let mut removed = epilog_storage::Database::new();
         removed.insert(&atom("e(b, a)"));
         let after = Program::from_text(
@@ -1370,9 +1079,25 @@ mod tests {
              forall x, y. node(x) & node(y) & ~reach(x, y) -> sep(x, y)",
         )
         .unwrap();
-        let (dec, stats) = after.eval_decremental(model, &removed).unwrap();
-        assert!(dec.contains(&atom("sep(b, a)")));
-        assert!(stats.full_firings > 0, "fallback runs full plans");
+        let plans = plans_for(&after, &model);
+        for traced in [false, true] {
+            let (dec, stats) = after
+                .shrink(
+                    &plans,
+                    model.clone(),
+                    &removed,
+                    traced.then_some(&mut table),
+                )
+                .unwrap();
+            assert!(dec.contains(&atom("sep(b, a)")));
+            assert!(stats.full_firings > 0, "fallback runs full plans");
+            assert_eq!(stats.supports_recorded > 0, traced);
+            assert_eq!(
+                table.consistent_with(&dec, after.rules.len()),
+                traced,
+                "the table matches the new model exactly when the run rebuilt it"
+            );
+        }
     }
 
     #[test]
@@ -1388,21 +1113,15 @@ mod tests {
         src.push_str("forall x, y. e(x, y) -> t(x, y)\n");
         src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
         let after = Program::from_text(&src).unwrap();
-        let plans: Vec<crate::plan::RulePlan> = after
-            .rules
-            .iter()
-            .map(|r| crate::plan::RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
-        let (cached, cached_stats) = after
-            .eval_decremental_with(&plans, model.clone(), &removed)
-            .unwrap();
-        let (fresh, fresh_stats) = after.eval_decremental(model, &removed).unwrap();
-        assert_eq!(cached, fresh);
+        let plans = plans_for(&after, &model);
+        let (cached, cached_stats) = after.shrink(&plans, model, &removed, None).unwrap();
+        let (scratch, scratch_stats) = after.eval().unwrap();
+        assert_eq!(cached, scratch);
         assert_eq!(
             cached_stats.plans_compiled, 0,
             "cache path compiles nothing"
         );
-        assert!(fresh_stats.plans_compiled > 0);
+        assert!(scratch_stats.plans_compiled > 0);
         assert_eq!(cached_stats.full_firings, 0);
     }
 
@@ -1424,8 +1143,6 @@ mod tests {
             support_checks: 13,
             supports_recorded: 14,
             support_hits: 15,
-            parallel_rounds: 16,
-            threads_used: 17,
         };
         let b = a;
         a.absorb(&b);
@@ -1444,114 +1161,6 @@ mod tests {
         assert_eq!(a.support_checks, 26);
         assert_eq!(a.supports_recorded, 28);
         assert_eq!(a.support_hits, 30);
-        assert_eq!(a.parallel_rounds, 32);
-        // A high-water mark, not a sum: absorbing an equal run keeps it.
-        assert_eq!(a.threads_used, 17);
-        let wider = EvalStats {
-            threads_used: 40,
-            ..EvalStats::default()
-        };
-        a.absorb(&wider);
-        assert_eq!(a.threads_used, 40);
-    }
-
-    /// Options forcing every parallel path at `threads` workers: zero
-    /// work-size thresholds, so even toy programs fan out and partition.
-    fn par_opts(threads: usize) -> EvalOptions {
-        EvalOptions {
-            threads,
-            par_fanout_min_rows: 0,
-            par_probe_min_outer: 0,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// The counters that must be invariant across thread counts — i.e.
-    /// everything except the parallelism observables themselves.
-    fn scrubbed(mut s: EvalStats) -> EvalStats {
-        s.parallel_rounds = 0;
-        s.threads_used = 0;
-        s
-    }
-
-    #[test]
-    fn parallel_fanout_matches_sequential_counters_exactly() {
-        // chain(12) runs a 2-rule stratum with recursive delta rounds:
-        // with zeroed thresholds every round fans out. Model and every
-        // merged counter — including variants_skipped and rows_examined,
-        // tallied in thread-local shards — must equal the sequential
-        // run's exactly.
-        let p = chain(12);
-        let (seq_db, seq) = p.eval_opts(par_opts(1)).unwrap();
-        for threads in [2, 4, 8] {
-            let (par_db, par) = p.eval_opts(par_opts(threads)).unwrap();
-            assert_eq!(par_db, seq_db, "model diverged at {threads} threads");
-            assert_eq!(
-                scrubbed(par),
-                scrubbed(seq),
-                "counters diverged at {threads} threads"
-            );
-            assert!(par.parallel_rounds > 0, "fan-out must engage");
-            assert!(par.threads_used >= 2);
-        }
-        assert_eq!(seq.parallel_rounds, 0, "1 thread is the sequential path");
-        assert_eq!(seq.threads_used, 0);
-    }
-
-    #[test]
-    fn partitioned_probes_match_sequential_counters_exactly() {
-        // Skewed two-column join: the cost-based planner hashes `big`,
-        // and with a zero outer threshold the single-rule round (no
-        // fan-out possible) partitions the probe rows instead.
-        let mut src = String::new();
-        for i in 0..32 {
-            src.push_str(&format!("q(k{}, val{i})\nbig(k{}, val{i})\n", i % 4, i % 4));
-        }
-        src.push_str("forall x, y. q(x, y) & big(x, y) -> hit(x, y)\n");
-        let p = Program::from_text(&src).unwrap();
-        let (seq_db, seq) = p.eval_opts(par_opts(1)).unwrap();
-        assert!(seq.hash_steps > 0, "workload must exercise the hash path");
-        let (par_db, par) = p.eval_opts(par_opts(4)).unwrap();
-        assert_eq!(par_db, seq_db);
-        assert_eq!(scrubbed(par), scrubbed(seq));
-        assert!(par.threads_used >= 2, "partitioned probes must engage");
-    }
-
-    #[test]
-    fn default_thresholds_keep_tiny_fixpoints_sequential() {
-        // Even with a thread budget, a fixpoint below the work-size
-        // thresholds must not spawn: same counters, zero parallelism
-        // observables.
-        let p = chain(6);
-        let opts = EvalOptions {
-            threads: 4,
-            ..EvalOptions::default()
-        };
-        let (db, stats) = p.eval_opts(opts).unwrap();
-        let (seq_db, seq) = p.eval().unwrap();
-        assert_eq!(db, seq_db);
-        assert_eq!(stats.parallel_rounds, 0);
-        assert_eq!(stats.threads_used, 0);
-        assert_eq!(scrubbed(stats), scrubbed(seq));
-    }
-
-    #[test]
-    fn parallel_evaluation_respects_stratified_negation() {
-        // Strata must still evaluate in order under fan-out: the negated
-        // stratum reads a completed lower stratum.
-        let src = "node(a)
-             node(b)
-             node(c)
-             e(a, b)
-             forall x, y. e(x, y) -> reach(x, y)
-             forall x, y, z. reach(x, y) & e(y, z) -> reach(x, z)
-             forall x, y. node(x) & node(y) & ~reach(x, y) -> sep(x, y)";
-        let p = Program::from_text(src).unwrap();
-        let (seq_db, seq) = p.eval_opts(par_opts(1)).unwrap();
-        let (par_db, par) = p.eval_opts(par_opts(4)).unwrap();
-        assert_eq!(par_db, seq_db);
-        assert_eq!(scrubbed(par), scrubbed(seq));
-        assert!(par_db.contains(&atom("sep(b, a)")));
     }
 
     #[test]
@@ -1613,7 +1222,7 @@ mod tests {
         .unwrap();
         let (db, _) = p.eval().unwrap();
         assert!(db.contains(&atom("q(b)")));
-        let (db2, _) = p.eval_naive().unwrap();
+        let (db2, _) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
         assert_eq!(db, db2);
     }
 
@@ -1629,7 +1238,7 @@ mod tests {
             .preds()
             .into_iter()
             .all(|pr| !db.relation(pr).unwrap().is_empty()));
-        let (db2, _) = p.eval_naive().unwrap();
+        let (db2, _) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
         assert_eq!(db, db2);
     }
 
@@ -1644,7 +1253,7 @@ mod tests {
         assert!(err.is_err());
     }
 
-    use crate::provenance::{params_of, SupportTable};
+    use crate::provenance::params_of;
 
     /// Zero the provenance counters — the only ones a traced run is
     /// allowed to move relative to its untraced twin.
@@ -1659,7 +1268,9 @@ mod tests {
         let p = chain(8);
         let (plain_db, plain) = p.eval().unwrap();
         let mut table = SupportTable::new();
-        let (traced_db, traced) = p.eval_traced(EvalOptions::default(), &mut table).unwrap();
+        let (traced_db, traced) = p
+            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
+            .unwrap();
         assert_eq!(traced_db, plain_db);
         assert_eq!(scrub_prov(traced), plain, "tracking must not change work");
         assert!(traced.supports_recorded > 0);
@@ -1675,41 +1286,20 @@ mod tests {
     }
 
     #[test]
-    fn traced_table_is_deterministic_across_thread_counts() {
-        let p = chain(12);
-        let mut seq_table = SupportTable::new();
-        let (seq_db, _) = p.eval_traced(par_opts(1), &mut seq_table).unwrap();
-        for threads in [2, 4] {
-            let mut par_table = SupportTable::new();
-            let (par_db, par) = p.eval_traced(par_opts(threads), &mut par_table).unwrap();
-            assert_eq!(par_db, seq_db);
-            assert!(par.parallel_rounds > 0, "fan-out must engage");
-            assert_eq!(
-                par_table, seq_table,
-                "shard merge order must make the table scheduling-independent"
-            );
-        }
-    }
-
-    #[test]
     fn traced_incremental_extends_the_table() {
         let before = chain(4);
         let mut table = SupportTable::new();
         let (model, _) = before
-            .eval_traced(EvalOptions::default(), &mut table)
+            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
             .unwrap();
         let after = chain(6);
         let mut new_facts = epilog_storage::Database::new();
         for i in 4..6 {
             new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
         }
-        let plans: Vec<RulePlan> = after
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
+        let plans = plans_for(&after, &model);
         let (inc, stats) = after
-            .eval_incremental_traced(&plans, model, &new_facts, &mut table)
+            .grow(&plans, model, &new_facts, Some(&mut table))
             .unwrap();
         let (scratch, _) = after.eval().unwrap();
         assert_eq!(inc, scratch);
@@ -1740,7 +1330,7 @@ mod tests {
         .unwrap();
         let mut table = SupportTable::new();
         let (model, _) = before
-            .eval_traced(EvalOptions::default(), &mut table)
+            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
             .unwrap();
         let mut removed = epilog_storage::Database::new();
         removed.insert(&atom("e(a, b)"));
@@ -1752,16 +1342,10 @@ mod tests {
              forall x, y, z. e(x, y) & t(y, z) -> t(x, z)",
         )
         .unwrap();
-        let plans: Vec<RulePlan> = after
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
-        let (plain_db, plain) = after
-            .eval_decremental_with(&plans, model.clone(), &removed)
-            .unwrap();
+        let plans = plans_for(&after, &model);
+        let (plain_db, plain) = after.shrink(&plans, model.clone(), &removed, None).unwrap();
         let (traced_db, traced) = after
-            .eval_decremental_traced(&plans, model, &removed, &mut table)
+            .shrink(&plans, model, &removed, Some(&mut table))
             .unwrap();
         assert_eq!(traced_db, plain_db, "supports must not change the model");
         assert_eq!(traced.tuples_rederived, plain.tuples_rederived);

@@ -13,9 +13,13 @@
 //! * [`RulePlan`] — rules compiled once into slot-numbered, reordered
 //!   join plans with one variant per semi-naive delta position;
 //! * stratification ([`Program::stratify`]) and the perfect-model
-//!   fixpoint, both naive ([`Program::eval_naive`]) and **semi-naive**
-//!   ([`Program::eval`]) — the ablation pair for benches `f2_datalog`
-//!   and `f6_scaling`;
+//!   fixpoint — one semi-naive loop on the calling thread behind four
+//!   entry points: [`Program::eval`], [`Program::fixpoint`] (which also
+//!   selects the naive and greedy-planner baselines that benches
+//!   `f2_datalog`, `f6_scaling` and `f9_joins` compare against, and
+//!   takes an optional [`SupportTable`] to trace into),
+//!   [`Program::grow`] and [`Program::shrink`] (resume a least model
+//!   after additions / retractions);
 //! * [`completion()`](completion::completion) — Clark's completion as FOPCE sentences, ready to be
 //!   fed to `epilog-prover` for the Definition 3.3/3.4 comparisons.
 
@@ -27,8 +31,8 @@ pub mod provenance;
 pub mod sld;
 
 pub use completion::completion;
-pub use engine::{EvalOptions, EvalStats, PlannerMode, PAR_MIN_FANOUT_ROWS};
+pub use engine::{EvalStats, PlannerMode};
 pub use plan::RulePlan;
 pub use program::{DatalogError, Literal, Program, Rule};
-pub use provenance::{ProofTree, ProvenanceSink, Support, SupportTable};
+pub use provenance::{ProofTree, Support, SupportTable};
 pub use sld::{SldEngine, SldOutcome};

@@ -190,20 +190,10 @@ impl RulePlan {
                 Some(e) => format!(", est {e}/row"),
                 None => String::new(),
             };
-            // A hash step expecting enough outer rows is parallel-eligible:
-            // the engine may partition its probes across threads.
-            let par = if step.parallel_eligible() {
-                format!(
-                    ", outer est {}, parallel-eligible",
-                    step.est_outer.expect("eligibility implies statistics")
-                )
-            } else {
-                String::new()
-            };
             let delta = if step.from_delta { " [delta]" } else { "" };
             let _ = writeln!(
                 out,
-                "    {}. {}{delta}  ({strategy}{est}{par})",
+                "    {}. {}{delta}  ({strategy}{est})",
                 i + 1,
                 self.render(&step.template)
             );
@@ -293,37 +283,6 @@ mod tests {
         let greedy = RulePlan::compile(&p.rules[0]).explain();
         assert!(!greedy.contains("est"), "{greedy}");
         assert!(!greedy.contains("hash"), "{greedy}");
-    }
-
-    #[test]
-    fn explain_marks_parallel_eligible_hash_steps() {
-        // 1024 outer rows clear the PAR_MIN_PROBE_OUTER threshold, so the
-        // hash step is annotated; the 8-row variant of the same join is
-        // not.
-        let mut big_src = String::new();
-        for i in 0..1024 {
-            big_src.push_str(&format!("q(k{}, val{i})\nbig(k{}, val{i})\n", i % 4, i % 4));
-        }
-        big_src.push_str("forall x, y. q(x, y) & big(x, y) -> hit(x, y)\n");
-        let p = Program::from_text(&big_src).unwrap();
-        let plan = RulePlan::compile_with_stats(&p.rules[0], Some(&p.edb));
-        let text = plan.explain();
-        assert!(text.contains("parallel-eligible"), "{text}");
-        assert!(text.contains("outer est 1024"), "{text}");
-
-        let mut small_src = String::new();
-        for i in 0..8 {
-            small_src.push_str(&format!("q(k{}, val{i})\nbig(k{}, val{i})\n", i % 2, i % 2));
-        }
-        small_src.push_str("forall x, y. q(x, y) & big(x, y) -> hit(x, y)\n");
-        let p = Program::from_text(&small_src).unwrap();
-        let plan = RulePlan::compile_with_stats(&p.rules[0], Some(&p.edb));
-        let text = plan.explain();
-        assert!(text.contains("hash build+probe"), "{text}");
-        assert!(
-            !text.contains("parallel-eligible"),
-            "8 outer rows are below the threshold: {text}"
-        );
     }
 
     #[test]

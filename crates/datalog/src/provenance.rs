@@ -1,9 +1,9 @@
 //! Derivation provenance: per-tuple support records and proof trees.
 //!
-//! A traced evaluation ([`Program::eval_traced`](crate::Program::eval_traced),
-//! [`Program::eval_incremental_traced`](crate::Program::eval_incremental_traced),
-//! [`Program::eval_decremental_traced`](crate::Program::eval_decremental_traced))
-//! records, for every head derivation the fixpoint performs, one
+//! A traced evaluation ([`Program::fixpoint`](crate::Program::fixpoint),
+//! [`Program::grow`](crate::Program::grow) or
+//! [`Program::shrink`](crate::Program::shrink) given a table) records,
+//! for every head derivation the fixpoint performs, one
 //! [`Support`] — the index of the rule that fired and the ground positive
 //! body tuples it matched. Supports accumulate in a [`SupportTable`], an
 //! interned side table keyed by ground atom, and serve two consumers:
@@ -18,11 +18,10 @@
 //!   `support_checks` probe ([`EvalStats::support_hits`](crate::EvalStats)
 //!   counts the saved probes).
 //!
-//! Recording is opt-in: the untraced `eval*` entry points pass no sink and
-//! pay nothing. Within a traced run the sink is a flat append-only buffer
-//! (parallel shards keep their own and are merged in plan order, so the
-//! table contents are deterministic across thread counts); interning and
-//! deduplication happen once per run in [`SupportTable::absorb`].
+//! Recording is opt-in: an entry point given no table threads no sink and
+//! pays nothing. Within a traced run the sink is a flat append-only
+//! buffer; interning and deduplication happen once per run when the table
+//! absorbs it.
 
 use epilog_storage::{Database, Tuple};
 use epilog_syntax::formula::Atom;
@@ -85,7 +84,7 @@ type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// positive body literal), so the hot recording path never allocates
 /// beyond amortized buffer growth.
 #[derive(Debug, Default)]
-pub struct ProvenanceSink {
+pub(crate) struct ProvenanceSink {
     /// Per record: the firing rule and the record's atom span.
     recs: Vec<(u32, u32, u32)>, // (rule_idx, atoms_start, n_atoms)
     /// Per recorded atom: predicate and its span in `params`.
@@ -96,18 +95,8 @@ pub struct ProvenanceSink {
 
 impl ProvenanceSink {
     /// A fresh, empty sink.
-    pub fn new() -> ProvenanceSink {
+    pub(crate) fn new() -> ProvenanceSink {
         ProvenanceSink::default()
-    }
-
-    /// Number of raw (pre-deduplication) records captured so far.
-    pub fn len(&self) -> usize {
-        self.recs.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.recs.is_empty()
     }
 
     /// Open a record; close it with [`ProvenanceSink::finish_record`]
@@ -127,19 +116,6 @@ impl ProvenanceSink {
     pub(crate) fn finish_record(&mut self, rule_idx: u32, atoms_start: u32) {
         self.recs
             .push((rule_idx, atoms_start, self.atoms.len() as u32 - atoms_start));
-    }
-
-    /// Concatenate a parallel shard's records (plan order is the caller's
-    /// responsibility, so sink contents stay deterministic across thread
-    /// counts).
-    pub(crate) fn extend_from(&mut self, other: &ProvenanceSink) {
-        let atom_off = self.atoms.len() as u32;
-        let param_off = self.params.len() as u32;
-        self.recs
-            .extend(other.recs.iter().map(|&(r, s, n)| (r, s + atom_off, n)));
-        self.atoms
-            .extend(other.atoms.iter().map(|&(p, s, l)| (p, s + param_off, l)));
-        self.params.extend_from_slice(&other.params);
     }
 
     /// The atoms of record `rec` as `(pred, params)` slices, head first.
@@ -229,7 +205,7 @@ impl SupportTable {
 
     /// Intern a sink's raw records, returning how many novel supports
     /// were retained.
-    pub fn absorb(&mut self, sink: ProvenanceSink) -> u64 {
+    pub(crate) fn absorb(&mut self, sink: ProvenanceSink) -> u64 {
         let mut novel = 0u64;
         let mut scratch: Vec<u32> = Vec::new();
         for (rec, &(rule_idx, ..)) in sink.recs.iter().enumerate() {

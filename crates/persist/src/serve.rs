@@ -11,8 +11,8 @@
 //!   committed state (theory, constraints, materialized model, compiled
 //!   plans). Queries run on the handle with no locks and no coordination
 //!   with commits in flight; a snapshot pins its state until dropped.
-//! * **The writer** is one thread (spawned through
-//!   `threadpool::spawn_named`) draining a bounded commit queue. It
+//! * **The writer** is one named thread (`epilog-commit-writer`)
+//!   draining a bounded commit queue. It
 //!   owns the working [`EpistemicDb`] and the [`Wal`] outright, so
 //!   validation runs against the true head state with no locking at all.
 //!
@@ -62,7 +62,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// Tuning knobs for a [`ServingDb`].
@@ -373,6 +373,9 @@ impl ServingDb {
     /// writer syncs explicitly, once per batch. A
     /// [`FaultInjector`](crate::FaultInjector) installed on the
     /// `DurableDb` rides along into the writer.
+    ///
+    /// # Panics
+    /// Panics if the OS refuses to spawn the writer thread.
     pub fn start(durable: DurableDb, opts: ServeOptions) -> ServingDb {
         let (mut db, wal, dir) = durable.into_parts();
         if opts.provenance {
@@ -391,19 +394,22 @@ impl ServingDb {
             let max_batch = opts.max_batch.max(1);
             let dir = dir.clone();
             let provenance = opts.provenance;
-            threadpool::spawn_named("epilog-commit-writer", move || {
-                let _stamp = ExitStamp(Arc::clone(&metrics));
-                let mut writer = Writer {
-                    working: db,
-                    wal,
-                    dir,
-                    provenance,
-                    head: &head,
-                    metrics: &metrics,
-                    degraded: None,
-                };
-                writer.run(&rx, max_batch);
-            })
+            thread::Builder::new()
+                .name("epilog-commit-writer".into())
+                .spawn(move || {
+                    let _stamp = ExitStamp(Arc::clone(&metrics));
+                    let mut writer = Writer {
+                        working: db,
+                        wal,
+                        dir,
+                        provenance,
+                        head: &head,
+                        metrics: &metrics,
+                        degraded: None,
+                    };
+                    writer.run(&rx, max_batch);
+                })
+                .unwrap_or_else(|e| panic!("failed to spawn thread `epilog-commit-writer`: {e}"))
         };
         ServingDb {
             head,

@@ -4,7 +4,7 @@
 //! answered from lock-free MVCC snapshots
 //! ([`ServingDb::snapshot`]), writes are queued to the single
 //! group-committing writer thread. Each accepted connection gets its
-//! own session thread (spawned through `threadpool::spawn_named`), so
+//! own named session thread (`std::thread::Builder`), so
 //! a slow client never blocks another — and no session ever blocks a
 //! commit, because sessions share nothing but the `Arc`-swapped head
 //! state and the commit queue.
@@ -65,7 +65,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// Tuning knobs for a [`Server`].
@@ -332,7 +332,9 @@ impl Server {
         });
         let accept = {
             let inner = Arc::clone(&inner);
-            threadpool::spawn_named("epilog-accept", move || accept_loop(&listener, &inner))
+            thread::Builder::new()
+                .name("epilog-accept".into())
+                .spawn(move || accept_loop(&listener, &inner))?
         };
         Ok(Server {
             inner,
@@ -395,9 +397,18 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         let Ok(peer) = stream.try_clone() else {
             continue;
         };
-        let handle = {
+        let spawned = {
             let inner = Arc::clone(inner);
-            threadpool::spawn_named("epilog-session", move || session_loop(stream, &inner))
+            thread::Builder::new()
+                .name("epilog-session".into())
+                .spawn(move || session_loop(stream, &inner))
+        };
+        let Ok(handle) = spawned else {
+            // The OS will not start a thread: refuse this client and keep
+            // accepting — the next one may find room.
+            let _ = (&peer).write_all(b"err busy: cannot start a session\n");
+            let _ = peer.shutdown(Shutdown::Both);
+            continue;
         };
         let mut sessions = inner.sessions.lock().unwrap();
         // Reap sessions whose threads already exited (clients that quit
@@ -902,12 +913,15 @@ mod tests {
         let addr = server.local_addr();
         let fixer = {
             let inj = Arc::clone(&inj);
-            threadpool::spawn_named("epilog-test-fixer", move || {
-                std::thread::sleep(Duration::from_millis(80));
-                inj.disarm();
-                let mut c2 = Client::connect(addr).unwrap();
-                assert_eq!(c2.request("heal").unwrap(), "ok healed @1");
-            })
+            thread::Builder::new()
+                .name("epilog-test-fixer".into())
+                .spawn(move || {
+                    std::thread::sleep(Duration::from_millis(80));
+                    inj.disarm();
+                    let mut c2 = Client::connect(addr).unwrap();
+                    assert_eq!(c2.request("heal").unwrap(), "ok healed @1");
+                })
+                .unwrap()
         };
         let policy = RetryPolicy {
             attempts: 50,
@@ -933,10 +947,13 @@ mod tests {
         let d = dir();
         let server = serve(&d);
         let addr = server.local_addr();
-        let poker = threadpool::spawn_named("epilog-test-poker", move || {
-            let mut c = Client::connect(addr).unwrap();
-            assert_eq!(c.request("shutdown").unwrap(), "ok shutting-down");
-        });
+        let poker = thread::Builder::new()
+            .name("epilog-test-poker".into())
+            .spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                assert_eq!(c.request("shutdown").unwrap(), "ok shutting-down");
+            })
+            .unwrap();
         server.wait_for_shutdown_request();
         poker.join().unwrap();
         server.shutdown().unwrap();

@@ -46,7 +46,6 @@ pub use database::Database;
 pub use delta::DeltaDatabase;
 pub use plan::{
     AtomTemplate, ConjunctionPlan, JoinStep, PatTerm, PlanStats, SlotMap, StepStrategy,
-    PAR_MIN_PROBE_OUTER,
 };
 pub use relation::{Matches, Relation, Selection};
 

@@ -40,17 +40,12 @@ use crate::relation::Selection;
 use crate::Tuple;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term, Var};
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Minimum (estimated) relation size before a hash build pays for itself;
 /// below it the plan keeps the probe-or-scan step the seed planner used.
 const HASH_MIN_ROWS: usize = 4;
-
-/// Default minimum estimated outer cardinality at a hash build+probe step
-/// before partitioning its probes across threads pays for the spawn and
-/// merge overhead ([`ConjunctionPlan::for_each_match_partitioned`]).
-pub const PAR_MIN_PROBE_OUTER: u64 = 512;
 
 /// Dense numbering of the variables appearing in a rule: slot `i` holds
 /// the binding of `vars()[i]`.
@@ -193,12 +188,6 @@ pub struct JoinStep {
     /// cost-based ordering minimizes. `None` when compiled without
     /// statistics (the greedy planner).
     pub est: Option<u64>,
-    /// Estimated rows flowing *into* this step (the product of the earlier
-    /// steps' per-row estimates). `None` when compiled without statistics.
-    /// A large value at a hash step marks it **parallel-eligible**: its
-    /// outer rows can be partitioned across threads probing the shared
-    /// table ([`ConjunctionPlan::for_each_match_partitioned`]).
-    pub est_outer: Option<u64>,
     /// Columns that bind a fresh slot (first occurrence in this atom).
     binders: Vec<(usize, usize)>,
     /// Columns that repeat a slot bound earlier in this same atom.
@@ -211,29 +200,10 @@ pub struct JoinStep {
     hash_keys: Vec<(usize, usize)>,
 }
 
-impl JoinStep {
-    /// Whether partitioning this step's probes across threads is
-    /// worthwhile at the default [`PAR_MIN_PROBE_OUTER`] threshold.
-    #[must_use]
-    pub fn parallel_eligible(&self) -> bool {
-        self.parallel_eligible_at(PAR_MIN_PROBE_OUTER)
-    }
-
-    /// [`JoinStep::parallel_eligible`] at a caller-chosen threshold: a
-    /// hash build+probe step whose estimated outer cardinality reaches
-    /// `min_outer` rows.
-    #[must_use]
-    pub fn parallel_eligible_at(&self, min_outer: u64) -> bool {
-        self.strategy == StepStrategy::HashBuildProbe
-            && self.est_outer.is_some_and(|o| o >= min_outer)
-    }
-}
-
 /// A transient hash table built by a [`StepStrategy::HashBuildProbe`]
 /// step: probe key (values of the step's bound-slot columns) to the
 /// matching tuples, in the relation's deterministic iteration order.
-/// Built at most once per plan execution behind a [`OnceLock`], so
-/// partitioned workers share one immutable table.
+/// Built at most once per plan execution, on the step's first visit.
 type HashTable<'a> = HashMap<Tuple, Vec<&'a Tuple>>;
 
 /// A compiled conjunction of atoms: steps in join order.
@@ -551,7 +521,6 @@ impl ConjunctionPlan {
             index_col,
             strategy,
             est,
-            est_outer: stats.map(|_| outer_est),
             binders,
             checks,
             hash_consts,
@@ -616,129 +585,14 @@ impl ConjunctionPlan {
         self.run_step(0, total, delta, env, &tables, rows, f);
     }
 
-    /// Per-execution scratch for hash steps: one cell per step, built on
-    /// first visit ([`OnceLock::get_or_init`]) and immutable afterwards,
-    /// so partitioned workers can share the tables without copying.
-    fn fresh_tables<'a>(&self) -> Vec<OnceLock<HashTable<'a>>> {
+    /// Per-execution scratch for hash steps: one cell per step, filled on
+    /// the step's first visit.
+    fn fresh_tables<'a>(&self) -> Vec<OnceCell<HashTable<'a>>> {
         if self.has_hash {
-            (0..self.steps.len()).map(|_| OnceLock::new()).collect()
+            (0..self.steps.len()).map(|_| OnceCell::new()).collect()
         } else {
             Vec::new()
         }
-    }
-
-    /// Whether this plan contains a hash step worth partitioning at the
-    /// given outer-cardinality threshold: such a step's probes can be
-    /// split across threads by
-    /// [`ConjunctionPlan::for_each_match_partitioned`]. The first step
-    /// must not itself hash (it is the one being partitioned).
-    #[must_use]
-    pub fn parallel_eligible_at(&self, min_outer: u64) -> bool {
-        self.steps.len() >= 2
-            && self.steps[0].strategy != StepStrategy::HashBuildProbe
-            && self.steps.iter().any(|s| s.parallel_eligible_at(min_outer))
-    }
-
-    /// Like [`ConjunctionPlan::for_each_match_counting`], but with the
-    /// **first** step's candidate rows partitioned across up to `threads`
-    /// worker threads, each joining the remaining steps against its own
-    /// environment clone; hash tables are built at most once and shared
-    /// immutably. Matches are buffered per worker and replayed to `f` in
-    /// chunk order — the callback sequence, the final environment, and
-    /// the count added to `rows` are **bit-for-bit identical** to the
-    /// sequential run, regardless of thread count.
-    ///
-    /// Returns the number of worker threads engaged (`1` when the work
-    /// was too small to partition and ran inline).
-    pub fn for_each_match_partitioned(
-        &self,
-        total: &Database,
-        delta: Option<&Database>,
-        env: &mut [Option<Param>],
-        threads: usize,
-        rows: &mut u64,
-        f: &mut dyn FnMut(&[Option<Param>]),
-    ) -> usize {
-        let hash_first = self
-            .steps
-            .first()
-            .is_some_and(|s| s.strategy == StepStrategy::HashBuildProbe);
-        if threads < 2 || self.steps.len() < 2 || hash_first {
-            self.for_each_match_counting(total, delta, env, rows, f);
-            return 1;
-        }
-        // Enumerate the outer rows exactly as the sequential first step
-        // would: same selection, same residual checks, same examined-row
-        // accounting.
-        let first = &self.steps[0];
-        let db0 = if first.from_delta {
-            delta.expect("plan has a delta step but no delta database was given")
-        } else {
-            total
-        };
-        let pattern = first.template.pattern(env);
-        let mut matches = db0.select(first.template.pred, &pattern);
-        let mut outer: Vec<&Tuple> = Vec::new();
-        for tuple in matches.by_ref() {
-            for &(c, s) in &first.binders {
-                env[s] = Some(tuple[c]);
-            }
-            if first.checks.iter().all(|&(c, s)| env[s] == Some(tuple[c])) {
-                outer.push(tuple);
-            }
-        }
-        *rows += matches.examined();
-        for &(_, s) in &first.binders {
-            env[s] = None;
-        }
-
-        let tables = self.fresh_tables();
-        let workers = threads.min(outer.len());
-        if workers < 2 {
-            for &tuple in &outer {
-                for &(c, s) in &first.binders {
-                    env[s] = Some(tuple[c]);
-                }
-                self.run_step(1, total, delta, env, &tables, rows, f);
-            }
-            for &(_, s) in &first.binders {
-                env[s] = None;
-            }
-            return 1;
-        }
-        let base: Vec<Option<Param>> = env.to_vec();
-        let chunk = outer.len().div_ceil(workers);
-        let results = threadpool::parallel_map(workers, workers, |w| {
-            let lo = (w * chunk).min(outer.len());
-            let hi = ((w + 1) * chunk).min(outer.len());
-            let mut env = base.clone();
-            let mut local_rows = 0u64;
-            let mut hits: Vec<Vec<Option<Param>>> = Vec::new();
-            for &tuple in &outer[lo..hi] {
-                for &(c, s) in &first.binders {
-                    env[s] = Some(tuple[c]);
-                }
-                self.run_step(
-                    1,
-                    total,
-                    delta,
-                    &mut env,
-                    &tables,
-                    &mut local_rows,
-                    &mut |e| {
-                        hits.push(e.to_vec());
-                    },
-                );
-            }
-            (hits, local_rows)
-        });
-        for (hits, local_rows) in results {
-            *rows += local_rows;
-            for e in hits {
-                f(&e);
-            }
-        }
-        workers
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -748,7 +602,7 @@ impl ConjunctionPlan {
         total: &'a Database,
         delta: Option<&'a Database>,
         env: &mut [Option<Param>],
-        tables: &[OnceLock<HashTable<'a>>],
+        tables: &[OnceCell<HashTable<'a>>],
         rows: &mut u64,
         f: &mut dyn FnMut(&[Option<Param>]),
     ) {
@@ -764,10 +618,7 @@ impl ConjunctionPlan {
         if step.strategy == StepStrategy::HashBuildProbe {
             // Build once per plan execution (first visit), probe per
             // outer row. Bucket order follows the relation's set order,
-            // so enumeration stays deterministic. Under partitioned
-            // execution the first worker to arrive builds; the build's
-            // examined rows land in that worker's counter shard exactly
-            // once, keeping the merged total equal to the sequential one.
+            // so enumeration stays deterministic.
             let table = tables[i].get_or_init(|| {
                 let mut map = HashTable::new();
                 if let Some(rel) = db.relation(step.template.pred) {
@@ -1086,71 +937,6 @@ mod tests {
         let mut misses = 0;
         plan.for_each_match(&db, None, &mut env, &mut |_| misses += 1);
         assert_eq!(misses, 0, "t(a, b) has no two-step path");
-    }
-
-    #[test]
-    fn partitioned_probe_matches_sequential_bit_for_bit() {
-        // Skewed two-column join: the cost-based planner hashes step 1,
-        // and step 0's outer rows can be partitioned across workers.
-        let atoms = vec![atom("q(x, y)"), atom("big(x, y)")];
-        let mut total = Database::new();
-        for i in 0..64 {
-            total.insert(&atom(&format!("big(k{}, val{i})", i % 4)));
-            total.insert(&atom(&format!("q(k{}, val{i})", i % 4)));
-        }
-        let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile_with(&atoms, &mut slots, None, Some(&total));
-        assert_eq!(plan.steps()[1].strategy, StepStrategy::HashBuildProbe);
-        assert!(plan.steps()[1].parallel_eligible_at(32));
-        assert!(plan.parallel_eligible_at(32));
-        plan.ensure_indexes(&mut total, None);
-
-        let mut env = vec![None; slots.len()];
-        let mut seq_rows = 0;
-        let mut seq = Vec::new();
-        plan.for_each_match_counting(&total, None, &mut env, &mut seq_rows, &mut |e| {
-            seq.push(e.to_vec());
-        });
-        for threads in [1, 2, 3, 4, 64] {
-            let mut env = vec![None; slots.len()];
-            let mut rows = 0;
-            let mut got = Vec::new();
-            let used = plan.for_each_match_partitioned(
-                &total,
-                None,
-                &mut env,
-                threads,
-                &mut rows,
-                &mut |e| got.push(e.to_vec()),
-            );
-            assert_eq!(got, seq, "matches and their order at {threads} threads");
-            assert_eq!(rows, seq_rows, "examined rows at {threads} threads");
-            assert!(env.iter().all(Option::is_none), "environment restored");
-            assert!(used >= 1 && used <= threads.max(1));
-            if threads >= 2 {
-                assert!(used >= 2, "64 outer rows should engage workers");
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_handles_probe_only_plans() {
-        // A probe-only plan is never parallel-eligible (nothing to hash),
-        // but the partitioned entry point still answers it correctly.
-        let atoms = vec![atom("e(x, y)"), atom("e(y, z)")];
-        let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile(&atoms, &mut slots, None);
-        assert!(!plan.parallel_eligible_at(0));
-        let db = db(&["e(a, b)", "e(b, c)", "e(b, d)"]);
-        let mut env = vec![None; slots.len()];
-        let mut rows = 0;
-        let mut got = Vec::new();
-        let used = plan.for_each_match_partitioned(&db, None, &mut env, 4, &mut rows, &mut |e| {
-            got.push(e.to_vec())
-        });
-        assert_eq!(got.len(), 2);
-        assert_eq!(got, matches(&plan, &slots, &db));
-        assert_eq!(used, 3, "three outer rows cap the worker count");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! Seeded and deterministic: `EPILOG_CHAOS_SEED` picks the schedule,
 //! `EPILOG_CHAOS_CYCLES` scales the soak (default 100; the nightly CI
-//! leg runs it 10× across seeds and `EPILOG_THREADS`).
+//! leg runs it 10× across four seeds).
 
 use epilog::persist::wal::WAL_FILE;
 use epilog::prelude::*;

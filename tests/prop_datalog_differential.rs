@@ -16,7 +16,7 @@
 //! always equals a fresh from-scratch rebuild.
 
 use epilog::core::{prover_for, EpistemicDb, ModelUpdate};
-use epilog::datalog::{EvalOptions, EvalStats, PlannerMode, Program, RulePlan};
+use epilog::datalog::{PlannerMode, Program, RulePlan};
 use epilog::syntax::parse;
 use proptest::prelude::*;
 
@@ -99,7 +99,7 @@ proptest! {
     fn seminaive_matches_naive(src in program_text()) {
         let program = Program::from_text(&src).unwrap();
         let (fast_db, fast) = program.eval().unwrap();
-        let (slow_db, slow) = program.eval_naive().unwrap();
+        let (slow_db, slow) = program.fixpoint(false, PlannerMode::CostBased, None).unwrap();
         prop_assert_eq!(&fast_db, &slow_db, "models differ on:\n{}", src);
         // Empty-delta variants are skipped, so the compiled semi-naive
         // engine never runs more join plans than the naive ablation.
@@ -127,14 +127,14 @@ proptest! {
     #[test]
     fn cost_based_planner_matches_greedy(src in program_text()) {
         let program = Program::from_text(&src).unwrap();
-        let (cost_db, cost) = program.eval_with(true, PlannerMode::CostBased).unwrap();
-        let (greedy_db, greedy) = program.eval_with(true, PlannerMode::Greedy).unwrap();
+        let (cost_db, cost) = program.fixpoint(true, PlannerMode::CostBased, None).unwrap();
+        let (greedy_db, greedy) = program.fixpoint(true, PlannerMode::Greedy, None).unwrap();
         prop_assert_eq!(&cost_db, &greedy_db, "planners disagree on:\n{}", src);
         prop_assert_eq!(cost.rule_firings, greedy.rule_firings, "on:\n{}", src);
         prop_assert_eq!(cost.derivations, greedy.derivations, "on:\n{}", src);
         prop_assert_eq!(greedy.hash_steps, 0, "the seed planner must never hash");
         // Both agree with the naive ablation as well.
-        let (naive_db, _) = program.eval_with(false, PlannerMode::Greedy).unwrap();
+        let (naive_db, _) = program.fixpoint(false, PlannerMode::Greedy, None).unwrap();
         prop_assert_eq!(&cost_db, &naive_db, "cost vs naive on:\n{}", src);
         // Skipped-variant accounting: skipped + fired delta variants are
         // disjoint, so the disambiguated counters never double-count.
@@ -152,7 +152,7 @@ proptest! {
         src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
         let program = Program::from_text(&src).unwrap();
         let (db, fast) = program.eval().unwrap();
-        let (db2, slow) = program.eval_naive().unwrap();
+        let (db2, slow) = program.fixpoint(false, PlannerMode::CostBased, None).unwrap();
         prop_assert_eq!(&db, &db2);
         let t = epilog::syntax::Pred::new("t", 2);
         prop_assert_eq!(db.relation(t).unwrap().len(), n * (n + 1) / 2);
@@ -212,41 +212,6 @@ proptest! {
         prop_assert_eq!(db.prover().atom_model(), scratch.atom_model());
     }
 
-    /// Parallel evaluation is invisible except in wall-clock time: on
-    /// randomized stratified programs (negation included), a 4-thread run
-    /// with the work-size thresholds zeroed — so rule-variant fan-out and
-    /// partitioned hash probes engage even on toy inputs — produces the
-    /// identical model and identical merged counters to the 1-thread
-    /// sequential run. Thread-local stat shards merge order-independently.
-    #[test]
-    fn parallel_eval_matches_sequential(src in program_text()) {
-        fn opts(threads: usize) -> EvalOptions {
-            EvalOptions {
-                threads,
-                par_fanout_min_rows: 0,
-                par_probe_min_outer: 0,
-                ..EvalOptions::default()
-            }
-        }
-        /// Everything but the parallelism observables themselves.
-        fn scrubbed(mut s: EvalStats) -> EvalStats {
-            s.parallel_rounds = 0;
-            s.threads_used = 0;
-            s
-        }
-        let program = Program::from_text(&src).unwrap();
-        let (seq_db, seq) = program.eval_opts(opts(1)).unwrap();
-        let (par_db, par) = program.eval_opts(opts(4)).unwrap();
-        prop_assert_eq!(&par_db, &seq_db, "thread counts disagree on:\n{}", src);
-        prop_assert_eq!(par.derivations, seq.derivations, "on:\n{}", src);
-        prop_assert_eq!(par.rule_firings, seq.rule_firings, "on:\n{}", src);
-        prop_assert_eq!(par.variants_skipped, seq.variants_skipped, "on:\n{}", src);
-        prop_assert_eq!(par.rows_examined, seq.rows_examined, "on:\n{}", src);
-        prop_assert_eq!(scrubbed(par), scrubbed(seq), "merged stats on:\n{}", src);
-        prop_assert_eq!(seq.parallel_rounds, 0, "1 thread must stay sequential");
-        prop_assert_eq!(seq.threads_used, 0);
-    }
-
     /// Plan re-costing is a pure performance knob: resuming the fixpoint
     /// with plans costed against the **stale** (pre-growth) model and
     /// with plans re-costed against the **current** model must produce
@@ -284,10 +249,10 @@ proptest! {
             .map(|r| RulePlan::compile_with_stats(r, Some(&oracle)))
             .collect();
         let (stale_db, stale_stats) = grown
-            .eval_incremental_with(&stale, model.clone(), &new_facts)
+            .grow(&stale, model.clone(), &new_facts, None)
             .unwrap();
         let (fresh_db, fresh_stats) = grown
-            .eval_incremental_with(&fresh, model, &new_facts)
+            .grow(&fresh, model, &new_facts, None)
             .unwrap();
         prop_assert_eq!(&stale_db, &fresh_db, "stale vs re-costed on:\n{}", grown_src);
         prop_assert_eq!(&stale_db, &oracle, "resume vs oracle on:\n{}", grown_src);

@@ -6,7 +6,7 @@
 
 use epilog::core::EpistemicDb;
 use epilog::datalog::provenance::params_of;
-use epilog::datalog::{EvalOptions, EvalStats, Program, RulePlan, SupportTable};
+use epilog::datalog::{EvalStats, PlannerMode, Program, RulePlan, SupportTable};
 use epilog::syntax::parse;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -99,7 +99,7 @@ proptest! {
         let (plain_db, plain) = program.eval().unwrap();
         let mut table = SupportTable::new();
         let (traced_db, traced) = program
-            .eval_traced(EvalOptions::default(), &mut table)
+            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
             .unwrap();
         prop_assert_eq!(&traced_db, &plain_db, "tracing changed the model on:\n{}", src);
         prop_assert_eq!(scrub(traced), scrub(plain), "on:\n{}", src);
@@ -116,7 +116,7 @@ proptest! {
         let program = Program::from_text(&src).unwrap();
         let mut table = SupportTable::new();
         let (model, _) = program
-            .eval_traced(EvalOptions::default(), &mut table)
+            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
             .unwrap();
         prop_assert!(table.consistent_with(&model, program.rules.len()));
         for atom in model.atoms() {
@@ -180,7 +180,7 @@ proptest! {
             .edb;
 
         let mut table = SupportTable::new();
-        let (model, _) = full.eval_traced(EvalOptions::default(), &mut table).unwrap();
+        let (model, _) = full.fixpoint(true, PlannerMode::CostBased, Some(&mut table)).unwrap();
         let plans: Vec<RulePlan> = post
             .rules
             .iter()
@@ -188,10 +188,10 @@ proptest! {
             .collect();
 
         let (plain_db, plain) = post
-            .eval_decremental_with(&plans, model.clone(), &removed_facts)
+            .shrink(&plans, model.clone(), &removed_facts, None)
             .unwrap();
         let (traced_db, traced) = post
-            .eval_decremental_traced(&plans, model, &removed_facts, &mut table)
+            .shrink(&plans, model, &removed_facts, Some(&mut table))
             .unwrap();
         let (oracle, _) = post.eval().unwrap();
 

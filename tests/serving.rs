@@ -25,8 +25,7 @@
 //! The commit stream is seeded (deterministic op sequence; only the
 //! batching and interleaving vary between runs). `EPILOG_SOAK_COMMITS`
 //! scales the stream length (default 96) for the nightly deep-fuzz CI
-//! leg, and the `EPILOG_THREADS` matrix exercises the engine's internal
-//! parallelism underneath the concurrent readers.
+//! leg.
 
 use epilog::prelude::*;
 use std::collections::HashMap;
