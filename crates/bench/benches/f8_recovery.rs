@@ -8,7 +8,8 @@
 //!    baseline (the log append is a buffered sequential write); `Always`
 //!    pays one `fdatasync` per commit — the floor of real durability.
 //! 2. **What does recovery cost?** `recover` from a snapshot at the log
-//!    head vs full replay from genesis, at growing commit counts. Replay
+//!    head vs full replay from genesis (the same directory without that
+//!    snapshot), at growing commit counts. Replay
 //!    re-runs every commit through the real transaction path, so it grows
 //!    with history length; snapshot-load grows only with *state* size —
 //!    the gap is the reason snapshots and `compact()` exist.
@@ -16,7 +17,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epilog_bench::workloads::{durable_registrar, enrollment_batch, registrar_db};
 use epilog_core::prover_for;
-use epilog_persist::{DurableDb, FsyncPolicy, RecoveryOptions};
+use epilog_persist::wal::WAL_FILE;
+use epilog_persist::{DurableDb, FsyncPolicy, Snapshot};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -111,20 +113,22 @@ fn bench(c: &mut Criterion) {
                 db
             })
         });
+        // The baseline as a directory presents it: every snapshot but the
+        // genesis one gone, so recovery has the whole log to replay.
+        let genesis_only = temp_dir(&format!("replay-{n}"));
+        std::fs::create_dir_all(&genesis_only).unwrap();
+        for file in [WAL_FILE.to_string(), Snapshot::file_name(0)] {
+            let _ = std::fs::copy(dir.join(&file), genesis_only.join(&file)).unwrap();
+        }
         g.bench_with_input(BenchmarkId::new("recover_full_replay", n), &n, |b, &n| {
             b.iter(|| {
-                let (db, report) = DurableDb::recover_with(
-                    &dir,
-                    FsyncPolicy::Never,
-                    RecoveryOptions {
-                        use_latest_snapshot: false,
-                    },
-                )
-                .unwrap();
+                let (db, report) = DurableDb::recover(&genesis_only, FsyncPolicy::Never).unwrap();
+                assert_eq!(report.snapshot_lsn, Some(0));
                 assert_eq!(report.records_replayed as usize, n + 2);
                 db
             })
         });
+        std::fs::remove_dir_all(&genesis_only).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
     g.finish();

@@ -299,28 +299,53 @@ impl IncrementalChecker {
     }
 
     /// Check an update: `prover` must already include the new fact.
-    /// Returns the first violated constraint, if any. Single-fact case of
-    /// [`IncrementalChecker::check_batch_with_stats`], which documents
-    /// the routing and its soundness precondition.
+    /// Returns the first violated constraint, if any. The single-fact,
+    /// no-removal case of [`IncrementalChecker::check_batch_with_removals`]
+    /// (which documents the routing and its soundness precondition), with
+    /// the dependency graph derived from the prover's theory on the spot.
     pub fn check_update(&self, prover: &Prover, fact: &Atom) -> Option<&CompiledConstraint> {
-        self.check_batch_with_stats(prover, &[fact], &mut CheckStats::default())
+        self.check_batch_with_removals(
+            prover,
+            &[fact],
+            &[],
+            &RuleGraph::new(prover.theory()),
+            &mut CheckStats::default(),
+        )
     }
 
-    /// Check a batch of asserted ground facts (`prover` must already
-    /// include them all), routing each constraint **once** for the whole
-    /// batch. Returns the first violated constraint, if any.
+    /// Check a batch: `facts` are the asserted ground facts (`prover`
+    /// must already include them all) and `removed` the atoms the update
+    /// erased *from the attached least model* — the exact model diff,
+    /// derived consequences included, not merely the retracted
+    /// extensional facts. Each constraint is routed **once** for the
+    /// whole batch. Returns the first violated constraint, if any.
     ///
     /// Per constraint, the route is chosen by the **rule dependency
-    /// graph** of the prover's theory (not by the blunt "any rules
-    /// present" test): if no rule chain leads from any updated predicate
-    /// to one of the constraint's trigger predicates, the asserted facts
-    /// are the only new trigger-relevant atoms and the Nicolas-style
-    /// specialization is exact — the constraint is checked on the
-    /// violation instances of the facts whose predicate triggers it. If
-    /// such a chain exists, the update may derive trigger atoms beyond
-    /// the facts themselves and the constraint is re-checked in full
-    /// (once, not per fact). Constraints the batch cannot reach at all
-    /// are skipped.
+    /// graph** (not by the blunt "any rules present" test): if no rule
+    /// chain leads from any updated predicate to one of the constraint's
+    /// trigger predicates, the asserted facts are the only new
+    /// trigger-relevant atoms and the Nicolas-style specialization is
+    /// exact — the constraint is checked on the violation instances of
+    /// the facts whose predicate triggers it. If such a chain exists, the
+    /// update may derive trigger atoms beyond the facts themselves and
+    /// the constraint is re-checked in full (once, not per fact).
+    /// Constraints the batch cannot reach at all are skipped.
+    ///
+    /// The removal side mirrors it. A removal can newly violate a
+    /// constraint only by making one of its *negated* conjuncts true, so
+    /// a constraint is specialized when an asserted predicate hits a
+    /// positive trigger or a removed predicate hits a negative trigger,
+    /// and checked on the union of both kinds of violation instances. No
+    /// dependency-graph fallback exists on the removal side: because
+    /// `removed` is the exact model diff, a derived trigger atom that
+    /// disappeared is itself in the list — the graph is only consulted
+    /// for what *assertions* might derive beyond themselves.
+    ///
+    /// `graph` must be the dependency graph of the prover's theory's rule
+    /// set; the caller supplies it so that one cached across commits
+    /// (rules change rarely; facts change constantly) is not re-derived
+    /// per commit — `EpistemicDb` maintains exactly that invariant by
+    /// rebuilding its cache on rule-changing commits.
     ///
     /// **Soundness precondition**: every *non-rule* sentence of the
     /// theory is a ground atom (the definite shape). A disjunction like
@@ -328,46 +353,6 @@ impl IncrementalChecker {
     /// asserted without any rule edge from `p` to `emp` — the dependency
     /// graph cannot see that, so such theories must use
     /// [`IncrementalChecker::check_full`] instead.
-    pub fn check_batch_with_stats(
-        &self,
-        prover: &Prover,
-        facts: &[&Atom],
-        stats: &mut CheckStats,
-    ) -> Option<&CompiledConstraint> {
-        self.check_batch_routed(prover, facts, &RuleGraph::new(prover.theory()), stats)
-    }
-
-    /// [`IncrementalChecker::check_batch_with_stats`] with the rule
-    /// dependency graph supplied by the caller, so a graph cached across
-    /// commits (rules change rarely; facts change constantly) is not
-    /// re-derived per commit. `graph` must be the dependency graph of the
-    /// prover's theory's rule set — `EpistemicDb` maintains exactly that
-    /// invariant by rebuilding its cache on rule-changing commits.
-    pub fn check_batch_routed(
-        &self,
-        prover: &Prover,
-        facts: &[&Atom],
-        graph: &RuleGraph,
-        stats: &mut CheckStats,
-    ) -> Option<&CompiledConstraint> {
-        self.check_batch_with_removals(prover, facts, &[], graph, stats)
-    }
-
-    /// [`IncrementalChecker::check_batch_routed`] for a **mixed** batch:
-    /// `facts` are the asserted ground facts and `removed` the atoms the
-    /// update erased *from the attached least model* — the exact model
-    /// diff, derived consequences included, not merely the retracted
-    /// extensional facts.
-    ///
-    /// The routing mirrors the assertion side. A removal can newly
-    /// violate a constraint only by making one of its *negated* conjuncts
-    /// true, so a constraint is specialized when an asserted predicate
-    /// hits a positive trigger or a removed predicate hits a negative
-    /// trigger, and checked on the union of both kinds of violation
-    /// instances. No dependency-graph fallback exists on the removal
-    /// side: because `removed` is the exact model diff, a derived trigger
-    /// atom that disappeared is itself in the list — the graph is only
-    /// consulted for what *assertions* might derive beyond themselves.
     pub fn check_batch_with_removals(
         &self,
         prover: &Prover,
@@ -616,7 +601,13 @@ mod tests {
             Prover::new(Theory::from_text("emp(Mary)\nss(Mary, n1)\nhobby(Mary, chess)").unwrap());
         let mut stats = CheckStats::default();
         assert!(ck
-            .check_batch_with_stats(&prover, &[&ga("hobby(Mary, chess)")], &mut stats)
+            .check_batch_with_removals(
+                &prover,
+                &[&ga("hobby(Mary, chess)")],
+                &[],
+                &RuleGraph::new(prover.theory()),
+                &mut stats,
+            )
             .is_none());
         assert_eq!(stats.skipped, 2, "no constraint triggers on hobby");
         assert_eq!(stats.specialized + stats.full, 0);
@@ -698,14 +689,26 @@ mod tests {
         // of the emp constraint (hired → emp is a trigger chain):
         let mut stats = CheckStats::default();
         assert!(ck
-            .check_batch_with_stats(&prover, &[&ga("hired(Sue)")], &mut stats)
+            .check_batch_with_removals(
+                &prover,
+                &[&ga("hired(Sue)")],
+                &[],
+                &RuleGraph::new(prover.theory()),
+                &mut stats,
+            )
             .is_some());
         assert!(stats.full >= 1, "rule chain must force a full check");
         // Keyed on the trigger predicate itself, the specialization still
         // applies (nothing derives emp *from* emp):
         let mut stats = CheckStats::default();
         assert!(ck
-            .check_batch_with_stats(&prover, &[&ga("emp(Sue)")], &mut stats)
+            .check_batch_with_removals(
+                &prover,
+                &[&ga("emp(Sue)")],
+                &[],
+                &RuleGraph::new(prover.theory()),
+                &mut stats,
+            )
             .is_some());
         assert_eq!(stats.full, 0, "emp is not rule-derivable from emp");
         assert!(stats.specialized >= 1);
@@ -724,7 +727,13 @@ mod tests {
         );
         let mut stats = CheckStats::default();
         assert!(ck
-            .check_batch_with_stats(&prover, &[&ga("emp(Sue)")], &mut stats)
+            .check_batch_with_removals(
+                &prover,
+                &[&ga("emp(Sue)")],
+                &[],
+                &RuleGraph::new(prover.theory()),
+                &mut stats,
+            )
             .is_none());
         assert_eq!(
             stats.full, 0,
@@ -747,7 +756,13 @@ mod tests {
             Theory::from_text("ss(Mary, n1)\nforall x, y. ss(x, y) -> ss(y, x)").unwrap(),
         );
         let mut stats = CheckStats::default();
-        ck.check_batch_with_stats(&prover, &[&ga("ss(Mary, n1)")], &mut stats);
+        ck.check_batch_with_removals(
+            &prover,
+            &[&ga("ss(Mary, n1)")],
+            &[],
+            &RuleGraph::new(prover.theory()),
+            &mut stats,
+        );
         assert_eq!(stats.full, 1, "ss reaches ss through the symmetry rule");
     }
 
@@ -769,7 +784,13 @@ mod tests {
             "premise: engine evaluates it"
         );
         let mut stats = CheckStats::default();
-        let hit = ck.check_batch_with_stats(&prover, &[&ga("p(a)")], &mut stats);
+        let hit = ck.check_batch_with_removals(
+            &prover,
+            &[&ga("p(a)")],
+            &[],
+            &RuleGraph::new(prover.theory()),
+            &mut stats,
+        );
         assert!(hit.is_some(), "q(a) is derived, violating the prohibition");
         assert_eq!(stats.full, 1, "p reaches q through the engine-only rule");
     }
@@ -859,7 +880,7 @@ mod tests {
 
     #[test]
     fn empty_removals_match_the_assert_only_route_exactly() {
-        // check_batch_routed delegates with no removals: identical stats.
+        // A graph derived on the spot routes like the caller's cached one.
         let ck = checker();
         let prover = Prover::new(
             Theory::from_text("emp(Mary)\nss(Mary, n1)\nemp(Sue)\nss(Sue, n2)").unwrap(),
@@ -867,7 +888,13 @@ mod tests {
         let graph = RuleGraph::new(prover.theory());
         let (mut a, mut b) = (CheckStats::default(), CheckStats::default());
         let via_routed = ck
-            .check_batch_routed(&prover, &[&ga("emp(Sue)")], &graph, &mut a)
+            .check_batch_with_removals(
+                &prover,
+                &[&ga("emp(Sue)")],
+                &[],
+                &RuleGraph::new(prover.theory()),
+                &mut a,
+            )
             .is_some();
         let via_removals = ck
             .check_batch_with_removals(&prover, &[&ga("emp(Sue)")], &[], &graph, &mut b)

@@ -16,6 +16,25 @@
 //!   truncates — by the fsync policy's contract that transaction had not
 //!   been acknowledged as durable.
 //!
+//! **What a failed step leaves.** The sequence is written here and
+//! nowhere else — [`ServingDb`](crate::ServingDb)'s writer thread owns a
+//! `DurableDb` and commits through it — and a step's error says how it
+//! ended:
+//!
+//! * [`PersistError::Db`] — the database refused; log and state are as
+//!   they were (a refused *constraint* was logged first: its record is
+//!   rewound);
+//! * [`PersistError::Io`] — the append failed and the log is back at its
+//!   pre-append mark: this operation alone failed;
+//! * [`PersistError::Corrupt`] — the rewind that compensates for either
+//!   failed too, or a [`DurableDb::sync`] failed: the log can no longer
+//!   be trusted to end where its accounting says, and a record appended
+//!   now could sit behind a gap recovery cuts at. The `DurableDb` cuts
+//!   the file back through a fresh handle (best effort) and **refuses
+//!   every further mutation** with `Corrupt`, while queries through
+//!   `Deref` keep answering; [`DurableDb::recover`] on the directory,
+//!   which reads what the disk really holds, is the way back.
+//!
 //! **Recovery replays the real commit path.** [`DurableDb::recover`] loads
 //! the newest valid snapshot (falling back across corrupt ones, and to
 //! genesis when none survive) and replays every log record past its LSN
@@ -23,7 +42,9 @@
 //! its constraints and rebuilds (or, with a snapshot-restored model,
 //! resumes) the incremental model exactly as the live path would.
 //! `tests/prop_persist.rs` pins this: crash anywhere, recover, and the
-//! state equals an in-memory oracle that applied the surviving prefix.
+//! state equals an in-memory oracle that applied the surviving prefix —
+//! under seeded fault schedules too: what answered `Ok` is there, what
+//! answered `Err` is not.
 
 use crate::fault::FaultInjector;
 use crate::snapshot::{Snapshot, SnapshotError};
@@ -46,7 +67,8 @@ pub enum PersistError {
     /// ill-formed sentence, …) — state and log are unchanged.
     Db(DbError),
     /// A file exists but cannot be trusted (bad checksum, bad framing,
-    /// inconsistent contents).
+    /// inconsistent contents) — or a live [`DurableDb`]'s log cannot and
+    /// it refuses writes until recovered (module docs).
     Corrupt(String),
 }
 
@@ -79,23 +101,6 @@ impl From<SnapshotError> for PersistError {
         match e {
             SnapshotError::Io(e) => PersistError::Io(e),
             SnapshotError::Corrupt(why) => PersistError::Corrupt(why),
-        }
-    }
-}
-
-/// Options for [`DurableDb::recover_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryOptions {
-    /// Start from the newest valid snapshot (default). When `false`,
-    /// recovery starts from the *genesis* snapshot and replays the whole
-    /// log — the baseline the `f8_recovery` bench compares against.
-    pub use_latest_snapshot: bool,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        RecoveryOptions {
-            use_latest_snapshot: true,
         }
     }
 }
@@ -171,8 +176,70 @@ pub struct CompactStats {
 /// [`DurableDb::add_constraint`] so the log stays ahead of the state.
 pub struct DurableDb {
     db: EpistemicDb,
-    wal: Wal,
+    log: Log,
     dir: PathBuf,
+}
+
+/// The log a durable step writes to, and whether it can still be trusted
+/// to end where its accounting says (see the module docs).
+struct Log {
+    wal: Wal,
+    /// Why not, once a compensation or a sync has failed.
+    untrusted: Option<String>,
+}
+
+impl Log {
+    fn trusted(&self) -> Result<(), PersistError> {
+        match &self.untrusted {
+            None => Ok(()),
+            Some(why) => Err(PersistError::Corrupt(why.clone())),
+        }
+    }
+
+    /// Stop trusting the log (the first reason given stays).
+    fn distrust(&mut self, why: String) -> PersistError {
+        PersistError::Corrupt(self.untrusted.get_or_insert(why).clone())
+    }
+
+    /// Append one record, or leave the log at its pre-append mark (a
+    /// torn prefix would corrupt every later record).
+    fn append(&mut self, ops: &[WalOp]) -> Result<u64, PersistError> {
+        self.trusted()?;
+        let mark = self.wal.mark();
+        let appended = self.wal.append(ops);
+        appended.map_err(|e| self.compensate(mark, PersistError::Io(e)))
+    }
+
+    /// Put the log back at `mark` after `failed` — which stays the
+    /// answer unless the rewind fails too.
+    fn compensate(&mut self, mark: (u64, u64), failed: PersistError) -> PersistError {
+        match self.rewind(mark) {
+            Ok(()) => failed,
+            Err(e) => self.distrust(format!(
+                "{failed}, and the log rewind failed ({e}); recover the directory"
+            )),
+        }
+    }
+
+    /// [`Wal::rewind`]; if the log's own handle (or its injector) cannot,
+    /// cut the file through a fresh one, best effort: nothing past the
+    /// mark was acknowledged, and a later crash must not replay it.
+    fn rewind(&mut self, mark: (u64, u64)) -> io::Result<()> {
+        let rewound = self.wal.rewind(mark.0, mark.1);
+        if rewound.is_err() {
+            let _ = Wal::truncate_after(self.wal.path(), mark.1 - 1);
+        }
+        rewound
+    }
+
+    fn sync(&mut self) -> Result<(), PersistError> {
+        self.trusted()?;
+        let synced = self.wal.sync();
+        synced.map_err(|e| {
+            let _ = self.distrust(format!("log sync failed ({e}); recover the directory"));
+            PersistError::Io(e)
+        })
+    }
 }
 
 impl Deref for DurableDb {
@@ -204,7 +271,11 @@ impl DurableDb {
         let db = EpistemicDb::new(theory);
         let _ = Snapshot::of(&db, 0, true).write(&dir)?;
         let wal = Wal::create(dir.join(WAL_FILE), policy)?;
-        Ok(DurableDb { db, wal, dir })
+        let log = Log {
+            wal,
+            untrusted: None,
+        };
+        Ok(DurableDb { db, log, dir })
     }
 
     /// Rebuild the database from `dir`: newest valid snapshot + replay of
@@ -212,15 +283,6 @@ impl DurableDb {
     pub fn recover(
         dir: impl AsRef<Path>,
         policy: FsyncPolicy,
-    ) -> Result<(DurableDb, RecoveryReport), PersistError> {
-        DurableDb::recover_with(dir, policy, RecoveryOptions::default())
-    }
-
-    /// [`DurableDb::recover`] with explicit [`RecoveryOptions`].
-    pub fn recover_with(
-        dir: impl AsRef<Path>,
-        policy: FsyncPolicy,
-        options: RecoveryOptions,
     ) -> Result<(DurableDb, RecoveryReport), PersistError> {
         let dir = dir.as_ref().to_path_buf();
         // Whatever a crash between a temp file's creation and its rename
@@ -230,13 +292,11 @@ impl DurableDb {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
             _ => {}
         }
-        let mut snaps = Snapshot::list(&dir)?;
-        if options.use_latest_snapshot {
-            snaps.reverse(); // try newest first
-        }
+        let snaps = Snapshot::list(&dir)?;
         let mut snapshots_skipped = 0u32;
         let mut base: Option<Snapshot> = None;
-        for (_, path) in &snaps {
+        // Newest first.
+        for (_, path) in snaps.iter().rev() {
             match Snapshot::load(path) {
                 Ok(s) => {
                     base = Some(s);
@@ -276,7 +336,11 @@ impl DurableDb {
         }
         wal.bump_next_lsn(from + 1);
         report.last_lsn = wal.last_lsn();
-        Ok((DurableDb { db, wal, dir }, report))
+        let log = Log {
+            wal,
+            untrusted: None,
+        };
+        Ok((DurableDb { db, log, dir }, report))
     }
 
     /// Open a durable transaction: the durable twin of
@@ -284,7 +348,7 @@ impl DurableDb {
     pub fn transaction(&mut self) -> DurableTransaction<'_> {
         DurableTransaction {
             txn: self.db.transaction(),
-            wal: &mut self.wal,
+            log: &mut self.log,
         }
     }
 
@@ -304,7 +368,7 @@ impl DurableDb {
     /// storage-fault testing; zero-cost when never installed. The
     /// injector rides along into [`crate::ServingDb::start`].
     pub fn set_fault_injector(&mut self, injector: Option<Arc<FaultInjector>>) {
-        self.wal.set_fault_injector(injector);
+        self.log.wal.set_fault_injector(injector);
     }
 
     /// Register an integrity constraint, durably. Log-before-apply with
@@ -312,27 +376,19 @@ impl DurableDb {
     /// a refusal (constraint violated by the current state) rewinds the
     /// log so no rejected record survives.
     pub fn add_constraint(&mut self, ic: Formula) -> Result<(), PersistError> {
-        let mark = self.wal.mark();
-        if let Err(e) = self.wal.append(&[WalOp::Constraint(ic.clone())]) {
-            let _ = self.wal.rewind(mark.0, mark.1);
-            return Err(e.into());
-        }
-        match self.db.add_constraint(ic) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.wal.rewind(mark.0, mark.1)?;
-                Err(e.into())
-            }
-        }
+        let mark = self.log.wal.mark();
+        let _ = self.log.append(&[WalOp::Constraint(ic.clone())])?;
+        let added = self.db.add_constraint(ic);
+        added.map_err(|refused| self.log.compensate(mark, PersistError::Db(refused)))
     }
 
     /// Write a snapshot of the current state at the current LSN. The log
     /// is synced first so the snapshot never claims records the disk does
     /// not hold. Returns the snapshot's LSN.
     pub fn snapshot(&mut self) -> Result<u64, PersistError> {
-        self.wal.sync()?;
-        let lsn = self.wal.last_lsn();
-        let injector = self.wal.fault_injector();
+        self.log.sync()?;
+        let lsn = self.log.wal.last_lsn();
+        let injector = self.log.wal.fault_injector();
         let _ = Snapshot::of(&self.db, lsn, true).write_with(&self.dir, injector.as_deref())?;
         Ok(lsn)
     }
@@ -342,7 +398,7 @@ impl DurableDb {
     /// snapshot-load + short-tail-replay.
     pub fn compact(&mut self) -> Result<CompactStats, PersistError> {
         let snapshot_lsn = self.snapshot()?;
-        let (records_dropped, bytes_reclaimed) = self.wal.compact_through(snapshot_lsn)?;
+        let (records_dropped, bytes_reclaimed) = self.log.wal.compact_through(snapshot_lsn)?;
         let mut snapshots_removed = 0;
         for (lsn, path) in Snapshot::list(&self.dir)? {
             if lsn < snapshot_lsn {
@@ -359,16 +415,18 @@ impl DurableDb {
     }
 
     /// Force buffered log records to stable storage (a durability point
-    /// under `FsyncPolicy::Batch`/`Never`).
+    /// under `FsyncPolicy::Batch`/`Never`). A failed sync says nothing
+    /// about which records the disk holds: the database refuses writes
+    /// from then on (module docs).
     pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.wal.sync().map_err(PersistError::Io)
+        self.log.sync()
     }
 
     /// Number of committed records not yet covered by an fsync — the
     /// loss window a crash (not a clean drop, which flushes) would
     /// open under `FsyncPolicy::Batch`/`Never`.
     pub fn pending_unsynced(&self) -> u32 {
-        self.wal.pending_unsynced()
+        self.log.wal.pending_unsynced()
     }
 
     /// The wrapped in-memory database (also reachable through `Deref`).
@@ -383,23 +441,50 @@ impl DurableDb {
 
     /// LSN of the last committed durable operation.
     pub fn last_lsn(&self) -> u64 {
-        self.wal.last_lsn()
+        self.log.wal.last_lsn()
     }
 
     /// Number of records currently in the log.
     pub fn wal_records(&self) -> u64 {
-        self.wal.records()
+        self.log.wal.records()
     }
 
     /// Current log size in bytes.
     pub fn wal_bytes(&self) -> u64 {
-        self.wal.len_bytes()
+        self.log.wal.len_bytes()
     }
 
-    /// Decompose into `(db, wal, dir)` — the serving layer's writer
-    /// thread takes ownership of the pieces directly.
-    pub(crate) fn into_parts(self) -> (EpistemicDb, Wal, PathBuf) {
-        (self.db, self.wal, self.dir)
+    /// Why this database refuses writes until its directory is recovered
+    /// again (`None`: it does not).
+    pub(crate) fn untrusted(&self) -> Option<&str> {
+        self.log.untrusted.as_deref()
+    }
+
+    /// Where the log stands now, for a later [`DurableDb::roll_back`].
+    pub(crate) fn mark(&self) -> (u64, u64) {
+        self.log.wal.mark()
+    }
+
+    /// Put the log and the state back where they stood at `mark` (`db`
+    /// is the state as of then): the group-commit writer's roll-back of a
+    /// batch it can no longer acknowledge.
+    pub(crate) fn roll_back(&mut self, mark: (u64, u64), db: EpistemicDb) {
+        if let Err(e) = self.log.rewind(mark) {
+            let _ = self.log.distrust(format!("log roll-back failed ({e})"));
+        }
+        self.db = db;
+    }
+
+    pub(crate) fn enable_provenance(&mut self) {
+        self.db.enable_provenance();
+    }
+
+    pub(crate) fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
+        self.log.wal.fault_injector()
+    }
+
+    pub(crate) fn set_fsync_policy(&mut self, policy: FsyncPolicy) {
+        self.log.wal.set_policy(policy);
     }
 }
 
@@ -435,7 +520,7 @@ fn replay_record(db: &mut EpistemicDb, ops: &[WalOp]) -> Result<(), DbError> {
 #[must_use = "a durable transaction does nothing until commit() — dropping it discards the batch"]
 pub struct DurableTransaction<'db> {
     txn: Transaction<'db>,
-    wal: &'db mut Wal,
+    log: &'db mut Log,
 }
 
 impl DurableTransaction<'_> {
@@ -461,10 +546,11 @@ impl DurableTransaction<'_> {
     /// Discard the batch (log and state untouched).
     pub fn rollback(self) {}
 
-    /// Validate, log, then apply (see the module docs for the protocol).
-    /// No-op batches commit without touching the log; refused batches
-    /// leave neither state nor log changed.
+    /// Validate, log, then apply (see the module docs for the protocol
+    /// and what each error leaves). No-op batches commit without touching
+    /// the log; refused batches leave neither state nor log changed.
     pub fn commit(self) -> Result<CommitReport, PersistError> {
+        self.log.trusted()?;
         let prepared = self.txn.prepare()?;
         if prepared.is_noop() {
             return Ok(prepared.commit());
@@ -473,13 +559,7 @@ impl DurableTransaction<'_> {
             Vec::with_capacity(prepared.added().len() + prepared.removed().len());
         ops.extend(prepared.removed().iter().cloned().map(WalOp::Retract));
         ops.extend(prepared.added().iter().cloned().map(WalOp::Assert));
-        let mark = self.wal.mark();
-        if let Err(e) = self.wal.append(&ops) {
-            // A failed append can leave a torn prefix that would corrupt
-            // every later record; rewind (best effort) before reporting.
-            let _ = self.wal.rewind(mark.0, mark.1);
-            return Err(e.into());
-        }
+        let _ = self.log.append(&ops)?;
         Ok(prepared.commit())
     }
 }
@@ -487,6 +567,7 @@ impl DurableTransaction<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
     use epilog_core::Answer;
     use epilog_syntax::parse;
 
@@ -621,18 +702,18 @@ mod tests {
         assert!(report.model_restored, "definite theory: model in snapshot");
         assert_eq!(report.records_replayed, 1);
         assert_eq!(rec.theory(), &live_theory);
-        // …full replay from genesis reaches the same state.
-        let (full, report) = DurableDb::recover_with(
-            &d,
-            FsyncPolicy::Never,
-            RecoveryOptions {
-                use_latest_snapshot: false,
-            },
-        )
-        .unwrap();
+        // …full replay reaches the same state: what recovery does with
+        // a directory that holds the log and the genesis snapshot only.
+        let genesis_only = dir();
+        std::fs::create_dir_all(&genesis_only).unwrap();
+        for file in [WAL_FILE.to_string(), Snapshot::file_name(0)] {
+            let _ = std::fs::copy(d.join(&file), genesis_only.join(&file)).unwrap();
+        }
+        let (full, report) = DurableDb::recover(&genesis_only, FsyncPolicy::Never).unwrap();
         assert_eq!(report.snapshot_lsn, Some(0));
         assert_eq!(report.records_replayed, 4);
         assert_same_state(full.db(), rec.db());
+        std::fs::remove_dir_all(genesis_only).unwrap();
         // Compaction drops the covered prefix but preserves the state.
         let mut rec = rec;
         let stats = rec.compact().unwrap();
@@ -772,6 +853,116 @@ mod tests {
         assert_eq!(rec.prover().atom_model().cloned(), live_model);
         assert_eq!(rec.ask(&f("K t(a, b)")), Answer::Yes);
         assert_eq!(rec.ask(&f("K t(a, c)")), Answer::No);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    /// A one-record database with a scripted injector installed.
+    fn injected(d: &Path, policy: FsyncPolicy) -> (DurableDb, Arc<FaultInjector>) {
+        let mut db = DurableDb::create(d, Theory::empty(), policy).unwrap();
+        db.assert(f("emp(Mary)")).unwrap();
+        let inj = Arc::new(FaultInjector::new(7));
+        db.set_fault_injector(Some(Arc::clone(&inj)));
+        (db, inj)
+    }
+
+    /// Acknowledged == durable, read off the disk: recovery sees an
+    /// untorn log, every atom whose assertion answered `Ok`, and none
+    /// whose assertion answered `Err`.
+    fn assert_recovery_honors(d: &Path, answered: &[(&str, bool)]) -> RecoveryReport {
+        let (rec, report) = DurableDb::recover(d, FsyncPolicy::Always).unwrap();
+        assert!(report.torn_tail.is_none(), "{report}");
+        for (atom, ok) in answered {
+            let expect = if *ok { Answer::Yes } else { Answer::No };
+            assert_eq!(
+                rec.ask(&f(&format!("K {atom}"))),
+                expect,
+                "{atom}; {report}"
+            );
+        }
+        report
+    }
+
+    #[test]
+    fn a_failed_rewind_after_a_failed_append_costs_no_acknowledged_commit() {
+        let d = dir();
+        let (mut db, inj) = injected(&d, FsyncPolicy::Always);
+        // A's policy sync fails, and so does the sync of its rewind.
+        inj.fail_nth_sync(0);
+        inj.fail_nth_sync(1);
+        let a = db.assert(f("emp(Sue)"));
+        assert!(a.is_err());
+        let b = db.assert(f("emp(Ann)"));
+        drop(db);
+        let _ = assert_recovery_honors(
+            &d,
+            &[
+                ("emp(Mary)", true),
+                ("emp(Sue)", false),
+                ("emp(Ann)", b.is_ok()),
+            ],
+        );
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_failed_rewind_of_a_refused_constraint_costs_no_acknowledged_commit() {
+        let d = dir();
+        let (mut db, inj) = injected(&d, FsyncPolicy::Never);
+        // The one fault: the sync of the refused record's rewind.
+        inj.fail_nth_sync(0);
+        let refused = db.add_constraint(f("forall x. ~K emp(x)"));
+        assert!(refused.is_err());
+        let b = db.assert(f("emp(Ann)"));
+        drop(db);
+        let report = assert_recovery_honors(&d, &[("emp(Mary)", true), ("emp(Ann)", b.is_ok())]);
+        assert!(report.rejected.is_empty(), "{report}");
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_failed_compensation_refuses_writes_until_recovery() {
+        let d = dir();
+        let (mut db, inj) = injected(&d, FsyncPolicy::Never);
+        let acked = db.last_lsn();
+        // A torn append whose rewind cannot sync.
+        inj.fail_nth_write(inj.writes(), FaultKind::TornWrite);
+        inj.fail_nth_sync(inj.syncs());
+        let err = db.assert(f("emp(Sue)")).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt(_)), "got {err}");
+        // The disk behaves again; the database still refuses to write…
+        inj.disarm();
+        let refusals = [
+            db.transaction().assert(f("emp(Ann)")).commit().map(|_| ()),
+            db.add_constraint(f("forall x. ~K bad(x)")),
+            db.snapshot().map(|_| ()),
+            db.compact().map(|_| ()),
+            db.sync(),
+        ];
+        for refusal in refusals {
+            assert!(
+                matches!(refusal, Err(PersistError::Corrupt(_))),
+                "{refusal:?}"
+            );
+        }
+        // …keeps answering, at the last acknowledged state…
+        assert_eq!(db.last_lsn(), acked);
+        assert_eq!(db.ask(&f("K emp(Mary)")), Answer::Yes);
+        assert_eq!(db.ask(&f("K emp(Sue)")), Answer::No);
+        assert!(db.constraints().is_empty());
+        drop(db);
+        // …and recovery lands there, on a clean log, writable again.
+        let report = assert_recovery_honors(
+            &d,
+            &[
+                ("emp(Mary)", true),
+                ("emp(Sue)", false),
+                ("emp(Ann)", false),
+            ],
+        );
+        assert_eq!(report.last_lsn, acked);
+        let (mut rec, _) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
+        rec.assert(f("emp(Ann)")).unwrap();
+        assert_eq!(rec.last_lsn(), acked + 1);
         std::fs::remove_dir_all(d).unwrap();
     }
 }

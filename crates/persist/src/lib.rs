@@ -94,9 +94,7 @@ pub(crate) fn sync_dir(dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
-pub use durable::{
-    CompactStats, DurableDb, DurableTransaction, PersistError, RecoveryOptions, RecoveryReport,
-};
+pub use durable::{CompactStats, DurableDb, DurableTransaction, PersistError, RecoveryReport};
 pub use fault::{FaultInjector, FaultKind};
 pub use serve::{
     CommitHandle, CommitReceipt, ServeError, ServeOptions, ServeStats, ServingDb, TxOp, WriterExit,

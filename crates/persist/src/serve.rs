@@ -12,17 +12,18 @@
 //!   plans). Queries run on the handle with no locks and no coordination
 //!   with commits in flight; a snapshot pins its state until dropped.
 //! * **The writer** is one named thread (`epilog-commit-writer`)
-//!   draining a bounded commit queue. It
-//!   owns the working [`EpistemicDb`] and the [`Wal`] outright, so
-//!   validation runs against the true head state with no locking at all.
+//!   draining a bounded commit queue. It owns the [`DurableDb`] — the
+//!   working state and its log — outright, so validation runs against
+//!   the true head state with no locking at all.
 //!
 //! # Group commit
 //!
 //! The writer drains whatever has queued up (up to a batch cap) and
 //! processes the batch as one durability unit: each transaction is
-//! validated via [`Transaction::prepare`] and its effective delta
-//! appended to the log (rejected transactions are answered immediately
-//! and never logged), then the whole batch is forced with **one**
+//! committed through the `DurableDb` — validated, its effective delta
+//! appended to a log that does not sync on its own (rejected
+//! transactions are answered immediately and never logged) — then the
+//! whole batch is forced with **one**
 //! `fdatasync`, the new state is published with a pointer swap, and only
 //! then are the callers' completion handles fed their [`CommitReceipt`]s
 //! — an acknowledged commit is both durable and visible to subsequent
@@ -40,24 +41,28 @@
 //!
 //! An I/O failure on the commit path (append or batch fsync — injectable
 //! via [`FaultInjector`](crate::FaultInjector), real on a failing disk)
-//! never panics the writer. The failed batch's handles get
-//! [`ServeError::Io`], the log and working state are rolled back to the
-//! last durable LSN (so nothing un-acknowledged can survive a later
-//! crash), and when the rollback itself cannot be trusted the writer
-//! enters **degraded read-only mode**: snapshots keep answering at the
-//! durable head, commits are rejected fast with [`ServeError::Degraded`],
-//! and [`ServingDb::stats`] reports the state. [`ServingDb::heal`]
-//! truncates any un-acknowledged log bytes, re-runs ordinary recovery,
-//! probes the disk, and resumes write service — or leaves the database
-//! degraded (and heal retryable) if the storage is still failing.
+//! never panics the writer, and the writer has no failure protocol of
+//! its own: it reads the outcome of the `DurableDb`'s step
+//! ([`crate::durable`]). A refusal is answered at once; a failed append
+//! that was rewound fails that one handle with [`ServeError::Io`]; and
+//! when the `DurableDb` stops trusting its log — a compensation failed,
+//! or the batch fsync did — the batch's handles get [`ServeError::Io`]
+//! and log and working state are rolled back to the last durable LSN
+//! (nothing un-acknowledged can survive a later crash). **Degraded
+//! read-only mode** is that `DurableDb`'s refuse-until-recovered state
+//! plus read-only serving: snapshots keep answering at the durable head,
+//! commits are rejected fast with [`ServeError::Degraded`], and
+//! [`ServingDb::stats`] reports it. [`ServingDb::heal`] is recovery: cut
+//! un-acknowledged log bytes through an un-injected handle,
+//! [`DurableDb::recover`], probe the disk, serve the recovered database
+//! — or stay degraded (and heal retryable) if the storage still fails.
 
 use crate::durable::{DurableDb, PersistError, RecoveryReport};
-use crate::wal::{FsyncPolicy, Wal, WalOp, WAL_FILE};
+use crate::wal::{FsyncPolicy, Wal, WAL_FILE};
 use epilog_core::db::DbError;
-use epilog_core::{CommitReport, CommittedState, EpistemicDb, ReadHandle, StateCell, Transaction};
+use epilog_core::{CommitReport, CommittedState, ReadHandle, StateCell};
 use epilog_syntax::{Formula, Theory};
 use std::fmt;
-use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -76,7 +81,7 @@ pub struct ServeOptions {
     pub max_batch: usize,
     /// Enable derivation tracking on the served database: the writer
     /// maintains a provenance support table across commits, snapshots
-    /// expose [`EpistemicDb::why`] proof trees, and constraint
+    /// expose [`EpistemicDb::why`](epilog_core::EpistemicDb::why) proof trees, and constraint
     /// rejections carry ground witnesses with derivations. No-op when
     /// the theory is not a definite program. Off by default — untraced
     /// fixpoints pay nothing for the feature.
@@ -317,8 +322,9 @@ enum Request {
     Heal(SyncSender<Result<u64, ServeError>>),
 }
 
-/// A durable [`EpistemicDb`] served concurrently: any number of
-/// lock-free snapshot readers, one group-committing writer thread.
+/// A durable [`EpistemicDb`](epilog_core::EpistemicDb) served
+/// concurrently: any number of lock-free snapshot readers, one
+/// group-committing writer thread.
 ///
 /// See the [module docs](self) for the architecture. All methods take
 /// `&self`; a `ServingDb` is typically wrapped in an `Arc` and shared
@@ -368,44 +374,42 @@ impl ServingDb {
         }
     }
 
-    /// Wrap an already-recovered [`DurableDb`] and start the writer.
-    /// The handed-in fsync policy is irrelevant from here on: the
-    /// writer syncs explicitly, once per batch. A
+    /// Wrap an already-recovered [`DurableDb`] and start the writer. The
+    /// log is put on [`FsyncPolicy::Never`] whatever policy it was opened
+    /// with: the writer syncs explicitly, once per batch, and a log that
+    /// also synced per record would amortize nothing. A
     /// [`FaultInjector`](crate::FaultInjector) installed on the
     /// `DurableDb` rides along into the writer.
     ///
     /// # Panics
     /// Panics if the OS refuses to spawn the writer thread.
-    pub fn start(durable: DurableDb, opts: ServeOptions) -> ServingDb {
-        let (mut db, wal, dir) = durable.into_parts();
+    pub fn start(mut durable: DurableDb, opts: ServeOptions) -> ServingDb {
+        durable.set_fsync_policy(FsyncPolicy::Never);
         if opts.provenance {
             // Trace before the first publication so even the initial
             // snapshot answers `why`. Recovery may already have adopted
             // a table from the snapshot's `[supports]` section; this is
             // then an idempotent no-op.
-            db.enable_provenance();
+            durable.enable_provenance();
         }
-        let head = Arc::new(StateCell::new(db.clone(), wal.last_lsn()));
+        let head = Arc::new(StateCell::new(durable.db().clone(), durable.last_lsn()));
         let metrics = Arc::new(Metrics::default());
+        let dir = durable.dir().to_path_buf();
         let (tx, rx) = sync_channel(opts.queue_depth.max(1));
         let writer = {
             let head = Arc::clone(&head);
             let metrics = Arc::clone(&metrics);
             let max_batch = opts.max_batch.max(1);
-            let dir = dir.clone();
             let provenance = opts.provenance;
             thread::Builder::new()
                 .name("epilog-commit-writer".into())
                 .spawn(move || {
                     let _stamp = ExitStamp(Arc::clone(&metrics));
                     let mut writer = Writer {
-                        working: db,
-                        wal,
-                        dir,
+                        durable,
                         provenance,
                         head: &head,
                         metrics: &metrics,
-                        degraded: None,
                     };
                     writer.run(&rx, max_batch);
                 })
@@ -544,21 +548,23 @@ impl Drop for ServingDb {
     }
 }
 
-type CommitAcks = Vec<(SyncSender<Result<CommitReceipt, ServeError>>, CommitReceipt)>;
-type ConstraintAcks = Vec<(SyncSender<Result<u64, ServeError>>, u64)>;
+/// What a batch owes its callers once durable: the acknowledgments of
+/// the operations it logged, and where the log stood when it began — the
+/// durable boundary, every prior batch having synced or rolled back.
+struct Batch {
+    mark: (u64, u64),
+    commits: Vec<(SyncSender<Result<CommitReceipt, ServeError>>, CommitReceipt)>,
+    constraints: Vec<(SyncSender<Result<u64, ServeError>>, u64)>,
+}
 
-/// The writer thread's state: sole owner of the working database and
-/// the log, plus the degraded-mode flag and everything a heal needs to
-/// rebuild both.
+/// The writer thread's state: sole owner of the durable database (the
+/// working state and its log), whose refuse-until-recovered state *is*
+/// the degraded mode.
 struct Writer<'a> {
-    working: EpistemicDb,
-    wal: Wal,
-    dir: PathBuf,
+    durable: DurableDb,
     provenance: bool,
     head: &'a StateCell,
     metrics: &'a Metrics,
-    /// `Some(reason)` while in degraded read-only mode.
-    degraded: Option<String>,
 }
 
 impl Writer<'_> {
@@ -590,154 +596,109 @@ impl Writer<'_> {
             }
             self.process(batch);
         }
-        let _ = self.wal.sync();
+        let _ = self.durable.sync();
     }
 
-    fn process(&mut self, batch: Vec<Request>) {
-        // The durable boundary: every prior batch either synced or was
-        // rolled back to its own boundary, so the log holds exactly the
-        // acknowledged records up to this mark.
-        let mark = self.wal.mark();
-        let mut commit_acks: CommitAcks = Vec::new();
-        let mut constraint_acks: ConstraintAcks = Vec::new();
+    fn degraded(&self) -> bool {
+        self.durable.untrusted().is_some()
+    }
+
+    fn process(&mut self, requests: Vec<Request>) {
+        let mut batch = Batch {
+            mark: self.durable.mark(),
+            commits: Vec::new(),
+            constraints: Vec::new(),
+        };
         let mut flushes = Vec::new();
-        for req in batch {
-            if self.degraded.is_some() {
-                self.answer_degraded(req);
-                continue;
-            }
+        for req in requests {
             match req {
-                Request::Commit { ops, reply } => {
-                    self.commit(ops, reply, mark, &mut commit_acks, &mut constraint_acks);
-                }
-                Request::Constraint { ic, reply } => {
-                    self.constraint(ic, reply, mark, &mut commit_acks, &mut constraint_acks);
-                }
+                Request::Commit { ops, reply } => self.commit(ops, reply, &mut batch),
+                Request::Constraint { ic, reply } => self.constraint(ic, reply, &mut batch),
                 Request::Flush(reply) => flushes.push(reply),
                 Request::Gate(_) => unreachable!("run() parks at gates, never batches them"),
-                // Not degraded: a heal is a successful no-op.
                 Request::Heal(reply) => {
-                    let _ = reply.send(Ok(self.head.head_lsn()));
+                    let healed = self.heal();
+                    let _ = reply.send(healed);
                 }
             }
         }
 
-        let accepted = commit_acks.len() + constraint_acks.len();
-        if self.degraded.is_none() && (accepted > 0 || !flushes.is_empty()) {
+        let accepted = batch.commits.len() + batch.constraints.len();
+        if !self.degraded() && (accepted > 0 || !flushes.is_empty()) {
             // One fdatasync covers the whole batch. A failed sync means
             // durability cannot be promised for anything this batch
             // appended: fail the batch's handles with Io, roll the log
             // and the working state back to the durable boundary, and
-            // drop to degraded read-only mode instead of serving
-            // acknowledgments the disk may not honor.
-            match self.wal.sync() {
+            // serve read-only instead of acknowledgments the disk may
+            // not honor.
+            match self.durable.sync() {
                 Ok(()) => {
                     self.metrics.fsyncs.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) => {
                     self.metrics.io_errors.fetch_add(1, Ordering::Relaxed);
-                    self.enter_degraded(
-                        format!("batch fsync failed: {e}"),
-                        mark,
-                        &mut commit_acks,
-                        &mut constraint_acks,
-                    );
+                    self.enter_degraded(&format!("batch fsync failed: {e}"), &mut batch);
                 }
             }
         }
-        if self.degraded.is_none() && accepted > 0 {
+        // Empty by now if the batch degraded: enter_degraded failed them.
+        if !batch.commits.is_empty() || !batch.constraints.is_empty() {
             // Publish after durability, acknowledge after publication:
             // an acknowledged commit is visible to every later snapshot.
-            self.head.publish(Arc::new(CommittedState::new(
-                self.working.clone(),
-                self.wal.last_lsn(),
-            )));
+            self.publish();
             self.metrics.batches.fetch_add(1, Ordering::Relaxed);
             self.metrics
                 .commits
-                .fetch_add(commit_acks.len() as u64, Ordering::Relaxed);
+                .fetch_add(batch.commits.len() as u64, Ordering::Relaxed);
         }
-        // Empty when the batch degraded: enter_degraded fails them all.
-        for (reply, receipt) in commit_acks {
+        for (reply, receipt) in batch.commits {
             let _ = reply.send(Ok(receipt));
         }
-        for (reply, lsn) in constraint_acks {
+        for (reply, lsn) in batch.constraints {
             let _ = reply.send(Ok(lsn));
         }
-        // Acknowledged commits are synced even when this batch failed,
-        // so a degraded flush barrier holds at the durable head.
-        let lsn = if self.degraded.is_some() {
-            self.head.head_lsn()
-        } else {
-            self.wal.last_lsn()
-        };
+        // The barrier holds at the head, which this batch moved or (it
+        // logged nothing, or rolled back) left at the durable boundary.
         for reply in flushes {
-            let _ = reply.send(lsn);
+            let _ = reply.send(self.head.head_lsn());
         }
+    }
+
+    fn publish(&self) {
+        self.head.publish(Arc::new(CommittedState::new(
+            self.durable.db().clone(),
+            self.durable.last_lsn(),
+        )));
     }
 
     fn commit(
         &mut self,
         ops: Vec<TxOp>,
         reply: SyncSender<Result<CommitReceipt, ServeError>>,
-        mark: (u64, u64),
-        commit_acks: &mut CommitAcks,
-        constraint_acks: &mut ConstraintAcks,
+        batch: &mut Batch,
     ) {
-        let mut txn: Transaction<'_> = self.working.transaction();
+        let logged_before = self.durable.last_lsn();
+        let mut txn = self.durable.transaction();
         for op in ops {
             txn = match op {
                 TxOp::Assert(w) => txn.assert(w),
                 TxOp::Retract(w) => txn.retract(w),
             };
         }
-        match txn.prepare() {
-            Err(e) => {
-                self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(Err(ServeError::Db(e, self.wal.last_lsn())));
-            }
-            Ok(p) if p.is_noop() => {
-                // Nothing to log or publish: acknowledge at the batch's
-                // durable boundary. NOT `wal.last_lsn()` — that may
-                // count unsynced same-batch appends, and if the batch
-                // fsync later fails those roll back, leaving this ack
-                // claiming an LSN that never became durable.
-                let receipt = CommitReceipt {
-                    lsn: mark.1 - 1,
-                    report: p.commit(),
-                };
-                let _ = reply.send(Ok(receipt));
-            }
-            Ok(p) => {
-                let mut wal_ops = Vec::with_capacity(p.removed().len() + p.added().len());
-                wal_ops.extend(p.removed().iter().cloned().map(WalOp::Retract));
-                wal_ops.extend(p.added().iter().cloned().map(WalOp::Assert));
-                let pre = self.wal.mark();
-                match self.wal.append(&wal_ops) {
-                    Ok(lsn) => {
-                        let report = p.commit();
-                        commit_acks.push((reply, CommitReceipt { lsn, report }));
-                    }
-                    Err(e) => {
-                        // Log-before-apply: the prepared state is
-                        // dropped unapplied; only this handle fails.
-                        drop(p);
-                        self.metrics.io_errors.fetch_add(1, Ordering::Relaxed);
-                        let msg = e.to_string();
-                        let _ = reply.send(Err(ServeError::Io(msg.clone())));
-                        // The failed append may have torn the log; the
-                        // batch can only continue on a clean tail.
-                        if let Err(re) = self.wal.rewind(pre.0, pre.1) {
-                            self.enter_degraded(
-                                format!("append failed ({msg}); rewind failed ({re})"),
-                                mark,
-                                commit_acks,
-                                constraint_acks,
-                            );
-                        }
-                    }
+        match txn.commit() {
+            Ok(report) => match self.durable.last_lsn() {
+                // Nothing was logged, nothing to publish: acknowledge at
+                // the batch's durable boundary. NOT the log's last LSN —
+                // that may count unsynced same-batch appends, and if the
+                // batch fsync later fails those roll back, leaving this
+                // ack claiming an LSN that never became durable.
+                lsn if lsn == logged_before => {
+                    let lsn = self.head.head_lsn();
+                    let _ = reply.send(Ok(CommitReceipt { lsn, report }));
                 }
-            }
+                lsn => batch.commits.push((reply, CommitReceipt { lsn, report })),
+            },
+            Err(e) => self.answer_failure(e, reply, batch),
         }
     }
 
@@ -745,162 +706,101 @@ impl Writer<'_> {
         &mut self,
         ic: Formula,
         reply: SyncSender<Result<u64, ServeError>>,
-        mark: (u64, u64),
-        commit_acks: &mut CommitAcks,
-        constraint_acks: &mut ConstraintAcks,
+        batch: &mut Batch,
     ) {
-        // Same compensation protocol as DurableDb: append, apply,
-        // rewind the record if the state refuses it.
-        let pre = self.wal.mark();
-        match self.wal.append(&[WalOp::Constraint(ic.clone())]) {
-            Err(e) => {
-                self.metrics.io_errors.fetch_add(1, Ordering::Relaxed);
-                let msg = e.to_string();
-                let _ = reply.send(Err(ServeError::Io(msg.clone())));
-                if let Err(re) = self.wal.rewind(pre.0, pre.1) {
-                    self.enter_degraded(
-                        format!("append failed ({msg}); rewind failed ({re})"),
-                        mark,
-                        commit_acks,
-                        constraint_acks,
-                    );
-                }
-            }
-            Ok(lsn) => match self.working.add_constraint(ic) {
-                Ok(()) => constraint_acks.push((reply, lsn)),
-                Err(e) => {
-                    self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                    match self.wal.rewind(pre.0, pre.1) {
-                        Ok(()) => {
-                            let _ = reply.send(Err(ServeError::Db(e, self.wal.last_lsn())));
-                        }
-                        Err(io) => {
-                            self.metrics.io_errors.fetch_add(1, Ordering::Relaxed);
-                            let msg = io.to_string();
-                            let _ = reply.send(Err(ServeError::Io(msg.clone())));
-                            self.enter_degraded(
-                                format!("constraint rewind failed: {msg}"),
-                                mark,
-                                commit_acks,
-                                constraint_acks,
-                            );
-                        }
-                    }
-                }
-            },
+        match self.durable.add_constraint(ic) {
+            Ok(()) => batch.constraints.push((reply, self.durable.last_lsn())),
+            Err(e) => self.answer_failure(e, reply, batch),
         }
     }
 
-    /// Answer a request while in degraded read-only mode: commits and
-    /// constraints are rejected fast, flush holds at the durable head,
-    /// heal attempts the repair.
-    fn answer_degraded(&mut self, req: Request) {
-        let reason = self.degraded.clone().unwrap_or_default();
-        match req {
-            Request::Commit { reply, .. } => {
-                let _ = reply.send(Err(ServeError::Degraded(reason)));
-            }
-            Request::Constraint { reply, .. } => {
-                let _ = reply.send(Err(ServeError::Degraded(reason)));
-            }
-            Request::Flush(reply) => {
-                let _ = reply.send(self.head.head_lsn());
-            }
-            Request::Gate(_) => unreachable!("run() parks at gates, never batches them"),
-            Request::Heal(reply) => {
-                let healed = self.try_heal();
-                let _ = reply.send(healed);
-            }
-        }
-    }
-
-    /// Fail every pending acknowledgment of this batch with `Io`, roll
-    /// the log and working state back to the durable boundary `mark`,
-    /// and enter degraded read-only mode.
-    ///
-    /// The disk rollback matters for the durability contract: records
-    /// appended by this batch are well-formed but un-acknowledged — if
-    /// they survived here, a later crash would replay commits whose
-    /// callers were told they failed.
-    fn enter_degraded(
+    /// Answer an operation the `DurableDb` did not perform, by how it
+    /// did not: a refusal against the state it was validated on; a failed
+    /// append fails this handle alone (the log is back at its mark); a log
+    /// no longer trusted degrades the writer, and from then on the
+    /// `DurableDb`'s standing refusal is the fast rejection.
+    fn answer_failure<T>(
         &mut self,
-        reason: String,
-        mark: (u64, u64),
-        commit_acks: &mut CommitAcks,
-        constraint_acks: &mut ConstraintAcks,
+        e: PersistError,
+        reply: SyncSender<Result<T, ServeError>>,
+        batch: &mut Batch,
     ) {
-        if self.wal.rewind(mark.0, mark.1).is_err() {
-            // The Wal's own handle (or its injector) is still failing;
-            // truncate through a fresh handle — the operator's path,
-            // deliberately not injected. Best effort: if even this
-            // fails, the heal below re-truncates before recovery.
-            if let Ok(f) = OpenOptions::new().write(true).open(self.dir.join(WAL_FILE)) {
-                let _ = f.set_len(mark.0);
-                let _ = f.sync_data();
+        let answer = match e {
+            PersistError::Db(e) => {
+                self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                ServeError::Db(e, self.durable.last_lsn())
             }
-        }
+            PersistError::Io(e) => {
+                self.metrics.io_errors.fetch_add(1, Ordering::Relaxed);
+                ServeError::Io(e.to_string())
+            }
+            PersistError::Corrupt(why) if self.metrics.degraded.load(Ordering::Relaxed) => {
+                ServeError::Degraded(why)
+            }
+            PersistError::Corrupt(why) => {
+                self.metrics.io_errors.fetch_add(1, Ordering::Relaxed);
+                // This handle is answered before the roll-back, its
+                // batch-mates after it (the F13 mini-soak pins the order).
+                let _ = reply.send(Err(ServeError::Io(why.clone())));
+                return self.enter_degraded(&why, batch);
+            }
+        };
+        let _ = reply.send(Err(answer));
+    }
+
+    /// The `DurableDb` has stopped trusting its log: roll log and working
+    /// state back to the batch's durable boundary (the batch's records are
+    /// well-formed, and a later crash would replay them) and fail every
+    /// pending acknowledgment of the batch with `Io`.
+    fn enter_degraded(&mut self, reason: &str, batch: &mut Batch) {
         // The head is the last state every acknowledged commit reached;
-        // anything newer in `working` belongs to failed commits.
-        self.working = self.head.snapshot().db().clone();
+        // anything newer in the working state belongs to failed commits.
+        self.durable
+            .roll_back(batch.mark, self.head.snapshot().db().clone());
         // Flag before the failure replies: a caller that sees its
         // handle fail must also see the database degraded.
         self.metrics.degraded.store(true, Ordering::Relaxed);
-        for (reply, _) in commit_acks.drain(..) {
-            let _ = reply.send(Err(ServeError::Io(reason.clone())));
+        for (reply, _) in batch.commits.drain(..) {
+            let _ = reply.send(Err(ServeError::Io(reason.to_string())));
         }
-        for (reply, _) in constraint_acks.drain(..) {
-            let _ = reply.send(Err(ServeError::Io(reason.clone())));
+        for (reply, _) in batch.constraints.drain(..) {
+            let _ = reply.send(Err(ServeError::Io(reason.to_string())));
         }
-        self.degraded = Some(reason);
     }
 
-    /// The repair path out of degraded mode: truncate the log to the
-    /// last acknowledged record, re-run ordinary recovery, re-install
-    /// the injector, probe the disk with a sync, and republish. Any
-    /// failure leaves the writer degraded and the heal retryable.
-    fn try_heal(&mut self) -> Result<u64, ServeError> {
-        let durable = self.head.head_lsn();
-        let path = self.dir.join(WAL_FILE);
-        let scan = Wal::scan_file(&path).map_err(|e| ServeError::Io(e.to_string()))?;
-        let keep = scan
-            .records
-            .iter()
-            .take_while(|r| r.lsn <= durable)
-            .last()
-            .map_or(0, |r| r.end_offset);
-        let truncated = (|| {
-            let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(keep)?;
-            f.sync_data()
-        })();
-        truncated.map_err(|e| ServeError::Io(format!("heal truncation failed: {e}")))?;
-        let injector = self.wal.fault_injector();
-        let (durable_db, _report) = DurableDb::recover(&self.dir, FsyncPolicy::Never)
-            .map_err(|e| ServeError::Io(format!("heal recovery failed: {e}")))?;
-        let (mut db, mut wal, _dir) = durable_db.into_parts();
-        if self.provenance {
-            db.enable_provenance();
+    /// The way out of degraded mode is recovery: cut the log back to the
+    /// last acknowledged record through an un-injected handle, recover,
+    /// re-install the injector, probe the disk with a sync, and serve the
+    /// recovered database. Any failure leaves the old one in place.
+    fn heal(&mut self) -> Result<u64, ServeError> {
+        let durable_lsn = self.head.head_lsn();
+        if !self.degraded() {
+            return Ok(durable_lsn);
         }
-        wal.set_fault_injector(injector);
+        let dir = self.durable.dir();
+        Wal::truncate_after(&dir.join(WAL_FILE), durable_lsn)
+            .map_err(|e| ServeError::Io(format!("heal truncation failed: {e}")))?;
+        let (mut healed, _report) = DurableDb::recover(dir, FsyncPolicy::Never)
+            .map_err(|e| ServeError::Io(format!("heal recovery failed: {e}")))?;
+        if self.provenance {
+            healed.enable_provenance();
+        }
+        healed.set_fault_injector(self.durable.fault_injector());
         // Probe through the injected path: a still-failing disk keeps
         // the writer degraded rather than resuming doomed service.
-        wal.sync()
+        healed
+            .sync()
             .map_err(|e| ServeError::Io(format!("heal probe sync failed: {e}")))?;
         debug_assert_eq!(
-            wal.last_lsn(),
-            durable,
+            healed.last_lsn(),
+            durable_lsn,
             "heal must land on the durable head"
         );
-        self.working = db;
-        self.wal = wal;
-        self.degraded = None;
+        self.durable = healed;
         self.metrics.degraded.store(false, Ordering::Relaxed);
         self.metrics.heals.fetch_add(1, Ordering::Relaxed);
-        self.head.publish(Arc::new(CommittedState::new(
-            self.working.clone(),
-            self.wal.last_lsn(),
-        )));
-        Ok(self.wal.last_lsn())
+        self.publish();
+        Ok(self.durable.last_lsn())
     }
 }
 
@@ -978,30 +878,36 @@ mod tests {
 
     #[test]
     fn gated_burst_forms_one_batch_with_one_fsync() {
-        let d = dir();
-        let db = registrar(&d);
-        let base = db.stats();
-        let gate = db.gate();
-        let handles: Vec<CommitHandle> = (0..8)
-            .map(|i| {
-                db.commit(vec![
-                    TxOp::Assert(f(&format!("ss(E{i}, n{i})"))),
-                    TxOp::Assert(f(&format!("emp(E{i})"))),
-                ])
-            })
-            .collect();
-        gate.open();
-        for h in handles {
-            let _ = h.wait().unwrap();
+        // Whatever policy the log was opened with: under `Always` a log
+        // left to itself would sync once per record as well.
+        for policy in [FsyncPolicy::Never, FsyncPolicy::Always] {
+            let d = dir();
+            let (db, inj) = registrar_with_injector(&d, 3, policy);
+            let base = db.stats();
+            let gate = db.gate();
+            let handles: Vec<CommitHandle> = (0..8)
+                .map(|i| {
+                    db.commit(vec![
+                        TxOp::Assert(f(&format!("ss(E{i}, n{i})"))),
+                        TxOp::Assert(f(&format!("emp(E{i})"))),
+                    ])
+                })
+                .collect();
+            let syncs = inj.syncs();
+            gate.open();
+            for h in handles {
+                let _ = h.wait().unwrap();
+            }
+            let s = db.stats();
+            assert_eq!(s.commits - base.commits, 8);
+            assert_eq!(s.batches - base.batches, 1, "one group");
+            assert_eq!(s.fsyncs - base.fsyncs, 1, "one fsync for 8 commits");
+            assert_eq!(inj.syncs() - syncs, 1, "{policy:?}: the disk saw one too");
+            let snap = db.snapshot();
+            assert_eq!(snap.ask(&parse("K emp(E7)").unwrap()), Answer::Yes);
+            db.shutdown().unwrap();
+            std::fs::remove_dir_all(d).unwrap();
         }
-        let s = db.stats();
-        assert_eq!(s.commits - base.commits, 8);
-        assert_eq!(s.batches - base.batches, 1, "one group");
-        assert_eq!(s.fsyncs - base.fsyncs, 1, "one fsync for 8 commits");
-        let snap = db.snapshot();
-        assert_eq!(snap.ask(&parse("K emp(E7)").unwrap()), Answer::Yes);
-        db.shutdown().unwrap();
-        std::fs::remove_dir_all(d).unwrap();
     }
 
     #[test]
@@ -1149,11 +1055,15 @@ mod tests {
         std::fs::remove_dir_all(d).unwrap();
     }
 
-    /// Like [`registrar`], but with a [`FaultInjector`] installed on
-    /// the underlying log before the writer starts.
-    fn registrar_with_injector(d: &Path, seed: u64) -> (ServingDb, Arc<crate::FaultInjector>) {
+    /// Like [`registrar`], but on a log opened with `policy` and with a
+    /// [`FaultInjector`] installed on it before the writer starts.
+    fn registrar_with_injector(
+        d: &Path,
+        seed: u64,
+        policy: FsyncPolicy,
+    ) -> (ServingDb, Arc<crate::FaultInjector>) {
         let theory = Theory::from_text("forall x. emp(x) -> person(x)").unwrap();
-        let mut durable = DurableDb::create(d, theory, FsyncPolicy::Never).unwrap();
+        let mut durable = DurableDb::create(d, theory, policy).unwrap();
         let inj = Arc::new(crate::FaultInjector::new(seed));
         durable.set_fault_injector(Some(Arc::clone(&inj)));
         let db = ServingDb::start(durable, ServeOptions::default());
@@ -1165,7 +1075,7 @@ mod tests {
     #[test]
     fn fsync_failure_degrades_and_heal_restores() {
         let d = dir();
-        let (db, inj) = registrar_with_injector(&d, 11);
+        let (db, inj) = registrar_with_injector(&d, 11, FsyncPolicy::Never);
         let acked = db
             .commit_wait(vec![
                 TxOp::Assert(f("ss(Mary, n1)")),
@@ -1233,7 +1143,7 @@ mod tests {
     #[test]
     fn append_failure_fails_only_that_commit() {
         let d = dir();
-        let (db, inj) = registrar_with_injector(&d, 23);
+        let (db, inj) = registrar_with_injector(&d, 23, FsyncPolicy::Never);
         db.commit_wait(vec![
             TxOp::Assert(f("ss(Mary, n1)")),
             TxOp::Assert(f("emp(Mary)")),
@@ -1287,7 +1197,7 @@ mod tests {
     #[test]
     fn heal_fails_while_the_disk_still_fails() {
         let d = dir();
-        let (db, inj) = registrar_with_injector(&d, 31);
+        let (db, inj) = registrar_with_injector(&d, 31, FsyncPolicy::Never);
         db.commit_wait(vec![
             TxOp::Assert(f("ss(Mary, n1)")),
             TxOp::Assert(f("emp(Mary)")),

@@ -359,28 +359,27 @@ impl Wal {
     /// LSN. The record is written with a single `write_all`, so a crash
     /// leaves either nothing or a (possibly partial, detectable) tail.
     ///
-    /// On a failed append the accounting is untouched but the file may
-    /// hold a torn prefix of the record; callers that continue appending
-    /// must `rewind` to the pre-append `mark` first (the serving writer
-    /// and `DurableTransaction` both do).
+    /// On a failed append — the write, or the sync the policy asks for —
+    /// the accounting is untouched but the file may hold a torn prefix of
+    /// the record, or all of it unsynced; callers that continue appending
+    /// must `rewind` to the pre-append `mark` first (`DurableDb` does).
     pub fn append(&mut self, ops: &[WalOp]) -> io::Result<u64> {
         assert!(!ops.is_empty(), "a WAL record must carry at least one op");
         let lsn = self.next_lsn;
         let bytes = encode_record(lsn, ops);
         fault::write_all(self.injector.as_deref(), &mut self.file, &bytes)?;
+        let sync_due = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::Batch(n) => self.unsynced + 1 >= n.max(1),
+            FsyncPolicy::Never => false,
+        };
+        if sync_due {
+            fault::sync_data(self.injector.as_deref(), &self.file)?;
+        }
         self.next_lsn += 1;
         self.len_bytes += bytes.len() as u64;
         self.records += 1;
-        self.unsynced += 1;
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::Batch(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
+        self.unsynced = if sync_due { 0 } else { self.unsynced + 1 };
         Ok(lsn)
     }
 
@@ -461,22 +460,38 @@ impl Wal {
         &self.path
     }
 
-    /// Truncate the file back to `len` and restore `next_lsn` — the
-    /// compensation for a logged operation whose application was then
-    /// refused (used by `DurableDb::add_constraint`).
+    /// Put the log back at a `mark` — the compensation for a failed
+    /// append, or for a logged operation that was then refused. The
+    /// accounting returns to the mark even on `Err`, when the file may
+    /// still hold bytes past it and must not be appended to again.
     pub(crate) fn rewind(&mut self, len: u64, next_lsn: u64) -> io::Result<()> {
-        self.file.set_len(len)?;
-        self.file.seek(SeekFrom::Start(len))?;
-        fault::sync_data(self.injector.as_deref(), &self.file)?;
         self.records -= self.next_lsn - next_lsn;
         self.len_bytes = len;
         self.next_lsn = next_lsn;
+        self.file.set_len(len)?;
+        self.file.seek(SeekFrom::Start(len))?;
+        fault::sync_data(self.injector.as_deref(), &self.file)?;
         self.unsynced = 0;
         Ok(())
     }
 
     pub(crate) fn mark(&self) -> (u64, u64) {
         (self.len_bytes, self.next_lsn)
+    }
+
+    pub(crate) fn set_policy(&mut self, policy: FsyncPolicy) {
+        self.policy = policy;
+    }
+
+    /// Cut the log file at `path` down to its records with `lsn <=
+    /// through`, through a fresh handle: the operator's path, deliberately
+    /// not injected, for when a [`Wal`]'s own handle is what is failing.
+    pub(crate) fn truncate_after(path: &Path, through: u64) -> io::Result<()> {
+        let scan = Wal::scan_file(path)?;
+        let kept = scan.records.iter().take_while(|r| r.lsn <= through);
+        let f = OpenOptions::new().write(true).open(path)?;
+        f.set_len(kept.last().map_or(0, |r| r.end_offset))?;
+        f.sync_data()
     }
 }
 

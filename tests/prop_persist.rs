@@ -3,7 +3,15 @@
 //! For randomized transaction sequences (facts, rules, existentials,
 //! retractions, under a random subset of the §3 constraints), the suite
 //! drives a [`DurableDb`] and an in-memory oracle in lockstep, recording
-//! the oracle's state after every logged record. It then:
+//! the oracle's state after every logged record — under a generated
+//! fsync policy and a seeded [`FaultInjector`] schedule (write and sync
+//! fault odds, clean / torn / short writes; odds of zero are the
+//! fault-free run). The oracle applies exactly what the `DurableDb`
+//! answered `Ok`; a database whose log can no longer be trusted after a
+//! failed compensation or sync is recovered in place, must come back at
+//! the last `Ok`, and carries on. **Acknowledged == durable**: a commit
+//! answered `Ok` is in the log at its LSN (and inside the policy's sync
+//! window), one answered `Err` is never observed. The suite then:
 //!
 //! * **crashes at every record boundary** — truncates a copy of the log
 //!   at each boundary — and **mid-record** (torn writes inside the header
@@ -13,15 +21,17 @@
 //!   satisfaction, and the attached least model (against a from-scratch
 //!   rebuild);
 //! * checks **snapshot+replay equals full replay**: recovery from the
-//!   newest snapshot and recovery-from-genesis produce identical states,
-//!   before and after compaction.
+//!   newest snapshot and recovery of a copy holding only the genesis
+//!   snapshot and the log produce identical states, before and after
+//!   compaction.
 
 use epilog::core::prover_for;
 use epilog::persist::wal::WAL_FILE;
-use epilog::persist::{DurableDb, FsyncPolicy, RecoveryOptions, Snapshot, Wal};
+use epilog::persist::{DurableDb, FaultInjector, FsyncPolicy, PersistError, Snapshot, Wal};
 use epilog::prelude::*;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const PARAMS: usize = 3;
 
@@ -134,10 +144,82 @@ fn crashed_copy(dir: &Path, wal_bytes: &[u8], cut: usize, tag: &str) -> PathBuf 
     crash
 }
 
-fn cases() -> impl Strategy<Value = (u8, u8, Vec<Vec<RawOp>>)> {
+/// One step of a run: a constraint to register, or a batch of
+/// `(is_assert, sentence)` operations to commit.
+#[derive(Debug)]
+enum Update {
+    Constraint(Formula),
+    Batch(Vec<(bool, Formula)>),
+}
+
+impl Update {
+    /// Apply to the durable database. `Ok(logged)`: acknowledged, and
+    /// whether it took a log record (a no-op batch takes none).
+    fn on_durable(&self, durable: &mut DurableDb) -> Result<bool, PersistError> {
+        match self {
+            Update::Constraint(ic) => durable.add_constraint(ic.clone()).map(|()| true),
+            Update::Batch(batch) => {
+                let mut txn = durable.transaction();
+                for (is_assert, w) in batch {
+                    txn = if *is_assert {
+                        txn.assert(w.clone())
+                    } else {
+                        txn.retract(w.clone())
+                    };
+                }
+                let report = txn.commit()?;
+                // Facts-only commits (retractions included) must stay on
+                // the incremental path: no full plan, nothing compiled.
+                if let ModelUpdate::Incremental { stats, .. } = &report.model {
+                    assert_eq!(
+                        stats.full_firings, 0,
+                        "incremental commit fired a full plan"
+                    );
+                    assert_eq!(stats.plans_compiled, 0, "incremental commit compiled plans");
+                }
+                Ok(report.asserted + report.retracted > 0)
+            }
+        }
+    }
+
+    fn on_oracle(&self, oracle: &mut EpistemicDb) -> Result<(), DbError> {
+        match self {
+            Update::Constraint(ic) => oracle.add_constraint(ic.clone()),
+            Update::Batch(batch) => {
+                let mut txn = oracle.transaction();
+                for (is_assert, w) in batch {
+                    txn = if *is_assert {
+                        txn.assert(w.clone())
+                    } else {
+                        txn.retract(w.clone())
+                    };
+                }
+                txn.commit().map(|_| ())
+            }
+        }
+    }
+}
+
+/// A fault schedule as plain data: policy selector, write-fault and
+/// sync-fault odds in fourths (0 = none), injector seed.
+type RawFaults = (u8, u8, u8, u64);
+
+/// The policy a selector stands for, and the most records it lets await
+/// a sync after an acknowledged commit (`None`: unbounded — the driver
+/// calls `sync` itself after every second batch).
+fn policy_of(selector: u8) -> (FsyncPolicy, Option<u32>) {
+    match selector {
+        0 => (FsyncPolicy::Always, Some(0)),
+        n @ 1..=2 => (FsyncPolicy::Batch(u32::from(n) + 1), Some(u32::from(n))),
+        _ => (FsyncPolicy::Never, None),
+    }
+}
+
+fn cases() -> impl Strategy<Value = (u8, u8, RawFaults, Vec<Vec<RawOp>>)> {
     (
         0u8..8, // seed-rule subset mask
         0u8..8, // constraint subset mask
+        (0u8..4, 0u8..3, 0u8..3, 0u64..u64::MAX),
         proptest::collection::vec(
             proptest::collection::vec((0u8..10, 0u8..8, 0u8..8, 0u8..8), 1..4),
             0..5,
@@ -148,10 +230,13 @@ fn cases() -> impl Strategy<Value = (u8, u8, Vec<Vec<RawOp>>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Crash anywhere, recover, equal the oracle; snapshot+replay equals
-    /// full replay.
+    /// Under any fault schedule, acknowledged == durable; then crash
+    /// anywhere, recover, equal the oracle; snapshot+replay equals full
+    /// replay.
     #[test]
-    fn recovery_matches_oracle_at_every_crash_point((rule_mask, ic_mask, raw) in cases()) {
+    fn recovery_matches_oracle_at_every_crash_point(
+        (rule_mask, ic_mask, (policy, write_odds, sync_odds, fault_seed), raw) in cases()
+    ) {
         let dir = temp_dir("live");
 
         // Seed theory: a subset of the rules (facts arrive via commits).
@@ -163,7 +248,12 @@ proptest! {
             }
         }
         let theory = Theory::from_text(&src).unwrap();
-        let mut durable = DurableDb::create(&dir, theory.clone(), FsyncPolicy::Never).unwrap();
+        let (policy, window) = policy_of(policy);
+        let mut durable = DurableDb::create(&dir, theory.clone(), policy).unwrap();
+        let injector = Arc::new(FaultInjector::new(fault_seed));
+        injector.set_write_rate(u32::from(write_odds), 4);
+        injector.set_sync_rate(u32::from(sync_odds), 4);
+        durable.set_fault_injector(Some(Arc::clone(&injector)));
         let mut oracle = EpistemicDb::new(theory);
 
         // States by LSN; index 0 = the genesis state.
@@ -172,53 +262,79 @@ proptest! {
             n_constraints: 0,
         }];
 
-        // Register a constraint subset (one log record each; the
-        // fact-free seed theory satisfies them all).
-        for (i, ic) in CONSTRAINTS.iter().enumerate() {
-            if ic_mask & (1 << i) != 0 {
-                durable.add_constraint(parse(ic).unwrap()).unwrap();
-                oracle.add_constraint(parse(ic).unwrap()).unwrap();
-                by_lsn.push(OracleState {
-                    theory: oracle.theory().clone(),
-                    n_constraints: oracle.constraints().len(),
-                });
+        // One step per constraint of the subset (the fact-free seed
+        // theory satisfies them all), then one per batch.
+        let constraints = CONSTRAINTS
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| ic_mask & (1 << i) != 0)
+            .map(|(_, ic)| Update::Constraint(parse(ic).unwrap()));
+        let batches = raw
+            .iter()
+            .map(|b| Update::Batch(b.iter().map(|op| op_formula(*op)).collect()));
+        for (step, update) in constraints.chain(batches).enumerate() {
+            // Drive both databases through the same update: the oracle
+            // applies what the durable database acknowledged.
+            let answer = update.on_durable(&mut durable);
+            let mut untrusted = false;
+            match answer {
+                Ok(logged) => {
+                    prop_assert!(update.on_oracle(&mut oracle).is_ok(), "verdict divergence on {:?}", update);
+                    if logged {
+                        by_lsn.push(OracleState {
+                            theory: oracle.theory().clone(),
+                            n_constraints: oracle.constraints().len(),
+                        });
+                    }
+                    if let Some(window) = window {
+                        prop_assert!(
+                            durable.pending_unsynced() <= window,
+                            "{:?} left {} acknowledged records unsynced",
+                            policy,
+                            durable.pending_unsynced()
+                        );
+                    }
+                }
+                Err(PersistError::Db(_)) => {
+                    prop_assert!(
+                        update.on_oracle(&mut oracle.clone()).is_err(),
+                        "verdict divergence on {:?}",
+                        update
+                    );
+                }
+                // The append failed and was rewound: this update alone.
+                Err(PersistError::Io(_)) => prop_assert!(write_odds + sync_odds > 0),
+                Err(PersistError::Corrupt(_)) => untrusted = true,
             }
-        }
-
-        // Drive both databases through the same batches.
-        for raw_batch in &raw {
-            let batch: Vec<(bool, Formula)> = raw_batch.iter().map(|op| op_formula(*op)).collect();
-            let mut dt = durable.transaction();
-            let mut ot = oracle.transaction();
-            for (is_assert, w) in &batch {
-                if *is_assert {
-                    dt = dt.assert(w.clone());
-                    ot = ot.assert(w.clone());
-                } else {
-                    dt = dt.retract(w.clone());
-                    ot = ot.retract(w.clone());
-                }
-            }
-            let dv = dt.commit();
-            let ov = ot.commit();
-            prop_assert_eq!(dv.is_ok(), ov.is_ok(), "verdict divergence on {:?}", batch);
-            if let Ok(report) = dv {
-                // Facts-only commits (retractions included) must stay on
-                // the incremental path: no full plan, nothing compiled.
-                if let ModelUpdate::Incremental { stats, .. } = &report.model {
-                    prop_assert_eq!(stats.full_firings, 0, "incremental commit fired a full plan");
-                    prop_assert_eq!(stats.plans_compiled, 0, "incremental commit compiled plans");
-                }
-                if report.asserted + report.retracted > 0 {
-                    by_lsn.push(OracleState {
-                        theory: oracle.theory().clone(),
-                        n_constraints: oracle.constraints().len(),
-                    });
-                }
+            if window.is_none() && step % 2 == 1 && !untrusted {
+                untrusted = durable.sync().is_err();
             }
             prop_assert_eq!(durable.theory(), oracle.theory());
+            prop_assert_eq!(durable.last_lsn() as usize, by_lsn.len() - 1);
+            if untrusted {
+                // A compensation or a sync failed. The database refuses
+                // writes; recovery must find every acknowledged record,
+                // nothing else, and no tear.
+                prop_assert!(write_odds + sync_odds > 0);
+                prop_assert!(matches!(durable.sync(), Err(PersistError::Corrupt(_))));
+                drop(durable);
+                let (rec, report) = DurableDb::recover(&dir, policy).unwrap();
+                prop_assert!(report.torn_tail.is_none(), "{}", report);
+                prop_assert!(report.rejected.is_empty(), "{}", report);
+                prop_assert_eq!(report.last_lsn as usize, by_lsn.len() - 1, "{}", report);
+                assert_recovered_matches(
+                    rec.db(),
+                    by_lsn.last().unwrap(),
+                    &format!("recovered in place at step {step}"),
+                )?;
+                durable = rec;
+                durable.set_fault_injector(Some(Arc::clone(&injector)));
+            }
         }
-        prop_assert_eq!(durable.last_lsn() as usize, by_lsn.len() - 1);
+        // The disk behaves from here on: the crash points below are cut
+        // out of the log the faulty run left.
+        injector.disarm();
+        durable.sync().unwrap();
 
         // ---- Crash at every record boundary and mid-record ------------
         let wal_bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
@@ -252,15 +368,17 @@ proptest! {
                 std::fs::remove_dir_all(crash).unwrap();
             }
         }
-        // Full-log boundary: recovery reproduces the live state.
+        // Full-log boundary: recovery reproduces the live state — by full
+        // replay, the genesis snapshot being the only one in the copy.
         let final_state = OracleState {
             theory: oracle.theory().clone(),
             n_constraints: oracle.constraints().len(),
         };
-        let crash = crashed_copy(&dir, &wal_bytes, wal_bytes.len(), "full");
-        let (rec, _) = DurableDb::recover(&crash, FsyncPolicy::Never).unwrap();
-        assert_recovered_matches(rec.db(), &final_state, "at the full log")?;
-        std::fs::remove_dir_all(crash).unwrap();
+        let full = crashed_copy(&dir, &wal_bytes, wal_bytes.len(), "full");
+        let (via_replay, r2) = DurableDb::recover(&full, FsyncPolicy::Never).unwrap();
+        prop_assert_eq!(r2.snapshot_lsn, Some(0));
+        prop_assert_eq!(r2.records_replayed as usize, by_lsn.len() - 1);
+        assert_recovered_matches(via_replay.db(), &final_state, "via full replay")?;
 
         // ---- Snapshot + replay == full replay -------------------------
         let snap_lsn = durable.snapshot().unwrap();
@@ -269,20 +387,13 @@ proptest! {
         let (via_snapshot, r1) = DurableDb::recover(&dir, FsyncPolicy::Never).unwrap();
         prop_assert_eq!(r1.snapshot_lsn, Some(snap_lsn));
         prop_assert_eq!(r1.records_replayed, 0);
-        let (via_replay, r2) = DurableDb::recover_with(
-            &dir,
-            FsyncPolicy::Never,
-            RecoveryOptions { use_latest_snapshot: false },
-        )
-        .unwrap();
-        prop_assert_eq!(r2.snapshot_lsn, Some(0));
-        prop_assert_eq!(r2.records_replayed as usize, by_lsn.len() - 1);
         assert_recovered_matches(via_snapshot.db(), &final_state, "via snapshot")?;
-        assert_recovered_matches(via_replay.db(), &final_state, "via full replay")?;
         prop_assert_eq!(
             via_snapshot.prover().atom_model(),
             via_replay.prover().atom_model()
         );
+        drop(via_replay);
+        std::fs::remove_dir_all(full).unwrap();
 
         // ---- Compaction preserves the state ---------------------------
         let mut compacted = via_snapshot;
