@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epilog_bench::workloads::{dense_closure_program, scaling_program};
-use epilog_datalog::{PlannerMode, Program, RulePlan, SupportTable};
+use epilog_datalog::{Program, RulePlan, SupportTable};
 use epilog_storage::Database;
 use std::hint::black_box;
 
@@ -25,13 +25,11 @@ fn retract_setup(m: usize) -> (Program, Database, Database, Vec<RulePlan>, Suppo
     let post = dense_closure_program(m, Some((0, 1)));
     let removed = Program::from_text("e(n0, n1)").unwrap().edb;
     let mut table = SupportTable::new();
-    let (model, _) = full
-        .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-        .unwrap();
+    let (model, _) = full.fixpoint(true, Some(&mut table)).unwrap();
     let plans: Vec<RulePlan> = post
         .rules
         .iter()
-        .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
+        .map(|r| RulePlan::compile(r, &model))
         .collect();
     (post, model, removed, plans, table)
 }
@@ -43,9 +41,7 @@ fn bench(c: &mut Criterion) {
         let prog = scaling_program(16, 3);
         let (plain_db, plain) = prog.eval().unwrap();
         let mut table = SupportTable::new();
-        let (traced_db, traced) = prog
-            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-            .unwrap();
+        let (traced_db, traced) = prog.fixpoint(true, Some(&mut table)).unwrap();
         assert_eq!(plain_db, traced_db);
         assert!(traced.supports_recorded > 0);
         assert!(table.consistent_with(&traced_db, prog.rules.len()));
@@ -87,10 +83,7 @@ fn bench(c: &mut Criterion) {
             let prog = scaling_program(n, 3);
             b.iter(|| {
                 let mut table = SupportTable::new();
-                black_box(
-                    prog.fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-                        .unwrap(),
-                )
+                black_box(prog.fixpoint(true, Some(&mut table)).unwrap())
             })
         });
     }

@@ -7,7 +7,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epilog_bench::workloads::datalog_chain;
-use epilog_datalog::PlannerMode;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -15,7 +14,7 @@ fn bench(c: &mut Criterion) {
     {
         let p = datalog_chain(10);
         let (a, fast) = p.eval().unwrap();
-        let (b, slow) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (b, slow) = p.fixpoint(false, None).unwrap();
         assert_eq!(a, b);
         assert!(fast.derivations < slow.derivations);
     }
@@ -28,7 +27,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(prog.eval().unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| black_box(prog.fixpoint(false, PlannerMode::CostBased, None).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(false, None).unwrap()))
         });
     }
     g.finish();

@@ -8,7 +8,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epilog_bench::workloads::scaling_program;
-use epilog_datalog::PlannerMode;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -16,7 +15,7 @@ fn bench(c: &mut Criterion) {
     {
         let p = scaling_program(16, 3);
         let (a, fast) = p.eval().unwrap();
-        let (b, slow) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (b, slow) = p.fixpoint(false, None).unwrap();
         assert_eq!(a, b);
         assert!(fast.rule_firings < slow.rule_firings);
         assert!(fast.derivations < slow.derivations);
@@ -30,7 +29,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(prog.eval().unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| black_box(prog.fixpoint(false, PlannerMode::CostBased, None).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(false, None).unwrap()))
         });
     }
     g.finish();

@@ -17,7 +17,7 @@ use epilog_core::{
     ModelUpdate,
 };
 use epilog_datalog::provenance::params_of;
-use epilog_datalog::{PlannerMode, RulePlan, SupportTable};
+use epilog_datalog::{RulePlan, SupportTable};
 use epilog_prover::Prover;
 use epilog_semantics::{minimal_worlds, ModelSet};
 use epilog_syntax::{is_admissible, parse, Param, Pred, Theory};
@@ -207,7 +207,7 @@ fn main() {
         let k = 3;
         let prog = scaling_program(n, k);
         let (db, fast) = prog.eval().unwrap();
-        let (naive_db, slow) = prog.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (naive_db, slow) = prog.fixpoint(false, None).unwrap();
         let t = db.relation(Pred::new("t", 2)).map_or(0, |r| r.len());
         let join = db.relation(Pred::new("join", 2)).map_or(0, |r| r.len());
         check(
@@ -235,21 +235,6 @@ fn main() {
                 "fewer"
             } else {
                 "NOT-fewer"
-            },
-        );
-        // Cost-based literal ordering must never do more join work than
-        // the seed greedy order on this workload.
-        let (greedy_db, greedy) = prog.fixpoint(true, PlannerMode::Greedy, None).unwrap();
-        check(
-            &format!(
-                "n={n} rows cost-based {} <= greedy {} (same model)",
-                fast.rows_examined, greedy.rows_examined
-            ),
-            "yes",
-            if fast.rows_examined <= greedy.rows_examined && db == greedy_db {
-                "yes"
-            } else {
-                "no"
             },
         );
     }
@@ -508,78 +493,36 @@ fn main() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    println!("\nF9 — join planning (hash vs probe on skewed equi-joins; cost vs greedy order)");
+    println!("\nF9 — join planning (hash on skewed equi-joins; cost-based literal order)");
     for n in [128usize, 512, 2048] {
-        let prog = join_heavy_program(n, 8);
-        let (cost_db, cost) = prog.fixpoint(true, PlannerMode::CostBased, None).unwrap();
-        let (greedy_db, greedy) = prog.fixpoint(true, PlannerMode::Greedy, None).unwrap();
+        // One scan of `q`, one build over `big`, one probe hit per row.
+        let (db, stats) = join_heavy_program(n, 8).fixpoint(true, None).unwrap();
         check(
-            &format!("n={n} |hit| (= n)"),
-            &n.to_string(),
-            &cost_db
-                .relation(Pred::new("hit", 2))
-                .map_or(0, |r| r.len())
-                .to_string(),
-        );
-        check(
-            &format!("n={n} models agree"),
-            "yes",
-            if cost_db == greedy_db { "yes" } else { "no" },
-        );
-        check(
-            &format!("n={n} join strategy cost/greedy"),
-            "hash/probe-only",
+            &format!("n={n} equi-join |hit| / strategy / rows examined (= 3n)"),
+            &format!("{n}/hash/{}", 3 * n),
             &format!(
-                "{}/{}",
-                if cost.hash_steps > 0 {
+                "{}/{}/{}",
+                db.relation(Pred::new("hit", 2)).map_or(0, |r| r.len()),
+                if stats.hash_steps > 0 {
                     "hash"
                 } else {
                     "probe-only"
                 },
-                if greedy.hash_steps > 0 {
-                    "hash"
-                } else {
-                    "probe-only"
-                }
+                stats.rows_examined
             ),
-        );
-        check(
-            &format!(
-                "n={n} rows examined: probe {} >= 2x hash {}",
-                greedy.rows_examined, cost.rows_examined
-            ),
-            "yes",
-            if greedy.rows_examined >= 2 * cost.rows_examined {
-                "yes"
-            } else {
-                "no"
-            },
         );
     }
     for n in [128usize, 512, 2048] {
-        let prog = order_sensitive_program(n, 16);
-        let (cost_db, cost) = prog.fixpoint(true, PlannerMode::CostBased, None).unwrap();
-        let (greedy_db, greedy) = prog.fixpoint(true, PlannerMode::Greedy, None).unwrap();
+        // `small` leads: its 16 rows, one probe hit in `big` for each.
+        let (db, stats) = order_sensitive_program(n, 16).fixpoint(true, None).unwrap();
         check(
-            &format!("n={n} |out| (= 16) and models agree"),
-            "16/yes",
+            &format!("n={n} ordering |out| / rows examined (= 2m)"),
+            "16/32",
             &format!(
                 "{}/{}",
-                cost_db.relation(Pred::new("out", 2)).map_or(0, |r| r.len()),
-                if cost_db == greedy_db { "yes" } else { "no" }
+                db.relation(Pred::new("out", 2)).map_or(0, |r| r.len()),
+                stats.rows_examined
             ),
-        );
-        check(
-            &format!(
-                "n={n} rows examined: greedy order {} >= 2x cost order {}",
-                greedy.rows_examined, cost.rows_examined
-            ),
-            "yes",
-            if greedy.rows_examined >= 2 * cost.rows_examined {
-                "yes"
-            } else {
-                "no"
-            },
         );
     }
 
@@ -736,9 +679,7 @@ fn main() {
             let prog = scaling_program(n, 3);
             let (plain_db, plain) = prog.eval().unwrap();
             let mut table = SupportTable::new();
-            let (traced_db, traced) = prog
-                .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-                .unwrap();
+            let (traced_db, traced) = prog.fixpoint(true, Some(&mut table)).unwrap();
             let mut scrubbed = traced;
             scrubbed.supports_recorded = 0;
             scrubbed.support_hits = 0;
@@ -781,13 +722,11 @@ fn main() {
             let post = dense_closure_program(m, Some((0, 1)));
             let removed = epilog_datalog::Program::from_text("e(n0, n1)").unwrap().edb;
             let mut table = SupportTable::new();
-            let (model, _) = full
-                .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-                .unwrap();
+            let (model, _) = full.fixpoint(true, Some(&mut table)).unwrap();
             let plans: Vec<RulePlan> = post
                 .rules
                 .iter()
-                .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
+                .map(|r| RulePlan::compile(r, &model))
                 .collect();
             let (plain_db, plain) = post.shrink(&plans, model.clone(), &removed, None).unwrap();
             let (traced_db, traced) = post
@@ -930,9 +869,7 @@ fn main() {
             let traced = best_of(7, || {
                 let start = std::time::Instant::now();
                 let mut table = SupportTable::new();
-                let _ = prog
-                    .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-                    .unwrap();
+                let _ = prog.fixpoint(true, Some(&mut table)).unwrap();
                 start.elapsed()
             });
             check(

@@ -11,7 +11,7 @@ use crate::demo;
 use crate::engine::{definite_program, prover_and_program};
 use crate::incremental::{CompiledConstraint, IncrementalChecker, RuleGraph};
 use crate::transaction::Transaction;
-use epilog_datalog::{PlannerMode, Program, ProofTree, RulePlan, SupportTable};
+use epilog_datalog::{Program, ProofTree, RulePlan, SupportTable};
 use epilog_prover::Prover;
 use epilog_semantics::Answer;
 use epilog_syntax::formula::Atom;
@@ -235,10 +235,7 @@ impl EpistemicDb {
         let model = self.prover.atom_model()?;
         let rules = &self.program.as_ref()?.rules;
         Some(Arc::new(
-            rules
-                .iter()
-                .map(|r| RulePlan::compile_with_stats(r, Some(model)))
-                .collect(),
+            rules.iter().map(|r| RulePlan::compile(r, model)).collect(),
         ))
     }
 
@@ -340,10 +337,7 @@ impl EpistemicDb {
             return false;
         };
         let mut table = SupportTable::new();
-        if prog
-            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-            .is_err()
-        {
+        if prog.fixpoint(true, Some(&mut table)).is_err() {
             return false;
         }
         self.support_table = Some(table);

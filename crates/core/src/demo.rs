@@ -19,8 +19,8 @@
 //! **Theorem 5.1 (soundness).** For admissible `w` over satisfiable `Σ`:
 //! if `demo(w, Σ)` succeeds, its bindings `p̄` satisfy `Σ ⊨ w|p̄`; if it
 //! finitely fails, then `Σ ⊭ w|p̄` for every `p̄`. The property tests in
-//! `crates/core/tests/soundness.rs` check exactly this against the
-//! brute-force oracle.
+//! `tests/e5_soundness.rs` check exactly this against the brute-force
+//! oracle.
 
 use epilog_prover::{AnswerIter, Prover};
 use epilog_syntax::{

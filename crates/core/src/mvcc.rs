@@ -79,11 +79,6 @@ impl ReadHandle {
     pub fn state(&self) -> &CommittedState {
         &self.0
     }
-
-    /// The inner `Arc`, for callers that want to store it directly.
-    pub fn into_arc(self) -> Arc<CommittedState> {
-        self.0
-    }
 }
 
 impl Deref for ReadHandle {

@@ -40,7 +40,7 @@ use crate::constraints::{ic_satisfaction, IcDefinition, IcReport};
 use crate::db::{DbError, EpistemicDb, Rejection};
 use crate::engine::prover_and_program;
 use crate::incremental::{CheckStats, RuleGraph};
-use epilog_datalog::{EvalStats, PlannerMode, Program, SupportTable};
+use epilog_datalog::{EvalStats, Program, SupportTable};
 use epilog_prover::Prover;
 use epilog_storage::Database;
 use epilog_syntax::theory::TheoryError;
@@ -440,9 +440,7 @@ impl<'db> Transaction<'db> {
                 // to record — provenance switches off.
                 support_update = Some(program.as_ref().and_then(|prog| {
                     let mut table = SupportTable::new();
-                    prog.fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-                        .ok()
-                        .map(|_| table)
+                    prog.fixpoint(true, Some(&mut table)).ok().map(|_| table)
                 }));
             }
             (rebuilt, update, program.map(Arc::new))

@@ -2,7 +2,7 @@
 //! programs, executing compiled [`RulePlan`]s.
 //!
 //! Every rule is compiled **once** before the fixpoint starts (dense
-//! variable slots, greedily reordered literals, precomputed selection
+//! variable slots, cost-ordered literals, precomputed selection
 //! shapes — see [`crate::plan`]), and the storage indexes the plans probe
 //! are built once per stratum and maintained incrementally as facts are
 //! inserted. Semi-naive rounds advance an explicit
@@ -13,8 +13,8 @@
 //! a firing.
 //!
 //! Four entry points, one per mode: [`Program::eval`] (the default full
-//! fixpoint), [`Program::fixpoint`] (the full fixpoint with the
-//! reference-baseline selectors and optional provenance),
+//! fixpoint), [`Program::fixpoint`] (the full fixpoint with the naive
+//! reference selector and optional provenance),
 //! [`Program::grow`] and [`Program::shrink`] (resume a least model after
 //! additions / retractions over caller-supplied plans). Everything runs
 //! on the calling thread.
@@ -24,21 +24,6 @@ use crate::program::{DatalogError, Program};
 use crate::provenance::{ProvenanceSink, SupportTable};
 use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, StepStrategy, Tuple};
 use epilog_syntax::{Param, Pred};
-
-/// Which join planner compiles the rule plans of an evaluation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PlannerMode {
-    /// The seed planner: literals ordered greedily by bound-column count,
-    /// every step an index probe or a residual scan. Kept as the ablation
-    /// baseline for the planner-differential property suite and the
-    /// `f9_joins` bench.
-    Greedy,
-    /// Cost-based ordering from live relation cardinalities
-    /// (EDB statistics), with hash build+probe steps for multi-column
-    /// joins against large relations.
-    #[default]
-    CostBased,
-}
 
 /// Counters reported by an evaluation run (for the `f2_datalog`/
 /// `f6_scaling`/`f9_joins` benches and for tests asserting that
@@ -78,7 +63,7 @@ pub struct EvalStats {
     /// from scans and probed buckets (including ones residual filtering
     /// rejected), tuples read while building hash tables, and hash-bucket
     /// entries probed. The deterministic work-done measure the F9 report
-    /// table compares planners by.
+    /// table pins.
     pub rows_examined: u64,
     /// Rule plans compiled for this run: positive for the full fixpoint
     /// ([`Program::eval`], [`Program::fixpoint`]), zero for
@@ -105,8 +90,9 @@ pub struct EvalStats {
     /// DRed phase 3 with a support table ([`Program::shrink`]):
     /// over-deleted tuples whose recorded alternative support had no
     /// over-deleted parent, seeding re-derivation **without** running the
-    /// support plan. Each hit is a [`EvalStats::support_checks`] probe
-    /// saved.
+    /// support plan. Each hit saves the [`EvalStats::support_checks`]
+    /// probes that tuple would have cost — one per rule tried up to the
+    /// one that re-derives it, so at least one.
     pub support_hits: u64,
 }
 
@@ -136,17 +122,15 @@ impl EvalStats {
 impl Program {
     /// Compute the perfect model by **semi-naive** evaluation: after the
     /// first round of each stratum, only join against the delta of the
-    /// previous round. Plans are compiled cost-based
-    /// ([`PlannerMode::CostBased`]) from the EDB's live statistics.
+    /// previous round. Plans are compiled from the EDB's live statistics.
     pub fn eval(&self) -> Result<(Database, EvalStats), DatalogError> {
-        self.fixpoint(true, PlannerMode::CostBased, None)
+        self.fixpoint(true, None)
     }
 
     /// Compute the perfect model with an explicit strategy — semi-naive
-    /// (`true`) or the **naive** baseline that re-derives everything each
-    /// iteration (`false`) — and join planner: the reference baselines the
-    /// differential property suites and the `f2`/`f6`/`f9` benches compare
-    /// [`Program::eval`] against.
+    /// (`true`) or the **naive** rounds that re-derive everything each
+    /// iteration (`false`): the reference the differential property suites
+    /// and the `f2`/`f6` benches compare [`Program::eval`] against.
     ///
     /// With a `table`, the run is **traced**: every head derivation of the
     /// fixpoint records a [`Support`](crate::provenance::Support) — the
@@ -164,7 +148,6 @@ impl Program {
     pub fn fixpoint(
         &self,
         seminaive: bool,
-        planner: PlannerMode,
         table: Option<&mut SupportTable>,
     ) -> Result<(Database, EvalStats), DatalogError> {
         let strata = self.stratify()?;
@@ -174,19 +157,10 @@ impl Program {
         let mut sink = table.is_some().then(ProvenanceSink::new);
 
         // Compile every rule exactly once; plans are reused each round.
-        let edb_stats = match planner {
-            PlannerMode::Greedy => None,
-            PlannerMode::CostBased => Some(&self.edb),
-        };
         let plans: Vec<(usize, RulePlan)> = self
             .rules
             .iter()
-            .map(|r| {
-                (
-                    strata[&r.head.pred],
-                    RulePlan::compile_with_stats(r, edb_stats),
-                )
-            })
+            .map(|r| (strata[&r.head.pred], RulePlan::compile(r, &self.edb)))
             .collect();
         stats.plans_compiled = plans.len() as u64;
 
@@ -234,7 +208,7 @@ impl Program {
     /// order — the cross-commit plan-cache hook (they depend only on the
     /// rule shapes, so a cache owner invalidates them precisely when a
     /// commit changes the rule set; a caller without a cache compiles
-    /// them with [`RulePlan::compile_with_stats`] against `model`).
+    /// them with [`RulePlan::compile`] against `model`).
     /// Reports `plans_compiled == 0`: ground-atom commits recompile
     /// nothing.
     ///
@@ -514,7 +488,7 @@ impl Program {
         if let Some(table) = table.as_deref_mut() {
             *table = SupportTable::new();
         }
-        self.fixpoint(true, PlannerMode::CostBased, table)
+        self.fixpoint(true, table)
     }
 }
 
@@ -731,7 +705,7 @@ mod tests {
     fn plans_for(p: &Program, model: &Database) -> Vec<RulePlan> {
         p.rules
             .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(model)))
+            .map(|r| RulePlan::compile(r, model))
             .collect()
     }
 
@@ -751,7 +725,7 @@ mod tests {
         for n in [1, 3, 6] {
             let p = chain(n);
             let (a, _) = p.eval().unwrap();
-            let (b, _) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+            let (b, _) = p.fixpoint(false, None).unwrap();
             assert_eq!(a, b, "models differ for chain({n})");
         }
     }
@@ -760,7 +734,7 @@ mod tests {
     fn seminaive_derives_less() {
         let p = chain(12);
         let (_, fast) = p.eval().unwrap();
-        let (_, slow) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (_, slow) = p.fixpoint(false, None).unwrap();
         assert!(
             fast.derivations < slow.derivations,
             "semi-naive {} vs naive {}",
@@ -773,7 +747,7 @@ mod tests {
     fn seminaive_fires_fewer_plans() {
         let p = chain(12);
         let (_, fast) = p.eval().unwrap();
-        let (_, slow) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (_, slow) = p.fixpoint(false, None).unwrap();
         assert!(
             fast.rule_firings < slow.rule_firings,
             "empty-delta variants must be skipped: semi-naive {} vs naive {}",
@@ -832,9 +806,7 @@ mod tests {
         )
         .unwrap();
         let mut table = SupportTable::new();
-        let (model, _) = p
-            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-            .unwrap();
+        let (model, _) = p.fixpoint(true, Some(&mut table)).unwrap();
         assert!(model.contains(&atom("sep(b, a)")));
         // Adding e(b, a) must *remove* sep(b, a): only the full fallback
         // can do that — and, traced, only a rebuilt table forgets the
@@ -871,28 +843,25 @@ mod tests {
         }
         src.push_str("forall x, y. q(x, y) & big(x, y) -> hit(x, y)\n");
         let p = Program::from_text(&src).unwrap();
-        let (cost_db, cost) = p.fixpoint(true, PlannerMode::CostBased, None).unwrap();
-        let (greedy_db, greedy) = p.fixpoint(true, PlannerMode::Greedy, None).unwrap();
-        assert_eq!(cost_db, greedy_db);
-        assert_eq!(cost.derivations, greedy.derivations);
-        assert_eq!(cost.rule_firings, greedy.rule_firings);
-        assert!(cost.hash_steps > 0, "two bound columns on a large relation");
-        assert_eq!(greedy.hash_steps, 0, "the seed planner never hashes");
-        assert!(greedy.probe_steps > 0);
-        assert!(
-            cost.rows_examined < greedy.rows_examined,
-            "hash {} vs residual probe {}",
-            cost.rows_examined,
-            greedy.rows_examined
-        );
-        assert!(cost.plans_compiled > 0);
+        let (db, stats) = p.fixpoint(true, None).unwrap();
+        let (naive_db, naive) = p.fixpoint(false, None).unwrap();
+        assert_eq!(db, naive_db);
+        assert_eq!(stats.derivations, 8);
+        assert_eq!(stats.rule_firings, 1);
+        // Two bound columns on a large relation: one scan of `q`, one
+        // build over `big`, eight singleton-bucket probes. (Probing
+        // `big`'s skewed column 0 instead would examine 8 + 8 × 4.)
+        assert_eq!((stats.scan_steps, stats.hash_steps), (1, 1));
+        assert_eq!(stats.rows_examined, 24);
+        assert_eq!(naive.hash_steps, 2, "the same plan, fired in both rounds");
+        assert!(stats.plans_compiled > 0);
     }
 
     #[test]
     fn recursive_delta_rounds_never_do_more_work_than_greedy() {
         // r(y) ← r(x) ∧ a(x,y) ∧ b(x,y): every semi-naive round carries
         // a one-row delta, so rebuilding a hash table over `b` per round
-        // would turn the Θ(n) greedy evaluation into Θ(n²). The outer-
+        // would turn the Θ(n) evaluation into Θ(n²). The outer-
         // cardinality gate must keep the probe strategy here.
         let n = 32;
         let mut src = String::from("r(n0)\n");
@@ -901,15 +870,12 @@ mod tests {
         }
         src.push_str("forall x, y. r(x) & a(x, y) & b(x, y) -> r(y)\n");
         let p = Program::from_text(&src).unwrap();
-        let (cost_db, cost) = p.fixpoint(true, PlannerMode::CostBased, None).unwrap();
-        let (greedy_db, greedy) = p.fixpoint(true, PlannerMode::Greedy, None).unwrap();
-        assert_eq!(cost_db, greedy_db);
-        assert!(
-            cost.rows_examined <= greedy.rows_examined,
-            "cost-based {} must not exceed greedy {} on small-delta recursion",
-            cost.rows_examined,
-            greedy.rows_examined
-        );
+        let (db, stats) = p.fixpoint(true, None).unwrap();
+        assert_eq!(db.relation(Pred::new("r", 1)).unwrap().len(), n + 1);
+        assert_eq!(stats.hash_steps, 0);
+        // One r-row, one a-probe hit and one b-probe hit per round, plus
+        // the last round's r-row that finds no `a`.
+        assert_eq!(stats.rows_examined, 97);
     }
 
     #[test]
@@ -921,7 +887,7 @@ mod tests {
             "the e-delta variant is skipped after round 2"
         );
         // Naive evaluation has no variants to skip.
-        let (_, naive) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (_, naive) = p.fixpoint(false, None).unwrap();
         assert_eq!(naive.variants_skipped, 0);
     }
 
@@ -1010,6 +976,34 @@ mod tests {
     }
 
     #[test]
+    fn decremental_binds_repeated_and_constant_heads() {
+        // Heads `bind_head` can refuse a tuple on: `self(x, x)` repeats a
+        // slot, `tag(x, c0)` / `tag(x, c1)` fix a column.
+        let rules = "forall x. f(x) -> self(x, x)
+             forall x. g(x) -> self(x, x)
+             forall x. f(x) -> tag(x, c0)
+             forall x. g(x) -> tag(x, c1)";
+        let before = Program::from_text(&format!("f(a)\ng(a)\n{rules}")).unwrap();
+        let (model, _) = before.eval().unwrap();
+        let mut removed = epilog_storage::Database::new();
+        removed.insert(&atom("f(a)"));
+        let after = Program::from_text(&format!("g(a)\n{rules}")).unwrap();
+        let (dec, stats) = after
+            .shrink(&plans_for(&after, &model), model, &removed, None)
+            .unwrap();
+        let (scratch, _) = after.eval().unwrap();
+        assert_eq!(dec, scratch);
+        assert_eq!(stats.tuples_overdeleted, 3, "f(a), self(a, a), tag(a, c0)");
+        // self(a, a): the f-rule's probe fails, the g-rule's re-derives it;
+        // tag(a, c0): the f-rule's probe fails, the g-rule's head says c1
+        // and is refused before any probe.
+        assert_eq!(stats.support_checks, 3);
+        assert_eq!(stats.tuples_rederived, 1);
+        assert!(dec.contains(&atom("self(a, a)")));
+        assert!(!dec.contains(&atom("tag(a, c0)")));
+    }
+
+    #[test]
     fn decremental_keeps_extensional_survivors() {
         // t(a, b) is *also* an extensional fact: over-deleting it via the
         // rule must re-seed it from EDB membership, no support query
@@ -1063,9 +1057,7 @@ mod tests {
         )
         .unwrap();
         let mut table = SupportTable::new();
-        let (model, _) = p
-            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-            .unwrap();
+        let (model, _) = p.fixpoint(true, Some(&mut table)).unwrap();
         assert!(!model.contains(&atom("sep(b, a)")));
         // Removing e(b, a) must *add* sep(b, a): only the fallback can —
         // and, traced, only a rebuilt table forgets reach(b, a).
@@ -1222,7 +1214,7 @@ mod tests {
         .unwrap();
         let (db, _) = p.eval().unwrap();
         assert!(db.contains(&atom("q(b)")));
-        let (db2, _) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (db2, _) = p.fixpoint(false, None).unwrap();
         assert_eq!(db, db2);
     }
 
@@ -1238,7 +1230,7 @@ mod tests {
             .preds()
             .into_iter()
             .all(|pr| !db.relation(pr).unwrap().is_empty()));
-        let (db2, _) = p.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (db2, _) = p.fixpoint(false, None).unwrap();
         assert_eq!(db, db2);
     }
 
@@ -1268,9 +1260,7 @@ mod tests {
         let p = chain(8);
         let (plain_db, plain) = p.eval().unwrap();
         let mut table = SupportTable::new();
-        let (traced_db, traced) = p
-            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-            .unwrap();
+        let (traced_db, traced) = p.fixpoint(true, Some(&mut table)).unwrap();
         assert_eq!(traced_db, plain_db);
         assert_eq!(scrub_prov(traced), plain, "tracking must not change work");
         assert!(traced.supports_recorded > 0);
@@ -1289,9 +1279,7 @@ mod tests {
     fn traced_incremental_extends_the_table() {
         let before = chain(4);
         let mut table = SupportTable::new();
-        let (model, _) = before
-            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-            .unwrap();
+        let (model, _) = before.fixpoint(true, Some(&mut table)).unwrap();
         let after = chain(6);
         let mut new_facts = epilog_storage::Database::new();
         for i in 4..6 {
@@ -1329,9 +1317,7 @@ mod tests {
         )
         .unwrap();
         let mut table = SupportTable::new();
-        let (model, _) = before
-            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
-            .unwrap();
+        let (model, _) = before.fixpoint(true, Some(&mut table)).unwrap();
         let mut removed = epilog_storage::Database::new();
         removed.insert(&atom("e(a, b)"));
         let after = Program::from_text(

@@ -2,9 +2,10 @@
 //!
 //! The paper notes (§5.1) that the database `Σ` "could, for example, be a
 //! Datalog program and `prove` could be realized using negation-as-failure".
-//! This crate realizes that alternative backend, and supplies the *Clark
-//! completion* `Comp(DB)` that Definitions 3.3/3.4 (the closed Prolog-like
-//! readings of integrity-constraint satisfaction) are stated over.
+//! This crate realizes that alternative backend — once, bottom-up — and
+//! supplies the *Clark completion* `Comp(DB)` that Definitions 3.3/3.4
+//! (the closed Prolog-like readings of integrity-constraint satisfaction)
+//! are stated over.
 //!
 //! Components:
 //!
@@ -15,11 +16,11 @@
 //! * stratification ([`Program::stratify`]) and the perfect-model
 //!   fixpoint — one semi-naive loop on the calling thread behind four
 //!   entry points: [`Program::eval`], [`Program::fixpoint`] (which also
-//!   selects the naive and greedy-planner baselines that benches
-//!   `f2_datalog`, `f6_scaling` and `f9_joins` compare against, and
-//!   takes an optional [`SupportTable`] to trace into),
-//!   [`Program::grow`] and [`Program::shrink`] (resume a least model
-//!   after additions / retractions);
+//!   selects the naive rounds the differential suites and the
+//!   `f2_datalog` / `f6_scaling` benches use as the reference, and takes
+//!   an optional [`SupportTable`] to trace into), [`Program::grow`] and
+//!   [`Program::shrink`] (resume a least model after additions /
+//!   retractions);
 //! * [`completion()`](completion::completion) — Clark's completion as FOPCE sentences, ready to be
 //!   fed to `epilog-prover` for the Definition 3.3/3.4 comparisons.
 
@@ -28,11 +29,9 @@ pub mod engine;
 pub mod plan;
 pub mod program;
 pub mod provenance;
-pub mod sld;
 
 pub use completion::completion;
-pub use engine::{EvalStats, PlannerMode};
+pub use engine::EvalStats;
 pub use plan::RulePlan;
 pub use program::{DatalogError, Literal, Program, Rule};
 pub use provenance::{ProofTree, Support, SupportTable};
-pub use sld::{SldEngine, SldOutcome};

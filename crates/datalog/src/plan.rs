@@ -7,11 +7,10 @@
 //! * the rule's variables are numbered into dense slots, so a binding
 //!   environment is a flat `Vec<Option<Param>>` instead of a cloned
 //!   `HashMap<Var, Param>` per candidate match;
-//! * the positive body literals are reordered — greedily by bound-column
-//!   count, or by estimated intermediate size when relation statistics
-//!   are supplied ([`RulePlan::compile_with_stats`]) — with selection
-//!   shapes and a per-step [`StepStrategy`] (index probe, hash
-//!   build+probe, scan) precomputed per step
+//! * the positive body literals are reordered by estimated intermediate
+//!   size, read from the statistics of the database the rule is compiled
+//!   against, with selection shapes and a per-step [`StepStrategy`]
+//!   (index probe, hash build+probe, scan) precomputed per step
 //!   ([`epilog_storage::ConjunctionPlan`]);
 //! * one plan variant exists per positive literal, designating it as the
 //!   **delta position** for semi-naive rounds, plus a full variant used by
@@ -55,17 +54,12 @@ pub struct RulePlan {
 }
 
 impl RulePlan {
-    /// Compile a rule with the seed greedy planner (no statistics).
-    pub fn compile(rule: &Rule) -> RulePlan {
-        Self::compile_with_stats(rule, None)
-    }
-
-    /// Compile a rule, optionally threading live relation statistics into
-    /// literal ordering and join-strategy selection (see
-    /// [`ConjunctionPlan::compile_with`]). `stats` is typically the
-    /// program's EDB, or — on the cross-commit cache path — the theory's
-    /// current least model, which also covers intensional relations.
-    pub fn compile_with_stats(rule: &Rule, stats: Option<&Database>) -> RulePlan {
+    /// Compile a rule, reading literal order and join strategies off the
+    /// live relation statistics of `stats` (see
+    /// [`ConjunctionPlan::compile`]) — typically the program's EDB, or,
+    /// on the cross-commit cache path, the theory's current least model,
+    /// which also covers intensional relations.
+    pub fn compile(rule: &Rule, stats: &Database) -> RulePlan {
         let mut slots = SlotMap::new();
         let positives: Vec<Atom> = rule
             .body
@@ -76,18 +70,13 @@ impl RulePlan {
         // One statistics view shared by the full plan and every delta
         // variant, so per-column distinct counts are collected once per
         // rule rather than once per variant.
-        let view = stats.map(PlanStats::new);
-        let full = ConjunctionPlan::compile_planned(&positives, &mut slots, None, view.as_ref());
+        let view = PlanStats::new(stats);
+        let full = ConjunctionPlan::compile(&positives, &mut slots, None, &view);
         let variants = (0..positives.len())
             .map(|d| {
                 (
                     positives[d].pred,
-                    ConjunctionPlan::compile_planned(
-                        &positives,
-                        &mut slots,
-                        Some(d),
-                        view.as_ref(),
-                    ),
+                    ConjunctionPlan::compile(&positives, &mut slots, Some(d), &view),
                 )
             })
             .collect();
@@ -108,8 +97,7 @@ impl RulePlan {
                 PatTerm::Const(_) => None,
             })
             .collect();
-        let support =
-            ConjunctionPlan::compile_support(&positives, &mut slots, &prebound, view.as_ref());
+        let support = ConjunctionPlan::compile_support(&positives, &mut slots, &prebound, &view);
         RulePlan {
             head,
             negatives,
@@ -186,25 +174,21 @@ impl RulePlan {
                 StepStrategy::HashBuildProbe => "hash build+probe".to_string(),
                 StepStrategy::Scan => "scan".to_string(),
             };
-            let est = match step.est {
-                Some(e) => format!(", est {e}/row"),
-                None => String::new(),
-            };
             let delta = if step.from_delta { " [delta]" } else { "" };
             let _ = writeln!(
                 out,
-                "    {}. {}{delta}  ({strategy}{est})",
+                "    {}. {}{delta}  ({strategy}, est {}/row)",
                 i + 1,
-                self.render(&step.template)
+                self.render(&step.template),
+                step.est
             );
         }
     }
 
     /// Pretty-print the compiled plan: the head, the chosen literal order
     /// of the full variant and of every delta variant, each step's join
-    /// strategy, and (when compiled with statistics) the planner's
-    /// estimated matches per outer row. The debugging surface for
-    /// literal-ordering regressions.
+    /// strategy, and the planner's estimated matches per outer row. The
+    /// debugging surface for literal-ordering regressions.
     pub fn explain(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(&mut out, "plan for {}:", self.render(&self.head));
@@ -229,7 +213,7 @@ mod tests {
 
     fn plan_of(src: &str) -> RulePlan {
         let p = Program::from_text(src).unwrap();
-        RulePlan::compile(&p.rules[0])
+        RulePlan::compile(&p.rules[0], &p.edb)
     }
 
     #[test]
@@ -271,7 +255,7 @@ mod tests {
         }
         src.push_str("forall x, y. q(x, y) & big(x, y) -> hit(x, y)\n");
         let p = Program::from_text(&src).unwrap();
-        let plan = RulePlan::compile_with_stats(&p.rules[0], Some(&p.edb));
+        let plan = RulePlan::compile(&p.rules[0], &p.edb);
         let text = plan.explain();
         assert!(text.contains("plan for hit(x, y)"), "{text}");
         assert!(text.contains("full:"), "{text}");
@@ -279,10 +263,10 @@ mod tests {
         assert!(text.contains("est"), "{text}");
         assert!(text.contains("delta[q]"), "{text}");
         assert!(text.contains("[delta]"), "{text}");
-        // The seed planner has no statistics: no estimates, no hashing.
-        let greedy = RulePlan::compile(&p.rules[0]).explain();
-        assert!(!greedy.contains("est"), "{greedy}");
-        assert!(!greedy.contains("hash"), "{greedy}");
+        // Against empty statistics every estimate is 1 and nothing hashes.
+        let blind = RulePlan::compile(&p.rules[0], &Database::new()).explain();
+        assert!(blind.contains("est 1/row"), "{blind}");
+        assert!(!blind.contains("hash"), "{blind}");
     }
 
     #[test]
@@ -294,7 +278,6 @@ mod tests {
 
     #[test]
     fn support_plan_answers_alternative_derivations() {
-        use epilog_storage::Database;
         let plan = plan_of("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)");
         let mut db = Database::new();
         for f in ["e(a, b)", "t(b, c)", "e(a, d)"] {
@@ -319,8 +302,7 @@ mod tests {
 
     #[test]
     fn bind_head_rejects_mismatched_constants_and_repeats() {
-        let p = Program::from_text("forall x. e(x, x) -> loop(x)").unwrap();
-        let plan = RulePlan::compile(&p.rules[0]);
+        let plan = plan_of("forall x. e(x, x) -> loop(x)");
         let mut env = vec![None; plan.slots.len()];
         assert!(plan.bind_head(&[Param::new("a")], &mut env));
         assert_eq!(
@@ -328,15 +310,13 @@ mod tests {
             Some(Param::new("a"))
         );
         // A constant head column must match the tuple exactly.
-        let q = Program::from_text("forall x. e(x) -> mark(x, gold)").unwrap();
-        let qplan = RulePlan::compile(&q.rules[0]);
+        let qplan = plan_of("forall x. e(x) -> mark(x, gold)");
         let mut env = vec![None; qplan.slots.len()];
         assert!(qplan.bind_head(&[Param::new("a"), Param::new("gold")], &mut env));
         let mut env = vec![None; qplan.slots.len()];
         assert!(!qplan.bind_head(&[Param::new("a"), Param::new("lead")], &mut env));
         // A repeated head slot must agree across columns.
-        let r = Program::from_text("forall x. p(x) -> d(x, x)").unwrap();
-        let rplan = RulePlan::compile(&r.rules[0]);
+        let rplan = plan_of("forall x. p(x) -> d(x, x)");
         let mut env = vec![None; rplan.slots.len()];
         assert!(rplan.bind_head(&[Param::new("a"), Param::new("a")], &mut env));
         let mut env = vec![None; rplan.slots.len()];
@@ -352,7 +332,7 @@ mod tests {
             body: vec![],
         };
         // An unsafe rule on its own, but plan compilation is shape-only.
-        let plan = RulePlan::compile(&rule);
+        let plan = RulePlan::compile(&rule, &p.edb);
         assert!(plan.variants.is_empty());
         assert!(plan.full.steps().is_empty());
     }

@@ -155,11 +155,6 @@ impl Program {
         out
     }
 
-    /// The intensional predicates (appearing in some head).
-    pub fn idb_preds(&self) -> BTreeSet<Pred> {
-        self.rules.iter().map(|r| r.head.pred).collect()
-    }
-
     /// Assign each predicate a stratum such that positive dependencies stay
     /// within or below, and negative dependencies go strictly below.
     /// Returns `Err` when negation occurs through recursion.

@@ -504,7 +504,7 @@ impl ProofTree {
                 for p in premises {
                     world.insert(p.atom());
                 }
-                let plan = crate::plan::RulePlan::compile(rule);
+                let plan = crate::plan::RulePlan::compile(rule, &world);
                 if plan.head.pred != atom.pred {
                     return false;
                 }

@@ -59,6 +59,13 @@ pub enum FaultKind {
     ShortWrite,
 }
 
+/// What a random write fault draws from (seeded, uniform).
+const WRITE_KINDS: [FaultKind; 3] = [
+    FaultKind::FailOp,
+    FaultKind::TornWrite,
+    FaultKind::ShortWrite,
+];
+
 #[derive(Debug, Default)]
 struct Plan {
     rng: u64,
@@ -66,8 +73,6 @@ struct Plan {
     write_rate: (u32, u32),
     /// Per-sync fault probability as `num/den`; `num == 0` disables.
     sync_rate: (u32, u32),
-    /// Kinds drawn from (seeded, uniform) when a random write fault fires.
-    write_kinds: Vec<FaultKind>,
     /// Scripted faults: `(0-based write index, kind)`.
     nth_write: Vec<(u64, FaultKind)>,
     /// Scripted sync failures: 0-based sync indexes.
@@ -109,11 +114,6 @@ impl FaultInjector {
             injected: AtomicU64::new(0),
             plan: Mutex::new(Plan {
                 rng: seed ^ 0x9e37_79b9_7f4a_7c15,
-                write_kinds: vec![
-                    FaultKind::FailOp,
-                    FaultKind::TornWrite,
-                    FaultKind::ShortWrite,
-                ],
                 ..Plan::default()
             }),
         }
@@ -132,7 +132,8 @@ impl FaultInjector {
     }
 
     /// Fail each write with probability `num/den` (seeded; `num = 0`
-    /// disables), drawing the kind uniformly from the configured set.
+    /// disables), drawing the kind uniformly from the three
+    /// [`FaultKind`]s.
     pub fn set_write_rate(&self, num: u32, den: u32) {
         self.plan.lock().unwrap().write_rate = (num, den.max(1));
     }
@@ -141,12 +142,6 @@ impl FaultInjector {
     /// disables).
     pub fn set_sync_rate(&self, num: u32, den: u32) {
         self.plan.lock().unwrap().sync_rate = (num, den.max(1));
-    }
-
-    /// Restrict the kinds random write faults draw from.
-    pub fn set_write_kinds(&self, kinds: Vec<FaultKind>) {
-        assert!(!kinds.is_empty(), "the kind set cannot be empty");
-        self.plan.lock().unwrap().write_kinds = kinds;
     }
 
     /// Master switch off: every operation passes through untouched
@@ -195,8 +190,7 @@ impl FaultInjector {
             let roll = plan.next();
             (roll % u64::from(plan.write_rate.1)) < u64::from(plan.write_rate.0)
         } {
-            let pick = plan.next() as usize % plan.write_kinds.len();
-            plan.write_kinds[pick]
+            WRITE_KINDS[plan.next() as usize % WRITE_KINDS.len()]
         } else {
             return None;
         };

@@ -11,7 +11,7 @@
 //! predicates appear) and is a model of `Σ` — which is what powers the
 //! finiteness Lemma 6.3 and through it the completeness Theorem 6.2.
 
-use epilog_storage::{ConjunctionPlan, Database, SlotMap};
+use epilog_storage::{ConjunctionPlan, Database, PlanStats, SlotMap};
 use epilog_syntax::formula::{Atom, Formula};
 use epilog_syntax::{Param, Term, Theory, Var};
 use std::collections::HashMap;
@@ -40,16 +40,20 @@ pub fn canonical_model(theory: &Theory) -> Option<Database> {
         }
     }
     // Sᵢ₊₁: close under rules. Each rule body is compiled once into a
-    // join plan over the model's indexed storage and re-run per round.
+    // join plan over the model's indexed storage — costed against S₀ —
+    // and re-run per round.
     let rules = theory.rules();
-    let compiled: Vec<(ConjunctionPlan, SlotMap, &Formula)> = rules
-        .iter()
-        .map(|rule| {
-            let mut slots = SlotMap::new();
-            let plan = ConjunctionPlan::compile(&rule.body, &mut slots, None);
-            (plan, slots, &rule.head)
-        })
-        .collect();
+    let compiled: Vec<(ConjunctionPlan, SlotMap, &Formula)> = {
+        let stats = PlanStats::new(&model);
+        rules
+            .iter()
+            .map(|rule| {
+                let mut slots = SlotMap::new();
+                let plan = ConjunctionPlan::compile(&rule.body, &mut slots, None, &stats);
+                (plan, slots, &rule.head)
+            })
+            .collect()
+    };
     loop {
         let mut added = false;
         for (plan, slots, head) in &compiled {

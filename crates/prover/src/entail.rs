@@ -15,20 +15,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// How the finite grounding universe is chosen.
-#[derive(Debug, Clone, Copy)]
-pub struct UniversePolicy {
-    /// Maximum number of fresh witness parameters appended to the active
-    /// domain. Existentials that are not nested under universals need one
-    /// witness each for exactness; more witnesses only grow the grounding.
-    pub witness_cap: usize,
-}
-
-impl Default for UniversePolicy {
-    fn default() -> Self {
-        UniversePolicy { witness_cap: 3 }
-    }
-}
+/// Maximum number of fresh witness parameters appended to the active
+/// domain. Existentials that are not nested under universals need one
+/// witness each for exactness; more witnesses only grow the grounding.
+const WITNESS_CAP: usize = 3;
 
 /// A theorem prover for one fixed FOPCE theory `Σ`.
 ///
@@ -86,13 +76,8 @@ impl Clone for Prover {
 }
 
 impl Prover {
-    /// Build a prover with the default universe policy.
+    /// Build a prover for `theory`.
     pub fn new(theory: Theory) -> Self {
-        Prover::with_policy(theory, UniversePolicy::default())
-    }
-
-    /// Build a prover with an explicit universe policy.
-    pub fn with_policy(theory: Theory, policy: UniversePolicy) -> Self {
         // One witness per existential node of the theory (counted on the
         // NNF so polarities are explicit), plus one spare for goal-side
         // quantifiers, at least 1 (the FOPCE domain is never empty),
@@ -101,7 +86,7 @@ impl Prover {
         for s in theory.sentences() {
             exists_nodes += count_existentials(&transform::nnf(s));
         }
-        let budget = (exists_nodes + 1).clamp(1, policy.witness_cap.max(1));
+        let budget = (exists_nodes + 1).clamp(1, WITNESS_CAP);
         let witnesses = (0..budget).map(|_| Param::fresh("w")).collect();
         Prover::assemble(theory, witnesses, None)
     }

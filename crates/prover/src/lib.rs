@@ -37,13 +37,12 @@
 //!   (this is the Bernays–Schönfinkel/EPR argument, adapted to FOPCE's
 //!   unique-names semantics);
 //! * existentials under universals (rule heads `∀x̄ (A ⊃ ∃ȳ B)`) may in
-//!   principle require unboundedly many witnesses; we allocate
-//!   [`UniversePolicy::witness_cap`] of them (default: the number of
-//!   existential nodes, clamped to a small cap) and document that theories
-//!   which force infinite models (e.g. an irreflexive transitive successor
-//!   rule) can make the prover report `Σ ⊨ f` when a genuinely infinite
-//!   counter-world exists. Every experiment in EXPERIMENTS.md stays inside
-//!   the exact fragment.
+//!   principle require unboundedly many witnesses; we allocate one per
+//!   existential node of `Σ` plus a spare, at most three in all, and
+//!   document that theories which force infinite models (e.g. an
+//!   irreflexive transitive successor rule) can make the prover report
+//!   `Σ ⊨ f` when a genuinely infinite counter-world exists. Every
+//!   experiment in EXPERIMENTS.md stays inside the exact fragment.
 //!
 //! ## What keeping the grounding changes: nothing
 //!
@@ -97,5 +96,5 @@ mod testgen;
 
 pub use answers::AnswerIter;
 pub use canonical::canonical_model;
-pub use entail::{Prover, UniversePolicy};
+pub use entail::Prover;
 pub use ground::GroundContext;

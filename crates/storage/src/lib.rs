@@ -32,7 +32,7 @@
 //! * [`DeltaDatabase`] — the stable/delta split a semi-naive fixpoint
 //!   advances round by round;
 //! * [`plan`] — compiled conjunction joins ([`ConjunctionPlan`]): dense
-//!   variable slots, greedy literal reordering, precomputed selection
+//!   variable slots, cost-based literal reordering, precomputed selection
 //!   shapes, borrowing execution.
 
 pub mod database;

@@ -9,17 +9,15 @@
 //! time. Execution walks borrowed tuples; nothing is cloned until a full
 //! match reaches the caller's callback.
 //!
-//! Two planners share the machinery ([`ConjunctionPlan::compile_with`]):
-//!
-//! * **greedy** (no statistics): literals ordered by descending
-//!   bound-column count, every step an index probe or a scan — the seed
-//!   nested-loop planner, kept as the ablation baseline;
-//! * **cost-based** (statistics from a [`Database`]): literals ordered by
-//!   ascending estimated match count (relation cardinality divided by the
-//!   distinct counts of its bound columns, [`Relation::distinct_count`]),
-//!   and each step assigned a [`StepStrategy`] — single-column index
-//!   probe, **hash build + probe** keyed on every bound column at once,
-//!   or full scan.
+//! The planner is **cost-based**: a compile reads relation statistics
+//! from a [`Database`] through a [`PlanStats`] view, orders literals by
+//! ascending estimated match count (relation cardinality divided by the
+//! distinct counts of its bound columns, [`Relation::distinct_count`]),
+//! and assigns each step a [`StepStrategy`] — single-column index probe,
+//! **hash build + probe** keyed on every bound column at once, or full
+//! scan. Over an empty database every estimate is 1, and the tie-break
+//! is the order: most bound columns first, then written order, every
+//! step a probe or a scan.
 //!
 //! The hash strategy exists because the persistent per-column indexes
 //! probe exactly one column: a step whose selection binds several columns
@@ -44,7 +42,7 @@ use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Minimum (estimated) relation size before a hash build pays for itself;
-/// below it the plan keeps the probe-or-scan step the seed planner used.
+/// below it the step stays an index probe.
 const HASH_MIN_ROWS: usize = 4;
 
 /// Dense numbering of the variables appearing in a rule: slot `i` holds
@@ -185,9 +183,8 @@ pub struct JoinStep {
     /// How this step enumerates candidates (chosen by the planner).
     pub strategy: StepStrategy,
     /// Estimated matches this step emits per outer row — the quantity the
-    /// cost-based ordering minimizes. `None` when compiled without
-    /// statistics (the greedy planner).
-    pub est: Option<u64>,
+    /// cost-based ordering minimizes.
+    pub est: u64,
     /// Columns that bind a fresh slot (first occurrence in this atom).
     binders: Vec<(usize, usize)>,
     /// Columns that repeat a slot bound earlier in this same atom.
@@ -219,12 +216,12 @@ pub struct ConjunctionPlan {
 /// (typically the program's EDB, or a cached least model). Predicates the
 /// database does not hold — intensional relations whose size is unknown
 /// before the fixpoint runs — are estimated at the size of the largest
-/// known relation, which makes the cost order degrade gracefully to the
-/// greedy one instead of gambling on recursion being small.
+/// known relation, which makes the cost order degrade gracefully to
+/// bound-column count instead of gambling on recursion being small.
 ///
 /// Distinct counts are memoized, and a rule compiler producing several
 /// plan variants over the same database should build **one** `PlanStats`
-/// and pass it to every [`ConjunctionPlan::compile_planned`] call, so an
+/// and pass it to every [`ConjunctionPlan::compile`] call, so an
 /// unindexed column's counting scan is paid once per rule, not once per
 /// variant.
 pub struct PlanStats<'a> {
@@ -293,51 +290,23 @@ impl<'a> PlanStats<'a> {
 }
 
 impl ConjunctionPlan {
-    /// Compile a conjunction against a (shared) slot map with the seed
-    /// **greedy** planner: no statistics, literals ordered by descending
-    /// bound-column count, every step an index probe or a scan.
-    /// Equivalent to [`ConjunctionPlan::compile_with`] with `stats: None`.
-    pub fn compile(atoms: &[Atom], slots: &mut SlotMap, delta_pos: Option<usize>) -> Self {
-        Self::compile_with(atoms, slots, delta_pos, None)
-    }
-
     /// Compile a conjunction against a (shared) slot map.
     ///
     /// When `delta_pos` is `Some(d)`, literal `d` joins first and matches
     /// the delta database — the delta is the smallest relation in sight
     /// by construction, so it is pinned to the outermost position rather
     /// than costed. The remaining literals all match the total and are
-    /// ordered:
-    ///
-    /// * **without statistics** (`stats: None`): greedily by descending
-    ///   bound-column count, ties broken by written order, each step an
-    ///   index probe or scan — bit-for-bit the seed planner;
-    /// * **with statistics** (`stats: Some(db)`): by ascending estimated
-    ///   match count (cardinality over bound-column distinct counts, read
-    ///   live from `db`), ties broken by bound-column count then written
-    ///   order; a step binding several columns (at least one via a slot)
-    ///   is upgraded to [`StepStrategy::HashBuildProbe`] when the
-    ///   estimated outer cardinality amortizes the per-execution build.
-    pub fn compile_with(
+    /// ordered by ascending estimated match count (cardinality over
+    /// bound-column distinct counts, read live from `stats`), ties broken
+    /// by bound-column count then written order; a step binding several
+    /// columns (at least one via a slot) is upgraded to
+    /// [`StepStrategy::HashBuildProbe`] when the estimated outer
+    /// cardinality amortizes the per-execution build.
+    pub fn compile(
         atoms: &[Atom],
         slots: &mut SlotMap,
         delta_pos: Option<usize>,
-        stats: Option<&Database>,
-    ) -> Self {
-        let view = stats.map(PlanStats::new);
-        Self::compile_planned(atoms, slots, delta_pos, view.as_ref())
-    }
-
-    /// [`ConjunctionPlan::compile_with`] over a prebuilt [`PlanStats`]
-    /// view. Compilers producing several plan variants against the same
-    /// database (e.g. `RulePlan`'s full + per-literal delta variants)
-    /// share one view here so its memoized column statistics are
-    /// collected once per rule rather than once per variant.
-    pub fn compile_planned(
-        atoms: &[Atom],
-        slots: &mut SlotMap,
-        delta_pos: Option<usize>,
-        stats: Option<&PlanStats<'_>>,
+        stats: &PlanStats<'_>,
     ) -> Self {
         Self::compile_inner(atoms, slots, delta_pos, &[], stats)
     }
@@ -353,7 +322,7 @@ impl ConjunctionPlan {
         atoms: &[Atom],
         slots: &mut SlotMap,
         prebound: &[usize],
-        stats: Option<&PlanStats<'_>>,
+        stats: &PlanStats<'_>,
     ) -> Self {
         Self::compile_inner(atoms, slots, None, prebound, stats)
     }
@@ -363,7 +332,7 @@ impl ConjunctionPlan {
         slots: &mut SlotMap,
         delta_pos: Option<usize>,
         prebound: &[usize],
-        stats: Option<&PlanStats<'_>>,
+        stats: &PlanStats<'_>,
     ) -> Self {
         // Intern every variable up front so slot numbering follows written
         // order regardless of the join order chosen below.
@@ -387,9 +356,7 @@ impl ConjunctionPlan {
         if let Some(d) = delta_pos {
             remaining.retain(|&i| i != d);
             let step = Self::make_step(&templates[d], true, &mut bound, stats, est_outer);
-            if let Some(e) = step.est {
-                est_outer = est_outer.saturating_mul(e.max(1));
-            }
+            est_outer = est_outer.saturating_mul(step.est.max(1));
             steps.push(step);
         }
         while !remaining.is_empty() {
@@ -403,30 +370,22 @@ impl ConjunctionPlan {
                     })
                     .count()
             };
-            let pos = match stats {
-                // Cost-based: the literal expected to emit the fewest
-                // matches per outer row joins next.
-                Some(sv) => (0..remaining.len())
-                    .min_by_key(|&pos| {
-                        let i = remaining[pos];
-                        (
-                            sv.estimate(&templates[i], &bound),
-                            usize::MAX - bound_count(i),
-                            pos,
-                        )
-                    })
-                    .expect("remaining is nonempty"),
-                // Greedy: the literal with the most bound columns joins
-                // next (ties resolve to the earliest written literal).
-                None => (0..remaining.len())
-                    .max_by_key(|&pos| (bound_count(remaining[pos]), usize::MAX - pos))
-                    .expect("remaining is nonempty"),
-            };
+            // The literal expected to emit the fewest matches per outer
+            // row joins next; on a tie the one with the most bound
+            // columns, then the earliest written.
+            let pos = (0..remaining.len())
+                .min_by_key(|&pos| {
+                    let i = remaining[pos];
+                    (
+                        stats.estimate(&templates[i], &bound),
+                        usize::MAX - bound_count(i),
+                        pos,
+                    )
+                })
+                .expect("remaining is nonempty");
             let i = remaining.remove(pos);
             let step = Self::make_step(&templates[i], false, &mut bound, stats, est_outer);
-            if let Some(e) = step.est {
-                est_outer = est_outer.saturating_mul(e.max(1));
-            }
+            est_outer = est_outer.saturating_mul(step.est.max(1));
             steps.push(step);
         }
         let has_hash = steps
@@ -439,7 +398,7 @@ impl ConjunctionPlan {
         template: &AtomTemplate,
         from_delta: bool,
         bound: &mut [bool],
-        stats: Option<&PlanStats<'_>>,
+        stats: &PlanStats<'_>,
         outer_est: u64,
     ) -> JoinStep {
         let mut index_col = None;
@@ -454,9 +413,9 @@ impl ConjunctionPlan {
         // strategies out of semi-naive rounds whose real outer
         // cardinality is tiny.
         let est = if from_delta {
-            stats.map(|_| 1)
+            1
         } else {
-            stats.map(|sv| sv.estimate(template, bound))
+            stats.estimate(template, bound)
         };
         for (c, arg) in template.args.iter().enumerate() {
             match arg {
@@ -484,8 +443,7 @@ impl ConjunctionPlan {
         for s in fresh_here {
             bound[s] = true;
         }
-        // Strategy: delta steps and stat-less compiles keep the seed
-        // probe-or-scan behavior. With statistics, a total-side step that
+        // Strategy: delta steps probe or scan. A total-side step that
         // binds several columns — at least one through a slot — *may*
         // hash: one composite-key lookup per outer row instead of a
         // single-column index probe plus residual bucket filtering. The
@@ -496,15 +454,13 @@ impl ConjunctionPlan {
         let bound_cols = hash_consts.len() + hash_keys.len();
         let strategy = if bound_cols == 0 {
             StepStrategy::Scan
-        } else if from_delta || stats.is_none() || bound_cols == 1 || hash_keys.is_empty() {
+        } else if from_delta || bound_cols == 1 || hash_keys.is_empty() {
             StepStrategy::IndexProbe
         } else {
-            let sv = stats.expect("stats are present on this branch");
-            let n = sv.len_of(template.pred) as u64;
+            let n = stats.len_of(template.pred) as u64;
             let probed_col = index_col.expect("bound_cols >= 1 implies an index column");
-            let bucket_est = n / sv.distinct_of(template.pred, probed_col) as u64;
-            let step_est = est.expect("stats are present on this branch");
-            let residual_est = outer_est.saturating_mul(bucket_est.saturating_sub(step_est));
+            let bucket_est = n / stats.distinct_of(template.pred, probed_col) as u64;
+            let residual_est = outer_est.saturating_mul(bucket_est.saturating_sub(est));
             if n >= HASH_MIN_ROWS as u64 && residual_est > n {
                 StepStrategy::HashBuildProbe
             } else {
@@ -691,6 +647,16 @@ mod tests {
         db
     }
 
+    /// Compile `atoms` against the statistics of `stats`.
+    fn compile_on(
+        atoms: &[Atom],
+        slots: &mut SlotMap,
+        delta_pos: Option<usize>,
+        stats: &Database,
+    ) -> ConjunctionPlan {
+        ConjunctionPlan::compile(atoms, slots, delta_pos, &PlanStats::new(stats))
+    }
+
     fn matches(plan: &ConjunctionPlan, slots: &SlotMap, db: &Database) -> Vec<Vec<Option<Param>>> {
         let mut env = vec![None; slots.len()];
         let mut out = Vec::new();
@@ -702,8 +668,8 @@ mod tests {
     fn joins_bind_across_atoms() {
         let atoms = vec![atom("e(x, y)"), atom("e(y, z)")];
         let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile(&atoms, &mut slots, None);
         let db = db(&["e(a, b)", "e(b, c)", "e(b, d)"]);
+        let plan = compile_on(&atoms, &mut slots, None, &db);
         let got = matches(&plan, &slots, &db);
         // Paths of length 2: a-b-c and a-b-d.
         assert_eq!(got.len(), 2);
@@ -714,10 +680,11 @@ mod tests {
 
     #[test]
     fn greedy_reorder_puts_constant_literal_first() {
-        // Written order starts with the unbound scan; the plan flips it.
+        // Written order starts with the unbound scan; with no statistics
+        // to tell the literals apart, the one with a bound column leads.
         let atoms = vec![atom("e(x, y)"), atom("p(a, x)")];
         let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile(&atoms, &mut slots, None);
+        let plan = compile_on(&atoms, &mut slots, None, &Database::new());
         assert_eq!(plan.steps()[0].template.pred, Pred::new("p", 2));
         assert_eq!(plan.steps()[0].index_col, Some(0));
         // Second step: x is bound by then, so column 0 is indexable.
@@ -729,8 +696,8 @@ mod tests {
     fn repeated_variable_within_atom_checked() {
         let atoms = vec![atom("e(x, x)")];
         let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile(&atoms, &mut slots, None);
         let db = db(&["e(a, a)", "e(a, b)"]);
+        let plan = compile_on(&atoms, &mut slots, None, &db);
         let got = matches(&plan, &slots, &db);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0][0].unwrap().name(), "a");
@@ -739,7 +706,7 @@ mod tests {
     #[test]
     fn empty_conjunction_matches_once() {
         let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile(&[], &mut slots, None);
+        let plan = compile_on(&[], &mut slots, None, &Database::new());
         let got = matches(&plan, &slots, &Database::new());
         assert_eq!(got.len(), 1);
     }
@@ -749,12 +716,12 @@ mod tests {
         // Rule body: e(x,y), t(y,z) — delta position on t.
         let atoms = vec![atom("e(x, y)"), atom("t(y, z)")];
         let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile(&atoms, &mut slots, Some(1));
+        let total = db(&["e(a, b)", "t(b, c)", "t(b, d)"]);
+        let delta = db(&["t(b, d)"]);
+        let plan = compile_on(&atoms, &mut slots, Some(1), &total);
         assert!(plan.steps()[0].from_delta);
         assert_eq!(plan.steps()[0].template.pred, Pred::new("t", 2));
 
-        let total = db(&["e(a, b)", "t(b, c)", "t(b, d)"]);
-        let delta = db(&["t(b, d)"]);
         let mut env = vec![None; slots.len()];
         let mut out = Vec::new();
         plan.for_each_match(&total, Some(&delta), &mut env, &mut |e| {
@@ -770,8 +737,8 @@ mod tests {
     fn ensure_indexes_builds_probed_columns() {
         let atoms = vec![atom("p(a, x)"), atom("e(x, y)")];
         let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile(&atoms, &mut slots, None);
         let mut total = db(&["p(a, b)", "e(b, c)"]);
+        let plan = compile_on(&atoms, &mut slots, None, &total);
         plan.ensure_indexes(&mut total, None);
         let p = Pred::new("p", 2);
         let e = Pred::new("e", 2);
@@ -784,8 +751,9 @@ mod tests {
 
     #[test]
     fn hash_step_chosen_and_agrees_with_probe() {
-        // big(x, y) joined on both columns: the cost-based planner hashes
-        // it, the greedy planner probes col 0 and residually filters.
+        // big(x, y) joined on both columns: costed against the relation
+        // the step hashes it; costed against an empty database it probes
+        // col 0 and residually filters.
         let atoms = vec![atom("q(x, y)"), atom("big(x, y)")];
         let mut total = Database::new();
         for i in 0..8 {
@@ -793,17 +761,17 @@ mod tests {
             total.insert(&atom(&format!("q(k{}, val{i})", i % 2)));
         }
         let mut slots = SlotMap::new();
-        let greedy = ConjunctionPlan::compile(&atoms, &mut slots, None);
+        let probe = compile_on(&atoms, &mut slots, None, &Database::new());
         let mut slots2 = SlotMap::new();
-        let cost = ConjunctionPlan::compile_with(&atoms, &mut slots2, None, Some(&total));
-        assert!(greedy
+        let cost = compile_on(&atoms, &mut slots2, None, &total);
+        assert!(probe
             .steps()
             .iter()
             .all(|s| s.strategy != StepStrategy::HashBuildProbe));
         assert_eq!(cost.steps()[1].strategy, StepStrategy::HashBuildProbe);
 
-        greedy.ensure_indexes(&mut total, None);
-        let a = matches(&greedy, &slots, &total);
+        probe.ensure_indexes(&mut total, None);
+        let a = matches(&probe, &slots, &total);
         let b = matches(&cost, &slots2, &total);
         assert_eq!(a.len(), 8);
         assert_eq!(a, b, "hash and probe plans must agree");
@@ -813,7 +781,7 @@ mod tests {
         // rows for the probe path.
         let (mut probe_rows, mut hash_rows) = (0, 0);
         let mut env = vec![None; slots.len()];
-        greedy.for_each_match_counting(&total, None, &mut env, &mut probe_rows, &mut |_| {});
+        probe.for_each_match_counting(&total, None, &mut env, &mut probe_rows, &mut |_| {});
         let mut env = vec![None; slots2.len()];
         cost.for_each_match_counting(&total, None, &mut env, &mut hash_rows, &mut |_| {});
         assert!(
@@ -825,8 +793,8 @@ mod tests {
     #[test]
     fn cost_order_puts_small_relation_first() {
         // Written order starts with the big relation; bound counts tie at
-        // zero, so the greedy planner keeps it while the cost-based one
-        // flips to the 1-tuple relation.
+        // zero, so empty statistics keep it there while live ones flip
+        // to the 1-tuple relation.
         let atoms = vec![atom("big(x, y)"), atom("small(x)")];
         let mut total = Database::new();
         for i in 0..8 {
@@ -834,17 +802,17 @@ mod tests {
         }
         total.insert(&atom("small(b0)"));
         let mut slots = SlotMap::new();
-        let greedy = ConjunctionPlan::compile(&atoms, &mut slots, None);
-        assert_eq!(greedy.steps()[0].template.pred, Pred::new("big", 2));
+        let written = compile_on(&atoms, &mut slots, None, &Database::new());
+        assert_eq!(written.steps()[0].template.pred, Pred::new("big", 2));
         let mut slots2 = SlotMap::new();
-        let cost = ConjunctionPlan::compile_with(&atoms, &mut slots2, None, Some(&total));
+        let cost = compile_on(&atoms, &mut slots2, None, &total);
         assert_eq!(cost.steps()[0].template.pred, Pred::new("small", 1));
-        assert_eq!(cost.steps()[0].est, Some(1));
+        assert_eq!(cost.steps()[0].est, 1);
         // Same matches either way.
-        greedy.ensure_indexes(&mut total, None);
+        written.ensure_indexes(&mut total, None);
         cost.ensure_indexes(&mut total, None);
         assert_eq!(matches(&cost, &slots2, &total).len(), 1);
-        assert_eq!(matches(&greedy, &slots, &total).len(), 1);
+        assert_eq!(matches(&written, &slots, &total).len(), 1);
     }
 
     #[test]
@@ -859,7 +827,7 @@ mod tests {
             total.insert(&atom(&format!("q(e{i})")));
         }
         let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile_with(&atoms, &mut slots, None, Some(&total));
+        let plan = compile_on(&atoms, &mut slots, None, &total);
         assert!(plan
             .steps()
             .iter()
@@ -877,7 +845,7 @@ mod tests {
             total.insert(&atom(&format!("big(b{i}, c{i})")));
         }
         let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile_with(&atoms, &mut slots, None, Some(&total));
+        let plan = compile_on(&atoms, &mut slots, None, &total);
         assert_eq!(plan.steps()[0].template.pred, Pred::new("tiny", 2));
         assert_eq!(plan.steps()[1].strategy, StepStrategy::IndexProbe);
     }
@@ -890,7 +858,7 @@ mod tests {
         let atoms = vec![atom("e(x, y)"), atom("t(y, z)")];
         let mut total = db(&["e(a, b)"]);
         let mut slots = SlotMap::new();
-        let plan = ConjunctionPlan::compile_with(&atoms, &mut slots, None, Some(&total));
+        let plan = compile_on(&atoms, &mut slots, None, &total);
         assert_eq!(plan.steps()[0].template.pred, Pred::new("e", 2));
         plan.ensure_indexes(&mut total, None);
         total.insert(&atom("t(b, c)"));
@@ -913,11 +881,12 @@ mod tests {
             })
             .collect();
         let body = vec![atom("e(x, y)"), atom("e(y, z)")];
-        let plan = ConjunctionPlan::compile_support(&body, &mut slots, &prebound, None);
+        let db = db(&["e(a, b)", "e(b, c)", "e(a, d)", "e(d, e)"]);
+        let plan =
+            ConjunctionPlan::compile_support(&body, &mut slots, &prebound, &PlanStats::new(&db));
         // Every step filters on an already-bound column: no full scans.
         assert!(plan.steps().iter().all(|s| s.index_col.is_some()));
 
-        let db = db(&["e(a, b)", "e(b, c)", "e(a, d)", "e(d, e)"]);
         let mut env = vec![None; slots.len()];
         let x = slots.get(Var::new("x")).unwrap();
         let z = slots.get(Var::new("z")).unwrap();
@@ -942,9 +911,9 @@ mod tests {
     #[test]
     fn ground_template_instantiates_head() {
         let mut slots = SlotMap::new();
-        let body = ConjunctionPlan::compile(&[atom("e(x, y)")], &mut slots, None);
-        let head = AtomTemplate::compile(&atom("t(y, x)"), &mut slots);
         let db = db(&["e(a, b)"]);
+        let body = compile_on(&[atom("e(x, y)")], &mut slots, None, &db);
+        let head = AtomTemplate::compile(&atom("t(y, x)"), &mut slots);
         let mut env = vec![None; slots.len()];
         let mut tuples = Vec::new();
         body.for_each_match(&db, None, &mut env, &mut |e| tuples.push(head.ground(e)));

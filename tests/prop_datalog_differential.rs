@@ -1,9 +1,8 @@
 //! Differential property suite for the bottom-up Datalog engine: on
 //! randomized stratified programs, semi-naive evaluation under compiled
 //! rule plans must produce exactly the database naive evaluation produces,
-//! while executing no more join plans — and the cost-based planner with
-//! hash-join steps must produce exactly the model of the seed greedy
-//! nested-loop planner.
+//! while executing no more join plans — whatever literal order and join
+//! strategies the cost-based planner picked.
 //!
 //! Programs are drawn from a pool of safe, stratified-by-construction
 //! rules (recursion is positive; negation only reaches down to lower
@@ -16,7 +15,8 @@
 //! always equals a fresh from-scratch rebuild.
 
 use epilog::core::{prover_for, EpistemicDb, ModelUpdate};
-use epilog::datalog::{PlannerMode, Program, RulePlan};
+use epilog::datalog::{Program, RulePlan};
+use epilog::storage::Database;
 use epilog::syntax::parse;
 use proptest::prelude::*;
 
@@ -24,10 +24,12 @@ const PARAMS: usize = 4;
 
 /// The rule pool. Each rule is safe and has at most one literal of a
 /// recursive predicate, and the negated predicates (`reach`, `q`) never
-/// appear in a head above them — so any subset is stratified. The last
-/// two rules join literals with **two** bound columns, which is what
-/// makes the cost-based planner emit hash build+probe steps.
-const RULES: [&str; 8] = [
+/// appear in a head above them — so any subset is stratified. `direct`
+/// and `tri` join literals with **two** bound columns, which is what
+/// makes the cost-based planner emit hash build+probe steps; the last two
+/// rules have a repeated head variable and a head constant, the two
+/// shapes `RulePlan::bind_head` can refuse a tuple on.
+const RULES: [&str; 10] = [
     "forall x, y. e(x, y) -> reach(x, y)",
     "forall x, y, z. e(x, y) & reach(y, z) -> reach(x, z)",
     "forall x. f(x) -> q(x)",
@@ -36,13 +38,15 @@ const RULES: [&str; 8] = [
     "forall x. f(x) & ~q(x) -> isolated(x)",
     "forall x, y. reach(x, y) & e(x, y) -> direct(x, y)",
     "forall x, y, z. e(x, y) & e(y, z) & e(x, z) -> tri(x, y, z)",
+    "forall x. f(x) -> self(x, x)",
+    "forall x. f(x) -> tag(x, c0)",
 ];
 
 fn program_text() -> impl Strategy<Value = String> {
     (
         proptest::collection::vec((0..PARAMS, 0..PARAMS), 0..10),
         proptest::collection::vec(0..PARAMS, 0..5),
-        1u16..256,
+        1u16..1024,
     )
         .prop_map(|(edges, units, mask)| {
             let mut src = String::new();
@@ -64,14 +68,14 @@ fn program_text() -> impl Strategy<Value = String> {
 
 /// Like [`program_text`] but drawn from the negation-free rules only, so
 /// every sample is a definite program eligible for the resumed fixpoint
-/// (`eval_incremental_with` falls back to full evaluation under
-/// negation, which would defeat the stale-vs-recosted comparison).
+/// (`Program::grow` falls back to full evaluation under negation, which
+/// would defeat the stale-vs-recosted comparison).
 fn definite_program_text() -> impl Strategy<Value = String> {
-    const DEFINITE: [usize; 6] = [0, 1, 2, 3, 6, 7];
+    const DEFINITE: [usize; 8] = [0, 1, 2, 3, 6, 7, 8, 9];
     (
         proptest::collection::vec((0..PARAMS, 0..PARAMS), 0..10),
         proptest::collection::vec(0..PARAMS, 0..5),
-        1u8..64,
+        1u16..256,
     )
         .prop_map(|(edges, units, mask)| {
             let mut src = String::new();
@@ -99,7 +103,7 @@ proptest! {
     fn seminaive_matches_naive(src in program_text()) {
         let program = Program::from_text(&src).unwrap();
         let (fast_db, fast) = program.eval().unwrap();
-        let (slow_db, slow) = program.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (slow_db, slow) = program.fixpoint(false, None).unwrap();
         prop_assert_eq!(&fast_db, &slow_db, "models differ on:\n{}", src);
         // Empty-delta variants are skipped, so the compiled semi-naive
         // engine never runs more join plans than the naive ablation.
@@ -120,25 +124,22 @@ proptest! {
         );
     }
 
-    /// Planner differential: the cost-based planner (statistics-driven
-    /// literal order, hash build+probe steps) computes exactly the model
-    /// of the seed greedy nested-loop planner, with identical firing and
-    /// derivation counts — only the join work differs.
+    /// Planner differential: the plans the cost-based planner compiles
+    /// (statistics-driven literal order, hash build+probe steps) compute
+    /// exactly the model of naive rounds, once per rule in either mode,
+    /// and only the semi-naive run ever skips a variant.
     #[test]
     fn cost_based_planner_matches_greedy(src in program_text()) {
         let program = Program::from_text(&src).unwrap();
-        let (cost_db, cost) = program.fixpoint(true, PlannerMode::CostBased, None).unwrap();
-        let (greedy_db, greedy) = program.fixpoint(true, PlannerMode::Greedy, None).unwrap();
-        prop_assert_eq!(&cost_db, &greedy_db, "planners disagree on:\n{}", src);
-        prop_assert_eq!(cost.rule_firings, greedy.rule_firings, "on:\n{}", src);
-        prop_assert_eq!(cost.derivations, greedy.derivations, "on:\n{}", src);
-        prop_assert_eq!(greedy.hash_steps, 0, "the seed planner must never hash");
-        // Both agree with the naive ablation as well.
-        let (naive_db, _) = program.fixpoint(false, PlannerMode::Greedy, None).unwrap();
+        let (cost_db, cost) = program.fixpoint(true, None).unwrap();
+        let (naive_db, naive) = program.fixpoint(false, None).unwrap();
         prop_assert_eq!(&cost_db, &naive_db, "cost vs naive on:\n{}", src);
-        // Skipped-variant accounting: skipped + fired delta variants are
-        // disjoint, so the disambiguated counters never double-count.
-        prop_assert_eq!(cost.variants_skipped, greedy.variants_skipped, "on:\n{}", src);
+        prop_assert_eq!(cost.plans_compiled, program.rules.len() as u64);
+        prop_assert_eq!(naive.plans_compiled, cost.plans_compiled);
+        // Skipped-variant accounting: naive rounds fire full plans only,
+        // so they have no variant to skip and every firing is a full one.
+        prop_assert_eq!(naive.variants_skipped, 0, "on:\n{}", src);
+        prop_assert_eq!(naive.rule_firings, naive.full_firings, "on:\n{}", src);
     }
 
     /// Growing chains: the canonical recursive workload, exact sizes.
@@ -152,7 +153,7 @@ proptest! {
         src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
         let program = Program::from_text(&src).unwrap();
         let (db, fast) = program.eval().unwrap();
-        let (db2, slow) = program.fixpoint(false, PlannerMode::CostBased, None).unwrap();
+        let (db2, slow) = program.fixpoint(false, None).unwrap();
         prop_assert_eq!(&db, &db2);
         let t = epilog::syntax::Pred::new("t", 2);
         prop_assert_eq!(db.relation(t).unwrap().len(), n * (n + 1) / 2);
@@ -213,11 +214,14 @@ proptest! {
     }
 
     /// Plan re-costing is a pure performance knob: resuming the fixpoint
-    /// with plans costed against the **stale** (pre-growth) model and
-    /// with plans re-costed against the **current** model must produce
-    /// the identical model — equal to the from-scratch oracle — with
-    /// identical firing and derivation counts. Only join strategy and
-    /// literal order may differ.
+    /// with plans costed against the **stale** (pre-growth) model, with
+    /// plans re-costed against the **current** model, and with plans
+    /// costed against **nothing** (an empty database: bound-column count
+    /// then written order, no hash step — what a theory that starts from
+    /// rules alone runs its first commit on) must produce the identical
+    /// model — equal to the from-scratch oracle — with identical firing
+    /// and derivation counts. Only join strategy and literal order may
+    /// differ.
     #[test]
     fn recosted_plans_match_stale_plans(
         src in definite_program_text(),
@@ -238,29 +242,27 @@ proptest! {
         let new_facts = Program::from_text(&facts_src).unwrap().edb;
         let (oracle, _) = grown.eval().unwrap();
 
-        let stale: Vec<RulePlan> = grown
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
-        let fresh: Vec<RulePlan> = grown
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&oracle)))
-            .collect();
+        let plans_costed_on = |stats: &Database| -> Vec<RulePlan> {
+            grown.rules.iter().map(|r| RulePlan::compile(r, stats)).collect()
+        };
         let (stale_db, stale_stats) = grown
-            .grow(&stale, model.clone(), &new_facts, None)
+            .grow(&plans_costed_on(&model), model.clone(), &new_facts, None)
             .unwrap();
-        let (fresh_db, fresh_stats) = grown
-            .grow(&fresh, model, &new_facts, None)
-            .unwrap();
-        prop_assert_eq!(&stale_db, &fresh_db, "stale vs re-costed on:\n{}", grown_src);
         prop_assert_eq!(&stale_db, &oracle, "resume vs oracle on:\n{}", grown_src);
-        prop_assert_eq!(stale_stats.rule_firings, fresh_stats.rule_firings);
-        prop_assert_eq!(stale_stats.derivations, fresh_stats.derivations);
         // The cached-plan entry point never compiles, re-costed or not.
         prop_assert_eq!(stale_stats.plans_compiled, 0);
-        prop_assert_eq!(fresh_stats.plans_compiled, 0);
+        for (what, stats) in [("re-costed", &oracle), ("uncosted", &Database::new())] {
+            let (db, other) = grown
+                .grow(&plans_costed_on(stats), model.clone(), &new_facts, None)
+                .unwrap();
+            prop_assert_eq!(&stale_db, &db, "stale vs {} on:\n{}", what, grown_src);
+            prop_assert_eq!(stale_stats.rule_firings, other.rule_firings);
+            prop_assert_eq!(stale_stats.derivations, other.derivations);
+            if stats.is_empty() {
+                prop_assert_eq!(other.hash_steps, 0, "uncosted plans never hash");
+            }
+            prop_assert_eq!(other.plans_compiled, 0);
+        }
     }
 }
 
@@ -283,8 +285,8 @@ fn recosting_flips_the_explained_order() {
     let small_heavy = Program::from_text(&small_heavy).unwrap().edb;
     let big_heavy = Program::from_text(&big_heavy).unwrap().edb;
 
-    let lean_big = RulePlan::compile_with_stats(&rule, Some(&small_heavy)).explain();
-    let lean_small = RulePlan::compile_with_stats(&rule, Some(&big_heavy)).explain();
+    let lean_big = RulePlan::compile(&rule, &small_heavy).explain();
+    let lean_small = RulePlan::compile(&rule, &big_heavy).explain();
     assert_ne!(
         lean_big, lean_small,
         "inverted statistics must change the explained plan"

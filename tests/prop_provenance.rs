@@ -6,7 +6,7 @@
 
 use epilog::core::EpistemicDb;
 use epilog::datalog::provenance::params_of;
-use epilog::datalog::{EvalStats, PlannerMode, Program, RulePlan, SupportTable};
+use epilog::datalog::{EvalStats, Program, RulePlan, SupportTable};
 use epilog::syntax::parse;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 const PARAMS: usize = 4;
 
 /// The stratified rule pool of the datalog differential suite.
-const RULES: [&str; 8] = [
+const RULES: [&str; 10] = [
     "forall x, y. e(x, y) -> reach(x, y)",
     "forall x, y, z. e(x, y) & reach(y, z) -> reach(x, z)",
     "forall x. f(x) -> q(x)",
@@ -23,11 +23,13 @@ const RULES: [&str; 8] = [
     "forall x. f(x) & ~q(x) -> isolated(x)",
     "forall x, y. reach(x, y) & e(x, y) -> direct(x, y)",
     "forall x, y, z. e(x, y) & e(y, z) & e(x, z) -> tri(x, y, z)",
+    "forall x. f(x) -> self(x, x)",
+    "forall x. f(x) -> tag(x, c0)",
 ];
 
 /// Negation-free subset: definite programs, where the least model's
 /// every tuple must afford a proof tree.
-const DEFINITE: [usize; 6] = [0, 1, 2, 3, 6, 7];
+const DEFINITE: [usize; 8] = [0, 1, 2, 3, 6, 7, 8, 9];
 
 fn facts_and_rules(
     edges: &[(usize, usize)],
@@ -52,7 +54,7 @@ fn program_text() -> impl Strategy<Value = String> {
     (
         proptest::collection::vec((0..PARAMS, 0..PARAMS), 0..10),
         proptest::collection::vec(0..PARAMS, 0..5),
-        1u16..256,
+        1u16..1024,
     )
         .prop_map(|(edges, units, mask)| {
             let rules = RULES
@@ -68,7 +70,7 @@ fn definite_program_text() -> impl Strategy<Value = String> {
     (
         proptest::collection::vec((0..PARAMS, 0..PARAMS), 0..10),
         proptest::collection::vec(0..PARAMS, 0..5),
-        1u8..64,
+        1u16..256,
     )
         .prop_map(|(edges, units, mask)| {
             let rules = DEFINITE
@@ -99,7 +101,7 @@ proptest! {
         let (plain_db, plain) = program.eval().unwrap();
         let mut table = SupportTable::new();
         let (traced_db, traced) = program
-            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
+            .fixpoint(true, Some(&mut table))
             .unwrap();
         prop_assert_eq!(&traced_db, &plain_db, "tracing changed the model on:\n{}", src);
         prop_assert_eq!(scrub(traced), scrub(plain), "on:\n{}", src);
@@ -116,7 +118,7 @@ proptest! {
         let program = Program::from_text(&src).unwrap();
         let mut table = SupportTable::new();
         let (model, _) = program
-            .fixpoint(true, PlannerMode::CostBased, Some(&mut table))
+            .fixpoint(true, Some(&mut table))
             .unwrap();
         prop_assert!(table.consistent_with(&model, program.rules.len()));
         for atom in model.atoms() {
@@ -142,13 +144,16 @@ proptest! {
     /// retraction it produces the identical final model with identical
     /// `tuples_rederived`, never runs *more* re-derivation probes than
     /// the probe-only path, and leaves the table holding exactly the
-    /// surviving model's supports.
+    /// surviving model's supports. Unit facts are retracted as well as
+    /// edges, so over-deleted `self(a, a)` / `tag(a, c0)` tuples reach
+    /// `RulePlan::bind_head` through a repeated slot and a head constant.
     #[test]
     fn dred_with_supports_matches_without(
         edges in proptest::collection::vec((0..PARAMS, 0..PARAMS), 1..10),
         units in proptest::collection::vec(0..PARAMS, 0..5),
-        mask in 1u8..64,
+        mask in 1u16..256,
         remove_mask in 1u16..1024,
+        remove_units in 0u8..16,
     ) {
         let edges: Vec<(usize, usize)> = edges
             .into_iter()
@@ -166,6 +171,9 @@ proptest! {
             .filter(|e| !removed.contains(e))
             .copied()
             .collect();
+        let units: Vec<usize> = units.into_iter().collect::<BTreeSet<_>>().into_iter().collect();
+        let (removed_units, kept_units): (Vec<usize>, Vec<usize>) =
+            units.iter().partition(|a| remove_units & (1 << **a) != 0);
         let rules = || {
             DEFINITE
                 .iter()
@@ -174,17 +182,18 @@ proptest! {
                 .map(|(_, r)| RULES[*r])
         };
         let full = Program::from_text(&facts_and_rules(&edges, &units, rules())).unwrap();
-        let post = Program::from_text(&facts_and_rules(&kept, &units, rules())).unwrap();
-        let removed_facts = Program::from_text(&facts_and_rules(&removed, &[], [].into_iter()))
-            .unwrap()
-            .edb;
+        let post = Program::from_text(&facts_and_rules(&kept, &kept_units, rules())).unwrap();
+        let removed_facts =
+            Program::from_text(&facts_and_rules(&removed, &removed_units, [].into_iter()))
+                .unwrap()
+                .edb;
 
         let mut table = SupportTable::new();
-        let (model, _) = full.fixpoint(true, PlannerMode::CostBased, Some(&mut table)).unwrap();
+        let (model, _) = full.fixpoint(true, Some(&mut table)).unwrap();
         let plans: Vec<RulePlan> = post
             .rules
             .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
+            .map(|r| RulePlan::compile(r, &model))
             .collect();
 
         let (plain_db, plain) = post
@@ -198,16 +207,19 @@ proptest! {
         prop_assert_eq!(&traced_db, &plain_db, "supports changed the DRed result");
         prop_assert_eq!(&traced_db, &oracle, "DRed differs from the from-scratch oracle");
         prop_assert_eq!(traced.tuples_rederived, plain.tuples_rederived);
+        // A hit stands in for every probe its tuple would have cost: one
+        // per rule tried up to the one that re-derives it, so at least one.
         prop_assert!(
-            traced.support_checks <= plain.support_checks,
-            "supports ran MORE probes: {} > {}",
+            traced.support_hits + traced.support_checks <= plain.support_checks,
+            "supports ran MORE probes: {} hits + {} > {}",
+            traced.support_hits,
             traced.support_checks,
             plain.support_checks
         );
         prop_assert_eq!(
-            traced.support_hits + traced.support_checks,
-            plain.support_checks,
-            "every saved probe must be a support hit"
+            traced.support_hits == 0,
+            traced.support_checks == plain.support_checks,
+            "probes are saved exactly when a support hits"
         );
         prop_assert!(
             table.consistent_with(&traced_db, post.rules.len()),
