@@ -9,7 +9,7 @@ use crate::closure::ClosedDb;
 use crate::constraints::{ic_satisfaction, IcDefinition, IcReport};
 use crate::demo;
 use crate::engine::{definite_program, prover_and_program};
-use crate::incremental::{CompiledConstraint, IncrementalChecker, RuleGraph};
+use crate::incremental::{CompiledConstraint, IncrementalChecker};
 use crate::transaction::Transaction;
 use epilog_datalog::{Program, ProofTree, RulePlan, SupportTable};
 use epilog_prover::Prover;
@@ -145,22 +145,16 @@ impl From<TheoryError> for DbError {
 /// [`crate::mvcc`]). A clone shares with its original everything a
 /// ground-atom commit does not change: the least model's storage run by
 /// run (see [`epilog_storage::Relation`]), and the constraints, compiled
-/// checker, rule graph, rule plans and definite program whole, behind
-/// `Arc`s. What a clone still copies is the sentence list and, with
-/// provenance on, the support table.
+/// checker, rule plans and definite program whole, behind `Arc`s. What
+/// a clone still copies is the sentence list and, with provenance on,
+/// the support table.
 #[derive(Clone)]
 pub struct EpistemicDb {
     pub(crate) prover: Prover,
     pub(crate) constraints: Arc<Vec<Formula>>,
-    /// The constraints compiled for incremental checking; `None` when at
-    /// least one registered constraint is outside the compilable
-    /// `¬∃x̄ (K-conjunction)` fragment (commits then re-check in full).
-    pub(crate) checker: Option<Arc<IncrementalChecker>>,
-    /// The rule dependency graph used to route constraint checks, cached
-    /// across commits: it depends only on the rule-shaped sentences, so
-    /// ground-atom commits reuse it and only rule-changing commits (a
-    /// retraction, or an asserted non-atom) rebuild it.
-    pub(crate) rule_graph: Arc<RuleGraph>,
+    /// Every registered constraint, compiled for incremental checking
+    /// where it can be (the others are re-checked in full per commit).
+    pub(crate) checker: Arc<IncrementalChecker>,
     /// The theory as a definite Datalog program — what
     /// [`definite_program`] would derive from the sentences — cached
     /// across commits next to the plans compiled from it; `Some` exactly
@@ -173,11 +167,11 @@ pub struct EpistemicDb {
     /// it afresh. Debug builds re-derive it at every commit and compare.
     pub(crate) program: Option<Arc<Program>>,
     /// The compiled [`epilog_datalog::RulePlan`] set of `program`, one
-    /// per rule in order, cached across commits like the constraint
-    /// `rule_graph`: plans depend only on the rule-shaped sentences, so
-    /// ground-atom commits resume the fixpoint through these without
-    /// compiling anything, and only rule-changing commits rebuild them
-    /// (with cost statistics read from the then-current least model).
+    /// per rule in order, cached across commits: plans depend only on the
+    /// rule-shaped sentences, so ground-atom commits resume the fixpoint
+    /// through these without compiling anything, and only rule-changing
+    /// commits rebuild them (with cost statistics read from the
+    /// then-current least model).
     /// `Some` exactly when `program` is.
     pub(crate) rule_plans: Option<Arc<Vec<RulePlan>>>,
     /// Total least-model size at the time `rule_plans` was compiled: the
@@ -212,11 +206,10 @@ impl EpistemicDb {
     /// is the definite reading of (`None`: it has none, and no model).
     fn over(prover: Prover, program: Option<Program>) -> Self {
         let mut db = EpistemicDb {
-            rule_graph: Arc::new(RuleGraph::new(prover.theory())),
             plans_model_size: prover.atom_model().map_or(0, |m| m.len()),
             prover,
             constraints: Arc::default(),
-            checker: Some(Arc::default()),
+            checker: Arc::default(),
             program: program.map(Arc::new),
             rule_plans: None,
             plan_recosts: 0,
@@ -417,9 +410,8 @@ impl EpistemicDb {
 
     /// Register a constraint (a KFOPCE sentence). The current state must
     /// satisfy it, otherwise the registration is rejected. Accepted
-    /// constraints are recompiled for incremental checking; if any
-    /// registered constraint falls outside the compilable fragment,
-    /// commits verify every constraint in full instead.
+    /// constraints are recompiled for incremental checking; one outside
+    /// the compilable fragment is re-checked in full at every commit.
     pub fn add_constraint(&mut self, ic: Formula) -> Result<(), DbError> {
         if !ic.is_sentence() {
             return Err(DbError::OpenConstraint(ic));
@@ -439,9 +431,7 @@ impl EpistemicDb {
     /// Append an accepted constraint and recompile the checker.
     fn register(&mut self, ic: Formula) {
         Arc::make_mut(&mut self.constraints).push(ic);
-        self.checker = IncrementalChecker::new(&self.constraints)
-            .ok()
-            .map(Arc::new);
+        self.checker = Arc::new(IncrementalChecker::new(&self.constraints));
     }
 
     /// Register a constraint **without** verifying that the current state

@@ -32,8 +32,9 @@
 //!   so readers query a pinned state while the single writer prepares
 //!   the next one;
 //! * [`mod@transaction`] — the update surface: batched [`Transaction`]s
-//!   validated against compiled constraints and applied atomically, with
-//!   the attached least model maintained incrementally (the §8
+//!   applied atomically, with the attached least model maintained
+//!   incrementally and each constraint checked only on what the exact
+//!   model diff can have violated ([`mod@incremental`] — the §8
 //!   incremental-integrity discussion made executable);
 //! * [`EpistemicDb`] — the facade tying the pieces together.
 
@@ -57,7 +58,7 @@ pub use demo::{all_answers, demo, demo_sentence, DemoOutcome, DemoStream};
 pub use engine::{definite_model, definite_program, prover_for};
 pub use epilog_datalog::{ProofTree, SupportTable};
 pub use epilog_semantics::Answer;
-pub use incremental::{CheckStats, CompiledConstraint, IncrementalChecker, RuleGraph};
+pub use incremental::{CheckStats, CompiledConstraint, IncrementalChecker, ModelDiff};
 pub use instances::{admissible_wrt_f_sigma, instances, theorem_62_applies};
 pub use mvcc::{CommittedState, ReadHandle, StateCell};
 pub use optimize::{eliminate_redundant_conjuncts, valid_kfopce};

@@ -23,11 +23,12 @@
 //!   both over the plan cache, so no full plan runs and nothing is
 //!   compiled. The result is spliced into the prover through
 //!   [`Prover::updated`].
-//! * **Constraint checking** routes through the compiled
-//!   [`IncrementalChecker`](crate::incremental::IncrementalChecker):
-//!   constraints untouched by the commit are skipped, touched ones are
-//!   checked on their violation instances only, and a full recheck runs
-//!   just where the rule dependency graph demands it.
+//! * **Constraint checking** goes through
+//!   [`IncrementalChecker::check`](crate::incremental::IncrementalChecker::check)
+//!   once per commit, over the exact model diff when the model was
+//!   maintained incrementally: constraints no atom of the diff matches
+//!   are skipped, the others are checked on the violation instances the
+//!   diff fires, and a commit without a diff re-checks them in full.
 //! * **Atomicity**: a rejected commit returns
 //!   [`DbError::ConstraintViolated`] and leaves the database observably
 //!   unchanged; dropping a transaction (or [`Transaction::rollback`])
@@ -36,10 +37,9 @@
 //! The one-shot [`EpistemicDb::assert`] and [`EpistemicDb::retract`] are
 //! thin wrappers over single-operation transactions.
 
-use crate::constraints::{ic_satisfaction, IcDefinition, IcReport};
 use crate::db::{DbError, EpistemicDb, Rejection};
 use crate::engine::prover_and_program;
-use crate::incremental::{CheckStats, RuleGraph};
+use crate::incremental::{CheckStats, ModelDiff};
 use epilog_datalog::{EvalStats, Program, SupportTable};
 use epilog_prover::Prover;
 use epilog_storage::Database;
@@ -325,12 +325,10 @@ impl<'db> Transaction<'db> {
         // else rebuilds.
         let is_ground_atom = |w: &Formula| matches!(w, Formula::Atom(a) if a.is_ground());
         let facts_only = added.iter().all(is_ground_atom) && removed.iter().all(is_ground_atom);
-        // The exact model-level delta of a facts-only commit's removals
-        // (retracted facts plus derived consequences that died with
-        // them), for the constraint router: `Some` exactly on the
-        // incremental path, `None` when the model was rebuilt and no
-        // per-tuple delta exists.
-        let mut removed_model_atoms: Option<Vec<epilog_syntax::formula::Atom>> = None;
+        // The exact model diff, for the constraint router: `Some` exactly
+        // on the incremental path, `None` when the model was rebuilt (or
+        // there is none) and no per-tuple diff exists.
+        let mut diff: Option<ModelDiff> = None;
         // The candidate's support table, decided alongside the model:
         // `None` leaves the db's table untouched (provenance off, or a
         // no-op), `Some(Some(t))` installs the maintained/rebuilt table on
@@ -401,26 +399,28 @@ impl<'db> Transaction<'db> {
                         if tracing {
                             support_update = Some(traced_table);
                         }
-                        // `gone` is the exact model diff: everything the
-                        // deletion fixpoint removed and the insertion
-                        // fixpoint did not re-add. The new model is a
-                        // clone of the old one a few edits on, so the
-                        // difference skips every run they still share.
-                        let gone = if removed_facts.is_empty() {
-                            Database::new()
-                        } else {
-                            old_model.difference(&model)
+                        // The exact model diff, derived consequences
+                        // included. The new model is a clone of the old
+                        // one a few edits on, so each difference skips
+                        // every run they still share; a side the batch
+                        // cannot have touched is empty outright.
+                        let side = |facts: &Database, from: &Database, to: &Database| {
+                            if facts.is_empty() {
+                                Database::new()
+                            } else {
+                                from.difference(to)
+                            }
                         };
-                        let tuples_removed = gone.len();
+                        let model_diff = ModelDiff {
+                            added: side(&new_facts, &model, old_model),
+                            removed: side(&removed_facts, old_model, &model),
+                        };
                         let update = ModelUpdate::Incremental {
-                            // `new = old - gone + fresh`, so `fresh`
-                            // (the net additions) is this — never
-                            // underflows.
-                            tuples_added: model.len() + tuples_removed - old_model.len(),
-                            tuples_removed,
+                            tuples_added: model_diff.added.len(),
+                            tuples_removed: model_diff.removed.len(),
                             stats,
                         };
-                        removed_model_atoms = Some(gone.atoms().collect());
+                        diff = Some(model_diff);
                         let candidate = db.prover.updated(theory, Some(model));
                         break 'prover (candidate, update, Some(Arc::new(prog)));
                     }
@@ -446,73 +446,27 @@ impl<'db> Transaction<'db> {
             (rebuilt, update, program.map(Arc::new))
         };
 
-        // Phase 4 — verify the constraints. Facts-only commits on a
-        // *definite* theory ride the compiled incremental checker (its
-        // dependency-graph routing is exact only when every non-rule
-        // sentence is a ground atom — a disjunction like `¬p(a) ∨ emp(b)`
-        // can make a trigger atom certain with no rule edge the graph
-        // could see); `removed_model_atoms` is `Some` exactly when the
-        // incremental model path ran, which implies both the definite
-        // fragment and an exact removal delta — the routed checker needs
-        // the latter because a removal can only violate a constraint
-        // through an atom that actually left the model. All other
-        // commits re-check every constraint in full.
+        // Phase 4 — verify the constraints, once, over the exact model
+        // diff where the incremental path produced one (which implies a
+        // definite theory before and after the commit: the diff is then
+        // exact for every compiled constraint) and in full otherwise.
         let mut checks = CheckStats::default();
-        match (&db.checker, &removed_model_atoms) {
-            (Some(checker), Some(removed_atoms)) if candidate.atom_model().is_some() => {
-                let facts: Vec<&epilog_syntax::formula::Atom> = added
-                    .iter()
-                    .map(|w| match w {
-                        Formula::Atom(a) => a,
-                        _ => unreachable!("facts_only guarantees ground atoms"),
-                    })
-                    .collect();
-                // A facts-only commit cannot have changed the rule set,
-                // so the dependency graph cached on the db is exactly the
-                // candidate theory's graph — no per-commit re-derivation.
-                if let Some(c) = checker.check_batch_with_removals(
-                    &candidate,
-                    &facts,
-                    removed_atoms,
-                    &db.rule_graph,
-                    &mut checks,
-                ) {
-                    let table = support_update
-                        .as_ref()
-                        .and_then(|t| t.as_ref())
-                        .or(db.support_table.as_ref());
-                    return Err(DbError::ConstraintViolated(Rejection::explain(
-                        &c.original,
-                        &candidate,
-                        table,
-                        candidate_program.as_deref(),
-                    )));
-                }
-            }
-            _ => {
-                for ic in db.constraints.iter() {
-                    checks.full += 1;
-                    if ic_satisfaction(&candidate, ic, IcDefinition::Epistemic)
-                        != IcReport::Satisfied
-                    {
-                        let table = support_update
-                            .as_ref()
-                            .and_then(|t| t.as_ref())
-                            .or(db.support_table.as_ref());
-                        return Err(DbError::ConstraintViolated(Rejection::explain(
-                            ic,
-                            &candidate,
-                            table,
-                            candidate_program.as_deref(),
-                        )));
-                    }
-                }
-            }
+        if let Some(ic) = db.checker.check(&candidate, diff.as_ref(), &mut checks) {
+            let table = support_update
+                .as_ref()
+                .and_then(|t| t.as_ref())
+                .or(db.support_table.as_ref());
+            return Err(DbError::ConstraintViolated(Rejection::explain(
+                ic,
+                &candidate,
+                table,
+                candidate_program.as_deref(),
+            )));
         }
 
         // Phase 5 — the commit is decided; publication is deferred to
         // `PreparedCommit::commit` so a WAL append can sit in between.
-        // The cached rule graph stays valid unless some added or removed
+        // The cached rule plans stay valid unless some added or removed
         // sentence is rule-shaped (a non-ground-atom).
         let rules_changed = !facts_only;
         Ok(PreparedCommit {
@@ -594,12 +548,11 @@ impl PreparedCommit<'_> {
                 self.db.support_table = table;
             }
             if self.rules_changed {
-                // Both caches derive from the rule-shaped sentences only:
+                // The plans derive from the rule-shaped sentences only:
                 // rebuild them here, once, and every following ground-atom
                 // commit reuses them as-is. The fresh plans are costed
                 // against the just-published model, so that becomes the
                 // staleness baseline.
-                self.db.rule_graph = Arc::new(RuleGraph::new(self.db.prover.theory()));
                 self.db.rule_plans = self.db.compile_rule_plans();
                 self.db.plans_model_size = self.db.prover.atom_model().map_or(0, |m| m.len());
             } else {
@@ -883,10 +836,10 @@ mod tests {
 
     #[test]
     fn non_rule_sentences_force_full_constraint_checks() {
-        // `¬p(a) ∨ emp(b)` can make emp(b) certain when p(a) arrives —
-        // with no rule edge from p to emp. The dependency-graph routing
-        // must not be trusted here: the theory is not definite, so the
-        // commit re-checks every constraint in full and rejects.
+        // `¬p(a) ∨ emp(b)` can make emp(b) certain when p(a) arrives.
+        // The theory is not definite, so there is no least model and no
+        // model diff to route by: the commit re-checks every constraint
+        // in full and rejects.
         let mut d = db("~p(a) | emp(b)");
         d.add_constraint(f("forall x. K emp(x) -> exists y. K ss(x, y)"))
             .unwrap();
@@ -984,29 +937,29 @@ mod tests {
     }
 
     #[test]
-    fn rule_graph_cache_tracks_rule_changing_commits() {
-        // Start rule-free: an `emp` assert routes to the specialization.
+    fn rule_changing_commits_reroute_constraints() {
         let mut d = db("ss(Mary, n1)\nemp(Mary)");
         d.add_constraint(f("forall x. K emp(x) -> exists y. K ss(x, y)"))
             .unwrap();
-        // Commit a *rule* that derives the trigger predicate: the cached
-        // graph must be rebuilt, or the next hired-commit would wrongly
-        // stay on the specialized route and miss the violation.
+        // Commit a *rule* that derives the trigger predicate: the rebuilt
+        // model has no diff, so the constraint is re-checked in full…
         let report = d
             .transaction()
             .assert(f("forall x. hired(x) -> emp(x)"))
             .commit()
             .unwrap();
         assert_eq!(report.model, ModelUpdate::Rebuilt);
+        assert_eq!(report.checks.full, 1);
+        // …and from then on the emp(Sue) a hired-commit derives is in
+        // the commit's model diff, which rejects it.
         let err = d
             .transaction()
             .assert(f("hired(Sue)"))
             .commit()
             .unwrap_err();
         assert!(matches!(err, DbError::ConstraintViolated(_)));
-        // And retracting the rule must also refresh the cache: afterwards
-        // hired no longer reaches emp, so the same batch is accepted and
-        // the constraint is skipped outright.
+        // Once the rule is retracted hired no longer derives emp, so the
+        // same batch is accepted and the constraint is skipped outright.
         let report = d
             .transaction()
             .retract(f("forall x. hired(x) -> emp(x)"))

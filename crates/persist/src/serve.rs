@@ -549,11 +549,14 @@ impl Drop for ServingDb {
 }
 
 /// What a batch owes its callers once durable: the acknowledgments of
-/// the operations it logged, and where the log stood when it began — the
-/// durable boundary, every prior batch having synced or rolled back.
+/// the operations it logged, and of the no-op commits it answered — a
+/// no-op may be one only because a batch-mate already made its change —
+/// and where the log stood when it began — the durable boundary, every
+/// prior batch having synced or rolled back.
 struct Batch {
     mark: (u64, u64),
     commits: Vec<(SyncSender<Result<CommitReceipt, ServeError>>, CommitReceipt)>,
+    noops: Vec<(SyncSender<Result<CommitReceipt, ServeError>>, CommitReceipt)>,
     constraints: Vec<(SyncSender<Result<u64, ServeError>>, u64)>,
 }
 
@@ -607,6 +610,7 @@ impl Writer<'_> {
         let mut batch = Batch {
             mark: self.durable.mark(),
             commits: Vec::new(),
+            noops: Vec::new(),
             constraints: Vec::new(),
         };
         let mut flushes = Vec::new();
@@ -651,7 +655,7 @@ impl Writer<'_> {
                 .commits
                 .fetch_add(batch.commits.len() as u64, Ordering::Relaxed);
         }
-        for (reply, receipt) in batch.commits {
+        for (reply, receipt) in batch.commits.into_iter().chain(batch.noops) {
             let _ = reply.send(Ok(receipt));
         }
         for (reply, lsn) in batch.constraints {
@@ -686,15 +690,13 @@ impl Writer<'_> {
             };
         }
         match txn.commit() {
+            // Nothing was logged, nothing to publish — but the state the
+            // no-op was decided on may hold unsynced batch-mates, so it is
+            // acknowledged with them, once they are durable, and fails if
+            // they roll back.
             Ok(report) => match self.durable.last_lsn() {
-                // Nothing was logged, nothing to publish: acknowledge at
-                // the batch's durable boundary. NOT the log's last LSN —
-                // that may count unsynced same-batch appends, and if the
-                // batch fsync later fails those roll back, leaving this
-                // ack claiming an LSN that never became durable.
                 lsn if lsn == logged_before => {
-                    let lsn = self.head.head_lsn();
-                    let _ = reply.send(Ok(CommitReceipt { lsn, report }));
+                    batch.noops.push((reply, CommitReceipt { lsn, report }))
                 }
                 lsn => batch.commits.push((reply, CommitReceipt { lsn, report })),
             },
@@ -760,7 +762,7 @@ impl Writer<'_> {
         // Flag before the failure replies: a caller that sees its
         // handle fail must also see the database degraded.
         self.metrics.degraded.store(true, Ordering::Relaxed);
-        for (reply, _) in batch.commits.drain(..) {
+        for (reply, _) in batch.commits.drain(..).chain(batch.noops.drain(..)) {
             let _ = reply.send(Err(ServeError::Io(reason.to_string())));
         }
         for (reply, _) in batch.constraints.drain(..) {
@@ -1051,6 +1053,38 @@ mod tests {
         let r = db.commit_wait(vec![]).unwrap();
         assert_eq!(r.lsn, 1);
         assert_eq!(db.stats().commits, 0, "no-ops are not group members");
+        db.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn noop_ack_waits_for_the_batch_mate_that_made_it_one() {
+        // The second `emp(E1)` is a no-op only because the first, not yet
+        // synced, asserted it: when the batch fsync fails, both fail.
+        let d = dir();
+        let mut durable = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
+        let inj = Arc::new(crate::FaultInjector::new(5));
+        durable.set_fault_injector(Some(Arc::clone(&inj)));
+        let db = ServingDb::start(durable, ServeOptions::default());
+        let gate = db.gate();
+        let first = db.commit(vec![TxOp::Assert(f("emp(E1)"))]);
+        let second = db.commit(vec![TxOp::Assert(f("emp(E1)"))]);
+        inj.fail_nth_sync(inj.syncs());
+        gate.open();
+        assert!(matches!(first.wait(), Err(ServeError::Io(_))));
+        let second = second.wait();
+        assert!(matches!(second, Err(ServeError::Io(_))), "got {second:?}");
+        assert_eq!(db.snapshot().ask(&parse("K emp(E1)").unwrap()), Answer::No);
+        // Without a fault the no-op is acknowledged at its batch-mate's LSN.
+        inj.disarm();
+        db.heal().unwrap();
+        let gate = db.gate();
+        let first = db.commit(vec![TxOp::Assert(f("emp(E1)"))]);
+        let second = db.commit(vec![TxOp::Assert(f("emp(E1)"))]);
+        gate.open();
+        let lsn = first.wait().unwrap().lsn;
+        assert_eq!(second.wait().unwrap().lsn, lsn);
+        assert_eq!(db.stats().commits, 1, "no-ops are not group members");
         db.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }

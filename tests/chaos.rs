@@ -68,7 +68,10 @@ fn number(i: usize) -> String {
 
 /// One transaction from the seeded stream — same mix as the serving
 /// soak: valid hires/fires, an always-invalid hire, and a renumbering
-/// that violates ss-uniqueness exactly when the person is numbered.
+/// that violates ss-uniqueness exactly when the person is numbered. A
+/// fire also retracts the renumbered fact: otherwise every person ends
+/// up holding it, hires break the dependency and fires change nothing,
+/// and once nothing is logged no injected fault can fire.
 fn pick_ops(roll: u64) -> Vec<TxOp> {
     let i = (roll >> 8) as usize % PEOPLE;
     match roll % 4 {
@@ -79,6 +82,9 @@ fn pick_ops(roll: u64) -> Vec<TxOp> {
         1 => vec![
             TxOp::Retract(parse(&format!("emp({})", person(i))).unwrap()),
             TxOp::Retract(parse(&format!("ss({}, {})", person(i), number(i))).unwrap()),
+            TxOp::Retract(
+                parse(&format!("ss({}, {})", person(i), number((i + 1) % PEOPLE))).unwrap(),
+            ),
         ],
         2 => vec![TxOp::Assert(parse("emp(Ghost)").unwrap())],
         _ => vec![TxOp::Assert(

@@ -51,10 +51,15 @@ fn pick_ops(roll: u64) -> Vec<TxOp> {
             TxOp::Assert(parse(&format!("emp({})", person(i))).unwrap()),
             TxOp::Assert(parse(&format!("ss({}, {})", person(i), number(i))).unwrap()),
         ],
-        // Fire: retract both (a no-op commit when Ei isn't employed).
+        // Fire: retract both, and a renumbering (a no-op commit when Ei
+        // holds none of them). Without the last, every person ends up
+        // renumbered and the stream stops changing anything.
         1 => vec![
             TxOp::Retract(parse(&format!("emp({})", person(i))).unwrap()),
             TxOp::Retract(parse(&format!("ss({}, {})", person(i), number(i))).unwrap()),
+            TxOp::Retract(
+                parse(&format!("ss({}, {})", person(i), number((i + 1) % PEOPLE))).unwrap(),
+            ),
         ],
         // Always-invalid: an employee with no ss number ever.
         2 => vec![TxOp::Assert(parse("emp(Ghost)").unwrap())],
