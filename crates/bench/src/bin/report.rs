@@ -6,9 +6,9 @@
 //! measured output, and exits nonzero on any mismatch.
 
 use epilog_bench::workloads::{
-    dense_closure_program, dense_closure_text, durable_registrar, enrollment_batch,
-    join_heavy_program, order_sensitive_program, registrar_db, scaling_program, section1_queries,
-    serving_registrar, teach_db, withdrawal_batch,
+    dense_closure_text, durable_registrar, enrollment_batch, join_heavy_program,
+    order_sensitive_program, registrar_db, scaling_program, section1_queries, serving_registrar,
+    teach_db, withdrawal_batch,
 };
 use epilog_core::ask::certain;
 use epilog_core::closure::cwa_demo;
@@ -17,7 +17,7 @@ use epilog_core::{
     ModelUpdate,
 };
 use epilog_datalog::provenance::params_of;
-use epilog_datalog::{RulePlan, SupportTable};
+use epilog_datalog::SupportTable;
 use epilog_prover::Prover;
 use epilog_semantics::{minimal_worlds, ModelSet};
 use epilog_syntax::{is_admissible, parse, Param, Pred, Theory};
@@ -670,7 +670,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    println!("\nF12 — provenance (derivation tracking, why/why-not, support-accelerated DRed)");
+    println!("\nF12 — provenance (derivation tracking, why/why-not)");
     {
         // Tracking is invisible on the F6 scaling workload — identical
         // model, identical pre-existing counters — and every tuple of the
@@ -682,7 +682,6 @@ fn main() {
             let (traced_db, traced) = prog.fixpoint(true, Some(&mut table)).unwrap();
             let mut scrubbed = traced;
             scrubbed.supports_recorded = 0;
-            scrubbed.support_hits = 0;
             check(
                 &format!("n={n} tracked fixpoint: same model, same counters"),
                 "yes",
@@ -712,106 +711,11 @@ fn main() {
             );
         }
 
-        // The retract workload: drop one edge from a dense 6-node closure
-        // graph. Over-deleted tuples nearly all survive through
-        // alternative derivations, so the recorded supports skip
-        // re-derivation probes the probe-only path must run.
+        // Retracting an edge of a dense closure: `why` derives the
+        // survivor's alternative path from the shrunk model when asked.
         {
-            let m = 6;
-            let full = dense_closure_program(m, None);
-            let post = dense_closure_program(m, Some((0, 1)));
-            let removed = epilog_datalog::Program::from_text("e(n0, n1)").unwrap().edb;
-            let mut table = SupportTable::new();
-            let (model, _) = full.fixpoint(true, Some(&mut table)).unwrap();
-            let plans: Vec<RulePlan> = post
-                .rules
-                .iter()
-                .map(|r| RulePlan::compile(r, &model))
-                .collect();
-            let (plain_db, plain) = post.shrink(&plans, model.clone(), &removed, None).unwrap();
-            let (traced_db, traced) = post
-                .shrink(&plans, model, &removed, Some(&mut table))
-                .unwrap();
-            let (oracle, _) = post.eval().unwrap();
-            check(
-                &format!("m={m} DRed models identical (supports = probe-only = scratch)"),
-                "yes",
-                if traced_db == plain_db && traced_db == oracle {
-                    "yes"
-                } else {
-                    "no"
-                },
-            );
-            check(
-                &format!(
-                    "m={m} DRed support_checks with supports {} < without {}",
-                    traced.support_checks, plain.support_checks
-                ),
-                "fewer",
-                if traced.support_checks < plain.support_checks {
-                    "fewer"
-                } else {
-                    "NOT-fewer"
-                },
-            );
-            check(
-                &format!("m={m} every skipped probe is a recorded support hit"),
-                "yes",
-                if traced.support_hits > 0
-                    && traced.support_hits + traced.support_checks == plain.support_checks
-                    && traced.tuples_rederived == plain.tuples_rederived
-                {
-                    "yes"
-                } else {
-                    "no"
-                },
-            );
-        }
-
-        // End-to-end through the epistemic layer: the same retraction as
-        // paired commits, provenance on vs off — identical models, fewer
-        // probes, and `why` still explains the survivor afterwards.
-        {
-            let mut traced_db = EpistemicDb::from_text(&dense_closure_text(5, None)).unwrap();
-            let mut plain_db = EpistemicDb::from_text(&dense_closure_text(5, None)).unwrap();
-            let on = traced_db.enable_provenance();
-            let traced_report = traced_db
-                .transaction()
-                .retract(parse("e(n0, n1)").unwrap())
-                .commit()
-                .unwrap();
-            let plain_report = plain_db
-                .transaction()
-                .retract(parse("e(n0, n1)").unwrap())
-                .commit()
-                .unwrap();
-            match (&traced_report.model, &plain_report.model) {
-                (
-                    ModelUpdate::Incremental { stats: ts, .. },
-                    ModelUpdate::Incremental { stats: ps, .. },
-                ) => {
-                    check(
-                        &format!(
-                            "retract commit support_checks tracked {} < untracked {}",
-                            ts.support_checks, ps.support_checks
-                        ),
-                        "fewer",
-                        if on
-                            && ts.support_checks < ps.support_checks
-                            && traced_db.prover().atom_model() == plain_db.prover().atom_model()
-                        {
-                            "fewer"
-                        } else {
-                            "NOT-fewer"
-                        },
-                    );
-                }
-                other => check(
-                    "retract commit path",
-                    "incremental/incremental",
-                    &format!("{other:?}"),
-                ),
-            }
+            let mut db = EpistemicDb::from_text(&dense_closure_text(5, None)).unwrap();
+            assert!(db.retract(&parse("e(n0, n1)").unwrap()).unwrap());
             let q = parse("t(n0, n1)").unwrap();
             let epilog_syntax::Formula::Atom(a) = q else {
                 unreachable!("ground atom")
@@ -819,7 +723,7 @@ fn main() {
             check(
                 "why t(n0, n1) after retracting its edge: alternative path",
                 "yes",
-                if traced_db.why(&a).is_some_and(|p| p.height() >= 2) {
+                if db.why(&a).is_some_and(|p| p.height() >= 2) {
                     "yes"
                 } else {
                     "no"
@@ -831,7 +735,6 @@ fn main() {
         // ground witnesses, each carrying its own derivation.
         {
             let mut db = registrar_db(8);
-            let on = db.enable_provenance();
             let err = db
                 .transaction()
                 .assert(parse("emp(nobody)").unwrap())
@@ -839,10 +742,10 @@ fn main() {
                 .unwrap_err();
             let explained = match err {
                 DbError::ConstraintViolated(rej) => {
+                    let proofs = rej.proofs();
                     !rej.witnesses.is_empty()
-                        && rej.witnesses.len() == rej.proofs.len()
-                        && rej
-                            .proofs
+                        && rej.witnesses.len() == proofs.len()
+                        && proofs
                             .iter()
                             .zip(&rej.witnesses)
                             .all(|(p, w)| p.atom() == w)
@@ -852,7 +755,7 @@ fn main() {
             check(
                 "rejected commit carries constraint + witnesses + proofs",
                 "yes",
-                if on && explained { "yes" } else { "no" },
+                if explained { "yes" } else { "no" },
             );
         }
 

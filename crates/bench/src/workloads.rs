@@ -245,24 +245,11 @@ pub fn scaling_program(n: usize, k: usize) -> epilog_datalog::Program {
     epilog_datalog::Program::from_text(&src).expect("generated text parses")
 }
 
-/// The `f12_provenance` deletion workload: transitive closure over a
-/// dense digraph — `e(i, j)` for every ordered pair of `m` distinct
-/// nodes (minus `without`, the edge the bench retracts). Every `t(x, y)`
-/// has many derivations, so retracting one edge over-deletes a cone of
-/// tuples that nearly all survive through *alternative* supports —
-/// exactly the shape where a recorded support table saves DRed
-/// re-derivation probes ([`EvalStats::support_hits`] vs
-/// [`EvalStats::support_checks`]).
-///
-/// [`EvalStats::support_hits`]: epilog_datalog::EvalStats::support_hits
-/// [`EvalStats::support_checks`]: epilog_datalog::EvalStats::support_checks
-pub fn dense_closure_program(m: usize, without: Option<(usize, usize)>) -> epilog_datalog::Program {
-    epilog_datalog::Program::from_text(&dense_closure_text(m, without))
-        .expect("generated text parses")
-}
-
-/// The [`dense_closure_program`] workload as theory text, for feeding the
-/// same graph to an [`epilog_core::EpistemicDb`].
+/// Transitive closure over a dense digraph, as theory text: `e(i, j)`
+/// for every ordered pair of `m` distinct nodes (minus `without`). Every
+/// `t(x, y)` has many derivations, so after one edge is retracted each
+/// over-deleted tuple survives through an *alternative* one — what the
+/// F12 report row asks `why` to find.
 pub fn dense_closure_text(m: usize, without: Option<(usize, usize)>) -> String {
     assert!(m >= 3, "need a graph dense enough for alternative paths");
     let mut src = String::new();

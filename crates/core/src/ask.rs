@@ -19,9 +19,11 @@
 //! The result is the paper's three-valued [`Answer`]: *yes* if `Σ ⊨ q`,
 //! *no* if `Σ ⊨ ¬q`, *unknown* otherwise.
 
+use crate::demo::apply;
+use epilog_prover::answers::domain_walk;
 use epilog_prover::Prover;
 use epilog_semantics::Answer;
-use epilog_syntax::{is_first_order, Formula, Param, Term, Var};
+use epilog_syntax::{is_first_order, Formula, Param, Var};
 use std::collections::HashMap;
 
 /// Answer a KFOPCE sentence query against `Σ` (Definition 2.1).
@@ -45,34 +47,9 @@ pub fn ask(prover: &Prover, q: &Formula) -> Answer {
 /// All answers to an open KFOPCE query: tuples over the answer domain
 /// whose substitution makes the query certain.
 pub fn answers(prover: &Prover, q: &Formula) -> Vec<Vec<Param>> {
-    let vars = q.free_vars();
-    if vars.is_empty() {
-        return if certain(prover, q) {
-            vec![vec![]]
-        } else {
-            vec![]
-        };
-    }
-    let domain = prover.answer_domain(q);
-    let mut out = Vec::new();
-    if domain.is_empty() {
-        return out;
-    }
-    let total = domain
-        .len()
-        .checked_pow(vars.len() as u32)
-        .expect("answer space overflow");
-    for mut idx in 0..total {
-        let mut tuple = vec![domain[0]; vars.len()];
-        for slot in tuple.iter_mut().rev() {
-            *slot = domain[idx % domain.len()];
-            idx /= domain.len();
-        }
-        if certain(prover, &q.bind_free(&tuple)) {
-            out.push(tuple);
-        }
-    }
-    out
+    domain_walk(prover.answer_domain(q), q.free_vars().len())
+        .filter(|tuple| certain(prover, &q.bind_free(tuple)))
+        .collect()
 }
 
 /// `Σ ⊨ q` for a KFOPCE sentence: reduce `K`-subformulas to constants,
@@ -196,14 +173,6 @@ fn constant(b: bool) -> Formula {
     } else {
         Formula::not(Formula::eq(c, c))
     }
-}
-
-fn apply(w: &Formula, env: &HashMap<Var, Param>) -> Formula {
-    if env.is_empty() {
-        return w.clone();
-    }
-    let map: HashMap<Var, Term> = env.iter().map(|(v, p)| (*v, Term::Param(*p))).collect();
-    w.subst(&map)
 }
 
 #[cfg(test)]

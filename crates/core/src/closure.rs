@@ -18,6 +18,7 @@
 //!   [`cwa_demo`].
 
 use crate::demo::{demo, DemoStream};
+use epilog_prover::answers::domain_walk;
 use epilog_prover::Prover;
 use epilog_semantics::{holds_in_world, Answer};
 use epilog_storage::Database;
@@ -123,25 +124,9 @@ impl ClosedDb {
             .copied()
             .filter(|p| !p.is_fresh())
             .collect();
-        let mut out = Vec::new();
-        if domain.is_empty() {
-            return out;
-        }
-        let total = domain
-            .len()
-            .checked_pow(vars.len() as u32)
-            .expect("answer space overflow");
-        for mut idx in 0..total {
-            let mut tuple = vec![domain[0]; vars.len()];
-            for slot in tuple.iter_mut().rev() {
-                *slot = domain[idx % domain.len()];
-                idx /= domain.len();
-            }
-            if holds_in_world(&fo.bind_free(&tuple), &self.world, &self.universe) {
-                out.push(tuple);
-            }
-        }
-        out
+        domain_walk(domain, vars.len())
+            .filter(|tuple| holds_in_world(&fo.bind_free(tuple), &self.world, &self.universe))
+            .collect()
     }
 }
 

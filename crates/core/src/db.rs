@@ -11,7 +11,7 @@ use crate::demo;
 use crate::engine::{definite_program, prover_and_program};
 use crate::incremental::{CompiledConstraint, IncrementalChecker};
 use crate::transaction::Transaction;
-use epilog_datalog::{Program, ProofTree, RulePlan, SupportTable};
+use epilog_datalog::{Program, ProofTree, RulePlan};
 use epilog_prover::Prover;
 use epilog_semantics::Answer;
 use epilog_syntax::formula::Atom;
@@ -23,10 +23,9 @@ use std::sync::Arc;
 /// The structured explanation of a constraint rejection: which constraint
 /// the update would violate, the ground tuples witnessing the violation
 /// (an instantiation of the constraint's positive `K`-literals that makes
-/// the violation body certain in the candidate state), and — when
-/// provenance is enabled ([`EpistemicDb::enable_provenance`]) — a
-/// derivation [`ProofTree`] for each witness that the support table can
-/// explain.
+/// the violation body certain in the candidate state), and — on request,
+/// through [`Rejection::proofs`] — a derivation [`ProofTree`] for each
+/// witness, derived against that rejected candidate state.
 #[derive(Debug, Clone)]
 pub struct Rejection {
     /// The violated constraint, as registered.
@@ -37,40 +36,37 @@ pub struct Rejection {
     /// constraint outside the admissible `¬∃x̄ (K-conjunction)` fragment,
     /// which has no patterns to instantiate.
     pub witnesses: Vec<Atom>,
-    /// Proof trees for the witnesses the support table can explain (EDB
-    /// witnesses appear as [`ProofTree::Fact`] leaves). Empty when
-    /// provenance is disabled.
-    pub proofs: Vec<ProofTree>,
+    /// The candidate state's definite program (`None` when it has none),
+    /// shared with the candidate: what [`Rejection::proofs`] derives from.
+    program: Option<Arc<Program>>,
 }
 
 impl Rejection {
     /// Build the explanation for a violated constraint against the
-    /// (rejected) candidate state. `table` is the candidate's maintained
-    /// support table when provenance is enabled, `program` the
-    /// candidate's definite program (whose EDB the proofs bottom out in).
+    /// (rejected) candidate state: `prover` answers for it, `program` is
+    /// its definite program.
     pub(crate) fn explain(
         ic: &Formula,
         prover: &Prover,
-        table: Option<&SupportTable>,
-        program: Option<&Program>,
+        program: Option<Arc<Program>>,
     ) -> Box<Rejection> {
         let witnesses = CompiledConstraint::compile(ic)
             .map(|c| c.violation_witnesses(prover))
             .unwrap_or_default();
-        let proofs = match (table, program) {
-            (Some(t), Some(prog)) => witnesses
-                .iter()
-                .filter_map(|w| {
-                    let tuple = epilog_datalog::provenance::params_of(w)?;
-                    t.why(&prog.edb, w.pred, &tuple)
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
         Box::new(Rejection {
             constraint: ic.clone(),
             witnesses,
-            proofs,
+            program,
+        })
+    }
+
+    /// Proof trees for the witnesses, derived when asked by one traced
+    /// fixpoint of the rejected candidate's program ([`Program::why`]):
+    /// EDB witnesses appear as [`ProofTree::Fact`] leaves. Empty when the
+    /// candidate theory is not definite.
+    pub fn proofs(&self) -> Vec<ProofTree> {
+        self.program.as_ref().map_or_else(Vec::new, |prog| {
+            prog.why(&self.witnesses).into_iter().flatten().collect()
         })
     }
 }
@@ -82,8 +78,8 @@ pub enum DbError {
     Theory(TheoryError),
     /// An update was rejected because it would violate an integrity
     /// constraint; the [`Rejection`] carries the offending constraint
-    /// plus its ground witnesses (and proof trees, when provenance is
-    /// enabled) and the database is unchanged.
+    /// plus its ground witnesses (and their proof trees, on request) and
+    /// the database is unchanged.
     ConstraintViolated(Box<Rejection>),
     /// A query outside the admissible fragment was given to `demo`.
     NotAdmissible(Admissibility),
@@ -146,8 +142,7 @@ impl From<TheoryError> for DbError {
 /// ground-atom commit does not change: the least model's storage run by
 /// run (see [`epilog_storage::Relation`]), and the constraints, compiled
 /// checker, rule plans and definite program whole, behind `Arc`s. What
-/// a clone still copies is the sentence list and, with provenance on,
-/// the support table.
+/// a clone still copies is the sentence list.
 #[derive(Clone)]
 pub struct EpistemicDb {
     pub(crate) prover: Prover,
@@ -184,13 +179,6 @@ pub struct EpistemicDb {
     /// How many times the staleness trigger has recompiled the cached
     /// plans (observable via [`EpistemicDb::plan_recosts`]).
     pub(crate) plan_recosts: u64,
-    /// The provenance side table: one [`epilog_datalog::Support`] list per
-    /// derived tuple of the attached least model, recorded by the traced
-    /// fixpoints and maintained incrementally across commits alongside the
-    /// cached plans. `None` until [`EpistemicDb::enable_provenance`] —
-    /// tracking is strictly opt-in and commits on a provenance-off db run
-    /// the untraced fixpoints unchanged.
-    pub(crate) support_table: Option<SupportTable>,
 }
 
 impl EpistemicDb {
@@ -213,7 +201,6 @@ impl EpistemicDb {
             program: program.map(Arc::new),
             rule_plans: None,
             plan_recosts: 0,
-            support_table: None,
         };
         db.rule_plans = db.compile_rule_plans();
         db
@@ -311,75 +298,18 @@ impl EpistemicDb {
 
     // ----- provenance -----------------------------------------------------
 
-    /// Turn on derivation tracking: re-run the definite fixpoint once,
-    /// traced ([`Program::fixpoint`] with a table), recording one
-    /// `Support { rule_idx, parents }` per derived tuple of the least
-    /// model. From then on every ground-atom commit maintains the table
-    /// incrementally (the growth fixpoint appends supports; the DRed
-    /// deletion fixpoint consumes them, skipping re-derivation probes for
-    /// tuples whose recorded alternative support survives) and
-    /// rule-changing commits rebuild it. Returns `false` — provenance
-    /// stays off — when the theory is not a definite program (there is no
-    /// bottom-up derivation to record); a later commit that leaves the
-    /// definite fragment also switches it back off. Idempotent.
-    pub fn enable_provenance(&mut self) -> bool {
-        if self.support_table.is_some() {
-            return true;
-        }
-        let Some(prog) = &self.program else {
-            return false;
-        };
-        let mut table = SupportTable::new();
-        if prog.fixpoint(true, Some(&mut table)).is_err() {
-            return false;
-        }
-        self.support_table = Some(table);
-        true
-    }
-
-    /// Whether derivation tracking is currently on.
-    pub fn provenance_enabled(&self) -> bool {
-        self.support_table.is_some()
-    }
-
-    /// Size of the provenance side table as `(atoms, supports)`: how many
-    /// derived tuples have at least one recorded support, and how many
-    /// supports are recorded in total. `(0, 0)` when provenance is off.
-    pub fn provenance_size(&self) -> (usize, usize) {
-        self.support_table
-            .as_ref()
-            .map_or((0, 0), |t| (t.num_atoms(), t.num_supports()))
-    }
-
     /// Explain a ground atom of the least model: a minimal-height
-    /// [`ProofTree`] walking recorded supports down to EDB facts. `None`
-    /// when provenance is off, the atom is not ground, or the atom is not
-    /// in the model (the *why-not* answer: nothing derives it).
+    /// [`ProofTree`] down to EDB facts, derived when asked by one traced
+    /// fixpoint of the cached definite program ([`Program::why`]). `None`
+    /// when the theory is not definite (there is no least model to
+    /// explain), the atom is not ground, or the atom is not in the model
+    /// (the *why-not* answer: nothing derives it).
     pub fn why(&self, atom: &Atom) -> Option<ProofTree> {
-        let table = self.support_table.as_ref()?;
-        let tuple = epilog_datalog::provenance::params_of(atom)?;
-        table.why(&self.program.as_ref()?.edb, atom.pred, &tuple)
-    }
-
-    /// The raw support table, for the persistence layer to serialize.
-    pub fn support_table(&self) -> Option<&SupportTable> {
-        self.support_table.as_ref()
-    }
-
-    /// Install a support table **without** re-deriving it — for trusted
-    /// callers restoring a previously recorded state (the persistence
-    /// layer loading a snapshot's `[supports]` section). The caller
-    /// asserts the table is exactly what the traced fixpoint would record
-    /// for the current theory; debug builds verify consistency.
-    pub fn adopt_provenance(&mut self, table: SupportTable) {
-        debug_assert!(
-            match (&self.program, self.prover.atom_model()) {
-                (Some(p), Some(m)) => table.consistent_with(m, p.rules.len()),
-                _ => false,
-            },
-            "adopted support table is inconsistent with the attached model"
-        );
-        self.support_table = Some(table);
+        self.program
+            .as_ref()?
+            .why(std::slice::from_ref(atom))
+            .pop()
+            .flatten()
     }
 
     // ----- queries --------------------------------------------------------
@@ -420,8 +350,7 @@ impl EpistemicDb {
             return Err(DbError::ConstraintViolated(Rejection::explain(
                 &ic,
                 &self.prover,
-                self.support_table.as_ref(),
-                self.program.as_deref(),
+                self.program.clone(),
             )));
         }
         self.register(ic);

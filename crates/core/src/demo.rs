@@ -197,8 +197,9 @@ fn stream<'a>(prover: &'a Prover, w: Formula, env: Env) -> Box<dyn Iterator<Item
     }
 }
 
-/// Substitute the environment's bindings into a formula.
-fn apply(w: &Formula, env: &Env) -> Formula {
+/// Substitute the environment's bindings into a formula — `demo`'s and
+/// `ask`'s one way of instantiating a formula under bound variables.
+pub(crate) fn apply(w: &Formula, env: &Env) -> Formula {
     if env.is_empty() {
         return w.clone();
     }

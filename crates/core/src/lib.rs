@@ -56,7 +56,7 @@ pub use constraints::{ic_satisfaction, IcDefinition, IcReport};
 pub use db::{DbError, EpistemicDb, Rejection};
 pub use demo::{all_answers, demo, demo_sentence, DemoOutcome, DemoStream};
 pub use engine::{definite_model, definite_program, prover_for};
-pub use epilog_datalog::{ProofTree, SupportTable};
+pub use epilog_datalog::ProofTree;
 pub use epilog_semantics::Answer;
 pub use incremental::{CheckStats, CompiledConstraint, IncrementalChecker, ModelDiff};
 pub use instances::{admissible_wrt_f_sigma, instances, theorem_62_applies};

@@ -40,7 +40,7 @@
 use crate::db::{DbError, EpistemicDb, Rejection};
 use crate::engine::prover_and_program;
 use crate::incremental::{CheckStats, ModelDiff};
-use epilog_datalog::{EvalStats, Program, SupportTable};
+use epilog_datalog::{EvalStats, Program};
 use epilog_prover::Prover;
 use epilog_storage::Database;
 use epilog_syntax::theory::TheoryError;
@@ -305,7 +305,6 @@ impl<'db> Transaction<'db> {
                 report: CommitReport::unchanged(),
                 added,
                 removed,
-                support_update: None,
             });
         }
 
@@ -329,16 +328,9 @@ impl<'db> Transaction<'db> {
         // on the incremental path, `None` when the model was rebuilt (or
         // there is none) and no per-tuple diff exists.
         let mut diff: Option<ModelDiff> = None;
-        // The candidate's support table, decided alongside the model:
-        // `None` leaves the db's table untouched (provenance off, or a
-        // no-op), `Some(Some(t))` installs the maintained/rebuilt table on
-        // commit, `Some(None)` switches provenance off (the theory left
-        // the definite fragment).
-        let mut support_update: Option<Option<SupportTable>> = None;
-        let tracing = db.support_table.is_some();
         // `candidate_program` is the candidate theory as a definite
         // program (`None` outside the fragment): installed with the
-        // candidate, and the EDB rejection proofs bottom out in.
+        // candidate, and what a rejection's proofs are derived from.
         type Candidate = (Prover, ModelUpdate, Option<Arc<Program>>);
         let (candidate, model_update, candidate_program): Candidate = 'prover: {
             if facts_only {
@@ -368,62 +360,42 @@ impl<'db> Transaction<'db> {
                         }
                     }
                     prog.edb.prune_empty();
-                    // With provenance on, the traced fixpoints maintain a
-                    // clone of the support table in the same pass: DRed
-                    // consumes recorded supports (skipping re-derivation
-                    // probes where an alternative support survives) and
-                    // purges the net-removed atoms, the growth fixpoint
-                    // appends supports for its insertions.
-                    let mut traced_table = db.support_table.clone();
-                    let shrunk = if removed_facts.is_empty() {
-                        Ok((old_model.clone(), EvalStats::default()))
+                    let (model, mut stats) = if removed_facts.is_empty() {
+                        (old_model.clone(), EvalStats::default())
                     } else {
-                        prog.shrink(
-                            plans,
-                            old_model.clone(),
-                            &removed_facts,
-                            traced_table.as_mut(),
-                        )
+                        prog.shrink(plans, old_model.clone(), &removed_facts)
                     };
-                    let maintained = shrunk.and_then(|(model, mut stats)| {
-                        if new_facts.is_empty() {
-                            return Ok((model, stats));
+                    let model = if new_facts.is_empty() {
+                        model
+                    } else {
+                        let (model, grown) = prog.grow(plans, model, &new_facts);
+                        stats.absorb(&grown);
+                        model
+                    };
+                    // The exact model diff, derived consequences
+                    // included. The new model is a clone of the old one a
+                    // few edits on, so each difference skips every run
+                    // they still share; a side the batch cannot have
+                    // touched is empty outright.
+                    let side = |facts: &Database, from: &Database, to: &Database| {
+                        if facts.is_empty() {
+                            Database::new()
+                        } else {
+                            from.difference(to)
                         }
-                        prog.grow(plans, model, &new_facts, traced_table.as_mut())
-                            .map(|(model, grown)| {
-                                stats.absorb(&grown);
-                                (model, stats)
-                            })
-                    });
-                    if let Ok((model, stats)) = maintained {
-                        if tracing {
-                            support_update = Some(traced_table);
-                        }
-                        // The exact model diff, derived consequences
-                        // included. The new model is a clone of the old
-                        // one a few edits on, so each difference skips
-                        // every run they still share; a side the batch
-                        // cannot have touched is empty outright.
-                        let side = |facts: &Database, from: &Database, to: &Database| {
-                            if facts.is_empty() {
-                                Database::new()
-                            } else {
-                                from.difference(to)
-                            }
-                        };
-                        let model_diff = ModelDiff {
-                            added: side(&new_facts, &model, old_model),
-                            removed: side(&removed_facts, old_model, &model),
-                        };
-                        let update = ModelUpdate::Incremental {
-                            tuples_added: model_diff.added.len(),
-                            tuples_removed: model_diff.removed.len(),
-                            stats,
-                        };
-                        diff = Some(model_diff);
-                        let candidate = db.prover.updated(theory, Some(model));
-                        break 'prover (candidate, update, Some(Arc::new(prog)));
-                    }
+                    };
+                    let model_diff = ModelDiff {
+                        added: side(&new_facts, &model, old_model),
+                        removed: side(&removed_facts, old_model, &model),
+                    };
+                    let update = ModelUpdate::Incremental {
+                        tuples_added: model_diff.added.len(),
+                        tuples_removed: model_diff.removed.len(),
+                        stats,
+                    };
+                    diff = Some(model_diff);
+                    let candidate = db.prover.updated(theory, Some(model));
+                    break 'prover (candidate, update, Some(Arc::new(prog)));
                 }
             }
             let (rebuilt, program) = prover_and_program(theory);
@@ -432,17 +404,6 @@ impl<'db> Transaction<'db> {
             } else {
                 ModelUpdate::NotDefinite
             };
-            if tracing {
-                // Rule-changing commits invalidate every recorded support
-                // (rule indices shift, derivations change): re-record from
-                // scratch against the candidate program. A theory that
-                // left the definite fragment has no bottom-up derivations
-                // to record — provenance switches off.
-                support_update = Some(program.as_ref().and_then(|prog| {
-                    let mut table = SupportTable::new();
-                    prog.fixpoint(true, Some(&mut table)).ok().map(|_| table)
-                }));
-            }
             (rebuilt, update, program.map(Arc::new))
         };
 
@@ -452,15 +413,10 @@ impl<'db> Transaction<'db> {
         // exact for every compiled constraint) and in full otherwise.
         let mut checks = CheckStats::default();
         if let Some(ic) = db.checker.check(&candidate, diff.as_ref(), &mut checks) {
-            let table = support_update
-                .as_ref()
-                .and_then(|t| t.as_ref())
-                .or(db.support_table.as_ref());
             return Err(DbError::ConstraintViolated(Rejection::explain(
                 ic,
                 &candidate,
-                table,
-                candidate_program.as_deref(),
+                candidate_program,
             )));
         }
 
@@ -482,7 +438,6 @@ impl<'db> Transaction<'db> {
             },
             added,
             removed,
-            support_update,
         })
     }
 }
@@ -504,9 +459,6 @@ pub struct PreparedCommit<'db> {
     report: CommitReport,
     added: Vec<Formula>,
     removed: Vec<Formula>,
-    /// The candidate's support table (see `prepare`): `None` leaves the
-    /// db's table untouched, `Some(t)` installs `t` on commit.
-    support_update: Option<Option<SupportTable>>,
 }
 
 impl PreparedCommit<'_> {
@@ -544,9 +496,6 @@ impl PreparedCommit<'_> {
                 self.db.program_is_current(),
                 "cached program drifted from the theory"
             );
-            if let Some(table) = self.support_update {
-                self.db.support_table = table;
-            }
             if self.rules_changed {
                 // The plans derive from the rule-shaped sentences only:
                 // rebuild them here, once, and every following ground-atom

@@ -14,16 +14,17 @@
 //!
 //! Four entry points, one per mode: [`Program::eval`] (the default full
 //! fixpoint), [`Program::fixpoint`] (the full fixpoint with the naive
-//! reference selector and optional provenance),
-//! [`Program::grow`] and [`Program::shrink`] (resume a least model after
-//! additions / retractions over caller-supplied plans). Everything runs
-//! on the calling thread.
+//! reference selector and optional tracing, which [`Program::why`] runs
+//! when a proof is asked for), [`Program::grow`] and [`Program::shrink`]
+//! (resume the least model of a definite program after additions /
+//! retractions over caller-supplied plans, untraced). Everything runs on
+//! the calling thread.
 
 use crate::plan::RulePlan;
 use crate::program::{DatalogError, Program};
 use crate::provenance::{ProvenanceSink, SupportTable};
-use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, StepStrategy, Tuple};
-use epilog_syntax::{Param, Pred};
+use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, StepStrategy};
+use epilog_syntax::Param;
 
 /// Counters reported by an evaluation run (for the `f2_datalog`/
 /// `f6_scaling`/`f9_joins` benches and for tests asserting that
@@ -87,13 +88,6 @@ pub struct EvalStats {
     /// support table is passed — the observable proof that tracking is
     /// off.
     pub supports_recorded: u64,
-    /// DRed phase 3 with a support table ([`Program::shrink`]):
-    /// over-deleted tuples whose recorded alternative support had no
-    /// over-deleted parent, seeding re-derivation **without** running the
-    /// support plan. Each hit saves the [`EvalStats::support_checks`]
-    /// probes that tuple would have cost — one per rule tried up to the
-    /// one that re-derives it, so at least one.
-    pub support_hits: u64,
 }
 
 impl EvalStats {
@@ -115,7 +109,6 @@ impl EvalStats {
         self.tuples_rederived += other.tuples_rederived;
         self.support_checks += other.support_checks;
         self.supports_recorded += other.supports_recorded;
-        self.support_hits += other.support_hits;
     }
 }
 
@@ -143,8 +136,9 @@ impl Program {
     /// Semi-naive evaluation fires every ground rule instantiation whose
     /// body first becomes true, so for a **definite** program the table
     /// affords a proof tree ([`SupportTable::why`]) for every derived
-    /// tuple of the least model. With stratified negation the recorded
-    /// parents are the positive premises only.
+    /// tuple of the least model — which is how [`Program::why`] answers.
+    /// With stratified negation the recorded parents are the positive
+    /// premises only.
     pub fn fixpoint(
         &self,
         seminaive: bool,
@@ -212,31 +206,19 @@ impl Program {
     /// Reports `plans_compiled == 0`: ground-atom commits recompile
     /// nothing.
     ///
-    /// With a `table` — which must already hold the supports of `model` —
-    /// every firing of the resumed fixpoint records its
-    /// [`Support`](crate::provenance::Support) into it.
-    ///
-    /// Programs with negated body literals cannot be resumed
+    /// A program with a negated body literal cannot be resumed
     /// monotonically — an addition may *retract* conclusions of a higher
-    /// stratum — so they fall back to a full [`Program::eval`] over the
-    /// enlarged EDB (which does compile), rebuilding `table` from
-    /// scratch.
+    /// stratum — so it is outside the contract (debug builds assert it);
+    /// its model is [`Program::eval`]'s to compute.
     pub fn grow(
         &self,
         plans: &[RulePlan],
         model: Database,
         new_facts: &Database,
-        table: Option<&mut SupportTable>,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            let mut prog = self.clone();
-            prog.edb.union_with(new_facts);
-            return prog.recompute(table);
-        }
+    ) -> (Database, EvalStats) {
+        debug_assert!(!self.has_negation(), "grow needs a definite program");
         debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
         let mut stats = EvalStats::default();
-        let mut sink = table.is_some().then(ProvenanceSink::new);
         let plan_refs: Vec<(usize, &RulePlan)> = plans.iter().enumerate().collect();
         let mut ddb = DeltaDatabase::resume(model, new_facts);
         {
@@ -245,19 +227,16 @@ impl Program {
                 plan.ensure_total_indexes(total);
             }
         }
-        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, sink.as_mut());
+        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, None);
         let mut db = ddb.into_total();
         db.prune_empty();
-        if let (Some(table), Some(sink)) = (table, sink) {
-            stats.supports_recorded += table.absorb(sink);
-        }
-        Ok((db, stats))
+        (db, stats)
     }
 
     /// Shrink the least model of a **definite** program after a
     /// retraction, without recomputing it from scratch — the
     /// delete-and-re-derive (DRed) algorithm over caller-supplied plans
-    /// (the same contract as [`Program::grow`]'s).
+    /// (the same contract as [`Program::grow`]'s, definiteness included).
     ///
     /// `self` must be the **post-retraction** program (its EDB no longer
     /// holds `removed_facts`), `model` the least model of the
@@ -284,39 +263,19 @@ impl Program {
     ///
     /// The returned stats report `full_firings == 0` and
     /// `plans_compiled == 0`.
-    ///
-    /// With a `table` the run both **consumes and maintains** it. Phase 3
-    /// consults the recorded supports first: an over-deleted tuple with a
-    /// support whose parents all escaped over-deletion is known to
-    /// survive without running its support probe (`support_hits` counts
-    /// the saved `support_checks`). Probe fallbacks record the derivation
-    /// they find, phase 4 records its re-derivations, and supports
-    /// deriving — or depending on — a net-removed atom are purged, so
-    /// `table` leaves holding exactly the supports of the returned model.
-    ///
-    /// Programs with negated body literals fall back to a full
-    /// [`Program::eval`] (rebuilding `table`) exactly like the insertion
-    /// path.
     pub fn shrink(
         &self,
         plans: &[RulePlan],
-        model: Database,
+        mut model: Database,
         removed_facts: &Database,
-        mut table: Option<&mut SupportTable>,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            return self.recompute(table);
-        }
+    ) -> (Database, EvalStats) {
+        debug_assert!(!self.has_negation(), "shrink needs a definite program");
         debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
         let mut stats = EvalStats::default();
-        let mut model = model;
         let plan_refs: Vec<(usize, &RulePlan)> = plans.iter().enumerate().collect();
 
         // Phase 1 — over-delete. Seed with the removed facts actually in
-        // the model; absent retracts delete nothing. Over-deletion
-        // firings are *removals*, never derivations — nothing here is
-        // recorded as provenance.
+        // the model; absent retracts delete nothing.
         let mut seed = Database::new();
         for (pred, rel) in removed_facts.relations() {
             for t in rel.iter() {
@@ -326,7 +285,7 @@ impl Program {
             }
         }
         if seed.is_empty() {
-            return Ok((model, stats));
+            return (model, stats);
         }
         for (_, plan) in &plan_refs {
             plan.ensure_total_indexes(&mut model);
@@ -370,68 +329,36 @@ impl Program {
         }
 
         // Phase 3 — find the survivors: extensional membership in the
-        // post-retraction EDB, a recorded support disjoint from the
-        // over-deleted set (every such parent is still in the pruned
-        // model, so the body match is known without probing), or an
-        // alternative derivation found by the prebound support plan.
+        // post-retraction EDB, or an alternative derivation found by the
+        // prebound support plan.
         for (_, plan) in &plan_refs {
             plan.ensure_support_indexes(&mut model);
         }
-        let over_ids = table.as_ref().map(|t| t.ids_in(&deleted));
         let mut seeds = Database::new();
         for (pred, rel) in deleted.relations() {
             for t in rel.iter() {
-                if self.edb.contains_tuple(pred, t) {
-                    seeds.insert_tuple(pred, t.clone());
-                    continue;
-                }
-                if let (Some(tab), Some(over)) = (table.as_deref(), over_ids.as_ref()) {
-                    if tab.has_surviving_support(pred, t, over) {
-                        stats.support_hits += 1;
-                        seeds.insert_tuple(pred, t.clone());
-                        continue;
-                    }
-                }
-                for (idx, plan) in &plan_refs {
-                    if plan.head.pred != pred {
-                        continue;
-                    }
-                    let mut env = vec![None; plan.slots.len()];
-                    if !plan.bind_head(t, &mut env) {
-                        continue;
-                    }
-                    stats.support_checks += 1;
-                    let mut witness: Option<Vec<(Pred, Tuple)>> = None;
-                    plan.support.for_each_match_counting(
-                        &model,
-                        None,
-                        &mut env,
-                        &mut stats.rows_examined,
-                        &mut |env| {
-                            if witness.is_none() {
-                                // Ground the support plan's positive body
-                                // — the parents of the found derivation.
-                                witness = Some(
-                                    plan.support
-                                        .steps()
-                                        .iter()
-                                        .map(|s| (s.template.pred, s.template.ground(env)))
-                                        .collect(),
-                                );
-                            }
-                        },
-                    );
-                    if let Some(parents) = witness {
-                        // The probe found a live derivation from the
-                        // pruned model — record it so the next deletion
-                        // can skip this probe.
-                        if let Some(tab) = table.as_deref_mut() {
-                            stats.supports_recorded +=
-                                tab.record(pred, t, *idx as u32, &parents) as u64;
+                let survives = self.edb.contains_tuple(pred, t)
+                    || plan_refs.iter().any(|(_, plan)| {
+                        if plan.head.pred != pred {
+                            return false;
                         }
-                        seeds.insert_tuple(pred, t.clone());
-                        break;
-                    }
+                        let mut env = vec![None; plan.slots.len()];
+                        if !plan.bind_head(t, &mut env) {
+                            return false;
+                        }
+                        stats.support_checks += 1;
+                        let mut found = false;
+                        plan.support.for_each_match_counting(
+                            &model,
+                            None,
+                            &mut env,
+                            &mut stats.rows_examined,
+                            &mut |_| found = true,
+                        );
+                        found
+                    });
+                if survives {
+                    seeds.insert_tuple(pred, t.clone());
                 }
             }
         }
@@ -439,7 +366,6 @@ impl Program {
         // Phase 4 — propagate the survivors with the ordinary insertion
         // fixpoint. Everything it adds back was over-deleted (the model
         // was closed before the prune), so it reuses the delta variants.
-        let mut sink = table.is_some().then(ProvenanceSink::new);
         let mut ddb = DeltaDatabase::resume(model, &seeds);
         {
             let (total, _) = ddb.parts_mut();
@@ -447,48 +373,22 @@ impl Program {
                 plan.ensure_total_indexes(total);
             }
         }
-        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, sink.as_mut());
+        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, None);
         let mut db = ddb.into_total();
         stats.tuples_rederived = deleted
             .relations()
             .map(|(pred, rel)| rel.iter().filter(|t| db.contains_tuple(pred, t)).count() as u64)
             .sum();
         db.prune_empty();
-        if let (Some(tab), Some(sink)) = (table, sink) {
-            // Net-removed atoms — over-deleted and not re-derived — take
-            // their supports, and every support depending on them, out of
-            // the table before the re-derivation records come in.
-            let mut gone = Database::new();
-            for (pred, rel) in deleted.relations() {
-                for t in rel.iter() {
-                    if !db.contains_tuple(pred, t) {
-                        gone.insert_tuple(pred, t.clone());
-                    }
-                }
-            }
-            tab.purge(&gone);
-            stats.supports_recorded += tab.absorb(sink);
-        }
-        Ok((db, stats))
+        (db, stats)
     }
 
-    fn has_negation(&self) -> bool {
+    /// Whether some rule negates a body literal: what [`Program::grow`],
+    /// [`Program::shrink`] and [`Program::why`] require not to be so.
+    pub(crate) fn has_negation(&self) -> bool {
         self.rules
             .iter()
             .any(|r| r.body.iter().any(|l| !l.positive))
-    }
-
-    /// The non-monotone fallback of [`Program::grow`] and
-    /// [`Program::shrink`]: recompute the model of `self` with the default
-    /// full fixpoint, into an emptied `table` when one is kept.
-    fn recompute(
-        &self,
-        mut table: Option<&mut SupportTable>,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if let Some(table) = table.as_deref_mut() {
-            *table = SupportTable::new();
-        }
-        self.fixpoint(true, table)
     }
 }
 
@@ -768,9 +668,7 @@ mod tests {
             for i in old..old + added {
                 new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
             }
-            let (inc, stats) = after
-                .grow(&plans_for(&after, &model), model, &new_facts, None)
-                .unwrap();
+            let (inc, stats) = after.grow(&plans_for(&after, &model), model, &new_facts);
             let (scratch, _) = after.eval().unwrap();
             assert_eq!(inc, scratch, "resume diverged for chain({old})+{added}");
             assert_eq!(
@@ -787,52 +685,10 @@ mod tests {
         let (model, _) = p.eval().unwrap();
         let mut dup = epilog_storage::Database::new();
         dup.insert(&atom("e(n0, n1)"));
-        let (inc, stats) = p
-            .grow(&plans_for(&p, &model), model.clone(), &dup, None)
-            .unwrap();
+        let (inc, stats) = p.grow(&plans_for(&p, &model), model.clone(), &dup);
         assert_eq!(inc, model);
         assert_eq!(stats.rule_firings, 0, "empty delta fires nothing");
         assert_eq!(stats.full_firings, 0);
-    }
-
-    #[test]
-    fn incremental_falls_back_on_negation() {
-        let p = Program::from_text(
-            "node(a)
-             node(b)
-             e(a, b)
-             forall x, y. e(x, y) -> reach(x, y)
-             forall x, y. node(x) & node(y) & ~reach(x, y) -> sep(x, y)",
-        )
-        .unwrap();
-        let mut table = SupportTable::new();
-        let (model, _) = p.fixpoint(true, Some(&mut table)).unwrap();
-        assert!(model.contains(&atom("sep(b, a)")));
-        // Adding e(b, a) must *remove* sep(b, a): only the full fallback
-        // can do that — and, traced, only a rebuilt table forgets the
-        // support recorded for it.
-        let mut new_facts = epilog_storage::Database::new();
-        new_facts.insert(&atom("e(b, a)"));
-        let plans = plans_for(&p, &model);
-        for traced in [false, true] {
-            let (inc, stats) = p
-                .grow(
-                    &plans,
-                    model.clone(),
-                    &new_facts,
-                    traced.then_some(&mut table),
-                )
-                .unwrap();
-            assert!(!inc.contains(&atom("sep(b, a)")));
-            assert!(inc.contains(&atom("reach(b, a)")));
-            assert!(stats.full_firings > 0, "fallback runs full plans");
-            assert_eq!(stats.supports_recorded > 0, traced);
-            assert_eq!(
-                table.consistent_with(&inc, p.rules.len()),
-                traced,
-                "the table matches the new model exactly when the run rebuilt it"
-            );
-        }
     }
 
     #[test]
@@ -901,7 +757,7 @@ mod tests {
             new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
         }
         let plans = plans_for(&after, &model);
-        let (cached, cached_stats) = after.grow(&plans, model, &new_facts, None).unwrap();
+        let (cached, cached_stats) = after.grow(&plans, model, &new_facts);
         let (scratch, scratch_stats) = after.eval().unwrap();
         assert_eq!(cached, scratch);
         assert_eq!(
@@ -929,9 +785,7 @@ mod tests {
             src.push_str("forall x, y. e(x, y) -> t(x, y)\n");
             src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
             let after = Program::from_text(&src).unwrap();
-            let (dec, stats) = after
-                .shrink(&plans_for(&after, &model), model, &removed, None)
-                .unwrap();
+            let (dec, stats) = after.shrink(&plans_for(&after, &model), model, &removed);
             let (scratch, _) = after.eval().unwrap();
             assert_eq!(dec, scratch, "DRed diverged for chain({n}) - edge {cut}");
             assert_eq!(stats.full_firings, 0, "DRed must never run a full plan");
@@ -963,9 +817,7 @@ mod tests {
              forall x, y, z. e(x, y) & t(y, z) -> t(x, z)",
         )
         .unwrap();
-        let (dec, stats) = after
-            .shrink(&plans_for(&after, &model), model, &removed, None)
-            .unwrap();
+        let (dec, stats) = after.shrink(&plans_for(&after, &model), model, &removed);
         let (scratch, _) = after.eval().unwrap();
         assert_eq!(dec, scratch);
         assert!(dec.contains(&atom("t(a, b)")), "e2 still supports t(a, b)");
@@ -988,9 +840,7 @@ mod tests {
         let mut removed = epilog_storage::Database::new();
         removed.insert(&atom("f(a)"));
         let after = Program::from_text(&format!("g(a)\n{rules}")).unwrap();
-        let (dec, stats) = after
-            .shrink(&plans_for(&after, &model), model, &removed, None)
-            .unwrap();
+        let (dec, stats) = after.shrink(&plans_for(&after, &model), model, &removed);
         let (scratch, _) = after.eval().unwrap();
         assert_eq!(dec, scratch);
         assert_eq!(stats.tuples_overdeleted, 3, "f(a), self(a, a), tag(a, c0)");
@@ -1022,9 +872,7 @@ mod tests {
              forall x, y. e(x, y) -> t(x, y)",
         )
         .unwrap();
-        let (dec, _) = after
-            .shrink(&plans_for(&after, &model), model, &removed, None)
-            .unwrap();
+        let (dec, _) = after.shrink(&plans_for(&after, &model), model, &removed);
         let (scratch, _) = after.eval().unwrap();
         assert_eq!(dec, scratch);
         assert!(dec.contains(&atom("t(a, b)")));
@@ -1037,59 +885,10 @@ mod tests {
         let (model, _) = p.eval().unwrap();
         let mut removed = epilog_storage::Database::new();
         removed.insert(&atom("e(n9, n10)"));
-        let (dec, stats) = p
-            .shrink(&plans_for(&p, &model), model.clone(), &removed, None)
-            .unwrap();
+        let (dec, stats) = p.shrink(&plans_for(&p, &model), model.clone(), &removed);
         assert_eq!(dec, model);
         assert_eq!(stats.rule_firings, 0, "empty seed deletes nothing");
         assert_eq!(stats.tuples_overdeleted, 0);
-    }
-
-    #[test]
-    fn decremental_falls_back_on_negation() {
-        let p = Program::from_text(
-            "node(a)
-             node(b)
-             e(a, b)
-             e(b, a)
-             forall x, y. e(x, y) -> reach(x, y)
-             forall x, y. node(x) & node(y) & ~reach(x, y) -> sep(x, y)",
-        )
-        .unwrap();
-        let mut table = SupportTable::new();
-        let (model, _) = p.fixpoint(true, Some(&mut table)).unwrap();
-        assert!(!model.contains(&atom("sep(b, a)")));
-        // Removing e(b, a) must *add* sep(b, a): only the fallback can —
-        // and, traced, only a rebuilt table forgets reach(b, a).
-        let mut removed = epilog_storage::Database::new();
-        removed.insert(&atom("e(b, a)"));
-        let after = Program::from_text(
-            "node(a)
-             node(b)
-             e(a, b)
-             forall x, y. e(x, y) -> reach(x, y)
-             forall x, y. node(x) & node(y) & ~reach(x, y) -> sep(x, y)",
-        )
-        .unwrap();
-        let plans = plans_for(&after, &model);
-        for traced in [false, true] {
-            let (dec, stats) = after
-                .shrink(
-                    &plans,
-                    model.clone(),
-                    &removed,
-                    traced.then_some(&mut table),
-                )
-                .unwrap();
-            assert!(dec.contains(&atom("sep(b, a)")));
-            assert!(stats.full_firings > 0, "fallback runs full plans");
-            assert_eq!(stats.supports_recorded > 0, traced);
-            assert_eq!(
-                table.consistent_with(&dec, after.rules.len()),
-                traced,
-                "the table matches the new model exactly when the run rebuilt it"
-            );
-        }
     }
 
     #[test]
@@ -1106,7 +905,7 @@ mod tests {
         src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
         let after = Program::from_text(&src).unwrap();
         let plans = plans_for(&after, &model);
-        let (cached, cached_stats) = after.shrink(&plans, model, &removed, None).unwrap();
+        let (cached, cached_stats) = after.shrink(&plans, model, &removed);
         let (scratch, scratch_stats) = after.eval().unwrap();
         assert_eq!(cached, scratch);
         assert_eq!(
@@ -1134,7 +933,6 @@ mod tests {
             tuples_rederived: 12,
             support_checks: 13,
             supports_recorded: 14,
-            support_hits: 15,
         };
         let b = a;
         a.absorb(&b);
@@ -1152,7 +950,6 @@ mod tests {
         assert_eq!(a.tuples_rederived, 24);
         assert_eq!(a.support_checks, 26);
         assert_eq!(a.supports_recorded, 28);
-        assert_eq!(a.support_hits, 30);
     }
 
     #[test]
@@ -1247,11 +1044,10 @@ mod tests {
 
     use crate::provenance::params_of;
 
-    /// Zero the provenance counters — the only ones a traced run is
+    /// Zero the provenance counter — the only one a traced run is
     /// allowed to move relative to its untraced twin.
     fn scrub_prov(mut s: EvalStats) -> EvalStats {
         s.supports_recorded = 0;
-        s.support_hits = 0;
         s
     }
 
@@ -1273,88 +1069,5 @@ mod tests {
                 .unwrap_or_else(|| panic!("no proof for {a}"));
             assert!(tree.replays(&p), "proof of {a} must replay");
         }
-    }
-
-    #[test]
-    fn traced_incremental_extends_the_table() {
-        let before = chain(4);
-        let mut table = SupportTable::new();
-        let (model, _) = before.fixpoint(true, Some(&mut table)).unwrap();
-        let after = chain(6);
-        let mut new_facts = epilog_storage::Database::new();
-        for i in 4..6 {
-            new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
-        }
-        let plans = plans_for(&after, &model);
-        let (inc, stats) = after
-            .grow(&plans, model, &new_facts, Some(&mut table))
-            .unwrap();
-        let (scratch, _) = after.eval().unwrap();
-        assert_eq!(inc, scratch);
-        assert!(stats.supports_recorded > 0);
-        assert!(table.consistent_with(&inc, after.rules.len()));
-        for a in inc.atoms() {
-            let t = params_of(&a).unwrap();
-            let tree = table.why(&after.edb, a.pred, &t).unwrap();
-            assert!(
-                tree.replays(&after),
-                "proof of {a} must replay after resume"
-            );
-        }
-    }
-
-    #[test]
-    fn traced_decremental_skips_probes_and_purges() {
-        // Two parallel edges a→b (the alternative-support workload): the
-        // recorded e2 support lets t(a, b) survive without a probe.
-        let before = Program::from_text(
-            "e(a, b)
-             e2(a, b)
-             e(b, c)
-             forall x, y. e(x, y) -> t(x, y)
-             forall x, y. e2(x, y) -> t(x, y)
-             forall x, y, z. e(x, y) & t(y, z) -> t(x, z)",
-        )
-        .unwrap();
-        let mut table = SupportTable::new();
-        let (model, _) = before.fixpoint(true, Some(&mut table)).unwrap();
-        let mut removed = epilog_storage::Database::new();
-        removed.insert(&atom("e(a, b)"));
-        let after = Program::from_text(
-            "e2(a, b)
-             e(b, c)
-             forall x, y. e(x, y) -> t(x, y)
-             forall x, y. e2(x, y) -> t(x, y)
-             forall x, y, z. e(x, y) & t(y, z) -> t(x, z)",
-        )
-        .unwrap();
-        let plans = plans_for(&after, &model);
-        let (plain_db, plain) = after.shrink(&plans, model.clone(), &removed, None).unwrap();
-        let (traced_db, traced) = after
-            .shrink(&plans, model, &removed, Some(&mut table))
-            .unwrap();
-        assert_eq!(traced_db, plain_db, "supports must not change the model");
-        assert_eq!(traced.tuples_rederived, plain.tuples_rederived);
-        assert!(traced.support_hits > 0, "t(a, b) survives on record alone");
-        assert!(
-            traced.support_checks < plain.support_checks,
-            "every hit is a probe saved: {} vs {}",
-            traced.support_checks,
-            plain.support_checks
-        );
-        // The table is purged down to the shrunken model and stays
-        // proof-complete for it.
-        assert!(table.consistent_with(&traced_db, after.rules.len()));
-        for a in traced_db.atoms() {
-            let t = params_of(&a).unwrap();
-            assert!(
-                table.why(&after.edb, a.pred, &t).is_some(),
-                "{a} must stay provable after deletion"
-            );
-        }
-        assert!(
-            !traced_db.contains(&atom("t(a, c)")),
-            "a→…→c needed e(a, b)"
-        );
     }
 }

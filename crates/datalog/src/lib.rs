@@ -19,8 +19,10 @@
 //!   selects the naive rounds the differential suites and the
 //!   `f2_datalog` / `f6_scaling` benches use as the reference, and takes
 //!   an optional [`SupportTable`] to trace into), [`Program::grow`] and
-//!   [`Program::shrink`] (resume a least model after additions /
-//!   retractions);
+//!   [`Program::shrink`] (resume a definite program's least model after
+//!   additions / retractions);
+//! * provenance on demand — [`Program::why`] runs one traced fixpoint
+//!   and returns a replayable [`ProofTree`] per atom asked about;
 //! * [`completion()`](completion::completion) — Clark's completion as FOPCE sentences, ready to be
 //!   fed to `epilog-prover` for the Definition 3.3/3.4 comparisons.
 

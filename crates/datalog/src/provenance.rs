@@ -1,32 +1,31 @@
-//! Derivation provenance: per-tuple support records and proof trees.
+//! Derivation provenance: per-tuple support records and proof trees,
+//! derived when asked.
 //!
-//! A traced evaluation ([`Program::fixpoint`](crate::Program::fixpoint),
-//! [`Program::grow`](crate::Program::grow) or
-//! [`Program::shrink`](crate::Program::shrink) given a table) records,
-//! for every head derivation the fixpoint performs, one
-//! [`Support`] — the index of the rule that fired and the ground positive
-//! body tuples it matched. Supports accumulate in a [`SupportTable`], an
-//! interned side table keyed by ground atom, and serve two consumers:
+//! A traced evaluation ([`Program::fixpoint`](crate::Program::fixpoint)
+//! given a table) records, for every head derivation the fixpoint
+//! performs, one [`Support`] — the index of the rule that fired and the
+//! ground positive body tuples it matched. Supports accumulate in a
+//! [`SupportTable`], an interned side table keyed by ground atom, and
+//! [`SupportTable::why`] reconstructs a **minimal proof tree** for any
+//! tuple of the least model by walking supports down to extensional
+//! facts, choosing at each node a support of minimal derivation height
+//! (so the tree never cycles and every leaf is an EDB fact).
 //!
-//! * [`SupportTable::why`] reconstructs a **minimal proof tree** for any
-//!   tuple of the least model by walking supports down to extensional
-//!   facts, choosing at each node a support of minimal derivation height
-//!   (so the tree never cycles and every leaf is an EDB fact);
-//! * the DRed deletion fixpoint **consumes** supports: an over-deleted
-//!   tuple with a recorded alternative support disjoint from the
-//!   over-deleted set is known to survive without running its
-//!   `support_checks` probe ([`EvalStats::support_hits`](crate::EvalStats)
-//!   counts the saved probes).
-//!
-//! Recording is opt-in: an entry point given no table threads no sink and
-//! pays nothing. Within a traced run the sink is a flat append-only
-//! buffer; interning and deduplication happen once per run when the table
+//! Provenance is a query, not state: [`Program::why`](crate::Program::why)
+//! runs one traced fixpoint of a definite program, however many atoms it
+//! is asked about, and reads their proofs off that fresh table — the way
+//! `demo` derives what the database knows from `Σ` when it is asked
+//! (§5). Nothing is kept between calls, so the untraced entry points,
+//! and with them every commit's [`Program::grow`](crate::Program::grow)
+//! / [`Program::shrink`](crate::Program::shrink), record nothing and pay
+//! nothing. Within a traced run the sink is a flat append-only buffer;
+//! interning and deduplication happen once per run when the table
 //! absorbs it.
 
 use epilog_storage::{Database, Tuple};
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-xor hasher (the FxHash construction) for the intern maps:
@@ -140,7 +139,7 @@ pub struct Support {
 
 /// The interned side table mapping every recorded ground atom to its
 /// known derivations. Atom ids are dense and stable for the lifetime of
-/// the table; deletions clear support lists but never renumber.
+/// the table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SupportTable {
     ids: FxMap<Pred, FxMap<Tuple, u32>>,
@@ -171,20 +170,6 @@ impl SupportTable {
 
     fn lookup(&self, pred: Pred, tuple: &[Param]) -> Option<u32> {
         self.ids.get(&pred)?.get(tuple).copied()
-    }
-
-    /// Record one derivation. Returns `true` when the support was novel
-    /// for its head atom (duplicates from re-derivations dedup away).
-    pub fn record(
-        &mut self,
-        head_pred: Pred,
-        head: &[Param],
-        rule_idx: u32,
-        parents: &[(Pred, Tuple)],
-    ) -> bool {
-        let parent_ids: Vec<u32> = parents.iter().map(|(p, t)| self.intern(*p, t)).collect();
-        let head_id = self.intern(head_pred, head);
-        self.adopt_support(head_id, rule_idx, &parent_ids)
     }
 
     /// Attach an interned support to `head_id` unless already present.
@@ -236,85 +221,9 @@ impl SupportTable {
         self.num_supports() == 0
     }
 
-    /// Iterate every recorded support as `(head, rule_idx, parents)`
-    /// ground atoms — the snapshot serialization surface.
-    pub fn entries(&self) -> impl Iterator<Item = (Atom, u32, Vec<Atom>)> + '_ {
-        self.atoms
-            .iter()
-            .zip(&self.supports)
-            .flat_map(move |((pred, tuple), list)| {
-                let head = atom_of(*pred, tuple);
-                list.iter().map(move |s| {
-                    let parents = s
-                        .parents
-                        .iter()
-                        .map(|&p| {
-                            let (pp, pt) = &self.atoms[p as usize];
-                            atom_of(*pp, pt)
-                        })
-                        .collect();
-                    (head.clone(), s.rule_idx, parents)
-                })
-            })
-    }
-
-    /// The interned ids of the atoms of `db` that this table knows.
-    /// Atoms never recorded (no id) cannot be referenced by any support
-    /// and are omitted.
-    pub(crate) fn ids_in(&self, db: &Database) -> HashSet<u32> {
-        let mut out = HashSet::new();
-        for (pred, rel) in db.relations() {
-            for t in rel.iter() {
-                if let Some(id) = self.lookup(pred, t) {
-                    out.insert(id);
-                }
-            }
-        }
-        out
-    }
-
-    /// Whether some recorded support of `(pred, tuple)` has **no** parent
-    /// in `over` (an over-deleted id set). Such a support's parents are
-    /// all still in the pruned model — the table only ever holds supports
-    /// whose parents were model members — so the tuple is known to
-    /// survive the deletion without a probe.
-    pub(crate) fn has_surviving_support(
-        &self,
-        pred: Pred,
-        tuple: &[Param],
-        over: &HashSet<u32>,
-    ) -> bool {
-        match self.lookup(pred, tuple) {
-            None => false,
-            Some(id) => self.supports[id as usize]
-                .iter()
-                .any(|s| s.parents.iter().all(|p| !over.contains(p))),
-        }
-    }
-
-    /// Drop every support that derives, or depends on, an atom of `gone`
-    /// (the net-removed set of a deletion commit). Ids stay stable; the
-    /// purged atoms simply have no supports until re-derived.
-    pub fn purge(&mut self, gone: &Database) {
-        if gone.is_empty() {
-            return;
-        }
-        let dead = self.ids_in(gone);
-        if dead.is_empty() {
-            return;
-        }
-        for (id, list) in self.supports.iter_mut().enumerate() {
-            if dead.contains(&(id as u32)) {
-                list.clear();
-            } else {
-                list.retain(|s| s.parents.iter().all(|p| !dead.contains(p)));
-            }
-        }
-    }
-
     /// Check the table against a model: every supported head and every
-    /// parent must be a model member, and every rule index in range.
-    /// The debug invariant `epilog-core` asserts after maintenance.
+    /// parent must be a model member, and every rule index in range —
+    /// what a table traced from that model's fixpoint satisfies.
     pub fn consistent_with(&self, model: &Database, rules: usize) -> bool {
         self.supports.iter().enumerate().all(|(id, list)| {
             list.is_empty() || {
@@ -335,8 +244,8 @@ impl SupportTable {
     /// whose every leaf is an extensional fact of `edb` and whose every
     /// internal node is a recorded support. Returns `None` when the atom
     /// is neither extensional nor provable from the recorded supports —
-    /// for a maintained table over a definite least model, exactly when
-    /// the atom is not in the model.
+    /// for a table traced from a definite program's fixpoint, exactly
+    /// when the atom is not in the least model.
     ///
     /// Node choice is by **derivation height** (extensional facts are
     /// height 0; a support's height is one more than its highest parent),
@@ -355,7 +264,7 @@ impl SupportTable {
 
     /// Least derivation height of every interned atom: 0 for extensional
     /// facts, `1 + max(parent heights)` over the best support otherwise,
-    /// `None` for atoms with no grounded derivation (stale intern slots).
+    /// `None` for atoms with no grounded derivation.
     fn heights(&self, edb: &Database) -> Vec<Option<u32>> {
         let n = self.atoms.len();
         let mut heights: Vec<Option<u32>> = vec![None; n];
@@ -433,6 +342,27 @@ impl SupportTable {
             rule_idx: best.rule_idx as usize,
             premises,
         })
+    }
+}
+
+impl crate::Program {
+    /// Explain ground atoms of this **definite** program's least model:
+    /// one traced [`Program::fixpoint`](crate::Program::fixpoint),
+    /// however many atoms are asked, and a minimal-height [`ProofTree`]
+    /// per atom read off that fresh table — `None` for an atom that is
+    /// not ground or not in the model (the *why-not* answer: nothing
+    /// derives it). A program with a negated body literal is outside the
+    /// contract (debug builds assert it): its proofs would name positive
+    /// premises only.
+    pub fn why(&self, atoms: &[Atom]) -> Vec<Option<ProofTree>> {
+        debug_assert!(!self.has_negation(), "why needs a definite program");
+        let mut table = SupportTable::new();
+        // A definite program is one stratum: its fixpoint cannot fail.
+        let _ = self.fixpoint(true, Some(&mut table));
+        atoms
+            .iter()
+            .map(|a| table.why(&self.edb, a.pred, &params_of(a)?))
+            .collect()
     }
 }
 
@@ -582,14 +512,33 @@ mod tests {
         (a.pred, t)
     }
 
+    /// The table a traced run recording exactly `records` — `(rule, head,
+    /// parents)`, in order — would leave, and how many supports were
+    /// novel.
+    fn table_of(records: &[(u32, &str, &[&str])]) -> (SupportTable, u64) {
+        let mut sink = ProvenanceSink::new();
+        for &(rule, head, parents) in records {
+            let start = sink.begin_record();
+            for src in std::iter::once(&head).chain(parents) {
+                let (pred, tuple) = key(src);
+                sink.push_tuple(pred, &tuple);
+            }
+            sink.finish_record(rule, start);
+        }
+        let mut table = SupportTable::new();
+        let novel = table.absorb(sink);
+        (table, novel)
+    }
+
     #[test]
     fn record_dedups_and_interns() {
-        let mut t = SupportTable::new();
-        let (hp, ht) = key("t(a, c)");
-        let parents = vec![key("e(a, b)"), key("t(b, c)")];
-        assert!(t.record(hp, &ht, 1, &parents));
-        assert!(!t.record(hp, &ht, 1, &parents), "duplicate support");
-        assert!(t.record(hp, &ht, 0, &parents[..1]), "other rule");
+        let parents: &[&str] = &["e(a, b)", "t(b, c)"];
+        let (t, novel) = table_of(&[
+            (1, "t(a, c)", parents),
+            (1, "t(a, c)", parents),       // duplicate support
+            (0, "t(a, c)", &parents[..1]), // other rule
+        ]);
+        assert_eq!(novel, 2);
         assert_eq!(t.num_atoms(), 3);
         assert_eq!(t.num_supports(), 2);
     }
@@ -603,23 +552,17 @@ mod tests {
              forall x, y, z. e(x, y) & t(y, z) -> t(x, z)",
         )
         .unwrap();
-        let mut table = SupportTable::new();
-        let (tab, tab_t) = key("t(a, b)");
-        table.record(tab, &tab_t, 0, &[key("e(a, b)")]);
-        let (tbc, tbc_t) = key("t(b, c)");
-        table.record(tbc, &tbc_t, 0, &[key("e(b, c)")]);
-        let (tac, tac_t) = key("t(a, c)");
-        table.record(tac, &tac_t, 1, &[key("e(a, b)"), key("t(b, c)")]);
-        let tree = table.why(&prog.edb, tac, &tac_t).expect("provable");
+        let proofs = prog.why(&[atom("t(a, c)"), atom("e(a, b)"), atom("t(c, a)")]);
+        let [tree, leaf, unknown] = &proofs[..] else {
+            panic!("one answer per atom asked, got {proofs:?}");
+        };
+        let tree = tree.as_ref().expect("provable");
         assert_eq!(tree.height(), 2);
         assert!(tree.replays(&prog));
-        // Extensional atoms are leaves even without records.
-        let (e, e_t) = key("e(a, b)");
-        let leaf = table.why(&prog.edb, e, &e_t).unwrap();
-        assert!(matches!(leaf, ProofTree::Fact { .. }));
-        // Unknown atoms have no proof.
-        let (u, u_t) = key("t(c, a)");
-        assert!(table.why(&prog.edb, u, &u_t).is_none());
+        // Extensional atoms are leaves.
+        assert!(matches!(leaf, Some(ProofTree::Fact { .. })));
+        // Atoms outside the model have no proof.
+        assert!(unknown.is_none());
     }
 
     #[test]
@@ -633,52 +576,16 @@ mod tests {
              forall x, y. e(x, y) -> t(x, y)",
         )
         .unwrap();
-        let mut table = SupportTable::new();
+        let (table, _) = table_of(&[
+            (9, "t(a, b)", &["t(b, a)"]),
+            (9, "t(b, a)", &["t(a, b)"]),
+            (0, "t(a, b)", &["e(a, b)"]),
+            (0, "t(b, a)", &["e(b, a)"]),
+        ]);
         let (tab, tab_t) = key("t(a, b)");
-        let (tba, tba_t) = key("t(b, a)");
-        table.record(tab, &tab_t, 9, &[key("t(b, a)")]);
-        table.record(tba, &tba_t, 9, &[key("t(a, b)")]);
-        table.record(tab, &tab_t, 0, &[key("e(a, b)")]);
-        table.record(tba, &tba_t, 0, &[key("e(b, a)")]);
         let tree = table.why(&prog.edb, tab, &tab_t).expect("provable");
         assert_eq!(tree.height(), 1, "must use the EDB support, not the cycle");
         assert!(tree.replays(&prog));
-    }
-
-    #[test]
-    fn purge_drops_dependents_and_survivors_stay() {
-        let mut table = SupportTable::new();
-        let (tab, tab_t) = key("t(a, b)");
-        table.record(tab, &tab_t, 0, &[key("e(a, b)")]);
-        table.record(tab, &tab_t, 1, &[key("e2(a, b)")]);
-        let (tac, tac_t) = key("t(a, c)");
-        table.record(tac, &tac_t, 2, &[key("e(a, b)"), key("t(b, c)")]);
-        let mut gone = Database::new();
-        gone.insert(&atom("e(a, b)"));
-        table.purge(&gone);
-        // t(a, b) keeps its e2 support; the support via e(a, b) is gone.
-        let over = HashSet::new();
-        assert!(table.has_surviving_support(tab, &tab_t, &over));
-        assert_eq!(table.num_supports(), 1);
-        assert!(!table.has_surviving_support(tac, &tac_t, &over));
-    }
-
-    #[test]
-    fn surviving_support_respects_overdeleted_set() {
-        let mut table = SupportTable::new();
-        let (tab, tab_t) = key("t(a, b)");
-        table.record(tab, &tab_t, 0, &[key("e(a, b)")]);
-        table.record(tab, &tab_t, 1, &[key("e2(a, b)")]);
-        let mut over_db = Database::new();
-        over_db.insert(&atom("e(a, b)"));
-        let over = table.ids_in(&over_db);
-        assert!(
-            table.has_surviving_support(tab, &tab_t, &over),
-            "the e2 support has no over-deleted parent"
-        );
-        over_db.insert(&atom("e2(a, b)"));
-        let over = table.ids_in(&over_db);
-        assert!(!table.has_surviving_support(tab, &tab_t, &over));
     }
 
     #[test]
@@ -689,11 +596,10 @@ mod tests {
         )
         .unwrap();
         let (model, _) = prog.eval().unwrap();
-        let mut table = SupportTable::new();
-        let (tab, tab_t) = key("t(a, b)");
-        table.record(tab, &tab_t, 0, &[key("e(a, b)")]);
+        let support = (0, "t(a, b)", &["e(a, b)"] as &[&str]);
+        let (table, _) = table_of(&[support]);
         assert!(table.consistent_with(&model, prog.rules.len()));
-        table.record(tab, &tab_t, 0, &[key("ghost(nowhere)")]);
+        let (table, _) = table_of(&[support, (0, "t(a, b)", &["ghost(nowhere)"])]);
         assert!(!table.consistent_with(&model, prog.rules.len()));
     }
 }

@@ -475,10 +475,6 @@ impl DurableDb {
         self.db = db;
     }
 
-    pub(crate) fn enable_provenance(&mut self) {
-        self.db.enable_provenance();
-    }
-
     pub(crate) fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
         self.log.wal.fault_injector()
     }

@@ -79,13 +79,6 @@ pub struct ServeOptions {
     /// Most transactions the writer folds into one durability unit
     /// (one WAL sync + one publish).
     pub max_batch: usize,
-    /// Enable derivation tracking on the served database: the writer
-    /// maintains a provenance support table across commits, snapshots
-    /// expose [`EpistemicDb::why`](epilog_core::EpistemicDb::why) proof trees, and constraint
-    /// rejections carry ground witnesses with derivations. No-op when
-    /// the theory is not a definite program. Off by default — untraced
-    /// fixpoints pay nothing for the feature.
-    pub provenance: bool,
 }
 
 impl Default for ServeOptions {
@@ -93,7 +86,6 @@ impl Default for ServeOptions {
         ServeOptions {
             queue_depth: 128,
             max_batch: 64,
-            provenance: false,
         }
     }
 }
@@ -385,13 +377,6 @@ impl ServingDb {
     /// Panics if the OS refuses to spawn the writer thread.
     pub fn start(mut durable: DurableDb, opts: ServeOptions) -> ServingDb {
         durable.set_fsync_policy(FsyncPolicy::Never);
-        if opts.provenance {
-            // Trace before the first publication so even the initial
-            // snapshot answers `why`. Recovery may already have adopted
-            // a table from the snapshot's `[supports]` section; this is
-            // then an idempotent no-op.
-            durable.enable_provenance();
-        }
         let head = Arc::new(StateCell::new(durable.db().clone(), durable.last_lsn()));
         let metrics = Arc::new(Metrics::default());
         let dir = durable.dir().to_path_buf();
@@ -400,14 +385,12 @@ impl ServingDb {
             let head = Arc::clone(&head);
             let metrics = Arc::clone(&metrics);
             let max_batch = opts.max_batch.max(1);
-            let provenance = opts.provenance;
             thread::Builder::new()
                 .name("epilog-commit-writer".into())
                 .spawn(move || {
                     let _stamp = ExitStamp(Arc::clone(&metrics));
                     let mut writer = Writer {
                         durable,
-                        provenance,
                         head: &head,
                         metrics: &metrics,
                     };
@@ -565,7 +548,6 @@ struct Batch {
 /// the degraded mode.
 struct Writer<'a> {
     durable: DurableDb,
-    provenance: bool,
     head: &'a StateCell,
     metrics: &'a Metrics,
 }
@@ -784,9 +766,6 @@ impl Writer<'_> {
             .map_err(|e| ServeError::Io(format!("heal truncation failed: {e}")))?;
         let (mut healed, _report) = DurableDb::recover(dir, FsyncPolicy::Never)
             .map_err(|e| ServeError::Io(format!("heal recovery failed: {e}")))?;
-        if self.provenance {
-            healed.enable_provenance();
-        }
         healed.set_fault_injector(self.durable.fault_injector());
         // Probe through the injected path: a still-failing disk keeps
         // the writer degraded rather than resuming doomed service.
@@ -1000,19 +979,14 @@ mod tests {
     }
 
     #[test]
-    fn provenance_option_traces_commits_and_stamps_rejections() {
+    fn served_snapshots_explain_and_rejections_prove_their_witnesses() {
         let d = dir();
         let theory = Theory::from_text(
             "edge(a, b)\nforall x. forall y. edge(x, y) -> path(x, y)\n\
              forall x. forall y. forall z. edge(x, y) & path(y, z) -> path(x, z)",
         )
         .unwrap();
-        let opts = ServeOptions {
-            provenance: true,
-            ..Default::default()
-        };
-        let db = ServingDb::create(&d, theory, opts).unwrap();
-        assert!(db.snapshot().provenance_enabled());
+        let db = ServingDb::create(&d, theory, ServeOptions::default()).unwrap();
         db.commit_wait(vec![TxOp::Assert(f("edge(b, c)"))]).unwrap();
         let snap = db.snapshot();
         let q = match f("path(a, c)") {
@@ -1031,17 +1005,26 @@ mod tests {
             ServeError::Db(DbError::ConstraintViolated(rej), lsn) => {
                 assert_eq!(lsn, head, "rejection stamped with the head LSN");
                 assert!(!rej.witnesses.is_empty(), "ground witness extracted");
-                assert!(!rej.proofs.is_empty(), "witness carries a proof tree");
+                let proofs = rej.proofs();
+                assert_eq!(proofs.len(), rej.witnesses.len(), "every witness proved");
+                assert!(proofs
+                    .iter()
+                    .zip(&rej.witnesses)
+                    .all(|(p, w)| p.atom() == w));
             }
             other => panic!("expected a stamped constraint rejection, got {other:?}"),
         }
+        // The rejected candidate's proofs never reached the head.
+        let cycle = match f("path(a, a)") {
+            Formula::Atom(a) => a,
+            other => panic!("expected atom, got {other}"),
+        };
+        assert!(db.snapshot().why(&cycle).is_none());
         db.shutdown().unwrap();
 
-        // Recovery re-enables provenance from the snapshot marker (and
-        // the option keeps it on for the working database regardless).
-        let (db2, _) = ServingDb::recover(&d, opts).unwrap();
-        assert!(db2.snapshot().provenance_enabled());
-        assert!(db2.snapshot().why(&q).is_some());
+        // A recovered database explains what it knows just the same.
+        let (db2, _) = ServingDb::recover(&d, ServeOptions::default()).unwrap();
+        assert_eq!(db2.snapshot().why(&q), Some(proof));
         db2.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }

@@ -13,41 +13,37 @@
 //! <sentence per line>
 //! [model]\n            (only for definite theories, when requested)
 //! <ground atom per line>
-//! [supports]\n         (only when provenance is enabled on the db)
-//! <rule_idx>|<head atom>|<parent atom>|…
 //! ```
 //!
 //! Sentences are serialized with the `epilog-syntax` pretty-printer and
 //! read back with [`parse()`](fn@epilog_syntax::parse) — the same round-trip contract as the WAL.
 //! The optional `[model]` section is the materialized least model of a
 //! definite theory; restoring it skips the fixpoint recomputation at
-//! recovery (debug builds re-derive and verify it). Its atoms, and the
-//! atoms of `[supports]`, are read back with
-//! [`parse_ground_atom`](fn@epilog_syntax::parse_ground_atom), which
-//! takes a line only if `parse()` reads it as that same ground atom.
+//! recovery (debug builds re-derive and verify it). Its atoms are read
+//! back with [`parse_ground_atom`](fn@epilog_syntax::parse_ground_atom),
+//! which takes a line only if `parse()` reads it as that same ground atom.
 //!
-//! `[model]` and `[supports]` lines are written in **storage order** —
-//! per predicate, tuples as the relation holds them; supports as the
-//! table numbers them — so a write is one pass over the state, with no
-//! sort and no second rendering. Nothing depends on the order: `load`
+//! `[model]` lines are written in **storage order** — per predicate,
+//! tuples as the relation holds them — so a write is one pass over the
+//! state, with no sort and no second rendering. Nothing depends on the order: `load`
 //! inserts each `[model]` line into its relation (an append while the
 //! lines ascend, a search otherwise), so a file whose lines are ordered
 //! any other way (sorted by text, as every snapshot was before this was
 //! settled) is the same snapshot. The model travels as the [`Database`]
 //! it is: captured by a clone that shares storage, restored by another.
 //!
-//! The optional `[supports]` section is the provenance side table: one
-//! line per recorded support, `|`-separated (atom text never contains
-//! `|`), parents possibly empty for body-less rules. The **marker's
-//! presence** — even over zero lines — means provenance was enabled when
-//! the snapshot was taken, so restore re-enables it; its absence restores
-//! a provenance-off database.
+//! Snapshots written before provenance became a query (PR 26) may end
+//! with a `[supports]` section — the support table a provenance-enabled
+//! database used to keep. `load` still reads such a file: the section is
+//! covered by the checksum like everything else and its lines are then
+//! ignored (proofs are derived from the model when asked), so a
+//! compacted directory whose only snapshot carries one recovers intact.
+//! A repeated marker is `Corrupt`, as it is for `[model]`.
 
 use crate::fault::{self, FaultInjector};
 use crate::fnv1a64;
 use epilog_core::EpistemicDb;
 use epilog_storage::Database;
-use epilog_syntax::formula::Atom;
 use epilog_syntax::{parse, parse_ground_atom, Formula, Param, Pred, Term, Theory};
 use std::fmt::{self, Write as _};
 use std::fs::File;
@@ -112,10 +108,6 @@ pub struct Snapshot {
     /// The materialized least model (definite theories only): a clone
     /// that shares the captured database's storage.
     pub model: Option<Database>,
-    /// The provenance support table as `(head, rule_idx, parents)`
-    /// entries, in the table's order; `Some` (possibly empty) exactly
-    /// when provenance was enabled on the captured database.
-    pub supports: Option<Vec<(Atom, u32, Vec<Atom>)>>,
 }
 
 impl Snapshot {
@@ -132,7 +124,6 @@ impl Snapshot {
                 .collect(),
             constraints: db.constraints().to_vec(),
             model,
-            supports: db.support_table().map(|t| t.entries().collect()),
         }
     }
 
@@ -198,16 +189,6 @@ impl Snapshot {
                 }
             }
         }
-        if let Some(supports) = &self.supports {
-            out.push_str("[supports]\n");
-            for (head, rule, parents) in supports {
-                write!(out, "{rule}|{head}")?;
-                for p in parents {
-                    write!(out, "|{p}")?;
-                }
-                out.push('\n');
-            }
-        }
         Ok(())
     }
 
@@ -248,17 +229,13 @@ impl Snapshot {
         let mut sentences = Vec::new();
         let mut constraints = Vec::new();
         let mut model: Option<Database> = None;
-        let mut supports: Option<Vec<(Atom, u32, Vec<Atom>)>> = None;
+        let mut supports = false;
         enum Section {
             None,
             Theory,
             Constraints,
             Model,
             Supports,
-        }
-        fn ground_atom(text: &str) -> Result<Atom, SnapshotError> {
-            parse_ground_atom(text)
-                .map_err(|e| SnapshotError::Corrupt(format!("not a ground atom {text:?}: {e}")))
         }
         // Said twice, a marker would start its section over and drop the
         // lines read under the first.
@@ -276,7 +253,7 @@ impl Snapshot {
                 }
                 "[supports]" => {
                     section = Section::Supports;
-                    if supports.replace(Vec::new()).is_some() {
+                    if std::mem::replace(&mut supports, true) {
                         return Err(repeated(line));
                     }
                 }
@@ -296,24 +273,14 @@ impl Snapshot {
                         }
                     }
                     Section::Model => {
-                        let model = model.as_mut().expect("section set");
-                        model.insert(&ground_atom(line)?);
+                        let atom = parse_ground_atom(line).map_err(|e| {
+                            SnapshotError::Corrupt(format!("not a ground atom {line:?}: {e}"))
+                        })?;
+                        model.as_mut().expect("section set").insert(&atom);
                     }
-                    Section::Supports => {
-                        let mut fields = line.split('|');
-                        let rule: u32 =
-                            fields.next().and_then(|s| s.parse().ok()).ok_or_else(|| {
-                                SnapshotError::Corrupt(format!("bad support rule idx: {line:?}"))
-                            })?;
-                        let head = ground_atom(fields.next().ok_or_else(|| {
-                            SnapshotError::Corrupt(format!("support line missing head: {line:?}"))
-                        })?)?;
-                        let parents = fields.map(ground_atom).collect::<Result<Vec<_>, _>>()?;
-                        supports
-                            .as_mut()
-                            .expect("section set")
-                            .push((head, rule, parents));
-                    }
+                    // A parent's support table: checksummed above, not
+                    // needed since proofs are derived when asked.
+                    Section::Supports => {}
                 },
             }
         }
@@ -322,7 +289,6 @@ impl Snapshot {
             sentences,
             constraints,
             model,
-            supports,
         })
     }
 
@@ -381,34 +347,6 @@ impl Snapshot {
             db.adopt_constraint(ic.clone())
                 .map_err(|e| SnapshotError::Corrupt(format!("invalid constraint: {e}")))?;
         }
-        if let Some(entries) = &self.supports {
-            if model_restored {
-                let mut table = epilog_core::SupportTable::new();
-                for (head, rule, parents) in entries {
-                    let tuple = epilog_datalog::provenance::params_of(head).ok_or_else(|| {
-                        SnapshotError::Corrupt(format!("non-constant support head: {head}"))
-                    })?;
-                    let parents = parents
-                        .iter()
-                        .map(|p| {
-                            epilog_datalog::provenance::params_of(p)
-                                .map(|t| (p.pred, t))
-                                .ok_or_else(|| {
-                                    SnapshotError::Corrupt(format!(
-                                        "non-constant support parent: {p}"
-                                    ))
-                                })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    table.record(head.pred, &tuple, *rule, &parents);
-                }
-                db.adopt_provenance(table);
-            } else {
-                // No materialized model to attach the table to — re-derive
-                // it so the marker's "provenance was on" promise still holds.
-                db.enable_provenance();
-            }
-        }
         Ok((db, model_restored))
     }
 }
@@ -455,56 +393,6 @@ mod tests {
         assert_eq!(restored.theory(), db.theory());
         assert_eq!(restored.constraints(), db.constraints());
         assert_eq!(restored.prover().atom_model(), db.prover().atom_model());
-        std::fs::remove_dir_all(d).unwrap();
-    }
-
-    #[test]
-    fn provenance_table_roundtrips_and_reenables() {
-        let d = dir();
-        let mut db = EpistemicDb::from_text(
-            "edge(a, b)\nedge(b, c)\nforall x. forall y. edge(x, y) -> path(x, y)\n\
-             forall x. forall y. forall z. edge(x, y) & path(y, z) -> path(x, z)",
-        )
-        .unwrap();
-        assert!(db.enable_provenance());
-        let (atoms, supports) = db.provenance_size();
-        assert!(atoms > 0 && supports > 0);
-        let snap = Snapshot::of(&db, 9, true);
-        assert!(snap.supports.as_ref().is_some_and(|s| !s.is_empty()));
-        assert_eq!(snap.model.as_ref(), db.prover().atom_model());
-        let table: Vec<_> = db.support_table().unwrap().entries().collect();
-        assert_eq!(
-            snap.supports.as_ref(),
-            Some(&table),
-            "supports in table order"
-        );
-        let path = snap.write(&d).unwrap();
-        let loaded = Snapshot::load(&path).unwrap();
-        assert_eq!(loaded.supports, snap.supports);
-        assert_eq!(loaded.model, snap.model);
-        let (restored, model_restored) = loaded.restore().unwrap();
-        assert!(model_restored);
-        assert_eq!(restored.prover().atom_model(), db.prover().atom_model());
-        assert!(restored.provenance_enabled());
-        assert_eq!(restored.provenance_size(), db.provenance_size());
-        let q: Atom = match parse("path(a, c)").unwrap() {
-            Formula::Atom(a) => a,
-            other => panic!("expected atom, got {other}"),
-        };
-        let proof = restored.why(&q).expect("derived tuple has a proof");
-        assert!(proof.height() >= 2, "path(a,c) needs the recursive rule");
-        std::fs::remove_dir_all(d).unwrap();
-    }
-
-    #[test]
-    fn provenance_off_snapshots_restore_provenance_off() {
-        let d = dir();
-        let db = sample_db();
-        let path = Snapshot::of(&db, 2, true).write(&d).unwrap();
-        let loaded = Snapshot::load(&path).unwrap();
-        assert!(loaded.supports.is_none());
-        let (restored, _) = loaded.restore().unwrap();
-        assert!(!restored.provenance_enabled());
         std::fs::remove_dir_all(d).unwrap();
     }
 
@@ -585,31 +473,23 @@ mod tests {
                 writeln!(out, "{a}").unwrap();
             }
         }
-        if let Some(supports) = &snap.supports {
-            out.push_str("[supports]\n");
-            for (head, rule, parents) in supports {
-                let parents: String = parents.iter().map(|p| format!("|{p}")).collect();
-                writeln!(out, "{rule}|{head}{parents}").unwrap();
-            }
-        }
         out
     }
 
     #[test]
     fn the_file_is_the_one_atoms_would_print_and_any_line_order_loads_it() {
         // A proposition, a parameter spelled like a variable, a tuple too
-        // long to sit inline, derived tuples, and the support table.
-        // Predicates are first mentioned here, last in the alphabet
-        // first, so storage order is not text order.
+        // long to sit inline, and derived tuples. Predicates are first
+        // mentioned here, last in the alphabet first, so storage order is
+        // not text order.
         let d = dir();
-        let mut db = EpistemicDb::from_text(
+        let db = EpistemicDb::from_text(
             "zy_wide(a, b, c, d, e, g)\nyy_p($x)\nyy_p(Mary)\nxy_rain\nwy_edge(a, b)\n\
              wy_edge(b, $y1)\nforall x. yy_p(x) -> ay_q(x)\n\
              forall x, y. wy_edge(x, y) -> by_path(x, y)\n\
              forall x, y, z. wy_edge(x, y) & by_path(y, z) -> by_path(x, z)",
         )
         .unwrap();
-        assert!(db.enable_provenance());
         let snap = Snapshot::of(&db, 4, true);
         assert_eq!(snap.model.as_ref(), db.prover().atom_model());
         let file = std::fs::read_to_string(snap.write(&d).unwrap()).unwrap();
@@ -625,26 +505,120 @@ mod tests {
         }
 
         // The same file with its `[model]` lines sorted as text.
-        let (head, rest) = payload.split_once("[model]\n").unwrap();
-        let (model, supports) = rest.split_once("[supports]\n").unwrap();
+        let (head, model) = payload.split_once("[model]\n").unwrap();
         let mut lines: Vec<&str> = model.lines().collect();
         lines.sort();
         assert_ne!(lines, model.lines().collect::<Vec<_>>(), "another order");
-        let sorted = format!(
-            "{head}[model]\n{}\n[supports]\n{supports}",
-            lines.join("\n")
-        );
+        let sorted = format!("{head}[model]\n{}\n", lines.join("\n"));
         assert_eq!(sorted.len(), payload.len());
         for path in [d.join(Snapshot::file_name(4)), write_v1(&d, 5, &sorted)] {
             let loaded = Snapshot::load(&path).unwrap();
             assert_eq!(loaded.model.as_ref(), db.prover().atom_model());
-            assert_eq!(loaded.supports, snap.supports);
             let (restored, model_restored) = loaded.restore().unwrap();
-            assert!(model_restored && restored.provenance_enabled());
+            assert!(model_restored);
             assert_eq!(restored.prover().atom_model(), db.prover().atom_model());
-            assert_eq!(restored.provenance_size(), db.provenance_size());
         }
         std::fs::remove_dir_all(d).unwrap();
+    }
+
+    const CHAIN_RULES: &str = "forall x, y. edge(x, y) -> path(x, y)\n\
+         forall x, y, z. edge(x, y) & path(y, z) -> path(x, z)\n";
+
+    /// The `[supports]` section a parent with provenance on appended to a
+    /// snapshot of the chain `edge(n0, n1) … edge(n(len-1), n(len))` under
+    /// [`CHAIN_RULES`]: one `rule|head|parent|…` line per support.
+    fn parent_supports(len: usize) -> String {
+        let mut out = String::from("[supports]\n");
+        for i in 0..len {
+            let next = i + 1;
+            writeln!(out, "0|path(n{i}, n{next})|edge(n{i}, n{next})").unwrap();
+            for j in i + 2..=len {
+                writeln!(
+                    out,
+                    "1|path(n{i}, n{j})|edge(n{i}, n{next})|path(n{next}, n{j})"
+                )
+                .unwrap();
+            }
+        }
+        out
+    }
+
+    /// Rewrite the snapshot at `path` as the parent would have written it
+    /// for a chain of `len` edges: the same sections, then `[supports]`,
+    /// under a header and checksum that cover it.
+    fn append_parent_supports(path: &Path, len: usize) {
+        let file = std::fs::read_to_string(path).unwrap();
+        let (header, payload) = file.split_once('\n').unwrap();
+        let lsn: u64 = header.split(' ').nth(2).unwrap().parse().unwrap();
+        let dir = path.parent().unwrap();
+        assert_eq!(
+            write_v1(dir, lsn, &(payload.to_string() + &parent_supports(len))),
+            path
+        );
+    }
+
+    #[test]
+    fn a_parent_snapshot_with_supports_loads_and_recovers_the_same_state() {
+        use crate::{DurableDb, FsyncPolicy};
+        let edge = |i: usize| format!("edge(n{i}, n{})\n", i + 1);
+
+        // A parent-format file loads to the model it carries; the section
+        // is still under the checksum.
+        let d = dir();
+        let db = EpistemicDb::from_text(&format!(
+            "{CHAIN_RULES}{}",
+            (0..3).map(edge).collect::<String>()
+        ))
+        .unwrap();
+        let path = Snapshot::of(&db, 9, true).write(&d).unwrap();
+        append_parent_supports(&path, 3);
+        let file = std::fs::read_to_string(&path).unwrap();
+        assert!(file.contains(
+            "\n[supports]\n0|path(n0, n1)|edge(n0, n1)\n1|path(n0, n2)|edge(n0, n1)|path(n1, n2)\n"
+        ));
+        let loaded = Snapshot::load(&path).unwrap();
+        assert_eq!(loaded.model.as_ref(), db.prover().atom_model());
+        let (restored, model_restored) = loaded.restore().unwrap();
+        assert!(model_restored);
+        assert_eq!(restored.theory(), db.theory());
+        assert_eq!(restored.prover().atom_model(), db.prover().atom_model());
+        let torn = file.replace("|path(n1, n2)\n", "|path(n1, n3)\n");
+        std::fs::write(&path, torn).unwrap();
+        assert!(matches!(
+            Snapshot::load(&path),
+            Err(SnapshotError::Corrupt(why)) if why.contains("checksum")
+        ));
+
+        // `compact()` left one snapshot and an empty log: a loader that
+        // refused the section would recover from genesis and lose every
+        // compacted commit.
+        let d2 = dir();
+        let rules = Theory::from_text(CHAIN_RULES).unwrap();
+        let mut durable = DurableDb::create(&d2, rules, FsyncPolicy::Never).unwrap();
+        for i in 0..4 {
+            durable.assert(parse(&edge(i)).unwrap()).unwrap();
+        }
+        let compacted = durable.compact().unwrap();
+        let (live, lsn) = (durable.db().clone(), durable.last_lsn());
+        drop(durable);
+        let snapshots = Snapshot::list(&d2).unwrap();
+        assert_eq!(snapshots.len(), 1);
+        assert_eq!(snapshots[0].0, compacted.snapshot_lsn);
+        append_parent_supports(&snapshots[0].1, 4);
+        let (recovered, report) = DurableDb::recover(&d2, FsyncPolicy::Never).unwrap();
+        assert_eq!(
+            (
+                report.snapshot_lsn,
+                report.model_restored,
+                report.records_replayed
+            ),
+            (Some(lsn), true, 0)
+        );
+        assert_eq!(recovered.last_lsn(), lsn);
+        assert_eq!(recovered.theory(), live.theory());
+        assert_eq!(recovered.prover().atom_model(), live.prover().atom_model());
+        std::fs::remove_dir_all(d).unwrap();
+        std::fs::remove_dir_all(d2).unwrap();
     }
 
     #[test]
@@ -693,8 +667,8 @@ mod tests {
             Snapshot::load(&path),
             Err(SnapshotError::Corrupt(_))
         ));
-        // Behind a valid checksum, a `[model]` or `[supports]` line has
-        // to be one ground atom and nothing else.
+        // Behind a valid checksum, a `[model]` line has to be one ground
+        // atom and nothing else.
         for bad in [
             "[model]\nemp(x)\n",
             "[model]\nK emp(Mary)\n",
@@ -702,9 +676,6 @@ mod tests {
             "[model]\nemp(Mary) & emp(Mary)\n",
             "[model]\nemp(Mary,)\n",
             "[model]\nMary = Mary\n",
-            "[model]\nemp(Mary)\n[supports]\n0|person(x)|emp(Mary)\n",
-            "[model]\nemp(Mary)\n[supports]\n0|person(Mary)|K emp(Mary)\n",
-            "[model]\nemp(Mary)\n[supports]\n0|person(Mary)|emp(Mary) \n|\n",
         ] {
             let path = write_v1(&d, 4, &format!("{SAMPLE_HEAD}{bad}"));
             assert!(

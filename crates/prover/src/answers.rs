@@ -80,21 +80,7 @@ impl<'a> AnswerIter<'a> {
         let kept = open_atom.and_then(|atom| kept_model_candidates(prover, f, atom, &vars));
         let candidates: Box<dyn Iterator<Item = Vec<Param>>> = match kept {
             Some(candidates) => Box::new(candidates.into_iter()),
-            None => {
-                let domain = prover.answer_domain(f);
-                let arity = vars.len();
-                let total = if arity == 0 {
-                    1
-                } else if domain.is_empty() {
-                    0
-                } else {
-                    domain
-                        .len()
-                        .checked_pow(arity as u32)
-                        .expect("candidate space overflow")
-                };
-                Box::new((0..total).map(move |idx| tuple_at(&domain, arity, idx)))
-            }
+            None => Box::new(domain_walk(prover.answer_domain(f), vars.len())),
         };
         AnswerIter {
             vars,
@@ -185,18 +171,29 @@ fn kept_model_candidates(
     )
 }
 
-/// Tuple number `idx` of `domain^arity`, the last position varying
-/// fastest.
-fn tuple_at(domain: &[Param], arity: usize, mut idx: usize) -> Vec<Param> {
-    let mut out: Vec<Param> = (0..arity)
-        .map(|_| {
-            let p = domain[idx % domain.len()];
-            idx /= domain.len();
-            p
-        })
-        .collect();
-    out.reverse();
-    out
+/// Every tuple of `domain^arity` in the domain walk's order — the first
+/// position varying slowest — which is the order `prove`, `ask`'s open
+/// answers and the closed-world view all enumerate in. One empty tuple
+/// when `arity` is 0; none over an empty domain otherwise.
+///
+/// # Panics
+/// Panics if `|domain|^arity` overflows `usize`.
+pub fn domain_walk(domain: Vec<Param>, arity: usize) -> impl Iterator<Item = Vec<Param>> {
+    let total = domain
+        .len()
+        .checked_pow(arity as u32)
+        .expect("answer space overflow");
+    (0..total).map(move |mut idx| {
+        let mut tuple: Vec<Param> = (0..arity)
+            .map(|_| {
+                let p = domain[idx % domain.len()];
+                idx /= domain.len();
+                p
+            })
+            .collect();
+        tuple.reverse();
+        tuple
+    })
 }
 
 impl Iterator for AnswerIter<'_> {
@@ -414,13 +411,7 @@ mod tests {
         /// domain, in order, kept when the from-scratch pipeline entails
         /// its instance.
         fn walk(p: &Prover, f: &Formula) -> Vec<Vec<Param>> {
-            let domain = p.answer_domain(f);
-            let arity = f.free_vars().len();
-            if domain.is_empty() && arity > 0 {
-                return Vec::new();
-            }
-            (0..domain.len().pow(arity as u32))
-                .map(|idx| tuple_at(&domain, arity, idx))
+            domain_walk(p.answer_domain(f), f.free_vars().len())
                 .filter(|t| p.entails_from_scratch(&f.bind_free(t)))
                 .collect()
         }

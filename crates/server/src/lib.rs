@@ -21,7 +21,7 @@
 //! |---|---|
 //! | `ask <sentence>` | `ok yes\|no\|unknown @<lsn>` |
 //! | `demo <sentence>` | `ok rows <n> @<lsn>`, then `n` × `row <params>` |
-//! | `why <atom>` | `ok why <n> @<lsn>`, then `n` × `row <proof line>`; `ok why none @<lsn>` when underivable |
+//! | `why <atom>` | `ok why <n> @<lsn>`, then `n` × `row <proof line>`; `ok why none @<lsn>` when underivable; `err …` on a theory that is not definite |
 //! | `begin` | `ok begin` |
 //! | `assert <sentence>` | in txn `ok queued <n>`; else `ok committed @<lsn> +<a> -<r>` |
 //! | `retract <sentence>` | likewise |
@@ -30,7 +30,7 @@
 //! | `constraint <sentence>` | `ok constraint @<lsn>` or `err rejected: … @<lsn>` |
 //! | `flush` | `ok flushed @<lsn>` |
 //! | `heal` | `ok healed @<lsn>` or `err heal failed: …` |
-//! | `stats` | `ok stats commits=… rejected=… batches=… fsyncs=… plan_recosts=… prov_atoms=… prov_supports=… io_errors=… heals=… degraded=… sat_calls=… refuted=…` (the last two: solver runs, and goals its kept model refuted without one, on the head state's prover) |
+//! | `stats` | `ok stats commits=… rejected=… batches=… fsyncs=… plan_recosts=… io_errors=… heals=… degraded=… sat_calls=… refuted=…` (the last two: solver runs, and goals its kept model refuted without one, on the head state's prover) |
 //! | `quit` | `ok bye`, connection closes |
 //! | `shutdown` | `ok shutting-down`, server drains and exits |
 //!
@@ -38,12 +38,13 @@
 //! single-operation transaction: validated, group-committed, and
 //! acknowledged durable exactly like a batch.
 //!
-//! `why` answers from the provenance support table (serve the database
-//! with [`epilog_persist::ServeOptions::provenance`] on): each `row`
-//! line is one indented step of the derivation, down to EDB facts. A
-//! rejected commit's `err rejected:` line states the violated
-//! constraint and its ground witnesses, stamped with the LSN of the
-//! state it was validated against.
+//! `why` works on any definite theory with nothing to switch on: it
+//! derives the proof from the snapshot's least model when asked
+//! ([`epilog_core::EpistemicDb::why`]), and each `row` line is one
+//! indented step of the derivation, down to EDB facts. A rejected
+//! commit's `err rejected:` line states the violated constraint and its
+//! ground witnesses, stamped with the LSN of the state it was validated
+//! against.
 //!
 //! # Robustness
 //!
@@ -164,8 +165,8 @@ impl<'a> Session<'a> {
             return Err(format!("why needs a ground atom, got {atom}"));
         }
         let snap = self.db.snapshot();
-        if !snap.provenance_enabled() {
-            return Err("provenance is not enabled on this server".into());
+        if snap.prover().atom_model().is_none() {
+            return Err("why needs a definite theory (facts and positive rules)".into());
         }
         match snap.why(&atom) {
             Some(proof) => {
@@ -260,16 +261,13 @@ fn commit_ops(db: &ServingDb, ops: Vec<TxOp>) -> Result<String, String> {
 fn stats_line(db: &ServingDb) -> String {
     let s = db.stats();
     let snap = db.snapshot();
-    let (prov_atoms, prov_supports) = snap.provenance_size();
     format!(
-        "ok stats commits={} rejected={} batches={} fsyncs={} plan_recosts={} prov_atoms={} prov_supports={} io_errors={} heals={} degraded={} sat_calls={} refuted={}",
+        "ok stats commits={} rejected={} batches={} fsyncs={} plan_recosts={} io_errors={} heals={} degraded={} sat_calls={} refuted={}",
         s.commits,
         s.rejected,
         s.batches,
         s.fsyncs,
         snap.plan_recosts(),
-        prov_atoms,
-        prov_supports,
         s.io_errors,
         s.heals,
         s.degraded,
@@ -728,11 +726,7 @@ mod tests {
              forall x. forall y. forall z. edge(x, y) & path(y, z) -> path(x, z)",
         )
         .unwrap();
-        let opts = epilog_persist::ServeOptions {
-            provenance: true,
-            ..Default::default()
-        };
-        let db = ServingDb::create(&d, theory, opts).unwrap();
+        let db = ServingDb::create(&d, theory, Default::default()).unwrap();
         let server = Server::start(db, "127.0.0.1:0").unwrap();
         let mut c = Client::connect(server.local_addr()).unwrap();
 
@@ -768,9 +762,18 @@ mod tests {
 
         let stats = c.request("stats").unwrap();
         assert!(
-            stats.contains("plan_recosts=") && stats.contains("prov_atoms="),
+            stats.contains(" plan_recosts=0 io_errors=0 "),
             "got {stats}"
         );
+
+        // A theory outside the definite fragment has no least model to
+        // prove from.
+        assert_eq!(
+            c.request("assert edge(c, d) | edge(d, c)").unwrap(),
+            "ok committed @2 +1 -0"
+        );
+        let r = c.request("why path(a, c)").unwrap();
+        assert!(r.starts_with("err why needs a definite theory"), "got {r}");
         server.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }

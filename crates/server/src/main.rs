@@ -2,8 +2,7 @@
 //! directory over TCP.
 //!
 //! ```text
-//! epilog-server [--addr HOST:PORT] [--dir PATH] [--theory FILE] [--provenance]
-//!               [--read-timeout SECS]
+//! epilog-server [--addr HOST:PORT] [--dir PATH] [--theory FILE] [--read-timeout SECS]
 //! ```
 //!
 //! * `--addr` — listen address (default `127.0.0.1:7171`; use port 0
@@ -12,9 +11,6 @@
 //!   if it already holds a log, initialized otherwise.
 //! * `--theory` — initial theory file for a *fresh* directory (ignored
 //!   when recovering; the log is the source of truth).
-//! * `--provenance` — track derivations: enables the `why <atom>`
-//!   request and witness explanations on rejected commits (definite
-//!   theories only; costs extra memory and commit work).
 //! * `--read-timeout` — close sessions idle for this many seconds
 //!   (default: never), so wedged clients cannot pin session threads.
 //!
@@ -31,7 +27,6 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7171".to_string();
     let mut dir = "./epilog-data".to_string();
     let mut theory_path: Option<String> = None;
-    let mut provenance = false;
     let mut read_timeout: Option<Duration> = None;
 
     let mut args = std::env::args().skip(1);
@@ -46,7 +41,6 @@ fn main() -> ExitCode {
             "--addr" => addr = take("--addr"),
             "--dir" => dir = take("--dir"),
             "--theory" => theory_path = Some(take("--theory")),
-            "--provenance" => provenance = true,
             "--read-timeout" => {
                 let raw = take("--read-timeout");
                 match raw.parse::<f64>() {
@@ -62,7 +56,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: epilog-server [--addr HOST:PORT] [--dir PATH] [--theory FILE] \
-                     [--provenance] [--read-timeout SECS]"
+                     [--read-timeout SECS]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -93,11 +87,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let opts = ServeOptions {
-        provenance,
-        ..ServeOptions::default()
-    };
-    let (db, recovery) = match ServingDb::open(&dir, theory, opts) {
+    let (db, recovery) = match ServingDb::open(&dir, theory, ServeOptions::default()) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("cannot open {dir}: {e}");

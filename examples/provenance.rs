@@ -1,13 +1,14 @@
-//! Provenance: derivation tracking, `why` explanations, and
-//! self-explaining constraint rejections.
+//! Provenance: `why` explanations and self-explaining constraint
+//! rejections.
 //!
 //! The engine's fixpoint can record one `Support` (rule + ground
-//! premises) per derived tuple. With tracking on, `why(atom)` rebuilds
-//! a minimal derivation tree down to extensional facts, commits
-//! maintain the table incrementally, and a rejected batch names the
-//! violated constraint together with ground witness tuples and *their*
-//! derivations — the database explains both what it knows and why it
-//! refused to change.
+//! premises) per derived tuple. `why(atom)` runs that traced fixpoint
+//! when asked and rebuilds a minimal derivation tree down to extensional
+//! facts — nothing to switch on, nothing kept between questions — and a
+//! rejected batch names the violated constraint together with ground
+//! witness tuples, whose derivations `Rejection::proofs` computes against
+//! the state that was refused: the database explains both what it knows
+//! and why it refused to change.
 //!
 //! Run with: `cargo run --example provenance`
 
@@ -24,12 +25,6 @@ fn main() {
     )
     .unwrap();
 
-    // Opt in. Tracking re-runs the fixpoint once with a sink attached;
-    // untraced databases pay nothing for the feature existing.
-    assert!(db.enable_provenance());
-    let (atoms, supports) = db.provenance_size();
-    println!("tracking {atoms} derived atoms, {supports} supports\n");
-
     // ----- why: a replayable derivation ---------------------------------
     let proof = db.why(&atom("path(a, d)")).expect("in the least model");
     println!("why path(a, d)?");
@@ -44,7 +39,7 @@ fn main() {
     assert!(db.why(&atom("path(d, a)")).is_none());
     println!("\nwhy path(d, a)? nothing — not in the least model\n");
 
-    // ----- commits maintain the table incrementally ---------------------
+    // ----- every state answers for itself -------------------------------
     let report = db
         .transaction()
         .assert(parse("edge(d, e)").unwrap())
@@ -53,7 +48,7 @@ fn main() {
     assert_eq!(report.asserted, 1);
     let proof = db
         .why(&atom("path(a, e)"))
-        .expect("maintained across commits");
+        .expect("in the committed least model");
     println!(
         "after committing edge(d, e): path(a, e) proved with {} nodes\n",
         proof.size()
@@ -61,9 +56,9 @@ fn main() {
 
     // ----- rejections explain themselves --------------------------------
     // Forbid cycles, then try to close one: the batch is rejected, and
-    // the error carries the constraint, the ground witnesses, and a
-    // proof tree for each witness — computed against the hypothetical
-    // state, then discarded with it.
+    // the error carries the constraint, the ground witnesses, and the
+    // rejected state's program, from which `proofs()` derives a proof
+    // tree for each witness.
     db.add_constraint(parse("forall x. ~K path(x, x)").unwrap())
         .unwrap();
     let err = db
@@ -76,8 +71,10 @@ fn main() {
         DbError::ConstraintViolated(rej) => {
             println!("violated constraint: {}", rej.constraint);
             assert!(!rej.witnesses.is_empty(), "ground witnesses extracted");
-            assert!(!rej.proofs.is_empty(), "witnesses carry derivations");
-            for (w, p) in rej.witnesses.iter().zip(&rej.proofs) {
+            let proofs = rej.proofs();
+            assert_eq!(proofs.len(), rej.witnesses.len(), "every witness proved");
+            for (w, p) in rej.witnesses.iter().zip(&proofs) {
+                assert_eq!(p.atom(), w);
                 println!("witness {w}:");
                 for line in p.render() {
                     println!("  {line}");
@@ -87,10 +84,10 @@ fn main() {
         other => panic!("expected a constraint violation, got {other}"),
     }
 
-    // The rejected batch left no trace — in the model or the table.
+    // The rejected batch left no trace: the cycle it would have closed
+    // has no proof in the state that stayed.
     assert!(db.why(&atom("path(a, a)")).is_none());
-    let (atoms_after, _) = db.provenance_size();
-    println!("\nrejected batch left no trace ({atoms_after} tracked atoms)");
+    println!("\nrejected batch left no trace: path(a, a) has no proof");
 }
 
 fn atom(src: &str) -> epilog::syntax::formula::Atom {

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use epilog_core::{
         all_answers, ask, demo, demo_sentence, ic_satisfaction, Answer, ClosedDb, CommitReport,
         DbError, DemoOutcome, EpistemicDb, IcDefinition, IcReport, ModelUpdate, ProofTree,
-        Rejection, SupportTable, Transaction,
+        Rejection, Transaction,
     };
     pub use epilog_core::{CommittedState, ReadHandle, StateCell};
     pub use epilog_persist::{

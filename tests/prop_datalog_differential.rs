@@ -12,13 +12,16 @@
 //! A second family of properties pins the cross-commit plan cache of
 //! `EpistemicDb`: ground-atom commits compile zero rule plans, and a
 //! rule-changing commit invalidates the cache — the cached-plan state
-//! always equals a fresh from-scratch rebuild.
+//! always equals a fresh from-scratch rebuild. A third pins the resumed
+//! fixpoints against a full one: `grow` whatever its plans were costed
+//! against, and `shrink` (DRed) on random retractions.
 
 use epilog::core::{prover_for, EpistemicDb, ModelUpdate};
 use epilog::datalog::{Program, RulePlan};
 use epilog::storage::Database;
 use epilog::syntax::parse;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const PARAMS: usize = 4;
 
@@ -49,49 +52,54 @@ fn program_text() -> impl Strategy<Value = String> {
         1u16..1024,
     )
         .prop_map(|(edges, units, mask)| {
-            let mut src = String::new();
-            for (a, b) in edges {
-                src.push_str(&format!("e(a{a}, a{b})\n"));
-            }
-            for a in units {
-                src.push_str(&format!("f(a{a})\n"));
-            }
-            for (i, rule) in RULES.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    src.push_str(rule);
-                    src.push('\n');
-                }
-            }
-            src
+            let rules = RULES
+                .iter()
+                .enumerate()
+                .filter(move |(i, _)| mask & (1 << i) != 0)
+                .map(|(_, r)| *r);
+            facts_and_rules(&edges, &units, rules)
         })
 }
 
-/// Like [`program_text`] but drawn from the negation-free rules only, so
-/// every sample is a definite program eligible for the resumed fixpoint
-/// (`Program::grow` falls back to full evaluation under negation, which
-/// would defeat the stale-vs-recosted comparison).
+/// The negation-free rules of [`RULES`]: any subset is a definite
+/// program, which is what the resumed fixpoints take.
+const DEFINITE: [usize; 8] = [0, 1, 2, 3, 6, 7, 8, 9];
+
+/// `e` edges and `f` units as facts, then `rules`, one per line.
+fn facts_and_rules<'r>(
+    edges: &[(usize, usize)],
+    units: &[usize],
+    rules: impl Iterator<Item = &'r str>,
+) -> String {
+    let mut src = String::new();
+    for (a, b) in edges {
+        src.push_str(&format!("e(a{a}, a{b})\n"));
+    }
+    for a in units {
+        src.push_str(&format!("f(a{a})\n"));
+    }
+    for rule in rules {
+        src.push_str(rule);
+        src.push('\n');
+    }
+    src
+}
+
+/// Like [`program_text`] but drawn from the [`DEFINITE`] rules only, so
+/// every sample is eligible for the resumed fixpoints.
 fn definite_program_text() -> impl Strategy<Value = String> {
-    const DEFINITE: [usize; 8] = [0, 1, 2, 3, 6, 7, 8, 9];
     (
         proptest::collection::vec((0..PARAMS, 0..PARAMS), 0..10),
         proptest::collection::vec(0..PARAMS, 0..5),
         1u16..256,
     )
         .prop_map(|(edges, units, mask)| {
-            let mut src = String::new();
-            for (a, b) in edges {
-                src.push_str(&format!("e(a{a}, a{b})\n"));
-            }
-            for a in units {
-                src.push_str(&format!("f(a{a})\n"));
-            }
-            for (i, &rule) in DEFINITE.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    src.push_str(RULES[rule]);
-                    src.push('\n');
-                }
-            }
-            src
+            let rules = DEFINITE
+                .iter()
+                .enumerate()
+                .filter(move |(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &r)| RULES[r]);
+            facts_and_rules(&edges, &units, rules)
         })
 }
 
@@ -246,15 +254,13 @@ proptest! {
             grown.rules.iter().map(|r| RulePlan::compile(r, stats)).collect()
         };
         let (stale_db, stale_stats) = grown
-            .grow(&plans_costed_on(&model), model.clone(), &new_facts, None)
-            .unwrap();
+            .grow(&plans_costed_on(&model), model.clone(), &new_facts);
         prop_assert_eq!(&stale_db, &oracle, "resume vs oracle on:\n{}", grown_src);
         // The cached-plan entry point never compiles, re-costed or not.
         prop_assert_eq!(stale_stats.plans_compiled, 0);
         for (what, stats) in [("re-costed", &oracle), ("uncosted", &Database::new())] {
             let (db, other) = grown
-                .grow(&plans_costed_on(stats), model.clone(), &new_facts, None)
-                .unwrap();
+                .grow(&plans_costed_on(stats), model.clone(), &new_facts);
             prop_assert_eq!(&stale_db, &db, "stale vs {} on:\n{}", what, grown_src);
             prop_assert_eq!(stale_stats.rule_firings, other.rule_firings);
             prop_assert_eq!(stale_stats.derivations, other.derivations);
@@ -263,6 +269,72 @@ proptest! {
             }
             prop_assert_eq!(other.plans_compiled, 0);
         }
+    }
+
+    /// DRed is exact: on a random retraction of edges and unit facts,
+    /// `shrink` from the old least model over plans costed against it is
+    /// the from-scratch least model of what is left, it runs no full plan
+    /// and compiles nothing, and it re-derives no more than it
+    /// over-deleted. Retracted units send over-deleted `self(a, a)` /
+    /// `tag(a, c0)` tuples through `RulePlan::bind_head`'s repeated-slot
+    /// and head-constant refusals.
+    #[test]
+    fn shrink_matches_eval(
+        edges in proptest::collection::vec((0..PARAMS, 0..PARAMS), 1..10),
+        units in proptest::collection::vec(0..PARAMS, 0..5),
+        mask in 1u16..256,
+        remove_mask in 1u16..1024,
+        remove_units in 0u8..16,
+    ) {
+        let edges: Vec<(usize, usize)> = edges
+            .into_iter()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let removed: Vec<(usize, usize)> = edges
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| remove_mask & (1 << (i % 10)) != 0)
+            .map(|(_, e)| *e)
+            .collect();
+        let kept: Vec<(usize, usize)> = edges
+            .iter()
+            .filter(|e| !removed.contains(e))
+            .copied()
+            .collect();
+        let units: Vec<usize> = units.into_iter().collect::<BTreeSet<_>>().into_iter().collect();
+        let (removed_units, kept_units): (Vec<usize>, Vec<usize>) =
+            units.iter().partition(|a| remove_units & (1 << **a) != 0);
+        let rules = || {
+            DEFINITE
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &r)| RULES[r])
+        };
+        let full = Program::from_text(&facts_and_rules(&edges, &units, rules())).unwrap();
+        let post = Program::from_text(&facts_and_rules(&kept, &kept_units, rules())).unwrap();
+        let removed_facts =
+            Program::from_text(&facts_and_rules(&removed, &removed_units, [].into_iter()))
+                .unwrap()
+                .edb;
+
+        let (model, _) = full.eval().unwrap();
+        let plans: Vec<RulePlan> = post
+            .rules
+            .iter()
+            .map(|r| RulePlan::compile(r, &model))
+            .collect();
+        let (shrunk, stats) = post.shrink(&plans, model, &removed_facts);
+        let (oracle, _) = post.eval().unwrap();
+        prop_assert_eq!(&shrunk, &oracle, "DRed differs from the from-scratch model");
+        prop_assert_eq!((stats.full_firings, stats.plans_compiled), (0, 0));
+        prop_assert!(
+            stats.tuples_rederived <= stats.tuples_overdeleted,
+            "re-derived {} of {} over-deleted",
+            stats.tuples_rederived,
+            stats.tuples_overdeleted
+        );
     }
 }
 
