@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
     {
         let p = scaling_program(16, 3);
         let (a, fast) = p.eval().unwrap();
-        let (b, slow) = p.fixpoint(false, None).unwrap();
+        let (b, slow) = p.fixpoint(false).unwrap();
         assert_eq!(a, b);
         assert!(fast.rule_firings < slow.rule_firings);
         assert!(fast.derivations < slow.derivations);
@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(prog.eval().unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| black_box(prog.fixpoint(false, None).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(false).unwrap()))
         });
     }
     g.finish();

@@ -16,8 +16,6 @@ use epilog_core::{
     ask, demo_sentence, ic_satisfaction, prover_for, DbError, EpistemicDb, IcDefinition, IcReport,
     ModelUpdate,
 };
-use epilog_datalog::provenance::params_of;
-use epilog_datalog::SupportTable;
 use epilog_prover::Prover;
 use epilog_semantics::{minimal_worlds, ModelSet};
 use epilog_syntax::{is_admissible, parse, Param, Pred, Theory};
@@ -207,7 +205,7 @@ fn main() {
         let k = 3;
         let prog = scaling_program(n, k);
         let (db, fast) = prog.eval().unwrap();
-        let (naive_db, slow) = prog.fixpoint(false, None).unwrap();
+        let (naive_db, slow) = prog.fixpoint(false).unwrap();
         let t = db.relation(Pred::new("t", 2)).map_or(0, |r| r.len());
         let join = db.relation(Pred::new("join", 2)).map_or(0, |r| r.len());
         check(
@@ -496,7 +494,7 @@ fn main() {
     println!("\nF9 — join planning (hash on skewed equi-joins; cost-based literal order)");
     for n in [128usize, 512, 2048] {
         // One scan of `q`, one build over `big`, one probe hit per row.
-        let (db, stats) = join_heavy_program(n, 8).fixpoint(true, None).unwrap();
+        let (db, stats) = join_heavy_program(n, 8).fixpoint(true).unwrap();
         check(
             &format!("n={n} equi-join |hit| / strategy / rows examined (= 3n)"),
             &format!("{n}/hash/{}", 3 * n),
@@ -514,7 +512,7 @@ fn main() {
     }
     for n in [128usize, 512, 2048] {
         // `small` leads: its 16 rows, one probe hit in `big` for each.
-        let (db, stats) = order_sensitive_program(n, 16).fixpoint(true, None).unwrap();
+        let (db, stats) = order_sensitive_program(n, 16).fixpoint(true).unwrap();
         check(
             &format!("n={n} ordering |out| / rows examined (= 2m)"),
             "16/32",
@@ -670,44 +668,22 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    println!("\nF12 — provenance (derivation tracking, why/why-not)");
+    println!("\nF12 — provenance (why/why-not)");
     {
-        // Tracking is invisible on the F6 scaling workload — identical
-        // model, identical pre-existing counters — and every tuple of the
-        // least model affords a proof that replays down to EDB facts.
+        // Every tuple of the F6 scaling workload's least model affords a
+        // proof that replays down to EDB facts.
         for n in [8usize, 16, 32] {
             let prog = scaling_program(n, 3);
-            let (plain_db, plain) = prog.eval().unwrap();
-            let mut table = SupportTable::new();
-            let (traced_db, traced) = prog.fixpoint(true, Some(&mut table)).unwrap();
-            let mut scrubbed = traced;
-            scrubbed.supports_recorded = 0;
-            check(
-                &format!("n={n} tracked fixpoint: same model, same counters"),
-                "yes",
-                if traced_db == plain_db && scrubbed == plain {
-                    "yes"
-                } else {
-                    "no"
-                },
-            );
-            let replays_all = traced_db.atoms().all(|atom| {
-                let tuple = params_of(&atom).expect("model atoms are ground");
-                table
-                    .why(&prog.edb, atom.pred, &tuple)
-                    .is_some_and(|p| p.atom() == &atom && p.replays(&prog))
-            });
+            let (model, _) = prog.eval().unwrap();
+            let atoms: Vec<_> = model.atoms().collect();
+            let replays_all = atoms
+                .iter()
+                .zip(prog.why(&atoms))
+                .all(|(atom, proof)| proof.is_some_and(|p| p.atom() == atom && p.replays(&prog)));
             check(
                 &format!("n={n} every model tuple has a replayable proof"),
                 "yes",
-                if traced.supports_recorded > 0
-                    && table.consistent_with(&traced_db, prog.rules.len())
-                    && replays_all
-                {
-                    "yes"
-                } else {
-                    "no"
-                },
+                if replays_all { "yes" } else { "no" },
             );
         }
 
@@ -756,33 +732,6 @@ fn main() {
                 "rejected commit carries constraint + witnesses + proofs",
                 "yes",
                 if explained { "yes" } else { "no" },
-            );
-        }
-
-        // Wall-clock: sink overhead on the n=48 scaling fixpoint.
-        // Best-of-7 minima against the 15% target, with a small absolute
-        // floor so the row is stable on any host.
-        {
-            let prog = scaling_program(48, 3);
-            let plain = best_of(7, || {
-                let start = std::time::Instant::now();
-                let _ = prog.eval().unwrap();
-                start.elapsed()
-            });
-            let traced = best_of(7, || {
-                let start = std::time::Instant::now();
-                let mut table = SupportTable::new();
-                let _ = prog.fixpoint(true, Some(&mut table)).unwrap();
-                start.elapsed()
-            });
-            check(
-                "n=48 tracking overhead within 15% (+2ms floor)",
-                "yes",
-                if traced <= plain * 23 / 20 + std::time::Duration::from_millis(2) {
-                    "yes"
-                } else {
-                    "no"
-                },
             );
         }
     }

@@ -423,16 +423,16 @@ mod tests {
     #[test]
     fn join_workload_shapes_and_planner_agreement() {
         let prog = join_heavy_program(32, 4);
-        let (a, stats) = prog.fixpoint(true, None).unwrap();
-        let (b, _) = prog.fixpoint(false, None).unwrap();
+        let (a, stats) = prog.fixpoint(true).unwrap();
+        let (b, _) = prog.fixpoint(false).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.relation(Pred::new("hit", 2)).unwrap().len(), 32);
         assert!(stats.hash_steps > 0);
         assert_eq!(stats.rows_examined, 3 * 32);
 
         let prog = order_sensitive_program(32, 4);
-        let (a, stats) = prog.fixpoint(true, None).unwrap();
-        let (b, _) = prog.fixpoint(false, None).unwrap();
+        let (a, stats) = prog.fixpoint(true).unwrap();
+        let (b, _) = prog.fixpoint(false).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.relation(Pred::new("out", 2)).unwrap().len(), 4);
         assert_eq!(stats.rows_examined, 2 * 4);
@@ -466,7 +466,7 @@ mod tests {
                 n * (n + 1) / 2,
                 "closure size for n={n}"
             );
-            let (db2, slow) = p.fixpoint(false, None).unwrap();
+            let (db2, slow) = p.fixpoint(false).unwrap();
             assert_eq!(db, db2);
             assert!(fast.rule_firings < slow.rule_firings, "n={n} k={k}");
         }

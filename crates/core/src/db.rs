@@ -60,7 +60,7 @@ impl Rejection {
         })
     }
 
-    /// Proof trees for the witnesses, derived when asked by one traced
+    /// Proof trees for the witnesses, derived when asked from one
     /// fixpoint of the rejected candidate's program ([`Program::why`]):
     /// EDB witnesses appear as [`ProofTree::Fact`] leaves. Empty when the
     /// candidate theory is not definite.
@@ -299,12 +299,16 @@ impl EpistemicDb {
     // ----- provenance -----------------------------------------------------
 
     /// Explain a ground atom of the least model: a minimal-height
-    /// [`ProofTree`] down to EDB facts, derived when asked by one traced
+    /// [`ProofTree`] down to EDB facts, derived when asked from one
     /// fixpoint of the cached definite program ([`Program::why`]). `None`
     /// when the theory is not definite (there is no least model to
     /// explain), the atom is not ground, or the atom is not in the model
-    /// (the *why-not* answer: nothing derives it).
+    /// (the *why-not* answer: nothing derives it) — the last two read off
+    /// the attached model without running anything.
     pub fn why(&self, atom: &Atom) -> Option<ProofTree> {
+        if !self.prover.atom_model()?.contains(atom) {
+            return None;
+        }
         self.program
             .as_ref()?
             .why(std::slice::from_ref(atom))

@@ -14,15 +14,14 @@
 //!
 //! Four entry points, one per mode: [`Program::eval`] (the default full
 //! fixpoint), [`Program::fixpoint`] (the full fixpoint with the naive
-//! reference selector and optional tracing, which [`Program::why`] runs
-//! when a proof is asked for), [`Program::grow`] and [`Program::shrink`]
-//! (resume the least model of a definite program after additions /
-//! retractions over caller-supplied plans, untraced). Everything runs on
-//! the calling thread.
+//! reference selector), [`Program::grow`] and [`Program::shrink`] (resume
+//! the least model of a definite program after additions / retractions
+//! over caller-supplied plans). [`Program::why`] runs the semi-naive loop
+//! too, reading each round's delta through a crate-private hook.
+//! Everything runs on the calling thread.
 
 use crate::plan::RulePlan;
 use crate::program::{DatalogError, Program};
-use crate::provenance::{ProvenanceSink, SupportTable};
 use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, StepStrategy};
 use epilog_syntax::Param;
 
@@ -83,11 +82,6 @@ pub struct EvalStats {
     /// tuple per candidate rule head, until one succeeds. These run the
     /// prebound `RulePlan::support` plan, never a full firing.
     pub support_checks: u64,
-    /// Provenance: novel [`Support`](crate::provenance::Support) records
-    /// a traced run retained after deduplication. Always 0 when no
-    /// support table is passed — the observable proof that tracking is
-    /// off.
-    pub supports_recorded: u64,
 }
 
 impl EvalStats {
@@ -108,7 +102,6 @@ impl EvalStats {
         self.tuples_overdeleted += other.tuples_overdeleted;
         self.tuples_rederived += other.tuples_rederived;
         self.support_checks += other.support_checks;
-        self.supports_recorded += other.supports_recorded;
     }
 }
 
@@ -117,71 +110,37 @@ impl Program {
     /// first round of each stratum, only join against the delta of the
     /// previous round. Plans are compiled from the EDB's live statistics.
     pub fn eval(&self) -> Result<(Database, EvalStats), DatalogError> {
-        self.fixpoint(true, None)
+        self.fixpoint(true)
     }
 
     /// Compute the perfect model with an explicit strategy — semi-naive
     /// (`true`) or the **naive** rounds that re-derive everything each
     /// iteration (`false`): the reference the differential property suites
     /// and the `f2`/`f6` benches compare [`Program::eval`] against.
-    ///
-    /// With a `table`, the run is **traced**: every head derivation of the
-    /// fixpoint records a [`Support`](crate::provenance::Support) — the
-    /// firing rule and the ground positive body tuples it matched — into
-    /// it. The model and every other [`EvalStats`] counter are identical
-    /// to the untraced run's (recording happens inside the same match
-    /// callbacks); without one the fixpoint pays one `Option` check per
-    /// derivation.
-    ///
-    /// Semi-naive evaluation fires every ground rule instantiation whose
-    /// body first becomes true, so for a **definite** program the table
-    /// affords a proof tree ([`SupportTable::why`]) for every derived
-    /// tuple of the least model — which is how [`Program::why`] answers.
-    /// With stratified negation the recorded parents are the positive
-    /// premises only.
-    pub fn fixpoint(
-        &self,
-        seminaive: bool,
-        table: Option<&mut SupportTable>,
-    ) -> Result<(Database, EvalStats), DatalogError> {
+    pub fn fixpoint(&self, seminaive: bool) -> Result<(Database, EvalStats), DatalogError> {
         let strata = self.stratify()?;
         let max_stratum = strata.values().copied().max().unwrap_or(0);
         let mut db = self.edb.clone();
         let mut stats = EvalStats::default();
-        let mut sink = table.is_some().then(ProvenanceSink::new);
 
-        // Compile every rule exactly once; plans are reused each round.
-        let plans: Vec<(usize, RulePlan)> = self
-            .rules
-            .iter()
-            .map(|r| (strata[&r.head.pred], RulePlan::compile(r, &self.edb)))
-            .collect();
-        stats.plans_compiled = plans.len() as u64;
+        // Compile every rule exactly once, grouped by stratum in rule
+        // order; plans are reused each round.
+        let mut levels: Vec<Vec<RulePlan>> = vec![Vec::new(); max_stratum + 1];
+        for r in &self.rules {
+            levels[strata[&r.head.pred]].push(RulePlan::compile(r, &self.edb));
+        }
+        stats.plans_compiled = self.rules.len() as u64;
 
-        for level in 0..=max_stratum {
-            // Each plan keeps its **global** rule index — the identity a
-            // provenance record names — independent of stratum grouping.
-            let level_plans: Vec<(usize, &RulePlan)> = plans
-                .iter()
-                .enumerate()
-                .filter(|(_, (l, _))| *l == level)
-                .map(|(i, (_, p))| (i, p))
-                .collect();
-            if level_plans.is_empty() {
-                continue;
-            }
+        for plans in levels.iter().filter(|plans| !plans.is_empty()) {
             if seminaive {
-                db = fix_seminaive(&level_plans, db, &mut stats, sink.as_mut());
+                db = fix_seminaive(plans, db, &mut stats, |_| {});
             } else {
-                fix_naive(&level_plans, &mut db, &mut stats, sink.as_mut());
+                fix_naive(plans, &mut db, &mut stats);
             }
         }
         // Index warm-up may have created empty relations for body
         // predicates without facts; the result is a set of atoms.
         db.prune_empty();
-        if let (Some(table), Some(sink)) = (table, sink) {
-            stats.supports_recorded += table.absorb(sink);
-        }
         Ok((db, stats))
     }
 
@@ -219,15 +178,14 @@ impl Program {
         debug_assert!(!self.has_negation(), "grow needs a definite program");
         debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
         let mut stats = EvalStats::default();
-        let plan_refs: Vec<(usize, &RulePlan)> = plans.iter().enumerate().collect();
         let mut ddb = DeltaDatabase::resume(model, new_facts);
         {
             let (total, _) = ddb.parts_mut();
-            for (_, plan) in &plan_refs {
+            for plan in plans {
                 plan.ensure_total_indexes(total);
             }
         }
-        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, None);
+        seminaive_rounds(plans, &mut ddb, false, &mut stats, |_| {});
         let mut db = ddb.into_total();
         db.prune_empty();
         (db, stats)
@@ -272,7 +230,6 @@ impl Program {
         debug_assert!(!self.has_negation(), "shrink needs a definite program");
         debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
         let mut stats = EvalStats::default();
-        let plan_refs: Vec<(usize, &RulePlan)> = plans.iter().enumerate().collect();
 
         // Phase 1 — over-delete. Seed with the removed facts actually in
         // the model; absent retracts delete nothing.
@@ -287,7 +244,7 @@ impl Program {
         if seed.is_empty() {
             return (model, stats);
         }
-        for (_, plan) in &plan_refs {
+        for plan in plans {
             plan.ensure_total_indexes(&mut model);
         }
         let mut deleted = DeltaDatabase::new(Database::new());
@@ -298,21 +255,14 @@ impl Program {
                 // Delta-side index warm-up; the deleted split is disjoint
                 // from `model`, so both borrows are independent.
                 let (_, delta) = deleted.parts_mut();
-                for (_, plan) in &plan_refs {
+                for plan in plans {
                     for (_, variant) in &plan.variants {
                         variant.ensure_indexes(&mut model, Some(delta));
                     }
                 }
             }
             let mut next = Database::new();
-            fire_delta_variants(
-                &plan_refs,
-                &model,
-                deleted.delta(),
-                &mut next,
-                &mut stats,
-                None,
-            );
+            fire_delta_variants(plans, &model, deleted.delta(), &mut next, &mut stats);
             // Every candidate is already in the model (the model is closed
             // under the rules and the delta is a subset of it), so advance
             // filters only against what is already marked deleted.
@@ -331,14 +281,14 @@ impl Program {
         // Phase 3 — find the survivors: extensional membership in the
         // post-retraction EDB, or an alternative derivation found by the
         // prebound support plan.
-        for (_, plan) in &plan_refs {
+        for plan in plans {
             plan.ensure_support_indexes(&mut model);
         }
         let mut seeds = Database::new();
         for (pred, rel) in deleted.relations() {
             for t in rel.iter() {
                 let survives = self.edb.contains_tuple(pred, t)
-                    || plan_refs.iter().any(|(_, plan)| {
+                    || plans.iter().any(|plan| {
                         if plan.head.pred != pred {
                             return false;
                         }
@@ -369,11 +319,11 @@ impl Program {
         let mut ddb = DeltaDatabase::resume(model, &seeds);
         {
             let (total, _) = ddb.parts_mut();
-            for (_, plan) in &plan_refs {
+            for plan in plans {
                 plan.ensure_total_indexes(total);
             }
         }
-        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, None);
+        seminaive_rounds(plans, &mut ddb, false, &mut stats, |_| {});
         let mut db = ddb.into_total();
         stats.tuples_rederived = deleted
             .relations()
@@ -392,23 +342,24 @@ impl Program {
     }
 }
 
-/// Semi-naive fixpoint of one stratum over a stable/delta split.
-fn fix_seminaive(
-    plans: &[(usize, &RulePlan)],
+/// Semi-naive fixpoint of one stratum over a stable/delta split;
+/// `on_round` sees each round's delta, as [`seminaive_rounds`] hands it out.
+pub(crate) fn fix_seminaive(
+    plans: &[RulePlan],
     db: Database,
     stats: &mut EvalStats,
-    sink: Option<&mut ProvenanceSink>,
+    on_round: impl FnMut(&Database),
 ) -> Database {
     let mut ddb = DeltaDatabase::new(db);
     // Warm the total-side indexes once; incremental maintenance keeps
     // them fresh as `advance` inserts each round's facts.
     {
         let (total, _) = ddb.parts_mut();
-        for (_, plan) in plans {
+        for plan in plans {
             plan.ensure_total_indexes(total);
         }
     }
-    seminaive_rounds(plans, &mut ddb, true, stats, sink);
+    seminaive_rounds(plans, &mut ddb, true, stats, on_round);
     ddb.into_total()
 }
 
@@ -416,13 +367,15 @@ fn fix_seminaive(
 /// first iteration executes every rule's full plan (the delta is
 /// conceptually "everything" — a stratum starting from scratch); without
 /// it, the caller pre-seeded the delta ([`DeltaDatabase::resume`]) and
-/// only delta variants ever run.
+/// only delta variants ever run. After every round that derived something
+/// new, `on_round` is handed that round's delta — the facts it derived
+/// first — which is how [`Program::why`] learns each tuple's round.
 fn seminaive_rounds(
-    plans: &[(usize, &RulePlan)],
+    plans: &[RulePlan],
     ddb: &mut DeltaDatabase,
     full_first_round: bool,
     stats: &mut EvalStats,
-    mut sink: Option<&mut ProvenanceSink>,
+    mut on_round: impl FnMut(&Database),
 ) {
     let mut first_round = full_first_round;
     loop {
@@ -432,73 +385,54 @@ fn seminaive_rounds(
             // Round 1: the delta is conceptually "everything", so each
             // rule runs its full plan once.
             first_round = false;
-            fire_full_plans(
-                plans,
-                ddb.total(),
-                &mut new_facts,
-                stats,
-                sink.as_deref_mut(),
-            );
+            fire_full_plans(plans, ddb.total(), &mut new_facts, stats);
         } else {
             // The delta was replaced by `advance` (or pre-seeded by the
             // caller): rebuild the (rare) constant-probed delta-side
             // indexes.
             {
                 let (total, delta) = ddb.parts_mut();
-                for (_, plan) in plans {
+                for plan in plans {
                     for (_, variant) in &plan.variants {
                         variant.ensure_indexes(total, Some(delta));
                     }
                 }
             }
-            fire_delta_variants(
-                plans,
-                ddb.total(),
-                ddb.delta(),
-                &mut new_facts,
-                stats,
-                sink.as_deref_mut(),
-            );
+            fire_delta_variants(plans, ddb.total(), ddb.delta(), &mut new_facts, stats);
         }
         if ddb.advance(&new_facts) == 0 {
             break;
         }
+        on_round(ddb.delta());
     }
 }
 
 /// Naive fixpoint of one stratum: every rule's full plan, every round.
-fn fix_naive(
-    plans: &[(usize, &RulePlan)],
-    db: &mut Database,
-    stats: &mut EvalStats,
-    mut sink: Option<&mut ProvenanceSink>,
-) {
-    for (_, plan) in plans {
+fn fix_naive(plans: &[RulePlan], db: &mut Database, stats: &mut EvalStats) {
+    for plan in plans {
         plan.ensure_total_indexes(db);
     }
     loop {
         stats.iterations += 1;
         let mut new_facts = Database::new();
-        fire_full_plans(plans, db, &mut new_facts, stats, sink.as_deref_mut());
+        fire_full_plans(plans, db, &mut new_facts, stats);
         if db.union_with(&new_facts) == 0 {
             break;
         }
     }
 }
 
-/// Fire every rule's full plan once against `total`.
-fn fire_full_plans(
-    plans: &[(usize, &RulePlan)],
+/// Fire every rule's full plan once against `total`: one naive round.
+pub(crate) fn fire_full_plans(
+    plans: &[RulePlan],
     total: &Database,
     out: &mut Database,
     stats: &mut EvalStats,
-    mut sink: Option<&mut ProvenanceSink>,
 ) {
-    for (idx, plan) in plans {
+    for plan in plans {
         stats.rule_firings += 1;
         stats.full_firings += 1;
-        let sink = sink.as_deref_mut();
-        fire(*idx, plan, &plan.full, total, None, out, stats, sink);
+        fire(plan, &plan.full, total, None, out, stats);
     }
 }
 
@@ -506,38 +440,33 @@ fn fire_full_plans(
 /// variant with nothing new for its literal is skipped, not fired with an
 /// empty result.
 fn fire_delta_variants(
-    plans: &[(usize, &RulePlan)],
+    plans: &[RulePlan],
     total: &Database,
     delta: &Database,
     out: &mut Database,
     stats: &mut EvalStats,
-    mut sink: Option<&mut ProvenanceSink>,
 ) {
-    for (idx, plan) in plans {
+    for plan in plans {
         for (pred, variant) in &plan.variants {
             if delta.relation(*pred).is_none_or(|r| r.is_empty()) {
                 stats.variants_skipped += 1;
                 continue;
             }
             stats.rule_firings += 1;
-            let sink = sink.as_deref_mut();
-            fire(*idx, plan, variant, total, Some(delta), out, stats, sink);
+            fire(plan, variant, total, Some(delta), out, stats);
         }
     }
 }
 
 /// Execute one join plan: for every complete match whose negated literals
 /// all fail against the total, ground the head into `out`.
-#[allow(clippy::too_many_arguments)]
 fn fire(
-    rule_idx: usize,
     plan: &RulePlan,
     join: &ConjunctionPlan,
     total: &Database,
     delta: Option<&Database>,
     out: &mut Database,
     stats: &mut EvalStats,
-    mut sink: Option<&mut ProvenanceSink>,
 ) {
     for step in join.steps() {
         match step.strategy {
@@ -560,16 +489,7 @@ fn fire(
                 .any(|n| total.contains_tuple(n.pred, &n.ground(env)));
             if !blocked {
                 derivations += 1;
-                let head = plan.head.ground(env);
-                if let Some(sink) = sink.as_deref_mut() {
-                    let start = sink.begin_record();
-                    sink.push_tuple(plan.head.pred, &head);
-                    for step in join.steps() {
-                        sink.push_tuple(step.template.pred, &step.template.ground(env));
-                    }
-                    sink.finish_record(rule_idx as u32, start);
-                }
-                out.insert_tuple(plan.head.pred, head);
+                out.insert_tuple(plan.head.pred, plan.head.ground(env));
             }
         },
     );
@@ -625,7 +545,7 @@ mod tests {
         for n in [1, 3, 6] {
             let p = chain(n);
             let (a, _) = p.eval().unwrap();
-            let (b, _) = p.fixpoint(false, None).unwrap();
+            let (b, _) = p.fixpoint(false).unwrap();
             assert_eq!(a, b, "models differ for chain({n})");
         }
     }
@@ -634,7 +554,7 @@ mod tests {
     fn seminaive_derives_less() {
         let p = chain(12);
         let (_, fast) = p.eval().unwrap();
-        let (_, slow) = p.fixpoint(false, None).unwrap();
+        let (_, slow) = p.fixpoint(false).unwrap();
         assert!(
             fast.derivations < slow.derivations,
             "semi-naive {} vs naive {}",
@@ -647,7 +567,7 @@ mod tests {
     fn seminaive_fires_fewer_plans() {
         let p = chain(12);
         let (_, fast) = p.eval().unwrap();
-        let (_, slow) = p.fixpoint(false, None).unwrap();
+        let (_, slow) = p.fixpoint(false).unwrap();
         assert!(
             fast.rule_firings < slow.rule_firings,
             "empty-delta variants must be skipped: semi-naive {} vs naive {}",
@@ -699,8 +619,8 @@ mod tests {
         }
         src.push_str("forall x, y. q(x, y) & big(x, y) -> hit(x, y)\n");
         let p = Program::from_text(&src).unwrap();
-        let (db, stats) = p.fixpoint(true, None).unwrap();
-        let (naive_db, naive) = p.fixpoint(false, None).unwrap();
+        let (db, stats) = p.fixpoint(true).unwrap();
+        let (naive_db, naive) = p.fixpoint(false).unwrap();
         assert_eq!(db, naive_db);
         assert_eq!(stats.derivations, 8);
         assert_eq!(stats.rule_firings, 1);
@@ -726,7 +646,7 @@ mod tests {
         }
         src.push_str("forall x, y. r(x) & a(x, y) & b(x, y) -> r(y)\n");
         let p = Program::from_text(&src).unwrap();
-        let (db, stats) = p.fixpoint(true, None).unwrap();
+        let (db, stats) = p.fixpoint(true).unwrap();
         assert_eq!(db.relation(Pred::new("r", 1)).unwrap().len(), n + 1);
         assert_eq!(stats.hash_steps, 0);
         // One r-row, one a-probe hit and one b-probe hit per round, plus
@@ -743,7 +663,7 @@ mod tests {
             "the e-delta variant is skipped after round 2"
         );
         // Naive evaluation has no variants to skip.
-        let (_, naive) = p.fixpoint(false, None).unwrap();
+        let (_, naive) = p.fixpoint(false).unwrap();
         assert_eq!(naive.variants_skipped, 0);
     }
 
@@ -932,7 +852,6 @@ mod tests {
             tuples_overdeleted: 11,
             tuples_rederived: 12,
             support_checks: 13,
-            supports_recorded: 14,
         };
         let b = a;
         a.absorb(&b);
@@ -949,7 +868,6 @@ mod tests {
         assert_eq!(a.tuples_overdeleted, 22);
         assert_eq!(a.tuples_rederived, 24);
         assert_eq!(a.support_checks, 26);
-        assert_eq!(a.supports_recorded, 28);
     }
 
     #[test]
@@ -1011,7 +929,7 @@ mod tests {
         .unwrap();
         let (db, _) = p.eval().unwrap();
         assert!(db.contains(&atom("q(b)")));
-        let (db2, _) = p.fixpoint(false, None).unwrap();
+        let (db2, _) = p.fixpoint(false).unwrap();
         assert_eq!(db, db2);
     }
 
@@ -1027,7 +945,7 @@ mod tests {
             .preds()
             .into_iter()
             .all(|pr| !db.relation(pr).unwrap().is_empty()));
-        let (db2, _) = p.fixpoint(false, None).unwrap();
+        let (db2, _) = p.fixpoint(false).unwrap();
         assert_eq!(db, db2);
     }
 
@@ -1040,34 +958,5 @@ mod tests {
         // formula with free var; from_sentences sees a non-ground atom rule
         // with empty body → unsafe.
         assert!(err.is_err());
-    }
-
-    use crate::provenance::params_of;
-
-    /// Zero the provenance counter — the only one a traced run is
-    /// allowed to move relative to its untraced twin.
-    fn scrub_prov(mut s: EvalStats) -> EvalStats {
-        s.supports_recorded = 0;
-        s
-    }
-
-    #[test]
-    fn traced_eval_matches_untraced_and_proves_every_idb_tuple() {
-        let p = chain(8);
-        let (plain_db, plain) = p.eval().unwrap();
-        let mut table = SupportTable::new();
-        let (traced_db, traced) = p.fixpoint(true, Some(&mut table)).unwrap();
-        assert_eq!(traced_db, plain_db);
-        assert_eq!(scrub_prov(traced), plain, "tracking must not change work");
-        assert!(traced.supports_recorded > 0);
-        assert_eq!(plain.supports_recorded, 0, "untraced runs record nothing");
-        assert!(table.consistent_with(&traced_db, p.rules.len()));
-        for a in traced_db.atoms() {
-            let t = params_of(&a).unwrap();
-            let tree = table
-                .why(&p.edb, a.pred, &t)
-                .unwrap_or_else(|| panic!("no proof for {a}"));
-            assert!(tree.replays(&p), "proof of {a} must replay");
-        }
     }
 }

@@ -17,12 +17,12 @@
 //!   fixpoint — one semi-naive loop on the calling thread behind four
 //!   entry points: [`Program::eval`], [`Program::fixpoint`] (which also
 //!   selects the naive rounds the differential suites and the
-//!   `f2_datalog` / `f6_scaling` benches use as the reference, and takes
-//!   an optional [`SupportTable`] to trace into), [`Program::grow`] and
-//!   [`Program::shrink`] (resume a definite program's least model after
-//!   additions / retractions);
-//! * provenance on demand — [`Program::why`] runs one traced fixpoint
-//!   and returns a replayable [`ProofTree`] per atom asked about;
+//!   `f2_datalog` / `f6_scaling` benches use as the reference),
+//!   [`Program::grow`] and [`Program::shrink`] (resume a definite
+//!   program's least model after additions / retractions);
+//! * provenance on demand — [`Program::why`] runs one semi-naive
+//!   fixpoint, notes the round each tuple first appeared in, and returns a
+//!   replayable minimal-height [`ProofTree`] per atom asked about;
 //! * [`completion()`](completion::completion) — Clark's completion as FOPCE sentences, ready to be
 //!   fed to `epilog-prover` for the Definition 3.3/3.4 comparisons.
 
@@ -36,4 +36,4 @@ pub use completion::completion;
 pub use engine::EvalStats;
 pub use plan::RulePlan;
 pub use program::{DatalogError, Literal, Program, Rule};
-pub use provenance::{ProofTree, Support, SupportTable};
+pub use provenance::ProofTree;

@@ -1,373 +1,188 @@
-//! Derivation provenance: per-tuple support records and proof trees,
-//! derived when asked.
+//! Derivation provenance: minimal-height proof trees, derived when asked.
 //!
-//! A traced evaluation ([`Program::fixpoint`](crate::Program::fixpoint)
-//! given a table) records, for every head derivation the fixpoint
-//! performs, one [`Support`] — the index of the rule that fired and the
-//! ground positive body tuples it matched. Supports accumulate in a
-//! [`SupportTable`], an interned side table keyed by ground atom, and
-//! [`SupportTable::why`] reconstructs a **minimal proof tree** for any
-//! tuple of the least model by walking supports down to extensional
-//! facts, choosing at each node a support of minimal derivation height
-//! (so the tree never cycles and every leaf is an EDB fact).
+//! [`Program::why`](crate::Program::why) runs the ordinary semi-naive
+//! fixpoint of a definite program and notes the round in which each
+//! derived tuple first appeared (extensional facts are round 0). Round *k*
+//! adds exactly the tuples whose least derivation height is *k*. A tuple
+//! first seen in round *k* is proved by binding the head of each rule plan
+//! with its predicate ([`RulePlan::bind_head`]) and running that plan's
+//! support query ([`RulePlan::support`], the re-derivation probe of DRed's
+//! phase 3) against the model: the first match whose premises all
+//! appeared before round *k* becomes the node, and each premise is proved
+//! the same way. Every premise sits strictly lower, so the walk ends at
+//! extensional facts and the tree's height is *k*, the least possible.
 //!
-//! Provenance is a query, not state: [`Program::why`](crate::Program::why)
-//! runs one traced fixpoint of a definite program, however many atoms it
-//! is asked about, and reads their proofs off that fresh table — the way
-//! `demo` derives what the database knows from `Σ` when it is asked
-//! (§5). Nothing is kept between calls, so the untraced entry points,
-//! and with them every commit's [`Program::grow`](crate::Program::grow)
-//! / [`Program::shrink`](crate::Program::shrink), record nothing and pay
-//! nothing. Within a traced run the sink is a flat append-only buffer;
-//! interning and deduplication happen once per run when the table
-//! absorbs it.
+//! Provenance is a query, not state — the way `demo` derives what the
+//! database knows from `Σ` when it is asked (§5). No other fixpoint
+//! records anything and nothing is kept between calls. The walk and every
+//! [`ProofTree`] method run on explicit stacks, so a proof as deep as a
+//! long chain costs heap, not call stack.
 
-use epilog_storage::{Database, Tuple};
+use crate::engine::{fix_seminaive, EvalStats};
+use crate::plan::RulePlan;
+use epilog_storage::{Database, JoinStep, Tuple};
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiply-xor hasher (the FxHash construction) for the intern maps:
-/// keys are short `Vec<u32>` tuples, small enough that SipHash's per-hash
-/// setup would dominate the cost of a traced run.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// The append-only buffer a traced evaluation records into — the
-/// "provenance sink" threaded through the fixpoint. Zero-cost when
-/// absent: the engine's derivation callback checks one `Option`.
-///
-/// The wire form is flat: each record is a `(rule, span)` header over
-/// atoms appended to shared buffers (head first, then one atom per
-/// positive body literal), so the hot recording path never allocates
-/// beyond amortized buffer growth.
-#[derive(Debug, Default)]
-pub(crate) struct ProvenanceSink {
-    /// Per record: the firing rule and the record's atom span.
-    recs: Vec<(u32, u32, u32)>, // (rule_idx, atoms_start, n_atoms)
-    /// Per recorded atom: predicate and its span in `params`.
-    atoms: Vec<(Pred, u32, u32)>, // (pred, params_start, len)
-    /// Flattened tuple storage.
-    params: Vec<Param>,
-}
-
-impl ProvenanceSink {
-    /// A fresh, empty sink.
-    pub(crate) fn new() -> ProvenanceSink {
-        ProvenanceSink::default()
-    }
-
-    /// Open a record; close it with [`ProvenanceSink::finish_record`]
-    /// after pushing the head and parent atoms.
-    pub(crate) fn begin_record(&mut self) -> u32 {
-        self.atoms.len() as u32
-    }
-
-    /// Append an already-ground atom to the open record.
-    pub(crate) fn push_tuple(&mut self, pred: Pred, tuple: &[Param]) {
-        let start = self.params.len() as u32;
-        self.params.extend_from_slice(tuple);
-        self.atoms.push((pred, start, tuple.len() as u32));
-    }
-
-    /// Close the record opened at `atoms_start` under the firing rule.
-    pub(crate) fn finish_record(&mut self, rule_idx: u32, atoms_start: u32) {
-        self.recs
-            .push((rule_idx, atoms_start, self.atoms.len() as u32 - atoms_start));
-    }
-
-    /// The atoms of record `rec` as `(pred, params)` slices, head first.
-    fn record_atoms(&self, rec: usize) -> impl Iterator<Item = (Pred, &[Param])> + '_ {
-        let (_, start, n) = self.recs[rec];
-        self.atoms[start as usize..(start + n) as usize]
-            .iter()
-            .map(|&(pred, ps, len)| (pred, &self.params[ps as usize..(ps + len) as usize]))
-    }
-}
-
-/// One way a tuple was derived: the firing rule (an index into the
-/// program's rule list) and the interned ids of the ground positive body
-/// tuples it matched.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Support {
-    /// Index of the rule that fired, in program rule order.
-    pub rule_idx: u32,
-    /// Interned atom ids of the ground positive body literals.
-    pub parents: Vec<u32>,
-}
-
-/// The interned side table mapping every recorded ground atom to its
-/// known derivations. Atom ids are dense and stable for the lifetime of
-/// the table.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SupportTable {
-    ids: FxMap<Pred, FxMap<Tuple, u32>>,
-    atoms: Vec<(Pred, Tuple)>,
-    supports: Vec<Vec<Support>>,
-}
-
-impl SupportTable {
-    /// A fresh, empty table.
-    pub fn new() -> SupportTable {
-        SupportTable::default()
-    }
-
-    fn intern(&mut self, pred: Pred, tuple: &[Param]) -> u32 {
-        // Two-level keying so the hot path — interning an atom already
-        // seen — borrows the tuple instead of cloning a composite key.
-        let by_tuple = self.ids.entry(pred).or_default();
-        if let Some(&id) = by_tuple.get(tuple) {
-            return id;
-        }
-        let id = self.atoms.len() as u32;
-        let tuple: Tuple = tuple.iter().copied().collect();
-        self.atoms.push((pred, tuple.clone()));
-        self.supports.push(Vec::new());
-        by_tuple.insert(tuple, id);
-        id
-    }
-
-    fn lookup(&self, pred: Pred, tuple: &[Param]) -> Option<u32> {
-        self.ids.get(&pred)?.get(tuple).copied()
-    }
-
-    /// Attach an interned support to `head_id` unless already present.
-    fn adopt_support(&mut self, head_id: u32, rule_idx: u32, parent_ids: &[u32]) -> bool {
-        let list = &mut self.supports[head_id as usize];
-        if list
-            .iter()
-            .any(|s| s.rule_idx == rule_idx && s.parents == parent_ids)
-        {
-            return false;
-        }
-        list.push(Support {
-            rule_idx,
-            parents: parent_ids.to_vec(),
-        });
-        true
-    }
-
-    /// Intern a sink's raw records, returning how many novel supports
-    /// were retained.
-    pub(crate) fn absorb(&mut self, sink: ProvenanceSink) -> u64 {
-        let mut novel = 0u64;
-        let mut scratch: Vec<u32> = Vec::new();
-        for (rec, &(rule_idx, ..)) in sink.recs.iter().enumerate() {
-            scratch.clear();
-            for (pred, tuple) in sink.record_atoms(rec) {
-                scratch.push(self.intern(pred, tuple));
-            }
-            let (&head_id, parent_ids) = scratch.split_first().expect("record has a head");
-            if self.adopt_support(head_id, rule_idx, parent_ids) {
-                novel += 1;
-            }
-        }
-        novel
-    }
-
-    /// Number of distinct ground atoms the table has interned.
-    pub fn num_atoms(&self) -> usize {
-        self.atoms.len()
-    }
-
-    /// Total number of recorded supports across all atoms.
-    pub fn num_supports(&self) -> usize {
-        self.supports.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the table holds no supports at all.
-    pub fn is_empty(&self) -> bool {
-        self.num_supports() == 0
-    }
-
-    /// Check the table against a model: every supported head and every
-    /// parent must be a model member, and every rule index in range —
-    /// what a table traced from that model's fixpoint satisfies.
-    pub fn consistent_with(&self, model: &Database, rules: usize) -> bool {
-        self.supports.iter().enumerate().all(|(id, list)| {
-            list.is_empty() || {
-                let (pred, tuple) = &self.atoms[id];
-                model.contains_tuple(*pred, tuple)
-                    && list.iter().all(|s| {
-                        (s.rule_idx as usize) < rules
-                            && s.parents.iter().all(|&p| {
-                                let (pp, pt) = &self.atoms[p as usize];
-                                model.contains_tuple(*pp, pt)
-                            })
-                    })
-            }
-        })
-    }
-
-    /// Reconstruct a minimal derivation of `(pred, tuple)`: a proof tree
-    /// whose every leaf is an extensional fact of `edb` and whose every
-    /// internal node is a recorded support. Returns `None` when the atom
-    /// is neither extensional nor provable from the recorded supports —
-    /// for a table traced from a definite program's fixpoint, exactly
-    /// when the atom is not in the least model.
-    ///
-    /// Node choice is by **derivation height** (extensional facts are
-    /// height 0; a support's height is one more than its highest parent),
-    /// so the recursion strictly descends and recorded cycles — mutual
-    /// supports among re-derived tuples — can never loop the walk.
-    pub fn why(&self, edb: &Database, pred: Pred, tuple: &[Param]) -> Option<ProofTree> {
-        if edb.contains_tuple(pred, tuple) {
-            return Some(ProofTree::Fact {
-                atom: atom_of(pred, tuple),
-            });
-        }
-        let id = self.lookup(pred, tuple)?;
-        let heights = self.heights(edb);
-        self.build_tree(id, &heights, edb)
-    }
-
-    /// Least derivation height of every interned atom: 0 for extensional
-    /// facts, `1 + max(parent heights)` over the best support otherwise,
-    /// `None` for atoms with no grounded derivation.
-    fn heights(&self, edb: &Database) -> Vec<Option<u32>> {
-        let n = self.atoms.len();
-        let mut heights: Vec<Option<u32>> = vec![None; n];
-        for (id, (pred, tuple)) in self.atoms.iter().enumerate() {
-            if edb.contains_tuple(*pred, tuple) {
-                heights[id] = Some(0);
-            }
-        }
-        // Worklist fixpoint over the reverse dependency graph: when an
-        // atom's height settles lower, re-examine the supports that use
-        // it as a parent.
-        let mut uses: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (id, list) in self.supports.iter().enumerate() {
-            for s in list {
-                for &p in &s.parents {
-                    uses[p as usize].push(id as u32);
-                }
-            }
-        }
-        let mut queue: Vec<u32> = (0..n as u32)
-            .filter(|&i| heights[i as usize].is_some())
-            .collect();
-        while let Some(id) = queue.pop() {
-            for &user in &uses[id as usize] {
-                if let Some(h) = self.support_height(user, &heights) {
-                    let slot = &mut heights[user as usize];
-                    if slot.is_none_or(|old| h < old) {
-                        *slot = Some(h);
-                        queue.push(user);
-                    }
-                }
-            }
-        }
-        heights
-    }
-
-    /// Height of `id`'s best fully-grounded support, if any.
-    fn support_height(&self, id: u32, heights: &[Option<u32>]) -> Option<u32> {
-        self.supports[id as usize]
-            .iter()
-            .filter_map(|s| {
-                s.parents
-                    .iter()
-                    .map(|&p| heights[p as usize])
-                    .collect::<Option<Vec<u32>>>()
-                    .map(|hs| 1 + hs.into_iter().max().unwrap_or(0))
-            })
-            .min()
-    }
-
-    fn build_tree(&self, id: u32, heights: &[Option<u32>], edb: &Database) -> Option<ProofTree> {
-        let (pred, tuple) = &self.atoms[id as usize];
-        if edb.contains_tuple(*pred, tuple) {
-            return Some(ProofTree::Fact {
-                atom: atom_of(*pred, tuple),
-            });
-        }
-        let my_height = heights[id as usize]?;
-        // Pick the first support achieving the minimal height: every
-        // parent then sits strictly below, so recursion terminates.
-        let best = self.supports[id as usize].iter().find(|s| {
-            s.parents
-                .iter()
-                .map(|&p| heights[p as usize])
-                .collect::<Option<Vec<u32>>>()
-                .is_some_and(|hs| 1 + hs.into_iter().max().unwrap_or(0) == my_height)
-        })?;
-        let premises = best
-            .parents
-            .iter()
-            .map(|&p| self.build_tree(p, heights, edb))
-            .collect::<Option<Vec<ProofTree>>>()?;
-        Some(ProofTree::Derived {
-            atom: atom_of(*pred, tuple),
-            rule_idx: best.rule_idx as usize,
-            premises,
-        })
-    }
-}
 
 impl crate::Program {
     /// Explain ground atoms of this **definite** program's least model:
-    /// one traced [`Program::fixpoint`](crate::Program::fixpoint),
-    /// however many atoms are asked, and a minimal-height [`ProofTree`]
-    /// per atom read off that fresh table — `None` for an atom that is
-    /// not ground or not in the model (the *why-not* answer: nothing
-    /// derives it). A program with a negated body literal is outside the
-    /// contract (debug builds assert it): its proofs would name positive
-    /// premises only.
+    /// one semi-naive fixpoint, however many atoms are asked, and a
+    /// minimal-height [`ProofTree`] per atom read off the rounds it ran —
+    /// `None` for an atom that is not ground or not in the model (the
+    /// *why-not* answer: nothing derives it). A program with a negated
+    /// body literal is outside the contract (debug builds assert it): its
+    /// proofs would name positive premises only.
     pub fn why(&self, atoms: &[Atom]) -> Vec<Option<ProofTree>> {
         debug_assert!(!self.has_negation(), "why needs a definite program");
-        let mut table = SupportTable::new();
-        // A definite program is one stratum: its fixpoint cannot fail.
-        let _ = self.fixpoint(true, Some(&mut table));
+        // A definite program is one stratum: one plan per rule, in order.
+        let plans: Vec<RulePlan> = self
+            .rules
+            .iter()
+            .map(|r| RulePlan::compile(r, &self.edb))
+            .collect();
+        let mut rounds: HashMap<Pred, HashMap<Tuple, u32>> = HashMap::new();
+        let mut round = 0;
+        let on_round = |delta: &Database| {
+            round += 1;
+            for (pred, rel) in delta.relations() {
+                let first_seen = rounds.entry(pred).or_default();
+                first_seen.extend(rel.iter().map(|t| (t.clone(), round)));
+            }
+        };
+        let mut model = fix_seminaive(
+            &plans,
+            self.edb.clone(),
+            &mut EvalStats::default(),
+            on_round,
+        );
+        for plan in &plans {
+            plan.ensure_support_indexes(&mut model);
+        }
+        let walk = Walk {
+            plans: &plans,
+            edb: &self.edb,
+            model: &model,
+            rounds,
+        };
         atoms
             .iter()
-            .map(|a| table.why(&self.edb, a.pred, &params_of(a)?))
+            .map(|a| walk.prove(a.pred, &params_of(a)?))
             .collect()
+    }
+}
+
+/// What a proof is read off: the plans, the least model, and the round
+/// each derived tuple first appeared in.
+struct Walk<'a> {
+    plans: &'a [RulePlan],
+    edb: &'a Database,
+    model: &'a Database,
+    rounds: HashMap<Pred, HashMap<Tuple, u32>>,
+}
+
+impl Walk<'_> {
+    /// The round `(pred, tuple)` first appeared in: 0 for an extensional
+    /// fact, `None` outside the model.
+    fn round(&self, pred: Pred, tuple: &[Param]) -> Option<u32> {
+        if self.edb.contains_tuple(pred, tuple) {
+            return Some(0);
+        }
+        self.rounds.get(&pred)?.get(tuple).copied()
+    }
+
+    /// A minimal-height proof of `(pred, tuple)`, built bottom-up from an
+    /// explicit stack of tasks; `None` outside the model.
+    fn prove(&self, pred: Pred, tuple: &[Param]) -> Option<ProofTree> {
+        enum Task {
+            Prove(Pred, Tuple),
+            /// Wrap the last `premises` finished trees under `atom`.
+            Build {
+                atom: Atom,
+                rule_idx: usize,
+                premises: usize,
+            },
+        }
+        let mut tasks = vec![Task::Prove(pred, tuple.iter().copied().collect())];
+        let mut done: Vec<ProofTree> = Vec::new();
+        while let Some(task) = tasks.pop() {
+            match task {
+                Task::Prove(pred, tuple) => {
+                    let atom = atom_of(pred, &tuple);
+                    let round = self.round(pred, &tuple)?;
+                    if round == 0 {
+                        done.push(ProofTree::Fact { atom });
+                        continue;
+                    }
+                    let (rule_idx, premises) = self.support_below(pred, &tuple, round)?;
+                    tasks.push(Task::Build {
+                        atom,
+                        rule_idx,
+                        premises: premises.len(),
+                    });
+                    // Reversed, so the first premise is proved first.
+                    let premises = premises.into_iter().rev();
+                    tasks.extend(premises.map(|(p, t)| Task::Prove(p, t)));
+                }
+                Task::Build {
+                    atom,
+                    rule_idx,
+                    premises,
+                } => {
+                    let premises = done.split_off(done.len() - premises);
+                    done.push(ProofTree::Derived {
+                        atom,
+                        rule_idx,
+                        premises,
+                    });
+                }
+            }
+        }
+        done.pop()
+    }
+
+    /// The first rule instance, in rule order and then support-plan match
+    /// order, that derives `(pred, tuple)` from premises which all
+    /// appeared before `round`: its rule index and ground premises, in the
+    /// support plan's step order. The round that first derived the tuple
+    /// fired such an instance, so one exists for every model tuple.
+    fn support_below(
+        &self,
+        pred: Pred,
+        tuple: &[Param],
+        round: u32,
+    ) -> Option<(usize, Vec<(Pred, Tuple)>)> {
+        self.plans.iter().enumerate().find_map(|(rule_idx, plan)| {
+            let mut env = vec![None; plan.slots.len()];
+            if plan.head.pred != pred || !plan.bind_head(tuple, &mut env) {
+                return None;
+            }
+            let steps = plan.support.steps();
+            let mut found = None;
+            plan.support
+                .for_each_match(self.model, None, &mut env, &mut |env| {
+                    let lower = |s: &JoinStep| {
+                        let t = s.template.ground(env);
+                        self.round(s.template.pred, &t).is_some_and(|r| r < round)
+                    };
+                    if found.is_none() && steps.iter().all(lower) {
+                        let premises = steps
+                            .iter()
+                            .map(|s| (s.template.pred, s.template.ground(env)));
+                        found = Some(premises.collect());
+                    }
+                });
+            found.map(|premises| (rule_idx, premises))
+        })
     }
 }
 
 /// A reconstructed derivation: leaves are extensional facts, internal
 /// nodes are rule firings over their premises.
+///
+/// [`ProofTree::size`], [`ProofTree::height`], [`ProofTree::render`],
+/// [`ProofTree::replays`] and dropping a tree all walk it from an explicit
+/// stack, whatever its height.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProofTree {
     /// An extensional fact — a leaf.
@@ -395,24 +210,30 @@ impl ProofTree {
         }
     }
 
-    /// Total number of nodes in the tree.
-    pub fn size(&self) -> usize {
-        match self {
-            ProofTree::Fact { .. } => 1,
-            ProofTree::Derived { premises, .. } => {
-                1 + premises.iter().map(ProofTree::size).sum::<usize>()
+    /// Every node with its depth, root first and premises in order.
+    fn nodes(&self) -> impl Iterator<Item = (usize, &ProofTree)> + '_ {
+        let mut stack = vec![(0, self)];
+        std::iter::from_fn(move || {
+            let (depth, node) = stack.pop()?;
+            if let ProofTree::Derived { premises, .. } = node {
+                stack.extend(premises.iter().rev().map(|p| (depth + 1, p)));
             }
-        }
+            Some((depth, node))
+        })
     }
 
-    /// Height of the tree: 0 for a leaf fact.
+    /// Total number of nodes in the tree.
+    pub fn size(&self) -> usize {
+        self.nodes().count()
+    }
+
+    /// Height of the tree: 0 for a leaf fact, one more than its highest
+    /// premise for a derived node.
     pub fn height(&self) -> usize {
-        match self {
-            ProofTree::Fact { .. } => 0,
-            ProofTree::Derived { premises, .. } => {
-                1 + premises.iter().map(ProofTree::height).max().unwrap_or(0)
-            }
-        }
+        self.nodes()
+            .map(|(depth, node)| depth + usize::from(matches!(node, ProofTree::Derived { .. })))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Replay the proof against a program: every leaf must be an
@@ -420,66 +241,71 @@ impl ProofTree {
     /// derive the node's atom when fired over exactly the node's
     /// premises. The acceptance check of the provenance property suite.
     pub fn replays(&self, prog: &crate::Program) -> bool {
-        match self {
+        self.nodes().all(|(_, node)| match node {
             ProofTree::Fact { atom } => prog.edb.contains(atom),
             ProofTree::Derived {
                 atom,
                 rule_idx,
                 premises,
-            } => {
-                let Some(rule) = prog.rules.get(*rule_idx) else {
-                    return false;
-                };
-                let mut world = Database::new();
-                for p in premises {
-                    world.insert(p.atom());
-                }
-                let plan = crate::plan::RulePlan::compile(rule, &world);
-                if plan.head.pred != atom.pred {
-                    return false;
-                }
-                plan.ensure_total_indexes(&mut world);
-                let target: Tuple = match params_of(atom) {
-                    Some(t) => t,
-                    None => return false,
-                };
-                let mut derived = false;
-                let mut env = vec![None; plan.slots.len()];
-                plan.full
-                    .for_each_match(&world, None, &mut env, &mut |env| {
-                        if plan.head.ground(env) == target {
-                            derived = true;
-                        }
-                    });
-                derived && premises.iter().all(|p| p.replays(prog))
-            }
-        }
+            } => fires_over(prog, *rule_idx, atom, premises),
+        })
     }
 
     /// Render the tree as indented lines, root first — the server's
     /// `why` reply body and the example's display format.
     pub fn render(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.render_into(0, &mut out);
-        out
-    }
-
-    fn render_into(&self, depth: usize, out: &mut Vec<String>) {
-        let pad = "  ".repeat(depth);
-        match self {
-            ProofTree::Fact { atom } => out.push(format!("{pad}{atom} (fact)")),
-            ProofTree::Derived {
-                atom,
-                rule_idx,
-                premises,
-            } => {
-                out.push(format!("{pad}{atom} <= rule {rule_idx}"));
-                for p in premises {
-                    p.render_into(depth + 1, out);
+        self.nodes()
+            .map(|(depth, node)| {
+                let pad = "  ".repeat(depth);
+                match node {
+                    ProofTree::Fact { atom } => format!("{pad}{atom} (fact)"),
+                    ProofTree::Derived { atom, rule_idx, .. } => {
+                        format!("{pad}{atom} <= rule {rule_idx}")
+                    }
                 }
+            })
+            .collect()
+    }
+}
+
+impl Drop for ProofTree {
+    /// Frees the premises from an explicit stack: the derived drop would
+    /// recurse once per level.
+    fn drop(&mut self) {
+        let ProofTree::Derived { premises, .. } = self else {
+            return;
+        };
+        let mut stack = std::mem::take(premises);
+        while let Some(mut node) = stack.pop() {
+            if let ProofTree::Derived { premises, .. } = &mut node {
+                stack.append(premises);
             }
         }
     }
+}
+
+/// Whether rule `rule_idx` of `prog`, fired over exactly `premises`,
+/// derives `atom`.
+fn fires_over(prog: &crate::Program, rule_idx: usize, atom: &Atom, premises: &[ProofTree]) -> bool {
+    let Some(rule) = prog.rules.get(rule_idx) else {
+        return false;
+    };
+    let mut world = Database::new();
+    for p in premises {
+        world.insert(p.atom());
+    }
+    let plan = RulePlan::compile(rule, &world);
+    let Some(target) = params_of(atom).filter(|_| plan.head.pred == atom.pred) else {
+        return false;
+    };
+    plan.ensure_total_indexes(&mut world);
+    let mut derived = false;
+    let mut env = vec![None; plan.slots.len()];
+    plan.full
+        .for_each_match(&world, None, &mut env, &mut |env| {
+            derived |= plan.head.ground(env) == target;
+        });
+    derived
 }
 
 /// Rebuild a ground [`Atom`] from a predicate and stored tuple.
@@ -496,6 +322,7 @@ pub fn params_of(atom: &Atom) -> Option<Tuple> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::fire_full_plans;
     use crate::program::Program;
     use epilog_syntax::parse;
 
@@ -504,43 +331,6 @@ mod tests {
             epilog_syntax::Formula::Atom(a) => a,
             other => panic!("not an atom: {other}"),
         }
-    }
-
-    fn key(src: &str) -> (Pred, Tuple) {
-        let a = atom(src);
-        let t = params_of(&a).unwrap();
-        (a.pred, t)
-    }
-
-    /// The table a traced run recording exactly `records` — `(rule, head,
-    /// parents)`, in order — would leave, and how many supports were
-    /// novel.
-    fn table_of(records: &[(u32, &str, &[&str])]) -> (SupportTable, u64) {
-        let mut sink = ProvenanceSink::new();
-        for &(rule, head, parents) in records {
-            let start = sink.begin_record();
-            for src in std::iter::once(&head).chain(parents) {
-                let (pred, tuple) = key(src);
-                sink.push_tuple(pred, &tuple);
-            }
-            sink.finish_record(rule, start);
-        }
-        let mut table = SupportTable::new();
-        let novel = table.absorb(sink);
-        (table, novel)
-    }
-
-    #[test]
-    fn record_dedups_and_interns() {
-        let parents: &[&str] = &["e(a, b)", "t(b, c)"];
-        let (t, novel) = table_of(&[
-            (1, "t(a, c)", parents),
-            (1, "t(a, c)", parents),       // duplicate support
-            (0, "t(a, c)", &parents[..1]), // other rule
-        ]);
-        assert_eq!(novel, 2);
-        assert_eq!(t.num_atoms(), 3);
-        assert_eq!(t.num_supports(), 2);
     }
 
     #[test]
@@ -565,41 +355,150 @@ mod tests {
         assert!(unknown.is_none());
     }
 
-    #[test]
-    fn why_picks_minimal_height_over_cyclic_supports() {
-        // t(a,b) and t(b,a) support each other (recorded from a fixpoint
-        // that re-derived both), but each also has a ground support; the
-        // walk must take the acyclic route.
-        let prog = Program::from_text(
-            "e(a, b)
-             e(b, a)
-             forall x, y. e(x, y) -> t(x, y)",
-        )
-        .unwrap();
-        let (table, _) = table_of(&[
-            (9, "t(a, b)", &["t(b, a)"]),
-            (9, "t(b, a)", &["t(a, b)"]),
-            (0, "t(a, b)", &["e(a, b)"]),
-            (0, "t(b, a)", &["e(b, a)"]),
-        ]);
-        let (tab, tab_t) = key("t(a, b)");
-        let tree = table.why(&prog.edb, tab, &tab_t).expect("provable");
-        assert_eq!(tree.height(), 1, "must use the EDB support, not the cycle");
-        assert!(tree.replays(&prog));
+    /// Every model atom with the round naive evaluation first derives it
+    /// in (extensional facts: 0), stepping `fire_full_plans` — the naive
+    /// reference's own round — one round at a time. By definition that
+    /// round is the atom's least derivation height.
+    fn naive_rounds(prog: &Program) -> Vec<(Atom, usize)> {
+        let plans: Vec<RulePlan> = prog
+            .rules
+            .iter()
+            .map(|r| RulePlan::compile(r, &prog.edb))
+            .collect();
+        let mut db = prog.edb.clone();
+        for plan in &plans {
+            plan.ensure_total_indexes(&mut db);
+        }
+        let mut first: Vec<(Atom, usize)> = db.atoms().map(|a| (a, 0)).collect();
+        let mut round = 0;
+        loop {
+            round += 1;
+            let mut next = Database::new();
+            fire_full_plans(&plans, &db, &mut next, &mut EvalStats::default());
+            let fresh: Vec<Atom> = next.atoms().filter(|a| !db.contains(a)).collect();
+            if fresh.is_empty() {
+                return first;
+            }
+            first.extend(fresh.into_iter().map(|a| (a, round)));
+            db.union_with(&next);
+        }
+    }
+
+    /// Every model tuple's proof replays, and its height is the round in
+    /// which naive evaluation first derives the tuple.
+    fn assert_minimal_proofs(src: &str) {
+        let prog = Program::from_text(src).unwrap();
+        let rounds = naive_rounds(&prog);
+        assert_eq!(rounds.len(), prog.eval().unwrap().0.len(), "in:\n{src}");
+        let atoms: Vec<Atom> = rounds.iter().map(|(a, _)| a.clone()).collect();
+        for ((atom, round), proof) in rounds.iter().zip(prog.why(&atoms)) {
+            let proof = proof.unwrap_or_else(|| panic!("no proof for {atom} in:\n{src}"));
+            assert_eq!(proof.atom(), atom);
+            assert!(proof.replays(&prog), "{atom} does not replay in:\n{src}");
+            assert_eq!(proof.height(), *round, "height of {atom} in:\n{src}");
+        }
     }
 
     #[test]
-    fn consistency_check_spots_dangling_parents() {
-        let prog = Program::from_text(
+    fn every_proof_replays_at_its_naive_round() {
+        let chain: String = (0..8).map(|i| format!("e(n{i}, n{})\n", i + 1)).collect();
+        assert_minimal_proofs(&format!(
+            "{chain}forall x, y. e(x, y) -> t(x, y)
+             forall x, y, z. e(x, y) & t(y, z) -> t(x, z)"
+        ));
+        assert_minimal_proofs(
+            "par(c1, p1)
+             par(c2, p1)
+             par(p1, g1)
+             par(p2, g1)
+             forall x, y, z. par(x, z) & par(y, z) -> sg(x, y)
+             forall x, y, u, v. par(x, u) & sg(u, v) & par(y, v) -> sg(x, y)",
+        );
+        // Shortcut edges under the recursive rule listed first: the first
+        // support of t(n0, n2) is e(n0, n1) & t(n1, n2), height 2, while
+        // e(n0, n2) proves it at height 1; the first of t(n0, n4) goes
+        // through n1 (height 3), the shortest through n2 (height 2).
+        let dense: String = (0..6)
+            .flat_map(|i| [1, 2].map(|d| format!("e(n{i}, n{})\n", i + d)))
+            .collect();
+        assert_minimal_proofs(&format!(
+            "{dense}forall x, y, z. e(x, y) & t(y, z) -> t(x, z)
+             forall x, y. e(x, y) -> t(x, y)"
+        ));
+        // Heads `bind_head` refuses tuples on: a repeated slot and a
+        // constant column.
+        assert_minimal_proofs(
+            "f(a)
+             g(b)
+             forall x. f(x) -> self(x, x)
+             forall x. g(x) -> self(x, x)
+             forall x. f(x) -> tag(x, c0)
+             forall x. g(x) -> tag(x, c1)
+             forall x. self(x, x) & tag(x, c1) -> marked(x)",
+        );
+        // A ground head, and a rule over it.
+        assert_minimal_proofs(
+            "p(a)
+             p(b)
+             forall x. p(x) -> q(c)
+             forall x. q(x) -> r(x)",
+        );
+        // A symmetric cycle listed first: t(a, b) and t(b, a) support each
+        // other, but each also has its edge, and the walk takes the edge.
+        assert_minimal_proofs(
             "e(a, b)
-             forall x, y. e(x, y) -> t(x, y)",
-        )
-        .unwrap();
-        let (model, _) = prog.eval().unwrap();
-        let support = (0, "t(a, b)", &["e(a, b)"] as &[&str]);
-        let (table, _) = table_of(&[support]);
-        assert!(table.consistent_with(&model, prog.rules.len()));
-        let (table, _) = table_of(&[support, (0, "t(a, b)", &["ghost(nowhere)"])]);
-        assert!(!table.consistent_with(&model, prog.rules.len()));
+             e(b, c)
+             forall x, y. t(y, x) -> t(x, y)
+             forall x, y. e(x, y) -> t(x, y)
+             forall x, y, z. t(x, y) & t(y, z) -> t(x, z)",
+        );
+    }
+
+    /// Building, measuring, replaying, rendering and dropping a proof as
+    /// deep as its chain fits a small thread stack.
+    #[test]
+    fn deep_proofs_need_no_deep_stack() {
+        fn chain(n: usize) -> Program {
+            let mut src = String::from("r(n0)\nforall x, y. r(x) & next(x, y) -> r(y)\n");
+            for i in 0..n {
+                src.push_str(&format!("next(n{i}, n{})\n", i + 1));
+            }
+            Program::from_text(&src).unwrap()
+        }
+        fn prove_end(prog: &Program, n: usize) -> ProofTree {
+            let proof = prog.why(&[atom(&format!("r(n{n})"))]).pop();
+            proof.flatten().expect("the chain's end is in the model")
+        }
+        // A session thread's default stack; one frame per level of a
+        // height-20 000 proof would not fit in it.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let prog = chain(20_000);
+                let proof = prove_end(&prog, 20_000);
+                assert_eq!((proof.height(), proof.size()), (20_000, 40_001));
+                assert!(proof.replays(&prog));
+                drop(proof);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        // A rendered line is indented by its depth, so the text grows with
+        // the square of the height: render a shallower proof, on a stack
+        // that a recursive render or drop of it would overflow.
+        let proof = prove_end(&chain(2_000), 2_000);
+        std::thread::Builder::new()
+            .stack_size(64 << 10)
+            .spawn(move || {
+                let lines = proof.render();
+                assert_eq!(lines.len(), 4_001);
+                assert_eq!(lines[0], "r(n2000) <= rule 0");
+                let deepest = format!("{}r(n0) (fact)", "  ".repeat(2_000));
+                assert!(lines.contains(&deepest));
+                drop(proof);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

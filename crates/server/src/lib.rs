@@ -778,6 +778,28 @@ mod tests {
         std::fs::remove_dir_all(d).unwrap();
     }
 
+    #[test]
+    fn why_of_a_deep_chain_answers_and_the_session_lives_on() {
+        // A proof one level per step: walking, rendering or dropping it
+        // one stack frame per level would overflow the session thread.
+        let d = dir();
+        let mut src = String::from("r(n0)\nforall x, y. r(x) & next(x, y) -> r(y)\n");
+        for i in 0..5_000 {
+            src.push_str(&format!("next(n{i}, n{})\n", i + 1));
+        }
+        let db = ServingDb::create(&d, Theory::from_text(&src).unwrap(), Default::default());
+        let server = Server::start(db.unwrap(), "127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        // 5 000 derived steps, each with its `next` fact, over `r(n0)`.
+        assert_eq!(c.request("why r(n5000)").unwrap(), "ok why 10001 @0");
+        for _ in 0..10_001 {
+            assert!(c.read_line().unwrap().starts_with("row "));
+        }
+        assert!(c.request("stats").unwrap().starts_with("ok stats "));
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
     /// 20 `ask` round trips and one multi-row `demo`, each reply checked
     /// whole and in order, through `exchange` (send one request line,
     /// return the reply's lines). No time bound yet: replies still leave

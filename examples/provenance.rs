@@ -1,10 +1,11 @@
 //! Provenance: `why` explanations and self-explaining constraint
 //! rejections.
 //!
-//! The engine's fixpoint can record one `Support` (rule + ground
-//! premises) per derived tuple. `why(atom)` runs that traced fixpoint
-//! when asked and rebuilds a minimal derivation tree down to extensional
-//! facts — nothing to switch on, nothing kept between questions — and a
+//! `why(atom)` runs the engine's semi-naive fixpoint when asked, notes
+//! the round in which each tuple first appeared, and walks a
+//! minimal-height derivation tree down to extensional facts, one rule's
+//! support query per node — nothing to switch on, nothing kept between
+//! questions — and a
 //! rejected batch names the violated constraint together with ground
 //! witness tuples, whose derivations `Rejection::proofs` computes against
 //! the state that was refused: the database explains both what it knows

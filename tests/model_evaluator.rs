@@ -229,12 +229,13 @@ fn leaf_commits_cost_their_delta_at_any_closure_size() {
     }
 }
 
-/// `why` keeps nothing between questions: each one runs a traced fixpoint
-/// of the cached program and walks the fresh table. On the 49 500-tuple
-/// closure that is what the answer costs, next to the parent's `why`
-/// over the table it kept with provenance on — which every commit,
-/// snapshot and clone paid for instead. Asserted: the longest path's
-/// proof is the 30-step chain and replays, and an absent path has none.
+/// `why` keeps nothing between questions: each one runs the cached
+/// program's semi-naive fixpoint, noting the round each tuple first
+/// appeared in, and walks the proof down through support queries. A
+/// why-not is read off the attached model without running anything. On
+/// the 49 500-tuple closure that is what each answer costs. Asserted: the
+/// longest path's proof is the 30-step chain and replays, and an absent
+/// path has none.
 #[test]
 fn why_on_the_closure_derives_its_proof_when_asked() {
     let db = closure(100);
@@ -257,8 +258,9 @@ fn why_on_the_closure_derives_its_proof_when_asked() {
     assert!(none.is_none());
     println!(
         "why on the closure 100 x 30 (49 500 tuples): {times:?}, why-not {why_not:?} \
-         (one traced fixpoint each; parent with provenance on: 8.2-13.7 ms over its kept \
-         table, which cost each leaf commit 14-25 ms, 0.24-0.29 ms without)"
+         (why: one fixpoint and the walk, 23-41 ms on a 2-core VM; why-not: one lookup \
+         in the attached model, 3-5 us there; over a traced fixpoint both took \
+         44-86 / 35-58 ms on the same VM)"
     );
 }
 

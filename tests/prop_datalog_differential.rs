@@ -111,7 +111,7 @@ proptest! {
     fn seminaive_matches_naive(src in program_text()) {
         let program = Program::from_text(&src).unwrap();
         let (fast_db, fast) = program.eval().unwrap();
-        let (slow_db, slow) = program.fixpoint(false, None).unwrap();
+        let (slow_db, slow) = program.fixpoint(false).unwrap();
         prop_assert_eq!(&fast_db, &slow_db, "models differ on:\n{}", src);
         // Empty-delta variants are skipped, so the compiled semi-naive
         // engine never runs more join plans than the naive ablation.
@@ -139,8 +139,8 @@ proptest! {
     #[test]
     fn cost_based_planner_matches_greedy(src in program_text()) {
         let program = Program::from_text(&src).unwrap();
-        let (cost_db, cost) = program.fixpoint(true, None).unwrap();
-        let (naive_db, naive) = program.fixpoint(false, None).unwrap();
+        let (cost_db, cost) = program.fixpoint(true).unwrap();
+        let (naive_db, naive) = program.fixpoint(false).unwrap();
         prop_assert_eq!(&cost_db, &naive_db, "cost vs naive on:\n{}", src);
         prop_assert_eq!(cost.plans_compiled, program.rules.len() as u64);
         prop_assert_eq!(naive.plans_compiled, cost.plans_compiled);
@@ -161,7 +161,7 @@ proptest! {
         src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
         let program = Program::from_text(&src).unwrap();
         let (db, fast) = program.eval().unwrap();
-        let (db2, slow) = program.fixpoint(false, None).unwrap();
+        let (db2, slow) = program.fixpoint(false).unwrap();
         prop_assert_eq!(&db, &db2);
         let t = epilog::syntax::Pred::new("t", 2);
         prop_assert_eq!(db.relation(t).unwrap().len(), n * (n + 1) / 2);
