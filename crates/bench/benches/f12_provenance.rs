@@ -19,7 +19,7 @@ fn bench(c: &mut Criterion) {
     for n in [16usize, 32, 64] {
         g.bench_with_input(BenchmarkId::new("eval", n), &n, |b, &n| {
             let prog = scaling_program(n, 3);
-            b.iter(|| black_box(prog.eval().unwrap()))
+            b.iter(|| black_box(prog.eval()))
         });
         g.bench_with_input(BenchmarkId::new("why", n), &n, |b, &n| {
             let prog = scaling_program(n, 3);

@@ -14,8 +14,8 @@ fn bench(c: &mut Criterion) {
     // Correctness gate: same model, strictly fewer firings.
     {
         let p = scaling_program(16, 3);
-        let (a, fast) = p.eval().unwrap();
-        let (b, slow) = p.fixpoint(false).unwrap();
+        let (a, fast) = p.eval();
+        let (b, slow) = p.fixpoint(false);
         assert_eq!(a, b);
         assert!(fast.rule_firings < slow.rule_firings);
         assert!(fast.derivations < slow.derivations);
@@ -26,10 +26,10 @@ fn bench(c: &mut Criterion) {
     for n in [16usize, 32, 64] {
         let prog = scaling_program(n, 3);
         g.bench_with_input(BenchmarkId::new("seminaive", n), &n, |b, _| {
-            b.iter(|| black_box(prog.eval().unwrap()))
+            b.iter(|| black_box(prog.eval()))
         });
         g.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| black_box(prog.fixpoint(false).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(false)))
         });
     }
     g.finish();

@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
     // one scan, one build and one probe hit per row.
     {
         let prog = join_heavy_program(1024, 8);
-        let (_, stats) = prog.fixpoint(true).unwrap();
+        let (_, stats) = prog.fixpoint(true);
         assert!(stats.hash_steps > 0);
         assert_eq!(stats.rows_examined, 3 * 1024);
     }
@@ -26,13 +26,13 @@ fn bench(c: &mut Criterion) {
     for n in [256usize, 1024, 4096] {
         let prog = join_heavy_program(n, 8);
         g.bench_with_input(BenchmarkId::new("equijoin_hash", n), &n, |b, _| {
-            b.iter(|| black_box(prog.fixpoint(true).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(true)))
         });
     }
     for n in [256usize, 1024, 4096] {
         let prog = order_sensitive_program(n, 16);
         g.bench_with_input(BenchmarkId::new("order_cost", n), &n, |b, _| {
-            b.iter(|| black_box(prog.fixpoint(true).unwrap()))
+            b.iter(|| black_box(prog.fixpoint(true)))
         });
     }
     g.finish();

@@ -204,8 +204,8 @@ fn main() {
     for n in [8usize, 16, 32] {
         let k = 3;
         let prog = scaling_program(n, k);
-        let (db, fast) = prog.eval().unwrap();
-        let (naive_db, slow) = prog.fixpoint(false).unwrap();
+        let (db, fast) = prog.eval();
+        let (naive_db, slow) = prog.fixpoint(false);
         let t = db.relation(Pred::new("t", 2)).map_or(0, |r| r.len());
         let join = db.relation(Pred::new("join", 2)).map_or(0, |r| r.len());
         check(
@@ -494,7 +494,7 @@ fn main() {
     println!("\nF9 — join planning (hash on skewed equi-joins; cost-based literal order)");
     for n in [128usize, 512, 2048] {
         // One scan of `q`, one build over `big`, one probe hit per row.
-        let (db, stats) = join_heavy_program(n, 8).fixpoint(true).unwrap();
+        let (db, stats) = join_heavy_program(n, 8).fixpoint(true);
         check(
             &format!("n={n} equi-join |hit| / strategy / rows examined (= 3n)"),
             &format!("{n}/hash/{}", 3 * n),
@@ -512,7 +512,7 @@ fn main() {
     }
     for n in [128usize, 512, 2048] {
         // `small` leads: its 16 rows, one probe hit in `big` for each.
-        let (db, stats) = order_sensitive_program(n, 16).fixpoint(true).unwrap();
+        let (db, stats) = order_sensitive_program(n, 16).fixpoint(true);
         check(
             &format!("n={n} ordering |out| / rows examined (= 2m)"),
             "16/32",
@@ -674,7 +674,7 @@ fn main() {
         // proof that replays down to EDB facts.
         for n in [8usize, 16, 32] {
             let prog = scaling_program(n, 3);
-            let (model, _) = prog.eval().unwrap();
+            let (model, _) = prog.eval();
             let atoms: Vec<_> = model.atoms().collect();
             let replays_all = atoms
                 .iter()

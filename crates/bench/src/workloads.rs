@@ -423,16 +423,16 @@ mod tests {
     #[test]
     fn join_workload_shapes_and_planner_agreement() {
         let prog = join_heavy_program(32, 4);
-        let (a, stats) = prog.fixpoint(true).unwrap();
-        let (b, _) = prog.fixpoint(false).unwrap();
+        let (a, stats) = prog.fixpoint(true);
+        let (b, _) = prog.fixpoint(false);
         assert_eq!(a, b);
         assert_eq!(a.relation(Pred::new("hit", 2)).unwrap().len(), 32);
         assert!(stats.hash_steps > 0);
         assert_eq!(stats.rows_examined, 3 * 32);
 
         let prog = order_sensitive_program(32, 4);
-        let (a, stats) = prog.fixpoint(true).unwrap();
-        let (b, _) = prog.fixpoint(false).unwrap();
+        let (a, stats) = prog.fixpoint(true);
+        let (b, _) = prog.fixpoint(false);
         assert_eq!(a, b);
         assert_eq!(a.relation(Pred::new("out", 2)).unwrap().len(), 4);
         assert_eq!(stats.rows_examined, 2 * 4);
@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn datalog_chain_runs() {
         let p = datalog_chain(4);
-        let (db, _) = p.eval().unwrap();
+        let (db, _) = p.eval();
         assert_eq!(db.relation(Pred::new("t", 2)).unwrap().len(), 10);
     }
 
@@ -455,7 +455,7 @@ mod tests {
     fn scaling_program_sizes() {
         for (n, k) in [(4, 2), (8, 3), (6, 1)] {
             let p = scaling_program(n, k);
-            let (db, fast) = p.eval().unwrap();
+            let (db, fast) = p.eval();
             assert_eq!(
                 db.relation(Pred::new("join", 2)).unwrap().len(),
                 n - k + 1,
@@ -466,7 +466,7 @@ mod tests {
                 n * (n + 1) / 2,
                 "closure size for n={n}"
             );
-            let (db2, slow) = p.fixpoint(false).unwrap();
+            let (db2, slow) = p.fixpoint(false);
             assert_eq!(db, db2);
             assert!(fast.rule_firings < slow.rule_firings, "n={n} k={k}");
         }

@@ -16,7 +16,7 @@
 
 use crate::ask::certain;
 use crate::demo;
-use epilog_datalog::{completion, Program};
+use epilog_datalog::completion;
 use epilog_prover::Prover;
 use epilog_syntax::{admissibility, admissible_constraint, is_first_order, Formula, Theory};
 use std::fmt;
@@ -140,9 +140,8 @@ fn epistemically_entailed(prover: &Prover, ic: &Formula) -> bool {
 /// intends.
 fn completion_prover(theory: &Theory, ic: &Formula) -> Option<Prover> {
     use epilog_syntax::{Term, Var};
-    let prog = Program::from_sentences(theory.sentences()).ok()?;
-    let mut comp = completion(&prog);
-    let covered = prog.preds();
+    let mut comp = completion(theory.sentences())?;
+    let covered = theory.preds();
     for pred in ic.preds() {
         if !covered.contains(&pred) {
             let vars: Vec<Var> = (0..pred.arity())

@@ -17,25 +17,18 @@ use epilog_prover::Prover;
 use epilog_storage::Database;
 use epilog_syntax::Theory;
 
-/// The theory as a definite Datalog program, when it is one: every
-/// sentence a ground fact or a rule, and every body literal positive.
-/// (Negated body literals select the *perfect* model, which classical
-/// entailment does not match — those theories stay on the SAT path.)
+/// The theory as a definite Datalog program, when it parses as one:
+/// every sentence a ground fact or a rule over atoms. (A negated body
+/// literal is not a [`Program`] — classical entailment from it is no
+/// least model — so such theories stay on the SAT path.)
 pub fn definite_program(theory: &Theory) -> Option<Program> {
-    let prog = Program::from_sentences(theory.sentences()).ok()?;
-    if prog.rules.iter().all(|r| r.body.iter().all(|l| l.positive)) {
-        Some(prog)
-    } else {
-        None
-    }
+    Program::from_sentences(theory.sentences()).ok()
 }
 
 /// The least model of the theory, when it is a definite program, computed
 /// by the compiled semi-naive engine.
 pub fn definite_model(theory: &Theory) -> Option<Database> {
-    let prog = definite_program(theory)?;
-    let (model, _stats) = prog.eval().ok()?;
-    Some(model)
+    Some(definite_program(theory)?.eval().0)
 }
 
 /// Build a prover for `theory`, attaching the least model as a
@@ -49,9 +42,11 @@ pub fn prover_for(theory: Theory) -> Prover {
 /// that keeps the program — [`crate::EpistemicDb`] — does not derive it
 /// from the sentences a second time.
 pub(crate) fn prover_and_program(theory: Theory) -> (Prover, Option<Program>) {
-    let program = definite_program(&theory);
-    match program.as_ref().and_then(|p| p.eval().ok()) {
-        Some((model, _stats)) => (Prover::new(theory).with_atom_model(model), program),
+    match definite_program(&theory) {
+        Some(program) => {
+            let (model, _stats) = program.eval();
+            (Prover::new(theory).with_atom_model(model), Some(program))
+        }
         None => (Prover::new(theory), None),
     }
 }
@@ -87,8 +82,9 @@ mod tests {
 
     #[test]
     fn negated_rule_bodies_stay_on_sat_path() {
-        // The perfect model of {p(a), p(x) ∧ ¬q(x) → r(x)} contains r(a),
-        // but Σ ⊭ r(a) classically — the fast path must refuse.
+        // Negation as failure would conclude r(a) from
+        // {p(a), p(x) ∧ ¬q(x) → r(x)}, but Σ ⊭ r(a) classically — the
+        // fast path must refuse.
         let theory = Theory::from_text("p(a)\nforall x. p(x) & ~q(x) -> r(x)").unwrap();
         let p = prover_for(theory);
         assert!(p.atom_model().is_none());

@@ -8,24 +8,49 @@
 //! and is only defined for Prolog-like databases — which is exactly the
 //! paper's complaint: it "would not apply, for example, to databases with
 //! existentially quantified or disjunctive information".
+//!
+//! A Prolog-like clause may negate body literals, so the completion reads
+//! the database's sentences itself, through the clause reader
+//! [`Program::from_sentences`](crate::Program::from_sentences) also uses;
+//! only the program refuses the negated ones.
 
-use crate::program::Program;
-use epilog_syntax::formula::Formula;
+use crate::program::{read_clause, Clause, Literal};
+use epilog_storage::Database;
+use epilog_syntax::formula::{Atom, Formula};
 use epilog_syntax::{Param, Pred, Term, Var};
+use std::borrow::Borrow;
+use std::collections::{BTreeSet, HashMap};
 
-/// Compute the Clark completion of a program as FOPCE sentences: one
-/// biconditional per predicate (with an all-negative closure sentence for
-/// predicates that have no defining rules or facts), using equality to tie
-/// head arguments to rule instances.
-pub fn completion(prog: &Program) -> Vec<Formula> {
-    let mut out = Vec::new();
-    for pred in prog.preds() {
-        out.push(pred_completion(prog, pred));
+/// Compute the Clark completion of a Prolog-like database, given as its
+/// sentences: one biconditional per predicate (with an all-negative
+/// closure sentence for predicates that have no defining rules or facts),
+/// using equality to tie head arguments to rule instances. A predicate's
+/// disjuncts list its facts first, in storage order, then its clauses in
+/// the order written. `None` when some sentence is not a safe Prolog-like
+/// clause — a ground atom or `∀x̄ (l₁ ∧ … ∧ lₙ ⊃ atom)` over literals.
+pub fn completion(sentences: &[impl Borrow<Formula>]) -> Option<Vec<Formula>> {
+    let mut facts = Database::new();
+    let mut rules: Vec<(Atom, Vec<Literal>)> = Vec::new();
+    for s in sentences {
+        match read_clause(s.borrow()).ok()? {
+            Clause::Fact(a) => {
+                facts.insert(&a);
+            }
+            Clause::Rule { head, body } => rules.push((head, body)),
+        }
     }
-    out
+    let mut preds: BTreeSet<Pred> = facts.preds().into_iter().collect();
+    for (head, body) in &rules {
+        preds.insert(head.pred);
+        preds.extend(body.iter().map(|l| l.atom.pred));
+    }
+    let completed = preds
+        .into_iter()
+        .map(|p| pred_completion(&facts, &rules, p));
+    Some(completed.collect())
 }
 
-fn pred_completion(prog: &Program, pred: Pred) -> Formula {
+fn pred_completion(facts: &Database, rules: &[(Atom, Vec<Literal>)], pred: Pred) -> Formula {
     let arity = pred.arity();
     let head_vars: Vec<Var> = (0..arity).map(|i| Var::new(&format!("x{i}"))).collect();
     let head_atom = Formula::atom(
@@ -35,30 +60,29 @@ fn pred_completion(prog: &Program, pred: Pred) -> Formula {
 
     let mut disjuncts: Vec<Formula> = Vec::new();
 
-    // EDB facts contribute `x̄ = c̄` disjuncts.
-    if let Some(rel) = prog.edb.relation(pred) {
+    // Facts contribute `x̄ = c̄` disjuncts.
+    if let Some(rel) = facts.relation(pred) {
         for tuple in rel.iter() {
             disjuncts.push(tuple_equalities(&head_vars, tuple));
         }
     }
 
     // Rules with this head contribute `∃ȳ (x̄ = t̄ ∧ body)`.
-    for rule in prog.rules.iter().filter(|r| r.head.pred == pred) {
+    for (head, body) in rules.iter().filter(|(h, _)| h.pred == pred) {
         // Rename rule variables that collide with the fresh head variables.
-        let rule = rename_away_from(rule, &head_vars);
-        let rule = &rule;
+        let (head, body) = rename_away_from(head, body, &head_vars);
         let mut conjuncts: Vec<Formula> = Vec::new();
-        for (hv, t) in head_vars.iter().zip(&rule.head.terms) {
+        for (hv, t) in head_vars.iter().zip(&head.terms) {
             conjuncts.push(Formula::Eq(Term::Var(*hv), *t));
         }
-        for lit in &rule.body {
+        for lit in &body {
             let a = Formula::Atom(lit.atom.clone());
             conjuncts.push(if lit.positive { a } else { Formula::not(a) });
         }
         let mut w = Formula::and_all(conjuncts).expect("head equalities are nonempty");
         // Existentially close the rule's own variables.
         let mut rule_vars: Vec<Var> = Vec::new();
-        for a in std::iter::once(&rule.head).chain(rule.body.iter().map(|l| &l.atom)) {
+        for a in std::iter::once(&head).chain(body.iter().map(|l| &l.atom)) {
             for v in a.vars() {
                 if !rule_vars.contains(&v) && !head_vars.contains(&v) {
                     rule_vars.push(v);
@@ -83,34 +107,22 @@ fn pred_completion(prog: &Program, pred: Pred) -> Formula {
     w
 }
 
-/// Rename any rule variable that collides with a head variable to a fresh
-/// variable, so the completion's quantifiers cannot capture.
-fn rename_away_from(rule: &crate::program::Rule, head_vars: &[Var]) -> crate::program::Rule {
-    use epilog_syntax::formula::Atom;
-    use std::collections::HashMap;
+/// Rename any clause variable that collides with a head variable to a
+/// fresh variable, so the completion's quantifiers cannot capture.
+fn rename_away_from(head: &Atom, body: &[Literal], head_vars: &[Var]) -> (Atom, Vec<Literal>) {
     let mut ren: HashMap<Var, Term> = HashMap::new();
-    for a in std::iter::once(&rule.head).chain(rule.body.iter().map(|l| &l.atom)) {
+    for a in std::iter::once(head).chain(body.iter().map(|l| &l.atom)) {
         for v in a.vars() {
             if head_vars.contains(&v) && !ren.contains_key(&v) {
                 ren.insert(v, Term::Var(Var::fresh(&v.name())));
             }
         }
     }
-    if ren.is_empty() {
-        return rule.clone();
-    }
-    let fix = |a: &Atom| a.subst(&ren);
-    crate::program::Rule {
-        head: fix(&rule.head),
-        body: rule
-            .body
-            .iter()
-            .map(|l| crate::program::Literal {
-                atom: fix(&l.atom),
-                positive: l.positive,
-            })
-            .collect(),
-    }
+    let body = body.iter().map(|l| Literal {
+        atom: l.atom.subst(&ren),
+        positive: l.positive,
+    });
+    (head.subst(&ren), body.collect())
 }
 
 fn tuple_equalities(head_vars: &[Var], tuple: &[Param]) -> Formula {
@@ -130,73 +142,112 @@ fn tuple_equalities(head_vars: &[Var], tuple: &[Param]) -> Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epilog_syntax::{parse, Theory};
+    use epilog_syntax::{parse, parse_theory, Theory};
+
+    /// The completion of the sentences of `src`, printed.
+    fn comp(src: &str) -> Option<Vec<String>> {
+        let completed = completion(&parse_theory(src).unwrap())?;
+        Some(completed.iter().map(|w| w.to_string()).collect())
+    }
 
     #[test]
     fn completion_shape_facts_only() {
-        let p = Program::from_text("p(a)\np(b)").unwrap();
-        let comp = completion(&p);
+        let comp = comp("p(a)\np(b)").unwrap();
         assert_eq!(comp.len(), 1);
-        assert_eq!(comp[0].to_string(), "forall x0. p(x0) <-> x0 = a | x0 = b");
+        assert_eq!(comp[0], "forall x0. p(x0) <-> x0 = a | x0 = b");
     }
 
     #[test]
     fn completion_shape_with_rule() {
-        let p = Program::from_text("e(a, b)\nforall x, y. e(x, y) -> t(x, y)").unwrap();
-        let comp = completion(&p);
+        let comp = comp("e(a, b)\nforall x, y. e(x, y) -> t(x, y)").unwrap();
         let t_def = comp
             .iter()
-            .find(|w| w.to_string().starts_with("forall x0. forall x1. t"))
+            .find(|w| w.starts_with("forall x0. forall x1. t"))
             .expect("t must have a completion");
         assert_eq!(
-            t_def.to_string(),
+            t_def,
             "forall x0. forall x1. t(x0, x1) <-> (exists x. exists y. x0 = x & x1 = y & e(x, y))"
         );
     }
 
+    /// What decides whether the completion applies, and how a sentence is
+    /// read: an unsafe clause has none, a vacuously quantified ground atom
+    /// is a body-less clause (its disjunct follows the facts'), and a
+    /// negated body literal is a Prolog-like clause even though it is not
+    /// a definite program.
+    #[test]
+    fn completion_applies_to_safe_prolog_like_clauses_only() {
+        let cases: [(&str, Option<&[&str]>); 7] = [
+            ("forall x. ~q(x) -> p(x)", None),
+            ("p(a) | p(b)", None),
+            ("forall x. p(x) -> q(x) & r(x)", None),
+            ("forall x, y. e(x, y) & x = y -> p(x)", None),
+            (
+                "forall x. p(a)\np(a)",
+                Some(&["forall x0. p(x0) <-> x0 = a | x0 = a"]),
+            ),
+            (
+                "p(a)\nforall x. p(x) & ~q(x) -> r(x)",
+                Some(&[
+                    "forall x0. p(x0) <-> x0 = a",
+                    "forall x0. ~q(x0)",
+                    "forall x0. r(x0) <-> (exists x. x0 = x & p(x) & ~q(x))",
+                ]),
+            ),
+            ("p(a)\np(a)", Some(&["forall x0. p(x0) <-> x0 = a"])),
+        ];
+        for (src, expected) in cases {
+            let got = comp(src);
+            let Some(expected) = expected else {
+                assert_eq!(got, None, "{src}");
+                continue;
+            };
+            // Predicates come in interning order, which other tests move.
+            let mut got = got.unwrap_or_else(|| panic!("no completion of {src}"));
+            got.sort();
+            let mut expected: Vec<String> = expected.iter().map(|s| s.to_string()).collect();
+            expected.sort();
+            assert_eq!(got, expected, "{src}");
+        }
+    }
+
     #[test]
     fn undefined_predicate_everywhere_false() {
-        let mut p = Program::from_text("forall x. q(x) -> p(x)").unwrap();
-        p.fact(&match parse("p(a)").unwrap() {
-            Formula::Atom(a) => a,
-            _ => unreachable!(),
-        });
-        let comp = completion(&p);
+        let comp = comp("p(a)\nforall x. q(x) -> p(x)").unwrap();
         assert!(
-            comp.iter().any(|w| w.to_string() == "forall x0. ~q(x0)"),
-            "q has no rules or facts, so its completion closes it off: {:?}",
-            comp.iter().map(|w| w.to_string()).collect::<Vec<_>>()
+            comp.iter().any(|w| w == "forall x0. ~q(x0)"),
+            "q has no rules or facts, so its completion closes it off: {comp:?}"
         );
+    }
+
+    fn prover(src: &str) -> epilog_prover::Prover {
+        let completed = completion(&parse_theory(src).unwrap()).unwrap();
+        epilog_prover::Prover::new(Theory::new(completed).unwrap())
     }
 
     #[test]
     fn completion_entails_negative_facts() {
         // Comp({p(a)}) ⊨ ¬p(b): the closed-world consequence the paper's
         // Definitions 3.3/3.4 rely on.
-        let p = Program::from_text("p(a)").unwrap();
-        let theory = Theory::new(completion(&p)).unwrap();
-        let prover = epilog_prover::Prover::new(theory);
+        let prover = prover("p(a)");
         assert!(prover.entails(&parse("p(a)").unwrap()));
         assert!(prover.entails(&parse("~p(b)").unwrap()));
     }
 
     #[test]
     fn completion_with_negation() {
-        let p = Program::from_text(
+        let prover = prover(
             "p(a)
              q(b)
              forall x. p(x) & ~q(x) -> r(x)",
-        )
-        .unwrap();
-        let theory = Theory::new(completion(&p)).unwrap();
-        let prover = epilog_prover::Prover::new(theory);
+        );
         assert!(prover.entails(&parse("r(a)").unwrap()));
         assert!(prover.entails(&parse("~r(b)").unwrap()));
     }
 
     #[test]
     fn completion_sentences_are_valid_theory() {
-        let p = Program::from_text(
+        let sentences = parse_theory(
             "e(a, b)
              e(b, c)
              forall x, y. e(x, y) -> t(x, y)
@@ -204,7 +255,7 @@ mod tests {
         )
         .unwrap();
         // All completion formulas are FOPCE sentences.
-        let t = Theory::new(completion(&p));
+        let t = Theory::new(completion(&sentences).unwrap());
         assert!(t.is_ok());
     }
 }

@@ -1,30 +1,33 @@
-//! # epilog-datalog — a Datalog engine with stratified negation
+//! # epilog-datalog — a Datalog engine for definite programs
 //!
 //! The paper notes (§5.1) that the database `Σ` "could, for example, be a
 //! Datalog program and `prove` could be realized using negation-as-failure".
-//! This crate realizes that alternative backend — once, bottom-up — and
+//! This crate realizes that alternative backend — once, bottom-up, for
+//! definite programs, whose least model holds exactly the ground atoms
+//! `Σ` entails (negation as failure belongs to the query, as `¬K`) — and
 //! supplies the *Clark completion* `Comp(DB)` that Definitions 3.3/3.4
 //! (the closed Prolog-like readings of integrity-constraint satisfaction)
 //! are stated over.
 //!
 //! Components:
 //!
-//! * [`Program`] — Datalog rules `h ← l₁, …, lₙ` with negated body
-//!   literals, plus an extensional database;
+//! * [`Program`] — definite Datalog rules `h ← a₁, …, aₙ` over atoms,
+//!   plus an extensional database;
 //! * [`RulePlan`] — rules compiled once into slot-numbered, reordered
 //!   join plans with one variant per semi-naive delta position;
-//! * stratification ([`Program::stratify`]) and the perfect-model
-//!   fixpoint — one semi-naive loop on the calling thread behind four
-//!   entry points: [`Program::eval`], [`Program::fixpoint`] (which also
-//!   selects the naive rounds the differential suites and the
+//! * the least-model fixpoint — one semi-naive loop on the calling thread
+//!   behind four entry points: [`Program::eval`], [`Program::fixpoint`]
+//!   (which also selects the naive rounds the differential suites and the
 //!   `f2_datalog` / `f6_scaling` benches use as the reference),
-//!   [`Program::grow`] and [`Program::shrink`] (resume a definite
-//!   program's least model after additions / retractions);
+//!   [`Program::grow`] and [`Program::shrink`] (resume the least model
+//!   after additions / retractions);
 //! * provenance on demand — [`Program::why`] runs one semi-naive
 //!   fixpoint, notes the round each tuple first appeared in, and returns a
 //!   replayable minimal-height [`ProofTree`] per atom asked about;
-//! * [`completion()`](completion::completion) — Clark's completion as FOPCE sentences, ready to be
-//!   fed to `epilog-prover` for the Definition 3.3/3.4 comparisons.
+//! * [`completion()`](completion::completion) — Clark's completion of a
+//!   Prolog-like database (negated body literals allowed) as FOPCE
+//!   sentences, ready to be fed to `epilog-prover` for the Definition
+//!   3.3/3.4 comparisons.
 
 pub mod completion;
 pub mod engine;
@@ -35,5 +38,5 @@ pub mod provenance;
 pub use completion::completion;
 pub use engine::EvalStats;
 pub use plan::RulePlan;
-pub use program::{DatalogError, Literal, Program, Rule};
+pub use program::{DatalogError, Program, Rule};
 pub use provenance::ProofTree;

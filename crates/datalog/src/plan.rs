@@ -7,16 +7,16 @@
 //! * the rule's variables are numbered into dense slots, so a binding
 //!   environment is a flat `Vec<Option<Param>>` instead of a cloned
 //!   `HashMap<Var, Param>` per candidate match;
-//! * the positive body literals are reordered by estimated intermediate
-//!   size, read from the statistics of the database the rule is compiled
-//!   against, with selection shapes and a per-step [`StepStrategy`]
-//!   (index probe, hash build+probe, scan) precomputed per step
+//! * the body atoms are reordered by estimated intermediate size, read
+//!   from the statistics of the database the rule is compiled against,
+//!   with selection shapes and a per-step [`StepStrategy`] (index probe,
+//!   hash build+probe, scan) precomputed per step
 //!   ([`epilog_storage::ConjunctionPlan`]);
-//! * one plan variant exists per positive literal, designating it as the
+//! * one plan variant exists per body atom, designating it as the
 //!   **delta position** for semi-naive rounds, plus a full variant used by
-//!   naive evaluation and the first round of each stratum;
-//! * the head and the negated literals are compiled to
-//!   [`AtomTemplate`]s grounded directly from the slot environment.
+//!   naive evaluation and the first semi-naive round;
+//! * the head is compiled to an [`AtomTemplate`] grounded directly from
+//!   the slot environment.
 //!
 //! [`RulePlan::explain`] renders the chosen literal order, per-step
 //! strategy, and estimated cardinalities — the debugging surface for
@@ -26,7 +26,6 @@ use crate::program::Rule;
 use epilog_storage::{
     AtomTemplate, ConjunctionPlan, Database, PatTerm, PlanStats, SlotMap, StepStrategy,
 };
-use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred};
 use std::fmt::Write as _;
 
@@ -35,17 +34,14 @@ use std::fmt::Write as _;
 pub struct RulePlan {
     /// The head, grounded from the slot environment on each derivation.
     pub head: AtomTemplate,
-    /// The negated body literals (checked against the total database once
-    /// the positive join completes; safety guarantees they ground).
-    pub negatives: Vec<AtomTemplate>,
     /// The variable numbering shared by every variant.
     pub slots: SlotMap,
-    /// Join over all positive literals against the total database.
+    /// Join over the whole body against the total database.
     pub full: ConjunctionPlan,
-    /// Per positive literal: its predicate (for empty-delta skipping) and
+    /// Per body atom: its predicate (for empty-delta skipping) and
     /// the variant joining that literal against the delta first.
     pub variants: Vec<(Pred, ConjunctionPlan)>,
-    /// The positive body compiled as a **support query**: the head's
+    /// The body compiled as a **support query**: the head's
     /// slots are prebound (the caller seeds them from a ground head tuple
     /// via [`RulePlan::bind_head`]), so running it answers "does any body
     /// match still derive this tuple?" without a full firing. Used by the
@@ -61,30 +57,19 @@ impl RulePlan {
     /// which also covers intensional relations.
     pub fn compile(rule: &Rule, stats: &Database) -> RulePlan {
         let mut slots = SlotMap::new();
-        let positives: Vec<Atom> = rule
-            .body
-            .iter()
-            .filter(|l| l.positive)
-            .map(|l| l.atom.clone())
-            .collect();
+        let body = &rule.body;
         // One statistics view shared by the full plan and every delta
         // variant, so per-column distinct counts are collected once per
         // rule rather than once per variant.
         let view = PlanStats::new(stats);
-        let full = ConjunctionPlan::compile(&positives, &mut slots, None, &view);
-        let variants = (0..positives.len())
+        let full = ConjunctionPlan::compile(body, &mut slots, None, &view);
+        let variants = (0..body.len())
             .map(|d| {
                 (
-                    positives[d].pred,
-                    ConjunctionPlan::compile(&positives, &mut slots, Some(d), &view),
+                    body[d].pred,
+                    ConjunctionPlan::compile(body, &mut slots, Some(d), &view),
                 )
             })
-            .collect();
-        let negatives = rule
-            .body
-            .iter()
-            .filter(|l| !l.positive)
-            .map(|l| AtomTemplate::compile(&l.atom, &mut slots))
             .collect();
         let head = AtomTemplate::compile(&rule.head, &mut slots);
         // The support variant is compiled after the head so the head's
@@ -97,10 +82,9 @@ impl RulePlan {
                 PatTerm::Const(_) => None,
             })
             .collect();
-        let support = ConjunctionPlan::compile_support(&positives, &mut slots, &prebound, &view);
+        let support = ConjunctionPlan::compile_support(body, &mut slots, &prebound, &view);
         RulePlan {
             head,
-            negatives,
             slots,
             full,
             variants,
@@ -197,9 +181,6 @@ impl RulePlan {
             self.explain_plan(&mut out, &format!("delta[{}]", pred.name()), v);
         }
         self.explain_plan(&mut out, "support", &self.support);
-        for n in &self.negatives {
-            let _ = writeln!(&mut out, "  negated check: ~{}", self.render(n));
-        }
         out
     }
 }
@@ -227,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn one_variant_per_positive_literal() {
+    fn one_variant_per_body_literal() {
         let plan = plan_of("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)");
         assert_eq!(plan.variants.len(), 2);
         assert_eq!(plan.variants[0].0, Pred::new("e", 2));
@@ -236,15 +217,6 @@ mod tests {
             assert!(v.steps()[0].from_delta, "delta literal joins first");
             assert!(v.steps()[1..].iter().all(|s| !s.from_delta));
         }
-    }
-
-    #[test]
-    fn negatives_compiled_not_joined() {
-        let plan = plan_of("forall x, y. node(x) & node(y) & ~e(x, y) -> sep(x, y)");
-        assert_eq!(plan.full.steps().len(), 2);
-        assert_eq!(plan.negatives.len(), 1);
-        assert_eq!(plan.negatives[0].pred, Pred::new("e", 2));
-        assert_eq!(plan.variants.len(), 2);
     }
 
     #[test]
@@ -267,13 +239,6 @@ mod tests {
         let blind = RulePlan::compile(&p.rules[0], &Database::new()).explain();
         assert!(blind.contains("est 1/row"), "{blind}");
         assert!(!blind.contains("hash"), "{blind}");
-    }
-
-    #[test]
-    fn explain_covers_negated_literals() {
-        let plan = plan_of("forall x, y. node(x) & node(y) & ~e(x, y) -> sep(x, y)");
-        let text = plan.explain();
-        assert!(text.contains("negated check: ~e(x, y)"), "{text}");
     }
 
     #[test]

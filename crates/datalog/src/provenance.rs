@@ -26,16 +26,13 @@ use epilog_syntax::{Param, Pred, Term};
 use std::collections::HashMap;
 
 impl crate::Program {
-    /// Explain ground atoms of this **definite** program's least model:
-    /// one semi-naive fixpoint, however many atoms are asked, and a
+    /// Explain ground atoms of this program's least model: one
+    /// semi-naive fixpoint, however many atoms are asked, and a
     /// minimal-height [`ProofTree`] per atom read off the rounds it ran —
     /// `None` for an atom that is not ground or not in the model (the
-    /// *why-not* answer: nothing derives it). A program with a negated
-    /// body literal is outside the contract (debug builds assert it): its
-    /// proofs would name positive premises only.
+    /// *why-not* answer: nothing derives it).
     pub fn why(&self, atoms: &[Atom]) -> Vec<Option<ProofTree>> {
-        debug_assert!(!self.has_negation(), "why needs a definite program");
-        // A definite program is one stratum: one plan per rule, in order.
+        // One plan per rule, in order.
         let plans: Vec<RulePlan> = self
             .rules
             .iter()
@@ -197,7 +194,7 @@ pub enum ProofTree {
         atom: Atom,
         /// Index of the firing rule, in program rule order.
         rule_idx: usize,
-        /// Proofs of the ground positive body literals.
+        /// Proofs of the ground body atoms.
         premises: Vec<ProofTree>,
     },
 }
@@ -389,7 +386,7 @@ mod tests {
     fn assert_minimal_proofs(src: &str) {
         let prog = Program::from_text(src).unwrap();
         let rounds = naive_rounds(&prog);
-        assert_eq!(rounds.len(), prog.eval().unwrap().0.len(), "in:\n{src}");
+        assert_eq!(rounds.len(), prog.eval().0.len(), "in:\n{src}");
         let atoms: Vec<Atom> = rounds.iter().map(|(a, _)| a.clone()).collect();
         for ((atom, round), proof) in rounds.iter().zip(prog.why(&atoms)) {
             let proof = proof.unwrap_or_else(|| panic!("no proof for {atom} in:\n{src}"));

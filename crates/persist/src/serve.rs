@@ -65,10 +65,9 @@ use epilog_syntax::{Formula, Theory};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 /// Tuning knobs for a [`ServingDb`].
 #[derive(Debug, Clone, Copy)]
@@ -108,16 +107,6 @@ pub enum ServeError {
     /// The serving database shut down before answering; says how the
     /// writer exited.
     Closed(WriterExit),
-}
-
-impl ServeError {
-    /// Whether a retry could succeed without the caller changing
-    /// anything — true for [`ServeError::Degraded`] (after a heal) and
-    /// [`ServeError::Io`] (the fault may be transient), never for a
-    /// database rejection or a shutdown.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ServeError::Io(_) | ServeError::Degraded(_))
-    }
 }
 
 impl fmt::Display for ServeError {
@@ -196,24 +185,6 @@ impl CommitHandle {
         match self.rx.recv() {
             Ok(answer) => answer,
             Err(_) => Err(self.metrics.closed()),
-        }
-    }
-
-    /// [`CommitHandle::wait`], but give up after `timeout`: `Err` hands
-    /// the still-pending handle back so the caller can keep waiting (or
-    /// drop it — the commit itself is unaffected either way; a queued
-    /// transaction cannot be recalled).
-    pub fn wait_timeout(
-        self,
-        timeout: Duration,
-    ) -> Result<Result<CommitReceipt, ServeError>, CommitHandle> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(answer) => Ok(answer),
-            Err(RecvTimeoutError::Disconnected) => {
-                let closed = self.metrics.closed();
-                Ok(Err(closed))
-            }
-            Err(RecvTimeoutError::Timeout) => Err(self),
         }
     }
 }
@@ -1123,7 +1094,6 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, ServeError::Degraded(_)), "got {err}");
-        assert!(err.is_transient());
         let snap = db.snapshot();
         assert_eq!(snap.ask(&parse("K person(Mary)").unwrap()), Answer::Yes);
         assert_eq!(snap.ask(&parse("K person(Sue)").unwrap()), Answer::No);
@@ -1250,30 +1220,6 @@ mod tests {
             TxOp::Assert(f("emp(Sue)")),
         ])
         .unwrap();
-        db.shutdown().unwrap();
-        std::fs::remove_dir_all(d).unwrap();
-    }
-
-    #[test]
-    fn wait_timeout_returns_the_handle_while_pending() {
-        let d = dir();
-        let db = registrar(&d);
-        let gate = db.gate();
-        let h = db.commit(vec![
-            TxOp::Assert(f("ss(Pat, n5)")),
-            TxOp::Assert(f("emp(Pat)")),
-        ]);
-        // Writer held at the gate: the handle must time out, unanswered.
-        let h = match h.wait_timeout(Duration::from_millis(20)) {
-            Err(pending) => pending,
-            Ok(answer) => panic!("expected a timeout, got {answer:?}"),
-        };
-        gate.open();
-        let receipt = match h.wait_timeout(Duration::from_secs(30)) {
-            Ok(answer) => answer.unwrap(),
-            Err(_) => panic!("expected an answer after the gate opened"),
-        };
-        assert_eq!(db.head_lsn(), receipt.lsn);
         db.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }

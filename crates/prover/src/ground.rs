@@ -46,12 +46,6 @@ impl GroundContext {
         &self.universe
     }
 
-    /// The propositional variable of a ground atom, allocating on demand.
-    pub fn var_of(&mut self, atom: &Atom) -> u32 {
-        debug_assert!(atom.is_ground(), "registry stores ground atoms only");
-        register(&mut self.vars, atom.clone())
-    }
-
     /// Number of registered atoms (== number of propositional variables).
     pub fn num_atoms(&self) -> u32 {
         self.vars.len() as u32

@@ -55,19 +55,22 @@
 //! [`ServingDb::heal`]. Sessions can be given a read timeout
 //! ([`ServerOptions::read_timeout`]) after which an idle connection is
 //! sent a final `err timeout …` line and closed — one wedged client
-//! cannot pin a session thread forever. [`Client::request_with_retry`]
-//! layers reconnect-and-retry with exponential backoff over the plain
-//! [`Client::request`] for transient failures (degraded replies, torn
-//! connections, timeouts).
+//! cannot pin a session thread forever. A request line is read up to
+//! 1 MiB: a client that sends more without a newline is answered
+//! `err request line too long (limit 1048576 bytes)` and closed the same
+//! way, so no session buffers an unbounded line.
 
 use epilog_persist::{PersistError, ServeError, ServeStats, ServingDb, TxOp};
 use epilog_syntax::parse;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+
+/// The longest request line a session reads, its newline excluded.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -237,14 +240,6 @@ impl<'a> Session<'a> {
             .map(|lsn| format!("ok healed @{lsn}"))
             .map_err(|e| format!("heal failed: {e}"))
     }
-}
-
-/// Replies a retry (after a heal, a reconnect, or plain patience) can
-/// turn into success; everything else is definitive.
-fn is_transient_reply(reply: &str) -> bool {
-    reply.starts_with("err degraded")
-        || reply.starts_with("err io error")
-        || reply.starts_with("err timeout")
 }
 
 fn commit_ops(db: &ServingDb, ops: Vec<TxOp>) -> Result<String, String> {
@@ -427,10 +422,12 @@ fn session_loop(stream: TcpStream, inner: &Inner) {
     };
     let mut reader = BufReader::new(read);
     let mut write = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the cap tells an overlong line from one that fits.
+        let mut capped = (&mut reader).take(MAX_REQUEST_LINE as u64 + 1);
+        match capped.read_until(b'\n', &mut line) {
             Ok(0) => break,
             Err(e)
                 if matches!(
@@ -447,7 +444,16 @@ fn session_loop(stream: TcpStream, inner: &Inner) {
             Err(_) => break,
             Ok(_) => {}
         }
-        let (reply, disposition) = session.handle(&line);
+        if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            let refusal = format!("err request line too long (limit {MAX_REQUEST_LINE} bytes)\n");
+            let _ = write.write_all(refusal.as_bytes());
+            let _ = write.flush();
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else {
+            break;
+        };
+        let (reply, disposition) = session.handle(line);
         if write.write_all(reply.as_bytes()).is_err() || write.write_all(b"\n").is_err() {
             break;
         }
@@ -468,47 +474,21 @@ fn session_loop(stream: TcpStream, inner: &Inner) {
     let _ = write.shutdown(Shutdown::Both);
 }
 
-/// How [`Client::request_with_retry`] paces itself: up to `attempts`
-/// tries, sleeping `base_delay` before the first retry and doubling up
-/// to `max_delay` between later ones.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total tries, the initial one included. Clamped to at least 1.
-    pub attempts: u32,
-    /// Sleep before the first retry.
-    pub base_delay: Duration,
-    /// Cap on the (doubling) sleep between retries.
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 5,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(640),
-        }
-    }
-}
-
 /// A minimal blocking client for the line protocol — what the example,
 /// the soak test, and scripted sessions use.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    addr: SocketAddr,
 }
 
 impl Client {
     /// Connect to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        let addr = stream.peer_addr()?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,
             writer: stream,
-            addr,
         })
     }
 
@@ -518,52 +498,6 @@ impl Client {
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         self.read_line()
-    }
-
-    /// [`Client::request`] with reconnect-and-retry under `policy`.
-    ///
-    /// Retries on transport errors (reconnecting first — the server may
-    /// have closed an idle session, or a previous response may have
-    /// been lost mid-line) and on transient protocol replies:
-    /// `err degraded …`, `err io error …`, and `err timeout …`. A
-    /// definitive reply (`ok …`, `err rejected: …`, parse errors) is
-    /// returned as soon as it arrives. When every attempt failed
-    /// transiently, the last protocol reply is returned as `Ok` (it
-    /// *is* the server's answer) and the last transport error as `Err`.
-    ///
-    /// Retrying a commit after a *lost response* can double-apply it;
-    /// epilog transactions are idempotent at the sentence level
-    /// (re-asserting an asserted sentence is a no-op), so this is safe
-    /// for this protocol, though receipts may report `+0`.
-    pub fn request_with_retry(&mut self, line: &str, policy: RetryPolicy) -> io::Result<String> {
-        let mut delay = policy.base_delay;
-        let mut last_reply: Option<String> = None;
-        let mut last_err: Option<io::Error> = None;
-        for attempt in 0..policy.attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(policy.max_delay);
-            }
-            match self.request(line) {
-                Ok(reply) if is_transient_reply(&reply) => {
-                    last_reply = Some(reply);
-                    last_err = None;
-                }
-                Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    last_err = Some(e);
-                    last_reply = None;
-                    if let Ok(fresh) = Client::connect(self.addr) {
-                        *self = fresh;
-                    }
-                }
-            }
-        }
-        match (last_reply, last_err) {
-            (Some(reply), _) => Ok(reply),
-            (None, Some(e)) => Err(e),
-            (None, None) => unreachable!("at least one attempt always runs"),
-        }
     }
 
     /// Read one more response line (the `row` lines after a `demo`).
@@ -577,11 +511,6 @@ impl Client {
             ));
         }
         Ok(line.trim_end().to_string())
-    }
-
-    /// The address this client is (re)connected to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// `demo` convenience: returns the answer rows as vectors of
@@ -886,18 +815,9 @@ mod tests {
         assert!(line.starts_with("err timeout"), "got {line}");
         assert!(idle.read_line().is_err(), "session closed after timeout");
 
-        // The server is unharmed; fresh connections work.
+        // The server is unharmed: the client reconnects and asks again.
         let mut c = Client::connect(server.local_addr()).unwrap();
         assert_eq!(c.request("ask K p(a)").unwrap(), "ok yes @0");
-
-        // request_with_retry rides over the closed session transparently.
-        let mut retry = Client::connect(server.local_addr()).unwrap();
-        assert_eq!(retry.request("ask K p(a)").unwrap(), "ok yes @0");
-        std::thread::sleep(Duration::from_millis(120)); // let it die
-        let reply = retry
-            .request_with_retry("ask K p(a)", RetryPolicy::default())
-            .unwrap();
-        assert_eq!(reply, "ok yes @0", "reconnected and re-asked");
 
         server.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
@@ -933,29 +853,12 @@ mod tests {
         let r = c.request("heal").unwrap();
         assert!(r.starts_with("err heal failed"), "got {r}");
 
-        // Fix the disk and heal from a second session while the first
-        // keeps retrying its write with backoff.
-        let addr = server.local_addr();
-        let fixer = {
-            let inj = Arc::clone(&inj);
-            thread::Builder::new()
-                .name("epilog-test-fixer".into())
-                .spawn(move || {
-                    std::thread::sleep(Duration::from_millis(80));
-                    inj.disarm();
-                    let mut c2 = Client::connect(addr).unwrap();
-                    assert_eq!(c2.request("heal").unwrap(), "ok healed @1");
-                })
-                .unwrap()
-        };
-        let policy = RetryPolicy {
-            attempts: 50,
-            base_delay: Duration::from_millis(20),
-            max_delay: Duration::from_millis(100),
-        };
-        let reply = c.request_with_retry("assert p(b)", policy).unwrap();
-        assert_eq!(reply, "ok committed @2 +1 -0");
-        fixer.join().unwrap();
+        // Fix the disk and heal from a second session; the first one's
+        // retried write then commits.
+        inj.disarm();
+        let mut c2 = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(c2.request("heal").unwrap(), "ok healed @1");
+        assert_eq!(c.request("assert p(b)").unwrap(), "ok committed @2 +1 -0");
 
         let stats = c.request("stats").unwrap();
         assert!(
@@ -964,6 +867,42 @@ mod tests {
         );
         assert_eq!(c.request("ask K q(b)").unwrap(), "ok yes @2");
         server.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn an_overlong_request_line_closes_its_session_only() {
+        let d = dir();
+        let server = serve(&d);
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        // A server without the cap would wait for the newline forever.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        // 2 MiB and no newline. The session stops reading at the cap, so
+        // the flood is written from a thread of its own, whose write fails
+        // once the session is gone.
+        let flood = {
+            let mut stream = stream.try_clone().unwrap();
+            thread::spawn(move || {
+                let _ = stream.write_all(&vec![b'a'; 2 << 20]);
+            })
+        };
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "err request line too long (limit 1048576 bytes)\n");
+        line.clear();
+        assert_eq!(
+            reader.read_line(&mut line).unwrap(),
+            0,
+            "then EOF: {line:?}"
+        );
+
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        assert!(c.request("stats").unwrap().starts_with("ok stats "));
+        server.shutdown().unwrap();
+        flood.join().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }
 

@@ -1,11 +1,11 @@
 //! Delta-aware database view for semi-naive fixpoint rounds.
 //!
-//! Semi-naive evaluation needs two synchronized sets of facts per stratum:
-//! the **total** database (everything derived so far — joined against by
-//! non-delta literals and consulted by stratified negation) and the
-//! **delta** (only the facts that became true in the previous round — the
-//! literal designated as "new" must match here). [`DeltaDatabase`] owns
-//! both and keeps them consistent through [`DeltaDatabase::advance`].
+//! Semi-naive evaluation needs two synchronized sets of facts: the
+//! **total** database (everything derived so far — joined against by
+//! non-delta literals) and the **delta** (only the facts that became true
+//! in the previous round — the literal designated as "new" must match
+//! here). [`DeltaDatabase`] owns both and keeps them consistent through
+//! [`DeltaDatabase::advance`].
 
 use crate::database::Database;
 use crate::relation::Relation;

@@ -140,7 +140,7 @@ impl AtomTemplate {
     ///
     /// # Panics
     /// Panics when a slot the template mentions is unbound (ruled out for
-    /// rule heads and negated literals by Datalog safety).
+    /// rule heads by Datalog safety).
     pub fn ground(&self, env: &[Option<Param>]) -> Tuple {
         self.args
             .iter()

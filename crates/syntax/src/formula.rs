@@ -309,32 +309,6 @@ impl Formula {
         out
     }
 
-    /// Maximum nesting depth of quantifiers (0 for quantifier-free).
-    pub fn quantifier_depth(&self) -> usize {
-        match self {
-            Formula::Atom(_) | Formula::Eq(_, _) => 0,
-            Formula::Not(w) | Formula::Know(w) => w.quantifier_depth(),
-            Formula::And(a, b)
-            | Formula::Or(a, b)
-            | Formula::Implies(a, b)
-            | Formula::Iff(a, b) => a.quantifier_depth().max(b.quantifier_depth()),
-            Formula::Forall(_, w) | Formula::Exists(_, w) => 1 + w.quantifier_depth(),
-        }
-    }
-
-    /// Maximum nesting depth of `K` (0 for first-order formulas).
-    pub fn modal_depth(&self) -> usize {
-        match self {
-            Formula::Atom(_) | Formula::Eq(_, _) => 0,
-            Formula::Not(w) | Formula::Forall(_, w) | Formula::Exists(_, w) => w.modal_depth(),
-            Formula::And(a, b)
-            | Formula::Or(a, b)
-            | Formula::Implies(a, b)
-            | Formula::Iff(a, b) => a.modal_depth().max(b.modal_depth()),
-            Formula::Know(w) => 1 + w.modal_depth(),
-        }
-    }
-
     // ----- substitution ---------------------------------------------------
 
     /// `w|ᵖₓ`: substitute terms for *free* occurrences of variables.
@@ -646,14 +620,6 @@ mod tests {
         let w = Formula::and(teach(p("John"), p("Math")), Formula::prop("q"));
         assert_eq!(w.params(), vec![p("John"), p("Math")]);
         assert_eq!(w.preds().len(), 2);
-    }
-
-    #[test]
-    fn modal_and_quantifier_depth() {
-        let x = v("x");
-        let w = Formula::know(Formula::exists(x, Formula::know(teach(x, p("CS")))));
-        assert_eq!(w.modal_depth(), 2);
-        assert_eq!(w.quantifier_depth(), 1);
     }
 
     #[test]

@@ -231,15 +231,6 @@ impl Theory {
             })
             .collect()
     }
-
-    /// Whether any sentence mentions the equality predicate. Elementary
-    /// theories never do (Definition 6.3).
-    pub fn mentions_equality(&self) -> bool {
-        self.sentences
-            .iter()
-            .flat_map(|s| s.subformulas())
-            .any(|w| matches!(w, Formula::Eq(_, _)))
-    }
 }
 
 impl fmt::Display for Theory {
@@ -341,14 +332,6 @@ mod tests {
         let rule = &t.rules()[0];
         assert_eq!(rule.vars.len(), 1);
         assert_eq!(rule.body.len(), 1);
-    }
-
-    #[test]
-    fn equality_mention_detected() {
-        let t = Theory::from_text("p(a)").unwrap();
-        assert!(!t.mentions_equality());
-        let t2 = Theory::from_text("a = a").unwrap();
-        assert!(t2.mentions_equality());
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn kernel_top(w: &Formula) -> Formula {
 }
 
 /// Remove double negations everywhere: `¬¬w ↝ w`.
-pub fn elim_double_neg(w: &Formula) -> Formula {
+fn elim_double_neg(w: &Formula) -> Formula {
     match w {
         Formula::Not(a) => match a.as_ref() {
             Formula::Not(b) => elim_double_neg(b),

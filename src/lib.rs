@@ -35,7 +35,7 @@
 //! | [`storage`] | relational substrate (relations, indexes, databases) |
 //! | [`sat`] | CDCL SAT solver (the propositional engine) |
 //! | [`prover`] | FOPCE theorem prover: entailment + the `prove` enumeration |
-//! | [`datalog`] | Datalog engine with stratified negation; Clark completion |
+//! | [`datalog`] | least-model Datalog engine for definite programs; Clark completion |
 //! | [`semantics`] | worlds, KFOPCE truth, the brute-force oracle, circumscription |
 //! | [`core`] | the `demo` evaluator, queries, integrity constraints, closure |
 //! | [`persist`] | durability: write-ahead log, snapshots, crash recovery — and the MVCC group-commit serving layer |

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 const PARAMS: usize = 3;
 
-/// Positive, stratified rules; `hired` feeds the constrained `emp`.
+/// Definite rules; `hired` feeds the constrained `emp`.
 const RULES: [&str; 3] = [
     "forall x. hired(x) -> emp(x)",
     "forall x. emp(x) -> person(x)",

@@ -70,7 +70,7 @@ proptest! {
     #[test]
     fn every_proof_replays(src in definite_program_text()) {
         let program = Program::from_text(&src).unwrap();
-        let (model, _) = program.eval().unwrap();
+        let (model, _) = program.eval();
         let atoms: Vec<Atom> = model.atoms().collect();
         for (atom, proof) in atoms.iter().zip(program.why(&atoms)) {
             let Some(proof) = proof else {

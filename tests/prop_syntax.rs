@@ -4,7 +4,7 @@
 
 use epilog::prelude::*;
 use epilog::semantics::ModelSet;
-use epilog::syntax::transform::{elim_double_neg, kernel};
+use epilog::syntax::transform::{admissible_constraint, kernel};
 use epilog::syntax::{flatten_k45, nnf, parse_ground_atom, Atom};
 use proptest::prelude::*;
 
@@ -349,14 +349,15 @@ proptest! {
         }
     }
 
-    /// Double-negation elimination preserves truth.
+    /// The admissible rewrite of a constraint (kernel, double-negation
+    /// elimination, renaming apart) preserves truth.
     #[test]
-    fn elim_double_neg_is_equivalent(w in kfopce()) {
+    fn admissible_constraint_is_equivalent(w in kfopce()) {
         prop_assume!(w.is_sentence());
         let ms = oracle();
-        let e = elim_double_neg(&w);
+        let a = admissible_constraint(&w);
         for i in 0..ms.worlds().len() {
-            prop_assert_eq!(ms.truth(&w, i), ms.truth(&e, i), "elim_dd broke {}", w);
+            prop_assert_eq!(ms.truth(&w, i), ms.truth(&a, i), "rewrite broke {}", w);
         }
     }
 

@@ -19,10 +19,10 @@ use std::collections::HashMap;
 
 const PARAMS: usize = 3;
 
-/// The rule pool: positive, safe, stratified by construction. `hired`
-/// feeds the constrained `emp` predicate and the symmetry rule re-derives
-/// `hobby`, so constraints are violated through derived atoms — which
-/// the router sees only in the commit's model diff.
+/// The rule pool: definite and safe. `hired` feeds the constrained `emp`
+/// predicate and the symmetry rule re-derives `hobby`, so constraints are
+/// violated through derived atoms — which the router sees only in the
+/// commit's model diff.
 const RULES: [&str; 4] = [
     "forall x. hired(x) -> emp(x)",
     "forall x. emp(x) -> person(x)",

@@ -5,8 +5,8 @@
 //! 2. bottom-up semi-naive Datalog evaluation (`epilog-datalog`),
 //! 3. the `demo` evaluator of §5 over the prover, open queries included.
 //!
-//! For definite programs the perfect model is the minimal Herbrand model
-//! and coincides with first-order entailment of atoms — so any divergence
+//! A definite program's least model is its minimal Herbrand model and
+//! coincides with first-order entailment of atoms — so any divergence
 //! is a bug in one of them. This is the repository's strongest internal
 //! consistency check, run over randomized programs.
 
@@ -78,7 +78,7 @@ proptest! {
         let prover = Prover::new(theory);
         // Engine 2: bottom-up Datalog.
         let program = Program::from_text(&src).unwrap();
-        let (model, _) = program.eval().unwrap();
+        let (model, _) = program.eval();
 
         for atom in ground_atoms() {
             let w = Formula::Atom(atom.clone());
@@ -98,7 +98,7 @@ proptest! {
         let theory = Theory::from_text(&src).unwrap();
         let prover = Prover::new(theory);
         let program = Program::from_text(&src).unwrap();
-        let (model, _) = program.eval().unwrap();
+        let (model, _) = program.eval();
 
         for (pred, arity) in [("p", 1usize), ("q", 1), ("t", 2), ("self", 2), ("tag", 2)] {
             let q = if arity == 1 {
