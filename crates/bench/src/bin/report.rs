@@ -1,4 +1,4 @@
-//! Regenerate every experiment table of EXPERIMENTS.md in one run.
+//! Reprint every experiment table of `crates/bench/report.sample.txt`.
 //!
 //! `cargo run -p epilog-bench --bin report`
 //!
@@ -28,6 +28,11 @@ static FAILURES: AtomicU32 = AtomicU32::new(0);
 /// the report output stays deterministic.
 fn best_of(k: usize, mut f: impl FnMut() -> std::time::Duration) -> std::time::Duration {
     (0..k).map(|_| f()).min().expect("k >= 1")
+}
+
+/// A row the paper answers "yes": measured "yes" exactly when `cond` holds.
+fn holds(label: &str, cond: bool) {
+    check(label, "yes", if cond { "yes" } else { "no" });
 }
 
 fn check(label: &str, expected: &str, got: &str) {
@@ -218,11 +223,7 @@ fn main() {
             &(n - k + 1).to_string(),
             &join.to_string(),
         );
-        check(
-            &format!("n={n} models agree"),
-            "yes",
-            if db == naive_db { "yes" } else { "no" },
-        );
+        holds(&format!("n={n} models agree"), db == naive_db);
         check(
             &format!(
                 "n={n} firings semi-naive {} < naive {}",
@@ -246,14 +247,9 @@ fn main() {
             .transaction()
             .assert(parse("emp(nobody)").unwrap())
             .commit();
-        check(
+        holds(
             &format!("n={n} violating commit rejected, state untouched"),
-            "yes",
-            if verdict.is_err() && db.theory().len() == before {
-                "yes"
-            } else {
-                "no"
-            },
+            verdict.is_err() && db.theory().len() == before,
         );
         // The accepted batch: two new employees with numbers.
         let mut txn = db.transaction();
@@ -300,14 +296,9 @@ fn main() {
             ),
         );
         let scratch = prover_for(db.theory().clone());
-        check(
+        holds(
             &format!("n={n} spliced model equals rebuild"),
-            "yes",
-            if db.prover().atom_model() == scratch.atom_model() {
-                "yes"
-            } else {
-                "no"
-            },
+            db.prover().atom_model() == scratch.atom_model(),
         );
         // The two new employees leave again: the retraction rides the
         // over-delete/re-derive fixpoint instead of rebuilding.
@@ -341,24 +332,14 @@ fn main() {
             "0/0",
             &format!("{}/{}", stats.full_firings, stats.plans_compiled),
         );
-        check(
+        holds(
             &format!("n={n} over-deletes cover the departures"),
-            "yes",
-            if stats.tuples_overdeleted >= 6 {
-                "yes"
-            } else {
-                "no"
-            },
+            stats.tuples_overdeleted >= 6,
         );
         let scratch = prover_for(db.theory().clone());
-        check(
+        holds(
             &format!("n={n} shrunk model equals rebuild"),
-            "yes",
-            if db.prover().atom_model() == scratch.atom_model() {
-                "yes"
-            } else {
-                "no"
-            },
+            db.prover().atom_model() == scratch.atom_model(),
         );
         // Latency: the DRed commit against the pre-transaction update
         // path (clone, retract, rebuild the model, full-check every
@@ -389,14 +370,9 @@ fn main() {
                 }
                 start.elapsed()
             });
-            check(
+            holds(
                 &format!("n={n} retract latency DRed >= 5x under rebuild"),
-                "yes",
-                if rebuild.as_nanos() >= 5 * dred.as_nanos() {
-                    "yes"
-                } else {
-                    "no"
-                },
+                rebuild.as_nanos() >= 5 * dred.as_nanos(),
             );
         }
     }
@@ -421,17 +397,11 @@ fn main() {
             &(n + 2).to_string(),
             &report.records_replayed.to_string(),
         );
-        check(
+        holds(
             &format!("n={n} recovered equals live (theory + model)"),
-            "yes",
-            if rec.theory() == &live
+            rec.theory() == &live
                 && rec.prover().atom_model() == prover_for(live.clone()).atom_model()
-                && rec.satisfies_constraints()
-            {
-                "yes"
-            } else {
-                "no"
-            },
+                && rec.satisfies_constraints(),
         );
         drop(rec);
         // Torn tail: chop bytes off the log; the last commit must be
@@ -441,18 +411,12 @@ fn main() {
         std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).unwrap();
         let (rec, report) =
             epilog_persist::DurableDb::recover(&dir, epilog_persist::FsyncPolicy::Never).unwrap();
-        check(
+        holds(
             &format!("n={n} torn tail detected, last commit rolled back"),
-            "yes",
-            if report.torn_tail.is_some()
+            report.torn_tail.is_some()
                 && report.records_replayed == (n + 1) as u64
                 && rec.theory().len() == live.len() - 2
-                && rec.satisfies_constraints()
-            {
-                "yes"
-            } else {
-                "no"
-            },
+                && rec.satisfies_constraints(),
         );
         // Re-commit the lost enrollment, checkpoint, recover: zero replay.
         let mut rec = rec;
@@ -474,10 +438,9 @@ fn main() {
                 if report.model_restored { "yes" } else { "no" }
             ),
         );
-        check(
+        holds(
             &format!("n={n} snapshot recovery equals live"),
-            "yes",
-            if rec.theory() == &live { "yes" } else { "no" },
+            rec.theory() == &live,
         );
         // Compaction: the snapshot covers the whole log.
         let mut rec = rec;
@@ -564,14 +527,9 @@ fn main() {
         gate.open();
         let verdicts: Vec<bool> = handles.into_iter().map(|h| h.wait().is_ok()).collect();
         let after = db.stats();
-        check(
+        holds(
             "burst of 8 (one rejected): batches +1, fsyncs +1",
-            "yes",
-            if after.batches - before.batches == 1 && after.fsyncs - before.fsyncs == 1 {
-                "yes"
-            } else {
-                "no"
-            },
+            after.batches - before.batches == 1 && after.fsyncs - before.fsyncs == 1,
         );
         check(
             "rejection inside the batch spares its batch-mates",
@@ -582,29 +540,18 @@ fn main() {
                 verdicts.len()
             ),
         );
-        check(
+        // The n + 2 setup records each sync alone; only the burst's 7-on-1
+        // can push the overall count past them.
+        holds(
             "group commit amortizes: total commits exceed total fsyncs",
-            "yes",
-            // The n + 2 setup records each sync alone; only the burst's
-            // 7-on-1 can push the overall count past them.
-            if after.commits > after.fsyncs {
-                "yes"
-            } else {
-                "no"
-            },
+            after.commits > after.fsyncs,
         );
         let burst_q = parse("K emp(e100)").unwrap();
-        check(
+        holds(
             "snapshot pinned before the burst still answers from its LSN",
-            "yes",
-            if pinned.lsn() == pinned_lsn
+            pinned.lsn() == pinned_lsn
                 && ask(pinned.prover(), &burst_q).to_string() == "no"
-                && ask(db.snapshot().prover(), &burst_q).to_string() == "yes"
-            {
-                "yes"
-            } else {
-                "no"
-            },
+                && ask(db.snapshot().prover(), &burst_q).to_string() == "yes",
         );
 
         // Reads are lock-free: with a fresh burst parked on the gate
@@ -635,14 +582,9 @@ fn main() {
         for h in parked {
             h.wait().expect("parked enrollments commit after the gate");
         }
-        check(
+        holds(
             "snapshot read latency independent of a parked commit burst",
-            "yes",
-            if loaded <= idle * 10 + std::time::Duration::from_millis(5) {
-                "yes"
-            } else {
-                "no"
-            },
+            loaded <= idle * 10 + std::time::Duration::from_millis(5),
         );
 
         // The served directory is an ordinary durable database: recovery
@@ -652,17 +594,11 @@ fn main() {
         db.shutdown().unwrap();
         let (rec, report) =
             epilog_persist::DurableDb::recover(&dir, epilog_persist::FsyncPolicy::Never).unwrap();
-        check(
+        holds(
             "recovery reproduces the served state (theory + model + LSN)",
-            "yes",
-            if rec.theory() == &final_theory
+            rec.theory() == &final_theory
                 && report.last_lsn == final_lsn
-                && rec.db().prover().atom_model() == prover_for(final_theory.clone()).atom_model()
-            {
-                "yes"
-            } else {
-                "no"
-            },
+                && rec.db().prover().atom_model() == prover_for(final_theory.clone()).atom_model(),
         );
         drop(rec);
         let _ = std::fs::remove_dir_all(&dir);
@@ -680,10 +616,9 @@ fn main() {
                 .iter()
                 .zip(prog.why(&atoms))
                 .all(|(atom, proof)| proof.is_some_and(|p| p.atom() == atom && p.replays(&prog)));
-            check(
+            holds(
                 &format!("n={n} every model tuple has a replayable proof"),
-                "yes",
-                if replays_all { "yes" } else { "no" },
+                replays_all,
             );
         }
 
@@ -696,14 +631,9 @@ fn main() {
             let epilog_syntax::Formula::Atom(a) = q else {
                 unreachable!("ground atom")
             };
-            check(
+            holds(
                 "why t(n0, n1) after retracting its edge: alternative path",
-                "yes",
-                if db.why(&a).is_some_and(|p| p.height() >= 2) {
-                    "yes"
-                } else {
-                    "no"
-                },
+                db.why(&a).is_some_and(|p| p.height() >= 2),
             );
         }
 
@@ -728,10 +658,9 @@ fn main() {
                 }
                 _ => false,
             };
-            check(
+            holds(
                 "rejected commit carries constraint + witnesses + proofs",
-                "yes",
-                if explained { "yes" } else { "no" },
+                explained,
             );
         }
     }
@@ -777,14 +706,9 @@ fn main() {
         inj.fail_nth_write(inj.writes(), FaultKind::TornWrite);
         let torn = db.commit_wait(enroll(10));
         let next = db.commit_wait(enroll(11));
-        check(
+        holds(
             "torn append fails that commit alone; the writer stays live",
-            "yes",
-            if matches!(torn, Err(ServeError::Io(_))) && !db.is_degraded() && next.is_ok() {
-                "yes"
-            } else {
-                "no"
-            },
+            matches!(torn, Err(ServeError::Io(_))) && !db.is_degraded() && next.is_ok(),
         );
 
         // An injected fsync failure: the batch's handles fail, the head
@@ -792,64 +716,36 @@ fn main() {
         let durable_lsn = db.head_lsn();
         inj.fail_nth_sync(inj.syncs());
         let lost = db.commit_wait(enroll(12));
-        check(
+        holds(
             "fsync fault fails only the affected batch (io error, not panic)",
-            "yes",
-            if matches!(lost, Err(ServeError::Io(_))) && db.stats().io_errors == 2 {
-                "yes"
-            } else {
-                "no"
-            },
+            matches!(lost, Err(ServeError::Io(_))) && db.stats().io_errors == 2,
         );
         let snap = db.snapshot();
-        check(
+        holds(
             "snapshots keep answering at the durable head while degraded",
-            "yes",
-            if db.is_degraded()
+            db.is_degraded()
                 && snap.lsn() == durable_lsn
                 && ask(snap.prover(), &parse("K emp(e11)").unwrap()).to_string() == "yes"
-                && ask(snap.prover(), &parse("K emp(e12)").unwrap()).to_string() == "no"
-            {
-                "yes"
-            } else {
-                "no"
-            },
+                && ask(snap.prover(), &parse("K emp(e12)").unwrap()).to_string() == "no",
         );
-        check(
+        holds(
             "degraded mode rejects commits fast (read-only)",
-            "yes",
-            if matches!(db.commit_wait(enroll(13)), Err(ServeError::Degraded(_))) {
-                "yes"
-            } else {
-                "no"
-            },
+            matches!(db.commit_wait(enroll(13)), Err(ServeError::Degraded(_))),
         );
         let healed = db.heal();
         let stats = db.stats();
-        check(
+        holds(
             "heal() restores service at the durable head LSN",
-            "yes",
-            if healed.is_ok_and(|lsn| lsn == durable_lsn)
+            healed.is_ok_and(|lsn| lsn == durable_lsn)
                 && !db.is_degraded()
                 && stats.heals == 1
-                && !stats.degraded
-            {
-                "yes"
-            } else {
-                "no"
-            },
+                && !stats.degraded,
         );
         let resumed = db.commit_wait(enroll(12));
-        check(
+        holds(
             "the commit lost to the fault lands after healing",
-            "yes",
-            if resumed.is_ok_and(|r| r.lsn == durable_lsn + 1)
-                && ask(db.snapshot().prover(), &parse("K emp(e12)").unwrap()).to_string() == "yes"
-            {
-                "yes"
-            } else {
-                "no"
-            },
+            resumed.is_ok_and(|r| r.lsn == durable_lsn + 1)
+                && ask(db.snapshot().prover(), &parse("K emp(e12)").unwrap()).to_string() == "yes",
         );
         db.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -967,23 +863,13 @@ fn main() {
                 "0",
                 &resurrected.to_string(),
             );
-            check(
+            holds(
                 "mini-soak: recovered state equals the acked oracle every cycle",
-                "yes",
-                if diverged == 0 && canon(rec.db().theory()) == canon(oracle.theory()) {
-                    "yes"
-                } else {
-                    "no"
-                },
+                diverged == 0 && canon(rec.db().theory()) == canon(oracle.theory()),
             );
-            check(
+            holds(
                 "mini-soak exercised the fault paths (failures and heals > 0)",
-                "yes",
-                if failed > 0 && healed > 0 {
-                    "yes"
-                } else {
-                    "no"
-                },
+                failed > 0 && healed > 0,
             );
             drop(rec);
             let _ = std::fs::remove_dir_all(&dir);

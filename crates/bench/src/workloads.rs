@@ -1,13 +1,9 @@
-//! Workload generators shared by the benches and the report binary.
+//! Workload generators for the report binary.
 //!
-//! Each generator is deterministic given its arguments (seeded RNG where
-//! randomness is wanted), so every figure in EXPERIMENTS.md is exactly
-//! reproducible.
+//! Each generator is deterministic given its arguments, so every row of
+//! `crates/bench/report.sample.txt` is exactly reproducible.
 
-use epilog_sat::{Cnf, Lit};
-use epilog_syntax::{Pred, Theory};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use epilog_syntax::Theory;
 
 /// The Section 1 Teach database.
 pub fn teach_db() -> Theory {
@@ -35,32 +31,7 @@ pub fn section1_queries() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// A tiny propositional database family for the demo-vs-oracle figure:
-/// `n` propositions `p0..p(n-1)`, one disjunction `p0 ∨ p1`, the rest
-/// asserted. Herbrand base = `n` atoms → the oracle enumerates `2^n`
-/// candidate worlds while `demo` does O(1) entailment checks.
-pub fn propositional_db(n: usize) -> (Theory, Vec<Pred>) {
-    assert!(n >= 2, "need at least the disjunctive pair");
-    let mut src = String::from("p0 | p1\n");
-    for i in 2..n {
-        src.push_str(&format!("p{i}\n"));
-    }
-    let theory = Theory::from_text(&src).expect("generated text parses");
-    let preds = (0..n).map(|i| Pred::new(&format!("p{i}"), 0)).collect();
-    (theory, preds)
-}
-
-/// An employees database with `n` employees, all with numbers on file
-/// (satisfies the §3 constraint).
-pub fn employees_db(n: usize) -> Theory {
-    let mut src = String::new();
-    for i in 0..n {
-        src.push_str(&format!("emp(e{i})\nss(e{i}, n{i})\n"));
-    }
-    Theory::from_text(&src).expect("generated text parses")
-}
-
-/// The `f7_transactions` workload: a registrar of `n` employees — `emp` +
+/// The F7 workload: a registrar of `n` employees — `emp` +
 /// `ss` facts and the `emp ⊃ person` rule (so the theory is definite and
 /// commits have derived consequences) — under the §3 epistemic
 /// constraints (known number per employee, unique numbers).
@@ -104,7 +75,7 @@ pub fn withdrawal_batch(start: usize, k: usize) -> Vec<epilog_syntax::Formula> {
     out
 }
 
-/// The `f8_recovery` workload: the registrar built *durably* at `dir` —
+/// The F8 workload: the registrar built *durably* at `dir` —
 /// `DurableDb::create` with the `emp ⊃ person` rule, the two §3
 /// constraints (2 log records), then `n` single-employee enrollment
 /// commits (`n` log records of 2 sentences each). Deterministic: the log
@@ -134,7 +105,7 @@ pub fn durable_registrar(
     db
 }
 
-/// The `f11_serving` workload: the registrar *served* from `dir` — a
+/// The F11 workload: the registrar *served* from `dir` — a
 /// [`epilog_persist::ServingDb`] with the `emp ⊃ person` rule, the two
 /// §3 constraints, then `n` single-employee enrollments driven through
 /// the commit queue. Deterministic: the final state equals
@@ -162,54 +133,6 @@ pub fn serving_registrar(dir: &std::path::Path, n: usize) -> epilog_persist::Ser
     db
 }
 
-/// A definite chain database `p(a0), a_i → a_{i+1}`-style facts for the
-/// all-answers figure: `n` facts, all certain answers.
-pub fn facts_db(n: usize) -> Theory {
-    let mut src = String::new();
-    for i in 0..n {
-        src.push_str(&format!("p(a{i})\n"));
-    }
-    src.push_str("q(a0)\n");
-    Theory::from_text(&src).expect("generated text parses")
-}
-
-/// A random elementary database over `n_params` parameters: ground facts,
-/// disjunctions, existentials and p→q rules. Seeded, hence reproducible.
-pub fn random_elementary(seed: u64, n_params: usize, n_sentences: usize) -> Theory {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let preds = ["p", "q"];
-    let mut src = String::new();
-    for _ in 0..n_sentences {
-        let pr = preds[rng.gen_range(0..2)];
-        let pa = rng.gen_range(0..n_params);
-        match rng.gen_range(0..4) {
-            0 => src.push_str(&format!("{pr}(a{pa})\n")),
-            1 => {
-                let pr2 = preds[rng.gen_range(0..2)];
-                let pa2 = rng.gen_range(0..n_params);
-                src.push_str(&format!("{pr}(a{pa}) | {pr2}(a{pa2})\n"));
-            }
-            2 => src.push_str(&format!("exists x. {pr}(x)\n")),
-            _ => {
-                let pr2 = preds[rng.gen_range(0..2)];
-                src.push_str(&format!("forall x. {pr}(x) -> {pr2}(x)\n"));
-            }
-        }
-    }
-    Theory::from_text(&src).expect("generated text parses")
-}
-
-/// A transitive-closure Datalog program over an `n`-edge chain.
-pub fn datalog_chain(n: usize) -> epilog_datalog::Program {
-    let mut src = String::new();
-    for i in 0..n {
-        src.push_str(&format!("e(n{i}, n{})\n", i + 1));
-    }
-    src.push_str("forall x, y. e(x, y) -> t(x, y)\n");
-    src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
-    epilog_datalog::Program::from_text(&src).expect("generated text parses")
-}
-
 /// The evaluation-pipeline scaling workload: a `k`-way chain join plus
 /// transitive closure over an `n`-edge chain, in one program.
 ///
@@ -221,7 +144,7 @@ pub fn datalog_chain(n: usize) -> epilog_datalog::Program {
 /// * `t(x, y) ← r0(x, y)` and `t(x, z) ← r0(x, y) ∧ t(y, z)` — the
 ///   transitive closure, deriving `n(n+1)/2` pairs.
 ///
-/// Expected sizes (asserted by `f6_scaling` and the report binary):
+/// Expected sizes (asserted by the report's F6 rows):
 /// `|join| = n − k + 1` (for `n ≥ k ≥ 1`), `|t| = n(n+1)/2`.
 pub fn scaling_program(n: usize, k: usize) -> epilog_datalog::Program {
     assert!(k >= 1 && n >= k, "need n >= k >= 1");
@@ -265,7 +188,7 @@ pub fn dense_closure_text(m: usize, without: Option<(usize, usize)>) -> String {
     src
 }
 
-/// The `f9_joins` hash-vs-probe workload: an equi-join on **both**
+/// The F9 hash-vs-probe workload: an equi-join on **both**
 /// columns of a skewed relation.
 ///
 /// EDB: `q` and `big` each hold the `n` tuples `(k_{i mod d}, val_i)` —
@@ -287,7 +210,7 @@ pub fn join_heavy_program(n: usize, d: usize) -> epilog_datalog::Program {
     epilog_datalog::Program::from_text(&src).expect("generated text parses")
 }
 
-/// The `f9_joins` ordering workload: a two-literal body written big
+/// The F9 ordering workload: a two-literal body written big
 /// relation first.
 ///
 /// EDB: `big` holds `n` tuples `(b_i, c_i)` (both columns unique),
@@ -311,75 +234,10 @@ pub fn order_sensitive_program(n: usize, m: usize) -> epilog_datalog::Program {
     epilog_datalog::Program::from_text(&src).expect("generated text parses")
 }
 
-/// The pigeonhole CNF PHP(holes+1, holes) — unsatisfiable; the classic
-/// separator between clause-learning and plain DPLL.
-pub fn pigeonhole(holes: u32) -> Cnf {
-    let pigeons = holes + 1;
-    let mut cnf = Cnf::new();
-    cnf.reserve_vars(pigeons * holes);
-    let v = |p: u32, h: u32| p * holes + h;
-    for p in 0..pigeons {
-        let c: Vec<Lit> = (0..holes).map(|h| Lit::pos(v(p, h))).collect();
-        cnf.add_clause(&c);
-    }
-    for h in 0..holes {
-        for p1 in 0..pigeons {
-            for p2 in (p1 + 1)..pigeons {
-                cnf.add_clause(&[Lit::neg(v(p1, h)), Lit::neg(v(p2, h))]);
-            }
-        }
-    }
-    cnf
-}
-
-/// Random 3-SAT at a given clause/variable ratio (seeded).
-pub fn random_3sat(seed: u64, vars: u32, clauses: u32) -> Cnf {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut cnf = Cnf::new();
-    cnf.reserve_vars(vars);
-    for _ in 0..clauses {
-        let lits: Vec<Lit> = (0..3)
-            .map(|_| {
-                let v = rng.gen_range(0..vars);
-                if rng.gen_bool(0.5) {
-                    Lit::pos(v)
-                } else {
-                    Lit::neg(v)
-                }
-            })
-            .collect();
-        cnf.add_clause(&lits);
-    }
-    cnf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn generators_are_deterministic() {
-        assert_eq!(random_elementary(7, 3, 5), random_elementary(7, 3, 5));
-        let a = random_3sat(1, 10, 30);
-        let b = random_3sat(1, 10, 30);
-        assert_eq!(a.clauses(), b.clauses());
-    }
-
-    #[test]
-    fn propositional_db_shapes() {
-        let (t, preds) = propositional_db(5);
-        assert_eq!(t.len(), 4);
-        assert_eq!(preds.len(), 5);
-    }
-
-    #[test]
-    fn employees_db_satisfies_constraint() {
-        use epilog_prover::Prover;
-        let t = employees_db(4);
-        let p = Prover::new(t);
-        let ic = epilog_syntax::parse("forall x. K emp(x) -> exists y. K ss(x, y)").unwrap();
-        assert!(epilog_core::ask::certain(&p, &ic));
-    }
+    use epilog_syntax::Pred;
 
     #[test]
     fn registrar_commits_incrementally() {
@@ -439,21 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn pigeonhole_is_unsat() {
-        use epilog_sat::{SatResult, Solver};
-        assert_eq!(Solver::new(&pigeonhole(4)).solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn datalog_chain_runs() {
-        let p = datalog_chain(4);
-        let (db, _) = p.eval();
-        assert_eq!(db.relation(Pred::new("t", 2)).unwrap().len(), 10);
-    }
-
-    #[test]
     fn scaling_program_sizes() {
-        for (n, k) in [(4, 2), (8, 3), (6, 1)] {
+        for (n, k) in [(4, 2), (8, 3), (6, 1), (16, 3)] {
             let p = scaling_program(n, k);
             let (db, fast) = p.eval();
             assert_eq!(
@@ -469,6 +314,7 @@ mod tests {
             let (db2, slow) = p.fixpoint(false);
             assert_eq!(db, db2);
             assert!(fast.rule_firings < slow.rule_firings, "n={n} k={k}");
+            assert!(fast.derivations < slow.derivations, "n={n} k={k}");
         }
     }
 }

@@ -485,16 +485,19 @@ mod tests {
         // the full recheck whenever the *prior* state satisfied the
         // constraints (the incremental premise).
         let cases = [
-            ("ss(Mary, n1)\nemp(Mary)", "emp(Mary)"),
-            ("ss(Mary, n1)\nemp(Mary)\nemp(Sue)", "emp(Sue)"),
-            ("ss(Mary, n1)\nss(Mary, n2)", "ss(Mary, n2)"),
-            ("ss(Mary, n1)\nss(Sue, n2)", "ss(Sue, n2)"),
+            ("ss(Mary, n1)\nemp(Mary)", "emp(Mary)", false),
+            ("ss(Mary, n1)\nemp(Mary)\nemp(Sue)", "emp(Sue)", true),
+            ("ss(Mary, n1)\nss(Mary, n2)", "ss(Mary, n2)", true),
+            ("ss(Mary, n1)\nss(Sue, n2)", "ss(Sue, n2)", false),
+            ("emp(e0)\nss(e0, n0)\nemp(e1)\nss(e1, n1)", "emp(e0)", false),
+            ("emp(e0)\nss(e0, n0)\nemp(Norma)", "emp(Norma)", true),
         ];
-        for (src, fact) in cases {
+        for (src, fact, violated) in cases {
             let prover = Prover::new(Theory::from_text(src).unwrap());
             let (inc, _) = check(&ck, &prover, Some(&diff(&[fact], &[])));
             let (full, stats) = check(&ck, &prover, None);
             assert_eq!(inc, full, "divergence on {src:?} + {fact}");
+            assert_eq!(inc.is_some(), violated, "{src:?} + {fact}");
             assert_eq!(stats.skipped + stats.specialized, 0, "no diff: full");
         }
     }

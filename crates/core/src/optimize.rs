@@ -233,6 +233,8 @@ mod tests {
         let prover = Prover::new(Theory::from_text("p(a)\nq(a)\nq(b)").unwrap());
         assert!(crate::ask::certain(&prover, &ic));
         assert_eq!(answers(&prover, &q), answers(&prover, &optimized));
+        let all = |w| crate::all_answers(&prover, w).unwrap();
+        assert_eq!(all(&q), all(&optimized));
     }
 
     #[test]

@@ -306,7 +306,7 @@ fn fires_over(prog: &crate::Program, rule_idx: usize, atom: &Atom, premises: &[P
 }
 
 /// Rebuild a ground [`Atom`] from a predicate and stored tuple.
-pub fn atom_of(pred: Pred, tuple: &[Param]) -> Atom {
+fn atom_of(pred: Pred, tuple: &[Param]) -> Atom {
     Atom::new(pred, tuple.iter().map(|&p| Term::Param(p)).collect())
 }
 

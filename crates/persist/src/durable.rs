@@ -27,7 +27,8 @@
 //! * [`PersistError::Io`] — the append failed and the log is back at its
 //!   pre-append mark: this operation alone failed;
 //! * [`PersistError::Corrupt`] — the rewind that compensates for either
-//!   failed too, or a [`DurableDb::sync`] failed: the log can no longer
+//!   failed too, or a [`DurableDb::sync`] or the log rewrite of a
+//!   [`DurableDb::compact`] failed: the log can no longer
 //!   be trusted to end where its accounting says, and a record appended
 //!   now could sit behind a gap recovery cuts at. The `DurableDb` cuts
 //!   the file back through a fresh handle (best effort) and **refuses
@@ -398,7 +399,9 @@ impl DurableDb {
     /// snapshot-load + short-tail-replay.
     pub fn compact(&mut self) -> Result<CompactStats, PersistError> {
         let snapshot_lsn = self.snapshot()?;
-        let (records_dropped, bytes_reclaimed) = self.log.wal.compact_through(snapshot_lsn)?;
+        let compacted = self.log.wal.compact_through(snapshot_lsn);
+        let (records_dropped, bytes_reclaimed) =
+            compacted.map_err(|e| self.log.distrust(format!("log compaction failed ({e})")))?;
         let mut snapshots_removed = 0;
         for (lsn, path) in Snapshot::list(&self.dir)? {
             if lsn < snapshot_lsn {
@@ -415,7 +418,7 @@ impl DurableDb {
     }
 
     /// Force buffered log records to stable storage (a durability point
-    /// under `FsyncPolicy::Batch`/`Never`). A failed sync says nothing
+    /// under `FsyncPolicy::Never`). A failed sync says nothing
     /// about which records the disk holds: the database refuses writes
     /// from then on (module docs).
     pub fn sync(&mut self) -> Result<(), PersistError> {
@@ -424,7 +427,7 @@ impl DurableDb {
 
     /// Number of committed records not yet covered by an fsync — the
     /// loss window a crash (not a clean drop, which flushes) would
-    /// open under `FsyncPolicy::Batch`/`Never`.
+    /// open under `FsyncPolicy::Never`.
     pub fn pending_unsynced(&self) -> u32 {
         self.log.wal.pending_unsynced()
     }
@@ -612,11 +615,7 @@ mod tests {
 
     #[test]
     fn recover_replays_to_the_live_state() {
-        for policy in [
-            FsyncPolicy::Always,
-            FsyncPolicy::Batch(2),
-            FsyncPolicy::Never,
-        ] {
+        for policy in [FsyncPolicy::Always, FsyncPolicy::Never] {
             let d = dir();
             let live = populated(&d, policy);
             let live_state = live.db().theory().clone();
@@ -959,6 +958,26 @@ mod tests {
         let (mut rec, _) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
         rec.assert(f("emp(Ann)")).unwrap();
         assert_eq!(rec.last_lsn(), acked + 1);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_failed_sync_after_the_compaction_rename_refuses_writes_until_recovery() {
+        let d = dir();
+        let (mut db, inj) = injected(&d, FsyncPolicy::Never);
+        db.assert(f("emp(Sue)")).unwrap();
+        let acked = db.last_lsn();
+        // compact() syncs the log, the snapshot, the log again, the
+        // shorter log's temp file, then the directory: fail the last.
+        inj.fail_nth_sync(inj.syncs() + 4);
+        let err = db.compact().unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt(_)), "got {err}");
+        assert_eq!((inj.injected(), db.wal_records()), (1, 0), "renamed");
+        let refused = db.assert(f("emp(Ann)")).unwrap_err();
+        assert!(matches!(refused, PersistError::Corrupt(_)), "{refused}");
+        drop(db);
+        let answered = [("emp(Mary)", true), ("emp(Sue)", true), ("emp(Ann)", false)];
+        assert_eq!(assert_recovery_honors(&d, &answered).last_lsn, acked);
         std::fs::remove_dir_all(d).unwrap();
     }
 }

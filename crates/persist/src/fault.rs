@@ -12,8 +12,8 @@
 //! # Design
 //!
 //! The injector is a narrow layer over exactly two primitives —
-//! `fault::write_all` and `fault::sync_data` (crate-private) — the
-//! only file operations the hot
+//! `fault::write_all` and `fault::sync_data` (crate-private; a log
+//! compaction's directory fsync consults it too) — the only file operations the hot
 //! durability path performs. Each call first consults the injector (when
 //! one is installed): the injector counts the operation, decides from
 //! its seeded schedule whether to fail it, and for torn/short writes
@@ -33,8 +33,8 @@
 //!   count *all* observed operations of that class since creation.
 //! * [`FaultInjector::set_write_rate`] / [`set_sync_rate`](FaultInjector::set_sync_rate)
 //!   — seeded random faults at a `num/den` per-operation probability.
-//! * [`FaultInjector::disarm`] / [`arm`](FaultInjector::arm) — a master
-//!   switch: disarmed, every operation passes through untouched (the
+//! * [`FaultInjector::disarm`] — a master switch, off for good:
+//!   disarmed, every operation passes through untouched (the
 //!   counters keep counting). Healing a degraded server only succeeds
 //!   once the "disk" stops failing, i.e. after `disarm`.
 //! * [`FaultInjector::writes`] / [`syncs`](FaultInjector::syncs) /
@@ -151,11 +151,6 @@ impl FaultInjector {
         self.armed.store(false, Ordering::Relaxed);
     }
 
-    /// Master switch back on.
-    pub fn arm(&self) {
-        self.armed.store(true, Ordering::Relaxed);
-    }
-
     /// Whether the injector is currently armed.
     pub fn armed(&self) -> bool {
         self.armed.load(Ordering::Relaxed)
@@ -258,12 +253,16 @@ pub(crate) fn write_all(
 
 /// The injectable `sync_data`.
 pub(crate) fn sync_data(inj: Option<&FaultInjector>, file: &File) -> io::Result<()> {
-    if let Some(i) = inj {
-        if i.decide_sync() {
-            return Err(io::Error::other("injected fsync failure"));
-        }
-    }
+    injected_sync(inj)?;
     file.sync_data()
+}
+
+/// Fail a sync — of a file or of a directory — when `inj` says so.
+pub(crate) fn injected_sync(inj: Option<&FaultInjector>) -> io::Result<()> {
+    match inj {
+        Some(i) if i.decide_sync() => Err(io::Error::other("injected fsync failure")),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -339,8 +338,6 @@ mod tests {
         assert!(sync_data(Some(&inj), &f).is_ok());
         assert_eq!(inj.injected(), 0);
         assert_eq!((inj.writes(), inj.syncs()), (1, 1), "counters still count");
-        inj.arm();
-        assert!(write_all(Some(&inj), &mut f, b"xyz").is_err());
         std::fs::remove_dir_all(d).unwrap();
     }
 

@@ -27,8 +27,8 @@
 //!
 //! # Loss windows are crash-only
 //!
-//! Under [`FsyncPolicy::Batch`]`(n)` (and `Never`) up to `n` (resp.
-//! unboundedly many) acknowledged commits may await an fsync —
+//! Under [`FsyncPolicy::Never`] acknowledged commits may await an
+//! fsync until the next [`DurableDb::sync`] —
 //! [`DurableDb::pending_unsynced`] reports how many right now. Only a
 //! *crash* can lose them: dropping the database (or its [`Wal`]) flushes
 //! the window, so any clean shutdown — including a panic that unwinds —
@@ -89,8 +89,9 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// `fsync` the directory itself, so the directory entries of freshly
 /// created/renamed files (the log, a snapshot) survive power loss —
 /// without this, `FsyncPolicy::Always`'s durability claim would cover
-/// file *contents* but not their *names*.
-pub(crate) fn sync_dir(dir: &std::path::Path) -> std::io::Result<()> {
+/// file *contents* but not their *names*. `inj` may fail it like any sync.
+pub(crate) fn sync_dir(dir: &std::path::Path, inj: Option<&FaultInjector>) -> std::io::Result<()> {
+    fault::injected_sync(inj)?;
     std::fs::File::open(dir)?.sync_all()
 }
 

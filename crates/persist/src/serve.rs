@@ -27,12 +27,11 @@
 //! `fdatasync`, the new state is published with a pointer swap, and only
 //! then are the callers' completion handles fed their [`CommitReceipt`]s
 //! — an acknowledged commit is both durable and visible to subsequent
-//! snapshots. This generalizes [`FsyncPolicy::Batch`]'s every-`n`
-//! amortization into real cross-transaction batching: under load, many
-//! transactions share each fsync ([`ServingDb::stats`] reports the
-//! ratio), while an idle writer degenerates to one fsync per commit —
-//! the same durability as [`FsyncPolicy::Always`] with none of the
-//! batch policies' crash-loss window.
+//! snapshots. Under load, many transactions share each fsync
+//! ([`ServingDb::stats`] reports the ratio), while an idle writer
+//! degenerates to one fsync per commit — the same durability as
+//! [`FsyncPolicy::Always`] with none of [`FsyncPolicy::Never`]'s
+//! crash-loss window.
 //!
 //! The on-disk format is unchanged: a directory served by `ServingDb`
 //! is a `DurableDb` directory, and either API can recover it.

@@ -165,7 +165,7 @@ impl Snapshot {
             return Err(e);
         }
         std::fs::rename(&tmp, &path)?;
-        crate::sync_dir(dir)?;
+        crate::sync_dir(dir, None)?;
         Ok(path)
     }
 

@@ -34,7 +34,7 @@ use crate::fnv1a64;
 use epilog_syntax::{parse, Formula};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -52,9 +52,8 @@ pub(crate) fn compaction_temp(path: &Path) -> PathBuf {
 ///
 /// # The loss window is crash-only
 ///
-/// Under [`Batch`](FsyncPolicy::Batch) and [`Never`](FsyncPolicy::Never)
-/// some committed records may sit in OS caches, unsynced — at most the
-/// last `n` under `Batch(n)`, unboundedly many under `Never`
+/// Under [`Never`](FsyncPolicy::Never) committed records may sit in OS
+/// caches, unsynced, until the next [`Wal::sync`]
 /// ([`Wal::pending_unsynced`] reports the live count). That window can
 /// only be lost to a **crash** (power cut, `kill -9`): a clean shutdown
 /// flushes it, because dropping a [`Wal`] syncs any pending records (as
@@ -65,9 +64,6 @@ pub(crate) fn compaction_temp(path: &Path) -> PathBuf {
 pub enum FsyncPolicy {
     /// `fsync` after every append: a reported commit is durable. Slowest.
     Always,
-    /// `fsync` every `n` appends: bounds the crash-loss window to the
-    /// last `n` transactions while amortizing the sync cost.
-    Batch(u32),
     /// Never `fsync` on append; the OS flushes when it pleases (and
     /// [`Wal::sync`] forces it — the group-commit writer uses exactly
     /// this, one explicit sync per batch). Fastest, and still
@@ -286,7 +282,7 @@ impl Wal {
             .write(true)
             .open(&path)?;
         if let Some(dir) = path.parent() {
-            crate::sync_dir(dir)?;
+            crate::sync_dir(dir, None)?;
         }
         Ok(Wal {
             file,
@@ -368,11 +364,7 @@ impl Wal {
         let lsn = self.next_lsn;
         let bytes = encode_record(lsn, ops);
         fault::write_all(self.injector.as_deref(), &mut self.file, &bytes)?;
-        let sync_due = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::Batch(n) => self.unsynced + 1 >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
+        let sync_due = self.policy == FsyncPolicy::Always;
         if sync_due {
             fault::sync_data(self.injector.as_deref(), &self.file)?;
         }
@@ -392,8 +384,7 @@ impl Wal {
 
     /// Number of appended records not yet covered by an fsync — the
     /// crash-loss window right now. Always 0 under
-    /// [`FsyncPolicy::Always`]; at most `n-1` under `Batch(n)` (an
-    /// append that reaches `n` syncs); unbounded under `Never` until
+    /// [`FsyncPolicy::Always`]; unbounded under `Never` until
     /// [`Wal::sync`] is called.
     pub fn pending_unsynced(&self) -> u32 {
         self.unsynced
@@ -417,20 +408,19 @@ impl Wal {
         }
         let dropped = scan.records.iter().filter(|r| r.lsn <= through).count() as u64;
         let tmp = compaction_temp(&self.path);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes[keep_from..])?;
-            f.sync_data()?;
-        }
+        let injector = self.injector.as_deref();
+        let mut file = File::create(&tmp)?;
+        fault::write_all(injector, &mut file, &bytes[keep_from..])?;
+        fault::sync_data(injector, &file)?;
         std::fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            crate::sync_dir(dir)?;
-        }
-        // The old handle points at the unlinked inode; reopen for append.
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.file.sync_data()?;
+        // Appends follow the renamed file before anything else can fail,
+        // through the handle that wrote it (positioned at its end).
+        self.file = file;
         self.len_bytes -= keep_from as u64;
         self.records -= dropped;
+        if let Some(dir) = self.path.parent() {
+            crate::sync_dir(dir, injector)?;
+        }
         Ok((dropped, keep_from as u64))
     }
 
@@ -615,10 +605,10 @@ mod tests {
     fn appends_resume_after_open() {
         let d = dir();
         let path = d.join(WAL_FILE);
-        let mut wal = Wal::create(&path, FsyncPolicy::Batch(2)).unwrap();
+        let mut wal = Wal::create(&path, FsyncPolicy::Never).unwrap();
         let _ = wal.append(&[WalOp::Assert(f("p(a)"))]).unwrap();
         drop(wal);
-        let (mut wal, scan) = Wal::open(&path, FsyncPolicy::Batch(2)).unwrap();
+        let (mut wal, scan) = Wal::open(&path, FsyncPolicy::Never).unwrap();
         assert!(scan.torn.is_none());
         assert_eq!(wal.append(&[WalOp::Assert(f("q(b)"))]).unwrap(), 2);
         wal.sync().unwrap();
@@ -632,19 +622,9 @@ mod tests {
     fn pending_unsynced_tracks_the_loss_window() {
         let d = dir();
         let path = d.join(WAL_FILE);
-        let mut wal = Wal::create(&path, FsyncPolicy::Batch(3)).unwrap();
-        assert_eq!(wal.pending_unsynced(), 0);
-        let _ = wal.append(&[WalOp::Assert(f("p(a)"))]).unwrap();
-        let _ = wal.append(&[WalOp::Assert(f("p(b)"))]).unwrap();
-        assert_eq!(wal.pending_unsynced(), 2, "below the batch threshold");
-        let _ = wal.append(&[WalOp::Assert(f("p(c)"))]).unwrap();
-        assert_eq!(wal.pending_unsynced(), 0, "the n-th append syncs");
-
-        // Always keeps the window permanently closed; Never only counts.
-        let mut always = Wal::create(d.join("a.log"), FsyncPolicy::Always).unwrap();
-        let _ = always.append(&[WalOp::Assert(f("p(a)"))]).unwrap();
-        assert_eq!(always.pending_unsynced(), 0);
-        let mut never = Wal::create(d.join("n.log"), FsyncPolicy::Never).unwrap();
+        // Never counts appends until a sync; Always never opens a window.
+        let mut never = Wal::create(&path, FsyncPolicy::Never).unwrap();
+        assert_eq!(never.pending_unsynced(), 0);
         for i in 0..5 {
             let _ = never
                 .append(&[WalOp::Assert(f(&format!("p(a{i})")))])
@@ -653,19 +633,22 @@ mod tests {
         assert_eq!(never.pending_unsynced(), 5);
         never.sync().unwrap();
         assert_eq!(never.pending_unsynced(), 0);
+        let mut always = Wal::create(d.join("a.log"), FsyncPolicy::Always).unwrap();
+        let _ = always.append(&[WalOp::Assert(f("p(a)"))]).unwrap();
+        assert_eq!(always.pending_unsynced(), 0);
         std::fs::remove_dir_all(d).unwrap();
     }
 
     #[test]
     fn drop_flushes_pending_records() {
-        // Batch(100) with 1 append: the record sits unsynced until the
-        // Wal is dropped, after which the file must scan complete. (The
-        // scan would *usually* see it even without the drop-flush — the
-        // data is in OS caches — so also assert the accounting that the
-        // window was open.)
+        // Never with 1 append and no sync: the record sits unsynced until
+        // the Wal is dropped, after which the file must scan complete.
+        // (The scan would *usually* see it even without the drop-flush —
+        // the data is in OS caches — so also assert the accounting that
+        // the window was open.)
         let d = dir();
         let path = d.join(WAL_FILE);
-        let mut wal = Wal::create(&path, FsyncPolicy::Batch(100)).unwrap();
+        let mut wal = Wal::create(&path, FsyncPolicy::Never).unwrap();
         let _ = wal.append(&[WalOp::Assert(f("p(a)"))]).unwrap();
         assert_eq!(wal.pending_unsynced(), 1, "window open before drop");
         drop(wal);

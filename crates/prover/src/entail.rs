@@ -348,7 +348,7 @@ impl Prover {
     }
 
     /// Number of solver runs so far — the one that finds the model of a
-    /// kept grounding included (benches/tests).
+    /// kept grounding included (diagnostics).
     pub fn sat_calls(&self) -> u64 {
         self.sat_calls.load(Ordering::Relaxed)
     }
@@ -356,11 +356,6 @@ impl Prover {
     /// Number of goals a kept model refuted without a solver run.
     pub fn refuted(&self) -> u64 {
         self.refuted.load(Ordering::Relaxed)
-    }
-
-    /// Reset the SAT-call counter (benches).
-    pub fn reset_sat_calls(&self) {
-        self.sat_calls.store(0, Ordering::Relaxed);
     }
 }
 

@@ -42,7 +42,7 @@
 //!   document that theories which force infinite models (e.g. an
 //!   irreflexive transitive successor rule) can make the prover report
 //!   `Σ ⊨ f` when a genuinely infinite counter-world exists. Every
-//!   experiment in EXPERIMENTS.md stays inside the exact fragment.
+//!   row of `crates/bench/report.sample.txt` stays inside the exact fragment.
 //!
 //! ## What keeping the grounding changes: nothing
 //!

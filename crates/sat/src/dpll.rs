@@ -1,9 +1,8 @@
 //! A plain DPLL solver: unit propagation + chronological backtracking,
 //! no clause learning, no heuristics beyond first-unassigned branching.
 //!
-//! Kept as the ablation baseline for bench `f3_sat`: on pigeonhole
-//! instances CDCL's learned clauses prune exponentially better, which is
-//! the qualitative shape the bench reproduces.
+//! Kept as the reference the CDCL solver's tests compare against (on
+//! random instances, under assumptions, and on pigeonhole instances).
 
 use crate::cnf::{Cnf, Lit};
 use crate::solver::SatResult;

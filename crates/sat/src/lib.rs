@@ -18,8 +18,8 @@
 //!   and clauses between runs — how the prover asks many goals of one
 //!   grounded theory;
 //! * [`solve_dpll`] — a plain DPLL baseline (unit propagation +
-//!   chronological backtracking, no learning), kept as the ablation
-//!   comparison for bench `f3_sat`;
+//!   chronological backtracking, no learning), kept as the reference
+//!   the solver's tests compare against;
 //! * model enumeration ([`Solver::enumerate`]) via blocking clauses added
 //!   to one solver between runs.
 

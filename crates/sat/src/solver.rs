@@ -691,6 +691,7 @@ mod tests {
         for holes in 2..=6 {
             let cnf = pigeonhole(holes);
             assert_eq!(Solver::new(&cnf).solve(), SatResult::Unsat, "PHP({holes})");
+            assert!(holes > 5 || crate::dpll::solve_dpll(&cnf) == SatResult::Unsat);
         }
     }
 

@@ -41,6 +41,7 @@ fn p_or_q_table() {
         ("p", Answer::Unknown),
         ("K p", Answer::No),
         ("K p | K ~p", Answer::No),
+        ("K (p | q) & ~K p", Answer::Yes),
     ];
     for (q, expected) in table {
         let w = parse(q).unwrap();
@@ -48,6 +49,11 @@ fn p_or_q_table() {
         assert_eq!(ask_in_two_passes(db.prover(), &w), expected, "{q}");
         assert_eq!(oracle.answer(&w), expected, "oracle({q})");
     }
+    let known_disjunction = parse("K (p | q) & ~K p").unwrap();
+    assert_eq!(
+        demo_sentence(db.prover(), &known_disjunction).unwrap(),
+        DemoOutcome::Succeeds
+    );
 }
 
 #[test]

@@ -168,6 +168,9 @@ fn all_answers_iteration_611() {
     let names: Vec<String> = answers.iter().map(|t| t[0].name()).collect();
     // a, b certain; c certain too: q(c) ∨ p(c) and q(x) ⊃ p(x) force p(c).
     assert_eq!(names, vec!["a", "b", "c"]);
+    // The known instances are the same three.
+    let known = all_answers(&prover, &parse("K p(x)").unwrap()).unwrap();
+    assert_eq!(known, answers);
 }
 
 #[test]

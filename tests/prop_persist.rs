@@ -10,8 +10,8 @@
 //! answered `Ok`; a database whose log can no longer be trusted after a
 //! failed compensation or sync is recovered in place, must come back at
 //! the last `Ok`, and carries on. **Acknowledged == durable**: a commit
-//! answered `Ok` is in the log at its LSN (and inside the policy's sync
-//! window), one answered `Err` is never observed. The suite then:
+//! answered `Ok` is in the log at its LSN (and synced, under `Always`),
+//! one answered `Err` is never observed. The suite then:
 //!
 //! * **crashes at every record boundary** — truncates a copy of the log
 //!   at each boundary — and **mid-record** (torn writes inside the header
@@ -204,14 +204,13 @@ impl Update {
 /// sync-fault odds in fourths (0 = none), injector seed.
 type RawFaults = (u8, u8, u8, u64);
 
-/// The policy a selector stands for, and the most records it lets await
-/// a sync after an acknowledged commit (`None`: unbounded — the driver
-/// calls `sync` itself after every second batch).
-fn policy_of(selector: u8) -> (FsyncPolicy, Option<u32>) {
-    match selector {
-        0 => (FsyncPolicy::Always, Some(0)),
-        n @ 1..=2 => (FsyncPolicy::Batch(u32::from(n) + 1), Some(u32::from(n))),
-        _ => (FsyncPolicy::Never, None),
+/// The policy a selector stands for. Under `Never` the driver calls
+/// `sync` itself after every second batch.
+fn policy_of(selector: u8) -> FsyncPolicy {
+    if selector == 0 {
+        FsyncPolicy::Always
+    } else {
+        FsyncPolicy::Never
     }
 }
 
@@ -219,7 +218,7 @@ fn cases() -> impl Strategy<Value = (u8, u8, RawFaults, Vec<Vec<RawOp>>)> {
     (
         0u8..8, // seed-rule subset mask
         0u8..8, // constraint subset mask
-        (0u8..4, 0u8..3, 0u8..3, 0u64..u64::MAX),
+        (0u8..2, 0u8..3, 0u8..3, 0u64..u64::MAX),
         proptest::collection::vec(
             proptest::collection::vec((0u8..10, 0u8..8, 0u8..8, 0u8..8), 1..4),
             0..5,
@@ -248,7 +247,7 @@ proptest! {
             }
         }
         let theory = Theory::from_text(&src).unwrap();
-        let (policy, window) = policy_of(policy);
+        let policy = policy_of(policy);
         let mut durable = DurableDb::create(&dir, theory.clone(), policy).unwrap();
         let injector = Arc::new(FaultInjector::new(fault_seed));
         injector.set_write_rate(u32::from(write_odds), 4);
@@ -286,12 +285,11 @@ proptest! {
                             n_constraints: oracle.constraints().len(),
                         });
                     }
-                    if let Some(window) = window {
-                        prop_assert!(
-                            durable.pending_unsynced() <= window,
-                            "{:?} left {} acknowledged records unsynced",
-                            policy,
-                            durable.pending_unsynced()
+                    if policy == FsyncPolicy::Always {
+                        prop_assert_eq!(
+                            durable.pending_unsynced(),
+                            0,
+                            "Always left acknowledged records unsynced"
                         );
                     }
                 }
@@ -306,7 +304,7 @@ proptest! {
                 Err(PersistError::Io(_)) => prop_assert!(write_odds + sync_odds > 0),
                 Err(PersistError::Corrupt(_)) => untrusted = true,
             }
-            if window.is_none() && step % 2 == 1 && !untrusted {
+            if policy == FsyncPolicy::Never && step % 2 == 1 && !untrusted {
                 untrusted = durable.sync().is_err();
             }
             prop_assert_eq!(durable.theory(), oracle.theory());
@@ -407,20 +405,19 @@ proptest! {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
-    /// [`FsyncPolicy::Batch`]`(n)`'s loss window is tight: after every
-    /// commit fewer than `n` records await a sync (the `n`-th append
-    /// syncs), an explicit sync empties the window, and a clean drop
-    /// flushes it — the log on disk is complete and recovery reproduces
-    /// the live state exactly.
+    /// [`FsyncPolicy::Never`]'s loss window is exact: after every commit
+    /// it counts the records logged since the last sync, an explicit
+    /// sync empties it, and a clean drop flushes it — the log on disk is
+    /// complete and recovery reproduces the live state exactly.
     #[test]
-    fn batch_policy_loss_window_is_tight(
-        n in 1u32..6,
+    fn never_policy_window_closes_on_sync_and_on_drop(
         raw in proptest::collection::vec((0u8..10, 0u8..8, 0u8..8, 0u8..8), 1..24),
     ) {
-        let dir = temp_dir("batch");
+        let dir = temp_dir("never");
         let theory = Theory::from_text(RULES[1]).unwrap();
-        let mut durable = DurableDb::create(&dir, theory.clone(), FsyncPolicy::Batch(n)).unwrap();
+        let mut durable = DurableDb::create(&dir, theory.clone(), FsyncPolicy::Never).unwrap();
         let mut oracle = EpistemicDb::new(theory);
+        let mut logged = 0;
         for op in &raw {
             let (is_assert, w) = op_formula(*op);
             let dv = if is_assert {
@@ -434,12 +431,10 @@ proptest! {
                 oracle.transaction().retract(w).commit()
             };
             prop_assert_eq!(dv.is_ok(), ov.is_ok(), "verdict divergence");
-            prop_assert!(
-                durable.pending_unsynced() < n,
-                "window exceeded Batch({}): {} pending",
-                n,
-                durable.pending_unsynced()
-            );
+            if dv.is_ok_and(|report| report.asserted + report.retracted > 0) {
+                logged += 1;
+            }
+            prop_assert_eq!(durable.pending_unsynced(), logged, "records awaiting a sync");
         }
         durable.sync().unwrap();
         prop_assert_eq!(durable.pending_unsynced(), 0, "explicit sync empties the window");
@@ -457,7 +452,7 @@ proptest! {
         let (rec, report) = DurableDb::recover(&dir, FsyncPolicy::Never).unwrap();
         prop_assert!(report.torn_tail.is_none());
         prop_assert!(report.rejected.is_empty());
-        assert_recovered_matches(rec.db(), &final_state, "after clean drop under Batch(n)")?;
+        assert_recovered_matches(rec.db(), &final_state, "after clean drop under Never")?;
         drop(rec);
         std::fs::remove_dir_all(dir).unwrap();
     }
