@@ -14,11 +14,10 @@
 //! | [`IcDefinition::CompEntailment`] | `Comp(Σ) ⊨ IC` | Prolog-like DBs (Lloyd–Topor) |
 //! | [`IcDefinition::Epistemic`] | `Σ ⊨ IC`, IC modal | **this paper** (Def. 3.5) |
 
-use crate::ask::certain;
-use crate::demo;
+use crate::incremental::CompiledConstraint;
 use epilog_datalog::completion;
 use epilog_prover::Prover;
-use epilog_syntax::{admissibility, admissible_constraint, is_first_order, Formula, Theory};
+use epilog_syntax::{is_first_order, Formula, Theory};
 use std::fmt;
 
 /// The five notions of a database satisfying an integrity constraint.
@@ -77,10 +76,12 @@ impl fmt::Display for IcReport {
 ///
 /// For [`IcDefinition::Epistemic`], `ic` may be any KFOPCE sentence and
 /// satisfaction is `Σ ⊨ IC` — which is *identical to query evaluation*
-/// (§3). A constraint whose [`admissible_constraint`] rewrite is
-/// admissible — every constraint of the paper — is evaluated by `demo`
-/// (Theorem 5.1: it succeeds iff `Σ ⊨ IC`), first-order prover calls
-/// only; the Levesque-style reduction of [`certain`] decides the rest.
+/// (§3), and is decided by the constraint's [`CompiledConstraint`]: a
+/// constraint whose [`admissible_constraint`](epilog_syntax::admissible_constraint)
+/// rewrite is admissible — every constraint of the paper — is evaluated
+/// by `demo` (Theorem 5.1: it succeeds iff `Σ ⊨ IC`), first-order prover
+/// calls only; the Levesque-style reduction of
+/// [`certain`](crate::ask::certain) decides the rest.
 /// The first-order definitions return
 /// [`IcReport::Inapplicable`] on modal constraints, and the `Comp`
 /// definitions additionally require the database to be Prolog-like.
@@ -93,7 +94,9 @@ pub fn ic_satisfaction(prover: &Prover, ic: &Formula, def: IcDefinition) -> IcRe
         }
     };
     match def {
-        IcDefinition::Epistemic => verdict(epistemically_entailed(prover, ic)),
+        IcDefinition::Epistemic => {
+            verdict(CompiledConstraint::compile(ic).violated(prover).is_none())
+        }
         IcDefinition::Consistency => {
             if !is_first_order(ic) {
                 return IcReport::Inapplicable;
@@ -119,17 +122,6 @@ pub fn ic_satisfaction(prover: &Prover, ic: &Formula, def: IcDefinition) -> IcRe
             }
         }
     }
-}
-
-/// `Σ ⊨ IC` for a KFOPCE sentence (Definition 3.5).
-fn epistemically_entailed(prover: &Prover, ic: &Formula) -> bool {
-    let rewritten = admissible_constraint(ic);
-    if !admissibility(&rewritten).is_admissible() {
-        return certain(prover, ic);
-    }
-    // Theorem 5.1 is about satisfiable databases; an unsatisfiable one
-    // entails every sentence.
-    !prover.satisfiable() || demo::succeeds(prover, &rewritten)
 }
 
 /// `Comp(DB)` as a prover, when `DB` is Prolog-like (facts + Horn-ish

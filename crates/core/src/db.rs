@@ -2,18 +2,20 @@
 //!
 //! Wraps a FOPCE theory with the paper's full machinery: epistemic query
 //! answering, the `demo` evaluator, integrity constraints as epistemic
-//! sentences with transactional update checking, and closed-world views.
+//! sentences — each compiled once, when it is registered, and checked
+//! through that one compiled violation ever after — with transactional
+//! update checking, and closed-world views.
 
 use crate::ask;
 use crate::closure::ClosedDb;
-use crate::constraints::{ic_satisfaction, IcDefinition, IcReport};
 use crate::demo;
 use crate::engine::{definite_program, prover_and_program};
-use crate::incremental::{CompiledConstraint, IncrementalChecker};
+use crate::incremental::CompiledConstraint;
 use crate::transaction::Transaction;
 use epilog_datalog::{Program, ProofTree, RulePlan};
 use epilog_prover::Prover;
 use epilog_semantics::Answer;
+use epilog_storage::Database;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::theory::TheoryError;
 use epilog_syntax::{Admissibility, Formula, Param, Theory};
@@ -32,34 +34,17 @@ pub struct Rejection {
     pub constraint: Formula,
     /// Ground witness tuples that trigger the violation in the rejected
     /// candidate state: the constraint's positive `K`-patterns under the
-    /// first binding `demo` finds for its violation. Empty only for a
+    /// first answer `demo` finds on its compiled violation body, read off
+    /// the full check itself when the check ran in full. Empty only for a
     /// constraint outside the admissible `¬∃x̄ (K-conjunction)` fragment,
     /// which has no patterns to instantiate.
     pub witnesses: Vec<Atom>,
     /// The candidate state's definite program (`None` when it has none),
     /// shared with the candidate: what [`Rejection::proofs`] derives from.
-    program: Option<Arc<Program>>,
+    pub(crate) program: Option<Arc<Program>>,
 }
 
 impl Rejection {
-    /// Build the explanation for a violated constraint against the
-    /// (rejected) candidate state: `prover` answers for it, `program` is
-    /// its definite program.
-    pub(crate) fn explain(
-        ic: &Formula,
-        prover: &Prover,
-        program: Option<Arc<Program>>,
-    ) -> Box<Rejection> {
-        let witnesses = CompiledConstraint::compile(ic)
-            .map(|c| c.violation_witnesses(prover))
-            .unwrap_or_default();
-        Box::new(Rejection {
-            constraint: ic.clone(),
-            witnesses,
-            program,
-        })
-    }
-
     /// Proof trees for the witnesses, derived when asked from one
     /// fixpoint of the rejected candidate's program ([`Program::why`]):
     /// EDB witnesses appear as [`ProofTree::Fact`] leaves. Empty when the
@@ -140,45 +125,77 @@ impl From<TheoryError> for DbError {
 /// number of reader threads can query concurrently (see
 /// [`crate::mvcc`]). A clone shares with its original everything a
 /// ground-atom commit does not change: the least model's storage run by
-/// run (see [`epilog_storage::Relation`]), and the constraints, compiled
-/// checker, rule plans and definite program whole, behind `Arc`s. What
-/// a clone still copies is the sentence list.
+/// run (see [`epilog_storage::Relation`]), and the compiled constraints,
+/// rule plans and definite program whole, behind `Arc`s. What a clone
+/// still copies is the sentence list.
 #[derive(Clone)]
 pub struct EpistemicDb {
     pub(crate) prover: Prover,
-    pub(crate) constraints: Arc<Vec<Formula>>,
-    /// Every registered constraint, compiled for incremental checking
-    /// where it can be (the others are re-checked in full per commit).
-    pub(crate) checker: Arc<IncrementalChecker>,
-    /// The theory as a definite Datalog program — what
-    /// [`definite_program`] would derive from the sentences — cached
-    /// across commits next to the plans compiled from it; `Some` exactly
-    /// when a least model is attached. The rules depend only on the
-    /// rule-shaped sentences and the EDB is the set of ground-atom
-    /// sentences, so a ground-atom commit produces its candidate's
-    /// program by editing a copy of the EDB with the batch's own added
-    /// and removed atoms (the copy shares storage with this one) and
-    /// never walks the sentence list; only rule-changing commits derive
-    /// it afresh. Debug builds re-derive it at every commit and compare.
-    pub(crate) program: Option<Arc<Program>>,
-    /// The compiled [`epilog_datalog::RulePlan`] set of `program`, one
-    /// per rule in order, cached across commits: plans depend only on the
-    /// rule-shaped sentences, so ground-atom commits resume the fixpoint
-    /// through these without compiling anything, and only rule-changing
-    /// commits rebuild them (with cost statistics read from the
-    /// then-current least model).
-    /// `Some` exactly when `program` is.
-    pub(crate) rule_plans: Option<Arc<Vec<RulePlan>>>,
-    /// Total least-model size at the time `rule_plans` was compiled: the
-    /// baseline for the staleness trigger. Cached plans embed literal
-    /// orderings costed against the model as it looked back then; when the
-    /// model has since halved or doubled, those orderings may be inverted,
-    /// so [`EpistemicDb::maybe_recost_plans`] recompiles against fresh
-    /// statistics.
-    pub(crate) plans_model_size: usize,
+    /// Every registered constraint in registration order, compiled once
+    /// when it was registered.
+    pub(crate) constraints: Arc<Vec<CompiledConstraint>>,
+    /// The theory as a definite program with its plans; `Some` exactly
+    /// when a least model is attached.
+    pub(crate) definite: Option<Definite>,
     /// How many times the staleness trigger has recompiled the cached
     /// plans (observable via [`EpistemicDb::plan_recosts`]).
     pub(crate) plan_recosts: u64,
+}
+
+/// The theory as a definite Datalog program — what [`definite_program`]
+/// would derive from the sentences — cached across commits with the plans
+/// compiled from its rules. The rules depend only on the rule-shaped
+/// sentences and the EDB is the set of ground-atom sentences, so a
+/// ground-atom commit produces its candidate's program by editing a copy
+/// of the EDB with the batch's own added and removed atoms (the copy
+/// shares storage with this one) and never walks the sentence list, and
+/// resumes the fixpoint through the cached plans without compiling
+/// anything; only rule-changing commits derive both afresh. Debug builds
+/// re-derive the program at every commit and compare.
+#[derive(Clone)]
+pub(crate) struct Definite {
+    pub(crate) program: Arc<Program>,
+    /// One [`RulePlan`] per rule of `program`, in order.
+    pub(crate) plans: Arc<Vec<RulePlan>>,
+    /// Total least-model size the plans were costed against: the baseline
+    /// for the staleness trigger of [`Definite::recost`].
+    pub(crate) costed_at: usize,
+}
+
+impl Definite {
+    /// `program` with its plans compiled against its least model `model`
+    /// as the cost statistics source (it covers intensional relations
+    /// too).
+    pub(crate) fn new(program: Arc<Program>, model: &Database) -> Self {
+        let plans = program
+            .rules
+            .iter()
+            .map(|r| RulePlan::compile(r, model))
+            .collect();
+        Definite {
+            program,
+            plans: Arc::new(plans),
+            costed_at: model.len(),
+        }
+    }
+
+    /// Re-cost the plans when `model` has drifted far from the statistics
+    /// they were compiled against: the cost-based literal ordering is only
+    /// as good as its cardinality estimates, and a model that has at least
+    /// halved or doubled in total size since can invert join orders.
+    /// Called after every commit (plans a rule-changing commit compiled
+    /// are costed against its model already). Cheap when the trigger does
+    /// not fire: one `len()` and two comparisons. Returns whether it
+    /// recompiled.
+    pub(crate) fn recost(&mut self, model: &Database) -> bool {
+        let cur = model.len().max(1);
+        let base = self.costed_at.max(1);
+        if cur < base * 2 && base < cur * 2 {
+            return false;
+        }
+        *self = Definite::new(Arc::clone(&self.program), model);
+        true
+    }
 }
 
 impl EpistemicDb {
@@ -193,30 +210,14 @@ impl EpistemicDb {
     /// A constraint-free database over `prover`, whose theory `program`
     /// is the definite reading of (`None`: it has none, and no model).
     fn over(prover: Prover, program: Option<Program>) -> Self {
-        let mut db = EpistemicDb {
-            plans_model_size: prover.atom_model().map_or(0, |m| m.len()),
+        EpistemicDb {
+            definite: program
+                .zip(prover.atom_model())
+                .map(|(p, model)| Definite::new(Arc::new(p), model)),
             prover,
             constraints: Arc::default(),
-            checker: Arc::default(),
-            program: program.map(Arc::new),
-            rule_plans: None,
             plan_recosts: 0,
-        };
-        db.rule_plans = db.compile_rule_plans();
-        db
-    }
-
-    /// Compile the cross-commit rule-plan cache for the cached definite
-    /// program, using the attached least model as the cost statistics
-    /// source (it covers intensional relations too). `None` outside the
-    /// definite fragment — those theories have no resumable fixpoint to
-    /// cache plans for.
-    pub(crate) fn compile_rule_plans(&self) -> Option<Arc<Vec<RulePlan>>> {
-        let model = self.prover.atom_model()?;
-        let rules = &self.program.as_ref()?.rules;
-        Some(Arc::new(
-            rules.iter().map(|r| RulePlan::compile(r, model)).collect(),
-        ))
+        }
     }
 
     /// Whether the cached program is what the sentences say it is (the
@@ -226,31 +227,10 @@ impl EpistemicDb {
             .prover
             .atom_model()
             .and_then(|_| definite_program(self.prover.theory()));
-        match (self.program.as_deref(), fresh) {
-            (Some(cached), Some(fresh)) => cached.rules == fresh.rules && cached.edb == fresh.edb,
+        match (&self.definite, fresh) {
+            (Some(d), Some(fresh)) => d.program.rules == fresh.rules && d.program.edb == fresh.edb,
             (None, None) => true,
             _ => false,
-        }
-    }
-
-    /// Re-cost the cached rule plans when the attached least model has
-    /// drifted far from the statistics they were compiled against: the
-    /// cost-based literal ordering is only as good as its cardinality
-    /// estimates, and a model that has at least halved or doubled in
-    /// total size since compile time can invert join orders. Called after
-    /// fact-only commits (rule-changing commits recompile unconditionally,
-    /// resetting the baseline). Cheap when the trigger does not fire: one
-    /// `len()` and two comparisons.
-    pub(crate) fn maybe_recost_plans(&mut self) {
-        let Some(model) = self.prover.atom_model() else {
-            return;
-        };
-        let cur = model.len().max(1);
-        let base = self.plans_model_size.max(1);
-        if cur >= base * 2 || base >= cur * 2 {
-            self.rule_plans = self.compile_rule_plans();
-            self.plans_model_size = cur;
-            self.plan_recosts += 1;
         }
     }
 
@@ -291,9 +271,10 @@ impl EpistemicDb {
         &self.prover
     }
 
-    /// The registered integrity constraints.
-    pub fn constraints(&self) -> &[Formula] {
-        &self.constraints
+    /// The registered integrity constraints, as registered, in
+    /// registration order.
+    pub fn constraints(&self) -> impl ExactSizeIterator<Item = &Formula> {
+        self.constraints.iter().map(|c| &c.original)
     }
 
     // ----- provenance -----------------------------------------------------
@@ -309,8 +290,9 @@ impl EpistemicDb {
         if !self.prover.atom_model()?.contains(atom) {
             return None;
         }
-        self.program
+        self.definite
             .as_ref()?
+            .program
             .why(std::slice::from_ref(atom))
             .pop()
             .flatten()
@@ -342,29 +324,26 @@ impl EpistemicDb {
 
     // ----- integrity ------------------------------------------------------
 
-    /// Register a constraint (a KFOPCE sentence). The current state must
-    /// satisfy it, otherwise the registration is rejected. Accepted
-    /// constraints are recompiled for incremental checking; one outside
-    /// the compilable fragment is re-checked in full at every commit.
+    /// Register a constraint (a KFOPCE sentence). It is compiled once,
+    /// here, and the current state must satisfy it, otherwise the
+    /// registration is rejected with the witnesses of the violation.
+    /// Commits check it on what their model diff can have violated; one
+    /// outside the compilable fragment is re-checked in full at every
+    /// commit.
     pub fn add_constraint(&mut self, ic: Formula) -> Result<(), DbError> {
         if !ic.is_sentence() {
             return Err(DbError::OpenConstraint(ic));
         }
-        if ic_satisfaction(&self.prover, &ic, IcDefinition::Epistemic) != IcReport::Satisfied {
-            return Err(DbError::ConstraintViolated(Rejection::explain(
-                &ic,
-                &self.prover,
-                self.program.clone(),
-            )));
+        let compiled = CompiledConstraint::compile(&ic);
+        if let Some(witnesses) = compiled.violated(&self.prover) {
+            return Err(DbError::ConstraintViolated(Box::new(Rejection {
+                constraint: ic,
+                witnesses,
+                program: self.definite.as_ref().map(|d| Arc::clone(&d.program)),
+            })));
         }
-        self.register(ic);
+        Arc::make_mut(&mut self.constraints).push(compiled);
         Ok(())
-    }
-
-    /// Append an accepted constraint and recompile the checker.
-    fn register(&mut self, ic: Formula) {
-        Arc::make_mut(&mut self.constraints).push(ic);
-        self.checker = Arc::new(IncrementalChecker::new(&self.constraints));
     }
 
     /// Register a constraint **without** verifying that the current state
@@ -378,20 +357,21 @@ impl EpistemicDb {
         if !ic.is_sentence() {
             return Err(DbError::OpenConstraint(ic));
         }
+        let compiled = CompiledConstraint::compile(&ic);
         debug_assert!(
-            ic_satisfaction(&self.prover, &ic, IcDefinition::Epistemic) == IcReport::Satisfied,
+            compiled.violated(&self.prover).is_none(),
             "adopted constraint `{ic}` is violated by the current state"
         );
-        self.register(ic);
+        Arc::make_mut(&mut self.constraints).push(compiled);
         Ok(())
     }
 
     /// Whether the database currently satisfies every registered
     /// constraint (`Σ ⊨ IC` for each, Definition 3.5).
     pub fn satisfies_constraints(&self) -> bool {
-        self.constraints.iter().all(|ic| {
-            ic_satisfaction(&self.prover, ic, IcDefinition::Epistemic) == IcReport::Satisfied
-        })
+        self.constraints
+            .iter()
+            .all(|c| c.violated(&self.prover).is_none())
     }
 
     // ----- updates --------------------------------------------------------
@@ -480,7 +460,7 @@ mod tests {
             d.add_constraint(ic),
             Err(DbError::ConstraintViolated(_))
         ));
-        assert!(d.constraints().is_empty());
+        assert_eq!(d.constraints().len(), 0);
     }
 
     #[test]

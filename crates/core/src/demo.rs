@@ -29,7 +29,7 @@ use epilog_syntax::{
 use std::collections::{HashMap, HashSet};
 
 /// A binding environment: variables already bound to parameters.
-type Env = HashMap<Var, Param>;
+pub(crate) type Env = HashMap<Var, Param>;
 
 /// The outcome of running `demo` on a sentence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,28 +87,14 @@ pub fn demo<'a>(prover: &'a Prover, w: &Formula) -> Result<DemoStream<'a>, Admis
     if !verdict.is_admissible() {
         return Err(verdict);
     }
-    Ok(run(prover, w))
-}
-
-/// [`demo`] on a query the caller has already shown admissible — the
-/// compiled integrity constraints, whose admissibility is a property of
-/// the registered sentence (instantiating free variables preserves it).
-pub(crate) fn run<'a>(prover: &'a Prover, w: &Formula) -> DemoStream<'a> {
-    debug_assert!(admissibility(w).is_admissible(), "{w} is not admissible");
     // The safety rules are stated over the primitives ¬ ∧ ∃ K; expand the
     // defined connectives in modal positions. First-order subtrees go to
     // `prove` whole, whatever their shape.
     let kerneled = kernel_modal(w);
-    DemoStream {
+    Ok(DemoStream {
         inner: stream(prover, kerneled, Env::new()),
         vars: w.free_vars(),
-    }
-}
-
-/// Whether `demo` succeeds on the sentence `w`, which the caller has
-/// already shown admissible (see [`run`]).
-pub(crate) fn succeeds(prover: &Prover, w: &Formula) -> bool {
-    run(prover, w).next().is_some()
+    })
 }
 
 /// Run `demo` on a sentence, classifying the outcome.
@@ -152,8 +138,13 @@ fn kernel_modal(w: &Formula) -> Formula {
 }
 
 /// The recursive clause dispatch. `w` is admissible-after-kernel; `env`
-/// holds bindings produced by conjuncts to the left.
-fn stream<'a>(prover: &'a Prover, w: Formula, env: Env) -> Box<dyn Iterator<Item = Env> + 'a> {
+/// holds bindings produced by conjuncts to the left (or by the diff atom
+/// that fired a compiled constraint's violation body).
+pub(crate) fn stream<'a>(
+    prover: &'a Prover,
+    w: Formula,
+    env: Env,
+) -> Box<dyn Iterator<Item = Env> + 'a> {
     // Clause 1: first-order formulas go to prove().
     if is_first_order(&w) {
         let bound = apply(&w, &env);

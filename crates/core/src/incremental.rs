@@ -14,9 +14,8 @@
 //! `¬(¬a ∧ ¬b)`); equalities contribute nothing. An added model atom fires
 //! the positive patterns it matches, a removed one the negative patterns,
 //! and each match yields a violation instance: `body` with the outer
-//! variables the match fixes bound and the rest re-quantified. A
-//! constraint no diff atom fires is skipped; the others are checked on
-//! their instances only.
+//! variables the match fixes bound. A constraint no diff atom fires is
+//! skipped; the others are checked on their instances only.
 //!
 //! **Why the diff is enough.** On a definite theory a first-order formula
 //! without negated atoms is known iff it holds in the least model, so when
@@ -28,34 +27,44 @@
 //! analysis is needed. A commit without a diff (it changed the rules, or
 //! the theory is not definite) re-checks every constraint in full, and a
 //! constraint outside the compilable fragment re-checks itself in full at
-//! every commit; both go through the same [`IncrementalChecker::check`].
+//! every commit.
 //!
-//! **Evaluation.** Whatever the route, the sentence put to the database
-//! is the violation `∃x̄ body` of an admissible constraint or an instance
-//! of it, and it is run through [`demo`](mod@crate::demo): the constraint
-//! holds iff `demo` finitely fails on its violation (Theorem 5.1 with
-//! Lemma 5.2 — the violation is subjective). `demo` binds variables from
-//! the positive `K`-literals leftmost first, so a check looks up the atoms
-//! the violation names instead of expanding its quantifiers over the
-//! active domain.
+//! **Evaluation.** A constraint is compiled once, at registration, and
+//! every check of it — registration, commit, `satisfies_constraints` —
+//! runs that one violation body through [`demo`](mod@crate::demo): the
+//! constraint holds iff `demo` finitely fails on `∃x̄ body` (Theorem 5.1
+//! with Lemma 5.2 — the violation is subjective). A full check's first
+//! answer names a rejection's witnesses; an instance is the same run from
+//! the bindings a diff atom's match fixes. `demo` binds variables from the
+//! positive `K`-literals leftmost first, so a check looks up the atoms the
+//! violation names instead of expanding its quantifiers over the domain.
 
-use crate::constraints::{ic_satisfaction, IcDefinition, IcReport};
-use crate::demo;
+use crate::ask::certain;
+use crate::demo::{self, Env};
 use epilog_prover::Prover;
 use epilog_storage::Database;
 use epilog_syntax::formula::{Atom, Formula};
-use epilog_syntax::{admissibility, admissible_constraint, Param, Term, Var};
+use epilog_syntax::{admissibility, admissible_constraint, is_first_order, Param, Term, Var};
 use std::collections::HashMap;
 
-/// A constraint compiled for incremental checking.
+/// A registered integrity constraint, compiled once at registration.
 #[derive(Debug, Clone)]
 pub struct CompiledConstraint {
-    /// The original constraint sentence.
+    /// The constraint sentence, as registered.
     pub original: Formula,
-    /// The existentially quantified variables `x̄` of the `¬∃x̄ body`
-    /// rewrite.
+    /// Its violation `∃x̄ body`; `None` outside the admissible fragment
+    /// this module specializes, where a check runs in full, as
+    /// [`crate::ic_satisfaction`] does.
+    violation: Option<Violation>,
+}
+
+/// The violation `∃x̄ body` of a constraint whose `¬∃x̄ body` rewrite is
+/// admissible and modal, with every atom positive inside its own `K`.
+#[derive(Debug, Clone)]
+struct Violation {
+    /// The existentially quantified variables `x̄`.
     vars: Vec<Var>,
-    /// The matrix `body`.
+    /// The matrix `body`, in kernel form.
     body: Formula,
     patterns: Patterns,
 }
@@ -73,100 +82,114 @@ struct Patterns {
     witnesses: Vec<Atom>,
 }
 
-/// Why compilation failed: the constraint is outside the admissible
-/// `¬∃x̄ body` fragment this checker specializes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NotCompilable(pub String);
-
 impl CompiledConstraint {
     /// Compile a constraint (in natural `∀/⊃` or already-rewritten form).
-    pub fn compile(ic: &Formula) -> Result<Self, NotCompilable> {
-        let rewritten = admissible_constraint(ic);
-        // Every check runs `demo` on (instances of) the rewrite.
-        let verdict = admissibility(&rewritten);
-        if !verdict.is_admissible() {
-            return Err(NotCompilable(format!("{rewritten}: {verdict}")));
+    pub fn compile(ic: &Formula) -> Self {
+        CompiledConstraint {
+            original: ic.clone(),
+            violation: Violation::of(ic),
         }
-        // Expect ¬∃x̄ body.
-        let Formula::Not(inner) = &rewritten else {
-            return Err(NotCompilable(rewritten.to_string()));
+    }
+
+    /// Whether the constraint is in the `¬∃x̄ body` fragment, so a commit
+    /// with a model diff checks it on the instances the diff fires only.
+    pub fn is_routed(&self) -> bool {
+        self.violation.is_some()
+    }
+
+    /// Check the constraint in full against `prover`'s state: `None` when
+    /// it holds, else the violation's witnesses — the `K`-conjunct atoms
+    /// under `demo`'s first answer on the body, the minimal facts
+    /// responsible in the sense of consistency-based belief change (the
+    /// least binding in the prover's answer order, conjuncts left to
+    /// right). Empty outside the fragment, which has no patterns.
+    pub(crate) fn violated(&self, prover: &Prover) -> Option<Vec<Atom>> {
+        // Theorem 5.1 is about satisfiable databases; an unsatisfiable one
+        // entails every sentence.
+        if let Some(v) = &self.violation {
+            let witnesses = prover
+                .satisfiable()
+                .then(|| v.witnesses(prover, Env::new()));
+            return witnesses.flatten();
+        }
+        // Outside the fragment: `demo` on an admissible rewrite (in kernel
+        // form already), the Levesque reduction on any other.
+        let rewritten = admissible_constraint(&self.original);
+        let holds = if admissibility(&rewritten).is_admissible() {
+            !prover.satisfiable() || demo::stream(prover, rewritten, Env::new()).next().is_some()
+        } else {
+            certain(prover, &self.original)
+        };
+        (!holds).then(Vec::new)
+    }
+}
+
+impl Violation {
+    /// The violation of `ic`, when its rewrite is in the fragment.
+    fn of(ic: &Formula) -> Option<Self> {
+        let rewritten = admissible_constraint(ic);
+        // `demo` fails on `body` iff it succeeds on an admissible modal
+        // rewrite; a first-order one would go to `prove` whole.
+        if !admissibility(&rewritten).is_admissible() || is_first_order(&rewritten) {
+            return None;
+        }
+        let Formula::Not(inner) = rewritten else {
+            return None;
         };
         let mut vars = Vec::new();
-        let mut body: &Formula = inner;
+        let mut body = *inner;
         while let Formula::Exists(x, b) = body {
-            vars.push(*x);
-            body = b;
+            vars.push(x);
+            body = *b;
         }
         let mut patterns = Patterns::default();
-        collect_patterns(body, true, true, true, &mut patterns)
-            .map_err(|a| NotCompilable(format!("{a} is negated inside its K in {rewritten}")))?;
-        Ok(CompiledConstraint {
-            original: ic.clone(),
+        collect_patterns(&body, true, true, true, &mut patterns).ok()?;
+        Some(Violation {
             vars,
-            body: body.clone(),
+            body,
             patterns,
         })
     }
 
-    /// The violation instances one side of a diff induces through
-    /// `patterns`: for every atom of `atoms` a pattern matches, `body`
-    /// with the outer variables the match fixes bound and the rest
-    /// re-quantified (a variable the pattern binds under an inner `∃`
-    /// stays quantified there — the atom says which instantiation to
-    /// re-check, not how the inner search ends). The constraint,
-    /// restricted to those atoms, is violated iff the database knows one
-    /// of these sentences.
-    fn instances<'a>(
+    /// `demo`'s answers on `body`, from the bindings `env` holds.
+    fn answers<'a>(&self, prover: &'a Prover, env: Env) -> impl Iterator<Item = Env> + 'a {
+        demo::stream(prover, self.body.clone(), env)
+    }
+
+    /// The witness tuples of `demo`'s first answer on `body` from `env`,
+    /// or `None` when it finitely fails.
+    fn witnesses(&self, prover: &Prover, env: Env) -> Option<Vec<Atom>> {
+        let answer = self.answers(prover, env).next()?;
+        let binding: HashMap<Var, Term> = answer
+            .into_iter()
+            .map(|(v, p)| (v, Term::Param(p)))
+            .collect();
+        let ground = |pattern: &Atom| pattern.subst(&binding);
+        Some(self.patterns.witnesses.iter().map(ground).collect())
+    }
+
+    /// The bindings one side of a diff starts `body` from: for every atom
+    /// of `atoms` a pattern of `patterns` matches, the outer variables the
+    /// match fixes (a variable the pattern binds under an inner `∃` stays
+    /// unbound — the atom says which instantiation to re-check, not how
+    /// the inner search ends). The constraint, restricted to those atoms,
+    /// is violated iff `demo` succeeds on `body` from one of them.
+    fn seeds<'a>(
         &'a self,
         patterns: &'a [Atom],
         atoms: &'a Database,
-    ) -> impl Iterator<Item = Formula> + 'a {
+    ) -> impl Iterator<Item = Env> + 'a {
         patterns.iter().flat_map(move |pattern| {
             let tuples = atoms
                 .relation(pattern.pred)
                 .into_iter()
                 .flat_map(|r| r.iter());
             tuples.filter_map(move |t| {
-                let binding = match_pattern(pattern, t)?;
-                let map: HashMap<Var, Term> = self
-                    .vars
-                    .iter()
-                    .filter_map(|v| Some((*v, Term::Param(*binding.get(v)?))))
-                    .collect();
-                let mut w = self.body.subst(&map);
-                for v in self.vars.iter().rev() {
-                    if !map.contains_key(v) {
-                        w = Formula::exists(*v, w);
-                    }
-                }
-                debug_assert!(w.is_sentence(), "instantiated violation check is closed");
-                Some(w)
+                let mut env = match_pattern(pattern, t)?;
+                env.retain(|v, _| self.vars.contains(v));
+                Some(env)
             })
         })
-    }
-
-    /// Ground witness tuples for a **violated** constraint: the
-    /// `K`-conjunct atoms under the first binding of `x̄` for which `demo`
-    /// succeeds on the violation body — the minimal facts responsible, in
-    /// the sense of consistency-based belief change. Conjuncts bind left
-    /// to right, each in the prover's answer order, so the first binding
-    /// is the least one in that order. Empty when the constraint holds.
-    pub fn violation_witnesses(&self, prover: &Prover) -> Vec<Atom> {
-        let mut answers = demo::run(prover, &self.body);
-        let Some(tuple) = answers.next() else {
-            return Vec::new();
-        };
-        let binding: HashMap<Var, Term> = answers
-            .vars()
-            .iter()
-            .zip(tuple)
-            .map(|(v, p)| (*v, Term::Param(p)))
-            .collect();
-        self.patterns
-            .witnesses
-            .iter()
-            .map(|pattern| pattern.subst(&binding))
-            .collect()
     }
 }
 
@@ -193,76 +216,51 @@ pub struct CheckStats {
     pub full: u64,
 }
 
-/// Incremental checker over every registered constraint.
+/// Check a commit against the registered `constraints`: `prover` holds
+/// its candidate state and `diff` is the exact model diff from the state
+/// before, or `None` when the commit has none (it changed the rules, or
+/// the theory is not definite). Returns the first violated constraint, as
+/// registered, with its witnesses.
 ///
-/// Every verdict comes from `demo` on a violation sentence (see the
-/// [module docs](self)). On a definite database the prover carries the
-/// least model, and then the model is the whole evaluator: a ground
-/// `K`-literal is a tuple lookup, an open one a selection on its
-/// relation, `K (y = z)` a comparison of two parameters — a check makes
-/// no SAT call and never walks the active domain. Without a model the
-/// same `demo` run asks the SAT-backed prover instead.
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalChecker {
-    /// Each registered constraint, compiled — or as registered (`Err`)
-    /// when it is outside the compilable fragment.
-    constraints: Vec<Result<CompiledConstraint, Formula>>,
-}
-
-impl IncrementalChecker {
-    /// Build from the registered constraints, compiling each that can be.
-    pub fn new(constraints: &[Formula]) -> Self {
-        IncrementalChecker {
-            constraints: constraints
-                .iter()
-                .map(|ic| CompiledConstraint::compile(ic).map_err(|_| ic.clone()))
-                .collect(),
-        }
-    }
-
-    /// Check a commit: `prover` holds its candidate state and `diff` is
-    /// the exact model diff from the state before, or `None` when the
-    /// commit has none (it changed the rules, or the theory is not
-    /// definite). Returns the first violated constraint, as registered.
-    ///
-    /// With a diff, each compiled constraint is checked on the instances
-    /// its atoms fire and skipped when they fire none (exact by the
-    /// argument in the [module docs](self)); without one, and for a
-    /// constraint that does not compile, the constraint is re-checked in
-    /// full by [`ic_satisfaction`]. Either way it is counted in `stats`.
-    pub fn check(
-        &self,
-        prover: &Prover,
-        diff: Option<&ModelDiff>,
-        stats: &mut CheckStats,
-    ) -> Option<&Formula> {
-        self.constraints.iter().find_map(|c| {
-            let ic = match c {
-                Ok(c) => &c.original,
-                Err(ic) => ic,
-            };
-            let violated = match (c, diff) {
-                (Ok(c), Some(diff)) => {
-                    let p = &c.patterns;
-                    let mut instances = c
-                        .instances(&p.on_added, &diff.added)
-                        .chain(c.instances(&p.on_removed, &diff.removed))
-                        .peekable();
-                    if instances.peek().is_none() {
-                        stats.skipped += 1;
-                        return None;
-                    }
-                    stats.specialized += 1;
-                    instances.any(|w| demo::succeeds(prover, &w))
+/// With a diff, each compiled constraint is checked on the instances its
+/// atoms fire and skipped when they fire none (exact by the argument in
+/// the [module docs](self)); without one, and for a constraint that does
+/// not compile, it is checked in full. Either way it is counted in
+/// `stats`. On a definite database the least model is the whole
+/// evaluator: a check makes no SAT call and never walks the domain.
+pub(crate) fn check<'c>(
+    constraints: &'c [CompiledConstraint],
+    prover: &Prover,
+    diff: Option<&ModelDiff>,
+    stats: &mut CheckStats,
+) -> Option<(&'c Formula, Vec<Atom>)> {
+    constraints.iter().find_map(|c| {
+        let witnesses = match (&c.violation, diff) {
+            (Some(v), Some(diff)) => {
+                let p = &v.patterns;
+                let mut seeds = v
+                    .seeds(&p.on_added, &diff.added)
+                    .chain(v.seeds(&p.on_removed, &diff.removed))
+                    .peekable();
+                if seeds.peek().is_none() {
+                    stats.skipped += 1;
+                    return None;
                 }
-                _ => {
-                    stats.full += 1;
-                    ic_satisfaction(prover, ic, IcDefinition::Epistemic) != IcReport::Satisfied
+                stats.specialized += 1;
+                if !seeds.any(|env| v.answers(prover, env).next().is_some()) {
+                    return None;
                 }
-            };
-            violated.then_some(ic)
-        })
-    }
+                // The rejection names the first violation in answer
+                // order, which need not be the instance that fired.
+                v.witnesses(prover, Env::new()).unwrap_or_default()
+            }
+            _ => {
+                stats.full += 1;
+                c.violated(prover)?
+            }
+        };
+        Some((&c.original, witnesses))
+    })
 }
 
 /// Sort the atoms of a violation body into `out`. The rewrite is in
@@ -307,8 +305,8 @@ fn collect_patterns(
 
 /// Match a pattern atom against a tuple of its predicate, binding the
 /// pattern's variables.
-fn match_pattern(pattern: &Atom, tuple: &[Param]) -> Option<HashMap<Var, Param>> {
-    let mut out = HashMap::new();
+fn match_pattern(pattern: &Atom, tuple: &[Param]) -> Option<Env> {
+    let mut out = Env::new();
     for (t, &p) in pattern.terms.iter().zip(tuple) {
         match t {
             Term::Param(q) if *q != p => return None,
@@ -336,11 +334,24 @@ mod tests {
         }
     }
 
-    fn checker() -> IncrementalChecker {
-        IncrementalChecker::new(&[
-            parse("forall x. K emp(x) -> K (exists y. ss(x, y))").unwrap(),
-            parse("forall x, y, z. K ss(x, y) & K ss(x, z) -> K y = z").unwrap(),
+    /// The registered list a database would hold for `ics`.
+    fn compiled(ics: &[&str]) -> Vec<CompiledConstraint> {
+        ics.iter()
+            .map(|ic| CompiledConstraint::compile(&parse(ic).unwrap()))
+            .collect()
+    }
+
+    fn checker() -> Vec<CompiledConstraint> {
+        compiled(&[
+            "forall x. K emp(x) -> K (exists y. ss(x, y))",
+            "forall x, y, z. K ss(x, y) & K ss(x, z) -> K y = z",
         ])
+    }
+
+    /// The patterns of a constraint in the fragment.
+    fn patterns(ic: &str) -> Patterns {
+        let c = CompiledConstraint::compile(&parse(ic).unwrap());
+        c.violation.expect("in the fragment").patterns
     }
 
     fn diff(added: &[&str], removed: &[&str]) -> ModelDiff {
@@ -350,14 +361,14 @@ mod tests {
         }
     }
 
-    /// The checker's verdict (the violated constraint, printed) and route.
+    /// The verdict (the violated constraint, printed) and route.
     fn check(
-        ck: &IncrementalChecker,
+        ck: &[CompiledConstraint],
         prover: &Prover,
         diff: Option<&ModelDiff>,
     ) -> (Option<String>, CheckStats) {
         let mut stats = CheckStats::default();
-        let hit = ck.check(prover, diff, &mut stats).map(|ic| ic.to_string());
+        let hit = super::check(ck, prover, diff, &mut stats).map(|(ic, _)| ic.to_string());
         (hit, stats)
     }
 
@@ -417,27 +428,20 @@ mod tests {
 
     #[test]
     fn compilation_extracts_patterns() {
-        let c = CompiledConstraint::compile(
-            &parse("forall x. K emp(x) -> K (exists y. ss(x, y))").unwrap(),
-        )
-        .unwrap();
-        assert_eq!(preds(&c.patterns.on_added), vec![Pred::new("emp", 1)]);
-        let c2 = CompiledConstraint::compile(&parse(FD).unwrap()).unwrap();
+        let c = patterns("forall x. K emp(x) -> K (exists y. ss(x, y))");
+        assert_eq!(preds(&c.on_added), vec![Pred::new("emp", 1)]);
+        let c2 = patterns(FD);
         // Two positive `ss` patterns, both witnesses.
-        assert_eq!(c2.patterns.on_added.len(), 2);
-        assert_eq!(preds(&c2.patterns.on_added), vec![Pred::new("ss", 2)]);
-        assert_eq!(c2.patterns.witnesses, c2.patterns.on_added);
+        assert_eq!(c2.on_added.len(), 2);
+        assert_eq!(preds(&c2.on_added), vec![Pred::new("ss", 2)]);
+        assert_eq!(c2.witnesses, c2.on_added);
         // Atoms under `K ∃`, `∃ K` and `K ∨` are patterns too, but not
         // witnesses: the binding of x̄ does not ground them all.
-        let c3 = CompiledConstraint::compile(
-            &parse("forall x. K emp(x) & K (exists y. p(x, y)) & (exists y. K r(x, y)) & K (s(x) | t(x)) -> K q(x)")
-                .unwrap(),
-        )
-        .unwrap();
-        let names: Vec<String> = c3.patterns.on_added.iter().map(|a| a.pred.name()).collect();
+        let c3 = patterns("forall x. K emp(x) & K (exists y. p(x, y)) & (exists y. K r(x, y)) & K (s(x) | t(x)) -> K q(x)");
+        let names: Vec<String> = c3.on_added.iter().map(|a| a.pred.name()).collect();
         assert_eq!(names, ["emp", "p", "r", "s", "t"]);
-        assert_eq!(preds(&c3.patterns.on_removed), vec![Pred::new("q", 1)]);
-        assert_eq!(preds(&c3.patterns.witnesses), vec![Pred::new("emp", 1)]);
+        assert_eq!(preds(&c3.on_removed), vec![Pred::new("q", 1)]);
+        assert_eq!(preds(&c3.witnesses), vec![Pred::new("emp", 1)]);
     }
 
     #[test]
@@ -616,7 +620,7 @@ mod tests {
         // `K (p(x) ⊃ q(x))` negates p inside its K: not compilable, so
         // that constraint alone goes to the full check.
         let odd = "forall x. K emp(x) -> K (p(x) -> q(x))";
-        assert!(CompiledConstraint::compile(&parse(odd).unwrap()).is_err());
+        assert!(!CompiledConstraint::compile(&parse(odd).unwrap()).is_routed());
         let src = "forall x. s(x) & p(x) -> q(x)\nemp(a)\ns(a)\nss(a, n1)";
         assert_eq!(
             commit(src, &[EMP_SS, FD, odd], &["+hobby(a)"]),
@@ -634,9 +638,9 @@ mod tests {
     #[test]
     fn prohibition_constraints_compile_and_trigger() {
         // ∀x ¬K bad(x) rewrites to ¬∃x K bad(x): the K-literal indexes it.
-        let c = CompiledConstraint::compile(&parse("forall x. ~K bad(x)").unwrap()).unwrap();
-        assert_eq!(preds(&c.patterns.on_added), vec![Pred::new("bad", 1)]);
-        let ck = IncrementalChecker::new(&[parse("forall x. ~K bad(x)").unwrap()]);
+        let c = patterns("forall x. ~K bad(x)");
+        assert_eq!(preds(&c.on_added), vec![Pred::new("bad", 1)]);
+        let ck = compiled(&["forall x. ~K bad(x)"]);
         let prover = Prover::new(Theory::from_text("bad(Joe)").unwrap());
         assert!(check(&ck, &prover, Some(&diff(&["bad(Joe)"], &[])))
             .0
@@ -646,14 +650,14 @@ mod tests {
     #[test]
     fn negative_patterns_extracted_per_shape() {
         // emp→ss: the negated ∃y K ss(x,y) conjunct is a removal trigger.
-        let c = CompiledConstraint::compile(&parse(EMP_SS).unwrap()).unwrap();
-        assert_eq!(preds(&c.patterns.on_removed), vec![Pred::new("ss", 2)]);
+        assert_eq!(
+            preds(&patterns(EMP_SS).on_removed),
+            vec![Pred::new("ss", 2)]
+        );
         // FD: the negated conjunct is an equality — no removal trigger.
-        let fd = CompiledConstraint::compile(&parse(FD).unwrap()).unwrap();
-        assert!(fd.patterns.on_removed.is_empty());
+        assert!(patterns(FD).on_removed.is_empty());
         // Prohibition: no negated conjunct at all under the ∃ prefix.
-        let ban = CompiledConstraint::compile(&parse("forall x. ~K bad(x)").unwrap()).unwrap();
-        assert!(ban.patterns.on_removed.is_empty());
+        assert!(patterns("forall x. ~K bad(x)").on_removed.is_empty());
     }
 
     #[test]
@@ -715,6 +719,6 @@ mod tests {
     fn uncompilable_constraint_rejected() {
         // A positive knowledge *requirement* is not of the ¬∃ shape.
         let r = CompiledConstraint::compile(&parse("K p").unwrap());
-        assert!(r.is_err());
+        assert!(!r.is_routed());
     }
 }

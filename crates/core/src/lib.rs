@@ -26,7 +26,7 @@
 //!   the database is a definite program, its least model (computed by the
 //!   compiled semi-naive fixpoint) answers every ground-atom entailment
 //!   question without SAT — accelerating `demo`, `ask`, `closure` and the
-//!   incremental checker alike;
+//!   constraint checks alike;
 //! * [`mvcc`] — snapshot publication for concurrent serving: immutable
 //!   [`CommittedState`]s behind an atomically swappable [`StateCell`],
 //!   so readers query a pinned state while the single writer prepares
@@ -35,7 +35,8 @@
 //!   applied atomically, with the attached least model maintained
 //!   incrementally and each constraint checked only on what the exact
 //!   model diff can have violated ([`mod@incremental`] — the §8
-//!   incremental-integrity discussion made executable);
+//!   incremental-integrity discussion made executable, one violation
+//!   compiled per constraint at registration);
 //! * [`EpistemicDb`] — the facade tying the pieces together.
 
 pub mod ask;
@@ -58,7 +59,7 @@ pub use demo::{all_answers, demo, demo_sentence, DemoOutcome, DemoStream};
 pub use engine::{definite_model, definite_program, prover_for};
 pub use epilog_datalog::ProofTree;
 pub use epilog_semantics::Answer;
-pub use incremental::{CheckStats, CompiledConstraint, IncrementalChecker, ModelDiff};
+pub use incremental::{CheckStats, CompiledConstraint, ModelDiff};
 pub use instances::{admissible_wrt_f_sigma, instances, theorem_62_applies};
 pub use mvcc::{CommittedState, ReadHandle, StateCell};
 pub use optimize::{eliminate_redundant_conjuncts, valid_kfopce};

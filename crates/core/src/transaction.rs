@@ -23,12 +23,12 @@
 //!   both over the plan cache, so no full plan runs and nothing is
 //!   compiled. The result is spliced into the prover through
 //!   [`Prover::updated`].
-//! * **Constraint checking** goes through
-//!   [`IncrementalChecker::check`](crate::incremental::IncrementalChecker::check)
-//!   once per commit, over the exact model diff when the model was
-//!   maintained incrementally: constraints no atom of the diff matches
-//!   are skipped, the others are checked on the violation instances the
-//!   diff fires, and a commit without a diff re-checks them in full.
+//! * **Constraint checking** runs each registered constraint's compiled
+//!   violation (see [`crate::incremental`]) once per commit, over the
+//!   exact model diff when the model was maintained incrementally:
+//!   constraints no atom of the diff matches are skipped, the others are
+//!   checked on the violation instances the diff fires, and a commit
+//!   without a diff re-checks them in full. Nothing is compiled here.
 //! * **Atomicity**: a rejected commit returns
 //!   [`DbError::ConstraintViolated`] and leaves the database observably
 //!   unchanged; dropping a transaction (or [`Transaction::rollback`])
@@ -37,9 +37,9 @@
 //! The one-shot [`EpistemicDb::assert`] and [`EpistemicDb::retract`] are
 //! thin wrappers over single-operation transactions.
 
-use crate::db::{DbError, EpistemicDb, Rejection};
+use crate::db::{DbError, Definite, EpistemicDb, Rejection};
 use crate::engine::prover_and_program;
-use crate::incremental::{CheckStats, ModelDiff};
+use crate::incremental::{check, CheckStats, ModelDiff};
 use epilog_datalog::{EvalStats, Program};
 use epilog_prover::Prover;
 use epilog_storage::Database;
@@ -300,8 +300,7 @@ impl<'db> Transaction<'db> {
             return Ok(PreparedCommit {
                 db,
                 candidate: None,
-                program: None,
-                rules_changed: false,
+                definite: None,
                 report: CommitReport::unchanged(),
                 added,
                 removed,
@@ -328,15 +327,13 @@ impl<'db> Transaction<'db> {
         // on the incremental path, `None` when the model was rebuilt (or
         // there is none) and no per-tuple diff exists.
         let mut diff: Option<ModelDiff> = None;
-        // `candidate_program` is the candidate theory as a definite
-        // program (`None` outside the fragment): installed with the
-        // candidate, and what a rejection's proofs are derived from.
-        type Candidate = (Prover, ModelUpdate, Option<Arc<Program>>);
-        let (candidate, model_update, candidate_program): Candidate = 'prover: {
+        // `candidate_definite` is the candidate theory as a definite
+        // program with its plans (`None` outside the fragment): installed
+        // with the candidate, and what a rejection's proofs derive from.
+        type Candidate = (Prover, ModelUpdate, Option<Definite>);
+        let (candidate, model_update, candidate_definite): Candidate = 'prover: {
             if facts_only {
-                if let (Some(old_model), Some(cached), Some(plans)) =
-                    (db.prover.atom_model(), &db.program, &db.rule_plans)
-                {
+                if let (Some(old_model), Some(definite)) = (db.prover.atom_model(), &db.definite) {
                     // A facts-only commit leaves the rule set untouched,
                     // so the candidate's program is the cached one with
                     // this batch's atoms taken out of and put into its
@@ -344,7 +341,8 @@ impl<'db> Transaction<'db> {
                     // cached on the db are exactly its plans: neither
                     // fixpoint compiles anything
                     // (`stats.plans_compiled == 0`).
-                    let mut prog = Program::clone(cached);
+                    let plans = &definite.plans;
+                    let mut prog = Program::clone(&definite.program);
                     let mut new_facts = Database::new();
                     let mut removed_facts = Database::new();
                     for w in &removed {
@@ -395,16 +393,23 @@ impl<'db> Transaction<'db> {
                     };
                     diff = Some(model_diff);
                     let candidate = db.prover.updated(theory, Some(model));
-                    break 'prover (candidate, update, Some(Arc::new(prog)));
+                    let definite = Definite {
+                        program: Arc::new(prog),
+                        ..definite.clone()
+                    };
+                    break 'prover (candidate, update, Some(definite));
                 }
             }
+            // The plans derive from the rule-shaped sentences only: a
+            // commit that changes them compiles them afresh, costed
+            // against the candidate's model, and every following
+            // ground-atom commit reuses them as they are.
             let (rebuilt, program) = prover_and_program(theory);
-            let update = if rebuilt.atom_model().is_some() {
-                ModelUpdate::Rebuilt
-            } else {
-                ModelUpdate::NotDefinite
+            let Some(model) = rebuilt.atom_model() else {
+                break 'prover (rebuilt, ModelUpdate::NotDefinite, None);
             };
-            (rebuilt, update, program.map(Arc::new))
+            let definite = program.map(|p| Definite::new(Arc::new(p), model));
+            (rebuilt, ModelUpdate::Rebuilt, definite)
         };
 
         // Phase 4 — verify the constraints, once, over the exact model
@@ -412,24 +417,22 @@ impl<'db> Transaction<'db> {
         // definite theory before and after the commit: the diff is then
         // exact for every compiled constraint) and in full otherwise.
         let mut checks = CheckStats::default();
-        if let Some(ic) = db.checker.check(&candidate, diff.as_ref(), &mut checks) {
-            return Err(DbError::ConstraintViolated(Rejection::explain(
-                ic,
-                &candidate,
-                candidate_program,
-            )));
+        if let Some((ic, witnesses)) =
+            check(&db.constraints, &candidate, diff.as_ref(), &mut checks)
+        {
+            return Err(DbError::ConstraintViolated(Box::new(Rejection {
+                constraint: ic.clone(),
+                witnesses,
+                program: candidate_definite.map(|d| d.program),
+            })));
         }
 
         // Phase 5 — the commit is decided; publication is deferred to
         // `PreparedCommit::commit` so a WAL append can sit in between.
-        // The cached rule plans stay valid unless some added or removed
-        // sentence is rule-shaped (a non-ground-atom).
-        let rules_changed = !facts_only;
         Ok(PreparedCommit {
             db,
             candidate: Some(candidate),
-            program: candidate_program,
-            rules_changed,
+            definite: candidate_definite,
             report: CommitReport {
                 asserted: added.len(),
                 retracted: removed.len(),
@@ -452,10 +455,9 @@ pub struct PreparedCommit<'db> {
     db: &'db mut EpistemicDb,
     /// `None` when the batch reduced to a no-op: nothing to publish.
     candidate: Option<Prover>,
-    /// The candidate theory's definite program (`None` when it has none),
-    /// installed with the candidate.
-    program: Option<Arc<Program>>,
-    rules_changed: bool,
+    /// The candidate theory's definite program and plans (`None` when it
+    /// has none), installed with the candidate.
+    definite: Option<Definite>,
     report: CommitReport,
     added: Vec<Formula>,
     removed: Vec<Formula>,
@@ -490,25 +492,18 @@ impl PreparedCommit<'_> {
     /// fail was decided in [`Transaction::prepare`].
     pub fn commit(self) -> CommitReport {
         if let Some(candidate) = self.candidate {
-            self.db.prover = candidate;
-            self.db.program = self.program;
+            let db = self.db;
+            db.prover = candidate;
+            db.definite = self.definite;
             debug_assert!(
-                self.db.program_is_current(),
+                db.program_is_current(),
                 "cached program drifted from the theory"
             );
-            if self.rules_changed {
-                // The plans derive from the rule-shaped sentences only:
-                // rebuild them here, once, and every following ground-atom
-                // commit reuses them as-is. The fresh plans are costed
-                // against the just-published model, so that becomes the
-                // staleness baseline.
-                self.db.rule_plans = self.db.compile_rule_plans();
-                self.db.plans_model_size = self.db.prover.atom_model().map_or(0, |m| m.len());
-            } else {
-                // Facts-only commits keep the cached plans but may drift
-                // the model away from the statistics those plans were
-                // costed with; re-cost when it has halved or doubled.
-                self.db.maybe_recost_plans();
+            // Facts-only commits keep the cached plans but may drift the
+            // model away from the statistics those plans were costed
+            // with; re-cost when it has halved or doubled.
+            if let (Some(definite), Some(model)) = (&mut db.definite, db.prover.atom_model()) {
+                db.plan_recosts += u64::from(definite.recost(model));
             }
         }
         self.report
@@ -923,7 +918,7 @@ mod tests {
     #[test]
     fn ground_atom_commits_compile_no_plans() {
         let mut d = db("e(n0, n1)\nforall x, y. e(x, y) -> t(x, y)\nforall x, y, z. e(x, y) & t(y, z) -> t(x, z)");
-        assert!(d.rule_plans.is_some(), "definite theory caches its plans");
+        assert!(d.definite.is_some(), "definite theory caches its plans");
         for i in 1..4 {
             let report = d
                 .transaction()
@@ -944,7 +939,7 @@ mod tests {
     fn rule_commits_rebuild_the_plan_cache() {
         let mut d = db("e(a, b)\nforall x, y. e(x, y) -> t(x, y)");
         assert_eq!(
-            d.rule_plans.as_ref().map(|p| p.len()),
+            d.definite.as_ref().map(|d| d.plans.len()),
             Some(1),
             "one plan per rule"
         );
@@ -960,7 +955,7 @@ mod tests {
         assert_eq!(d.ask(&f("K u2(b, c)")), Answer::Yes);
         // Leaving the definite fragment drops the cache entirely.
         let _ = d.transaction().assert(f("p(a) | p(b)")).commit().unwrap();
-        assert!(d.rule_plans.is_none());
+        assert!(d.definite.is_none());
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl Snapshot {
                 .iter()
                 .map(|w| (**w).clone())
                 .collect(),
-            constraints: db.constraints().to_vec(),
+            constraints: db.constraints().cloned().collect(),
             model,
         }
     }
@@ -391,7 +391,7 @@ mod tests {
         let (restored, model_restored) = loaded.restore().unwrap();
         assert!(model_restored);
         assert_eq!(restored.theory(), db.theory());
-        assert_eq!(restored.constraints(), db.constraints());
+        assert!(restored.constraints().eq(db.constraints()));
         assert_eq!(restored.prover().atom_model(), db.prover().atom_model());
         std::fs::remove_dir_all(d).unwrap();
     }

@@ -87,8 +87,13 @@ impl Prover {
             exists_nodes += count_existentials(&transform::nnf(s));
         }
         let budget = (exists_nodes + 1).clamp(1, WITNESS_CAP);
-        let witnesses = (0..budget).map(|_| Param::fresh("w")).collect();
-        Prover::assemble(theory, witnesses, None)
+        // Drawn from the placeholders' pool, so a prover per commit
+        // interns no name; placeholders skip the witnesses in turn.
+        let active = theory.active_domain();
+        let witnesses = placeholders(budget, |p| active.binary_search(p).is_ok());
+        let prover = Prover::assemble(theory, witnesses, None);
+        let _ = prover.active_domain.set(active);
+        prover
     }
 
     /// A prover that has answered nothing yet.
@@ -360,10 +365,10 @@ impl Prover {
 }
 
 /// `k` parameters to stand in a universe for goal parameters `Σ` does not
-/// mention: the first `k` of one process-wide list — so a long-lived
-/// server interns a handful of names, not `k` per commit — that `taken`
-/// does not rule out (a client is free to assert a sentence that mentions
-/// one).
+/// mention, or to serve as a prover's witnesses: the first `k` of one
+/// process-wide list — so a long-lived server interns a handful of names,
+/// not `k` per commit — that `taken` does not rule out (a client is free
+/// to assert a sentence that mentions one).
 fn placeholders(k: usize, taken: impl Fn(&Param) -> bool) -> Vec<Param> {
     static POOL: Mutex<Vec<Param>> = Mutex::new(Vec::new());
     let mut pool = POOL.lock().expect("interning a parameter panicked");
@@ -702,6 +707,19 @@ mod tests {
         assert_eq!(p.groundings_kept(), 1);
         // A clone counts the runs it caused on top of those it inherited.
         assert_eq!((early.sat_calls(), late.sat_calls()), (1, 3));
+    }
+
+    #[test]
+    fn provers_of_one_theory_share_their_witnesses() {
+        // Every rebuilt prover draws its witnesses from the pool, so a
+        // stream of non-definite commits interns no parameter.
+        let (a, b) = (teach(), teach());
+        assert_eq!(a.witnesses, b.witnesses);
+        // They stay clear of Σ's parameters and of a goal's placeholders.
+        let (grounding, _) = a.grounding_for(&parse("Teach(nobody, Math)").unwrap());
+        let taken =
+            |p: &Param| a.active_domain().contains(p) || grounding.placeholders().contains(p);
+        assert!(!a.witnesses.iter().any(taken));
     }
 
     #[test]

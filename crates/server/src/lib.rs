@@ -58,7 +58,8 @@
 //! cannot pin a session thread forever. A request line is read up to
 //! 1 MiB: a client that sends more without a newline is answered
 //! `err request line too long (limit 1048576 bytes)` and closed the same
-//! way, so no session buffers an unbounded line.
+//! way, so no session buffers an unbounded line. A line that is not UTF-8
+//! is answered `err request is not UTF-8` and the session goes on.
 
 use epilog_persist::{PersistError, ServeError, ServeStats, ServingDb, TxOp};
 use epilog_syntax::parse;
@@ -450,10 +451,12 @@ fn session_loop(stream: TcpStream, inner: &Inner) {
             let _ = write.flush();
             break;
         }
-        let Ok(line) = std::str::from_utf8(&line) else {
-            break;
+        // The line is framed, so one that is not text is refused and the
+        // session reads the next.
+        let (reply, disposition) = match std::str::from_utf8(&line) {
+            Ok(line) => session.handle(line),
+            Err(_) => ("err request is not UTF-8".into(), Disposition::Continue),
         };
-        let (reply, disposition) = session.handle(line);
         if write.write_all(reply.as_bytes()).is_err() || write.write_all(b"\n").is_err() {
             break;
         }
@@ -903,6 +906,18 @@ mod tests {
         assert!(c.request("stats").unwrap().starts_with("ok stats "));
         server.shutdown().unwrap();
         flood.join().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_request_line_that_is_not_utf8_is_refused_and_the_session_goes_on() {
+        let d = dir();
+        let server = serve(&d);
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        c.writer.write_all(b"ask p(\xff)\n").unwrap();
+        assert!(c.read_line().unwrap().starts_with("err "));
+        assert!(c.request("stats").unwrap().starts_with("ok stats "));
+        server.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }
 

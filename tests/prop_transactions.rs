@@ -108,11 +108,20 @@ const VIOLATIONS: [(&[&str], &str); 3] = [
 
 /// What a rejection must report, worked out with `certain` alone: the
 /// first constraint (in registration order) the state does not entail,
-/// and — for the three of [`VIOLATIONS`] — its first witnesses: the
-/// patterns instantiated leftmost first, each over the known atoms in the
-/// prover's answer order, such that the violation body is certain.
-/// `None` when every constraint holds.
+/// and its [`oracle_witnesses`]. `None` when every constraint holds.
 fn oracle_rejection(prover: &Prover) -> Option<(Formula, Option<Vec<Atom>>)> {
+    let (i, ic) = constraints()
+        .into_iter()
+        .enumerate()
+        .find(|(_, ic)| !certain(prover, ic))?;
+    Some((ic, oracle_witnesses(prover, i)))
+}
+
+/// The first witnesses of the violated constraint `i` of [`constraints`]
+/// when it is one of the three of [`VIOLATIONS`] (`None` for the others):
+/// the patterns instantiated leftmost first, each over the known atoms in
+/// the prover's answer order, such that the violation body is certain.
+fn oracle_witnesses(prover: &Prover, i: usize) -> Option<Vec<Atom>> {
     fn search(
         prover: &Prover,
         patterns: &[Formula],
@@ -143,13 +152,7 @@ fn oracle_rejection(prover: &Prover) -> Option<(Formula, Option<Vec<Atom>>)> {
         }
         false
     }
-    let (i, ic) = constraints()
-        .into_iter()
-        .enumerate()
-        .find(|(_, ic)| !certain(prover, ic))?;
-    let Some((patterns, body)) = VIOLATIONS.get(i) else {
-        return Some((ic, None));
-    };
+    let (patterns, body) = VIOLATIONS.get(i)?;
     let patterns: Vec<Formula> = patterns.iter().map(|p| parse(p).unwrap()).collect();
     let mut witnesses = Vec::new();
     let found = search(
@@ -160,12 +163,14 @@ fn oracle_rejection(prover: &Prover) -> Option<(Formula, Option<Vec<Atom>>)> {
         &mut witnesses,
     );
     assert!(found, "a violated constraint has a witness");
-    Some((ic, Some(witnesses)))
+    Some(witnesses)
 }
 
 /// Open a database over `src` under [`constraints`], commit each batch,
 /// and hold the verdict, the constraint a rejection names and its
-/// witnesses against [`oracle_rejection`] on the candidate state.
+/// witnesses against [`oracle_rejection`] on the candidate state. On the
+/// same candidate, registering each constraint on a constraint-free
+/// database is held against `certain` and [`oracle_witnesses`].
 fn rejections_match_oracle(
     src: &str,
     batches: &[Vec<RawOp>],
@@ -177,7 +182,32 @@ fn rejections_match_oracle(
     }
     for raw_batch in batches {
         let batch: Vec<(bool, Formula)> = raw_batch.iter().map(|op| to_op(*op)).collect();
-        let expected = oracle_rejection(&prover_for(replay(db.theory(), &batch)));
+        let candidate = replay(db.theory(), &batch);
+        let prover = prover_for(candidate.clone());
+        let unconstrained = EpistemicDb::new(candidate);
+        for (i, ic) in constraints().into_iter().enumerate() {
+            match (
+                unconstrained.clone().add_constraint(ic.clone()),
+                certain(&prover, &ic),
+            ) {
+                (Ok(()), true) => {}
+                (Err(DbError::ConstraintViolated(got)), false) => {
+                    prop_assert_eq!(&got.constraint, &ic);
+                    if let Some(witnesses) = oracle_witnesses(&prover, i) {
+                        prop_assert_eq!(&got.witnesses, &witnesses, "registering {}", ic);
+                    }
+                }
+                (got, holds) => prop_assert!(
+                    false,
+                    "registering {} after {:?}: {:?}, certain {}",
+                    ic,
+                    batch,
+                    got.map_err(|e| e.to_string()),
+                    holds
+                ),
+            }
+        }
+        let expected = oracle_rejection(&prover);
         let mut txn = db.transaction();
         for (is_assert, w) in &batch {
             txn = if *is_assert {
@@ -237,7 +267,7 @@ fn batches() -> impl Strategy<Value = (u8, Vec<Vec<RawOp>>)> {
 #[test]
 fn every_pool_constraint_is_routed() {
     for ic in constraints() {
-        assert!(CompiledConstraint::compile(&ic).is_ok(), "{ic}");
+        assert!(CompiledConstraint::compile(&ic).is_routed(), "{ic}");
     }
 }
 
