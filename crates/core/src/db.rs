@@ -204,12 +204,6 @@ impl EpistemicDb {
     /// is materialized once and answers ground-atom questions directly.
     pub fn new(theory: Theory) -> Self {
         let (prover, program) = prover_and_program(theory);
-        Self::over(prover, program)
-    }
-
-    /// A constraint-free database over `prover`, whose theory `program`
-    /// is the definite reading of (`None`: it has none, and no model).
-    fn over(prover: Prover, program: Option<Program>) -> Self {
         EpistemicDb {
             definite: program
                 .zip(prover.atom_model())
@@ -239,21 +233,6 @@ impl EpistemicDb {
     /// doubled since they were last costed.
     pub fn plan_recosts(&self) -> u64 {
         self.plan_recosts
-    }
-
-    /// Open a database over a theory whose least model the caller has
-    /// already materialized — e.g. restored from a snapshot — skipping the
-    /// fixpoint recomputation [`EpistemicDb::new`] would run. The caller
-    /// asserts that `model` **is** the least model of `theory` and that
-    /// `theory` is a definite program; debug builds verify both.
-    pub fn with_attached_model(theory: Theory, model: epilog_storage::Database) -> Self {
-        debug_assert_eq!(
-            crate::engine::definite_model(&theory).as_ref(),
-            Some(&model),
-            "attached model must be the theory's least model"
-        );
-        let program = definite_program(&theory);
-        Self::over(Prover::new(theory).with_atom_model(model), program)
     }
 
     /// Open a database from theory text.

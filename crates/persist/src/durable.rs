@@ -40,8 +40,11 @@
 //! the newest valid snapshot (falling back across corrupt ones, and to
 //! genesis when none survive) and replays every log record past its LSN
 //! through `Transaction::commit` itself — so recovered state re-verifies
-//! its constraints and rebuilds (or, with a snapshot-restored model,
-//! resumes) the incremental model exactly as the live path would.
+//! its constraints and maintains the incremental model exactly as the
+//! live path would. A directory that cannot give back every commit it
+//! acknowledged is refused with `Corrupt` rather than recovered short:
+//! when the log resumes past the base snapshot's LSN + 1, or a snapshot
+//! that failed validation covers records the log no longer holds.
 //! `tests/prop_persist.rs` pins this: crash anywhere, recover, and the
 //! state equals an in-memory oracle that applied the surviving prefix —
 //! under seeded fault schedules too: what answered `Ok` is there, what
@@ -112,9 +115,6 @@ pub struct RecoveryReport {
     /// LSN of the snapshot recovery started from (`None`: no snapshot at
     /// all — replayed from an empty database).
     pub snapshot_lsn: Option<u64>,
-    /// Whether the snapshot's stored least model was attached directly,
-    /// skipping the fixpoint recomputation.
-    pub model_restored: bool,
     /// Snapshot files that failed validation and were skipped.
     pub snapshots_skipped: u32,
     /// Log records replayed (those with `lsn > snapshot_lsn`).
@@ -136,9 +136,6 @@ impl fmt::Display for RecoveryReport {
         match self.snapshot_lsn {
             Some(lsn) => write!(f, "snapshot @{lsn}")?,
             None => write!(f, "no snapshot")?,
-        }
-        if self.model_restored {
-            write!(f, " (model restored)")?;
         }
         write!(
             f,
@@ -270,7 +267,7 @@ impl DurableDb {
             )));
         }
         let db = EpistemicDb::new(theory);
-        let _ = Snapshot::of(&db, 0, true).write(&dir)?;
+        let _ = Snapshot::of(&db, 0, false).write(&dir)?;
         let wal = Wal::create(dir.join(WAL_FILE), policy)?;
         let log = Log {
             wal,
@@ -307,30 +304,43 @@ impl DurableDb {
                 Err(SnapshotError::Io(e)) => return Err(e.into()),
             }
         }
-        let (mut db, snapshot_lsn, model_restored) = match &base {
-            Some(s) => {
-                let (db, model_restored) = s.restore()?;
-                (db, Some(s.lsn), model_restored)
-            }
-            None => (EpistemicDb::new(Theory::empty()), None, false),
-        };
+        let snapshot_lsn = base.as_ref().map(|s| s.lsn);
+        let from = snapshot_lsn.unwrap_or(0);
         let (mut wal, scan) = Wal::open(dir.join(WAL_FILE), policy)?;
+        let tail = &scan.records[scan.records.partition_point(|r| r.lsn <= from)..];
+        // Commits the base does not hold and the log no longer does were
+        // acknowledged and are gone: refuse rather than recover short and
+        // let the next commit reuse their LSNs.
+        if let Some(first) = tail.first().filter(|r| r.lsn > from + 1) {
+            return Err(PersistError::Corrupt(format!(
+                "the log resumes at LSN {} but recovery starts from LSN {from}",
+                first.lsn
+            )));
+        }
+        let reaches = scan.last_lsn().max(from);
+        // The skipped snapshots are the newest files.
+        match snaps.last() {
+            Some(&(newest, _)) if snapshots_skipped > 0 && newest > reaches => {
+                return Err(PersistError::Corrupt(format!(
+                    "snapshot @{newest} failed validation and the log reaches only LSN {reaches}"
+                )));
+            }
+            _ => {}
+        }
+        let mut db = match &base {
+            Some(s) => s.restore()?,
+            None => EpistemicDb::new(Theory::empty()),
+        };
         let mut report = RecoveryReport {
             snapshot_lsn,
-            model_restored,
             snapshots_skipped,
-            records_replayed: 0,
+            records_replayed: tail.len() as u64,
             rejected: Vec::new(),
             torn_tail: scan.torn,
             truncated_bytes: scan.truncated_bytes,
             last_lsn: 0,
         };
-        let from = snapshot_lsn.unwrap_or(0);
-        for record in &scan.records {
-            if record.lsn <= from {
-                continue;
-            }
-            report.records_replayed += 1;
+        for record in tail {
             if let Err(e) = replay_record(&mut db, &record.ops) {
                 report.rejected.push((record.lsn, e.to_string()));
             }
@@ -390,7 +400,7 @@ impl DurableDb {
         self.log.sync()?;
         let lsn = self.log.wal.last_lsn();
         let injector = self.log.wal.fault_injector();
-        let _ = Snapshot::of(&self.db, lsn, true).write_with(&self.dir, injector.as_deref())?;
+        let _ = Snapshot::of(&self.db, lsn, false).write_with(&self.dir, injector.as_deref())?;
         Ok(lsn)
     }
 
@@ -694,7 +704,6 @@ mod tests {
         // Snapshot route: only the post-snapshot tail is replayed…
         let (rec, report) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
         assert_eq!(report.snapshot_lsn, Some(3));
-        assert!(report.model_restored, "definite theory: model in snapshot");
         assert_eq!(report.records_replayed, 1);
         assert_eq!(rec.theory(), &live_theory);
         // …full replay reaches the same state: what recovery does with
@@ -967,9 +976,10 @@ mod tests {
         let (mut db, inj) = injected(&d, FsyncPolicy::Never);
         db.assert(f("emp(Sue)")).unwrap();
         let acked = db.last_lsn();
-        // compact() syncs the log, the snapshot, the log again, the
-        // shorter log's temp file, then the directory: fail the last.
-        inj.fail_nth_sync(inj.syncs() + 4);
+        // compact() syncs the log, the snapshot, the directory, the log
+        // again, the shorter log's temp file, then the directory: fail
+        // the last.
+        inj.fail_nth_sync(inj.syncs() + 5);
         let err = db.compact().unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "got {err}");
         assert_eq!((inj.injected(), db.wal_records()), (1, 0), "renamed");
@@ -979,5 +989,62 @@ mod tests {
         let answered = [("emp(Mary)", true), ("emp(Sue)", true), ("emp(Ann)", false)];
         assert_eq!(assert_recovery_honors(&d, &answered).last_lsn, acked);
         std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_failed_snapshot_directory_sync_fails_the_compaction_alone() {
+        let d = dir();
+        let (mut db, inj) = injected(&d, FsyncPolicy::Never);
+        db.assert(f("emp(Sue)")).unwrap();
+        let records = db.wal_records();
+        // compact() syncs the log, the snapshot, then the directory the
+        // snapshot was renamed into: fail that one.
+        inj.fail_nth_sync(inj.syncs() + 2);
+        let err = db.compact().unwrap_err();
+        assert!(matches!(err, PersistError::Io(_)), "got {err}");
+        assert_eq!(
+            (inj.injected(), db.wal_records()),
+            (1, records),
+            "truncated"
+        );
+        db.assert(f("emp(Ann)")).unwrap();
+        drop(db);
+        let answered = [("emp(Mary)", true), ("emp(Sue)", true), ("emp(Ann)", true)];
+        let _ = assert_recovery_honors(&d, &answered);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_gap_behind_a_corrupt_snapshot_is_refused() {
+        // Five commits compacted into the only snapshot, then (or not) a
+        // sixth in the log; the snapshot is then damaged. Recovering
+        // would hold 1 of 6 sentences at LSN 6, or 0 of 5 at LSN 0 with
+        // the next commit reusing LSN 1.
+        for (tail, lsns) in [(true, ["LSN 6", "LSN 0"]), (false, ["@5", "LSN 0"])] {
+            let d = dir();
+            let mut db = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
+            for i in 0..5 {
+                db.assert(f(&format!("emp(e{i})"))).unwrap();
+            }
+            let lsn = db.compact().unwrap().snapshot_lsn;
+            if tail {
+                db.assert(f("emp(e5)")).unwrap();
+            }
+            db.sync().unwrap();
+            drop(db);
+            let path = d.join(Snapshot::file_name(lsn));
+            let mut bytes = std::fs::read(&path).unwrap();
+            let n = bytes.len();
+            bytes[n - 3] ^= 0x04;
+            std::fs::write(&path, &bytes).unwrap();
+            match DurableDb::recover(&d, FsyncPolicy::Never) {
+                Err(PersistError::Corrupt(why)) => {
+                    assert!(lsns.iter().all(|l| why.contains(l)), "{why}")
+                }
+                Err(e) => panic!("{e}"),
+                Ok((_, report)) => panic!("recovered short: {report}"),
+            }
+            std::fs::remove_dir_all(d).unwrap();
+        }
     }
 }

@@ -8,18 +8,19 @@
 //! * [`Wal`] — a write-ahead log of committed transactions as textual
 //!   records (sentences via the `epilog-syntax` pretty-printer, read back
 //!   with `parse`), each framed by an LSN / length / checksum header;
-//! * [`Snapshot`] — the full theory, constraints, and (for definite
-//!   theories) the materialized least model at a log position, so
+//! * [`Snapshot`] — the theory and its constraints at a log position
+//!   (the least model is derived from them on restore, never stored), so
 //!   recovery is snapshot-load + tail-replay instead of
 //!   replay-from-genesis, with [`DurableDb::compact`] truncating the
 //!   covered log prefix;
 //! * [`DurableDb`] — the wrapper that threads every commit through the
 //!   log (log-before-apply, [`FsyncPolicy`] configurable) and whose
 //!   [`DurableDb::recover`] replays through the real `Transaction::commit`
-//!   path — recovered state re-verifies constraints and rebuilds or
-//!   resumes the incremental model exactly as the live path does —
+//!   path — recovered state re-verifies constraints and maintains the
+//!   incremental model exactly as the live path does —
 //!   tolerating a torn log tail (truncate at the first corrupt record,
-//!   reported in the [`RecoveryReport`]);
+//!   reported in the [`RecoveryReport`]) but refusing a directory whose
+//!   snapshots and log no longer meet (`PersistError::Corrupt`);
 //! * [`ServingDb`] — the concurrent serving layer: lock-free MVCC
 //!   snapshot reads (`epilog-core`'s `StateCell`) with a single writer
 //!   thread draining a bounded commit queue and batching many

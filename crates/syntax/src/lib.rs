@@ -44,7 +44,7 @@ pub use classify::{
     Admissibility, UnsafeReason,
 };
 pub use formula::{Atom, Formula};
-pub use parse::{parse, parse_ground_atom, parse_theory, ParseError};
+pub use parse::{parse, parse_theory, ParseError};
 pub use symbols::{Param, Pred, Var};
 pub use term::Term;
 pub use theory::Theory;

@@ -80,7 +80,7 @@ impl Lexer {
             let c = bytes[l.pos] as char;
             let start = l.pos;
             match c {
-                _ if is_blank(bytes[l.pos]) => {
+                ' ' | '\t' | '\n' | '\r' => {
                     l.pos += 1;
                 }
                 '(' => l.push(Tok::LParen, 1, start),
@@ -100,18 +100,24 @@ impl Lexer {
                 }
                 '-' if bytes.get(l.pos + 1) == Some(&b'>') => l.push(Tok::Implies, 2, start),
                 '<' if src[l.pos..].starts_with("<->") => l.push(Tok::Iff, 3, start),
-                _ => match ident_end(bytes, start) {
-                    Some(end) => {
-                        l.toks.push((Tok::Ident(src[start..end].to_owned()), start));
-                        l.pos = end;
+                _ if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
+                    // `$` introduces an identifier (the forced-parameter
+                    // escape) but may not continue one.
+                    let mut end = l.pos + usize::from(c == '$');
+                    while bytes.get(end).is_some_and(|b| {
+                        b.is_ascii_alphanumeric() || matches!(b, b'_' | b'\'' | b'#')
+                    }) {
+                        end += 1;
                     }
-                    None => {
-                        return Err(ParseError {
-                            message: format!("unexpected character '{c}'"),
-                            offset: start,
-                        })
-                    }
-                },
+                    l.toks.push((Tok::Ident(src[start..end].to_owned()), start));
+                    l.pos = end;
+                }
+                _ => {
+                    return Err(ParseError {
+                        message: format!("unexpected character '{c}'"),
+                        offset: start,
+                    })
+                }
             }
         }
         Ok(l.toks)
@@ -218,20 +224,20 @@ impl Parser {
                 // equality? Terms are identifiers only, so no.
                 Ok(w)
             }
-            Some(Tok::Ident(word)) => match keyword(word) {
-                Some(Keyword::Know) => {
+            Some(Tok::Ident(word)) => match word.as_str() {
+                "K" => {
                     self.i += 1;
                     Ok(Formula::know(self.unary()?))
                 }
-                Some(Keyword::Forall) => {
+                "forall" | "all" => {
                     self.i += 1;
                     self.quantifier(true)
                 }
-                Some(Keyword::Exists) => {
+                "exists" | "some" => {
                     self.i += 1;
                     self.quantifier(false)
                 }
-                None => self.atom_or_eq(),
+                _ => self.atom_or_eq(),
             },
             _ => Err(self.err("expected a formula".into())),
         }
@@ -269,8 +275,20 @@ impl Parser {
         Ok(w)
     }
 
+    /// An identifier in term position denotes a variable iff it is bound by
+    /// an enclosing quantifier or follows the u/v/w/x/y/z convention. A
+    /// leading `$` forces a parameter reading regardless of the name (the
+    /// printer's escape for parameters like `$x` that would otherwise
+    /// reparse as variables), and is stripped.
     fn term_of(&self, name: &str) -> Term {
-        term_named(name, &self.bound)
+        if let Some(stripped) = name.strip_prefix('$') {
+            return Term::Param(Param::new(stripped));
+        }
+        if self.bound.iter().any(|b| b == name) || is_conventional_var(name) {
+            Term::Var(Var::new(name))
+        } else {
+            Term::Param(Param::new(name))
+        }
     }
 
     fn atom_or_eq(&mut self) -> Result<Formula, ParseError> {
@@ -330,117 +348,6 @@ pub(crate) fn is_conventional_var(name: &str) -> bool {
         Some('u' | 'v' | 'w' | 'x' | 'y' | 'z') => chars.all(|c| c.is_ascii_digit()),
         _ => false,
     }
-}
-
-/// The bytes the lexer skips between tokens.
-fn is_blank(b: u8) -> bool {
-    matches!(b, b' ' | b'\t' | b'\n' | b'\r')
-}
-
-/// Where the identifier starting at `start` ends; `None` when none starts
-/// there. A letter, `_` or `$` — the forced-parameter escape, which may
-/// introduce an identifier but not continue one — then letters, digits,
-/// `_`, `'` and `#`.
-fn ident_end(bytes: &[u8], start: usize) -> Option<usize> {
-    let first = *bytes.get(start)?;
-    if !(first.is_ascii_alphabetic() || first == b'_' || first == b'$') {
-        return None;
-    }
-    let continues = |b: &u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'\'' | b'#');
-    let mut end = start + 1;
-    while bytes.get(end).is_some_and(continues) {
-        end += 1;
-    }
-    Some(end)
-}
-
-/// The identifiers that open an operator where a formula is expected, so
-/// never name a predicate there.
-enum Keyword {
-    Know,
-    Forall,
-    Exists,
-}
-
-fn keyword(word: &str) -> Option<Keyword> {
-    match word {
-        "K" => Some(Keyword::Know),
-        "forall" | "all" => Some(Keyword::Forall),
-        "exists" | "some" => Some(Keyword::Exists),
-        _ => None,
-    }
-}
-
-/// An identifier in term position denotes a variable iff it is bound by
-/// an enclosing quantifier or follows the u/v/w/x/y/z convention. A
-/// leading `$` forces a parameter reading regardless of the name (the
-/// printer's escape for parameters like `$x` that would otherwise
-/// reparse as variables), and is stripped.
-fn term_named(name: &str, bound: &[String]) -> Term {
-    if let Some(stripped) = name.strip_prefix('$') {
-        return Term::Param(Param::new(stripped));
-    }
-    if bound.iter().any(|b| b == name) || is_conventional_var(name) {
-        Term::Var(Var::new(name))
-    } else {
-        Term::Param(Param::new(name))
-    }
-}
-
-/// Read one ground atom in the form the printer writes it — `p`,
-/// `p(a, $x, w#3)` — straight off the text, with no token vector: a
-/// snapshot's `[model]` section is tens of thousands of such lines.
-///
-/// The identifier rule, the `$` escape, the variable-name convention and
-/// the keywords are [`parse()`]'s own, so this accepts every line
-/// `Atom`'s `Display` produces for a ground atom [`parse()`] reads back,
-/// and accepts nothing [`parse()`] would not read as that same ground
-/// atom: a predicate named like a keyword, a term that is a variable, a
-/// connective and trailing input are all refused (as is a parenthesised
-/// atom, which [`parse()`] would take). `tests/prop_syntax.rs` checks
-/// both directions, the second on every one-byte mutation.
-pub fn parse_ground_atom(src: &str) -> Result<Atom, ParseError> {
-    let bytes = src.as_bytes();
-    let err = |message: &str, offset: usize| ParseError {
-        message: message.into(),
-        offset,
-    };
-    let skip_blanks = |at: usize| at + bytes[at..].iter().take_while(|b| is_blank(**b)).count();
-    // The identifier at or after `at`, and where the next token starts.
-    let ident = |at: usize, what: &str| {
-        let start = skip_blanks(at);
-        let end = ident_end(bytes, start).ok_or_else(|| err(what, start))?;
-        Ok((&src[start..end], skip_blanks(end)))
-    };
-    let (name, mut pos) = ident(0, "expected a predicate")?;
-    if keyword(name).is_some() {
-        return Err(err("a keyword where a predicate is expected", 0));
-    }
-    let mut terms = Vec::new();
-    if bytes.get(pos) == Some(&b'(') {
-        loop {
-            // `pos` is at the `(` or `,` the term follows.
-            let (word, next) = ident(pos + 1, "expected term")?;
-            match term_named(word, &[]) {
-                Term::Var(_) => return Err(err("variable in a ground atom", pos + 1)),
-                param => terms.push(param),
-            }
-            pos = next;
-            match bytes.get(pos) {
-                Some(b',') => {}
-                Some(b')') => break,
-                _ => return Err(err("expected ',' or ')'", pos)),
-            }
-        }
-        pos = skip_blanks(pos + 1);
-    }
-    if pos != bytes.len() {
-        return Err(err("trailing input after atom", pos));
-    }
-    if terms.len() > usize::from(u8::MAX) {
-        return Err(err("more than 255 arguments", 0));
-    }
-    Ok(Atom::new(Pred::new(name, terms.len()), terms))
 }
 
 /// Parse a single KFOPCE formula from text.

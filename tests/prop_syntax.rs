@@ -5,7 +5,7 @@
 use epilog::prelude::*;
 use epilog::semantics::ModelSet;
 use epilog::syntax::transform::{admissible_constraint, kernel};
-use epilog::syntax::{flatten_k45, nnf, parse_ground_atom, Atom};
+use epilog::syntax::{flatten_k45, nnf, Atom};
 use proptest::prelude::*;
 
 const PARAMS: [&str; 2] = ["a", "b"];
@@ -101,7 +101,7 @@ fn db_sentence() -> impl Strategy<Value = Formula> {
     })
 }
 
-/// Names that strain the ground-atom reader: spelled like variables
+/// Names that strain the printer: spelled like variables
 /// (printed `$x`), like keywords, or with the identifier charset's `'`,
 /// `#` and `_`.
 const TRICKY: [&str; 12] = [
@@ -119,33 +119,6 @@ fn ground_atom() -> impl Strategy<Value = Atom> {
             let terms: Vec<Term> = ts.iter().map(|&t| Param::new(TRICKY[t]).into()).collect();
             Atom::new(Pred::new(TRICKY[p], terms.len()), terms)
         })
-}
-
-/// The ground atom `parse` reads `line` as, if it reads it as one.
-fn parsed_as_ground_atom(line: &str) -> Option<Atom> {
-    match parse(line) {
-        Ok(Formula::Atom(a)) if a.is_ground() => Some(a),
-        _ => None,
-    }
-}
-
-/// `line` with one byte replaced, inserted (at the end: an extension) or
-/// deleted, and every proper prefix of it (a truncation).
-fn one_byte_edits(line: &str) -> Vec<String> {
-    const BYTES: &str = " \t\r(),.$#'_=!&|~<->%;/0xKaé";
-    let mut out: Vec<String> = (0..line.len()).map(|n| line[..n].to_string()).collect();
-    for at in 0..=line.len() {
-        for b in BYTES.chars() {
-            out.push(format!("{}{b}{}", &line[..at], &line[at..]));
-            if at < line.len() {
-                out.push(format!("{}{b}{}", &line[..at], &line[at + 1..]));
-            }
-        }
-        if at < line.len() {
-            out.push(format!("{}{}", &line[..at], &line[at + 1..]));
-        }
-    }
-    out
 }
 
 /// One step of the `Theory`-as-a-set model test. The first field picks
@@ -226,26 +199,6 @@ proptest! {
         let reparsed = Theory::from_text(&theory.to_string()).unwrap();
         // Not just equal: identical sentence order (replay determinism).
         prop_assert_eq!(reparsed.sentences(), theory.sentences());
-    }
-
-    /// The ground-atom reader against `parse`. Complete on the printer's
-    /// output: it reads back every printed ground atom `parse` reads back.
-    /// Sound everywhere: on the printed line and on every one-byte edit of
-    /// it, whatever it accepts is the ground atom `parse` makes of the
-    /// same text — keywords, bare variable names, connectives and
-    /// trailing input included.
-    #[test]
-    fn ground_atom_reader_agrees_with_parse(a in ground_atom()) {
-        let line = a.to_string();
-        let by_parse = parsed_as_ground_atom(&line);
-        prop_assert_eq!(parse_ground_atom(&line).ok(), by_parse.clone(), "on {:?}", line);
-        let keyword = ["K", "forall", "some", "all"].contains(&a.pred.name().as_str());
-        prop_assert_eq!(by_parse, (!keyword).then_some(a), "parse on {:?}", line);
-        for edit in one_byte_edits(&line) {
-            if let Ok(read) = parse_ground_atom(&edit) {
-                prop_assert_eq!(Some(read), parsed_as_ground_atom(&edit), "on {:?}", edit);
-            }
-        }
     }
 
     /// Every symbol kind prints its bare name, width and fill ignored,
