@@ -485,44 +485,43 @@ fn main() {
 
     println!("\nF11 — serving layer (MVCC snapshot reads, single-writer group commit)");
     {
-        use epilog_persist::TxOp;
+        use epilog_persist::{Request, TxOp};
         let n = 8;
         let dir = std::env::temp_dir().join(format!("epilog-report-f11-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let db = serving_registrar(&dir, n);
+        let mut writer = serving_registrar(&dir, n);
         check(
             &format!("n={n} head LSN (= 2 constraints + n commits)"),
             &(n + 2).to_string(),
-            &db.head_lsn().to_string(),
+            &writer.snapshot().lsn().to_string(),
         );
 
         // A snapshot pinned here must not see anything that commits
         // later — MVCC isolation, not just read-your-writes.
-        let pinned = db.snapshot();
+        let pinned = writer.snapshot();
         let pinned_lsn = pinned.lsn();
 
-        // Group commit, made deterministic with the writer gate: 8
-        // transactions parked behind it must land as one batch on one
-        // fsync — with a constraint violation in the middle of the
+        // Group commit: 8 transactions stepped as one batch must land on
+        // one fsync — with a constraint violation in the middle of the
         // burst rejected without voiding its batch-mates.
-        let before = db.stats();
-        let gate = db.gate();
-        let mut handles = Vec::new();
-        for i in 0..8 {
-            let ops: Vec<TxOp> = if i == 3 {
-                // An employee with no ss number: bounced by the §3 IC.
-                vec![TxOp::Assert(parse("emp(ghost)").unwrap())]
-            } else {
-                enrollment_batch(100 + i, 1)
-                    .into_iter()
-                    .map(TxOp::Assert)
-                    .collect()
-            };
-            handles.push(db.commit(ops));
-        }
-        gate.open();
+        let before = writer.stats();
+        let (burst, handles): (Vec<_>, Vec<_>) = (0..8)
+            .map(|i| {
+                let ops: Vec<TxOp> = if i == 3 {
+                    // An employee with no ss number: bounced by the §3 IC.
+                    vec![TxOp::Assert(parse("emp(ghost)").unwrap())]
+                } else {
+                    enrollment_batch(100 + i, 1)
+                        .into_iter()
+                        .map(TxOp::Assert)
+                        .collect()
+                };
+                Request::commit(ops)
+            })
+            .unzip();
+        writer.step(burst);
         let verdicts: Vec<bool> = handles.into_iter().map(|h| h.wait().is_ok()).collect();
-        let after = db.stats();
+        let after = writer.stats();
         holds(
             "burst of 8 (one rejected): batches +1, fsyncs +1",
             after.batches - before.batches == 1 && after.fsyncs - before.fsyncs == 1,
@@ -547,36 +546,35 @@ fn main() {
             "snapshot pinned before the burst still answers from its LSN",
             pinned.lsn() == pinned_lsn
                 && ask(pinned.prover(), &burst_q).to_string() == "no"
-                && ask(db.snapshot().prover(), &burst_q).to_string() == "yes",
+                && ask(writer.snapshot().prover(), &burst_q).to_string() == "yes",
         );
 
-        // Reads are lock-free: with a fresh burst parked on the gate
-        // (writer blocked, queue loaded), the best-of-5 snapshot read is
-        // within an order of magnitude of the idle one. Min-based with a
-        // wide bound, so the row is stable on any host.
-        let read = |db: &epilog_persist::ServingDb| {
+        // Reads are lock-free: with a fresh burst built but not yet
+        // stepped, the best-of-5 snapshot read is within an order of
+        // magnitude of the idle one. Min-based with a wide bound, so the
+        // row is stable on any host.
+        let read = |writer: &epilog_persist::Writer| {
             best_of(5, || {
                 let start = std::time::Instant::now();
-                let _ = ask(db.snapshot().prover(), &burst_q);
+                let _ = ask(writer.snapshot().prover(), &burst_q);
                 start.elapsed()
             })
         };
-        let idle = read(&db);
-        let gate = db.gate();
-        let parked: Vec<_> = (0..8)
+        let idle = read(&writer);
+        let (parked, handles): (Vec<_>, Vec<_>) = (0..8)
             .map(|i| {
-                db.commit(
+                Request::commit(
                     enrollment_batch(200 + i, 1)
                         .into_iter()
                         .map(TxOp::Assert)
                         .collect(),
                 )
             })
-            .collect();
-        let loaded = read(&db);
-        gate.open();
-        for h in parked {
-            h.wait().expect("parked enrollments commit after the gate");
+            .unzip();
+        let loaded = read(&writer);
+        writer.step(parked);
+        for h in handles {
+            h.wait().expect("parked enrollments commit once stepped");
         }
         holds(
             "snapshot read latency independent of a parked commit burst",
@@ -585,9 +583,9 @@ fn main() {
 
         // The served directory is an ordinary durable database: recovery
         // must reproduce exactly the state the last snapshot served.
-        let final_theory = db.snapshot().theory().clone();
-        let final_lsn = db.head_lsn();
-        db.shutdown().unwrap();
+        let final_theory = writer.snapshot().theory().clone();
+        let final_lsn = writer.snapshot().lsn();
+        drop(writer);
         let (rec, report) =
             epilog_persist::DurableDb::recover(&dir, epilog_persist::FsyncPolicy::Never).unwrap();
         holds(

@@ -105,32 +105,37 @@ pub fn durable_registrar(
     db
 }
 
-/// The F11 workload: the registrar *served* from `dir` — a
-/// [`epilog_persist::ServingDb`] with the `emp ⊃ person` rule, the two
-/// §3 constraints, then `n` single-employee enrollments driven through
-/// the commit queue. Deterministic: the final state equals
+/// The F11 workload: the registrar *served* from `dir` — an
+/// [`epilog_persist::Writer`] with the `emp ⊃ person` rule, the two §3
+/// constraints, then `n` single-employee enrollments, each stepped as a
+/// batch of its own. Deterministic: the final state equals
 /// [`registrar_db`]`(n)` and the head LSN is `n + 2`.
-pub fn serving_registrar(dir: &std::path::Path, n: usize) -> epilog_persist::ServingDb {
+pub fn serving_registrar(dir: &std::path::Path, n: usize) -> epilog_persist::Writer {
+    use epilog_persist::{DurableDb, FsyncPolicy, Request, TxOp, Writer};
     let theory =
         epilog_syntax::Theory::from_text("forall x. emp(x) -> person(x)").expect("static text");
-    let db =
-        epilog_persist::ServingDb::create(dir, theory, epilog_persist::ServeOptions::default())
-            .expect("fresh directory initializes");
-    db.add_constraint(epilog_syntax::parse("forall x. K emp(x) -> exists y. K ss(x, y)").unwrap())
-        .expect("fact-free registrar satisfies the emp constraint");
-    db.add_constraint(
-        epilog_syntax::parse("forall x, y, z. K ss(x, y) & K ss(x, z) -> K y = z").unwrap(),
-    )
-    .expect("fact-free registrar satisfies the FD constraint");
+    let durable =
+        DurableDb::create(dir, theory, FsyncPolicy::Never).expect("fresh directory initializes");
+    let mut writer = Writer::new(durable);
+    for ic in [
+        "forall x. K emp(x) -> exists y. K ss(x, y)",
+        "forall x, y, z. K ss(x, y) & K ss(x, z) -> K y = z",
+    ] {
+        let (req, h) = Request::constraint(epilog_syntax::parse(ic).unwrap());
+        writer.step(vec![req]);
+        h.wait()
+            .expect("the fact-free registrar satisfies both constraints");
+    }
     for i in 0..n {
         let ops = enrollment_batch(i, 1)
             .into_iter()
-            .map(epilog_persist::TxOp::Assert)
+            .map(TxOp::Assert)
             .collect();
-        db.commit_wait(ops)
-            .expect("enrollment satisfies the constraints");
+        let (req, h) = Request::commit(ops);
+        writer.step(vec![req]);
+        h.wait().expect("enrollment satisfies the constraints");
     }
-    db
+    writer
 }
 
 /// The evaluation-pipeline scaling workload: a `k`-way chain join plus

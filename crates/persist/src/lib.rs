@@ -24,7 +24,8 @@
 //! * [`ServingDb`] — the concurrent serving layer: lock-free MVCC
 //!   snapshot reads (`epilog-core`'s `StateCell`) with a single writer
 //!   thread draining a bounded commit queue and batching many
-//!   transactions into one log write + one fsync (group commit).
+//!   transactions into one log write + one fsync (group commit); the
+//!   batch protocol itself is [`Writer::step`], callable by hand.
 //!
 //! # Loss windows are crash-only
 //!
@@ -99,8 +100,8 @@ pub(crate) fn sync_dir(dir: &std::path::Path, inj: Option<&FaultInjector>) -> st
 pub use durable::{CompactStats, DurableDb, DurableTransaction, PersistError, RecoveryReport};
 pub use fault::{FaultInjector, FaultKind};
 pub use serve::{
-    CommitHandle, CommitReceipt, ServeError, ServeOptions, ServeStats, ServingDb, TxOp, WriterExit,
-    WriterGate,
+    CommitHandle, CommitReceipt, Request, ServeError, ServeOptions, ServeStats, ServingDb, TxOp,
+    Writer, WriterExit,
 };
 pub use snapshot::{Snapshot, SnapshotError};
 pub use wal::{FsyncPolicy, TornTail, Wal, WalOp, WalRecord, WalScan};

@@ -12,14 +12,16 @@
 //!   plans). Queries run on the handle with no locks and no coordination
 //!   with commits in flight; a snapshot pins its state until dropped.
 //! * **The writer** is one named thread (`epilog-commit-writer`)
-//!   draining a bounded commit queue. It owns the [`DurableDb`] — the
-//!   working state and its log — outright, so validation runs against
-//!   the true head state with no locking at all.
+//!   draining a bounded commit queue (128 requests deep). It owns a
+//!   [`Writer`], which owns the [`DurableDb`] — the working state and its
+//!   log — outright, so validation runs against the true head state with
+//!   no locking at all.
 //!
 //! # Group commit
 //!
-//! The writer drains whatever has queued up (up to a batch cap) and
-//! processes the batch as one durability unit: each transaction is
+//! The thread waits for one request, takes every other one already
+//! queued (up to 64 in all), and hands the batch to [`Writer::step`],
+//! which processes it as one durability unit: each transaction is
 //! committed through the `DurableDb` — validated, its effective delta
 //! appended to a log that does not sync on its own (rejected
 //! transactions are answered immediately and never logged) — then the
@@ -36,6 +38,11 @@
 //! The on-disk format is unchanged: a directory served by `ServingDb`
 //! is a `DurableDb` directory, and either API can recover it.
 //!
+//! `step` is the whole protocol; the thread only collects batches for
+//! it. A test forms any batch — and so any interleaving of commits,
+//! refusals, faults and heals — by building [`Request`]s and calling
+//! `step` on one thread, with no timing involved.
+//!
 //! # Degraded mode and healing
 //!
 //! An I/O failure on the commit path (append or batch fsync — injectable
@@ -51,10 +58,11 @@
 //! read-only mode** is that `DurableDb`'s refuse-until-recovered state
 //! plus read-only serving: snapshots keep answering at the durable head,
 //! commits are rejected fast with [`ServeError::Degraded`], and
-//! [`ServingDb::stats`] reports it. [`ServingDb::heal`] is recovery: cut
-//! un-acknowledged log bytes through an un-injected handle,
-//! [`DurableDb::recover`], probe the disk, serve the recovered database
-//! — or stay degraded (and heal retryable) if the storage still fails.
+//! [`ServingDb::stats`] reports it. A heal ([`ServingDb::heal`],
+//! [`Request::heal`]) is recovery: cut un-acknowledged log bytes through
+//! an un-injected handle, [`DurableDb::recover`], probe the disk, serve
+//! the recovered database — or stay degraded (and heal retryable) if the
+//! storage still fails.
 
 use crate::durable::{DurableDb, PersistError, RecoveryReport};
 use crate::wal::{FsyncPolicy, Wal, WAL_FILE};
@@ -68,25 +76,19 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-/// Tuning knobs for a [`ServingDb`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServeOptions {
-    /// Commit-queue capacity; enqueueing callers block (backpressure)
-    /// when the writer falls this far behind.
-    pub queue_depth: usize,
-    /// Most transactions the writer folds into one durability unit
-    /// (one WAL sync + one publish).
-    pub max_batch: usize,
-}
+/// Commit-queue capacity: enqueueing callers block (backpressure) when
+/// the writer falls this far behind.
+const QUEUE_DEPTH: usize = 128;
+/// Most requests the writer folds into one durability unit (one WAL
+/// sync, one publish).
+const MAX_BATCH: usize = 64;
 
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            queue_depth: 128,
-            max_batch: 64,
-        }
-    }
-}
+/// Options of a [`ServingDb`]: there are none, the queue depth and the
+/// batch cap are fixed. Every `opts` parameter taking one is ignored; it
+/// stays only so that callers written against the older signature (the
+/// benchmark's replay, `trajectory/src/replay.rs`) keep compiling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ServeOptions {}
 
 /// Errors surfaced through a [`CommitHandle`].
 #[derive(Debug)]
@@ -170,38 +172,75 @@ pub struct CommitReceipt {
     pub report: CommitReport,
 }
 
-/// Completion handle for a queued commit.
+/// Completion handle for a request: a commit's [`CommitReceipt`], or
+/// the LSN a constraint, a flush or a heal answers with.
 #[must_use = "a commit is not acknowledged until the handle is waited on"]
-pub struct CommitHandle {
-    rx: Receiver<Result<CommitReceipt, ServeError>>,
-    metrics: Arc<Metrics>,
+pub struct CommitHandle<T = CommitReceipt> {
+    rx: Receiver<Result<T, ServeError>>,
+    /// The serving database's counters, to say how its writer exited if
+    /// the request is dropped unanswered (`None`: stepped by hand).
+    metrics: Option<Arc<Metrics>>,
 }
 
-impl CommitHandle {
+impl<T> CommitHandle<T> {
     /// Block until the writer answers (durable + published, or
     /// rejected).
-    pub fn wait(self) -> Result<CommitReceipt, ServeError> {
-        match self.rx.recv() {
-            Ok(answer) => answer,
-            Err(_) => Err(self.metrics.closed()),
-        }
+    pub fn wait(self) -> Result<T, ServeError> {
+        self.rx.recv().unwrap_or_else(|_| {
+            let exit = self
+                .metrics
+                .map_or(WriterExit::Unknown, |m| m.writer_exit());
+            Err(ServeError::Closed(exit))
+        })
     }
 }
 
-/// Holds the writer between batches — a deterministic way for benches
-/// and tests to force a group: take the gate, enqueue transactions,
-/// then [`WriterGate::open`]; everything enqueued meanwhile lands in
-/// one batch (up to [`ServeOptions::max_batch`]). The writer takes
-/// nothing enqueued behind a gate off the queue until it opens, and a
-/// gate ends the batch being collected when the writer comes upon it.
-#[must_use = "dropping the gate opens it immediately"]
-pub struct WriterGate {
-    _tx: SyncSender<()>,
+type Reply<T> = SyncSender<Result<T, ServeError>>;
+
+/// One request to the writer. Each constructor returns it together with
+/// the handle its answer arrives on: [`ServingDb`] queues the request,
+/// a test may pass it to [`Writer::step`] itself.
+pub struct Request(Op);
+
+enum Op {
+    Commit(Vec<TxOp>, Reply<CommitReceipt>),
+    Constraint(Formula, Reply<u64>),
+    Flush(Reply<u64>),
+    Heal(Reply<u64>),
 }
 
-impl WriterGate {
-    /// Release the writer.
-    pub fn open(self) {}
+fn reply<T>() -> (Reply<T>, CommitHandle<T>) {
+    let (tx, rx) = sync_channel(1);
+    (tx, CommitHandle { rx, metrics: None })
+}
+
+impl Request {
+    /// Commit `ops` as one transaction; answered with the receipt once
+    /// durable and published, or at once if refused.
+    pub fn commit(ops: Vec<TxOp>) -> (Request, CommitHandle) {
+        let (tx, handle) = reply();
+        (Request(Op::Commit(ops, tx)), handle)
+    }
+
+    /// Durably register an integrity constraint; answered with its LSN.
+    pub fn constraint(ic: Formula) -> (Request, CommitHandle<u64>) {
+        let (tx, handle) = reply();
+        (Request(Op::Constraint(ic, tx)), handle)
+    }
+
+    /// A barrier: answered with the head LSN once every request ahead of
+    /// it is answered and the log is synced.
+    pub fn flush() -> (Request, CommitHandle<u64>) {
+        let (tx, handle) = reply();
+        (Request(Op::Flush(tx)), handle)
+    }
+
+    /// Leave degraded mode ([`ServingDb::heal`]); answered with the head
+    /// LSN.
+    pub fn heal() -> (Request, CommitHandle<u64>) {
+        let (tx, handle) = reply();
+        (Request(Op::Heal(tx)), handle)
+    }
 }
 
 /// Writer-side counters, snapshotted by [`ServingDb::stats`].
@@ -242,6 +281,18 @@ struct Metrics {
 }
 
 impl Metrics {
+    fn stats(&self) -> ServeStats {
+        ServeStats {
+            commits: self.commits.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
+            fsyncs: self.fsyncs.load(Ordering::Relaxed),
+            io_errors: self.io_errors.load(Ordering::Relaxed),
+            heals: self.heals.load(Ordering::Relaxed),
+            degraded: self.degraded.load(Ordering::Relaxed),
+        }
+    }
+
     fn writer_exit(&self) -> WriterExit {
         match self.exit.load(Ordering::Relaxed) {
             EXIT_PANICKED => WriterExit::Panicked,
@@ -249,10 +300,6 @@ impl Metrics {
             EXIT_CLEAN => WriterExit::Clean,
             _ => WriterExit::Unknown,
         }
-    }
-
-    fn closed(&self) -> ServeError {
-        ServeError::Closed(self.writer_exit())
     }
 }
 
@@ -268,20 +315,6 @@ impl Drop for ExitStamp {
         };
         self.0.exit.store(code, Ordering::Relaxed);
     }
-}
-
-enum Request {
-    Commit {
-        ops: Vec<TxOp>,
-        reply: SyncSender<Result<CommitReceipt, ServeError>>,
-    },
-    Constraint {
-        ic: Formula,
-        reply: SyncSender<Result<u64, ServeError>>,
-    },
-    Flush(SyncSender<u64>),
-    Gate(Receiver<()>),
-    Heal(SyncSender<Result<u64, ServeError>>),
 }
 
 /// A durable [`EpistemicDb`](epilog_core::EpistemicDb) served
@@ -336,42 +369,34 @@ impl ServingDb {
         }
     }
 
-    /// Wrap an already-recovered [`DurableDb`] and start the writer. The
-    /// log is put on [`FsyncPolicy::Never`] whatever policy it was opened
-    /// with: the writer syncs explicitly, once per batch, and a log that
-    /// also synced per record would amortize nothing. A
-    /// [`FaultInjector`](crate::FaultInjector) installed on the
-    /// `DurableDb` rides along into the writer.
+    /// Wrap an already-recovered [`DurableDb`] in a [`Writer`] and start
+    /// its thread. A [`FaultInjector`](crate::FaultInjector) installed on
+    /// the `DurableDb` rides along into the writer.
     ///
     /// # Panics
     /// Panics if the OS refuses to spawn the writer thread.
-    pub fn start(mut durable: DurableDb, opts: ServeOptions) -> ServingDb {
-        durable.set_fsync_policy(FsyncPolicy::Never);
-        let head = Arc::new(StateCell::new(durable.db().clone(), durable.last_lsn()));
-        let metrics = Arc::new(Metrics::default());
-        let dir = durable.dir().to_path_buf();
-        let (tx, rx) = sync_channel(opts.queue_depth.max(1));
-        let writer = {
-            let head = Arc::clone(&head);
-            let metrics = Arc::clone(&metrics);
-            let max_batch = opts.max_batch.max(1);
-            thread::Builder::new()
-                .name("epilog-commit-writer".into())
-                .spawn(move || {
-                    let _stamp = ExitStamp(Arc::clone(&metrics));
-                    let mut writer = Writer {
-                        durable,
-                        head: &head,
-                        metrics: &metrics,
-                    };
-                    writer.run(&rx, max_batch);
-                })
-                .unwrap_or_else(|e| panic!("failed to spawn thread `epilog-commit-writer`: {e}"))
-        };
+    pub fn start(durable: DurableDb, _opts: ServeOptions) -> ServingDb {
+        let mut writer = Writer::new(durable);
+        let head = Arc::clone(&writer.head);
+        let metrics = Arc::clone(&writer.metrics);
+        let dir = writer.durable.dir().to_path_buf();
+        let (tx, rx) = sync_channel(QUEUE_DEPTH);
+        let thread = thread::Builder::new()
+            .name("epilog-commit-writer".into())
+            .spawn(move || {
+                let _stamp = ExitStamp(Arc::clone(&writer.metrics));
+                // Exits when every ServingDb handle (and thus every
+                // sender) is gone and the queue is drained.
+                while let Some(batch) = next_batch(&rx) {
+                    writer.step(batch);
+                }
+                let _ = writer.durable.sync();
+            })
+            .unwrap_or_else(|e| panic!("failed to spawn thread `epilog-commit-writer`: {e}"));
         ServingDb {
             head,
             queue: Some(tx),
-            writer: Some(writer),
+            writer: Some(thread),
             metrics,
             dir,
         }
@@ -398,12 +423,7 @@ impl ServingDb {
     /// durable and published (or the rejection as soon as validation
     /// fails).
     pub fn commit(&self, ops: Vec<TxOp>) -> CommitHandle {
-        let (reply, rx) = sync_channel(1);
-        self.send(Request::Commit { ops, reply });
-        CommitHandle {
-            rx,
-            metrics: Arc::clone(&self.metrics),
-        }
+        self.send(Request::commit(ops))
     }
 
     /// [`ServingDb::commit`] and wait for the receipt.
@@ -414,18 +434,14 @@ impl ServingDb {
     /// Durably register an integrity constraint through the writer.
     /// Returns its LSN.
     pub fn add_constraint(&self, ic: Formula) -> Result<u64, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.send(Request::Constraint { ic, reply });
-        rx.recv().unwrap_or_else(|_| Err(self.metrics.closed()))
+        self.send(Request::constraint(ic)).wait()
     }
 
     /// Force every acknowledged commit to stable storage and return the
     /// head LSN. Acknowledged commits are already synced — this is a
     /// barrier that drains the queue ahead of it.
     pub fn flush(&self) -> Result<u64, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.send(Request::Flush(reply));
-        rx.recv().map_err(|_| self.metrics.closed())
+        self.send(Request::flush()).wait()
     }
 
     /// Attempt to leave degraded read-only mode: truncate every
@@ -436,9 +452,7 @@ impl ServingDb {
     /// (snapshots keep answering) and the heal can be retried once the
     /// storage behaves again.
     pub fn heal(&self) -> Result<u64, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.send(Request::Heal(reply));
-        rx.recv().unwrap_or_else(|_| Err(self.metrics.closed()))
+        self.send(Request::heal()).wait()
     }
 
     /// Whether the writer is in degraded read-only mode.
@@ -446,25 +460,9 @@ impl ServingDb {
         self.metrics.degraded.load(Ordering::Relaxed)
     }
 
-    /// Hold the writer between batches until the gate is opened — the
-    /// deterministic group-formation hook ([`WriterGate`]).
-    pub fn gate(&self) -> WriterGate {
-        let (tx, rx) = sync_channel(1);
-        self.send(Request::Gate(rx));
-        WriterGate { _tx: tx }
-    }
-
     /// Snapshot of the writer's counters.
     pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            commits: self.metrics.commits.load(Ordering::Relaxed),
-            rejected: self.metrics.rejected.load(Ordering::Relaxed),
-            batches: self.metrics.batches.load(Ordering::Relaxed),
-            fsyncs: self.metrics.fsyncs.load(Ordering::Relaxed),
-            io_errors: self.metrics.io_errors.load(Ordering::Relaxed),
-            heals: self.metrics.heals.load(Ordering::Relaxed),
-            degraded: self.metrics.degraded.load(Ordering::Relaxed),
-        }
+        self.metrics.stats()
     }
 
     /// Graceful shutdown: stop accepting work, let the writer drain and
@@ -480,12 +478,14 @@ impl ServingDb {
         }
     }
 
-    fn send(&self, req: Request) {
-        // A disconnected queue (shutdown raced us) surfaces as Closed
+    fn send<T>(&self, (req, mut handle): (Request, CommitHandle<T>)) -> CommitHandle<T> {
+        // A disconnected queue (the writer died) surfaces as Closed
         // through the reply channel the request carried.
         if let Some(q) = &self.queue {
             let _ = q.send(req);
         }
+        handle.metrics = Some(Arc::clone(&self.metrics));
+        handle
     }
 }
 
@@ -508,57 +508,66 @@ impl Drop for ServingDb {
 /// prior batch having synced or rolled back.
 struct Batch {
     mark: (u64, u64),
-    commits: Vec<(SyncSender<Result<CommitReceipt, ServeError>>, CommitReceipt)>,
-    noops: Vec<(SyncSender<Result<CommitReceipt, ServeError>>, CommitReceipt)>,
-    constraints: Vec<(SyncSender<Result<u64, ServeError>>, u64)>,
+    commits: Vec<(Reply<CommitReceipt>, CommitReceipt)>,
+    noops: Vec<(Reply<CommitReceipt>, CommitReceipt)>,
+    constraints: Vec<(Reply<u64>, u64)>,
 }
 
-/// The writer thread's state: sole owner of the durable database (the
-/// working state and its log), whose refuse-until-recovered state *is*
-/// the degraded mode.
-struct Writer<'a> {
+/// The next batch off the queue: the first request to arrive and every
+/// other one already queued behind it, up to [`MAX_BATCH`]. `None` once
+/// every sender is gone and the queue is drained.
+fn next_batch(rx: &Receiver<Request>) -> Option<Vec<Request>> {
+    let mut batch = vec![rx.recv().ok()?];
+    batch.extend(rx.try_iter().take(MAX_BATCH - 1));
+    Some(batch)
+}
+
+/// The serving writer as a value: sole owner of the durable database
+/// (the working state and its log), whose refuse-until-recovered state
+/// *is* the degraded mode, of the head cell snapshots are read from, and
+/// of its counters. [`ServingDb`] runs one on its thread; a test drives
+/// one by hand, batch by batch, through [`Writer::step`], and dropping
+/// it between steps is a crash.
+pub struct Writer {
     durable: DurableDb,
-    head: &'a StateCell,
-    metrics: &'a Metrics,
+    head: Arc<StateCell>,
+    metrics: Arc<Metrics>,
 }
 
-impl Writer<'_> {
-    fn run(&mut self, rx: &Receiver<Request>, max_batch: usize) {
-        // A gate drained off the queue while a batch was being collected;
-        // it is the next request to serve.
-        let mut parked_gate = None;
-        // Exits when every ServingDb handle (and thus every sender) is
-        // gone and the queue is drained.
-        while let Some(first) = parked_gate.take().or_else(|| rx.recv().ok()) {
-            if let Request::Gate(gate) = first {
-                // Hold here, with nothing taken off the queue behind the
-                // gate: whatever is enqueued until it opens (or drops)
-                // is then collected together.
-                let _ = gate.recv();
-                continue;
-            }
-            let mut batch = vec![first];
-            while batch.len() < max_batch {
-                match rx.try_recv() {
-                    // A gate ends the batch being collected.
-                    Ok(gate @ Request::Gate(_)) => {
-                        parked_gate = Some(gate);
-                        break;
-                    }
-                    Ok(req) => batch.push(req),
-                    Err(_) => break,
-                }
-            }
-            self.process(batch);
+impl Writer {
+    /// Take over `durable` and publish its state as the head. The log is
+    /// put on [`FsyncPolicy::Never`] whatever policy it was opened with:
+    /// the writer syncs explicitly, once per batch, and a log that also
+    /// synced per record would amortize nothing.
+    pub fn new(mut durable: DurableDb) -> Writer {
+        durable.set_fsync_policy(FsyncPolicy::Never);
+        let head = Arc::new(StateCell::new(durable.db().clone(), durable.last_lsn()));
+        Writer {
+            durable,
+            head,
+            metrics: Arc::default(),
         }
-        let _ = self.durable.sync();
+    }
+
+    /// Pin the published head state ([`ServingDb::snapshot`]).
+    pub fn snapshot(&self) -> ReadHandle {
+        self.head.snapshot()
+    }
+
+    /// The writer's counters ([`ServingDb::stats`]).
+    pub fn stats(&self) -> ServeStats {
+        self.metrics.stats()
     }
 
     fn degraded(&self) -> bool {
         self.durable.untrusted().is_some()
     }
 
-    fn process(&mut self, requests: Vec<Request>) {
+    /// Serve `requests` as one batch: commit each through the
+    /// `DurableDb` in order, answering every refusal and failed append at
+    /// once; then one sync, then publish, then answer the rest — or, if
+    /// the sync fails, roll back to the batch's start and fail them.
+    pub fn step(&mut self, requests: Vec<Request>) {
         let mut batch = Batch {
             mark: self.durable.mark(),
             commits: Vec::new(),
@@ -566,13 +575,12 @@ impl Writer<'_> {
             constraints: Vec::new(),
         };
         let mut flushes = Vec::new();
-        for req in requests {
-            match req {
-                Request::Commit { ops, reply } => self.commit(ops, reply, &mut batch),
-                Request::Constraint { ic, reply } => self.constraint(ic, reply, &mut batch),
-                Request::Flush(reply) => flushes.push(reply),
-                Request::Gate(_) => unreachable!("run() parks at gates, never batches them"),
-                Request::Heal(reply) => {
+        for Request(op) in requests {
+            match op {
+                Op::Commit(ops, reply) => self.commit(ops, reply, &mut batch),
+                Op::Constraint(ic, reply) => self.constraint(ic, reply, &mut batch),
+                Op::Flush(reply) => flushes.push(reply),
+                Op::Heal(reply) => {
                     let healed = self.heal();
                     let _ = reply.send(healed);
                 }
@@ -616,7 +624,7 @@ impl Writer<'_> {
         // The barrier holds at the head, which this batch moved or (it
         // logged nothing, or rolled back) left at the durable boundary.
         for reply in flushes {
-            let _ = reply.send(self.head.head_lsn());
+            let _ = reply.send(Ok(self.head.head_lsn()));
         }
     }
 
@@ -627,12 +635,7 @@ impl Writer<'_> {
         )));
     }
 
-    fn commit(
-        &mut self,
-        ops: Vec<TxOp>,
-        reply: SyncSender<Result<CommitReceipt, ServeError>>,
-        batch: &mut Batch,
-    ) {
+    fn commit(&mut self, ops: Vec<TxOp>, reply: Reply<CommitReceipt>, batch: &mut Batch) {
         let logged_before = self.durable.last_lsn();
         let mut txn = self.durable.transaction();
         for op in ops {
@@ -656,12 +659,7 @@ impl Writer<'_> {
         }
     }
 
-    fn constraint(
-        &mut self,
-        ic: Formula,
-        reply: SyncSender<Result<u64, ServeError>>,
-        batch: &mut Batch,
-    ) {
+    fn constraint(&mut self, ic: Formula, reply: Reply<u64>, batch: &mut Batch) {
         match self.durable.add_constraint(ic) {
             Ok(()) => batch.constraints.push((reply, self.durable.last_lsn())),
             Err(e) => self.answer_failure(e, reply, batch),
@@ -673,12 +671,7 @@ impl Writer<'_> {
     /// append fails this handle alone (the log is back at its mark); a log
     /// no longer trusted degrades the writer, and from then on the
     /// `DurableDb`'s standing refusal is the fast rejection.
-    fn answer_failure<T>(
-        &mut self,
-        e: PersistError,
-        reply: SyncSender<Result<T, ServeError>>,
-        batch: &mut Batch,
-    ) {
+    fn answer_failure<T>(&mut self, e: PersistError, reply: Reply<T>, batch: &mut Batch) {
         let answer = match e {
             PersistError::Db(e) => {
                 self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
@@ -827,94 +820,97 @@ mod tests {
         std::fs::remove_dir_all(d).unwrap();
     }
 
+    /// A [`Writer`] over the registrar, its log opened with `policy` and
+    /// a [`FaultInjector`](crate::FaultInjector) installed on it, with
+    /// the `emp` constraint registered through a first step.
+    fn registrar_writer(d: &Path, policy: FsyncPolicy) -> (Writer, Arc<crate::FaultInjector>) {
+        let theory = Theory::from_text("forall x. emp(x) -> person(x)").unwrap();
+        let mut durable = DurableDb::create(d, theory, policy).unwrap();
+        let inj = Arc::new(crate::FaultInjector::new(3));
+        durable.set_fault_injector(Some(Arc::clone(&inj)));
+        let mut writer = Writer::new(durable);
+        let (req, h) = Request::constraint(f("forall x. K emp(x) -> exists y. K ss(x, y)"));
+        writer.step(vec![req]);
+        h.wait().unwrap();
+        (writer, inj)
+    }
+
+    /// Step one batch of commits, each asserting its sentences; the
+    /// handles come back already answered.
+    fn step_commits<S: AsRef<str>, const N: usize>(
+        writer: &mut Writer,
+        commits: [Vec<S>; N],
+    ) -> [CommitHandle; N] {
+        let (batch, handles): (Vec<_>, Vec<_>) = commits
+            .iter()
+            .map(|ops| Request::commit(ops.iter().map(|w| TxOp::Assert(f(w.as_ref()))).collect()))
+            .unzip();
+        writer.step(batch);
+        handles.try_into().ok().expect("one handle per commit")
+    }
+
     #[test]
-    fn gated_burst_forms_one_batch_with_one_fsync() {
+    fn a_stepped_burst_forms_one_batch_with_one_fsync() {
         // Whatever policy the log was opened with: under `Always` a log
         // left to itself would sync once per record as well.
         for policy in [FsyncPolicy::Never, FsyncPolicy::Always] {
             let d = dir();
-            let (db, inj) = registrar_with_injector(&d, 3, policy);
-            let base = db.stats();
-            let gate = db.gate();
-            let handles: Vec<CommitHandle> = (0..8)
-                .map(|i| {
-                    db.commit(vec![
-                        TxOp::Assert(f(&format!("ss(E{i}, n{i})"))),
-                        TxOp::Assert(f(&format!("emp(E{i})"))),
-                    ])
-                })
-                .collect();
-            let syncs = inj.syncs();
-            gate.open();
-            for h in handles {
+            let (mut writer, inj) = registrar_writer(&d, policy);
+            let (base, syncs) = (writer.stats(), inj.syncs());
+            let burst: [Vec<String>; 8] =
+                std::array::from_fn(|i| vec![format!("ss(E{i}, n{i})"), format!("emp(E{i})")]);
+            for h in step_commits(&mut writer, burst) {
                 let _ = h.wait().unwrap();
             }
-            let s = db.stats();
+            let s = writer.stats();
             assert_eq!(s.commits - base.commits, 8);
             assert_eq!(s.batches - base.batches, 1, "one group");
             assert_eq!(s.fsyncs - base.fsyncs, 1, "one fsync for 8 commits");
             assert_eq!(inj.syncs() - syncs, 1, "{policy:?}: the disk saw one too");
-            let snap = db.snapshot();
+            let snap = writer.snapshot();
             assert_eq!(snap.ask(&parse("K emp(E7)").unwrap()), Answer::Yes);
-            db.shutdown().unwrap();
+            drop(writer);
             std::fs::remove_dir_all(d).unwrap();
         }
     }
 
     #[test]
-    fn commits_queued_behind_a_gate_wait_for_it() {
-        let d = dir();
-        // Eight queue slots force the interleaving: a send into the full
-        // queue returns only once the writer has taken something off it.
-        let opts = ServeOptions {
-            queue_depth: 8,
-            ..ServeOptions::default()
-        };
-        let db = ServingDb::create(&d, Theory::empty(), opts).unwrap();
-        let enroll = |i: usize| db.commit(vec![TxOp::Assert(f(&format!("emp(E{i})")))]);
-        // `gate` and seven commits fill the queue while the writer is
-        // held at `hold` — what a slow-waking writer finds behind a gate.
-        let hold = db.gate();
-        let gate = db.gate();
-        let mut handles: Vec<CommitHandle> = (0..7).map(enroll).collect();
-        hold.open();
-        // Lands once the writer has reached `gate`; it must then park
-        // there with the seven still queued, not holding them in a batch
-        // this one comes too late for.
-        handles.push(enroll(7));
-        gate.open();
-        for h in handles {
-            let _ = h.wait().unwrap();
-        }
-        let s = db.stats();
-        assert_eq!((s.commits, s.batches, s.fsyncs), (8, 1, 1), "one group");
-        db.shutdown().unwrap();
-        std::fs::remove_dir_all(d).unwrap();
+    fn the_thread_takes_every_queued_request_up_to_the_batch_cap() {
+        let (tx, rx) = sync_channel(QUEUE_DEPTH);
+        let handles: Vec<_> = (0..MAX_BATCH + 3)
+            .map(|_| {
+                let (req, h) = Request::flush();
+                tx.send(req).unwrap();
+                h
+            })
+            .collect();
+        drop(tx);
+        let sizes: Vec<usize> = std::iter::from_fn(|| next_batch(&rx).map(|b| b.len())).collect();
+        assert_eq!(sizes, [MAX_BATCH, 3]);
+        drop(handles);
     }
 
     #[test]
     fn rejection_inside_a_batch_spares_the_others() {
         let d = dir();
-        let db = registrar(&d);
-        let gate = db.gate();
-        let ok1 = db.commit(vec![
-            TxOp::Assert(f("ss(Sue, n2)")),
-            TxOp::Assert(f("emp(Sue)")),
-        ]);
-        let bad = db.commit(vec![TxOp::Assert(f("emp(Joe)"))]); // no ss number
-        let ok2 = db.commit(vec![
-            TxOp::Assert(f("ss(Ann, n3)")),
-            TxOp::Assert(f("emp(Ann)")),
-        ]);
-        gate.open();
+        let (mut writer, _) = registrar_writer(&d, FsyncPolicy::Never);
+        let [ok1, bad, ok2] = step_commits(
+            &mut writer,
+            [
+                vec!["ss(Sue, n2)", "emp(Sue)"],
+                vec!["emp(Joe)"], // no ss number
+                vec!["ss(Ann, n3)", "emp(Ann)"],
+            ],
+        );
         assert!(ok1.wait().is_ok());
         assert!(matches!(bad.wait(), Err(ServeError::Db(..))));
         assert!(ok2.wait().is_ok());
-        let snap = db.snapshot();
+        let snap = writer.snapshot();
         assert_eq!(snap.ask(&parse("K emp(Sue)").unwrap()), Answer::Yes);
         assert_eq!(snap.ask(&parse("K emp(Joe)").unwrap()), Answer::No);
         assert_eq!(snap.ask(&parse("K emp(Ann)").unwrap()), Answer::Yes);
-        db.shutdown().unwrap();
+        assert_eq!(writer.stats().batches, 2, "the constraint's, then this one");
+        drop(writer);
         std::fs::remove_dir_all(d).unwrap();
     }
 
@@ -1012,33 +1008,27 @@ mod tests {
 
     #[test]
     fn noop_ack_waits_for_the_batch_mate_that_made_it_one() {
-        // The second `emp(E1)` is a no-op only because the first, not yet
-        // synced, asserted it: when the batch fsync fails, both fail.
+        // The second `ss(E1, n1)` is a no-op only because the first, not
+        // yet synced, asserted it: when the batch fsync fails, both fail.
         let d = dir();
-        let mut durable = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
-        let inj = Arc::new(crate::FaultInjector::new(5));
-        durable.set_fault_injector(Some(Arc::clone(&inj)));
-        let db = ServingDb::start(durable, ServeOptions::default());
-        let gate = db.gate();
-        let first = db.commit(vec![TxOp::Assert(f("emp(E1)"))]);
-        let second = db.commit(vec![TxOp::Assert(f("emp(E1)"))]);
+        let (mut writer, inj) = registrar_writer(&d, FsyncPolicy::Never);
+        let twice = || [vec!["ss(E1, n1)"], vec!["ss(E1, n1)"]];
         inj.fail_nth_sync(inj.syncs());
-        gate.open();
+        let [first, second] = step_commits(&mut writer, twice());
         assert!(matches!(first.wait(), Err(ServeError::Io(_))));
         let second = second.wait();
         assert!(matches!(second, Err(ServeError::Io(_))), "got {second:?}");
-        assert_eq!(db.snapshot().ask(&parse("K emp(E1)").unwrap()), Answer::No);
+        let q = parse("exists y. K ss(E1, y)").unwrap();
+        assert_eq!(writer.snapshot().ask(&q), Answer::No);
         // Without a fault the no-op is acknowledged at its batch-mate's LSN.
-        inj.disarm();
-        db.heal().unwrap();
-        let gate = db.gate();
-        let first = db.commit(vec![TxOp::Assert(f("emp(E1)"))]);
-        let second = db.commit(vec![TxOp::Assert(f("emp(E1)"))]);
-        gate.open();
+        let (heal, healed) = Request::heal();
+        writer.step(vec![heal]);
+        healed.wait().unwrap();
+        let [first, second] = step_commits(&mut writer, twice());
         let lsn = first.wait().unwrap().lsn;
         assert_eq!(second.wait().unwrap().lsn, lsn);
-        assert_eq!(db.stats().commits, 1, "no-ops are not group members");
-        db.shutdown().unwrap();
+        assert_eq!(writer.stats().commits, 1, "no-ops are not group members");
+        drop(writer);
         std::fs::remove_dir_all(d).unwrap();
     }
 
@@ -1236,24 +1226,27 @@ mod tests {
         assert_eq!(m.writer_exit(), WriterExit::Degraded);
         m.exit.store(EXIT_PANICKED, Ordering::Relaxed);
         assert_eq!(m.writer_exit(), WriterExit::Panicked);
-        let msg = m.closed().to_string();
+        // A request dropped unanswered reads it off its handle.
+        let (req, mut h) = Request::flush();
+        h.metrics = Some(Arc::new(m));
+        drop(req);
+        let msg = h.wait().unwrap_err().to_string();
         assert!(msg.contains("writer panicked"), "got {msg}");
     }
 
     #[test]
     fn flush_is_a_queue_barrier() {
         let d = dir();
-        let db = registrar(&d);
-        let gate = db.gate();
-        let h = db.commit(vec![
+        let (mut writer, _) = registrar_writer(&d, FsyncPolicy::Never);
+        let (commit, h) = Request::commit(vec![
             TxOp::Assert(f("ss(Zoe, n9)")),
             TxOp::Assert(f("emp(Zoe)")),
         ]);
-        gate.open();
-        let lsn = db.flush().unwrap();
-        // The flush was queued after the commit, so its LSN covers it.
-        assert_eq!(lsn, h.wait().unwrap().lsn);
-        db.shutdown().unwrap();
+        let (flush, flushed) = Request::flush();
+        writer.step(vec![commit, flush]);
+        // The flush came after the commit, so its LSN covers it.
+        assert_eq!(flushed.wait().unwrap(), h.wait().unwrap().lsn);
+        drop(writer);
         std::fs::remove_dir_all(d).unwrap();
     }
 }

@@ -1,14 +1,14 @@
-//! Crash–recover–continue chaos soak for the serving layer under
+//! Crash–recover–continue chaos soak for the serving writer under
 //! injected storage faults.
 //!
 //! Each cycle: recover the directory and check it against a sequential
 //! oracle, arm a seeded fault schedule (scripted fsync failures, torn
-//! and failed appends, random fault rates, or none), drive pipelined
-//! commit chunks through a [`ServingDb`], exercise degraded mode when
-//! it appears (snapshots must keep answering at the durable head;
-//! [`ServingDb::heal`] must restore service once the "disk" is fixed),
-//! then crash — drop the database and smear seeded garbage over the log
-//! tail — and loop.
+//! and failed appends, random fault rates, or none), step commit chunks
+//! through a [`Writer`] — each chunk cut into batches at points drawn
+//! from the seed — exercise degraded mode when it appears (snapshots
+//! must keep answering at the durable head; a heal must restore service
+//! once the "disk" is fixed), then crash — drop the writer and smear
+//! seeded garbage over the log tail — and loop.
 //!
 //! The invariants, cycle after cycle:
 //!
@@ -22,11 +22,15 @@
 //! * **Verdict agreement** — in fault-free chunks, a commit the server
 //!   rejects is one the oracle rejects too.
 //!
-//! Seeded and deterministic: `EPILOG_CHAOS_SEED` picks the schedule,
+//! Seeded and deterministic: one thread forms every batch by calling
+//! [`Writer::step`], so a seed replays bit for bit and prints the same
+//! counts on every run. `EPILOG_CHAOS_SEED` picks the schedule,
 //! `EPILOG_CHAOS_CYCLES` scales the soak (default 100; the nightly CI
-//! leg runs it 10× across four seeds).
+//! leg runs it 10× across four seeds). `tests/serving.rs` is the soak
+//! over the real writer thread and its queue.
 
 use epilog::persist::wal::WAL_FILE;
+use epilog::persist::{CommitHandle, Request, Writer};
 use epilog::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -124,6 +128,12 @@ fn apply_to(oracle: &mut EpistemicDb, ops: &[TxOp]) -> Result<CommitReport, DbEr
     txn.commit()
 }
 
+/// Step one request as a batch of its own and return its answer.
+fn step_one<T>(writer: &mut Writer, (req, h): (Request, CommitHandle<T>)) -> Result<T, ServeError> {
+    writer.step(vec![req]);
+    h.wait()
+}
+
 /// Smear seeded garbage over the log tail — the torn, half-flushed
 /// bytes a real crash leaves behind. Appends only: acknowledged records
 /// are fsynced, so a crash can never reach back into them.
@@ -198,23 +208,17 @@ fn chaos_crash_recover_continue_soak() {
 
     let mut rng = Lcg(seed);
     let qs = queries();
-    let opts = ServeOptions {
-        max_batch: 8,
-        ..ServeOptions::default()
-    };
 
-    // Genesis: theory + constraints, cleanly shut down.
+    // Genesis: theory + constraints, each synced by its own batch.
     let mut oracle = EpistemicDb::from_text(BASE).unwrap();
     let mut acked_lsn = {
-        let db = ServingDb::create(&dir, epilog::syntax::Theory::from_text(BASE).unwrap(), opts)
-            .unwrap();
+        let theory = epilog::syntax::Theory::from_text(BASE).unwrap();
+        let mut writer = Writer::new(DurableDb::create(&dir, theory, FsyncPolicy::Never).unwrap());
         for ic in ICS {
-            db.add_constraint(parse(ic).unwrap()).unwrap();
+            step_one(&mut writer, Request::constraint(parse(ic).unwrap())).unwrap();
             oracle.add_constraint(parse(ic).unwrap()).unwrap();
         }
-        let lsn = db.head_lsn();
-        db.shutdown().unwrap();
-        lsn
+        writer.snapshot().lsn()
     };
 
     let mut acked_commits = 0u64;
@@ -263,15 +267,23 @@ fn chaos_crash_recover_continue_soak() {
             _ => inj.disarm(),
         }
         durable.set_fault_injector(Some(Arc::clone(&inj)));
-        let db = ServingDb::start(durable, opts);
+        let mut writer = Writer::new(durable);
 
-        // ---- Drive pipelined commit chunks ---------------------------
+        // ---- Step commit chunks, cut into seeded batches -------------
         'cycle: for _ in 0..CHUNKS_PER_CYCLE {
             let chunk = 1 + rng.below(4) as usize;
             let mut inflight = Vec::with_capacity(chunk);
-            for _ in 0..chunk {
+            let mut batch = Vec::new();
+            for i in 0..chunk {
                 let ops = pick_ops(rng.next() >> 16);
-                inflight.push((ops.clone(), db.commit(ops)));
+                let (req, h) = Request::commit(ops.clone());
+                batch.push(req);
+                inflight.push((ops, h));
+                // The batch ends after the chunk's last commit, and after
+                // any other with odds 1/2.
+                if i + 1 == chunk || rng.below(2) == 0 {
+                    writer.step(std::mem::take(&mut batch));
+                }
             }
             let results: Vec<(Vec<TxOp>, Result<CommitReceipt, ServeError>)> = inflight
                 .into_iter()
@@ -309,22 +321,21 @@ fn chaos_crash_recover_continue_soak() {
                 }
             }
 
-            if db.is_degraded() {
+            if writer.stats().degraded {
                 degraded_cycles += 1;
                 // Degraded invariants: commits rejected fast, snapshots
                 // and stats still answering at the durable head.
-                let err = db
-                    .commit_wait(pick_ops(rng.next() >> 16))
+                let err = step_one(&mut writer, Request::commit(pick_ops(rng.next() >> 16)))
                     .expect_err("a degraded writer must reject commits");
                 assert!(matches!(err, ServeError::Degraded(_)), "got {err}");
-                let snap = db.snapshot();
+                let snap = writer.snapshot();
                 assert_eq!(snap.lsn(), acked_lsn, "degraded head must stay durable");
                 assert_eq!(
                     answers(snap.db(), &qs),
                     answers(&oracle, &qs),
                     "degraded snapshot diverged from the acked oracle"
                 );
-                assert!(db.stats().degraded);
+                assert!(writer.stats().degraded);
                 // Alternate the two exits from degraded mode — odd
                 // occurrences heal and continue, even ones crash while
                 // degraded — so both paths run whenever it engages at
@@ -332,9 +343,10 @@ fn chaos_crash_recover_continue_soak() {
                 if degraded_cycles % 2 == 1 {
                     // Fix the disk, heal, and keep committing.
                     inj.disarm();
-                    let healed = db.heal().expect("heal with a fixed disk succeeds");
+                    let healed = step_one(&mut writer, Request::heal())
+                        .expect("heal with a fixed disk succeeds");
                     assert_eq!(healed, acked_lsn, "heal must land on the durable head");
-                    assert!(!db.is_degraded());
+                    assert!(!writer.stats().degraded);
                     heals += 1;
                 } else {
                     // Crash while degraded.
@@ -344,7 +356,7 @@ fn chaos_crash_recover_continue_soak() {
         }
 
         // ---- Crash: no shutdown ceremony, then smear the tail --------
-        drop(db);
+        drop(writer);
         if rng.below(4) != 0 {
             tear(&dir, &mut rng);
             tears += 1;

@@ -147,10 +147,7 @@ fn soak(dir: &std::path::Path, world: &World, total_commits: u64) {
     let db = ServingDb::create(
         dir,
         epilog::syntax::Theory::from_text(&world.base).unwrap(),
-        ServeOptions {
-            max_batch: 8,
-            ..ServeOptions::default()
-        },
+        ServeOptions::default(),
     )
     .unwrap();
     for ic in world.ics {
