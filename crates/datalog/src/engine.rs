@@ -11,6 +11,17 @@
 //! predicate actually gained facts — variants whose delta relation is
 //! empty are skipped without counting as a firing.
 //!
+//! A round's heads reach the total as one ordered batch. Every firing
+//! pushes the heads it grounds onto its predicate's `Vec` in `Heads`
+//! (one map look-up per firing, none per derivation); at the end of the
+//! round each vector is sorted and deduplicated once, and
+//! [`DeltaDatabase::advance`] inserts it through a cursor that gallops
+//! forward from the previous tuple's run, so a new tuple costs a search
+//! inside one run rather than one over the whole relation. The new ones
+//! come back in order and are cut into the next delta's full runs. The
+//! same sink serves DRed's over-deletion rounds and the naive reference
+//! rounds.
+//!
 //! Four entry points, one per mode: [`Program::eval`] (the default full
 //! fixpoint), [`Program::fixpoint`] (the full fixpoint with the naive
 //! reference selector), [`Program::grow`] and [`Program::shrink`] (resume
@@ -21,8 +32,9 @@
 
 use crate::plan::RulePlan;
 use crate::program::Program;
-use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, StepStrategy};
-use epilog_syntax::Param;
+use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, StepStrategy, Tuple};
+use epilog_syntax::{Param, Pred};
+use std::collections::BTreeMap;
 
 /// Counters reported by an evaluation run (for the `f2_datalog`/
 /// `f6_scaling`/`f9_joins` benches and for tests asserting that
@@ -220,22 +232,17 @@ impl Program {
 
         // Phase 1 — over-delete. Seed with the removed facts actually in
         // the model; absent retracts delete nothing.
-        let mut seed = Database::new();
-        for (pred, rel) in removed_facts.relations() {
-            for t in rel.iter() {
-                if model.contains_tuple(pred, t) {
-                    seed.insert_tuple(pred, t.clone());
-                }
-            }
-        }
-        if seed.is_empty() {
+        let seed = removed_facts.relations().map(|(pred, rel)| {
+            let present = rel.iter().filter(|t| model.contains_tuple(pred, t));
+            (pred, present.cloned().collect())
+        });
+        let mut deleted = DeltaDatabase::new(Database::new());
+        if deleted.advance(seed) == 0 {
             return (model, stats);
         }
         for plan in plans {
             plan.ensure_total_indexes(&mut model);
         }
-        let mut deleted = DeltaDatabase::new(Database::new());
-        deleted.advance(&seed);
         while !deleted.delta().is_empty() {
             stats.iterations += 1;
             {
@@ -248,12 +255,12 @@ impl Program {
                     }
                 }
             }
-            let mut next = Database::new();
+            let mut next = Heads::default();
             fire_delta_variants(plans, &model, deleted.delta(), &mut next, &mut stats);
             // Every candidate is already in the model (the model is closed
             // under the rules and the delta is a subset of it), so advance
             // filters only against what is already marked deleted.
-            deleted.advance(&next);
+            deleted.advance(next.into_batches());
         }
         let deleted = deleted.into_total();
         stats.tuples_overdeleted = deleted.len() as u64;
@@ -271,8 +278,9 @@ impl Program {
         for plan in plans {
             plan.ensure_support_indexes(&mut model);
         }
-        let mut seeds = Database::new();
+        let mut seeds = Vec::new();
         for (pred, rel) in deleted.relations() {
+            let mut survivors = Vec::new();
             for t in rel.iter() {
                 let survives = self.edb.contains_tuple(pred, t)
                     || plans.iter().any(|plan| {
@@ -295,15 +303,17 @@ impl Program {
                         found
                     });
                 if survives {
-                    seeds.insert_tuple(pred, t.clone());
+                    survivors.push(t.clone());
                 }
             }
+            seeds.push((pred, survivors));
         }
 
         // Phase 4 — propagate the survivors with the ordinary insertion
         // fixpoint. Everything it adds back was over-deleted (the model
         // was closed before the prune), so it reuses the delta variants.
-        let mut ddb = DeltaDatabase::resume(model, &seeds);
+        let mut ddb = DeltaDatabase::new(model);
+        ddb.advance(seeds);
         {
             let (total, _) = ddb.parts_mut();
             for plan in plans {
@@ -359,7 +369,7 @@ fn seminaive_rounds(
     let mut first_round = full_first_round;
     loop {
         stats.iterations += 1;
-        let mut new_facts = Database::new();
+        let mut new_facts = Heads::default();
         if first_round {
             // Round 1: the delta is conceptually "everything", so each
             // rule runs its full plan once.
@@ -379,7 +389,7 @@ fn seminaive_rounds(
             }
             fire_delta_variants(plans, ddb.total(), ddb.delta(), &mut new_facts, stats);
         }
-        if ddb.advance(&new_facts) == 0 {
+        if ddb.advance(new_facts.into_batches()) == 0 {
             break;
         }
         on_round(ddb.delta());
@@ -393,11 +403,36 @@ fn fix_naive(plans: &[RulePlan], db: &mut Database, stats: &mut EvalStats) {
     }
     loop {
         stats.iterations += 1;
-        let mut new_facts = Database::new();
+        let mut new_facts = Heads::default();
         fire_full_plans(plans, db, &mut new_facts, stats);
-        if db.union_with(&new_facts) == 0 {
+        let added: usize = new_facts
+            .into_batches()
+            .map(|(pred, batch)| db.relation_mut(pred).insert_ascending(batch).len())
+            .sum();
+        if added == 0 {
             break;
         }
+    }
+}
+
+/// The heads one round derives, per predicate, in the order they were
+/// derived: the one sink every firing pushes to.
+#[derive(Debug, Default)]
+pub(crate) struct Heads(BTreeMap<Pred, Vec<Tuple>>);
+
+impl Heads {
+    /// Each predicate's heads sorted and deduplicated — the ascending
+    /// batches [`DeltaDatabase::advance`] takes — skipping predicates
+    /// whose firings derived nothing.
+    pub(crate) fn into_batches(self) -> impl Iterator<Item = (Pred, Vec<Tuple>)> {
+        self.0
+            .into_iter()
+            .filter(|(_, heads)| !heads.is_empty())
+            .map(|(pred, mut heads)| {
+                heads.sort_unstable();
+                heads.dedup();
+                (pred, heads)
+            })
     }
 }
 
@@ -405,7 +440,7 @@ fn fix_naive(plans: &[RulePlan], db: &mut Database, stats: &mut EvalStats) {
 pub(crate) fn fire_full_plans(
     plans: &[RulePlan],
     total: &Database,
-    out: &mut Database,
+    out: &mut Heads,
     stats: &mut EvalStats,
 ) {
     for plan in plans {
@@ -422,7 +457,7 @@ fn fire_delta_variants(
     plans: &[RulePlan],
     total: &Database,
     delta: &Database,
-    out: &mut Database,
+    out: &mut Heads,
     stats: &mut EvalStats,
 ) {
     for plan in plans {
@@ -437,14 +472,14 @@ fn fire_delta_variants(
     }
 }
 
-/// Execute one join plan: ground the head of every complete match into
-/// `out`.
+/// Execute one join plan: push the grounded head of every complete
+/// match onto its predicate's vector in `out`.
 fn fire(
     plan: &RulePlan,
     join: &ConjunctionPlan,
     total: &Database,
     delta: Option<&Database>,
-    out: &mut Database,
+    out: &mut Heads,
     stats: &mut EvalStats,
 ) {
     for step in join.steps() {
@@ -456,6 +491,7 @@ fn fire(
     }
     let mut env = vec![None; plan.slots.len()];
     let mut derivations = 0u64;
+    let out = out.0.entry(plan.head.pred).or_default();
     join.for_each_match_counting(
         total,
         delta,
@@ -463,7 +499,7 @@ fn fire(
         &mut stats.rows_examined,
         &mut |env: &[Option<Param>]| {
             derivations += 1;
-            out.insert_tuple(plan.head.pred, plan.head.ground(env));
+            out.push(plan.head.ground(env));
         },
     );
     stats.derivations += derivations;

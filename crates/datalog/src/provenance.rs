@@ -319,7 +319,7 @@ pub fn params_of(atom: &Atom) -> Option<Tuple> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::fire_full_plans;
+    use crate::engine::{fire_full_plans, Heads};
     use crate::program::Program;
     use epilog_syntax::parse;
 
@@ -370,14 +370,17 @@ mod tests {
         let mut round = 0;
         loop {
             round += 1;
-            let mut next = Database::new();
+            let mut next = Heads::default();
             fire_full_plans(&plans, &db, &mut next, &mut EvalStats::default());
-            let fresh: Vec<Atom> = next.atoms().filter(|a| !db.contains(a)).collect();
+            let mut fresh = Vec::new();
+            for (pred, batch) in next.into_batches() {
+                let added = db.relation_mut(pred).insert_ascending(batch);
+                fresh.extend(added.iter().map(|t| (atom_of(pred, t), round)));
+            }
             if fresh.is_empty() {
                 return first;
             }
-            first.extend(fresh.into_iter().map(|a| (a, round)));
-            db.union_with(&next);
+            first.extend(fresh);
         }
     }
 

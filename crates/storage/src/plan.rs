@@ -34,7 +34,6 @@
 //! [`Relation::distinct_count`]: crate::relation::Relation::distinct_count
 
 use crate::database::Database;
-use crate::relation::Selection;
 use crate::Tuple;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term, Var};
@@ -125,15 +124,15 @@ impl AtomTemplate {
         }
     }
 
-    /// The selection pattern induced by the current environment.
-    pub fn pattern(&self, env: &[Option<Param>]) -> Selection {
-        self.args
-            .iter()
-            .map(|a| match a {
+    /// Write the selection pattern induced by the current environment
+    /// into `out`, one entry per column.
+    pub(crate) fn pattern_into(&self, env: &[Option<Param>], out: &mut [Option<Param>]) {
+        for (o, a) in out.iter_mut().zip(&self.args) {
+            *o = match a {
                 PatTerm::Const(p) => Some(*p),
                 PatTerm::Slot(s) => env[*s],
-            })
-            .collect()
+            };
+        }
     }
 
     /// The ground tuple under a complete environment.
@@ -538,7 +537,11 @@ impl ConjunctionPlan {
         f: &mut dyn FnMut(&[Option<Param>]),
     ) {
         let tables = self.fresh_tables();
-        self.run_step(0, total, delta, env, &tables, rows, f);
+        // One pattern buffer per execution, a slice of it per step: a
+        // probe refills its slice per outer row instead of allocating.
+        let width = self.steps.iter().map(|s| s.template.args.len()).sum();
+        let mut patterns = vec![None; width];
+        self.run_step(0, total, delta, env, &tables, &mut patterns, rows, f);
     }
 
     /// Per-execution scratch for hash steps: one cell per step, filled on
@@ -559,6 +562,7 @@ impl ConjunctionPlan {
         delta: Option<&'a Database>,
         env: &mut [Option<Param>],
         tables: &[OnceCell<HashTable<'a>>],
+        patterns: &mut [Option<Param>],
         rows: &mut u64,
         f: &mut dyn FnMut(&[Option<Param>]),
     ) {
@@ -566,6 +570,7 @@ impl ConjunctionPlan {
             f(env);
             return;
         };
+        let (pattern, patterns) = patterns.split_at_mut(step.template.args.len());
         let db = if step.from_delta {
             delta.expect("plan has a delta step but no delta database was given")
         } else {
@@ -600,7 +605,7 @@ impl ConjunctionPlan {
                         env[s] = Some(tuple[c]);
                     }
                     if step.checks.iter().all(|&(c, s)| env[s] == Some(tuple[c])) {
-                        self.run_step(i + 1, total, delta, env, tables, rows, f);
+                        self.run_step(i + 1, total, delta, env, tables, patterns, rows, f);
                     }
                 }
             }
@@ -609,14 +614,14 @@ impl ConjunctionPlan {
             }
             return;
         }
-        let pattern = step.template.pattern(env);
-        let mut matches = db.select(step.template.pred, &pattern);
+        step.template.pattern_into(env, pattern);
+        let mut matches = db.select(step.template.pred, pattern);
         for tuple in matches.by_ref() {
             for &(c, s) in &step.binders {
                 env[s] = Some(tuple[c]);
             }
             if step.checks.iter().all(|&(c, s)| env[s] == Some(tuple[c])) {
-                self.run_step(i + 1, total, delta, env, tables, rows, f);
+                self.run_step(i + 1, total, delta, env, tables, patterns, rows, f);
             }
         }
         *rows += matches.examined();

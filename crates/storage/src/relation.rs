@@ -8,7 +8,8 @@ use epilog_syntax::Param;
 use std::collections::BTreeSet;
 
 /// A selection pattern: per column, either a required parameter or a
-/// wildcard.
+/// wildcard. [`Relation::select`] borrows it as a slice, so a join can
+/// refill one buffer per step instead of allocating a pattern per row.
 pub type Selection = Vec<Option<Param>>;
 
 /// A relation instance: a set of tuples of a fixed arity.
@@ -16,7 +17,7 @@ pub type Selection = Vec<Option<Param>>;
 /// Tuples iterate in lexicographic order (important for the
 /// reproducibility of every experiment). Per-column indexes are built on
 /// demand via [`Relation::ensure_index`] and from then on maintained
-/// **incrementally** by `insert`/`remove`/`union_with` — a mutation never
+/// **incrementally** by `insert`/`insert_ascending`/`remove` — a mutation never
 /// tears an index down, which is what lets the semi-naive fixpoint keep
 /// its indexes warm across iterations.
 ///
@@ -44,6 +45,16 @@ pub type Selection = Vec<Option<Param>>;
 ///   a snapshot does. The search also shows the tuple's neighbours, all
 ///   a distinct-key count needs. So a snapshot costs later writers one
 ///   run copy per run they touch, whatever `n` is.
+/// * **ascending batch insert** ([`Relation::insert_ascending`], how a
+///   semi-naive round's sorted heads reach the total) — the tuple set
+///   takes the batch through a forward cursor: each tuple gallops from
+///   the run the previous one landed in and is searched for inside that
+///   run only. Each other built index then takes the new tuples' entries,
+///   sorted once, through a cursor of its own. Run copies and splits are
+///   those of one insert after another.
+/// * **bulk construction** (`Relation::from_ascending`, a round's
+///   delta, a model difference) — the sorted tuples are cut into full
+///   runs: one move and one arity check per tuple, no search, no index.
 /// * **probe** ([`Relation::select`] on an indexed column) — one
 ///   two-level binary search to the first entry with the key, then a
 ///   walk that stops at the first entry with another key; that entry is
@@ -82,7 +93,7 @@ impl ColumnIndex {
         keys.dedup();
         ColumnIndex {
             distinct: keys.len(),
-            entries: entries.into_iter().collect(),
+            entries: RunSet::from_ascending(entries),
         }
     }
 
@@ -97,6 +108,19 @@ impl ColumnIndex {
         let around = self.entries.insert_between((key, t), |e| e.0);
         let around = around.expect("a new tuple is new to every index");
         self.distinct += usize::from(!around.contains(&Some(key)));
+    }
+
+    /// Add tuples known to be new to the relation, in any order: their
+    /// entries are sorted once and go in through the cursor.
+    fn insert_new(&mut self, c: usize, tuples: &[Tuple]) {
+        let mut batch: Vec<(Param, Tuple)> = tuples.iter().map(|t| (t[c], t.clone())).collect();
+        batch.sort_unstable();
+        let distinct = &mut self.distinct;
+        self.entries.insert_ascending(
+            batch,
+            |e| e.0,
+            |e, around| *distinct += usize::from(!around.contains(&Some(e.0))),
+        );
     }
 
     /// Drop a tuple known to be in the relation.
@@ -219,6 +243,55 @@ impl Relation {
         true
     }
 
+    /// Insert `batch`, which must ascend strictly (a sorted,
+    /// deduplicated round of heads), through the forward cursor of the
+    /// cost model; returns the tuples that were new, ascending. Built
+    /// indexes are updated in place: the set, the counts and every probe
+    /// afterwards are those of inserting the tuples one by one.
+    ///
+    /// # Panics
+    /// Panics if a tuple's length differs from the relation's arity.
+    pub fn insert_ascending(&mut self, batch: impl IntoIterator<Item = Tuple>) -> Vec<Tuple> {
+        let arity = self.arity;
+        let batch = batch.into_iter().inspect(|t| {
+            assert_eq!(t.len(), arity, "tuple arity mismatch");
+        });
+        let mut fresh = Vec::new();
+        let mut leading = 0;
+        self.tuples.insert_ascending(
+            batch,
+            |s| s.first().copied(),
+            |t, around| {
+                leading += usize::from(!around.contains(&Some(t.first().copied())));
+                fresh.push(t.clone());
+            },
+        );
+        for (c, idx) in self.indexes.iter_mut().enumerate() {
+            match idx {
+                Some(idx) if c == 0 => idx.distinct += leading,
+                Some(idx) => idx.insert_new(c, &fresh),
+                None => {}
+            }
+        }
+        fresh
+    }
+
+    /// A relation holding exactly `tuples`, which must ascend strictly,
+    /// cut into full runs; no index is built.
+    ///
+    /// # Panics
+    /// Panics if a tuple's length differs from `arity`.
+    pub(crate) fn from_ascending(arity: usize, tuples: Vec<Tuple>) -> Relation {
+        for t in &tuples {
+            assert_eq!(t.len(), arity, "tuple arity mismatch");
+        }
+        Relation {
+            arity,
+            tuples: RunSet::from_ascending(tuples),
+            indexes: vec![None; arity],
+        }
+    }
+
     /// Remove a tuple; returns `true` if it was present. Built indexes are
     /// updated in place.
     pub fn remove(&mut self, t: &[Param]) -> bool {
@@ -263,18 +336,16 @@ impl Relation {
     /// statistic the cost-based planner divides by. When the column's
     /// index is built this is a counter the index keeps (read in O(1),
     /// exact under any insert/remove history); otherwise one scan
-    /// computes it. Planners call this once per plan compilation, not
-    /// per probe.
+    /// collects the column and a sort counts its distinct values.
+    /// Planners call this once per plan compilation, not per probe.
     pub fn distinct_count(&self, c: usize) -> usize {
-        match &self.indexes[c] {
-            Some(idx) => idx.distinct,
-            None => self
-                .tuples
-                .iter()
-                .map(|t| t[c])
-                .collect::<BTreeSet<_>>()
-                .len(),
+        if let Some(idx) = &self.indexes[c] {
+            return idx.distinct;
         }
+        let mut keys: Vec<Param> = self.tuples.iter().map(|t| t[c]).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.len()
     }
 
     /// All tuples matching a partial binding pattern, as a **borrowing**
@@ -283,7 +354,7 @@ impl Relation {
     /// Probes the first bound column whose index is built (see
     /// [`Relation::ensure_index`]) and filters residually; with no usable
     /// index this is a full scan.
-    pub fn select<'a>(&'a self, pattern: &'a Selection) -> Matches<'a> {
+    pub fn select<'a>(&'a self, pattern: &'a [Option<Param>]) -> Matches<'a> {
         assert_eq!(pattern.len(), self.arity, "selection arity mismatch");
         let probed = pattern
             .iter()
@@ -306,17 +377,6 @@ impl Relation {
         t.iter()
             .zip(pattern)
             .all(|(v, p)| p.is_none_or(|q| q == *v))
-    }
-
-    /// Set-union with another relation of the same arity; returns the
-    /// number of new tuples. Built indexes are maintained.
-    pub fn union_with(&mut self, other: &Relation) -> usize {
-        assert_eq!(self.arity, other.arity, "relation arity mismatch");
-        let before = self.len();
-        for t in other.iter() {
-            self.insert(t.clone());
-        }
-        self.len() - before
     }
 
     /// The tuples stored here that `other` does not hold, in order. Runs
@@ -461,15 +521,30 @@ mod tests {
     }
 
     #[test]
-    fn union_counts_new_and_maintains_index() {
+    fn batch_insert_returns_the_new_and_maintains_index() {
         let mut r = rel();
         r.ensure_index(1);
-        let mut other = Relation::new(2);
-        other.insert(vec![p("a"), p("b")].into()); // dup
-        other.insert(vec![p("x"), p("b")].into()); // new
-        assert_eq!(r.union_with(&other), 1);
+        let dup = Tuple::from(vec![p("a"), p("b")]);
+        let new = Tuple::from(vec![p("x"), p("b")]);
+        // Parameters order by interning: sort rather than assume.
+        let mut batch = vec![dup, new.clone()];
+        batch.sort();
+        assert_eq!(r.insert_ascending(batch), vec![new]);
         assert_eq!(r.len(), 4);
         assert_eq!(sel(&r, &vec![None, Some(p("b"))]).len(), 3);
+        assert_eq!(r.distinct_count(1), 2, "b was a key already");
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch")]
+    fn batch_insert_checks_arity() {
+        rel().insert_ascending([Tuple::from(vec![p("zz")])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch")]
+    fn bulk_construction_checks_arity() {
+        Relation::from_ascending(2, vec![Tuple::from(vec![p("a"), p("b"), p("c")])]);
     }
 
     #[test]
@@ -661,6 +736,8 @@ mod tests {
     enum Step {
         Insert(u8, u8),
         Remove(u8, u8),
+        /// Inserted as one ascending batch.
+        Batch(Vec<Tuple>),
         Index(usize),
         Snapshot,
     }
@@ -669,6 +746,12 @@ mod tests {
         prop_oneof![
             6 => (0u8..12, 0u8..40).prop_map(|(a, b)| Step::Insert(a, b)),
             4 => (0u8..12, 0u8..40).prop_map(|(a, b)| Step::Remove(a, b)),
+            2 => proptest::collection::vec((0u8..12, 0u8..40), 0..60).prop_map(|pairs| {
+                let mut batch: Vec<Tuple> = pairs.into_iter().map(|(a, b)| tuple(a, b)).collect();
+                batch.sort_unstable();
+                batch.dedup();
+                Step::Batch(batch)
+            }),
             1 => (0usize..2).prop_map(Step::Index),
             1 => Just(Step::Snapshot),
         ]
@@ -680,13 +763,21 @@ mod tests {
 
     /// Everything a reader can observe of `r`, against the `BTreeSet`
     /// that models it: scan order, every one- and two-column selection
-    /// with its `examined()` count, and the planner statistics.
+    /// with its `examined()` count, and the planner statistics — and the
+    /// same against a relation built from scratch (the bulk constructor,
+    /// then the same indexes).
     fn check_against(r: &Relation, model: &BTreeSet<Tuple>) -> Result<(), TestCaseError> {
         prop_assert_eq!(r.len(), model.len());
         prop_assert!(r.iter().eq(model.iter()));
+        let mut scratch = Relation::from_ascending(2, model.iter().cloned().collect());
         for c in 0..2 {
             let keys: BTreeSet<Param> = model.iter().map(|t| t[c]).collect();
             prop_assert_eq!(r.distinct_count(c), keys.len());
+            prop_assert_eq!(scratch.distinct_count(c), keys.len());
+            if r.has_index(c) {
+                scratch.ensure_index(c);
+                prop_assert_eq!(scratch.distinct_count(c), keys.len());
+            }
         }
         let mut patterns: Vec<Selection> = vec![vec![None, None]];
         for t in [tuple(3, 7), tuple(0, 0), tuple(11, 39)]
@@ -704,7 +795,10 @@ mod tests {
                 .collect();
             let mut it = r.select(pattern);
             let got: Vec<&Tuple> = it.by_ref().collect();
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(&got, &want);
+            let mut fresh = scratch.select(pattern);
+            prop_assert!(fresh.by_ref().eq(got));
+            prop_assert_eq!(fresh.examined(), it.examined());
             // A probe pulls exactly the tuples carrying the key of the
             // first bound indexed column; anything else scans.
             let probed = (0..2).find(|c| pattern[*c].is_some() && r.has_index(*c));
@@ -734,9 +828,11 @@ mod tests {
     }
 
     proptest! {
-        /// `Relation` against a `BTreeSet` model over random edits, with
-        /// indexes appearing mid-stream and clones taken mid-stream:
-        /// every clone keeps answering for the state it was taken in.
+        /// `Relation` against a `BTreeSet` model over random edits —
+        /// single inserts and removals, and ascending batches through
+        /// `insert_ascending` — with indexes appearing mid-stream and
+        /// clones taken mid-stream: every clone keeps answering for the
+        /// state it was taken in, as a relation built from scratch does.
         #[test]
         fn relation_matches_model_with_and_without_indexes(
             steps in proptest::collection::vec(step(), 0..250),
@@ -751,6 +847,11 @@ mod tests {
                     }
                     Step::Remove(a, b) => {
                         prop_assert_eq!(r.remove(&tuple(a, b)), model.remove(&tuple(a, b)));
+                    }
+                    Step::Batch(batch) => {
+                        let want: Vec<Tuple> =
+                            batch.iter().filter(|t| model.insert((*t).clone())).cloned().collect();
+                        prop_assert_eq!(r.insert_ascending(batch), want);
                     }
                     Step::Index(c) => r.ensure_index(c),
                     Step::Snapshot => snapshots.push((r.clone(), model.clone())),

@@ -25,6 +25,16 @@
 //!   trail of short runs behind. An item above everything stored is
 //!   appended without a search, so ascending bulk loads run in place at
 //!   one comparison per item.
+//! * **ascending batch insert** — a round's new facts, sorted once: a
+//!   cursor remembers the run the previous item landed in and gallops
+//!   forward from it over the runs' first items (1, 2, 4, … runs, then a
+//!   binary search inside the last stride) before the one search inside
+//!   the run. Items a few runs apart cost a comparison or two to place
+//!   instead of a search over the whole run list; the copy-on-write,
+//!   split and append rules are those of a single insert.
+//! * **bulk construction** from ascending items (a delta, a difference,
+//!   a fresh index): cut into full runs, one move per item, no
+//!   comparison.
 //! * **contains / range start** — the two binary searches, no copy.
 //! * **iteration** — run after run, item after item: exactly the order
 //!   a `BTreeSet` would produce.
@@ -146,15 +156,72 @@ impl<T: Ord + Clone> RunSet<T> {
         let top = self.runs.last().map(|r| &r[r.len() - 1]);
         if top.is_none_or(|top| *top < item) {
             let around = [top.map(key), None];
-            match self.runs.last_mut() {
-                Some(r) if r.len() < RUN_LEN => Arc::make_mut(r).push(item),
-                _ => self.runs.push(Arc::new(vec![item])),
-            }
-            self.len += 1;
+            self.append(item);
             return Some(around);
         }
         let (i, at) = self.find(|x| x.cmp(&item)).err()?;
         let around = self.around(i, at, at, key);
+        self.insert_at(i, at, item);
+        Some(around)
+    }
+
+    /// Insert `items`, which must ascend strictly, through a forward
+    /// cursor (see the module docs): for each one not stored yet, `new`
+    /// is handed the item and `key` of the items it then sits directly
+    /// above and below of, as [`RunSet::insert_between`] reports them,
+    /// before it is stored.
+    pub(crate) fn insert_ascending<K>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        key: impl Fn(&T) -> K,
+        mut new: impl FnMut(&T, [Option<K>; 2]),
+    ) {
+        // The run the previous item landed in: every later item sorts
+        // above that run's first one (or the cursor is still at run 0).
+        let mut i = 0;
+        for item in items {
+            let top = self.runs.last().map(|r| &r[r.len() - 1]);
+            if top.is_none_or(|top| *top < item) {
+                new(&item, [top.map(&key), None]);
+                self.append(item);
+                continue;
+            }
+            i = self.gallop(i, &item);
+            let Err(at) = self.runs[i].binary_search(&item) else {
+                continue;
+            };
+            new(&item, self.around(i, at, at, &key));
+            self.insert_at(i, at, item);
+        }
+    }
+
+    /// The last run at or after `from` whose first item is not above
+    /// `item` (`from` itself if there is none): strides of 1, 2, 4, …
+    /// runs, then a binary search inside the stride that overshot.
+    fn gallop(&self, from: usize, item: &T) -> usize {
+        let rest = &self.runs[from..];
+        let mut hi = 1;
+        while hi < rest.len() && rest[hi][0] <= *item {
+            hi *= 2;
+        }
+        let lo = hi / 2;
+        let hi = hi.min(rest.len());
+        from + lo + rest[lo + 1..hi].partition_point(|r| r[0] <= *item)
+    }
+
+    /// Append `item`, which sorts above everything stored: into the last
+    /// run, or into a fresh one when it is full, so loaded runs stay full.
+    fn append(&mut self, item: T) {
+        match self.runs.last_mut() {
+            Some(r) if r.len() < RUN_LEN => Arc::make_mut(r).push(item),
+            _ => self.runs.push(Arc::new(vec![item])),
+        }
+        self.len += 1;
+    }
+
+    /// Store `item` at slot `at` of run `i`, splitting the run in half
+    /// when it outgrows [`RUN_LEN`].
+    fn insert_at(&mut self, i: usize, at: usize, item: T) {
         let run = Arc::make_mut(&mut self.runs[i]);
         run.insert(at, item);
         if run.len() > RUN_LEN {
@@ -162,7 +229,18 @@ impl<T: Ord + Clone> RunSet<T> {
             self.runs.insert(i + 1, Arc::new(upper));
         }
         self.len += 1;
-        Some(around)
+    }
+
+    /// A set of `items`, which must ascend strictly, cut into full runs.
+    pub(crate) fn from_ascending(items: Vec<T>) -> Self {
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "not ascending");
+        let len = items.len();
+        let mut runs = Vec::with_capacity(len.div_ceil(RUN_LEN));
+        let mut items = items.into_iter();
+        while !items.as_slice().is_empty() {
+            runs.push(Arc::new(items.by_ref().take(RUN_LEN).collect()));
+        }
+        RunSet { runs, len }
     }
 
     /// Remove the item `cmp` describes (see [`RunSet::find`]) if it is
@@ -265,6 +343,7 @@ impl<T: Ord + Clone> PartialEq for RunSet<T> {
 
 impl<T: Ord + Clone> Eq for RunSet<T> {}
 
+#[cfg(test)]
 impl<T: Ord + Clone> FromIterator<T> for RunSet<T> {
     /// Ascending input is appended run by run; anything else is
     /// inserted item by item.
@@ -371,10 +450,43 @@ mod tests {
         assert!(shrunk.difference(&base).is_empty());
     }
 
+    #[test]
+    fn a_batch_gallops_past_runs_and_a_bulk_set_is_full_runs() {
+        let mut set: RunSet<u32> = (0..2000).map(|i| i * 4).collect();
+        let batch = [1, 2, 3, 4, 5, 6001, 6002, 7997, 7999, 9000];
+        let mut seen = Vec::new();
+        set.insert_ascending(batch, |x| *x, |x, around| seen.push((*x, around)));
+        // 4 is stored; 7999 and 9000 sit above everything (the append path).
+        let want = [
+            (1, [Some(0), Some(4)]),
+            (2, [Some(1), Some(4)]),
+            (3, [Some(2), Some(4)]),
+            (5, [Some(4), Some(8)]),
+            (6001, [Some(6000), Some(6004)]),
+            (6002, [Some(6001), Some(6004)]),
+            (7997, [Some(7996), None]),
+            (7999, [Some(7997), None]),
+            (9000, [Some(7999), None]),
+        ];
+        assert_eq!(seen, want);
+        check_shape(&set);
+        assert_eq!(set.len(), 2009);
+        let bulk = RunSet::from_ascending((0..1000u32).collect());
+        assert_eq!(bulk.run_count(), 1000usize.div_ceil(RUN_LEN));
+        assert!(bulk.runs.iter().rev().skip(1).all(|r| r.len() == RUN_LEN));
+        check_shape(&bulk);
+        assert!(bulk.iter().copied().eq(0..1000));
+        assert_eq!(RunSet::<u32>::from_ascending(Vec::new()).run_count(), 0);
+    }
+
     #[derive(Debug, Clone)]
     enum Step {
         Insert(u16),
         Remove(u16),
+        /// Inserted as one ascending batch through the cursor.
+        Batch(Vec<u16>),
+        /// Rebuilt from its items by the bulk constructor.
+        Rebuild,
         Snapshot,
     }
 
@@ -382,16 +494,24 @@ mod tests {
         prop_oneof![
             4 => (0u16..600).prop_map(Step::Insert),
             3 => (0u16..600).prop_map(Step::Remove),
+            2 => proptest::collection::vec(0u16..600, 0..90).prop_map(|mut b| {
+                b.sort_unstable();
+                b.dedup();
+                Step::Batch(b)
+            }),
+            1 => Just(Step::Rebuild),
             1 => Just(Step::Snapshot),
         ]
     }
 
     proptest! {
         /// The run set against a `BTreeSet` model over random edit
-        /// sequences with clones taken mid-stream: every operation
-        /// answers as the model does — an insert and a removal also
-        /// about the stored neighbours of the item — and every clone
-        /// still iterates exactly what it held when taken.
+        /// sequences — single inserts and removals, ascending batches
+        /// through the cursor, bulk rebuilds — with clones taken
+        /// mid-stream: every operation answers as the model does (an
+        /// insert, a batch and a removal also about the stored
+        /// neighbours of each item), the shape invariant holds, and
+        /// every clone still iterates exactly what it held when taken.
         #[test]
         fn matches_btreeset_model_and_clones_are_snapshots(
             steps in proptest::collection::vec(step(), 0..400),
@@ -412,6 +532,22 @@ mod tests {
                         let seen = set.remove_between(|y| y.cmp(&x), |y| *y);
                         prop_assert_eq!(seen, model.remove(&x).then_some(around));
                     }
+                    Step::Batch(batch) => {
+                        // What one insert after another reports: the
+                        // model takes each item before the next is placed.
+                        let mut want = Vec::new();
+                        for &x in &batch {
+                            let around = [model.range(..x).next_back().copied(), model.range(x + 1..).next().copied()];
+                            if model.insert(x) {
+                                want.push((x, around));
+                            }
+                        }
+                        let mut seen = Vec::new();
+                        set.insert_ascending(batch, |y| *y, |y, around| seen.push((*y, around)));
+                        prop_assert_eq!(seen, want);
+                        check_shape(&set);
+                    }
+                    Step::Rebuild => set = RunSet::from_ascending(model.iter().copied().collect()),
                     Step::Snapshot => snapshots.push((set.clone(), model.clone())),
                 }
             }

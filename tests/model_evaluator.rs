@@ -258,7 +258,8 @@ fn why_on_the_closure_derives_its_proof_when_asked() {
     assert!(none.is_none());
     println!(
         "why on the closure 100 x 30 (49 500 tuples): {times:?}, why-not {why_not:?} \
-         (why: one fixpoint and the walk, 23-41 ms on a 2-core VM; why-not: one lookup \
+         (why: one fixpoint and the walk, 28-33 ms on a 2-core VM, 34-47 ms the same hour \
+         when each round inserted its heads one search at a time; why-not: one lookup \
          in the attached model, 3-5 us there; over a traced fixpoint both took \
          44-86 / 35-58 ms on the same VM)"
     );
@@ -292,6 +293,21 @@ fn bulk_build_compaction_and_recovery_on_the_closure() {
                 txn.commit().unwrap()
             });
             assert_eq!(report.asserted, per_commit * 30);
+            // Each chain's 30 edges close into 495 tuples, all new: the
+            // semi-naive fixpoint resumed over the cached plans.
+            let ModelUpdate::Incremental {
+                tuples_added,
+                tuples_removed,
+                stats,
+            } = report.model
+            else {
+                panic!(
+                    "a bulk commit of edges is incremental, got {:?}",
+                    report.model
+                );
+            };
+            assert_eq!((tuples_added, tuples_removed), (per_commit * 495, 0));
+            assert_eq!((stats.full_firings, stats.plans_compiled), (0, 0));
             commits.push(took);
         }
         let (stats, compact) = timed(|| db.compact().unwrap());
@@ -333,13 +349,16 @@ fn bulk_build_compaction_and_recovery_on_the_closure() {
         assert_eq!(&theory, live.theory());
         println!(
             "closure {chains} x 30 built by 10 commits of {} edges: first commit {:?}, tenth \
-             {:?}, compact {compact:?} ({} bytes), recover {recover:?}, first demo {demo:?}, \
+             {:?}, all ten {:?}, compact {compact:?} ({} bytes), recover {recover:?}, first demo {demo:?}, \
              Theory::new of its {} sentences {as_set:?} (at 100 chains on a 2-core VM: \
-             compact 4.0-6.7 ms for 51 667 bytes, recover 27-42 ms; when the snapshot stored \
-             the least model too, compact 11.7-15.9 ms for 900 876 bytes, recover 19-31 ms)",
+             all ten 20-33 ms, compact 3.5-6.5 ms for 51 667 bytes, recover 16-28 ms; when \
+             each round inserted its heads one search at a time, all ten 41-48 ms and recover \
+             35-41 ms the same hour; when the snapshot stored the least model too, compact \
+             11.7-15.9 ms for 900 876 bytes, recover 19-31 ms)",
             per_commit * 30,
             commits[0],
             commits[9],
+            commits.iter().sum::<Duration>(),
             file.len(),
             theory.len(),
         );
