@@ -32,7 +32,7 @@
 
 use crate::plan::RulePlan;
 use crate::program::Program;
-use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, StepStrategy, Tuple};
+use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, Tuple};
 use epilog_syntax::{Param, Pred};
 use std::collections::BTreeMap;
 
@@ -55,14 +55,11 @@ pub struct EvalStats {
     pub derivations: u64,
     /// Number of fixpoint rounds.
     pub iterations: u64,
-    /// Join steps executed as single-column index probes, counted once
-    /// per step per firing.
+    /// Join steps with a bound column — single-column index probes and
+    /// lookups of a fully bound tuple — counted once per step per firing.
     pub probe_steps: u64,
-    /// Join steps executed as hash build+probe, counted once per step per
-    /// firing.
-    pub hash_steps: u64,
-    /// Join steps executed as full/residual scans, counted once per step
-    /// per firing.
+    /// Join steps executed as full scans (no column bound), counted once
+    /// per step per firing.
     pub scan_steps: u64,
     /// Semi-naive delta variants **skipped** because their delta relation
     /// was empty. Disambiguates "the variant never ran" from "the variant
@@ -72,9 +69,8 @@ pub struct EvalStats {
     pub variants_skipped: u64,
     /// Candidate tuples examined across all join steps: tuples pulled
     /// from scans and probed buckets (including ones residual filtering
-    /// rejected), tuples read while building hash tables, and hash-bucket
-    /// entries probed. The deterministic work-done measure the F9 report
-    /// table pins.
+    /// rejected), and one per lookup that found its tuple. The
+    /// deterministic work-done measure the F9 report table pins.
     pub rows_examined: u64,
     /// Rule plans compiled for this run: positive for the full fixpoint
     /// ([`Program::eval`], [`Program::fixpoint`]), zero for
@@ -105,7 +101,6 @@ impl EvalStats {
         self.derivations += other.derivations;
         self.iterations += other.iterations;
         self.probe_steps += other.probe_steps;
-        self.hash_steps += other.hash_steps;
         self.scan_steps += other.scan_steps;
         self.variants_skipped += other.variants_skipped;
         self.rows_examined += other.rows_examined;
@@ -483,10 +478,9 @@ fn fire(
     stats: &mut EvalStats,
 ) {
     for step in join.steps() {
-        match step.strategy {
-            StepStrategy::IndexProbe => stats.probe_steps += 1,
-            StepStrategy::HashBuildProbe => stats.hash_steps += 1,
-            StepStrategy::Scan => stats.scan_steps += 1,
+        match step.index_col {
+            Some(_) => stats.probe_steps += 1,
+            None => stats.scan_steps += 1,
         }
     }
     let mut env = vec![None; plan.slots.len()];
@@ -633,21 +627,20 @@ mod tests {
         assert_eq!(db, naive_db);
         assert_eq!(stats.derivations, 8);
         assert_eq!(stats.rule_firings, 1);
-        // Two bound columns on a large relation: one scan of `q`, one
-        // build over `big`, eight singleton-bucket probes. (Probing
-        // `big`'s skewed column 0 instead would examine 8 + 8 × 4.)
-        assert_eq!((stats.scan_steps, stats.hash_steps), (1, 1));
-        assert_eq!(stats.rows_examined, 24);
-        assert_eq!(naive.hash_steps, 2, "the same plan, fired in both rounds");
+        // Both columns of `big` bound: one scan of `q`, then a lookup
+        // per row that finds its tuple. (Probing `big`'s skewed column 0
+        // instead would examine 8 + 8 × 4.)
+        assert_eq!((stats.scan_steps, stats.probe_steps), (1, 1));
+        assert_eq!(stats.rows_examined, 16);
+        assert_eq!(naive.probe_steps, 2, "the same plan, fired in both rounds");
         assert!(stats.plans_compiled > 0);
     }
 
     #[test]
     fn recursive_delta_rounds_never_do_more_work_than_greedy() {
         // r(y) ← r(x) ∧ a(x,y) ∧ b(x,y): every semi-naive round carries
-        // a one-row delta, so rebuilding a hash table over `b` per round
-        // would turn the Θ(n) evaluation into Θ(n²). The outer-
-        // cardinality gate must keep the probe strategy here.
+        // a one-row delta, and `b`, with both columns bound by then, is
+        // one lookup per round — the evaluation stays Θ(n).
         let n = 32;
         let mut src = String::from("r(n0)\n");
         for i in 0..n {
@@ -657,8 +650,7 @@ mod tests {
         let p = Program::from_text(&src).unwrap();
         let (db, stats) = p.fixpoint(true);
         assert_eq!(db.relation(Pred::new("r", 1)).unwrap().len(), n + 1);
-        assert_eq!(stats.hash_steps, 0);
-        // One r-row, one a-probe hit and one b-probe hit per round, plus
+        // One r-row, one a-probe hit and one b-lookup hit per round, plus
         // the last round's r-row that finds no `a`.
         assert_eq!(stats.rows_examined, 97);
     }
@@ -853,7 +845,6 @@ mod tests {
             derivations: 3,
             iterations: 4,
             probe_steps: 5,
-            hash_steps: 6,
             scan_steps: 7,
             variants_skipped: 8,
             rows_examined: 9,
@@ -869,7 +860,6 @@ mod tests {
         assert_eq!(a.derivations, 6);
         assert_eq!(a.iterations, 8);
         assert_eq!(a.probe_steps, 10);
-        assert_eq!(a.hash_steps, 12);
         assert_eq!(a.scan_steps, 14);
         assert_eq!(a.variants_skipped, 16);
         assert_eq!(a.rows_examined, 18);

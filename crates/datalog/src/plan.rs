@@ -9,8 +9,8 @@
 //!   `HashMap<Var, Param>` per candidate match;
 //! * the body atoms are reordered by estimated intermediate size, read
 //!   from the statistics of the database the rule is compiled against,
-//!   with selection shapes and a per-step [`StepStrategy`] (index probe,
-//!   hash build+probe, scan) precomputed per step
+//!   with each step's selection shape precomputed — which makes the step
+//!   a lookup (every column bound), an index probe or a scan
 //!   ([`epilog_storage::ConjunctionPlan`]);
 //! * one plan variant exists per body atom, designating it as the
 //!   **delta position** for semi-naive rounds, plus a full variant used by
@@ -18,14 +18,12 @@
 //! * the head is compiled to an [`AtomTemplate`] grounded directly from
 //!   the slot environment.
 //!
-//! [`RulePlan::explain`] renders the chosen literal order, per-step
-//! strategy, and estimated cardinalities — the debugging surface for
-//! ordering regressions.
+//! [`RulePlan::explain`] renders the chosen literal order, how each step
+//! finds its candidates, and estimated cardinalities — the debugging
+//! surface for ordering regressions.
 
 use crate::program::Rule;
-use epilog_storage::{
-    AtomTemplate, ConjunctionPlan, Database, PatTerm, PlanStats, SlotMap, StepStrategy,
-};
+use epilog_storage::{AtomTemplate, ConjunctionPlan, Database, PatTerm, PlanStats, SlotMap};
 use epilog_syntax::{Param, Pred};
 use std::fmt::Write as _;
 
@@ -50,8 +48,8 @@ pub struct RulePlan {
 }
 
 impl RulePlan {
-    /// Compile a rule, reading literal order and join strategies off the
-    /// live relation statistics of `stats` (see
+    /// Compile a rule, reading literal order off the live relation
+    /// statistics of `stats` (see
     /// [`ConjunctionPlan::compile`]) — typically the program's EDB, or,
     /// on the cross-commit cache path, the theory's current least model,
     /// which also covers intensional relations.
@@ -150,18 +148,15 @@ impl RulePlan {
     fn explain_plan(&self, out: &mut String, label: &str, plan: &ConjunctionPlan) {
         let _ = writeln!(out, "  {label}:");
         for (i, step) in plan.steps().iter().enumerate() {
-            let strategy = match step.strategy {
-                StepStrategy::IndexProbe => format!(
-                    "index-probe col {}",
-                    step.index_col.expect("probe steps have an index column")
-                ),
-                StepStrategy::HashBuildProbe => "hash build+probe".to_string(),
-                StepStrategy::Scan => "scan".to_string(),
+            let how = match step.index_col {
+                _ if step.is_lookup() => "lookup".to_string(),
+                Some(c) => format!("probe col {c}"),
+                None => "scan".to_string(),
             };
             let delta = if step.from_delta { " [delta]" } else { "" };
             let _ = writeln!(
                 out,
-                "    {}. {}{delta}  ({strategy}, est {}/row)",
+                "    {}. {}{delta}  ({how}, est {}/row)",
                 i + 1,
                 self.render(&step.template),
                 step.est
@@ -170,8 +165,9 @@ impl RulePlan {
     }
 
     /// Pretty-print the compiled plan: the head, the chosen literal order
-    /// of the full variant and of every delta variant, each step's join
-    /// strategy, and the planner's estimated matches per outer row. The
+    /// of the full variant and of every delta variant, whether each step
+    /// is a lookup, an index probe (and of which column) or a scan, and
+    /// the planner's estimated matches per outer row. The
     /// debugging surface for literal-ordering regressions.
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -231,14 +227,20 @@ mod tests {
         let text = plan.explain();
         assert!(text.contains("plan for hit(x, y)"), "{text}");
         assert!(text.contains("full:"), "{text}");
-        assert!(text.contains("hash build+probe"), "{text}");
-        assert!(text.contains("est"), "{text}");
+        assert!(text.contains("1. q(x, y)  (scan, est 8/row)"), "{text}");
+        assert!(text.contains("2. big(x, y)  (lookup, est 0/row)"), "{text}");
         assert!(text.contains("delta[q]"), "{text}");
         assert!(text.contains("[delta]"), "{text}");
-        // Against empty statistics every estimate is 1 and nothing hashes.
+        // The support plan has the head prebound: both steps are lookups.
+        assert!(text.contains("support:\n    1. q(x, y)  (lookup"), "{text}");
+        // Against empty statistics every estimate is 1; how a step finds
+        // its candidates is its shape, so the lookup stays.
         let blind = RulePlan::compile(&p.rules[0], &Database::new()).explain();
         assert!(blind.contains("est 1/row"), "{blind}");
-        assert!(!blind.contains("hash"), "{blind}");
+        assert!(
+            blind.contains("2. big(x, y)  (lookup, est 1/row)"),
+            "{blind}"
+        );
     }
 
     #[test]

@@ -686,8 +686,12 @@ impl Writer {
             }
             PersistError::Corrupt(why) => {
                 self.metrics.io_errors.fetch_add(1, Ordering::Relaxed);
-                // This handle is answered before the roll-back, its
-                // batch-mates after it (the F13 mini-soak pins the order).
+                // Flag first, as `enter_degraded` does for the batch-mates:
+                // a caller that sees its handle fail must also see the
+                // database degraded. This handle is answered before the
+                // roll-back, its batch-mates after it (the F13 mini-soak
+                // pins the order).
+                self.metrics.degraded.store(true, Ordering::Relaxed);
                 let _ = reply.send(Err(ServeError::Io(why.clone())));
                 return self.enter_degraded(&why, batch);
             }
@@ -1168,6 +1172,29 @@ mod tests {
         assert_eq!(snap.ask(&parse("K person(Zoe)").unwrap()), Answer::Yes);
         db2.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_commit_that_degrades_sees_the_database_degraded() {
+        // The append fails, then the sync of its rewind: the log is no
+        // longer trusted (`Corrupt`). The caller reads the flag right
+        // after its reply, on a thread of its own, so the flag must be up
+        // before that reply is sent, not only before the batch-mates'.
+        for _ in 0..200 {
+            let d = dir();
+            let theory = Theory::from_text("forall x. emp(x) -> person(x)").unwrap();
+            let mut durable = DurableDb::create(&d, theory, FsyncPolicy::Never).unwrap();
+            let inj = Arc::new(crate::FaultInjector::new(0));
+            inj.fail_nth_write(0, FaultKind::FailOp);
+            inj.fail_nth_sync(0);
+            durable.set_fault_injector(Some(inj));
+            let db = ServingDb::start(durable, ServeOptions::default());
+            let err = db.commit_wait(vec![TxOp::Assert(f("emp(Sue)"))]);
+            assert!(matches!(err, Err(ServeError::Io(_))), "got {err:?}");
+            assert!(db.is_degraded(), "a failed commit must see the flag");
+            drop(db);
+            std::fs::remove_dir_all(d).unwrap();
+        }
     }
 
     #[test]

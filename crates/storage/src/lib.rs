@@ -44,9 +44,7 @@ mod tuple;
 
 pub use database::Database;
 pub use delta::DeltaDatabase;
-pub use plan::{
-    AtomTemplate, ConjunctionPlan, JoinStep, PatTerm, PlanStats, SlotMap, StepStrategy,
-};
+pub use plan::{AtomTemplate, ConjunctionPlan, JoinStep, PatTerm, PlanStats, SlotMap};
 pub use relation::{Matches, Relation, Selection};
 
 pub use tuple::Tuple;

@@ -12,37 +12,28 @@
 //! The planner is **cost-based**: a compile reads relation statistics
 //! from a [`Database`] through a [`PlanStats`] view, orders literals by
 //! ascending estimated match count (relation cardinality divided by the
-//! distinct counts of its bound columns, [`Relation::distinct_count`]),
-//! and assigns each step a [`StepStrategy`] — single-column index probe,
-//! **hash build + probe** keyed on every bound column at once, or full
-//! scan. Over an empty database every estimate is 1, and the tie-break
-//! is the order: most bound columns first, then written order, every
-//! step a probe or a scan.
+//! distinct counts of its bound columns, [`Relation::distinct_count`]).
+//! Over an empty database every estimate is 1, and the tie-break is the
+//! order: most bound columns first, then written order.
 //!
-//! The hash strategy exists because the persistent per-column indexes
-//! probe exactly one column: a step whose selection binds several columns
-//! probes one index and *residually filters* the rest, which degrades to
-//! a bucket scan per outer row when the probed column is skewed. A hash
-//! step instead builds a transient table over the relation once per plan
-//! execution, keyed on the full bound-column tuple, and answers each
-//! outer row with one lookup.
+//! How a step finds its candidates follows from its shape alone, through
+//! [`Relation::select`]: a step binding **every** column is a lookup (one
+//! search of the tuple set, at most one tuple), a step binding some
+//! columns probes the index of the first one ([`JoinStep::index_col`])
+//! and filters the rest residually, and a step binding none scans.
 //!
 //! The Datalog engine compiles one plan per rule and delta position
 //! (`epilog-datalog`'s `RulePlan`); the canonical-model grounder in
 //! `epilog-prover` compiles one per rule body.
 //!
 //! [`Relation::distinct_count`]: crate::relation::Relation::distinct_count
+//! [`Relation::select`]: crate::relation::Relation::select
 
 use crate::database::Database;
 use crate::Tuple;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term, Var};
-use std::cell::OnceCell;
 use std::collections::HashMap;
-
-/// Minimum (estimated) relation size before a hash build pays for itself;
-/// below it the step stays an index probe.
-const HASH_MIN_ROWS: usize = 4;
 
 /// Dense numbering of the variables appearing in a rule: slot `i` holds
 /// the binding of `vars()[i]`.
@@ -151,21 +142,6 @@ impl AtomTemplate {
     }
 }
 
-/// How one join step enumerates its candidate tuples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepStrategy {
-    /// Probe the relation's persistent single-column index on
-    /// [`JoinStep::index_col`], residually filtering any other bound
-    /// columns inside the probed bucket.
-    IndexProbe,
-    /// Build a transient hash table over the relation once per plan
-    /// execution, keyed on **all** bound-slot columns (constant columns
-    /// are filtered out at build time), and probe it per outer row.
-    HashBuildProbe,
-    /// Full scan: the step has no bound columns.
-    Scan,
-}
-
 /// One join step of a compiled plan. The selection shape is static: which
 /// columns are constants or bound by earlier steps (and therefore filter),
 /// which columns bind fresh slots, and which repeat a slot first bound by
@@ -179,8 +155,6 @@ pub struct JoinStep {
     /// The first column known bound at compile time — the column whose
     /// index makes this step sub-linear; `None` means a full scan.
     pub index_col: Option<usize>,
-    /// How this step enumerates candidates (chosen by the planner).
-    pub strategy: StepStrategy,
     /// Estimated matches this step emits per outer row — the quantity the
     /// cost-based ordering minimizes.
     pub est: u64,
@@ -188,26 +162,20 @@ pub struct JoinStep {
     binders: Vec<(usize, usize)>,
     /// Columns that repeat a slot bound earlier in this same atom.
     checks: Vec<(usize, usize)>,
-    /// For [`StepStrategy::HashBuildProbe`]: constant columns, filtered
-    /// while building the table.
-    hash_consts: Vec<(usize, Param)>,
-    /// For [`StepStrategy::HashBuildProbe`]: (column, slot) pairs forming
-    /// the composite probe key.
-    hash_keys: Vec<(usize, usize)>,
 }
 
-/// A transient hash table built by a [`StepStrategy::HashBuildProbe`]
-/// step: probe key (values of the step's bound-slot columns) to the
-/// matching tuples, in the relation's deterministic iteration order.
-/// Built at most once per plan execution, on the step's first visit.
-type HashTable<'a> = HashMap<Tuple, Vec<&'a Tuple>>;
+impl JoinStep {
+    /// Whether every column is a constant or bound by an earlier step, so
+    /// the step is a lookup of one tuple rather than a probe or a scan.
+    pub fn is_lookup(&self) -> bool {
+        self.index_col.is_some() && self.binders.is_empty()
+    }
+}
 
 /// A compiled conjunction of atoms: steps in join order.
 #[derive(Debug, Clone)]
 pub struct ConjunctionPlan {
     steps: Vec<JoinStep>,
-    /// Whether any step hashes (gates the per-execution scratch alloc).
-    has_hash: bool,
 }
 
 /// Relation statistics consulted while compiling a plan: live
@@ -297,10 +265,7 @@ impl ConjunctionPlan {
     /// than costed. The remaining literals all match the total and are
     /// ordered by ascending estimated match count (cardinality over
     /// bound-column distinct counts, read live from `stats`), ties broken
-    /// by bound-column count then written order; a step binding several
-    /// columns (at least one via a slot) is upgraded to
-    /// [`StepStrategy::HashBuildProbe`] when the estimated outer
-    /// cardinality amortizes the per-execution build.
+    /// by bound-column count then written order.
     pub fn compile(
         atoms: &[Atom],
         slots: &mut SlotMap,
@@ -314,8 +279,8 @@ impl ConjunctionPlan {
     /// the plan runs — the caller seeds the environment before
     /// [`ConjunctionPlan::for_each_match`]. Prebound slots are treated as
     /// bound throughout planning, so they route into index probes and
-    /// composite hash keys (never into binders that would clobber the
-    /// seeded values on unwind). This is the shape of a *support query*:
+    /// lookups (never into binders that would clobber the seeded values
+    /// on unwind). This is the shape of a *support query*:
     /// given a ground head, does any body match re-derive it?
     pub fn compile_support(
         atoms: &[Atom],
@@ -346,17 +311,10 @@ impl ConjunctionPlan {
         }
         let mut steps = Vec::with_capacity(templates.len());
         let mut remaining: Vec<usize> = (0..templates.len()).collect();
-        // Estimated rows flowing *into* the next step (the product of the
-        // chosen steps' per-row estimates). Gates the hash upgrade: a
-        // transient table is rebuilt every plan execution, so it only
-        // pays when enough outer rows amortize the build.
-        let mut est_outer: u64 = 1;
 
         if let Some(d) = delta_pos {
             remaining.retain(|&i| i != d);
-            let step = Self::make_step(&templates[d], true, &mut bound, stats, est_outer);
-            est_outer = est_outer.saturating_mul(step.est.max(1));
-            steps.push(step);
+            steps.push(Self::make_step(&templates[d], true, &mut bound, stats));
         }
         while !remaining.is_empty() {
             let bound_count = |i: usize| {
@@ -383,14 +341,9 @@ impl ConjunctionPlan {
                 })
                 .expect("remaining is nonempty");
             let i = remaining.remove(pos);
-            let step = Self::make_step(&templates[i], false, &mut bound, stats, est_outer);
-            est_outer = est_outer.saturating_mul(step.est.max(1));
-            steps.push(step);
+            steps.push(Self::make_step(&templates[i], false, &mut bound, stats));
         }
-        let has_hash = steps
-            .iter()
-            .any(|s| s.strategy == StepStrategy::HashBuildProbe);
-        ConjunctionPlan { steps, has_hash }
+        ConjunctionPlan { steps }
     }
 
     fn make_step(
@@ -398,19 +351,14 @@ impl ConjunctionPlan {
         from_delta: bool,
         bound: &mut [bool],
         stats: &PlanStats<'_>,
-        outer_est: u64,
     ) -> JoinStep {
         let mut index_col = None;
         let mut binders = Vec::new();
         let mut checks = Vec::new();
         let mut fresh_here = Vec::new();
-        let mut hash_consts = Vec::new();
-        let mut hash_keys = Vec::new();
         // A delta literal is estimated at its true (small) size — one
         // row — not at its predicate's total cardinality: the delta holds
-        // only the last round's new facts. This is what keeps expensive
-        // strategies out of semi-naive rounds whose real outer
-        // cardinality is tiny.
+        // only the last round's new facts.
         let est = if from_delta {
             1
         } else {
@@ -418,18 +366,12 @@ impl ConjunctionPlan {
         };
         for (c, arg) in template.args.iter().enumerate() {
             match arg {
-                PatTerm::Const(p) => {
-                    if index_col.is_none() {
-                        index_col = Some(c);
-                    }
-                    hash_consts.push((c, *p));
+                PatTerm::Const(_) => {
+                    index_col.get_or_insert(c);
                 }
                 PatTerm::Slot(s) => {
                     if bound[*s] {
-                        if index_col.is_none() {
-                            index_col = Some(c);
-                        }
-                        hash_keys.push((c, *s));
+                        index_col.get_or_insert(c);
                     } else if fresh_here.contains(s) {
                         checks.push((c, *s));
                     } else {
@@ -442,44 +384,13 @@ impl ConjunctionPlan {
         for s in fresh_here {
             bound[s] = true;
         }
-        // Strategy: delta steps probe or scan. A total-side step that
-        // binds several columns — at least one through a slot — *may*
-        // hash: one composite-key lookup per outer row instead of a
-        // single-column index probe plus residual bucket filtering. The
-        // transient table costs a relation pass per plan execution, so
-        // the upgrade happens only when the estimated residual work the
-        // probe path would do (outer rows × probed-bucket size, minus
-        // the rows both paths must emit) exceeds the build.
-        let bound_cols = hash_consts.len() + hash_keys.len();
-        let strategy = if bound_cols == 0 {
-            StepStrategy::Scan
-        } else if from_delta || bound_cols == 1 || hash_keys.is_empty() {
-            StepStrategy::IndexProbe
-        } else {
-            let n = stats.len_of(template.pred) as u64;
-            let probed_col = index_col.expect("bound_cols >= 1 implies an index column");
-            let bucket_est = n / stats.distinct_of(template.pred, probed_col) as u64;
-            let residual_est = outer_est.saturating_mul(bucket_est.saturating_sub(est));
-            if n >= HASH_MIN_ROWS as u64 && residual_est > n {
-                StepStrategy::HashBuildProbe
-            } else {
-                StepStrategy::IndexProbe
-            }
-        };
-        if strategy != StepStrategy::HashBuildProbe {
-            hash_consts.clear();
-            hash_keys.clear();
-        }
         JoinStep {
             template: template.clone(),
             from_delta,
             index_col,
-            strategy,
             est,
             binders,
             checks,
-            hash_consts,
-            hash_keys,
         }
     }
 
@@ -488,15 +399,10 @@ impl ConjunctionPlan {
         &self.steps
     }
 
-    /// Build (once) the indexes every probing step needs; incrementally
-    /// maintained storage keeps them warm afterwards. Hash steps build
-    /// their own transient tables at execution time and need no
-    /// persistent index.
+    /// Build (once) the index on every step's [`JoinStep::index_col`];
+    /// incrementally maintained storage keeps them warm afterwards.
     pub fn ensure_indexes(&self, total: &mut Database, mut delta: Option<&mut Database>) {
         for step in &self.steps {
-            if step.strategy == StepStrategy::HashBuildProbe {
-                continue;
-            }
             let Some(c) = step.index_col else { continue };
             if step.from_delta {
                 if let Some(d) = delta.as_deref_mut() {
@@ -525,9 +431,8 @@ impl ConjunctionPlan {
     /// Like [`ConjunctionPlan::for_each_match`], additionally adding to
     /// `rows` every candidate tuple the join examined: tuples pulled from
     /// scans and probed buckets (including ones residual filtering then
-    /// rejected), tuples read while building a hash table, and bucket
-    /// entries returned by hash probes. This is the deterministic
-    /// work-done measure behind `EvalStats::rows_examined`.
+    /// rejected), and the tuple each successful lookup found. This is the
+    /// deterministic work-done measure behind `EvalStats::rows_examined`.
     pub fn for_each_match_counting(
         &self,
         total: &Database,
@@ -536,32 +441,20 @@ impl ConjunctionPlan {
         rows: &mut u64,
         f: &mut dyn FnMut(&[Option<Param>]),
     ) {
-        let tables = self.fresh_tables();
         // One pattern buffer per execution, a slice of it per step: a
         // probe refills its slice per outer row instead of allocating.
         let width = self.steps.iter().map(|s| s.template.args.len()).sum();
         let mut patterns = vec![None; width];
-        self.run_step(0, total, delta, env, &tables, &mut patterns, rows, f);
-    }
-
-    /// Per-execution scratch for hash steps: one cell per step, filled on
-    /// the step's first visit.
-    fn fresh_tables<'a>(&self) -> Vec<OnceCell<HashTable<'a>>> {
-        if self.has_hash {
-            (0..self.steps.len()).map(|_| OnceCell::new()).collect()
-        } else {
-            Vec::new()
-        }
+        self.run_step(0, total, delta, env, &mut patterns, rows, f);
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn run_step<'a>(
+    fn run_step(
         &self,
         i: usize,
-        total: &'a Database,
-        delta: Option<&'a Database>,
+        total: &Database,
+        delta: Option<&Database>,
         env: &mut [Option<Param>],
-        tables: &[OnceCell<HashTable<'a>>],
         patterns: &mut [Option<Param>],
         rows: &mut u64,
         f: &mut dyn FnMut(&[Option<Param>]),
@@ -576,44 +469,6 @@ impl ConjunctionPlan {
         } else {
             total
         };
-        if step.strategy == StepStrategy::HashBuildProbe {
-            // Build once per plan execution (first visit), probe per
-            // outer row. Bucket order follows the relation's set order,
-            // so enumeration stays deterministic.
-            let table = tables[i].get_or_init(|| {
-                let mut map = HashTable::new();
-                if let Some(rel) = db.relation(step.template.pred) {
-                    *rows += rel.len() as u64;
-                    for t in rel.iter() {
-                        if step.hash_consts.iter().all(|&(c, p)| t[c] == p) {
-                            let key: Tuple = step.hash_keys.iter().map(|&(c, _)| t[c]).collect();
-                            map.entry(key).or_default().push(t);
-                        }
-                    }
-                }
-                map
-            });
-            let key: Tuple = step
-                .hash_keys
-                .iter()
-                .map(|&(_, s)| env[s].expect("hash key slot is bound by an earlier step"))
-                .collect();
-            if let Some(bucket) = table.get(&key) {
-                for &tuple in bucket {
-                    *rows += 1;
-                    for &(c, s) in &step.binders {
-                        env[s] = Some(tuple[c]);
-                    }
-                    if step.checks.iter().all(|&(c, s)| env[s] == Some(tuple[c])) {
-                        self.run_step(i + 1, total, delta, env, tables, patterns, rows, f);
-                    }
-                }
-            }
-            for &(_, s) in &step.binders {
-                env[s] = None;
-            }
-            return;
-        }
         step.template.pattern_into(env, pattern);
         let mut matches = db.select(step.template.pred, pattern);
         for tuple in matches.by_ref() {
@@ -621,7 +476,7 @@ impl ConjunctionPlan {
                 env[s] = Some(tuple[c]);
             }
             if step.checks.iter().all(|&(c, s)| env[s] == Some(tuple[c])) {
-                self.run_step(i + 1, total, delta, env, tables, patterns, rows, f);
+                self.run_step(i + 1, total, delta, env, patterns, rows, f);
             }
         }
         *rows += matches.examined();
@@ -757,8 +612,8 @@ mod tests {
     #[test]
     fn hash_step_chosen_and_agrees_with_probe() {
         // big(x, y) joined on both columns: costed against the relation
-        // the step hashes it; costed against an empty database it probes
-        // col 0 and residually filters.
+        // or against an empty database, the `big` step binds every column
+        // and is a lookup, and both plans give the same matches.
         let atoms = vec![atom("q(x, y)"), atom("big(x, y)")];
         let mut total = Database::new();
         for i in 0..8 {
@@ -766,33 +621,26 @@ mod tests {
             total.insert(&atom(&format!("q(k{}, val{i})", i % 2)));
         }
         let mut slots = SlotMap::new();
-        let probe = compile_on(&atoms, &mut slots, None, &Database::new());
+        let blind = compile_on(&atoms, &mut slots, None, &Database::new());
         let mut slots2 = SlotMap::new();
         let cost = compile_on(&atoms, &mut slots2, None, &total);
-        assert!(probe
-            .steps()
-            .iter()
-            .all(|s| s.strategy != StepStrategy::HashBuildProbe));
-        assert_eq!(cost.steps()[1].strategy, StepStrategy::HashBuildProbe);
+        for plan in [&blind, &cost] {
+            let lookups: Vec<bool> = plan.steps().iter().map(JoinStep::is_lookup).collect();
+            assert_eq!(lookups, [false, true]);
+        }
 
-        probe.ensure_indexes(&mut total, None);
-        let a = matches(&probe, &slots, &total);
+        blind.ensure_indexes(&mut total, None);
+        let a = matches(&blind, &slots, &total);
         let b = matches(&cost, &slots2, &total);
         assert_eq!(a.len(), 8);
-        assert_eq!(a, b, "hash and probe plans must agree");
+        assert_eq!(a, b, "costed and uncosted plans must agree");
 
-        // The hash path touches fewer rows: 8 (scan q) + 8 (build big) +
-        // 8 probes of singleton buckets, vs 8 + 8 × 4 residual bucket
-        // rows for the probe path.
-        let (mut probe_rows, mut hash_rows) = (0, 0);
-        let mut env = vec![None; slots.len()];
-        probe.for_each_match_counting(&total, None, &mut env, &mut probe_rows, &mut |_| {});
+        // 8 (scan q) + 8 lookups that each find their tuple — not the
+        // 8 × 4 tuples of `big`'s skewed column-0 buckets.
+        let mut rows = 0;
         let mut env = vec![None; slots2.len()];
-        cost.for_each_match_counting(&total, None, &mut env, &mut hash_rows, &mut |_| {});
-        assert!(
-            hash_rows < probe_rows,
-            "hash rows {hash_rows} must undercut probe rows {probe_rows}"
-        );
+        cost.for_each_match_counting(&total, None, &mut env, &mut rows, &mut |_| {});
+        assert_eq!(rows, 16);
     }
 
     #[test]
@@ -818,41 +666,6 @@ mod tests {
         cost.ensure_indexes(&mut total, None);
         assert_eq!(matches(&cost, &slots2, &total).len(), 1);
         assert_eq!(matches(&written, &slots, &total).len(), 1);
-    }
-
-    #[test]
-    fn const_only_bound_columns_never_hash() {
-        // A fully-ground literal has no slot keys: an empty-key hash
-        // table returns exactly the probed bucket and costs a build
-        // pass per execution — the planner must keep the index probe.
-        let atoms = vec![atom("q(x)"), atom("p(c0, d0)")];
-        let mut total = Database::new();
-        for i in 0..8 {
-            total.insert(&atom(&format!("p(c{i}, d{i})")));
-            total.insert(&atom(&format!("q(e{i})")));
-        }
-        let mut slots = SlotMap::new();
-        let plan = compile_on(&atoms, &mut slots, None, &total);
-        assert!(plan
-            .steps()
-            .iter()
-            .all(|s| s.strategy != StepStrategy::HashBuildProbe));
-    }
-
-    #[test]
-    fn tiny_outer_cardinality_never_hashes() {
-        // One outer row cannot amortize an O(|big|) table build: the
-        // two-bound-column step must stay an index probe.
-        let atoms = vec![atom("tiny(x, y)"), atom("big(x, y)")];
-        let mut total = Database::new();
-        total.insert(&atom("tiny(b0, c0)"));
-        for i in 0..32 {
-            total.insert(&atom(&format!("big(b{i}, c{i})")));
-        }
-        let mut slots = SlotMap::new();
-        let plan = compile_on(&atoms, &mut slots, None, &total);
-        assert_eq!(plan.steps()[0].template.pred, Pred::new("tiny", 2));
-        assert_eq!(plan.steps()[1].strategy, StepStrategy::IndexProbe);
     }
 
     #[test]
@@ -889,8 +702,11 @@ mod tests {
         let db = db(&["e(a, b)", "e(b, c)", "e(a, d)", "e(d, e)"]);
         let plan =
             ConjunctionPlan::compile_support(&body, &mut slots, &prebound, &PlanStats::new(&db));
-        // Every step filters on an already-bound column: no full scans.
+        // Every step filters on an already-bound column: no full scans,
+        // and the second step, with both columns bound, is a lookup.
         assert!(plan.steps().iter().all(|s| s.index_col.is_some()));
+        let lookups: Vec<bool> = plan.steps().iter().map(JoinStep::is_lookup).collect();
+        assert_eq!(lookups, [false, true]);
 
         let mut env = vec![None; slots.len()];
         let x = slots.get(Var::new("x")).unwrap();

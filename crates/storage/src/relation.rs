@@ -59,6 +59,9 @@ pub type Selection = Vec<Option<Param>>;
 ///   two-level binary search to the first entry with the key, then a
 ///   walk that stops at the first entry with another key; that entry is
 ///   not counted in [`Matches::examined`].
+/// * **lookup** ([`Relation::select`] binding every column) — one
+///   two-level binary search of the tuple set, whatever indexes are
+///   built; the tuple is counted in [`Matches::examined`] if stored.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     arity: usize,
@@ -143,6 +146,8 @@ pub struct Matches<'a> {
 enum MatchesInner<'a> {
     Empty,
     Scan(runset::Iter<'a, Tuple>),
+    /// The one tuple a pattern binding every column names, if stored.
+    Lookup(Option<&'a Tuple>),
     /// A walk of the tuple set from the first tuple led by the key; ends
     /// at the first tuple led otherwise.
     Leading(runset::Iter<'a, Tuple>, Param),
@@ -180,6 +185,7 @@ impl<'a> Iterator for Matches<'a> {
             let in_range = match &mut self.inner {
                 MatchesInner::Empty => return None,
                 MatchesInner::Scan(it) => it.next(),
+                MatchesInner::Lookup(t) => t.take(),
                 MatchesInner::Leading(it, key) => it.next().filter(|t| t[0] == *key),
                 MatchesInner::Probe(it, key) => it.next().filter(|e| e.0 == *key).map(|(_, t)| t),
             };
@@ -351,7 +357,10 @@ impl Relation {
     /// All tuples matching a partial binding pattern, as a **borrowing**
     /// iterator — no tuple is cloned.
     ///
-    /// Probes the first bound column whose index is built (see
+    /// A pattern binding every column is a **lookup**: one search of the
+    /// tuple set, whatever indexes are built, yielding the tuple if it is
+    /// stored ([`Matches::examined`] is then 1, else 0). Any other pattern
+    /// probes the first bound column whose index is built (see
     /// [`Relation::ensure_index`]) and filters residually; with no usable
     /// index this is a full scan.
     pub fn select<'a>(&'a self, pattern: &'a [Option<Param>]) -> Matches<'a> {
@@ -362,6 +371,10 @@ impl Relation {
             .enumerate()
             .find_map(|(c, (p, idx))| Some((c, (*p)?, idx.as_ref()?)));
         let inner = match probed {
+            _ if pattern.iter().all(Option::is_some) => {
+                let key = || pattern.iter().flatten().copied();
+                MatchesInner::Lookup(self.tuples.get(|t| t.iter().copied().cmp(key())))
+            }
             Some((0, key, _)) => MatchesInner::Leading(self.tuples.iter_from(|t| t[0] < key), key),
             Some((_, key, idx)) => MatchesInner::Probe(idx.seek(key), key),
             None => MatchesInner::Scan(self.tuples.iter()),
@@ -568,16 +581,34 @@ mod tests {
 
     #[test]
     fn matches_counts_examined_tuples() {
+        // A pattern binding every column is one search of the tuple set:
+        // it examines the tuple if stored and nothing if not, whatever
+        // indexes are built.
         let mut r = rel();
+        for c in [None, Some(0), Some(1)] {
+            if let Some(c) = c {
+                r.ensure_index(c);
+            }
+            for (q, found) in [("c", 1), ("zz", 0)] {
+                let pattern = vec![Some(p("a")), Some(p(q))];
+                let mut it = r.select(&pattern);
+                assert_eq!(it.by_ref().count(), found);
+                assert_eq!(it.examined(), found as u64);
+            }
+        }
+        // Any other pattern examines its whole probed bucket: `a` holds
+        // 2 tuples; the residual filter on col 2 rejects one.
+        let mut r = Relation::new(3);
         r.ensure_index(0);
-        // Bucket for `a` holds 2 tuples; the residual filter on col 1
-        // rejects one — both were examined.
-        let pattern = vec![Some(p("a")), Some(p("c"))];
+        for t in [["a", "b", "x"], ["a", "c", "y"], ["d", "b", "x"]] {
+            r.insert(t.map(p).to_vec().into());
+        }
+        let pattern = vec![Some(p("a")), None, Some(p("y"))];
         let mut it = r.select(&pattern);
         assert_eq!(it.by_ref().count(), 1);
         assert_eq!(it.examined(), 2);
         // A full scan examines everything.
-        let all = vec![None, Some(p("zz"))];
+        let all = vec![None, Some(p("zz")), None];
         let mut it = r.select(&all);
         assert_eq!(it.by_ref().count(), 0);
         assert_eq!(it.examined(), 3);
@@ -780,7 +811,8 @@ mod tests {
             }
         }
         let mut patterns: Vec<Selection> = vec![vec![None, None]];
-        for t in [tuple(3, 7), tuple(0, 0), tuple(11, 39)]
+        // `tuple(12, 40)` is never stored; the model's first tuples are.
+        for t in [tuple(3, 7), tuple(0, 0), tuple(11, 39), tuple(12, 40)]
             .iter()
             .chain(model.iter().take(3))
         {
@@ -799,10 +831,14 @@ mod tests {
             let mut fresh = scratch.select(pattern);
             prop_assert!(fresh.by_ref().eq(got));
             prop_assert_eq!(fresh.examined(), it.examined());
-            // A probe pulls exactly the tuples carrying the key of the
-            // first bound indexed column; anything else scans.
+            // A pattern binding both columns is a lookup: it pulls the
+            // tuple if stored and nothing else, whichever indexes `r` has
+            // built at this point of the history (none, one or both).
+            // Otherwise a probe pulls exactly the tuples carrying the key
+            // of the first bound indexed column; anything else scans.
             let probed = (0..2).find(|c| pattern[*c].is_some() && r.has_index(*c));
             let pulled = match probed {
+                _ if pattern.iter().all(Option::is_some) => want.len(),
                 Some(c) => model.iter().filter(|t| Some(t[c]) == pattern[c]).count(),
                 None => model.len(),
             };
@@ -810,7 +846,7 @@ mod tests {
             // A probe of the leading column walks the tuple set itself:
             // the same tuples, in the same order, at the same count as
             // a probe of the explicit `(t[0], t)` index it stands in for.
-            if let (Some(0), Some(key)) = (probed, pattern[0]) {
+            if let (Some(0), Some(key), None) = (probed, pattern[0], pattern[1]) {
                 let explicit: RunSet<_> = r.tuples.iter().map(|t| (t[0], t.clone())).collect();
                 let mut oracle = Matches {
                     inner: MatchesInner::Probe(explicit.iter_from(|e| e.0 < key), key),

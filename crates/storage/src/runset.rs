@@ -137,6 +137,11 @@ impl<T: Ord + Clone> RunSet<T> {
         self.find(cmp).is_ok()
     }
 
+    /// The stored item `cmp` describes (see [`RunSet::find`]), if any.
+    pub(crate) fn get(&self, cmp: impl Fn(&T) -> Ordering) -> Option<&T> {
+        self.find(cmp).ok().map(|(i, at)| &self.runs[i][at])
+    }
+
     /// Insert `item`; returns whether it was new.
     pub(crate) fn insert(&mut self, item: T) -> bool {
         self.insert_between(item, |_| ()).is_some()
@@ -558,6 +563,7 @@ mod tests {
                 prop_assert!(set.iter().eq(model.iter()));
                 for x in &probes {
                     prop_assert_eq!(set.contains(|y| y.cmp(x)), model.contains(x));
+                    prop_assert_eq!(set.get(|y| y.cmp(x)), model.get(x));
                     prop_assert!(set.iter_from(|y| y < x).eq(model.range(x..)));
                 }
             }

@@ -25,8 +25,8 @@ const PARAMS: usize = 4;
 
 /// The rule pool. Each rule is safe and has at most one literal of a
 /// recursive predicate, so any subset is a definite program. `direct`
-/// and `tri` join literals with **two** bound columns, which is what
-/// makes the cost-based planner emit hash build+probe steps; the last two
+/// and `tri` each end on a literal whose **both** columns are bound by
+/// then, which the plans answer with a lookup of one tuple; the last two
 /// rules have a repeated head variable and a head constant, the two
 /// shapes `RulePlan::bind_head` can refuse a tuple on.
 const RULES: [&str; 8] = [
@@ -109,7 +109,7 @@ proptest! {
     }
 
     /// Planner differential: the plans the cost-based planner compiles
-    /// (statistics-driven literal order, hash build+probe steps) compute
+    /// (statistics-driven literal order, lookups, probes and scans) compute
     /// exactly the model of naive rounds, once per rule in either mode,
     /// and only the semi-naive run ever skips a variant.
     #[test]
@@ -201,11 +201,11 @@ proptest! {
     /// with plans costed against the **stale** (pre-growth) model, with
     /// plans re-costed against the **current** model, and with plans
     /// costed against **nothing** (an empty database: bound-column count
-    /// then written order, no hash step — what a theory that starts from
-    /// rules alone runs its first commit on) must produce the identical
-    /// model — equal to the from-scratch oracle — with identical firing
-    /// and derivation counts. Only join strategy and literal order may
-    /// differ.
+    /// then written order — what a theory that starts from rules alone
+    /// runs its first commit on) must produce the identical model — equal
+    /// to the from-scratch oracle — with identical firing and derivation
+    /// counts. Only literal order, and with it which steps are lookups,
+    /// probes or scans, may differ.
     #[test]
     fn recosted_plans_match_stale_plans(
         src in program_text(),
@@ -240,9 +240,6 @@ proptest! {
             prop_assert_eq!(&stale_db, &db, "stale vs {} on:\n{}", what, grown_src);
             prop_assert_eq!(stale_stats.rule_firings, other.rule_firings);
             prop_assert_eq!(stale_stats.derivations, other.derivations);
-            if stats.is_empty() {
-                prop_assert_eq!(other.hash_steps, 0, "uncosted plans never hash");
-            }
             prop_assert_eq!(other.plans_compiled, 0);
         }
     }
