@@ -657,8 +657,8 @@ fn main() {
     println!("\nF13 — fault injection & self-healing (degraded mode, heal, chaos soak)");
     {
         use epilog_persist::{
-            DurableDb, FaultInjector, FaultKind, FsyncPolicy, ServeError, ServeOptions, ServingDb,
-            TxOp,
+            CommitHandle, DurableDb, FaultInjector, FaultKind, FsyncPolicy, Request, ServeError,
+            ServeOptions, ServingDb, TxOp, Writer,
         };
         use std::sync::Arc;
 
@@ -741,9 +741,20 @@ fn main() {
 
         // ---- Seeded mini-soak: crash → recover → continue. The full
         // 100-cycle soak lives in tests/chaos.rs; this scaled-down run
-        // (25 cycles, fixed seed, sequential driver) keeps the report
+        // (25 cycles, fixed seed, each request stepped as its own batch
+        // on this thread, no writer thread) keeps the report
         // deterministic while still crossing every fault path.
         {
+            /// Step one request as a batch of its own and return its
+            /// answer.
+            fn step_one<T>(
+                writer: &mut Writer,
+                (req, handle): (Request, CommitHandle<T>),
+            ) -> Result<T, ServeError> {
+                writer.step(vec![req]);
+                handle.wait()
+            }
+
             let dir =
                 std::env::temp_dir().join(format!("epilog-report-f13-soak-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
@@ -765,10 +776,10 @@ fn main() {
                 )
                 .unwrap();
             let mut acked_lsn = {
-                let db = ServingDb::create(
+                let mut db = DurableDb::create(
                     &dir,
                     Theory::from_text("forall x. emp(x) -> person(x)").unwrap(),
-                    ServeOptions::default(),
+                    FsyncPolicy::Never,
                 )
                 .unwrap();
                 db.add_constraint(parse("forall x. K emp(x) -> exists y. K ss(x, y)").unwrap())
@@ -777,9 +788,8 @@ fn main() {
                     parse("forall x, y, z. K ss(x, y) & K ss(x, z) -> K y = z").unwrap(),
                 )
                 .unwrap();
-                let lsn = db.head_lsn();
-                db.shutdown().unwrap();
-                lsn
+                db.sync().unwrap();
+                db.last_lsn()
             };
             let (mut acked, mut failed, mut healed) = (0u64, 0u64, 0u64);
             let (mut lost, mut resurrected, mut diverged) = (0u64, 0u64, 0u64);
@@ -800,10 +810,10 @@ fn main() {
                     }
                 }
                 durable.set_fault_injector(Some(Arc::clone(&inj)));
-                let db = ServingDb::start(durable, ServeOptions::default());
+                let mut writer = Writer::new(durable);
                 for _ in 0..4 {
                     let ops = enroll((rng() % 48) as usize);
-                    match db.commit_wait(ops.clone()) {
+                    match step_one(&mut writer, Request::commit(ops.clone())) {
                         Ok(r) => {
                             acked_lsn = acked_lsn.max(r.lsn);
                             acked += 1;
@@ -818,16 +828,16 @@ fn main() {
                         }
                         Err(_) => failed += 1,
                     }
-                    if db.is_degraded() {
+                    if writer.stats().degraded {
                         inj.disarm();
-                        if db.heal().is_ok() {
+                        if step_one(&mut writer, Request::heal()).is_ok() {
                             healed += 1;
                         }
                     }
                 }
                 // Crash: no shutdown ceremony; smear a torn header over
                 // the tail every third cycle.
-                drop(db);
+                drop(writer);
                 if cycle % 3 == 2 {
                     use std::io::Write;
                     let mut f = std::fs::OpenOptions::new()

@@ -140,14 +140,6 @@ pub fn cwa_demo<'a>(prover: &'a Prover, w: &Formula) -> Result<DemoStream<'a>, A
     demo(prover, &modal)
 }
 
-/// Theorem 7.2, computationally: for a satisfiable closure, the
-/// consistency (Def. 3.3-style) and entailment (Def. 3.4-style) readings
-/// of a first-order constraint agree — both equal truth in the unique
-/// model. Returns the shared verdict.
-pub fn closed_ic_verdict(closed: &ClosedDb, ic: &Formula) -> bool {
-    closed.ask(ic) == Answer::Yes
-}
-
 /// Build an explicit, finitely axiomatized closure theory.
 ///
 /// `Closure(Σ)` proper is the infinite set `Σ ∪ {¬π : Σ ⊬ π}`; its unique
@@ -287,7 +279,8 @@ mod tests {
         // Consistency reading.
         let consistent = closure_prover.consistent_with(&ic);
         assert_eq!(entailed, consistent, "Theorem 7.2");
-        assert_eq!(closed_ic_verdict(&c, &ic), entailed);
+        // Both equal truth in the closure's unique model.
+        assert_eq!(c.ask(&ic) == Answer::Yes, entailed);
         assert!(entailed);
     }
 

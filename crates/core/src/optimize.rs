@@ -62,7 +62,12 @@ pub fn valid_kfopce(w: &Formula, universe: &[Param], preds: &[Pred]) -> bool {
 
 /// `α ⊨_KFOPCE β`, i.e. `⊨_KFOPCE α ⊃ β` (for sentences, by the deduction
 /// property of this validity notion over fixed structures).
-pub fn entails_kfopce(alpha: &Formula, beta: &Formula, universe: &[Param], preds: &[Pred]) -> bool {
+pub(crate) fn entails_kfopce(
+    alpha: &Formula,
+    beta: &Formula,
+    universe: &[Param],
+    preds: &[Pred],
+) -> bool {
     valid_kfopce(
         &Formula::implies(alpha.clone(), beta.clone()),
         universe,

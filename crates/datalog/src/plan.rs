@@ -123,7 +123,7 @@ impl RulePlan {
     /// Warm up the indexes the support variant probes. Kept separate from
     /// [`RulePlan::ensure_total_indexes`]: the assert-only path never runs
     /// support queries and should not pay for their indexes.
-    pub fn ensure_support_indexes(&self, total: &mut Database) {
+    pub(crate) fn ensure_support_indexes(&self, total: &mut Database) {
         self.support.ensure_indexes(total, None);
     }
 

@@ -312,7 +312,7 @@ fn atom_of(pred: Pred, tuple: &[Param]) -> Atom {
 
 /// The stored tuple of a ground atom, or `None` if any argument is a
 /// variable.
-pub fn params_of(atom: &Atom) -> Option<Tuple> {
+pub(crate) fn params_of(atom: &Atom) -> Option<Tuple> {
     atom.terms.iter().map(Term::as_param).collect()
 }
 

@@ -114,7 +114,11 @@ impl Snapshot {
     /// data writes, the pre-rename sync and the directory sync after it.
     /// A failed write never renames — the half-written temp file is
     /// removed (best effort) and no existing snapshot is disturbed.
-    pub fn write_with(&self, dir: &Path, injector: Option<&FaultInjector>) -> io::Result<PathBuf> {
+    pub(crate) fn write_with(
+        &self,
+        dir: &Path,
+        injector: Option<&FaultInjector>,
+    ) -> io::Result<PathBuf> {
         let mut payload = String::new();
         self.render(&mut payload)
             .expect("formatting into a String cannot fail");

@@ -393,7 +393,7 @@ impl Wal {
     /// Drop every record with `lsn <= through` (they are covered by a
     /// snapshot), rewriting the file atomically (tmp + rename). Returns
     /// `(records_dropped, bytes_reclaimed)`.
-    pub fn compact_through(&mut self, through: u64) -> io::Result<(u64, u64)> {
+    pub(crate) fn compact_through(&mut self, through: u64) -> io::Result<(u64, u64)> {
         self.sync()?;
         let bytes = std::fs::read(&self.path)?;
         let scan = scan_bytes(&bytes);
@@ -426,7 +426,7 @@ impl Wal {
 
     /// Advance the next LSN (used after recovery from a snapshot newer
     /// than the last log record, so LSNs never regress).
-    pub fn bump_next_lsn(&mut self, at_least: u64) {
+    pub(crate) fn bump_next_lsn(&mut self, at_least: u64) {
         self.next_lsn = self.next_lsn.max(at_least);
     }
 
