@@ -19,11 +19,10 @@
 //! The result is the paper's three-valued [`Answer`]: *yes* if `Σ ⊨ q`,
 //! *no* if `Σ ⊨ ¬q`, *unknown* otherwise.
 
-use crate::demo::apply;
 use epilog_prover::answers::domain_walk;
 use epilog_prover::Prover;
 use epilog_semantics::Answer;
-use epilog_syntax::{is_first_order, Formula, Param, Var};
+use epilog_syntax::{is_first_order, Formula, Param, Term, Var};
 use std::collections::HashMap;
 
 /// Answer a KFOPCE sentence query against `Σ` (Definition 2.1).
@@ -98,11 +97,11 @@ fn modal_quantifier_depth(w: &Formula) -> usize {
 fn reduce_with(
     prover: &Prover,
     q: &Formula,
-    env: &HashMap<Var, Param>,
+    env: &HashMap<Var, Term>,
     spares: &[Param],
 ) -> Formula {
     if is_first_order(q) {
-        return apply(q, env);
+        return q.subst(env);
     }
     match q {
         Formula::Know(w) => {
@@ -134,7 +133,7 @@ fn reduce_with(
                 .iter()
                 .map(|p| {
                     let mut env2 = env.clone();
-                    env2.insert(*x, *p);
+                    env2.insert(*x, Term::Param(*p));
                     reduce_with(prover, body, &env2, spares)
                 })
                 .collect();
@@ -145,13 +144,13 @@ fn reduce_with(
                 .iter()
                 .map(|p| {
                     let mut env2 = env.clone();
-                    env2.insert(*x, *p);
+                    env2.insert(*x, Term::Param(*p));
                     reduce_with(prover, body, &env2, spares)
                 })
                 .collect();
             Formula::and_all(conjuncts).unwrap_or_else(|| constant(true))
         }
-        Formula::Atom(_) | Formula::Eq(_, _) => apply(q, env),
+        Formula::Atom(_) | Formula::Eq(_, _) => q.subst(env),
     }
 }
 

@@ -79,9 +79,9 @@ impl fmt::Display for IcReport {
 /// (§3), and is decided by the constraint's [`CompiledConstraint`]: a
 /// constraint whose [`admissible_constraint`](epilog_syntax::admissible_constraint)
 /// rewrite is admissible — every constraint of the paper — is evaluated
-/// as `demo` evaluates it (Theorem 5.1: it succeeds iff `Σ ⊨ IC`), by the
-/// violation's plan over a least model the prover carries, by first-order
-/// prover calls otherwise; the Levesque-style reduction of
+/// by [`demo`](mod@crate::demo) (Theorem 5.1: it succeeds iff `Σ ⊨ IC`),
+/// which answers from a least model the prover carries where it can and
+/// by first-order prover calls otherwise; the Levesque-style reduction of
 /// [`certain`](crate::ask::certain) decides the rest.
 /// The first-order definitions return
 /// [`IcReport::Inapplicable`] on modal constraints, and the `Comp`

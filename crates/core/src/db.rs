@@ -34,8 +34,7 @@ pub struct Rejection {
     pub constraint: Formula,
     /// Ground witness tuples that trigger the violation in the rejected
     /// candidate state: the constraint's positive `K`-patterns under the
-    /// first answer on its compiled violation body — `demo`'s, which the
-    /// body's plan over the least model finds when there is one — read off
+    /// first answer `demo` gives on its compiled violation body — read off
     /// the full check itself when the check ran in full. Empty only for a
     /// constraint outside the admissible `¬∃x̄ (K-conjunction)` fragment,
     /// which has no patterns to instantiate.

@@ -1,6 +1,6 @@
 //! The `demo` meta-evaluator of §5.1.
 //!
-//! The paper's Prolog code, transliterated:
+//! The paper's Prolog code:
 //!
 //! ```text
 //! demo(f, Σ)        ← first-order(f), prove(f, Σ).
@@ -10,26 +10,56 @@
 //! demo(w₁ ∧ w₂, Σ)  ← modal(w₁ ∧ w₂), demo(w₁, Σ), demo(w₂, Σ).
 //! ```
 //!
-//! Conjunction is evaluated left to right, `not` is finite
-//! negation-as-failure, and `prove` is the resumable answer enumeration of
-//! `epilog_prover::AnswerIter`. In Rust, the success/fail/redo protocol
-//! becomes a lazy iterator of binding environments; backtracking is
-//! iterator composition.
+//! A formula is compiled once into steps, one per clause: a first-order
+//! subformula is one `prove` step (clause 1), `¬w` is a step that `w`'s
+//! own steps must finitely fail (clause 2), `K` and `∃` leave no step
+//! (clauses 3 and 4), and `∧` is the order of the steps, left to right
+//! (clause 5). Variables are numbered into slots, and a step reads which
+//! of its variables are bound when it runs, not when it is compiled: one
+//! step list serves a query from no binding and a constraint's violation
+//! from whatever a model-diff atom fixes. The success/fail/redo protocol
+//! is a stack of frames, one per step, over one slot vector: a step's
+//! frame binds its answers into the slots one at a time, and unbinds
+//! them when it has none left. The answer stream stays lazy.
+//!
+//! **Clause 1.** `prove` is the resumable answer enumeration of
+//! [`AnswerIter`], asked about the step's formula with its bound
+//! variables substituted. When the prover carries a least model, three
+//! shapes are answered from the model first:
+//!
+//! * an atom is a [`Relation::select`](epilog_storage::Relation::select)
+//!   that binds its unbound variables, in `prove`'s order — sorted by
+//!   those variables in [`Formula::free_vars`] order, re-sorted only
+//!   where that is not column order;
+//! * `s = t` with both sides bound is a comparison;
+//! * a positive formula (atoms, `=`, `∧`, `∨`, `∃`) whose free variables
+//!   are all bound is an existence test over its alternatives, each a
+//!   conjunction of atoms and equalities run as steps.
+//!
+//! Anything else — another shape, or a variable the model route needs
+//! bound that is not — goes to `prove`. A model answer is `prove`'s
+//! answer: on a definite `Σ` the least model holds exactly the entailed
+//! ground atoms, so a positive formula is entailed iff it holds there,
+//! and under unique names a closed equality has one truth value.
+//! Admissibility refuses quantified variables that collide with each
+//! other or with free ones, so slots keyed by variable capture nothing.
 //!
 //! **Theorem 5.1 (soundness).** For admissible `w` over satisfiable `Σ`:
 //! if `demo(w, Σ)` succeeds, its bindings `p̄` satisfy `Σ ⊨ w|p̄`; if it
 //! finitely fails, then `Σ ⊭ w|p̄` for every `p̄`. The property tests in
 //! `tests/e5_soundness.rs` check exactly this against the brute-force
-//! oracle.
+//! oracle, and check these steps against a transliteration of the five
+//! clauses, answer for answer.
 
 use epilog_prover::{AnswerIter, Prover};
+use epilog_storage::{AtomTemplate, Database, Matches, PatTerm, Selection, SlotMap, Tuple};
 use epilog_syntax::{
     admissibility, is_first_order, transform, Admissibility, Formula, Param, Term, Var,
 };
 use std::collections::{HashMap, HashSet};
 
-/// A binding environment: variables already bound to parameters.
-pub(crate) type Env = HashMap<Var, Param>;
+/// A binding of a goal's variables, by slot.
+pub(crate) type Slots = Vec<Option<Param>>;
 
 /// The outcome of running `demo` on a sentence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +78,11 @@ pub enum DemoOutcome {
 /// success (i.e. just continuing the iteration) recovers *all* answers for
 /// queries admissible wrt a finite-instances class.
 pub struct DemoStream<'a> {
-    inner: Box<dyn Iterator<Item = Env> + 'a>,
+    prover: &'a Prover,
+    goal: Goal,
+    run: Run<'a>,
+    slots: Slots,
+    /// The query's free variables: the goal's first slots.
     vars: Vec<Var>,
 }
 
@@ -64,17 +98,15 @@ impl Iterator for DemoStream<'_> {
     type Item = Vec<Param>;
 
     fn next(&mut self) -> Option<Vec<Param>> {
-        let env = self.inner.next()?;
+        let (steps, names) = (&self.goal.steps, self.goal.slots.vars());
+        if !self.run.next(steps, names, self.prover, &mut self.slots) {
+            return None;
+        }
         // Lemma 5.4: on success all free variables are bound to parameters.
-        Some(
-            self.vars
-                .iter()
-                .map(|v| {
-                    *env.get(v)
-                        .unwrap_or_else(|| panic!("Lemma 5.4 violated: {v} unbound after success"))
-                })
-                .collect(),
-        )
+        let bound = |(v, p): (&Var, &Option<Param>)| {
+            p.unwrap_or_else(|| panic!("Lemma 5.4 violated: {v} unbound after success"))
+        };
+        Some(self.vars.iter().zip(&self.slots).map(bound).collect())
     }
 }
 
@@ -87,13 +119,18 @@ pub fn demo<'a>(prover: &'a Prover, w: &Formula) -> Result<DemoStream<'a>, Admis
     if !verdict.is_admissible() {
         return Err(verdict);
     }
-    // The safety rules are stated over the primitives ¬ ∧ ∃ K; expand the
-    // defined connectives in modal positions. First-order subtrees go to
-    // `prove` whole, whatever their shape.
-    let kerneled = kernel_modal(w);
+    let vars = w.free_vars();
+    let mut slots = SlotMap::new();
+    for v in &vars {
+        slots.intern(*v);
+    }
+    let goal = Goal::compile(w, slots);
     Ok(DemoStream {
-        inner: stream(prover, kerneled, Env::new()),
-        vars: w.free_vars(),
+        prover,
+        slots: goal.unbound(),
+        goal,
+        run: Run::default(),
+        vars,
     })
 }
 
@@ -117,85 +154,322 @@ pub fn all_answers(prover: &Prover, w: &Formula) -> Result<Vec<Vec<Param>>, Admi
         .collect())
 }
 
-/// Expand `∨ ⊃ ≡ ∀` inside modal regions only; first-order subtrees are
-/// left intact for `prove`.
-fn kernel_modal(w: &Formula) -> Formula {
+/// An admissible formula compiled to `demo`'s steps.
+#[derive(Debug, Clone)]
+pub(crate) struct Goal {
+    /// Slot `i` binds `slots.vars()[i]`.
+    pub(crate) slots: SlotMap,
+    steps: Vec<Step>,
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    /// Clause 1: `prove`'s answers to a first-order formula.
+    Prove(Leaf),
+    /// Clause 2: one success, binding nothing, when these steps finitely
+    /// fail. (Safety makes them a sentence under the bindings made.)
+    Fail(Vec<Step>),
+}
+
+/// A first-order formula and the shape the least model answers it by.
+#[derive(Debug, Clone)]
+struct Leaf {
+    formula: Formula,
+    /// The slots of its free variables, in [`Formula::free_vars`] order:
+    /// the order of `prove`'s answer tuples.
+    vars: Vec<usize>,
+    model: Option<ModelShape>,
+}
+
+#[derive(Debug, Clone)]
+enum ModelShape {
+    Atom(AtomTemplate),
+    Eq(PatTerm, PatTerm),
+    /// A positive formula's alternatives, each the steps of a conjunction
+    /// of atoms and equalities.
+    Exists(Vec<Vec<Step>>),
+}
+
+impl Goal {
+    /// Compile `w`, numbering its variables after the ones `slots` already
+    /// holds.
+    pub(crate) fn compile(w: &Formula, mut slots: SlotMap) -> Goal {
+        let mut steps = Vec::new();
+        push(w, &mut slots, &mut steps);
+        Goal { slots, steps }
+    }
+
+    /// A binding with every slot unbound.
+    pub(crate) fn unbound(&self) -> Slots {
+        vec![None; self.slots.len()]
+    }
+
+    /// The first answer from the bindings `slots` makes, or `None` when
+    /// `demo` finitely fails there.
+    pub(crate) fn first(&self, prover: &Prover, mut slots: Slots) -> Option<Slots> {
+        let names = self.slots.vars();
+        Run::default()
+            .next(&self.steps, names, prover, &mut slots)
+            .then_some(slots)
+    }
+}
+
+/// The steps of `w`, dispatched as `demo`'s clauses are. The safety rules
+/// are stated over the primitives `¬ ∧ ∃ K`, so a defined connective in a
+/// modal position is expanded into them first; a first-order subformula
+/// goes to `prove` whole, whatever its shape.
+fn push(w: &Formula, slots: &mut SlotMap, out: &mut Vec<Step>) {
     if is_first_order(w) {
-        return w.clone();
+        out.push(Step::Prove(Leaf::compile(w, slots)));
+        return;
     }
     match w {
-        Formula::Not(a) => Formula::not(kernel_modal(a)),
-        Formula::Know(a) => Formula::know(kernel_modal(a)),
-        Formula::And(a, b) => Formula::and(kernel_modal(a), kernel_modal(b)),
-        Formula::Exists(x, a) => Formula::exists(*x, kernel_modal(a)),
-        // Modal occurrences of defined connectives: expand one level, then
-        // recurse.
-        Formula::Or(..) | Formula::Implies(..) | Formula::Iff(..) | Formula::Forall(..) => {
-            kernel_modal(&transform::kernel_top(w))
+        Formula::Not(a) => {
+            let mut scope = Vec::new();
+            push(a, slots, &mut scope);
+            out.push(Step::Fail(scope));
         }
-        Formula::Atom(_) | Formula::Eq(_, _) => w.clone(),
-    }
-}
-
-/// The recursive clause dispatch. `w` is admissible-after-kernel; `env`
-/// holds bindings produced by conjuncts to the left (or by the diff atom
-/// that fired a compiled constraint's violation body).
-pub(crate) fn stream<'a>(
-    prover: &'a Prover,
-    w: Formula,
-    env: Env,
-) -> Box<dyn Iterator<Item = Env> + 'a> {
-    // Clause 1: first-order formulas go to prove().
-    if is_first_order(&w) {
-        let bound = apply(&w, &env);
-        let free = bound.free_vars();
-        let answers = AnswerIter::new(prover, &bound);
-        return Box::new(answers.map(move |tuple| {
-            let mut env2 = env.clone();
-            for (v, p) in free.iter().zip(tuple) {
-                env2.insert(*v, p);
-            }
-            env2
-        }));
-    }
-    match w {
-        // Clause 2: negation as finite failure. The scope is a sentence
-        // under the current bindings (guaranteed by safety).
-        Formula::Not(inner) => {
-            debug_assert!(
-                apply(&inner, &env).is_sentence(),
-                "safety violated: open negation scope {inner}"
-            );
-            let mut sub = stream(prover, (*inner).clone(), env.clone());
-            if sub.next().is_none() {
-                Box::new(std::iter::once(env))
-            } else {
-                Box::new(std::iter::empty())
-            }
-        }
-        // Clause 3: K is dropped — demo answers "does the database know w"
-        // by trying to derive w.
-        Formula::Know(inner) => stream(prover, *inner, env),
-        // Clause 4: the existential dives into its (subjective) scope; the
-        // variable is bound by an inner prove() if at all.
-        Formula::Exists(_, inner) => stream(prover, *inner, env),
-        // Clause 5: left-to-right conjunction; bindings flow rightward.
+        Formula::Know(a) | Formula::Exists(_, a) => push(a, slots, out),
         Formula::And(a, b) => {
-            let b = *b;
-            Box::new(stream(prover, *a, env).flat_map(move |env1| stream(prover, b.clone(), env1)))
+            push(a, slots, out);
+            push(b, slots, out);
         }
-        other => unreachable!("admissible-after-kernel formulas cannot be {other}"),
+        // `∨ ⊃ ≡ ∀`: expand one level, then dispatch.
+        other => push(&transform::kernel_top(other), slots, out),
     }
 }
 
-/// Substitute the environment's bindings into a formula — `demo`'s and
-/// `ask`'s one way of instantiating a formula under bound variables.
-pub(crate) fn apply(w: &Formula, env: &Env) -> Formula {
-    if env.is_empty() {
-        return w.clone();
+impl Leaf {
+    fn compile(w: &Formula, slots: &mut SlotMap) -> Leaf {
+        let vars = w.free_vars().into_iter().map(|v| slots.intern(v)).collect();
+        let term = |t: &Term, slots: &mut SlotMap| match *t {
+            Term::Param(p) => PatTerm::Const(p),
+            Term::Var(v) => PatTerm::Slot(slots.intern(v)),
+        };
+        let model = match w {
+            Formula::Atom(a) => Some(ModelShape::Atom(AtomTemplate::compile(a, slots))),
+            Formula::Eq(s, t) => Some(ModelShape::Eq(term(s, slots), term(t, slots))),
+            _ => alternatives(w, true).map(|alts| {
+                let steps = alts.into_iter().map(|alt| {
+                    let leaf = |l| Step::Prove(Leaf::compile(l, slots));
+                    alt.into_iter().map(leaf).collect()
+                });
+                ModelShape::Exists(steps.collect())
+            }),
+        };
+        Leaf {
+            formula: w.clone(),
+            vars,
+            model,
+        }
     }
-    let map: HashMap<Var, Term> = env.iter().map(|(v, p)| (*v, Term::Param(*p))).collect();
-    w.subst(&map)
+
+    /// Clause 1 from the bindings `slots` makes: the model's answer when
+    /// the leaf's shape has one there, `prove`'s otherwise.
+    fn answers<'a>(&self, names: &[Var], prover: &'a Prover, slots: &mut Slots) -> Frame<'a> {
+        if let (Some(model), Some(shape)) = (prover.atom_model(), &self.model) {
+            match shape {
+                ModelShape::Atom(atom) => return select(atom, names, model, slots),
+                ModelShape::Eq(s, t) => {
+                    if let (Some(s), Some(t)) = (value(*s, slots), value(*t, slots)) {
+                        return Frame::once(s == t);
+                    }
+                }
+                ModelShape::Exists(alts) if self.vars.iter().all(|&s| slots[s].is_some()) => {
+                    let any = alts.iter().any(|alt| holds(alt, names, prover, slots));
+                    return Frame::once(any);
+                }
+                ModelShape::Exists(_) => {}
+            }
+        }
+        let (mut bound, mut binds) = (HashMap::new(), Vec::new());
+        for &s in &self.vars {
+            match slots[s] {
+                Some(p) => drop(bound.insert(names[s], Term::Param(p))),
+                None => binds.push((binds.len(), s)),
+            }
+        }
+        let answers = AnswerIter::new(prover, &self.formula.subst(&bound));
+        Frame {
+            answers: Answers::Prove(answers),
+            binds,
+        }
+    }
+}
+
+/// The matches of `atom` in the least model under `slots`, in `prove`'s
+/// answer order, each binding the atom's unbound slots.
+fn select<'a>(atom: &AtomTemplate, names: &[Var], model: &'a Database, slots: &Slots) -> Frame<'a> {
+    let pattern: Selection = atom.args.iter().map(|a| value(*a, slots)).collect();
+    // `(column, slot)` per unbound slot, at its first column; a later
+    // column of the same slot must repeat that one.
+    let (mut binds, mut repeats) = (Vec::new(), Vec::<(usize, usize)>::new());
+    for (col, arg) in atom.args.iter().enumerate() {
+        match *arg {
+            PatTerm::Slot(s) if slots[s].is_none() => match binds.iter().find(|&&(_, b)| b == s) {
+                Some(&(first, _)) => repeats.push((col, first)),
+                None => binds.push((col, s)),
+            },
+            _ => {}
+        }
+    }
+    let mut matches = model.select(atom.pred, pattern);
+    if binds.is_empty() {
+        return Frame::once(matches.next().is_some());
+    }
+    // The matches come in column order; `prove` answers an open atom
+    // sorted by its free variables.
+    let answers = if binds.windows(2).any(|w| names[w[0].1] > names[w[1].1]) {
+        let mut by_var = binds.clone();
+        by_var.sort_by_key(|&(_, s)| names[s]);
+        let repeated = |t: &&Tuple| repeats.iter().all(|&(c, first)| t[c] == t[first]);
+        let mut rows: Vec<Tuple> = matches.filter(repeated).cloned().collect();
+        rows.sort_by_cached_key(|t| by_var.iter().map(|&(c, _)| t[c]).collect::<Vec<_>>());
+        Answers::Sorted(rows.into_iter())
+    } else {
+        Answers::Matches(matches, repeats)
+    };
+    Frame { answers, binds }
+}
+
+/// A constant, or the binding of a slot.
+fn value(arg: PatTerm, slots: &Slots) -> Option<Param> {
+    match arg {
+        PatTerm::Const(p) => Some(p),
+        PatTerm::Slot(s) => slots[s],
+    }
+}
+
+/// A first-order formula as alternatives, each a conjunction of atoms and
+/// equalities in written order: `None` unless every atom, equality and
+/// `∃` sits at positive polarity (`positive`, flipped by `¬`) — a
+/// universal is no existence test.
+fn alternatives(w: &Formula, positive: bool) -> Option<Vec<Vec<&Formula>>> {
+    Some(match (w, positive) {
+        (Formula::Atom(_) | Formula::Eq(..), true) => vec![vec![w]],
+        (Formula::Not(a), _) => alternatives(a, !positive)?,
+        (Formula::Exists(_, a), true) => alternatives(a, true)?,
+        (Formula::And(a, b), true) | (Formula::Or(a, b), false) => {
+            let right = alternatives(b, positive)?;
+            alternatives(a, positive)?
+                .into_iter()
+                .flat_map(|l| right.iter().map(move |r| [l.as_slice(), r].concat()))
+                .collect()
+        }
+        (Formula::And(a, b), false) | (Formula::Or(a, b), true) => {
+            let mut either = alternatives(a, positive)?;
+            either.extend(alternatives(b, positive)?);
+            either
+        }
+        _ => return None,
+    })
+}
+
+/// Whether `steps` have an answer from `slots`, which are left as they
+/// were.
+fn holds(steps: &[Step], names: &[Var], prover: &Prover, slots: &mut Slots) -> bool {
+    let mut run = Run::default();
+    let found = run.next(steps, names, prover, slots);
+    for frame in run.frames {
+        frame.unbind(slots);
+    }
+    found
+}
+
+/// The backtracking state of one run of a step list: a frame per step
+/// entered.
+#[derive(Default)]
+struct Run<'a> {
+    frames: Vec<Frame<'a>>,
+    started: bool,
+}
+
+impl<'a> Run<'a> {
+    /// Bind the next answer to `steps` into `slots`; false once there is
+    /// none, with every slot the run bound unbound again.
+    fn next(
+        &mut self,
+        steps: &[Step],
+        names: &[Var],
+        prover: &'a Prover,
+        slots: &mut Slots,
+    ) -> bool {
+        // After an answer, redo the last step; at the start, enter the first.
+        let mut redo = std::mem::replace(&mut self.started, true);
+        loop {
+            if !redo {
+                let frame = match &steps[self.frames.len()] {
+                    Step::Prove(leaf) => leaf.answers(names, prover, slots),
+                    Step::Fail(scope) => Frame::once(!holds(scope, names, prover, slots)),
+                };
+                self.frames.push(frame);
+            }
+            let Some(top) = self.frames.last_mut() else {
+                return false;
+            };
+            redo = !top.advance(slots);
+            if redo {
+                top.unbind(slots);
+                self.frames.pop();
+            } else if self.frames.len() == steps.len() {
+                return true;
+            }
+        }
+    }
+}
+
+/// One step's answers, and where each binds the slots it binds.
+struct Frame<'a> {
+    answers: Answers<'a>,
+    /// `(position in an answer row, slot)`.
+    binds: Vec<(usize, usize)>,
+}
+
+enum Answers<'a> {
+    /// A test: at most one success, binding nothing.
+    Once(bool),
+    /// An atom's matches in the least model, in column order; a match
+    /// answers when it repeats the column of each `(column, earlier
+    /// column)`.
+    Matches(Matches<'a>, Vec<(usize, usize)>),
+    /// An atom's answers from the least model, re-sorted.
+    Sorted(std::vec::IntoIter<Tuple>),
+    /// `prove`'s answer tuples.
+    Prove(AnswerIter<'a>),
+}
+
+impl Frame<'_> {
+    fn once(holds: bool) -> Self {
+        Frame {
+            answers: Answers::Once(holds),
+            binds: Vec::new(),
+        }
+    }
+
+    /// Bind the next answer into `slots`; false when there is none.
+    fn advance(&mut self, slots: &mut Slots) -> bool {
+        let binds = &self.binds;
+        let mut bind = |row: &[Param]| {
+            for &(i, s) in binds {
+                slots[s] = Some(row[i]);
+            }
+        };
+        match &mut self.answers {
+            Answers::Once(holds) => std::mem::take(holds),
+            Answers::Matches(matches, repeats) => {
+                let repeated = |t: &&Tuple| repeats.iter().all(|&(c, first)| t[c] == t[first]);
+                matches.find(repeated).map(|t| bind(t)).is_some()
+            }
+            Answers::Sorted(rows) => rows.next().map(|t| bind(&t)).is_some(),
+            Answers::Prove(answers) => answers.next().map(|t| bind(&t)).is_some(),
+        }
+    }
+
+    fn unbind(&self, slots: &mut Slots) {
+        for &(_, s) in &self.binds {
+            slots[s] = None;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -29,42 +29,26 @@
 //! constraint outside the compilable fragment re-checks itself in full at
 //! every commit.
 //!
-//! **Evaluation.** A constraint is compiled once, at registration. The
-//! constraint holds iff `demo` finitely fails on `∃x̄ body` (Theorem 5.1
-//! with Lemma 5.2 — the violation is subjective); a full check's first
-//! answer names a rejection's witnesses, and an instance is the same run
-//! from the bindings a diff atom's match fixes. When the prover carries a
-//! least model, every check — registration, commit, `satisfies_constraints`
-//! — runs `body` as a *plan* compiled at registration: slot-numbered steps
-//! over the model, in `demo`'s left-to-right order.
-//!
-//! * a positive `K atom` (also under `∃`) is a join step, a
-//!   [`Relation::select`](epilog_storage::Relation::select) that binds the
-//!   atom's unbound variables;
-//! * `¬ φ` is an anti-join: `φ`'s steps find no match under the bindings;
-//! * `∃` binds nothing of its own;
-//! * `s = t` or `K (s = t)` between bound terms is a filter;
-//! * a first-order formula under `K` made of atoms, `=`, `∧`, `∨` and `∃`,
-//!   every free variable bound, is an existence test over the model.
-//!
-//! Exactness is the argument above: on a definite `Σ` the least model
-//! holds exactly the entailed ground atoms, so such a positive formula is
-//! known iff it holds there, and under unique names a closed atom-free
-//! formula has one truth value. A join step yields its matches in the
-//! order `prove` answers the atom — sorted by its unbound variables in
-//! [`Formula::free_vars`] order, which is not always column order — so the
-//! plan's first answer binds what `demo`'s does, and names the same
-//! witnesses. Without a least model, or for a body of any other shape (a
-//! `K`-formula with an unbound free variable, a universal or a negated
-//! atom inside `K`), a check runs `body` through
-//! [`demo`](mod@crate::demo) itself, which stays the definition the tests
-//! compare the plan against. Either way a check looks up the atoms the
-//! violation names instead of expanding its quantifiers over the domain.
+//! **Evaluation.** A constraint is compiled once, at registration: its
+//! violation body becomes [`demo`](mod@crate::demo)'s steps, numbered
+//! over the same slots as its triggers and witnesses. The constraint
+//! holds iff `demo` finitely fails on `∃x̄ body` (Theorem 5.1 with Lemma
+//! 5.2 — the violation is subjective). A full check runs the steps from
+//! no binding, and its first answer names a rejection's witnesses; an
+//! instance runs the same steps from the bindings a diff atom's match
+//! fixes. When the prover carries a least model, `demo` answers the
+//! body's atoms, equalities and closed positive `K`-formulas from it
+//! (the [`demo`](mod@crate::demo) module docs say which, and why that is
+//! exact), so a check looks up the atoms the violation names instead of
+//! expanding its quantifiers over the domain; a `K`-formula with an
+//! unbound free variable, and every leaf on a prover without a model,
+//! goes to `prove`. A constraint outside the fragment is checked by
+//! `demo` on its admissible rewrite, or by [`certain`] when it has none.
 
 use crate::ask::certain;
-use crate::demo::{self, Env};
+use crate::demo::{demo, Goal, Slots};
 use epilog_prover::Prover;
-use epilog_storage::{AtomTemplate, Database, PatTerm, Selection, SlotMap, Tuple};
+use epilog_storage::{AtomTemplate, Database, PatTerm, SlotMap};
 use epilog_syntax::formula::{Atom, Formula};
 use epilog_syntax::{admissibility, admissible_constraint, is_first_order, Param, Term, Var};
 
@@ -85,18 +69,15 @@ pub struct CompiledConstraint {
 struct Violation {
     /// The existentially quantified variables `x̄`.
     vars: Vec<Var>,
-    /// The matrix `body`, in kernel form.
-    body: Formula,
     patterns: Patterns,
-    /// The variables of `body`'s atoms, numbered: the slots of a binding.
-    slots: SlotMap,
     /// `patterns.on_added`, then `patterns.on_removed`, compiled: what a
     /// diff atom is matched against.
     triggers: Vec<AtomTemplate>,
     /// `patterns.witnesses`, compiled.
     witnesses: Vec<AtomTemplate>,
-    /// `body` over the least model; `None` for a body of another shape.
-    plan: Option<Plan>,
+    /// The matrix `body` as `demo`'s steps; its slots number the
+    /// templates' variables too.
+    body: Goal,
 }
 
 /// The atoms of a violation body, sorted by what can make them flip it.
@@ -110,50 +91,6 @@ struct Patterns {
     /// The `K`-conjunct atoms (only `∧` and `K` above them): what a
     /// rejection names as its witnesses.
     witnesses: Vec<Atom>,
-}
-
-/// A binding of a violation's variables, by slot.
-type Slots = Vec<Option<Param>>;
-
-/// A violation body compiled to steps over the least model, once from no
-/// binding and once per trigger from the outer variables its match fixes.
-#[derive(Debug, Clone)]
-struct Plan {
-    full: Vec<Step>,
-    /// Indexed like `Violation::triggers`.
-    seeded: Vec<Vec<Step>>,
-}
-
-/// One step of a plan. Which slots are bound before each step is fixed
-/// when the plan is compiled.
-#[derive(Debug, Clone)]
-enum Step {
-    /// A positive atom: every model tuple matching it binds its unbound
-    /// slots in turn.
-    Join(Join),
-    /// `s = t` between bound terms.
-    Filter(PatTerm, PatTerm),
-    /// Whether one of `alts` finds a match must be `holds`: an anti-join
-    /// (`¬ φ`, one alternative) or an existence test (a first-order
-    /// formula's conjunctions of atoms and equalities). The slots the
-    /// alternatives bind are `scratch`, unbound again afterwards.
-    Test {
-        alts: Vec<Vec<Step>>,
-        holds: bool,
-        scratch: Vec<usize>,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct Join {
-    atom: AtomTemplate,
-    /// `(column, slot)` for each slot the step binds, at its first column.
-    binds: Vec<(usize, usize)>,
-    /// `(column, earlier column)`: a slot the step binds, met again.
-    repeats: Vec<(usize, usize)>,
-    /// The columns of `binds` in `prove`'s answer order, when that is not
-    /// column order.
-    order: Option<Vec<usize>>,
 }
 
 impl CompiledConstraint {
@@ -171,48 +108,6 @@ impl CompiledConstraint {
         self.violation.is_some()
     }
 
-    /// Whether its violation body compiled to a plan, so every check of it
-    /// against a prover carrying a least model runs that plan.
-    pub fn has_plan(&self) -> bool {
-        self.violation.as_ref().is_some_and(|v| v.plan.is_some())
-    }
-
-    /// Run the plan and `demo` side by side on `prover`'s state — the full
-    /// check, then every instance `diff` seeds — and compare each pair of
-    /// first answers: whether there is one, every binding it makes, and
-    /// the witnesses it names. Returns how many runs were compared (none
-    /// when the constraint has no plan or the prover no least model), or
-    /// the first disagreement. A differential test's hook: checks run
-    /// one route only.
-    pub fn compare_plan_with_demo(
-        &self,
-        prover: &Prover,
-        diff: Option<&ModelDiff>,
-    ) -> Result<usize, String> {
-        let Some(v) = &self.violation else {
-            return Ok(0);
-        };
-        let Some((plan, model)) = v.planned(prover) else {
-            return Ok(0);
-        };
-        let seeded = diff.into_iter().flat_map(|d| v.seeds(d));
-        let runs = std::iter::once((None, v.unbound())).chain(seeded.map(|(i, s)| (Some(i), s)));
-        let mut compared = 0;
-        for (seed, env) in runs {
-            let with_witnesses = |a: Option<Slots>| a.map(|a| (v.witnesses_of(&a), a));
-            let by_plan = with_witnesses(plan.first(seed, model, env.clone()));
-            let by_demo = with_witnesses(v.demo_first(prover, env));
-            if by_plan != by_demo {
-                return Err(format!(
-                    "`{}`, seed {seed:?}: plan {by_plan:?}, demo {by_demo:?}",
-                    self.original
-                ));
-            }
-            compared += 1;
-        }
-        Ok(compared)
-    }
-
     /// Check the constraint in full against `prover`'s state: `None` when
     /// it holds, else the violation's witnesses — the `K`-conjunct atoms
     /// under the first answer on the body, the minimal facts responsible
@@ -226,16 +121,14 @@ impl CompiledConstraint {
             if !prover.satisfiable() {
                 return None;
             }
-            let answer = v.first(prover, None, v.unbound())?;
+            let answer = v.body.first(prover, v.body.unbound())?;
             return Some(v.witnesses_of(&answer));
         }
-        // Outside the fragment: `demo` on an admissible rewrite (in kernel
-        // form already), the Levesque reduction on any other.
-        let rewritten = admissible_constraint(&self.original);
-        let holds = if admissibility(&rewritten).is_admissible() {
-            !prover.satisfiable() || demo::stream(prover, rewritten, Env::new()).next().is_some()
-        } else {
-            certain(prover, &self.original)
+        // Outside the fragment: `demo` on an admissible rewrite, the
+        // Levesque reduction on any other.
+        let holds = match demo(prover, &admissible_constraint(&self.original)) {
+            Ok(mut answers) => !prover.satisfiable() || answers.next().is_some(),
+            Err(_) => certain(prover, &self.original),
         };
         (!holds).then(Vec::new)
     }
@@ -271,49 +164,13 @@ impl Violation {
         let mut triggers = compile(&patterns.on_added);
         triggers.extend(compile(&patterns.on_removed));
         let witnesses = compile(&patterns.witnesses);
-        let plan = Plan::compile(&body, &vars, &triggers, &mut slots);
         Some(Violation {
             vars,
-            body,
             patterns,
-            slots,
             triggers,
             witnesses,
-            plan,
+            body: Goal::compile(&body, slots),
         })
-    }
-
-    /// A binding with every slot unbound.
-    fn unbound(&self) -> Slots {
-        vec![None; self.slots.len()]
-    }
-
-    /// The plan and the least model it runs over, when there are both.
-    fn planned<'p>(&self, prover: &'p Prover) -> Option<(&Plan, &'p Database)> {
-        Some((self.plan.as_ref()?, prover.atom_model()?))
-    }
-
-    /// The first answer on `body` from `env` — which binds what trigger
-    /// `seed` fixes, or nothing — through the plan when there is one and
-    /// the prover carries a least model, through `demo` otherwise; `None`
-    /// when the run finds none.
-    fn first(&self, prover: &Prover, seed: Option<usize>, env: Slots) -> Option<Slots> {
-        match self.planned(prover) {
-            Some((plan, model)) => plan.first(seed, model, env),
-            None => self.demo_first(prover, env),
-        }
-    }
-
-    /// `demo`'s first answer on `body` from `env`.
-    fn demo_first(&self, prover: &Prover, env: Slots) -> Option<Slots> {
-        let vars = self.slots.vars();
-        let env: Env = vars
-            .iter()
-            .zip(env)
-            .filter_map(|(v, p)| Some((*v, p?)))
-            .collect();
-        let answer = demo::stream(prover, self.body.clone(), env).next()?;
-        Some(vars.iter().map(|v| answer.get(v).copied()).collect())
     }
 
     /// The witness atoms under `answer`, which binds every one of their
@@ -332,12 +189,11 @@ impl Violation {
 
     /// The instances a diff starts `body` from: for every atom of the diff
     /// a trigger matches (`on_added` over the added atoms, `on_removed`
-    /// over the removed), the trigger's index and the outer variables the
-    /// match fixes (a variable the pattern binds under an inner `∃` stays
-    /// unbound — the atom says which instantiation to re-check, not how
-    /// the inner search ends). The constraint, restricted to those atoms,
+    /// over the removed), the outer variables the match fixes (a variable
+    /// the pattern binds under an inner `∃` stays unbound — the atom says
+    /// which instantiation to re-check, not how the inner search ends). The constraint, restricted to those atoms,
     /// is violated iff `body` has an answer from one of them.
-    fn seeds<'a>(&'a self, diff: &'a ModelDiff) -> impl Iterator<Item = (usize, Slots)> + 'a {
+    fn seeds<'a>(&'a self, diff: &'a ModelDiff) -> impl Iterator<Item = Slots> + 'a {
         let added = self.patterns.on_added.len();
         self.triggers
             .iter()
@@ -352,13 +208,13 @@ impl Violation {
                     .relation(trigger.pred)
                     .into_iter()
                     .flat_map(|r| r.iter());
-                tuples.filter_map(move |t| Some((i, self.seed(trigger, t)?)))
+                tuples.filter_map(move |t| self.seed(trigger, t))
             })
     }
 
     /// The outer variables `trigger` binds matching `tuple`, if it does.
     fn seed(&self, trigger: &AtomTemplate, tuple: &[Param]) -> Option<Slots> {
-        let mut env = self.unbound();
+        let mut env = self.body.unbound();
         for (arg, &p) in trigger.args.iter().zip(tuple) {
             match *arg {
                 PatTerm::Const(q) if q != p => return None,
@@ -367,282 +223,12 @@ impl Violation {
                 PatTerm::Slot(_) => {}
             }
         }
-        for (slot, v) in env.iter_mut().zip(self.slots.vars()) {
+        for (slot, v) in env.iter_mut().zip(self.body.slots.vars()) {
             if !self.vars.contains(v) {
                 *slot = None;
             }
         }
         Some(env)
-    }
-}
-
-impl Plan {
-    /// Compile `body` from no binding and from each trigger's outer
-    /// variables; `None` when some part of it has no step.
-    fn compile(
-        body: &Formula,
-        outer: &[Var],
-        triggers: &[AtomTemplate],
-        slots: &mut SlotMap,
-    ) -> Option<Plan> {
-        let full = Compiler::new(slots, Vec::new()).steps(body)?;
-        let seeded = triggers
-            .iter()
-            .map(|trigger| {
-                let fixed = trigger
-                    .args
-                    .iter()
-                    .filter_map(|a| match *a {
-                        PatTerm::Slot(s) if outer.contains(&slots.vars()[s]) => Some(s),
-                        _ => None,
-                    })
-                    .collect();
-                Compiler::new(slots, fixed).steps(body)
-            })
-            .collect::<Option<_>>()?;
-        Some(Plan { full, seeded })
-    }
-
-    /// The first full match of the steps for `seed` from `env`.
-    fn first(&self, seed: Option<usize>, model: &Database, mut env: Slots) -> Option<Slots> {
-        let steps = seed.map_or(&self.full, |i| &self.seeded[i]);
-        search(steps, model, &mut env).then_some(env)
-    }
-}
-
-/// The plan compiler's state: which slots are bound at the step being
-/// compiled, and whether the order of its matches matters.
-struct Compiler<'s> {
-    slots: &'s mut SlotMap,
-    bound: Vec<bool>,
-    /// False inside a test, which asks only whether a match exists.
-    ordered: bool,
-}
-
-impl<'s> Compiler<'s> {
-    fn new(slots: &'s mut SlotMap, fixed: Vec<usize>) -> Self {
-        let mut bound = vec![false; slots.len()];
-        for s in fixed {
-            bound[s] = true;
-        }
-        Compiler {
-            slots,
-            bound,
-            ordered: true,
-        }
-    }
-
-    /// The steps of a kernel-form formula, dispatched as `demo`'s clauses
-    /// are: a first-order formula is one step; `K` and `∃` add nothing;
-    /// `∧` runs left to right; `¬` is an anti-join.
-    fn steps(&mut self, w: &Formula) -> Option<Vec<Step>> {
-        let mut out = Vec::new();
-        self.push(w, &mut out)?;
-        Some(out)
-    }
-
-    fn push(&mut self, w: &Formula, out: &mut Vec<Step>) -> Option<()> {
-        if is_first_order(w) {
-            out.push(self.first_order(w)?);
-            return Some(());
-        }
-        match w {
-            Formula::Know(a) | Formula::Exists(_, a) => self.push(a, out),
-            Formula::And(a, b) => {
-                self.push(a, out)?;
-                self.push(b, out)
-            }
-            Formula::Not(a) => {
-                let alt = self.branch(|c| c.steps(a))?;
-                out.push(test(false, vec![alt]));
-                Some(())
-            }
-            _ => None,
-        }
-    }
-
-    /// The step `prove` answers a first-order formula by: a join for an
-    /// atom, a filter for an equality between bound terms, an existence
-    /// test for a positive formula whose free variables are all bound.
-    /// (The rewrite names every quantifier apart, so a quantified variable
-    /// is unbound where its scope starts.)
-    fn first_order(&mut self, w: &Formula) -> Option<Step> {
-        match w {
-            Formula::Atom(a) => Some(Step::Join(self.join(a))),
-            Formula::Eq(s, t) => Some(Step::Filter(self.bound_term(s)?, self.bound_term(t)?)),
-            _ => {
-                let vars = w.free_vars();
-                if vars.iter().any(|v| !self.is_bound(*v)) {
-                    return None;
-                }
-                let alts = alternatives(w, true)?
-                    .into_iter()
-                    .map(|alt| self.branch(|c| c.conjunction(&alt)))
-                    .collect::<Option<_>>()?;
-                Some(test(true, alts))
-            }
-        }
-    }
-
-    /// The steps of a conjunction of atoms and equalities, left to right.
-    fn conjunction(&mut self, literals: &[&Formula]) -> Option<Vec<Step>> {
-        literals.iter().map(|w| self.first_order(w)).collect()
-    }
-
-    /// Compile `f` from the bindings here as a test's alternative: its
-    /// order does not matter, and what it binds is unbound after it.
-    fn branch(&mut self, f: impl FnOnce(&mut Self) -> Option<Vec<Step>>) -> Option<Vec<Step>> {
-        let (bound, ordered) = (self.bound.clone(), self.ordered);
-        self.ordered = false;
-        let steps = f(self);
-        self.bound = bound;
-        self.ordered = ordered;
-        steps
-    }
-
-    fn join(&mut self, a: &Atom) -> Join {
-        let atom = AtomTemplate::compile(a, self.slots);
-        self.bound.resize(self.slots.len(), false);
-        let (mut binds, mut repeats) = (Vec::new(), Vec::<(usize, usize)>::new());
-        for (col, arg) in atom.args.iter().enumerate() {
-            let PatTerm::Slot(s) = *arg else { continue };
-            match binds.iter().find(|&&(_, b)| b == s) {
-                Some(&(first, _)) => repeats.push((col, first)),
-                None if !self.bound[s] => binds.push((col, s)),
-                None => {}
-            }
-        }
-        for &(_, s) in &binds {
-            self.bound[s] = true;
-        }
-        // `prove` sorts an open atom's answers by its free variables.
-        let mut by_var = binds.clone();
-        by_var.sort_by_key(|&(_, s)| self.slots.vars()[s]);
-        let order = (self.ordered && by_var != binds).then(|| by_var.iter().map(|b| b.0).collect());
-        Join {
-            atom,
-            binds,
-            repeats,
-            order,
-        }
-    }
-
-    fn is_bound(&self, v: Var) -> bool {
-        self.slots.get(v).is_some_and(|s| self.bound[s])
-    }
-
-    fn bound_term(&self, t: &Term) -> Option<PatTerm> {
-        match *t {
-            Term::Param(p) => Some(PatTerm::Const(p)),
-            Term::Var(v) => {
-                let s = self.slots.get(v)?;
-                self.bound[s].then_some(PatTerm::Slot(s))
-            }
-        }
-    }
-}
-
-/// A test step over `alts`; its scratch slots are the ones their joins
-/// bind.
-fn test(holds: bool, alts: Vec<Vec<Step>>) -> Step {
-    let mut scratch: Vec<usize> = alts
-        .iter()
-        .flatten()
-        .flat_map(|step| match step {
-            Step::Join(j) => j.binds.iter().map(|b| b.1).collect(),
-            _ => Vec::new(),
-        })
-        .collect();
-    scratch.sort_unstable();
-    scratch.dedup();
-    Step::Test {
-        alts,
-        holds,
-        scratch,
-    }
-}
-
-/// A first-order formula in kernel form as alternatives, each a
-/// conjunction of atoms and equalities in written order: `None` unless
-/// every atom and equality sits at positive polarity (`positive`, flipped
-/// by `¬`) and every `∃` too — a universal is no existence test.
-fn alternatives(w: &Formula, positive: bool) -> Option<Vec<Vec<&Formula>>> {
-    Some(match (w, positive) {
-        (Formula::Atom(_) | Formula::Eq(..), true) => vec![vec![w]],
-        (Formula::Not(a), _) => alternatives(a, !positive)?,
-        (Formula::Exists(_, a), true) => alternatives(a, true)?,
-        (Formula::And(a, b), true) => {
-            let right = alternatives(b, true)?;
-            alternatives(a, true)?
-                .into_iter()
-                .flat_map(|l| right.iter().map(move |r| [l.as_slice(), r].concat()))
-                .collect()
-        }
-        (Formula::And(a, b), false) => {
-            let mut either = alternatives(a, false)?;
-            either.extend(alternatives(b, false)?);
-            either
-        }
-        _ => return None,
-    })
-}
-
-/// Whether `steps` have a match from `env` over `model`. On success `env`
-/// holds the first one; otherwise it is as it was.
-fn search(steps: &[Step], model: &Database, env: &mut Slots) -> bool {
-    let Some((step, rest)) = steps.split_first() else {
-        return true;
-    };
-    match step {
-        Step::Join(j) => j.search(rest, model, env),
-        Step::Filter(s, t) => value(*s, env) == value(*t, env) && search(rest, model, env),
-        Step::Test {
-            alts,
-            holds,
-            scratch,
-        } => {
-            let found = alts.iter().any(|alt| search(alt, model, env));
-            for &s in scratch {
-                env[s] = None;
-            }
-            found == *holds && search(rest, model, env)
-        }
-    }
-}
-
-impl Join {
-    fn search(&self, rest: &[Step], model: &Database, env: &mut Slots) -> bool {
-        let pattern: Selection = self.atom.args.iter().map(|a| value(*a, env)).collect();
-        let repeated = |t: &&Tuple| self.repeats.iter().all(|&(c, first)| t[c] == t[first]);
-        let mut matches = model.select(self.atom.pred, &pattern).filter(repeated);
-        let extend = |t: &Tuple| {
-            for &(c, s) in &self.binds {
-                env[s] = Some(t[c]);
-            }
-            search(rest, model, env)
-        };
-        let found = match &self.order {
-            None => matches.any(extend),
-            Some(cols) => {
-                let mut sorted: Vec<&Tuple> = matches.collect();
-                sorted.sort_by(|a, b| cols.iter().map(|&c| a[c]).cmp(cols.iter().map(|&c| b[c])));
-                sorted.into_iter().any(extend)
-            }
-        };
-        if !found {
-            for &(_, s) in &self.binds {
-                env[s] = None;
-            }
-        }
-        found
-    }
-}
-
-/// A constant, or the binding of a slot.
-fn value(arg: PatTerm, env: &Slots) -> Option<Param> {
-    match arg {
-        PatTerm::Const(p) => Some(p),
-        PatTerm::Slot(s) => env[s],
     }
 }
 
@@ -696,7 +282,7 @@ pub(crate) fn check<'c>(
                     return None;
                 }
                 stats.specialized += 1;
-                if !seeds.any(|(i, env)| v.first(prover, Some(i), env).is_some()) {
+                if !seeds.any(|env| v.body.first(prover, env).is_some()) {
                     return None;
                 }
                 // The rejection names the first violation in answer
@@ -756,6 +342,7 @@ fn collect_patterns(
 mod tests {
     use super::*;
     use crate::{DbError, EpistemicDb, Rejection};
+    use epilog_prover::AnswerIter;
     use epilog_syntax::{parse, Pred, Theory};
 
     fn ga(src: &str) -> Atom {
@@ -1159,77 +746,101 @@ mod tests {
         "forall x. K hired(x) -> K (emp(x) | bad(x))",
     ];
 
-    #[test]
-    fn which_shapes_compile_to_a_plan() {
-        for ic in POOL {
-            assert!(compiled(&[ic])[0].has_plan(), "{ic}");
-        }
-        // Routed, but `K ∃y ss(x, y)` leaves `x` unbound: `prove` walks
-        // the domain for it, and so does the check, through `demo`.
-        let open = &compiled(&["forall x. ~K (exists y. ss(x, y))"])[0];
-        assert!(open.is_routed() && !open.has_plan());
-        // A universal inside `K` is no existence test.
-        let all = &compiled(&["forall x. K emp(x) -> K (forall y. ss(x, y))"])[0];
-        assert!(all.is_routed() && !all.has_plan());
-        // Not routed at all: `p` is negated inside its `K`.
-        let odd = &compiled(&["forall x. K emp(x) -> K (p(x) -> q(x))"])[0];
-        assert!(!odd.is_routed() && !odd.has_plan());
+    /// `ic`'s full check over the least model of the facts `src` lists
+    /// (`;`-separated), and how many solver runs it took.
+    fn full_check(ic: &str, src: &str) -> (Option<Vec<Atom>>, u64) {
+        let prover = crate::engine::prover_for(Theory::from_text(&src.replace(';', "\n")).unwrap());
+        assert!(prover.atom_model().is_some(), "{src}");
+        let violated = compiled(&[ic])[0].violated(&prover);
+        (violated, prover.sat_calls())
     }
 
     #[test]
-    fn without_a_least_model_a_planned_constraint_runs_demo() {
+    fn every_pool_shape_is_checked_on_the_model_alone() {
+        // Per pool shape: a state that violates it, the witnesses it is
+        // refused with, and a state that satisfies it.
+        let cases = [
+            ("emp(a);emp(b);ss(b, n)", "emp(a)", "emp(a);ss(a, n)"),
+            (
+                "ss(a, m);ss(a, n)",
+                "ss(a, m);ss(a, n)",
+                "ss(a, m);ss(b, m)",
+            ),
+            ("bad(a);emp(b)", "bad(a)", "emp(a)"),
+            (
+                "hired(a);hobby(a, b)",
+                "hired(a)",
+                "hired(a);hobby(a, b);person(a)",
+            ),
+            (
+                "holder(a);hobby(a, b)",
+                "holder(a)",
+                "holder(a);hobby(b, a)",
+            ),
+            ("holder(a);bad(a)", "holder(a)", "holder(a);hired(b)"),
+            ("hired(a);hired(b);bad(b)", "hired(a)", "hired(a);emp(a)"),
+        ];
+        for (ic, (bad, witnesses, good)) in POOL.into_iter().zip(cases) {
+            // Each state violates one instance; the FD's two witnesses
+            // come in parameter order, which is interning order.
+            let (violated, runs) = full_check(ic, bad);
+            let mut violated = violated.expect(ic);
+            violated.sort_by_key(|a| a.to_string());
+            let witnesses: Vec<Atom> = witnesses.split(';').map(ga).collect();
+            assert_eq!((violated, runs), (witnesses, 0), "{ic} over {bad:?}");
+            assert_eq!(full_check(ic, good), (None, 0), "{ic} over {good:?}");
+        }
+        // Routed, but `K ∃y ss(x, y)` leaves `x` unbound, and a universal
+        // inside `K` is no existence test: `prove` walks the domain.
+        let open = "forall x. ~K (exists y. ss(x, y))";
+        let (violated, runs) = full_check(open, "ss(a, n)");
+        assert_eq!(violated, Some(vec![]));
+        assert!(runs > 0);
+        let all = "forall x. K emp(x) -> K (forall y. ss(x, y))";
+        let (violated, runs) = full_check(all, "emp(a);ss(a, n)");
+        assert_eq!(violated, Some(vec![ga("emp(a)")]));
+        assert!(runs > 0);
+        assert!(compiled(&[open, all]).iter().all(|c| c.is_routed()));
+    }
+
+    #[test]
+    fn without_a_least_model_prove_names_the_same_witnesses() {
         let c = &compiled(&[EMP_SS])[0];
-        let v = c.violation.as_ref().unwrap();
         // An existential fact leaves the definite fragment: no model.
         let open = crate::engine::prover_for(
-            Theory::from_text(
-                "emp(a)
-emp(b)
-exists y. ss(b, y)",
-            )
-            .unwrap(),
+            Theory::from_text("emp(a)\nemp(b)\nexists y. ss(b, y)").unwrap(),
         );
-        assert!(open.atom_model().is_none() && v.planned(&open).is_none());
+        assert!(open.atom_model().is_none());
         assert_eq!(c.violated(&open), Some(vec![ga("emp(a)")]));
-        assert_eq!(c.compare_plan_with_demo(&open, None), Ok(0));
-        let definite = crate::engine::prover_for(
-            Theory::from_text(
-                "emp(a)
-emp(b)
-ss(b, n)",
-            )
-            .unwrap(),
-        );
-        assert!(v.planned(&definite).is_some());
+        assert!(open.sat_calls() > 0);
+        let definite =
+            crate::engine::prover_for(Theory::from_text("emp(a)\nemp(b)\nss(b, n)").unwrap());
         assert_eq!(c.violated(&definite), Some(vec![ga("emp(a)")]));
+        // The instance a removed `ss(a, n)` seeds is violated too.
         let gone = diff(&[], &["ss(a, n)"]);
-        assert_eq!(c.compare_plan_with_demo(&definite, Some(&gone)), Ok(2));
+        let (hit, stats) = check(&compiled(&[EMP_SS]), &definite, Some(&gone));
+        assert_eq!((hit.is_some(), stats), (true, routed(1, 0)));
+        assert_eq!(definite.sat_calls(), 0);
     }
 
     #[test]
     fn a_join_answers_in_prove_order_not_column_order() {
         // A cycle: the tuple first by column 0 is never the one first by
         // column 1, whatever order the parameters were interned in.
-        let prover = crate::engine::prover_for(
-            Theory::from_text(
-                "r(a, b)
-r(b, c)
-r(c, a)",
-            )
-            .unwrap(),
-        );
+        let prover =
+            crate::engine::prover_for(Theory::from_text("r(a, b)\nr(b, c)\nr(c, a)").unwrap());
         let ck = compiled(&[
             "forall x, y. K r(x, y) -> K q(x)",
             "forall x, y. K r(y, x) -> K q(x)",
         ]);
-        let reordered = ck.iter().filter(|c| {
-            let plan = c.violation.as_ref().unwrap().plan.as_ref().unwrap();
-            matches!(&plan.full[0], Step::Join(j) if j.order.is_some())
-        });
-        assert_eq!(reordered.count(), 1, "`prove` sorts by x, one of the two");
-        let firsts: Vec<_> = ck.iter().map(|c| c.violated(&prover).unwrap()).collect();
-        for c in &ck {
-            assert_eq!(c.compare_plan_with_demo(&prover, None), Ok(1));
+        let mut firsts = Vec::new();
+        for (c, atom) in ck.iter().zip(["r(x, y)", "r(y, x)"]) {
+            // The witness is the instance `prove` answers first.
+            let goal = parse(atom).unwrap();
+            let first = AnswerIter::new(&prover, &goal).next().unwrap();
+            let witness = ga(&goal.bind_free(&first).to_string());
+            assert_eq!(c.violated(&prover), Some(vec![witness.clone()]));
+            firsts.push(witness);
         }
         // Both name the tuple with the least `x`, which is a different
         // column of the same tuple set.

@@ -6,7 +6,7 @@
 //!   the Theorem 6.2 fragment).
 //! * **Theorem 6.2's `F_Σ`** — positive existential formulas with
 //!   disjunctively linked variables, plus the equality atoms
-//!   `p = p'`, `p ≠ p'`, `x = p`, `p = x`. [`in_f_sigma`] is the
+//!   `p = p'`, `p ≠ p'`, `x = p`, `p = x`. `in_f_sigma` is the
 //!   membership test; [`admissible_wrt_f_sigma`] combines it with the
 //!   almost-admissibility closure of Definition 6.2 and the
 //!   distinct-variables condition of Remark 6.2 — the exact hypothesis of
@@ -35,7 +35,7 @@ pub fn instances(prover: &Prover, w: &Formula) -> Vec<Vec<Param>> {
 /// disjunctively linked variables, or one of the permitted equality-atom
 /// shapes. `bound` holds the variables an enclosing conjunction has
 /// already bound (they count as parameters for the linkage check).
-pub fn in_f_sigma(w: &Formula, bound: &BTreeSet<Var>) -> bool {
+pub(crate) fn in_f_sigma(w: &Formula, bound: &BTreeSet<Var>) -> bool {
     match w {
         // p = p' and p ≠ p' (ground equality literals).
         Formula::Eq(a, b) => eq_side_ok(a, bound) && eq_side_ok(b, bound),

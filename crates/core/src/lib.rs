@@ -36,8 +36,7 @@
 //!   incrementally and each constraint checked only on what the exact
 //!   model diff can have violated ([`mod@incremental`] — the §8
 //!   incremental-integrity discussion made executable, one violation
-//!   compiled per constraint at registration, and run as a plan over the
-//!   least model where there is one);
+//!   compiled per constraint at registration into `demo`'s steps);
 //! * [`EpistemicDb`] — the facade tying the pieces together.
 
 pub mod ask;

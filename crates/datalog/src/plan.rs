@@ -113,7 +113,7 @@ impl RulePlan {
     }
 
     /// Warm up the total-side indexes every variant probes.
-    pub fn ensure_total_indexes(&self, total: &mut Database) {
+    pub(crate) fn ensure_total_indexes(&self, total: &mut Database) {
         self.full.ensure_indexes(total, None);
         for (_, v) in &self.variants {
             v.ensure_indexes(total, None);

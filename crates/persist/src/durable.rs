@@ -21,13 +21,13 @@
 //! `DurableDb` and commits through it — and a step's error says how it
 //! ended:
 //!
-//! * [`PersistError::Db`] — the database refused; log and state are as
-//!   they were (a refused *constraint* was logged first: its record is
-//!   rewound);
+//! * [`PersistError::Db`] — the database refused before anything was
+//!   logged (a constraint is registered on a copy first, as a commit is
+//!   prepared); log and state are as they were;
 //! * [`PersistError::Io`] — the append failed and the log is back at its
 //!   pre-append mark: this operation alone failed;
-//! * [`PersistError::Corrupt`] — the rewind that compensates for either
-//!   failed too, or a [`DurableDb::sync`] or the log rewrite of a
+//! * [`PersistError::Corrupt`] — the rewind that compensates for a failed
+//!   append failed too, or a [`DurableDb::sync`] or the log rewrite of a
 //!   [`DurableDb::compact`] failed: the log can no longer
 //!   be trusted to end where its accounting says, and a record appended
 //!   now could sit behind a gap recovery cuts at. The `DurableDb` cuts
@@ -382,15 +382,18 @@ impl DurableDb {
         self.log.wal.set_fault_injector(injector);
     }
 
-    /// Register an integrity constraint, durably. Log-before-apply with
-    /// compensation: the record is appended, then the registration runs;
-    /// a refusal (constraint violated by the current state) rewinds the
-    /// log so no rejected record survives.
+    /// Register an integrity constraint, durably, the way a commit runs:
+    /// the registration (and its check of the current state) runs on a
+    /// copy of the database, the record is appended only once the copy
+    /// accepted it, and then the copy is installed. A refusal — or a
+    /// check that panics — leaves log and state as they were.
     pub fn add_constraint(&mut self, ic: Formula) -> Result<(), PersistError> {
-        let mark = self.log.wal.mark();
-        let _ = self.log.append(&[WalOp::Constraint(ic.clone())])?;
-        let added = self.db.add_constraint(ic);
-        added.map_err(|refused| self.log.compensate(mark, PersistError::Db(refused)))
+        self.log.trusted()?;
+        let mut db = self.db.clone();
+        db.add_constraint(ic.clone())?;
+        let _ = self.log.append(&[WalOp::Constraint(ic)])?;
+        self.db = db;
+        Ok(())
     }
 
     /// Write a snapshot of the current state at the current LSN. The log
@@ -912,10 +915,12 @@ mod tests {
     fn a_failed_rewind_of_a_refused_constraint_costs_no_acknowledged_commit() {
         let d = dir();
         let (mut db, inj) = injected(&d, FsyncPolicy::Never);
-        // The one fault: the sync of the refused record's rewind.
+        // The one fault a rewind of a refused record would hit. A refused
+        // constraint is never logged, so there is no rewind to fail.
         inj.fail_nth_sync(0);
         let refused = db.add_constraint(f("forall x. ~K emp(x)"));
-        assert!(refused.is_err());
+        assert!(matches!(refused, Err(PersistError::Db(_))), "{refused:?}");
+        assert_eq!(inj.injected(), 0);
         let b = db.assert(f("emp(Ann)"));
         drop(db);
         let report = assert_recovery_honors(&d, &[("emp(Mary)", true), ("emp(Ann)", b.is_ok())]);
@@ -1046,5 +1051,33 @@ mod tests {
             }
             std::fs::remove_dir_all(d).unwrap();
         }
+    }
+
+    #[test]
+    fn a_constraint_whose_check_panics_leaves_no_record() {
+        // Over 100 facts, the violation's one open leaf has 10 unbound
+        // variables: `prove` walks 100^10 tuples, which overflows.
+        let d = dir();
+        let facts: Vec<String> = (0..100).map(|i| format!("p(c{i})")).collect();
+        let theory = Theory::from_text(&facts.join("\n")).unwrap();
+        let mut db = DurableDb::create(&d, theory, FsyncPolicy::Always).unwrap();
+        let xs: Vec<String> = (1..=10).map(|i| format!("x{i}")).collect();
+        let ps: Vec<String> = xs.iter().map(|x| format!("p({x})")).collect();
+        let poison = f(&format!(
+            "forall {}. ~K ({})",
+            xs.join(", "),
+            ps.join(" | ")
+        ));
+        let added =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| db.add_constraint(poison)));
+        assert!(added.is_err(), "the domain walk overflows");
+        assert_eq!((db.wal_records(), db.constraints().len()), (0, 0));
+        db.assert(f("p(b)")).unwrap();
+        drop(db);
+        let (rec, report) = DurableDb::recover(&d, FsyncPolicy::Always).unwrap();
+        assert_eq!(report.records_replayed, 1, "{report}");
+        assert_eq!(rec.constraints().len(), 0);
+        assert_eq!(rec.ask(&f("K p(b)")), Answer::Yes);
+        std::fs::remove_dir_all(d).unwrap();
     }
 }

@@ -151,11 +151,6 @@ impl FaultInjector {
         self.armed.store(false, Ordering::Relaxed);
     }
 
-    /// Whether the injector is currently armed.
-    pub fn armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
-    }
-
     /// Write operations observed (armed or not).
     pub fn writes(&self) -> u64 {
         self.writes.load(Ordering::Relaxed)
@@ -175,7 +170,7 @@ impl FaultInjector {
     /// cut))` means: flush `cut` bytes of prefix, then fail.
     fn decide_write(&self, len: usize) -> Option<(FaultKind, usize)> {
         let idx = self.writes.fetch_add(1, Ordering::Relaxed);
-        if !self.armed() {
+        if !self.armed.load(Ordering::Relaxed) {
             return None;
         }
         let mut plan = self.plan.lock().unwrap();
@@ -208,7 +203,7 @@ impl FaultInjector {
     /// Consult the schedule for a sync. `true` means fail it.
     fn decide_sync(&self) -> bool {
         let idx = self.syncs.fetch_add(1, Ordering::Relaxed);
-        if !self.armed() {
+        if !self.armed.load(Ordering::Relaxed) {
             return false;
         }
         let mut plan = self.plan.lock().unwrap();

@@ -63,13 +63,21 @@
 //! an un-injected handle, [`DurableDb::recover`], probe the disk, serve
 //! the recovered database — or stay degraded (and heal retryable) if the
 //! storage still fails.
+//!
+//! A request whose serving panics (a `prove` walk whose answer space
+//! overflows, say) is answered [`ServeError::Internal`]. The `DurableDb`
+//! prepares a commit or a constraint before appending it, so nothing was
+//! logged for that request and the state is as it was; the writer goes
+//! on with the rest of the batch.
 
 use crate::durable::{DurableDb, PersistError, RecoveryReport};
 use crate::wal::{FsyncPolicy, Wal, WAL_FILE};
 use epilog_core::db::DbError;
 use epilog_core::{CommitReport, CommittedState, ReadHandle, StateCell};
 use epilog_syntax::{Formula, Theory};
+use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -108,6 +116,20 @@ pub enum ServeError {
     /// The serving database shut down before answering; says how the
     /// writer exited.
     Closed(WriterExit),
+    /// Serving the request panicked, with this message. Nothing was
+    /// logged for it and the state is as it was: the writer goes on.
+    Internal(String),
+}
+
+impl ServeError {
+    /// The answer to a request whose serving panicked with `payload`.
+    pub fn from_panic(payload: Box<dyn Any + Send>) -> ServeError {
+        let text = payload.downcast_ref::<&str>().map(|m| m.to_string());
+        ServeError::Internal(
+            text.or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default(),
+        )
+    }
 }
 
 impl fmt::Display for ServeError {
@@ -117,6 +139,7 @@ impl fmt::Display for ServeError {
             ServeError::Io(e) => write!(f, "io error: {e}"),
             ServeError::Degraded(why) => write!(f, "degraded (read-only): {why}"),
             ServeError::Closed(exit) => write!(f, "serving database is shut down ({exit})"),
+            ServeError::Internal(why) => write!(f, "internal error: {why}"),
         }
     }
 }
@@ -637,32 +660,44 @@ impl Writer {
 
     fn commit(&mut self, ops: Vec<TxOp>, reply: Reply<CommitReceipt>, batch: &mut Batch) {
         let logged_before = self.durable.last_lsn();
-        let mut txn = self.durable.transaction();
-        for op in ops {
-            txn = match op {
-                TxOp::Assert(w) => txn.assert(w),
-                TxOp::Retract(w) => txn.retract(w),
-            };
-        }
-        match txn.commit() {
+        let committed = catch_unwind(AssertUnwindSafe(|| {
+            let mut txn = self.durable.transaction();
+            for op in ops {
+                txn = match op {
+                    TxOp::Assert(w) => txn.assert(w),
+                    TxOp::Retract(w) => txn.retract(w),
+                };
+            }
+            txn.commit()
+        }));
+        match committed {
             // Nothing was logged, nothing to publish — but the state the
             // no-op was decided on may hold unsynced batch-mates, so it is
             // acknowledged with them, once they are durable, and fails if
             // they roll back.
-            Ok(report) => match self.durable.last_lsn() {
+            Ok(Ok(report)) => match self.durable.last_lsn() {
                 lsn if lsn == logged_before => {
                     batch.noops.push((reply, CommitReceipt { lsn, report }))
                 }
                 lsn => batch.commits.push((reply, CommitReceipt { lsn, report })),
             },
-            Err(e) => self.answer_failure(e, reply, batch),
+            Ok(Err(e)) => self.answer_failure(e, reply, batch),
+            // A commit is prepared before it is appended: a panic leaves
+            // nothing logged and the state as it was.
+            Err(panic) => {
+                let _ = reply.send(Err(ServeError::from_panic(panic)));
+            }
         }
     }
 
     fn constraint(&mut self, ic: Formula, reply: Reply<u64>, batch: &mut Batch) {
-        match self.durable.add_constraint(ic) {
-            Ok(()) => batch.constraints.push((reply, self.durable.last_lsn())),
-            Err(e) => self.answer_failure(e, reply, batch),
+        let added = catch_unwind(AssertUnwindSafe(|| self.durable.add_constraint(ic)));
+        match added {
+            Ok(Ok(())) => batch.constraints.push((reply, self.durable.last_lsn())),
+            Ok(Err(e)) => self.answer_failure(e, reply, batch),
+            Err(panic) => {
+                let _ = reply.send(Err(ServeError::from_panic(panic)));
+            }
         }
     }
 

@@ -340,7 +340,7 @@ impl Wal {
     }
 
     /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
+    pub(crate) fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
         self.injector.clone()
     }
 

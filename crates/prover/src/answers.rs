@@ -4,8 +4,8 @@
 //! through an enumeration `π` of all parameter tuples `p̄` such that
 //! `Σ ⊨_FOPCE f|p̄`, failing when the enumeration is exhausted. In Rust the
 //! natural rendering of that success/fail/redo protocol is a lazy
-//! [`Iterator`]; `demo`'s backtracking is then ordinary iterator
-//! composition.
+//! [`Iterator`]: `demo`'s backtracking frames resume it one answer at a
+//! time.
 //!
 //! The enumeration ranges over the *answer domain* (active domain plus goal
 //! parameters) in deterministic lexicographic order. For goals inside the
@@ -323,8 +323,9 @@ mod tests {
     fn model_answers_an_open_atom_without_asking_the_prover() {
         let theory = Theory::from_text("e(a, b)\ne(a, a)\ne(b, c)").unwrap();
         let mut model = epilog_storage::Database::new();
-        for s in theory.ground_atoms() {
-            model.insert(&s);
+        for s in theory.sentences() {
+            let Formula::Atom(a) = &**s else { continue };
+            model.insert(a);
         }
         let p = Prover::new(theory).with_atom_model(model);
         let answers = |src: &str| -> Vec<Vec<String>> {

@@ -47,7 +47,7 @@ impl GroundContext {
     }
 
     /// Number of registered atoms (== number of propositional variables).
-    pub fn num_atoms(&self) -> u32 {
+    pub(crate) fn num_atoms(&self) -> u32 {
         self.vars.len() as u32
     }
 

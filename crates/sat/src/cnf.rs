@@ -25,7 +25,7 @@ impl Lit {
     }
 
     /// Whether this is a positive literal.
-    pub fn is_pos(self) -> bool {
+    pub(crate) fn is_pos(self) -> bool {
         self.0 & 1 == 0
     }
 
@@ -65,7 +65,7 @@ impl Cnf {
     }
 
     /// Allocate a fresh variable, returning its index.
-    pub fn new_var(&mut self) -> u32 {
+    pub(crate) fn new_var(&mut self) -> u32 {
         let v = self.num_vars;
         self.num_vars += 1;
         v

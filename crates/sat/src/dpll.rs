@@ -8,7 +8,7 @@ use crate::cnf::{Cnf, Lit};
 use crate::solver::SatResult;
 
 /// Solve by recursive DPLL.
-pub fn solve_dpll(cnf: &Cnf) -> SatResult {
+pub(crate) fn solve_dpll(cnf: &Cnf) -> SatResult {
     let n = cnf.num_vars() as usize;
     let mut assign: Vec<i8> = vec![0; n];
     if cnf.clauses().iter().any(Vec::is_empty) {

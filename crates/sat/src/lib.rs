@@ -17,16 +17,17 @@
 //!   assumption literals, keeps what it learnt, and takes new variables
 //!   and clauses between runs — how the prover asks many goals of one
 //!   grounded theory;
-//! * [`solve_dpll`] — a plain DPLL baseline (unit propagation +
-//!   chronological backtracking, no learning), kept as the reference
-//!   the solver's tests compare against;
+//! * `dpll` — a plain DPLL baseline (unit propagation + chronological
+//!   backtracking, no learning), built with the tests only: the
+//!   reference the solver's tests compare against;
 //! * model enumeration ([`Solver::enumerate`]) via blocking clauses added
 //!   to one solver between runs.
 
 pub mod cnf;
-pub mod dpll;
 pub mod solver;
 
 pub use cnf::{constrain, tseitin, Cnf, Lit, Prop};
-pub use dpll::solve_dpll;
 pub use solver::{SatResult, Solver};
+
+#[cfg(test)]
+mod dpll;

@@ -18,13 +18,6 @@ pub enum SatResult {
     Unsat,
 }
 
-impl SatResult {
-    /// Whether the result is `Sat`.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, SatResult::Sat(_))
-    }
-}
-
 const UNASSIGNED: i8 = 0;
 /// `heap_pos` of a variable that is not in the heap.
 const ABSENT: usize = usize::MAX;
@@ -35,7 +28,7 @@ const ABSENT: usize = usize::MAX;
 /// A solver is **long-lived**: every run ends back at decision level 0
 /// with the level-0 assignment and all learnt clauses kept, so the next
 /// run starts from what the earlier ones worked out, and variables
-/// ([`Solver::new_var`]) and clauses ([`Solver::add_clause`]) can be added
+/// ([`Solver::reserve_vars`]) and clauses ([`Solver::add_clause`]) can be added
 /// between runs. Assumptions are decided before anything else and undone
 /// when the run ends; a learnt clause follows from the clauses alone, so
 /// keeping it is sound whatever the next run assumes. The usual shape of a
@@ -116,13 +109,6 @@ impl Solver {
     /// included (diagnostics).
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
-    }
-
-    /// Allocate a fresh variable, returning its index.
-    pub fn new_var(&mut self) -> u32 {
-        let v = self.num_vars();
-        self.reserve_vars(v + 1);
-        v
     }
 
     /// Ensure at least `n` variables exist.
@@ -595,6 +581,22 @@ fn luby(i: u32) -> u32 {
 mod tests {
     use super::*;
     use crate::cnf::Cnf;
+
+    impl SatResult {
+        /// Whether the result is `Sat`.
+        pub(crate) fn is_sat(&self) -> bool {
+            matches!(self, SatResult::Sat(_))
+        }
+    }
+
+    impl Solver {
+        /// Allocate a fresh variable, returning its index.
+        fn new_var(&mut self) -> u32 {
+            let v = self.num_vars();
+            self.reserve_vars(v + 1);
+            v
+        }
+    }
 
     fn cnf_of(num_vars: u32, clauses: &[&[i32]]) -> Cnf {
         // DIMACS-ish: positive k = Lit::pos(k-1), negative = neg.

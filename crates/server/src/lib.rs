@@ -65,6 +65,7 @@ use epilog_persist::{PersistError, ServeError, ServeStats, ServingDb, TxOp};
 use epilog_syntax::parse;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -102,7 +103,8 @@ impl<'a> Session<'a> {
     }
 
     /// Answer one request line. The response is one or more complete
-    /// lines without a trailing newline.
+    /// lines without a trailing newline. A request whose serving panics
+    /// is answered `err internal error: …`, and the session goes on.
     fn handle(&mut self, line: &str) -> (String, Disposition) {
         let line = line.trim();
         let (verb, rest) = match line.split_once(' ') {
@@ -110,6 +112,20 @@ impl<'a> Session<'a> {
             None => (line, ""),
         };
         let reply = match verb {
+            "quit" => return ("ok bye".into(), Disposition::Close),
+            "shutdown" => return ("ok shutting-down".into(), Disposition::ShutdownServer),
+            _ => panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(verb, rest)))
+                .unwrap_or_else(|panic| Err(ServeError::from_panic(panic).to_string())),
+        };
+        match reply {
+            Ok(s) if s.is_empty() => ("ok".into(), Disposition::Continue),
+            Ok(s) => (s, Disposition::Continue),
+            Err(e) => (format!("err {e}"), Disposition::Continue),
+        }
+    }
+
+    fn dispatch(&mut self, verb: &str, rest: &str) -> Result<String, String> {
+        match verb {
             "" => Ok(String::new()),
             "ask" => self.ask(rest),
             "demo" => self.demo(rest),
@@ -123,14 +139,7 @@ impl<'a> Session<'a> {
             "flush" => self.flush(),
             "heal" => self.heal(),
             "stats" => Ok(stats_line(self.db)),
-            "quit" => return ("ok bye".into(), Disposition::Close),
-            "shutdown" => return ("ok shutting-down".into(), Disposition::ShutdownServer),
             _ => Err(format!("unknown request {verb:?}")),
-        };
-        match reply {
-            Ok(s) if s.is_empty() => ("ok".into(), Disposition::Continue),
-            Ok(s) => (s, Disposition::Continue),
-            Err(e) => (format!("err {e}"), Disposition::Continue),
         }
     }
 
@@ -224,6 +233,7 @@ impl<'a> Session<'a> {
         match self.db.add_constraint(ic) {
             Ok(lsn) => Ok(format!("ok constraint @{lsn}")),
             Err(ServeError::Db(e, lsn)) => Err(format!("rejected: {e} @{lsn}")),
+            Err(e @ ServeError::Internal(_)) => Err(e.to_string()),
             Err(e) => Err(format!("rejected: {e}")),
         }
     }
@@ -870,6 +880,39 @@ mod tests {
         );
         assert_eq!(c.request("ask K q(b)").unwrap(), "ok yes @2");
         server.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_request_that_panics_costs_that_request_only() {
+        // Over 100 facts, `K (p(x1) | … | p(x10))` is one open leaf with
+        // ten unbound variables: `prove` walks 100^10 tuples, which
+        // overflows. As a constraint's check it panics the writer's step,
+        // as a read the session's.
+        let d = dir();
+        let facts: Vec<String> = (0..100).map(|i| format!("p(c{i})")).collect();
+        let theory = Theory::from_text(&facts.join("\n")).unwrap();
+        let db = ServingDb::create(&d, theory, Default::default()).unwrap();
+        let server = Server::start(db, "127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        let xs: Vec<String> = (1..=10).map(|i| format!("x{i}")).collect();
+        let ps: Vec<String> = xs.iter().map(|x| format!("p({x})")).collect();
+        let poison = format!("forall {}. ~K ({})", xs.join(", "), ps.join(" | "));
+        let r = c.request(&format!("constraint {poison}")).unwrap();
+        assert!(r.starts_with("err internal"), "got {r}");
+        assert_eq!(c.request("assert p(b)").unwrap(), "ok committed @1 +1 -0");
+        let r = c.request(&format!("demo K ({})", ps.join(" | "))).unwrap();
+        assert!(r.starts_with("err internal"), "got {r}");
+        assert_eq!(c.request("quit").unwrap(), "ok bye");
+        server.shutdown().unwrap();
+        let (db, report) = ServingDb::recover(&d, Default::default()).unwrap();
+        assert_eq!(report.records_replayed, 1, "{report}");
+        assert_eq!(db.snapshot().constraints().len(), 0);
+        assert_eq!(
+            db.snapshot().ask(&parse("K p(b)").unwrap()),
+            epilog_core::Answer::Yes
+        );
+        db.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }
 

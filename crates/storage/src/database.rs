@@ -4,6 +4,7 @@ use crate::relation::{Matches, Relation};
 use crate::Tuple;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A set of ground atoms organised as one [`Relation`] per predicate.
@@ -32,7 +33,7 @@ impl Database {
     }
 
     /// Insert a tuple directly under a predicate.
-    pub fn insert_tuple(&mut self, pred: Pred, t: Tuple) -> bool {
+    pub(crate) fn insert_tuple(&mut self, pred: Pred, t: Tuple) -> bool {
         self.relations
             .entry(pred)
             .or_insert_with(|| Relation::new(pred.arity()))
@@ -104,8 +105,12 @@ impl Database {
 
     /// All tuples of `pred` matching a partial binding pattern, as a
     /// borrowing iterator. Uses any index built for `pred` via
-    /// [`Database::ensure_index`]; otherwise scans.
-    pub fn select<'a>(&'a self, pred: Pred, pattern: &'a [Option<Param>]) -> Matches<'a> {
+    /// `Database::ensure_index`; otherwise scans.
+    pub fn select<'a>(
+        &'a self,
+        pred: Pred,
+        pattern: impl Into<Cow<'a, [Option<Param>]>>,
+    ) -> Matches<'a> {
         self.relations
             .get(&pred)
             .map(|r| r.select(pattern))
@@ -117,12 +122,12 @@ impl Database {
     /// empty relation when `pred` has no tuples yet, so indexes survive the
     /// predicate's first insert — callers handing the database onward as a
     /// set of atoms should [`Database::prune_empty`] afterwards.
-    pub fn ensure_index(&mut self, pred: Pred, col: usize) {
+    pub(crate) fn ensure_index(&mut self, pred: Pred, col: usize) {
         self.relation_mut(pred).ensure_index(col);
     }
 
     /// Drop relations holding no tuples. Index warm-up
-    /// ([`Database::ensure_index`]) can create empty relation entries;
+    /// (`Database::ensure_index`) can create empty relation entries;
     /// semantically a database is a set of atoms, and derived equality /
     /// [`Database::preds`] compare the catalog, so producers prune before
     /// publishing a result.

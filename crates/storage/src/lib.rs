@@ -15,7 +15,7 @@
 //! hashes and prints as that slice, and keeps up to five parameters
 //! inside its own 24 bytes, so deriving, cloning and comparing stored
 //! facts allocates nothing. Relations maintain per-column indexes, built
-//! on demand ([`Relation::ensure_index`]) and from then on updated
+//! on demand (`Relation::ensure_index`) and from then on updated
 //! **incrementally** on every mutation, so selection with any partial
 //! binding pattern stays sub-linear across fixpoint rounds.
 //!

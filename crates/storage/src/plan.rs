@@ -12,7 +12,7 @@
 //! The planner is **cost-based**: a compile reads relation statistics
 //! from a [`Database`] through a [`PlanStats`] view, orders literals by
 //! ascending estimated match count (relation cardinality divided by the
-//! distinct counts of its bound columns, [`Relation::distinct_count`]).
+//! distinct counts of its bound columns, `Relation::distinct_count`).
 //! Over an empty database every estimate is 1, and the tie-break is the
 //! order: most bound columns first, then written order.
 //!
@@ -26,7 +26,6 @@
 //! (`epilog-datalog`'s `RulePlan`); the canonical-model grounder in
 //! `epilog-prover` compiles one per rule body.
 //!
-//! [`Relation::distinct_count`]: crate::relation::Relation::distinct_count
 //! [`Relation::select`]: crate::relation::Relation::select
 
 use crate::database::Database;
@@ -470,7 +469,7 @@ impl ConjunctionPlan {
             total
         };
         step.template.pattern_into(env, pattern);
-        let mut matches = db.select(step.template.pred, pattern);
+        let mut matches = db.select(step.template.pred, &*pattern);
         for tuple in matches.by_ref() {
             for &(c, s) in &step.binders {
                 env[s] = Some(tuple[c]);

@@ -5,18 +5,20 @@
 use crate::runset::{self, RunSet};
 use crate::Tuple;
 use epilog_syntax::Param;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// A selection pattern: per column, either a required parameter or a
 /// wildcard. [`Relation::select`] borrows it as a slice, so a join can
-/// refill one buffer per step instead of allocating a pattern per row.
+/// refill one buffer per step instead of allocating a pattern per row; a
+/// caller whose iterator outlives its buffer hands the pattern over.
 pub type Selection = Vec<Option<Param>>;
 
 /// A relation instance: a set of tuples of a fixed arity.
 ///
 /// Tuples iterate in lexicographic order (important for the
 /// reproducibility of every experiment). Per-column indexes are built on
-/// demand via [`Relation::ensure_index`] and from then on maintained
+/// demand via `Relation::ensure_index` and from then on maintained
 /// **incrementally** by `insert`/`insert_ascending`/`remove` — a mutation never
 /// tears an index down, which is what lets the semi-naive fixpoint keep
 /// its indexes warm across iterations.
@@ -139,7 +141,7 @@ impl ColumnIndex {
 /// deterministic (lexicographic within the probed key) order.
 pub struct Matches<'a> {
     inner: MatchesInner<'a>,
-    pattern: &'a [Option<Param>],
+    pattern: Cow<'a, [Option<Param>]>,
     examined: u64,
 }
 
@@ -161,7 +163,7 @@ impl<'a> Matches<'a> {
     pub fn empty() -> Matches<'a> {
         Matches {
             inner: MatchesInner::Empty,
-            pattern: &[],
+            pattern: Cow::Borrowed(&[]),
             examined: 0,
         }
     }
@@ -194,7 +196,7 @@ impl<'a> Iterator for Matches<'a> {
                 return None;
             };
             self.examined += 1;
-            if Relation::matches(t, self.pattern) {
+            if Relation::matches(t, &self.pattern) {
                 return Some(t);
             }
         }
@@ -327,15 +329,10 @@ impl Relation {
     /// Index column `c` if it is not indexed yet; once it is, the index
     /// is maintained incrementally by every mutation (column 0: marked
     /// and counted only, see the cost model — nothing observable differs).
-    pub fn ensure_index(&mut self, c: usize) {
+    pub(crate) fn ensure_index(&mut self, c: usize) {
         if self.indexes[c].is_none() {
             self.indexes[c] = Some(ColumnIndex::build(&self.tuples, c));
         }
-    }
-
-    /// Whether the index for column `c` has been built.
-    pub fn has_index(&self, c: usize) -> bool {
-        self.indexes[c].is_some()
     }
 
     /// Number of distinct parameters in column `c` — the per-column
@@ -344,7 +341,7 @@ impl Relation {
     /// exact under any insert/remove history); otherwise one scan
     /// collects the column and a sort counts its distinct values.
     /// Planners call this once per plan compilation, not per probe.
-    pub fn distinct_count(&self, c: usize) -> usize {
+    pub(crate) fn distinct_count(&self, c: usize) -> usize {
         if let Some(idx) = &self.indexes[c] {
             return idx.distinct;
         }
@@ -361,9 +358,11 @@ impl Relation {
     /// tuple set, whatever indexes are built, yielding the tuple if it is
     /// stored ([`Matches::examined`] is then 1, else 0). Any other pattern
     /// probes the first bound column whose index is built (see
-    /// [`Relation::ensure_index`]) and filters residually; with no usable
-    /// index this is a full scan.
-    pub fn select<'a>(&'a self, pattern: &'a [Option<Param>]) -> Matches<'a> {
+    /// `Relation::ensure_index`) and filters residually; with no usable
+    /// index this is a full scan. The iterator borrows the pattern, or
+    /// keeps it when handed a [`Selection`].
+    pub fn select<'a>(&'a self, pattern: impl Into<Cow<'a, [Option<Param>]>>) -> Matches<'a> {
+        let pattern = pattern.into();
         assert_eq!(pattern.len(), self.arity, "selection arity mismatch");
         let probed = pattern
             .iter()
@@ -431,6 +430,13 @@ impl FromIterator<Tuple> for Relation {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Relation {
+        /// Whether the index for column `c` has been built.
+        pub(crate) fn has_index(&self, c: usize) -> bool {
+            self.indexes[c].is_some()
+        }
+    }
 
     fn p(n: &str) -> Param {
         Param::new(n)
@@ -850,7 +856,7 @@ mod tests {
                 let explicit: RunSet<_> = r.tuples.iter().map(|t| (t[0], t.clone())).collect();
                 let mut oracle = Matches {
                     inner: MatchesInner::Probe(explicit.iter_from(|e| e.0 < key), key),
-                    pattern,
+                    pattern: pattern.into(),
                     examined: 0,
                 };
                 let mut it = r.select(pattern);

@@ -3,15 +3,15 @@
 //! | class | paper | function |
 //! |---|---|---|
 //! | first-order (FOPCE) | §2 | [`is_first_order`] |
-//! | modal | §5.1 | [`is_modal`] |
+//! | modal | §5.1 | `is_modal` |
 //! | subjective | Def. 5.2 | [`is_subjective`] |
 //! | safe | Def. 5.1 | [`is_safe`] / [`safety`] |
 //! | admissible | Def. 5.3 | [`is_admissible`] / [`admissibility`] |
 //! | K₁ (no iterated modalities) | §5.3 | [`is_k1`] |
 //! | normal query | §5.2 | [`is_normal_query`] |
 //! | positive existential | Def. 6.3 | [`is_positive_existential`] |
-//! | rule | Def. 6.3 | [`is_rule`] |
-//! | elementary sentence/theory | Def. 6.3 | [`is_elementary_sentence`] |
+//! | rule | Def. 6.3 | `is_rule` |
+//! | elementary sentence/theory | Def. 6.3 | `is_elementary_sentence` |
 //! | disjunctively linked variables | Def. 6.4 | [`disjunctively_linked`] |
 //! | almost admissible wrt `F` | Def. 6.2 | [`almost_admissible`] |
 //!
@@ -36,7 +36,7 @@ pub fn is_first_order(w: &Formula) -> bool {
 }
 
 /// Whether `w` mentions `K` at least once (the paper's `modal(w)`).
-pub fn is_modal(w: &Formula) -> bool {
+pub(crate) fn is_modal(w: &Formula) -> bool {
     w.subformulas()
         .iter()
         .any(|s| matches!(s, Formula::Know(_)))
@@ -344,12 +344,14 @@ pub fn is_positive_existential(w: &Formula) -> bool {
 /// `(∀x̄)(A ⊃ B)` where `A` is a conjunction of non-equality atoms, `B` is
 /// positive existential, and every variable of `x̄` occurs free in `A`
 /// (range restriction).
-pub fn is_rule(w: &Formula) -> bool {
+pub(crate) fn is_rule(w: &Formula) -> bool {
     decompose_rule(w).is_some()
 }
 
 /// Decompose a rule into `(x̄, A-atoms, B)`; `None` if `w` is not a rule.
-pub fn decompose_rule(w: &Formula) -> Option<(Vec<Var>, Vec<crate::formula::Atom>, &Formula)> {
+pub(crate) fn decompose_rule(
+    w: &Formula,
+) -> Option<(Vec<Var>, Vec<crate::formula::Atom>, &Formula)> {
     let mut vars = Vec::new();
     let mut cur = w;
     while let Formula::Forall(x, body) = cur {
@@ -401,7 +403,7 @@ pub fn decompose_rule(w: &Formula) -> Option<(Vec<Var>, Vec<crate::formula::Atom
 /// Whether `w` is an **elementary sentence** (Definition 6.3): a positive
 /// existential sentence or a rule. Elementary *theories* are sets of
 /// elementary sentences; they make no mention of equality.
-pub fn is_elementary_sentence(w: &Formula) -> bool {
+pub(crate) fn is_elementary_sentence(w: &Formula) -> bool {
     (w.is_sentence() && is_positive_existential(w)) || is_rule(w)
 }
 

@@ -352,13 +352,6 @@ impl Formula {
         }
     }
 
-    /// Substitute a single variable by a parameter: the paper's `w|ᵖₓ`.
-    pub fn subst1(&self, x: Var, p: Param) -> Formula {
-        let mut m = HashMap::new();
-        m.insert(x, Term::Param(p));
-        self.subst(&m)
-    }
-
     /// Substitute a tuple of parameters for the formula's free variables in
     /// the order returned by [`Formula::free_vars`]: the paper's `w|p̄x̄`.
     ///
@@ -596,7 +589,7 @@ mod tests {
     fn subst_binds_only_free() {
         let x = v("x");
         let w = Formula::and(teach(x, p("CS")), Formula::exists(x, teach(x, p("Math"))));
-        let s = w.subst1(x, p("John"));
+        let s = w.subst(&HashMap::from([(x, Term::Param(p("John")))]));
         assert_eq!(
             s.to_string(),
             "Teach(John, CS) & (exists x. Teach(x, Math))"

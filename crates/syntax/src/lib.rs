@@ -39,9 +39,8 @@ pub mod theory;
 pub mod transform;
 
 pub use classify::{
-    admissibility, disjunctively_linked, is_admissible, is_elementary_sentence, is_first_order,
-    is_k1, is_modal, is_normal_query, is_positive_existential, is_rule, is_safe, is_subjective,
-    Admissibility, UnsafeReason,
+    admissibility, disjunctively_linked, is_admissible, is_first_order, is_k1, is_normal_query,
+    is_positive_existential, is_safe, is_subjective, Admissibility, UnsafeReason,
 };
 pub use formula::{Atom, Formula};
 pub use parse::{parse, parse_theory, ParseError};

@@ -220,17 +220,6 @@ impl Theory {
             .filter(|s| decompose_rule(s).is_none())
             .collect()
     }
-
-    /// The ground atomic sentences among the facts (the extensional core).
-    pub fn ground_atoms(&self) -> Vec<Atom> {
-        self.sentences
-            .iter()
-            .filter_map(|s| match &**s {
-                Formula::Atom(a) if a.is_ground() => Some(a.clone()),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for Theory {
@@ -328,7 +317,7 @@ mod tests {
         .unwrap();
         assert_eq!(t.rules().len(), 1);
         assert_eq!(t.facts().len(), 2);
-        assert_eq!(t.ground_atoms().len(), 1);
+        assert!(matches!(t.facts()[0], Formula::Atom(_)));
         let rule = &t.rules()[0];
         assert_eq!(rule.vars.len(), 1);
         assert_eq!(rule.body.len(), 1);

@@ -318,6 +318,9 @@ fn chaos_crash_recover_continue_soak() {
                     Err(e @ ServeError::Closed(_)) => {
                         panic!("writer died mid-soak: {e}")
                     }
+                    Err(e @ ServeError::Internal(_)) => {
+                        panic!("a commit panicked mid-soak: {e}")
+                    }
                 }
             }
 

@@ -13,6 +13,13 @@
 //! individuals), keeping the bounded-universe approximation aligned with
 //! the prover's witness semantics at quantifier depth ≤ 1 — which is all
 //! the generated queries use.
+//!
+//! `demo` runs its clauses as compiled steps, answering from the least
+//! model where the prover carries one. [`clauses`] transliterates the five
+//! clauses as an interpreter instead, every first-order subformula going
+//! to `prove`; the two must give the same answers in the same order, with
+//! the same repetitions, on the generators above widened with a binary
+//! predicate and two-variable conjunctions.
 
 use epilog::core::ask::certain;
 use epilog::core::{demo, demo_sentence, DemoOutcome};
@@ -198,5 +205,142 @@ proptest! {
             certain(db.prover(), &Formula::not(w.clone())),
         );
         prop_assert_eq!(db.ask(&w), two_passes, "`{}` over\n{}", q, t);
+    }
+}
+
+/// `demo`'s five clauses, transliterated: the success/fail/redo protocol
+/// as a lazy iterator of binding environments, backtracking as iterator
+/// composition, every first-order subformula put to `prove` with the
+/// bindings made so far substituted.
+mod clauses {
+    use epilog::prelude::*;
+    use epilog::prover::AnswerIter;
+    use epilog::syntax::{is_first_order, transform};
+    use std::collections::HashMap;
+
+    type Env = HashMap<Var, Param>;
+
+    /// The answers of `demo(w, Σ)`, aligned with `w.free_vars()`.
+    pub fn demo<'a>(prover: &'a Prover, w: &Formula) -> impl Iterator<Item = Vec<Param>> + 'a {
+        let vars = w.free_vars();
+        stream(prover, kernel_modal(w), Env::new())
+            .map(move |env| vars.iter().map(|v| env[v]).collect())
+    }
+
+    /// Expand `∨ ⊃ ≡ ∀` in modal positions, leaving first-order subtrees
+    /// whole.
+    fn kernel_modal(w: &Formula) -> Formula {
+        if is_first_order(w) {
+            return w.clone();
+        }
+        match w {
+            Formula::Not(a) => Formula::not(kernel_modal(a)),
+            Formula::Know(a) => Formula::know(kernel_modal(a)),
+            Formula::And(a, b) => Formula::and(kernel_modal(a), kernel_modal(b)),
+            Formula::Exists(x, a) => Formula::exists(*x, kernel_modal(a)),
+            _ => kernel_modal(&transform::kernel_top(w)),
+        }
+    }
+
+    fn stream<'a>(prover: &'a Prover, w: Formula, env: Env) -> Box<dyn Iterator<Item = Env> + 'a> {
+        // demo(f, Σ) ← first-order(f), prove(f, Σ).
+        if is_first_order(&w) {
+            let map = env.iter().map(|(v, p)| (*v, Term::Param(*p))).collect();
+            let bound = w.subst(&map);
+            let free = bound.free_vars();
+            return Box::new(AnswerIter::new(prover, &bound).map(move |tuple| {
+                let mut env = env.clone();
+                env.extend(free.iter().copied().zip(tuple));
+                env
+            }));
+        }
+        match w {
+            // demo(¬w, Σ) ← modal(w), not demo(w, Σ).
+            Formula::Not(inner) => {
+                if stream(prover, *inner, env.clone()).next().is_none() {
+                    Box::new(std::iter::once(env))
+                } else {
+                    Box::new(std::iter::empty())
+                }
+            }
+            // demo(Kw, Σ) ← demo(w, Σ).
+            // demo((∃x)w, Σ) ← modal(w), demo(w, Σ).
+            Formula::Know(inner) | Formula::Exists(_, inner) => stream(prover, *inner, env),
+            // demo(w₁ ∧ w₂, Σ) ← modal(w₁ ∧ w₂), demo(w₁, Σ), demo(w₂, Σ).
+            Formula::And(a, b) => {
+                let b = *b;
+                Box::new(
+                    stream(prover, *a, env).flat_map(move |env| stream(prover, b.clone(), env)),
+                )
+            }
+            other => unreachable!("admissible kernel form has no `{other}`"),
+        }
+    }
+}
+
+/// The database sentences, plus facts and a rule over the binary `e`.
+fn wide_theory_strategy() -> impl Strategy<Value = Theory> {
+    let edge = (0..PARAMS.len(), 0..PARAMS.len())
+        .prop_map(|(a, b)| format!("e({}, {})", PARAMS[a], PARAMS[b]));
+    let sentence = prop_oneof![
+        2 => sentence_strategy(),
+        3 => edge,
+        1 => (0..2usize).prop_map(|i| format!("forall x, y. e(x, y) -> {}(y)", ["p", "q"][i])),
+        1 => Just("forall x, y. e(x, y) -> e(y, x)".to_string()),
+    ];
+    proptest::collection::vec(sentence, 0..7)
+        .prop_map(|sentences| Theory::from_text(&sentences.join("\n")).unwrap())
+}
+
+/// The E5 queries, plus queries over `e` and two-variable conjunctions:
+/// answers whose column order is not their variable order, repeated
+/// variables, bindings that flow into a negation or into a closed
+/// positive `K`-formula, and cross products that repeat answers.
+fn wide_query_strategy() -> impl Strategy<Value = String> {
+    const SHAPES: [&str; 14] = [
+        "K e(x, y)",
+        "K e(y, x)",
+        "K e(x, x)",
+        "K e(A, x)",
+        "K e(x, y) & K P(y)",
+        "K P(x) & K e(y, x)",
+        "K e(x, y) & ~K e(y, x)",
+        "K P(x) & K Q(y)",
+        "K e(x, y) & K (exists z. e(y, z) & Q(z))",
+        "K P(x) & K (e(x, A) | e(A, x))",
+        "exists y. K e(x, y) & ~K P(y)",
+        "P(x) & K e(x, y)",
+        "K (e(x, y) & Q(y))",
+        "K e(x, y) & K e(y, z) & ~K (x = z)",
+    ];
+    prop_oneof![
+        1 => query_strategy(),
+        2 => (0..SHAPES.len(), 0..2usize, 0..2usize, 0..PARAMS.len()).prop_map(|(i, p, q, a)| {
+            SHAPES[i]
+                .replace('P', ["p", "q"][p])
+                .replace('Q', ["p", "q"][q])
+                .replace('A', PARAMS[a])
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The compiled steps answer as the five clauses do, answer for answer
+    /// — in order, with repetitions — on a prover without a least model
+    /// and on the one `prover_for` routes through it.
+    #[test]
+    fn compiled_demo_matches_the_five_clauses(t in wide_theory_strategy(), q in wide_query_strategy()) {
+        let w = parse(&q).unwrap();
+        prop_assume!(is_admissible(&w));
+        for prover in [Prover::new(t.clone()), epilog::core::prover_for(t.clone())] {
+            let compiled: Vec<_> = demo(&prover, &w).unwrap().take(64).collect();
+            let reference: Vec<_> = clauses::demo(&prover, &w).take(64).collect();
+            prop_assert_eq!(
+                &compiled, &reference,
+                "`{}` over\n{}\n(least model: {})", q, t, prover.atom_model().is_some()
+            );
+        }
     }
 }

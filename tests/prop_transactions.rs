@@ -11,7 +11,7 @@
 //! a refused batch leaves the database observably untouched.
 
 use epilog::core::ask::{answers, certain};
-use epilog::core::{prover_for, CompiledConstraint, ModelDiff};
+use epilog::core::{prover_for, CompiledConstraint};
 use epilog::prelude::*;
 use epilog::syntax::formula::Atom;
 use proptest::prelude::*;
@@ -184,7 +184,6 @@ fn rejections_match_oracle(
         let batch: Vec<(bool, Formula)> = raw_batch.iter().map(|op| to_op(*op)).collect();
         let candidate = replay(db.theory(), &batch);
         let prover = prover_for(candidate.clone());
-        plan_matches_demo(db.prover(), &prover)?;
         let unconstrained = EpistemicDb::new(candidate);
         for (i, ic) in constraints().into_iter().enumerate() {
             match (
@@ -237,35 +236,6 @@ fn rejections_match_oracle(
     Ok(())
 }
 
-/// Every pool constraint's plan against the `demo` route on `candidate`:
-/// the full check, and every instance the model diff from `before` seeds
-/// (only the full check when either state has no least model, and
-/// nothing when the candidate has none — no plan runs there). The first
-/// answers must agree: verdict, bindings and witnesses.
-fn plan_matches_demo(before: &Prover, candidate: &Prover) -> Result<(), TestCaseError> {
-    let diff = match (before.atom_model(), candidate.atom_model()) {
-        (Some(old), Some(new)) => Some(ModelDiff {
-            added: new.difference(old),
-            removed: old.difference(new),
-        }),
-        _ => None,
-    };
-    for ic in constraints() {
-        let compiled = CompiledConstraint::compile(&ic);
-        match compiled.compare_plan_with_demo(candidate, diff.as_ref()) {
-            Ok(runs) => prop_assert_eq!(
-                runs == 0,
-                candidate.atom_model().is_none(),
-                "{} ran {} times",
-                ic,
-                runs
-            ),
-            Err(disagreement) => prop_assert!(false, "{}", disagreement),
-        }
-    }
-    Ok(())
-}
-
 /// A ground-facts-only op (no existentials), retract-weighted: 3 of 4
 /// kinds retract, so batches drain the seeded registrar and exercise the
 /// over-delete/re-derive path far more often than growth.
@@ -293,12 +263,12 @@ fn batches() -> impl Strategy<Value = (u8, Vec<Vec<RawOp>>)> {
 }
 
 /// Every constraint of the pool compiles, so facts-only commits check
-/// each on the model diff rather than in full, and through its plan.
+/// each on the model diff rather than in full.
 #[test]
 fn every_pool_constraint_is_routed() {
     for ic in constraints() {
         let compiled = CompiledConstraint::compile(&ic);
-        assert!(compiled.is_routed() && compiled.has_plan(), "{ic}");
+        assert!(compiled.is_routed(), "{ic}");
     }
 }
 
@@ -444,16 +414,15 @@ proptest! {
         prop_assert!(db.satisfies_constraints());
     }
 
-    /// The commit path decides constraints with their plans over the
-    /// least model, and with `demo` off it (violation instances on the
-    /// routed path, the whole violation on the full one, the open
-    /// violation body for witnesses); the Levesque reduction is the
+    /// The commit path decides constraints with `demo` (violation
+    /// instances on the routed path, the whole violation on the full one,
+    /// the open violation body for witnesses), answered from the least
+    /// model where there is one; the Levesque reduction is the
     /// independent oracle. On assert-heavy streams (rule subsets,
     /// existential facts that leave the definite fragment) and on
     /// retract-heavy streams over a seeded registrar, every verdict, the
     /// constraint a rejection names and its witnesses must be the
-    /// oracle's — and at every candidate state, each plan's first answer
-    /// must be `demo`'s, on the full check and on every seeded instance.
+    /// oracle's.
     #[test]
     fn demo_checked_commits_match_the_certain_oracle(
         (mask, grow) in batches(),

@@ -245,7 +245,9 @@ fn run(stream: &[Op], split: &[usize], fault: Fault, exit: Exit, dirs: &Dirs) ->
                 "{ctx}: the writer refused {op:?}, which the oracle accepts"
             ),
             (_, Err(ServeError::Io(_) | ServeError::Degraded(_))) => {}
-            (op, Err(e @ ServeError::Closed(_))) => panic!("{ctx}: {op:?} answered {e}"),
+            (op, Err(e @ (ServeError::Closed(_) | ServeError::Internal(_)))) => {
+                panic!("{ctx}: {op:?} answered {e}")
+            }
         }
     }
 
