@@ -95,8 +95,8 @@ mod tests {
     fn routed_and_plain_closures_agree_despite_index_warmup() {
         use crate::closure::ClosedDb;
         use epilog_prover::Prover;
-        // `e` is a body predicate with no facts: the engine's index
-        // warm-up must not surface a phantom empty relation in the world.
+        // `e` is a body predicate with no facts: probing it must not
+        // surface a phantom empty relation in the world.
         let src = "f(b)\nforall x. e(a, x) -> g(x)";
         let theory = Theory::from_text(src).unwrap();
         let routed = prover_for(theory.clone());

@@ -43,10 +43,11 @@
 //! expanding its quantifiers over the domain; a `K`-formula with an
 //! unbound free variable, and every leaf on a prover without a model,
 //! goes to `prove`. A constraint outside the fragment is checked by
-//! `demo` on its admissible rewrite, or by [`certain`] when it has none.
+//! `demo` on its admissible rewrite, compiled once at registration too,
+//! or by [`certain`] when it has none.
 
 use crate::ask::certain;
-use crate::demo::{demo, Goal, Slots};
+use crate::demo::{Goal, Slots};
 use epilog_prover::Prover;
 use epilog_storage::{AtomTemplate, Database, PatTerm, SlotMap};
 use epilog_syntax::formula::{Atom, Formula};
@@ -57,10 +58,21 @@ use epilog_syntax::{admissibility, admissible_constraint, is_first_order, Param,
 pub struct CompiledConstraint {
     /// The constraint sentence, as registered.
     pub original: Formula,
-    /// Its violation `∃x̄ body`; `None` outside the admissible fragment
-    /// this module specializes, where a check runs in full, as
-    /// [`crate::ic_satisfaction`] does.
-    violation: Option<Violation>,
+    check: Check,
+}
+
+/// How a constraint is checked, decided when it is compiled.
+#[derive(Debug, Clone)]
+enum Check {
+    /// In the fragment this module specializes: its violation `∃x̄ body`,
+    /// checked on the instances a diff fires, or in full.
+    Routed(Violation),
+    /// Outside it, with an admissible rewrite: `demo`'s steps for the
+    /// rewrite, checked in full as [`crate::ic_satisfaction`] does — the
+    /// constraint holds iff they have an answer.
+    Rewrite(Goal),
+    /// With no admissible rewrite: the Levesque reduction, [`certain`].
+    Certain,
 }
 
 /// The violation `∃x̄ body` of a constraint whose `¬∃x̄ body` rewrite is
@@ -96,16 +108,26 @@ struct Patterns {
 impl CompiledConstraint {
     /// Compile a constraint (in natural `∀/⊃` or already-rewritten form).
     pub fn compile(ic: &Formula) -> Self {
+        // One rewrite per constraint: renaming its quantifiers apart
+        // interns fresh variable names, which are never freed.
+        let rewritten = admissible_constraint(ic);
+        let check = if !admissibility(&rewritten).is_admissible() {
+            Check::Certain
+        } else if let Some(v) = Violation::of(&rewritten) {
+            Check::Routed(v)
+        } else {
+            Check::Rewrite(Goal::compile(&rewritten, SlotMap::new()))
+        };
         CompiledConstraint {
             original: ic.clone(),
-            violation: Violation::of(ic),
+            check,
         }
     }
 
     /// Whether the constraint is in the `¬∃x̄ body` fragment, so a commit
     /// with a model diff checks it on the instances the diff fires only.
     pub fn is_routed(&self) -> bool {
-        self.violation.is_some()
+        matches!(self.check, Check::Routed(_))
     }
 
     /// Check the constraint in full against `prover`'s state: `None` when
@@ -117,37 +139,37 @@ impl CompiledConstraint {
     pub(crate) fn violated(&self, prover: &Prover) -> Option<Vec<Atom>> {
         // Theorem 5.1 is about satisfiable databases; an unsatisfiable one
         // entails every sentence.
-        if let Some(v) = &self.violation {
-            if !prover.satisfiable() {
-                return None;
+        let holds = match &self.check {
+            Check::Routed(v) => {
+                if !prover.satisfiable() {
+                    return None;
+                }
+                let answer = v.body.first(prover, v.body.unbound())?;
+                return Some(v.witnesses_of(&answer));
             }
-            let answer = v.body.first(prover, v.body.unbound())?;
-            return Some(v.witnesses_of(&answer));
-        }
-        // Outside the fragment: `demo` on an admissible rewrite, the
-        // Levesque reduction on any other.
-        let holds = match demo(prover, &admissible_constraint(&self.original)) {
-            Ok(mut answers) => !prover.satisfiable() || answers.next().is_some(),
-            Err(_) => certain(prover, &self.original),
+            Check::Rewrite(goal) => {
+                !prover.satisfiable() || goal.first(prover, goal.unbound()).is_some()
+            }
+            Check::Certain => certain(prover, &self.original),
         };
         (!holds).then(Vec::new)
     }
 }
 
 impl Violation {
-    /// The violation of `ic`, when its rewrite is in the fragment.
-    fn of(ic: &Formula) -> Option<Self> {
-        let rewritten = admissible_constraint(ic);
-        // `demo` fails on `body` iff it succeeds on an admissible modal
-        // rewrite; a first-order one would go to `prove` whole.
-        if !admissibility(&rewritten).is_admissible() || is_first_order(&rewritten) {
+    /// The violation of a constraint whose rewrite `rewritten` is
+    /// admissible, when that is in the fragment.
+    fn of(rewritten: &Formula) -> Option<Self> {
+        // `demo` fails on `body` iff it succeeds on the modal rewrite; a
+        // first-order one would go to `prove` whole.
+        if is_first_order(rewritten) {
             return None;
         }
         let Formula::Not(inner) = rewritten else {
             return None;
         };
         let mut vars = Vec::new();
-        let mut body = *inner;
+        let mut body = (**inner).clone();
         while let Formula::Exists(x, b) = body {
             vars.push(x);
             body = *b;
@@ -274,8 +296,8 @@ pub(crate) fn check<'c>(
     stats: &mut CheckStats,
 ) -> Option<(&'c Formula, Vec<Atom>)> {
     constraints.iter().find_map(|c| {
-        let witnesses = match (&c.violation, diff) {
-            (Some(v), Some(diff)) => {
+        let witnesses = match (&c.check, diff) {
+            (Check::Routed(v), Some(diff)) => {
                 let mut seeds = v.seeds(diff).peekable();
                 if seeds.peek().is_none() {
                     stats.skipped += 1;
@@ -368,8 +390,10 @@ mod tests {
 
     /// The patterns of a constraint in the fragment.
     fn patterns(ic: &str) -> Patterns {
-        let c = CompiledConstraint::compile(&parse(ic).unwrap());
-        c.violation.expect("in the fragment").patterns
+        match CompiledConstraint::compile(&parse(ic).unwrap()).check {
+            Check::Routed(v) => v.patterns,
+            _ => panic!("{ic} is not in the fragment"),
+        }
     }
 
     fn diff(added: &[&str], removed: &[&str]) -> ModelDiff {

@@ -3,9 +3,9 @@
 //!
 //! Every rule is compiled **once** before the fixpoint starts (dense
 //! variable slots, cost-ordered literals, precomputed selection
-//! shapes — see [`crate::plan`]), and the storage indexes the plans probe
-//! are built once per fixpoint and maintained incrementally as facts are
-//! inserted. Semi-naive rounds advance an explicit
+//! shapes — see [`crate::plan`]). Storage builds the index a plan step
+//! probes on its first probe and maintains it incrementally as facts are
+//! inserted; the engine names no index. Semi-naive rounds advance an explicit
 //! [`DeltaDatabase`] stable/delta split: round 1 runs each rule's full
 //! plan, and every later round runs one plan variant per body atom whose
 //! predicate actually gained facts — variants whose delta relation is
@@ -140,9 +140,6 @@ impl Program {
         } else {
             fix_naive(&plans, &mut db, &mut stats);
         }
-        // Index warm-up may have created empty relations for body
-        // predicates without facts; the result is a set of atoms.
-        db.prune_empty();
         (db, stats)
     }
 
@@ -175,16 +172,8 @@ impl Program {
         debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
         let mut stats = EvalStats::default();
         let mut ddb = DeltaDatabase::resume(model, new_facts);
-        {
-            let (total, _) = ddb.parts_mut();
-            for plan in plans {
-                plan.ensure_total_indexes(total);
-            }
-        }
         seminaive_rounds(plans, &mut ddb, false, &mut stats, |_| {});
-        let mut db = ddb.into_total();
-        db.prune_empty();
-        (db, stats)
+        (ddb.into_total(), stats)
     }
 
     /// Shrink the least model after a retraction, without recomputing it
@@ -235,21 +224,8 @@ impl Program {
         if deleted.advance(seed) == 0 {
             return (model, stats);
         }
-        for plan in plans {
-            plan.ensure_total_indexes(&mut model);
-        }
         while !deleted.delta().is_empty() {
             stats.iterations += 1;
-            {
-                // Delta-side index warm-up; the deleted split is disjoint
-                // from `model`, so both borrows are independent.
-                let (_, delta) = deleted.parts_mut();
-                for plan in plans {
-                    for (_, variant) in &plan.variants {
-                        variant.ensure_indexes(&mut model, Some(delta));
-                    }
-                }
-            }
             let mut next = Heads::default();
             fire_delta_variants(plans, &model, deleted.delta(), &mut next, &mut stats);
             // Every candidate is already in the model (the model is closed
@@ -270,9 +246,6 @@ impl Program {
         // Phase 3 — find the survivors: extensional membership in the
         // post-retraction EDB, or an alternative derivation found by the
         // prebound support plan.
-        for plan in plans {
-            plan.ensure_support_indexes(&mut model);
-        }
         let mut seeds = Vec::new();
         for (pred, rel) in deleted.relations() {
             let mut survivors = Vec::new();
@@ -309,12 +282,6 @@ impl Program {
         // was closed before the prune), so it reuses the delta variants.
         let mut ddb = DeltaDatabase::new(model);
         ddb.advance(seeds);
-        {
-            let (total, _) = ddb.parts_mut();
-            for plan in plans {
-                plan.ensure_total_indexes(total);
-            }
-        }
         seminaive_rounds(plans, &mut ddb, false, &mut stats, |_| {});
         let mut db = ddb.into_total();
         stats.tuples_rederived = deleted
@@ -335,14 +302,6 @@ pub(crate) fn fix_seminaive(
     on_round: impl FnMut(&Database),
 ) -> Database {
     let mut ddb = DeltaDatabase::new(db);
-    // Warm the total-side indexes once; incremental maintenance keeps
-    // them fresh as `advance` inserts each round's facts.
-    {
-        let (total, _) = ddb.parts_mut();
-        for plan in plans {
-            plan.ensure_total_indexes(total);
-        }
-    }
     seminaive_rounds(plans, &mut ddb, true, stats, on_round);
     ddb.into_total()
 }
@@ -371,17 +330,6 @@ fn seminaive_rounds(
             first_round = false;
             fire_full_plans(plans, ddb.total(), &mut new_facts, stats);
         } else {
-            // The delta was replaced by `advance` (or pre-seeded by the
-            // caller): rebuild the (rare) constant-probed delta-side
-            // indexes.
-            {
-                let (total, delta) = ddb.parts_mut();
-                for plan in plans {
-                    for (_, variant) in &plan.variants {
-                        variant.ensure_indexes(total, Some(delta));
-                    }
-                }
-            }
             fire_delta_variants(plans, ddb.total(), ddb.delta(), &mut new_facts, stats);
         }
         if ddb.advance(new_facts.into_batches()) == 0 {
@@ -393,9 +341,6 @@ fn seminaive_rounds(
 
 /// Naive fixpoint: every rule's full plan, every round.
 fn fix_naive(plans: &[RulePlan], db: &mut Database, stats: &mut EvalStats) {
-    for plan in plans {
-        plan.ensure_total_indexes(db);
-    }
     loop {
         stats.iterations += 1;
         let mut new_facts = Heads::default();
@@ -913,7 +858,7 @@ mod tests {
 
     #[test]
     fn no_phantom_relations_from_index_warmup() {
-        // Body predicate `e` has no facts; index warm-up must not leave an
+        // Body predicate `e` has no facts; probing it must not leave an
         // empty `e` relation in the result (it would break Database
         // equality and preds() for downstream oracles).
         let p = Program::from_text("f(b)\nforall x. e(a, x) -> g(x)").unwrap();

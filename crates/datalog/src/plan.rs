@@ -112,21 +112,6 @@ impl RulePlan {
         true
     }
 
-    /// Warm up the total-side indexes every variant probes.
-    pub(crate) fn ensure_total_indexes(&self, total: &mut Database) {
-        self.full.ensure_indexes(total, None);
-        for (_, v) in &self.variants {
-            v.ensure_indexes(total, None);
-        }
-    }
-
-    /// Warm up the indexes the support variant probes. Kept separate from
-    /// [`RulePlan::ensure_total_indexes`]: the assert-only path never runs
-    /// support queries and should not pay for their indexes.
-    pub(crate) fn ensure_support_indexes(&self, total: &mut Database) {
-        self.support.ensure_indexes(total, None);
-    }
-
     /// Render an atom template back to source-ish text using the plan's
     /// slot-numbered variable names.
     fn render(&self, t: &AtomTemplate) -> String {
@@ -253,7 +238,6 @@ mod tests {
                 other => panic!("not an atom: {other}"),
             };
         }
-        plan.ensure_support_indexes(&mut db);
         let supported = |t: &[Param], db: &Database| {
             let mut env = vec![None; plan.slots.len()];
             assert!(plan.bind_head(t, &mut env));

@@ -47,15 +47,12 @@ impl crate::Program {
                 first_seen.extend(rel.iter().map(|t| (t.clone(), round)));
             }
         };
-        let mut model = fix_seminaive(
+        let model = fix_seminaive(
             &plans,
             self.edb.clone(),
             &mut EvalStats::default(),
             on_round,
         );
-        for plan in &plans {
-            plan.ensure_support_indexes(&mut model);
-        }
         let walk = Walk {
             plans: &plans,
             edb: &self.edb,
@@ -295,7 +292,6 @@ fn fires_over(prog: &crate::Program, rule_idx: usize, atom: &Atom, premises: &[P
     let Some(target) = params_of(atom).filter(|_| plan.head.pred == atom.pred) else {
         return false;
     };
-    plan.ensure_total_indexes(&mut world);
     let mut derived = false;
     let mut env = vec![None; plan.slots.len()];
     plan.full
@@ -363,9 +359,6 @@ mod tests {
             .map(|r| RulePlan::compile(r, &prog.edb))
             .collect();
         let mut db = prog.edb.clone();
-        for plan in &plans {
-            plan.ensure_total_indexes(&mut db);
-        }
         let mut first: Vec<(Atom, usize)> = db.atoms().map(|a| (a, 0)).collect();
         let mut round = 0;
         loop {

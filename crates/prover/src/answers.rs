@@ -40,8 +40,8 @@ impl<'a> AnswerIter<'a> {
     ///
     /// * a least model the prover carries ([`Prover::with_atom_model`])
     ///   holds exactly the entailed ground atoms, so the atom's constants
-    ///   select the answers from its relation (through a column index
-    ///   where one is built) and no candidate is ever put to `entails`;
+    ///   select the answers from its relation (a probe of the first
+    ///   constant's column) and no candidate is ever put to `entails`;
     /// * otherwise the model kept with the grounding of `Σ` bounds them:
     ///   an instance false in that model is refuted by it, one ground `Σ`
     ///   never mentions is free in it, and neither is entailed by a
@@ -65,8 +65,8 @@ impl<'a> AnswerIter<'a> {
         if let (Some(atom), Some(model)) = (open_atom, prover.atom_model()) {
             // Parameters of the least model are parameters of `Σ`, so
             // their order is their position in the sorted active domain.
-            // The selection applies the atom's constants, through a
-            // column index where one is built.
+            // The selection probes the atom's first constant's column
+            // and filters by the rest.
             let pattern: Selection = atom.terms.iter().map(Term::as_param).collect();
             let selected = model.select(atom.pred, &pattern);
             let mut answers = matching(selected.map(|t| &**t), atom, &vars);

@@ -57,7 +57,6 @@ pub fn canonical_model(theory: &Theory) -> Option<Database> {
     loop {
         let mut added = false;
         for (plan, slots, head) in &compiled {
-            plan.ensure_indexes(&mut model, None);
             let mut env = vec![None; slots.len()];
             let mut pending: Vec<Atom> = Vec::new();
             plan.for_each_match(&model, None, &mut env, &mut |env| {
@@ -74,9 +73,6 @@ pub fn canonical_model(theory: &Theory) -> Option<Database> {
             }
         }
         if !added {
-            // Index warm-up creates empty relation entries for body
-            // predicates without facts; S(Σ) is a set of atoms.
-            model.prune_empty();
             return Some(model);
         }
     }

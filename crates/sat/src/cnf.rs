@@ -179,11 +179,6 @@ impl Prop {
         }
     }
 
-    /// Evaluate under a total assignment (indexed by variable).
-    pub fn eval(&self, assignment: &[bool]) -> bool {
-        self.eval_with(&|v| assignment[v as usize])
-    }
-
     /// Evaluate with `value` giving each variable's truth value.
     pub fn eval_with(&self, value: &impl Fn(u32) -> bool) -> bool {
         match self {
@@ -271,6 +266,13 @@ pub fn constrain(p: &Prop, cnf: &mut Cnf) {
 mod tests {
     use super::*;
     use crate::solver::{SatResult, Solver};
+
+    impl Prop {
+        /// Evaluate under a total assignment (indexed by variable).
+        fn eval(&self, assignment: &[bool]) -> bool {
+            self.eval_with(&|v| assignment[v as usize])
+        }
+    }
 
     #[test]
     fn literal_packing() {

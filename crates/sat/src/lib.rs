@@ -19,9 +19,7 @@
 //!   grounded theory;
 //! * `dpll` — a plain DPLL baseline (unit propagation + chronological
 //!   backtracking, no learning), built with the tests only: the
-//!   reference the solver's tests compare against;
-//! * model enumeration ([`Solver::enumerate`]) via blocking clauses added
-//!   to one solver between runs.
+//!   reference the solver's tests compare against.
 
 pub mod cnf;
 pub mod solver;

@@ -509,52 +509,6 @@ impl Solver {
             }
         }
     }
-
-    /// Enumerate models of `cnf`, projected onto the first `project`
-    /// variables (the "real" atom variables, as opposed to Tseitin
-    /// auxiliaries). Returns the distinct projected models, up to `limit`,
-    /// together with a flag saying whether enumeration was exhaustive.
-    ///
-    /// Each found model is excluded with a blocking clause over the
-    /// projection and the one solver is run again.
-    pub fn enumerate(cnf: &Cnf, project: u32, limit: usize) -> (Vec<Vec<bool>>, bool) {
-        assert!(
-            project <= cnf.num_vars(),
-            "projection exceeds variable count"
-        );
-        let mut solver = Solver::new(cnf);
-        let mut models = Vec::new();
-        while models.len() < limit {
-            match solver.solve() {
-                SatResult::Unsat => return (models, true),
-                SatResult::Sat(m) => {
-                    let proj: Vec<bool> = m[..project as usize].to_vec();
-                    let blocking: Vec<Lit> = proj
-                        .iter()
-                        .enumerate()
-                        .map(|(v, &b)| {
-                            let v = v as u32;
-                            if b {
-                                Lit::neg(v)
-                            } else {
-                                Lit::pos(v)
-                            }
-                        })
-                        .collect();
-                    solver.add_clause(&blocking);
-                    models.push(proj);
-                    if project == 0 {
-                        // Projection is trivial; one (empty) model is all
-                        // there is.
-                        return (models, true);
-                    }
-                }
-            }
-        }
-        // Check whether anything is left.
-        let exhausted = matches!(solver.solve(), SatResult::Unsat);
-        (models, exhausted)
-    }
 }
 
 /// The Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 …
@@ -581,6 +535,54 @@ fn luby(i: u32) -> u32 {
 mod tests {
     use super::*;
     use crate::cnf::Cnf;
+
+    impl Solver {
+        /// Enumerate models of `cnf`, projected onto the first `project`
+        /// variables (the "real" atom variables, as opposed to Tseitin
+        /// auxiliaries). Returns the distinct projected models, up to `limit`,
+        /// together with a flag saying whether enumeration was exhaustive.
+        ///
+        /// Each found model is excluded with a blocking clause over the
+        /// projection and the one solver is run again.
+        pub(crate) fn enumerate(cnf: &Cnf, project: u32, limit: usize) -> (Vec<Vec<bool>>, bool) {
+            assert!(
+                project <= cnf.num_vars(),
+                "projection exceeds variable count"
+            );
+            let mut solver = Solver::new(cnf);
+            let mut models = Vec::new();
+            while models.len() < limit {
+                match solver.solve() {
+                    SatResult::Unsat => return (models, true),
+                    SatResult::Sat(m) => {
+                        let proj: Vec<bool> = m[..project as usize].to_vec();
+                        let blocking: Vec<Lit> = proj
+                            .iter()
+                            .enumerate()
+                            .map(|(v, &b)| {
+                                let v = v as u32;
+                                if b {
+                                    Lit::neg(v)
+                                } else {
+                                    Lit::pos(v)
+                                }
+                            })
+                            .collect();
+                        solver.add_clause(&blocking);
+                        models.push(proj);
+                        if project == 0 {
+                            // Projection is trivial; one (empty) model is all
+                            // there is.
+                            return (models, true);
+                        }
+                    }
+                }
+            }
+            // Check whether anything is left.
+            let exhausted = matches!(solver.solve(), SatResult::Unsat);
+            (models, exhausted)
+        }
+    }
 
     impl SatResult {
         /// Whether the result is `Sat`.

@@ -104,8 +104,8 @@ impl Database {
     }
 
     /// All tuples of `pred` matching a partial binding pattern, as a
-    /// borrowing iterator. Uses any index built for `pred` via
-    /// `Database::ensure_index`; otherwise scans.
+    /// borrowing iterator: [`Relation::select`], which probes the first
+    /// bound column (building that column's index on its first probe).
     pub fn select<'a>(
         &'a self,
         pred: Pred,
@@ -117,19 +117,10 @@ impl Database {
             .unwrap_or_else(Matches::empty)
     }
 
-    /// Build (if absent) the column-`col` index of `pred`'s relation; the
-    /// index is then maintained incrementally across mutations. Creates an
-    /// empty relation when `pred` has no tuples yet, so indexes survive the
-    /// predicate's first insert — callers handing the database onward as a
-    /// set of atoms should [`Database::prune_empty`] afterwards.
-    pub(crate) fn ensure_index(&mut self, pred: Pred, col: usize) {
-        self.relation_mut(pred).ensure_index(col);
-    }
-
-    /// Drop relations holding no tuples. Index warm-up
-    /// (`Database::ensure_index`) can create empty relation entries;
-    /// semantically a database is a set of atoms, and derived equality /
-    /// [`Database::preds`] compare the catalog, so producers prune before
+    /// Drop relations holding no tuples. Removals can empty a relation
+    /// and leave its entry behind; semantically a database is a set of
+    /// atoms, and derived equality / [`Database::preds`] compare the
+    /// catalog, so a producer that removed tuples prunes before
     /// publishing a result.
     pub fn prune_empty(&mut self) {
         self.relations.retain(|_, r| !r.is_empty());
@@ -237,8 +228,8 @@ mod tests {
         let pred = Pred::new("e", 2);
         let pattern = vec![Some(Param::new("a")), None];
         assert_eq!(db.select(pred, &pattern).count(), 2);
-        db.ensure_index(pred, 0);
-        assert_eq!(db.select(pred, &pattern).count(), 2);
+        let probe = vec![None, Some(Param::new("c"))];
+        assert_eq!(db.select(pred, &probe).count(), 2);
         let missing = vec![None];
         assert_eq!(db.select(Pred::new("missing", 1), &missing).count(), 0);
     }

@@ -59,11 +59,6 @@ impl DeltaDatabase {
         &self.delta
     }
 
-    /// Mutable handles to both halves (for index warm-up).
-    pub fn parts_mut(&mut self) -> (&mut Database, &mut Database) {
-        (&mut self.total, &mut self.delta)
-    }
-
     /// Finish a round: add the candidates to the total, and install the
     /// ones it did not hold yet as the new delta. Returns the number of
     /// those genuinely new facts (0 means the fixpoint is reached).
@@ -204,8 +199,9 @@ mod tests {
     proptest! {
         /// The batch `advance` against its definition (filter by
         /// `contains`, then insert the survivors), round after round on ascending
-        /// candidate vectors that overlap the total, with indexes on the
-        /// total and with a candidate vector that holds nothing: same
+        /// candidate vectors that overlap the total, with or without a
+        /// column-1 index probed into the total beforehand, and with a
+        /// candidate vector that holds nothing: same
         /// total, same delta, same count, no relation left without
         /// tuples, and every index probe and distinct count as a relation
         /// built from scratch answers.
@@ -216,13 +212,13 @@ mod tests {
                 proptest::collection::vec((0u8..3, 0u8..12, 0u8..12), 0..120),
                 1..4,
             ),
-            indexed in 0usize..3,
+            indexed in 0u8..2,
         ) {
             let mut initial = Database::new();
             facts(&mut initial, &base);
-            for pred in initial.preds() {
-                for c in 0..indexed {
-                    initial.ensure_index(pred, c);
+            if indexed == 1 {
+                for (_, rel) in initial.relations() {
+                    rel.select([None, Some(Param::new("v0"))].as_slice()).for_each(drop);
                 }
             }
             let mut fast = DeltaDatabase::new(initial);

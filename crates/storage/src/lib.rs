@@ -4,8 +4,8 @@
 //!
 //! * the Datalog engine stores its extensional and intensional relations
 //!   here ([`Relation`], [`Database`]);
-//! * the grounder of `epilog-prover` uses [`Relation`] iteration and the
-//!   per-column indexes to enumerate candidate bindings;
+//! * the grounder of `epilog-prover` uses [`Relation`] iteration and
+//!   selections to enumerate candidate bindings;
 //! * the possible-world structures of `epilog-semantics` are thin wrappers
 //!   over [`Database`] snapshots.
 //!
@@ -14,10 +14,12 @@
 //! no other ground terms) held by value: it derefs to `[Param]`, orders,
 //! hashes and prints as that slice, and keeps up to five parameters
 //! inside its own 24 bytes, so deriving, cloning and comparing stored
-//! facts allocates nothing. Relations maintain per-column indexes, built
-//! on demand (`Relation::ensure_index`) and from then on updated
-//! **incrementally** on every mutation, so selection with any partial
-//! binding pattern stays sub-linear across fixpoint rounds.
+//! facts allocates nothing. A selection probes its pattern's first bound
+//! column: column 0 through the tuple set, which is ordered by it, any
+//! other through that column's index, which the first probe builds and
+//! every mutation then updates **incrementally**. So selection with any
+//! partial binding pattern stays sub-linear across fixpoint rounds, and
+//! no caller names an index.
 //!
 //! Everything a [`Relation`] stores sits in one persistent container
 //! (sorted runs behind `Arc`s, private to this crate): cloning a

@@ -19,8 +19,9 @@
 //! How a step finds its candidates follows from its shape alone, through
 //! [`Relation::select`]: a step binding **every** column is a lookup (one
 //! search of the tuple set, at most one tuple), a step binding some
-//! columns probes the index of the first one ([`JoinStep::index_col`])
-//! and filters the rest residually, and a step binding none scans.
+//! columns probes the first one ([`JoinStep::index_col`]) and filters the
+//! rest residually, and a step binding none scans. Storage builds and
+//! maintains whatever index a probe needs; a plan names none.
 //!
 //! The Datalog engine compiles one plan per rule and delta position
 //! (`epilog-datalog`'s `RulePlan`); the canonical-model grounder in
@@ -151,8 +152,9 @@ pub struct JoinStep {
     pub template: AtomTemplate,
     /// Whether this literal matches the delta instead of the total.
     pub from_delta: bool,
-    /// The first column known bound at compile time — the column whose
-    /// index makes this step sub-linear; `None` means a full scan.
+    /// The first column known bound at compile time — the column
+    /// [`Relation::select`](crate::Relation::select) probes; `None` means
+    /// a full scan.
     pub index_col: Option<usize>,
     /// Estimated matches this step emits per outer row — the quantity the
     /// cost-based ordering minimizes.
@@ -398,21 +400,6 @@ impl ConjunctionPlan {
         &self.steps
     }
 
-    /// Build (once) the index on every step's [`JoinStep::index_col`];
-    /// incrementally maintained storage keeps them warm afterwards.
-    pub fn ensure_indexes(&self, total: &mut Database, mut delta: Option<&mut Database>) {
-        for step in &self.steps {
-            let Some(c) = step.index_col else { continue };
-            if step.from_delta {
-                if let Some(d) = delta.as_deref_mut() {
-                    d.ensure_index(step.template.pred, c);
-                }
-            } else {
-                total.ensure_index(step.template.pred, c);
-            }
-        }
-    }
-
     /// Run the join, invoking `f` with the environment of every complete
     /// match. `env` must hold at least `slots.len()` entries with every
     /// slot this plan binds set to `None`; it is restored on return.
@@ -593,19 +580,19 @@ mod tests {
     }
 
     #[test]
-    fn ensure_indexes_builds_probed_columns() {
-        let atoms = vec![atom("p(a, x)"), atom("e(x, y)")];
+    fn running_a_plan_builds_the_indexes_it_probes() {
+        // `e(y, x)` joins second, bound on its column 1.
+        let atoms = vec![atom("p(a, x)"), atom("e(y, x)")];
         let mut slots = SlotMap::new();
-        let mut total = db(&["p(a, b)", "e(b, c)"]);
+        let total = db(&["p(a, b)", "e(c, b)", "e(c, d)"]);
         let plan = compile_on(&atoms, &mut slots, None, &total);
-        plan.ensure_indexes(&mut total, None);
-        let p = Pred::new("p", 2);
-        let e = Pred::new("e", 2);
-        assert!(total.relation(p).unwrap().has_index(0));
-        assert!(total.relation(e).unwrap().has_index(0));
-        // Results agree with the unindexed run.
-        let got = matches(&plan, &slots, &total);
-        assert_eq!(got.len(), 1);
+        assert_eq!(plan.steps()[1].index_col, Some(1));
+        let e = total.relation(Pred::new("e", 2)).unwrap();
+        assert!(!e.has_index(1));
+        assert_eq!(matches(&plan, &slots, &total).len(), 1);
+        assert!(e.has_index(1), "the probe built the index it walked");
+        // Column 0 is probed through the tuple set: no index to build.
+        assert!(!total.relation(Pred::new("p", 2)).unwrap().has_index(1));
     }
 
     #[test]
@@ -628,7 +615,6 @@ mod tests {
             assert_eq!(lookups, [false, true]);
         }
 
-        blind.ensure_indexes(&mut total, None);
         let a = matches(&blind, &slots, &total);
         let b = matches(&cost, &slots2, &total);
         assert_eq!(a.len(), 8);
@@ -661,8 +647,6 @@ mod tests {
         assert_eq!(cost.steps()[0].template.pred, Pred::new("small", 1));
         assert_eq!(cost.steps()[0].est, 1);
         // Same matches either way.
-        written.ensure_indexes(&mut total, None);
-        cost.ensure_indexes(&mut total, None);
         assert_eq!(matches(&cost, &slots2, &total).len(), 1);
         assert_eq!(matches(&written, &slots, &total).len(), 1);
     }
@@ -677,7 +661,6 @@ mod tests {
         let mut slots = SlotMap::new();
         let plan = compile_on(&atoms, &mut slots, None, &total);
         assert_eq!(plan.steps()[0].template.pred, Pred::new("e", 2));
-        plan.ensure_indexes(&mut total, None);
         total.insert(&atom("t(b, c)"));
         assert_eq!(matches(&plan, &slots, &total).len(), 1);
     }

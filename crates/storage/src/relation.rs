@@ -1,12 +1,13 @@
-//! Relations: ordered sets of fixed-arity tuples with incrementally
-//! maintained per-column indexes, stored in persistent run sets so a
-//! clone shares everything it does not change.
+//! Relations: ordered sets of fixed-arity tuples, stored in persistent
+//! run sets so a clone shares everything it does not change, with a
+//! column index built by the first selection that probes the column.
 
 use crate::runset::{self, RunSet};
 use crate::Tuple;
 use epilog_syntax::Param;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// A selection pattern: per column, either a required parameter or a
 /// wildcard. [`Relation::select`] borrows it as a slice, so a join can
@@ -14,14 +15,21 @@ use std::collections::BTreeSet;
 /// caller whose iterator outlives its buffer hands the pattern over.
 pub type Selection = Vec<Option<Param>>;
 
+/// The index of a column `c ≥ 1`: `(t[c], t)` for every tuple `t`, so all
+/// tuples with one key are contiguous and ordered as the relation orders
+/// them.
+type Index = RunSet<(Param, Tuple)>;
+
 /// A relation instance: a set of tuples of a fixed arity.
 ///
 /// Tuples iterate in lexicographic order (important for the
-/// reproducibility of every experiment). Per-column indexes are built on
-/// demand via `Relation::ensure_index` and from then on maintained
-/// **incrementally** by `insert`/`insert_ascending`/`remove` — a mutation never
-/// tears an index down, which is what lets the semi-naive fixpoint keep
-/// its indexes warm across iterations.
+/// reproducibility of every experiment). Which column a selection probes
+/// is the relation's own decision: the pattern's first bound column. The
+/// tuple set is ordered by `t[0]` already, so column 0 needs no index;
+/// the index of any other column is built the first time a selection
+/// probes it, and from then on maintained **incrementally** by
+/// `insert`/`insert_ascending`/`remove` — a mutation never tears an index
+/// down, which is what keeps a fixpoint's probes warm across rounds.
 ///
 /// # Cost model
 ///
@@ -29,38 +37,38 @@ pub type Selection = Vec<Option<Param>>;
 /// persistent sorted set of runs of at most 64 items, each run behind an
 /// `Arc` (see `runset.rs`; two levels — a list of runs — are enough at
 /// every size a workload here reaches, ≤ 4 641 runs at 148 500 tuples).
-/// The index of a column `c ≥ 1` is that set over `(t[c], t)`, so all
-/// tuples with one key are contiguous and ordered as the relation orders
-/// them. The index of column 0 is **the tuple set itself** (the same
-/// tuples in the same order): "building" it records a distinct-key
-/// count. With `n` tuples and `k` built indexes on other columns:
+/// With `n` tuples and `k` built indexes:
 ///
 /// * **clone** — `(1 + k) · n/64` reference-count bumps, no tuple
 ///   copied; the clone and the original share every run until one of
 ///   them writes to it. This is what makes a database snapshot (the MVCC
 ///   head, a transaction's candidate model, a recovery replay step) cost
-///   its pointers rather than its tuples.
+///   its pointers rather than its tuples. A clone carries the indexes
+///   built before it was taken; one built later is its own.
 /// * **insert / remove** — per set (`1 + k` of them), one two-level
 ///   binary search and an edit of the one run the tuple lands in: in
 ///   place when nobody shares the run (bulk loads copy nothing, ascending
 ///   ones do not even search), after copying that run's ≤ 64 items when
-///   a snapshot does. The search also shows the tuple's neighbours, all
-///   a distinct-key count needs. So a snapshot costs later writers one
-///   run copy per run they touch, whatever `n` is.
+///   a snapshot does. So a snapshot costs later writers one run copy per
+///   run they touch, whatever `n` is.
 /// * **ascending batch insert** ([`Relation::insert_ascending`], how a
 ///   semi-naive round's sorted heads reach the total) — the tuple set
 ///   takes the batch through a forward cursor: each tuple gallops from
 ///   the run the previous one landed in and is searched for inside that
-///   run only. Each other built index then takes the new tuples' entries,
+///   run only. Each built index then takes the new tuples' entries,
 ///   sorted once, through a cursor of its own. Run copies and splits are
 ///   those of one insert after another.
 /// * **bulk construction** (`Relation::from_ascending`, a round's
 ///   delta, a model difference) — the sorted tuples are cut into full
 ///   runs: one move and one arity check per tuple, no search, no index.
-/// * **probe** ([`Relation::select`] on an indexed column) — one
-///   two-level binary search to the first entry with the key, then a
-///   walk that stops at the first entry with another key; that entry is
-///   not counted in [`Matches::examined`].
+/// * **probe** ([`Relation::select`] binding some columns) — the first
+///   bound column's key is sought with one two-level binary search, in
+///   the tuple set for column 0 and in the column's index otherwise, then
+///   walked until an entry carries another key; that entry is not
+///   counted in [`Matches::examined`]. The first probe of a column
+///   `c ≥ 1` builds its index first: one sort of the column's entries,
+///   once per relation value — a snapshot shared by readers builds it
+///   once, whichever reader probes first.
 /// * **lookup** ([`Relation::select`] binding every column) — one
 ///   two-level binary search of the tuple set, whatever indexes are
 ///   built; the tuple is counted in [`Matches::examined`] if stored.
@@ -68,73 +76,8 @@ pub type Selection = Vec<Option<Param>>;
 pub struct Relation {
     arity: usize,
     tuples: RunSet<Tuple>,
-    /// `indexes[c]` is `Some` once column `c` is indexed.
-    indexes: Vec<Option<ColumnIndex>>,
-}
-
-/// The index of one column: every tuple keyed by that column's value,
-/// plus the number of distinct keys (the planner's statistic), kept
-/// current by every mutation so no removal leaves residue to count
-/// around.
-#[derive(Debug, Clone)]
-struct ColumnIndex {
-    /// `(t[c], t)` for every tuple — left empty on column 0: ordered by
-    /// `(t[0], t)` is ordered by `t`, which the tuple set is already.
-    entries: RunSet<(Param, Tuple)>,
-    distinct: usize,
-}
-
-impl ColumnIndex {
-    fn build(tuples: &RunSet<Tuple>, c: usize) -> ColumnIndex {
-        let mut entries: Vec<(Param, Tuple)> = Vec::new();
-        if c > 0 {
-            entries.extend(tuples.iter().map(|t| (t[c], t.clone())));
-            entries.sort_unstable();
-        }
-        let mut keys: Vec<Param> = match c {
-            0 => tuples.iter().map(|t| t[0]).collect(),
-            _ => entries.iter().map(|e| e.0).collect(),
-        };
-        keys.dedup();
-        ColumnIndex {
-            distinct: keys.len(),
-            entries: RunSet::from_ascending(entries),
-        }
-    }
-
-    /// The entries from the first one keyed `key` (or above) onwards.
-    fn seek(&self, key: Param) -> runset::Iter<'_, (Param, Tuple)> {
-        self.entries.iter_from(|e| e.0 < key)
-    }
-
-    /// Add a tuple known to be new to the relation. Equal keys are
-    /// contiguous, so the key is new iff neither neighbour carries it.
-    fn insert(&mut self, key: Param, t: Tuple) {
-        let around = self.entries.insert_between((key, t), |e| e.0);
-        let around = around.expect("a new tuple is new to every index");
-        self.distinct += usize::from(!around.contains(&Some(key)));
-    }
-
-    /// Add tuples known to be new to the relation, in any order: their
-    /// entries are sorted once and go in through the cursor.
-    fn insert_new(&mut self, c: usize, tuples: &[Tuple]) {
-        let mut batch: Vec<(Param, Tuple)> = tuples.iter().map(|t| (t[c], t.clone())).collect();
-        batch.sort_unstable();
-        let distinct = &mut self.distinct;
-        self.entries.insert_ascending(
-            batch,
-            |e| e.0,
-            |e, around| *distinct += usize::from(!around.contains(&Some(e.0))),
-        );
-    }
-
-    /// Drop a tuple known to be in the relation.
-    fn remove(&mut self, key: Param, t: &[Param]) {
-        let stored = |e: &(Param, Tuple)| (e.0, &*e.1).cmp(&(key, t));
-        let around = self.entries.remove_between(stored, |e| e.0);
-        let around = around.expect("a stored tuple is in every index");
-        self.distinct -= usize::from(!around.contains(&Some(key)));
-    }
+    /// `indexes[c - 1]` is column `c`'s index once a selection probed it.
+    indexes: Vec<OnceLock<Index>>,
 }
 
 /// Borrowing iterator over the tuples matching a selection pattern, in
@@ -206,11 +149,7 @@ impl<'a> Iterator for Matches<'a> {
 impl Relation {
     /// An empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
-        Relation {
-            arity,
-            tuples: RunSet::default(),
-            indexes: vec![None; arity],
-        }
+        Relation::from_ascending(arity, Vec::new())
     }
 
     /// The arity of the relation.
@@ -228,6 +167,13 @@ impl Relation {
         self.tuples.is_empty()
     }
 
+    /// The built indexes with their columns, for a mutation to maintain.
+    fn built_mut(&mut self) -> impl Iterator<Item = (usize, &mut Index)> {
+        (1..)
+            .zip(&mut self.indexes)
+            .filter_map(|(c, i)| Some((c, i.get_mut()?)))
+    }
+
     /// Insert a tuple; returns `true` if it was new. Built indexes are
     /// updated in place.
     ///
@@ -235,18 +181,11 @@ impl Relation {
     /// Panics if the tuple's length differs from the relation's arity.
     pub fn insert(&mut self, t: Tuple) -> bool {
         assert_eq!(t.len(), self.arity, "tuple arity mismatch");
-        if self.indexes.iter().all(Option::is_none) {
-            return self.tuples.insert(t);
-        }
-        let Some(around) = self.tuples.insert_between(t.clone(), |s| s[0]) else {
+        if !self.tuples.insert(t.clone()) {
             return false;
-        };
-        for (c, idx) in self.indexes.iter_mut().enumerate() {
-            match idx {
-                Some(idx) if c == 0 => idx.distinct += usize::from(!around.contains(&Some(t[0]))),
-                Some(idx) => idx.insert(t[c], t.clone()),
-                None => {}
-            }
+        }
+        for (c, idx) in self.built_mut() {
+            idx.insert((t[c], t.clone()));
         }
         true
     }
@@ -254,8 +193,8 @@ impl Relation {
     /// Insert `batch`, which must ascend strictly (a sorted,
     /// deduplicated round of heads), through the forward cursor of the
     /// cost model; returns the tuples that were new, ascending. Built
-    /// indexes are updated in place: the set, the counts and every probe
-    /// afterwards are those of inserting the tuples one by one.
+    /// indexes are updated in place: the set and every probe afterwards
+    /// are those of inserting the tuples one by one.
     ///
     /// # Panics
     /// Panics if a tuple's length differs from the relation's arity.
@@ -265,21 +204,13 @@ impl Relation {
             assert_eq!(t.len(), arity, "tuple arity mismatch");
         });
         let mut fresh = Vec::new();
-        let mut leading = 0;
-        self.tuples.insert_ascending(
-            batch,
-            |s| s.first().copied(),
-            |t, around| {
-                leading += usize::from(!around.contains(&Some(t.first().copied())));
-                fresh.push(t.clone());
-            },
-        );
-        for (c, idx) in self.indexes.iter_mut().enumerate() {
-            match idx {
-                Some(idx) if c == 0 => idx.distinct += leading,
-                Some(idx) => idx.insert_new(c, &fresh),
-                None => {}
-            }
+        self.tuples
+            .insert_ascending(batch, |t| fresh.push(t.clone()));
+        for (c, idx) in self.built_mut() {
+            let mut entries: Vec<(Param, Tuple)> =
+                fresh.iter().map(|t| (t[c], t.clone())).collect();
+            entries.sort_unstable();
+            idx.insert_ascending(entries, |_| {});
         }
         fresh
     }
@@ -296,22 +227,18 @@ impl Relation {
         Relation {
             arity,
             tuples: RunSet::from_ascending(tuples),
-            indexes: vec![None; arity],
+            indexes: (1..arity).map(|_| OnceLock::new()).collect(),
         }
     }
 
     /// Remove a tuple; returns `true` if it was present. Built indexes are
     /// updated in place.
     pub fn remove(&mut self, t: &[Param]) -> bool {
-        let Some(around) = self.tuples.remove_between(|s| (**s).cmp(t), |s| s[0]) else {
+        if !self.tuples.remove(|s| (**s).cmp(t)) {
             return false;
-        };
-        for (c, idx) in self.indexes.iter_mut().enumerate() {
-            match idx {
-                Some(idx) if c == 0 => idx.distinct -= usize::from(!around.contains(&Some(t[0]))),
-                Some(idx) => idx.remove(t[c], t),
-                None => {}
-            }
+        }
+        for (c, idx) in self.built_mut() {
+            idx.remove(|e| (e.0, &*e.1).cmp(&(t[c], t)));
         }
         true
     }
@@ -326,26 +253,30 @@ impl Relation {
         self.tuples.iter()
     }
 
-    /// Index column `c` if it is not indexed yet; once it is, the index
-    /// is maintained incrementally by every mutation (column 0: marked
-    /// and counted only, see the cost model — nothing observable differs).
-    pub(crate) fn ensure_index(&mut self, c: usize) {
-        if self.indexes[c].is_none() {
-            self.indexes[c] = Some(ColumnIndex::build(&self.tuples, c));
-        }
+    /// Column `c`'s index (`c ≥ 1`), built from the tuple set if no
+    /// selection has probed the column yet.
+    fn index(&self, c: usize) -> &Index {
+        self.indexes[c - 1].get_or_init(|| {
+            let mut entries: Vec<(Param, Tuple)> =
+                self.tuples.iter().map(|t| (t[c], t.clone())).collect();
+            entries.sort_unstable();
+            RunSet::from_ascending(entries)
+        })
     }
 
     /// Number of distinct parameters in column `c` — the per-column
-    /// statistic the cost-based planner divides by. When the column's
-    /// index is built this is a counter the index keeps (read in O(1),
-    /// exact under any insert/remove history); otherwise one scan
-    /// collects the column and a sort counts its distinct values.
-    /// Planners call this once per plan compilation, not per probe.
+    /// statistic the cost-based planner divides by, counted when asked:
+    /// a walk over the keys where they are stored in order (the tuple set
+    /// for column 0, a built index otherwise), else one scan that
+    /// collects the column and a sort. Planners call this once per plan
+    /// compilation, not per probe.
     pub(crate) fn distinct_count(&self, c: usize) -> usize {
-        if let Some(idx) = &self.indexes[c] {
-            return idx.distinct;
-        }
-        let mut keys: Vec<Param> = self.tuples.iter().map(|t| t[c]).collect();
+        let mut keys: Vec<Param> = match c.checked_sub(1).and_then(|i| self.indexes[i].get()) {
+            Some(idx) => idx.iter().map(|e| e.0).collect(),
+            None => self.tuples.iter().map(|t| t[c]).collect(),
+        };
+        // One pass over keys already in order; a sort only for a column
+        // `c ≥ 1` no selection has probed.
         keys.sort_unstable();
         keys.dedup();
         keys.len()
@@ -356,26 +287,25 @@ impl Relation {
     ///
     /// A pattern binding every column is a **lookup**: one search of the
     /// tuple set, whatever indexes are built, yielding the tuple if it is
-    /// stored ([`Matches::examined`] is then 1, else 0). Any other pattern
-    /// probes the first bound column whose index is built (see
-    /// `Relation::ensure_index`) and filters residually; with no usable
-    /// index this is a full scan. The iterator borrows the pattern, or
-    /// keeps it when handed a [`Selection`].
+    /// stored ([`Matches::examined`] is then 1, else 0). A pattern binding
+    /// some columns **probes** the first bound one (building its index on
+    /// the first probe, see the cost model) and filters the rest
+    /// residually; a pattern binding none scans. The iterator borrows the
+    /// pattern, or keeps it when handed a [`Selection`].
     pub fn select<'a>(&'a self, pattern: impl Into<Cow<'a, [Option<Param>]>>) -> Matches<'a> {
         let pattern = pattern.into();
         assert_eq!(pattern.len(), self.arity, "selection arity mismatch");
         let probed = pattern
             .iter()
-            .zip(&self.indexes)
             .enumerate()
-            .find_map(|(c, (p, idx))| Some((c, (*p)?, idx.as_ref()?)));
+            .find_map(|(c, p)| Some((c, (*p)?)));
         let inner = match probed {
             _ if pattern.iter().all(Option::is_some) => {
                 let key = || pattern.iter().flatten().copied();
                 MatchesInner::Lookup(self.tuples.get(|t| t.iter().copied().cmp(key())))
             }
-            Some((0, key, _)) => MatchesInner::Leading(self.tuples.iter_from(|t| t[0] < key), key),
-            Some((_, key, idx)) => MatchesInner::Probe(idx.seek(key), key),
+            Some((0, key)) => MatchesInner::Leading(self.tuples.iter_from(|t| t[0] < key), key),
+            Some((c, key)) => MatchesInner::Probe(self.index(c).iter_from(|e| e.0 < key), key),
             None => MatchesInner::Scan(self.tuples.iter()),
         };
         Matches {
@@ -432,9 +362,9 @@ mod tests {
     use proptest::prelude::*;
 
     impl Relation {
-        /// Whether the index for column `c` has been built.
+        /// Whether the index of column `c ≥ 1` has been built.
         pub(crate) fn has_index(&self, c: usize) -> bool {
-            self.indexes[c].is_some()
+            self.indexes[c - 1].get().is_some()
         }
     }
 
@@ -452,6 +382,14 @@ mod tests {
 
     fn sel(r: &Relation, pattern: &Selection) -> Vec<Tuple> {
         r.select(pattern).cloned().collect()
+    }
+
+    /// Probe column `c` of `r` once, as a join step would, so its index
+    /// (if `c ≥ 1`) is built from then on.
+    fn probe(r: &Relation, c: usize) {
+        let mut pattern = vec![None; r.arity()];
+        pattern[c] = Some(p("zz"));
+        r.select(&pattern).for_each(drop);
     }
 
     #[test]
@@ -476,23 +414,25 @@ mod tests {
     }
 
     #[test]
-    fn select_scans_without_index() {
+    fn select_probes_the_first_bound_column() {
         let r = rel();
+        // The leading column, a lookup and a scan need no index.
         assert_eq!(sel(&r, &vec![Some(p("a")), None]).len(), 2);
-        assert_eq!(sel(&r, &vec![None, Some(p("b"))]).len(), 2);
         assert_eq!(
             sel(&r, &vec![Some(p("a")), Some(p("c"))]),
             vec![Tuple::from(vec![p("a"), p("c")])]
         );
         assert_eq!(sel(&r, &vec![None, None]).len(), 3);
+        assert!(!r.has_index(1));
+        // The first probe of column 1 builds its index.
+        assert_eq!(sel(&r, &vec![None, Some(p("b"))]).len(), 2);
+        assert!(r.has_index(1));
     }
 
     #[test]
     fn indexed_select_matches_scan() {
-        let scan = rel();
-        let mut indexed = rel();
-        indexed.ensure_index(0);
-        indexed.ensure_index(1);
+        let indexed = rel();
+        probe(&indexed, 1);
         for pattern in [
             vec![Some(p("a")), None],
             vec![None, Some(p("b"))],
@@ -500,25 +440,29 @@ mod tests {
             vec![Some(p("zz")), None],
             vec![Some(p("a")), Some(p("c"))],
         ] {
-            assert_eq!(sel(&indexed, &pattern), sel(&scan, &pattern));
+            let scan: Vec<Tuple> = indexed
+                .iter()
+                .filter(|t| Relation::matches(t, &pattern))
+                .cloned()
+                .collect();
+            assert_eq!(sel(&indexed, &pattern), scan);
         }
     }
 
     #[test]
     fn index_maintained_incrementally() {
         let mut r = rel();
-        r.ensure_index(0);
-        assert_eq!(sel(&r, &vec![Some(p("a")), None]).len(), 2);
-        r.insert(vec![p("a"), p("z")].into());
-        assert!(r.has_index(0), "mutation must not drop the index");
+        assert_eq!(sel(&r, &vec![None, Some(p("b"))]).len(), 2);
+        r.insert(vec![p("z"), p("b")].into());
+        assert!(r.has_index(1), "mutation must not drop the index");
         assert_eq!(
-            sel(&r, &vec![Some(p("a")), None]).len(),
+            sel(&r, &vec![None, Some(p("b"))]).len(),
             3,
             "index must see the new tuple"
         );
         r.remove(&[p("a"), p("b")]);
         assert_eq!(
-            sel(&r, &vec![Some(p("a")), None]).len(),
+            sel(&r, &vec![None, Some(p("b"))]).len(),
             2,
             "index must forget the removed tuple"
         );
@@ -527,11 +471,11 @@ mod tests {
     #[test]
     fn index_buckets_stay_sorted() {
         let mut r = Relation::new(2);
-        r.ensure_index(0);
-        r.insert(vec![p("a"), p("z")].into());
-        r.insert(vec![p("a"), p("b")].into());
-        r.insert(vec![p("a"), p("m")].into());
-        let got = sel(&r, &vec![Some(p("a")), None]);
+        probe(&r, 1);
+        r.insert(vec![p("z"), p("a")].into());
+        r.insert(vec![p("b"), p("a")].into());
+        r.insert(vec![p("m"), p("a")].into());
+        let got = sel(&r, &vec![None, Some(p("a"))]);
         let scan: Vec<Tuple> = r.iter().cloned().collect();
         assert_eq!(
             got, scan,
@@ -542,7 +486,7 @@ mod tests {
     #[test]
     fn batch_insert_returns_the_new_and_maintains_index() {
         let mut r = rel();
-        r.ensure_index(1);
+        probe(&r, 1);
         let dup = Tuple::from(vec![p("a"), p("b")]);
         let new = Tuple::from(vec![p("x"), p("b")]);
         // Parameters order by interning: sort rather than assume.
@@ -571,18 +515,17 @@ mod tests {
         let mut r = rel();
         assert_eq!(r.distinct_count(0), 2); // a, d
         assert_eq!(r.distinct_count(1), 2); // b, c
-        r.ensure_index(0);
-        assert_eq!(r.distinct_count(0), 2, "indexed count agrees");
-        r.insert(vec![p("e"), p("b")].into());
-        assert_eq!(r.distinct_count(0), 3, "maintained on insert");
+        probe(&r, 1);
+        assert_eq!(r.distinct_count(1), 2, "counted off the index");
+        r.insert(vec![p("e"), p("x")].into());
+        assert_eq!((r.distinct_count(0), r.distinct_count(1)), (3, 3));
         r.remove(&[p("d"), p("b")]);
-        r.remove(&[p("e"), p("b")]);
+        r.remove(&[p("e"), p("x")]);
         assert_eq!(
-            r.distinct_count(0),
-            1,
-            "emptied buckets must not be counted"
+            (r.distinct_count(0), r.distinct_count(1)),
+            (1, 2),
+            "keys no tuple carries any more are not counted"
         );
-        assert_eq!(r.distinct_count(1), 2);
     }
 
     #[test]
@@ -590,10 +533,10 @@ mod tests {
         // A pattern binding every column is one search of the tuple set:
         // it examines the tuple if stored and nothing if not, whatever
         // indexes are built.
-        let mut r = rel();
-        for c in [None, Some(0), Some(1)] {
-            if let Some(c) = c {
-                r.ensure_index(c);
+        let r = rel();
+        for built in [false, true] {
+            if built {
+                probe(&r, 1);
             }
             for (q, found) in [("c", 1), ("zz", 0)] {
                 let pattern = vec![Some(p("a")), Some(p(q))];
@@ -602,10 +545,9 @@ mod tests {
                 assert_eq!(it.examined(), found as u64);
             }
         }
-        // Any other pattern examines its whole probed bucket: `a` holds
-        // 2 tuples; the residual filter on col 2 rejects one.
+        // Any other pattern examines its first bound column's bucket:
+        // `a` holds 2 tuples; the residual filter on col 2 rejects one.
         let mut r = Relation::new(3);
-        r.ensure_index(0);
         for t in [["a", "b", "x"], ["a", "c", "y"], ["d", "b", "x"]] {
             r.insert(t.map(p).to_vec().into());
         }
@@ -613,11 +555,65 @@ mod tests {
         let mut it = r.select(&pattern);
         assert_eq!(it.by_ref().count(), 1);
         assert_eq!(it.examined(), 2);
-        // A full scan examines everything.
-        let all = vec![None, Some(p("zz")), None];
-        let mut it = r.select(&all);
+        assert!(!r.has_index(1) && !r.has_index(2), "column 0 needs none");
+        // The first probe of column 1 examines only `b`'s 2 entries, not
+        // the relation, and leaves the index built; an absent key
+        // examines nothing.
+        let pattern = vec![None, Some(p("b")), Some(p("y"))];
+        let mut it = r.select(&pattern);
         assert_eq!(it.by_ref().count(), 0);
+        assert_eq!(it.examined(), 2);
+        assert!(r.has_index(1) && !r.has_index(2));
+        let absent = vec![None, Some(p("zz")), None];
+        let mut it = r.select(&absent);
+        assert_eq!(it.by_ref().count(), 0);
+        assert_eq!(it.examined(), 0);
+        // A pattern binding nothing scans everything.
+        let all = vec![None, None, None];
+        let mut it = r.select(&all);
+        assert_eq!(it.by_ref().count(), 3);
         assert_eq!(it.examined(), 3);
+    }
+
+    #[test]
+    fn concurrent_first_probes_build_one_index() {
+        let mut r = Relation::new(2);
+        for i in 0..500 {
+            r.insert(vec![p(&format!("k{i}")), p(&format!("v{}", i % 7))].into());
+        }
+        let before = r.clone();
+        let pattern = vec![None, Some(p("v3"))];
+        let want: Vec<Tuple> = r.iter().filter(|t| t[1] == p("v3")).cloned().collect();
+        {
+            let barrier = std::sync::Barrier::new(2);
+            let answers: Vec<Vec<&Tuple>> = std::thread::scope(|s| {
+                let probes: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            r.select(&pattern).collect::<Vec<&Tuple>>()
+                        })
+                    })
+                    .collect();
+                probes.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for got in &answers {
+                assert!(got.iter().copied().eq(&want));
+            }
+            // One index: both walks yielded the very same stored entries.
+            let mut pairs = answers[0].iter().zip(&answers[1]);
+            assert!(pairs.all(|(a, b)| std::ptr::eq(*a, *b)));
+        }
+        assert!(r.has_index(1));
+        assert!(!before.has_index(1), "a clone taken earlier gains nothing");
+        // Later edits reach the index.
+        r.insert(vec![p("k-new"), p("v3")].into());
+        r.remove(&[p("k3"), p("v3")]);
+        let mut it = r.select(&pattern);
+        let got: Vec<Tuple> = it.by_ref().cloned().collect();
+        let want: Vec<Tuple> = r.iter().filter(|t| t[1] == p("v3")).cloned().collect();
+        assert_eq!(got, want);
+        assert_eq!(it.examined(), want.len() as u64, "walked the index");
     }
 
     #[test]
@@ -654,22 +650,23 @@ mod tests {
     #[test]
     fn probe_does_not_count_the_entry_that_ends_its_range() {
         let mut r = Relation::new(2);
-        r.ensure_index(0);
         for (a, b) in [("a", "x"), ("a", "y"), ("b", "x"), ("c", "x")] {
             r.insert(vec![p(a), p(b)].into());
         }
-        // `a`'s range is followed by `b`'s entry, which stops the walk
-        // without being a candidate.
-        let pattern = vec![Some(p("a")), None];
-        let mut it = r.select(&pattern);
-        assert_eq!(it.by_ref().count(), 2);
-        assert_eq!(it.examined(), 2);
-        assert_eq!(it.next(), None, "stays finished");
-        // The last key's range ends with the index.
-        let pattern = vec![Some(p("c")), None];
-        let mut it = r.select(&pattern);
-        assert_eq!(it.by_ref().count(), 1);
-        assert_eq!(it.examined(), 1);
+        // `a`'s range is followed by `b`'s tuple, and `x`'s entries by
+        // `y`'s, which stop the walk without being candidates.
+        for (pattern, n) in [(vec![Some(p("a")), None], 2), (vec![None, Some(p("x"))], 3)] {
+            let mut it = r.select(&pattern);
+            assert_eq!(it.by_ref().count(), n);
+            assert_eq!(it.examined(), n as u64);
+            assert_eq!(it.next(), None, "stays finished");
+        }
+        // The last key's range ends with the set.
+        for pattern in [vec![Some(p("c")), None], vec![None, Some(p("y"))]] {
+            let mut it = r.select(&pattern);
+            assert_eq!(it.by_ref().count(), 1);
+            assert_eq!(it.examined(), 1);
+        }
     }
 
     #[test]
@@ -690,18 +687,13 @@ mod tests {
             }
         }
         let mut r = Relation::new(2);
-        r.ensure_index(0);
-        r.ensure_index(1);
+        probe(&r, 1);
         for t in base {
             r.insert(t);
         }
         let shape = |r: &Relation| {
-            let idx: Vec<usize> = r
-                .indexes
-                .iter()
-                .map(|i| i.as_ref().unwrap().entries.run_count())
-                .collect();
-            (r.tuples.run_count(), idx)
+            let idx = r.indexes[0].get().unwrap();
+            (r.tuples.run_count(), idx.run_count())
         };
         let before = shape(&r);
         // 10 000 insert/remove pairs on keys never seen before or again
@@ -713,9 +705,8 @@ mod tests {
         // Never more runs than before; fewer where a pair's removal found
         // two short neighbours to join.
         let after = shape(&r);
-        assert_eq!(after.1[0], 0, "the leading column keeps no entries");
         assert!(after.0 <= before.0, "{after:?} vs {before:?}");
-        assert!(after.1.iter().zip(&before.1).all(|(a, b)| a <= b));
+        assert!(after.1 <= before.1, "{after:?} vs {before:?}");
         assert!(after.0 * 2 > before.0, "and nothing but joins happened");
         let scratch: Relation = r.iter().cloned().collect();
         for c in 0..2 {
@@ -727,32 +718,15 @@ mod tests {
     #[test]
     fn a_clone_shares_all_but_the_touched_runs_of_every_set() {
         let mut base = Relation::new(2);
-        base.ensure_index(0);
-        base.ensure_index(1);
+        probe(&base, 1);
         for i in 0..5000 {
             base.insert(vec![p(&format!("k{}", i % 70)), p(&format!("n{i}"))].into());
         }
         let unshared = |a: &Relation, b: &Relation| {
-            let sets = |r: &Relation| {
-                let idx = r.indexes.iter().map(|i| &i.as_ref().unwrap().entries);
-                (
-                    r.tuples.run_count(),
-                    idx.map(RunSet::run_count).sum::<usize>(),
-                )
-            };
-            let (tuples, entries) = sets(a);
-            let shared_entries: usize = a
-                .indexes
-                .iter()
-                .zip(&b.indexes)
-                .map(|(x, y)| {
-                    let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
-                    x.entries.runs_shared_with(&y.entries)
-                })
-                .sum();
+            let (x, y) = (a.indexes[0].get().unwrap(), b.indexes[0].get().unwrap());
             (
-                tuples - a.tuples.runs_shared_with(&b.tuples),
-                entries - shared_entries,
+                a.tuples.run_count() - a.tuples.runs_shared_with(&b.tuples),
+                x.run_count() - x.runs_shared_with(y),
             )
         };
         let snapshot = base.clone();
@@ -775,7 +749,8 @@ mod tests {
         Remove(u8, u8),
         /// Inserted as one ascending batch.
         Batch(Vec<Tuple>),
-        Index(usize),
+        /// A selection probing this column (building its index if `≥ 1`).
+        Probe(usize),
         Snapshot,
     }
 
@@ -789,7 +764,7 @@ mod tests {
                 batch.dedup();
                 Step::Batch(batch)
             }),
-            1 => (0usize..2).prop_map(Step::Index),
+            1 => (0usize..2).prop_map(Step::Probe),
             1 => Just(Step::Snapshot),
         ]
     }
@@ -802,19 +777,21 @@ mod tests {
     /// that models it: scan order, every one- and two-column selection
     /// with its `examined()` count, and the planner statistics — and the
     /// same against a relation built from scratch (the bulk constructor,
-    /// then the same indexes).
+    /// counted before and after its own first probes).
     fn check_against(r: &Relation, model: &BTreeSet<Tuple>) -> Result<(), TestCaseError> {
         prop_assert_eq!(r.len(), model.len());
         prop_assert!(r.iter().eq(model.iter()));
-        let mut scratch = Relation::from_ascending(2, model.iter().cloned().collect());
+        let scratch = Relation::from_ascending(2, model.iter().cloned().collect());
+        let keys = |c: usize| {
+            model
+                .iter()
+                .map(|t| t[c])
+                .collect::<BTreeSet<Param>>()
+                .len()
+        };
         for c in 0..2 {
-            let keys: BTreeSet<Param> = model.iter().map(|t| t[c]).collect();
-            prop_assert_eq!(r.distinct_count(c), keys.len());
-            prop_assert_eq!(scratch.distinct_count(c), keys.len());
-            if r.has_index(c) {
-                scratch.ensure_index(c);
-                prop_assert_eq!(scratch.distinct_count(c), keys.len());
-            }
+            prop_assert_eq!(r.distinct_count(c), keys(c));
+            prop_assert_eq!(scratch.distinct_count(c), keys(c));
         }
         let mut patterns: Vec<Selection> = vec![vec![None, None]];
         // `tuple(12, 40)` is never stored; the model's first tuples are.
@@ -838,12 +815,12 @@ mod tests {
             prop_assert!(fresh.by_ref().eq(got));
             prop_assert_eq!(fresh.examined(), it.examined());
             // A pattern binding both columns is a lookup: it pulls the
-            // tuple if stored and nothing else, whichever indexes `r` has
-            // built at this point of the history (none, one or both).
-            // Otherwise a probe pulls exactly the tuples carrying the key
-            // of the first bound indexed column; anything else scans.
-            let probed = (0..2).find(|c| pattern[*c].is_some() && r.has_index(*c));
-            let pulled = match probed {
+            // tuple if stored and nothing else. Otherwise a probe pulls
+            // exactly the tuples carrying the first bound column's key,
+            // whatever `r` was probed for before (its index was built at
+            // some point of the history, or just now, or not at all);
+            // a pattern binding nothing pulls everything.
+            let pulled = match pattern.iter().position(Option::is_some) {
                 _ if pattern.iter().all(Option::is_some) => want.len(),
                 Some(c) => model.iter().filter(|t| Some(t[c]) == pattern[c]).count(),
                 None => model.len(),
@@ -852,7 +829,7 @@ mod tests {
             // A probe of the leading column walks the tuple set itself:
             // the same tuples, in the same order, at the same count as
             // a probe of the explicit `(t[0], t)` index it stands in for.
-            if let (Some(0), Some(key), None) = (probed, pattern[0], pattern[1]) {
+            if let (Some(key), None) = (pattern[0], pattern[1]) {
                 let explicit: RunSet<_> = r.tuples.iter().map(|t| (t[0], t.clone())).collect();
                 let mut oracle = Matches {
                     inner: MatchesInner::Probe(explicit.iter_from(|e| e.0 < key), key),
@@ -862,19 +839,20 @@ mod tests {
                 let mut it = r.select(pattern);
                 prop_assert!(it.by_ref().eq(oracle.by_ref()));
                 prop_assert_eq!(it.examined(), oracle.examined());
-                let leading = r.indexes[0].as_ref().unwrap();
-                prop_assert_eq!(leading.entries.len(), 0);
             }
         }
+        prop_assert!(scratch.has_index(1));
+        prop_assert_eq!(scratch.distinct_count(1), keys(1));
         Ok(())
     }
 
     proptest! {
         /// `Relation` against a `BTreeSet` model over random edits —
         /// single inserts and removals, and ascending batches through
-        /// `insert_ascending` — with indexes appearing mid-stream and
-        /// clones taken mid-stream: every clone keeps answering for the
-        /// state it was taken in, as a relation built from scratch does.
+        /// `insert_ascending` — with first probes (and so indexes)
+        /// appearing mid-stream and clones taken mid-stream: every clone
+        /// keeps answering for the state it was taken in, as a relation
+        /// built from scratch does.
         #[test]
         fn relation_matches_model_with_and_without_indexes(
             steps in proptest::collection::vec(step(), 0..250),
@@ -895,7 +873,7 @@ mod tests {
                             batch.iter().filter(|t| model.insert((*t).clone())).cloned().collect();
                         prop_assert_eq!(r.insert_ascending(batch), want);
                     }
-                    Step::Index(c) => r.ensure_index(c),
+                    Step::Probe(c) => probe(&r, c),
                     Step::Snapshot => snapshots.push((r.clone(), model.clone())),
                 }
             }

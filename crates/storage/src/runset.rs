@@ -118,20 +118,6 @@ impl<T: Ord + Clone> RunSet<T> {
         at.map(|at| (i, at)).map_err(|at| (i, at))
     }
 
-    /// `key` of the items directly below slot `at` of run `i` and at its
-    /// slot `to` (in the next run over if need be, `None` at an end of the
-    /// set): around an insertion at `at`, or with `to == at + 1` the item.
-    fn around<K>(&self, i: usize, at: usize, to: usize, key: impl Fn(&T) -> K) -> [Option<K>; 2] {
-        let below = match at.checked_sub(1) {
-            Some(b) => self.runs[i].get(b),
-            None => i.checked_sub(1).and_then(|h| self.runs[h].last()),
-        };
-        let above = self.runs[i]
-            .get(to)
-            .or_else(|| self.runs.get(i + 1).map(|r| &r[0]));
-        [below.map(&key), above.map(&key)]
-    }
-
     /// Whether the item `cmp` describes (see [`RunSet::find`]) is stored.
     pub(crate) fn contains(&self, cmp: impl Fn(&T) -> Ordering) -> bool {
         self.find(cmp).is_ok()
@@ -144,50 +130,34 @@ impl<T: Ord + Clone> RunSet<T> {
 
     /// Insert `item`; returns whether it was new.
     pub(crate) fn insert(&mut self, item: T) -> bool {
-        self.insert_between(item, |_| ()).is_some()
-    }
-
-    /// Insert `item` unless it is stored; if it was new, the result is
-    /// `key` of the items it now sits directly above and below of — the
-    /// one search also answers "is this the first item with its key?".
-    pub(crate) fn insert_between<K>(
-        &mut self,
-        item: T,
-        key: impl Fn(&T) -> K,
-    ) -> Option<[Option<K>; 2]> {
         // Ascending loads (a sorted snapshot, a round's new facts) append:
         // one comparison, no search, and a full last run is followed by
         // a fresh one rather than split, so loaded runs stay full.
-        let top = self.runs.last().map(|r| &r[r.len() - 1]);
-        if top.is_none_or(|top| *top < item) {
-            let around = [top.map(key), None];
+        if self.above_all(&item) {
             self.append(item);
-            return Some(around);
+            return true;
         }
-        let (i, at) = self.find(|x| x.cmp(&item)).err()?;
-        let around = self.around(i, at, at, key);
+        let Err((i, at)) = self.find(|x| x.cmp(&item)) else {
+            return false;
+        };
         self.insert_at(i, at, item);
-        Some(around)
+        true
     }
 
     /// Insert `items`, which must ascend strictly, through a forward
-    /// cursor (see the module docs): for each one not stored yet, `new`
-    /// is handed the item and `key` of the items it then sits directly
-    /// above and below of, as [`RunSet::insert_between`] reports them,
-    /// before it is stored.
-    pub(crate) fn insert_ascending<K>(
+    /// cursor (see the module docs), handing `new` each one not stored
+    /// yet before it is stored.
+    pub(crate) fn insert_ascending(
         &mut self,
         items: impl IntoIterator<Item = T>,
-        key: impl Fn(&T) -> K,
-        mut new: impl FnMut(&T, [Option<K>; 2]),
+        mut new: impl FnMut(&T),
     ) {
         // The run the previous item landed in: every later item sorts
         // above that run's first one (or the cursor is still at run 0).
         let mut i = 0;
         for item in items {
-            let top = self.runs.last().map(|r| &r[r.len() - 1]);
-            if top.is_none_or(|top| *top < item) {
-                new(&item, [top.map(&key), None]);
+            if self.above_all(&item) {
+                new(&item);
                 self.append(item);
                 continue;
             }
@@ -195,9 +165,14 @@ impl<T: Ord + Clone> RunSet<T> {
             let Err(at) = self.runs[i].binary_search(&item) else {
                 continue;
             };
-            new(&item, self.around(i, at, at, &key));
+            new(&item);
             self.insert_at(i, at, item);
         }
+    }
+
+    /// Whether `item` sorts above everything stored (an empty set too).
+    fn above_all(&self, item: &T) -> bool {
+        self.runs.last().is_none_or(|r| r[r.len() - 1] < *item)
     }
 
     /// The last run at or after `from` whose first item is not above
@@ -248,15 +223,12 @@ impl<T: Ord + Clone> RunSet<T> {
         RunSet { runs, len }
     }
 
-    /// Remove the item `cmp` describes (see [`RunSet::find`]) if it is
-    /// stored; the result is then `key` of the items it sat between.
-    pub(crate) fn remove_between<K>(
-        &mut self,
-        cmp: impl Fn(&T) -> Ordering,
-        key: impl Fn(&T) -> K,
-    ) -> Option<[Option<K>; 2]> {
-        let (i, at) = self.find(cmp).ok()?;
-        let around = self.around(i, at, at + 1, key);
+    /// Remove the item `cmp` describes (see [`RunSet::find`]); returns
+    /// whether it was stored.
+    pub(crate) fn remove(&mut self, cmp: impl Fn(&T) -> Ordering) -> bool {
+        let Ok((i, at)) = self.find(cmp) else {
+            return false;
+        };
         Arc::make_mut(&mut self.runs[i]).remove(at);
         self.len -= 1;
         let fit = |a: &Arc<Vec<T>>, b: &Arc<Vec<T>>| a.len() + b.len() <= RUN_LEN;
@@ -267,7 +239,7 @@ impl<T: Ord + Clone> RunSet<T> {
         } else if i > 0 && fit(&self.runs[i - 1], &self.runs[i]) {
             self.join(i - 1);
         }
-        Some(around)
+        true
     }
 
     /// Append run `i + 1` to run `i`.
@@ -384,7 +356,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     fn remove<T: Ord + Clone>(set: &mut RunSet<T>, item: T) -> bool {
-        set.remove_between(|x| x.cmp(&item), |_| ()).is_some()
+        set.remove(|x| x.cmp(&item))
     }
 
     /// The representation invariant every operation must preserve.
@@ -460,20 +432,9 @@ mod tests {
         let mut set: RunSet<u32> = (0..2000).map(|i| i * 4).collect();
         let batch = [1, 2, 3, 4, 5, 6001, 6002, 7997, 7999, 9000];
         let mut seen = Vec::new();
-        set.insert_ascending(batch, |x| *x, |x, around| seen.push((*x, around)));
+        set.insert_ascending(batch, |x| seen.push(*x));
         // 4 is stored; 7999 and 9000 sit above everything (the append path).
-        let want = [
-            (1, [Some(0), Some(4)]),
-            (2, [Some(1), Some(4)]),
-            (3, [Some(2), Some(4)]),
-            (5, [Some(4), Some(8)]),
-            (6001, [Some(6000), Some(6004)]),
-            (6002, [Some(6001), Some(6004)]),
-            (7997, [Some(7996), None]),
-            (7999, [Some(7997), None]),
-            (9000, [Some(7999), None]),
-        ];
-        assert_eq!(seen, want);
+        assert_eq!(seen, [1, 2, 3, 5, 6001, 6002, 7997, 7999, 9000]);
         check_shape(&set);
         assert_eq!(set.len(), 2009);
         let bulk = RunSet::from_ascending((0..1000u32).collect());
@@ -513,9 +474,9 @@ mod tests {
         /// The run set against a `BTreeSet` model over random edit
         /// sequences — single inserts and removals, ascending batches
         /// through the cursor, bulk rebuilds — with clones taken
-        /// mid-stream: every operation answers as the model does (an
-        /// insert, a batch and a removal also about the stored
-        /// neighbours of each item), the shape invariant holds, and
+        /// mid-stream: every operation answers as the model does (a
+        /// batch also about which of its items were new, in order), the
+        /// shape invariant holds, and
         /// every clone still iterates exactly what it held when taken.
         #[test]
         fn matches_btreeset_model_and_clones_are_snapshots(
@@ -527,28 +488,12 @@ mod tests {
             let mut snapshots: Vec<(RunSet<u16>, BTreeSet<u16>)> = Vec::new();
             for s in steps {
                 match s {
-                    Step::Insert(x) => {
-                        let around = [model.range(..x).next_back().copied(), model.range(x + 1..).next().copied()];
-                        let seen = set.insert_between(x, |y| *y);
-                        prop_assert_eq!(seen, model.insert(x).then_some(around));
-                    }
-                    Step::Remove(x) => {
-                        let around = [model.range(..x).next_back().copied(), model.range(x + 1..).next().copied()];
-                        let seen = set.remove_between(|y| y.cmp(&x), |y| *y);
-                        prop_assert_eq!(seen, model.remove(&x).then_some(around));
-                    }
+                    Step::Insert(x) => prop_assert_eq!(set.insert(x), model.insert(x)),
+                    Step::Remove(x) => prop_assert_eq!(set.remove(|y| y.cmp(&x)), model.remove(&x)),
                     Step::Batch(batch) => {
-                        // What one insert after another reports: the
-                        // model takes each item before the next is placed.
-                        let mut want = Vec::new();
-                        for &x in &batch {
-                            let around = [model.range(..x).next_back().copied(), model.range(x + 1..).next().copied()];
-                            if model.insert(x) {
-                                want.push((x, around));
-                            }
-                        }
+                        let want: Vec<u16> = batch.iter().copied().filter(|x| model.insert(*x)).collect();
                         let mut seen = Vec::new();
-                        set.insert_ascending(batch, |y| *y, |y, around| seen.push((*y, around)));
+                        set.insert_ascending(batch, |y| seen.push(*y));
                         prop_assert_eq!(seen, want);
                         check_shape(&set);
                     }
