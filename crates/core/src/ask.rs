@@ -61,14 +61,12 @@ pub fn certain(prover: &Prover, q: &Formula) -> bool {
 /// decided.
 fn reduce(prover: &Prover, q: &Formula) -> Formula {
     // Quantifiers into modal contexts range over *all* parameters, not
-    // just the mentioned ones; spare parameters (about which the database
-    // knows nothing) represent the unmentioned individuals. One spare per
-    // level of modal-scoped quantifier nesting makes depth-≤3 expansion
-    // exact; deeper nesting keeps the last spare (documented
-    // approximation).
-    let spares: Vec<Param> = (0..modal_quantifier_depth(q).clamp(1, 3))
-        .map(|i| Param::new(&format!("__spare{i}")))
-        .collect();
+    // just the mentioned ones; spare parameters (which neither the
+    // database nor the query mentions) represent the unmentioned
+    // individuals. One spare per level of modal-scoped quantifier nesting
+    // makes depth-≤3 expansion exact; deeper nesting keeps the last spare
+    // (documented approximation).
+    let spares = prover.spares(modal_quantifier_depth(q).clamp(1, 3), &q.params());
     reduce_with(prover, q, &HashMap::new(), &spares)
 }
 
@@ -156,11 +154,7 @@ fn reduce_with(
 
 fn expansion_domain(prover: &Prover, q: &Formula, spares: &[Param]) -> Vec<Param> {
     let mut domain = prover.answer_domain(q);
-    for s in spares {
-        if !domain.contains(s) {
-            domain.push(*s);
-        }
-    }
+    domain.extend(spares);
     domain
 }
 
@@ -274,6 +268,21 @@ mod tests {
         // Someone teaches Psych — Mary or Sue — but there is no known one.
         assert_eq!(a(&p, "exists x. Teach(x, Psych)"), Answer::Yes);
         assert_eq!(a(&p, "exists x. K Teach(x, Psych)"), Answer::No);
+    }
+
+    #[test]
+    fn a_spare_is_no_parameter_of_the_theory() {
+        // Whatever one name the theory holds — `__spare0`, or the name
+        // the spares' pool would draw next — an individual it does not
+        // mention is not known to be a `p`.
+        let next = Prover::new(Theory::empty()).spares(1, &[])[0];
+        for name in ["a", "__spare0", &next.name()] {
+            let p = Prover::new(
+                Theory::new(vec![Formula::atom("p", vec![Param::new(name).into()])]).unwrap(),
+            );
+            assert_eq!(a(&p, "forall x. K p(x)"), Answer::No, "{name}");
+            assert_eq!(a(&p, "exists x. ~K p(x)"), Answer::Yes, "{name}");
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl ClosedDb {
         // mentioning unmentioned parameters; one spare parameter (with all
         // its atoms false) represents them during quantifier evaluation.
         let mut universe = domain;
-        universe.push(Param::fresh("cwa"));
+        universe.extend(prover.spares(1, &[]));
         let satisfiable = theory
             .sentences()
             .iter()
@@ -118,12 +118,8 @@ impl ClosedDb {
                 vec![]
             };
         }
-        let domain: Vec<Param> = self
-            .universe
-            .iter()
-            .copied()
-            .filter(|p| !p.is_fresh())
-            .collect();
+        // The universe's last parameter is the spare, which is no answer.
+        let domain = self.universe[..self.universe.len() - 1].to_vec();
         domain_walk(domain, vars.len())
             .filter(|tuple| holds_in_world(&fo.bind_free(tuple), &self.world, &self.universe))
             .collect()

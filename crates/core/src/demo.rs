@@ -615,6 +615,30 @@ mod tests {
     }
 
     #[test]
+    fn model_answers_an_open_atom_without_asking_the_prover() {
+        let theory = Theory::from_text("e(a, b)\ne(a, a)\ne(b, c)").unwrap();
+        let mut model = epilog_storage::Database::new();
+        for s in theory.sentences() {
+            let Formula::Atom(a) = &**s else { continue };
+            model.insert(a);
+        }
+        let p = Prover::new(theory).with_atom_model(model);
+        let answers = |src: &str| -> Vec<Vec<String>> {
+            demo(&p, &parse(src).unwrap())
+                .unwrap()
+                .map(|t| t.iter().map(|p| p.name()).collect())
+                .collect()
+        };
+        assert_eq!(answers("e(a, x)"), [["a"], ["b"]]);
+        assert_eq!(answers("e(x, x)"), [["a"]]);
+        assert_eq!(answers("e(x, y)"), [["a", "a"], ["a", "b"], ["b", "c"]]);
+        assert!(answers("e(c, x)").is_empty());
+        assert!(answers("f(x)").is_empty());
+        assert_eq!(p.sat_calls(), 0);
+        assert_eq!(p.memo_len(), 0, "no candidate was put to entails()");
+    }
+
+    #[test]
     fn laziness_first_answer_cheap() {
         let prover = Prover::new(Theory::from_text("p(a)\np(b)\np(c)").unwrap());
         let mut s = demo(&prover, &parse("K p(x)").unwrap()).unwrap();

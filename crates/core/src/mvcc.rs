@@ -71,22 +71,7 @@ impl Deref for CommittedState {
 
 /// A reader's handle on one committed state: a cheap `Arc` clone that
 /// pins the snapshot for as long as the handle lives.
-#[derive(Clone)]
-pub struct ReadHandle(Arc<CommittedState>);
-
-impl ReadHandle {
-    /// The pinned state (also reachable through `Deref`).
-    pub fn state(&self) -> &CommittedState {
-        &self.0
-    }
-}
-
-impl Deref for ReadHandle {
-    type Target = CommittedState;
-    fn deref(&self) -> &CommittedState {
-        &self.0
-    }
-}
+pub type ReadHandle = Arc<CommittedState>;
 
 /// The head pointer: which committed state new readers see.
 pub struct StateCell {
@@ -105,7 +90,7 @@ impl StateCell {
     /// blocks on commit work (the write lock is held only for the
     /// pointer swap itself).
     pub fn snapshot(&self) -> ReadHandle {
-        ReadHandle(Arc::clone(&self.head.read().unwrap()))
+        Arc::clone(&self.head.read().unwrap())
     }
 
     /// The LSN of the current head.
@@ -133,7 +118,6 @@ impl StateCell {
 const _: () = {
     const fn assert_sync<T: Send + Sync>() {}
     assert_sync::<CommittedState>();
-    assert_sync::<ReadHandle>();
     assert_sync::<StateCell>();
 };
 

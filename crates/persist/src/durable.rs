@@ -36,23 +36,27 @@
 //!   `Deref` keep answering; [`DurableDb::recover`] on the directory,
 //!   which reads what the disk really holds, is the way back.
 //!
-//! **Recovery replays the real commit path.** [`DurableDb::recover`] loads
-//! the newest valid snapshot (falling back across corrupt ones, and to
-//! genesis when none survive) and replays every log record past its LSN
-//! through `Transaction::commit` itself — so recovered state re-verifies
-//! its constraints and maintains the incremental model exactly as the
-//! live path would. A directory that cannot give back every commit it
-//! acknowledged is refused with `Corrupt` rather than recovered short:
-//! when the log resumes past the base snapshot's LSN + 1, or a snapshot
-//! that failed validation covers records the log no longer holds.
+//! **Recovery replays the real commit path, a record whole or not at
+//! all.** [`DurableDb::recover`] loads the newest valid snapshot (falling
+//! back across corrupt ones, and to genesis when none survive) and
+//! replays every log record past its LSN as it was made — one
+//! `constraint` through `EpistemicDb::add_constraint`, or `retract` /
+//! `assert` ops as one `Transaction::commit` — so recovered state
+//! re-verifies its constraints and maintains the incremental model
+//! exactly as the live path would. A directory that cannot give back
+//! every commit it acknowledged is refused with `Corrupt` rather than
+//! recovered short: when the log resumes past the base snapshot's LSN +
+//! 1, when a snapshot that failed validation covers records the log no
+//! longer holds, or when a record has another shape or is refused (the
+//! error names its LSN).
 //! `tests/prop_persist.rs` pins this: crash anywhere, recover, and the
 //! state equals an in-memory oracle that applied the surviving prefix —
 //! under seeded fault schedules too: what answered `Ok` is there, what
 //! answered `Err` is not.
 
 use crate::fault::FaultInjector;
-use crate::snapshot::{Snapshot, SnapshotError};
-use crate::wal::{compaction_temp, FsyncPolicy, TornTail, Wal, WalOp, WAL_FILE};
+use crate::snapshot::Snapshot;
+use crate::wal::{FsyncPolicy, TornTail, Wal, WalOp, WAL_FILE};
 use epilog_core::db::DbError;
 use epilog_core::{CommitReport, EpistemicDb, Transaction};
 use epilog_syntax::{Formula, Theory};
@@ -71,8 +75,9 @@ pub enum PersistError {
     /// ill-formed sentence, …) — state and log are unchanged.
     Db(DbError),
     /// A file exists but cannot be trusted (bad checksum, bad framing,
-    /// inconsistent contents) — or a live [`DurableDb`]'s log cannot and
-    /// it refuses writes until recovered (module docs).
+    /// inconsistent contents, a log record that does not replay) — or a
+    /// live [`DurableDb`]'s log cannot and it refuses writes until
+    /// recovered (module docs).
     Corrupt(String),
 }
 
@@ -100,16 +105,9 @@ impl From<DbError> for PersistError {
     }
 }
 
-impl From<SnapshotError> for PersistError {
-    fn from(e: SnapshotError) -> Self {
-        match e {
-            SnapshotError::Io(e) => PersistError::Io(e),
-            SnapshotError::Corrupt(why) => PersistError::Corrupt(why),
-        }
-    }
-}
-
-/// What [`DurableDb::recover`] found and did.
+/// What [`DurableDb::recover`] found and did. Every record past the
+/// snapshot was replayed whole: a record that does not replay makes
+/// `recover` fail instead.
 #[derive(Debug)]
 pub struct RecoveryReport {
     /// LSN of the snapshot recovery started from (`None`: no snapshot at
@@ -119,10 +117,6 @@ pub struct RecoveryReport {
     pub snapshots_skipped: u32,
     /// Log records replayed (those with `lsn > snapshot_lsn`).
     pub records_replayed: u64,
-    /// Records the replayed commit path *refused* (possible only when a
-    /// crash interleaved with a concurrent-era log, or after manual log
-    /// surgery; the record is skipped and recovery continues).
-    pub rejected: Vec<(u64, String)>,
     /// The torn tail, when the log did not end on a record boundary.
     pub torn_tail: Option<TornTail>,
     /// Bytes discarded by the torn-tail truncation.
@@ -144,9 +138,6 @@ impl fmt::Display for RecoveryReport {
         )?;
         if let Some(t) = &self.torn_tail {
             write!(f, "; {t} ({} bytes dropped)", self.truncated_bytes)?;
-        }
-        if !self.rejected.is_empty() {
-            write!(f, "; {} records rejected", self.rejected.len())?;
         }
         Ok(())
     }
@@ -277,19 +268,14 @@ impl DurableDb {
     }
 
     /// Rebuild the database from `dir`: newest valid snapshot + replay of
-    /// the log tail through the real commit path, torn tail truncated.
+    /// the log tail through the real commit path, torn tail truncated,
+    /// stray temp files deleted — or `Corrupt` (module docs).
     pub fn recover(
         dir: impl AsRef<Path>,
         policy: FsyncPolicy,
     ) -> Result<(DurableDb, RecoveryReport), PersistError> {
         let dir = dir.as_ref().to_path_buf();
-        // Whatever a crash between a temp file's creation and its rename
-        // left behind is not state, and nothing else would ever remove it.
-        Snapshot::remove_stray_temps(&dir)?;
-        match std::fs::remove_file(compaction_temp(&dir.join(WAL_FILE))) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
-            _ => {}
-        }
+        crate::remove_temps(&dir)?;
         let snaps = Snapshot::list(&dir)?;
         let mut snapshots_skipped = 0u32;
         let mut base: Option<Snapshot> = None;
@@ -300,8 +286,8 @@ impl DurableDb {
                     base = Some(s);
                     break;
                 }
-                Err(SnapshotError::Corrupt(_)) => snapshots_skipped += 1,
-                Err(SnapshotError::Io(e)) => return Err(e.into()),
+                Err(PersistError::Corrupt(_)) => snapshots_skipped += 1,
+                Err(e) => return Err(e),
             }
         }
         let snapshot_lsn = base.as_ref().map(|s| s.lsn);
@@ -331,22 +317,23 @@ impl DurableDb {
             Some(s) => s.restore()?,
             None => EpistemicDb::new(Theory::empty()),
         };
-        let mut report = RecoveryReport {
+        for record in tail {
+            replay_record(&mut db, &record.ops).map_err(|why| {
+                PersistError::Corrupt(format!(
+                    "the log record at LSN {} does not replay: {why}",
+                    record.lsn
+                ))
+            })?;
+        }
+        wal.bump_next_lsn(from + 1);
+        let report = RecoveryReport {
             snapshot_lsn,
             snapshots_skipped,
             records_replayed: tail.len() as u64,
-            rejected: Vec::new(),
             torn_tail: scan.torn,
             truncated_bytes: scan.truncated_bytes,
-            last_lsn: 0,
+            last_lsn: wal.last_lsn(),
         };
-        for record in tail {
-            if let Err(e) = replay_record(&mut db, &record.ops) {
-                report.rejected.push((record.lsn, e.to_string()));
-            }
-        }
-        wal.bump_next_lsn(from + 1);
-        report.last_lsn = wal.last_lsn();
         let log = Log {
             wal,
             untrusted: None,
@@ -500,30 +487,23 @@ impl DurableDb {
     }
 }
 
-/// Replay one log record through the live commit machinery. Records are
-/// homogeneous by construction (one constraint, or a batch of
-/// assert/retract); interleavings are handled by flushing the batch at
-/// each constraint boundary.
-fn replay_record(db: &mut EpistemicDb, ops: &[WalOp]) -> Result<(), DbError> {
-    let mut i = 0;
-    while i < ops.len() {
-        if let WalOp::Constraint(ic) = &ops[i] {
-            db.add_constraint(ic.clone())?;
-            i += 1;
-            continue;
-        }
-        let mut txn = db.transaction();
-        while i < ops.len() {
-            match &ops[i] {
-                WalOp::Assert(w) => txn = txn.assert(w.clone()),
-                WalOp::Retract(w) => txn = txn.retract(w.clone()),
-                WalOp::Constraint(_) => break,
-            }
-            i += 1;
-        }
-        let _ = txn.commit()?;
+/// Replay one log record through the live commit machinery, in one of
+/// the two shapes a [`DurableDb`] writes: a single `constraint` op, or
+/// `retract`/`assert` ops committed as one transaction. Any other shape,
+/// or a refusal, is why the record does not replay.
+fn replay_record(db: &mut EpistemicDb, ops: &[WalOp]) -> Result<(), String> {
+    if let [WalOp::Constraint(ic)] = ops {
+        return db.add_constraint(ic.clone()).map_err(|e| e.to_string());
     }
-    Ok(())
+    let mut txn = db.transaction();
+    for op in ops {
+        txn = match op {
+            WalOp::Assert(w) => txn.assert(w.clone()),
+            WalOp::Retract(w) => txn.retract(w.clone()),
+            WalOp::Constraint(_) => return Err("a constraint beside other operations".into()),
+        };
+    }
+    txn.commit().map(drop).map_err(|e| e.to_string())
 }
 
 /// A batch of updates that will be logged ahead of application — the
@@ -636,7 +616,6 @@ mod tests {
             let (rec, report) = DurableDb::recover(&d, policy).unwrap();
             assert_eq!(report.snapshot_lsn, Some(0), "genesis snapshot");
             assert_eq!(report.records_replayed, 3, "constraint + 2 commits");
-            assert!(report.rejected.is_empty());
             assert!(report.torn_tail.is_none());
             assert_eq!(rec.theory(), &live_state);
             assert_eq!(rec.ask(&f("K person(Sue)")), Answer::Yes);
@@ -668,8 +647,7 @@ mod tests {
             PersistError::Db(DbError::ConstraintViolated(_))
         ));
         assert_eq!(db.wal_records(), records);
-        let (rec, report) = DurableDb::recover(&d, FsyncPolicy::Always).unwrap();
-        assert!(report.rejected.is_empty());
+        let (rec, _) = DurableDb::recover(&d, FsyncPolicy::Always).unwrap();
         assert_same_state(rec.db(), db.db());
         std::fs::remove_dir_all(d).unwrap();
     }
@@ -923,8 +901,7 @@ mod tests {
         assert_eq!(inj.injected(), 0);
         let b = db.assert(f("emp(Ann)"));
         drop(db);
-        let report = assert_recovery_honors(&d, &[("emp(Mary)", true), ("emp(Ann)", b.is_ok())]);
-        assert!(report.rejected.is_empty(), "{report}");
+        let _ = assert_recovery_honors(&d, &[("emp(Mary)", true), ("emp(Ann)", b.is_ok())]);
         std::fs::remove_dir_all(d).unwrap();
     }
 
@@ -981,10 +958,9 @@ mod tests {
         let (mut db, inj) = injected(&d, FsyncPolicy::Never);
         db.assert(f("emp(Sue)")).unwrap();
         let acked = db.last_lsn();
-        // compact() syncs the log, the snapshot, the directory, the log
-        // again, the shorter log's temp file, then the directory: fail
-        // the last.
-        inj.fail_nth_sync(inj.syncs() + 5);
+        // compact() syncs the log, the snapshot, the directory, the
+        // shorter log's temp file, then the directory: fail the last.
+        inj.fail_nth_sync(inj.syncs() + 4);
         let err = db.compact().unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "got {err}");
         assert_eq!((inj.injected(), db.wal_records()), (1, 0), "renamed");
@@ -1042,13 +1018,44 @@ mod tests {
             let n = bytes.len();
             bytes[n - 3] ^= 0x04;
             std::fs::write(&path, &bytes).unwrap();
-            match DurableDb::recover(&d, FsyncPolicy::Never) {
-                Err(PersistError::Corrupt(why)) => {
-                    assert!(lsns.iter().all(|l| why.contains(l)), "{why}")
-                }
-                Err(e) => panic!("{e}"),
-                Ok((_, report)) => panic!("recovered short: {report}"),
+            assert_refused(&d, &lsns);
+            std::fs::remove_dir_all(d).unwrap();
+        }
+    }
+
+    /// `recover` on `d` must refuse with a reason naming each of `lsns`.
+    fn assert_refused(d: &Path, lsns: &[&str]) {
+        match DurableDb::recover(d, FsyncPolicy::Never) {
+            Err(PersistError::Corrupt(why)) => {
+                assert!(lsns.iter().all(|l| why.contains(l)), "{why}")
             }
+            Err(e) => panic!("{e}"),
+            Ok((_, report)) => panic!("recovered short: {report}"),
+        }
+    }
+
+    #[test]
+    fn a_record_that_does_not_replay_whole_is_refused() {
+        // Records appended behind the database's back: one the commit path
+        // refuses, and a constraint beside an assert, a shape no
+        // `DurableDb` writes. Skipping either, or half of the second,
+        // would let the next commit take LSN 3 over a state nobody
+        // acknowledged.
+        let ghost = vec![WalOp::Assert(f("emp(Ghost)"))];
+        let mixed = vec![
+            WalOp::Constraint(f("forall x. K p(x) -> K q(x)")),
+            WalOp::Assert(f("p(a)")),
+        ];
+        for record in [ghost, mixed] {
+            let d = dir();
+            let mut db = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
+            db.add_constraint(f("forall x. K emp(x) -> exists y. K ss(x, y)"))
+                .unwrap();
+            drop(db);
+            let (mut wal, _) = Wal::open(d.join(WAL_FILE), FsyncPolicy::Never).unwrap();
+            assert_eq!(wal.append(&record).unwrap(), 2);
+            drop(wal);
+            assert_refused(&d, &["LSN 2"]);
             std::fs::remove_dir_all(d).unwrap();
         }
     }

@@ -12,13 +12,14 @@
 //! # Design
 //!
 //! The injector is a narrow layer over exactly two primitives —
-//! `fault::write_all` and `fault::sync_data` (crate-private; a log
-//! compaction's directory fsync consults it too) — the only file operations the hot
-//! durability path performs. Each call first consults the injector (when
-//! one is installed): the injector counts the operation, decides from
-//! its seeded schedule whether to fail it, and for torn/short writes
-//! flushes a chosen prefix of the buffer to the file before returning
-//! the error — exactly what a crashed or failing disk leaves behind.
+//! `fault::write_all` and `fault::sync_data` (crate-private; the
+//! directory fsync of a file replacement consults it too) — the only file
+//! operations the hot durability path performs. Each call first consults
+//! the injector (when one is installed): the injector counts the
+//! operation, decides from its seeded schedule whether to fail it, and
+//! for torn/short writes flushes a chosen prefix of the buffer to the
+//! file before returning the error — exactly what a crashed or failing
+//! disk leaves behind.
 //! When no injector is installed the layer is a single `Option` check
 //! on the way into the real syscall: zero-cost when off.
 //!

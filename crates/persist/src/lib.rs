@@ -12,15 +12,18 @@
 //!   (the least model is derived from them on restore, never stored), so
 //!   recovery is snapshot-load + tail-replay instead of
 //!   replay-from-genesis, with [`DurableDb::compact`] truncating the
-//!   covered log prefix;
+//!   covered log prefix. A snapshot and a compacted log are both written
+//!   by one file replacement (`<name>.tmp`, sync, rename, directory
+//!   sync), whose strays recovery deletes;
 //! * [`DurableDb`] — the wrapper that threads every commit through the
 //!   log (log-before-apply, [`FsyncPolicy`] configurable) and whose
-//!   [`DurableDb::recover`] replays through the real `Transaction::commit`
-//!   path — recovered state re-verifies constraints and maintains the
-//!   incremental model exactly as the live path does —
+//!   [`DurableDb::recover`] replays each record whole through the real
+//!   commit path — recovered state re-verifies constraints and maintains
+//!   the incremental model exactly as the live path does —
 //!   tolerating a torn log tail (truncate at the first corrupt record,
-//!   reported in the [`RecoveryReport`]) but refusing a directory whose
-//!   snapshots and log no longer meet (`PersistError::Corrupt`);
+//!   reported in the [`RecoveryReport`]) but refusing
+//!   (`PersistError::Corrupt`) a directory whose snapshots and log no
+//!   longer meet, or whose log holds a record that does not replay;
 //! * [`ServingDb`] — the concurrent serving layer: lock-free MVCC
 //!   snapshot reads (`epilog-core`'s `StateCell`) with a single writer
 //!   thread draining a bounded commit queue and batching many
@@ -76,6 +79,10 @@ pub mod serve;
 pub mod snapshot;
 pub mod wal;
 
+use std::fs::File;
+use std::io;
+use std::path::Path;
+
 /// 64-bit FNV-1a — the checksum both on-disk formats (log records and
 /// snapshots) frame their payloads with. Tiny, dependency-free, and
 /// plenty for torn-write detection; not a cryptographic seal.
@@ -92,9 +99,58 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// created/renamed files (the log, a snapshot) survive power loss —
 /// without this, `FsyncPolicy::Always`'s durability claim would cover
 /// file *contents* but not their *names*. `inj` may fail it like any sync.
-pub(crate) fn sync_dir(dir: &std::path::Path, inj: Option<&FaultInjector>) -> std::io::Result<()> {
+pub(crate) fn sync_dir(dir: &Path, inj: Option<&FaultInjector>) -> io::Result<()> {
     fault::injected_sync(inj)?;
-    std::fs::File::open(dir)?.sync_all()
+    File::open(dir)?.sync_all()
+}
+
+/// Replace the file at `path` with one holding `bytes`, so that a crash
+/// leaves the old file or the new one, never a mix: the bytes go to
+/// `<name>.tmp`, which is synced and renamed over `path`, and then the
+/// directory is synced. Every write and sync goes through `inj`. A failure
+/// before the rename removes the temp file (best effort) and leaves
+/// `path` as it was; once the rename is done, `renamed` gets the new
+/// file's handle, positioned at its end, before the directory sync can
+/// fail.
+pub(crate) fn replace_file(
+    path: &Path,
+    bytes: &[u8],
+    inj: Option<&FaultInjector>,
+    renamed: impl FnOnce(File),
+) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(TEMP_SUFFIX);
+    let written = (|| {
+        let mut file = File::create(&tmp)?;
+        fault::write_all(inj, &mut file, bytes)?;
+        fault::sync_data(inj, &file)?;
+        std::fs::rename(&tmp, path)?;
+        Ok(file)
+    })();
+    match written {
+        Ok(file) => renamed(file),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+    }
+    sync_dir(path.parent().expect("a file in a directory"), inj)
+}
+
+/// What [`replace_file`] writes under until its rename: the final name
+/// with this after it.
+const TEMP_SUFFIX: &str = ".tmp";
+
+/// Delete the temp files a crash inside [`replace_file`] stranded in
+/// `dir`. They are never state, and nothing else would remove them.
+pub(crate) fn remove_temps(dir: &Path) -> io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.to_str().is_some_and(|p| p.ends_with(TEMP_SUFFIX)) {
+            std::fs::remove_file(path)?;
+        }
+    }
+    Ok(())
 }
 
 pub use durable::{CompactStats, DurableDb, DurableTransaction, PersistError, RecoveryReport};
@@ -103,5 +159,5 @@ pub use serve::{
     CommitHandle, CommitReceipt, Request, ServeError, ServeOptions, ServeStats, ServingDb, TxOp,
     Writer, WriterExit,
 };
-pub use snapshot::{Snapshot, SnapshotError};
+pub use snapshot::Snapshot;
 pub use wal::{FsyncPolicy, TornTail, Wal, WalOp, WalRecord, WalScan};

@@ -3,7 +3,8 @@
 //!
 //! # File format
 //!
-//! `snapshot-<lsn, zero-padded>.snap`, atomically written (tmp + rename):
+//! `snapshot-<lsn, zero-padded>.snap`, written in one piece by the crate's
+//! one file replacement (`<name>.tmp`, sync, rename, directory sync):
 //!
 //! ```text
 //! #epilog-snapshot v1 <lsn> <payload-len> <fnv1a64-hex>\n
@@ -27,45 +28,19 @@
 //! then stops at the first of those markers and leaves the rest unread:
 //! both hold only what the sections before them determine, so a
 //! compacted directory whose only snapshot carries them recovers intact.
+//!
+//! [`Snapshot::load`] and [`Snapshot::restore`] fail with the crate's
+//! [`PersistError`]: `Io` when the file cannot be read, `Corrupt` when its
+//! header, checksum or sentences are wrong. `DurableDb::recover` falls
+//! back to an older snapshot on `Corrupt` and gives up on `Io`.
 
-use crate::fault::{self, FaultInjector};
-use crate::fnv1a64;
+use crate::fault::FaultInjector;
+use crate::{fnv1a64, PersistError};
 use epilog_core::EpistemicDb;
 use epilog_syntax::{parse, Formula, Theory};
 use std::fmt::{self, Write as _};
-use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// What a snapshot is written under until its rename: the final name's
-/// `snap` with `.tmp` after it.
-const TMP_EXTENSION: &str = "snap.tmp";
-
-/// Why a snapshot failed to load.
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// The file could not be read or written.
-    Io(io::Error),
-    /// The file exists but its header, checksum, or contents are invalid.
-    Corrupt(String),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
-            SnapshotError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<io::Error> for SnapshotError {
-    fn from(e: io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
 
 /// A database's theory and constraints bound to a log position: every
 /// record with `lsn <= self.lsn` is reflected in it.
@@ -111,9 +86,8 @@ impl Snapshot {
     }
 
     /// [`Snapshot::write`] with an optional [`FaultInjector`] over the
-    /// data writes, the pre-rename sync and the directory sync after it.
-    /// A failed write never renames — the half-written temp file is
-    /// removed (best effort) and no existing snapshot is disturbed.
+    /// file replacement (`crate::replace_file`): a failed write never
+    /// renames, and no existing snapshot is disturbed.
     pub(crate) fn write_with(
         &self,
         dir: &Path,
@@ -122,26 +96,14 @@ impl Snapshot {
         let mut payload = String::new();
         self.render(&mut payload)
             .expect("formatting into a String cannot fail");
-        let header = format!(
-            "#epilog-snapshot v1 {} {} {:016x}\n",
+        let file = format!(
+            "#epilog-snapshot v1 {} {} {:016x}\n{payload}",
             self.lsn,
             payload.len(),
             fnv1a64(payload.as_bytes())
         );
         let path = dir.join(Snapshot::file_name(self.lsn));
-        let tmp = path.with_extension(TMP_EXTENSION);
-        let written = (|| -> io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            fault::write_all(injector, &mut f, header.as_bytes())?;
-            fault::write_all(injector, &mut f, payload.as_bytes())?;
-            fault::sync_data(injector, &f)
-        })();
-        if let Err(e) = written {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        std::fs::rename(&tmp, &path)?;
-        crate::sync_dir(dir, injector)?;
+        crate::replace_file(&path, file.as_bytes(), injector, drop)?;
         Ok(path)
     }
 
@@ -160,38 +122,38 @@ impl Snapshot {
     }
 
     /// Load and validate a snapshot file.
-    pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
+    pub fn load(path: &Path) -> Result<Snapshot, PersistError> {
         let bytes = std::fs::read(path)?;
         let text =
-            std::str::from_utf8(&bytes).map_err(|_| SnapshotError::Corrupt("not UTF-8".into()))?;
+            std::str::from_utf8(&bytes).map_err(|_| PersistError::Corrupt("not UTF-8".into()))?;
         let (header, payload) = text
             .split_once('\n')
-            .ok_or_else(|| SnapshotError::Corrupt("missing header line".into()))?;
+            .ok_or_else(|| PersistError::Corrupt("missing header line".into()))?;
         let fields: Vec<&str> = header.split(' ').collect();
         let [magic, version, lsn, len, sum] = fields.as_slice() else {
-            return Err(SnapshotError::Corrupt("malformed header".into()));
+            return Err(PersistError::Corrupt("malformed header".into()));
         };
         if *magic != "#epilog-snapshot" || *version != "v1" {
-            return Err(SnapshotError::Corrupt(format!(
+            return Err(PersistError::Corrupt(format!(
                 "bad magic/version {header:?}"
             )));
         }
         let lsn: u64 = lsn
             .parse()
-            .map_err(|_| SnapshotError::Corrupt("bad lsn".into()))?;
+            .map_err(|_| PersistError::Corrupt("bad lsn".into()))?;
         let len: usize = len
             .parse()
-            .map_err(|_| SnapshotError::Corrupt("bad length".into()))?;
+            .map_err(|_| PersistError::Corrupt("bad length".into()))?;
         let sum = u64::from_str_radix(sum, 16)
-            .map_err(|_| SnapshotError::Corrupt("bad checksum".into()))?;
+            .map_err(|_| PersistError::Corrupt("bad checksum".into()))?;
         if payload.len() != len {
-            return Err(SnapshotError::Corrupt(format!(
+            return Err(PersistError::Corrupt(format!(
                 "payload length {} != declared {len}",
                 payload.len()
             )));
         }
         if fnv1a64(payload.as_bytes()) != sum {
-            return Err(SnapshotError::Corrupt("checksum mismatch".into()));
+            return Err(PersistError::Corrupt("checksum mismatch".into()));
         }
         let mut sentences = Vec::new();
         let mut constraints = Vec::new();
@@ -205,12 +167,12 @@ impl Snapshot {
                 "[model]" | "[supports]" => break,
                 _ => {
                     let Some(into) = section.as_deref_mut() else {
-                        return Err(SnapshotError::Corrupt(format!(
+                        return Err(PersistError::Corrupt(format!(
                             "content before any section marker: {line:?}"
                         )));
                     };
                     into.push(parse(line).map_err(|e| {
-                        SnapshotError::Corrupt(format!("unparseable line {line:?}: {e}"))
+                        PersistError::Corrupt(format!("unparseable line {line:?}: {e}"))
                     })?);
                 }
             }
@@ -242,20 +204,6 @@ impl Snapshot {
         Ok(out)
     }
 
-    /// Delete the temp files of snapshot writes a crash cut short between
-    /// create and rename. They are never state — [`Snapshot::list`] does
-    /// not see them — and no later write would reuse or remove them.
-    pub(crate) fn remove_stray_temps(dir: &Path) -> io::Result<()> {
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("snapshot-") && name.ends_with(TMP_EXTENSION) {
-                std::fs::remove_file(path)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Rebuild the database this snapshot captured, the way
     /// `DurableDb::create` builds one: `Theory::new` over the sentences,
     /// one `EpistemicDb::new` (which computes the least model of a
@@ -268,13 +216,13 @@ impl Snapshot {
     /// slower than the log replay it exists to avoid. Debug builds still
     /// verify; the log records replayed *after* the snapshot go through
     /// the fully checked commit path.
-    pub fn restore(&self) -> Result<EpistemicDb, SnapshotError> {
+    pub fn restore(&self) -> Result<EpistemicDb, PersistError> {
         let theory = Theory::new(self.sentences.clone())
-            .map_err(|e| SnapshotError::Corrupt(format!("invalid sentence: {e}")))?;
+            .map_err(|e| PersistError::Corrupt(format!("invalid sentence: {e}")))?;
         let mut db = EpistemicDb::new(theory);
         for ic in &self.constraints {
             db.adopt_constraint(ic.clone())
-                .map_err(|e| SnapshotError::Corrupt(format!("invalid constraint: {e}")))?;
+                .map_err(|e| PersistError::Corrupt(format!("invalid constraint: {e}")))?;
         }
         Ok(db)
     }
@@ -452,7 +400,7 @@ mod tests {
         std::fs::write(&path, torn).unwrap();
         assert!(matches!(
             Snapshot::load(&path),
-            Err(SnapshotError::Corrupt(why)) if why.contains("checksum")
+            Err(PersistError::Corrupt(why)) if why.contains("checksum")
         ));
 
         // `compact()` left one snapshot and an empty log: a loader that
@@ -495,7 +443,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             Snapshot::load(&path),
-            Err(SnapshotError::Corrupt(_))
+            Err(PersistError::Corrupt(_))
         ));
         std::fs::remove_dir_all(d).unwrap();
     }

@@ -41,13 +41,6 @@ use std::sync::Arc;
 /// File name of the log inside a durable database directory.
 pub const WAL_FILE: &str = "wal.log";
 
-/// Where [`Wal::compact_through`] builds the log at `path`'s shorter
-/// successor before renaming it into place. A crash in between strands
-/// the file; recovery deletes it.
-pub(crate) fn compaction_temp(path: &Path) -> PathBuf {
-    path.with_extension("log.tmp")
-}
-
 /// When appended records are forced to stable storage.
 ///
 /// # The loss window is crash-only
@@ -391,37 +384,27 @@ impl Wal {
     }
 
     /// Drop every record with `lsn <= through` (they are covered by a
-    /// snapshot), rewriting the file atomically (tmp + rename). Returns
-    /// `(records_dropped, bytes_reclaimed)`.
+    /// snapshot), rewriting the file through `crate::replace_file`.
+    /// Returns `(records_dropped, bytes_reclaimed)`. The records kept are
+    /// synced as part of the new file.
     pub(crate) fn compact_through(&mut self, through: u64) -> io::Result<(u64, u64)> {
-        self.sync()?;
         let bytes = std::fs::read(&self.path)?;
         let scan = scan_bytes(&bytes);
-        let keep_from = scan
-            .records
-            .iter()
-            .take_while(|r| r.lsn <= through)
-            .last()
-            .map_or(0, |r| r.end_offset) as usize;
-        if keep_from == 0 {
+        let dropped = scan.records.partition_point(|r| r.lsn <= through);
+        let Some(last) = dropped.checked_sub(1).map(|i| &scan.records[i]) else {
             return Ok((0, 0));
-        }
-        let dropped = scan.records.iter().filter(|r| r.lsn <= through).count() as u64;
-        let tmp = compaction_temp(&self.path);
-        let injector = self.injector.as_deref();
-        let mut file = File::create(&tmp)?;
-        fault::write_all(injector, &mut file, &bytes[keep_from..])?;
-        fault::sync_data(injector, &file)?;
-        std::fs::rename(&tmp, &self.path)?;
-        // Appends follow the renamed file before anything else can fail,
-        // through the handle that wrote it (positioned at its end).
-        self.file = file;
-        self.len_bytes -= keep_from as u64;
-        self.records -= dropped;
-        if let Some(dir) = self.path.parent() {
-            crate::sync_dir(dir, injector)?;
-        }
-        Ok((dropped, keep_from as u64))
+        };
+        let keep_from = last.end_offset;
+        let kept = &bytes[keep_from as usize..];
+        crate::replace_file(&self.path, kept, self.injector.as_deref(), |file| {
+            // Appends follow the renamed file before anything else can
+            // fail, through the handle that wrote it.
+            self.file = file;
+            self.len_bytes -= keep_from;
+            self.records -= dropped as u64;
+            self.unsynced = 0;
+        })?;
+        Ok((dropped as u64, keep_from))
     }
 
     /// Advance the next LSN (used after recovery from a snapshot newer

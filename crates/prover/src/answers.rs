@@ -15,7 +15,6 @@
 //! exactly the case Definition 6.2's `F_Σ` machinery exists to exclude.
 
 use crate::entail::Prover;
-use epilog_storage::Selection;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{is_first_order, Formula, Param, Term, Var};
 
@@ -27,57 +26,37 @@ use epilog_syntax::{is_first_order, Formula, Param, Term, Var};
 pub struct AnswerIter<'a> {
     vars: Vec<Var>,
     /// The tuples that may be answers, in answer-domain order.
-    candidates: Box<dyn Iterator<Item = Vec<Param>> + 'a>,
-    /// Who decides each candidate, and about which formula; `None` when
-    /// every candidate is an answer.
-    judge: Option<(&'a Prover, Formula)>,
+    candidates: Box<dyn Iterator<Item = Vec<Param>>>,
+    /// Who decides each candidate.
+    prover: &'a Prover,
+    /// The formula each candidate's instance is of.
+    formula: Formula,
 }
 
 impl<'a> AnswerIter<'a> {
     /// Start the enumeration `prove(f, Σ)`.
     ///
-    /// When `f` is a single open atom, a model says where to look:
-    ///
-    /// * a least model the prover carries ([`Prover::with_atom_model`])
-    ///   holds exactly the entailed ground atoms, so the atom's constants
-    ///   select the answers from its relation (a probe of the first
-    ///   constant's column) and no candidate is ever put to `entails`;
-    /// * otherwise the model kept with the grounding of `Σ` bounds them:
-    ///   an instance false in that model is refuted by it, one ground `Σ`
-    ///   never mentions is free in it, and neither is entailed by a
-    ///   satisfiable `Σ` — so only the instances true in the kept model
-    ///   are put to `entails`, one solver run each.
-    ///
-    /// Either way the tuples are the ones the domain walk would have kept,
-    /// in the walk's order. Every other goal — and every goal over an
-    /// unsatisfiable `Σ`, which entails all instances — walks the answer
-    /// domain.
+    /// When `f` is a single open atom, the model kept with the grounding
+    /// of `Σ` bounds the answers: an instance false in that model is
+    /// refuted by it, one ground `Σ` never mentions is free in it, and
+    /// neither is entailed by a satisfiable `Σ` — so only the instances
+    /// true in the kept model are put to `entails`, in the domain walk's
+    /// order. Every other goal — and every goal over an unsatisfiable
+    /// `Σ`, which entails all instances — walks the answer domain. (A
+    /// least model the prover carries is read by `demo`, which never asks
+    /// this enumeration about an atom when one is attached.)
     ///
     /// # Panics
     /// Panics if `f` is not first-order.
     pub fn new(prover: &'a Prover, f: &Formula) -> Self {
         assert!(is_first_order(f), "prove() accepts FOPCE formulas only");
         let vars = f.free_vars();
-        let open_atom = match f {
-            Formula::Atom(atom) if !vars.is_empty() => Some(atom),
+        let kept = match f {
+            Formula::Atom(atom) if !vars.is_empty() => {
+                kept_model_candidates(prover, f, atom, &vars)
+            }
             _ => None,
         };
-        if let (Some(atom), Some(model)) = (open_atom, prover.atom_model()) {
-            // Parameters of the least model are parameters of `Σ`, so
-            // their order is their position in the sorted active domain.
-            // The selection probes the atom's first constant's column
-            // and filters by the rest.
-            let pattern: Selection = atom.terms.iter().map(Term::as_param).collect();
-            let selected = model.select(atom.pred, &pattern);
-            let mut answers = matching(selected.map(|t| &**t), atom, &vars);
-            answers.sort_unstable();
-            return AnswerIter {
-                vars,
-                candidates: Box::new(answers.into_iter()),
-                judge: None,
-            };
-        }
-        let kept = open_atom.and_then(|atom| kept_model_candidates(prover, f, atom, &vars));
         let candidates: Box<dyn Iterator<Item = Vec<Param>>> = match kept {
             Some(candidates) => Box::new(candidates.into_iter()),
             None => Box::new(domain_walk(prover.answer_domain(f), vars.len())),
@@ -85,7 +64,8 @@ impl<'a> AnswerIter<'a> {
         AnswerIter {
             vars,
             candidates,
-            judge: Some((prover, f.clone())),
+            prover,
+            formula: f.clone(),
         }
     }
 
@@ -200,9 +180,7 @@ impl Iterator for AnswerIter<'_> {
     type Item = Vec<Param>;
 
     fn next(&mut self) -> Option<Vec<Param>> {
-        let Some((prover, formula)) = &self.judge else {
-            return self.candidates.next();
-        };
+        let (prover, formula) = (self.prover, &self.formula);
         self.candidates
             .by_ref()
             .find(|tuple| prover.entails(&formula.bind_free(tuple)))
@@ -320,29 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn model_answers_an_open_atom_without_asking_the_prover() {
-        let theory = Theory::from_text("e(a, b)\ne(a, a)\ne(b, c)").unwrap();
-        let mut model = epilog_storage::Database::new();
-        for s in theory.sentences() {
-            let Formula::Atom(a) = &**s else { continue };
-            model.insert(a);
-        }
-        let p = Prover::new(theory).with_atom_model(model);
-        let answers = |src: &str| -> Vec<Vec<String>> {
-            AnswerIter::new(&p, &parse(src).unwrap())
-                .map(|t| names(&t))
-                .collect()
-        };
-        assert_eq!(answers("e(a, x)"), [["a"], ["b"]]);
-        assert_eq!(answers("e(x, x)"), [["a"]]);
-        assert_eq!(answers("e(x, y)"), [["a", "a"], ["a", "b"], ["b", "c"]]);
-        assert!(answers("e(c, x)").is_empty());
-        assert!(answers("f(x)").is_empty());
-        assert_eq!(p.sat_calls(), 0);
-        assert_eq!(p.memo_len(), 0, "no candidate was put to entails()");
-    }
-
-    #[test]
     fn kept_model_bounds_the_candidates_of_an_open_atom() {
         let p = teach();
         let answers = |src: &str| -> Vec<Vec<String>> {
@@ -420,26 +375,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// Reading answers off the attached model yields the tuples
-            /// of the domain walk over the SAT-backed prover, in its order.
-            #[test]
-            fn model_answers_match_the_domain_walk(
-                raw in (0u8..8, proptest::collection::vec((0u8..8, 0u8..8, 0u8..8), 0..7)),
-                goal in (0u8..6, proptest::collection::vec((0u8..3, 0u8..9), 1..3)),
-            ) {
-                let raw: RawTheory = raw;
-                let goal = atom_goal(&goal);
-                let (theory, model) = definite(&raw);
-                let walked = walk(&Prover::new(theory.clone()), &goal);
-                let with_model = Prover::new(theory).with_atom_model(model);
-                let read: Vec<_> = AnswerIter::new(&with_model, &goal).collect();
-                prop_assert_eq!(&read, &walked, "goal {}", goal);
-                prop_assert_eq!(with_model.sat_calls(), 0);
-            }
-
-            /// Without an attached model — a definite theory nobody
-            /// routed, a non-definite or an unsatisfiable one — the
-            /// enumeration still yields the walk's tuples in the walk's
+            /// Over a definite, a non-definite or an unsatisfiable theory
+            /// the enumeration yields the walk's tuples in the walk's
             /// order: for an open atom from the candidates the kept model
             /// leaves, for a conjunction by walking.
             #[test]

@@ -176,6 +176,13 @@ impl Prover {
         u
     }
 
+    /// `k` parameters that neither `Σ` nor `also` mentions, and no
+    /// witness: stand-ins for the individuals nobody has named, drawn
+    /// from the placeholders' pool, so asking for them interns no name.
+    pub fn spares(&self, k: usize, also: &[Param]) -> Vec<Param> {
+        placeholders(k, |p| self.in_every_universe(p) || also.contains(p))
+    }
+
     /// Whether the universe of every grounding holds `p` whatever the
     /// goal: a parameter of `Σ`, or a witness.
     fn in_every_universe(&self, p: &Param) -> bool {
@@ -312,41 +319,6 @@ impl Prover {
         }
     }
 
-    /// The from-scratch pipeline the kept grounding replaced, as the
-    /// oracle of the property suites: ground `Σ ∧ ¬g` over the goal's own
-    /// universe, run Tseitin, solve on a fresh solver.
-    #[cfg(test)]
-    pub(crate) fn entails_from_scratch(&self, g: &Formula) -> bool {
-        use epilog_sat::{tseitin, Cnf, SatResult, Solver};
-        let mut universe = self.answer_domain(g);
-        for w in &self.witnesses {
-            if !universe.contains(w) {
-                universe.push(*w);
-            }
-        }
-        let mut ctx = GroundContext::new(universe);
-        let mut roots: Vec<Prop> = self
-            .theory
-            .sentences()
-            .iter()
-            .map(|s| ctx.ground(s))
-            .collect();
-        roots.push(ctx.ground(&Formula::not(g.clone())));
-        let mut cnf = Cnf::new();
-        cnf.reserve_vars(ctx.num_atoms());
-        for p in &roots {
-            let root = tseitin(p, &mut cnf);
-            cnf.add_unit(root);
-        }
-        matches!(Solver::new(&cnf).solve(), SatResult::Unsat)
-    }
-
-    /// How many groundings of `Σ` this prover and its clones keep.
-    #[cfg(test)]
-    pub(crate) fn groundings_kept(&self) -> usize {
-        self.groundings.lock().unwrap().len()
-    }
-
     /// Number of memoized entailment results (diagnostics).
     pub fn memo_len(&self) -> usize {
         self.memo.lock().unwrap().len()
@@ -422,6 +394,41 @@ fn count_existentials(w: &Formula) -> usize {
 mod tests {
     use super::*;
     use epilog_syntax::parse;
+
+    impl Prover {
+        /// The from-scratch pipeline the kept grounding replaced, as the
+        /// oracle of the property suites: ground `Σ ∧ ¬g` over the goal's
+        /// own universe, run Tseitin, solve on a fresh solver.
+        pub(crate) fn entails_from_scratch(&self, g: &Formula) -> bool {
+            use epilog_sat::{tseitin, Cnf, SatResult, Solver};
+            let mut universe = self.answer_domain(g);
+            for w in &self.witnesses {
+                if !universe.contains(w) {
+                    universe.push(*w);
+                }
+            }
+            let mut ctx = GroundContext::new(universe);
+            let mut roots: Vec<Prop> = self
+                .theory
+                .sentences()
+                .iter()
+                .map(|s| ctx.ground(s))
+                .collect();
+            roots.push(ctx.ground(&Formula::not(g.clone())));
+            let mut cnf = Cnf::new();
+            cnf.reserve_vars(ctx.num_atoms());
+            for p in &roots {
+                let root = tseitin(p, &mut cnf);
+                cnf.add_unit(root);
+            }
+            matches!(Solver::new(&cnf).solve(), SatResult::Unsat)
+        }
+
+        /// How many groundings of `Σ` this prover and its clones keep.
+        pub(crate) fn groundings_kept(&self) -> usize {
+            self.groundings.lock().unwrap().len()
+        }
+    }
 
     fn teach() -> Prover {
         Prover::new(

@@ -389,19 +389,20 @@ impl Grounding {
         }
         Verdict::Solved(solver.solve_with(&assumptions) == SatResult::Unsat)
     }
-
-    /// Variables and stored clauses of the kept solver (diagnostics).
-    #[cfg(test)]
-    pub(crate) fn solver_size(&self) -> (u32, usize) {
-        let solver = self.solver.lock().unwrap();
-        (solver.num_vars(), solver.num_clauses())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use epilog_syntax::parse;
+
+    impl Grounding {
+        /// Variables and stored clauses of the kept solver (diagnostics).
+        pub(crate) fn solver_size(&self) -> (u32, usize) {
+            let solver = self.solver.lock().unwrap();
+            (solver.num_vars(), solver.num_clauses())
+        }
+    }
 
     fn params(names: &[&str]) -> Vec<Param> {
         names.iter().map(|n| Param::new(n)).collect()

@@ -19,11 +19,16 @@
 //! clauses as an interpreter instead, every first-order subformula going
 //! to `prove`; the two must give the same answers in the same order, with
 //! the same repetitions, on the generators above widened with a binary
-//! predicate and two-variable conjunctions.
+//! predicate and two-variable conjunctions. The reference shares no
+//! model-reading code with `demo`: `prove` enumerates an open atom from
+//! the candidates of the model kept with `Σ`'s grounding, never from the
+//! least model. What `demo` reads off the least model for an open atom is
+//! checked against the domain walk itself.
 
 use epilog::core::ask::certain;
 use epilog::core::{demo, demo_sentence, DemoOutcome};
 use epilog::prelude::*;
+use epilog::prover::answers::domain_walk;
 use epilog::semantics::ModelSet;
 use epilog::syntax::Pred;
 use proptest::prelude::*;
@@ -292,6 +297,34 @@ fn wide_theory_strategy() -> impl Strategy<Value = Theory> {
         .prop_map(|sentences| Theory::from_text(&sentences.join("\n")).unwrap())
 }
 
+/// A definite database: facts over `p`, `q` and `e`, and rules over `e`.
+fn definite_theory_strategy() -> impl Strategy<Value = Theory> {
+    let sentence = prop_oneof![
+        2 => (0..2usize, 0..PARAMS.len())
+            .prop_map(|(pr, pa)| format!("{}({})", ["p", "q"][pr], PARAMS[pa])),
+        3 => (0..PARAMS.len(), 0..PARAMS.len())
+            .prop_map(|(a, b)| format!("e({}, {})", PARAMS[a], PARAMS[b])),
+        1 => (0..2usize).prop_map(|i| format!("forall x, y. e(x, y) -> {}(y)", ["p", "q"][i])),
+        1 => Just("forall x, y. e(x, y) -> e(y, x)".to_string()),
+        1 => Just("forall x, y, z. e(x, y) & e(y, z) -> e(x, z)".to_string()),
+    ];
+    proptest::collection::vec(sentence, 0..7)
+        .prop_map(|sentences| Theory::from_text(&sentences.join("\n")).unwrap())
+}
+
+/// An atom over `p`, `q`, `e` or a predicate no theory uses, each argument
+/// one of two variables (so variables repeat) or a parameter, `d` being
+/// one no theory mentions.
+fn open_atom_strategy() -> impl Strategy<Value = String> {
+    let arg = (0..5usize).prop_map(|i| ["x", "y", "a", "b", "d"][i]);
+    (0..4usize, arg.clone(), arg).prop_map(|(pred, s, t)| match pred {
+        0 => format!("p({s})"),
+        1 => format!("q({s})"),
+        2 => format!("e({s}, {t})"),
+        _ => format!("f({s}, {t})"),
+    })
+}
+
 /// The E5 queries, plus queries over `e` and two-variable conjunctions:
 /// answers whose column order is not their variable order, repeated
 /// variables, bindings that flow into a negation or into a closed
@@ -342,5 +375,26 @@ proptest! {
                 "`{}` over\n{}\n(least model: {})", q, t, prover.atom_model().is_some()
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// An atom `demo` answers from the least model yields the tuples of
+    /// the domain walk over the SAT-backed prover, in the walk's order,
+    /// with no solver run.
+    #[test]
+    fn model_answers_match_the_domain_walk(t in definite_theory_strategy(), q in open_atom_strategy()) {
+        let w = parse(&q).unwrap();
+        let routed = epilog::core::prover_for(t.clone());
+        prop_assert!(routed.atom_model().is_some());
+        let read: Vec<_> = demo(&routed, &w).unwrap().collect();
+        let sat = Prover::new(t.clone());
+        let walked: Vec<_> = domain_walk(sat.answer_domain(&w), w.free_vars().len())
+            .filter(|tuple| sat.entails(&w.bind_free(tuple)))
+            .collect();
+        prop_assert_eq!(&read, &walked, "`{}` over\n{}", q, t);
+        prop_assert_eq!(routed.sat_calls(), 0);
     }
 }
