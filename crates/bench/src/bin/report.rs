@@ -425,7 +425,7 @@ fn main() {
             txn = txn.assert(w);
         }
         let _ = txn.commit().unwrap();
-        let _ = rec.snapshot().unwrap();
+        let _ = rec.compact().unwrap();
         drop(rec);
         let (rec, report) =
             epilog_persist::DurableDb::recover(&dir, epilog_persist::FsyncPolicy::Never).unwrap();
@@ -438,7 +438,7 @@ fn main() {
             &format!("n={n} snapshot recovery equals live"),
             rec.theory() == &live,
         );
-        // Compaction: the snapshot covers the whole log.
+        // Compaction: the checkpoint covers the whole log.
         let mut rec = rec;
         let _ = rec.compact().unwrap();
         check(

@@ -27,8 +27,9 @@
 //! * [`PersistError::Io`] — the append failed and the log is back at its
 //!   pre-append mark: this operation alone failed;
 //! * [`PersistError::Corrupt`] — the rewind that compensates for a failed
-//!   append failed too, or a [`DurableDb::sync`] or the log rewrite of a
-//!   [`DurableDb::compact`] failed: the log can no longer
+//!   append failed too, or a [`DurableDb::sync`] failed, or the directory
+//!   sync after a [`DurableDb::compact`] renamed its log into place
+//!   failed: the log can no longer
 //!   be trusted to end where its accounting says, and a record appended
 //!   now could sit behind a gap recovery cuts at. The `DurableDb` cuts
 //!   the file back through a fresh handle (best effort) and **refuses
@@ -36,19 +37,28 @@
 //!   `Deref` keep answering; [`DurableDb::recover`] on the directory,
 //!   which reads what the disk really holds, is the way back.
 //!
+//! **One file.** The directory holds `wal.log` and nothing else: its
+//! first record is a checkpoint of the whole state (see [`crate::wal`]).
+//! [`DurableDb::create`] writes the genesis checkpoint (LSN 0), and
+//! [`DurableDb::compact`] replaces the log with a checkpoint of the
+//! current state: one write, one fdatasync, one rename and one directory
+//! fsync, so a crash leaves the old log or the new one.
+//!
 //! **Recovery replays the real commit path, a record whole or not at
-//! all.** [`DurableDb::recover`] loads the newest valid snapshot (falling
-//! back across corrupt ones, and to genesis when none survive) and
-//! replays every log record past its LSN as it was made — one
-//! `constraint` through `EpistemicDb::add_constraint`, or `retract` /
-//! `assert` ops as one `Transaction::commit` — so recovered state
-//! re-verifies its constraints and maintains the incremental model
-//! exactly as the live path would. A directory that cannot give back
-//! every commit it acknowledged is refused with `Corrupt` rather than
-//! recovered short: when the log resumes past the base snapshot's LSN +
-//! 1, when a snapshot that failed validation covers records the log no
-//! longer holds, or when a record has another shape or is refused (the
-//! error names its LSN).
+//! all.** [`DurableDb::recover`] scans the log once, adopts its
+//! checkpoint ([`Snapshot::restore`]) and replays every record after it
+//! as it was made — one `constraint` through
+//! `EpistemicDb::add_constraint`, or `retract` / `assert` ops as one
+//! `Transaction::commit` — so recovered state re-verifies its
+//! constraints and maintains the incremental model exactly as the live
+//! path would. Only a torn tail *after* the checkpoint is cut. A
+//! directory that cannot give back every commit it acknowledged is
+//! refused with `Corrupt` rather than recovered short: when `wal.log` is
+//! missing, when its checkpoint is damaged or missing (as in a directory
+//! written before the log held one, whose state sits in a
+//! `snapshot-*.snap` file nothing reads), when a checkpoint sits anywhere
+//! but first, or when a record has another shape or is refused (the error
+//! names its LSN). A refused recovery writes nothing.
 //! `tests/prop_persist.rs` pins this: crash anywhere, recover, and the
 //! state equals an in-memory oracle that applied the surviving prefix —
 //! under seeded fault schedules too: what answered `Ok` is there, what
@@ -56,7 +66,7 @@
 
 use crate::fault::FaultInjector;
 use crate::snapshot::Snapshot;
-use crate::wal::{FsyncPolicy, TornTail, Wal, WalOp, WAL_FILE};
+use crate::wal::{FsyncPolicy, TornTail, Wal, WalOp, WalRecord, WAL_FILE};
 use epilog_core::db::DbError;
 use epilog_core::{CommitReport, EpistemicDb, Transaction};
 use epilog_syntax::{Formula, Theory};
@@ -106,16 +116,13 @@ impl From<DbError> for PersistError {
 }
 
 /// What [`DurableDb::recover`] found and did. Every record past the
-/// snapshot was replayed whole: a record that does not replay makes
+/// checkpoint was replayed whole: a record that does not replay makes
 /// `recover` fail instead.
 #[derive(Debug)]
 pub struct RecoveryReport {
-    /// LSN of the snapshot recovery started from (`None`: no snapshot at
-    /// all — replayed from an empty database).
-    pub snapshot_lsn: Option<u64>,
-    /// Snapshot files that failed validation and were skipped.
-    pub snapshots_skipped: u32,
-    /// Log records replayed (those with `lsn > snapshot_lsn`).
+    /// LSN of the checkpoint the log begins with.
+    pub checkpoint_lsn: u64,
+    /// Log records replayed: every record after the checkpoint.
     pub records_replayed: u64,
     /// The torn tail, when the log did not end on a record boundary.
     pub torn_tail: Option<TornTail>,
@@ -127,14 +134,10 @@ pub struct RecoveryReport {
 
 impl fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.snapshot_lsn {
-            Some(lsn) => write!(f, "snapshot @{lsn}")?,
-            None => write!(f, "no snapshot")?,
-        }
         write!(
             f,
-            " + {} records replayed -> LSN {}",
-            self.records_replayed, self.last_lsn
+            "checkpoint @{} + {} records replayed -> LSN {}",
+            self.checkpoint_lsn, self.records_replayed, self.last_lsn
         )?;
         if let Some(t) = &self.torn_tail {
             write!(f, "; {t} ({} bytes dropped)", self.truncated_bytes)?;
@@ -146,14 +149,12 @@ impl fmt::Display for RecoveryReport {
 /// What [`DurableDb::compact`] reclaimed.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactStats {
-    /// LSN of the snapshot the compaction wrote.
-    pub snapshot_lsn: u64,
-    /// Log records dropped (now covered by the snapshot).
+    /// LSN of the checkpoint the compaction wrote.
+    pub checkpoint_lsn: u64,
+    /// Log records dropped (now covered by the checkpoint).
     pub records_dropped: u64,
-    /// Log bytes reclaimed.
+    /// Log bytes reclaimed (0 when the checkpoint is the larger).
     pub bytes_reclaimed: u64,
-    /// Older snapshot files deleted.
-    pub snapshots_removed: usize,
 }
 
 /// A durable [`EpistemicDb`]: every commit is written ahead to a log, and
@@ -241,9 +242,9 @@ impl Deref for DurableDb {
 
 impl DurableDb {
     /// Initialize a durable database at `dir` (created if absent) with an
-    /// initial theory. Writes the genesis snapshot (LSN 0) and an empty
-    /// log. Fails if `dir` already holds a log — an existing database
-    /// must go through [`DurableDb::recover`].
+    /// initial theory: a log holding only the genesis checkpoint (LSN 0).
+    /// Fails if `dir` already holds a log — an existing database must go
+    /// through [`DurableDb::recover`].
     pub fn create(
         dir: impl AsRef<Path>,
         theory: Theory,
@@ -258,8 +259,8 @@ impl DurableDb {
             )));
         }
         let db = EpistemicDb::new(theory);
-        let _ = Snapshot::of(&db, 0, false).write(&dir)?;
-        let wal = Wal::create(dir.join(WAL_FILE), policy)?;
+        let genesis = Snapshot::of(&db, 0, false).into_ops();
+        let wal = Wal::create_checkpoint(dir.join(WAL_FILE), policy, 0, &genesis)?;
         let log = Log {
             wal,
             untrusted: None,
@@ -267,68 +268,41 @@ impl DurableDb {
         Ok(DurableDb { db, log, dir })
     }
 
-    /// Rebuild the database from `dir`: newest valid snapshot + replay of
-    /// the log tail through the real commit path, torn tail truncated,
-    /// stray temp files deleted — or `Corrupt` (module docs).
+    /// Rebuild the database from `dir`: adopt the log's checkpoint, replay
+    /// the records after it through the real commit path, then delete
+    /// stray temp files and cut a torn tail — or `Corrupt`, with nothing
+    /// written (module docs).
     pub fn recover(
         dir: impl AsRef<Path>,
         policy: FsyncPolicy,
     ) -> Result<(DurableDb, RecoveryReport), PersistError> {
         let dir = dir.as_ref().to_path_buf();
-        crate::remove_temps(&dir)?;
-        let snaps = Snapshot::list(&dir)?;
-        let mut snapshots_skipped = 0u32;
-        let mut base: Option<Snapshot> = None;
-        // Newest first.
-        for (_, path) in snaps.iter().rev() {
-            match Snapshot::load(path) {
-                Ok(s) => {
-                    base = Some(s);
-                    break;
-                }
-                Err(PersistError::Corrupt(_)) => snapshots_skipped += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        let snapshot_lsn = base.as_ref().map(|s| s.lsn);
-        let from = snapshot_lsn.unwrap_or(0);
-        let (mut wal, scan) = Wal::open(dir.join(WAL_FILE), policy)?;
-        let tail = &scan.records[scan.records.partition_point(|r| r.lsn <= from)..];
-        // Commits the base does not hold and the log no longer does were
-        // acknowledged and are gone: refuse rather than recover short and
-        // let the next commit reuse their LSNs.
-        if let Some(first) = tail.first().filter(|r| r.lsn > from + 1) {
-            return Err(PersistError::Corrupt(format!(
-                "the log resumes at LSN {} but recovery starts from LSN {from}",
-                first.lsn
-            )));
-        }
-        let reaches = scan.last_lsn().max(from);
-        // The skipped snapshots are the newest files.
-        match snaps.last() {
-            Some(&(newest, _)) if snapshots_skipped > 0 && newest > reaches => {
+        let path = dir.join(WAL_FILE);
+        let mut scan = match Wal::scan_file(&path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 return Err(PersistError::Corrupt(format!(
-                    "snapshot @{newest} failed validation and the log reaches only LSN {reaches}"
-                )));
+                    "{} holds no {WAL_FILE}",
+                    dir.display()
+                )))
             }
-            _ => {}
-        }
-        let mut db = match &base {
-            Some(s) => s.restore()?,
-            None => EpistemicDb::new(Theory::empty()),
+            scanned => scanned?,
         };
+        let checkpoint = Snapshot::first_of(&mut scan)?;
+        let mut db = checkpoint.restore()?;
+        let tail = &scan.records[1..];
         for record in tail {
-            replay_record(&mut db, &record.ops).map_err(|why| {
+            replay_record(&mut db, record).map_err(|why| {
                 PersistError::Corrupt(format!(
                     "the log record at LSN {} does not replay: {why}",
                     record.lsn
                 ))
             })?;
         }
-        wal.bump_next_lsn(from + 1);
+        // Nothing is refused from here on: the first writes.
+        crate::remove_temps(&dir)?;
+        let wal = Wal::open(path, policy, &scan)?;
         let report = RecoveryReport {
-            snapshot_lsn,
-            snapshots_skipped,
+            checkpoint_lsn: checkpoint.lsn,
             records_replayed: tail.len() as u64,
             torn_tail: scan.torn,
             truncated_bytes: scan.truncated_bytes,
@@ -361,7 +335,7 @@ impl DurableDb {
         Ok(report.retracted > 0)
     }
 
-    /// Route every log append/sync and snapshot write through a
+    /// Route every log append/sync and checkpoint write through a
     /// [`FaultInjector`] (`None` restores direct I/O). Deterministic
     /// storage-fault testing; zero-cost when never installed. The
     /// injector rides along into [`crate::ServingDb::start`].
@@ -383,37 +357,30 @@ impl DurableDb {
         Ok(())
     }
 
-    /// Write a snapshot of the current state at the current LSN. The log
-    /// is synced first so the snapshot never claims records the disk does
-    /// not hold. Returns the snapshot's LSN.
-    pub fn snapshot(&mut self) -> Result<u64, PersistError> {
-        self.log.sync()?;
-        let lsn = self.log.wal.last_lsn();
-        let injector = self.log.wal.fault_injector();
-        let _ = Snapshot::of(&self.db, lsn, false).write_with(&self.dir, injector.as_deref())?;
-        Ok(lsn)
-    }
-
-    /// Snapshot, then truncate every log record the snapshot covers and
-    /// delete older snapshot files — bounding recovery to
-    /// snapshot-load + short-tail-replay.
+    /// Replace the log with one checkpoint of the current state at the
+    /// current LSN: the records it covers are dropped, and recovery
+    /// replays nothing until the next commit. One write, one fdatasync,
+    /// one rename and one directory fsync; nothing to sync first, since
+    /// the checkpoint holds every record the old log did. A failure before
+    /// the rename is `Io` and leaves the old log in use; a failed
+    /// directory sync after it is `Corrupt` (module docs).
     pub fn compact(&mut self) -> Result<CompactStats, PersistError> {
-        let snapshot_lsn = self.snapshot()?;
-        let compacted = self.log.wal.compact_through(snapshot_lsn);
-        let (records_dropped, bytes_reclaimed) =
-            compacted.map_err(|e| self.log.distrust(format!("log compaction failed ({e})")))?;
-        let mut snapshots_removed = 0;
-        for (lsn, path) in Snapshot::list(&self.dir)? {
-            if lsn < snapshot_lsn {
-                std::fs::remove_file(path)?;
-                snapshots_removed += 1;
+        self.log.trusted()?;
+        let (lsn, records_dropped, bytes) = (self.last_lsn(), self.wal_records(), self.wal_bytes());
+        let ops = Snapshot::of(&self.db, lsn, false).into_ops();
+        self.log.wal.checkpoint(lsn, &ops).map_err(|(e, renamed)| {
+            if renamed {
+                self.log.distrust(format!(
+                    "the compacted log's directory sync failed ({e}); recover the directory"
+                ))
+            } else {
+                PersistError::Io(e)
             }
-        }
+        })?;
         Ok(CompactStats {
-            snapshot_lsn,
+            checkpoint_lsn: lsn,
             records_dropped,
-            bytes_reclaimed,
-            snapshots_removed,
+            bytes_reclaimed: bytes.saturating_sub(self.wal_bytes()),
         })
     }
 
@@ -437,7 +404,7 @@ impl DurableDb {
         &self.db
     }
 
-    /// The directory holding the log and snapshots.
+    /// The directory holding the log.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -447,12 +414,12 @@ impl DurableDb {
         self.log.wal.last_lsn()
     }
 
-    /// Number of records currently in the log.
+    /// Number of records in the log after its checkpoint.
     pub fn wal_records(&self) -> u64 {
         self.log.wal.records()
     }
 
-    /// Current log size in bytes.
+    /// Current log size in bytes, the checkpoint included.
     pub fn wal_bytes(&self) -> u64 {
         self.log.wal.len_bytes()
     }
@@ -487,12 +454,17 @@ impl DurableDb {
     }
 }
 
-/// Replay one log record through the live commit machinery, in one of
-/// the two shapes a [`DurableDb`] writes: a single `constraint` op, or
-/// `retract`/`assert` ops committed as one transaction. Any other shape,
-/// or a refusal, is why the record does not replay.
-fn replay_record(db: &mut EpistemicDb, ops: &[WalOp]) -> Result<(), String> {
-    if let [WalOp::Constraint(ic)] = ops {
+/// Replay one log record after the checkpoint through the live commit
+/// machinery, in one of the two shapes a [`DurableDb`] writes there: a
+/// single `constraint` op, or `retract`/`assert` ops committed as one
+/// transaction. Any other shape (a second checkpoint among them), or a
+/// refusal, is why the record does not replay.
+fn replay_record(db: &mut EpistemicDb, record: &WalRecord) -> Result<(), String> {
+    if record.checkpoint {
+        return Err("a checkpoint that is not the log's first record".into());
+    }
+    let ops = &record.ops;
+    if let [WalOp::Constraint(ic)] = ops.as_slice() {
         return db.add_constraint(ic.clone()).map_err(|e| e.to_string());
     }
     let mut txn = db.transaction();
@@ -614,7 +586,7 @@ mod tests {
             let live_state = live.db().theory().clone();
             drop(live); // crash: no shutdown ceremony
             let (rec, report) = DurableDb::recover(&d, policy).unwrap();
-            assert_eq!(report.snapshot_lsn, Some(0), "genesis snapshot");
+            assert_eq!(report.checkpoint_lsn, 0, "genesis checkpoint");
             assert_eq!(report.records_replayed, 3, "constraint + 2 commits");
             assert!(report.torn_tail.is_none());
             assert_eq!(rec.theory(), &live_state);
@@ -669,12 +641,35 @@ mod tests {
         std::fs::remove_dir_all(d).unwrap();
     }
 
+    /// Every file in `d`, by name, with its bytes.
+    fn files(d: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect()
+    }
+
+    fn names(d: &Path) -> Vec<String> {
+        files(d).into_keys().collect()
+    }
+
     #[test]
     fn snapshot_shortcuts_replay_and_compact_truncates() {
         let d = dir();
         let mut db = populated(&d, FsyncPolicy::Never);
-        let lsn = db.snapshot().unwrap();
-        assert_eq!(lsn, 3);
+        // Kept aside for full replay: the genesis checkpoint, then every
+        // record.
+        let genesis = d.join("genesis");
+        std::fs::create_dir_all(&genesis).unwrap();
+        let _ = std::fs::copy(d.join(WAL_FILE), genesis.join(WAL_FILE)).unwrap();
+        let stats = db.compact().unwrap();
+        assert_eq!((stats.checkpoint_lsn, stats.records_dropped), (3, 3));
+        assert!(stats.bytes_reclaimed > 0);
+        assert_eq!((db.wal_records(), db.pending_unsynced()), (0, 0));
         let _ = db
             .transaction()
             .assert(f("hobby(Sue, chess)"))
@@ -682,36 +677,28 @@ mod tests {
             .unwrap();
         let live_theory = db.theory().clone();
         drop(db);
-        // Snapshot route: only the post-snapshot tail is replayed…
+        // The checkpoint shortcuts replay: only the record after it runs…
         let (rec, report) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
-        assert_eq!(report.snapshot_lsn, Some(3));
-        assert_eq!(report.records_replayed, 1);
+        assert_eq!((report.checkpoint_lsn, report.records_replayed), (3, 1));
         assert_eq!(rec.theory(), &live_theory);
-        // …full replay reaches the same state: what recovery does with
-        // a directory that holds the log and the genesis snapshot only.
-        let genesis_only = dir();
-        std::fs::create_dir_all(&genesis_only).unwrap();
-        for file in [WAL_FILE.to_string(), Snapshot::file_name(0)] {
-            let _ = std::fs::copy(d.join(&file), genesis_only.join(&file)).unwrap();
-        }
-        let (full, report) = DurableDb::recover(&genesis_only, FsyncPolicy::Never).unwrap();
-        assert_eq!(report.snapshot_lsn, Some(0));
-        assert_eq!(report.records_replayed, 4);
+        assert_eq!(rec.last_lsn(), 4, "LSNs survive compaction");
+        // …and lands where full replay and the same last commit land.
+        let (mut full, report) = DurableDb::recover(&genesis, FsyncPolicy::Never).unwrap();
+        assert_eq!((report.checkpoint_lsn, report.records_replayed), (0, 3));
+        full.assert(f("hobby(Sue, chess)")).unwrap();
         assert_same_state(full.db(), rec.db());
-        std::fs::remove_dir_all(genesis_only).unwrap();
-        // Compaction drops the covered prefix but preserves the state.
+        drop(full);
+        std::fs::remove_dir_all(genesis).unwrap();
+        // Compacting again drops the tail; the directory is one file.
         let mut rec = rec;
         let stats = rec.compact().unwrap();
-        assert_eq!(stats.snapshot_lsn, 4);
-        assert_eq!(stats.records_dropped, 4);
-        assert!(stats.snapshots_removed >= 1, "older snapshots deleted");
-        assert_eq!(rec.wal_records(), 0);
+        assert_eq!((stats.checkpoint_lsn, stats.records_dropped), (4, 1));
         drop(rec);
+        assert_eq!(names(&d), [WAL_FILE]);
         let (after, report) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
-        assert_eq!(report.snapshot_lsn, Some(4));
-        assert_eq!(report.records_replayed, 0);
+        assert_eq!((report.checkpoint_lsn, report.records_replayed), (4, 0));
         assert_eq!(after.theory(), &live_theory);
-        assert_eq!(after.last_lsn(), 4, "LSNs survive compaction");
+        assert_eq!(after.last_lsn(), 4);
         std::fs::remove_dir_all(d).unwrap();
     }
 
@@ -743,61 +730,26 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_latest_snapshot_falls_back_to_older() {
-        let d = dir();
-        let mut db = populated(&d, FsyncPolicy::Never);
-        let lsn = db.snapshot().unwrap();
-        let live_theory = db.theory().clone();
-        drop(db);
-        // Corrupt the newest snapshot's payload.
-        let path = d.join(Snapshot::file_name(lsn));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 3] ^= 0x04;
-        std::fs::write(&path, &bytes).unwrap();
-        let (rec, report) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
-        assert_eq!(report.snapshots_skipped, 1);
-        assert_eq!(report.snapshot_lsn, Some(0), "fell back to genesis");
-        assert_eq!(rec.theory(), &live_theory, "log replay covers the gap");
-        std::fs::remove_dir_all(d).unwrap();
-    }
-
-    #[test]
     fn recovery_removes_stray_temp_files() {
         let d = dir();
         let mut db = populated(&d, FsyncPolicy::Never);
-        let lsn = db.snapshot().unwrap();
+        let _ = db.compact().unwrap();
         let _ = db.transaction().assert(f("hobby(Sue, chess)")).commit();
         let live = db.db().clone();
         drop(db);
         let (clean, before) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
         drop(clean);
-        // What crashes between create and rename leave: garbage, a
-        // plausible prefix of a *newer* snapshot, a half-compacted log.
-        let snapshot = std::fs::read(d.join(Snapshot::file_name(lsn))).unwrap();
-        let strays = [
-            d.join("snapshot-00000000000000000002.snap.tmp"),
-            d.join(Snapshot::file_name(lsn + 7))
-                .with_extension("snap.tmp"),
-            d.join("wal.log.tmp"),
-        ];
-        std::fs::write(&strays[0], b"\x00garbage\xff").unwrap();
-        std::fs::write(&strays[1], &snapshot[..snapshot.len() - 11]).unwrap();
-        std::fs::write(&strays[2], b"@9 1 00\nassert p(a").unwrap();
+        // What crashes between create and rename leave: a plausible prefix
+        // of a newer compacted log, and garbage.
+        let log = std::fs::read(d.join(WAL_FILE)).unwrap();
+        let strays = [d.join("wal.log.tmp"), d.join("other.tmp")];
+        std::fs::write(&strays[0], &log[..log.len() - 11]).unwrap();
+        std::fs::write(&strays[1], b"\x00garbage\xff").unwrap();
         let (rec, after) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
         assert_same_state(rec.db(), &live);
         assert_eq!(after.to_string(), before.to_string());
-        assert_eq!(
-            (
-                after.snapshot_lsn,
-                after.records_replayed,
-                after.snapshots_skipped
-            ),
-            (Some(lsn), 1, 0)
-        );
-        for stray in &strays {
-            assert!(!stray.exists(), "{} survived recovery", stray.display());
-        }
+        assert_eq!((after.checkpoint_lsn, after.records_replayed), (3, 1));
+        assert_eq!(names(&d), [WAL_FILE]);
         std::fs::remove_dir_all(d).unwrap();
     }
 
@@ -920,7 +872,6 @@ mod tests {
         let refusals = [
             db.transaction().assert(f("emp(Ann)")).commit().map(|_| ()),
             db.add_constraint(f("forall x. ~K bad(x)")),
-            db.snapshot().map(|_| ()),
             db.compact().map(|_| ()),
             db.sync(),
         ];
@@ -958,9 +909,9 @@ mod tests {
         let (mut db, inj) = injected(&d, FsyncPolicy::Never);
         db.assert(f("emp(Sue)")).unwrap();
         let acked = db.last_lsn();
-        // compact() syncs the log, the snapshot, the directory, the
-        // shorter log's temp file, then the directory: fail the last.
-        inj.fail_nth_sync(inj.syncs() + 4);
+        // compact() syncs the checkpoint's temp file, then the directory
+        // it was renamed into: fail the second.
+        inj.fail_nth_sync(inj.syncs() + 1);
         let err = db.compact().unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "got {err}");
         assert_eq!((inj.injected(), db.wal_records()), (1, 0), "renamed");
@@ -973,61 +924,185 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_snapshot_directory_sync_fails_the_compaction_alone() {
+    fn a_failure_before_the_compaction_rename_fails_the_compaction_alone() {
+        // compact() writes the checkpoint's temp file, then syncs it: fail
+        // either, and the old log stays in place and in use.
+        for fail_write in [true, false] {
+            let d = dir();
+            let (mut db, inj) = injected(&d, FsyncPolicy::Never);
+            db.assert(f("emp(Sue)")).unwrap();
+            let records = db.wal_records();
+            let log = std::fs::read(d.join(WAL_FILE)).unwrap();
+            if fail_write {
+                inj.fail_nth_write(inj.writes(), FaultKind::TornWrite);
+            } else {
+                inj.fail_nth_sync(inj.syncs());
+            }
+            let err = db.compact().unwrap_err();
+            assert!(matches!(err, PersistError::Io(_)), "got {err}");
+            assert_eq!((inj.injected(), db.wal_records()), (1, records));
+            assert_eq!(files(&d), [(WAL_FILE.to_string(), log)].into());
+            db.assert(f("emp(Ann)")).unwrap();
+            drop(db);
+            let answered = [("emp(Mary)", true), ("emp(Sue)", true), ("emp(Ann)", true)];
+            let report = assert_recovery_honors(&d, &answered);
+            assert_eq!((report.checkpoint_lsn, report.records_replayed), (0, 3));
+            std::fs::remove_dir_all(d).unwrap();
+        }
+    }
+
+    #[test]
+    fn compaction_under_every_fault_keeps_acked_equal_durable() {
+        // A clean compaction: one write and two syncs (the checkpoint's
+        // temp file, then the directory), and nothing else.
         let d = dir();
-        let (mut db, inj) = injected(&d, FsyncPolicy::Never);
-        db.assert(f("emp(Sue)")).unwrap();
-        let records = db.wal_records();
-        // compact() syncs the log, the snapshot, then the directory the
-        // snapshot was renamed into: fail that one.
-        inj.fail_nth_sync(inj.syncs() + 2);
-        let err = db.compact().unwrap_err();
-        assert!(matches!(err, PersistError::Io(_)), "got {err}");
-        assert_eq!(
-            (inj.injected(), db.wal_records()),
-            (1, records),
-            "truncated"
-        );
-        db.assert(f("emp(Ann)")).unwrap();
+        let (mut db, inj) = injected(&d, FsyncPolicy::Always);
+        let (writes, syncs) = (inj.writes(), inj.syncs());
+        let _ = db.compact().unwrap();
+        assert_eq!((inj.writes() - writes, inj.syncs() - syncs), (1, 2));
         drop(db);
-        let answered = [("emp(Mary)", true), ("emp(Sue)", true), ("emp(Ann)", true)];
-        let _ = assert_recovery_honors(&d, &answered);
+        std::fs::remove_dir_all(d).unwrap();
+        // A fault at each of those. Recovered in place (the failed
+        // database still open) or after a crash (dropped), the state is
+        // the one before compaction, which is the one after: only the
+        // checkpoint's LSN tells them apart.
+        let faults = [
+            (Some(FaultKind::FailOp), None),
+            (Some(FaultKind::TornWrite), None),
+            (Some(FaultKind::ShortWrite), None),
+            (None, Some(0)),
+            (None, Some(1)),
+        ];
+        for (write, sync) in faults {
+            for crash in [false, true] {
+                let d = dir();
+                let (mut db, inj) = injected(&d, FsyncPolicy::Always);
+                db.assert(f("person(Mary)")).unwrap();
+                db.add_constraint(f("forall x. K emp(x) -> K person(x)"))
+                    .unwrap();
+                let _ = db
+                    .transaction()
+                    .assert(f("emp(Sue)"))
+                    .assert(f("person(Sue)"))
+                    .commit()
+                    .unwrap();
+                let acked = db.last_lsn();
+                if let Some(kind) = write {
+                    inj.fail_nth_write(inj.writes(), kind);
+                }
+                if let Some(n) = sync {
+                    inj.fail_nth_sync(inj.syncs() + n);
+                }
+                let compacted = db.compact();
+                let why = format!("{write:?} {sync:?} crash={crash}: {compacted:?}");
+                assert!(compacted.is_err(), "{why}");
+                assert_eq!(inj.injected(), 1, "{why}");
+                let live = db.db().clone();
+                let (rec, report) = if crash {
+                    drop(db);
+                    DurableDb::recover(&d, FsyncPolicy::Always).unwrap()
+                } else {
+                    let recovered = DurableDb::recover(&d, FsyncPolicy::Always).unwrap();
+                    drop(db);
+                    recovered
+                };
+                assert_same_state(rec.db(), &live);
+                assert_eq!(rec.last_lsn(), acked, "{why}");
+                let got = (report.checkpoint_lsn, report.records_replayed);
+                assert!(got == (0, acked) || got == (acked, 0), "{why}: {report}");
+                assert_eq!(names(&d), [WAL_FILE], "{why}");
+                let mut rec = rec;
+                assert!(rec.assert(f("emp(Ann)")).is_err(), "{why}");
+                rec.assert(f("person(Ann)")).unwrap();
+                assert_eq!(rec.last_lsn(), acked + 1, "{why}");
+                drop(rec);
+                std::fs::remove_dir_all(d).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn refusals_write_nothing() {
+        // A stray temp file rides along in each directory: a refused
+        // recovery deletes nothing either.
+        let refuse = |d: &Path, cause: &str| {
+            std::fs::write(d.join("wal.log.tmp"), b"@9 1 00\nassert p(a").unwrap();
+            let before = files(d);
+            assert_refused(d, &[cause]);
+            assert_eq!(files(d), before, "a refused recovery wrote");
+        };
+        // One byte flipped inside the checkpoint, a commit after it.
+        let d = dir();
+        let mut db = populated(&d, FsyncPolicy::Never);
+        let _ = db.compact().unwrap();
+        db.assert(f("hobby(Sue, chess)")).unwrap();
+        drop(db);
+        let path = d.join(WAL_FILE);
+        let checkpoint_end = Wal::scan_file(&path).unwrap().records[0].end_offset;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[checkpoint_end as usize / 2] ^= 0x04;
+        std::fs::write(&path, &bytes).unwrap();
+        refuse(&d, "checkpoint is damaged");
+        std::fs::remove_dir_all(d).unwrap();
+        // A directory written before the log began with a checkpoint, as
+        // compaction left it: the state in a snapshot file, the log empty…
+        let d = dir();
+        std::fs::create_dir_all(&d).unwrap();
+        let snapshot = "[theory]\nemp(Mary)\n[constraints]\n";
+        let header = format!(
+            "#epilog-snapshot v1 0 {} {:016x}\n",
+            snapshot.len(),
+            crate::fnv1a64(snapshot.as_bytes())
+        );
+        let snapshot_file = d.join("snapshot-00000000000000000000.snap");
+        std::fs::write(snapshot_file, header + snapshot).unwrap();
+        std::fs::write(d.join(WAL_FILE), b"").unwrap();
+        refuse(&d, "snapshot-*.snap");
+        // …or a record, not a checkpoint, first in the log.
+        std::fs::remove_file(d.join(WAL_FILE)).unwrap();
+        let mut wal = Wal::create(d.join(WAL_FILE), FsyncPolicy::Never).unwrap();
+        let _ = wal.append(&[WalOp::Assert(f("emp(Sue)"))]).unwrap();
+        drop(wal);
+        refuse(&d, "LSN 1, not a checkpoint");
+        // No log at all: none is created.
+        std::fs::remove_file(d.join(WAL_FILE)).unwrap();
+        refuse(&d, "holds no wal.log");
         std::fs::remove_dir_all(d).unwrap();
     }
 
     #[test]
     fn a_gap_behind_a_corrupt_snapshot_is_refused() {
-        // Five commits compacted into the only snapshot, then (or not) a
-        // sixth in the log; the snapshot is then damaged. Recovering
-        // would hold 1 of 6 sentences at LSN 6, or 0 of 5 at LSN 0 with
-        // the next commit reusing LSN 1.
-        for (tail, lsns) in [(true, ["LSN 6", "LSN 0"]), (false, ["@5", "LSN 0"])] {
+        // Five commits compacted into the checkpoint, then (or not) a
+        // sixth after it; the checkpoint is then damaged. Recovering
+        // anything would hold 1 of 6 sentences at LSN 6, or 0 of 5 at
+        // LSN 0 with the next commit reusing LSN 1.
+        for tail in [true, false] {
             let d = dir();
             let mut db = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
             for i in 0..5 {
                 db.assert(f(&format!("emp(e{i})"))).unwrap();
             }
-            let lsn = db.compact().unwrap().snapshot_lsn;
+            assert_eq!(db.compact().unwrap().checkpoint_lsn, 5);
             if tail {
                 db.assert(f("emp(e5)")).unwrap();
             }
-            db.sync().unwrap();
             drop(db);
-            let path = d.join(Snapshot::file_name(lsn));
+            let path = d.join(WAL_FILE);
+            let checkpoint_end = Wal::scan_file(&path).unwrap().records[0].end_offset;
             let mut bytes = std::fs::read(&path).unwrap();
-            let n = bytes.len();
-            bytes[n - 3] ^= 0x04;
+            bytes[checkpoint_end as usize - 3] ^= 0x04;
             std::fs::write(&path, &bytes).unwrap();
-            assert_refused(&d, &lsns);
+            assert_refused(&d, &["checkpoint is damaged", "torn tail at byte 0"]);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "untouched");
             std::fs::remove_dir_all(d).unwrap();
         }
     }
 
-    /// `recover` on `d` must refuse with a reason naming each of `lsns`.
-    fn assert_refused(d: &Path, lsns: &[&str]) {
+    /// `recover` on `d` must refuse with a reason naming each of `causes`.
+    fn assert_refused(d: &Path, causes: &[&str]) {
         match DurableDb::recover(d, FsyncPolicy::Never) {
             Err(PersistError::Corrupt(why)) => {
-                assert!(lsns.iter().all(|l| why.contains(l)), "{why}")
+                assert!(causes.iter().all(|c| why.contains(c)), "{why}")
             }
             Err(e) => panic!("{e}"),
             Ok((_, report)) => panic!("recovered short: {report}"),
@@ -1037,24 +1112,38 @@ mod tests {
     #[test]
     fn a_record_that_does_not_replay_whole_is_refused() {
         // Records appended behind the database's back: one the commit path
-        // refuses, and a constraint beside an assert, a shape no
-        // `DurableDb` writes. Skipping either, or half of the second,
-        // would let the next commit take LSN 3 over a state nobody
-        // acknowledged.
+        // refuses, a constraint beside an assert (a shape no `DurableDb`
+        // writes), and a second checkpoint. Skipping any, or half of the
+        // second, would let the next commit take LSN 3 over a state
+        // nobody acknowledged.
         let ghost = vec![WalOp::Assert(f("emp(Ghost)"))];
         let mixed = vec![
             WalOp::Constraint(f("forall x. K p(x) -> K q(x)")),
             WalOp::Assert(f("p(a)")),
         ];
-        for record in [ghost, mixed] {
+        for record in [Some(ghost), Some(mixed), None] {
             let d = dir();
             let mut db = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
             db.add_constraint(f("forall x. K emp(x) -> exists y. K ss(x, y)"))
                 .unwrap();
+            let checkpoint = Snapshot::of(&db, 2, false);
             drop(db);
-            let (mut wal, _) = Wal::open(d.join(WAL_FILE), FsyncPolicy::Never).unwrap();
-            assert_eq!(wal.append(&record).unwrap(), 2);
-            drop(wal);
+            let path = d.join(WAL_FILE);
+            let scan = Wal::scan_file(&path).unwrap();
+            match record {
+                Some(ops) => {
+                    let mut wal = Wal::open(&path, FsyncPolicy::Never, &scan).unwrap();
+                    assert_eq!(wal.append(&ops).unwrap(), 2);
+                }
+                None => {
+                    let other = d.join("other");
+                    std::fs::create_dir_all(&other).unwrap();
+                    let second = std::fs::read(checkpoint.write(&other).unwrap()).unwrap();
+                    std::fs::remove_dir_all(other).unwrap();
+                    let log = [std::fs::read(&path).unwrap(), second].concat();
+                    std::fs::write(&path, log).unwrap();
+                }
+            }
             assert_refused(&d, &["LSN 2"]);
             std::fs::remove_dir_all(d).unwrap();
         }

@@ -5,9 +5,10 @@
 //! The durability claims this crate makes — log-before-apply,
 //! acknowledged-implies-durable, crash-consistency of the tail — are
 //! only worth something if they hold *through* those failures, so every
-//! [`Wal`](crate::Wal) append/sync and [`Snapshot`](crate::Snapshot)
-//! write can be routed through a [`FaultInjector`]: a seeded,
-//! deterministic schedule of injected failures.
+//! [`Wal`](crate::Wal) append and sync, and every write of the log's
+//! checkpoint by `DurableDb::compact` (one write, the temp file's sync,
+//! then the directory's), can be routed through a [`FaultInjector`]: a
+//! seeded, deterministic schedule of injected failures.
 //!
 //! # Design
 //!

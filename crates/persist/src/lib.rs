@@ -5,25 +5,27 @@
 //! literature frames the knowledge base as the *history* of those
 //! revisions. This crate makes that history durable:
 //!
-//! * [`Wal`] — a write-ahead log of committed transactions as textual
-//!   records (sentences via the `epilog-syntax` pretty-printer, read back
-//!   with `parse`), each framed by an LSN / length / checksum header;
-//! * [`Snapshot`] — the theory and its constraints at a log position
-//!   (the least model is derived from them on restore, never stored), so
-//!   recovery is snapshot-load + tail-replay instead of
-//!   replay-from-genesis, with [`DurableDb::compact`] truncating the
-//!   covered log prefix. A snapshot and a compacted log are both written
-//!   by one file replacement (`<name>.tmp`, sync, rename, directory
-//!   sync), whose strays recovery deletes;
+//! * [`Wal`] — the write-ahead log, and the whole database on disk: one
+//!   file (`wal.log`) of textual records (sentences via the
+//!   `epilog-syntax` pretty-printer, read back with `parse`), each framed
+//!   by an LSN / length / checksum header, whose first record is a
+//!   checkpoint of the whole state;
+//! * [`Snapshot`] — the checkpoint record's codec: the theory and its
+//!   constraints at a log position (the least model is derived from them
+//!   on restore, never stored). [`DurableDb::compact`] replaces the log
+//!   with one checkpoint of the current state, written by the crate's one
+//!   file replacement (`<name>.tmp`, sync, rename, directory sync), whose
+//!   strays recovery deletes;
 //! * [`DurableDb`] — the wrapper that threads every commit through the
 //!   log (log-before-apply, [`FsyncPolicy`] configurable) and whose
-//!   [`DurableDb::recover`] replays each record whole through the real
-//!   commit path — recovered state re-verifies constraints and maintains
-//!   the incremental model exactly as the live path does —
-//!   tolerating a torn log tail (truncate at the first corrupt record,
-//!   reported in the [`RecoveryReport`]) but refusing
-//!   (`PersistError::Corrupt`) a directory whose snapshots and log no
-//!   longer meet, or whose log holds a record that does not replay;
+//!   [`DurableDb::recover`] adopts the checkpoint and replays each record
+//!   after it whole through the real commit path — recovered state
+//!   re-verifies constraints and maintains the incremental model exactly
+//!   as the live path does — tolerating a torn log tail (truncate at the
+//!   first corrupt record, reported in the [`RecoveryReport`]) but
+//!   refusing (`PersistError::Corrupt`, writing nothing) a log whose
+//!   checkpoint is damaged or missing, or which holds a record that does
+//!   not replay;
 //! * [`ServingDb`] — the concurrent serving layer: lock-free MVCC
 //!   snapshot reads (`epilog-core`'s `StateCell`) with a single writer
 //!   thread draining a bounded commit queue and batching many
@@ -65,7 +67,7 @@
 //! // "Crash": drop the handle without any shutdown ceremony.
 //! drop(db);
 //!
-//! // Recover: snapshot + log replay through the real commit path.
+//! // Recover: checkpoint + log replay through the real commit path.
 //! let (db, recovery) = DurableDb::recover(&dir, FsyncPolicy::Always).unwrap();
 //! assert_eq!(recovery.records_replayed, 2); // the constraint + the batch
 //! assert_eq!(db.ask(&parse("K person(Mary)").unwrap()), Answer::Yes);
@@ -83,8 +85,8 @@ use std::fs::File;
 use std::io;
 use std::path::Path;
 
-/// 64-bit FNV-1a — the checksum both on-disk formats (log records and
-/// snapshots) frame their payloads with. Tiny, dependency-free, and
+/// 64-bit FNV-1a — the checksum every log record (the checkpoint
+/// included) frames its payload with. Tiny, dependency-free, and
 /// plenty for torn-write detection; not a cryptographic seal.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -96,7 +98,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// `fsync` the directory itself, so the directory entries of freshly
-/// created/renamed files (the log, a snapshot) survive power loss —
+/// created/renamed files (the log) survive power loss —
 /// without this, `FsyncPolicy::Always`'s durability claim would cover
 /// file *contents* but not their *names*. `inj` may fail it like any sync.
 pub(crate) fn sync_dir(dir: &Path, inj: Option<&FaultInjector>) -> io::Result<()> {

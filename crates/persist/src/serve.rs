@@ -367,7 +367,7 @@ impl ServingDb {
         Ok(ServingDb::start(durable, opts))
     }
 
-    /// Recover the database at `dir` (snapshot + log replay) and start
+    /// Recover the database at `dir` (checkpoint + log replay) and start
     /// serving it.
     pub fn recover(
         dir: impl AsRef<Path>,
@@ -436,7 +436,7 @@ impl ServingDb {
         self.head.head_lsn()
     }
 
-    /// The directory holding the log and snapshots.
+    /// The directory holding the log.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -853,9 +853,10 @@ mod tests {
         assert_eq!(db.head_lsn(), 1, "only the constraint record exists");
         assert_eq!(db.stats().rejected, 1);
         db.shutdown().unwrap();
-        // Nothing of the rejected commit reached the log.
+        // Nothing of the rejected commit reached the log: it holds the
+        // genesis checkpoint and the constraint.
         let scan = Wal::scan_file(d.join(WAL_FILE)).unwrap();
-        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.records.len(), 2);
         std::fs::remove_dir_all(d).unwrap();
     }
 
@@ -1152,6 +1153,35 @@ mod tests {
         assert_eq!(snap.ask(&parse("K person(Ann)").unwrap()), Answer::Yes);
         assert_eq!(snap.ask(&parse("K person(Sue)").unwrap()), Answer::No);
         db2.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_compacted_healed_database_is_one_file() {
+        let d = dir();
+        let theory = Theory::from_text("forall x. emp(x) -> person(x)").unwrap();
+        let mut durable = DurableDb::create(&d, theory, FsyncPolicy::Never).unwrap();
+        durable.assert(f("emp(Mary)")).unwrap();
+        let _ = durable.compact().unwrap();
+        let inj = Arc::new(crate::FaultInjector::new(5));
+        durable.set_fault_injector(Some(Arc::clone(&inj)));
+        let db = ServingDb::start(durable, ServeOptions::default());
+        db.commit_wait(vec![TxOp::Assert(f("emp(Sue)"))]).unwrap();
+        inj.fail_nth_sync(inj.syncs());
+        let lost = db.commit_wait(vec![TxOp::Assert(f("emp(Ann)"))]);
+        assert!(matches!(lost, Err(ServeError::Io(_))), "{lost:?}");
+        assert_eq!(db.heal().unwrap(), 2);
+        db.commit_wait(vec![TxOp::Assert(f("emp(Joe)"))]).unwrap();
+        db.shutdown().unwrap();
+        let (db, report) = ServingDb::recover(&d, ServeOptions::default()).unwrap();
+        assert_eq!((report.checkpoint_lsn, report.records_replayed), (1, 2));
+        assert_eq!(db.snapshot().ask(&f("K emp(Ann)")), Answer::No);
+        db.shutdown().unwrap();
+        let names: Vec<_> = std::fs::read_dir(&d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [WAL_FILE]);
         std::fs::remove_dir_all(d).unwrap();
     }
 

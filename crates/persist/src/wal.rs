@@ -1,5 +1,5 @@
-//! The write-ahead log: an append-only stream of checksummed, LSN-stamped
-//! textual records.
+//! The write-ahead log: the whole durable database, as one file of
+//! checksummed, LSN-stamped textual records.
 //!
 //! # Record format
 //!
@@ -18,13 +18,25 @@
 //! floor of this format. LSNs increase by exactly 1 from record to record;
 //! the checksum covers the payload bytes.
 //!
+//! # The checkpoint
+//!
+//! A durable database's log begins with a **checkpoint**: a record whose
+//! payload opens with the line `checkpoint`, then holds the theory as
+//! `assert` lines and the constraints as `constraint` lines — the whole
+//! state as of its LSN ([`Snapshot`](crate::Snapshot) is its codec). The
+//! records after it carry the LSNs that follow. `DurableDb::create` writes
+//! the genesis checkpoint (LSN 0), and `DurableDb::compact` replaces the
+//! log with a checkpoint of the current state; both go through the
+//! crate's one file replacement (`<name>.tmp`, sync, rename, directory
+//! sync), so the checkpoint is never torn by a crash.
+//!
 //! # Torn tails
 //!
-//! A crash mid-append leaves a partial final record. [`Wal::open`] scans
-//! the log, stops at the first record that fails any framing check
-//! (header shape, LSN continuity, payload length, terminator, checksum,
-//! sentence syntax), truncates the file there, and reports the cut as a
-//! [`TornTail`]. Everything before the cut is intact by checksum;
+//! A crash mid-append leaves a partial final record. [`Wal::scan_file`]
+//! stops at the first record that fails any framing check (header shape,
+//! LSN continuity, payload length, terminator, checksum, sentence syntax)
+//! and reports the cut as a [`TornTail`]; [`Wal::open`] truncates the
+//! file there. Everything before the cut is intact by checksum;
 //! everything after it is unrecoverable by construction (records are not
 //! self-synchronizing), which is exactly the log-ahead contract: the tail
 //! being torn means the transaction never reported success.
@@ -32,14 +44,17 @@
 use crate::fault::{self, FaultInjector};
 use crate::fnv1a64;
 use epilog_syntax::{parse, Formula};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// File name of the log inside a durable database directory.
 pub const WAL_FILE: &str = "wal.log";
+
+/// The first payload line of a checkpoint record.
+const CHECKPOINT: &str = "checkpoint";
 
 /// When appended records are forced to stable storage.
 ///
@@ -75,15 +90,17 @@ pub enum WalOp {
     Constraint(Formula),
 }
 
-impl WalOp {
-    fn encode(&self) -> String {
+impl fmt::Display for WalOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WalOp::Assert(w) => format!("assert {w}"),
-            WalOp::Retract(w) => format!("retract {w}"),
-            WalOp::Constraint(w) => format!("constraint {w}"),
+            WalOp::Assert(w) => write!(f, "assert {w}"),
+            WalOp::Retract(w) => write!(f, "retract {w}"),
+            WalOp::Constraint(w) => write!(f, "constraint {w}"),
         }
     }
+}
 
+impl WalOp {
     fn decode(line: &str) -> Result<WalOp, String> {
         let (verb, rest) = line
             .split_once(' ')
@@ -104,6 +121,9 @@ impl WalOp {
 pub struct WalRecord {
     /// The record's log sequence number.
     pub lsn: u64,
+    /// Whether this is a checkpoint: the whole state as of `lsn`, rather
+    /// than one transaction (module docs).
+    pub checkpoint: bool,
     /// The operations of the record, in application order.
     pub ops: Vec<WalOp>,
     /// Byte offset of the first byte after this record.
@@ -143,8 +163,19 @@ impl WalScan {
     }
 }
 
-fn encode_record(lsn: u64, ops: &[WalOp]) -> Vec<u8> {
-    let payload = ops.iter().map(WalOp::encode).collect::<Vec<_>>().join("\n");
+/// The one encoder: a checkpoint (`checkpoint`) or a transaction record
+/// of `ops`, framed.
+fn encode_record(lsn: u64, checkpoint: bool, ops: &[WalOp]) -> Vec<u8> {
+    let mut payload = String::new();
+    if checkpoint {
+        payload.push_str(CHECKPOINT);
+    }
+    for op in ops {
+        if !payload.is_empty() {
+            payload.push('\n');
+        }
+        write!(payload, "{op}").expect("formatting into a String cannot fail");
+    }
     let mut out = format!(
         "@{lsn} {} {:016x}\n",
         payload.len(),
@@ -223,9 +254,11 @@ fn scan_bytes(bytes: &[u8]) -> WalScan {
                 break;
             }
         };
+        let mut lines = text.lines().peekable();
+        let checkpoint = lines.next_if_eq(&CHECKPOINT).is_some();
         let mut ops = Vec::new();
         let mut defect = None;
-        for line in text.lines() {
+        for line in lines {
             match WalOp::decode(line) {
                 Ok(op) => ops.push(op),
                 Err(e) => {
@@ -241,6 +274,7 @@ fn scan_bytes(bytes: &[u8]) -> WalScan {
         pos = body + len + 1;
         scan.records.push(WalRecord {
             lsn,
+            checkpoint,
             ops,
             end_offset: pos as u64,
         });
@@ -259,15 +293,18 @@ pub struct Wal {
     policy: FsyncPolicy,
     next_lsn: u64,
     len_bytes: u64,
+    /// Records after the checkpoint.
     records: u64,
     unsynced: u32,
     injector: Option<Arc<FaultInjector>>,
 }
 
 impl Wal {
-    /// Create a fresh log at `path`. Fails if the file already exists
-    /// (an existing log must go through [`Wal::open`] so its tail is
-    /// validated, never blindly appended to).
+    /// Create a fresh, empty log at `path`, with no checkpoint: its first
+    /// record takes LSN 1. Fails if the file already exists (an existing
+    /// log must go through [`Wal::open`] so its tail is validated, never
+    /// blindly appended to). A durable database's log begins with a
+    /// checkpoint instead, which `DurableDb::create` writes.
     pub fn create(path: impl Into<PathBuf>, policy: FsyncPolicy) -> io::Result<Wal> {
         let path = path.into();
         let file = OpenOptions::new()
@@ -289,45 +326,81 @@ impl Wal {
         })
     }
 
-    /// Open an existing log (creating an empty one if absent): scan it,
-    /// truncate any torn tail, and position for appending after the last
-    /// intact record. The scan — including what was cut and why — is
-    /// returned for the caller's recovery report.
-    pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy) -> io::Result<(Wal, WalScan)> {
+    /// Write the log at `path` as one checkpoint of `ops` at `lsn`,
+    /// replacing any file there whole, and position it for appending the
+    /// record at `lsn + 1`.
+    pub(crate) fn create_checkpoint(
+        path: PathBuf,
+        policy: FsyncPolicy,
+        lsn: u64,
+        ops: &[WalOp],
+    ) -> io::Result<Wal> {
+        let mut wal = None;
+        write_checkpoint(&path, lsn, ops, None, |file, len| {
+            wal = Some(Wal {
+                file,
+                path: path.clone(),
+                policy,
+                next_lsn: lsn + 1,
+                len_bytes: len,
+                records: 0,
+                unsynced: 0,
+                injector: None,
+            });
+        })?;
+        Ok(wal.expect("a replacement that succeeded renamed its file"))
+    }
+
+    /// Replace this log with one checkpoint of `ops` at `lsn` — the state
+    /// every record so far built — through the installed fault injector.
+    /// Appends follow the new file as soon as it is renamed into place.
+    /// On `Err`, the flag says whether that happened: if not, the old file
+    /// is untouched and this log still appends to it; if so, the
+    /// directory sync after the rename failed, and the new file's name may
+    /// not survive a crash.
+    pub(crate) fn checkpoint(&mut self, lsn: u64, ops: &[WalOp]) -> Result<(), (io::Error, bool)> {
+        let (path, injector) = (self.path.clone(), self.injector.clone());
+        let mut renamed = false;
+        let written = write_checkpoint(&path, lsn, ops, injector.as_deref(), |file, len| {
+            self.file = file;
+            self.next_lsn = lsn + 1;
+            self.len_bytes = len;
+            self.records = 0;
+            self.unsynced = 0;
+            renamed = true;
+        });
+        written.map_err(|e| (e, renamed))
+    }
+
+    /// Open the existing log at `path`, whose [`Wal::scan_file`] is
+    /// `scan`, for appending after its last intact record: the torn tail
+    /// the scan found, if any, is cut off the file first.
+    pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy, scan: &WalScan) -> io::Result<Wal> {
         let path = path.into();
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let scan = scan_bytes(&bytes);
+        let mut file = OpenOptions::new().write(true).open(&path)?;
         let good_len = scan.records.last().map_or(0, |r| r.end_offset);
-        if (good_len as usize) < bytes.len() {
+        if scan.torn.is_some() {
             file.set_len(good_len)?;
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(good_len))?;
-        let wal = Wal {
+        Ok(Wal {
             file,
             path,
             policy,
             next_lsn: scan.last_lsn() + 1,
             len_bytes: good_len,
-            records: scan.records.len() as u64,
+            records: scan.records.iter().filter(|r| !r.checkpoint).count() as u64,
             unsynced: 0,
             injector: None,
-        };
-        Ok((wal, scan))
+        })
     }
 
     /// Route this log's appends and syncs through a [`FaultInjector`]
     /// (`None` restores direct I/O). Appends, explicit syncs, rewinds,
-    /// and the drop-flush all consult it; the recovery-side scan and
-    /// truncation do not — recovery is the operator's path back to a
-    /// working log.
+    /// checkpoints and the drop-flush all consult it; the recovery-side
+    /// scan and truncation do not — recovery is the operator's path back
+    /// to a working log.
     pub fn set_fault_injector(&mut self, injector: Option<Arc<FaultInjector>>) {
         self.injector = injector;
     }
@@ -337,8 +410,9 @@ impl Wal {
         self.injector.clone()
     }
 
-    /// Scan a log file read-only: no truncation, no repositioning. Used by
-    /// tests and crash simulations to enumerate record boundaries.
+    /// Scan a log file read-only: no truncation, no repositioning.
+    /// Recovery reads the log through it, and tests and crash simulations
+    /// enumerate record boundaries with it.
     pub fn scan_file(path: impl AsRef<Path>) -> io::Result<WalScan> {
         let bytes = std::fs::read(path)?;
         Ok(scan_bytes(&bytes))
@@ -355,7 +429,7 @@ impl Wal {
     pub fn append(&mut self, ops: &[WalOp]) -> io::Result<u64> {
         assert!(!ops.is_empty(), "a WAL record must carry at least one op");
         let lsn = self.next_lsn;
-        let bytes = encode_record(lsn, ops);
+        let bytes = encode_record(lsn, false, ops);
         fault::write_all(self.injector.as_deref(), &mut self.file, &bytes)?;
         let sync_due = self.policy == FsyncPolicy::Always;
         if sync_due {
@@ -383,47 +457,18 @@ impl Wal {
         self.unsynced
     }
 
-    /// Drop every record with `lsn <= through` (they are covered by a
-    /// snapshot), rewriting the file through `crate::replace_file`.
-    /// Returns `(records_dropped, bytes_reclaimed)`. The records kept are
-    /// synced as part of the new file.
-    pub(crate) fn compact_through(&mut self, through: u64) -> io::Result<(u64, u64)> {
-        let bytes = std::fs::read(&self.path)?;
-        let scan = scan_bytes(&bytes);
-        let dropped = scan.records.partition_point(|r| r.lsn <= through);
-        let Some(last) = dropped.checked_sub(1).map(|i| &scan.records[i]) else {
-            return Ok((0, 0));
-        };
-        let keep_from = last.end_offset;
-        let kept = &bytes[keep_from as usize..];
-        crate::replace_file(&self.path, kept, self.injector.as_deref(), |file| {
-            // Appends follow the renamed file before anything else can
-            // fail, through the handle that wrote it.
-            self.file = file;
-            self.len_bytes -= keep_from;
-            self.records -= dropped as u64;
-            self.unsynced = 0;
-        })?;
-        Ok((dropped as u64, keep_from))
-    }
-
-    /// Advance the next LSN (used after recovery from a snapshot newer
-    /// than the last log record, so LSNs never regress).
-    pub(crate) fn bump_next_lsn(&mut self, at_least: u64) {
-        self.next_lsn = self.next_lsn.max(at_least);
-    }
-
-    /// LSN of the last appended record (0 when none).
+    /// LSN of the last appended record, or of the checkpoint when no
+    /// record follows it (0 for an empty log).
     pub fn last_lsn(&self) -> u64 {
         self.next_lsn - 1
     }
 
-    /// Number of records currently in the file.
+    /// Number of records in the file after its checkpoint.
     pub fn records(&self) -> u64 {
         self.records
     }
 
-    /// Current file length in bytes.
+    /// Current file length in bytes, the checkpoint included.
     pub fn len_bytes(&self) -> u64 {
         self.len_bytes
     }
@@ -466,6 +511,22 @@ impl Wal {
         f.set_len(kept.last().map_or(0, |r| r.end_offset))?;
         f.sync_data()
     }
+}
+
+/// Replace the file at `path` with a log holding one checkpoint of `ops`
+/// at `lsn`, through `crate::replace_file`; `renamed` gets the new file's
+/// handle, positioned at its end, and its length.
+fn write_checkpoint(
+    path: &Path,
+    lsn: u64,
+    ops: &[WalOp],
+    injector: Option<&FaultInjector>,
+    renamed: impl FnOnce(File, u64),
+) -> io::Result<()> {
+    let bytes = encode_record(lsn, true, ops);
+    crate::replace_file(path, &bytes, injector, |file| {
+        renamed(file, bytes.len() as u64)
+    })
 }
 
 /// A cleanly dropped log leaves no loss window: any records appended
@@ -539,7 +600,8 @@ mod tests {
         // Tear the second record: chop 3 bytes off the end.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let (wal, scan) = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let scan = Wal::scan_file(&path).unwrap();
+        let wal = Wal::open(&path, FsyncPolicy::Always, &scan).unwrap();
         assert_eq!(scan.records.len(), 1);
         let torn = scan.torn.expect("tear must be reported");
         assert_eq!(torn.offset, good);
@@ -591,8 +653,9 @@ mod tests {
         let mut wal = Wal::create(&path, FsyncPolicy::Never).unwrap();
         let _ = wal.append(&[WalOp::Assert(f("p(a)"))]).unwrap();
         drop(wal);
-        let (mut wal, scan) = Wal::open(&path, FsyncPolicy::Never).unwrap();
+        let scan = Wal::scan_file(&path).unwrap();
         assert!(scan.torn.is_none());
+        let mut wal = Wal::open(&path, FsyncPolicy::Never, &scan).unwrap();
         assert_eq!(wal.append(&[WalOp::Assert(f("q(b)"))]).unwrap(), 2);
         wal.sync().unwrap();
         let scan = Wal::scan_file(&path).unwrap();
@@ -646,23 +709,27 @@ mod tests {
         let d = dir();
         let path = d.join(WAL_FILE);
         let mut wal = Wal::create(&path, FsyncPolicy::Never).unwrap();
-        for i in 0..5 {
-            let _ = wal
-                .append(&[WalOp::Assert(f(&format!("p(a{i})")))])
-                .unwrap();
+        let facts: Vec<WalOp> = (0..5)
+            .map(|i| WalOp::Assert(f(&format!("p(a{i})"))))
+            .collect();
+        for fact in &facts {
+            let _ = wal.append(std::slice::from_ref(fact)).unwrap();
         }
-        let (dropped, reclaimed) = wal.compact_through(3).unwrap();
-        assert_eq!(dropped, 3);
-        assert!(reclaimed > 0);
-        assert_eq!(wal.records(), 2);
-        // The survivors keep their LSNs and the log stays appendable.
+        wal.checkpoint(5, &facts).unwrap();
+        assert_eq!((wal.records(), wal.last_lsn()), (0, 5));
+        // The checkpoint holds the state, and the log stays appendable.
         assert_eq!(wal.append(&[WalOp::Assert(f("p(b)"))]).unwrap(), 6);
         wal.sync().unwrap();
         let scan = Wal::scan_file(&path).unwrap();
-        assert_eq!(
-            scan.records.iter().map(|r| r.lsn).collect::<Vec<_>>(),
-            vec![4, 5, 6]
+        let kinds: Vec<_> = scan.records.iter().map(|r| (r.lsn, r.checkpoint)).collect();
+        assert_eq!(kinds, vec![(5, true), (6, false)]);
+        assert_eq!(scan.records[0].ops, facts);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            text.contains("\ncheckpoint\nassert p(a0)\nassert p(a1)\n"),
+            "{text}"
         );
+        assert_eq!(wal.len_bytes(), text.len() as u64);
         std::fs::remove_dir_all(d).unwrap();
     }
 

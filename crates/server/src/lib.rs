@@ -19,7 +19,7 @@
 //!
 //! | request | response |
 //! |---|---|
-//! | `ask <sentence>` | `ok yes\|no\|unknown @<lsn>` |
+//! | `ask <sentence>` | `ok yes\|no\|unknown @<lsn>`; `err query … has free variables …` for an open formula (`demo` answers those) |
 //! | `demo <sentence>` | `ok rows <n> @<lsn>`, then `n` × `row <params>` |
 //! | `why <atom>` | `ok why <n> @<lsn>`, then `n` × `row <proof line>`; `ok why none @<lsn>` when underivable; `err …` on a theory that is not definite |
 //! | `begin` | `ok begin` |
@@ -145,6 +145,11 @@ impl<'a> Session<'a> {
 
     fn ask(&self, src: &str) -> Result<String, String> {
         let q = parse(src).map_err(|e| format!("parse: {e}"))?;
+        if !q.is_sentence() {
+            return Err(format!(
+                "query `{q}` has free variables (demo answers open queries)"
+            ));
+        }
         let snap = self.db.snapshot();
         let verdict = match snap.ask(&q) {
             epilog_core::Answer::Yes => "yes",
@@ -879,6 +884,22 @@ mod tests {
             "got {stats}"
         );
         assert_eq!(c.request("ask K q(b)").unwrap(), "ok yes @2");
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn an_open_ask_is_refused_by_name() {
+        let d = dir();
+        let server = serve(&d);
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        let r = c.request("ask K emp(x)").unwrap();
+        assert!(
+            r.starts_with("err ") && !r.starts_with("err internal"),
+            "got {r}"
+        );
+        assert!(r.contains("`K emp(x)` has free variables"), "got {r}");
+        assert_eq!(c.request("ask K emp(Mary)").unwrap(), "ok no @0");
         server.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }

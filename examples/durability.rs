@@ -1,22 +1,34 @@
 //! Durability walkthrough: commit → crash → recover.
 //!
 //! The registrar database from the paper's §3, made durable: every
-//! commit is appended to a write-ahead log before it is applied, a
-//! snapshot checkpoints the state, and recovery — here after a simulated
-//! crash that tears the log mid-record — rebuilds exactly the state whose
-//! commits were acknowledged.
+//! commit is appended to a write-ahead log before it is applied, and
+//! recovery — here after a simulated crash that tears the log mid-record
+//! — rebuilds exactly the state whose commits were acknowledged. The log
+//! is the whole database: one file, `wal.log`, whose first record is a
+//! checkpoint of the state (the theory and the constraints); compaction
+//! replaces it with one checkpoint of the current state.
 //!
 //! Run with: `cargo run --example durability`
 
 use epilog::persist::wal::WAL_FILE;
 use epilog::prelude::*;
 use epilog::syntax::Theory;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("epilog-durability-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// The names of the files in `dir`: a durable database is one file.
+fn files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 fn main() {
@@ -44,11 +56,13 @@ fn main() {
         .unwrap();
     println!("hired Sue:   {report}");
     println!(
-        "log: {} records, {} bytes, LSN {}\n",
+        "log: the genesis checkpoint + {} records, {} bytes, LSN {}",
         db.wal_records(),
         db.wal_bytes(),
         db.last_lsn()
     );
+    assert_eq!(files(&dir), [WAL_FILE]);
+    println!("directory: {:?}\n", files(&dir));
 
     // A violating batch is refused — and leaves no log record behind.
     let err = db
@@ -113,15 +127,22 @@ fn main() {
     let mut recovered = recovered;
     let stats = recovered.compact().unwrap();
     println!(
-        "compacted: snapshot @{}, {} log records dropped, {} bytes reclaimed",
-        stats.snapshot_lsn, stats.records_dropped, stats.bytes_reclaimed
+        "compacted: checkpoint @{}, {} log records dropped, {} bytes reclaimed",
+        stats.checkpoint_lsn, stats.records_dropped, stats.bytes_reclaimed
+    );
+    assert_eq!(
+        (recovered.wal_records(), files(&dir)),
+        (0, vec![WAL_FILE.to_string()])
     );
     drop(recovered);
     let (recovered, report) = DurableDb::recover(&dir, FsyncPolicy::Always).unwrap();
     println!("recovery after compaction: {report}");
+    assert_eq!(report.records_replayed, 0);
     assert_eq!(recovered.theory(), &live_receipts.0);
     assert_eq!(recovered.ask(&parse("K person(Sue)").unwrap()), Answer::Yes);
-    println!("snapshot-only recovery reproduces the same state");
+    println!("checkpoint-only recovery reproduces the same state");
+    assert_eq!(files(&dir), [WAL_FILE]);
+    println!("directory: {:?}", files(&dir));
 
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -38,7 +38,7 @@
 //! | [`datalog`] | least-model Datalog engine for definite programs; Clark completion |
 //! | [`semantics`] | worlds, KFOPCE truth, the brute-force oracle, circumscription |
 //! | [`core`] | the `demo` evaluator, queries, integrity constraints, closure |
-//! | [`persist`] | durability: write-ahead log, snapshots, crash recovery — and the MVCC group-commit serving layer |
+//! | [`persist`] | durability: one write-ahead log per database, headed by a checkpoint, crash recovery — and the MVCC group-commit serving layer |
 //! | [`server`] | TCP line-protocol sessions over snapshot reads and queued commits |
 
 pub use epilog_core as core;

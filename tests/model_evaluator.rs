@@ -361,10 +361,10 @@ fn why_on_the_closure_derives_its_proof_when_asked() {
 /// process: the closure built by ten bulk commits on a `DurableDb`,
 /// `compact()`, recovery from the directory, a first read. Printed next
 /// to the times of the snapshot that also stored the model, at 100
-/// chains; asserted: the receipts, that the snapshot is exactly the
-/// theory's sentences and an empty constraint section, that recovery
-/// replayed nothing, and that the recovered state (theory and least
-/// model) is the live one.
+/// chains; asserted: the receipts, that the directory is one log whose
+/// only record is a checkpoint of exactly the theory's sentences, that
+/// recovery replayed nothing, and that the recovered state (theory and
+/// least model) is the live one.
 #[test]
 fn bulk_build_compaction_and_recovery_on_the_closure() {
     for chains in [10, 100, 300] {
@@ -403,16 +403,13 @@ fn bulk_build_compaction_and_recovery_on_the_closure() {
             commits.push(took);
         }
         let (stats, compact) = timed(|| db.compact().unwrap());
-        assert_eq!((stats.snapshot_lsn, stats.records_dropped), (10, 10));
+        assert_eq!((stats.checkpoint_lsn, stats.records_dropped), (10, 10));
         let live = db.db().clone();
         drop(db);
 
         let (recovered, recover) = timed(|| DurableDb::recover(&dir, FsyncPolicy::Never));
         let (rec, report) = recovered.unwrap();
-        assert_eq!(
-            (report.snapshot_lsn, report.records_replayed),
-            (Some(10), 0)
-        );
+        assert_eq!((report.checkpoint_lsn, report.records_replayed), (10, 0));
         assert_eq!(rec.theory(), live.theory());
         assert_eq!(rec.prover().atom_model(), live.prover().atom_model());
         assert_eq!(rec.prover().atom_model().unwrap().len(), chains * 495);
@@ -420,16 +417,21 @@ fn bulk_build_compaction_and_recovery_on_the_closure() {
         assert_eq!(rows.len(), 30);
         assert_eq!(rec.prover().sat_calls(), 0);
 
-        let file = std::fs::read_to_string(dir.join("snapshot-00000000000000000010.snap")).unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["wal.log"]);
+        let file = std::fs::read_to_string(dir.join("wal.log")).unwrap();
         let (header, payload) = file.split_once('\n').unwrap();
         let sentences: String = live
             .theory()
             .sentences()
             .iter()
-            .map(|w| format!("{w}\n"))
+            .map(|w| format!("\nassert {w}"))
             .collect();
-        assert_eq!(payload, format!("[theory]\n{sentences}[constraints]\n"));
-        assert!(header.starts_with(&format!("#epilog-snapshot v1 10 {} ", payload.len())));
+        assert_eq!(payload, format!("checkpoint{sentences}\n"));
+        assert!(header.starts_with(&format!("@10 {} ", payload.len() - 1)));
 
         let sentences: Vec<Formula> = live
             .theory()
@@ -442,9 +444,11 @@ fn bulk_build_compaction_and_recovery_on_the_closure() {
         println!(
             "closure {chains} x 30 built by 10 commits of {} edges: first commit {:?}, tenth \
              {:?}, all ten {:?}, compact {compact:?} ({} bytes), recover {recover:?}, first demo {demo:?}, \
-             Theory::new of its {} sentences {as_set:?} (at 100 chains on a 2-core VM: \
-             all ten 20-33 ms, compact 3.5-6.5 ms for 51 667 bytes, recover 16-28 ms; when \
-             each round inserted its heads one search at a time, all ten 41-48 ms and recover \
+             Theory::new of its {} sentences {as_set:?} (at 100 chains on a 2-core VM, twenty \
+             alternating pairs: compact 1.4-2.3 ms (once 6.8) for the 72 650-byte one-record \
+             log, recover 17-28 ms; when compaction also synced the log and wrote a 51 667-byte \
+             snapshot file beside it, compact 3.5-7.5 ms and recover 17-27 ms; all ten 20-32 ms \
+             both ways; when each round inserted its heads one search at a time, all ten 41-48 ms and recover \
              35-41 ms the same hour; when the snapshot stored the least model too, compact \
              11.7-15.9 ms for 900 876 bytes, recover 19-31 ms)",
             per_commit * 30,

@@ -13,24 +13,25 @@
 //! answered `Ok` is in the log at its LSN (and synced, under `Always`),
 //! one answered `Err` is never observed. The suite then:
 //!
-//! * **crashes at every record boundary** — truncates a copy of the log
-//!   at each boundary — and **mid-record** (torn writes inside the header
-//!   and inside the payload), recovers, and demands the recovered
-//!   database equal the oracle's state at that prefix: theory (sentence
-//!   for sentence, in order), registered constraints, constraint
-//!   satisfaction, and the attached least model (against a from-scratch
-//!   rebuild);
-//! * checks **snapshot+replay equals full replay**: recovery from the
-//!   newest snapshot and recovery of a copy holding only the genesis
-//!   snapshot and the log produce identical states, before and after
-//!   compaction.
+//! * **crashes at every record boundary** after the log's genesis
+//!   checkpoint — truncates a copy of the log at each boundary — and
+//!   **mid-record** (torn writes inside the header and inside the
+//!   payload), recovers, and demands the recovered database equal the
+//!   oracle's state at that prefix: theory (sentence for sentence, in
+//!   order), registered constraints, constraint satisfaction, and the
+//!   attached least model (against a from-scratch rebuild);
+//! * cuts **inside the checkpoint** (no crash leaves one: the checkpoint
+//!   lands by rename) and demands that recovery refuse and write nothing;
+//! * checks **checkpoint+replay equals full replay**: recovery of the
+//!   compacted log and recovery of a copy of the whole log produce
+//!   identical states, and compacting again keeps them.
 
 use epilog::core::prover_for;
 use epilog::persist::wal::WAL_FILE;
-use epilog::persist::{DurableDb, FaultInjector, FsyncPolicy, PersistError, Snapshot, Wal};
+use epilog::persist::{DurableDb, FaultInjector, FsyncPolicy, PersistError, Wal};
 use epilog::prelude::*;
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 const PARAMS: usize = 3;
@@ -130,16 +131,9 @@ fn assert_recovered_matches(
     Ok(())
 }
 
-/// Copy the genesis snapshot and a truncated log into a fresh "crashed"
-/// directory (later snapshots are omitted: a snapshot syncs the log
-/// first, so a real crash can never tear records a snapshot covers).
-fn crashed_copy(dir: &Path, wal_bytes: &[u8], cut: usize, tag: &str) -> PathBuf {
+/// A fresh "crashed" directory holding the log cut at byte `cut`.
+fn crashed_copy(wal_bytes: &[u8], cut: usize, tag: &str) -> PathBuf {
     let crash = temp_dir(tag);
-    std::fs::copy(
-        dir.join(Snapshot::file_name(0)),
-        crash.join(Snapshot::file_name(0)),
-    )
-    .unwrap();
     std::fs::write(crash.join(WAL_FILE), &wal_bytes[..cut]).unwrap();
     crash
 }
@@ -230,8 +224,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Under any fault schedule, acknowledged == durable; then crash
-    /// anywhere, recover, equal the oracle; snapshot+replay equals full
-    /// replay.
+    /// anywhere after the checkpoint, recover, equal the oracle; a cut
+    /// inside it is refused; checkpoint+replay equals full replay.
     #[test]
     fn recovery_matches_oracle_at_every_crash_point(
         (rule_mask, ic_mask, (policy, write_odds, sync_odds, fault_seed), raw) in cases()
@@ -337,13 +331,29 @@ proptest! {
         let wal_bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
         let scan = Wal::scan_file(dir.join(WAL_FILE)).unwrap();
         prop_assert!(scan.torn.is_none());
-        prop_assert_eq!(scan.records.len(), by_lsn.len() - 1);
-        let mut boundaries: Vec<usize> = vec![0];
-        boundaries.extend(scan.records.iter().map(|r| r.end_offset as usize));
+        prop_assert_eq!(scan.records.len(), by_lsn.len(), "the checkpoint, then one record per LSN");
+        prop_assert!(scan.records[0].checkpoint);
+        // A cut at byte 0 or inside the checkpoint: no crash leaves one,
+        // since the checkpoint lands by rename. Recovery refuses it and
+        // leaves the file as it found it.
+        let checkpoint_end = scan.records[0].end_offset as usize;
+        for cut in [0, 3, checkpoint_end / 2, checkpoint_end - 1] {
+            let crash = crashed_copy(&wal_bytes, cut, "refused");
+            let refused = DurableDb::recover(&crash, FsyncPolicy::Never);
+            prop_assert!(
+                matches!(refused, Err(PersistError::Corrupt(_))),
+                "a cut at byte {} inside the checkpoint must be refused",
+                cut
+            );
+            prop_assert_eq!(std::fs::read(crash.join(WAL_FILE)).unwrap(), &wal_bytes[..cut]);
+            std::fs::remove_dir_all(crash).unwrap();
+        }
+        let boundaries: Vec<usize> = scan.records.iter().map(|r| r.end_offset as usize).collect();
         for (i, pair) in boundaries.windows(2).enumerate() {
             let (start, end) = (pair[0], pair[1]);
-            // Boundary cut: exactly the first i records survive.
-            let crash = crashed_copy(&dir, &wal_bytes, start, "cut");
+            // Boundary cut: the checkpoint and exactly the first i records
+            // after it survive.
+            let crash = crashed_copy(&wal_bytes, start, "cut");
             let (rec, report) = DurableDb::recover(&crash, FsyncPolicy::Never).unwrap();
             prop_assert!(report.torn_tail.is_none(), "boundary cut is not a tear");
             prop_assert_eq!(report.records_replayed as usize, i);
@@ -356,7 +366,7 @@ proptest! {
                 if cut <= start || cut >= end {
                     continue;
                 }
-                let crash = crashed_copy(&dir, &wal_bytes, cut, "torn");
+                let crash = crashed_copy(&wal_bytes, cut, "torn");
                 let (rec, report) = DurableDb::recover(&crash, FsyncPolicy::Never).unwrap();
                 prop_assert!(report.torn_tail.is_some(), "mid-record cut must tear");
                 prop_assert_eq!(report.records_replayed as usize, i);
@@ -364,35 +374,35 @@ proptest! {
                 std::fs::remove_dir_all(crash).unwrap();
             }
         }
-        // Full-log boundary: recovery reproduces the live state — by full
-        // replay, the genesis snapshot being the only one in the copy.
+        // Full-log boundary: recovery of a copy reproduces the live state
+        // by full replay from the genesis checkpoint.
         let final_state = OracleState {
             theory: oracle.theory().clone(),
             n_constraints: oracle.constraints().len(),
         };
-        let full = crashed_copy(&dir, &wal_bytes, wal_bytes.len(), "full");
+        let full = crashed_copy(&wal_bytes, wal_bytes.len(), "full");
         let (via_replay, r2) = DurableDb::recover(&full, FsyncPolicy::Never).unwrap();
-        prop_assert_eq!(r2.snapshot_lsn, Some(0));
+        prop_assert_eq!(r2.checkpoint_lsn, 0);
         prop_assert_eq!(r2.records_replayed as usize, by_lsn.len() - 1);
         assert_recovered_matches(via_replay.db(), &final_state, "via full replay")?;
 
-        // ---- Snapshot + replay == full replay -------------------------
-        let snap_lsn = durable.snapshot().unwrap();
-        prop_assert_eq!(snap_lsn as usize, by_lsn.len() - 1);
+        // ---- Checkpoint + replay == full replay -----------------------
+        let compacted = durable.compact().unwrap();
+        prop_assert_eq!(compacted.checkpoint_lsn as usize, by_lsn.len() - 1);
         drop(durable);
-        let (via_snapshot, r1) = DurableDb::recover(&dir, FsyncPolicy::Never).unwrap();
-        prop_assert_eq!(r1.snapshot_lsn, Some(snap_lsn));
+        let (via_checkpoint, r1) = DurableDb::recover(&dir, FsyncPolicy::Never).unwrap();
+        prop_assert_eq!(r1.checkpoint_lsn, compacted.checkpoint_lsn);
         prop_assert_eq!(r1.records_replayed, 0);
-        assert_recovered_matches(via_snapshot.db(), &final_state, "via snapshot")?;
+        assert_recovered_matches(via_checkpoint.db(), &final_state, "via checkpoint")?;
         prop_assert_eq!(
-            via_snapshot.prover().atom_model(),
+            via_checkpoint.prover().atom_model(),
             via_replay.prover().atom_model()
         );
         drop(via_replay);
         std::fs::remove_dir_all(full).unwrap();
 
-        // ---- Compaction preserves the state ---------------------------
-        let mut compacted = via_snapshot;
+        // ---- Compacting again preserves the state ---------------------
+        let mut compacted = via_checkpoint;
         let _ = compacted.compact().unwrap();
         drop(compacted);
         let (rec, report) = DurableDb::recover(&dir, FsyncPolicy::Never).unwrap();
