@@ -25,7 +25,10 @@ use epilog_semantics::Answer;
 use epilog_syntax::{is_first_order, Formula, Param, Term, Var};
 use std::collections::HashMap;
 
-/// Answer a KFOPCE sentence query against `Σ` (Definition 2.1).
+/// Answer a KFOPCE sentence query against `Σ` (Definition 2.1). An
+/// unsatisfiable `Σ` entails every sentence, `q` and `¬q` alike: the
+/// answer is *yes*, as [`ClosedDb::ask`](crate::ClosedDb::ask) answers an
+/// unsatisfiable closure.
 ///
 /// # Panics
 /// Panics if `q` has free variables (bind them, or use
@@ -40,7 +43,7 @@ pub fn ask(prover: &Prover, q: &Formula) -> Answer {
     let reduced = reduce(prover, q);
     let yes = prover.entails(&reduced);
     let no = prover.entails(&Formula::not(reduced));
-    Answer::from_entailments(yes, no)
+    Answer::from_entailments(yes, no && !yes)
 }
 
 /// All answers to an open KFOPCE query: tuples over the answer domain
@@ -209,6 +212,14 @@ mod tests {
             a(&p, "exists x. Teach(x, Psych) & ~K Teach(x, CS)"),
             Answer::Yes
         );
+    }
+
+    #[test]
+    fn an_unsatisfiable_theory_answers_yes() {
+        let p = Prover::new(Theory::from_text("p(a)\n~p(a)").unwrap());
+        assert_eq!(a(&p, "p(a)"), Answer::Yes);
+        assert_eq!(a(&p, "~p(a)"), Answer::Yes);
+        assert_eq!(a(&p, "K q(b)"), Answer::Yes);
     }
 
     #[test]

@@ -107,7 +107,9 @@ impl ClosedDb {
     }
 
     /// All closed-world answers to an open query: tuples over the active
-    /// domain making the stripped query true in the unique model.
+    /// domain making the stripped query true in the unique model — every
+    /// tuple when the closure is unsatisfiable, which entails everything
+    /// (as [`ClosedDb::ask`] answers).
     pub fn answers(&self, q: &Formula) -> Vec<Vec<Param>> {
         let fo = strip_k(q);
         let vars = fo.free_vars();
@@ -121,7 +123,10 @@ impl ClosedDb {
         // The universe's last parameter is the spare, which is no answer.
         let domain = self.universe[..self.universe.len() - 1].to_vec();
         domain_walk(domain, vars.len())
-            .filter(|tuple| holds_in_world(&fo.bind_free(tuple), &self.world, &self.universe))
+            .filter(|tuple| {
+                !self.satisfiable
+                    || holds_in_world(&fo.bind_free(tuple), &self.world, &self.universe)
+            })
             .collect()
     }
 }
@@ -261,6 +266,14 @@ mod tests {
         // ¬q — contradiction (the classic CWA failure on disjunctive DBs).
         let (_, c) = closed("p | q");
         assert!(!c.satisfiable());
+        // It entails everything: every active-domain tuple is an answer.
+        let (_, c) = closed("p(a) | p(b)");
+        assert!(!c.satisfiable());
+        assert_eq!(c.ask(&parse("p(a)").unwrap()), Answer::Yes);
+        let a = epilog_syntax::Param::new("a");
+        let b = epilog_syntax::Param::new("b");
+        assert_eq!(c.answers(&parse("p(x)").unwrap()), [[a], [b]]);
+        assert_eq!(c.answers(&parse("~p(x)").unwrap()), [[a], [b]]);
     }
 
     #[test]

@@ -280,7 +280,8 @@ impl EpistemicDb {
     // ----- queries --------------------------------------------------------
 
     /// Answer a KFOPCE sentence query: yes / no / unknown
-    /// (Definition 2.1), via the Levesque-style reduction.
+    /// (Definition 2.1), via the Levesque-style reduction. An
+    /// unsatisfiable theory entails every sentence: it answers *yes*.
     pub fn ask(&self, q: &Formula) -> Answer {
         ask::ask(&self.prover, q)
     }
@@ -321,26 +322,6 @@ impl EpistemicDb {
                 program: self.definite.as_ref().map(|d| Arc::clone(&d.program)),
             })));
         }
-        Arc::make_mut(&mut self.constraints).push(compiled);
-        Ok(())
-    }
-
-    /// Register a constraint **without** verifying that the current state
-    /// satisfies it — for trusted callers restoring a previously
-    /// validated state, e.g. the persistence layer loading a checksummed
-    /// snapshot whose constraints held when it was written (re-running
-    /// the full satisfaction check there would make snapshot recovery
-    /// slower than log replay, defeating its purpose). Debug builds still
-    /// verify. Everything else matches [`EpistemicDb::add_constraint`].
-    pub fn adopt_constraint(&mut self, ic: Formula) -> Result<(), DbError> {
-        if !ic.is_sentence() {
-            return Err(DbError::OpenConstraint(ic));
-        }
-        let compiled = CompiledConstraint::compile(&ic);
-        debug_assert!(
-            compiled.violated(&self.prover).is_none(),
-            "adopted constraint `{ic}` is violated by the current state"
-        );
         Arc::make_mut(&mut self.constraints).push(compiled);
         Ok(())
     }

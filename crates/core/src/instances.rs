@@ -37,10 +37,11 @@ pub fn instances(prover: &Prover, w: &Formula) -> Vec<Vec<Param>> {
 /// already bound (they count as parameters for the linkage check).
 pub(crate) fn in_f_sigma(w: &Formula, bound: &BTreeSet<Var>) -> bool {
     match w {
-        // p = p' and p ≠ p' (ground equality literals).
-        Formula::Eq(a, b) => eq_side_ok(a, bound) && eq_side_ok(b, bound),
+        // p = p', x = p and p = x: one side names the individual.
+        Formula::Eq(a, b) => is_known(a, bound) || is_known(b, bound),
+        // p ≠ p': both sides do.
         Formula::Not(inner) => {
-            matches!(inner.as_ref(), Formula::Eq(a, b) if eq_side_ok(a, bound) && eq_side_ok(b, bound))
+            matches!(inner.as_ref(), Formula::Eq(a, b) if is_known(a, bound) && is_known(b, bound))
         }
         _ => {
             if !is_positive_existential(w) {
@@ -53,11 +54,15 @@ pub(crate) fn in_f_sigma(w: &Formula, bound: &BTreeSet<Var>) -> bool {
     }
 }
 
-/// An equality side is a parameter, or a variable (the paper permits
-/// `x = p` / `p = x`; a variable side bound by conjunction is a parameter
-/// anyway).
-fn eq_side_ok(t: &Term, _bound: &BTreeSet<Var>) -> bool {
-    matches!(t, Term::Param(_) | Term::Var(_))
+/// Whether an equality side stands for one individual: a parameter, or
+/// a variable an enclosing conjunction has bound (it acts as one). An
+/// unbound variable ranges over every parameter, so `x = x`, `x = y` and
+/// `x ≠ p` have infinitely many instances.
+fn is_known(t: &Term, bound: &BTreeSet<Var>) -> bool {
+    match t {
+        Term::Param(_) => true,
+        Term::Var(v) => bound.contains(v),
+    }
 }
 
 /// Disjunctive linkage (Definition 6.4), with conjunction-bound variables
@@ -176,6 +181,12 @@ mod tests {
             "~(exists x. K p(x))",
             "p(x) & ~K q(x)",
             "K p(x) & x != a",
+            // An equality side is a parameter or a bound variable: one
+            // side for `=`, both for `≠`.
+            "x = a",
+            "K p(x) & x = a",
+            "K p(x) & ~(x = a)",
+            "K p(x) & K p(y) & ~(x = y)",
         ] {
             assert!(
                 admissible_wrt_f_sigma(&parse(good).unwrap()),
@@ -189,6 +200,11 @@ mod tests {
             "~K p(x)",
             // Unlinked disjunction as the leading conjunct.
             "(p(x) | q(y)) & K p(x)",
+            // An unbound variable ranges over every parameter.
+            "x = x",
+            "x = y",
+            "~(x = y)",
+            "~(x = a)",
         ] {
             assert!(
                 !admissible_wrt_f_sigma(&parse(bad).unwrap()),
@@ -220,5 +236,9 @@ mod tests {
         assert!(!theorem_62_applies(&t, &parse("~p(x)").unwrap()));
         let neg = Theory::from_text("~p(a)").unwrap();
         assert!(!theorem_62_applies(&neg, &parse("p(x)").unwrap()));
+        // Every parameter is a certain answer to `x = x`; `demo` returns
+        // only the mentioned ones.
+        let p = Theory::from_text("p(a)").unwrap();
+        assert!(!theorem_62_applies(&p, &parse("x = x").unwrap()));
     }
 }

@@ -45,20 +45,22 @@
 //! fsync, so a crash leaves the old log or the new one.
 //!
 //! **Recovery replays the real commit path, a record whole or not at
-//! all.** [`DurableDb::recover`] scans the log once, adopts its
-//! checkpoint ([`Snapshot::restore`]) and replays every record after it
-//! as it was made — one `constraint` through
-//! `EpistemicDb::add_constraint`, or `retract` / `assert` ops as one
-//! `Transaction::commit` — so recovered state re-verifies its
-//! constraints and maintains the incremental model exactly as the live
+//! all.** [`DurableDb::recover`] scans the log once, restores its
+//! checkpoint ([`Snapshot::restore`]: the theory, then each constraint
+//! through `EpistemicDb::add_constraint`) and replays every record after
+//! it as it was made — one `constraint` through `add_constraint` again,
+//! or `retract` / `assert` ops as one `Transaction::commit` — so
+//! recovered state re-verifies every constraint, the checkpoint's
+//! included, and maintains the incremental model exactly as the live
 //! path would. Only a torn tail *after* the checkpoint is cut. A
 //! directory that cannot give back every commit it acknowledged is
 //! refused with `Corrupt` rather than recovered short: when `wal.log` is
 //! missing, when its checkpoint is damaged or missing (as in a directory
 //! written before the log held one, whose state sits in a
 //! `snapshot-*.snap` file nothing reads), when a checkpoint sits anywhere
-//! but first, or when a record has another shape or is refused (the error
-//! names its LSN). A refused recovery writes nothing.
+//! but first, when the checkpoint's state violates one of its
+//! constraints, or when a record has another shape or is refused (the
+//! error names its LSN). A refused recovery writes nothing.
 //! `tests/prop_persist.rs` pins this: crash anywhere, recover, and the
 //! state equals an in-memory oracle that applied the surviving prefix —
 //! under seeded fault schedules too: what answered `Ok` is there, what
@@ -268,7 +270,7 @@ impl DurableDb {
         Ok(DurableDb { db, log, dir })
     }
 
-    /// Rebuild the database from `dir`: adopt the log's checkpoint, replay
+    /// Rebuild the database from `dir`: restore the log's checkpoint, replay
     /// the records after it through the real commit path, then delete
     /// stray temp files and cut a torn tail — or `Corrupt`, with nothing
     /// written (module docs).

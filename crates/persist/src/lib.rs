@@ -18,7 +18,7 @@
 //!   strays recovery deletes;
 //! * [`DurableDb`] — the wrapper that threads every commit through the
 //!   log (log-before-apply, [`FsyncPolicy`] configurable) and whose
-//!   [`DurableDb::recover`] adopts the checkpoint and replays each record
+//!   [`DurableDb::recover`] restores the checkpoint and replays each record
 //!   after it whole through the real commit path — recovered state
 //!   re-verifies constraints and maintains the incremental model exactly
 //!   as the live path does — tolerating a torn log tail (truncate at the
@@ -159,7 +159,7 @@ pub use durable::{CompactStats, DurableDb, DurableTransaction, PersistError, Rec
 pub use fault::{FaultInjector, FaultKind};
 pub use serve::{
     CommitHandle, CommitReceipt, Request, ServeError, ServeOptions, ServeStats, ServingDb, TxOp,
-    Writer, WriterExit,
+    Writer,
 };
 pub use snapshot::Snapshot;
 pub use wal::{FsyncPolicy, TornTail, Wal, WalOp, WalRecord, WalScan};

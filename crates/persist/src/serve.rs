@@ -64,11 +64,21 @@
 //! the recovered database — or stay degraded (and heal retryable) if the
 //! storage still fails.
 //!
-//! A request whose serving panics (a `prove` walk whose answer space
-//! overflows, say) is answered [`ServeError::Internal`]. The `DurableDb`
-//! prepares a commit or a constraint before appending it, so nothing was
-//! logged for that request and the state is as it was; the writer goes
-//! on with the rest of the batch.
+//! # Panics
+//!
+//! `step` serves each request — commit, constraint, flush or heal —
+//! through one catch. A request whose serving panics (a `prove` walk
+//! whose answer space overflows, in a constraint's check, say, or in
+//! the checkpoint a heal recovers) is answered [`ServeError::Internal`],
+//! and the writer goes on with the rest of the batch, degraded or not as
+//! it was: the `DurableDb` prepares a commit or a constraint before
+//! appending it, and a heal swaps the recovered database in only once
+//! recovery and its probe sync succeeded, so nothing was logged and the
+//! state is as it was. No request ends the writer. A request that is
+//! dropped unanswered — only a panic outside any request's serving, in
+//! the batch's sync or publication, could end the thread —
+//! is [`ServeError::Closed`], and [`ServingDb::shutdown`] reports the
+//! panic through its join.
 
 use crate::durable::{DurableDb, PersistError, RecoveryReport};
 use crate::wal::{FsyncPolicy, Wal, WAL_FILE};
@@ -79,7 +89,7 @@ use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -113,9 +123,8 @@ pub enum ServeError {
     /// [`ServingDb::heal`] succeeds. Carries the reason the mode was
     /// entered. Transient by design — a retry after a heal can succeed.
     Degraded(String),
-    /// The serving database shut down before answering; says how the
-    /// writer exited.
-    Closed(WriterExit),
+    /// The request was dropped unanswered: the writer thread is gone.
+    Closed,
     /// Serving the request panicked, with this message. Nothing was
     /// logged for it and the state is as it was: the writer goes on.
     Internal(String),
@@ -138,41 +147,13 @@ impl fmt::Display for ServeError {
             ServeError::Db(e, _) => write!(f, "{e}"),
             ServeError::Io(e) => write!(f, "io error: {e}"),
             ServeError::Degraded(why) => write!(f, "degraded (read-only): {why}"),
-            ServeError::Closed(exit) => write!(f, "serving database is shut down ({exit})"),
+            ServeError::Closed => write!(f, "serving database is shut down"),
             ServeError::Internal(why) => write!(f, "internal error: {why}"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
-
-/// How the writer thread ended — carried by [`ServeError::Closed`] so
-/// "shut down" also says *which way* it went down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriterExit {
-    /// Drained its queue and exited normally (shutdown or drop).
-    Clean,
-    /// Exited while in degraded read-only mode — the log may hold less
-    /// than the callers were told *failed*, never less than they were
-    /// told succeeded.
-    Degraded,
-    /// Died by panic; anything still queued was dropped unanswered.
-    Panicked,
-    /// Not exited (the request never reached the queue) or the fate is
-    /// otherwise undeterminable.
-    Unknown,
-}
-
-impl fmt::Display for WriterExit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WriterExit::Clean => write!(f, "writer exited cleanly"),
-            WriterExit::Degraded => write!(f, "writer exited in degraded mode"),
-            WriterExit::Panicked => write!(f, "writer panicked"),
-            WriterExit::Unknown => write!(f, "writer state unknown"),
-        }
-    }
-}
 
 /// One queued update operation.
 #[derive(Debug, Clone)]
@@ -200,21 +181,14 @@ pub struct CommitReceipt {
 #[must_use = "a commit is not acknowledged until the handle is waited on"]
 pub struct CommitHandle<T = CommitReceipt> {
     rx: Receiver<Result<T, ServeError>>,
-    /// The serving database's counters, to say how its writer exited if
-    /// the request is dropped unanswered (`None`: stepped by hand).
-    metrics: Option<Arc<Metrics>>,
 }
 
 impl<T> CommitHandle<T> {
     /// Block until the writer answers (durable + published, or
-    /// rejected).
+    /// rejected). A request dropped unanswered is
+    /// [`ServeError::Closed`].
     pub fn wait(self) -> Result<T, ServeError> {
-        self.rx.recv().unwrap_or_else(|_| {
-            let exit = self
-                .metrics
-                .map_or(WriterExit::Unknown, |m| m.writer_exit());
-            Err(ServeError::Closed(exit))
-        })
+        self.rx.recv().unwrap_or(Err(ServeError::Closed))
     }
 }
 
@@ -234,7 +208,7 @@ enum Op {
 
 fn reply<T>() -> (Reply<T>, CommitHandle<T>) {
     let (tx, rx) = sync_channel(1);
-    (tx, CommitHandle { rx, metrics: None })
+    (tx, CommitHandle { rx })
 }
 
 impl Request {
@@ -287,10 +261,6 @@ pub struct ServeStats {
     pub degraded: bool,
 }
 
-// Writer-exit codes in `Metrics::exit`; 0 (the default) = still running.
-const EXIT_CLEAN: u8 = 1;
-const EXIT_PANICKED: u8 = 2;
-
 #[derive(Default)]
 struct Metrics {
     commits: AtomicU64,
@@ -300,7 +270,6 @@ struct Metrics {
     io_errors: AtomicU64,
     heals: AtomicU64,
     degraded: AtomicBool,
-    exit: AtomicU8,
 }
 
 impl Metrics {
@@ -314,29 +283,6 @@ impl Metrics {
             heals: self.heals.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
         }
-    }
-
-    fn writer_exit(&self) -> WriterExit {
-        match self.exit.load(Ordering::Relaxed) {
-            EXIT_PANICKED => WriterExit::Panicked,
-            _ if self.degraded.load(Ordering::Relaxed) => WriterExit::Degraded,
-            EXIT_CLEAN => WriterExit::Clean,
-            _ => WriterExit::Unknown,
-        }
-    }
-}
-
-/// Stamps how the writer thread ended, whichever way control leaves it.
-struct ExitStamp(Arc<Metrics>);
-
-impl Drop for ExitStamp {
-    fn drop(&mut self) {
-        let code = if std::thread::panicking() {
-            EXIT_PANICKED
-        } else {
-            EXIT_CLEAN
-        };
-        self.0.exit.store(code, Ordering::Relaxed);
     }
 }
 
@@ -407,7 +353,6 @@ impl ServingDb {
         let thread = thread::Builder::new()
             .name("epilog-commit-writer".into())
             .spawn(move || {
-                let _stamp = ExitStamp(Arc::clone(&writer.metrics));
                 // Exits when every ServingDb handle (and thus every
                 // sender) is gone and the queue is drained.
                 while let Some(batch) = next_batch(&rx) {
@@ -501,13 +446,12 @@ impl ServingDb {
         }
     }
 
-    fn send<T>(&self, (req, mut handle): (Request, CommitHandle<T>)) -> CommitHandle<T> {
-        // A disconnected queue (the writer died) surfaces as Closed
-        // through the reply channel the request carried.
+    fn send<T>(&self, (req, handle): (Request, CommitHandle<T>)) -> CommitHandle<T> {
+        // A request the writer thread never takes (it is gone) drops its
+        // reply sender: the handle reads Closed.
         if let Some(q) = &self.queue {
             let _ = q.send(req);
         }
-        handle.metrics = Some(Arc::clone(&self.metrics));
         handle
     }
 }
@@ -600,13 +544,16 @@ impl Writer {
         let mut flushes = Vec::new();
         for Request(op) in requests {
             match op {
-                Op::Commit(ops, reply) => self.commit(ops, reply, &mut batch),
-                Op::Constraint(ic, reply) => self.constraint(ic, reply, &mut batch),
-                Op::Flush(reply) => flushes.push(reply),
-                Op::Heal(reply) => {
-                    let healed = self.heal();
-                    let _ = reply.send(healed);
+                Op::Commit(ops, reply) => {
+                    self.caught(reply, |w, reply| w.commit(ops, reply, &mut batch))
                 }
+                Op::Constraint(ic, reply) => {
+                    self.caught(reply, |w, reply| w.constraint(ic, reply, &mut batch))
+                }
+                Op::Flush(reply) => self.caught(reply, |_, reply| flushes.push(reply)),
+                Op::Heal(reply) => self.caught(reply, |w, reply| {
+                    let _ = reply.send(w.heal());
+                }),
             }
         }
 
@@ -651,6 +598,20 @@ impl Writer {
         }
     }
 
+    /// Serve one request, the one way every request is served: a panic
+    /// is answered [`ServeError::Internal`] through a second sender on
+    /// its reply channel, and the writer goes on. It leaves nothing logged
+    /// and the state as it was: a commit or a constraint is prepared
+    /// before it is appended, and a heal swaps the recovered database in
+    /// last. Nothing panics once a reply is owed to the batch, so the
+    /// channel is still empty then.
+    fn caught<T>(&mut self, reply: Reply<T>, serve: impl FnOnce(&mut Writer, Reply<T>)) {
+        let spare = reply.clone();
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| serve(self, reply))) {
+            let _ = spare.try_send(Err(ServeError::from_panic(panic)));
+        }
+    }
+
     fn publish(&self) {
         self.head.publish(Arc::new(CommittedState::new(
             self.durable.db().clone(),
@@ -660,44 +621,32 @@ impl Writer {
 
     fn commit(&mut self, ops: Vec<TxOp>, reply: Reply<CommitReceipt>, batch: &mut Batch) {
         let logged_before = self.durable.last_lsn();
-        let committed = catch_unwind(AssertUnwindSafe(|| {
-            let mut txn = self.durable.transaction();
-            for op in ops {
-                txn = match op {
-                    TxOp::Assert(w) => txn.assert(w),
-                    TxOp::Retract(w) => txn.retract(w),
-                };
-            }
-            txn.commit()
-        }));
-        match committed {
+        let mut txn = self.durable.transaction();
+        for op in ops {
+            txn = match op {
+                TxOp::Assert(w) => txn.assert(w),
+                TxOp::Retract(w) => txn.retract(w),
+            };
+        }
+        match txn.commit() {
             // Nothing was logged, nothing to publish — but the state the
             // no-op was decided on may hold unsynced batch-mates, so it is
             // acknowledged with them, once they are durable, and fails if
             // they roll back.
-            Ok(Ok(report)) => match self.durable.last_lsn() {
+            Ok(report) => match self.durable.last_lsn() {
                 lsn if lsn == logged_before => {
                     batch.noops.push((reply, CommitReceipt { lsn, report }))
                 }
                 lsn => batch.commits.push((reply, CommitReceipt { lsn, report })),
             },
-            Ok(Err(e)) => self.answer_failure(e, reply, batch),
-            // A commit is prepared before it is appended: a panic leaves
-            // nothing logged and the state as it was.
-            Err(panic) => {
-                let _ = reply.send(Err(ServeError::from_panic(panic)));
-            }
+            Err(e) => self.answer_failure(e, reply, batch),
         }
     }
 
     fn constraint(&mut self, ic: Formula, reply: Reply<u64>, batch: &mut Batch) {
-        let added = catch_unwind(AssertUnwindSafe(|| self.durable.add_constraint(ic)));
-        match added {
-            Ok(Ok(())) => batch.constraints.push((reply, self.durable.last_lsn())),
-            Ok(Err(e)) => self.answer_failure(e, reply, batch),
-            Err(panic) => {
-                let _ = reply.send(Err(ServeError::from_panic(panic)));
-            }
+        match self.durable.add_constraint(ic) {
+            Ok(()) => batch.constraints.push((reply, self.durable.last_lsn())),
+            Err(e) => self.answer_failure(e, reply, batch),
         }
     }
 
@@ -1306,24 +1255,61 @@ mod tests {
     }
 
     #[test]
-    fn closed_error_reports_the_writer_exit() {
-        // The mapping Closed carries, exercised directly on Metrics:
-        // still-running → Unknown, clean exit → Clean, degraded at exit
-        // → Degraded, panic → Panicked.
-        let m = Metrics::default();
-        assert_eq!(m.writer_exit(), WriterExit::Unknown);
-        m.exit.store(EXIT_CLEAN, Ordering::Relaxed);
-        assert_eq!(m.writer_exit(), WriterExit::Clean);
-        m.degraded.store(true, Ordering::Relaxed);
-        assert_eq!(m.writer_exit(), WriterExit::Degraded);
-        m.exit.store(EXIT_PANICKED, Ordering::Relaxed);
-        assert_eq!(m.writer_exit(), WriterExit::Panicked);
-        // A request dropped unanswered reads it off its handle.
-        let (req, mut h) = Request::flush();
-        h.metrics = Some(Arc::new(m));
+    fn a_request_dropped_unanswered_waits_to_closed() {
+        let (req, h) = Request::commit(vec![]);
+        let waiter = thread::spawn(move || h.wait());
         drop(req);
-        let msg = h.wait().unwrap_err().to_string();
-        assert!(msg.contains("writer panicked"), "got {msg}");
+        let answer = waiter.join().unwrap();
+        assert!(matches!(answer, Err(ServeError::Closed)), "got {answer:?}");
+    }
+
+    #[test]
+    fn a_heal_that_panics_is_answered_and_the_writer_stays_degraded() {
+        let d = dir();
+        let (mut writer, inj) = registrar_writer(&d, FsyncPolicy::Never);
+        inj.fail_nth_sync(inj.syncs());
+        let [lost] = step_commits(&mut writer, [vec!["ss(Sue, n2)", "emp(Sue)"]]);
+        assert!(matches!(lost.wait(), Err(ServeError::Io(_))));
+        let head = writer.snapshot().lsn();
+        let log = d.join(WAL_FILE);
+        let good = std::fs::read(&log).unwrap();
+        // A checkpoint at the durable head whose constraint check panics:
+        // over 100 facts, `K (p(x1) | … | p(x10))` has 100^10 answers to
+        // walk, which overflows.
+        let xs: Vec<String> = (1..=10).map(|i| format!("x{i}")).collect();
+        let ps: Vec<String> = xs.iter().map(|x| format!("p({x})")).collect();
+        let poison = crate::Snapshot {
+            lsn: head,
+            sentences: (0..100).map(|i| f(&format!("p(c{i})"))).collect(),
+            constraints: vec![f(&format!(
+                "forall {}. ~K ({})",
+                xs.join(", "),
+                ps.join(" | ")
+            ))],
+        };
+        let _ = poison.write(&d).unwrap();
+
+        let (heal, healed) = Request::heal();
+        writer.step(vec![heal]);
+        let healed = healed.wait();
+        assert!(matches!(healed, Err(ServeError::Internal(_))), "{healed:?}");
+        assert!(writer.stats().degraded);
+        assert_eq!(writer.snapshot().lsn(), head);
+        assert_eq!(writer.snapshot().ask(&f("K emp(Sue)")), Answer::No);
+        let (flush, flushed) = Request::flush();
+        writer.step(vec![flush]);
+        assert_eq!(flushed.wait().unwrap(), head);
+
+        // The log restored, the heal succeeds.
+        std::fs::write(&log, good).unwrap();
+        let (heal, healed) = Request::heal();
+        writer.step(vec![heal]);
+        assert_eq!(healed.wait().unwrap(), head);
+        assert!(!writer.stats().degraded);
+        let [hired] = step_commits(&mut writer, [vec!["ss(Sue, n2)", "emp(Sue)"]]);
+        assert_eq!(hired.wait().unwrap().lsn, head + 1);
+        drop(writer);
+        std::fs::remove_dir_all(d).unwrap();
     }
 
     #[test]

@@ -134,19 +134,18 @@ impl Snapshot {
     /// one `EpistemicDb::new` (which computes the least model of a
     /// definite theory by one `eval`), then the constraints.
     ///
-    /// Constraints are re-registered through
-    /// `EpistemicDb::adopt_constraint`: they held when the (checksummed)
-    /// checkpoint was written, so the full satisfaction check is not re-run
-    /// here — re-verifying the whole state would make recovery slower than
-    /// the log replay the checkpoint exists to avoid. Debug builds still
-    /// verify; the log records replayed *after* the checkpoint go through
-    /// the fully checked commit path.
+    /// Each constraint is registered through
+    /// `EpistemicDb::add_constraint`, checked against the restored state
+    /// like one registered live, so a checkpoint whose state violates one
+    /// of its constraints is refused (`Corrupt`) in every build. The log
+    /// records replayed *after* the checkpoint go through the same checked
+    /// commit path.
     pub fn restore(&self) -> Result<EpistemicDb, PersistError> {
         let theory = Theory::new(self.sentences.clone())
             .map_err(|e| PersistError::Corrupt(format!("invalid sentence: {e}")))?;
         let mut db = EpistemicDb::new(theory);
         for ic in &self.constraints {
-            db.adopt_constraint(ic.clone())
+            db.add_constraint(ic.clone())
                 .map_err(|e| PersistError::Corrupt(format!("invalid constraint: {e}")))?;
         }
         Ok(db)
@@ -225,6 +224,26 @@ mod tests {
         let restored = Snapshot::load(&path).unwrap().restore().unwrap();
         assert_eq!(restored.theory(), db.theory());
         assert!(restored.prover().atom_model().is_none());
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_that_violates_its_constraints_is_refused() {
+        let d = dir();
+        let snap = Snapshot {
+            lsn: 4,
+            sentences: vec![parse("emp(Joe)").unwrap()],
+            constraints: vec![parse("forall x. K emp(x) -> exists y. K ss(x, y)").unwrap()],
+        };
+        let path = snap.write(&d).unwrap();
+        let restored = Snapshot::load(&path).unwrap().restore();
+        assert!(
+            matches!(&restored, Err(PersistError::Corrupt(why)) if why.contains("emp(Joe)")),
+            "{:?}",
+            restored.err()
+        );
+        let recovered = crate::DurableDb::recover(&d, FsyncPolicy::Never);
+        assert!(matches!(recovered, Err(PersistError::Corrupt(_))));
         std::fs::remove_dir_all(d).unwrap();
     }
 

@@ -19,7 +19,7 @@
 //!
 //! | request | response |
 //! |---|---|
-//! | `ask <sentence>` | `ok yes\|no\|unknown @<lsn>`; `err query … has free variables …` for an open formula (`demo` answers those) |
+//! | `ask <sentence>` | `ok yes\|no\|unknown @<lsn>` (`ok yes` on an unsatisfiable theory, which entails every sentence); `err query … has free variables …` for an open formula (`demo` answers those) |
 //! | `demo <sentence>` | `ok rows <n> @<lsn>`, then `n` × `row <params>` |
 //! | `why <atom>` | `ok why <n> @<lsn>`, then `n` × `row <proof line>`; `ok why none @<lsn>` when underivable; `err …` on a theory that is not definite |
 //! | `begin` | `ok begin` |
@@ -27,7 +27,7 @@
 //! | `retract <sentence>` | likewise |
 //! | `commit` | `ok committed @<lsn> +<a> -<r>` or `err rejected: … @<lsn>` |
 //! | `rollback` | `ok rollback <n>` |
-//! | `constraint <sentence>` | `ok constraint @<lsn>` or `err rejected: … @<lsn>` |
+//! | `constraint <sentence>` | `ok constraint @<lsn>` or `err rejected: … @<lsn>`; on a degraded database `err degraded (read-only): …`, as every write |
 //! | `flush` | `ok flushed @<lsn>` |
 //! | `heal` | `ok healed @<lsn>` or `err heal failed: …` |
 //! | `stats` | `ok stats commits=… rejected=… batches=… fsyncs=… plan_recosts=… io_errors=… heals=… degraded=… sat_calls=… refuted=…` (the last two: solver runs, and goals its kept model refuted without one, on the head state's prover) |
@@ -235,37 +235,39 @@ impl<'a> Session<'a> {
 
     fn constraint(&self, src: &str) -> Result<String, String> {
         let ic = parse(src).map_err(|e| format!("parse: {e}"))?;
-        match self.db.add_constraint(ic) {
-            Ok(lsn) => Ok(format!("ok constraint @{lsn}")),
-            Err(ServeError::Db(e, lsn)) => Err(format!("rejected: {e} @{lsn}")),
-            Err(e @ ServeError::Internal(_)) => Err(e.to_string()),
-            Err(e) => Err(format!("rejected: {e}")),
-        }
+        let lsn = self.db.add_constraint(ic).map_err(not_written)?;
+        Ok(format!("ok constraint @{lsn}"))
     }
 
     fn flush(&self) -> Result<String, String> {
-        self.db
-            .flush()
-            .map(|lsn| format!("ok flushed @{lsn}"))
-            .map_err(|e| e.to_string())
+        let lsn = self.db.flush().map_err(not_written)?;
+        Ok(format!("ok flushed @{lsn}"))
     }
 
     fn heal(&self) -> Result<String, String> {
-        self.db
+        let lsn = self
+            .db
             .heal()
-            .map(|lsn| format!("ok healed @{lsn}"))
-            .map_err(|e| format!("heal failed: {e}"))
+            .map_err(|e| format!("heal failed: {}", not_written(e)))?;
+        Ok(format!("ok healed @{lsn}"))
     }
 }
 
 fn commit_ops(db: &ServingDb, ops: Vec<TxOp>) -> Result<String, String> {
-    match db.commit_wait(ops) {
-        Ok(r) => Ok(format!(
-            "ok committed @{} +{} -{}",
-            r.lsn, r.report.asserted, r.report.retracted
-        )),
-        Err(ServeError::Db(e, lsn)) => Err(format!("rejected: {e} @{lsn}")),
-        Err(e) => Err(e.to_string()),
+    let r = db.commit_wait(ops).map_err(not_written)?;
+    Ok(format!(
+        "ok committed @{} +{} -{}",
+        r.lsn, r.report.asserted, r.report.retracted
+    ))
+}
+
+/// The text of the `err` line answering a write the writer did not
+/// perform, the same for every write verb: a refusal is `rejected:` and
+/// names the state it was checked on; anything else says what failed.
+fn not_written(e: ServeError) -> String {
+    match e {
+        ServeError::Db(e, lsn) => format!("rejected: {e} @{lsn}"),
+        e => e.to_string(),
     }
 }
 
@@ -355,11 +357,6 @@ impl Server {
     /// The bound address (with the OS-chosen port when bound to `:0`).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The served database's writer counters.
-    pub fn stats(&self) -> ServeStats {
-        self.inner.db.stats()
     }
 
     /// Block until some client sends `shutdown` (the binary's main
@@ -862,7 +859,10 @@ mod tests {
         let r = c.request("assert p(b)").unwrap();
         assert!(r.starts_with("err io error"), "got {r}");
         let r = c.request("assert p(c)").unwrap();
-        assert!(r.starts_with("err degraded"), "got {r}");
+        assert!(r.starts_with("err degraded (read-only): "), "got {r}");
+        // Every write verb answers the degraded database alike.
+        let r = c.request("constraint forall x. K p(x) -> K q(x)").unwrap();
+        assert!(r.starts_with("err degraded (read-only): "), "got {r}");
         assert_eq!(c.request("ask K q(a)").unwrap(), "ok yes @1");
         let stats = c.request("stats").unwrap();
         assert!(stats.contains("degraded=true"), "got {stats}");
@@ -900,6 +900,20 @@ mod tests {
         );
         assert!(r.contains("`K emp(x)` has free variables"), "got {r}");
         assert_eq!(c.request("ask K emp(Mary)").unwrap(), "ok no @0");
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn an_unsatisfiable_theory_answers_every_ask_yes() {
+        let d = dir();
+        let theory = Theory::from_text("p(a)").unwrap();
+        let db = ServingDb::create(&d, theory, Default::default()).unwrap();
+        let server = Server::start(db, "127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(c.request("assert ~p(a)").unwrap(), "ok committed @1 +1 -0");
+        assert_eq!(c.request("ask p(a)").unwrap(), "ok yes @1");
+        assert_eq!(c.request("ask ~p(a)").unwrap(), "ok yes @1");
         server.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use epilog_core::{CommittedState, ReadHandle, StateCell};
     pub use epilog_persist::{
         CommitReceipt, DurableDb, FaultInjector, FaultKind, FsyncPolicy, PersistError,
-        RecoveryReport, ServeError, ServeOptions, ServingDb, TxOp, WriterExit,
+        RecoveryReport, ServeError, ServeOptions, ServingDb, TxOp,
     };
     pub use epilog_prover::Prover;
     pub use epilog_syntax::{

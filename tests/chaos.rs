@@ -311,7 +311,7 @@ fn chaos_crash_recover_continue_soak() {
                     Err(ServeError::Io(_)) | Err(ServeError::Degraded(_)) => {
                         failed_commits += 1;
                     }
-                    Err(e @ ServeError::Closed(_)) => {
+                    Err(e @ ServeError::Closed) => {
                         panic!("writer died mid-soak: {e}")
                     }
                     Err(e @ ServeError::Internal(_)) => {

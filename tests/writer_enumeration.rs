@@ -241,7 +241,7 @@ fn run(stream: &[Op], split: &[usize], fault: Fault, exit: Exit, dirs: &Dirs) ->
                 "{ctx}: the writer refused {op:?}, which the oracle accepts"
             ),
             (_, Err(ServeError::Io(_) | ServeError::Degraded(_))) => {}
-            (op, Err(e @ (ServeError::Closed(_) | ServeError::Internal(_)))) => {
+            (op, Err(e @ (ServeError::Closed | ServeError::Internal(_)))) => {
                 panic!("{ctx}: {op:?} answered {e}")
             }
         }
