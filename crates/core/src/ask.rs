@@ -297,6 +297,26 @@ mod tests {
     }
 
     #[test]
+    fn a_large_domain_expands_into_a_shallow_formula() {
+        // Over 20 000 individuals, `exists y. K p(y)` expands to 20 001
+        // disjuncts (the spare too). Nested 20 000 deep, walking them
+        // overflowed a 2 MiB thread, a server session's.
+        let facts =
+            (0..20_000).map(|i| Formula::atom("p", vec![Param::new(&format!("c{i}")).into()]));
+        let p = crate::engine::prover_for(Theory::new(facts.collect()).unwrap());
+        let asked = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                [
+                    a(&p, "exists y. K p(y)"),
+                    a(&p, "forall y. K p(y) -> K p(y)"),
+                ]
+            })
+            .unwrap();
+        assert_eq!(asked.join().unwrap(), [Answer::Yes, Answer::Yes]);
+    }
+
+    #[test]
     #[should_panic(expected = "sentence")]
     fn open_query_rejected_by_ask() {
         let p = teach();

@@ -151,30 +151,28 @@ pub fn cwa_demo<'a>(prover: &'a Prover, w: &Formula) -> Result<DemoStream<'a>, A
 /// over unmentioned parameters — is a consequence.
 pub fn closure_theory(prover: &Prover) -> Theory {
     use epilog_syntax::{Term, Var};
+    let world = ClosedDb::new(prover).world;
     let theory = prover.theory();
-    let domain = theory.active_domain();
-    let base = epilog_semantics::oracle::herbrand_base(&domain, &theory.preds());
     let mut out = theory.clone();
     for pred in theory.preds() {
         let vars: Vec<Var> = (0..pred.arity())
             .map(|i| Var::fresh(&format!("x{i}")))
             .collect();
         let head = Formula::atom(&pred.name(), vars.iter().map(|v| Term::Var(*v)).collect());
-        let mut disjuncts = Vec::new();
-        for atom in base.iter().filter(|a| a.pred == pred) {
-            if prover.entails(&Formula::Atom((*atom).clone())) {
-                let tuple = atom.param_tuple().expect("herbrand atoms are ground");
+        let tuples = world.relation(pred).into_iter().flat_map(|r| r.iter());
+        let disjuncts: Vec<Formula> = tuples
+            .map(|tuple| {
                 let eqs: Vec<Formula> = vars
                     .iter()
-                    .zip(tuple)
-                    .map(|(v, c)| Formula::Eq(Term::Var(*v), Term::Param(c)))
+                    .zip(tuple.iter())
+                    .map(|(v, c)| Formula::Eq(Term::Var(*v), Term::Param(*c)))
                     .collect();
-                disjuncts.push(Formula::and_all(eqs).unwrap_or_else(|| {
+                Formula::and_all(eqs).unwrap_or_else(|| {
                     let c = epilog_syntax::Param::new("c0");
                     Formula::eq(c, c)
-                }));
-            }
-        }
+                })
+            })
+            .collect();
         let mut sentence = match Formula::or_all(disjuncts) {
             Some(body) => Formula::implies(head, body),
             None => Formula::not(head),

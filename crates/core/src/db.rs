@@ -309,8 +309,13 @@ impl EpistemicDb {
     /// registration is rejected with the witnesses of the violation.
     /// Commits check it on what their model diff can have violated; one
     /// outside the compilable fragment is re-checked in full at every
-    /// commit.
+    /// commit. One nested deeper than
+    /// [`MAX_NESTING`](epilog_syntax::MAX_NESTING) is refused
+    /// ([`TheoryError::TooDeep`]).
     pub fn add_constraint(&mut self, ic: Formula) -> Result<(), DbError> {
+        if !ic.within_nesting_bound() {
+            return Err(TheoryError::TooDeep.into());
+        }
         if !ic.is_sentence() {
             return Err(DbError::OpenConstraint(ic));
         }

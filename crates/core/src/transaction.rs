@@ -43,8 +43,7 @@ use crate::incremental::{check, CheckStats, ModelDiff};
 use epilog_datalog::{EvalStats, Program};
 use epilog_prover::Prover;
 use epilog_storage::Database;
-use epilog_syntax::theory::TheoryError;
-use epilog_syntax::{is_first_order, Formula};
+use epilog_syntax::{Formula, Theory};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -266,12 +265,7 @@ impl<'db> Transaction<'db> {
         // documented contract of the one-shot `retract`).
         for op in &ops {
             let Op::Assert(w) = op else { continue };
-            if !is_first_order(w) {
-                return Err(TheoryError::NotFirstOrder(w.to_string()).into());
-            }
-            if !w.is_sentence() {
-                return Err(TheoryError::NotSentence(w.to_string()).into());
-            }
+            Theory::validate(w)?;
         }
         let current = db.prover.theory();
         let mut added = Listed::default();

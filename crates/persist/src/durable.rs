@@ -59,8 +59,10 @@
 //! written before the log held one, whose state sits in a
 //! `snapshot-*.snap` file nothing reads), when a checkpoint sits anywhere
 //! but first, when the checkpoint's state violates one of its
-//! constraints, or when a record has another shape or is refused (the
-//! error names its LSN). A refused recovery writes nothing.
+//! constraints, or when a record has another shape, has an op that
+//! changes nothing (a commit logs its effective delta, so it never writes
+//! one), or is refused (the error names its LSN). A refused recovery
+//! writes nothing.
 //! `tests/prop_persist.rs` pins this: crash anywhere, recover, and the
 //! state equals an in-memory oracle that applied the surviving prefix —
 //! under seeded fault schedules too: what answered `Ok` is there, what
@@ -459,8 +461,10 @@ impl DurableDb {
 /// Replay one log record after the checkpoint through the live commit
 /// machinery, in one of the two shapes a [`DurableDb`] writes there: a
 /// single `constraint` op, or `retract`/`assert` ops committed as one
-/// transaction. Any other shape (a second checkpoint among them), or a
-/// refusal, is why the record does not replay.
+/// transaction, each of which changes the state (a commit logs its
+/// effective delta). Any other shape (a second checkpoint among them, a
+/// record without ops, an op that changes nothing), or a refusal, is why
+/// the record does not replay.
 fn replay_record(db: &mut EpistemicDb, record: &WalRecord) -> Result<(), String> {
     if record.checkpoint {
         return Err("a checkpoint that is not the log's first record".into());
@@ -477,7 +481,13 @@ fn replay_record(db: &mut EpistemicDb, record: &WalRecord) -> Result<(), String>
             WalOp::Constraint(_) => return Err("a constraint beside other operations".into()),
         };
     }
-    txn.commit().map(drop).map_err(|e| e.to_string())
+    let prepared = txn.prepare().map_err(|e| e.to_string())?;
+    let report = prepared.report();
+    if ops.is_empty() || report.asserted + report.retracted != ops.len() {
+        return Err("an op that changes nothing, or none at all".into());
+    }
+    let _ = prepared.commit();
+    Ok(())
 }
 
 /// A batch of updates that will be logged ahead of application — the
@@ -536,6 +546,7 @@ mod tests {
     use crate::fault::FaultKind;
     use epilog_core::Answer;
     use epilog_syntax::parse;
+    use epilog_syntax::theory::TheoryError;
 
     fn dir() -> PathBuf {
         use std::sync::atomic::{AtomicU32, Ordering};
@@ -1147,6 +1158,70 @@ mod tests {
                 }
             }
             assert_refused(&d, &["LSN 2"]);
+            std::fs::remove_dir_all(d).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_sentence_at_the_nesting_bound_is_logged_and_recovered() {
+        // 256 levels go in, through the log and the checkpoint, and come
+        // back; 257, as a sentence or a constraint, are refused unlogged.
+        let nots = |n: usize, w: Formula| (0..n).fold(w, |w, _| Formula::not(w));
+        let d = dir();
+        let mut db = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
+        db.assert(nots(256, f("p(a)"))).unwrap();
+        let too_deep = |e| matches!(e, PersistError::Db(DbError::Theory(TheoryError::TooDeep)));
+        assert!(too_deep(db.assert(nots(257, f("p(b)"))).unwrap_err()));
+        let constraint = nots(257, f("K p(a)"));
+        assert!(too_deep(db.add_constraint(constraint).unwrap_err()));
+        assert_eq!(db.wal_records(), 1);
+        let live = db.theory().clone();
+        drop(db);
+        let (mut rec, report) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
+        assert_eq!((rec.theory(), report.records_replayed), (&live, 1));
+        let _ = rec.compact().unwrap();
+        drop(rec);
+        let (rec, report) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
+        assert_eq!((rec.theory(), report.records_replayed), (&live, 0));
+        assert_eq!(rec.ask(&f("K p(a)")), Answer::Yes);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_record_that_changes_nothing_is_refused() {
+        // Appended behind the database's back after a real commit: an
+        // empty record, an assert of a held sentence, a retract of an
+        // absent one, an assert twice, an assert then its retract. The
+        // commit path logs only what changes the state, so none of them
+        // was ever acknowledged.
+        let assert = |s: &str| WalOp::Assert(f(s));
+        let retract = |s: &str| WalOp::Retract(f(s));
+        let records = [
+            vec![],
+            vec![assert("p(a)")],
+            vec![retract("q(z)")],
+            vec![assert("r(b)"), assert("r(b)")],
+            vec![assert("s(c)"), retract("s(c)")],
+        ];
+        for ops in records {
+            let d = dir();
+            let mut db = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
+            db.assert(f("p(a)")).unwrap();
+            drop(db);
+            let path = d.join(WAL_FILE);
+            if ops.is_empty() {
+                let empty = format!("@2 0 {:016x}\n\n", crate::fnv1a64(b""));
+                let log = [std::fs::read(&path).unwrap(), empty.into_bytes()].concat();
+                std::fs::write(&path, log).unwrap();
+            } else {
+                let scan = Wal::scan_file(&path).unwrap();
+                let mut wal = Wal::open(&path, FsyncPolicy::Never, &scan).unwrap();
+                assert_eq!(wal.append(&ops).unwrap(), 2);
+            }
+            assert_eq!(Wal::scan_file(&path).unwrap().records.len(), 3);
+            let before = files(&d);
+            assert_refused(&d, &["LSN 2", "changes nothing"]);
+            assert_eq!(files(&d), before, "a refused recovery wrote");
             std::fs::remove_dir_all(d).unwrap();
         }
     }

@@ -265,6 +265,7 @@ pub fn constrain(p: &Prop, cnf: &mut Cnf) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::tests::certify;
     use crate::solver::{SatResult, Solver};
 
     impl Prop {
@@ -321,7 +322,7 @@ mod tests {
         cnf.reserve_vars(2);
         let root = tseitin(&p, &mut cnf);
         cnf.add_unit(root);
-        match Solver::new(&cnf).solve() {
+        match certify(&mut Solver::new(&cnf), &[]) {
             SatResult::Sat(m) => {
                 assert!(!m[0] && m[1]);
                 assert!(p.eval(&m));
@@ -367,6 +368,6 @@ mod tests {
         cnf.reserve_vars(1);
         let root = tseitin(&p, &mut cnf);
         cnf.add_unit(root);
-        assert!(matches!(Solver::new(&cnf).solve(), SatResult::Unsat));
+        assert_eq!(certify(&mut Solver::new(&cnf), &[]), SatResult::Unsat);
     }
 }

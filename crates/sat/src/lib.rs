@@ -16,16 +16,13 @@
 //!   Luby restarts; long-lived: [`Solver::solve_with`] decides under
 //!   assumption literals, keeps what it learnt, and takes new variables
 //!   and clauses between runs — how the prover asks many goals of one
-//!   grounded theory;
-//! * `dpll` — a plain DPLL baseline (unit propagation + chronological
-//!   backtracking, no learning), built with the tests only: the
-//!   reference the solver's tests compare against.
+//!   grounded theory.
+//!
+//! The solver's own tests certify each verdict they reach: a model
+//! against every clause, `Unsat` by reverse unit propagation.
 
 pub mod cnf;
 pub mod solver;
 
 pub use cnf::{constrain, tseitin, Cnf, Lit, Prop};
 pub use solver::{SatResult, Solver};
-
-#[cfg(test)]
-mod dpll;

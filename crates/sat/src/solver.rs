@@ -67,8 +67,22 @@ pub struct Solver {
     seen: Vec<bool>,
     /// Set once the clauses are unsatisfiable under no assumption at all.
     unsat: bool,
-    /// Statistics: number of conflicts seen (exposed for benches).
+    /// Statistics: the number of conflicts seen so far.
     pub conflicts: u64,
+    /// The clauses given and learnt, for this crate's tests.
+    log: ProofLog,
+}
+
+/// A solver's clauses in order, as given and as learnt: recorded in this
+/// crate's test build, whose tests certify each verdict from them, and
+/// zero-sized with recording a no-op in every other build.
+#[cfg(not(test))]
+#[derive(Default)]
+struct ProofLog;
+
+#[cfg(not(test))]
+impl ProofLog {
+    fn record(&mut self, _clause: &[Lit], _learnt: bool) {}
 }
 
 impl Solver {
@@ -91,9 +105,11 @@ impl Solver {
             seen: Vec::new(),
             unsat: false,
             conflicts: 0,
+            log: Default::default(),
         };
         s.reserve_vars(cnf.num_vars());
         for c in cnf.clauses() {
+            s.log.record(c, false);
             // A `Cnf` keeps its clauses sorted, duplicate- and tautology-free.
             s.attach(c.clone());
         }
@@ -138,6 +154,7 @@ impl Solver {
     /// # Panics
     /// Panics if a literal uses an unallocated variable.
     pub fn add_clause(&mut self, lits: &[Lit]) {
+        self.log.record(lits, false);
         let mut c = lits.to_vec();
         c.sort_unstable();
         c.dedup();
@@ -465,6 +482,7 @@ impl Solver {
                     return SatResult::Unsat;
                 }
                 let (clause, bl) = self.analyze(confl);
+                self.log.record(&clause, true);
                 self.backtrack(bl);
                 let assert_lit = clause[0];
                 let reason = if clause.len() == 1 {
@@ -532,9 +550,85 @@ fn luby(i: u32) -> u32 {
 }
 
 #[cfg(test)]
-mod tests {
+use tests::ProofLog;
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
-    use crate::cnf::Cnf;
+    use crate::cnf::{constrain, tseitin, Cnf, Prop};
+
+    /// Every clause given to [`Solver::new`] or [`Solver::add_clause`] as
+    /// the caller gave it, and every clause conflict analysis learnt
+    /// (marked `true`), in order.
+    #[derive(Default)]
+    pub(super) struct ProofLog(Vec<(Vec<Lit>, bool)>);
+
+    impl ProofLog {
+        pub(super) fn record(&mut self, clause: &[Lit], learnt: bool) {
+            self.0.push((clause.to_vec(), learnt));
+        }
+    }
+
+    /// Whether unit propagation over `clauses` from `units` reaches a
+    /// conflict — naively, pass after pass, sharing no code with the
+    /// solver it checks.
+    fn refutes(clauses: &[(Vec<Lit>, bool)], units: &[Lit], vars: usize) -> bool {
+        let mut value: Vec<Option<bool>> = vec![None; vars];
+        let mut found = units.to_vec();
+        loop {
+            for l in found.drain(..) {
+                match value[l.var() as usize].replace(l.is_pos()) {
+                    Some(b) if b != l.is_pos() => return true,
+                    _ => {}
+                }
+            }
+            for (c, _) in clauses {
+                let holds = |l: &Lit| value[l.var() as usize].map(|b| b == l.is_pos());
+                if c.iter().any(|l| holds(l) == Some(true)) {
+                    continue;
+                }
+                // The literals left open, a repeated one counted once.
+                let mut open = c.iter().filter(|l| holds(l).is_none());
+                match open.next() {
+                    None => return true,
+                    Some(&l) if open.all(|&m| m == l) => found.push(l),
+                    Some(_) => {}
+                }
+            }
+            if found.is_empty() {
+                return false;
+            }
+        }
+    }
+
+    /// Run `s` under `assumptions` and certify the verdict from `s`'s log
+    /// alone. A model must satisfy every clause logged so far and every
+    /// assumption. `Unsat` must be proved: each learnt clause follows by
+    /// reverse unit propagation (RUP) from the clauses logged before it,
+    /// and unit propagation over all of them from the assumptions reaches
+    /// a conflict.
+    pub(crate) fn certify(s: &mut Solver, assumptions: &[Lit]) -> SatResult {
+        let verdict = s.solve_with(assumptions);
+        let (log, vars) = (&s.log.0, s.num_vars() as usize);
+        match &verdict {
+            SatResult::Sat(m) => {
+                let holds = |l: &Lit| m[l.var() as usize] == l.is_pos();
+                assert!(assumptions.iter().all(holds), "model fails an assumption");
+                for (c, _) in log {
+                    assert!(c.iter().any(holds), "model violates clause {c:?}");
+                }
+            }
+            SatResult::Unsat => {
+                for (i, (c, learnt)) in log.iter().enumerate() {
+                    let negated: Vec<Lit> = c.iter().map(|l| l.negate()).collect();
+                    let rup = !learnt || refutes(&log[..i], &negated, vars);
+                    assert!(rup, "learnt clause {c:?} is not RUP");
+                }
+                assert!(refutes(log, assumptions, vars), "no conflict reached");
+            }
+        }
+        verdict
+    }
 
     impl Solver {
         /// Enumerate models of `cnf`, projected onto the first `project`
@@ -552,7 +646,7 @@ mod tests {
             let mut solver = Solver::new(cnf);
             let mut models = Vec::new();
             while models.len() < limit {
-                match solver.solve() {
+                match certify(&mut solver, &[]) {
                     SatResult::Unsat => return (models, true),
                     SatResult::Sat(m) => {
                         let proj: Vec<bool> = m[..project as usize].to_vec();
@@ -579,7 +673,7 @@ mod tests {
                 }
             }
             // Check whether anything is left.
-            let exhausted = matches!(solver.solve(), SatResult::Unsat);
+            let exhausted = matches!(certify(&mut solver, &[]), SatResult::Unsat);
             (models, exhausted)
         }
     }
@@ -621,37 +715,24 @@ mod tests {
         cnf
     }
 
-    fn check_model(cnf: &Cnf, m: &[bool]) {
-        for c in cnf.clauses() {
-            assert!(
-                c.iter().any(|l| if l.is_pos() {
-                    m[l.var() as usize]
-                } else {
-                    !m[l.var() as usize]
-                }),
-                "model violates clause {c:?}"
-            );
-        }
+    /// A fresh solver over `cnf`, run once without assumptions, certified.
+    fn solve(cnf: &Cnf) -> SatResult {
+        certify(&mut Solver::new(cnf), &[])
     }
 
     #[test]
     fn trivial_cases() {
-        let cnf = cnf_of(1, &[]);
-        assert!(Solver::new(&cnf).solve().is_sat());
-        let cnf = cnf_of(1, &[&[1], &[-1]]);
-        assert_eq!(Solver::new(&cnf).solve(), SatResult::Unsat);
+        assert!(solve(&cnf_of(1, &[])).is_sat());
+        assert_eq!(solve(&cnf_of(1, &[&[1], &[-1]])), SatResult::Unsat);
         let mut cnf = Cnf::new();
         cnf.add_clause(&[]); // empty clause
-        assert_eq!(Solver::new(&cnf).solve(), SatResult::Unsat);
+        assert_eq!(solve(&cnf), SatResult::Unsat);
     }
 
     #[test]
     fn simple_sat() {
         let cnf = cnf_of(3, &[&[1, 2], &[-1, 3], &[-2, -3], &[2, 3]]);
-        match Solver::new(&cnf).solve() {
-            SatResult::Sat(m) => check_model(&cnf, &m),
-            SatResult::Unsat => panic!("satisfiable instance reported unsat"),
-        }
+        assert!(solve(&cnf).is_sat());
     }
 
     #[test]
@@ -663,8 +744,7 @@ mod tests {
         }
         clauses.push(vec![-10]);
         let refs: Vec<&[i32]> = clauses.iter().map(Vec::as_slice).collect();
-        let cnf = cnf_of(10, &refs);
-        assert_eq!(Solver::new(&cnf).solve(), SatResult::Unsat);
+        assert_eq!(solve(&cnf_of(10, &refs)), SatResult::Unsat);
     }
 
     /// Pigeonhole principle PHP(n+1, n): unsatisfiable, requires real
@@ -693,10 +773,15 @@ mod tests {
     #[test]
     fn pigeonhole_unsat() {
         for holes in 2..=6 {
-            let cnf = pigeonhole(holes);
-            assert_eq!(Solver::new(&cnf).solve(), SatResult::Unsat, "PHP({holes})");
-            assert!(holes > 5 || crate::dpll::solve_dpll(&cnf) == SatResult::Unsat);
+            assert_eq!(solve(&pigeonhole(holes)), SatResult::Unsat, "PHP({holes})");
         }
+    }
+
+    /// PHP(7): ~10 s to solve and certify in release, ~40 s in debug.
+    #[test]
+    #[ignore = "slow; the nightly deep fuzz runs it"]
+    fn pigeonhole_7_unsat() {
+        assert_eq!(solve(&pigeonhole(7)), SatResult::Unsat);
     }
 
     #[test]
@@ -714,10 +799,7 @@ mod tests {
                 &[-2, -6, 4],
             ],
         );
-        match Solver::new(&cnf).solve() {
-            SatResult::Sat(m) => check_model(&cnf, &m),
-            SatResult::Unsat => panic!("satisfiable instance reported unsat"),
-        }
+        assert!(solve(&cnf).is_sat());
     }
 
     #[test]
@@ -749,38 +831,35 @@ mod tests {
     #[test]
     fn assumptions_bind_one_run_only() {
         // (x1 ∨ x2) ∧ (¬x1 ∨ x3)
-        let cnf = cnf_of(3, &[&[1, 2], &[-1, 3]]);
-        let mut s = Solver::new(&cnf);
+        let mut s = Solver::new(&cnf_of(3, &[&[1, 2], &[-1, 3]]));
         assert_eq!(
-            s.solve_with(&[Lit::neg(0), Lit::neg(1)]),
+            certify(&mut s, &[Lit::neg(0), Lit::neg(1)]),
             SatResult::Unsat,
             "¬x1 ∧ ¬x2 contradicts the first clause"
         );
-        match s.solve_with(&[Lit::pos(0)]) {
-            SatResult::Sat(m) => {
-                assert!(m[0] && m[2]);
-                check_model(&cnf, &m);
-            }
+        match certify(&mut s, &[Lit::pos(0)]) {
+            SatResult::Sat(m) => assert!(m[0] && m[2]),
             SatResult::Unsat => panic!("x1 is consistent with the clauses"),
         }
-        assert_eq!(s.solve_with(&[Lit::pos(0), Lit::neg(2)]), SatResult::Unsat);
+        let unsat = |s: &mut Solver, a: &[Lit]| certify(s, a) == SatResult::Unsat;
+        assert!(unsat(&mut s, &[Lit::pos(0), Lit::neg(2)]));
         // An assumption and its complement, and one repeated.
-        assert_eq!(s.solve_with(&[Lit::pos(1), Lit::neg(1)]), SatResult::Unsat);
-        assert!(s.solve_with(&[Lit::pos(1), Lit::pos(1)]).is_sat());
-        assert!(s.solve().is_sat(), "no assumption outlives its run");
+        assert!(unsat(&mut s, &[Lit::pos(1), Lit::neg(1)]));
+        assert!(!unsat(&mut s, &[Lit::pos(1), Lit::pos(1)]));
+        assert!(!unsat(&mut s, &[]), "no assumption outlives its run");
     }
 
     #[test]
     fn clauses_and_variables_arrive_between_runs() {
         let mut s = Solver::new(&cnf_of(2, &[&[1, 2]]));
-        assert!(s.solve().is_sat());
+        assert!(certify(&mut s, &[]).is_sat());
         // x3 ≡ (x1 ∧ x2), then ask for ¬x3 with x1.
         let x3 = s.new_var();
         assert_eq!(x3, 2);
         s.add_clause(&[Lit::neg(x3), Lit::pos(0)]);
         s.add_clause(&[Lit::neg(x3), Lit::pos(1)]);
         s.add_clause(&[Lit::pos(x3), Lit::neg(0), Lit::neg(1)]);
-        match s.solve_with(&[Lit::neg(x3), Lit::pos(0)]) {
+        match certify(&mut s, &[Lit::neg(x3), Lit::pos(0)]) {
             SatResult::Sat(m) => assert!(m[0] && !m[1] && !m[2]),
             SatResult::Unsat => panic!("x1 ∧ ¬x2 satisfies it"),
         }
@@ -790,13 +869,13 @@ mod tests {
         s.add_clause(&[Lit::pos(0), Lit::pos(1)]);
         s.add_clause(&[Lit::pos(1), Lit::neg(1)]);
         assert_eq!(s.num_clauses(), clauses);
-        assert_eq!(s.solve_with(&[Lit::neg(0)]), SatResult::Unsat);
-        assert!(s.solve().is_sat());
+        assert_eq!(certify(&mut s, &[Lit::neg(0)]), SatResult::Unsat);
+        assert!(certify(&mut s, &[]).is_sat());
         // The empty clause — here a unit against the level-0 assignment —
         // is for good.
         s.add_clause(&[Lit::neg(0)]);
-        assert_eq!(s.solve(), SatResult::Unsat);
-        assert_eq!(s.solve_with(&[Lit::pos(1)]), SatResult::Unsat);
+        assert_eq!(certify(&mut s, &[]), SatResult::Unsat);
+        assert_eq!(certify(&mut s, &[Lit::pos(1)]), SatResult::Unsat);
     }
 
     #[test]
@@ -812,10 +891,54 @@ mod tests {
             cnf.add_clause(&guarded);
         }
         let mut s = Solver::new(&cnf);
-        assert_eq!(s.solve_with(&[Lit::pos(act)]), SatResult::Unsat);
+        assert_eq!(certify(&mut s, &[Lit::pos(act)]), SatResult::Unsat);
         assert!(s.conflicts > 0, "refuting PHP takes conflict analysis");
-        assert!(s.solve().is_sat());
-        assert_eq!(s.solve_with(&[Lit::pos(act)]), SatResult::Unsat);
+        assert!(certify(&mut s, &[]).is_sat());
+        assert_eq!(certify(&mut s, &[Lit::pos(act)]), SatResult::Unsat);
+    }
+
+    /// Goals asked of one grounded theory as `epilog-prover`'s
+    /// `Grounding::entails` asks them: the theory goes in once through
+    /// `constrain`; each goal arrives as `tseitin` definitions between
+    /// runs, its root's negation assumed.
+    #[test]
+    fn goals_asked_of_one_constrained_theory() {
+        // Four pigeons, each in one of four holes, no two in one hole.
+        let n = 4;
+        let at = |p: u32, h: u32| Prop::Var(p * n + h);
+        let mut sigma: Vec<Prop> = (0..n)
+            .map(|p| Prop::or_all((0..n).map(|h| at(p, h)).collect()))
+            .collect();
+        for h in 0..n {
+            for p in 0..n {
+                for q in p + 1..n {
+                    sigma.push(Prop::and_all(vec![at(p, h), at(q, h)]).negate());
+                }
+            }
+        }
+        let mut cnf = Cnf::new();
+        cnf.reserve_vars(n * n);
+        constrain(&Prop::and_all(sigma), &mut cnf);
+        let mut s = Solver::new(&cnf);
+        let full = |h: u32| Prop::or_all((0..n).map(|p| at(p, h)).collect());
+        for (goal, entailed) in [
+            (full(0), true),
+            (Prop::and_all((0..n).map(full).collect()), true),
+            (at(0, 0), false),
+            (Prop::and_all(vec![at(0, 0), at(1, 0)]).negate(), true),
+            (Prop::or_all(vec![at(0, 0), at(0, 1)]), false),
+            (Prop::or_all(vec![at(0, 3), full(2)]), true),
+        ] {
+            let mut defs = Cnf::new();
+            defs.reserve_vars(s.num_vars());
+            let root = tseitin(&goal, &mut defs);
+            s.reserve_vars(defs.num_vars());
+            for c in defs.clauses() {
+                s.add_clause(c);
+            }
+            let verdict = certify(&mut s, &[root.negate()]);
+            assert_eq!(verdict == SatResult::Unsat, entailed, "{goal:?}");
+        }
     }
 
     #[test]
@@ -838,7 +961,6 @@ mod tests {
 
     mod properties {
         use super::*;
-        use crate::dpll::solve_dpll;
         use proptest::prelude::*;
 
         fn lit((v, sign): (u32, u8)) -> Lit {
@@ -857,12 +979,11 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(1024))]
 
             /// One long-lived solver, put through a sequence of assumption
-            /// sets with clauses arriving in between, answers each run as
-            /// a fresh solver over "clauses so far + assumptions as units"
-            /// does, and as DPLL does; a model it reports satisfies both,
-            /// and `Unsat` under assumptions never sticks.
+            /// sets with clauses arriving in between, has every verdict
+            /// certified: each run under its assumptions, and each run
+            /// under none after it (so no assumption outlives its run).
             #[test]
-            fn solve_with_matches_fresh_solvers_and_dpll(
+            fn long_lived_solver_verdicts_are_certified(
                 base in proptest::collection::vec(clause(), 0..45),
                 steps in proptest::collection::vec(
                     (proptest::collection::vec((0u32..10, 0u8..2), 0..4), clause()),
@@ -877,27 +998,9 @@ mod tests {
                 let mut kept = Solver::new(&cnf);
                 for (assumed, arriving) in &steps {
                     let assumed: Vec<Lit> = assumed.iter().copied().map(lit).collect();
-                    let mut with_units = cnf.clone();
-                    for &a in &assumed {
-                        with_units.add_unit(a);
-                    }
-                    let fresh = Solver::new(&with_units).solve().is_sat();
-                    prop_assert_eq!(solve_dpll(&with_units).is_sat(), fresh);
-                    match kept.solve_with(&assumed) {
-                        SatResult::Sat(m) => {
-                            prop_assert!(fresh, "kept solver found a model, fresh one none");
-                            check_model(&with_units, &m);
-                        }
-                        SatResult::Unsat => prop_assert!(!fresh, "kept solver found no model"),
-                    }
-                    prop_assert_eq!(
-                        kept.solve().is_sat(),
-                        Solver::new(&cnf).solve().is_sat(),
-                        "assumptions {:?} outlived their run", assumed
-                    );
-                    let arriving: Vec<Lit> = arriving.iter().copied().map(lit).collect();
-                    cnf.add_clause(&arriving);
-                    kept.add_clause(&arriving);
+                    certify(&mut kept, &assumed);
+                    certify(&mut kept, &[]);
+                    kept.add_clause(&arriving.iter().copied().map(lit).collect::<Vec<_>>());
                 }
             }
         }

@@ -988,6 +988,25 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_request_is_refused_and_the_server_goes_on() {
+        // Parsing 20 000 `~` recursed once for each and overflowed the
+        // session thread's stack, which aborted the whole server.
+        let d = dir();
+        let server = serve(&d);
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        let r = c
+            .request(&format!("ask {}p(a)", "~".repeat(20_000)))
+            .unwrap();
+        assert!(r.starts_with("err parse:"), "got {r}");
+        assert!(r.contains("nested deeper than 256 levels"), "got {r}");
+        assert!(c.request("stats").unwrap().starts_with("ok stats "));
+        let mut other = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(other.request("ask K emp(Sue)").unwrap(), "ok no @0");
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
     fn a_request_line_that_is_not_utf8_is_refused_and_the_session_goes_on() {
         let d = dir();
         let server = serve(&d);

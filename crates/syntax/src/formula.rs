@@ -12,6 +12,13 @@ use crate::term::Term;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
+/// The deepest a formula may nest to be parsed, stored in a theory or
+/// registered as a constraint: every walk over a formula recurses once
+/// per level, so this bounds the stack they use. A level is a `~`, a `K`,
+/// a quantified variable, a binary connective or a parenthesis on a path
+/// from the root — see [`Formula::within_nesting_bound`].
+pub const MAX_NESTING: usize = 256;
+
 /// An atomic formula `P(t₁, …, tₙ)`.
 ///
 /// Invariant: `terms.len() == pred.arity()` (enforced by [`Atom::new`]).
@@ -175,14 +182,17 @@ impl Formula {
         Formula::Know(Box::new(w))
     }
 
-    /// Left-associated conjunction of a sequence; `None` on empty input.
+    /// Conjunction of a sequence, in order, as a balanced tree (depth
+    /// ⌈log₂ n⌉, so walks over it stay shallow however long it is);
+    /// `None` on empty input.
     pub fn and_all(ws: Vec<Formula>) -> Option<Formula> {
-        ws.into_iter().reduce(Formula::and)
+        balanced(ws, Formula::and)
     }
 
-    /// Left-associated disjunction of a sequence; `None` on empty input.
+    /// Disjunction of a sequence, in order, as a balanced tree (depth
+    /// ⌈log₂ n⌉); `None` on empty input.
     pub fn or_all(ws: Vec<Formula>) -> Option<Formula> {
-        ws.into_iter().reduce(Formula::or)
+        balanced(ws, Formula::or)
     }
 
     // ----- structure ------------------------------------------------------
@@ -257,6 +267,15 @@ impl Formula {
     /// Whether the formula is a sentence (no free variables).
     pub fn is_sentence(&self) -> bool {
         self.free_vars().is_empty()
+    }
+
+    /// Whether the formula nests within [`MAX_NESTING`] levels as
+    /// [`parse`](crate::parse()) counts them reading its printed form:
+    /// one per connective and quantifier on a path, and one per
+    /// parenthesis the printer puts there. So whatever passes is read
+    /// back. Recurses no deeper than the bound, however deep the formula.
+    pub fn within_nesting_bound(&self) -> bool {
+        nests_within(self, 0, MAX_NESTING)
     }
 
     /// Every parameter mentioned anywhere in the formula, sorted.
@@ -422,7 +441,44 @@ impl Formula {
     }
 }
 
+/// Join neighbours pairwise, round after round, until one is left: a
+/// balanced tree whose leaves read left to right as `ws` does.
+fn balanced(mut ws: Vec<Formula>, join: fn(Formula, Formula) -> Formula) -> Option<Formula> {
+    while ws.len() > 1 {
+        let mut pairs = ws.into_iter();
+        ws = std::iter::from_fn(|| {
+            let a = pairs.next()?;
+            Some(match pairs.next() {
+                Some(b) => join(a, b),
+                None => a,
+            })
+        })
+        .collect();
+    }
+    ws.pop()
+}
+
 // ----- pretty printing ----------------------------------------------------
+
+/// Whether `w`, printed under a parent of precedence `parent`, nests
+/// within `room` levels. Mirrors [`fmt_prec`]: `t != u` prints without a
+/// `~`, and an atom never takes parentheses.
+fn nests_within(w: &Formula, parent: u8, room: usize) -> bool {
+    let me = prec(w);
+    let own = 1 + usize::from(me < parent);
+    let within = |a: &Formula, p: u8| own <= room && nests_within(a, p, room - own);
+    match w {
+        Formula::Atom(_) | Formula::Eq(..) => true,
+        Formula::Not(e) if matches!(**e, Formula::Eq(..)) => true,
+        Formula::Not(a) | Formula::Know(a) | Formula::Forall(_, a) | Formula::Exists(_, a) => {
+            within(a, me)
+        }
+        Formula::Implies(a, b) => within(a, me + 1) && within(b, me),
+        Formula::And(a, b) | Formula::Or(a, b) | Formula::Iff(a, b) => {
+            within(a, me) && within(b, me + 1)
+        }
+    }
+}
 
 /// Binding strength for the printer; higher binds tighter. Quantifiers get
 /// the lowest strength because their scope extends maximally to the right:
@@ -661,6 +717,12 @@ mod tests {
         );
         assert_eq!(Formula::or_all(ws).unwrap().to_string(), "p | q | r");
         assert!(Formula::and_all(vec![]).is_none());
+        // Balanced: a thousand disjuncts nest ten deep, in order.
+        let names: Vec<String> = (0..1000).map(|i| format!("p{i}")).collect();
+        let w = Formula::or_all(names.iter().map(|n| Formula::prop(n)).collect()).unwrap();
+        let leftmost = std::iter::successors(Some(&w), |w| w.children().first().copied());
+        assert_eq!(leftmost.count(), 11);
+        assert_eq!(w.to_string().replace(['(', ')'], ""), names.join(" | "));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use classify::{
     admissibility, disjunctively_linked, is_admissible, is_first_order, is_k1, is_normal_query,
     is_positive_existential, is_safe, is_subjective, Admissibility, UnsafeReason,
 };
-pub use formula::{Atom, Formula};
+pub use formula::{Atom, Formula, MAX_NESTING};
 pub use parse::{parse, parse_theory, ParseError};
 pub use symbols::{Param, Pred, Var};
 pub use term::Term;

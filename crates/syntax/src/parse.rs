@@ -25,8 +25,16 @@
 //! quantifier; every other identifier denotes a **parameter** (`John`,
 //! `Math`, `a`, `p1`, …). An identifier in predicate-application or bare
 //! formula position is a predicate symbol.
+//!
+//! # Nesting
+//!
+//! A formula nests no deeper than [`MAX_NESTING`] levels: each `~`, `K`,
+//! quantified variable, parenthesis and link of a binary chain on a path
+//! is one. The parser refuses deeper input before it descends further, so
+//! no request line, however long, recurses past the bound — here or in
+//! the walks that later run over what it built.
 
-use crate::formula::{Atom, Formula};
+use crate::formula::{Atom, Formula, MAX_NESTING};
 use crate::symbols::{Param, Pred, Var};
 use crate::term::Term;
 use std::fmt;
@@ -134,7 +142,12 @@ struct Parser {
     i: usize,
     bound: Vec<String>,
     end: usize,
+    /// Nesting levels above the point being parsed.
+    depth: usize,
 }
+
+/// A parsed formula and how many levels it nests.
+type Nested = Result<(Formula, usize), ParseError>;
 
 impl Parser {
     fn peek(&self) -> Option<&Tok> {
@@ -169,65 +182,99 @@ impl Parser {
         }
     }
 
-    fn formula(&mut self) -> Result<Formula, ParseError> {
+    /// The error of input nested deeper than [`MAX_NESTING`].
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("formula nested deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Parse with `levels` more levels above, refused before descending
+    /// when that passes the bound: no input recurses past it.
+    fn below(&mut self, levels: usize, parse: fn(&mut Self) -> Nested) -> Nested {
+        self.depth += levels;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        let nested = parse(self)?;
+        self.depth -= levels;
+        Ok(nested)
+    }
+
+    /// Join two operands as one link of a binary chain, one level above
+    /// the deeper of them.
+    fn link(
+        &self,
+        join: fn(Formula, Formula) -> Formula,
+        (a, m): (Formula, usize),
+        (b, n): (Formula, usize),
+    ) -> Nested {
+        let nest = 1 + m.max(n);
+        if self.depth + nest > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok((join(a, b), nest))
+    }
+
+    fn formula(&mut self) -> Nested {
         let mut lhs = self.implies()?;
         while self.peek() == Some(&Tok::Iff) {
             self.i += 1;
             let rhs = self.implies()?;
-            lhs = Formula::iff(lhs, rhs);
+            lhs = self.link(Formula::iff, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn implies(&mut self) -> Result<Formula, ParseError> {
+    fn implies(&mut self) -> Nested {
         let lhs = self.or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.i += 1;
-            let rhs = self.implies()?;
-            Ok(Formula::implies(lhs, rhs))
+            let rhs = self.below(1, Self::implies)?;
+            self.link(Formula::implies, lhs, rhs)
         } else {
             Ok(lhs)
         }
     }
 
-    fn or(&mut self) -> Result<Formula, ParseError> {
+    fn or(&mut self) -> Nested {
         let mut lhs = self.and()?;
         while self.peek() == Some(&Tok::Or) {
             self.i += 1;
             let rhs = self.and()?;
-            lhs = Formula::or(lhs, rhs);
+            lhs = self.link(Formula::or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and(&mut self) -> Result<Formula, ParseError> {
+    fn and(&mut self) -> Nested {
         let mut lhs = self.unary()?;
         while self.peek() == Some(&Tok::And) {
             self.i += 1;
             let rhs = self.unary()?;
-            lhs = Formula::and(lhs, rhs);
+            lhs = self.link(Formula::and, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Formula, ParseError> {
+    fn unary(&mut self) -> Nested {
         match self.peek() {
             Some(Tok::Not) => {
                 self.i += 1;
-                Ok(Formula::not(self.unary()?))
+                let (w, n) = self.below(1, Self::unary)?;
+                Ok((Formula::not(w), n + 1))
             }
             Some(Tok::LParen) => {
                 self.i += 1;
-                let w = self.formula()?;
+                let (w, n) = self.below(1, Self::formula)?;
                 self.expect(&Tok::RParen, "')'")?;
                 // Allow a parenthesised formula to be the left side of an
                 // equality? Terms are identifiers only, so no.
-                Ok(w)
+                Ok((w, n + 1))
             }
             Some(Tok::Ident(word)) => match word.as_str() {
                 "K" => {
                     self.i += 1;
-                    Ok(Formula::know(self.unary()?))
+                    let (w, n) = self.below(1, Self::unary)?;
+                    Ok((Formula::know(w), n + 1))
                 }
                 "forall" | "all" => {
                     self.i += 1;
@@ -237,13 +284,13 @@ impl Parser {
                     self.i += 1;
                     self.quantifier(false)
                 }
-                _ => self.atom_or_eq(),
+                _ => Ok((self.atom_or_eq()?, 0)),
             },
             _ => Err(self.err("expected a formula".into())),
         }
     }
 
-    fn quantifier(&mut self, forall: bool) -> Result<Formula, ParseError> {
+    fn quantifier(&mut self, forall: bool) -> Nested {
         let mut vars = Vec::new();
         loop {
             match self.bump() {
@@ -259,10 +306,11 @@ impl Parser {
         for v in &vars {
             self.bound.push(v.clone());
         }
-        let body = self.formula()?;
+        let (body, n) = self.below(vars.len(), Self::formula)?;
         for _ in &vars {
             self.bound.pop();
         }
+        let nest = n + vars.len();
         let mut w = body;
         for name in vars.into_iter().rev() {
             let v = Var::new(&name);
@@ -272,7 +320,7 @@ impl Parser {
                 Formula::exists(v, w)
             };
         }
-        Ok(w)
+        Ok((w, nest))
     }
 
     /// An identifier in term position denotes a variable iff it is bound by
@@ -364,8 +412,9 @@ pub fn parse(src: &str) -> Result<Formula, ParseError> {
         i: 0,
         bound: Vec::new(),
         end: src.len(),
+        depth: 0,
     };
-    let w = p.formula()?;
+    let (w, _) = p.formula()?;
     if p.i != p.toks.len() {
         return Err(p.err("trailing input after formula".into()));
     }
@@ -540,6 +589,52 @@ mod tests {
         // Outside the binder the same parameter prints bare.
         let w2 = Formula::atom("q", vec![Param::new("a").into()]);
         assert_eq!(w2.to_string(), "q(a)");
+    }
+
+    #[test]
+    fn nesting_is_bounded_alike_in_parse_and_in_code() {
+        use crate::theory::{Theory, TheoryError};
+        // 256 `~` are read and stored, 257 refused by both.
+        let nots = |n: usize| format!("{}p(a)", "~".repeat(n));
+        let ok = parse(&nots(256)).unwrap();
+        assert!(Theory::empty().assert(ok.clone()).is_ok());
+        let err = parse(&nots(257)).unwrap_err();
+        assert!(err.message.contains("nested deeper than 256"), "{err}");
+        let deeper = Formula::not(ok);
+        assert_eq!(Theory::empty().assert(deeper), Err(TheoryError::TooDeep));
+        // Each shape, built in code up to the last level the bound admits:
+        // that prints to what `parse` reads back, one more level to what it
+        // refuses.
+        let shapes: [fn(Formula) -> Formula; 7] = [
+            Formula::not,
+            Formula::know,
+            |w| Formula::or(w, Formula::prop("p")),
+            |w| Formula::implies(Formula::prop("p"), w),
+            |w| Formula::implies(w, Formula::prop("p")),
+            |w| Formula::not(Formula::and(Formula::prop("p"), w)),
+            |w| Formula::exists(Var::new("x"), Formula::iff(w, Formula::prop("p"))),
+        ];
+        for wrap in shapes {
+            let mut w = Formula::prop("p");
+            while wrap(w.clone()).within_nesting_bound() {
+                w = wrap(w);
+            }
+            assert_eq!(parse(&w.to_string()).unwrap(), w);
+            assert!(parse(&wrap(w).to_string()).is_err());
+        }
+        // 20 000 levels of each kind are refused without overflowing the
+        // stack (walking them, parsing included, would).
+        for deep in [
+            "~".repeat(20_000) + "p",
+            "K ".repeat(20_000) + "p",
+            "(".repeat(20_000) + "p" + &")".repeat(20_000),
+            "exists x. ".repeat(20_000) + "p",
+            "p | ".repeat(20_000) + "p",
+            "p -> ".repeat(20_000) + "p",
+        ] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+        }
     }
 
     #[test]

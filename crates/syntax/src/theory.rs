@@ -8,7 +8,7 @@
 //! facts and rules.
 
 use crate::classify::{decompose_rule, is_elementary_sentence, is_first_order};
-use crate::formula::{Atom, Formula};
+use crate::formula::{Atom, Formula, MAX_NESTING};
 use crate::parse::{parse_theory, ParseError};
 use crate::symbols::{Param, Pred, Var};
 use std::collections::{BTreeSet, HashSet};
@@ -25,6 +25,9 @@ pub enum TheoryError {
     NotFirstOrder(String),
     /// The formula has free variables.
     NotSentence(String),
+    /// The formula nests deeper than [`MAX_NESTING`] levels
+    /// ([`Formula::within_nesting_bound`]).
+    TooDeep,
     /// Parse failure when building from text.
     Parse(ParseError),
 }
@@ -39,6 +42,9 @@ impl fmt::Display for TheoryError {
                 )
             }
             TheoryError::NotSentence(s) => write!(f, "`{s}` has free variables"),
+            TheoryError::TooDeep => {
+                write!(f, "the sentence nests deeper than {MAX_NESTING} levels")
+            }
             TheoryError::Parse(e) => write!(f, "{e}"),
         }
     }
@@ -120,14 +126,26 @@ impl Theory {
         Theory::new(parse_theory(src)?)
     }
 
-    /// Add one sentence, validating it. Duplicate sentences are kept once.
-    pub fn assert(&mut self, w: Formula) -> Result<(), TheoryError> {
-        if !is_first_order(&w) {
+    /// Whether `w` may enter a database: nested within [`MAX_NESTING`]
+    /// levels (checked first, so the other checks walk a shallow
+    /// formula), free of `K`, and closed.
+    pub fn validate(w: &Formula) -> Result<(), TheoryError> {
+        if !w.within_nesting_bound() {
+            return Err(TheoryError::TooDeep);
+        }
+        if !is_first_order(w) {
             return Err(TheoryError::NotFirstOrder(w.to_string()));
         }
         if !w.is_sentence() {
             return Err(TheoryError::NotSentence(w.to_string()));
         }
+        Ok(())
+    }
+
+    /// Add one sentence, validating it ([`Theory::validate`]). Duplicate
+    /// sentences are kept once.
+    pub fn assert(&mut self, w: Formula) -> Result<(), TheoryError> {
+        Theory::validate(&w)?;
         let w = Arc::new(w);
         if self.index.insert(Arc::clone(&w)) {
             self.sentences.push(w);
