@@ -11,13 +11,12 @@ use epilog_bench::workloads::{
     teach_db, withdrawal_batch,
 };
 use epilog_core::ask::certain;
-use epilog_core::closure::cwa_demo;
-use epilog_core::{
-    ask, demo_sentence, ic_satisfaction, prover_for, DbError, EpistemicDb, IcDefinition, IcReport,
-    ModelUpdate,
-};
+use epilog_core::{ask, demo_sentence, prover_for, DbError, EpistemicDb, ModelUpdate};
 use epilog_prover::Prover;
-use epilog_semantics::{minimal_worlds, ModelSet};
+use epilog_semantics::closure::cwa_demo;
+use epilog_semantics::{
+    ic_satisfaction, minimal_worlds, ClosedDb, IcDefinition, IcReport, ModelSet,
+};
 use epilog_syntax::{is_admissible, parse, Param, Pred, Theory};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -171,7 +170,7 @@ fn main() {
 
     println!("\nE7 — closed worlds");
     let db = Prover::new(Theory::from_text("p(a)").unwrap());
-    let closed = epilog_core::ClosedDb::new(&db);
+    let closed = ClosedDb::new(&db);
     check(
         "Closure: forall x. K p(x) | K ~p(x)   (Example 7.1)",
         "yes",

@@ -19,16 +19,16 @@
 //! The result is the paper's three-valued [`Answer`]: *yes* if `Σ ⊨ q`,
 //! *no* if `Σ ⊨ ¬q`, *unknown* otherwise.
 
+use crate::Answer;
 use epilog_prover::answers::domain_walk;
 use epilog_prover::Prover;
-use epilog_semantics::Answer;
 use epilog_syntax::{is_first_order, Formula, Param, Term, Var};
 use std::collections::HashMap;
 
 /// Answer a KFOPCE sentence query against `Σ` (Definition 2.1). An
 /// unsatisfiable `Σ` entails every sentence, `q` and `¬q` alike: the
-/// answer is *yes*, as [`ClosedDb::ask`](crate::ClosedDb::ask) answers an
-/// unsatisfiable closure.
+/// answer is *yes*, as the closed-world view of `epilog-semantics`
+/// answers an unsatisfiable closure.
 ///
 /// # Panics
 /// Panics if `q` has free variables (bind them, or use

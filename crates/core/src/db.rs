@@ -4,17 +4,16 @@
 //! answering, the `demo` evaluator, integrity constraints as epistemic
 //! sentences — each compiled once, when it is registered, and checked
 //! through that one compiled violation ever after — with transactional
-//! update checking, and closed-world views.
+//! update checking.
 
 use crate::ask;
-use crate::closure::ClosedDb;
 use crate::demo;
 use crate::engine::{definite_program, prover_and_program};
 use crate::incremental::CompiledConstraint;
 use crate::transaction::Transaction;
+use crate::Answer;
 use epilog_datalog::{Program, ProofTree, RulePlan};
 use epilog_prover::Prover;
-use epilog_semantics::Answer;
 use epilog_storage::Database;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::theory::TheoryError;
@@ -364,14 +363,6 @@ impl EpistemicDb {
         let report = self.transaction().retract(w.clone()).commit()?;
         Ok(report.retracted > 0)
     }
-
-    // ----- closed world ----------------------------------------------------
-
-    /// The closed-world view: the unique model of `Closure(Σ)`,
-    /// materialized (§7).
-    pub fn closed(&self) -> ClosedDb {
-        ClosedDb::new(&self.prover)
-    }
 }
 
 #[cfg(test)]
@@ -467,13 +458,5 @@ mod tests {
             d.add_constraint(parse("K p(x)").unwrap()),
             Err(DbError::OpenConstraint(_))
         ));
-    }
-
-    #[test]
-    fn closed_view() {
-        let d = db("p(a)\nq(b)");
-        let c = d.closed();
-        assert!(c.satisfiable());
-        assert_eq!(c.ask(&parse("~p(b)").unwrap()), Answer::Yes);
     }
 }

@@ -68,8 +68,8 @@ enum Check {
     /// checked on the instances a diff fires, or in full.
     Routed(Violation),
     /// Outside it, with an admissible rewrite: `demo`'s steps for the
-    /// rewrite, checked in full as [`crate::ic_satisfaction`] does — the
-    /// constraint holds iff they have an answer.
+    /// rewrite, checked in full — the constraint holds iff they have an
+    /// answer.
     Rewrite(Goal),
     /// With no admissible rewrite: the Levesque reduction, [`certain`].
     Certain,
@@ -136,7 +136,7 @@ impl CompiledConstraint {
     /// in the sense of consistency-based belief change (the least binding
     /// in the prover's answer order, conjuncts left to right). Empty
     /// outside the fragment, which has no patterns.
-    pub(crate) fn violated(&self, prover: &Prover) -> Option<Vec<Atom>> {
+    pub fn violated(&self, prover: &Prover) -> Option<Vec<Atom>> {
         // Theorem 5.1 is about satisfiable databases; an unsatisfiable one
         // entails every sentence.
         let holds = match &self.check {
@@ -606,11 +606,11 @@ mod tests {
 
     #[test]
     fn engine_only_rules_are_visible_to_routing() {
-        // `forall x, z. p(x) -> q(x)` fails the syntactic range
-        // restriction, so Theory::rules() omits it — but the Datalog
-        // engine evaluates it, and what it derives is in the model diff.
+        // `forall x, z. p(x) -> q(x)` fails the range restriction of a
+        // Definition 6.3 rule (`epilog-semantics`'s `rules` omits it) —
+        // but the Datalog engine evaluates it, and what it derives is in
+        // the model diff.
         let src = "forall x, z. p(x) -> q(x)";
-        assert!(Theory::from_text(src).unwrap().rules().is_empty());
         let ic = "forall x. K q(x) -> K r(x)";
         assert_eq!(commit(src, &[ic], &["+p(a)"]), rejected(ic));
         assert_eq!(commit(src, &[ic], &["+p(a)", "+r(a)"]), Ok(routed(1, 0)));

@@ -11,22 +11,12 @@
 //!   backtracking, and the all-answers iteration of §6.1.1;
 //! * [`mod@ask`] — a Levesque-style reduction of arbitrary KFOPCE queries to
 //!   first-order entailment (the comparison point the paper cites in
-//!   §5.1), giving three-valued [`Answer`]s;
-//! * [`constraints`] — integrity constraints as epistemic sentences
-//!   (Definition 3.5), alongside the four classical definitions 3.1–3.4
-//!   the paper argues against;
-//! * [`closure`] — `Closure(Σ)` and closed-world query evaluation: the
-//!   collapse of `K` (Theorem 7.1), the equivalence of the classical
-//!   definitions under CWA (Theorem 7.2), and CWA evaluation through
-//!   `demo(ℛ(w), Σ)` *without computing the closure* (Theorem 7.3);
-//! * [`optimize`] — query/constraint optimization licensed by
-//!   Corollaries 4.1/4.2: KFOPCE-equivalence checking over bounded
-//!   structures and constraint-driven conjunct elimination;
+//!   §5.1), giving three-valued [`Answer`]s (Definition 2.1);
 //! * [`mod@engine`] — routing through the bottom-up Datalog engine: when
 //!   the database is a definite program, its least model (computed by the
 //!   compiled semi-naive fixpoint) answers every ground-atom entailment
-//!   question without SAT — accelerating `demo`, `ask`, `closure` and the
-//!   constraint checks alike;
+//!   question without SAT — accelerating `demo`, `ask` and the constraint
+//!   checks alike;
 //! * [`mvcc`] — snapshot publication for concurrent serving: immutable
 //!   [`CommittedState`]s behind an atomically swappable [`StateCell`],
 //!   so readers query a pinned state while the single writer prepares
@@ -38,29 +28,28 @@
 //!   incremental-integrity discussion made executable, one violation
 //!   compiled per constraint at registration into `demo`'s steps);
 //! * [`EpistemicDb`] — the facade tying the pieces together.
+//!
+//! The paper's definitions this engine is proved against — the five
+//! readings of integrity-constraint satisfaction (Definitions 3.1–3.5),
+//! §4's optimisation, §6's instances and canonical model, §7's closure —
+//! live in `epilog-semantics`, which depends on this crate; nothing here
+//! depends on it.
 
+pub mod answer;
 pub mod ask;
-pub mod closure;
-pub mod constraints;
 pub mod db;
 pub mod demo;
 pub mod engine;
 pub mod incremental;
-pub mod instances;
 pub mod mvcc;
-pub mod optimize;
 pub mod transaction;
 
+pub use answer::Answer;
 pub use ask::ask;
-pub use closure::ClosedDb;
-pub use constraints::{ic_satisfaction, IcDefinition, IcReport};
 pub use db::{DbError, EpistemicDb, Rejection};
 pub use demo::{all_answers, demo, demo_sentence, DemoOutcome, DemoStream};
 pub use engine::{definite_model, definite_program, prover_for};
 pub use epilog_datalog::ProofTree;
-pub use epilog_semantics::Answer;
 pub use incremental::{CheckStats, CompiledConstraint, ModelDiff};
-pub use instances::{admissible_wrt_f_sigma, instances, theorem_62_applies};
 pub use mvcc::{CommittedState, ReadHandle, StateCell};
-pub use optimize::{eliminate_redundant_conjuncts, valid_kfopce};
 pub use transaction::{CommitReport, ModelUpdate, PreparedCommit, Transaction};

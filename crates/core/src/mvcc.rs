@@ -124,7 +124,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epilog_semantics::Answer;
+    use crate::Answer;
     use epilog_syntax::parse;
 
     fn db(text: &str) -> EpistemicDb {

@@ -256,17 +256,15 @@ impl<'db> Transaction<'db> {
     pub fn prepare(self) -> Result<PreparedCommit<'db>, DbError> {
         let Transaction { db, ops } = self;
 
-        // Phase 1 — validate and reduce to the *effective* delta. Ops are
-        // replayed in order against a lightweight view of the current
-        // sentence set, so duplicate asserts, absent retracts, and
-        // assert/retract pairs that cancel out never cost a theory clone.
-        // Only assertions need validating: an ill-formed sentence can
-        // never be *stored*, so retracting one is simply a no-op (the
-        // documented contract of the one-shot `retract`).
-        for op in &ops {
-            let Op::Assert(w) = op else { continue };
-            Theory::validate(w)?;
-        }
+        // Phase 1 — reduce to the *effective* delta. Ops are replayed in
+        // order against a lightweight view of the current sentence set, so
+        // duplicate asserts, absent retracts, and assert/retract pairs that
+        // cancel out never cost a theory clone. Only assertions need
+        // validating, each once: phase 2 validates what stays added, and a
+        // cancelled one is validated where it is cancelled. An assert the
+        // database or the batch already holds is valid, as an ill-formed
+        // sentence can never be *stored*; retracting one is simply a no-op
+        // (the documented contract of the one-shot `retract`).
         let current = db.prover.theory();
         let mut added = Listed::default();
         let mut removed = Listed::default();
@@ -280,9 +278,11 @@ impl<'db> Transaction<'db> {
                     }
                 }
                 Op::Retract(w) => {
-                    // Asserted by the batch (never committed: cancel), or
-                    // retracted already, or absent: no change.
-                    if !added.swap_remove(w) && !removed.contains(w) && current.contains(w) {
+                    if added.swap_remove(w) {
+                        // Asserted by the batch, never committed: cancel.
+                        Theory::validate(w)?;
+                    } else if !removed.contains(w) && current.contains(w) {
+                        // Not retracted already, and held.
                         removed.push(w);
                     }
                 }
@@ -507,7 +507,7 @@ impl PreparedCommit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epilog_semantics::Answer;
+    use crate::Answer;
     use epilog_syntax::parse;
 
     fn db(src: &str) -> EpistemicDb {
@@ -845,6 +845,16 @@ mod tests {
             .commit()
             .unwrap_err();
         assert!(matches!(err, DbError::Theory(_)));
+
+        // Cancelled within the batch, it is still refused.
+        let err = d
+            .transaction()
+            .assert(f("K q(b)"))
+            .retract(f("K q(b)"))
+            .commit()
+            .unwrap_err();
+        assert!(matches!(err, DbError::Theory(_)));
+        assert_eq!(d.theory().len(), 1);
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! Datalog program and `prove` could be realized using negation-as-failure".
 //! This crate realizes that alternative backend — once, bottom-up, for
 //! definite programs, whose least model holds exactly the ground atoms
-//! `Σ` entails (negation as failure belongs to the query, as `¬K`) — and
-//! supplies the *Clark completion* `Comp(DB)` that Definitions 3.3/3.4
-//! (the closed Prolog-like readings of integrity-constraint satisfaction)
-//! are stated over.
+//! `Σ` entails (negation as failure belongs to the query, as `¬K`). The
+//! *Clark completion* `Comp(DB)` that Definitions 3.3/3.4 are stated over
+//! is defined in `epilog-semantics`.
 //!
 //! Components:
 //!
@@ -23,19 +22,13 @@
 //!   after additions / retractions);
 //! * provenance on demand — [`Program::why`] runs one semi-naive
 //!   fixpoint, notes the round each tuple first appeared in, and returns a
-//!   replayable minimal-height [`ProofTree`] per atom asked about;
-//! * [`completion()`](completion::completion) — Clark's completion of a
-//!   Prolog-like database (negated body literals allowed) as FOPCE
-//!   sentences, ready to be fed to `epilog-prover` for the Definition
-//!   3.3/3.4 comparisons.
+//!   replayable minimal-height [`ProofTree`] per atom asked about.
 
-pub mod completion;
 pub mod engine;
 pub mod plan;
 pub mod program;
 pub mod provenance;
 
-pub use completion::completion;
 pub use engine::EvalStats;
 pub use plan::RulePlan;
 pub use program::{DatalogError, Program, Rule};

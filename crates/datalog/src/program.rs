@@ -1,5 +1,4 @@
-//! Datalog programs: definite rules over an extensional database, and the
-//! clause reader they share with Clark's completion.
+//! Datalog programs: definite rules over an extensional database.
 
 use epilog_storage::Database;
 use epilog_syntax::formula::{Atom, Formula};
@@ -31,11 +30,11 @@ impl fmt::Display for Rule {
 /// Why a sentence was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatalogError {
-    /// A sentence is neither a ground atom nor `∀x̄ (l₁ ∧ … ∧ lₙ ⊃ atom)`
-    /// over literals — or, for a [`Program`], one of the `lᵢ` is negated.
+    /// A sentence is neither a ground atom nor `∀x̄ (a₁ ∧ … ∧ aₙ ⊃ atom)`
+    /// over atoms.
     NotARule(String),
-    /// A head or negated-body variable does not occur in a positive body
-    /// literal (the Datalog safety condition).
+    /// A head variable does not occur in the body (the Datalog safety
+    /// condition).
     Unsafe(String),
 }
 
@@ -72,24 +71,18 @@ impl Program {
     }
 
     /// Build a program from FOPCE sentences: ground atoms are facts, and
-    /// safe `∀x̄ (a₁ ∧ … ∧ aₙ ⊃ atom)` sentences over atoms are rules. A
-    /// negated body literal is refused ([`DatalogError::NotARule`]): the
-    /// engine computes least models, and classical entailment from such a
+    /// safe `∀x̄ (a₁ ∧ … ∧ aₙ ⊃ atom)` sentences over atoms are rules (a
+    /// bare atom under `∀x̄` is a rule with an empty body). A negated body
+    /// literal is refused ([`DatalogError::NotARule`]): the engine
+    /// computes least models, and classical entailment from such a
     /// sentence is not one. Takes owned formulas or the shared pointers a
     /// `Theory` hands out.
     pub fn from_sentences(sentences: &[impl Borrow<Formula>]) -> Result<Self, DatalogError> {
         let mut prog = Program::new();
         for s in sentences {
-            let s = s.borrow();
-            match read_clause(s)? {
-                Clause::Fact(a) => prog.fact(&a),
-                Clause::Rule { head, body } => {
-                    let body = body.into_iter().map(|l| l.positive.then_some(l.atom));
-                    let body = body
-                        .collect::<Option<_>>()
-                        .ok_or_else(|| DatalogError::NotARule(s.to_string()))?;
-                    prog.rules.push(Rule { head, body });
-                }
+            match s.borrow() {
+                Formula::Atom(a) if a.is_ground() => prog.fact(a),
+                s => prog.rules.push(read_rule(s)?),
             }
         }
         Ok(prog)
@@ -103,33 +96,9 @@ impl Program {
     }
 }
 
-/// A body literal of a Prolog-like clause: an atom or its negation.
-pub(crate) struct Literal {
-    pub(crate) atom: Atom,
-    /// `false` for `~atom`.
-    pub(crate) positive: bool,
-}
-
-/// One sentence read as a Prolog-like clause.
-pub(crate) enum Clause {
-    /// A ground atomic sentence.
-    Fact(Atom),
-    /// `∀x̄ (l₁ ∧ … ∧ lₙ ⊃ head)`, literals in written order; a bare atom
-    /// under `∀x̄` (`forall x. p(a)`) is a clause with an empty body.
-    Rule { head: Atom, body: Vec<Literal> },
-}
-
-/// Read a sentence as a safe Prolog-like clause: a ground atom, or
-/// `∀x̄ (l₁ ∧ … ∧ lₙ ⊃ atom)` with each `lᵢ` an atom or a negated atom,
-/// where every variable of the head and of a negated literal occurs in a
-/// positive one. The one reader behind both [`Program::from_sentences`]
-/// and [`completion`](crate::completion()).
-pub(crate) fn read_clause(s: &Formula) -> Result<Clause, DatalogError> {
-    if let Formula::Atom(a) = s {
-        if a.is_ground() {
-            return Ok(Clause::Fact(a.clone()));
-        }
-    }
+/// Read `∀x̄ (a₁ ∧ … ∧ aₙ ⊃ head)` as a rule, atoms in written order,
+/// checking that every head variable occurs in the body.
+fn read_rule(s: &Formula) -> Result<Rule, DatalogError> {
     let mut cur = s;
     while let Formula::Forall(_, body) = cur {
         cur = body;
@@ -141,44 +110,29 @@ pub(crate) fn read_clause(s: &Formula) -> Result<Clause, DatalogError> {
     let Formula::Atom(head) = head else {
         return Err(DatalogError::NotARule(s.to_string()));
     };
-    let mut lits = Vec::new();
-    if body.is_some_and(|b| !collect_literals(b, &mut lits)) {
+    let mut atoms = Vec::new();
+    if body.is_some_and(|b| !collect_atoms(b, &mut atoms)) {
         return Err(DatalogError::NotARule(s.to_string()));
     }
-    let bound: BTreeSet<Var> = lits
-        .iter()
-        .filter(|l| l.positive)
-        .flat_map(|l| l.atom.vars())
-        .collect();
-    let negated = lits.iter().filter(|l| !l.positive);
-    let mut needs = head
-        .vars()
-        .into_iter()
-        .chain(negated.flat_map(|l| l.atom.vars()));
-    if needs.any(|v| !bound.contains(&v)) {
+    let bound: BTreeSet<Var> = atoms.iter().flat_map(Atom::vars).collect();
+    if head.vars().iter().any(|v| !bound.contains(v)) {
         return Err(DatalogError::Unsafe(s.to_string()));
     }
-    Ok(Clause::Rule {
+    Ok(Rule {
         head: head.clone(),
-        body: lits,
+        body: atoms,
     })
 }
 
-fn collect_literals(w: &Formula, out: &mut Vec<Literal>) -> bool {
-    let (atom, positive) = match w {
-        Formula::And(a, b) => return collect_literals(a, out) && collect_literals(b, out),
-        Formula::Atom(a) => (a, true),
-        Formula::Not(inner) => match inner.as_ref() {
-            Formula::Atom(a) => (a, false),
-            _ => return false,
-        },
-        _ => return false,
-    };
-    out.push(Literal {
-        atom: atom.clone(),
-        positive,
-    });
-    true
+fn collect_atoms(w: &Formula, out: &mut Vec<Atom>) -> bool {
+    match w {
+        Formula::And(a, b) => collect_atoms(a, out) && collect_atoms(b, out),
+        Formula::Atom(a) => {
+            out.push(a.clone());
+            true
+        }
+        _ => false,
+    }
 }
 
 #[cfg(test)]

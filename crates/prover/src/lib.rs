@@ -19,11 +19,10 @@
 //!   goal costs its own ground size: the model refutes it, or the solver
 //!   decides `¬f` under assumptions;
 //! * [`answers`] implements the enumeration interface `prove(f, Σ)`
-//!   needed by `demo`: a resumable, deterministic stream of answer tuples;
-//! * [`canonical`] builds the canonical model `S(Σ)` of Lemma 6.2 for
-//!   elementary theories (every elementary theory has a model mentioning
-//!   only its own parameters), used to validate the finiteness machinery of
-//!   §6.
+//!   needed by `demo`: a resumable, deterministic stream of answer tuples.
+//!
+//! The canonical model `S(Σ)` of Lemma 6.2, which §6's finiteness results
+//! rest on, is defined in `epilog-semantics`.
 //!
 //! ## Exactness boundary
 //!
@@ -88,13 +87,11 @@
 //!   unsatisfiable".
 
 pub mod answers;
-pub mod canonical;
 pub mod entail;
 pub mod ground;
 #[cfg(test)]
 mod testgen;
 
 pub use answers::AnswerIter;
-pub use canonical::canonical_model;
 pub use entail::Prover;
 pub use ground::GroundContext;

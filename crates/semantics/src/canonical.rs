@@ -11,6 +11,7 @@
 //! predicates appear) and is a model of `Σ` — which is what powers the
 //! finiteness Lemma 6.3 and through it the completeness Theorem 6.2.
 
+use crate::theory::{facts, is_elementary, rules};
 use epilog_storage::{ConjunctionPlan, Database, PlanStats, SlotMap};
 use epilog_syntax::formula::{Atom, Formula};
 use epilog_syntax::{Param, Term, Theory, Var};
@@ -21,7 +22,7 @@ use std::collections::HashMap;
 /// Returns `None` when the theory is not elementary (the construction is
 /// only defined — and only correct — for elementary theories).
 pub fn canonical_model(theory: &Theory) -> Option<Database> {
-    if !theory.is_elementary() {
+    if !is_elementary(theory) {
         return None;
     }
     // Lemma 6.2 assumes wlog that Σ mentions a parameter; if it does not,
@@ -34,7 +35,7 @@ pub fn canonical_model(theory: &Theory) -> Option<Database> {
 
     let mut model = Database::new();
     // S₀: the atoms of every positive existential fact.
-    for fact in theory.facts() {
+    for fact in facts(theory) {
         for atom in pe_atoms(fact, witness, &HashMap::new()) {
             model.insert(&atom);
         }
@@ -42,7 +43,7 @@ pub fn canonical_model(theory: &Theory) -> Option<Database> {
     // Sᵢ₊₁: close under rules. Each rule body is compiled once into a
     // join plan over the model's indexed storage — costed against S₀ —
     // and re-run per round.
-    let rules = theory.rules();
+    let rules = rules(theory);
     let compiled: Vec<(ConjunctionPlan, SlotMap, &Formula)> = {
         let stats = PlanStats::new(&model);
         rules
@@ -113,57 +114,7 @@ fn pe_atoms(w: &Formula, witness: Param, env: &HashMap<Var, Param>) -> Vec<Atom>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Evaluate a FOPCE sentence in a finite world over a finite universe —
-    /// a little model checker used only to validate `S(Σ) ⊨ Σ`.
-    fn holds(w: &Formula, db: &Database, universe: &[Param]) -> bool {
-        fn go(
-            w: &Formula,
-            db: &Database,
-            universe: &[Param],
-            env: &mut HashMap<Var, Param>,
-        ) -> bool {
-            match w {
-                Formula::Atom(a) => {
-                    let terms: Vec<Term> = a
-                        .terms
-                        .iter()
-                        .map(|t| match t {
-                            Term::Param(p) => Term::Param(*p),
-                            Term::Var(v) => Term::Param(env[v]),
-                        })
-                        .collect();
-                    db.contains(&Atom::new(a.pred, terms))
-                }
-                Formula::Eq(a, b) => {
-                    let get = |t: &Term, env: &HashMap<Var, Param>| match t {
-                        Term::Param(p) => *p,
-                        Term::Var(v) => env[v],
-                    };
-                    get(a, env) == get(b, env)
-                }
-                Formula::Not(a) => !go(a, db, universe, env),
-                Formula::And(a, b) => go(a, db, universe, env) && go(b, db, universe, env),
-                Formula::Or(a, b) => go(a, db, universe, env) || go(b, db, universe, env),
-                Formula::Implies(a, b) => !go(a, db, universe, env) || go(b, db, universe, env),
-                Formula::Iff(a, b) => go(a, db, universe, env) == go(b, db, universe, env),
-                Formula::Forall(x, body) => universe.iter().all(|p| {
-                    env.insert(*x, *p);
-                    let r = go(body, db, universe, env);
-                    env.remove(x);
-                    r
-                }),
-                Formula::Exists(x, body) => universe.iter().any(|p| {
-                    env.insert(*x, *p);
-                    let r = go(body, db, universe, env);
-                    env.remove(x);
-                    r
-                }),
-                Formula::Know(_) => unreachable!("FOPCE only"),
-            }
-        }
-        go(w, db, universe, &mut HashMap::new())
-    }
+    use crate::world::holds_in_world;
 
     fn check_is_model(theory: &Theory) {
         let model = canonical_model(theory).expect("theory is elementary");
@@ -176,7 +127,7 @@ mod tests {
         };
         for s in theory.sentences() {
             assert!(
-                holds(s, &model, &universe),
+                holds_in_world(s, &model, &universe),
                 "S(Σ) must satisfy `{s}`; S(Σ) = {:?}",
                 model.atoms().map(|a| a.to_string()).collect::<Vec<_>>()
             );

@@ -44,8 +44,8 @@ pub fn gcwa_negations(ms: &ModelSet, base: &[Atom]) -> Vec<Formula> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::answer::Answer;
     use crate::oracle::herbrand_base;
+    use epilog_core::Answer;
     use epilog_syntax::{parse, Param, Pred, Theory};
 
     fn p_or_q_models() -> ModelSet {

@@ -9,7 +9,7 @@
 //!   actually models `Σ`.
 //! * **Theorem 7.1**: `Closure(Σ) ⊨ σ|p̄ iff Closure(Σ) ⊨_FOPCE σ̂|p̄` —
 //!   under CWA the `K` operator evaporates ([`ClosedDb::ask`] evaluates
-//!   through [`epilog_syntax::strip_k`]).
+//!   through [`strip_k`]).
 //! * **Theorem 7.2**: the consistency and entailment readings of
 //!   first-order constraint satisfaction coincide for satisfiable closures
 //!   (both equal truth in the unique model).
@@ -17,13 +17,15 @@
 //!   `w` against `Closure(Σ)` **without computing the closure** —
 //!   [`cwa_demo`].
 
-use crate::demo::{demo, DemoStream};
+use crate::oracle::herbrand_base;
+use crate::transform::{modalize, strip_k};
+use crate::world::holds_in_world;
+use epilog_core::{demo, Answer, DemoStream};
 use epilog_prover::answers::domain_walk;
 use epilog_prover::Prover;
-use epilog_semantics::{holds_in_world, Answer};
 use epilog_storage::Database;
 use epilog_syntax::formula::Formula;
-use epilog_syntax::{modalize, strip_k, Admissibility, Param, Theory};
+use epilog_syntax::{Admissibility, Param, Theory};
 
 /// A database under the closed-world assumption: the unique model of
 /// `Closure(Σ)` (when satisfiable), materialized.
@@ -44,7 +46,7 @@ impl ClosedDb {
     ///
     /// When the prover carries a materialized least model (a definite
     /// theory routed through the bottom-up engine, see
-    /// [`crate::engine::prover_for`]), that model *is* the closure's
+    /// [`epilog_core::prover_for`]), that model *is* the closure's
     /// candidate world and is taken directly; otherwise every atom of the
     /// active-domain Herbrand base is checked by entailment.
     pub fn new(prover: &Prover) -> ClosedDb {
@@ -53,7 +55,7 @@ impl ClosedDb {
         let world = match prover.atom_model() {
             Some(model) => model.clone(),
             None => {
-                let base = epilog_semantics::oracle::herbrand_base(&domain, &theory.preds());
+                let base = herbrand_base(&domain, &theory.preds());
                 let mut world = Database::new();
                 for atom in &base {
                     if prover.entails(&Formula::Atom(atom.clone())) {
@@ -213,7 +215,7 @@ mod tests {
                    forall x, y. e(x, y) -> t(x, y)
                    forall x, y, z. e(x, y) & t(y, z) -> t(x, z)";
         let plain = Prover::new(Theory::from_text(src).unwrap());
-        let routed = crate::engine::prover_for(Theory::from_text(src).unwrap());
+        let routed = epilog_core::prover_for(Theory::from_text(src).unwrap());
         assert!(routed.atom_model().is_some());
         let slow = ClosedDb::new(&plain);
         let fast = ClosedDb::new(&routed);
@@ -221,6 +223,30 @@ mod tests {
         assert_eq!(slow.satisfiable(), fast.satisfiable());
         assert_eq!(fast.ask(&parse("t(a, c)").unwrap()), Answer::Yes);
         assert_eq!(fast.ask(&parse("t(c, a)").unwrap()), Answer::No);
+    }
+
+    #[test]
+    fn routed_and_plain_closures_agree_despite_index_warmup() {
+        // `e` is a body predicate with no facts: probing it must not
+        // surface a phantom empty relation in the world.
+        let src = "f(b)\nforall x. e(a, x) -> g(x)";
+        let theory = Theory::from_text(src).unwrap();
+        let routed = epilog_core::prover_for(theory.clone());
+        assert!(routed.atom_model().is_some());
+        let plain = Prover::new(theory);
+        assert_eq!(
+            ClosedDb::new(&routed).world(),
+            ClosedDb::new(&plain).world()
+        );
+    }
+
+    #[test]
+    fn closed_view() {
+        // The view of a database's own prover, as callers take it.
+        let d = epilog_core::EpistemicDb::from_text("p(a)\nq(b)").unwrap();
+        let c = ClosedDb::new(d.prover());
+        assert!(c.satisfiable());
+        assert_eq!(c.ask(&parse("~p(b)").unwrap()), Answer::Yes);
     }
 
     #[test]

@@ -9,12 +9,10 @@
 //! paper's complaint: it "would not apply, for example, to databases with
 //! existentially quantified or disjunctive information".
 //!
-//! A Prolog-like clause may negate body literals, so the completion reads
-//! the database's sentences itself, through the clause reader
-//! [`Program::from_sentences`](crate::Program::from_sentences) also uses;
-//! only the program refuses the negated ones.
+//! A Prolog-like clause may negate body literals, which a Datalog
+//! [`Program`](epilog_datalog::Program) refuses, so the completion reads
+//! the database's sentences itself.
 
-use crate::program::{read_clause, Clause, Literal};
 use epilog_storage::Database;
 use epilog_syntax::formula::{Atom, Formula};
 use epilog_syntax::{Param, Pred, Term, Var};
@@ -32,7 +30,7 @@ pub fn completion(sentences: &[impl Borrow<Formula>]) -> Option<Vec<Formula>> {
     let mut facts = Database::new();
     let mut rules: Vec<(Atom, Vec<Literal>)> = Vec::new();
     for s in sentences {
-        match read_clause(s.borrow()).ok()? {
+        match read_clause(s.borrow())? {
             Clause::Fact(a) => {
                 facts.insert(&a);
             }
@@ -137,6 +135,83 @@ fn tuple_equalities(head_vars: &[Var], tuple: &[Param]) -> Formula {
         let c = Param::new("c0");
         Formula::eq(c, c)
     })
+}
+
+/// A body literal of a Prolog-like clause: an atom or its negation.
+struct Literal {
+    atom: Atom,
+    /// `false` for `~atom`.
+    positive: bool,
+}
+
+/// One sentence read as a Prolog-like clause.
+enum Clause {
+    /// A ground atomic sentence.
+    Fact(Atom),
+    /// `∀x̄ (l₁ ∧ … ∧ lₙ ⊃ head)`, literals in written order; a bare atom
+    /// under `∀x̄` (`forall x. p(a)`) is a clause with an empty body.
+    Rule { head: Atom, body: Vec<Literal> },
+}
+
+/// Read a sentence as a safe Prolog-like clause: a ground atom, or
+/// `∀x̄ (l₁ ∧ … ∧ lₙ ⊃ atom)` with each `lᵢ` an atom or a negated atom,
+/// where every variable of the head and of a negated literal occurs in a
+/// positive one.
+fn read_clause(s: &Formula) -> Option<Clause> {
+    if let Formula::Atom(a) = s {
+        if a.is_ground() {
+            return Some(Clause::Fact(a.clone()));
+        }
+    }
+    let mut cur = s;
+    while let Formula::Forall(_, body) = cur {
+        cur = body;
+    }
+    let (head, body) = match cur {
+        Formula::Implies(body, head) => (head.as_ref(), Some(body.as_ref())),
+        bare => (bare, None),
+    };
+    let Formula::Atom(head) = head else {
+        return None;
+    };
+    let mut lits = Vec::new();
+    if body.is_some_and(|b| !collect_literals(b, &mut lits)) {
+        return None;
+    }
+    let bound: BTreeSet<Var> = lits
+        .iter()
+        .filter(|l| l.positive)
+        .flat_map(|l| l.atom.vars())
+        .collect();
+    let negated = lits.iter().filter(|l| !l.positive);
+    let mut needs = head
+        .vars()
+        .into_iter()
+        .chain(negated.flat_map(|l| l.atom.vars()));
+    if needs.any(|v| !bound.contains(&v)) {
+        return None;
+    }
+    Some(Clause::Rule {
+        head: head.clone(),
+        body: lits,
+    })
+}
+
+fn collect_literals(w: &Formula, out: &mut Vec<Literal>) -> bool {
+    let (atom, positive) = match w {
+        Formula::And(a, b) => return collect_literals(a, out) && collect_literals(b, out),
+        Formula::Atom(a) => (a, true),
+        Formula::Not(inner) => match inner.as_ref() {
+            Formula::Atom(a) => (a, false),
+            _ => return false,
+        },
+        _ => return false,
+    };
+    out.push(Literal {
+        atom: atom.clone(),
+        positive,
+    });
+    true
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //! | [`IcDefinition::CompEntailment`] | `Comp(Σ) ⊨ IC` | Prolog-like DBs (Lloyd–Topor) |
 //! | [`IcDefinition::Epistemic`] | `Σ ⊨ IC`, IC modal | **this paper** (Def. 3.5) |
 
-use crate::incremental::CompiledConstraint;
-use epilog_datalog::completion;
+use crate::completion::completion;
+use epilog_core::CompiledConstraint;
 use epilog_prover::Prover;
 use epilog_syntax::{is_first_order, Formula, Theory};
 use std::fmt;
@@ -79,10 +79,10 @@ impl fmt::Display for IcReport {
 /// (§3), and is decided by the constraint's [`CompiledConstraint`]: a
 /// constraint whose [`admissible_constraint`](epilog_syntax::admissible_constraint)
 /// rewrite is admissible — every constraint of the paper — is evaluated
-/// by [`demo`](mod@crate::demo) (Theorem 5.1: it succeeds iff `Σ ⊨ IC`),
-/// which answers from a least model the prover carries where it can and
-/// by first-order prover calls otherwise; the Levesque-style reduction of
-/// [`certain`](crate::ask::certain) decides the rest.
+/// by [`demo`](mod@epilog_core::demo) (Theorem 5.1: it succeeds iff
+/// `Σ ⊨ IC`), which answers from a least model the prover carries where it
+/// can and by first-order prover calls otherwise; the Levesque-style
+/// reduction of [`certain`](epilog_core::ask::certain) decides the rest.
 /// The first-order definitions return
 /// [`IcReport::Inapplicable`] on modal constraints, and the `Comp`
 /// definitions additionally require the database to be Prolog-like.
@@ -326,8 +326,7 @@ mod tests {
     fn satisfaction_is_query_evaluation() {
         // §3: "testing constraint satisfaction is identical to querying a
         // first-order database with a KFOPCE sentence".
-        use crate::ask::ask;
-        use epilog_semantics::Answer;
+        use epilog_core::{ask, Answer};
         let p = prover("emp(Mary)\nss(Mary, n1)");
         let ic = ic_modal();
         let as_query = ask(&p, &ic) == Answer::Yes;

@@ -17,9 +17,10 @@
 //! [`admissible_wrt_f_sigma`] against elementary databases with finitely
 //! many parameters — the property the `e6` test suite verifies.
 
+use crate::classify::{almost_admissible, is_positive_existential, linked_beyond};
+use crate::theory::is_elementary;
 use epilog_prover::Prover;
-use epilog_syntax::classify::almost_admissible;
-use epilog_syntax::{is_first_order, is_positive_existential, Formula, Param, Term, Theory, Var};
+use epilog_syntax::{is_first_order, Formula, Param, Term, Theory, Var};
 use std::collections::BTreeSet;
 
 /// `Instances(w, Σ)` (Definition 6.1) for a first-order formula, computed
@@ -49,7 +50,7 @@ pub(crate) fn in_f_sigma(w: &Formula, bound: &BTreeSet<Var>) -> bool {
             }
             // Disjunctive linkage wrt the formula's *unbound* free
             // variables (bound ones behave as parameters).
-            disjunctively_linked_mod(w, bound)
+            linked_beyond(w, bound)
         }
     }
 }
@@ -63,34 +64,6 @@ fn is_known(t: &Term, bound: &BTreeSet<Var>) -> bool {
         Term::Param(_) => true,
         Term::Var(v) => bound.contains(v),
     }
-}
-
-/// Disjunctive linkage (Definition 6.4), with conjunction-bound variables
-/// treated as parameters.
-fn disjunctively_linked_mod(w: &Formula, bound: &BTreeSet<Var>) -> bool {
-    let top: BTreeSet<Var> = w
-        .free_vars()
-        .into_iter()
-        .filter(|v| !bound.contains(v))
-        .collect();
-    for s in w.subformulas() {
-        if let Formula::Or(a, b) = s {
-            let fa: BTreeSet<Var> = a
-                .free_vars()
-                .into_iter()
-                .filter(|v| top.contains(v))
-                .collect();
-            let fb: BTreeSet<Var> = b
-                .free_vars()
-                .into_iter()
-                .filter(|v| top.contains(v))
-                .collect();
-            if fa != fb {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// The hypothesis of Theorems 6.1/6.2: almost admissible wrt `F_Σ`
@@ -114,13 +87,13 @@ pub fn admissible_wrt_f_sigma(w: &Formula) -> bool {
 /// admissible wrt `F_Σ` over an elementary theory (Lemma 6.1 + 6.3):
 /// returns the instance count, or `None` if the hypotheses do not hold.
 pub fn certified_instance_count(prover: &Prover, w: &Formula) -> Option<usize> {
-    if !prover.theory().is_elementary() || !admissible_wrt_f_sigma(w) {
+    if !is_elementary(prover.theory()) || !admissible_wrt_f_sigma(w) {
         return None;
     }
     if is_first_order(w) {
         Some(instances(prover, w).len())
     } else {
-        Some(crate::demo::all_answers(prover, w).ok()?.len())
+        Some(epilog_core::all_answers(prover, w).ok()?.len())
     }
 }
 
@@ -128,7 +101,7 @@ pub fn certified_instance_count(prover: &Prover, w: &Formula) -> Option<usize> {
 /// elementary and mentioning finitely many parameters (always true for
 /// our in-memory [`Theory`], kept explicit for documentation value).
 pub fn theorem_62_applies(theory: &Theory, w: &Formula) -> bool {
-    theory.is_elementary() && admissible_wrt_f_sigma(w)
+    is_elementary(theory) && admissible_wrt_f_sigma(w)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! vocabularies of constraint schemas, which is exactly its role in the
 //! paper.
 
-use epilog_semantics::{oracle::herbrand_base, ModelSet};
+use crate::oracle::{herbrand_base, ModelSet};
 use epilog_storage::Database;
 use epilog_syntax::{Formula, Param, Pred};
 
@@ -181,7 +181,7 @@ mod tests {
         let pq = props(&["p", "q"]);
         for src in ["K K p", "K ~K p", "K (p & q)", "K (K p & K q)"] {
             let w = parse(src).unwrap();
-            let flat = epilog_syntax::flatten_k45(&w);
+            let flat = crate::flatten_k45(&w);
             assert!(
                 valid_kfopce(&Formula::iff(w.clone(), flat.clone()), &u, &pq),
                 "flatten_k45({src}) = {flat} is not equivalent"
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn conjunct_elimination_preserves_answers() {
-        use crate::ask::answers;
+        use epilog_core::ask::{answers, certain};
         use epilog_prover::Prover;
         use epilog_syntax::Theory;
         let u = [Param::new("c")];
@@ -236,9 +236,9 @@ mod tests {
         let optimized = eliminate_redundant_conjuncts(&ic, &q, &u, &preds);
         // A database satisfying the constraint.
         let prover = Prover::new(Theory::from_text("p(a)\nq(a)\nq(b)").unwrap());
-        assert!(crate::ask::certain(&prover, &ic));
+        assert!(certain(&prover, &ic));
         assert_eq!(answers(&prover, &q), answers(&prover, &optimized));
-        let all = |w| crate::all_answers(&prover, w).unwrap();
+        let all = |w| epilog_core::all_answers(&prover, w).unwrap();
         assert_eq!(all(&q), all(&optimized));
     }
 
@@ -253,8 +253,8 @@ mod tests {
         let beta = parse("K p").unwrap();
         assert!(entails_kfopce(&alpha, &beta, &u, &pq));
         let prover = Prover::new(Theory::from_text("p & q").unwrap());
-        assert!(crate::ask::certain(&prover, &alpha));
-        assert!(crate::ask::certain(&prover, &beta));
+        assert!(epilog_core::ask::certain(&prover, &alpha));
+        assert!(epilog_core::ask::certain(&prover, &beta));
     }
 
     #[test]

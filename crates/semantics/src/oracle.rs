@@ -1,8 +1,8 @@
 //! The semantic oracle: `ℳ(Σ)` by brute-force enumeration, KFOPCE truth in
 //! `(W, 𝒮)`, and the answer relation of Definition 2.1.
 
-use crate::answer::Answer;
 use crate::world::{holds_env, holds_in_world};
+use epilog_core::Answer;
 use epilog_storage::Database;
 use epilog_syntax::formula::{Atom, Formula};
 use epilog_syntax::{Param, Pred, Term, Theory, Var};

@@ -21,14 +21,17 @@
 //!
 //! * a parser ([`parse()`](parse::parse)) and precedence-aware pretty-printer,
 //! * substitution and free-variable machinery,
-//! * every syntactic class the paper defines: *first-order*, *modal*,
-//!   *subjective* (Def. 5.2), *safe* (Def. 5.1), *admissible* (Def. 5.3),
-//!   *K₁*, *normal queries* (§5.2), *positive existential* formulas, *rules*
-//!   and *elementary theories* (Def. 6.3), *disjunctively linked variables*
-//!   (Def. 6.4) — see [`classify`],
-//! * the transforms of the paper: the modalizing map `ℛ(w)` of Def. 7.1,
-//!   the admissible rewriting of integrity constraints of Example 5.4, and
-//!   K45 modal flattening — see [`transform`].
+//! * the syntactic classes the engine decides with: *first-order*,
+//!   *modal*, *subjective* (Def. 5.2), *safe* (Def. 5.1), *admissible*
+//!   (Def. 5.3) — see [`classify`],
+//! * the transforms the engine applies: abbreviation expansion, negation
+//!   normal form, and the admissible rewriting of integrity constraints of
+//!   Example 5.4 — see [`transform`].
+//!
+//! The classes and maps that only state the paper's results — K₁, normal
+//! queries, elementary theories and their rules, disjunctive linkage,
+//! almost admissibility, `ℛ(w)`, `σ̂`, K45 flattening — are defined in
+//! `epilog-semantics`.
 
 pub mod classify;
 pub mod formula;
@@ -39,12 +42,12 @@ pub mod theory;
 pub mod transform;
 
 pub use classify::{
-    admissibility, disjunctively_linked, is_admissible, is_first_order, is_k1, is_normal_query,
-    is_positive_existential, is_safe, is_subjective, Admissibility, UnsafeReason,
+    admissibility, is_admissible, is_first_order, is_safe, is_subjective, Admissibility,
+    UnsafeReason,
 };
 pub use formula::{Atom, Formula, MAX_NESTING};
 pub use parse::{parse, parse_theory, ParseError};
 pub use symbols::{Param, Pred, Var};
 pub use term::Term;
 pub use theory::Theory;
-pub use transform::{admissible_constraint, flatten_k45, modalize, nnf, strip_k};
+pub use transform::{admissible_constraint, nnf};

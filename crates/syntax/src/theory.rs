@@ -3,14 +3,12 @@
 //! A database is specified by a set of FOPCE *sentences* (§2). [`Theory`]
 //! enforces sentencehood and first-orderness at construction, and exposes
 //! the structural views the rest of the system needs: the active domain
-//! (mentioned parameters), the mentioned predicates, and — for elementary
-//! theories (Definition 6.3) — the decomposition into positive existential
-//! facts and rules.
+//! (mentioned parameters) and the mentioned predicates.
 
-use crate::classify::{decompose_rule, is_elementary_sentence, is_first_order};
-use crate::formula::{Atom, Formula, MAX_NESTING};
+use crate::classify::is_first_order;
+use crate::formula::{Formula, MAX_NESTING};
 use crate::parse::{parse_theory, ParseError};
-use crate::symbols::{Param, Pred, Var};
+use crate::symbols::{Param, Pred};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -56,17 +54,6 @@ impl From<ParseError> for TheoryError {
     fn from(e: ParseError) -> Self {
         TheoryError::Parse(e)
     }
-}
-
-/// A structured view of a rule `(∀x̄)(A ⊃ B)` of an elementary theory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Rule {
-    /// The universally quantified variables `x̄`.
-    pub vars: Vec<Var>,
-    /// The body `A`: a conjunction of non-equality atoms, range-restricted.
-    pub body: Vec<Atom>,
-    /// The head `B`: a positive existential formula.
-    pub head: Formula,
 }
 
 /// A database: a finite set of FOPCE sentences.
@@ -208,36 +195,6 @@ impl Theory {
         }
         out.into_iter().collect()
     }
-
-    /// Whether every sentence is elementary (Definition 6.3).
-    pub fn is_elementary(&self) -> bool {
-        self.sentences.iter().all(|s| is_elementary_sentence(s))
-    }
-
-    /// The rules of the theory, in structured form. Non-rule sentences are
-    /// skipped.
-    pub fn rules(&self) -> Vec<Rule> {
-        self.sentences
-            .iter()
-            .filter_map(|s| {
-                decompose_rule(s).map(|(vars, body, head)| Rule {
-                    vars,
-                    body,
-                    head: head.clone(),
-                })
-            })
-            .collect()
-    }
-
-    /// The non-rule sentences (for an elementary theory: the positive
-    /// existential facts).
-    pub fn facts(&self) -> Vec<&Formula> {
-        self.sentences
-            .iter()
-            .map(|s| &**s)
-            .filter(|s| decompose_rule(s).is_none())
-            .collect()
-    }
 }
 
 impl fmt::Display for Theory {
@@ -246,17 +203,6 @@ impl fmt::Display for Theory {
             writeln!(f, "{s}")?;
         }
         Ok(())
-    }
-}
-
-impl FromIterator<Formula> for Theory {
-    /// Collect sentences into a theory.
-    ///
-    /// # Panics
-    /// Panics if a formula is not a FOPCE sentence; use [`Theory::new`] for
-    /// fallible construction.
-    fn from_iter<I: IntoIterator<Item = Formula>>(iter: I) -> Self {
-        Theory::new(iter.into_iter().collect()).expect("invalid database sentence")
     }
 }
 
@@ -315,30 +261,6 @@ mod tests {
         expect.sort();
         assert_eq!(got, expect);
         assert_eq!(t.preds().len(), 1);
-    }
-
-    #[test]
-    fn teach_db_is_elementary() {
-        assert!(teach_db().is_elementary());
-        let mut t = teach_db();
-        t.assert(parse("~Teach(John, CS)").unwrap()).unwrap();
-        assert!(!t.is_elementary());
-    }
-
-    #[test]
-    fn rules_and_facts_split() {
-        let t = Theory::from_text(
-            "p(a)
-             forall x. p(x) -> q(x)
-             exists x. r(x)",
-        )
-        .unwrap();
-        assert_eq!(t.rules().len(), 1);
-        assert_eq!(t.facts().len(), 2);
-        assert!(matches!(t.facts()[0], Formula::Atom(_)));
-        let rule = &t.rules()[0];
-        assert_eq!(rule.vars.len(), 1);
-        assert_eq!(rule.body.len(), 1);
     }
 
     #[test]

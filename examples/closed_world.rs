@@ -10,16 +10,16 @@
 //!
 //! Run with: `cargo run --example closed_world`
 
-use epilog::core::closure::{closure_theory, cwa_demo};
 use epilog::prelude::*;
-use epilog::semantics::{minimal_worlds, ModelSet};
-use epilog::syntax::{modalize, strip_k, Pred};
+use epilog::semantics::closure::{closure_theory, cwa_demo};
+use epilog::semantics::{minimal_worlds, modalize, strip_k, ModelSet};
+use epilog::syntax::Pred;
 
 fn main() {
     // ----- Theorem 7.1: K evaporates under CWA ---------------------------
     println!("== Theorem 7.1: the closed-world collapse of K ==\n");
     let db = EpistemicDb::from_text("p(a)\np(b)\nq(a)").unwrap();
-    let closed = db.closed();
+    let closed = ClosedDb::new(db.prover());
     let query = parse("forall x. K p(x) | K ~p(x)").unwrap();
     println!("  open   ask({query})  -> {}", db.ask(&query));
     println!("  closed ask({query})  -> {}", closed.ask(&query));
@@ -56,7 +56,7 @@ fn main() {
     let pq = EpistemicDb::from_text("p | q").unwrap();
     println!(
         "  Closure({{p | q}}) satisfiable? {}  (the classic CWA failure)\n",
-        pq.closed().satisfiable()
+        ClosedDb::new(pq.prover()).satisfiable()
     );
 
     // ----- Theorem 7.3 / Example 7.3: demo(ℛ(w)) -------------------------
@@ -70,8 +70,7 @@ fn main() {
         .map(|t| t[0].name())
         .collect();
     println!("  demo(R(w), Σ) answers -> {via_demo:?}");
-    let via_closure: Vec<String> = graph
-        .closed()
+    let via_closure: Vec<String> = ClosedDb::new(graph.prover())
         .answers(&w)
         .iter()
         .map(|t| t[0].name())
@@ -82,7 +81,7 @@ fn main() {
     // ----- Relational databases --------------------------------------------
     println!("\n== Relational instance under CWA ==\n");
     let rel = EpistemicDb::from_text("Emp(Mary, Sales)\nEmp(Sue, Eng)\nMgr(Sales, Ann)").unwrap();
-    let closed = rel.closed();
+    let closed = ClosedDb::new(rel.prover());
     assert!(closed.satisfiable());
     for q in [
         "Emp(Mary, Sales)",

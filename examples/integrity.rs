@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --example integrity`
 
-use epilog::core::{ic_satisfaction, IcDefinition};
 use epilog::prelude::*;
+use epilog::semantics::{ic_satisfaction, IcDefinition};
 
 fn main() {
     // ----- Part 1: the emp/ss# comparison table ------------------------

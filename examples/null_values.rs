@@ -72,7 +72,7 @@ fn main() {
     // ss(Sue, p) is entailed, so the closure denies them all while Σ
     // insists one holds — the precise sense in which classical CWA cannot
     // handle nulls (footnote 10 of the paper).
-    let closed = db.closed();
+    let closed = ClosedDb::new(db.prover());
     println!(
         "  Closure(Σ) satisfiable? {}  (Σ contains a null and a disjunction)",
         closed.satisfiable()
@@ -81,7 +81,7 @@ fn main() {
 
     // Against a null-free projection of the database, CWA behaves.
     let definite = EpistemicDb::from_text("emp(Mary)\nss(Mary, n1)").unwrap();
-    let c = definite.closed();
+    let c = ClosedDb::new(definite.prover());
     println!(
         "  null-free projection:   satisfiable = {}, knows-whether everything = {}",
         c.satisfiable(),

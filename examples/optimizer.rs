@@ -9,9 +9,10 @@
 //!
 //! Run with: `cargo run --example optimizer`
 
-use epilog::core::optimize::{eliminate_redundant_conjuncts, equivalent_under};
 use epilog::prelude::*;
-use epilog::syntax::{admissible_constraint, flatten_k45, Pred};
+use epilog::semantics::flatten_k45;
+use epilog::semantics::optimize::{eliminate_redundant_conjuncts, equivalent_under};
+use epilog::syntax::{admissible_constraint, Pred};
 
 fn main() {
     // ----- Corollary 4.1: constraint rewriting --------------------------
@@ -22,7 +23,7 @@ fn main() {
     println!("  admissible form : {rewritten}");
     println!(
         "  KFOPCE-equivalent over bounded structures: {}\n",
-        epilog::core::valid_kfopce(
+        epilog::semantics::valid_kfopce(
             &Formula::iff(ic.clone(), rewritten.clone()),
             &[Param::new("c")],
             &[Pred::new("emp", 1), Pred::new("ok", 1)],

@@ -35,11 +35,11 @@
 //! | [`storage`] | relational substrate (relations, indexes, databases) |
 //! | [`sat`] | CDCL SAT solver (the propositional engine) |
 //! | [`prover`] | FOPCE theorem prover: entailment + the `prove` enumeration |
-//! | [`datalog`] | least-model Datalog engine for definite programs; Clark completion |
-//! | [`semantics`] | worlds, KFOPCE truth, the brute-force oracle, circumscription |
-//! | [`core`] | the `demo` evaluator, queries, integrity constraints, closure |
+//! | [`datalog`] | least-model Datalog engine for definite programs |
+//! | [`core`] | the `demo` evaluator, epistemic queries, compiled integrity constraints, transactions, MVCC snapshots |
 //! | [`persist`] | durability: one write-ahead log per database, headed by a checkpoint, crash recovery — and the MVCC group-commit serving layer |
 //! | [`server`] | TCP line-protocol sessions over snapshot reads and queued commits |
+//! | [`semantics`] | the paper's definitions, executable: worlds and the brute-force oracle, the integrity-constraint definitions 3.1–3.5 and Clark completion, §4's optimisation, §6's instances and canonical model, §7's closure and circumscription — the specification the E-suites check the engine against; no other crate depends on it |
 
 pub use epilog_core as core;
 pub use epilog_datalog as datalog;
@@ -54,9 +54,8 @@ pub use epilog_syntax as syntax;
 /// The items most programs need.
 pub mod prelude {
     pub use epilog_core::{
-        all_answers, ask, demo, demo_sentence, ic_satisfaction, Answer, ClosedDb, CommitReport,
-        DbError, DemoOutcome, EpistemicDb, IcDefinition, IcReport, ModelUpdate, ProofTree,
-        Rejection, Transaction,
+        all_answers, ask, demo, demo_sentence, Answer, CommitReport, DbError, DemoOutcome,
+        EpistemicDb, ModelUpdate, ProofTree, Rejection, Transaction,
     };
     pub use epilog_core::{CommittedState, ReadHandle, StateCell};
     pub use epilog_persist::{
@@ -64,6 +63,7 @@ pub mod prelude {
         RecoveryReport, ServeError, ServeOptions, ServingDb, TxOp,
     };
     pub use epilog_prover::Prover;
+    pub use epilog_semantics::{ic_satisfaction, ClosedDb, IcDefinition, IcReport};
     pub use epilog_syntax::{
         admissibility, is_admissible, is_safe, is_subjective, parse, parse_theory, Formula, Param,
         Pred, Term, Theory, Var,

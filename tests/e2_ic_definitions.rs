@@ -5,8 +5,8 @@
 //! constraint, `DB = {}` should *satisfy* it. Only the epistemic
 //! Definition 3.5 gets both right.
 
-use epilog::core::{ic_satisfaction, IcDefinition, IcReport};
 use epilog::prelude::*;
+use epilog::semantics::{ic_satisfaction, IcDefinition, IcReport};
 
 fn ic_fo() -> Formula {
     parse("forall x. emp(x) -> exists y. ss(x, y)").unwrap()

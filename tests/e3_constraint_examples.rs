@@ -108,7 +108,8 @@ fn example_54_rewrites_match_paper() {
 #[test]
 fn constraints_are_subjective_k1() {
     // §5.3: integrity constraints are naturally subjective K₁ sentences.
-    use epilog::syntax::{is_k1, is_subjective};
+    use epilog::semantics::is_k1;
+    use epilog::syntax::is_subjective;
     for ic in [
         "forall x. ~K (male(x) & female(x))",
         "forall x. K person(x) -> K male(x) | K female(x)",
@@ -127,7 +128,7 @@ fn constraints_are_subjective_k1() {
 fn corollary_41_rewrite_equivalence_spotcheck() {
     // The rewrite is KFOPCE-equivalent (checked over bounded structures),
     // so by Corollary 4.1 either form may be enforced.
-    use epilog::core::valid_kfopce;
+    use epilog::semantics::valid_kfopce;
     use epilog::syntax::Pred;
     let ic = parse("forall x. ~K (male(x) & female(x))").unwrap();
     let rw = admissible_constraint(&ic);

@@ -2,7 +2,8 @@
 //! (Definitions 5.1–5.3, Examples 5.1–5.5, Result 5.1, §5.2).
 
 use epilog::prelude::*;
-use epilog::syntax::{is_k1, is_normal_query, is_subjective, Admissibility};
+use epilog::semantics::{is_k1, is_normal_query};
+use epilog::syntax::{is_subjective, Admissibility};
 
 #[test]
 fn example_51_safe_formulas() {

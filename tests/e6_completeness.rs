@@ -1,7 +1,7 @@
 //! E6 — Section 6: completeness of `demo` on elementary databases.
 //!
 //! * Lemma 6.2 — every elementary theory has a canonical model over its
-//!   own parameters (`epilog_prover::canonical_model`).
+//!   own parameters (`epilog_semantics::canonical_model`).
 //! * Lemma 6.3 / Theorem 6.2 — for elementary `Σ` with finitely many
 //!   parameters and positive existential queries with disjunctively
 //!   linked variables, `demo` terminates, and is sound *and complete*:
@@ -11,9 +11,11 @@
 use epilog::core::ask::certain;
 use epilog::core::{all_answers, ask, demo};
 use epilog::prelude::*;
-use epilog::prover::canonical_model;
 use epilog::semantics::ModelSet;
-use epilog::syntax::{disjunctively_linked, is_positive_existential, Pred};
+use epilog::semantics::{
+    canonical_model, disjunctively_linked, is_elementary, is_positive_existential,
+};
+use epilog::syntax::Pred;
 use proptest::prelude::*;
 
 const PARAMS: [&str; 3] = ["a", "b", "c"];
@@ -81,7 +83,7 @@ proptest! {
         let w = parse(&q).unwrap();
         prop_assert!(is_positive_existential(&w));
         prop_assert!(disjunctively_linked(&w));
-        prop_assert!(t.is_elementary());
+        prop_assert!(is_elementary(&t));
 
         let prover = Prover::new(t.clone());
         let mut got = all_answers(&prover, &w).unwrap();

@@ -5,17 +5,18 @@
 //! coincide under CWA), Theorem 7.3 / Example 7.3 (CWA evaluation via
 //! `demo(ℛ(w))`), and the relational-database special case.
 
-use epilog::core::closure::{closure_theory, cwa_demo};
 use epilog::core::demo;
 use epilog::prelude::*;
+use epilog::semantics::closure::{closure_theory, cwa_demo};
 use epilog::semantics::{gcwa_negations, minimal_worlds, ModelSet};
-use epilog::syntax::{modalize, strip_k, Pred};
+use epilog::semantics::{is_k1, modalize, strip_k};
+use epilog::syntax::Pred;
 use proptest::prelude::*;
 
 #[test]
 fn theorem_71_k_collapse_systematically() {
     let db = EpistemicDb::from_text("p(a)\nq(a)\nq(b)").unwrap();
-    let closed = db.closed();
+    let closed = ClosedDb::new(db.prover());
     assert!(closed.satisfiable());
     for q in [
         "K p(a)",
@@ -41,7 +42,7 @@ fn example_71_closed_db_knows_whether() {
     // (∀x)(Kp(x) ∨ K¬p(x)) reduces to the valid (∀x)(p(x) ∨ ¬p(x)).
     let db = EpistemicDb::from_text("p(a)").unwrap();
     let q = parse("forall x. K p(x) | K ~p(x)").unwrap();
-    assert_eq!(db.closed().ask(&q), Answer::Yes);
+    assert_eq!(ClosedDb::new(db.prover()).ask(&q), Answer::Yes);
     // The open database does not know whether p(b):
     assert_eq!(db.ask(&q), Answer::No);
 }
@@ -62,7 +63,7 @@ fn example_72_circumscription_and_gcwa() {
     assert!(gcwa_negations(&ms, &base).is_empty());
     // Contrast: Reiter's Closure of the same Σ is unsatisfiable.
     let db = EpistemicDb::from_text("p | q").unwrap();
-    assert!(!db.closed().satisfiable());
+    assert!(!ClosedDb::new(db.prover()).satisfiable());
 }
 
 #[test]
@@ -104,8 +105,7 @@ fn example_73_both_paths() {
         .collect();
     assert_eq!(via_demo, vec!["b".to_string()]);
 
-    let via_closure: Vec<String> = db
-        .closed()
+    let via_closure: Vec<String> = ClosedDb::new(db.prover())
         .answers(&w)
         .iter()
         .map(|t| t[0].name())
@@ -115,8 +115,7 @@ fn example_73_both_paths() {
     // The already-epistemic variant Kq(x) ∧ ¬∃y(Kr(x,y) ∧ Kq(y)) — by
     // Theorem 7.1 it is equivalent under CWA to the plain w.
     let epi = parse("K q(x) & ~(exists y. K r(x, y) & K q(y))").unwrap();
-    let via_epi: Vec<String> = db
-        .closed()
+    let via_epi: Vec<String> = ClosedDb::new(db.prover())
         .answers(&epi)
         .iter()
         .map(|t| t[0].name())
@@ -131,7 +130,7 @@ fn relational_database_as_model() {
     let db =
         EpistemicDb::from_text("Emp(Mary, Sales)\nEmp(Sue, Eng)\nMgr(Sales, Ann)\nMgr(Eng, Bob)")
             .unwrap();
-    let closed = db.closed();
+    let closed = ClosedDb::new(db.prover());
     assert!(closed.satisfiable());
     assert_eq!(
         closed.world().len(),
@@ -172,7 +171,7 @@ proptest! {
         via_demo.sort();
         via_demo.dedup();
         let mut via_closure: Vec<String> =
-            db.closed().answers(&w).iter().map(|t| t[0].name()).collect();
+            ClosedDb::new(db.prover()).answers(&w).iter().map(|t| t[0].name()).collect();
         via_closure.sort();
         prop_assert_eq!(via_demo, via_closure, "on {:?} with query {}", src, w);
     }
@@ -189,7 +188,7 @@ proptest! {
         .unwrap();
         let m = modalize(&w).rename_apart();
         prop_assert!(epilog::syntax::is_subjective(&m));
-        prop_assert!(epilog::syntax::is_k1(&m));
+        prop_assert!(is_k1(&m));
         let prover = Prover::new(Theory::from_text("p(a)").unwrap());
         prop_assert!(demo(&prover, &m).is_ok(), "ℛ(w) admissible: {}", m);
     }

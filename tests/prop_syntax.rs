@@ -3,9 +3,10 @@
 //! model-theoretic oracle.
 
 use epilog::prelude::*;
+use epilog::semantics::flatten_k45;
 use epilog::semantics::ModelSet;
 use epilog::syntax::transform::{admissible_constraint, kernel};
-use epilog::syntax::{flatten_k45, nnf, Atom};
+use epilog::syntax::{nnf, Atom};
 use proptest::prelude::*;
 
 const PARAMS: [&str; 2] = ["a", "b"];
