@@ -244,7 +244,8 @@ impl EpistemicDb {
         self.prover.theory()
     }
 
-    /// The underlying prover (for advanced callers: `demo`, benches).
+    /// The underlying prover (for advanced callers: `demo`, the report,
+    /// the differential suites).
     pub fn prover(&self) -> &Prover {
         &self.prover
     }

@@ -7,7 +7,7 @@
 //!
 //! For constraints in the admissible `¬∃x̄ body` form this module
 //! implements the Nicolas-style specialization over a commit's exact
-//! [`ModelDiff`] — the atoms its new least model gained and lost, derived
+//! model diff — the atoms its new least model gained and lost, derived
 //! consequences included. Every atom of `body` is a pattern of one
 //! polarity: positive unless an odd number of `¬` sit above it (`K`, `∃`
 //! and `∧` keep the polarity, and so does `∨`, which the rewrite spells
@@ -222,13 +222,13 @@ impl Violation {
             .enumerate()
             .flat_map(move |(i, trigger)| {
                 let atoms = if i < added {
-                    &diff.added
+                    diff.added.as_slice()
                 } else {
-                    &diff.removed
+                    std::slice::from_ref(&diff.removed)
                 };
                 let tuples = atoms
-                    .relation(trigger.pred)
-                    .into_iter()
+                    .iter()
+                    .filter_map(|db| db.relation(trigger.pred))
                     .flat_map(|r| r.iter());
                 tuples.filter_map(move |t| self.seed(trigger, t))
             })
@@ -254,13 +254,37 @@ impl Violation {
     }
 }
 
-/// A commit's exact model diff, derived consequences included.
-#[derive(Debug, Clone, Default)]
-pub struct ModelDiff {
-    /// Atoms of the new least model the old one lacks.
-    pub added: Database,
+/// A commit's exact model diff, derived consequences included: what its
+/// fixpoints changed.
+#[derive(Debug)]
+pub(crate) struct ModelDiff {
+    /// Atoms of the new least model the old one lacks, as the insertion
+    /// fixpoint's rounds added them (pairwise disjoint).
+    pub(crate) added: Vec<Database>,
     /// Atoms of the old least model the new one lacks.
-    pub removed: Database,
+    pub(crate) removed: Database,
+}
+
+impl ModelDiff {
+    /// The diff of a commit whose deletion fixpoint removed `removed`
+    /// from the old model and whose insertion fixpoint then added
+    /// `added`. An atom the one removed and the other put back is in
+    /// both models, so it leaves both sides.
+    pub(crate) fn new(mut added: Vec<Database>, mut removed: Database) -> Self {
+        if !added.is_empty() && !removed.is_empty() {
+            let back: Vec<Atom> = removed
+                .atoms()
+                .filter(|a| added.iter().any(|round| round.contains(a)))
+                .collect();
+            for a in &back {
+                removed.remove(a);
+                for round in &mut added {
+                    round.remove(a);
+                }
+            }
+        }
+        ModelDiff { added, removed }
+    }
 }
 
 /// How the constraints of one update were verified — the per-phase
@@ -398,7 +422,7 @@ mod tests {
 
     fn diff(added: &[&str], removed: &[&str]) -> ModelDiff {
         ModelDiff {
-            added: added.iter().map(|a| ga(a)).collect(),
+            added: vec![added.iter().map(|a| ga(a)).collect()],
             removed: removed.iter().map(|a| ga(a)).collect(),
         }
     }

@@ -50,6 +50,6 @@ pub use db::{DbError, EpistemicDb, Rejection};
 pub use demo::{all_answers, demo, demo_sentence, DemoOutcome, DemoStream};
 pub use engine::{definite_model, definite_program, prover_for};
 pub use epilog_datalog::ProofTree;
-pub use incremental::{CheckStats, CompiledConstraint, ModelDiff};
+pub use incremental::{CheckStats, CompiledConstraint};
 pub use mvcc::{CommittedState, ReadHandle, StateCell};
 pub use transaction::{CommitReport, ModelUpdate, PreparedCommit, Transaction};

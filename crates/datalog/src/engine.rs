@@ -26,9 +26,10 @@
 //! fixpoint), [`Program::fixpoint`] (the full fixpoint with the naive
 //! reference selector), [`Program::grow`] and [`Program::shrink`] (resume
 //! the least model of a definite program after additions / retractions
-//! over caller-supplied plans). [`Program::why`] runs the semi-naive loop
-//! too, reading each round's delta through a crate-private hook.
-//! Everything runs on the calling thread.
+//! over caller-supplied plans, and hand back the tuples they added /
+//! removed). `grow` keeps each round's delta through a crate-private
+//! hook, and [`Program::why`], which runs the semi-naive loop too, reads
+//! each tuple's round through it. Everything runs on the calling thread.
 
 use crate::plan::RulePlan;
 use crate::program::Program;
@@ -36,9 +37,9 @@ use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, Tuple};
 use epilog_syntax::{Param, Pred};
 use std::collections::BTreeMap;
 
-/// Counters reported by an evaluation run (for the `f2_datalog`/
-/// `f6_scaling`/`f9_joins` benches and for tests asserting that
-/// semi-naive does strictly less work).
+/// Counters reported by an evaluation run (for the report's F6 and F9
+/// tables and for tests asserting that semi-naive does strictly less
+/// work).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Number of executed join plans: one per rule per naive round (and
@@ -122,7 +123,7 @@ impl Program {
     /// Compute the least model with an explicit strategy — semi-naive
     /// (`true`) or the **naive** rounds that re-derive everything each
     /// iteration (`false`): the reference the differential property suites
-    /// and the `f2`/`f6` benches compare [`Program::eval`] against.
+    /// and the report's F6 table compare [`Program::eval`] against.
     pub fn fixpoint(&self, seminaive: bool) -> (Database, EvalStats) {
         // Compile every rule exactly once; plans are reused each round.
         let plans: Vec<RulePlan> = self
@@ -163,17 +164,26 @@ impl Program {
     /// them with [`RulePlan::compile`] against `model`).
     /// Reports `plans_compiled == 0`: ground-atom commits recompile
     /// nothing.
+    ///
+    /// Third in the result are the tuples the fixpoint added — exactly
+    /// the new model less `model` — as its rounds' deltas, pairwise
+    /// disjoint, in the order the rounds ran: first the genuinely new
+    /// facts (empty when there are none), then one per round that derived
+    /// something new.
     pub fn grow(
         &self,
         plans: &[RulePlan],
         model: Database,
         new_facts: &Database,
-    ) -> (Database, EvalStats) {
+    ) -> (Database, EvalStats, Vec<Database>) {
         debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
         let mut stats = EvalStats::default();
         let mut ddb = DeltaDatabase::resume(model, new_facts);
-        seminaive_rounds(plans, &mut ddb, false, &mut stats, |_| {});
-        (ddb.into_total(), stats)
+        let mut added = vec![ddb.delta().clone()];
+        seminaive_rounds(plans, &mut ddb, false, &mut stats, |delta| {
+            added.push(delta.clone())
+        });
+        (ddb.into_total(), stats, added)
     }
 
     /// Shrink the least model after a retraction, without recomputing it
@@ -204,13 +214,15 @@ impl Program {
     ///    from them.
     ///
     /// The returned stats report `full_firings == 0` and
-    /// `plans_compiled == 0`.
+    /// `plans_compiled == 0`. Third in the result are the tuples the
+    /// retraction removed — exactly `model` less the new model: the
+    /// over-deleted set less what phase 4 put back.
     pub fn shrink(
         &self,
         plans: &[RulePlan],
         mut model: Database,
         removed_facts: &Database,
-    ) -> (Database, EvalStats) {
+    ) -> (Database, EvalStats, Database) {
         debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
         let mut stats = EvalStats::default();
 
@@ -222,7 +234,7 @@ impl Program {
         });
         let mut deleted = DeltaDatabase::new(Database::new());
         if deleted.advance(seed) == 0 {
-            return (model, stats);
+            return (model, stats, Database::new());
         }
         while !deleted.delta().is_empty() {
             stats.iterations += 1;
@@ -283,13 +295,17 @@ impl Program {
         let mut ddb = DeltaDatabase::new(model);
         ddb.advance(seeds);
         seminaive_rounds(plans, &mut ddb, false, &mut stats, |_| {});
+        // Each over-deleted tuple is either back or gone for good.
         let mut db = ddb.into_total();
-        stats.tuples_rederived = deleted
-            .relations()
-            .map(|(pred, rel)| rel.iter().filter(|t| db.contains_tuple(pred, t)).count() as u64)
-            .sum();
+        let mut removed = Database::new();
+        for (pred, rel) in deleted.relations() {
+            let gone = rel.iter().filter(|t| !db.contains_tuple(pred, t));
+            let gone = removed.relation_mut(pred).insert_ascending(gone.cloned());
+            stats.tuples_rederived += (rel.len() - gone.len()) as u64;
+        }
         db.prune_empty();
-        (db, stats)
+        removed.prune_empty();
+        (db, stats, removed)
     }
 }
 
@@ -536,7 +552,7 @@ mod tests {
             for i in old..old + added {
                 new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
             }
-            let (inc, stats) = after.grow(&plans_for(&after, &model), model, &new_facts);
+            let (inc, stats, _) = after.grow(&plans_for(&after, &model), model, &new_facts);
             let (scratch, _) = after.eval();
             assert_eq!(inc, scratch, "resume diverged for chain({old})+{added}");
             assert_eq!(
@@ -553,8 +569,9 @@ mod tests {
         let (model, _) = p.eval();
         let mut dup = epilog_storage::Database::new();
         dup.insert(&atom("e(n0, n1)"));
-        let (inc, stats) = p.grow(&plans_for(&p, &model), model.clone(), &dup);
+        let (inc, stats, added) = p.grow(&plans_for(&p, &model), model.clone(), &dup);
         assert_eq!(inc, model);
+        assert!(added.iter().all(Database::is_empty), "nothing was added");
         assert_eq!(stats.rule_firings, 0, "empty delta fires nothing");
         assert_eq!(stats.full_firings, 0);
     }
@@ -623,7 +640,7 @@ mod tests {
             new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
         }
         let plans = plans_for(&after, &model);
-        let (cached, cached_stats) = after.grow(&plans, model, &new_facts);
+        let (cached, cached_stats, _) = after.grow(&plans, model, &new_facts);
         let (scratch, scratch_stats) = after.eval();
         assert_eq!(cached, scratch);
         assert_eq!(
@@ -651,7 +668,7 @@ mod tests {
             src.push_str("forall x, y. e(x, y) -> t(x, y)\n");
             src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
             let after = Program::from_text(&src).unwrap();
-            let (dec, stats) = after.shrink(&plans_for(&after, &model), model, &removed);
+            let (dec, stats, _) = after.shrink(&plans_for(&after, &model), model, &removed);
             let (scratch, _) = after.eval();
             assert_eq!(dec, scratch, "DRed diverged for chain({n}) - edge {cut}");
             assert_eq!(stats.full_firings, 0, "DRed must never run a full plan");
@@ -683,7 +700,7 @@ mod tests {
              forall x, y, z. e(x, y) & t(y, z) -> t(x, z)",
         )
         .unwrap();
-        let (dec, stats) = after.shrink(&plans_for(&after, &model), model, &removed);
+        let (dec, stats, _) = after.shrink(&plans_for(&after, &model), model, &removed);
         let (scratch, _) = after.eval();
         assert_eq!(dec, scratch);
         assert!(dec.contains(&atom("t(a, b)")), "e2 still supports t(a, b)");
@@ -706,10 +723,14 @@ mod tests {
         let mut removed = epilog_storage::Database::new();
         removed.insert(&atom("f(a)"));
         let after = Program::from_text(&format!("g(a)\n{rules}")).unwrap();
-        let (dec, stats) = after.shrink(&plans_for(&after, &model), model, &removed);
+        let (dec, stats, gone) = after.shrink(&plans_for(&after, &model), model, &removed);
         let (scratch, _) = after.eval();
         assert_eq!(dec, scratch);
         assert_eq!(stats.tuples_overdeleted, 3, "f(a), self(a, a), tag(a, c0)");
+        assert_eq!(
+            gone,
+            [atom("f(a)"), atom("tag(a, c0)")].into_iter().collect()
+        );
         // self(a, a): the f-rule's probe fails, the g-rule's re-derives it;
         // tag(a, c0): the f-rule's probe fails, the g-rule's head says c1
         // and is refused before any probe.
@@ -738,7 +759,7 @@ mod tests {
              forall x, y. e(x, y) -> t(x, y)",
         )
         .unwrap();
-        let (dec, _) = after.shrink(&plans_for(&after, &model), model, &removed);
+        let (dec, _, _) = after.shrink(&plans_for(&after, &model), model, &removed);
         let (scratch, _) = after.eval();
         assert_eq!(dec, scratch);
         assert!(dec.contains(&atom("t(a, b)")));
@@ -751,8 +772,9 @@ mod tests {
         let (model, _) = p.eval();
         let mut removed = epilog_storage::Database::new();
         removed.insert(&atom("e(n9, n10)"));
-        let (dec, stats) = p.shrink(&plans_for(&p, &model), model.clone(), &removed);
+        let (dec, stats, gone) = p.shrink(&plans_for(&p, &model), model.clone(), &removed);
         assert_eq!(dec, model);
+        assert!(gone.is_empty());
         assert_eq!(stats.rule_firings, 0, "empty seed deletes nothing");
         assert_eq!(stats.tuples_overdeleted, 0);
     }
@@ -771,7 +793,7 @@ mod tests {
         src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
         let after = Program::from_text(&src).unwrap();
         let plans = plans_for(&after, &model);
-        let (cached, cached_stats) = after.shrink(&plans, model, &removed);
+        let (cached, cached_stats, _) = after.shrink(&plans, model, &removed);
         let (scratch, scratch_stats) = after.eval();
         assert_eq!(cached, scratch);
         assert_eq!(

@@ -17,7 +17,7 @@
 //! * the least-model fixpoint — one semi-naive loop on the calling thread
 //!   behind four entry points: [`Program::eval`], [`Program::fixpoint`]
 //!   (which also selects the naive rounds the differential suites and the
-//!   `f2_datalog` / `f6_scaling` benches use as the reference),
+//!   report's F6 table use as the reference),
 //!   [`Program::grow`] and [`Program::shrink`] (resume the least model
 //!   after additions / retractions);
 //! * provenance on demand — [`Program::why`] runs one semi-naive

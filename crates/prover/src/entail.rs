@@ -7,13 +7,13 @@
 //! grounded once per prover and kept (`ground::Grounding`); a goal is decided
 //! against what was kept. See the crate docs for the exactness discussion.
 
-use crate::ground::{GroundContext, Grounding, Renaming, Verdict};
+use crate::ground::{ground_atom_free, Grounding, Renaming, Verdict};
 use epilog_sat::Prop;
 use epilog_storage::Database;
 use epilog_syntax::{is_first_order, transform, Formula, Param, Theory};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Maximum number of fresh witness parameters appended to the active
 /// domain. Existentials that are not nested under universals need one
@@ -39,7 +39,10 @@ const WITNESS_CAP: usize = 3;
 /// run; the kept solver's own lock is held for exactly one run, so goals
 /// the model does not refute queue on it per grounding, and the lock over
 /// the kept groundings is held while one is built — every goal behind it
-/// needs that grounding or one as costly.
+/// needs that grounding or one as costly. A panic poisons none of it for
+/// good: a grounding whose run panicked is dropped and built afresh for
+/// the next goal that needs it, and a memo or groundings map whose lock a
+/// panic poisoned is emptied and used.
 pub struct Prover {
     theory: Theory,
     witnesses: Vec<Param>,
@@ -65,7 +68,7 @@ impl Clone for Prover {
         Prover {
             theory: self.theory.clone(),
             witnesses: self.witnesses.clone(),
-            memo: Mutex::new(self.memo.lock().unwrap().clone()),
+            memo: Mutex::new(lock_cleared(&self.memo).clone()),
             atom_model: self.atom_model.clone(),
             sat_calls: AtomicU64::new(self.sat_calls.load(Ordering::Relaxed)),
             refuted: AtomicU64::new(self.refuted.load(Ordering::Relaxed)),
@@ -214,10 +217,7 @@ impl Prover {
     /// `Σ` grounded over active domain ∪ `foreign` placeholders ∪
     /// witnesses: built, solved once and kept on first request.
     fn grounding(&self, foreign: usize) -> Arc<Grounding> {
-        let mut kept = self
-            .groundings
-            .lock()
-            .expect("building a grounding panicked");
+        let mut kept = lock_cleared(&self.groundings);
         if let Some(grounding) = kept.get(&foreign) {
             return Arc::clone(grounding);
         }
@@ -243,12 +243,6 @@ impl Prover {
     /// was solved for its model.
     pub fn satisfiable(&self) -> bool {
         self.atom_model.is_some() || self.grounding(0).satisfiable()
-    }
-
-    /// Whether `Σ ∧ g` is satisfiable (the consistency reading of
-    /// integrity constraints, Definition 3.1).
-    pub fn consistent_with(&self, g: &Formula) -> bool {
-        !self.entails(&Formula::not(g.clone()))
     }
 
     /// Decide `Σ ⊨_FOPCE g` for a FOPCE sentence `g`.
@@ -301,7 +295,7 @@ impl Prover {
         if let Some(truth) = equalities_value(g) {
             return truth || !self.satisfiable();
         }
-        if let Some(&cached) = self.memo.lock().unwrap().get(g) {
+        if let Some(&cached) = lock_cleared(&self.memo).get(g) {
             return cached;
         }
         let (grounding, rename) = self.grounding_for(g);
@@ -313,15 +307,21 @@ impl Prover {
             Verdict::Evident => true,
             Verdict::Solved(result) => {
                 self.sat_calls.fetch_add(1, Ordering::Relaxed);
-                self.memo.lock().unwrap().insert(g.clone(), result);
+                lock_cleared(&self.memo).insert(g.clone(), result);
                 result
+            }
+            // Every clone shares the kept groundings: drop this one for
+            // them all, and ask again over one built afresh.
+            Verdict::Poisoned => {
+                lock_cleared(&self.groundings).retain(|_, kept| !Arc::ptr_eq(kept, &grounding));
+                self.entails(g)
             }
         }
     }
 
     /// Number of memoized entailment results (diagnostics).
     pub fn memo_len(&self) -> usize {
-        self.memo.lock().unwrap().len()
+        lock_cleared(&self.memo).len()
     }
 
     /// Number of solver runs so far — the one that finds the model of a
@@ -334,6 +334,17 @@ impl Prover {
     pub fn refuted(&self) -> u64 {
         self.refuted.load(Ordering::Relaxed)
     }
+}
+
+/// Lock `m`. A lock that a panic poisoned is emptied first — the panic
+/// may have left what it guards half-written — and then taken as is.
+fn lock_cleared<T: Default>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| {
+        m.clear_poison();
+        let mut guard = poisoned.into_inner();
+        *guard = T::default();
+        guard
+    })
 }
 
 /// `k` parameters to stand in a universe for goal parameters `Σ` does not
@@ -373,7 +384,7 @@ fn equalities_value(g: &Formula) -> Option<bool> {
     }
     // Grounding decides `p = q` on the spot and folds constants, so with
     // no atom to stand for a variable the whole goal folds to one.
-    match GroundContext::new(Vec::new()).ground(g) {
+    match ground_atom_free(g) {
         Prop::True => Some(true),
         Prop::False => Some(false),
         other => unreachable!("an atom-free grounding folds to a constant, got {other:?}"),
@@ -393,6 +404,7 @@ fn count_existentials(w: &Formula) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ground::tests::{panic_in_next_run, GroundContext};
     use epilog_syntax::parse;
 
     impl Prover {
@@ -426,7 +438,7 @@ mod tests {
 
         /// How many groundings of `Σ` this prover and its clones keep.
         pub(crate) fn groundings_kept(&self) -> usize {
-            self.groundings.lock().unwrap().len()
+            lock_cleared(&self.groundings).len()
         }
     }
 
@@ -525,7 +537,10 @@ mod tests {
         // ∀x (emp(x) ⊃ ∃y ss(x,y)) — the failure of Definition 3.1.
         let p = Prover::new(Theory::from_text("emp(Mary)").unwrap());
         let ic = parse("forall x. emp(x) -> exists y. ss(x, y)").unwrap();
-        assert!(p.consistent_with(&ic));
+        assert!(
+            !p.entails(&Formula::not(ic.clone())),
+            "DB + IC is satisfiable"
+        );
         // But DB does not entail it — the failure mode of Definition 3.2
         // is on the empty database below.
         assert!(!p.entails(&ic));
@@ -534,6 +549,42 @@ mod tests {
             !empty.entails(&ic),
             "even the empty DB fails the entailment reading"
         );
+    }
+
+    #[test]
+    fn a_panicked_solver_run_is_rebuilt_around() {
+        let p = teach();
+        let clone = p.clone();
+        // Two goals `Σ` states outright: its model cannot refute them,
+        // so each takes a solver run.
+        let goals = [
+            "Teach(Mary, Psych) | Teach(Sue, Psych)",
+            "exists x. Teach(x, CS)",
+        ];
+        panic_in_next_run();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            entails(&p, "exists x. Teach(x, Psych)")
+        }));
+        assert!(run.is_err(), "the injected panic left the run");
+        let fresh = teach();
+        for goal in goals {
+            assert_eq!(entails(&p, goal), entails(&fresh, goal), "{goal}");
+        }
+        // The clone shares the replacement, not the poisoned grounding.
+        assert!(entails(&clone, "exists x. Teach(x, Psych)"));
+        assert_eq!(
+            p.groundings_kept(),
+            1,
+            "the poisoned grounding was replaced"
+        );
+        // A panic under the memo's lock empties the memo, and no more.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _memo = p.memo.lock().unwrap();
+            panic!("poisons the memo");
+        }));
+        assert_eq!(p.memo_len(), 0);
+        assert!(entails(&p, goals[0]));
+        assert_eq!(p.memo_len(), 1);
     }
 
     #[test]
@@ -824,10 +875,11 @@ mod tests {
                             "goal {} (#{}) over {:?}", goal, i, p.theory().sentences()
                         );
                         prop_assert_eq!(p.entails(&goal), expected, "asked again: {}", goal);
+                        let negated = Formula::not(goal.clone());
                         prop_assert_eq!(
-                            p.consistent_with(&goal),
-                            !p.entails_from_scratch(&Formula::not(goal.clone())),
-                            "consistency of {}", goal
+                            p.entails(&negated),
+                            p.entails_from_scratch(&negated),
+                            "negation of {}", goal
                         );
                     }
                     prop_assert!(p.groundings_kept() <= 10, "goal_param has nine names");

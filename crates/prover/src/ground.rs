@@ -1,10 +1,10 @@
 //! Grounding FOPCE sentences over a finite universe.
 //!
-//! A [`GroundContext`] fixes the universe (a finite list of parameters) and
-//! assigns propositional variables to ground atoms on demand. Grounding a
-//! sentence walks its NNF, expanding `∀`/`∃` over the universe and mapping
-//! equality atoms directly to constants — FOPCE's parameters are pairwise
-//! distinct, so `p = q` is decided syntactically.
+//! Grounding a sentence walks its NNF, expanding `∀`/`∃` over a finite
+//! universe (a list of parameters), numbering its ground atoms as
+//! propositional variables and mapping equality atoms directly to
+//! constants — FOPCE's parameters are pairwise distinct, so `p = q` is
+//! decided syntactically.
 //!
 //! A `Grounding` (crate-private) is what a prover keeps of `Σ` grounded
 //! once: the registry, frozen; one model; and the solver holding the
@@ -16,57 +16,6 @@ use epilog_syntax::formula::{Atom, Formula};
 use epilog_syntax::{Param, Pred, Term, Theory, Var};
 use std::collections::HashMap;
 use std::sync::Mutex;
-
-/// Shared grounding state: the universe and the atom→variable registry.
-#[derive(Debug, Clone, Default)]
-pub struct GroundContext {
-    universe: Vec<Param>,
-    vars: HashMap<Atom, u32>,
-}
-
-impl GroundContext {
-    /// A context over the given duplicate-free universe.
-    pub fn new(universe: Vec<Param>) -> Self {
-        debug_assert!(
-            {
-                let mut sorted = universe.clone();
-                sorted.sort_unstable();
-                sorted.windows(2).all(|w| w[0] != w[1])
-            },
-            "a universe lists each parameter once: {universe:?}"
-        );
-        GroundContext {
-            universe,
-            vars: HashMap::new(),
-        }
-    }
-
-    /// The universe parameters, in enumeration order.
-    pub fn universe(&self) -> &[Param] {
-        &self.universe
-    }
-
-    /// Number of registered atoms (== number of propositional variables).
-    pub(crate) fn num_atoms(&self) -> u32 {
-        self.vars.len() as u32
-    }
-
-    /// Ground a FOPCE sentence into a propositional formula, expanding
-    /// quantifiers over the universe and registering its atoms.
-    ///
-    /// # Panics
-    /// Panics on modal formulas or formulas with free variables (bind them
-    /// first).
-    pub fn ground(&mut self, w: &Formula) -> Prop {
-        let vars = &mut self.vars;
-        Walk {
-            universe: &self.universe,
-            rename: &Renaming::default(),
-            var_of: |atom| register(vars, atom),
-        }
-        .go(w, &mut HashMap::new())
-    }
-}
 
 /// A one-to-one renaming of a few parameters, the identity on the rest.
 #[derive(Debug, Default)]
@@ -91,6 +40,18 @@ impl Renaming {
 fn register(vars: &mut HashMap<Atom, u32>, atom: Atom) -> u32 {
     let next = u32::try_from(vars.len()).expect("atom registry overflow");
     *vars.entry(atom).or_insert(next)
+}
+
+/// Ground `w`, which mentions no atom, over the empty universe: its
+/// equalities are decided on the spot and folded, so a sentence without
+/// quantifiers grounds to a constant.
+pub(crate) fn ground_atom_free(w: &Formula) -> Prop {
+    Walk {
+        universe: &[],
+        rename: &Renaming::default(),
+        var_of: |atom: Atom| -> u32 { unreachable!("{atom} in an atom-free sentence") },
+    }
+    .go(w, &mut HashMap::new())
 }
 
 /// One grounding walk: the universe quantifiers expand over, the renaming
@@ -192,10 +153,10 @@ struct Rows {
 }
 
 impl Registry {
-    fn freeze(ctx: GroundContext) -> (Vec<Param>, Registry) {
-        let atoms = ctx.num_atoms();
+    fn freeze(vars: HashMap<Atom, u32>) -> Registry {
+        let atoms = vars.len() as u32;
         let mut grouped: HashMap<Pred, Vec<(Atom, u32)>> = HashMap::new();
-        for (atom, v) in ctx.vars {
+        for (atom, v) in vars {
             grouped.entry(atom.pred).or_default().push((atom, v));
         }
         let by_pred = grouped
@@ -210,7 +171,7 @@ impl Registry {
                 (pred, Rows { args, vars })
             })
             .collect();
-        (ctx.universe, Registry { by_pred, atoms })
+        Registry { by_pred, atoms }
     }
 
     /// `pred`'s registered argument rows with their variables, ascending.
@@ -271,6 +232,9 @@ pub(crate) enum Verdict {
     Evident,
     /// Entailed or not, by one solver run.
     Solved(bool),
+    /// Not decided: a run on this grounding panicked and left its solver
+    /// mid-search, so the goal needs a grounding built afresh.
+    Poisoned,
 }
 
 impl Grounding {
@@ -278,23 +242,32 @@ impl Grounding {
     /// among its members — run Tseitin, build the one solver and solve it
     /// once for the model.
     pub(crate) fn build(theory: &Theory, universe: Vec<Param>, placeholders: Vec<Param>) -> Self {
-        let mut ctx = GroundContext::new(universe);
-        let roots: Vec<Prop> = theory.sentences().iter().map(|s| ctx.ground(s)).collect();
+        let mut vars = HashMap::new();
+        let mut walk = Walk {
+            universe: &universe,
+            rename: &Renaming::default(),
+            var_of: |atom| register(&mut vars, atom),
+        };
+        let roots: Vec<Prop> = theory
+            .sentences()
+            .iter()
+            .map(|s| walk.go(s, &mut HashMap::new()))
+            .collect();
+        let registry = Registry::freeze(vars);
         // Atom variables come first, then Tseitin auxiliaries.
         let mut cnf = Cnf::new();
-        cnf.reserve_vars(ctx.num_atoms());
+        cnf.reserve_vars(registry.atoms);
         for p in &roots {
             constrain(p, &mut cnf);
         }
         let mut solver = Solver::new(&cnf);
         let model = match solver.solve() {
             SatResult::Sat(mut values) => {
-                values.truncate(ctx.num_atoms() as usize);
+                values.truncate(registry.atoms as usize);
                 Some(values)
             }
             SatResult::Unsat => None,
         };
-        let (universe, registry) = Registry::freeze(ctx);
         Grounding {
             universe,
             registry,
@@ -362,7 +335,10 @@ impl Grounding {
         if prop == Prop::True {
             return Verdict::Evident;
         }
-        let mut solver = self.solver.lock().expect("a solver run panicked");
+        // A run that panicked left its assumptions and trail in place.
+        let Ok(mut solver) = self.solver.lock() else {
+            return Verdict::Poisoned;
+        };
         if unregistered > 0 {
             // The numbers past the registry are taken by auxiliaries in
             // the solver: number the unregistered atoms past those.
@@ -387,14 +363,85 @@ impl Grounding {
         for c in defs.clauses() {
             solver.add_clause(c);
         }
+        inside_solver_run();
         Verdict::Solved(solver.solve_with(&assumptions) == SatResult::Unsat)
     }
 }
 
+/// Called with a kept solver's lock held, as its run starts: a no-op in
+/// every build but this crate's tests, which make it panic there.
+#[cfg(not(test))]
+fn inside_solver_run() {}
+
 #[cfg(test)]
-mod tests {
+use tests::inside_solver_run;
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use epilog_syntax::parse;
+    use std::cell::Cell;
+
+    thread_local! {
+        static PANIC_IN_RUN: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Make the next solver run on this thread panic with its lock held.
+    pub(crate) fn panic_in_next_run() {
+        PANIC_IN_RUN.set(true);
+    }
+
+    pub(super) fn inside_solver_run() {
+        if PANIC_IN_RUN.take() {
+            panic!("a solver run panicked (injected)");
+        }
+    }
+
+    /// `Σ ∧ ¬g` grounded in one piece over one universe, every atom
+    /// registered: the from-scratch pipeline the kept grounding is checked
+    /// against, and the walk's own tests.
+    #[derive(Debug, Default)]
+    pub(crate) struct GroundContext {
+        universe: Vec<Param>,
+        vars: HashMap<Atom, u32>,
+    }
+
+    impl GroundContext {
+        /// A context over the given duplicate-free universe.
+        pub(crate) fn new(universe: Vec<Param>) -> Self {
+            let mut sorted = universe.clone();
+            sorted.sort_unstable();
+            assert!(
+                sorted.windows(2).all(|w| w[0] != w[1]),
+                "a universe lists each parameter once: {universe:?}"
+            );
+            GroundContext {
+                universe,
+                vars: HashMap::new(),
+            }
+        }
+
+        /// Number of registered atoms (== number of propositional
+        /// variables).
+        pub(crate) fn num_atoms(&self) -> u32 {
+            self.vars.len() as u32
+        }
+
+        /// Ground a FOPCE sentence, expanding quantifiers over the
+        /// universe and registering its atoms.
+        ///
+        /// # Panics
+        /// Panics on modal formulas or formulas with free variables.
+        pub(crate) fn ground(&mut self, w: &Formula) -> Prop {
+            let vars = &mut self.vars;
+            Walk {
+                universe: &self.universe,
+                rename: &Renaming::default(),
+                var_of: |atom| register(vars, atom),
+            }
+            .go(w, &mut HashMap::new())
+        }
+    }
 
     impl Grounding {
         /// Variables and stored clauses of the kept solver (diagnostics).

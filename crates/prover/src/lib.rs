@@ -94,4 +94,3 @@ mod testgen;
 
 pub use answers::AnswerIter;
 pub use entail::Prover;
-pub use ground::GroundContext;

@@ -23,11 +23,17 @@ pub fn minimal_worlds(ms: &ModelSet) -> ModelSet {
         .filter(|w| {
             !worlds
                 .iter()
-                .any(|other| other.subset_of(w) && !w.subset_of(other))
+                .any(|other| subset_of(other, w) && !subset_of(w, other))
         })
         .cloned()
         .collect();
     ModelSet::from_worlds(minimal, ms.universe().to_vec())
+}
+
+/// Whether `a ⊆ b` as sets of atoms.
+fn subset_of(a: &Database, b: &Database) -> bool {
+    a.relations()
+        .all(|(pred, rel)| rel.iter().all(|t| b.contains_tuple(pred, t)))
 }
 
 /// The GCWA negations: `¬π` for every ground atom `π` of `base` that is
@@ -52,6 +58,22 @@ mod tests {
         let theory = Theory::from_text("p | q").unwrap();
         let preds = vec![Pred::new("p", 0), Pred::new("q", 0)];
         ModelSet::models(&theory, &[Param::new("c")], &preds)
+    }
+
+    #[test]
+    fn subset() {
+        let atom = |src: &str| match parse(src).unwrap() {
+            Formula::Atom(a) => a,
+            other => panic!("not an atom: {other}"),
+        };
+        let mut small = Database::new();
+        small.insert(&atom("p(a)"));
+        let mut big = small.clone();
+        big.insert(&atom("p(b)"));
+        assert!(subset_of(&small, &big));
+        assert!(!subset_of(&big, &small));
+        small.insert(&atom("p(b)"));
+        assert!(subset_of(&big, &small));
     }
 
     #[test]

@@ -310,7 +310,7 @@ mod tests {
         let closure_prover = Prover::new(closure);
         let entailed = closure_prover.entails(&ic);
         // Consistency reading.
-        let consistent = closure_prover.consistent_with(&ic);
+        let consistent = crate::consistent_with(&closure_prover, &ic);
         assert_eq!(entailed, consistent, "Theorem 7.2");
         // Both equal truth in the closure's unique model.
         assert_eq!(c.ask(&ic) == Answer::Yes, entailed);

@@ -72,6 +72,12 @@ impl fmt::Display for IcReport {
     }
 }
 
+/// Whether `Σ ∧ g` is satisfiable, `Σ` being `prover`'s theory: the
+/// consistency reading of integrity constraints (Definition 3.1).
+pub fn consistent_with(prover: &Prover, g: &Formula) -> bool {
+    !prover.entails(&Formula::not(g.clone()))
+}
+
 /// Evaluate constraint satisfaction under a chosen definition.
 ///
 /// For [`IcDefinition::Epistemic`], `ic` may be any KFOPCE sentence and
@@ -102,7 +108,7 @@ pub fn ic_satisfaction(prover: &Prover, ic: &Formula, def: IcDefinition) -> IcRe
             if !is_first_order(ic) {
                 return IcReport::Inapplicable;
             }
-            verdict(prover.consistent_with(ic))
+            verdict(consistent_with(prover, ic))
         }
         IcDefinition::Entailment => {
             if !is_first_order(ic) {
@@ -118,7 +124,7 @@ pub fn ic_satisfaction(prover: &Prover, ic: &Formula, def: IcDefinition) -> IcRe
                 return IcReport::Inapplicable;
             };
             match def {
-                IcDefinition::CompConsistency => verdict(comp_prover.consistent_with(ic)),
+                IcDefinition::CompConsistency => verdict(consistent_with(&comp_prover, ic)),
                 _ => verdict(comp_prover.entails(ic)),
             }
         }

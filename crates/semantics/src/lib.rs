@@ -94,7 +94,7 @@ pub use circumscription::{gcwa_negations, minimal_worlds};
 pub use classify::{disjunctively_linked, is_k1, is_normal_query, is_positive_existential};
 pub use closure::ClosedDb;
 pub use completion::completion;
-pub use constraints::{ic_satisfaction, IcDefinition, IcReport};
+pub use constraints::{consistent_with, ic_satisfaction, IcDefinition, IcReport};
 pub use instances::{admissible_wrt_f_sigma, instances, theorem_62_applies};
 pub use optimize::{eliminate_redundant_conjuncts, valid_kfopce};
 pub use oracle::ModelSet;

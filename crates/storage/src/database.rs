@@ -130,41 +130,6 @@ impl Database {
     pub fn params(&self) -> BTreeSet<Param> {
         self.relations.values().flat_map(Relation::params).collect()
     }
-
-    /// The set difference `self ∖ other` as a fresh database: every
-    /// tuple stored here that `other` does not contain.
-    ///
-    /// Cost: per relation, a merge walk over the two run lists that
-    /// skips every run both sides share by pointer comparison. When one
-    /// database is a clone of the other a few edits on — the old and new
-    /// model of a commit — that is `O(runs + touched runs × run length)`,
-    /// the exact model delta of a retraction without one look-up per
-    /// stored tuple. Unrelated databases cost one comparison per tuple.
-    /// The walk yields each relation's survivors in order, so they are
-    /// cut into full runs (`Relation::from_ascending`) without a search.
-    pub fn difference(&self, other: &Database) -> Database {
-        let mut out = Database::new();
-        for (pred, rel) in &self.relations {
-            let left = match other.relations.get(pred) {
-                Some(theirs) => rel.difference(theirs),
-                None => rel.iter().collect(),
-            };
-            if !left.is_empty() {
-                let left = left.into_iter().cloned().collect();
-                out.relations
-                    .insert(*pred, Relation::from_ascending(rel.arity(), left));
-            }
-        }
-        out
-    }
-
-    /// Whether `self ⊆ other` as sets of atoms.
-    pub fn subset_of(&self, other: &Database) -> bool {
-        self.relations.iter().all(|(pred, rel)| {
-            rel.iter()
-                .all(|t| other.relations.get(pred).is_some_and(|o| o.contains(t)))
-        })
-    }
 }
 
 /// If ground, the atom's parameter tuple — [`Atom::param_tuple`] without
@@ -187,7 +152,6 @@ impl FromIterator<Atom> for Database {
 mod tests {
     use super::*;
     use epilog_syntax::parse;
-    use proptest::prelude::*;
 
     fn ga(src: &str) -> Atom {
         match parse(src).unwrap() {
@@ -235,93 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn subset() {
-        let mut small = Database::new();
-        small.insert(&ga("p(a)"));
-        let mut big = small.clone();
-        big.insert(&ga("p(b)"));
-        assert!(small.subset_of(&big));
-        assert!(!big.subset_of(&small));
-        small.insert(&ga("p(b)"));
-        assert!(big.subset_of(&small));
-    }
-
-    #[test]
-    fn difference_and_remove_tuple() {
+    fn remove_tuple_reports_presence() {
         let mut a = Database::new();
         a.insert(&ga("p(a)"));
-        a.insert(&ga("p(b)"));
-        a.insert(&ga("q(a, b)"));
-        let mut b = Database::new();
-        b.insert(&ga("p(b)"));
-        let diff = a.difference(&b);
-        assert_eq!(diff.len(), 2);
-        assert!(diff.contains(&ga("p(a)")));
-        assert!(diff.contains(&ga("q(a, b)")));
-        assert!(!diff.contains(&ga("p(b)")));
         let t = vec![Param::new("a")];
         assert!(a.remove_tuple(Pred::new("p", 1), &t));
         assert!(!a.remove_tuple(Pred::new("p", 1), &t));
         assert!(!a.remove_tuple(Pred::new("missing", 1), &t));
-    }
-
-    /// `a ∖ b` by the definition: one look-up in `b` per tuple of `a`.
-    fn naive_difference(a: &Database, b: &Database) -> Database {
-        let mut out = Database::new();
-        for (pred, rel) in a.relations() {
-            for t in rel.iter().filter(|t| !b.contains_tuple(pred, t)) {
-                out.insert_tuple(pred, t.clone());
-            }
-        }
-        out
-    }
-
-    type Edit = (bool, u8, u16, u16);
-
-    fn apply(db: &mut Database, edits: &[Edit]) {
-        for &(insert, pred, a, b) in edits {
-            let pred = Pred::new(["dp", "dq", "dr"][pred as usize], 2);
-            let t = Tuple::from(vec![
-                Param::new(&format!("d{a}")),
-                Param::new(&format!("d{b}")),
-            ]);
-            if insert {
-                db.insert_tuple(pred, t);
-            } else {
-                db.remove_tuple(pred, &t);
-            }
-        }
-    }
-
-    proptest! {
-        /// The run-walking difference equals the per-tuple definition,
-        /// on databases that share runs (clones of one base a few edits
-        /// apart, the commit shape) and on ones that share nothing.
-        #[test]
-        fn difference_matches_the_per_tuple_definition(
-            base in proptest::collection::vec((Just(true), 0u8..2, 0u16..60, 0u16..60), 0..1500),
-            left in proptest::collection::vec((any_bool(), 0u8..3, 0u16..60, 0u16..60), 0..30),
-            right in proptest::collection::vec((any_bool(), 0u8..3, 0u16..60, 0u16..60), 0..30),
-            other in proptest::collection::vec((Just(true), 0u8..3, 0u16..60, 0u16..60), 0..300),
-        ) {
-            let mut shared = Database::new();
-            apply(&mut shared, &base);
-            let (mut a, mut b) = (shared.clone(), shared.clone());
-            apply(&mut a, &left);
-            apply(&mut b, &right);
-            let mut unrelated = Database::new();
-            apply(&mut unrelated, &other);
-            let all = [shared, a, b, unrelated, Database::new()];
-            for x in &all {
-                for y in &all {
-                    prop_assert_eq!(x.difference(y), naive_difference(x, y));
-                }
-            }
-        }
-    }
-
-    fn any_bool() -> impl Strategy<Value = bool> {
-        (0u8..2).prop_map(|b| b == 1)
     }
 
     #[test]

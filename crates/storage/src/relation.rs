@@ -59,7 +59,7 @@ type Index = RunSet<(Param, Tuple)>;
 ///   sorted once, through a cursor of its own. Run copies and splits are
 ///   those of one insert after another.
 /// * **bulk construction** (`Relation::from_ascending`, a round's
-///   delta, a model difference) — the sorted tuples are cut into full
+///   delta) — the sorted tuples are cut into full
 ///   runs: one move and one arity check per tuple, no search, no index.
 /// * **probe** ([`Relation::select`] binding some columns) — the first
 ///   bound column's key is sought with one two-level binary search, in
@@ -319,13 +319,6 @@ impl Relation {
         t.iter()
             .zip(pattern)
             .all(|(v, p)| p.is_none_or(|q| q == *v))
-    }
-
-    /// The tuples stored here that `other` does not hold, in order. Runs
-    /// the two relations still share (one is a clone of the other, a few
-    /// edits apart) are stepped over without being read.
-    pub(crate) fn difference<'a>(&'a self, other: &Relation) -> Vec<&'a Tuple> {
-        self.tuples.difference(&other.tuples)
     }
 
     /// The set of parameters appearing anywhere in the relation.

@@ -32,16 +32,12 @@
 //!   the run. Items a few runs apart cost a comparison or two to place
 //!   instead of a search over the whole run list; the copy-on-write,
 //!   split and append rules are those of a single insert.
-//! * **bulk construction** from ascending items (a delta, a difference,
-//!   a fresh index): cut into full runs, one move per item, no
+//! * **bulk construction** from ascending items (a delta, a fresh
+//!   index): cut into full runs, one move per item, no
 //!   comparison.
 //! * **contains / range start** — the two binary searches, no copy.
 //! * **iteration** — run after run, item after item: exactly the order
 //!   a `BTreeSet` would produce.
-//! * **difference** — a merge walk over both run lists that skips, in
-//!   one pointer comparison, every run the two sets still share
-//!   (`Arc::ptr_eq`): after a clone and a `k`-item edit the walk costs
-//!   `O(n / RUN_LEN + k · RUN_LEN)`, not `n` look-ups.
 //!
 //! Two levels are enough at every size a workload in this repository
 //! reaches: at 148 500 tuples (the largest closure the tests build) a set
@@ -272,44 +268,6 @@ impl<T: Ord + Clone> RunSet<T> {
         };
         Iter { runs, cur }
     }
-
-    /// The items of `self` that `other` does not hold, ascending: a
-    /// merge walk that steps over every run both sets share without
-    /// looking inside it.
-    pub(crate) fn difference<'a>(&'a self, other: &RunSet<T>) -> Vec<&'a T> {
-        let mut out = Vec::new();
-        let (mut i, mut a) = (0, 0); // run and offset in `self`
-        let (mut j, mut b) = (0, 0); // run and offset in `other`
-        while let Some(ours) = self.runs.get(i) {
-            let Some(theirs) = other.runs.get(j) else {
-                out.extend(&ours[a..]);
-                (i, a) = (i + 1, 0);
-                continue;
-            };
-            if a == 0 && b == 0 && Arc::ptr_eq(ours, theirs) {
-                (i, j) = (i + 1, j + 1);
-                continue;
-            }
-            match ours[a].cmp(&theirs[b]) {
-                Ordering::Less => {
-                    out.push(&ours[a]);
-                    a += 1;
-                }
-                Ordering::Equal => {
-                    a += 1;
-                    b += 1;
-                }
-                Ordering::Greater => b += 1,
-            }
-            if a == ours.len() {
-                (i, a) = (i + 1, 0);
-            }
-            if b == theirs.len() {
-                (j, b) = (j + 1, 0);
-            }
-        }
-        out
-    }
 }
 
 impl<T: Ord + Clone> PartialEq for RunSet<T> {
@@ -422,9 +380,8 @@ mod tests {
         assert!(base.runs_shared_with(&shrunk) >= runs - 2);
         // The clones went their own way; the original is untouched.
         assert!(base.iter().copied().eq((0..10_000).map(|i| i * 2)));
-        assert_eq!(grown.difference(&base), vec![&5001]);
-        assert_eq!(base.difference(&shrunk), vec![&5000]);
-        assert!(shrunk.difference(&base).is_empty());
+        assert!(grown.iter().copied().filter(|i| i % 2 == 1).eq([5001]));
+        assert!(!shrunk.contains(|x| x.cmp(&5000)));
     }
 
     #[test]
@@ -510,14 +467,6 @@ mod tests {
                     prop_assert_eq!(set.contains(|y| y.cmp(x)), model.contains(x));
                     prop_assert_eq!(set.get(|y| y.cmp(x)), model.get(x));
                     prop_assert!(set.iter_from(|y| y < x).eq(model.range(x..)));
-                }
-            }
-            // Difference on pairs that share runs (snapshots of one
-            // history) equals the per-item definition.
-            for (a, ma) in &snapshots {
-                for (b, mb) in &snapshots {
-                    let want: Vec<&u16> = ma.difference(mb).collect();
-                    prop_assert_eq!(a.difference(b), want);
                 }
             }
         }

@@ -8,7 +8,7 @@
 use epilog::core::demo;
 use epilog::prelude::*;
 use epilog::semantics::closure::{closure_theory, cwa_demo};
-use epilog::semantics::{gcwa_negations, minimal_worlds, ModelSet};
+use epilog::semantics::{consistent_with, gcwa_negations, minimal_worlds, ModelSet};
 use epilog::semantics::{is_k1, modalize, strip_k};
 use epilog::syntax::Pred;
 use proptest::prelude::*;
@@ -84,7 +84,7 @@ fn theorem_72_definitions_coincide() {
         let ic = parse(ic_src).unwrap();
         assert_eq!(
             cp.entails(&ic),
-            cp.consistent_with(&ic),
+            consistent_with(&cp, &ic),
             "Theorem 7.2 on {src:?} / {ic_src}"
         );
     }

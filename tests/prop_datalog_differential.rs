@@ -12,7 +12,8 @@
 //! rule-changing commit invalidates the cache — the cached-plan state
 //! always equals a fresh from-scratch rebuild. A third pins the resumed
 //! fixpoints against a full one: `grow` whatever its plans were costed
-//! against, and `shrink` (DRed) on random retractions.
+//! against, `shrink` (DRed) on random retractions, and the tuples each
+//! reports changing against the two models' difference.
 
 use epilog::core::{prover_for, EpistemicDb, ModelUpdate};
 use epilog::datalog::{Program, RulePlan};
@@ -226,17 +227,14 @@ proptest! {
         let new_facts = Program::from_text(&facts_src).unwrap().edb;
         let (oracle, _) = grown.eval();
 
-        let plans_costed_on = |stats: &Database| -> Vec<RulePlan> {
-            grown.rules.iter().map(|r| RulePlan::compile(r, stats)).collect()
-        };
-        let (stale_db, stale_stats) = grown
-            .grow(&plans_costed_on(&model), model.clone(), &new_facts);
+        let (stale_db, stale_stats, _) = grown
+            .grow(&plans_costed_on(&grown, &model), model.clone(), &new_facts);
         prop_assert_eq!(&stale_db, &oracle, "resume vs oracle on:\n{}", grown_src);
         // The cached-plan entry point never compiles, re-costed or not.
         prop_assert_eq!(stale_stats.plans_compiled, 0);
         for (what, stats) in [("re-costed", &oracle), ("uncosted", &Database::new())] {
-            let (db, other) = grown
-                .grow(&plans_costed_on(stats), model.clone(), &new_facts);
+            let (db, other, _) = grown
+                .grow(&plans_costed_on(&grown, stats), model.clone(), &new_facts);
             prop_assert_eq!(&stale_db, &db, "stale vs {} on:\n{}", what, grown_src);
             prop_assert_eq!(stale_stats.rule_firings, other.rule_firings);
             prop_assert_eq!(stale_stats.derivations, other.derivations);
@@ -259,39 +257,11 @@ proptest! {
         remove_mask in 1u16..1024,
         remove_units in 0u8..16,
     ) {
-        let edges: Vec<(usize, usize)> = edges
-            .into_iter()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let removed: Vec<(usize, usize)> = edges
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| remove_mask & (1 << (i % 10)) != 0)
-            .map(|(_, e)| *e)
-            .collect();
-        let kept: Vec<(usize, usize)> = edges
-            .iter()
-            .filter(|e| !removed.contains(e))
-            .copied()
-            .collect();
-        let units: Vec<usize> = units.into_iter().collect::<BTreeSet<_>>().into_iter().collect();
-        let (removed_units, kept_units): (Vec<usize>, Vec<usize>) =
-            units.iter().partition(|a| remove_units & (1 << **a) != 0);
-        let full = Program::from_text(&facts_and_rules(&edges, &units, rules(mask))).unwrap();
-        let post = Program::from_text(&facts_and_rules(&kept, &kept_units, rules(mask))).unwrap();
-        let removed_facts =
-            Program::from_text(&facts_and_rules(&removed, &removed_units, [].into_iter()))
-                .unwrap()
-                .edb;
-
+        let (full, post, removed_facts) =
+            retraction(edges, units, mask, remove_mask, remove_units);
         let (model, _) = full.eval();
-        let plans: Vec<RulePlan> = post
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile(r, &model))
-            .collect();
-        let (shrunk, stats) = post.shrink(&plans, model, &removed_facts);
+        let plans = plans_costed_on(&post, &model);
+        let (shrunk, stats, _) = post.shrink(&plans, model, &removed_facts);
         let (oracle, _) = post.eval();
         prop_assert_eq!(&shrunk, &oracle, "DRed differs from the from-scratch model");
         prop_assert_eq!((stats.full_firings, stats.plans_compiled), (0, 0));
@@ -302,6 +272,91 @@ proptest! {
             stats.tuples_overdeleted
         );
     }
+
+    /// The resumed fixpoints report exactly what they changed, checked
+    /// tuple by tuple with `contains`: `shrink`'s removals are the old
+    /// model less the new one, and `grow`'s additions — its rounds'
+    /// deltas, pairwise disjoint — the new model less the old one.
+    /// `shrink` takes a random retraction; `grow` then asserts every
+    /// fact of the full program again, the ones the shrunk model still
+    /// holds among them.
+    #[test]
+    fn fixpoints_report_exactly_what_they_changed(
+        edges in proptest::collection::vec((0..PARAMS, 0..PARAMS), 1..10),
+        units in proptest::collection::vec(0..PARAMS, 0..5),
+        mask in 1u16..256,
+        remove_mask in 1u16..1024,
+        remove_units in 0u8..16,
+    ) {
+        let (full, post, removed_facts) =
+            retraction(edges, units, mask, remove_mask, remove_units);
+        let (model, _) = full.eval();
+        let plans = plans_costed_on(&post, &model);
+        let (shrunk, _, removed) = post.shrink(&plans, model.clone(), &removed_facts);
+        prop_assert_eq!(&removed, &minus(&model, &shrunk));
+
+        let (grown, _, added) = full.grow(&plans, shrunk.clone(), &full.edb);
+        prop_assert_eq!(&grown, &model);
+        let reported: Database = added.iter().flat_map(Database::atoms).collect();
+        prop_assert_eq!(reported.len(), added.iter().map(Database::len).sum::<usize>());
+        prop_assert_eq!(&reported, &minus(&grown, &shrunk));
+    }
+}
+
+/// `a ∖ b` by the definition: every atom of `a` that `b` does not contain.
+fn minus(a: &Database, b: &Database) -> Database {
+    a.atoms().filter(|atom| !b.contains(atom)).collect()
+}
+
+/// The plans of `program`'s rules, costed against `model`.
+fn plans_costed_on(program: &Program, model: &Database) -> Vec<RulePlan> {
+    program
+        .rules
+        .iter()
+        .map(|r| RulePlan::compile(r, model))
+        .collect()
+}
+
+/// A random retraction: the program over `edges`, `units` and the rules
+/// `mask` picks; the same program without the edges `remove_mask` and the
+/// units `remove_units` select; and those retracted facts.
+fn retraction(
+    edges: Vec<(usize, usize)>,
+    units: Vec<usize>,
+    mask: u16,
+    remove_mask: u16,
+    remove_units: u8,
+) -> (Program, Program, Database) {
+    let edges: Vec<(usize, usize)> = edges
+        .into_iter()
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let removed: Vec<(usize, usize)> = edges
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| remove_mask & (1 << (i % 10)) != 0)
+        .map(|(_, e)| *e)
+        .collect();
+    let kept: Vec<(usize, usize)> = edges
+        .iter()
+        .filter(|e| !removed.contains(e))
+        .copied()
+        .collect();
+    let units: Vec<usize> = units
+        .into_iter()
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let (removed_units, kept_units): (Vec<usize>, Vec<usize>) =
+        units.iter().partition(|a| remove_units & (1 << **a) != 0);
+    let full = Program::from_text(&facts_and_rules(&edges, &units, rules(mask))).unwrap();
+    let post = Program::from_text(&facts_and_rules(&kept, &kept_units, rules(mask))).unwrap();
+    let removed_facts =
+        Program::from_text(&facts_and_rules(&removed, &removed_units, [].into_iter()))
+            .unwrap()
+            .edb;
+    (full, post, removed_facts)
 }
 
 /// `RulePlan::explain` makes a re-cost observable: costing the same rule
