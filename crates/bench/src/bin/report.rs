@@ -483,22 +483,22 @@ fn main() {
         let n = 8;
         let dir = std::env::temp_dir().join(format!("epilog-report-f11-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut writer = serving_registrar(&dir, n);
+        let (mut writer, endpoint) = serving_registrar(&dir, n);
         check(
             &format!("n={n} head LSN (= 2 constraints + n commits)"),
             &(n + 2).to_string(),
-            &writer.snapshot().lsn().to_string(),
+            &endpoint.snapshot().lsn().to_string(),
         );
 
         // A snapshot pinned here must not see anything that commits
         // later — MVCC isolation, not just read-your-writes.
-        let pinned = writer.snapshot();
+        let pinned = endpoint.snapshot();
         let pinned_lsn = pinned.lsn();
 
         // Group commit: 8 transactions stepped as one batch must land on
         // one fsync — with a constraint violation in the middle of the
         // burst rejected without voiding its batch-mates.
-        let before = writer.stats();
+        let before = endpoint.stats();
         let (burst, handles): (Vec<_>, Vec<_>) = (0..8)
             .map(|i| {
                 let ops: Vec<TxOp> = if i == 3 {
@@ -515,7 +515,7 @@ fn main() {
             .unzip();
         writer.step(burst);
         let verdicts: Vec<bool> = handles.into_iter().map(|h| h.wait().is_ok()).collect();
-        let after = writer.stats();
+        let after = endpoint.stats();
         holds(
             "burst of 8 (one rejected): batches +1, fsyncs +1",
             after.batches - before.batches == 1 && after.fsyncs - before.fsyncs == 1,
@@ -540,21 +540,21 @@ fn main() {
             "snapshot pinned before the burst still answers from its LSN",
             pinned.lsn() == pinned_lsn
                 && ask(pinned.prover(), &burst_q).to_string() == "no"
-                && ask(writer.snapshot().prover(), &burst_q).to_string() == "yes",
+                && ask(endpoint.snapshot().prover(), &burst_q).to_string() == "yes",
         );
 
         // Reads are lock-free: with a fresh burst built but not yet
         // stepped, the best-of-5 snapshot read is within an order of
         // magnitude of the idle one. Min-based with a wide bound, so the
         // row is stable on any host.
-        let read = |writer: &epilog_persist::Writer| {
+        let read = || {
             best_of(5, || {
                 let start = std::time::Instant::now();
-                let _ = ask(writer.snapshot().prover(), &burst_q);
+                let _ = ask(endpoint.snapshot().prover(), &burst_q);
                 start.elapsed()
             })
         };
-        let idle = read(&writer);
+        let idle = read();
         let (parked, handles): (Vec<_>, Vec<_>) = (0..8)
             .map(|i| {
                 Request::commit(
@@ -565,7 +565,7 @@ fn main() {
                 )
             })
             .unzip();
-        let loaded = read(&writer);
+        let loaded = read();
         writer.step(parked);
         for h in handles {
             h.wait().expect("parked enrollments commit once stepped");
@@ -577,8 +577,8 @@ fn main() {
 
         // The served directory is an ordinary durable database: recovery
         // must reproduce exactly the state the last snapshot served.
-        let final_theory = writer.snapshot().theory().clone();
-        let final_lsn = writer.snapshot().lsn();
+        let final_theory = endpoint.snapshot().theory().clone();
+        let final_lsn = endpoint.snapshot().lsn();
         drop(writer);
         let (rec, report) =
             epilog_persist::DurableDb::recover(&dir, epilog_persist::FsyncPolicy::Never).unwrap();
@@ -696,12 +696,12 @@ fn main() {
         let next = db.commit_wait(enroll(11));
         holds(
             "torn append fails that commit alone; the writer stays live",
-            matches!(torn, Err(ServeError::Io(_))) && !db.is_degraded() && next.is_ok(),
+            matches!(torn, Err(ServeError::Io(_))) && !db.stats().degraded && next.is_ok(),
         );
 
         // An injected fsync failure: the batch's handles fail, the head
         // rolls back to the durable boundary, and the writer degrades.
-        let durable_lsn = db.head_lsn();
+        let durable_lsn = db.snapshot().lsn();
         inj.fail_nth_sync(inj.syncs());
         let lost = db.commit_wait(enroll(12));
         holds(
@@ -711,7 +711,7 @@ fn main() {
         let snap = db.snapshot();
         holds(
             "snapshots keep answering at the durable head while degraded",
-            db.is_degraded()
+            db.stats().degraded
                 && snap.lsn() == durable_lsn
                 && ask(snap.prover(), &parse("K emp(e11)").unwrap()).to_string() == "yes"
                 && ask(snap.prover(), &parse("K emp(e12)").unwrap()).to_string() == "no",
@@ -720,12 +720,12 @@ fn main() {
             "degraded mode rejects commits fast (read-only)",
             matches!(db.commit_wait(enroll(13)), Err(ServeError::Degraded(_))),
         );
-        let healed = db.heal();
+        let healed = db.send(Request::heal()).wait();
         let stats = db.stats();
         holds(
             "heal() restores service at the durable head LSN",
             healed.is_ok_and(|lsn| lsn == durable_lsn)
-                && !db.is_degraded()
+                && !db.stats().degraded
                 && stats.heals == 1
                 && !stats.degraded,
         );
@@ -809,7 +809,7 @@ fn main() {
                     }
                 }
                 durable.set_fault_injector(Some(Arc::clone(&inj)));
-                let mut writer = Writer::new(durable);
+                let (mut writer, endpoint) = Writer::new(durable);
                 for _ in 0..4 {
                     let ops = enroll((rng() % 48) as usize);
                     match step_one(&mut writer, Request::commit(ops.clone())) {
@@ -827,7 +827,7 @@ fn main() {
                         }
                         Err(_) => failed += 1,
                     }
-                    if writer.stats().degraded {
+                    if endpoint.stats().degraded {
                         inj.disarm();
                         if step_one(&mut writer, Request::heal()).is_ok() {
                             healed += 1;

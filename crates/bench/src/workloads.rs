@@ -108,15 +108,18 @@ pub fn durable_registrar(
 /// The F11 workload: the registrar *served* from `dir` — an
 /// [`epilog_persist::Writer`] with the `emp ⊃ person` rule, the two §3
 /// constraints, then `n` single-employee enrollments, each stepped as a
-/// batch of its own. Deterministic: the final state equals
-/// [`registrar_db`]`(n)` and the head LSN is `n + 2`.
-pub fn serving_registrar(dir: &std::path::Path, n: usize) -> epilog_persist::Writer {
+/// batch of its own; returned with its endpoint. Deterministic: the final
+/// state equals [`registrar_db`]`(n)` and the head LSN is `n + 2`.
+pub fn serving_registrar(
+    dir: &std::path::Path,
+    n: usize,
+) -> (epilog_persist::Writer, epilog_persist::Endpoint) {
     use epilog_persist::{DurableDb, FsyncPolicy, Request, TxOp, Writer};
     let theory =
         epilog_syntax::Theory::from_text("forall x. emp(x) -> person(x)").expect("static text");
     let durable =
         DurableDb::create(dir, theory, FsyncPolicy::Never).expect("fresh directory initializes");
-    let mut writer = Writer::new(durable);
+    let (mut writer, endpoint) = Writer::new(durable);
     for ic in [
         "forall x. K emp(x) -> exists y. K ss(x, y)",
         "forall x, y, z. K ss(x, y) & K ss(x, z) -> K y = z",
@@ -135,7 +138,7 @@ pub fn serving_registrar(dir: &std::path::Path, n: usize) -> epilog_persist::Wri
         writer.step(vec![req]);
         h.wait().expect("enrollment satisfies the constraints");
     }
-    writer
+    (writer, endpoint)
 }
 
 /// The evaluation-pipeline scaling workload: a `k`-way chain join plus

@@ -158,8 +158,8 @@ pub(crate) fn remove_temps(dir: &Path) -> io::Result<()> {
 pub use durable::{CompactStats, DurableDb, DurableTransaction, PersistError, RecoveryReport};
 pub use fault::{FaultInjector, FaultKind};
 pub use serve::{
-    CommitHandle, CommitReceipt, Request, ServeError, ServeOptions, ServeStats, ServingDb, TxOp,
-    Writer,
+    CommitHandle, CommitReceipt, Endpoint, Request, ServeError, ServeOptions, ServeStats,
+    ServingDb, TxOp, Writer,
 };
 pub use snapshot::Snapshot;
 pub use wal::{FsyncPolicy, TornTail, Wal, WalOp, WalRecord, WalScan};

@@ -6,7 +6,7 @@
 //! A knowledge base is queried far more often than it is revised, so the
 //! serving layer splits the two paths completely:
 //!
-//! * **Readers** call [`ServingDb::snapshot`] and get an
+//! * **Readers** call [`Endpoint::snapshot`] and get an
 //!   [`epilog_core::ReadHandle`] — an `Arc` clone of the immutable
 //!   committed state (theory, constraints, materialized model, compiled
 //!   plans). Queries run on the handle with no locks and no coordination
@@ -30,7 +30,7 @@
 //! then are the callers' completion handles fed their [`CommitReceipt`]s
 //! — an acknowledged commit is both durable and visible to subsequent
 //! snapshots. Under load, many transactions share each fsync
-//! ([`ServingDb::stats`] reports the ratio), while an idle writer
+//! ([`Endpoint::stats`] reports the ratio), while an idle writer
 //! degenerates to one fsync per commit — the same durability as
 //! [`FsyncPolicy::Always`] with none of [`FsyncPolicy::Never`]'s
 //! crash-loss window.
@@ -40,8 +40,9 @@
 //!
 //! `step` is the whole protocol; the thread only collects batches for
 //! it. A test forms any batch — and so any interleaving of commits,
-//! refusals, faults and heals — by building [`Request`]s and calling
-//! `step` on one thread, with no timing involved.
+//! refusals, faults and heals — by building [`Request`]s, or draining
+//! what its [`Endpoint`]s queued ([`Writer::drain`]), and calling `step`
+//! on one thread, with no timing involved.
 //!
 //! # Degraded mode and healing
 //!
@@ -58,8 +59,8 @@
 //! read-only mode** is that `DurableDb`'s refuse-until-recovered state
 //! plus read-only serving: snapshots keep answering at the durable head,
 //! commits are rejected fast with [`ServeError::Degraded`], and
-//! [`ServingDb::stats`] reports it. A heal ([`ServingDb::heal`],
-//! [`Request::heal`]) is recovery: cut un-acknowledged log bytes through
+//! [`Endpoint::stats`] reports it. A heal ([`Request::heal`]) is
+//! recovery: cut un-acknowledged log bytes through
 //! an un-injected handle, [`DurableDb::recover`], probe the disk, serve
 //! the recovered database — or stay degraded (and heal retryable) if the
 //! storage still fails.
@@ -88,7 +89,7 @@ use epilog_syntax::{Formula, Theory};
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -120,7 +121,7 @@ pub enum ServeError {
     Io(String),
     /// The writer is in degraded read-only mode after an I/O failure:
     /// snapshots keep answering, commits are rejected fast until
-    /// [`ServingDb::heal`] succeeds. Carries the reason the mode was
+    /// a heal ([`Request::heal`]) succeeds. Carries the reason the mode was
     /// entered. Transient by design — a retry after a heal can succeed.
     Degraded(String),
     /// The request was dropped unanswered: the writer thread is gone.
@@ -232,15 +233,20 @@ impl Request {
         (Request(Op::Flush(tx)), handle)
     }
 
-    /// Leave degraded mode ([`ServingDb::heal`]); answered with the head
-    /// LSN.
+    /// Attempt to leave degraded read-only mode: truncate every
+    /// un-acknowledged log byte past the durable head, re-run ordinary
+    /// recovery, probe the disk, and resume write service. Answered with
+    /// the head LSN — trivially, without touching anything, when the
+    /// writer is not degraded. On error the database *stays* degraded
+    /// (snapshots keep answering) and the heal can be retried once the
+    /// storage behaves again.
     pub fn heal() -> (Request, CommitHandle<u64>) {
         let (tx, handle) = reply();
         (Request(Op::Heal(tx)), handle)
     }
 }
 
-/// Writer-side counters, snapshotted by [`ServingDb::stats`].
+/// Writer-side counters, snapshotted by [`Endpoint::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
     /// Accepted (durable, published) transactions.
@@ -255,7 +261,7 @@ pub struct ServeStats {
     /// I/O failures the writer observed (and survived) on the commit
     /// path.
     pub io_errors: u64,
-    /// Successful [`ServingDb::heal`]s out of degraded mode.
+    /// Successful heals ([`Request::heal`]) out of degraded mode.
     pub heals: u64,
     /// Whether the writer is in degraded read-only mode right now.
     pub degraded: bool,
@@ -286,19 +292,51 @@ impl Metrics {
     }
 }
 
+/// What the clients of one serving writer share: the head cell snapshots
+/// are read from, the queue requests go down, and the writer's counters.
+/// A clone is three reference counts. [`ServingDb`] derefs to the one its
+/// thread drains; [`Writer::new`] hands one out beside a writer that is
+/// stepped by hand.
+#[derive(Clone)]
+pub struct Endpoint {
+    head: Arc<StateCell>,
+    queue: SyncSender<Request>,
+    metrics: Arc<Metrics>,
+}
+
+impl Endpoint {
+    /// Pin the current committed state. Never blocks on the writer: the
+    /// head cell is locked only for the pointer swap itself.
+    pub fn snapshot(&self) -> ReadHandle {
+        self.head.snapshot()
+    }
+
+    /// Snapshot of the writer's counters.
+    pub fn stats(&self) -> ServeStats {
+        self.metrics.stats()
+    }
+
+    /// Queue `request`, blocking only while the queue is full, and return
+    /// the handle its answer arrives on. A request no writer will take
+    /// (it is gone) is dropped with its reply sender: the handle reads
+    /// [`ServeError::Closed`].
+    pub fn send<T>(&self, (request, handle): (Request, CommitHandle<T>)) -> CommitHandle<T> {
+        let _ = self.queue.send(request);
+        handle
+    }
+}
+
 /// A durable [`EpistemicDb`](epilog_core::EpistemicDb) served
 /// concurrently: any number of lock-free snapshot readers, one
 /// group-committing writer thread.
 ///
-/// See the [module docs](self) for the architecture. All methods take
-/// `&self`; a `ServingDb` is typically wrapped in an `Arc` and shared
-/// across reader/session threads.
+/// See the [module docs](self) for the architecture. It derefs to the
+/// writer's [`Endpoint`], whose clones the server's sessions hold; the
+/// methods here are what only the owner of the thread does, and the
+/// blocking forms of [`Endpoint::send`].
 pub struct ServingDb {
-    head: Arc<StateCell>,
-    queue: Option<SyncSender<Request>>,
+    endpoint: Endpoint,
     writer: Option<JoinHandle<()>>,
-    metrics: Arc<Metrics>,
-    dir: PathBuf,
 }
 
 impl ServingDb {
@@ -345,58 +383,29 @@ impl ServingDb {
     /// # Panics
     /// Panics if the OS refuses to spawn the writer thread.
     pub fn start(durable: DurableDb, _opts: ServeOptions) -> ServingDb {
-        let mut writer = Writer::new(durable);
-        let head = Arc::clone(&writer.head);
-        let metrics = Arc::clone(&writer.metrics);
-        let dir = writer.durable.dir().to_path_buf();
-        let (tx, rx) = sync_channel(QUEUE_DEPTH);
+        let (mut writer, endpoint) = Writer::new(durable);
         let thread = thread::Builder::new()
             .name("epilog-commit-writer".into())
             .spawn(move || {
-                // Exits when every ServingDb handle (and thus every
-                // sender) is gone and the queue is drained.
-                while let Some(batch) = next_batch(&rx) {
+                // Exits when every endpoint (and thus every sender) is
+                // gone and the queue is drained.
+                while let Some(batch) = next_batch(&writer.queue) {
                     writer.step(batch);
                 }
                 let _ = writer.durable.sync();
             })
             .unwrap_or_else(|e| panic!("failed to spawn thread `epilog-commit-writer`: {e}"));
         ServingDb {
-            head,
-            queue: Some(tx),
+            endpoint,
             writer: Some(thread),
-            metrics,
-            dir,
         }
     }
 
-    /// Pin the current committed state. Never blocks on the writer: the
-    /// head cell is locked only for the pointer swap itself.
-    pub fn snapshot(&self) -> ReadHandle {
-        self.head.snapshot()
-    }
-
-    /// LSN of the currently published state.
-    pub fn head_lsn(&self) -> u64 {
-        self.head.head_lsn()
-    }
-
-    /// The directory holding the log.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Queue a transaction; blocks only if the commit queue is full.
-    /// The returned handle yields the receipt once the commit is
-    /// durable and published (or the rejection as soon as validation
-    /// fails).
-    pub fn commit(&self, ops: Vec<TxOp>) -> CommitHandle {
-        self.send(Request::commit(ops))
-    }
-
-    /// [`ServingDb::commit`] and wait for the receipt.
+    /// Commit `ops` as one transaction and wait for the receipt: it
+    /// comes once the commit is durable and published, or with the
+    /// rejection as soon as validation fails.
     pub fn commit_wait(&self, ops: Vec<TxOp>) -> Result<CommitReceipt, ServeError> {
-        self.commit(ops).wait()
+        self.send(Request::commit(ops)).wait()
     }
 
     /// Durably register an integrity constraint through the writer.
@@ -405,40 +414,12 @@ impl ServingDb {
         self.send(Request::constraint(ic)).wait()
     }
 
-    /// Force every acknowledged commit to stable storage and return the
-    /// head LSN. Acknowledged commits are already synced — this is a
-    /// barrier that drains the queue ahead of it.
-    pub fn flush(&self) -> Result<u64, ServeError> {
-        self.send(Request::flush()).wait()
-    }
-
-    /// Attempt to leave degraded read-only mode: truncate every
-    /// un-acknowledged log byte past the durable head, re-run ordinary
-    /// recovery, probe the disk, and resume write service. Returns the
-    /// head LSN — trivially, without touching anything, when the writer
-    /// is not degraded. On error the database *stays* degraded
-    /// (snapshots keep answering) and the heal can be retried once the
-    /// storage behaves again.
-    pub fn heal(&self) -> Result<u64, ServeError> {
-        self.send(Request::heal()).wait()
-    }
-
-    /// Whether the writer is in degraded read-only mode.
-    pub fn is_degraded(&self) -> bool {
-        self.metrics.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the writer's counters.
-    pub fn stats(&self) -> ServeStats {
-        self.metrics.stats()
-    }
-
     /// Graceful shutdown: stop accepting work, let the writer drain and
     /// acknowledge everything already queued, sync the log, and join
-    /// the thread.
+    /// the thread. The thread drains until every [`Endpoint`] clone is
+    /// dropped too.
     pub fn shutdown(mut self) -> Result<(), PersistError> {
-        self.queue = None; // disconnects the channel; the writer drains then exits
-        match self.writer.take().map(JoinHandle::join) {
+        match self.stop() {
             Some(Err(_)) => Err(PersistError::Corrupt(
                 "commit writer panicked; the log is still crash-consistent".into(),
             )),
@@ -446,13 +427,19 @@ impl ServingDb {
         }
     }
 
-    fn send<T>(&self, (req, handle): (Request, CommitHandle<T>)) -> CommitHandle<T> {
-        // A request the writer thread never takes (it is gone) drops its
-        // reply sender: the handle reads Closed.
-        if let Some(q) = &self.queue {
-            let _ = q.send(req);
-        }
-        handle
+    /// Drop this handle's sender, in favour of one whose receiver is
+    /// already gone, and join the writer thread once it has drained.
+    fn stop(&mut self) -> Option<thread::Result<()>> {
+        self.endpoint.queue = sync_channel(0).0;
+        self.writer.take().map(JoinHandle::join)
+    }
+}
+
+impl std::ops::Deref for ServingDb {
+    type Target = Endpoint;
+
+    fn deref(&self) -> &Endpoint {
+        &self.endpoint
     }
 }
 
@@ -461,10 +448,7 @@ impl ServingDb {
 /// is silently discarded.
 impl Drop for ServingDb {
     fn drop(&mut self) {
-        self.queue = None;
-        if let Some(w) = self.writer.take() {
-            let _ = w.join();
-        }
+        let _ = self.stop();
     }
 }
 
@@ -491,14 +475,17 @@ fn next_batch(rx: &Receiver<Request>) -> Option<Vec<Request>> {
 
 /// The serving writer as a value: sole owner of the durable database
 /// (the working state and its log), whose refuse-until-recovered state
-/// *is* the degraded mode, of the head cell snapshots are read from, and
-/// of its counters. [`ServingDb`] runs one on its thread; a test drives
-/// one by hand, batch by batch, through [`Writer::step`], and dropping
-/// it between steps is a crash.
+/// *is* the degraded mode, and of the receiving end of its queue; it
+/// publishes to the head cell and counts into the counters its
+/// [`Endpoint`] reads. [`ServingDb`] runs one on its thread; a test
+/// drives one by hand, batch by batch, through [`Writer::step`] — on
+/// requests it built, or on what its endpoints queued ([`Writer::drain`])
+/// — and dropping it between steps is a crash.
 pub struct Writer {
     durable: DurableDb,
     head: Arc<StateCell>,
     metrics: Arc<Metrics>,
+    queue: Receiver<Request>,
 }
 
 impl Writer {
@@ -506,24 +493,32 @@ impl Writer {
     /// put on [`FsyncPolicy::Never`] whatever policy it was opened with:
     /// the writer syncs explicitly, once per batch, and a log that also
     /// synced per record would amortize nothing.
-    pub fn new(mut durable: DurableDb) -> Writer {
+    /// Returned with the writer: the endpoint its clients read and queue
+    /// requests through.
+    pub fn new(mut durable: DurableDb) -> (Writer, Endpoint) {
         durable.set_fsync_policy(FsyncPolicy::Never);
         let head = Arc::new(StateCell::new(durable.db().clone(), durable.last_lsn()));
-        Writer {
+        let metrics = Arc::<Metrics>::default();
+        let (tx, queue) = sync_channel(QUEUE_DEPTH);
+        let endpoint = Endpoint {
+            head: Arc::clone(&head),
+            queue: tx,
+            metrics: Arc::clone(&metrics),
+        };
+        let writer = Writer {
             durable,
             head,
-            metrics: Arc::default(),
-        }
+            metrics,
+            queue,
+        };
+        (writer, endpoint)
     }
 
-    /// Pin the published head state ([`ServingDb::snapshot`]).
-    pub fn snapshot(&self) -> ReadHandle {
-        self.head.snapshot()
-    }
-
-    /// The writer's counters ([`ServingDb::stats`]).
-    pub fn stats(&self) -> ServeStats {
-        self.metrics.stats()
+    /// Every request its endpoints have queued so far, in queue order,
+    /// without waiting: a batch for [`Writer::step`] on the caller's own
+    /// thread.
+    pub fn drain(&self) -> Vec<Request> {
+        self.queue.try_iter().collect()
     }
 
     fn degraded(&self) -> bool {
@@ -742,6 +737,7 @@ mod tests {
     use crate::FaultKind;
     use epilog_core::Answer;
     use epilog_syntax::parse;
+    use std::path::PathBuf;
 
     fn dir() -> PathBuf {
         use std::sync::atomic::AtomicU32;
@@ -799,7 +795,7 @@ mod tests {
             err,
             ServeError::Db(DbError::ConstraintViolated(_), _)
         ));
-        assert_eq!(db.head_lsn(), 1, "only the constraint record exists");
+        assert_eq!(db.snapshot().lsn(), 1, "only the constraint record exists");
         assert_eq!(db.stats().rejected, 1);
         db.shutdown().unwrap();
         // Nothing of the rejected commit reached the log: it holds the
@@ -809,19 +805,23 @@ mod tests {
         std::fs::remove_dir_all(d).unwrap();
     }
 
-    /// A [`Writer`] over the registrar, its log opened with `policy` and
-    /// a [`FaultInjector`](crate::FaultInjector) installed on it, with
-    /// the `emp` constraint registered through a first step.
-    fn registrar_writer(d: &Path, policy: FsyncPolicy) -> (Writer, Arc<crate::FaultInjector>) {
+    /// A [`Writer`] over the registrar and its endpoint, its log opened
+    /// with `policy` and a [`FaultInjector`](crate::FaultInjector)
+    /// installed on it, with the `emp` constraint registered through a
+    /// first step.
+    fn registrar_writer(
+        d: &Path,
+        policy: FsyncPolicy,
+    ) -> (Writer, Endpoint, Arc<crate::FaultInjector>) {
         let theory = Theory::from_text("forall x. emp(x) -> person(x)").unwrap();
         let mut durable = DurableDb::create(d, theory, policy).unwrap();
         let inj = Arc::new(crate::FaultInjector::new(3));
         durable.set_fault_injector(Some(Arc::clone(&inj)));
-        let mut writer = Writer::new(durable);
+        let (mut writer, endpoint) = Writer::new(durable);
         let (req, h) = Request::constraint(f("forall x. K emp(x) -> exists y. K ss(x, y)"));
         writer.step(vec![req]);
         h.wait().unwrap();
-        (writer, inj)
+        (writer, endpoint, inj)
     }
 
     /// Step one batch of commits, each asserting its sentences; the
@@ -844,19 +844,19 @@ mod tests {
         // left to itself would sync once per record as well.
         for policy in [FsyncPolicy::Never, FsyncPolicy::Always] {
             let d = dir();
-            let (mut writer, inj) = registrar_writer(&d, policy);
-            let (base, syncs) = (writer.stats(), inj.syncs());
+            let (mut writer, ep, inj) = registrar_writer(&d, policy);
+            let (base, syncs) = (ep.stats(), inj.syncs());
             let burst: [Vec<String>; 8] =
                 std::array::from_fn(|i| vec![format!("ss(E{i}, n{i})"), format!("emp(E{i})")]);
             for h in step_commits(&mut writer, burst) {
                 let _ = h.wait().unwrap();
             }
-            let s = writer.stats();
+            let s = ep.stats();
             assert_eq!(s.commits - base.commits, 8);
             assert_eq!(s.batches - base.batches, 1, "one group");
             assert_eq!(s.fsyncs - base.fsyncs, 1, "one fsync for 8 commits");
             assert_eq!(inj.syncs() - syncs, 1, "{policy:?}: the disk saw one too");
-            let snap = writer.snapshot();
+            let snap = ep.snapshot();
             assert_eq!(snap.ask(&parse("K emp(E7)").unwrap()), Answer::Yes);
             drop(writer);
             std::fs::remove_dir_all(d).unwrap();
@@ -882,7 +882,7 @@ mod tests {
     #[test]
     fn rejection_inside_a_batch_spares_the_others() {
         let d = dir();
-        let (mut writer, _) = registrar_writer(&d, FsyncPolicy::Never);
+        let (mut writer, ep, _) = registrar_writer(&d, FsyncPolicy::Never);
         let [ok1, bad, ok2] = step_commits(
             &mut writer,
             [
@@ -894,11 +894,11 @@ mod tests {
         assert!(ok1.wait().is_ok());
         assert!(matches!(bad.wait(), Err(ServeError::Db(..))));
         assert!(ok2.wait().is_ok());
-        let snap = writer.snapshot();
+        let snap = ep.snapshot();
         assert_eq!(snap.ask(&parse("K emp(Sue)").unwrap()), Answer::Yes);
         assert_eq!(snap.ask(&parse("K emp(Joe)").unwrap()), Answer::No);
         assert_eq!(snap.ask(&parse("K emp(Ann)").unwrap()), Answer::Yes);
-        assert_eq!(writer.stats().batches, 2, "the constraint's, then this one");
+        assert_eq!(ep.stats().batches, 2, "the constraint's, then this one");
         drop(writer);
         std::fs::remove_dir_all(d).unwrap();
     }
@@ -911,10 +911,10 @@ mod tests {
         // graceful path must still drain, sync, and apply everything.
         let pending: Vec<CommitHandle> = (0..5)
             .map(|i| {
-                db.commit(vec![
+                db.send(Request::commit(vec![
                     TxOp::Assert(f(&format!("ss(W{i}, m{i})"))),
                     TxOp::Assert(f(&format!("emp(W{i})"))),
-                ])
+                ]))
             })
             .collect();
         let last = pending.into_iter().last().unwrap().wait().unwrap();
@@ -952,7 +952,7 @@ mod tests {
         assert!(proof.height() >= 2, "needs the recursive rule");
 
         db.add_constraint(f("forall x. ~K path(x, x)")).unwrap();
-        let head = db.head_lsn();
+        let head = db.snapshot().lsn();
         let err = db
             .commit_wait(vec![TxOp::Assert(f("edge(c, a)"))])
             .unwrap_err();
@@ -1000,7 +1000,7 @@ mod tests {
         // The second `ss(E1, n1)` is a no-op only because the first, not
         // yet synced, asserted it: when the batch fsync fails, both fail.
         let d = dir();
-        let (mut writer, inj) = registrar_writer(&d, FsyncPolicy::Never);
+        let (mut writer, ep, inj) = registrar_writer(&d, FsyncPolicy::Never);
         let twice = || [vec!["ss(E1, n1)"], vec!["ss(E1, n1)"]];
         inj.fail_nth_sync(inj.syncs());
         let [first, second] = step_commits(&mut writer, twice());
@@ -1008,7 +1008,7 @@ mod tests {
         let second = second.wait();
         assert!(matches!(second, Err(ServeError::Io(_))), "got {second:?}");
         let q = parse("exists y. K ss(E1, y)").unwrap();
-        assert_eq!(writer.snapshot().ask(&q), Answer::No);
+        assert_eq!(ep.snapshot().ask(&q), Answer::No);
         // Without a fault the no-op is acknowledged at its batch-mate's LSN.
         let (heal, healed) = Request::heal();
         writer.step(vec![heal]);
@@ -1016,7 +1016,7 @@ mod tests {
         let [first, second] = step_commits(&mut writer, twice());
         let lsn = first.wait().unwrap().lsn;
         assert_eq!(second.wait().unwrap().lsn, lsn);
-        assert_eq!(writer.stats().commits, 1, "no-ops are not group members");
+        assert_eq!(ep.stats().commits, 1, "no-ops are not group members");
         drop(writer);
         std::fs::remove_dir_all(d).unwrap();
     }
@@ -1059,7 +1059,7 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, ServeError::Io(_)), "failed batch: {err}");
-        assert!(db.is_degraded());
+        assert!(db.stats().degraded);
         let s = db.stats();
         assert!(s.degraded && s.io_errors >= 1);
 
@@ -1076,12 +1076,12 @@ mod tests {
         assert_eq!(snap.ask(&parse("K person(Mary)").unwrap()), Answer::Yes);
         assert_eq!(snap.ask(&parse("K person(Sue)").unwrap()), Answer::No);
         assert_eq!(snap.lsn(), acked.lsn);
-        assert_eq!(db.flush().unwrap(), acked.lsn);
+        assert_eq!(db.send(Request::flush()).wait().unwrap(), acked.lsn);
 
         // Heal (the injector has no further faults scheduled) and
         // resume write service.
-        assert_eq!(db.heal().unwrap(), acked.lsn);
-        assert!(!db.is_degraded());
+        assert_eq!(db.send(Request::heal()).wait().unwrap(), acked.lsn);
+        assert!(!db.stats().degraded);
         assert_eq!(db.stats().heals, 1);
         db.commit_wait(vec![
             TxOp::Assert(f("ss(Ann, n3)")),
@@ -1119,7 +1119,7 @@ mod tests {
         inj.fail_nth_sync(inj.syncs());
         let lost = db.commit_wait(vec![TxOp::Assert(f("emp(Ann)"))]);
         assert!(matches!(lost, Err(ServeError::Io(_))), "{lost:?}");
-        assert_eq!(db.heal().unwrap(), 2);
+        assert_eq!(db.send(Request::heal()).wait().unwrap(), 2);
         db.commit_wait(vec![TxOp::Assert(f("emp(Joe)"))]).unwrap();
         db.shutdown().unwrap();
         let (db, report) = ServingDb::recover(&d, ServeOptions::default()).unwrap();
@@ -1154,7 +1154,7 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, ServeError::Io(_)), "got {err}");
-        assert!(!db.is_degraded(), "append failure alone never degrades");
+        assert!(!db.stats().degraded, "append failure alone never degrades");
 
         inj.fail_nth_write(inj.writes(), FaultKind::TornWrite);
         let err = db
@@ -1164,7 +1164,7 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, ServeError::Io(_)), "got {err}");
-        assert!(!db.is_degraded());
+        assert!(!db.stats().degraded);
 
         let acked = db
             .commit_wait(vec![
@@ -1205,7 +1205,7 @@ mod tests {
             let db = ServingDb::start(durable, ServeOptions::default());
             let err = db.commit_wait(vec![TxOp::Assert(f("emp(Sue)"))]);
             assert!(matches!(err, Err(ServeError::Io(_))), "got {err:?}");
-            assert!(db.is_degraded(), "a failed commit must see the flag");
+            assert!(db.stats().degraded, "a failed commit must see the flag");
             drop(db);
             std::fs::remove_dir_all(d).unwrap();
         }
@@ -1228,13 +1228,13 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, ServeError::Io(_)), "got {err}");
-        assert!(db.is_degraded());
+        assert!(db.stats().degraded);
 
         // The probe sync refuses: the heal fails, the database stays
         // degraded (and readable), and the heal stays retryable.
-        let err = db.heal().unwrap_err();
+        let err = db.send(Request::heal()).wait().unwrap_err();
         assert!(matches!(err, ServeError::Io(_)), "got {err}");
-        assert!(db.is_degraded());
+        assert!(db.stats().degraded);
         assert_eq!(db.stats().heals, 0);
         assert_eq!(
             db.snapshot().ask(&parse("K person(Mary)").unwrap()),
@@ -1243,8 +1243,8 @@ mod tests {
 
         // "Fix the disk" and retry.
         inj.disarm();
-        db.heal().unwrap();
-        assert!(!db.is_degraded());
+        db.send(Request::heal()).wait().unwrap();
+        assert!(!db.stats().degraded);
         db.commit_wait(vec![
             TxOp::Assert(f("ss(Sue, n2)")),
             TxOp::Assert(f("emp(Sue)")),
@@ -1266,11 +1266,11 @@ mod tests {
     #[test]
     fn a_heal_that_panics_is_answered_and_the_writer_stays_degraded() {
         let d = dir();
-        let (mut writer, inj) = registrar_writer(&d, FsyncPolicy::Never);
+        let (mut writer, ep, inj) = registrar_writer(&d, FsyncPolicy::Never);
         inj.fail_nth_sync(inj.syncs());
         let [lost] = step_commits(&mut writer, [vec!["ss(Sue, n2)", "emp(Sue)"]]);
         assert!(matches!(lost.wait(), Err(ServeError::Io(_))));
-        let head = writer.snapshot().lsn();
+        let head = ep.snapshot().lsn();
         let log = d.join(WAL_FILE);
         let good = std::fs::read(&log).unwrap();
         // A checkpoint at the durable head whose constraint check panics:
@@ -1293,9 +1293,9 @@ mod tests {
         writer.step(vec![heal]);
         let healed = healed.wait();
         assert!(matches!(healed, Err(ServeError::Internal(_))), "{healed:?}");
-        assert!(writer.stats().degraded);
-        assert_eq!(writer.snapshot().lsn(), head);
-        assert_eq!(writer.snapshot().ask(&f("K emp(Sue)")), Answer::No);
+        assert!(ep.stats().degraded);
+        assert_eq!(ep.snapshot().lsn(), head);
+        assert_eq!(ep.snapshot().ask(&f("K emp(Sue)")), Answer::No);
         let (flush, flushed) = Request::flush();
         writer.step(vec![flush]);
         assert_eq!(flushed.wait().unwrap(), head);
@@ -1305,7 +1305,7 @@ mod tests {
         let (heal, healed) = Request::heal();
         writer.step(vec![heal]);
         assert_eq!(healed.wait().unwrap(), head);
-        assert!(!writer.stats().degraded);
+        assert!(!ep.stats().degraded);
         let [hired] = step_commits(&mut writer, [vec!["ss(Sue, n2)", "emp(Sue)"]]);
         assert_eq!(hired.wait().unwrap().lsn, head + 1);
         drop(writer);
@@ -1315,7 +1315,7 @@ mod tests {
     #[test]
     fn flush_is_a_queue_barrier() {
         let d = dir();
-        let (mut writer, _) = registrar_writer(&d, FsyncPolicy::Never);
+        let (mut writer, _, _) = registrar_writer(&d, FsyncPolicy::Never);
         let (commit, h) = Request::commit(vec![
             TxOp::Assert(f("ss(Zoe, n9)")),
             TxOp::Assert(f("emp(Zoe)")),

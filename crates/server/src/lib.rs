@@ -2,12 +2,19 @@
 //!
 //! A thin network skin over the concurrent serving layer: reads are
 //! answered from lock-free MVCC snapshots
-//! ([`ServingDb::snapshot`]), writes are queued to the single
+//! ([`Endpoint::snapshot`]), writes are queued to the single
 //! group-committing writer thread. Each accepted connection gets its
 //! own named session thread (`std::thread::Builder`), so
 //! a slow client never blocks another — and no session ever blocks a
-//! commit, because sessions share nothing but the `Arc`-swapped head
-//! state and the commit queue.
+//! commit, because sessions share nothing but the writer's [`Endpoint`]:
+//! the `Arc`-swapped head state, the commit queue and the counters.
+//!
+//! The protocol is [`Session`], a state machine with no socket and no
+//! thread of its own: it answers each request line with a [`Reply`],
+//! finished or pending on the writer. The socket loop only frames lines —
+//! it reads one, hands it to the session, waits on the reply and writes
+//! it back. A test runs the same sessions on one thread over a
+//! [`Writer`](epilog_persist::Writer) it steps itself.
 //!
 //! # Wire protocol
 //!
@@ -52,7 +59,7 @@
 //! failure on the commit path), writes answer
 //! `err degraded (read-only): …` while `ask`/`demo`/`why` keep
 //! answering from snapshots; `heal` attempts the repair described at
-//! [`ServingDb::heal`]. Sessions can be given a read timeout
+//! [`Request::heal`]. Sessions can be given a read timeout
 //! ([`ServerOptions::read_timeout`]) after which an idle connection is
 //! sent a final `err timeout …` line and closed — one wedged client
 //! cannot pin a session thread forever. A request line is read up to
@@ -61,7 +68,10 @@
 //! way, so no session buffers an unbounded line. A line that is not UTF-8
 //! is answered `err request is not UTF-8` and the session goes on.
 
-use epilog_persist::{PersistError, ServeError, ServeStats, ServingDb, TxOp};
+use epilog_persist::{
+    CommitHandle, CommitReceipt, Endpoint, PersistError, Request, ServeError, ServeStats,
+    ServingDb, TxOp,
+};
 use epilog_syntax::parse;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -83,64 +93,112 @@ pub struct ServerOptions {
     pub read_timeout: Option<Duration>,
 }
 
-/// One client connection's state: the shared database plus the
-/// session's open transaction, if any.
-struct Session<'a> {
-    db: &'a ServingDb,
+/// The wire protocol's state machine: one client's session over a
+/// serving writer's [`Endpoint`]. It holds the endpoint and the session's
+/// open transaction, if any, and does no I/O of its own: [`Session::handle`]
+/// answers a request line with a [`Reply`], reading from the head state
+/// and queueing writes. It waits for the writer only while the queue is
+/// full, never for an answer.
+///
+/// The server runs one per connection and waits on each reply in turn. A
+/// test on one thread can instead run any number of sessions over a
+/// [`Writer`](epilog_persist::Writer) it steps itself: handle lines, pass
+/// what they queued ([`Writer::drain`](epilog_persist::Writer::drain)) to
+/// [`Writer::step`](epilog_persist::Writer::step), then read the replies.
+pub struct Session {
+    db: Endpoint,
     txn: Option<Vec<TxOp>>,
 }
 
-/// What a protocol line asks the connection loop to do after replying.
-enum Disposition {
-    Continue,
-    Close,
-    ShutdownServer,
+/// A session's answer to one request line.
+pub enum Reply {
+    /// The answer: one or more complete lines, without the last newline.
+    Ready(String),
+    /// A write queued to the writer, answered once the writer has served
+    /// it.
+    Pending(Pending),
+    /// `quit`, answered `ok bye`: the connection closes after it.
+    Quit,
+    /// `shutdown`, answered `ok shutting-down`: the connection closes
+    /// after it, and the server drains and stops.
+    Shutdown,
 }
 
-impl<'a> Session<'a> {
-    fn new(db: &'a ServingDb) -> Session<'a> {
+impl Reply {
+    /// The reply's text, one or more lines without the last newline. A
+    /// pending reply blocks until the writer has answered its request.
+    pub fn wait(self) -> String {
+        match self {
+            Reply::Ready(text) => text,
+            Reply::Pending(Pending(print)) => print(),
+            Reply::Quit => "ok bye".into(),
+            Reply::Shutdown => "ok shutting-down".into(),
+        }
+    }
+}
+
+/// A queued write: its request's [`CommitHandle`] and how its outcome is
+/// printed, as one closure that waits on the handle and prints what it
+/// yields.
+pub struct Pending(Box<dyn FnOnce() -> String + Send>);
+
+impl Session {
+    /// A session with no open transaction over `db`.
+    pub fn new(db: Endpoint) -> Session {
         Session { db, txn: None }
     }
 
-    /// Answer one request line. The response is one or more complete
-    /// lines without a trailing newline. A request whose serving panics
-    /// is answered `err internal error: …`, and the session goes on.
-    fn handle(&mut self, line: &str) -> (String, Disposition) {
+    /// Answer one request line. A request whose serving panics is
+    /// answered `err internal error: …`, and the session goes on.
+    pub fn handle(&mut self, line: &str) -> Reply {
         let line = line.trim();
         let (verb, rest) = match line.split_once(' ') {
             Some((v, r)) => (v, r.trim()),
             None => (line, ""),
         };
         let reply = match verb {
-            "quit" => return ("ok bye".into(), Disposition::Close),
-            "shutdown" => return ("ok shutting-down".into(), Disposition::ShutdownServer),
+            "quit" => return Reply::Quit,
+            "shutdown" => return Reply::Shutdown,
             _ => panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(verb, rest)))
                 .unwrap_or_else(|panic| Err(ServeError::from_panic(panic).to_string())),
         };
-        match reply {
-            Ok(s) if s.is_empty() => ("ok".into(), Disposition::Continue),
-            Ok(s) => (s, Disposition::Continue),
-            Err(e) => (format!("err {e}"), Disposition::Continue),
-        }
+        reply.unwrap_or_else(|e| Reply::Ready(format!("err {e}")))
     }
 
-    fn dispatch(&mut self, verb: &str, rest: &str) -> Result<String, String> {
-        match verb {
-            "" => Ok(String::new()),
-            "ask" => self.ask(rest),
-            "demo" => self.demo(rest),
-            "why" => self.why(rest),
-            "begin" => self.begin(),
-            "assert" => self.op(rest, TxOp::Assert),
-            "retract" => self.op(rest, TxOp::Retract),
-            "commit" => self.commit(),
-            "rollback" => self.rollback(),
-            "constraint" => self.constraint(rest),
-            "flush" => self.flush(),
-            "heal" => self.heal(),
-            "stats" => Ok(stats_line(self.db)),
-            _ => Err(format!("unknown request {verb:?}")),
-        }
+    fn dispatch(&mut self, verb: &str, rest: &str) -> Result<Reply, String> {
+        Ok(match verb {
+            "" => Reply::Ready("ok".into()),
+            "ask" => Reply::Ready(self.ask(rest)?),
+            "demo" => Reply::Ready(self.demo(rest)?),
+            "why" => Reply::Ready(self.why(rest)?),
+            "begin" if self.txn.is_some() => return Err("transaction already open".into()),
+            "begin" => {
+                self.txn = Some(Vec::new());
+                Reply::Ready("ok begin".into())
+            }
+            "assert" => self.op(rest, TxOp::Assert)?,
+            "retract" => self.op(rest, TxOp::Retract)?,
+            "commit" => {
+                let ops = self.txn.take().ok_or("no open transaction")?;
+                self.send(Request::commit(ops), committed, "")
+            }
+            "rollback" => {
+                let ops = self.txn.take().ok_or("no open transaction")?;
+                Reply::Ready(format!("ok rollback {}", ops.len()))
+            }
+            "constraint" => {
+                let req = Request::constraint(parse(rest).map_err(|e| format!("parse: {e}"))?);
+                self.send(req, |lsn| format!("ok constraint @{lsn}"), "")
+            }
+            "flush" => self.send(Request::flush(), |lsn| format!("ok flushed @{lsn}"), ""),
+            "heal" => self.send(
+                Request::heal(),
+                |lsn| format!("ok healed @{lsn}"),
+                "heal failed: ",
+            ),
+            "stats" => Reply::Ready(stats_line(&self.db)),
+            _ => return Err(format!("unknown request {verb:?}")),
+        })
     }
 
     fn ask(&self, src: &str) -> Result<String, String> {
@@ -200,78 +258,48 @@ impl<'a> Session<'a> {
         }
     }
 
-    fn begin(&mut self) -> Result<String, String> {
-        if self.txn.is_some() {
-            return Err("transaction already open".into());
-        }
-        self.txn = Some(Vec::new());
-        Ok("ok begin".into())
-    }
-
+    /// Buffer an operation in the open transaction, or commit it alone.
     fn op(
         &mut self,
         src: &str,
         wrap: impl Fn(epilog_syntax::Formula) -> TxOp,
-    ) -> Result<String, String> {
-        let w = parse(src).map_err(|e| format!("parse: {e}"))?;
-        match &mut self.txn {
+    ) -> Result<Reply, String> {
+        let op = wrap(parse(src).map_err(|e| format!("parse: {e}"))?);
+        Ok(match &mut self.txn {
             Some(ops) => {
-                ops.push(wrap(w));
-                Ok(format!("ok queued {}", ops.len()))
+                ops.push(op);
+                Reply::Ready(format!("ok queued {}", ops.len()))
             }
-            None => commit_ops(self.db, vec![wrap(w)]),
-        }
+            None => self.send(Request::commit(vec![op]), committed, ""),
+        })
     }
 
-    fn commit(&mut self) -> Result<String, String> {
-        let ops = self.txn.take().ok_or("no open transaction")?;
-        commit_ops(self.db, ops)
-    }
-
-    fn rollback(&mut self) -> Result<String, String> {
-        let ops = self.txn.take().ok_or("no open transaction")?;
-        Ok(format!("ok rollback {}", ops.len()))
-    }
-
-    fn constraint(&self, src: &str) -> Result<String, String> {
-        let ic = parse(src).map_err(|e| format!("parse: {e}"))?;
-        let lsn = self.db.add_constraint(ic).map_err(not_written)?;
-        Ok(format!("ok constraint @{lsn}"))
-    }
-
-    fn flush(&self) -> Result<String, String> {
-        let lsn = self.db.flush().map_err(not_written)?;
-        Ok(format!("ok flushed @{lsn}"))
-    }
-
-    fn heal(&self) -> Result<String, String> {
-        let lsn = self
-            .db
-            .heal()
-            .map_err(|e| format!("heal failed: {}", not_written(e)))?;
-        Ok(format!("ok healed @{lsn}"))
+    /// The one way every write verb is served: queue its request, and
+    /// print the writer's answer once it comes — with `print`, or, after
+    /// `failed`, as the `err` line of a write the writer did not perform,
+    /// the same for every verb: a refusal is `rejected:` and names the
+    /// state it was checked on; anything else says what failed.
+    fn send<T: Send + 'static>(
+        &self,
+        request: (Request, CommitHandle<T>),
+        print: fn(T) -> String,
+        failed: &'static str,
+    ) -> Reply {
+        let handle = self.db.send(request);
+        Reply::Pending(Pending(Box::new(move || match handle.wait() {
+            Ok(answer) => print(answer),
+            Err(ServeError::Db(e, lsn)) => format!("err {failed}rejected: {e} @{lsn}"),
+            Err(e) => format!("err {failed}{e}"),
+        })))
     }
 }
 
-fn commit_ops(db: &ServingDb, ops: Vec<TxOp>) -> Result<String, String> {
-    let r = db.commit_wait(ops).map_err(not_written)?;
-    Ok(format!(
-        "ok committed @{} +{} -{}",
-        r.lsn, r.report.asserted, r.report.retracted
-    ))
+fn committed(r: CommitReceipt) -> String {
+    let (lsn, a, d) = (r.lsn, r.report.asserted, r.report.retracted);
+    format!("ok committed @{lsn} +{a} -{d}")
 }
 
-/// The text of the `err` line answering a write the writer did not
-/// perform, the same for every write verb: a refusal is `rejected:` and
-/// names the state it was checked on; anything else says what failed.
-fn not_written(e: ServeError) -> String {
-    match e {
-        ServeError::Db(e, lsn) => format!("rejected: {e} @{lsn}"),
-        e => e.to_string(),
-    }
-}
-
-fn stats_line(db: &ServingDb) -> String {
+fn stats_line(db: &Endpoint) -> String {
     let s = db.stats();
     let snap = db.snapshot();
     format!(
@@ -426,9 +454,8 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 }
 
 fn session_loop(stream: TcpStream, inner: &Inner) {
-    // Readers and the writer queue are shared through `inner`; the
-    // transaction buffer is this session's alone.
-    let mut session = Session::new(&inner.db);
+    // The session is the protocol; this loop only frames its lines.
+    let mut session = Session::new(Endpoint::clone(&inner.db));
     let _ = stream.set_read_timeout(inner.opts.read_timeout);
     let Ok(read) = stream.try_clone() else {
         return;
@@ -465,21 +492,22 @@ fn session_loop(stream: TcpStream, inner: &Inner) {
         }
         // The line is framed, so one that is not text is refused and the
         // session reads the next.
-        let (reply, disposition) = match std::str::from_utf8(&line) {
+        let reply = match std::str::from_utf8(&line) {
             Ok(line) => session.handle(line),
-            Err(_) => ("err request is not UTF-8".into(), Disposition::Continue),
+            Err(_) => Reply::Ready("err request is not UTF-8".into()),
         };
+        let shutdown = matches!(reply, Reply::Shutdown);
+        let last = shutdown || matches!(reply, Reply::Quit);
+        let reply = reply.wait();
         if write.write_all(reply.as_bytes()).is_err() || write.write_all(b"\n").is_err() {
             break;
         }
         let _ = write.flush();
-        match disposition {
-            Disposition::Continue => {}
-            Disposition::Close => break,
-            Disposition::ShutdownServer => {
-                inner.request_shutdown();
-                break;
-            }
+        if shutdown {
+            inner.request_shutdown();
+        }
+        if last {
+            break;
         }
     }
     // Close the connection outright: the accept loop holds a clone of
@@ -555,8 +583,10 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epilog_persist::{DurableDb, FaultInjector, FsyncPolicy, Writer};
     use epilog_syntax::Theory;
-    use std::path::PathBuf;
+    use proptest::prelude::*;
+    use std::path::{Path, PathBuf};
 
     fn dir() -> PathBuf {
         use std::sync::atomic::AtomicU32;
@@ -570,75 +600,116 @@ mod tests {
         d
     }
 
-    fn serve(d: &std::path::Path) -> Server {
-        let theory = Theory::from_text("forall x. emp(x) -> person(x)").unwrap();
+    const REGISTRAR: &str = "forall x. emp(x) -> person(x)";
+
+    fn serve(d: &Path) -> Server {
+        let theory = Theory::from_text(REGISTRAR).unwrap();
         let db = ServingDb::create(d, theory, Default::default()).unwrap();
         Server::start(db, "127.0.0.1:0").unwrap()
     }
 
-    #[test]
-    fn protocol_round_trip_over_tcp() {
-        let d = dir();
-        let server = serve(&d);
-        let mut c = Client::connect(server.local_addr()).unwrap();
+    /// A served database on the test's own thread: a [`Writer`] stepped
+    /// by hand and sessions over its endpoint. Each request's writes are
+    /// stepped as a batch of their own before its reply is read, as a
+    /// client that waits on each reply sees them served.
+    struct Stepped {
+        writer: Writer,
+        endpoint: Endpoint,
+        sessions: Vec<Session>,
+    }
 
+    impl Stepped {
+        fn start(durable: DurableDb, sessions: usize) -> Stepped {
+            let (writer, endpoint) = Writer::new(durable);
+            let sessions = (0..sessions)
+                .map(|_| Session::new(endpoint.clone()))
+                .collect();
+            Stepped {
+                writer,
+                endpoint,
+                sessions,
+            }
+        }
+
+        fn create(d: &Path, theory: &str) -> Stepped {
+            let theory = Theory::from_text(theory).unwrap();
+            Stepped::start(DurableDb::create(d, theory, FsyncPolicy::Never).unwrap(), 1)
+        }
+
+        /// Serve everything the sessions queued as one batch.
+        fn step(&mut self) {
+            let batch = self.writer.drain();
+            self.writer.step(batch);
+        }
+
+        /// Session `s`'s whole reply to `line`.
+        fn on(&mut self, s: usize, line: &str) -> String {
+            let reply = self.sessions[s].handle(line);
+            self.step();
+            reply.wait()
+        }
+
+        fn request(&mut self, line: &str) -> String {
+            self.on(0, line)
+        }
+    }
+
+    #[test]
+    fn protocol_round_trip() {
+        let d = dir();
+        let mut t = Stepped::create(&d, REGISTRAR);
         assert_eq!(
-            c.request("constraint forall x. K emp(x) -> exists y. K ss(x, y)")
-                .unwrap(),
+            t.request("constraint forall x. K emp(x) -> exists y. K ss(x, y)"),
             "ok constraint @1"
         );
-        assert_eq!(c.request("ask K person(Mary)").unwrap(), "ok no @1");
+        assert_eq!(t.request("ask K person(Mary)"), "ok no @1");
 
         // A transaction: out-of-order ops are fine, validated at commit.
-        assert_eq!(c.request("begin").unwrap(), "ok begin");
-        assert_eq!(c.request("assert emp(Mary)").unwrap(), "ok queued 1");
-        assert_eq!(c.request("assert ss(Mary, n1)").unwrap(), "ok queued 2");
-        assert_eq!(c.request("commit").unwrap(), "ok committed @2 +2 -0");
-        assert_eq!(c.request("ask K person(Mary)").unwrap(), "ok yes @2");
+        assert_eq!(t.request("begin"), "ok begin");
+        assert_eq!(t.request("assert emp(Mary)"), "ok queued 1");
+        assert_eq!(t.request("assert ss(Mary, n1)"), "ok queued 2");
+        assert_eq!(t.request("commit"), "ok committed @2 +2 -0");
+        assert_eq!(t.request("ask K person(Mary)"), "ok yes @2");
 
         // Constraint rejection: no ss number for Joe.
-        let r = c.request("assert emp(Joe)").unwrap();
+        let r = t.request("assert emp(Joe)");
         assert!(r.starts_with("err rejected:"), "got {r}");
-        assert_eq!(c.request("ask K emp(Joe)").unwrap(), "ok no @2");
+        assert_eq!(t.request("ask K emp(Joe)"), "ok no @2");
 
         // demo returns the known employees.
-        let rows = c.demo("exists x. K emp(x)").unwrap();
-        assert_eq!(rows, vec![Vec::<String>::new()]);
-        let rows = c.demo("K emp(x)").unwrap();
-        assert_eq!(rows, vec![vec!["Mary".to_string()]]);
+        assert_eq!(t.request("demo exists x. K emp(x)"), "ok rows 1 @2\nrow");
+        assert_eq!(t.request("demo K emp(x)"), "ok rows 1 @2\nrow Mary");
 
-        // Parse errors and unknown verbs answer err without closing.
-        assert!(c.request("ask ((").unwrap().starts_with("err parse:"));
-        assert!(c.request("frobnicate").unwrap().starts_with("err unknown"));
-        assert_eq!(c.request("rollback").unwrap(), "err no open transaction");
+        // Parse errors and unknown verbs answer err; the session goes on.
+        assert!(t.request("ask ((").starts_with("err parse:"));
+        assert!(t.request("frobnicate").starts_with("err unknown"));
+        assert_eq!(t.request("rollback"), "err no open transaction");
+        assert_eq!(t.request(""), "ok");
 
-        let stats = c.request("stats").unwrap();
+        let stats = t.request("stats");
         assert!(stats.starts_with("ok stats commits=1 "), "got {stats}");
         // A definite database answers from its least model.
         assert!(stats.ends_with(" sat_calls=0 refuted=0"), "got {stats}");
-        assert_eq!(c.request("quit").unwrap(), "ok bye");
+        assert_eq!(t.request("quit"), "ok bye");
+        assert!(matches!(t.sessions[0].handle("shutdown"), Reply::Shutdown));
 
-        // Two clients see the same committed state.
-        let mut c2 = Client::connect(server.local_addr()).unwrap();
-        assert_eq!(c2.request("ask K person(Mary)").unwrap(), "ok yes @2");
-
-        let stats = server.shutdown().unwrap();
-        assert_eq!(stats.commits, 1);
+        // A second session sees the same committed state.
+        t.sessions.push(Session::new(t.endpoint.clone()));
+        assert_eq!(t.on(1, "ask K person(Mary)"), "ok yes @2");
+        assert_eq!(t.endpoint.stats().commits, 1);
+        drop(t);
         std::fs::remove_dir_all(d).unwrap();
     }
 
     #[test]
     fn stats_count_the_head_provers_solver_runs_and_refutations() {
         let d = dir();
-        let theory = Theory::from_text(
+        let mut t = Stepped::create(
+            &d,
             "Teach(John, Math)\nexists x. Teach(x, CS)\nTeach(Mary, Psych) | Teach(Sue, Psych)",
-        )
-        .unwrap();
-        let db = ServingDb::create(&d, theory, Default::default()).unwrap();
-        let server = Server::start(db, "127.0.0.1:0").unwrap();
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        let counters = |c: &mut Client| -> (u64, u64) {
-            let stats = c.request("stats").unwrap();
+        );
+        let counters = |t: &mut Stepped| -> (u64, u64) {
+            let stats = t.request("stats");
             let field = |key: &str| {
                 let rest = &stats[stats.find(key).expect(key) + key.len()..];
                 let digits = rest.split(' ').next().unwrap();
@@ -646,65 +717,60 @@ mod tests {
             };
             (field(" sat_calls="), field(" refuted="))
         };
-        assert_eq!(counters(&mut c), (0, 0), "nothing is grounded unasked");
-        assert_eq!(c.request("ask K Teach(John, Math)").unwrap(), "ok yes @0");
+        assert_eq!(counters(&mut t), (0, 0), "nothing is grounded unasked");
+        assert_eq!(t.request("ask K Teach(John, Math)"), "ok yes @0");
         // One run found ground Σ a model, one decided the fact.
-        assert_eq!(counters(&mut c), (2, 0));
-        assert_eq!(c.request("ask K Teach(Sue, Math)").unwrap(), "ok no @0");
-        assert_eq!(counters(&mut c), (2, 1), "the kept model refutes it");
+        assert_eq!(counters(&mut t), (2, 0));
+        assert_eq!(t.request("ask K Teach(Sue, Math)"), "ok no @0");
+        assert_eq!(counters(&mut t), (2, 1), "the kept model refutes it");
         // A commit publishes a new prover, which starts from zero.
         assert_eq!(
-            c.request("assert Teach(Sue, Math)").unwrap(),
+            t.request("assert Teach(Sue, Math)"),
             "ok committed @1 +1 -0"
         );
-        assert_eq!(counters(&mut c), (0, 0));
-        server.shutdown().unwrap();
+        assert_eq!(counters(&mut t), (0, 0));
+        drop(t);
         std::fs::remove_dir_all(d).unwrap();
     }
 
     #[test]
-    fn why_and_stamped_rejections_over_tcp() {
+    fn why_and_stamped_rejections() {
         let d = dir();
-        let theory = Theory::from_text(
+        let mut t = Stepped::create(
+            &d,
             "edge(a, b)\nedge(b, c)\nforall x. forall y. edge(x, y) -> path(x, y)\n\
              forall x. forall y. forall z. edge(x, y) & path(y, z) -> path(x, z)",
-        )
-        .unwrap();
-        let db = ServingDb::create(&d, theory, Default::default()).unwrap();
-        let server = Server::start(db, "127.0.0.1:0").unwrap();
-        let mut c = Client::connect(server.local_addr()).unwrap();
-
-        let head = c.request("why path(a, c)").unwrap();
-        assert!(head.starts_with("ok why "), "got {head}");
+        );
+        let why = t.request("why path(a, c)");
+        let (head, rows) = why.split_once('\n').unwrap();
         let n: usize = head
             .strip_prefix("ok why ")
-            .unwrap()
-            .split(' ')
-            .next()
-            .unwrap()
+            .and_then(|r| r.strip_suffix(" @0"))
+            .unwrap_or_else(|| panic!("got {head}"))
             .parse()
             .unwrap();
         assert!(n >= 3, "conclusion plus two premises at least, got {n}");
-        for _ in 0..n {
-            let row = c.read_line().unwrap();
-            assert!(row.starts_with("row "), "got {row}");
-        }
+        assert_eq!(rows.lines().count(), n);
+        assert!(
+            rows.lines().all(|row| row.starts_with("row ")),
+            "got {rows}"
+        );
 
-        assert_eq!(c.request("why path(c, a)").unwrap(), "ok why none @0");
-        assert!(c.request("why K edge(a, b)").unwrap().starts_with("err"));
+        assert_eq!(t.request("why path(c, a)"), "ok why none @0");
+        assert!(t.request("why K edge(a, b)").starts_with("err"));
 
         // Rejections carry the violated constraint, its ground
         // witnesses, and the LSN of the state they were checked on.
         assert_eq!(
-            c.request("constraint forall x. ~K path(x, x)").unwrap(),
+            t.request("constraint forall x. ~K path(x, x)"),
             "ok constraint @1"
         );
-        let r = c.request("assert edge(c, a)").unwrap();
+        let r = t.request("assert edge(c, a)");
         assert!(r.starts_with("err rejected:"), "got {r}");
         assert!(r.ends_with("@1"), "got {r}");
         assert!(r.contains("witnesses"), "got {r}");
 
-        let stats = c.request("stats").unwrap();
+        let stats = t.request("stats");
         assert!(
             stats.contains(" plan_recosts=0 io_errors=0 "),
             "got {stats}"
@@ -713,35 +779,355 @@ mod tests {
         // A theory outside the definite fragment has no least model to
         // prove from.
         assert_eq!(
-            c.request("assert edge(c, d) | edge(d, c)").unwrap(),
+            t.request("assert edge(c, d) | edge(d, c)"),
             "ok committed @2 +1 -0"
         );
-        let r = c.request("why path(a, c)").unwrap();
+        let r = t.request("why path(a, c)");
         assert!(r.starts_with("err why needs a definite theory"), "got {r}");
-        server.shutdown().unwrap();
+        drop(t);
         std::fs::remove_dir_all(d).unwrap();
     }
 
     #[test]
     fn why_of_a_deep_chain_answers_and_the_session_lives_on() {
         // A proof one level per step: walking, rendering or dropping it
-        // one stack frame per level would overflow the session thread.
+        // one stack frame per level would overflow the session's stack.
         let d = dir();
         let mut src = String::from("r(n0)\nforall x, y. r(x) & next(x, y) -> r(y)\n");
         for i in 0..5_000 {
             src.push_str(&format!("next(n{i}, n{})\n", i + 1));
         }
-        let db = ServingDb::create(&d, Theory::from_text(&src).unwrap(), Default::default());
-        let server = Server::start(db.unwrap(), "127.0.0.1:0").unwrap();
-        let mut c = Client::connect(server.local_addr()).unwrap();
+        let mut t = Stepped::create(&d, &src);
         // 5 000 derived steps, each with its `next` fact, over `r(n0)`.
-        assert_eq!(c.request("why r(n5000)").unwrap(), "ok why 10001 @0");
-        for _ in 0..10_001 {
-            assert!(c.read_line().unwrap().starts_with("row "));
+        let why = t.request("why r(n5000)");
+        let mut lines = why.lines();
+        assert_eq!(lines.next(), Some("ok why 10001 @0"));
+        assert_eq!(lines.filter(|l| l.starts_with("row ")).count(), 10_001);
+        assert!(t.request("stats").starts_with("ok stats "));
+        drop(t);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    /// Two clients' script, each line with the start of its expected
+    /// reply, and the disk broken and fixed between lines.
+    enum Act {
+        Say(usize, &'static str, &'static str),
+        BreakDisk,
+        FixDisk,
+    }
+
+    /// Run `script`, asking through `say`, breaking and fixing `disk`.
+    fn play(
+        script: &[Act],
+        disk: &FaultInjector,
+        mut say: impl FnMut(usize, &str) -> String,
+    ) -> Vec<String> {
+        let mut replies = Vec::new();
+        for act in script {
+            match *act {
+                Act::Say(who, line, want) => {
+                    let reply = say(who, line);
+                    assert!(reply.starts_with(want), "{line}: got {reply}");
+                    replies.push(reply);
+                }
+                Act::BreakDisk => disk.set_sync_rate(1, 1),
+                Act::FixDisk => disk.disarm(),
+            }
         }
-        assert!(c.request("stats").unwrap().starts_with("ok stats "));
+        replies
+    }
+
+    /// One request's whole reply over `c`: its first line, then the `row`
+    /// lines that line announces.
+    fn exchange(c: &mut Client, line: &str) -> String {
+        let mut reply = c.request(line).unwrap();
+        let rows = ["ok rows ", "ok why "]
+            .iter()
+            .find_map(|head| reply.strip_prefix(head)?.split(' ').next()?.parse().ok())
+            .unwrap_or(0);
+        for _ in 0..rows {
+            reply.push('\n');
+            reply.push_str(&c.read_line().unwrap());
+        }
+        reply
+    }
+
+    #[test]
+    fn two_sessions_and_a_stepped_writer_answer_as_over_loopback() {
+        use Act::{BreakDisk, FixDisk, Say};
+        const A: usize = 0;
+        const B: usize = 1;
+        const DEGRADED: &str =
+            "err degraded (read-only): log sync failed (injected fsync failure); recover the directory";
+        let script = [
+            Say(
+                A,
+                "constraint forall x. K p(x) -> exists y. K r(x, y)",
+                "ok constraint @1",
+            ),
+            // Interleaved transactions: each session's buffer is its own.
+            Say(A, "begin", "ok begin"),
+            Say(B, "begin", "ok begin"),
+            Say(A, "assert p(a)", "ok queued 1"),
+            Say(B, "assert r(b, n2)", "ok queued 1"),
+            Say(A, "assert r(a, n1)", "ok queued 2"),
+            Say(B, "assert p(b)", "ok queued 2"),
+            Say(B, "commit", "ok committed @2 +2 -0"),
+            Say(A, "ask K q(a)", "ok no @2"),
+            Say(A, "commit", "ok committed @3 +2 -0"),
+            Say(B, "assert p(c)", "err rejected: update rejected: constraint `forall x. K p(x) -> (exists y. K r(x, y))` would be violated (witnesses: p(c)) @3"),
+            Say(B, "demo K q(x)", "ok rows 2 @3\nrow "),
+            Say(A, "begin", "ok begin"),
+            Say(A, "assert p(d)", "ok queued 1"),
+            // Break the disk: the in-flight commit fails with an io error
+            // and the database degrades to read-only.
+            BreakDisk,
+            Say(B, "assert r(e, n5)", "err io error: batch fsync failed: io error: injected fsync failure"),
+            Say(B, "assert r(e, n5)", DEGRADED),
+            // An open transaction outlives the degrade.
+            Say(A, "assert r(d, n4)", "ok queued 2"),
+            // Every write verb answers the degraded database alike.
+            Say(B, "constraint forall x. K q(x) -> K p(x)", DEGRADED),
+            Say(B, "flush", "ok flushed @3"),
+            Say(B, "ask K q(b)", "ok yes @3"),
+            Say(B, "stats", "ok stats commits=2 rejected=1 batches=3 fsyncs=3 plan_recosts=2 io_errors=1 heals=0 degraded=true sat_calls=0 refuted=0"),
+            // Healing against a still-broken disk fails and stays retryable.
+            Say(A, "heal", "err heal failed: io error: heal probe sync failed: io error: injected fsync failure"),
+            // Fix the disk and heal from the other session; the first
+            // one's transaction then commits.
+            FixDisk,
+            Say(B, "heal", "ok healed @3"),
+            Say(A, "commit", "ok committed @4 +2 -0"),
+            Say(B, "why q(d)", "ok why 2 @4\nrow q(d) <= rule 0\nrow   p(d) (fact)"),
+            Say(A, "stats", "ok stats commits=3 rejected=1 batches=4 fsyncs=4 plan_recosts=2 io_errors=1 heals=1 degraded=false sat_calls=0 refuted=0"),
+            Say(B, "rollback", "err no open transaction"),
+        ];
+        let durable = |d: &Path| {
+            let theory = Theory::from_text("forall x. p(x) -> q(x)").unwrap();
+            let mut durable = DurableDb::create(d, theory, FsyncPolicy::Never).unwrap();
+            let disk = Arc::new(FaultInjector::new(77));
+            durable.set_fault_injector(Some(Arc::clone(&disk)));
+            (durable, disk)
+        };
+
+        let d = dir();
+        let (db, disk) = durable(&d);
+        let mut t = Stepped::start(db, 2);
+        let stepped = play(&script, &disk, |who, line| t.on(who, line));
+
+        // Batch-mates from two sessions, which loopback cannot force: one
+        // step serves both commits, the first is refused and spares the
+        // second, and each reply carries the LSN of its own outcome.
+        for (who, line) in [
+            (B, "begin"),
+            (B, "assert p(f)"),
+            (A, "begin"),
+            (A, "assert p(g)"),
+            (A, "assert r(g, n7)"),
+        ] {
+            assert!(t.on(who, line).starts_with("ok "));
+        }
+        let before = t.endpoint.stats();
+        let refused = t.sessions[B].handle("commit");
+        let accepted = t.sessions[A].handle("commit");
+        t.step();
+        let refused = refused.wait();
+        assert!(
+            refused.starts_with("err rejected: ") && refused.ends_with(" @4"),
+            "{refused}"
+        );
+        assert_eq!(accepted.wait(), "ok committed @5 +2 -0");
+        let after = t.endpoint.stats();
+        assert_eq!(
+            (
+                after.batches - before.batches,
+                after.fsyncs - before.fsyncs,
+                after.rejected - before.rejected
+            ),
+            (1, 1, 1)
+        );
+        drop(t);
+        std::fs::remove_dir_all(d).unwrap();
+
+        // The same script over loopback answers line for line the same.
+        let d = dir();
+        let (db, disk) = durable(&d);
+        let server =
+            Server::start(ServingDb::start(db, Default::default()), "127.0.0.1:0").unwrap();
+        let mut clients: Vec<Client> = (0..2)
+            .map(|_| Client::connect(server.local_addr()).unwrap())
+            .collect();
+        let wired = play(&script, &disk, |who, line| {
+            exchange(&mut clients[who], line)
+        });
+        assert_eq!(wired, stepped);
         server.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn an_open_ask_is_refused_by_name() {
+        let d = dir();
+        let mut t = Stepped::create(&d, REGISTRAR);
+        let r = t.request("ask K emp(x)");
+        assert!(
+            r.starts_with("err ") && !r.starts_with("err internal"),
+            "got {r}"
+        );
+        assert!(r.contains("`K emp(x)` has free variables"), "got {r}");
+        assert_eq!(t.request("ask K emp(Mary)"), "ok no @0");
+        drop(t);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn an_unsatisfiable_theory_answers_every_ask_yes() {
+        let d = dir();
+        let mut t = Stepped::create(&d, "p(a)");
+        assert_eq!(t.request("assert ~p(a)"), "ok committed @1 +1 -0");
+        assert_eq!(t.request("ask p(a)"), "ok yes @1");
+        assert_eq!(t.request("ask ~p(a)"), "ok yes @1");
+        drop(t);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_request_that_panics_costs_that_request_only() {
+        // Over 100 facts, `K (p(x1) | … | p(x10))` is one open leaf with
+        // ten unbound variables: `prove` walks 100^10 tuples, which
+        // overflows. As a constraint's check it panics the writer's step,
+        // as a read the session's.
+        let d = dir();
+        let facts: Vec<String> = (0..100).map(|i| format!("p(c{i})")).collect();
+        let mut t = Stepped::create(&d, &facts.join("\n"));
+        let xs: Vec<String> = (1..=10).map(|i| format!("x{i}")).collect();
+        let ps: Vec<String> = xs.iter().map(|x| format!("p({x})")).collect();
+        let poison = format!("forall {}. ~K ({})", xs.join(", "), ps.join(" | "));
+        let r = t.request(&format!("constraint {poison}"));
+        assert!(r.starts_with("err internal"), "got {r}");
+        assert_eq!(t.request("assert p(b)"), "ok committed @1 +1 -0");
+        let r = t.request(&format!("demo K ({})", ps.join(" | ")));
+        assert!(r.starts_with("err internal"), "got {r}");
+        assert_eq!(t.request("ask K p(b)"), "ok yes @1");
+        drop(t);
+        let (db, report) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
+        assert_eq!(report.records_replayed, 1, "{report}");
+        assert_eq!(db.db().constraints().len(), 0);
+        drop(db);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn a_deeply_nested_request_is_refused_and_the_server_goes_on() {
+        // Parsing 20 000 `~` recursed once for each and overflowed the
+        // session thread's stack, which aborted the whole server.
+        let d = dir();
+        let mut t = Stepped::create(&d, REGISTRAR);
+        let r = t.request(&format!("ask {}p(a)", "~".repeat(20_000)));
+        assert!(r.starts_with("err parse:"), "got {r}");
+        assert!(r.contains("nested deeper than 256 levels"), "got {r}");
+        assert!(t.request("stats").starts_with("ok stats "));
+        drop(t);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn an_atom_past_the_arity_limit_is_refused_and_the_session_goes_on() {
+        let d = dir();
+        let mut t = Stepped::create(&d, REGISTRAR);
+        let wide = format!("q({})", vec!["a"; 256].join(", "));
+        for request in [format!("ask K {wide}"), format!("assert {wide}")] {
+            let r = t.request(&request);
+            assert!(r.starts_with("err parse:"), "got {r}");
+            assert!(r.contains("a predicate takes at most 255"), "got {r}");
+        }
+        assert_eq!(t.request("ask K emp(Sue)"), "ok no @0");
+        assert!(t.request("stats").starts_with("ok stats commits=0 "));
+        drop(t);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    /// The request verbs.
+    const VERBS: &str =
+        "ask demo why begin assert retract commit rollback constraint flush heal stats quit shutdown";
+    /// The grammar's words and symbols, and verbs out of place.
+    const WORDS: &str =
+        "K ~ & | -> <-> forall exists all some . ( ) , = != $ x y z1 a b p emp person ask commit";
+    /// The theory's predicates.
+    const PREDS: &str = "p emp ss person";
+    /// Pieces of an atom's arguments: names, and the `$` escape beside
+    /// characters that cannot start a name.
+    const TERMS: &str = "a b x y1 Mary $ _ 1 ' #";
+
+    /// One of the space-separated `words`.
+    fn one_of(words: &'static str) -> impl Strategy<Value = String> {
+        let words: Vec<&str> = words.split(' ').collect();
+        (0..words.len()).prop_map(move |i| words[i].to_string())
+    }
+
+    /// A run of arbitrary bytes, read as UTF-8 lossily: a session only
+    /// ever sees text.
+    fn bytes() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0u16..256, 1..4).prop_map(|bytes| {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+    }
+
+    /// A request line: most often a verb and a space, then a body — up
+    /// to 24 pieces, or up to 3, or one atom. A piece is a word, a space,
+    /// an atom over the theory's predicates whose arguments are glued
+    /// from term pieces and bytes, or bytes.
+    fn garbage_line() -> impl Strategy<Value = String> {
+        let verb = prop_oneof![
+            4 => one_of(VERBS).prop_map(|verb| verb + " "),
+            1 => Just(String::new()),
+        ];
+        let term = proptest::collection::vec(prop_oneof![4 => one_of(TERMS), 1 => bytes()], 1..3);
+        let atom = (one_of(PREDS), proptest::collection::vec(term, 1..4)).prop_map(|(p, args)| {
+            let args: Vec<String> = args.into_iter().map(|t| t.concat()).collect();
+            format!("{p}({})", args.join(", "))
+        });
+        let piece = prop_oneof![
+            6 => one_of(WORDS),
+            4 => Just(" ".to_string()),
+            2 => atom.clone(),
+            1 => bytes(),
+        ];
+        let body = prop_oneof![
+            2 => proptest::collection::vec(piece.clone(), 0..24).prop_map(|p| p.concat()),
+            1 => proptest::collection::vec(piece, 1..4).prop_map(|p| p.concat()),
+            1 => atom,
+        ];
+        (verb, body).prop_map(|(verb, body)| verb + &body)
+    }
+
+    proptest! {
+        /// No line a client can send panics its session or the writer,
+        /// every reply is an `ok` or an `err`, the session answers `stats`
+        /// after all of them, and the log recovers to the head they left.
+        #[test]
+        fn garbage_lines_are_answered_and_the_session_goes_on(
+            lines in proptest::collection::vec(garbage_line(), 1..8)
+        ) {
+            let d = dir();
+            let mut t = Stepped::create(&d, "forall x. emp(x) -> person(x)\nemp(a)\nss(a, b)");
+            for line in &lines {
+                let reply = t.request(line);
+                prop_assert!(
+                    reply.starts_with("ok") || reply.starts_with("err"),
+                    "{line:?}: got {reply:?}"
+                );
+                prop_assert!(!reply.starts_with("err internal error"), "{line:?}: got {reply:?}");
+            }
+            let stats = t.request("stats");
+            prop_assert!(stats.starts_with("ok stats "), "after {lines:?}: got {stats:?}");
+            let head = t.endpoint.snapshot().lsn();
+            drop(t);
+            let recovered = DurableDb::recover(&d, FsyncPolicy::Never).map(|(db, _)| db.last_lsn());
+            prop_assert!(recovered.as_ref().ok() == Some(&head), "after {lines:?}: {recovered:?}");
+            std::fs::remove_dir_all(d).unwrap();
+        }
     }
 
     /// 20 `ask` round trips and one multi-row `demo`, each reply checked
@@ -839,119 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_server_stays_readable_heals_and_retries_succeed() {
-        use epilog_persist::{DurableDb, FaultInjector, FsyncPolicy};
-
-        let d = dir();
-        let theory = Theory::from_text("forall x. p(x) -> q(x)").unwrap();
-        let mut durable = DurableDb::create(&d, theory, FsyncPolicy::Never).unwrap();
-        let inj = Arc::new(FaultInjector::new(77));
-        durable.set_fault_injector(Some(Arc::clone(&inj)));
-        let db = ServingDb::start(durable, Default::default());
-        let server = Server::start(db, "127.0.0.1:0").unwrap();
-        let mut c = Client::connect(server.local_addr()).unwrap();
-
-        assert_eq!(c.request("assert p(a)").unwrap(), "ok committed @1 +1 -0");
-
-        // Break the disk: the in-flight commit fails with an io error
-        // and the database degrades to read-only.
-        inj.set_sync_rate(1, 1);
-        let r = c.request("assert p(b)").unwrap();
-        assert!(r.starts_with("err io error"), "got {r}");
-        let r = c.request("assert p(c)").unwrap();
-        assert!(r.starts_with("err degraded (read-only): "), "got {r}");
-        // Every write verb answers the degraded database alike.
-        let r = c.request("constraint forall x. K p(x) -> K q(x)").unwrap();
-        assert!(r.starts_with("err degraded (read-only): "), "got {r}");
-        assert_eq!(c.request("ask K q(a)").unwrap(), "ok yes @1");
-        let stats = c.request("stats").unwrap();
-        assert!(stats.contains("degraded=true"), "got {stats}");
-
-        // Healing against a still-broken disk fails and stays retryable.
-        let r = c.request("heal").unwrap();
-        assert!(r.starts_with("err heal failed"), "got {r}");
-
-        // Fix the disk and heal from a second session; the first one's
-        // retried write then commits.
-        inj.disarm();
-        let mut c2 = Client::connect(server.local_addr()).unwrap();
-        assert_eq!(c2.request("heal").unwrap(), "ok healed @1");
-        assert_eq!(c.request("assert p(b)").unwrap(), "ok committed @2 +1 -0");
-
-        let stats = c.request("stats").unwrap();
-        assert!(
-            stats.contains("degraded=false") && stats.contains("heals=1"),
-            "got {stats}"
-        );
-        assert_eq!(c.request("ask K q(b)").unwrap(), "ok yes @2");
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(d).unwrap();
-    }
-
-    #[test]
-    fn an_open_ask_is_refused_by_name() {
-        let d = dir();
-        let server = serve(&d);
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        let r = c.request("ask K emp(x)").unwrap();
-        assert!(
-            r.starts_with("err ") && !r.starts_with("err internal"),
-            "got {r}"
-        );
-        assert!(r.contains("`K emp(x)` has free variables"), "got {r}");
-        assert_eq!(c.request("ask K emp(Mary)").unwrap(), "ok no @0");
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(d).unwrap();
-    }
-
-    #[test]
-    fn an_unsatisfiable_theory_answers_every_ask_yes() {
-        let d = dir();
-        let theory = Theory::from_text("p(a)").unwrap();
-        let db = ServingDb::create(&d, theory, Default::default()).unwrap();
-        let server = Server::start(db, "127.0.0.1:0").unwrap();
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        assert_eq!(c.request("assert ~p(a)").unwrap(), "ok committed @1 +1 -0");
-        assert_eq!(c.request("ask p(a)").unwrap(), "ok yes @1");
-        assert_eq!(c.request("ask ~p(a)").unwrap(), "ok yes @1");
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(d).unwrap();
-    }
-
-    #[test]
-    fn a_request_that_panics_costs_that_request_only() {
-        // Over 100 facts, `K (p(x1) | … | p(x10))` is one open leaf with
-        // ten unbound variables: `prove` walks 100^10 tuples, which
-        // overflows. As a constraint's check it panics the writer's step,
-        // as a read the session's.
-        let d = dir();
-        let facts: Vec<String> = (0..100).map(|i| format!("p(c{i})")).collect();
-        let theory = Theory::from_text(&facts.join("\n")).unwrap();
-        let db = ServingDb::create(&d, theory, Default::default()).unwrap();
-        let server = Server::start(db, "127.0.0.1:0").unwrap();
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        let xs: Vec<String> = (1..=10).map(|i| format!("x{i}")).collect();
-        let ps: Vec<String> = xs.iter().map(|x| format!("p({x})")).collect();
-        let poison = format!("forall {}. ~K ({})", xs.join(", "), ps.join(" | "));
-        let r = c.request(&format!("constraint {poison}")).unwrap();
-        assert!(r.starts_with("err internal"), "got {r}");
-        assert_eq!(c.request("assert p(b)").unwrap(), "ok committed @1 +1 -0");
-        let r = c.request(&format!("demo K ({})", ps.join(" | "))).unwrap();
-        assert!(r.starts_with("err internal"), "got {r}");
-        assert_eq!(c.request("quit").unwrap(), "ok bye");
-        server.shutdown().unwrap();
-        let (db, report) = ServingDb::recover(&d, Default::default()).unwrap();
-        assert_eq!(report.records_replayed, 1, "{report}");
-        assert_eq!(db.snapshot().constraints().len(), 0);
-        assert_eq!(
-            db.snapshot().ask(&parse("K p(b)").unwrap()),
-            epilog_core::Answer::Yes
-        );
-        db.shutdown().unwrap();
-        std::fs::remove_dir_all(d).unwrap();
-    }
-
-    #[test]
     fn an_overlong_request_line_closes_its_session_only() {
         let d = dir();
         let server = serve(&d);
@@ -984,25 +1257,6 @@ mod tests {
         assert!(c.request("stats").unwrap().starts_with("ok stats "));
         server.shutdown().unwrap();
         flood.join().unwrap();
-        std::fs::remove_dir_all(d).unwrap();
-    }
-
-    #[test]
-    fn a_deeply_nested_request_is_refused_and_the_server_goes_on() {
-        // Parsing 20 000 `~` recursed once for each and overflowed the
-        // session thread's stack, which aborted the whole server.
-        let d = dir();
-        let server = serve(&d);
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        let r = c
-            .request(&format!("ask {}p(a)", "~".repeat(20_000)))
-            .unwrap();
-        assert!(r.starts_with("err parse:"), "got {r}");
-        assert!(r.contains("nested deeper than 256 levels"), "got {r}");
-        assert!(c.request("stats").unwrap().starts_with("ok stats "));
-        let mut other = Client::connect(server.local_addr()).unwrap();
-        assert_eq!(other.request("ask K emp(Sue)").unwrap(), "ok no @0");
-        server.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }
 

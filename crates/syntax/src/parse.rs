@@ -39,6 +39,9 @@ use crate::symbols::{Param, Pred, Var};
 use crate::term::Term;
 use std::fmt;
 
+/// Why an atom with more arguments than [`Pred::MAX_ARITY`] is refused.
+const TOO_MANY_ARGUMENTS: &str = "a predicate takes at most 255 arguments";
+
 /// Error produced when parsing fails, with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -84,6 +87,7 @@ impl Lexer {
             toks: Vec::new(),
         };
         let bytes = src.as_bytes();
+        let starts_name = |b: &u8| b.is_ascii_alphabetic() || *b == b'_';
         while l.pos < bytes.len() {
             let c = bytes[l.pos] as char;
             let start = l.pos;
@@ -108,9 +112,13 @@ impl Lexer {
                 }
                 '-' if bytes.get(l.pos + 1) == Some(&b'>') => l.push(Tok::Implies, 2, start),
                 '<' if src[l.pos..].starts_with("<->") => l.push(Tok::Iff, 3, start),
-                _ if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
+                _ if starts_name(&bytes[start])
+                    || c == '$' && bytes.get(start + 1).is_some_and(starts_name) =>
+                {
                     // `$` introduces an identifier (the forced-parameter
-                    // escape) but may not continue one.
+                    // escape) but may not continue one. What follows it
+                    // starts a name as any identifier does, so the name
+                    // prints back to text that parses.
                     let mut end = l.pos + usize::from(c == '$');
                     while bytes.get(end).is_some_and(|b| {
                         b.is_ascii_alphanumeric() || matches!(b, b'_' | b'\'' | b'#')
@@ -354,7 +362,8 @@ impl Parser {
                         _ => return Err(self.err("expected term".into())),
                     }
                     match self.bump() {
-                        Some(Tok::Comma) => continue,
+                        Some(Tok::Comma) if terms.len() < Pred::MAX_ARITY => continue,
+                        Some(Tok::Comma) => return Err(self.err(TOO_MANY_ARGUMENTS.into())),
                         Some(Tok::RParen) => break,
                         _ => return Err(self.err("expected ',' or ')'".into())),
                     }
@@ -568,6 +577,20 @@ mod tests {
         assert_eq!(parse("$x = a").unwrap(), e);
         // Explicit `$` on a non-colliding name is accepted and stripped.
         assert_eq!(parse("p($John)").unwrap(), parse("p(John)").unwrap());
+        // What follows a `$` starts a name: a parameter named ``, `1` or
+        // `'` would print as text that does not parse, and a log holding
+        // it would not recover.
+        for src in ["p($)", "p($1)", "p($')", "p($#a)", "$ = a", "p($ a)"] {
+            let err = parse(src).unwrap_err();
+            assert!(
+                err.message.contains("unexpected character '$'"),
+                "{src}: {err}"
+            );
+        }
+        for src in ["p($_1)", "p($x)", "$p", "$x = $y"] {
+            let w = parse(src).unwrap();
+            assert_eq!(parse(&w.to_string()).unwrap(), w, "{src}");
+        }
     }
 
     #[test]
@@ -634,6 +657,24 @@ mod tests {
         ] {
             let err = parse(&deep).unwrap_err();
             assert!(err.message.contains("nested deeper"), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_atom_past_the_arity_limit_is_refused_by_name() {
+        let atom = |n: usize| format!("q({})", vec!["a"; n].join(", "));
+        let widest = parse(&atom(Pred::MAX_ARITY)).unwrap();
+        assert_eq!(parse(&widest.to_string()).unwrap(), widest);
+        for src in [
+            atom(256),
+            format!("K {}", atom(300)),
+            format!("p & {}", atom(256)),
+        ] {
+            let err = parse(&src).unwrap_err();
+            assert!(
+                err.message.contains("a predicate takes at most 255"),
+                "{err}"
+            );
         }
     }
 

@@ -95,7 +95,14 @@ pub struct Pred {
 }
 
 impl Pred {
+    /// The most argument positions a predicate has.
+    pub const MAX_ARITY: usize = u8::MAX as usize;
+
     /// Intern a predicate symbol of the given arity.
+    ///
+    /// # Panics
+    /// Panics if `arity` exceeds [`Pred::MAX_ARITY`]; the parser refuses
+    /// such an atom first.
     pub fn new(name: &str, arity: usize) -> Self {
         let arity = u8::try_from(arity).expect("predicate arity > 255 unsupported");
         Pred {

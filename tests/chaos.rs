@@ -209,12 +209,13 @@ fn chaos_crash_recover_continue_soak() {
     let mut oracle = EpistemicDb::from_text(BASE).unwrap();
     let mut acked_lsn = {
         let theory = epilog::syntax::Theory::from_text(BASE).unwrap();
-        let mut writer = Writer::new(DurableDb::create(&dir, theory, FsyncPolicy::Never).unwrap());
+        let (mut writer, endpoint) =
+            Writer::new(DurableDb::create(&dir, theory, FsyncPolicy::Never).unwrap());
         for ic in ICS {
             step_one(&mut writer, Request::constraint(parse(ic).unwrap())).unwrap();
             oracle.add_constraint(parse(ic).unwrap()).unwrap();
         }
-        writer.snapshot().lsn()
+        endpoint.snapshot().lsn()
     };
 
     let mut acked_commits = 0u64;
@@ -263,7 +264,7 @@ fn chaos_crash_recover_continue_soak() {
             _ => inj.disarm(),
         }
         durable.set_fault_injector(Some(Arc::clone(&inj)));
-        let mut writer = Writer::new(durable);
+        let (mut writer, endpoint) = Writer::new(durable);
 
         // ---- Step commit chunks, cut into seeded batches -------------
         'cycle: for _ in 0..CHUNKS_PER_CYCLE {
@@ -320,21 +321,21 @@ fn chaos_crash_recover_continue_soak() {
                 }
             }
 
-            if writer.stats().degraded {
+            if endpoint.stats().degraded {
                 degraded_cycles += 1;
                 // Degraded invariants: commits rejected fast, snapshots
                 // and stats still answering at the durable head.
                 let err = step_one(&mut writer, Request::commit(pick_ops(rng.next() >> 16)))
                     .expect_err("a degraded writer must reject commits");
                 assert!(matches!(err, ServeError::Degraded(_)), "got {err}");
-                let snap = writer.snapshot();
+                let snap = endpoint.snapshot();
                 assert_eq!(snap.lsn(), acked_lsn, "degraded head must stay durable");
                 assert_eq!(
                     answers(snap.db(), &qs),
                     answers(&oracle, &qs),
                     "degraded snapshot diverged from the acked oracle"
                 );
-                assert!(writer.stats().degraded);
+                assert!(endpoint.stats().degraded);
                 // Alternate the two exits from degraded mode — odd
                 // occurrences heal and continue, even ones crash while
                 // degraded — so both paths run whenever it engages at
@@ -345,7 +346,7 @@ fn chaos_crash_recover_continue_soak() {
                     let healed = step_one(&mut writer, Request::heal())
                         .expect("heal with a fixed disk succeeds");
                     assert_eq!(healed, acked_lsn, "heal must land on the durable head");
-                    assert!(!writer.stats().degraded);
+                    assert!(!endpoint.stats().degraded);
                     heals += 1;
                 } else {
                     // Crash while degraded.

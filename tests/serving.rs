@@ -27,6 +27,7 @@
 //! scales the stream length (default 96) for the nightly deep-fuzz CI
 //! leg.
 
+use epilog::persist::Request;
 use epilog::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -153,7 +154,7 @@ fn soak(dir: &std::path::Path, world: &World, total_commits: u64) {
     for ic in world.ics {
         db.add_constraint(parse(ic).unwrap()).unwrap();
     }
-    let base_lsn = db.head_lsn();
+    let base_lsn = db.snapshot().lsn();
 
     let reads = world.reads;
     let stop = AtomicBool::new(false);
@@ -197,7 +198,7 @@ fn soak(dir: &std::path::Path, world: &World, total_commits: u64) {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let ops = (world.pick_ops)(lcg >> 16);
-                inflight.push((ops.clone(), db.commit(ops)));
+                inflight.push((ops.clone(), db.send(Request::commit(ops))));
                 issued += 1;
             }
             for (ops, handle) in inflight {
@@ -278,7 +279,7 @@ fn soak(dir: &std::path::Path, world: &World, total_commits: u64) {
     assert!(checked > 0, "readers never sampled anything");
 
     // ----- Serial equivalence of the durable state ----------------------
-    let final_lsn = db.head_lsn();
+    let final_lsn = db.snapshot().lsn();
     let stats = db.stats();
     assert_eq!(stats.commits, effective, "no-op commits are not logged");
     assert_eq!(stats.rejected, rejected);

@@ -212,7 +212,7 @@ fn run(stream: &[Op], split: &[usize], fault: Fault, exit: Exit, dirs: &Dirs) ->
         Fault::Sync(n) => inj.fail_nth_sync(n),
     }
     durable.set_fault_injector(Some(Arc::clone(&inj)));
-    let mut writer = Writer::new(durable);
+    let (mut writer, endpoint) = Writer::new(durable);
 
     let mut answers = Vec::with_capacity(stream.len());
     let mut rest = stream;
@@ -247,7 +247,7 @@ fn run(stream: &[Op], split: &[usize], fault: Fault, exit: Exit, dirs: &Dirs) ->
         }
     }
 
-    let degraded = writer.stats().degraded;
+    let degraded = endpoint.stats().degraded;
     if exit == Exit::HealThenCrash {
         inj.disarm();
         let (heal, healed) = Request::heal();
@@ -259,11 +259,11 @@ fn run(stream: &[Op], split: &[usize], fault: Fault, exit: Exit, dirs: &Dirs) ->
             "{ctx}: heal must land on the durable head"
         );
         assert!(
-            !writer.stats().degraded,
+            !endpoint.stats().degraded,
             "{ctx}: still degraded after a heal"
         );
     }
-    let head = writer.snapshot();
+    let head = endpoint.snapshot();
     assert_eq!(
         head.lsn(),
         acked,
