@@ -59,7 +59,9 @@
 //! written before the log held one, whose state sits in a
 //! `snapshot-*.snap` file nothing reads), when a checkpoint sits anywhere
 //! but first, when the checkpoint's state violates one of its
-//! constraints, or when a record has another shape, has an op that
+//! constraints, when a record passes its checksum but does not decode
+//! (it is whole, so no crash left it), or when a record has another
+//! shape, has an op that
 //! changes nothing (a commit logs its effective delta, so it never writes
 //! one), or is refused (the error names its LSN). A refused recovery
 //! writes nothing.
@@ -1107,6 +1109,31 @@ mod tests {
             std::fs::write(&path, &bytes).unwrap();
             assert_refused(&d, &["checkpoint is damaged", "torn tail at byte 0"]);
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "untouched");
+            std::fs::remove_dir_all(d).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_whole_record_that_does_not_decode_is_refused_not_cut() {
+        // LSN 2 passes its checksum but its sentence does not parse (or
+        // it is not UTF-8), and a good commit follows at LSN 3. Cut as a
+        // torn tail, it would take LSN 3 with it without a word.
+        for bad in [&b"assert emp("[..], b"assert emp(\xff)"] {
+            let d = dir();
+            let mut db = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
+            db.assert(f("emp(Sue)")).unwrap();
+            drop(db);
+            let path = d.join(WAL_FILE);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend(crate::wal::frame(2, bad));
+            bytes.extend(crate::wal::frame(3, b"assert p(b)"));
+            std::fs::write(&path, &bytes).unwrap();
+            std::fs::write(d.join("wal.log.tmp"), b"@9 1 00\nassert p(a").unwrap();
+            let before = files(&d);
+            assert_refused(&d, &["LSN 2", "does not decode"]);
+            let refused = Wal::truncate_after(&path, 1).unwrap_err();
+            assert!(matches!(&refused, PersistError::Corrupt(why) if why.contains("LSN 2")));
+            assert_eq!(files(&d), before, "a refusal wrote");
             std::fs::remove_dir_all(d).unwrap();
         }
     }

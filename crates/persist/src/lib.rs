@@ -25,7 +25,7 @@
 //!   first corrupt record, reported in the [`RecoveryReport`]) but
 //!   refusing (`PersistError::Corrupt`, writing nothing) a log whose
 //!   checkpoint is damaged or missing, or which holds a record that does
-//!   not replay;
+//!   not decode or does not replay;
 //! * [`ServingDb`] — the concurrent serving layer: lock-free MVCC
 //!   snapshot reads (`epilog-core`'s `StateCell`) with a single writer
 //!   thread draining a bounded commit queue and batching many

@@ -1255,6 +1255,41 @@ mod tests {
     }
 
     #[test]
+    fn heal_refuses_a_log_whose_acknowledged_record_does_not_decode() {
+        let d = dir();
+        let (db, inj) = registrar_with_injector(&d, 37, FsyncPolicy::Never);
+        let acked = db
+            .commit_wait(vec![
+                TxOp::Assert(f("ss(Mary, n1)")),
+                TxOp::Assert(f("emp(Mary)")),
+            ])
+            .unwrap();
+        inj.set_sync_rate(1, 1);
+        let err = db.commit_wait(vec![TxOp::Assert(f("ss(Sue, n2)"))]);
+        assert!(matches!(err, Err(ServeError::Io(_))), "got {err:?}");
+        assert!(db.stats().degraded);
+        inj.disarm();
+        // Mary's acknowledged record becomes one whose checksum matches
+        // but whose sentence does not parse.
+        let path = d.join(WAL_FILE);
+        let scan = Wal::scan_file(&path).unwrap();
+        let kept = scan.records.iter().take_while(|r| r.lsn < acked.lsn);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.truncate(kept.last().unwrap().end_offset as usize);
+        bytes.extend(crate::wal::frame(acked.lsn, b"assert emp("));
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = db.send(Request::heal()).wait().unwrap_err();
+        let why = err.to_string();
+        assert!(why.contains(&format!("LSN {}", acked.lsn)), "{why}");
+        assert!(why.contains("does not decode"), "{why}");
+        assert!(db.stats().degraded);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "a refused heal wrote");
+        drop(db);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
     fn a_request_dropped_unanswered_waits_to_closed() {
         let (req, h) = Request::commit(vec![]);
         let waiter = thread::spawn(move || h.wait());

@@ -86,8 +86,12 @@ impl Snapshot {
     }
 
     /// Decode the checkpoint a scanned log begins with, taking its
-    /// operations out of `scan`, or say why it does not begin with one.
+    /// operations out of `scan`, or say why it does not begin with one —
+    /// or why the log holds a record that does not decode, wherever it is.
     pub(crate) fn first_of(scan: &mut WalScan) -> Result<Snapshot, PersistError> {
+        if let Some(why) = &scan.corrupt {
+            return Err(PersistError::Corrupt(why.clone()));
+        }
         const OLDER: &str = "a directory written before the log began with a checkpoint \
                              keeps it in a snapshot-*.snap file, which is not read";
         let record = match (scan.records.first_mut(), &scan.torn) {

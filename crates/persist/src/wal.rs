@@ -34,15 +34,22 @@
 //!
 //! A crash mid-append leaves a partial final record. [`Wal::scan_file`]
 //! stops at the first record that fails any framing check (header shape,
-//! LSN continuity, payload length, terminator, checksum, sentence syntax)
-//! and reports the cut as a [`TornTail`]; [`Wal::open`] truncates the
-//! file there. Everything before the cut is intact by checksum;
-//! everything after it is unrecoverable by construction (records are not
+//! LSN continuity, payload length, terminator, checksum) and reports the
+//! cut as a [`TornTail`]; [`Wal::open`] truncates the file there.
+//! Everything before the cut is intact by checksum; everything after it
+//! is unrecoverable by construction (records are not
 //! self-synchronizing), which is exactly the log-ahead contract: the tail
 //! being torn means the transaction never reported success.
+//!
+//! A record whose checksum matches is whole, so a crash cannot leave one
+//! whose payload does not decode (not UTF-8, an unknown verb, a sentence
+//! that does not parse). The scan stops there too, but reports it as
+//! [`WalScan::corrupt`], not as a tear: recovery refuses such a log, and
+//! nothing cuts it.
 
 use crate::fault::{self, FaultInjector};
 use crate::fnv1a64;
+use crate::PersistError;
 use epilog_syntax::{parse, Formula};
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
@@ -135,7 +142,7 @@ pub struct WalRecord {
 pub struct TornTail {
     /// Byte offset of the first unrecoverable byte.
     pub offset: u64,
-    /// What failed: framing, checksum, LSN continuity, or syntax.
+    /// What failed: framing, checksum or LSN continuity.
     pub reason: String,
 }
 
@@ -154,6 +161,11 @@ pub struct WalScan {
     pub torn: Option<TornTail>,
     /// Bytes after the cut point (0 when the log is intact).
     pub truncated_bytes: u64,
+    /// Why the scan stopped at a record whose checksum matches but whose
+    /// payload does not decode, naming its LSN. Such a record is whole,
+    /// so no crash left it: it is not a torn tail, nothing may cut it,
+    /// and recovery refuses the log.
+    pub corrupt: Option<String>,
 }
 
 impl WalScan {
@@ -176,13 +188,13 @@ fn encode_record(lsn: u64, checkpoint: bool, ops: &[WalOp]) -> Vec<u8> {
         }
         write!(payload, "{op}").expect("formatting into a String cannot fail");
     }
-    let mut out = format!(
-        "@{lsn} {} {:016x}\n",
-        payload.len(),
-        fnv1a64(payload.as_bytes())
-    )
-    .into_bytes();
-    out.extend_from_slice(payload.as_bytes());
+    frame(lsn, payload.as_bytes())
+}
+
+/// `payload` framed as the record at `lsn`: header, payload, newline.
+pub(crate) fn frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = format!("@{lsn} {} {:016x}\n", payload.len(), fnv1a64(payload)).into_bytes();
+    out.extend_from_slice(payload);
     out.push(b'\n');
     out
 }
@@ -247,30 +259,23 @@ fn scan_bytes(bytes: &[u8]) -> WalScan {
             scan.torn = Some(torn(pos, "checksum mismatch".into()));
             break;
         }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(_) => {
-                scan.torn = Some(torn(pos, "payload is not UTF-8".into()));
+        let decoded = std::str::from_utf8(payload)
+            .map_err(|_| "it is not UTF-8".to_string())
+            .and_then(|text| {
+                let mut lines = text.lines().peekable();
+                let checkpoint = lines.next_if_eq(&CHECKPOINT).is_some();
+                let ops = lines.map(WalOp::decode).collect::<Result<Vec<_>, _>>()?;
+                Ok((checkpoint, ops))
+            });
+        let (checkpoint, ops) = match decoded {
+            Ok(record) => record,
+            Err(e) => {
+                scan.corrupt = Some(format!(
+                    "the log record at LSN {lsn} passes its checksum but does not decode: {e}"
+                ));
                 break;
             }
         };
-        let mut lines = text.lines().peekable();
-        let checkpoint = lines.next_if_eq(&CHECKPOINT).is_some();
-        let mut ops = Vec::new();
-        let mut defect = None;
-        for line in lines {
-            match WalOp::decode(line) {
-                Ok(op) => ops.push(op),
-                Err(e) => {
-                    defect = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = defect {
-            scan.torn = Some(torn(pos, e));
-            break;
-        }
         pos = body + len + 1;
         scan.records.push(WalRecord {
             lsn,
@@ -504,12 +509,17 @@ impl Wal {
     /// Cut the log file at `path` down to its records with `lsn <=
     /// through`, through a fresh handle: the operator's path, deliberately
     /// not injected, for when a [`Wal`]'s own handle is what is failing.
-    pub(crate) fn truncate_after(path: &Path, through: u64) -> io::Result<()> {
+    /// A log holding a record that does not decode
+    /// ([`WalScan::corrupt`]) is refused, untouched.
+    pub(crate) fn truncate_after(path: &Path, through: u64) -> Result<(), PersistError> {
         let scan = Wal::scan_file(path)?;
+        if let Some(why) = scan.corrupt {
+            return Err(PersistError::Corrupt(why));
+        }
         let kept = scan.records.iter().take_while(|r| r.lsn <= through);
         let f = OpenOptions::new().write(true).open(path)?;
         f.set_len(kept.last().map_or(0, |r| r.end_offset))?;
-        f.sync_data()
+        Ok(f.sync_data()?)
     }
 }
 

@@ -41,6 +41,10 @@
 //! | `quit` | `ok bye`, connection closes |
 //! | `shutdown` | `ok shutting-down`, server drains and exits |
 //!
+//! `begin`, `commit`, `rollback`, `flush`, `heal`, `stats`, `quit` and
+//! `shutdown` take no argument: such a verb with anything after it is
+//! answered `err <verb> takes no argument`, and the session goes on.
+//!
 //! A one-shot `assert`/`retract` outside `begin…commit` is a
 //! single-operation transaction: validated, group-committed, and
 //! acknowledged durable exactly like a batch.
@@ -142,6 +146,12 @@ impl Reply {
 /// yields.
 pub struct Pending(Box<dyn FnOnce() -> String + Send>);
 
+/// The verbs that take no argument: a line with anything after one is
+/// refused by name rather than served.
+const NO_ARGUMENT: [&str; 8] = [
+    "begin", "commit", "rollback", "flush", "heal", "stats", "quit", "shutdown",
+];
+
 impl Session {
     /// A session with no open transaction over `db`.
     pub fn new(db: Endpoint) -> Session {
@@ -156,6 +166,9 @@ impl Session {
             Some((v, r)) => (v, r.trim()),
             None => (line, ""),
         };
+        if NO_ARGUMENT.contains(&verb) && !rest.is_empty() {
+            return Reply::Ready(format!("err {verb} takes no argument"));
+        }
         let reply = match verb {
             "quit" => return Reply::Quit,
             "shutdown" => return Reply::Shutdown,
@@ -1047,6 +1060,36 @@ mod tests {
         std::fs::remove_dir_all(d).unwrap();
     }
 
+    #[test]
+    fn a_verb_that_takes_no_argument_refuses_one_and_the_session_goes_on() {
+        let d = dir();
+        let mut t = Stepped::create(&d, REGISTRAR);
+        assert_eq!(t.request("begin"), "ok begin");
+        assert_eq!(t.request("assert emp(Sue)"), "ok queued 1");
+        for (line, verb) in [
+            ("commit forall x. emp(x)", "commit"),
+            ("heal ),~ retract emp(Mary)", "heal"),
+            ("shutdown junk", "shutdown"),
+            ("quit forall(", "quit"),
+            ("begin now", "begin"),
+            ("rollback  all ", "rollback"),
+            ("flush it", "flush"),
+            ("stats please", "stats"),
+        ] {
+            assert_eq!(t.request(line), format!("err {verb} takes no argument"));
+        }
+        // Nothing was committed, rolled back or shut down: the open
+        // transaction is still there, and commits as asked.
+        assert_eq!(t.request("ask K emp(Sue)"), "ok no @0");
+        assert_eq!(t.request("commit"), "ok committed @1 +1 -0");
+        assert_eq!(t.request(" flush "), "ok flushed @1");
+        assert_eq!(t.request("heal"), "ok healed @1");
+        assert!(t.request("stats").starts_with("ok stats commits=1 "));
+        assert_eq!(t.request("quit"), "ok bye");
+        drop(t);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
     /// The request verbs.
     const VERBS: &str =
         "ask demo why begin assert retract commit rollback constraint flush heal stats quit shutdown";
@@ -1118,6 +1161,12 @@ mod tests {
                     reply.starts_with("ok") || reply.starts_with("err"),
                     "{line:?}: got {reply:?}"
                 );
+                let bare = "begin commit rollback flush heal stats quit shutdown";
+                if let Some((verb, rest)) = line.trim().split_once(' ') {
+                    if bare.split(' ').any(|v| v == verb) && !rest.trim().is_empty() {
+                        prop_assert_eq!(&reply, &format!("err {verb} takes no argument"));
+                    }
+                }
                 prop_assert!(!reply.starts_with("err internal error"), "{line:?}: got {reply:?}");
             }
             let stats = t.request("stats");

@@ -21,7 +21,17 @@
 //! search of the tuple set, at most one tuple), a step binding some
 //! columns probes the first one ([`JoinStep::index_col`]) and filters the
 //! rest residually, and a step binding none scans. Storage builds and
-//! maintains whatever index a probe needs; a plan names none.
+//! maintains whatever index a probe needs; a plan names none. An
+//! execution keeps one storage cursor per step, beside its pattern
+//! buffer: each probe of a step resumes where its previous one landed,
+//! which makes the ascending keys of a delta-first step (and of a step
+//! under it, within one outer row) a forward walk, while keys in any
+//! other order fall back to a fresh seek. Which tuples a probe yields,
+//! and how many it examines, do not depend on the cursor.
+//!
+//! Costing reads `Relation::distinct_count`, which counts without a
+//! sort: key changes where the keys are stored in order, one bitset
+//! pass otherwise.
 //!
 //! The Datalog engine compiles one plan per rule and delta position
 //! (`epilog-datalog`'s `RulePlan`); the canonical-model grounder in
@@ -30,6 +40,8 @@
 //! [`Relation::select`]: crate::relation::Relation::select
 
 use crate::database::Database;
+use crate::relation::Matches;
+use crate::runset::Cursor;
 use crate::Tuple;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term, Var};
@@ -189,16 +201,15 @@ pub struct ConjunctionPlan {
 ///
 /// Distinct counts are memoized, and a rule compiler producing several
 /// plan variants over the same database should build **one** `PlanStats`
-/// and pass it to every [`ConjunctionPlan::compile`] call, so an
-/// unindexed column's counting scan is paid once per rule, not once per
-/// variant.
+/// and pass it to every [`ConjunctionPlan::compile`] call, so a
+/// column's counting pass is paid once per rule, not once per variant.
 pub struct PlanStats<'a> {
     db: &'a Database,
     /// Fallback cardinality for unknown predicates.
     default_len: usize,
     /// Memoized per-(predicate, column) distinct counts: the ordering
-    /// loop re-estimates every remaining literal per iteration, and an
-    /// unindexed `distinct_count` is a relation scan — pay it once.
+    /// loop re-estimates every remaining literal per iteration, and a
+    /// `distinct_count` is a pass over the relation — pay it once.
     distinct_memo: std::cell::RefCell<HashMap<(Pred, usize), usize>>,
 }
 
@@ -429,9 +440,12 @@ impl ConjunctionPlan {
     ) {
         // One pattern buffer per execution, a slice of it per step: a
         // probe refills its slice per outer row instead of allocating.
+        // Likewise one cursor per step: each probe resumes where the
+        // step's previous one landed.
         let width = self.steps.iter().map(|s| s.template.args.len()).sum();
         let mut patterns = vec![None; width];
-        self.run_step(0, total, delta, env, &mut patterns, rows, f);
+        let mut cursors = vec![Cursor::default(); self.steps.len()];
+        self.run_step(0, total, delta, env, &mut patterns, &mut cursors, rows, f);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -442,6 +456,7 @@ impl ConjunctionPlan {
         delta: Option<&Database>,
         env: &mut [Option<Param>],
         patterns: &mut [Option<Param>],
+        cursors: &mut [Cursor],
         rows: &mut u64,
         f: &mut dyn FnMut(&[Option<Param>]),
     ) {
@@ -450,19 +465,22 @@ impl ConjunctionPlan {
             return;
         };
         let (pattern, patterns) = patterns.split_at_mut(step.template.args.len());
+        let (cursor, cursors) = cursors.split_first_mut().expect("one cursor per step");
         let db = if step.from_delta {
             delta.expect("plan has a delta step but no delta database was given")
         } else {
             total
         };
         step.template.pattern_into(env, pattern);
-        let mut matches = db.select(step.template.pred, &*pattern);
+        let mut matches = db
+            .relation(step.template.pred)
+            .map_or_else(Matches::empty, |r| r.select_from(&*pattern, cursor));
         for tuple in matches.by_ref() {
             for &(c, s) in &step.binders {
                 env[s] = Some(tuple[c]);
             }
             if step.checks.iter().all(|&(c, s)| env[s] == Some(tuple[c])) {
-                self.run_step(i + 1, total, delta, env, patterns, rows, f);
+                self.run_step(i + 1, total, delta, env, patterns, cursors, rows, f);
             }
         }
         *rows += matches.examined();

@@ -2,7 +2,7 @@
 //! run sets so a clone shares everything it does not change, with a
 //! column index built by the first selection that probes the column.
 
-use crate::runset::{self, RunSet};
+use crate::runset::{self, Cursor, RunSet};
 use crate::Tuple;
 use epilog_syntax::Param;
 use std::borrow::Cow;
@@ -54,10 +54,10 @@ type Index = RunSet<(Param, Tuple)>;
 /// * **ascending batch insert** ([`Relation::insert_ascending`], how a
 ///   semi-naive round's sorted heads reach the total) — the tuple set
 ///   takes the batch through a forward cursor: each tuple gallops from
-///   the run the previous one landed in and is searched for inside that
-///   run only. Each built index then takes the new tuples' entries,
-///   sorted once, through a cursor of its own. Run copies and splits are
-///   those of one insert after another.
+///   the run and the slot the previous one landed in. Each built index
+///   then takes the new tuples' entries, sorted once, through a cursor
+///   of its own. Run copies and splits are those of one insert after
+///   another.
 /// * **bulk construction** (`Relation::from_ascending`, a round's
 ///   delta) — the sorted tuples are cut into full
 ///   runs: one move and one arity check per tuple, no search, no index.
@@ -65,13 +65,19 @@ type Index = RunSet<(Param, Tuple)>;
 ///   bound column's key is sought with one two-level binary search, in
 ///   the tuple set for column 0 and in the column's index otherwise, then
 ///   walked until an entry carries another key; that entry is not
-///   counted in [`Matches::examined`]. The first probe of a column
-///   `c ≥ 1` builds its index first: one sort of the column's entries,
-///   once per relation value — a snapshot shared by readers builds it
-///   once, whichever reader probes first.
+///   counted in [`Matches::examined`]. A join step's probes resume
+///   instead: each starts from where the step's previous one landed
+///   and gallops forward when its key does not sort below that one's (a
+///   repeated key: three comparisons), else searches afresh. The
+///   first probe of a column `c ≥ 1` builds its index first: one sort of
+///   the column's entries, once per relation value — a snapshot shared
+///   by readers builds it once, whichever reader probes first.
 /// * **lookup** ([`Relation::select`] binding every column) — one
 ///   two-level binary search of the tuple set, whatever indexes are
 ///   built; the tuple is counted in [`Matches::examined`] if stored.
+/// * **distinct count** (the planner's statistic) — one pass, no sort:
+///   over keys stored in order (column 0, a built index) it counts key
+///   changes, over any other column it marks keys in a bitset.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     arity: usize,
@@ -265,21 +271,35 @@ impl Relation {
     }
 
     /// Number of distinct parameters in column `c` — the per-column
-    /// statistic the cost-based planner divides by, counted when asked:
-    /// a walk over the keys where they are stored in order (the tuple set
-    /// for column 0, a built index otherwise), else one scan that
-    /// collects the column and a sort. Planners call this once per plan
+    /// statistic the cost-based planner divides by, counted when asked
+    /// and without a sort: where the keys are stored in order (the tuple
+    /// set for column 0, a built index otherwise) it counts where the
+    /// key changes, else it makes one pass that marks each key in a
+    /// bitset by its [`Param::ordinal`]. Planners call this once per plan
     /// compilation, not per probe.
     pub(crate) fn distinct_count(&self, c: usize) -> usize {
-        let mut keys: Vec<Param> = match c.checked_sub(1).and_then(|i| self.indexes[i].get()) {
-            Some(idx) => idx.iter().map(|e| e.0).collect(),
-            None => self.tuples.iter().map(|t| t[c]).collect(),
-        };
-        // One pass over keys already in order; a sort only for a column
-        // `c ≥ 1` no selection has probed.
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len()
+        fn changes(keys: impl Iterator<Item = Param>) -> usize {
+            let mut last = None;
+            keys.filter(|k| last.replace(*k) != Some(*k)).count()
+        }
+        match c.checked_sub(1).map(|i| self.indexes[i].get()) {
+            None => changes(self.tuples.iter().map(|t| t[0])),
+            Some(Some(idx)) => changes(idx.iter().map(|e| e.0)),
+            Some(None) => {
+                let mut seen: Vec<u64> = Vec::new();
+                let mut count = 0;
+                for t in self.tuples.iter() {
+                    let key = t[c].ordinal();
+                    let (word, bit) = (key / 64, 1 << (key % 64));
+                    if word >= seen.len() {
+                        seen.resize(word + 1, 0);
+                    }
+                    count += usize::from(seen[word] & bit == 0);
+                    seen[word] |= bit;
+                }
+                count
+            }
+        }
     }
 
     /// All tuples matching a partial binding pattern, as a **borrowing**
@@ -293,6 +313,19 @@ impl Relation {
     /// residually; a pattern binding none scans. The iterator borrows the
     /// pattern, or keeps it when handed a [`Selection`].
     pub fn select<'a>(&'a self, pattern: impl Into<Cow<'a, [Option<Param>]>>) -> Matches<'a> {
+        self.select_from(pattern, &mut Cursor::default())
+    }
+
+    /// [`Relation::select`], whose probe resumes from `cursor` — where
+    /// the previous probe through it landed — and leaves it where this
+    /// one lands (see the cost model). A join step keeps one cursor per
+    /// execution. Whatever the cursor holds, the matches and their
+    /// [`Matches::examined`] count are those of a fresh probe.
+    pub(crate) fn select_from<'a>(
+        &'a self,
+        pattern: impl Into<Cow<'a, [Option<Param>]>>,
+        cursor: &mut Cursor,
+    ) -> Matches<'a> {
         let pattern = pattern.into();
         assert_eq!(pattern.len(), self.arity, "selection arity mismatch");
         let probed = pattern
@@ -304,8 +337,12 @@ impl Relation {
                 let key = || pattern.iter().flatten().copied();
                 MatchesInner::Lookup(self.tuples.get(|t| t.iter().copied().cmp(key())))
             }
-            Some((0, key)) => MatchesInner::Leading(self.tuples.iter_from(|t| t[0] < key), key),
-            Some((c, key)) => MatchesInner::Probe(self.index(c).iter_from(|e| e.0 < key), key),
+            Some((0, key)) => {
+                MatchesInner::Leading(self.tuples.iter_from(cursor, |t| t[0] < key), key)
+            }
+            Some((c, key)) => {
+                MatchesInner::Probe(self.index(c).iter_from(cursor, |e| e.0 < key), key)
+            }
             None => MatchesInner::Scan(self.tuples.iter()),
         };
         Matches {
@@ -358,6 +395,15 @@ mod tests {
         /// Whether the index of column `c ≥ 1` has been built.
         pub(crate) fn has_index(&self, c: usize) -> bool {
             self.indexes[c - 1].get().is_some()
+        }
+
+        /// [`Relation::distinct_count`] by its definition, the oracle of
+        /// its sort-free count: the column's keys sorted and deduplicated.
+        fn distinct_count_by_sorting(&self, c: usize) -> usize {
+            let mut keys: Vec<Param> = self.tuples.iter().map(|t| t[c]).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.len()
         }
     }
 
@@ -783,6 +829,7 @@ mod tests {
                 .len()
         };
         for c in 0..2 {
+            prop_assert_eq!(r.distinct_count(c), r.distinct_count_by_sorting(c));
             prop_assert_eq!(r.distinct_count(c), keys(c));
             prop_assert_eq!(scratch.distinct_count(c), keys(c));
         }
@@ -825,7 +872,10 @@ mod tests {
             if let (Some(key), None) = (pattern[0], pattern[1]) {
                 let explicit: RunSet<_> = r.tuples.iter().map(|t| (t[0], t.clone())).collect();
                 let mut oracle = Matches {
-                    inner: MatchesInner::Probe(explicit.iter_from(|e| e.0 < key), key),
+                    inner: MatchesInner::Probe(
+                        explicit.iter_from(&mut Cursor::default(), |e| e.0 < key),
+                        key,
+                    ),
                     pattern: pattern.into(),
                     examined: 0,
                 };
@@ -836,6 +886,36 @@ mod tests {
         }
         prop_assert!(scratch.has_index(1));
         prop_assert_eq!(scratch.distinct_count(1), keys(1));
+        for c in 0..2 {
+            prop_assert_eq!(r.distinct_count(c), r.distinct_count_by_sorting(c));
+        }
+        // Probes through one cursor per column — each key of the column
+        // (repeated as often as it is stored) and two absent ones,
+        // ascending and then descending — and through one cursor shared
+        // by all the patterns above: each pulls the tuples, and counts
+        // them, as a fresh probe does.
+        for c in 0..2 {
+            let mut keys: Vec<Param> = model.iter().map(|t| t[c]).collect();
+            keys.extend([tuple(12, 40)[c], tuple(3, 7)[c]]);
+            keys.sort_unstable();
+            let descending = keys.clone().into_iter().rev();
+            let mut cursor = Cursor::default();
+            for key in keys.into_iter().chain(descending) {
+                let mut pattern = vec![None, None];
+                pattern[c] = Some(key);
+                let mut fresh = r.select(&pattern);
+                let mut resumed = r.select_from(&pattern, &mut cursor);
+                prop_assert!(resumed.by_ref().eq(fresh.by_ref()));
+                prop_assert_eq!(resumed.examined(), fresh.examined());
+            }
+        }
+        let mut cursor = Cursor::default();
+        for pattern in &patterns {
+            let mut fresh = r.select(pattern);
+            let mut resumed = r.select_from(pattern, &mut cursor);
+            prop_assert!(resumed.by_ref().eq(fresh.by_ref()));
+            prop_assert_eq!(resumed.examined(), fresh.examined());
+        }
         Ok(())
     }
 

@@ -26,16 +26,26 @@
 //!   appended without a search, so ascending bulk loads run in place at
 //!   one comparison per item.
 //! * **ascending batch insert** — a round's new facts, sorted once: a
-//!   cursor remembers the run the previous item landed in and gallops
-//!   forward from it over the runs' first items (1, 2, 4, … runs, then a
-//!   binary search inside the last stride) before the one search inside
-//!   the run. Items a few runs apart cost a comparison or two to place
-//!   instead of a search over the whole run list; the copy-on-write,
-//!   split and append rules are those of a single insert.
+//!   cursor remembers the run and the slot the previous item landed in
+//!   and gallops forward from them — over the runs' first items (1, 2,
+//!   4, … runs, then a binary search inside the last stride), then
+//!   inside the run, from the previous slot when the run is the same.
+//!   Items a few runs or slots apart cost a comparison or two to place
+//!   instead of two searches; only an item that lands in the last run is
+//!   tested for the append. The copy-on-write, split and append rules
+//!   are those of a single insert.
 //! * **bulk construction** from ascending items (a delta, a fresh
 //!   index): cut into full runs, one move per item, no
 //!   comparison.
-//! * **contains / range start** — the two binary searches, no copy.
+//! * **contains** — the two binary searches, no copy.
+//! * **range start** ([`RunSet::iter_from`]) — the same two searches for
+//!   a fresh cursor. A cursor kept from the previous seek resumes: when
+//!   the item just before it still sorts below the new key (one
+//!   comparison), the seek gallops forward from it, over the runs' last
+//!   items and then inside the run, so a join's ascending probe keys
+//!   cost `O(log d)` for a distance `d` moved and three comparisons for
+//!   a repeated key. Any other cursor — a key below the last one, a set
+//!   edited since — falls back to the two searches.
 //! * **iteration** — run after run, item after item: exactly the order
 //!   a `BTreeSet` would produce.
 //!
@@ -148,41 +158,40 @@ impl<T: Ord + Clone> RunSet<T> {
         items: impl IntoIterator<Item = T>,
         mut new: impl FnMut(&T),
     ) {
-        // The run the previous item landed in: every later item sorts
-        // above that run's first one (or the cursor is still at run 0).
-        let mut i = 0;
+        // The cursor, run `i` and slot `at`: every later item sorts above
+        // that run's first item (or `i` is still 0) and above every item
+        // before slot `at` of it. So the gallop starts at the next run.
+        let (mut i, mut at) = (0, 0);
         for item in items {
-            if self.above_all(&item) {
+            let next = (i + 1).min(self.runs.len());
+            let landed = gallop(&self.runs, next, |r| r[0] <= item).saturating_sub(1);
+            if landed != i {
+                (i, at) = (landed, 0);
+            }
+            if i + 1 >= self.runs.len() && self.above_all(&item) {
                 new(&item);
                 self.append(item);
+                i = self.runs.len() - 1;
+                at = self.runs[i].len();
                 continue;
             }
-            i = self.gallop(i, &item);
-            let Err(at) = self.runs[i].binary_search(&item) else {
+            at = gallop(&self.runs[i], at, |x| *x < item);
+            if self.runs[i].get(at) == Some(&item) {
+                at += 1;
                 continue;
-            };
+            }
             new(&item);
             self.insert_at(i, at, item);
+            // Past the item. If a split moved it into run `i + 1`, the
+            // next item sorts above that run's first one, so the next
+            // gallop leaves run `i` and the slot restarts at 0.
+            at += 1;
         }
     }
 
     /// Whether `item` sorts above everything stored (an empty set too).
     fn above_all(&self, item: &T) -> bool {
         self.runs.last().is_none_or(|r| r[r.len() - 1] < *item)
-    }
-
-    /// The last run at or after `from` whose first item is not above
-    /// `item` (`from` itself if there is none): strides of 1, 2, 4, …
-    /// runs, then a binary search inside the stride that overshot.
-    fn gallop(&self, from: usize, item: &T) -> usize {
-        let rest = &self.runs[from..];
-        let mut hi = 1;
-        while hi < rest.len() && rest[hi][0] <= *item {
-            hi *= 2;
-        }
-        let lo = hi / 2;
-        let hi = hi.min(rest.len());
-        from + lo + rest[lo + 1..hi].partition_point(|r| r[0] <= *item)
     }
 
     /// Append `item`, which sorts above everything stored: into the last
@@ -259,15 +268,66 @@ impl<T: Ord + Clone> RunSet<T> {
     /// The items from the first one `below` rejects onwards, ascending.
     /// `below` must hold for a prefix of the set and for nothing after
     /// it (it is the "sorts below the range" test of a range probe).
-    pub(crate) fn iter_from(&self, below: impl Fn(&T) -> bool) -> Iter<'_, T> {
-        let i = self.runs.partition_point(|r| below(&r[r.len() - 1]));
-        let mut runs = self.runs[i..].iter();
-        let cur = match runs.next() {
-            Some(run) => run[run.partition_point(&below)..].iter(),
-            None => [].iter(),
+    ///
+    /// The seek resumes from `cursor` and leaves it where it landed. When
+    /// the item just before the cursor is still below, so is everything
+    /// before it, and the seek gallops forward from there: over the runs'
+    /// last items, then inside the run it lands in. Otherwise — a fresh
+    /// cursor, a key below the previous one, a set edited since — it
+    /// searches both levels from the start.
+    pub(crate) fn iter_from(&self, cursor: &mut Cursor, below: impl Fn(&T) -> bool) -> Iter<'_, T> {
+        let before = match *cursor {
+            Cursor { run: 0, at: 0 } => None,
+            Cursor { run, at: 0 } => self.runs.get(run - 1).map(|r| &r[r.len() - 1]),
+            Cursor { run, at } => self.runs.get(run).and_then(|r| r.get(at - 1)),
         };
+        let (run, at) = match before {
+            Some(x) if below(x) => {
+                let run = gallop(&self.runs, cursor.run, |r| below(&r[r.len() - 1]));
+                let from = if run == cursor.run { cursor.at } else { 0 };
+                (
+                    run,
+                    self.runs.get(run).map_or(0, |r| gallop(r, from, &below)),
+                )
+            }
+            _ => {
+                let run = self.runs.partition_point(|r| below(&r[r.len() - 1]));
+                (
+                    run,
+                    self.runs.get(run).map_or(0, |r| r.partition_point(&below)),
+                )
+            }
+        };
+        *cursor = Cursor { run, at };
+        let mut runs = self.runs[run..].iter();
+        let cur = runs.next().map_or([].iter(), |r| r[at..].iter());
         Iter { runs, cur }
     }
+}
+
+/// Where a seek of a [`RunSet`] landed, for the next one to resume from
+/// ([`RunSet::iter_from`]). The default cursor has seen nothing: a seek
+/// from it searches the whole set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Cursor {
+    run: usize,
+    at: usize,
+}
+
+/// The first index at or after `from` whose item `below` rejects (or
+/// `items.len()`), `below` holding for a prefix of `items`: strides of
+/// 1, 2, 4, … items, then a binary search inside the stride that
+/// overshot. An answer `d` places after `from` costs about `2 log d`
+/// comparisons, one when it is `from` itself.
+fn gallop<X>(items: &[X], from: usize, below: impl Fn(&X) -> bool) -> usize {
+    let rest = &items[from..];
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= rest.len() && below(&rest[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step - 1).min(rest.len());
+    from + lo + rest[lo..hi].partition_point(below)
 }
 
 impl<T: Ord + Clone> PartialEq for RunSet<T> {
@@ -360,11 +420,19 @@ mod tests {
     fn range_start_lands_on_the_first_item_not_below() {
         let set: RunSet<u32> = (0..500).map(|i| i * 3).collect();
         for bound in [0, 1, 3, 190, 191, 192, 193, 1497, 1498, 5000] {
-            let got: Vec<u32> = set.iter_from(|x| *x < bound).copied().collect();
+            let got: Vec<u32> = set
+                .iter_from(&mut Cursor::default(), |x| *x < bound)
+                .copied()
+                .collect();
             let want: Vec<u32> = (0..500).map(|i| i * 3).filter(|x| *x >= bound).collect();
             assert_eq!(got, want, "bound {bound}");
         }
-        assert_eq!(RunSet::<u32>::default().iter_from(|x| *x < 3).count(), 0);
+        assert_eq!(
+            RunSet::<u32>::default()
+                .iter_from(&mut Cursor::default(), |x| *x < 3)
+                .count(),
+            0
+        );
     }
 
     #[test]
@@ -411,6 +479,24 @@ mod tests {
         /// Rebuilt from its items by the bulk constructor.
         Rebuild,
         Snapshot,
+        /// Range starts sought through the one cursor the run keeps.
+        Seek(Vec<u16>),
+    }
+
+    /// Seek each of `keys` in `set` through `cursor`, checking that the
+    /// seek starts and lands where a fresh one does.
+    fn seek_as_fresh(
+        set: &RunSet<u16>,
+        cursor: &mut Cursor,
+        keys: &[u16],
+    ) -> Result<(), TestCaseError> {
+        for k in keys {
+            let mut fresh = Cursor::default();
+            let want: Vec<&u16> = set.iter_from(&mut fresh, |y| y < k).collect();
+            prop_assert!(set.iter_from(cursor, |y| y < k).eq(want));
+            prop_assert_eq!(*cursor, fresh);
+        }
+        Ok(())
     }
 
     fn step() -> impl Strategy<Value = Step> {
@@ -424,6 +510,16 @@ mod tests {
             }),
             1 => Just(Step::Rebuild),
             1 => Just(Step::Snapshot),
+            // Keys ascending, one key repeated, keys descending.
+            2 => proptest::collection::vec(0u16..600, 0..12).prop_map(|mut keys| {
+                keys.sort_unstable();
+                Step::Seek(keys)
+            }),
+            1 => (0u16..600, 1usize..5).prop_map(|(k, n)| Step::Seek(vec![k; n])),
+            1 => proptest::collection::vec(0u16..600, 0..12).prop_map(|mut keys| {
+                keys.sort_unstable_by(|a, b| b.cmp(a));
+                Step::Seek(keys)
+            }),
         ]
     }
 
@@ -435,6 +531,9 @@ mod tests {
         /// batch also about which of its items were new, in order), the
         /// shape invariant holds, and
         /// every clone still iterates exactly what it held when taken.
+        /// Seeks through one cursor kept across all of it — across
+        /// edits, and across the clones at the end — start and land
+        /// where fresh seeks do.
         #[test]
         fn matches_btreeset_model_and_clones_are_snapshots(
             steps in proptest::collection::vec(step(), 0..400),
@@ -443,6 +542,7 @@ mod tests {
             let mut set = RunSet::default();
             let mut model = BTreeSet::new();
             let mut snapshots: Vec<(RunSet<u16>, BTreeSet<u16>)> = Vec::new();
+            let mut cursor = Cursor::default();
             for s in steps {
                 match s {
                     Step::Insert(x) => prop_assert_eq!(set.insert(x), model.insert(x)),
@@ -456,6 +556,7 @@ mod tests {
                     }
                     Step::Rebuild => set = RunSet::from_ascending(model.iter().copied().collect()),
                     Step::Snapshot => snapshots.push((set.clone(), model.clone())),
+                    Step::Seek(keys) => seek_as_fresh(&set, &mut cursor, &keys)?,
                 }
             }
             snapshots.push((set, model));
@@ -466,8 +567,9 @@ mod tests {
                 for x in &probes {
                     prop_assert_eq!(set.contains(|y| y.cmp(x)), model.contains(x));
                     prop_assert_eq!(set.get(|y| y.cmp(x)), model.get(x));
-                    prop_assert!(set.iter_from(|y| y < x).eq(model.range(x..)));
+                    prop_assert!(set.iter_from(&mut Cursor::default(), |y| y < x).eq(model.range(x..)));
                 }
+                seek_as_fresh(set, &mut cursor, &probes)?;
             }
         }
     }

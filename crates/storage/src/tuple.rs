@@ -86,8 +86,23 @@ impl PartialOrd for Tuple {
 }
 
 impl Ord for Tuple {
+    /// Slice order. Two inline tuples are compared slot by slot on their
+    /// common length, then by length, without building either slice.
+    #[inline]
     fn cmp(&self, other: &Tuple) -> Ordering {
-        (**self).cmp(&**other)
+        match (&self.0, &other.0) {
+            (Repr::Inline { len: a, items: x }, Repr::Inline { len: b, items: y }) => {
+                let n = usize::from(*a.min(b));
+                for (p, q) in x.iter().zip(y).take(n) {
+                    match p.cmp(q) {
+                        Ordering::Equal => {}
+                        unequal => return unequal,
+                    }
+                }
+                a.cmp(b)
+            }
+            _ => (**self).cmp(&**other),
+        }
     }
 }
 

@@ -176,6 +176,14 @@ impl Param {
         resolve(self.0)
     }
 
+    /// The parameter's position in the process's symbol table: distinct
+    /// parameters have distinct ordinals, below the number of symbols
+    /// interned so far, so a bitset over them has one bit per name.
+    /// Parameters order as their ordinals do.
+    pub fn ordinal(self) -> usize {
+        self.0 as usize
+    }
+
     /// Whether this parameter was manufactured by [`Param::fresh`].
     pub fn is_fresh(&self) -> bool {
         with_name(self.0, |name| name.contains('#'))

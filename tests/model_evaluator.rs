@@ -354,9 +354,10 @@ fn eval_of_the_closure_counts_its_rows() {
         })
         .collect();
     println!(
-        "eval of the closure 100 x 30 (49 500 tuples): {:?} (96 000 rows examined; 17.4 ms \
-         median of five on a 2-core VM, 15.0 ms the same hour with a per-step probe hint that \
-         searched forward from the previous probe's run, ROADMAP item 13)",
+        "eval of the closure 100 x 30 (49 500 tuples): {:?} (96 000 rows examined; on a \
+         2-core VM, ten alternating same-hour pairs of this row: 15.2 ms median (9.7-16.1) \
+         with each probe and insert resuming from a cursor, 20.4 ms (14.1-22.7) when each \
+         searched from the start)",
         median(times)
     );
 }
@@ -400,8 +401,8 @@ fn why_on_the_closure_derives_its_proof_when_asked() {
 /// What `trajectory`'s `closure_write` does before its first request, in
 /// process: the closure built by ten bulk commits on a `DurableDb`,
 /// `compact()`, recovery from the directory, a first read. Printed next
-/// to the times of the snapshot that also stored the model, at 100
-/// chains; asserted: the receipts, that the directory is one log whose
+/// to the same-hour times with and without resumed probes and inserts,
+/// at 100 chains; asserted: the receipts, that the directory is one log whose
 /// only record is a checkpoint of exactly the theory's sentences, that
 /// recovery replayed nothing, and that the recovered state (theory and
 /// least model) is the live one.
@@ -484,13 +485,11 @@ fn bulk_build_compaction_and_recovery_on_the_closure() {
         println!(
             "closure {chains} x 30 built by 10 commits of {} edges: first commit {:?}, tenth \
              {:?}, all ten {:?}, compact {compact:?} ({} bytes), recover {recover:?}, first demo {demo:?}, \
-             Theory::new of its {} sentences {as_set:?} (at 100 chains on a 2-core VM, twenty \
-             alternating pairs: compact 1.4-2.3 ms (once 6.8) for the 72 650-byte one-record \
-             log, recover 17-28 ms; when compaction also synced the log and wrote a 51 667-byte \
-             snapshot file beside it, compact 3.5-7.5 ms and recover 17-27 ms; all ten 20-32 ms \
-             both ways; when each round inserted its heads one search at a time, all ten 41-48 ms and recover \
-             35-41 ms the same hour; when the snapshot stored the least model too, compact \
-             11.7-15.9 ms for 900 876 bytes, recover 19-31 ms)",
+             Theory::new of its {} sentences {as_set:?} (at 100 chains on a 2-core VM, ten \
+             alternating same-hour pairs: all ten 27.4 ms median (18.4-35.8) and recover \
+             22.0 ms (15.5-41.6) with each probe and insert resuming from a cursor, all ten \
+             33.4 ms (23.5-48.1) and recover 29.2 ms (20.5-32.1) when each searched from the \
+             start)",
             per_commit * 30,
             commits[0],
             commits[9],
