@@ -739,7 +739,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
 
         // ---- Seeded mini-soak: crash → recover → continue. The full
-        // 100-cycle soak lives in tests/chaos.rs; this scaled-down run
+        // soak is tests/chaos.rs; this scaled-down run
         // (25 cycles, fixed seed, each request stepped as its own batch
         // on this thread, no writer thread) keeps the report
         // deterministic while still crossing every fault path.

@@ -294,6 +294,7 @@ impl DurableDb {
             scanned => scanned?,
         };
         let checkpoint = Snapshot::first_of(&mut scan)?;
+        let checkpoint_lsn = checkpoint.lsn;
         let mut db = checkpoint.restore()?;
         let tail = &scan.records[1..];
         for record in tail {
@@ -308,7 +309,7 @@ impl DurableDb {
         crate::remove_temps(&dir)?;
         let wal = Wal::open(path, policy, &scan)?;
         let report = RecoveryReport {
-            checkpoint_lsn: checkpoint.lsn,
+            checkpoint_lsn,
             records_replayed: tail.len() as u64,
             torn_tail: scan.torn,
             truncated_bytes: scan.truncated_bytes,

@@ -25,8 +25,8 @@
 //! on the way into the real syscall: zero-cost when off.
 //!
 //! Injection is deterministic: the same seed, knobs, and operation
-//! sequence produce the same faults, so a failing chaos run replays
-//! exactly from its printed seed.
+//! sequence produce the same faults, so a failing simulator run
+//! (`tests/chaos.rs`) replays exactly from its printed seed.
 //!
 //! # Knobs
 //!

@@ -135,8 +135,9 @@ impl Snapshot {
 
     /// Rebuild the database this snapshot captured, the way
     /// `DurableDb::create` builds one: `Theory::new` over the sentences,
-    /// one `EpistemicDb::new` (which computes the least model of a
-    /// definite theory by one `eval`), then the constraints.
+    /// which move into it uncopied, one `EpistemicDb::new` (which
+    /// computes the least model of a definite theory by one `eval`), then
+    /// the constraints.
     ///
     /// Each constraint is registered through
     /// `EpistemicDb::add_constraint`, checked against the restored state
@@ -144,12 +145,12 @@ impl Snapshot {
     /// of its constraints is refused (`Corrupt`) in every build. The log
     /// records replayed *after* the checkpoint go through the same checked
     /// commit path.
-    pub fn restore(&self) -> Result<EpistemicDb, PersistError> {
-        let theory = Theory::new(self.sentences.clone())
+    pub fn restore(self) -> Result<EpistemicDb, PersistError> {
+        let theory = Theory::new(self.sentences)
             .map_err(|e| PersistError::Corrupt(format!("invalid sentence: {e}")))?;
         let mut db = EpistemicDb::new(theory);
-        for ic in &self.constraints {
-            db.add_constraint(ic.clone())
+        for ic in self.constraints {
+            db.add_constraint(ic)
                 .map_err(|e| PersistError::Corrupt(format!("invalid constraint: {e}")))?;
         }
         Ok(db)
@@ -183,7 +184,7 @@ mod tests {
     }
 
     fn assert_restores(snap: &Snapshot, db: &EpistemicDb) {
-        let restored = snap.restore().unwrap();
+        let restored = snap.clone().restore().unwrap();
         assert_eq!(restored.theory(), db.theory());
         assert!(restored.constraints().eq(db.constraints()));
         assert_eq!(restored.prover().atom_model(), db.prover().atom_model());

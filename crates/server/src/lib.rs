@@ -27,7 +27,7 @@
 //! | request | response |
 //! |---|---|
 //! | `ask <sentence>` | `ok yes\|no\|unknown @<lsn>` (`ok yes` on an unsatisfiable theory, which entails every sentence); `err query … has free variables …` for an open formula (`demo` answers those) |
-//! | `demo <sentence>` | `ok rows <n> @<lsn>`, then `n` × `row <params>` |
+//! | `demo <sentence>` | `ok rows <n> @<lsn>`, then `n` × `row <params>`: each row's columns in the order the query's free variables first occur in its text, the rows sorted by their text, so a state answers the same bytes in every process |
 //! | `why <atom>` | `ok why <n> @<lsn>`, then `n` × `row <proof line>`; `ok why none @<lsn>` when underivable; `err …` on a theory that is not definite |
 //! | `begin` | `ok begin` |
 //! | `assert <sentence>` | in txn `ok queued <n>`; else `ok committed @<lsn> +<a> -<r>` |
@@ -76,7 +76,8 @@ use epilog_persist::{
     CommitHandle, CommitReceipt, Endpoint, PersistError, Request, ServeError, ServeStats,
     ServingDb, TxOp,
 };
-use epilog_syntax::parse;
+use epilog_syntax::{parse, Formula, Term, Var};
+use std::collections::BTreeSet;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
@@ -230,24 +231,39 @@ impl Session {
         Ok(format!("ok {verdict} @{}", snap.lsn()))
     }
 
+    /// `demo`'s answers, each row's columns in the order the query's free
+    /// variables first occur in its text, the rows sorted by their text:
+    /// one state answers the same bytes in every process, whatever order
+    /// it interned its names in.
     fn demo(&self, src: &str) -> Result<String, String> {
         let q = parse(src).map_err(|e| format!("parse: {e}"))?;
         let snap = self.db.snapshot();
-        let rows = snap.demo_all(&q).map_err(|e| e.to_string())?;
+        let stream = snap.demo(&q).map_err(|e| e.to_string())?;
+        let columns: Vec<usize> = text_order(&q)
+            .iter()
+            .map(|v| stream.vars().iter().position(|w| w == v).unwrap())
+            .collect();
+        let rows: BTreeSet<String> = stream
+            .map(|row| {
+                let mut line = String::from("row");
+                for &c in &columns {
+                    line.push(' ');
+                    line.push_str(&row[c].to_string());
+                }
+                line
+            })
+            .collect();
         let mut out = format!("ok rows {} @{}", rows.len(), snap.lsn());
         for row in rows {
-            out.push_str("\nrow");
-            for p in row {
-                out.push(' ');
-                out.push_str(&p.to_string());
-            }
+            out.push('\n');
+            out.push_str(&row);
         }
         Ok(out)
     }
 
     fn why(&self, src: &str) -> Result<String, String> {
         let q = parse(src).map_err(|e| format!("parse: {e}"))?;
-        let epilog_syntax::Formula::Atom(atom) = q else {
+        let Formula::Atom(atom) = q else {
             return Err(format!("why needs a ground atom, got {q}"));
         };
         if !atom.is_ground() {
@@ -272,11 +288,7 @@ impl Session {
     }
 
     /// Buffer an operation in the open transaction, or commit it alone.
-    fn op(
-        &mut self,
-        src: &str,
-        wrap: impl Fn(epilog_syntax::Formula) -> TxOp,
-    ) -> Result<Reply, String> {
+    fn op(&mut self, src: &str, wrap: impl Fn(Formula) -> TxOp) -> Result<Reply, String> {
         let op = wrap(parse(src).map_err(|e| format!("parse: {e}"))?);
         Ok(match &mut self.txn {
             Some(ops) => {
@@ -305,6 +317,29 @@ impl Session {
             Err(e) => format!("err {failed}{e}"),
         })))
     }
+}
+
+/// The free variables of `q` in the order they first occur in its text.
+fn text_order(q: &Formula) -> Vec<Var> {
+    let free = q.free_vars();
+    let mut order = Vec::with_capacity(free.len());
+    let mut stack = vec![q];
+    while let Some(w) = stack.pop() {
+        let terms: &[Term] = match w {
+            Formula::Atom(a) => &a.terms,
+            Formula::Eq(s, t) => &[*s, *t],
+            _ => &[],
+        };
+        for t in terms {
+            if let Term::Var(v) = t {
+                if free.contains(v) && !order.contains(v) {
+                    order.push(*v);
+                }
+            }
+        }
+        stack.extend(w.children().into_iter().rev());
+    }
+    order
 }
 
 fn committed(r: CommitReceipt) -> String {
@@ -710,6 +745,27 @@ mod tests {
         t.sessions.push(Session::new(t.endpoint.clone()));
         assert_eq!(t.on(1, "ask K person(Mary)"), "ok yes @2");
         assert_eq!(t.endpoint.stats().commits, 1);
+        drop(t);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn demo_answers_in_text_order_whatever_was_interned_first() {
+        // Symbol ids follow first interning: `y9041` before `x9041`,
+        // `pb9041` before `pa9041`. The reply must follow neither.
+        parse("f(y9041, x9041, pb9041, pa9041)").unwrap();
+        let d = dir();
+        let mut t = Stepped::create(
+            &d,
+            "e(pb9041, pb9041)\ne(pb9041, pa9041)\ne(pa9041, pb9041)",
+        );
+        let rows = "ok rows 3 @0\nrow pa9041 pb9041\nrow pb9041 pa9041\nrow pb9041 pb9041";
+        assert_eq!(t.request("demo K e(x9041, y9041)"), rows);
+        assert_eq!(t.request("demo K e(y9041, x9041)"), rows);
+        assert_eq!(
+            t.request("demo K e(x9041, y9041) & K e(y9041, y9041)"),
+            "ok rows 2 @0\nrow pa9041 pb9041\nrow pb9041 pb9041"
+        );
         drop(t);
         std::fs::remove_dir_all(d).unwrap();
     }

@@ -59,9 +59,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token; an identifier borrows its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     LParen,
     RParen,
     Comma,
@@ -75,13 +76,13 @@ enum Tok {
     Neq,
 }
 
-struct Lexer {
+struct Lexer<'a> {
     pos: usize,
-    toks: Vec<(Tok, usize)>,
+    toks: Vec<(Tok<'a>, usize)>,
 }
 
-impl Lexer {
-    fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
+impl<'a> Lexer<'a> {
+    fn lex(src: &'a str) -> Result<Vec<(Tok<'a>, usize)>, ParseError> {
         let mut l = Lexer {
             pos: 0,
             toks: Vec::new(),
@@ -125,7 +126,7 @@ impl Lexer {
                     }) {
                         end += 1;
                     }
-                    l.toks.push((Tok::Ident(src[start..end].to_owned()), start));
+                    l.toks.push((Tok::Ident(&src[start..end]), start));
                     l.pos = end;
                 }
                 _ => {
@@ -139,16 +140,16 @@ impl Lexer {
         Ok(l.toks)
     }
 
-    fn push(&mut self, t: Tok, len: usize, at: usize) {
+    fn push(&mut self, t: Tok<'a>, len: usize, at: usize) {
         self.toks.push((t, at));
         self.pos += len;
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, usize)>,
     i: usize,
-    bound: Vec<String>,
+    bound: Vec<&'a str>,
     end: usize,
     /// Nesting levels above the point being parsed.
     depth: usize,
@@ -157,8 +158,8 @@ struct Parser {
 /// A parsed formula and how many levels it nests.
 type Nested = Result<(Formula, usize), ParseError>;
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.i).map(|(t, _)| t)
     }
 
@@ -166,15 +167,15 @@ impl Parser {
         self.toks.get(self.i).map(|(_, o)| *o).unwrap_or(self.end)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.i).map(|(t, _)| t.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.toks.get(self.i).map(|&(t, _)| t);
         if t.is_some() {
             self.i += 1;
         }
         t
     }
 
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, t: &Tok<'a>, what: &str) -> Result<(), ParseError> {
         if self.peek() == Some(t) {
             self.i += 1;
             Ok(())
@@ -278,7 +279,7 @@ impl Parser {
                 // equality? Terms are identifiers only, so no.
                 Ok((w, n + 1))
             }
-            Some(Tok::Ident(word)) => match word.as_str() {
+            Some(Tok::Ident(word)) => match *word {
                 "K" => {
                     self.i += 1;
                     let (w, n) = self.below(1, Self::unary)?;
@@ -311,9 +312,7 @@ impl Parser {
         if vars.is_empty() {
             return Err(self.err("quantifier binds no variables".into()));
         }
-        for v in &vars {
-            self.bound.push(v.clone());
-        }
+        self.bound.extend(&vars);
         let (body, n) = self.below(vars.len(), Self::formula)?;
         for _ in &vars {
             self.bound.pop();
@@ -321,7 +320,7 @@ impl Parser {
         let nest = n + vars.len();
         let mut w = body;
         for name in vars.into_iter().rev() {
-            let v = Var::new(&name);
+            let v = Var::new(name);
             w = if forall {
                 Formula::forall(v, w)
             } else {
@@ -340,7 +339,7 @@ impl Parser {
         if let Some(stripped) = name.strip_prefix('$') {
             return Term::Param(Param::new(stripped));
         }
-        if self.bound.iter().any(|b| b == name) || is_conventional_var(name) {
+        if self.bound.contains(&name) || is_conventional_var(name) {
             Term::Var(Var::new(name))
         } else {
             Term::Param(Param::new(name))
@@ -358,7 +357,7 @@ impl Parser {
                 let mut terms = Vec::new();
                 loop {
                     match self.bump() {
-                        Some(Tok::Ident(t)) => terms.push(self.term_of(&t)),
+                        Some(Tok::Ident(t)) => terms.push(self.term_of(t)),
                         _ => return Err(self.err("expected term".into())),
                     }
                     match self.bump() {
@@ -368,30 +367,30 @@ impl Parser {
                         _ => return Err(self.err("expected ',' or ')'".into())),
                     }
                 }
-                let pred = Pred::new(&name, terms.len());
+                let pred = Pred::new(name, terms.len());
                 Ok(Formula::Atom(Atom::new(pred, terms)))
             }
             Some(Tok::Eq) => {
                 self.i += 1;
-                let lhs = self.term_of(&name);
+                let lhs = self.term_of(name);
                 let rhs = match self.bump() {
-                    Some(Tok::Ident(t)) => self.term_of(&t),
+                    Some(Tok::Ident(t)) => self.term_of(t),
                     _ => return Err(self.err("expected term after '='".into())),
                 };
                 Ok(Formula::Eq(lhs, rhs))
             }
             Some(Tok::Neq) => {
                 self.i += 1;
-                let lhs = self.term_of(&name);
+                let lhs = self.term_of(name);
                 let rhs = match self.bump() {
-                    Some(Tok::Ident(t)) => self.term_of(&t),
+                    Some(Tok::Ident(t)) => self.term_of(t),
                     _ => return Err(self.err("expected term after '!='".into())),
                 };
                 Ok(Formula::not(Formula::Eq(lhs, rhs)))
             }
             _ => {
                 // Bare identifier in formula position: a proposition.
-                Ok(Formula::Atom(Atom::new(Pred::new(&name, 0), vec![])))
+                Ok(Formula::Atom(Atom::new(Pred::new(name, 0), vec![])))
             }
         }
     }
