@@ -304,20 +304,25 @@ impl EpistemicDb {
 
     // ----- integrity ------------------------------------------------------
 
-    /// Register a constraint (a KFOPCE sentence). It is compiled once,
-    /// here, and the current state must satisfy it, otherwise the
-    /// registration is rejected with the witnesses of the violation.
-    /// Commits check it on what their model diff can have violated; one
-    /// outside the compilable fragment is re-checked in full at every
-    /// commit. One nested deeper than
-    /// [`MAX_NESTING`](epilog_syntax::MAX_NESTING) is refused
+    /// Register a constraint (a KFOPCE sentence); returns whether it was
+    /// new. It is compiled once, here, and the current state must satisfy
+    /// it, otherwise the registration is rejected with the witnesses of
+    /// the violation. Commits check it on what their model diff can have
+    /// violated; one outside the compilable fragment is re-checked in
+    /// full at every commit. A constraint syntactically equal to one
+    /// already registered changes nothing (`Ok(false)`): the state
+    /// satisfies it already, and every commit checks it once. One nested
+    /// deeper than [`MAX_NESTING`](epilog_syntax::MAX_NESTING) is refused
     /// ([`TheoryError::TooDeep`]).
-    pub fn add_constraint(&mut self, ic: Formula) -> Result<(), DbError> {
+    pub fn add_constraint(&mut self, ic: Formula) -> Result<bool, DbError> {
         if !ic.within_nesting_bound() {
             return Err(TheoryError::TooDeep.into());
         }
         if !ic.is_sentence() {
             return Err(DbError::OpenConstraint(ic));
+        }
+        if self.constraints().any(|c| *c == ic) {
+            return Ok(false);
         }
         let compiled = CompiledConstraint::compile(&ic);
         if let Some(witnesses) = compiled.violated(&self.prover) {
@@ -328,7 +333,7 @@ impl EpistemicDb {
             })));
         }
         Arc::make_mut(&mut self.constraints).push(compiled);
-        Ok(())
+        Ok(true)
     }
 
     /// Whether the database currently satisfies every registered
@@ -382,6 +387,19 @@ mod tests {
         assert_eq!(d.ask(&parse("Teach(John, CS)").unwrap()), Answer::Unknown);
         let got = d.answers(&parse("K Teach(John, x)").unwrap());
         assert_eq!(got.len(), 1);
+    }
+
+    #[test]
+    fn registering_a_constraint_twice_registers_it_once() {
+        let mut d = db("emp(Mary)\nss(Mary, n1)");
+        let ic = parse("forall x. K emp(x) -> exists y. K ss(x, y)").unwrap();
+        assert!(d.add_constraint(ic.clone()).unwrap());
+        assert!(!d.add_constraint(ic.clone()).unwrap());
+        assert_eq!(d.constraints().count(), 1);
+        // Equal means syntactically equal: a rewording is another one.
+        let reworded = parse("forall y. K emp(y) -> exists z. K ss(y, z)").unwrap();
+        assert!(d.add_constraint(reworded).unwrap());
+        assert_eq!(d.constraints().count(), 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! clauses, answer for answer.
 
 use epilog_prover::{AnswerIter, Prover};
-use epilog_storage::{AtomTemplate, Database, Matches, PatTerm, Selection, SlotMap, Tuple};
+use epilog_storage::{AtomTemplate, Database, Matches, PatTerm, Selection, SlotMap};
 use epilog_syntax::{
     admissibility, is_first_order, transform, Admissibility, Formula, Param, Term, Var,
 };
@@ -322,8 +322,8 @@ fn select<'a>(atom: &AtomTemplate, names: &[Var], model: &'a Database, slots: &S
     let answers = if binds.windows(2).any(|w| names[w[0].1] > names[w[1].1]) {
         let mut by_var = binds.clone();
         by_var.sort_by_key(|&(_, s)| names[s]);
-        let repeated = |t: &&Tuple| repeats.iter().all(|&(c, first)| t[c] == t[first]);
-        let mut rows: Vec<Tuple> = matches.filter(repeated).cloned().collect();
+        let repeated = |t: &&[Param]| repeats.iter().all(|&(c, first)| t[c] == t[first]);
+        let mut rows: Vec<&[Param]> = matches.filter(repeated).collect();
         rows.sort_by_cached_key(|t| by_var.iter().map(|&(c, _)| t[c]).collect::<Vec<_>>());
         Answers::Sorted(rows.into_iter())
     } else {
@@ -433,7 +433,7 @@ enum Answers<'a> {
     /// column)`.
     Matches(Matches<'a>, Vec<(usize, usize)>),
     /// An atom's answers from the least model, re-sorted.
-    Sorted(std::vec::IntoIter<Tuple>),
+    Sorted(std::vec::IntoIter<&'a [Param]>),
     /// `prove`'s answer tuples.
     Prove(AnswerIter<'a>),
 }
@@ -457,10 +457,10 @@ impl Frame<'_> {
         match &mut self.answers {
             Answers::Once(holds) => std::mem::take(holds),
             Answers::Matches(matches, repeats) => {
-                let repeated = |t: &&Tuple| repeats.iter().all(|&(c, first)| t[c] == t[first]);
-                matches.find(repeated).map(|t| bind(t)).is_some()
+                let repeated = |t: &&[Param]| repeats.iter().all(|&(c, first)| t[c] == t[first]);
+                matches.find(repeated).map(bind).is_some()
             }
-            Answers::Sorted(rows) => rows.next().map(|t| bind(&t)).is_some(),
+            Answers::Sorted(rows) => rows.next().map(bind).is_some(),
             Answers::Prove(answers) => answers.next().map(|t| bind(&t)).is_some(),
         }
     }

@@ -12,14 +12,16 @@
 //! empty are skipped without counting as a firing.
 //!
 //! A round's heads reach the total as one ordered batch. Every firing
-//! pushes the heads it grounds onto its predicate's `Vec` in `Heads`
-//! (one map look-up per firing, none per derivation); at the end of the
-//! round each vector is sorted and deduplicated once, and
-//! [`DeltaDatabase::advance`] inserts it through a cursor that gallops
-//! forward from the previous tuple's run, so a new tuple costs a search
-//! inside one run rather than one over the whole relation. The new ones
-//! come back in order and are cut into the next delta's full runs. The
-//! same sink serves DRed's over-deletion rounds and the naive reference
+//! grounds the heads it derives straight into its predicate's [`Rows`]
+//! in `Heads` — in that predicate's row type, a `[Param; n]` (one map
+//! look-up and one dispatch on the arity per firing, none per
+//! derivation); at the end of the round each batch is sorted and
+//! deduplicated once, in the row type, and [`DeltaDatabase::advance`]
+//! inserts it through a cursor that gallops forward from the previous
+//! row's run, so a new row costs a search inside one run rather than one
+//! over the whole relation. The new ones come back in order, in full
+//! runs, as the next delta. No row is converted on the way. The same
+//! sink serves DRed's over-deletion rounds and the naive reference
 //! rounds.
 //!
 //! Four entry points, one per mode: [`Program::eval`] (the default full
@@ -33,8 +35,8 @@
 
 use crate::plan::RulePlan;
 use crate::program::Program;
-use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, Tuple};
-use epilog_syntax::{Param, Pred};
+use epilog_storage::{ConjunctionPlan, Database, DeltaDatabase, Rows};
+use epilog_syntax::Pred;
 use std::collections::BTreeMap;
 
 /// Counters reported by an evaluation run (for the report's F6 and F9
@@ -229,8 +231,9 @@ impl Program {
         // Phase 1 — over-delete. Seed with the removed facts actually in
         // the model; absent retracts delete nothing.
         let seed = removed_facts.relations().map(|(pred, rel)| {
-            let present = rel.iter().filter(|t| model.contains_tuple(pred, t));
-            (pred, present.cloned().collect())
+            let mut present = Rows::new(pred.arity());
+            present.extend(rel.iter().filter(|t| model.contains_tuple(pred, t)));
+            (pred, present)
         });
         let mut deleted = DeltaDatabase::new(Database::new());
         if deleted.advance(seed) == 0 {
@@ -260,7 +263,7 @@ impl Program {
         // prebound support plan.
         let mut seeds = Vec::new();
         for (pred, rel) in deleted.relations() {
-            let mut survivors = Vec::new();
+            let mut survivors = Rows::new(pred.arity());
             for t in rel.iter() {
                 let survives = self.edb.contains_tuple(pred, t)
                     || plans.iter().any(|plan| {
@@ -283,7 +286,7 @@ impl Program {
                         found
                     });
                 if survives {
-                    survivors.push(t.clone());
+                    survivors.push(t);
                 }
             }
             seeds.push((pred, survivors));
@@ -299,8 +302,9 @@ impl Program {
         let mut db = ddb.into_total();
         let mut removed = Database::new();
         for (pred, rel) in deleted.relations() {
-            let gone = rel.iter().filter(|t| !db.contains_tuple(pred, t));
-            let gone = removed.relation_mut(pred).insert_ascending(gone.cloned());
+            let mut gone = Rows::new(pred.arity());
+            gone.extend(rel.iter().filter(|t| !db.contains_tuple(pred, t)));
+            let gone = removed.relation_mut(pred).insert_ascending(gone);
             stats.tuples_rederived += (rel.len() - gone.len()) as u64;
         }
         db.prune_empty();
@@ -371,22 +375,21 @@ fn fix_naive(plans: &[RulePlan], db: &mut Database, stats: &mut EvalStats) {
     }
 }
 
-/// The heads one round derives, per predicate, in the order they were
-/// derived: the one sink every firing pushes to.
+/// The heads one round derives, per predicate, in its row type and in
+/// the order they were derived: the one sink every firing pushes to.
 #[derive(Debug, Default)]
-pub(crate) struct Heads(BTreeMap<Pred, Vec<Tuple>>);
+pub(crate) struct Heads(BTreeMap<Pred, Rows>);
 
 impl Heads {
     /// Each predicate's heads sorted and deduplicated — the ascending
     /// batches [`DeltaDatabase::advance`] takes — skipping predicates
     /// whose firings derived nothing.
-    pub(crate) fn into_batches(self) -> impl Iterator<Item = (Pred, Vec<Tuple>)> {
+    pub(crate) fn into_batches(self) -> impl Iterator<Item = (Pred, Rows)> {
         self.0
             .into_iter()
             .filter(|(_, heads)| !heads.is_empty())
             .map(|(pred, mut heads)| {
-                heads.sort_unstable();
-                heads.dedup();
+                heads.sort_and_dedup();
                 (pred, heads)
             })
     }
@@ -428,8 +431,8 @@ fn fire_delta_variants(
     }
 }
 
-/// Execute one join plan: push the grounded head of every complete
-/// match onto its predicate's vector in `out`.
+/// Execute one join plan: ground the head of every complete match into
+/// its predicate's batch in `out`.
 fn fire(
     plan: &RulePlan,
     join: &ConjunctionPlan,
@@ -445,19 +448,16 @@ fn fire(
         }
     }
     let mut env = vec![None; plan.slots.len()];
-    let mut derivations = 0u64;
-    let out = out.0.entry(plan.head.pred).or_default();
-    join.for_each_match_counting(
+    let pred = plan.head.pred;
+    let out = out.0.entry(pred).or_insert_with(|| Rows::new(pred.arity()));
+    stats.derivations += join.derive_into(
+        &plan.head,
         total,
         delta,
         &mut env,
         &mut stats.rows_examined,
-        &mut |env: &[Option<Param>]| {
-            derivations += 1;
-            out.push(plan.head.ground(env));
-        },
+        out,
     );
-    stats.derivations += derivations;
 }
 
 #[cfg(test)]

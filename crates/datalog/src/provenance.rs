@@ -20,7 +20,7 @@
 
 use crate::engine::{fix_seminaive, EvalStats};
 use crate::plan::RulePlan;
-use epilog_storage::{Database, JoinStep, Tuple};
+use epilog_storage::{Database, JoinStep};
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term};
 use std::collections::HashMap;
@@ -38,21 +38,22 @@ impl crate::Program {
             .iter()
             .map(|r| RulePlan::compile(r, &self.edb))
             .collect();
-        let mut rounds: HashMap<Pred, HashMap<Tuple, u32>> = HashMap::new();
-        let mut round = 0;
-        let on_round = |delta: &Database| {
-            round += 1;
-            for (pred, rel) in delta.relations() {
-                let first_seen = rounds.entry(pred).or_default();
-                first_seen.extend(rel.iter().map(|t| (t.clone(), round)));
-            }
-        };
+        // Each round's delta, kept by sharing its runs, so the round map
+        // borrows its rows rather than copying them.
+        let mut deltas: Vec<Database> = Vec::new();
         let model = fix_seminaive(
             &plans,
             self.edb.clone(),
             &mut EvalStats::default(),
-            on_round,
+            |delta| deltas.push(delta.clone()),
         );
+        let mut rounds: HashMap<Pred, HashMap<&[Param], u32>> = HashMap::new();
+        for (round, delta) in (1..).zip(&deltas) {
+            for (pred, rel) in delta.relations() {
+                let first_seen = rounds.entry(pred).or_default();
+                first_seen.extend(rel.iter().map(|t| (t, round)));
+            }
+        }
         let walk = Walk {
             plans: &plans,
             edb: &self.edb,
@@ -66,13 +67,16 @@ impl crate::Program {
     }
 }
 
+/// A rule instance's ground premises, in its support plan's step order.
+type Premises = Vec<(Pred, Box<[Param]>)>;
+
 /// What a proof is read off: the plans, the least model, and the round
 /// each derived tuple first appeared in.
 struct Walk<'a> {
     plans: &'a [RulePlan],
     edb: &'a Database,
     model: &'a Database,
-    rounds: HashMap<Pred, HashMap<Tuple, u32>>,
+    rounds: HashMap<Pred, HashMap<&'a [Param], u32>>,
 }
 
 impl Walk<'_> {
@@ -89,7 +93,7 @@ impl Walk<'_> {
     /// explicit stack of tasks; `None` outside the model.
     fn prove(&self, pred: Pred, tuple: &[Param]) -> Option<ProofTree> {
         enum Task {
-            Prove(Pred, Tuple),
+            Prove(Pred, Box<[Param]>),
             /// Wrap the last `premises` finished trees under `atom`.
             Build {
                 atom: Atom,
@@ -97,7 +101,7 @@ impl Walk<'_> {
                 premises: usize,
             },
         }
-        let mut tasks = vec![Task::Prove(pred, tuple.iter().copied().collect())];
+        let mut tasks = vec![Task::Prove(pred, tuple.into())];
         let mut done: Vec<ProofTree> = Vec::new();
         while let Some(task) = tasks.pop() {
             match task {
@@ -140,12 +144,7 @@ impl Walk<'_> {
     /// appeared before `round`: its rule index and ground premises, in the
     /// support plan's step order. The round that first derived the tuple
     /// fired such an instance, so one exists for every model tuple.
-    fn support_below(
-        &self,
-        pred: Pred,
-        tuple: &[Param],
-        round: u32,
-    ) -> Option<(usize, Vec<(Pred, Tuple)>)> {
+    fn support_below(&self, pred: Pred, tuple: &[Param], round: u32) -> Option<(usize, Premises)> {
         self.plans.iter().enumerate().find_map(|(rule_idx, plan)| {
             let mut env = vec![None; plan.slots.len()];
             if plan.head.pred != pred || !plan.bind_head(tuple, &mut env) {
@@ -306,9 +305,9 @@ fn atom_of(pred: Pred, tuple: &[Param]) -> Atom {
     Atom::new(pred, tuple.iter().map(|&p| Term::Param(p)).collect())
 }
 
-/// The stored tuple of a ground atom, or `None` if any argument is a
+/// The stored row of a ground atom, or `None` if any argument is a
 /// variable.
-pub(crate) fn params_of(atom: &Atom) -> Option<Tuple> {
+pub(crate) fn params_of(atom: &Atom) -> Option<Box<[Param]>> {
     atom.terms.iter().map(Term::as_param).collect()
 }
 

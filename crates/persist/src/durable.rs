@@ -265,8 +265,8 @@ impl DurableDb {
             )));
         }
         let db = EpistemicDb::new(theory);
-        let genesis = Snapshot::of(&db, 0, false).into_ops();
-        let wal = Wal::create_checkpoint(dir.join(WAL_FILE), policy, 0, &genesis)?;
+        let genesis = Snapshot::lines_of(&db);
+        let wal = Wal::create_checkpoint(dir.join(WAL_FILE), policy, 0, genesis)?;
         let log = Log {
             wal,
             untrusted: None,
@@ -350,18 +350,23 @@ impl DurableDb {
         self.log.wal.set_fault_injector(injector);
     }
 
-    /// Register an integrity constraint, durably, the way a commit runs:
-    /// the registration (and its check of the current state) runs on a
-    /// copy of the database, the record is appended only once the copy
-    /// accepted it, and then the copy is installed. A refusal — or a
-    /// check that panics — leaves log and state as they were.
-    pub fn add_constraint(&mut self, ic: Formula) -> Result<(), PersistError> {
+    /// Register an integrity constraint, durably, the way a commit runs;
+    /// returns whether it was new. The registration (and its check of the
+    /// current state) runs on a copy of the database, the record is
+    /// appended only once the copy accepted it, and then the copy is
+    /// installed. A constraint already registered appends nothing
+    /// (`Ok(false)`), as a commit that changes nothing logs nothing. A
+    /// refusal — or a check that panics — leaves log and state as they
+    /// were.
+    pub fn add_constraint(&mut self, ic: Formula) -> Result<bool, PersistError> {
         self.log.trusted()?;
         let mut db = self.db.clone();
-        db.add_constraint(ic.clone())?;
+        if !db.add_constraint(ic.clone())? {
+            return Ok(false);
+        }
         let _ = self.log.append(&[WalOp::Constraint(ic)])?;
         self.db = db;
-        Ok(())
+        Ok(true)
     }
 
     /// Replace the log with one checkpoint of the current state at the
@@ -374,16 +379,19 @@ impl DurableDb {
     pub fn compact(&mut self) -> Result<CompactStats, PersistError> {
         self.log.trusted()?;
         let (lsn, records_dropped, bytes) = (self.last_lsn(), self.wal_records(), self.wal_bytes());
-        let ops = Snapshot::of(&self.db, lsn, false).into_ops();
-        self.log.wal.checkpoint(lsn, &ops).map_err(|(e, renamed)| {
-            if renamed {
-                self.log.distrust(format!(
-                    "the compacted log's directory sync failed ({e}); recover the directory"
-                ))
-            } else {
-                PersistError::Io(e)
-            }
-        })?;
+        let lines = Snapshot::lines_of(&self.db);
+        self.log
+            .wal
+            .checkpoint(lsn, lines)
+            .map_err(|(e, renamed)| {
+                if renamed {
+                    self.log.distrust(format!(
+                        "the compacted log's directory sync failed ({e}); recover the directory"
+                    ))
+                } else {
+                    PersistError::Io(e)
+                }
+            })?;
         Ok(CompactStats {
             checkpoint_lsn: lsn,
             records_dropped,
@@ -473,8 +481,13 @@ fn replay_record(db: &mut EpistemicDb, record: &WalRecord) -> Result<(), String>
         return Err("a checkpoint that is not the log's first record".into());
     }
     let ops = &record.ops;
+    // A log written before constraints were deduplicated may register
+    // one twice: the repeat replays as the no-op it is now.
     if let [WalOp::Constraint(ic)] = ops.as_slice() {
-        return db.add_constraint(ic.clone()).map_err(|e| e.to_string());
+        return db
+            .add_constraint(ic.clone())
+            .map(drop)
+            .map_err(|e| e.to_string());
     }
     let mut txn = db.transaction();
     for op in ops {
@@ -887,7 +900,7 @@ mod tests {
         inj.disarm();
         let refusals = [
             db.transaction().assert(f("emp(Ann)")).commit().map(|_| ()),
-            db.add_constraint(f("forall x. ~K bad(x)")),
+            db.add_constraint(f("forall x. ~K bad(x)")).map(drop),
             db.compact().map(|_| ()),
             db.sync(),
         ];
@@ -1148,6 +1161,30 @@ mod tests {
             Err(e) => panic!("{e}"),
             Ok((_, report)) => panic!("recovered short: {report}"),
         }
+    }
+
+    #[test]
+    fn a_repeated_constraint_is_logged_once_and_an_old_repeat_replays_as_nothing() {
+        let ic = f("forall x. K emp(x) -> exists y. K ss(x, y)");
+        let d = dir();
+        let mut db = DurableDb::create(&d, Theory::empty(), FsyncPolicy::Never).unwrap();
+        assert!(db.add_constraint(ic.clone()).unwrap());
+        assert!(!db.add_constraint(ic.clone()).unwrap());
+        assert_eq!((db.wal_records(), db.last_lsn()), (1, 1));
+        assert_eq!(db.db().constraints().count(), 1);
+        drop(db);
+        // A log written before registrations were deduplicated may hold
+        // the repeat as a record of its own: it replays, changing nothing.
+        let path = d.join(WAL_FILE);
+        let scan = Wal::scan_file(&path).unwrap();
+        let mut wal = Wal::open(&path, FsyncPolicy::Never, &scan).unwrap();
+        assert_eq!(wal.append(&[WalOp::Constraint(ic)]).unwrap(), 2);
+        drop(wal);
+        let (db, report) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
+        assert_eq!(report.records_replayed, 2);
+        assert_eq!((db.last_lsn(), db.db().constraints().count()), (2, 1));
+        drop(db);
+        std::fs::remove_dir_all(d).unwrap();
     }
 
     #[test]

@@ -640,7 +640,10 @@ impl Writer {
 
     fn constraint(&mut self, ic: Formula, reply: Reply<u64>, batch: &mut Batch) {
         match self.durable.add_constraint(ic) {
-            Ok(()) => batch.constraints.push((reply, self.durable.last_lsn())),
+            // A constraint already registered (maybe by a batch-mate)
+            // logged nothing, and is acknowledged with the batch all the
+            // same.
+            Ok(_) => batch.constraints.push((reply, self.durable.last_lsn())),
             Err(e) => self.answer_failure(e, reply, batch),
         }
     }

@@ -23,7 +23,7 @@
 //! log does not begin with an intact checkpoint or its sentences are
 //! wrong.
 
-use crate::wal::{FsyncPolicy, Wal, WalOp, WalScan, WAL_FILE};
+use crate::wal::{FsyncPolicy, Line, Wal, WalOp, WalScan, WAL_FILE};
 use crate::PersistError;
 use epilog_core::EpistemicDb;
 use epilog_syntax::{Formula, Theory};
@@ -66,18 +66,20 @@ impl Snapshot {
     /// whole, and return the log's path.
     pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
         let path = dir.join(WAL_FILE);
-        let ops = self.clone().into_ops();
-        let _ = Wal::create_checkpoint(path.clone(), FsyncPolicy::Never, self.lsn, &ops)?;
+        let lines = checkpoint(&self.sentences, &self.constraints);
+        let _ = Wal::create_checkpoint(path.clone(), FsyncPolicy::Never, self.lsn, lines)?;
         Ok(path)
     }
 
-    /// The checkpoint record's operations: the sentences as `assert`s, then
-    /// the constraints.
-    pub(crate) fn into_ops(self) -> Vec<WalOp> {
-        let asserts = self.sentences.into_iter().map(WalOp::Assert);
-        asserts
-            .chain(self.constraints.into_iter().map(WalOp::Constraint))
-            .collect()
+    /// The checkpoint record of `db`'s state, printed from the sentences
+    /// its theory shares and the constraints it registered: what
+    /// `DurableDb::create` and `compact` write, with no sentence copied
+    /// (the bytes of [`Snapshot::of`] written).
+    pub(crate) fn lines_of(db: &EpistemicDb) -> impl Iterator<Item = Line<'_>> {
+        checkpoint(
+            db.theory().sentences().iter().map(|w| &**w),
+            db.constraints(),
+        )
     }
 
     /// Load the checkpoint the log at `path` begins with.
@@ -157,6 +159,16 @@ impl Snapshot {
     }
 }
 
+/// The checkpoint record's operations: the sentences as `assert`s, then
+/// the constraints.
+fn checkpoint<'a>(
+    sentences: impl IntoIterator<Item = &'a Formula>,
+    constraints: impl IntoIterator<Item = &'a Formula>,
+) -> impl Iterator<Item = Line<'a>> {
+    let asserts = sentences.into_iter().map(Line::assert);
+    asserts.chain(constraints.into_iter().map(Line::constraint))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +231,33 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert_eq!(Snapshot::load(&path).unwrap().lsn, 9);
         std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn create_and_compact_write_the_bytes_of_the_snapshot() {
+        // Both print the state's shared sentences where `Snapshot::of`
+        // copies them: the records must not tell the difference.
+        let (d, other) = (dir(), dir());
+        let theory = Theory::from_text("forall x. emp(x) -> person(x)\nemp(Ann)").unwrap();
+        let mut db = crate::DurableDb::create(&d, theory, FsyncPolicy::Never).unwrap();
+        let of = |db: &crate::DurableDb| {
+            let path = Snapshot::of(db.db(), db.last_lsn(), false)
+                .write(&other)
+                .unwrap();
+            std::fs::read(path).unwrap()
+        };
+        assert_eq!(std::fs::read(d.join(WAL_FILE)).unwrap(), of(&db));
+        db.add_constraint(parse("forall x. K emp(x) -> exists y. K ss(x, y)").unwrap())
+            .unwrap_err();
+        db.add_constraint(parse("forall x. K emp(x) -> K person(x)").unwrap())
+            .unwrap();
+        db.assert(parse("emp(Mary) & ss(Mary, n1)").unwrap())
+            .unwrap();
+        db.compact().unwrap();
+        assert_eq!(std::fs::read(d.join(WAL_FILE)).unwrap(), of(&db));
+        for d in [d, other] {
+            std::fs::remove_dir_all(d).unwrap();
+        }
     }
 
     #[test]

@@ -99,15 +99,41 @@ pub enum WalOp {
 
 impl fmt::Display for WalOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WalOp::Assert(w) => write!(f, "assert {w}"),
-            WalOp::Retract(w) => write!(f, "retract {w}"),
-            WalOp::Constraint(w) => write!(f, "constraint {w}"),
-        }
+        self.line().fmt(f)
+    }
+}
+
+/// One op line of a record's payload, its sentence borrowed: how a
+/// [`WalOp`] prints, and how a checkpoint prints a state's sentences
+/// without copying one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Line<'a>(&'static str, &'a Formula);
+
+impl<'a> Line<'a> {
+    pub(crate) fn assert(w: &'a Formula) -> Line<'a> {
+        Line("assert", w)
+    }
+
+    pub(crate) fn constraint(w: &'a Formula) -> Line<'a> {
+        Line("constraint", w)
+    }
+}
+
+impl fmt::Display for Line<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.0, self.1)
     }
 }
 
 impl WalOp {
+    fn line(&self) -> Line<'_> {
+        match self {
+            WalOp::Assert(w) => Line::assert(w),
+            WalOp::Retract(w) => Line("retract", w),
+            WalOp::Constraint(w) => Line::constraint(w),
+        }
+    }
+
     fn decode(line: &str) -> Result<WalOp, String> {
         let (verb, rest) = line
             .split_once(' ')
@@ -177,7 +203,11 @@ impl WalScan {
 
 /// The one encoder: a checkpoint (`checkpoint`) or a transaction record
 /// of `ops`, framed.
-fn encode_record(lsn: u64, checkpoint: bool, ops: &[WalOp]) -> Vec<u8> {
+fn encode_record<'a>(
+    lsn: u64,
+    checkpoint: bool,
+    ops: impl IntoIterator<Item = Line<'a>>,
+) -> Vec<u8> {
     let mut payload = String::new();
     if checkpoint {
         payload.push_str(CHECKPOINT);
@@ -334,11 +364,11 @@ impl Wal {
     /// Write the log at `path` as one checkpoint of `ops` at `lsn`,
     /// replacing any file there whole, and position it for appending the
     /// record at `lsn + 1`.
-    pub(crate) fn create_checkpoint(
+    pub(crate) fn create_checkpoint<'a>(
         path: PathBuf,
         policy: FsyncPolicy,
         lsn: u64,
-        ops: &[WalOp],
+        ops: impl IntoIterator<Item = Line<'a>>,
     ) -> io::Result<Wal> {
         let mut wal = None;
         write_checkpoint(&path, lsn, ops, None, |file, len| {
@@ -363,7 +393,11 @@ impl Wal {
     /// is untouched and this log still appends to it; if so, the
     /// directory sync after the rename failed, and the new file's name may
     /// not survive a crash.
-    pub(crate) fn checkpoint(&mut self, lsn: u64, ops: &[WalOp]) -> Result<(), (io::Error, bool)> {
+    pub(crate) fn checkpoint<'a>(
+        &mut self,
+        lsn: u64,
+        ops: impl IntoIterator<Item = Line<'a>>,
+    ) -> Result<(), (io::Error, bool)> {
         let (path, injector) = (self.path.clone(), self.injector.clone());
         let mut renamed = false;
         let written = write_checkpoint(&path, lsn, ops, injector.as_deref(), |file, len| {
@@ -434,7 +468,7 @@ impl Wal {
     pub fn append(&mut self, ops: &[WalOp]) -> io::Result<u64> {
         assert!(!ops.is_empty(), "a WAL record must carry at least one op");
         let lsn = self.next_lsn;
-        let bytes = encode_record(lsn, false, ops);
+        let bytes = encode_record(lsn, false, ops.iter().map(WalOp::line));
         fault::write_all(self.injector.as_deref(), &mut self.file, &bytes)?;
         let sync_due = self.policy == FsyncPolicy::Always;
         if sync_due {
@@ -526,10 +560,10 @@ impl Wal {
 /// Replace the file at `path` with a log holding one checkpoint of `ops`
 /// at `lsn`, through `crate::replace_file`; `renamed` gets the new file's
 /// handle, positioned at its end, and its length.
-fn write_checkpoint(
+fn write_checkpoint<'a>(
     path: &Path,
     lsn: u64,
-    ops: &[WalOp],
+    ops: impl IntoIterator<Item = Line<'a>>,
     injector: Option<&FaultInjector>,
     renamed: impl FnOnce(File, u64),
 ) -> io::Result<()> {
@@ -725,7 +759,7 @@ mod tests {
         for fact in &facts {
             let _ = wal.append(std::slice::from_ref(fact)).unwrap();
         }
-        wal.checkpoint(5, &facts).unwrap();
+        wal.checkpoint(5, facts.iter().map(WalOp::line)).unwrap();
         assert_eq!((wal.records(), wal.last_lsn()), (0, 5));
         // The checkpoint holds the state, and the log stays appendable.
         assert_eq!(wal.append(&[WalOp::Assert(f("p(b)"))]).unwrap(), 6);

@@ -29,6 +29,10 @@ const WITNESS_CAP: usize = 3;
 /// [`Prover::updated`] build none of it. Verdicts the solver reached are
 /// memoized per goal sentence.
 ///
+/// [`Prover::new`] does not read `Σ` at all: its active domain and its
+/// witnesses are picked on first use, so a definite theory answered from
+/// its least model never pays for them.
+///
 /// A `Prover` is `Sync`: queries take `&self`, and the memo, the kept
 /// groundings and the counters live behind `Mutex`es/atomics so an
 /// immutable committed state can be shared across reader threads (the MVCC
@@ -45,7 +49,9 @@ const WITNESS_CAP: usize = 3;
 /// panic poisoned is emptied and used.
 pub struct Prover {
     theory: Theory,
-    witnesses: Vec<Param>,
+    /// Fresh parameters the groundings' universe makes room for (see
+    /// [`Prover::witnesses`]); picked on first use.
+    witnesses: OnceLock<Vec<Param>>,
     memo: Mutex<HashMap<Formula, bool>>,
     /// A materialized least model answering ground-atom goals without SAT
     /// (see [`Prover::with_atom_model`]).
@@ -79,28 +85,18 @@ impl Clone for Prover {
 }
 
 impl Prover {
-    /// Build a prover for `theory`.
+    /// Build a prover for `theory`. Nothing of `Σ` is read until a goal
+    /// needs it.
     pub fn new(theory: Theory) -> Self {
-        // One witness per existential node of the theory (counted on the
-        // NNF so polarities are explicit), plus one spare for goal-side
-        // quantifiers, at least 1 (the FOPCE domain is never empty),
-        // clamped by the cap.
-        let mut exists_nodes = 0usize;
-        for s in theory.sentences() {
-            exists_nodes += count_existentials(&transform::nnf(s));
-        }
-        let budget = (exists_nodes + 1).clamp(1, WITNESS_CAP);
-        // Drawn from the placeholders' pool, so a prover per commit
-        // interns no name; placeholders skip the witnesses in turn.
-        let active = theory.active_domain();
-        let witnesses = placeholders(budget, |p| active.binary_search(p).is_ok());
-        let prover = Prover::assemble(theory, witnesses, None);
-        let _ = prover.active_domain.set(active);
-        prover
+        Prover::assemble(theory, OnceLock::new(), None)
     }
 
     /// A prover that has answered nothing yet.
-    fn assemble(theory: Theory, witnesses: Vec<Param>, atom_model: Option<Database>) -> Self {
+    fn assemble(
+        theory: Theory,
+        witnesses: OnceLock<Vec<Param>>,
+        atom_model: Option<Database>,
+    ) -> Self {
         Prover {
             theory,
             witnesses,
@@ -133,17 +129,19 @@ impl Prover {
         self.atom_model.as_ref()
     }
 
-    /// Build a prover for an updated theory, reusing this prover's witness
-    /// budget — the model-maintenance hook for transactional updates.
+    /// Build a prover for an updated theory, reusing this prover's
+    /// witnesses if it picked them — the model-maintenance hook for
+    /// transactional updates.
     ///
     /// The memo starts empty (entailments may have changed), nothing is
     /// grounded until a goal asks, and `model`, when given, becomes the
     /// attached ground-atom model (same soundness contract as
-    /// [`Prover::with_atom_model`]). Carrying the witness budget over is
-    /// sound when the update adds or removes only **ground atoms**: they
+    /// [`Prover::with_atom_model`]). Carrying the witnesses over is sound
+    /// when the update adds or removes only **ground atoms**: they
     /// contribute no existential nodes, so the recomputed budget would be
-    /// identical. Updates that change quantified sentences should build a
-    /// fresh [`Prover::new`] instead.
+    /// identical (a prover that picked none picks its own on first use).
+    /// Updates that change quantified sentences should build a fresh
+    /// [`Prover::new`] instead.
     pub fn updated(&self, theory: Theory, model: Option<Database>) -> Prover {
         Prover::assemble(theory, self.witnesses.clone(), model)
     }
@@ -155,7 +153,7 @@ impl Prover {
 
     /// The theory's active domain (every parameter some sentence
     /// mentions), sorted. Computed on first use and kept for the prover's
-    /// lifetime; [`Prover::updated`] starts a fresh one.
+    /// lifetime (and its clones'); [`Prover::updated`] starts a fresh one.
     pub fn active_domain(&self) -> &[Param] {
         self.active_domain
             .get_or_init(|| self.theory.active_domain())
@@ -183,13 +181,35 @@ impl Prover {
     /// witness: stand-ins for the individuals nobody has named, drawn
     /// from the placeholders' pool, so asking for them interns no name.
     pub fn spares(&self, k: usize, also: &[Param]) -> Vec<Param> {
-        placeholders(k, |p| self.in_every_universe(p) || also.contains(p))
+        let taken = self.in_every_universe();
+        placeholders(k, |p| taken(p) || also.contains(p))
     }
 
-    /// Whether the universe of every grounding holds `p` whatever the
-    /// goal: a parameter of `Σ`, or a witness.
-    fn in_every_universe(&self, p: &Param) -> bool {
-        self.active_domain().binary_search(p).is_ok() || self.witnesses.contains(p)
+    /// The fresh parameters every grounding's universe holds for `Σ`'s
+    /// existentials: one per existential node of the theory (counted on
+    /// the NNF so polarities are explicit), plus one spare for goal-side
+    /// quantifiers, at least 1 (the FOPCE domain is never empty), clamped
+    /// by the cap. Drawn from the placeholders' pool, so a prover per
+    /// commit interns no name; placeholders skip the witnesses in turn.
+    /// Picked on first use and kept, by clones and updates too.
+    fn witnesses(&self) -> &[Param] {
+        self.witnesses.get_or_init(|| {
+            let exists_nodes: usize = (self.theory.sentences().iter())
+                .map(|s| count_existentials(&transform::nnf(s)))
+                .sum();
+            let budget = (exists_nodes + 1).clamp(1, WITNESS_CAP);
+            let active = self.active_domain();
+            placeholders(budget, |p| active.binary_search(p).is_ok())
+        })
+    }
+
+    /// Whether the universe of every grounding holds a parameter whatever
+    /// the goal: a parameter of `Σ`, or a witness. The test has both read
+    /// before it runs, so it runs under the placeholders' pool lock,
+    /// which picking the witnesses takes.
+    fn in_every_universe(&self) -> impl Fn(&Param) -> bool + '_ {
+        let (active, witnesses) = (self.active_domain(), self.witnesses());
+        move |p| active.binary_search(p).is_ok() || witnesses.contains(p)
     }
 
     /// The kept grounding that decides `goal`, and the renaming under
@@ -204,11 +224,8 @@ impl Prover {
     /// grounding per `k` therefore serves every goal, however many
     /// distinct names clients send.
     pub(crate) fn grounding_for(&self, goal: &Formula) -> (Arc<Grounding>, Renaming) {
-        let foreign: Vec<Param> = goal
-            .params()
-            .into_iter()
-            .filter(|p| !self.in_every_universe(p))
-            .collect();
+        let taken = self.in_every_universe();
+        let foreign: Vec<Param> = goal.params().into_iter().filter(|p| !taken(p)).collect();
         let grounding = self.grounding(foreign.len());
         let rename = Renaming::new(foreign, grounding.placeholders());
         (grounding, rename)
@@ -221,13 +238,13 @@ impl Prover {
         if let Some(grounding) = kept.get(&foreign) {
             return Arc::clone(grounding);
         }
-        let placeholders = placeholders(foreign, |p| self.in_every_universe(p));
+        let placeholders = placeholders(foreign, self.in_every_universe());
         let active = self.active_domain();
         let mut universe = active.to_vec();
         universe.extend(&placeholders);
         // An update may have put a witness's name into `Σ`.
         universe.extend(
-            self.witnesses
+            self.witnesses()
                 .iter()
                 .filter(|w| active.binary_search(w).is_err()),
         );
@@ -405,7 +422,7 @@ fn count_existentials(w: &Formula) -> usize {
 mod tests {
     use super::*;
     use crate::ground::tests::{panic_in_next_run, GroundContext};
-    use epilog_syntax::parse;
+    use epilog_syntax::{parse, Pred};
 
     impl Prover {
         /// The from-scratch pipeline the kept grounding replaced, as the
@@ -414,7 +431,7 @@ mod tests {
         pub(crate) fn entails_from_scratch(&self, g: &Formula) -> bool {
             use epilog_sat::{tseitin, Cnf, SatResult, Solver};
             let mut universe = self.answer_domain(g);
-            for w in &self.witnesses {
+            for w in self.witnesses() {
                 if !universe.contains(w) {
                     universe.push(*w);
                 }
@@ -439,6 +456,15 @@ mod tests {
         /// How many groundings of `Σ` this prover and its clones keep.
         pub(crate) fn groundings_kept(&self) -> usize {
             lock_cleared(&self.groundings).len()
+        }
+
+        /// Whether this prover has scanned `Σ`'s active domain, and
+        /// whether it has picked its witnesses.
+        pub(crate) fn sigma_read(&self) -> (bool, bool) {
+            (
+                self.active_domain.get().is_some(),
+                self.witnesses.get().is_some(),
+            )
         }
     }
 
@@ -768,16 +794,69 @@ mod tests {
     }
 
     #[test]
+    fn a_definite_prover_answering_from_its_model_reads_no_domain() {
+        let atoms = |src: &[&str]| -> Database {
+            src.iter()
+                .map(|a| match parse(a).unwrap() {
+                    Formula::Atom(a) => a,
+                    other => panic!("not an atom: {other}"),
+                })
+                .collect()
+        };
+        let rules = "forall x. emp(x) -> person(x)\n";
+        let theory = Theory::from_text(&format!("{rules}emp(Mary)")).unwrap();
+        let p = Prover::new(theory).with_atom_model(atoms(&["emp(Mary)", "person(Mary)"]));
+        assert_eq!(p.sigma_read(), (false, false), "Prover::new reads nothing");
+        // What `demo` asks of a definite prover: ground atoms, and
+        // selections of the attached model.
+        assert!(entails(&p, "person(Mary)"));
+        assert!(!entails(&p, "person(Sue)"));
+        let people = p
+            .atom_model()
+            .unwrap()
+            .select(Pred::new("person", 1), vec![None]);
+        assert_eq!(people.count(), 1);
+        assert_eq!(p.sigma_read(), (false, false));
+        let theory = Theory::from_text(&format!("{rules}emp(Mary)\nemp(Sue)")).unwrap();
+        let model = atoms(&["emp(Mary)", "emp(Sue)", "person(Mary)", "person(Sue)"]);
+        let next = p.updated(theory, Some(model));
+        assert!(entails(&next, "person(Sue)"));
+        assert_eq!(
+            (next.sigma_read(), p.clone().sigma_read()),
+            ((false, false), (false, false))
+        );
+        // A goal the model does not answer reads `Σ` once; a clone keeps
+        // both, an update the witnesses.
+        assert!(entails(&next, "exists x. person(x) & ~(x = Mary)"));
+        assert_eq!(next.sigma_read(), (true, true));
+        assert_eq!(next.clone().sigma_read(), (true, true));
+        let kept = next.updated(next.theory().clone(), next.atom_model().cloned());
+        assert_eq!(kept.sigma_read(), (false, true));
+        assert_eq!(kept.witnesses(), next.witnesses());
+    }
+
+    #[test]
+    fn a_first_use_under_the_pool_lock_picks_the_witnesses_first() {
+        // Spares are drawn under the placeholders' pool lock, and picking
+        // the witnesses takes it: they must be picked before.
+        let p = teach();
+        assert_eq!(p.sigma_read(), (false, false));
+        let spares = p.spares(2, &[]);
+        assert_eq!(p.sigma_read(), (true, true));
+        assert!(!spares.iter().any(|s| p.witnesses().contains(s)));
+    }
+
+    #[test]
     fn provers_of_one_theory_share_their_witnesses() {
         // Every rebuilt prover draws its witnesses from the pool, so a
         // stream of non-definite commits interns no parameter.
         let (a, b) = (teach(), teach());
-        assert_eq!(a.witnesses, b.witnesses);
+        assert_eq!(a.witnesses(), b.witnesses());
         // They stay clear of Σ's parameters and of a goal's placeholders.
         let (grounding, _) = a.grounding_for(&parse("Teach(nobody, Math)").unwrap());
         let taken =
             |p: &Param| a.active_domain().contains(p) || grounding.placeholders().contains(p);
-        assert!(!a.witnesses.iter().any(taken));
+        assert!(!a.witnesses().iter().any(taken));
     }
 
     #[test]

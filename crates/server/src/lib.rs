@@ -1061,6 +1061,32 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_constraint_is_acknowledged_at_the_current_lsn_and_logged_once() {
+        let d = dir();
+        let theory = Theory::from_text(REGISTRAR).unwrap();
+        let durable = DurableDb::create(&d, theory, FsyncPolicy::Never).unwrap();
+        let mut t = Stepped::start(durable, 2);
+        let ic = "constraint forall x. K emp(x) -> exists y. K ss(x, y)";
+        assert_eq!(t.request(ic), "ok constraint @1");
+        assert_eq!(t.request(ic), "ok constraint @1");
+        // Two sessions registering another one in one batch: the second
+        // finds the first's, and both are answered once it is durable.
+        let fd = "constraint forall x, y, z. K ss(x, y) & K ss(x, z) -> K y = z";
+        let (a, b) = (t.sessions[0].handle(fd), t.sessions[1].handle(fd));
+        t.step();
+        assert_eq!(
+            (a.wait(), b.wait()),
+            ("ok constraint @2".into(), "ok constraint @2".into())
+        );
+        drop(t);
+        let (db, report) = DurableDb::recover(&d, FsyncPolicy::Never).unwrap();
+        assert_eq!(report.records_replayed, 2, "{report}");
+        assert_eq!(db.db().constraints().count(), 2);
+        drop(db);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
     fn a_request_that_panics_costs_that_request_only() {
         // Over 100 facts, `K (p(x1) | … | p(x10))` is one open leaf with
         // ten unbound variables: `prove` walks 100^10 tuples, which

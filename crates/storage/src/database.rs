@@ -1,7 +1,6 @@
 //! A database: a catalog of relations keyed by predicate.
 
 use crate::relation::{Matches, Relation};
-use crate::Tuple;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term};
 use std::borrow::Cow;
@@ -28,21 +27,15 @@ impl Database {
     /// # Panics
     /// Panics if the atom is not ground.
     pub fn insert(&mut self, atom: &Atom) -> bool {
-        let t = ground(atom).expect("Database::insert requires a ground atom");
-        self.insert_tuple(atom.pred, t)
-    }
-
-    /// Insert a tuple directly under a predicate.
-    pub(crate) fn insert_tuple(&mut self, pred: Pred, t: Tuple) -> bool {
-        self.relations
-            .entry(pred)
-            .or_insert_with(|| Relation::new(pred.arity()))
-            .insert(t)
+        assert!(atom.is_ground(), "Database::insert requires a ground atom");
+        self.relation_mut(atom.pred).insert_with(|c| param(atom, c))
     }
 
     /// Remove a ground atom; returns `true` if it was present.
     pub fn remove(&mut self, atom: &Atom) -> bool {
-        let t = ground(atom).expect("Database::remove requires a ground atom");
+        let t = atom
+            .param_tuple()
+            .expect("Database::remove requires a ground atom");
         self.remove_tuple(atom.pred, &t)
     }
 
@@ -54,7 +47,11 @@ impl Database {
 
     /// Whether a ground atom is present.
     pub fn contains(&self, atom: &Atom) -> bool {
-        ground(atom).is_some_and(|t| self.contains_tuple(atom.pred, &t))
+        atom.is_ground()
+            && self
+                .relations
+                .get(&atom.pred)
+                .is_some_and(|r| r.contains_with(|c| param(atom, c)))
     }
 
     /// Whether a tuple is present under a predicate.
@@ -130,12 +127,17 @@ impl Database {
     pub fn params(&self) -> BTreeSet<Param> {
         self.relations.values().flat_map(Relation::params).collect()
     }
+
+    /// The bytes every relation's rows and built index entries take
+    /// inside their runs ([`Relation::stored_bytes`]).
+    pub fn stored_bytes(&self) -> usize {
+        self.relations.values().map(Relation::stored_bytes).sum()
+    }
 }
 
-/// If ground, the atom's parameter tuple — [`Atom::param_tuple`] without
-/// the `Vec`.
-fn ground(atom: &Atom) -> Option<Tuple> {
-    atom.terms.iter().map(Term::as_param).collect()
+/// Column `c` of a ground atom.
+fn param(atom: &Atom, c: usize) -> Param {
+    atom.terms[c].as_param().expect("a ground atom")
 }
 
 impl FromIterator<Atom> for Database {
@@ -214,6 +216,72 @@ mod tests {
         db.insert(&ga("p(a)"));
         db.insert(&ga("q(b, c)"));
         assert_eq!(db.params().len(), 3);
+    }
+
+    /// An edit drawn at random: a predicate by index into [`PREDS`], six
+    /// column values (an atom keeps its arity's first), insert or remove.
+    type Edit = (usize, Vec<u8>, bool);
+
+    /// A predicate of each row width: the empty row, the unary and binary
+    /// rows every workload stores, the widest fixed row, a boxed one.
+    const PREDS: [(&str, usize); 5] = [("d0", 0), ("d1", 1), ("d2", 2), ("d5", 5), ("d6", 6)];
+
+    fn edit_atom((pred, values, _): &Edit) -> (Pred, Vec<Param>) {
+        let (name, arity) = PREDS[*pred];
+        let t = values[..arity].iter().map(|v| Param::new(&format!("x{v}")));
+        (Pred::new(name, arity), t.collect())
+    }
+
+    /// `edits` applied to an empty database and to the set of atoms that
+    /// models it, emptied relations pruned.
+    fn apply(edits: &[Edit]) -> (Database, BTreeSet<(Pred, Vec<Param>)>) {
+        let (mut db, mut model) = (Database::new(), BTreeSet::new());
+        for e in edits {
+            let (pred, t) = edit_atom(e);
+            if e.2 {
+                assert_eq!(db.relation_mut(pred).insert(&t), model.insert((pred, t)));
+            } else {
+                assert_eq!(db.remove_tuple(pred, &t), model.remove(&(pred, t)));
+            }
+        }
+        db.prune_empty();
+        (db, model)
+    }
+
+    fn edits() -> impl proptest::strategy::Strategy<Value = Vec<Edit>> {
+        use proptest::strategy::Strategy;
+        let insert = (0u8..3).prop_map(|i| i > 0);
+        let edit = (0usize..5, proptest::collection::vec(0u8..3, 6..7), insert);
+        proptest::collection::vec(edit, 0..60)
+    }
+
+    proptest::proptest! {
+        /// A database over predicates of every row width against the set
+        /// of atoms it models: its atoms iterate by predicate, then
+        /// lexicographically by parameter id, as the set does; its size
+        /// and membership are the set's; two databases are equal exactly
+        /// when their sets are, and one rebuilt from its atoms in reverse
+        /// order equals it.
+        #[test]
+        fn a_database_is_its_set_of_atoms(a in edits(), b in edits()) {
+            let (x, model_x) = apply(&a);
+            let (y, model_y) = apply(&b);
+            let atoms: Vec<(Pred, Vec<Param>)> = x
+                .atoms()
+                .map(|atom| (atom.pred, atom.param_tuple().unwrap()))
+                .collect();
+            proptest::prop_assert!(atoms.iter().eq(model_x.iter()));
+            proptest::prop_assert_eq!(x.len(), model_x.len());
+            for (pred, t) in model_y.iter() {
+                proptest::prop_assert_eq!(x.contains_tuple(*pred, t), model_x.contains(&(*pred, t.clone())));
+            }
+            proptest::prop_assert_eq!(x == y, model_x == model_y);
+            let mut rebuilt = Database::new();
+            for (pred, t) in atoms.iter().rev() {
+                rebuilt.relation_mut(*pred).insert(t);
+            }
+            proptest::prop_assert!(rebuilt == x);
+        }
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! in the previous round — the literal designated as "new" must match
 //! here). [`DeltaDatabase`] owns both and keeps them consistent through
 //! [`DeltaDatabase::advance`], which takes a round's candidates as one
-//! ascending batch per predicate.
+//! ascending batch of [`Rows`] per predicate.
 
 use crate::database::Database;
-use crate::relation::Relation;
-use crate::Tuple;
+use crate::row::Rows;
 use epilog_syntax::Pred;
 
 /// A database split into the stable total and the last round's delta.
@@ -44,7 +43,7 @@ impl DeltaDatabase {
         ddb.advance(
             new_facts
                 .relations()
-                .map(|(pred, rel)| (pred, rel.iter().cloned().collect())),
+                .map(|(pred, rel)| (pred, rel.to_rows())),
         );
         ddb
     }
@@ -63,16 +62,17 @@ impl DeltaDatabase {
     /// ones it did not hold yet as the new delta. Returns the number of
     /// those genuinely new facts (0 means the fixpoint is reached).
     ///
-    /// `candidates` holds each predicate at most once, with its tuples
-    /// ascending and free of duplicates (a round's heads, sorted once).
-    /// They go into the total as one batch per predicate
-    /// ([`Relation::insert_ascending`]): each is searched for once, from
-    /// where the previous one landed, and the total's own insert says
-    /// whether it was new. The new ones come back ascending and become
-    /// the delta's relation in full runs (`Relation::from_ascending`).
-    /// Neither half is left holding a relation without tuples
+    /// `candidates` holds each predicate at most once, with its rows
+    /// ascending and free of duplicates (a round's heads, sorted once in
+    /// their row type, [`Rows::sort_and_dedup`]). They go into the total
+    /// as one batch per predicate
+    /// ([`Relation::insert_ascending`](crate::Relation::insert_ascending)):
+    /// each is searched for once, from where the previous one landed, and
+    /// the total's own insert says whether it was new. The new ones come
+    /// back ascending, in full runs, and are the delta's relation as
+    /// they are. Neither half is left holding a relation without rows
     /// ([`Database`] equality sees the catalogue).
-    pub fn advance(&mut self, candidates: impl IntoIterator<Item = (Pred, Vec<Tuple>)>) -> usize {
+    pub fn advance(&mut self, candidates: impl IntoIterator<Item = (Pred, Rows)>) -> usize {
         let mut next = Database::new();
         for (pred, batch) in candidates {
             if batch.is_empty() {
@@ -81,7 +81,7 @@ impl DeltaDatabase {
             // A relation created here takes its first candidate at once.
             let fresh = self.total.relation_mut(pred).insert_ascending(batch);
             if !fresh.is_empty() {
-                *next.relation_mut(pred) = Relation::from_ascending(pred.arity(), fresh);
+                *next.relation_mut(pred) = fresh;
             }
         }
         self.delta = next;
@@ -97,7 +97,7 @@ impl DeltaDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tuple;
+    use crate::Relation;
     use epilog_syntax::formula::Atom;
     use epilog_syntax::{parse, Param, Pred};
     use proptest::prelude::*;
@@ -133,9 +133,9 @@ mod tests {
     }
 
     /// A database's relations as the ascending batches `advance` takes.
-    fn batches(db: &Database) -> Vec<(Pred, Vec<Tuple>)> {
+    fn batches(db: &Database) -> Vec<(Pred, Rows)> {
         db.relations()
-            .map(|(pred, rel)| (pred, rel.iter().cloned().collect()))
+            .map(|(pred, rel)| (pred, rel.to_rows()))
             .collect()
     }
 
@@ -164,20 +164,20 @@ mod tests {
     /// [`DeltaDatabase::advance`] by its definition — filter the
     /// candidates against the total, then union the survivors in — which
     /// searched the total twice per new fact.
-    fn advance_by_definition(ddb: &mut DeltaDatabase, candidates: &[(Pred, Vec<Tuple>)]) -> usize {
+    fn advance_by_definition(ddb: &mut DeltaDatabase, candidates: &[(Pred, Rows)]) -> usize {
         let mut next = Database::new();
         for (pred, batch) in candidates {
             let pred = *pred;
-            for t in batch {
+            for t in Relation::from_ascending(batch.clone()).iter() {
                 if !ddb.total.contains_tuple(pred, t) {
-                    next.insert_tuple(pred, t.clone());
+                    next.relation_mut(pred).insert(t);
                 }
             }
         }
         let added = next.len();
         for (pred, rel) in next.relations() {
             for t in rel.iter() {
-                ddb.total.insert_tuple(pred, t.clone());
+                ddb.total.relation_mut(pred).insert(t);
             }
         }
         ddb.delta = next;
@@ -188,11 +188,9 @@ mod tests {
 
     fn facts(db: &mut Database, facts: &[Fact]) {
         for &(pred, a, b) in facts {
-            let t: Tuple = [a, b]
-                .iter()
-                .map(|i| Param::new(&format!("v{i}")))
-                .collect();
-            db.insert_tuple(Pred::new(["ap", "aq", "ar"][pred as usize], 2), t);
+            let t = [a, b].map(|i| Param::new(&format!("v{i}")));
+            db.relation_mut(Pred::new(["ap", "aq", "ar"][pred as usize], 2))
+                .insert(&t);
         }
     }
 
@@ -227,7 +225,7 @@ mod tests {
                 let mut candidates = Database::new();
                 facts(&mut candidates, round);
                 let mut candidates = batches(&candidates);
-                candidates.push((Pred::new("as", 2), Vec::new()));
+                candidates.push((Pred::new("as", 2), Rows::new(2)));
                 let added = advance_by_definition(&mut oracle, &candidates);
                 prop_assert_eq!(fast.advance(candidates), added);
                 prop_assert_eq!(fast.delta().len(), added);
@@ -238,14 +236,14 @@ mod tests {
                 }
                 // The indexes came along: every probe sees the new facts.
                 for (pred, rel) in fast.total().relations() {
-                    let scratch: crate::Relation = rel.iter().cloned().collect();
+                    let scratch: Relation = rel.iter().collect();
                     for c in 0..2 {
                         prop_assert_eq!(rel.distinct_count(c), scratch.distinct_count(c));
                     }
                     for t in rel.iter().take(5) {
                         for pattern in [[Some(t[0]), None], [None, Some(t[1])]] {
-                            let want: Vec<&Tuple> = scratch.select(&pattern).collect();
-                            let got: Vec<&Tuple> = fast.total().select(pred, &pattern).collect();
+                            let want: Vec<&[Param]> = scratch.select(&pattern).collect();
+                            let got: Vec<&[Param]> = fast.total().select(pred, &pattern).collect();
                             prop_assert_eq!(got, want);
                         }
                     }

@@ -9,13 +9,16 @@
 //! * the possible-world structures of `epilog-semantics` are thin wrappers
 //!   over [`Database`] snapshots.
 //!
-//! A [`Tuple`] is a fixed-arity sequence of
+//! A stored fact is a row: a fixed-arity sequence of
 //! [`Param`](epilog_syntax::Param)s (the function-free FOPCE fragment has
-//! no other ground terms) held by value: it derefs to `[Param]`, orders,
-//! hashes and prints as that slice, and keeps up to five parameters
-//! inside its own 24 bytes, so deriving, cloning and comparing stored
-//! facts allocates nothing. A selection probes its pattern's first bound
-//! column: column 0 through the tuple set, which is ordered by it, any
+//! no other ground terms). Each relation stores its rows at its arity —
+//! a `[Param; n]` up to five columns, which covers every predicate of
+//! every workload here (a binary row is 8 bytes, no tag, no length), a
+//! boxed slice above that — and every reader sees a row as a
+//! `&[Param]`. A fixpoint collects its heads in the same row type
+//! ([`Rows`]), so deriving, sorting and storing a fact converts and
+//! allocates nothing. A selection probes its pattern's first bound
+//! column: column 0 through the row set, which is ordered by it, any
 //! other through that column's index, which the first probe builds and
 //! every mutation then updates **incrementally**. So selection with any
 //! partial binding pattern stays sub-linear across fixpoint rounds, and
@@ -23,7 +26,7 @@
 //!
 //! Everything a [`Relation`] stores sits in one persistent container
 //! (sorted runs behind `Arc`s, private to this crate): cloning a
-//! [`Database`] copies pointers, not tuples, and the clone shares every
+//! [`Database`] copies pointers, not rows, and the clone shares every
 //! run with its original until one of them writes to it. The layers
 //! above lean on that — a transaction's candidate model, the MVCC
 //! snapshot a commit publishes and each step of a recovery replay are
@@ -41,12 +44,11 @@ pub mod database;
 pub mod delta;
 pub mod plan;
 pub mod relation;
+mod row;
 mod runset;
-mod tuple;
 
 pub use database::Database;
 pub use delta::DeltaDatabase;
 pub use plan::{AtomTemplate, ConjunctionPlan, JoinStep, PatTerm, PlanStats, SlotMap};
 pub use relation::{Matches, Relation, Selection};
-
-pub use tuple::Tuple;
+pub use row::Rows;

@@ -6,8 +6,10 @@
 //! atoms are reordered so cheap literals join first, and each step's
 //! selection shape — which columns are constants, which are bound by
 //! earlier steps, which bind fresh slots — is computed once at compile
-//! time. Execution walks borrowed tuples; nothing is cloned until a full
-//! match reaches the caller's callback.
+//! time. Execution walks borrowed rows; nothing is copied until a full
+//! match reaches the caller's callback — or, for a rule firing
+//! ([`ConjunctionPlan::derive_into`]), until the head is grounded straight
+//! into the row type of its predicate.
 //!
 //! The planner is **cost-based**: a compile reads relation statistics
 //! from a [`Database`] through a [`PlanStats`] view, orders literals by
@@ -18,7 +20,7 @@
 //!
 //! How a step finds its candidates follows from its shape alone, through
 //! [`Relation::select`]: a step binding **every** column is a lookup (one
-//! search of the tuple set, at most one tuple), a step binding some
+//! search of the row set, at most one row), a step binding some
 //! columns probes the first one ([`JoinStep::index_col`]) and filters the
 //! rest residually, and a step binding none scans. Storage builds and
 //! maintains whatever index a probe needs; a plan names none. An
@@ -26,7 +28,7 @@
 //! buffer: each probe of a step resumes where its previous one landed,
 //! which makes the ascending keys of a delta-first step (and of a step
 //! under it, within one outer row) a forward walk, while keys in any
-//! other order fall back to a fresh seek. Which tuples a probe yields,
+//! other order fall back to a fresh seek. Which rows a probe yields,
 //! and how many it examines, do not depend on the cursor.
 //!
 //! Costing reads `Relation::distinct_count`, which counts without a
@@ -41,8 +43,8 @@
 
 use crate::database::Database;
 use crate::relation::Matches;
+use crate::row::{by_width, Row, Rows};
 use crate::runset::Cursor;
-use crate::Tuple;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::{Param, Pred, Term, Var};
 use std::collections::HashMap;
@@ -138,19 +140,21 @@ impl AtomTemplate {
         }
     }
 
-    /// The ground tuple under a complete environment.
+    /// The ground row under a complete environment, owned.
     ///
     /// # Panics
     /// Panics when a slot the template mentions is unbound (ruled out for
     /// rule heads by Datalog safety).
-    pub fn ground(&self, env: &[Option<Param>]) -> Tuple {
-        self.args
-            .iter()
-            .map(|a| match a {
-                PatTerm::Const(p) => *p,
-                PatTerm::Slot(s) => env[*s].expect("unbound slot in ground template"),
-            })
-            .collect()
+    pub fn ground(&self, env: &[Option<Param>]) -> Box<[Param]> {
+        self.ground_row(env)
+    }
+
+    /// [`AtomTemplate::ground`] in the row type `R`.
+    fn ground_row<R: Row>(&self, env: &[Option<Param>]) -> R {
+        R::build(self.args.len(), |c| match self.args[c] {
+            PatTerm::Const(p) => p,
+            PatTerm::Slot(s) => env[s].expect("unbound slot in ground template"),
+        })
     }
 }
 
@@ -179,7 +183,7 @@ pub struct JoinStep {
 
 impl JoinStep {
     /// Whether every column is a constant or bound by an earlier step, so
-    /// the step is a lookup of one tuple rather than a probe or a scan.
+    /// the step is a lookup of one row rather than a probe or a scan.
     pub fn is_lookup(&self) -> bool {
         self.index_col.is_some() && self.binders.is_empty()
     }
@@ -425,10 +429,37 @@ impl ConjunctionPlan {
         self.for_each_match_counting(total, delta, env, &mut rows, f);
     }
 
+    /// Run the join as [`ConjunctionPlan::for_each_match_counting`] does,
+    /// pushing `head` grounded under every complete match onto `out`,
+    /// straight into its row type (one dispatch on `out`'s arity per call,
+    /// none per match). Returns the number of matches.
+    ///
+    /// # Panics
+    /// Panics if `head`'s arity is not `out`'s.
+    pub fn derive_into(
+        &self,
+        head: &AtomTemplate,
+        total: &Database,
+        delta: Option<&Database>,
+        env: &mut [Option<Param>],
+        rows: &mut u64,
+        out: &mut Rows,
+    ) -> u64 {
+        assert_eq!(head.args.len(), out.arity(), "tuple arity mismatch");
+        let mut matches = 0;
+        by_width!(&mut out.rows, heads => {
+            self.for_each_match_counting(total, delta, env, rows, &mut |env| {
+                matches += 1;
+                heads.push(head.ground_row(env));
+            });
+        });
+        matches
+    }
+
     /// Like [`ConjunctionPlan::for_each_match`], additionally adding to
-    /// `rows` every candidate tuple the join examined: tuples pulled from
+    /// `rows` every candidate row the join examined: rows pulled from
     /// scans and probed buckets (including ones residual filtering then
-    /// rejected), and the tuple each successful lookup found. This is the
+    /// rejected), and the row each successful lookup found. This is the
     /// deterministic work-done measure behind `EvalStats::rows_examined`.
     pub fn for_each_match_counting(
         &self,
@@ -475,11 +506,11 @@ impl ConjunctionPlan {
         let mut matches = db
             .relation(step.template.pred)
             .map_or_else(Matches::empty, |r| r.select_from(&*pattern, cursor));
-        for tuple in matches.by_ref() {
+        for row in matches.by_ref() {
             for &(c, s) in &step.binders {
-                env[s] = Some(tuple[c]);
+                env[s] = Some(row[c]);
             }
-            if step.checks.iter().all(|&(c, s)| env[s] == Some(tuple[c])) {
+            if step.checks.iter().all(|&(c, s)| env[s] == Some(row[c])) {
                 self.run_step(i + 1, total, delta, env, patterns, cursors, rows, f);
             }
         }
@@ -609,7 +640,7 @@ mod tests {
         assert!(!e.has_index(1));
         assert_eq!(matches(&plan, &slots, &total).len(), 1);
         assert!(e.has_index(1), "the probe built the index it walked");
-        // Column 0 is probed through the tuple set: no index to build.
+        // Column 0 is probed through the row set: no index to build.
         assert!(!total.relation(Pred::new("p", 2)).unwrap().has_index(1));
     }
 
@@ -736,11 +767,18 @@ mod tests {
         let body = compile_on(&[atom("e(x, y)")], &mut slots, None, &db);
         let head = AtomTemplate::compile(&atom("t(y, x)"), &mut slots);
         let mut env = vec![None; slots.len()];
-        let mut tuples = Vec::new();
-        body.for_each_match(&db, None, &mut env, &mut |e| tuples.push(head.ground(e)));
+        let mut rows = Vec::new();
+        body.for_each_match(&db, None, &mut env, &mut |e| rows.push(head.ground(e)));
+        assert_eq!(rows, [[Param::new("b"), Param::new("a")].into()]);
+        // Grounded into a batch in the head's row type, the same row.
+        let mut batch = Rows::new(2);
+        let mut examined = 0;
         assert_eq!(
-            tuples,
-            vec![Tuple::from(vec![Param::new("b"), Param::new("a")])]
+            body.derive_into(&head, &db, None, &mut env, &mut examined, &mut batch),
+            1
         );
+        assert_eq!(examined, 1);
+        let derived = crate::Relation::from_ascending(batch);
+        assert!(derived.iter().eq(rows.iter().map(|t| &t[..])));
     }
 }

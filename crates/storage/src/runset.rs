@@ -1,8 +1,10 @@
 //! A persistent sorted set: sorted runs of items behind `Arc`s.
 //!
 //! This is the one container under [`Relation`](crate::Relation) — its
-//! tuple set and every column index are a [`RunSet`] — and the reason a
-//! snapshot of a database costs pointer bumps instead of a copy.
+//! row set and every column index are a [`RunSet`], of the relation's
+//! fixed-width rows (`[Param; n]`) and index entries (`[Param; n + 1]`) —
+//! and the reason a snapshot of a database costs pointer bumps instead of
+//! a copy.
 //!
 //! # Shape and cost model
 //!
@@ -10,7 +12,11 @@
 //! between 1 and [`RUN_LEN`] items in ascending order, and every item of
 //! a run sorts below every item of the next. With `n` items there are
 //! between `n / RUN_LEN` (ascending bulk load: every run full) and
-//! `2n / RUN_LEN` (every run freshly split) runs.
+//! `2n / RUN_LEN` (every run freshly split) runs. A run of fixed-width
+//! rows is one buffer of `RUN_LEN · 4n` bytes at most (512 for binary
+//! rows, 768 for their index entries): what an edit shifts and a
+//! copy-on-write copies, and what a walk of matches reads as one flat
+//! slice of parameters ([`RunSet::run_from`]).
 //!
 //! * **clone** — one `Vec` of `n / RUN_LEN` pointers is copied and each
 //!   run's reference count bumped; no item is touched. Both copies then
@@ -18,8 +24,9 @@
 //! * **insert / remove** — a binary search over the runs' first items,
 //!   a binary search inside the one run the item lands in, and
 //!   `Arc::make_mut` on that run: a run nobody else holds is edited in
-//!   place, a shared run is copied first (≤ `RUN_LEN` items — the whole
-//!   copy-on-write cost of a mutation, whatever `n` is). A run that
+//!   place, shifting the items after the slot (a `memmove` of at most
+//!   `RUN_LEN` rows), a shared run is copied first (≤ `RUN_LEN` items —
+//!   the whole copy-on-write cost of a mutation, whatever `n` is). A run that
 //!   outgrows `RUN_LEN` splits in half; a removal that leaves two
 //!   neighbours fitting in one run joins them, so churn never leaves a
 //!   trail of short runs behind. An item above everything stored is
@@ -38,7 +45,7 @@
 //!   index): cut into full runs, one move per item, no
 //!   comparison.
 //! * **contains** — the two binary searches, no copy.
-//! * **range start** ([`RunSet::iter_from`]) — the same two searches for
+//! * **range start** ([`RunSet::seek`]) — the same two searches for
 //!   a fresh cursor. A cursor kept from the previous seek resumes: when
 //!   the item just before it still sorts below the new key (one
 //!   comparison), the seek gallops forward from it, over the runs' last
@@ -47,10 +54,11 @@
 //!   a repeated key. Any other cursor — a key below the last one, a set
 //!   edited since — falls back to the two searches.
 //! * **iteration** — run after run, item after item: exactly the order
-//!   a `BTreeSet` would produce.
+//!   a `BTreeSet` would produce, which for rows is lexicographic by
+//!   parameter id.
 //!
 //! Two levels are enough at every size a workload in this repository
-//! reaches: at 148 500 tuples (the largest closure the tests build) a set
+//! reaches: at 148 500 rows (the largest closure the tests build) a set
 //! has ≤ 4 641 runs, so a clone is a 37 KB pointer copy plus as many
 //! reference bumps (tens of microseconds) and a split shifts at most that
 //! many pointers. A third level — runs of runs — would start to pay only
@@ -105,10 +113,6 @@ impl<'a, T> Iterator for Iter<'a, T> {
 impl<T: Ord + Clone> RunSet<T> {
     pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Where the item sits that `cmp` describes — `cmp(x)` being `x`'s
@@ -265,17 +269,18 @@ impl<T: Ord + Clone> RunSet<T> {
         }
     }
 
-    /// The items from the first one `below` rejects onwards, ascending.
-    /// `below` must hold for a prefix of the set and for nothing after
-    /// it (it is the "sorts below the range" test of a range probe).
+    /// Where the first item `below` rejects sits (past the last item
+    /// when there is none), left in `cursor` too. `below` must hold for a
+    /// prefix of the set and for nothing after it (it is the "sorts below
+    /// the range" test of a range probe).
     ///
-    /// The seek resumes from `cursor` and leaves it where it landed. When
-    /// the item just before the cursor is still below, so is everything
-    /// before it, and the seek gallops forward from there: over the runs'
-    /// last items, then inside the run it lands in. Otherwise — a fresh
-    /// cursor, a key below the previous one, a set edited since — it
-    /// searches both levels from the start.
-    pub(crate) fn iter_from(&self, cursor: &mut Cursor, below: impl Fn(&T) -> bool) -> Iter<'_, T> {
+    /// The seek resumes from `cursor`. When the item just before the
+    /// cursor is still below, so is everything before it, and the seek
+    /// gallops forward from there: over the runs' last items, then inside
+    /// the run it lands in. Otherwise — a fresh cursor, a key below the
+    /// previous one, a set edited since — it searches both levels from
+    /// the start.
+    pub(crate) fn seek(&self, cursor: &mut Cursor, below: impl Fn(&T) -> bool) -> Cursor {
         let before = match *cursor {
             Cursor { run: 0, at: 0 } => None,
             Cursor { run, at: 0 } => self.runs.get(run - 1).map(|r| &r[r.len() - 1]),
@@ -299,14 +304,29 @@ impl<T: Ord + Clone> RunSet<T> {
             }
         };
         *cursor = Cursor { run, at };
-        let mut runs = self.runs[run..].iter();
-        let cur = runs.next().map_or([].iter(), |r| r[at..].iter());
-        Iter { runs, cur }
+        *cursor
+    }
+
+    /// The items from `at` to the end of its run; none past the last run.
+    pub(crate) fn run_from(&self, at: Cursor) -> &[T] {
+        self.runs.get(at.run).map_or(&[], |r| &r[at.at..])
+    }
+
+    /// Move `at` on by `n` items of its run, into the next run when that
+    /// is the rest of this one.
+    pub(crate) fn skip(&self, at: &mut Cursor, n: usize) {
+        at.at += n;
+        if at.at >= self.runs[at.run].len() {
+            *at = Cursor {
+                run: at.run + 1,
+                at: 0,
+            };
+        }
     }
 }
 
 /// Where a seek of a [`RunSet`] landed, for the next one to resume from
-/// ([`RunSet::iter_from`]). The default cursor has seen nothing: a seek
+/// ([`RunSet::seek`]). The default cursor has seen nothing: a seek
 /// from it searches the whole set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Cursor {
@@ -352,7 +372,16 @@ impl<T: Ord + Clone> FromIterator<T> for RunSet<T> {
 }
 
 #[cfg(test)]
-impl<T> RunSet<T> {
+impl<T: Ord + Clone> RunSet<T> {
+    /// The items from the first one `below` rejects onwards, ascending,
+    /// sought through `cursor` ([`RunSet::seek`]).
+    pub(crate) fn iter_from(&self, cursor: &mut Cursor, below: impl Fn(&T) -> bool) -> Iter<'_, T> {
+        let at = self.seek(cursor, below);
+        let mut runs = self.runs[at.run.min(self.runs.len())..].iter();
+        let cur = runs.next().map_or([].iter(), |r| r[at.at..].iter());
+        Iter { runs, cur }
+    }
+
     /// How many runs the set is stored in.
     pub(crate) fn run_count(&self) -> usize {
         self.runs.len()
@@ -370,8 +399,10 @@ impl<T> RunSet<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epilog_syntax::Param;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+    use std::sync::OnceLock;
 
     fn remove<T: Ord + Clone>(set: &mut RunSet<T>, item: T) -> bool {
         set.remove(|x| x.cmp(&item))
@@ -409,7 +440,7 @@ mod tests {
         for i in 0..200 {
             assert!(remove(&mut set, i));
         }
-        assert!(set.is_empty());
+        assert_eq!(set.len(), 0);
         assert_eq!(set.run_count(), 0);
         assert_eq!(set.iter().count(), 0);
         assert!(set.insert(7));
@@ -485,14 +516,14 @@ mod tests {
 
     /// Seek each of `keys` in `set` through `cursor`, checking that the
     /// seek starts and lands where a fresh one does.
-    fn seek_as_fresh(
-        set: &RunSet<u16>,
+    fn seek_as_fresh<T: Ord + Clone>(
+        set: &RunSet<T>,
         cursor: &mut Cursor,
-        keys: &[u16],
+        keys: &[T],
     ) -> Result<(), TestCaseError> {
         for k in keys {
             let mut fresh = Cursor::default();
-            let want: Vec<&u16> = set.iter_from(&mut fresh, |y| y < k).collect();
+            let want: Vec<&T> = set.iter_from(&mut fresh, |y| y < k).collect();
             prop_assert!(set.iter_from(cursor, |y| y < k).eq(want));
             prop_assert_eq!(*cursor, fresh);
         }
@@ -523,6 +554,84 @@ mod tests {
         ]
     }
 
+    /// The run set of `T` against a `BTreeSet` model: `steps` draw
+    /// their items as `u16`s, and `item` turns each into a `T` (several
+    /// into one, where `T` has fewer values); batches and seek keys are
+    /// put back in order after that.
+    fn matches_btreeset_model<T: Ord + Clone + std::fmt::Debug>(
+        steps: &[Step],
+        probes: &[u16],
+        item: impl Fn(u16) -> T,
+    ) -> Result<(), TestCaseError> {
+        let mut set = RunSet::default();
+        let mut model = BTreeSet::new();
+        let mut snapshots: Vec<(RunSet<T>, BTreeSet<T>)> = Vec::new();
+        let mut cursor = Cursor::default();
+        for s in steps {
+            match s {
+                Step::Insert(x) => prop_assert_eq!(set.insert(item(*x)), model.insert(item(*x))),
+                Step::Remove(x) => {
+                    let x = item(*x);
+                    prop_assert_eq!(set.remove(|y| y.cmp(&x)), model.remove(&x));
+                }
+                Step::Batch(batch) => {
+                    let mut batch: Vec<T> = batch.iter().map(|x| item(*x)).collect();
+                    batch.sort_unstable();
+                    batch.dedup();
+                    let want: Vec<T> = batch
+                        .iter()
+                        .filter(|x| model.insert((*x).clone()))
+                        .cloned()
+                        .collect();
+                    let mut seen = Vec::new();
+                    set.insert_ascending(batch, |y| seen.push(y.clone()));
+                    prop_assert_eq!(seen, want);
+                    check_shape(&set);
+                }
+                Step::Rebuild => set = RunSet::from_ascending(model.iter().cloned().collect()),
+                Step::Snapshot => snapshots.push((set.clone(), model.clone())),
+                Step::Seek(keys) => {
+                    let mut keys_t: Vec<T> = keys.iter().map(|k| item(*k)).collect();
+                    if keys.is_sorted() {
+                        keys_t.sort();
+                    } else {
+                        keys_t.sort_by(|a, b| b.cmp(a));
+                    }
+                    seek_as_fresh(&set, &mut cursor, &keys_t)?
+                }
+            }
+        }
+        snapshots.push((set, model));
+        let probes: Vec<T> = probes.iter().map(|k| item(*k)).collect();
+        for (set, model) in &snapshots {
+            check_shape(set);
+            prop_assert_eq!(set.len(), model.len());
+            prop_assert!(set.iter().eq(model.iter()));
+            for x in &probes {
+                prop_assert_eq!(set.contains(|y| y.cmp(x)), model.contains(x));
+                prop_assert_eq!(set.get(|y| y.cmp(x)), model.get(x));
+                prop_assert!(set
+                    .iter_from(&mut Cursor::default(), |y| y < x)
+                    .eq(model.range(x..)));
+            }
+            seek_as_fresh(set, &mut cursor, &probes)?;
+        }
+        Ok(())
+    }
+
+    /// The `i`-th of 600 parameters, interned in order, so they ascend.
+    fn param(i: u16) -> Param {
+        static PARAMS: OnceLock<Vec<Param>> = OnceLock::new();
+        PARAMS.get_or_init(|| (0..600).map(|i| Param::new(&format!("rs{i}"))).collect())
+            [usize::from(i)]
+    }
+
+    /// `k`'s `width` digits in base `base`, most significant first, as
+    /// parameters: rows that order as their `k`s do.
+    fn digits(k: u16, width: u32, base: u16) -> impl Iterator<Item = Param> {
+        (0..width).rev().map(move |c| param(k / base.pow(c) % base))
+    }
+
     proptest! {
         /// The run set against a `BTreeSet` model over random edit
         /// sequences — single inserts and removals, ascending batches
@@ -533,44 +642,29 @@ mod tests {
         /// every clone still iterates exactly what it held when taken.
         /// Seeks through one cursor kept across all of it — across
         /// edits, and across the clones at the end — start and land
-        /// where fresh seeks do.
+        /// where fresh seeks do. Over plain integers, and over the rows
+        /// a relation stores — arities 0, 1, 2, 5 (the widest fixed
+        /// row, `[Param; 5]`) and 6 (the first boxed one) — and a binary
+        /// row's index entries.
         #[test]
         fn matches_btreeset_model_and_clones_are_snapshots(
             steps in proptest::collection::vec(step(), 0..400),
             probes in proptest::collection::vec(0u16..600, 8..9),
         ) {
-            let mut set = RunSet::default();
-            let mut model = BTreeSet::new();
-            let mut snapshots: Vec<(RunSet<u16>, BTreeSet<u16>)> = Vec::new();
-            let mut cursor = Cursor::default();
-            for s in steps {
-                match s {
-                    Step::Insert(x) => prop_assert_eq!(set.insert(x), model.insert(x)),
-                    Step::Remove(x) => prop_assert_eq!(set.remove(|y| y.cmp(&x)), model.remove(&x)),
-                    Step::Batch(batch) => {
-                        let want: Vec<u16> = batch.iter().copied().filter(|x| model.insert(*x)).collect();
-                        let mut seen = Vec::new();
-                        set.insert_ascending(batch, |y| seen.push(*y));
-                        prop_assert_eq!(seen, want);
-                        check_shape(&set);
-                    }
-                    Step::Rebuild => set = RunSet::from_ascending(model.iter().copied().collect()),
-                    Step::Snapshot => snapshots.push((set.clone(), model.clone())),
-                    Step::Seek(keys) => seek_as_fresh(&set, &mut cursor, &keys)?,
-                }
+            fn fixed<const N: usize>(k: u16, base: u16) -> [Param; N] {
+                let mut row = digits(k, N as u32, base);
+                std::array::from_fn(|_| row.next().expect("N digits"))
             }
-            snapshots.push((set, model));
-            for (set, model) in &snapshots {
-                check_shape(set);
-                prop_assert_eq!(set.len(), model.len());
-                prop_assert!(set.iter().eq(model.iter()));
-                for x in &probes {
-                    prop_assert_eq!(set.contains(|y| y.cmp(x)), model.contains(x));
-                    prop_assert_eq!(set.get(|y| y.cmp(x)), model.get(x));
-                    prop_assert!(set.iter_from(&mut Cursor::default(), |y| y < x).eq(model.range(x..)));
-                }
-                seek_as_fresh(set, &mut cursor, &probes)?;
-            }
+            matches_btreeset_model(&steps, &probes, |k| k)?;
+            // The rows, over the first steps only: what differs between
+            // item types is their comparisons and moves, not the edits.
+            let steps = &steps[..steps.len().min(100)];
+            matches_btreeset_model(steps, &probes, |k| fixed::<0>(k, 2))?;
+            matches_btreeset_model(steps, &probes, |k| fixed::<1>(k, 600))?;
+            matches_btreeset_model(steps, &probes, |k| fixed::<2>(k, 25))?;
+            matches_btreeset_model(steps, &probes, |k| fixed::<3>(k, 9))?;
+            matches_btreeset_model(steps, &probes, |k| fixed::<5>(k, 4))?;
+            matches_btreeset_model(steps, &probes, |k| digits(k, 6, 4).collect::<Box<[Param]>>())?;
         }
     }
 }

@@ -325,8 +325,8 @@ fn retracting_a_bridge_runs_dred_over_the_paths_it_carried() {
 /// The full fixpoint of the 49 500-tuple closure, in process: what
 /// recovery and every rule-changing commit run on `closure_write`'s
 /// model, and the row a change to the join's probes is judged by.
-/// Asserted: the run's counters, exactly; printed: its median time over
-/// five runs.
+/// Asserted: the run's counters and the model's row storage in bytes,
+/// exactly; printed: its median time over five runs.
 #[test]
 fn eval_of_the_closure_counts_its_rows() {
     let prog = definite_program(closure(100).theory()).unwrap();
@@ -350,14 +350,19 @@ fn eval_of_the_closure_counts_its_rows() {
                 ..EvalStats::default()
             };
             assert_eq!(stats, want);
+            // Each row is its arity's `[Param; 2]`, 8 bytes, and so is
+            // each of the 3 000 entries the probes built of `e`'s
+            // column-1 index, 12 bytes with its key: 432 000 bytes, where
+            // 24-byte tuples and 32-byte entries took 1 284 000.
+            assert_eq!(model.stored_bytes(), 49_500 * 8 + 3_000 * 12);
             took
         })
         .collect();
     println!(
         "eval of the closure 100 x 30 (49 500 tuples): {:?} (96 000 rows examined; on a \
-         2-core VM, ten alternating same-hour pairs of this row: 15.2 ms median (9.7-16.1) \
-         with each probe and insert resuming from a cursor, 20.4 ms (14.1-22.7) when each \
-         searched from the start)",
+         2-core VM, ten alternating same-hour pairs of this row: 8.1 ms median (5.4-9.2) \
+         with each row stored at its arity as an 8-byte `[Param; 2]`, 13.7 ms (8.6-14.2) \
+         with 24-byte tuples)",
         median(times)
     );
 }
@@ -391,18 +396,19 @@ fn why_on_the_closure_derives_its_proof_when_asked() {
     assert!(none.is_none());
     println!(
         "why on the closure 100 x 30 (49 500 tuples): {times:?}, why-not {why_not:?} \
-         (why: one fixpoint and the walk, 28-33 ms on a 2-core VM, 34-47 ms the same hour \
-         when each round inserted its heads one search at a time; why-not: one lookup \
-         in the attached model, 3-5 us there; over a traced fixpoint both took \
-         44-86 / 35-58 ms on the same VM)"
+         (why: one fixpoint and the walk; on a 2-core VM, ten alternating same-hour pairs, \
+         best of three each: 9.8 ms median (9.2-22.6) with rows at their arity and the \
+         round map borrowing them from each round's delta, 17.9 ms (16.4-25.5) with 24-byte \
+         tuples copied into it; why-not: one lookup in the attached model, 3-5 us there; \
+         over a traced fixpoint both took 44-86 / 35-58 ms on the same VM)"
     );
 }
 
 /// What `trajectory`'s `closure_write` does before its first request, in
 /// process: the closure built by ten bulk commits on a `DurableDb`,
 /// `compact()`, recovery from the directory, a first read. Printed next
-/// to the same-hour times with and without resumed probes and inserts,
-/// at 100 chains; asserted: the receipts, that the directory is one log whose
+/// to the same-hour times with rows at their arity and with 24-byte
+/// tuples, at 100 chains; asserted: the receipts, that the directory is one log whose
 /// only record is a checkpoint of exactly the theory's sentences, that
 /// recovery replayed nothing, and that the recovered state (theory and
 /// least model) is the live one.
@@ -486,10 +492,10 @@ fn bulk_build_compaction_and_recovery_on_the_closure() {
             "closure {chains} x 30 built by 10 commits of {} edges: first commit {:?}, tenth \
              {:?}, all ten {:?}, compact {compact:?} ({} bytes), recover {recover:?}, first demo {demo:?}, \
              Theory::new of its {} sentences {as_set:?} (at 100 chains on a 2-core VM, ten \
-             alternating same-hour pairs: all ten 27.4 ms median (18.4-35.8) and recover \
-             22.0 ms (15.5-41.6) with each probe and insert resuming from a cursor, all ten \
-             33.4 ms (23.5-48.1) and recover 29.2 ms (20.5-32.1) when each searched from the \
-             start)",
+             alternating same-hour pairs: all ten 18.9 ms median (12.4-20.6) and recover \
+             14.0 ms (9.0-15.8) with each row stored at its arity and a prover that reads \
+             nothing of its theory until asked, all ten 24.1 ms (16.6-28.4) and recover \
+             20.7 ms (14.6-23.3) with 24-byte tuples and witnesses picked up front)",
             per_commit * 30,
             commits[0],
             commits[9],

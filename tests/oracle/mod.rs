@@ -196,7 +196,10 @@ impl Oracle {
                 }
                 txn.commit().map(|r| (r.asserted, r.retracted))
             }
-            Write::Constraint(ic) => next.add_constraint(ic.clone()).map(|()| (1, 0)),
+            // A constraint already registered is logged as nothing.
+            Write::Constraint(ic) => next
+                .add_constraint(ic.clone())
+                .map(|new| (usize::from(new), 0)),
             Write::Flush | Write::Heal => unreachable!("not replayed"),
         }));
         let (a, r) = match done {

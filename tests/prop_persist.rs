@@ -148,10 +148,11 @@ enum Update {
 
 impl Update {
     /// Apply to the durable database. `Ok(logged)`: acknowledged, and
-    /// whether it took a log record (a no-op batch takes none).
+    /// whether it took a log record (a no-op batch or a constraint
+    /// already registered takes none).
     fn on_durable(&self, durable: &mut DurableDb) -> Result<bool, PersistError> {
         match self {
-            Update::Constraint(ic) => durable.add_constraint(ic.clone()).map(|()| true),
+            Update::Constraint(ic) => durable.add_constraint(ic.clone()),
             Update::Batch(batch) => {
                 let mut txn = durable.transaction();
                 for (is_assert, w) in batch {
@@ -178,7 +179,7 @@ impl Update {
 
     fn on_oracle(&self, oracle: &mut EpistemicDb) -> Result<(), DbError> {
         match self {
-            Update::Constraint(ic) => oracle.add_constraint(ic.clone()),
+            Update::Constraint(ic) => oracle.add_constraint(ic.clone()).map(drop),
             Update::Batch(batch) => {
                 let mut txn = oracle.transaction();
                 for (is_assert, w) in batch {

@@ -190,7 +190,7 @@ fn rejections_match_oracle(
                 unconstrained.clone().add_constraint(ic.clone()),
                 certain(&prover, &ic),
             ) {
-                (Ok(()), true) => {}
+                (Ok(true), true) => {}
                 (Err(DbError::ConstraintViolated(got)), false) => {
                     prop_assert_eq!(&got.constraint, &ic);
                     if let Some(witnesses) = oracle_witnesses(&prover, i) {
