@@ -43,7 +43,7 @@ use crate::incremental::{check, CheckStats, ModelDiff};
 use epilog_datalog::{EvalStats, Program};
 use epilog_prover::Prover;
 use epilog_storage::Database;
-use epilog_syntax::{Formula, Theory};
+use epilog_syntax::{FoldState, Formula, Theory};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -56,37 +56,54 @@ enum Op {
 }
 
 /// The sentences a batch has so far added (or removed), in the order it
-/// did, with the membership test of a set: what Phase 1 of
-/// [`Transaction::prepare`] asks of its two lists once per queued
-/// operation.
-#[derive(Default)]
+/// did, each with the position of the operation that listed it, and the
+/// membership test of a set: what Phase 1 of [`Transaction::prepare`]
+/// asks of its two lists once per queued operation. Sized for every
+/// operation that can list a sentence, and not hashing at all while
+/// nothing is listed.
 struct Listed<'a> {
-    items: Vec<&'a Formula>,
+    items: Vec<(&'a Formula, usize)>,
     /// Where in `items` each sentence sits.
-    at: HashMap<&'a Formula, usize>,
+    at: HashMap<&'a Formula, usize, FoldState>,
 }
 
 impl<'a> Listed<'a> {
-    fn contains(&self, w: &Formula) -> bool {
-        self.at.contains_key(w)
+    fn with_capacity(n: usize) -> Self {
+        Listed {
+            items: Vec::with_capacity(n),
+            at: HashMap::with_capacity_and_hasher(n, FoldState::default()),
+        }
     }
 
-    fn push(&mut self, w: &'a Formula) {
+    fn contains(&self, w: &Formula) -> bool {
+        !self.items.is_empty() && self.at.contains_key(w)
+    }
+
+    /// List `w`, the sentence of operation `op`.
+    fn push(&mut self, w: &'a Formula, op: usize) {
         self.at.insert(w, self.items.len());
-        self.items.push(w);
+        self.items.push((w, op));
     }
 
     /// `Vec::swap_remove` by value: the last sentence takes the place of
     /// the removed one. Returns whether `w` was listed.
     fn swap_remove(&mut self, w: &Formula) -> bool {
+        if self.items.is_empty() {
+            return false;
+        }
         let Some(i) = self.at.remove(w) else {
             return false;
         };
         self.items.swap_remove(i);
-        if let Some(moved) = self.items.get(i) {
+        if let Some(&(moved, _)) = self.items.get(i) {
             self.at.insert(moved, i);
         }
         true
+    }
+
+    /// The operations that listed the sentences, in list order.
+    fn ops(&self) -> Vec<usize> {
+        self.items.iter().map(|&(_, op)| op).collect()
     }
 }
 
@@ -266,15 +283,16 @@ impl<'db> Transaction<'db> {
         // sentence can never be *stored*; retracting one is simply a no-op
         // (the documented contract of the one-shot `retract`).
         let current = db.prover.theory();
-        let mut added = Listed::default();
-        let mut removed = Listed::default();
-        for op in &ops {
+        let asserts = ops.iter().filter(|op| matches!(op, Op::Assert(_))).count();
+        let mut added = Listed::with_capacity(asserts);
+        let mut removed = Listed::with_capacity(ops.len() - asserts);
+        for (i, op) in ops.iter().enumerate() {
             match op {
                 Op::Assert(w) => {
                     // Held by the batch, or retracted by it (it was ours:
                     // un-retract), or held by the database: no change.
                     if !added.contains(w) && !removed.swap_remove(w) && !current.contains(w) {
-                        added.push(w);
+                        added.push(w, i);
                     }
                 }
                 Op::Retract(w) => {
@@ -283,13 +301,21 @@ impl<'db> Transaction<'db> {
                         Theory::validate(w)?;
                     } else if !removed.contains(w) && current.contains(w) {
                         // Not retracted already, and held.
-                        removed.push(w);
+                        removed.push(w, i);
                     }
                 }
             }
         }
-        let added: Vec<Formula> = added.items.into_iter().cloned().collect();
-        let removed: Vec<Formula> = removed.items.into_iter().cloned().collect();
+        // The listed sentences move out of their operations: each is one
+        // operation's, listed once.
+        let (added, removed) = (added.ops(), removed.ops());
+        let mut sentences: Vec<Option<Formula>> = ops
+            .into_iter()
+            .map(|(Op::Assert(w) | Op::Retract(w))| Some(w))
+            .collect();
+        let mut take = |op: usize| sentences[op].take().expect("listed once");
+        let added: Vec<Formula> = added.into_iter().map(&mut take).collect();
+        let removed: Vec<Formula> = removed.into_iter().map(&mut take).collect();
         if added.is_empty() && removed.is_empty() {
             return Ok(PreparedCommit {
                 db,

@@ -449,7 +449,13 @@ fn fire(
     }
     let mut env = vec![None; plan.slots.len()];
     let pred = plan.head.pred;
-    let out = out.0.entry(pred).or_insert_with(|| Rows::new(pred.arity()));
+    // A delta round's heads are about as many as the delta's rows: room
+    // for that many up front, rather than growing by doubling.
+    let room = delta.map_or(0, Database::len);
+    let out = out
+        .0
+        .entry(pred)
+        .or_insert_with(|| Rows::with_capacity(pred.arity(), room));
     stats.derivations += join.derive_into(
         &plan.head,
         total,

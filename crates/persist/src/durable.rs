@@ -72,7 +72,7 @@
 
 use crate::fault::FaultInjector;
 use crate::snapshot::Snapshot;
-use crate::wal::{FsyncPolicy, TornTail, Wal, WalOp, WalRecord, WAL_FILE};
+use crate::wal::{FsyncPolicy, Line, TornTail, Wal, WalOp, WalRecord, WAL_FILE};
 use epilog_core::db::DbError;
 use epilog_core::{CommitReport, EpistemicDb, Transaction};
 use epilog_syntax::{Formula, Theory};
@@ -199,10 +199,10 @@ impl Log {
 
     /// Append one record, or leave the log at its pre-append mark (a
     /// torn prefix would corrupt every later record).
-    fn append(&mut self, ops: &[WalOp]) -> Result<u64, PersistError> {
+    fn append(&mut self, ops: &[Line<'_>]) -> Result<u64, PersistError> {
         self.trusted()?;
         let mark = self.wal.mark();
-        let appended = self.wal.append(ops);
+        let appended = self.wal.append_lines(ops);
         appended.map_err(|e| self.compensate(mark, PersistError::Io(e)))
     }
 
@@ -364,7 +364,7 @@ impl DurableDb {
         if !db.add_constraint(ic.clone())? {
             return Ok(false);
         }
-        let _ = self.log.append(&[WalOp::Constraint(ic)])?;
+        let _ = self.log.append(&[Line::constraint(&ic)])?;
         self.db = db;
         Ok(true)
     }
@@ -547,10 +547,10 @@ impl DurableTransaction<'_> {
         if prepared.is_noop() {
             return Ok(prepared.commit());
         }
-        let mut ops: Vec<WalOp> =
-            Vec::with_capacity(prepared.added().len() + prepared.removed().len());
-        ops.extend(prepared.removed().iter().cloned().map(WalOp::Retract));
-        ops.extend(prepared.added().iter().cloned().map(WalOp::Assert));
+        let removed = prepared.removed().iter().map(Line::retract);
+        let ops: Vec<Line> = removed
+            .chain(prepared.added().iter().map(Line::assert))
+            .collect();
         let _ = self.log.append(&ops)?;
         Ok(prepared.commit())
     }
@@ -1139,8 +1139,8 @@ mod tests {
             drop(db);
             let path = d.join(WAL_FILE);
             let mut bytes = std::fs::read(&path).unwrap();
-            bytes.extend(crate::wal::frame(2, bad));
-            bytes.extend(crate::wal::frame(3, b"assert p(b)"));
+            bytes.extend(crate::wal::tests::frame(2, bad));
+            bytes.extend(crate::wal::tests::frame(3, b"assert p(b)"));
             std::fs::write(&path, &bytes).unwrap();
             std::fs::write(d.join("wal.log.tmp"), b"@9 1 00\nassert p(a").unwrap();
             let before = files(&d);

@@ -1279,7 +1279,7 @@ mod tests {
         let kept = scan.records.iter().take_while(|r| r.lsn < acked.lsn);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.truncate(kept.last().unwrap().end_offset as usize);
-        bytes.extend(crate::wal::frame(acked.lsn, b"assert emp("));
+        bytes.extend(crate::wal::tests::frame(acked.lsn, b"assert emp("));
         std::fs::write(&path, &bytes).unwrap();
 
         let err = db.send(Request::heal()).wait().unwrap_err();

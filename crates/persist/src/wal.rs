@@ -114,6 +114,10 @@ impl<'a> Line<'a> {
         Line("assert", w)
     }
 
+    pub(crate) fn retract(w: &'a Formula) -> Line<'a> {
+        Line("retract", w)
+    }
+
     pub(crate) fn constraint(w: &'a Formula) -> Line<'a> {
         Line("constraint", w)
     }
@@ -129,7 +133,7 @@ impl WalOp {
     fn line(&self) -> Line<'_> {
         match self {
             WalOp::Assert(w) => Line::assert(w),
-            WalOp::Retract(w) => Line("retract", w),
+            WalOp::Retract(w) => Line::retract(w),
             WalOp::Constraint(w) => Line::constraint(w),
         }
     }
@@ -201,32 +205,59 @@ impl WalScan {
     }
 }
 
+/// The longest header a record can have: `@`, two `u64`s in decimal, the
+/// checksum's 16 hex digits, two spaces and the newline.
+const HEADER_MAX: usize = 1 + 20 + 1 + 20 + 1 + 16 + 1;
+
+/// A framed record: its bytes sit at the end of a buffer whose first
+/// bytes were the space reserved for the header and are not the
+/// record's (see [`encode_record`]).
+pub(crate) struct Framed {
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl Framed {
+    /// The record: header, payload, newline.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+}
+
 /// The one encoder: a checkpoint (`checkpoint`) or a transaction record
-/// of `ops`, framed.
+/// of `ops`, framed. The payload is printed once, into the buffer the
+/// record is written from, after [`HEADER_MAX`] bytes left for the
+/// header; the header then goes right in front of the payload, so no
+/// byte of the payload is copied.
 fn encode_record<'a>(
     lsn: u64,
     checkpoint: bool,
     ops: impl IntoIterator<Item = Line<'a>>,
-) -> Vec<u8> {
-    let mut payload = String::new();
+) -> Framed {
+    let mut buf = " ".repeat(HEADER_MAX);
     if checkpoint {
-        payload.push_str(CHECKPOINT);
+        buf.push_str(CHECKPOINT);
     }
     for op in ops {
-        if !payload.is_empty() {
-            payload.push('\n');
+        if buf.len() > HEADER_MAX {
+            buf.push('\n');
         }
-        write!(payload, "{op}").expect("formatting into a String cannot fail");
+        write!(buf, "{op}").expect("formatting into a String cannot fail");
     }
-    frame(lsn, payload.as_bytes())
+    let mut buf = buf.into_bytes();
+    let payload = &buf[HEADER_MAX..];
+    let header = header(lsn, payload);
+    let start = HEADER_MAX - header.len();
+    buf[start..HEADER_MAX].copy_from_slice(header.as_bytes());
+    buf.push(b'\n');
+    Framed { buf, start }
 }
 
-/// `payload` framed as the record at `lsn`: header, payload, newline.
-pub(crate) fn frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = format!("@{lsn} {} {:016x}\n", payload.len(), fnv1a64(payload)).into_bytes();
-    out.extend_from_slice(payload);
-    out.push(b'\n');
-    out
+/// The header line of `payload`'s record at `lsn`.
+fn header(lsn: u64, payload: &[u8]) -> String {
+    let header = format!("@{lsn} {} {:016x}\n", payload.len(), fnv1a64(payload));
+    debug_assert!(header.len() <= HEADER_MAX);
+    header
 }
 
 /// Scan raw log bytes into records, stopping at the first defect.
@@ -466,10 +497,17 @@ impl Wal {
     /// the record, or all of it unsynced; callers that continue appending
     /// must `rewind` to the pre-append `mark` first (`DurableDb` does).
     pub fn append(&mut self, ops: &[WalOp]) -> io::Result<u64> {
+        self.append_lines(&ops.iter().map(WalOp::line).collect::<Vec<_>>())
+    }
+
+    /// [`Wal::append`] of op lines that borrow their sentences, so a
+    /// commit logs its delta without copying a sentence.
+    pub(crate) fn append_lines(&mut self, ops: &[Line<'_>]) -> io::Result<u64> {
         assert!(!ops.is_empty(), "a WAL record must carry at least one op");
         let lsn = self.next_lsn;
-        let bytes = encode_record(lsn, false, ops.iter().map(WalOp::line));
-        fault::write_all(self.injector.as_deref(), &mut self.file, &bytes)?;
+        let record = encode_record(lsn, false, ops.iter().copied());
+        let bytes = record.bytes();
+        fault::write_all(self.injector.as_deref(), &mut self.file, bytes)?;
         let sync_due = self.policy == FsyncPolicy::Always;
         if sync_due {
             fault::sync_data(self.injector.as_deref(), &self.file)?;
@@ -567,8 +605,9 @@ fn write_checkpoint<'a>(
     injector: Option<&FaultInjector>,
     renamed: impl FnOnce(File, u64),
 ) -> io::Result<()> {
-    let bytes = encode_record(lsn, true, ops);
-    crate::replace_file(path, &bytes, injector, |file| {
+    let record = encode_record(lsn, true, ops);
+    let bytes = record.bytes();
+    crate::replace_file(path, bytes, injector, |file| {
         renamed(file, bytes.len() as u64)
     })
 }
@@ -586,8 +625,19 @@ impl Drop for Wal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `payload` framed as the record at `lsn`, as [`encode_record`]
+    /// frames it: header, payload, newline.
+    pub(crate) fn frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
+        let header = header(lsn, payload);
+        let mut out = Vec::with_capacity(header.len() + payload.len() + 1);
+        out.extend_from_slice(header.as_bytes());
+        out.extend_from_slice(payload);
+        out.push(b'\n');
+        out
+    }
 
     fn dir() -> PathBuf {
         use std::sync::atomic::{AtomicU32, Ordering};
@@ -603,6 +653,27 @@ mod tests {
 
     fn f(src: &str) -> Formula {
         parse(src).unwrap()
+    }
+
+    #[test]
+    fn a_record_is_its_payload_framed_whatever_its_header_length() {
+        let (p, q) = (f("p(a)"), f("q($x, b)"));
+        let ops = || [Line::assert(&p), Line::retract(&q), Line::constraint(&p)];
+        for lsn in [0, 7, 10_000, u64::MAX] {
+            let record = encode_record(lsn, false, ops());
+            let payload = b"assert p(a)\nretract q($x, b)\nconstraint p(a)";
+            assert_eq!(record.bytes(), frame(lsn, payload));
+            let checkpoint = encode_record(lsn, true, ops());
+            let payload = b"checkpoint\nassert p(a)\nretract q($x, b)\nconstraint p(a)";
+            assert_eq!(checkpoint.bytes(), frame(lsn, payload));
+            assert_eq!(
+                encode_record(lsn, true, []).bytes(),
+                frame(lsn, b"checkpoint")
+            );
+        }
+        let scan = scan_bytes(encode_record(3, false, ops()).bytes());
+        assert!(scan.torn.is_none() && scan.corrupt.is_none());
+        assert_eq!(scan.records[0].ops.len(), 3);
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! columns probes the first one ([`JoinStep::index_col`]) and filters the
 //! rest residually, and a step binding none scans. Storage builds and
 //! maintains whatever index a probe needs; a plan names none. An
-//! execution keeps one storage cursor per step, beside its pattern
-//! buffer: each probe of a step resumes where its previous one landed,
+//! execution looks each step's relation up once and keeps one storage
+//! cursor per step beside it and its pattern buffer, and a step walks
+//! its matches through [`Matches::for_each_counting`], whole run slices
+//! at a time: each probe of a step resumes where its previous one landed,
 //! which makes the ascending keys of a delta-first step (and of a step
 //! under it, within one outer row) a forward walk, while keys in any
 //! other order fall back to a fresh seek. Which rows a probe yields,
@@ -42,7 +44,7 @@
 //! [`Relation::select`]: crate::relation::Relation::select
 
 use crate::database::Database;
-use crate::relation::Matches;
+use crate::relation::{Matches, Relation};
 use crate::row::{by_width, Row, Rows};
 use crate::runset::Cursor;
 use epilog_syntax::formula::Atom;
@@ -471,23 +473,32 @@ impl ConjunctionPlan {
     ) {
         // One pattern buffer per execution, a slice of it per step: a
         // probe refills its slice per outer row instead of allocating.
-        // Likewise one cursor per step: each probe resumes where the
-        // step's previous one landed.
+        // Likewise each step's relation, resolved once per execution, and
+        // its cursor: each probe resumes where the step's previous one
+        // landed.
         let width = self.steps.iter().map(|s| s.template.args.len()).sum();
         let mut patterns = vec![None; width];
-        let mut cursors = vec![Cursor::default(); self.steps.len()];
-        self.run_step(0, total, delta, env, &mut patterns, &mut cursors, rows, f);
+        let mut probes: Vec<Probe<'_>> = self
+            .steps
+            .iter()
+            .map(|step| {
+                let db = if step.from_delta {
+                    delta.expect("plan has a delta step but no delta database was given")
+                } else {
+                    total
+                };
+                (db.relation(step.template.pred), Cursor::default())
+            })
+            .collect();
+        self.run_step(0, env, &mut patterns, &mut probes, rows, f);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_step(
         &self,
         i: usize,
-        total: &Database,
-        delta: Option<&Database>,
         env: &mut [Option<Param>],
         patterns: &mut [Option<Param>],
-        cursors: &mut [Cursor],
+        probes: &mut [Probe<'_>],
         rows: &mut u64,
         f: &mut dyn FnMut(&[Option<Param>]),
     ) {
@@ -496,30 +507,27 @@ impl ConjunctionPlan {
             return;
         };
         let (pattern, patterns) = patterns.split_at_mut(step.template.args.len());
-        let (cursor, cursors) = cursors.split_first_mut().expect("one cursor per step");
-        let db = if step.from_delta {
-            delta.expect("plan has a delta step but no delta database was given")
-        } else {
-            total
-        };
+        let ((relation, cursor), probes) = probes.split_first_mut().expect("one probe per step");
         step.template.pattern_into(env, pattern);
-        let mut matches = db
-            .relation(step.template.pred)
-            .map_or_else(Matches::empty, |r| r.select_from(&*pattern, cursor));
-        for row in matches.by_ref() {
+        let matches = relation.map_or_else(Matches::empty, |r| r.select_from(&*pattern, cursor));
+        let examined = matches.for_each_counting(|row| {
             for &(c, s) in &step.binders {
                 env[s] = Some(row[c]);
             }
             if step.checks.iter().all(|&(c, s)| env[s] == Some(row[c])) {
-                self.run_step(i + 1, total, delta, env, patterns, cursors, rows, f);
+                self.run_step(i + 1, env, patterns, probes, rows, f);
             }
-        }
-        *rows += matches.examined();
+        });
+        *rows += examined;
         for &(_, s) in &step.binders {
             env[s] = None;
         }
     }
 }
+
+/// A step's relation in the database it reads (`None` when absent) and
+/// the cursor its probes resume from.
+type Probe<'a> = (Option<&'a Relation>, Cursor);
 
 #[cfg(test)]
 mod tests {

@@ -59,12 +59,13 @@ pub type Selection = Vec<Option<Param>>;
 ///   run copy per run they touch, whatever the relation's size.
 /// * **ascending batch insert** ([`Relation::insert_ascending`], how a
 ///   semi-naive round's sorted heads reach the total) — the row set takes
-///   the batch, already in the row type, through a forward cursor: each
-///   row gallops from the run and the slot the previous one landed in.
-///   Each built index then takes the new rows' entries, sorted once,
-///   through a cursor of its own. Run copies and splits are those of one
-///   insert after another.
-/// * **bulk construction** ([`Relation::from_ascending`], a round's
+///   the batch, already in the row type, a destination run at a time:
+///   each row gallops from the run and the slot the previous one landed
+///   in, a run gaining rows is copied (if shared) once and cut (if
+///   overfull) once, and the batch itself comes back as the rows that
+///   were new. Each built index then takes those rows' entries, sorted
+///   once, the same way.
+/// * **bulk construction** (`Relation::from_ascending`, a round's
 ///   delta) — the sorted rows are cut into full runs: one move per row,
 ///   no search, no index.
 /// * **probe** ([`Relation::select`] binding some columns) — the first
@@ -170,6 +171,51 @@ impl<'a> Matches<'a> {
     pub fn examined(&self) -> u64 {
         self.examined
     }
+
+    /// Hand `f` every match, as `for_each` does, and return the number of
+    /// rows examined: what [`Matches::examined`] reads after the walk.
+    /// This is how a join step consumes its probe.
+    pub fn for_each_counting(self, mut f: impl FnMut(&'a [Param])) -> u64 {
+        self.fold_rows((), |(), row| f(row)).1
+    }
+
+    /// [`Iterator::fold`] with the examined count: the walk of the
+    /// matches that `next` makes one row at a time, over whole run slices,
+    /// with its state in locals.
+    fn fold_rows<B>(self, mut acc: B, mut f: impl FnMut(B, &'a [Param]) -> B) -> (B, u64) {
+        let Matches {
+            mut chunk,
+            mut left,
+            stride,
+            skip,
+            mut rest,
+            key,
+            pattern,
+            mut examined,
+        } = self;
+        loop {
+            while left > 0 {
+                let (item, tail) = chunk.split_at(stride);
+                chunk = tail;
+                left -= 1;
+                if key.is_some_and(|key| item[0] != key) {
+                    return (acc, examined);
+                }
+                examined += 1;
+                let row = &item[skip..];
+                if Relation::matches(row, &pattern) {
+                    acc = f(acc, row);
+                }
+            }
+            let Some((set, at)) = rest.as_mut() else {
+                return (acc, examined);
+            };
+            let Some((next, n)) = set.chunk(at) else {
+                return (acc, examined);
+            };
+            (chunk, left) = (next, n);
+        }
+    }
 }
 
 impl<'a> Iterator for Matches<'a> {
@@ -199,6 +245,10 @@ impl<'a> Iterator for Matches<'a> {
             }
         }
     }
+
+    fn fold<B, F: FnMut(B, &'a [Param]) -> B>(self, init: B, f: F) -> B {
+        self.fold_rows(init, f).0
+    }
 }
 
 impl<R: Row> Store<R> {
@@ -227,16 +277,18 @@ impl<R: Row> Store<R> {
         true
     }
 
-    fn insert_ascending(&mut self, batch: Vec<R>) -> Vec<R> {
+    /// Insert `batch` (ascending) into the rows and every built index;
+    /// returns the rows that were new — the batch itself, with the ones
+    /// already held taken out.
+    fn insert_ascending(&mut self, mut batch: Vec<R>) -> Vec<R> {
         debug_assert!(batch.windows(2).all(|w| w[0] < w[1]), "not ascending");
-        let mut fresh = Vec::new();
-        self.rows.insert_ascending(batch, |t| fresh.push(t.clone()));
+        self.rows.insert_ascending(&mut batch);
         for (c, idx) in self.built_mut() {
-            let mut entries: Vec<R::Entry> = fresh.iter().map(|t| t.entry(c)).collect();
+            let mut entries: Vec<R::Entry> = batch.iter().map(|t| t.entry(c)).collect();
             entries.sort_unstable();
-            idx.insert_ascending(entries, |_| {});
+            idx.insert_ascending(&mut entries);
         }
-        fresh
+        batch
     }
 
     fn remove(&mut self, t: &R) -> bool {
@@ -1055,8 +1107,15 @@ mod tests {
             let got: Vec<&[Param]> = it.by_ref().collect();
             prop_assert_eq!(&got, &want);
             let mut fresh = scratch.select(pattern);
-            prop_assert!(fresh.by_ref().eq(got));
+            prop_assert!(fresh.by_ref().eq(got.iter().copied()));
             prop_assert_eq!(fresh.examined(), it.examined());
+            // The walk over whole run slices (`fold`, and the join's
+            // `for_each_counting`) yields what `next` does, at its count.
+            let mut folded = Vec::new();
+            let examined = r.select(pattern).for_each_counting(|t| folded.push(t));
+            prop_assert_eq!(&folded, &got);
+            prop_assert_eq!(examined, it.examined());
+            prop_assert_eq!(r.select(pattern).count(), got.len());
             // A pattern binding every column is a lookup: it pulls the
             // row if stored and nothing else. Otherwise a probe pulls
             // exactly the rows carrying the first bound column's key,

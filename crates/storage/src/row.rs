@@ -219,6 +219,14 @@ impl Rows {
         }
     }
 
+    /// No rows, of the given arity, with room for `n` of them.
+    pub fn with_capacity(arity: usize, n: usize) -> Rows {
+        Rows {
+            arity,
+            rows: at_width!(arity, Vec::with_capacity(n)),
+        }
+    }
+
     /// The arity of every row.
     pub fn arity(&self) -> usize {
         self.arity

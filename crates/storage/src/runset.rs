@@ -32,15 +32,22 @@
 //!   trail of short runs behind. An item above everything stored is
 //!   appended without a search, so ascending bulk loads run in place at
 //!   one comparison per item.
-//! * **ascending batch insert** — a round's new facts, sorted once: a
-//!   cursor remembers the run and the slot the previous item landed in
-//!   and gallops forward from them — over the runs' first items (1, 2,
-//!   4, … runs, then a binary search inside the last stride), then
-//!   inside the run, from the previous slot when the run is the same.
-//!   Items a few runs or slots apart cost a comparison or two to place
-//!   instead of two searches; only an item that lands in the last run is
-//!   tested for the append. The copy-on-write, split and append rules
-//!   are those of a single insert.
+//! * **ascending batch insert** — a round's new facts, sorted once, a
+//!   destination run at a time. The run the next item lands in is found
+//!   by galloping over the runs' first items from the run the previous
+//!   items landed in (1, 2, 4, … runs, then a binary search inside the
+//!   last stride); every item below the following run's first item lands
+//!   in it too. Inside the run each item gallops on from the previous
+//!   one's slot. The items it holds already are passed over; at its first
+//!   new item the run is made writable with one `Arc::make_mut` (a run
+//!   the batch adds nothing to is never copied, shared or not), each new
+//!   item is placed at its slot — one `Vec::insert`, a move of the run's
+//!   items above it, which beats a merge at the one or two new items a
+//!   round brings to a run — and a run that outgrew `RUN_LEN` is cut
+//!   once, into as few near-equal runs as fit, put into the list with one
+//!   edit. Items above everything stored fill the last run and then fresh
+//!   full runs, with no search. The batch comes back holding exactly its
+//!   new items, so nothing is allocated for them.
 //! * **bulk construction** from ascending items (a delta, a fresh
 //!   index): cut into full runs, one move per item, no
 //!   comparison.
@@ -154,43 +161,96 @@ impl<T: Ord + Clone> RunSet<T> {
         true
     }
 
-    /// Insert `items`, which must ascend strictly, through a forward
-    /// cursor (see the module docs), handing `new` each one not stored
-    /// yet before it is stored.
-    pub(crate) fn insert_ascending(
-        &mut self,
-        items: impl IntoIterator<Item = T>,
-        mut new: impl FnMut(&T),
-    ) {
-        // The cursor, run `i` and slot `at`: every later item sorts above
-        // that run's first item (or `i` is still 0) and above every item
-        // before slot `at` of it. So the gallop starts at the next run.
-        let (mut i, mut at) = (0, 0);
-        for item in items {
-            let next = (i + 1).min(self.runs.len());
-            let landed = gallop(&self.runs, next, |r| r[0] <= item).saturating_sub(1);
-            if landed != i {
-                (i, at) = (landed, 0);
+    /// Insert `items`, which must ascend strictly, a destination run at a
+    /// time (see the module docs), leaving in `items` exactly those that
+    /// were not stored yet, still ascending.
+    pub(crate) fn insert_ascending(&mut self, items: &mut Vec<T>) {
+        // `items[..kept]` are the new items placed so far, `items[next..]`
+        // the ones still to place.
+        let (mut kept, mut next) = (0, 0);
+        // The run the previous items landed in: every later item sorts
+        // above its first item (or it is still 0), so the search for the
+        // next destination starts at the run after it.
+        let mut i = 0;
+        while next < items.len() {
+            let first = &items[next];
+            i = gallop(&self.runs, (i + 1).min(self.runs.len()), |r| r[0] <= *first)
+                .saturating_sub(1);
+            if i + 1 >= self.runs.len() && self.above_all(first) {
+                // Everything left sorts above everything stored: it is
+                // all new, and fills the last run, then fresh full ones.
+                items.drain(kept..next);
+                self.append_all(&items[kept..]);
+                return;
             }
-            if i + 1 >= self.runs.len() && self.above_all(&item) {
-                new(&item);
-                self.append(item);
-                i = self.runs.len() - 1;
-                at = self.runs[i].len();
+            // The items below the next run's first one land in run `i`.
+            // Those it holds up to the first new one are passed over;
+            // from that one on, the run is written in place, each new
+            // item at its slot and moved down to `kept`.
+            let (head, tail) = self.runs.split_at_mut(i + 1);
+            let upper = tail.first().map(|r| &r[0]);
+            let lands = |x: &T| upper.is_none_or(|u| x < u);
+            let mut at = 0;
+            while next < items.len() && lands(&items[next]) {
+                at = gallop(&head[i], at, |x| *x < items[next]);
+                if head[i].get(at) != Some(&items[next]) {
+                    break;
+                }
+                (at, next) = (at + 1, next + 1);
+            }
+            if next == items.len() || !lands(&items[next]) {
                 continue;
             }
-            at = gallop(&self.runs[i], at, |x| *x < item);
-            if self.runs[i].get(at) == Some(&item) {
-                at += 1;
-                continue;
+            let run = Arc::make_mut(&mut head[i]);
+            let before = kept;
+            while next < items.len() && lands(&items[next]) {
+                at = gallop(run, at, |x| *x < items[next]);
+                if run.get(at) != Some(&items[next]) {
+                    run.insert(at, items[next].clone());
+                    items.swap(kept, next);
+                    kept += 1;
+                }
+                (at, next) = (at + 1, next + 1);
             }
-            new(&item);
-            self.insert_at(i, at, item);
-            // Past the item. If a split moved it into run `i + 1`, the
-            // next item sorts above that run's first one, so the next
-            // gallop leaves run `i` and the slot restarts at 0.
-            at += 1;
+            self.len += kept - before;
+            i += self.split(i) - 1;
         }
+        items.truncate(kept);
+    }
+
+    /// Cut run `i`, if it outgrew [`RUN_LEN`], into as few near-equal runs
+    /// as fit, put into the list with one edit. Returns how many runs its
+    /// items now fill.
+    fn split(&mut self, i: usize) -> usize {
+        let len = self.runs[i].len();
+        let pieces = len.div_ceil(RUN_LEN);
+        if pieces > 1 {
+            // The run's items, out of their `Arc` while the list is
+            // edited; the first piece goes back into it.
+            let mut run = std::mem::take(Arc::make_mut(&mut self.runs[i]));
+            let size = |p: usize| len / pieces + usize::from(p < len % pieces);
+            let mut rest = run.drain(size(0)..);
+            let cut = (1..pieces).map(|p| Arc::new(rest.by_ref().take(size(p)).collect()));
+            self.runs.splice(i + 1..i + 1, cut);
+            drop(rest);
+            *Arc::make_mut(&mut self.runs[i]) = run;
+        }
+        pieces
+    }
+
+    /// Append `items`, which ascend and sort above everything stored:
+    /// into the last run until it is full, then into fresh full runs.
+    fn append_all(&mut self, mut items: &[T]) {
+        self.len += items.len();
+        if let Some(last) = self.runs.last_mut() {
+            let room = RUN_LEN.saturating_sub(last.len()).min(items.len());
+            if room > 0 {
+                Arc::make_mut(last).extend_from_slice(&items[..room]);
+                items = &items[room..];
+            }
+        }
+        self.runs
+            .extend(items.chunks(RUN_LEN).map(|run| Arc::new(run.to_vec())));
     }
 
     /// Whether `item` sorts above everything stored (an empty set too).
@@ -486,11 +546,10 @@ mod tests {
     #[test]
     fn a_batch_gallops_past_runs_and_a_bulk_set_is_full_runs() {
         let mut set: RunSet<u32> = (0..2000).map(|i| i * 4).collect();
-        let batch = [1, 2, 3, 4, 5, 6001, 6002, 7997, 7999, 9000];
-        let mut seen = Vec::new();
-        set.insert_ascending(batch, |x| seen.push(*x));
+        let mut batch = vec![1, 2, 3, 4, 5, 6001, 6002, 7997, 7999, 9000];
+        set.insert_ascending(&mut batch);
         // 4 is stored; 7999 and 9000 sit above everything (the append path).
-        assert_eq!(seen, [1, 2, 3, 5, 6001, 6002, 7997, 7999, 9000]);
+        assert_eq!(batch, [1, 2, 3, 5, 6001, 6002, 7997, 7999, 9000]);
         check_shape(&set);
         assert_eq!(set.len(), 2009);
         let bulk = RunSet::from_ascending((0..1000u32).collect());
@@ -583,9 +642,8 @@ mod tests {
                         .filter(|x| model.insert((*x).clone()))
                         .cloned()
                         .collect();
-                    let mut seen = Vec::new();
-                    set.insert_ascending(batch, |y| seen.push(y.clone()));
-                    prop_assert_eq!(seen, want);
+                    set.insert_ascending(&mut batch);
+                    prop_assert_eq!(batch, want);
                     check_shape(&set);
                 }
                 Step::Rebuild => set = RunSet::from_ascending(model.iter().cloned().collect()),
@@ -617,6 +675,79 @@ mod tests {
             seek_as_fresh(set, &mut cursor, &probes)?;
         }
         Ok(())
+    }
+
+    /// How an ascending batch sits against the set it goes into.
+    #[derive(Debug, Clone)]
+    enum Shape {
+        /// `n` consecutive values from `at`: inside one run when short, over
+        /// a split (or several) when long.
+        Dense { at: u32, n: u32 },
+        /// `n` values spread `gap` apart from `at`, over many runs.
+        Spread { at: u32, n: u32, gap: u32 },
+        /// `n` values above everything stored.
+        Above { n: u32 },
+        /// Every `k`-th stored item, with `n` new values beside them.
+        Stored { k: usize, n: u32 },
+    }
+
+    fn shape() -> impl Strategy<Value = Shape> {
+        prop_oneof![
+            (0u32..20_000, 1u32..200).prop_map(|(at, n)| Shape::Dense { at, n }),
+            (0u32..20_000, 1u32..300, 2u32..90).prop_map(|(at, n, gap)| Shape::Spread {
+                at,
+                n,
+                gap
+            }),
+            (1u32..300).prop_map(|n| Shape::Above { n }),
+            (1usize..40, 0u32..60).prop_map(|(k, n)| Shape::Stored { k, n }),
+        ]
+    }
+
+    proptest! {
+        /// Ascending batches through the run-at-a-time insert, against a
+        /// `BTreeSet`: batches inside one run, over splits, spread across
+        /// many runs, above every run and repeating stored items, each
+        /// into a set whose every earlier state a clone still holds. The
+        /// batch comes back as exactly its new items; the shape invariant
+        /// holds; and every clone still iterates what it held.
+        #[test]
+        fn ascending_batches_match_btreeset_with_clones_held(
+            base in proptest::collection::vec(0u32..20_000, 0..800),
+            shapes in proptest::collection::vec(shape(), 1..12),
+        ) {
+            let mut model: BTreeSet<u32> = base.into_iter().map(|x| x * 2).collect();
+            let mut set = RunSet::from_ascending(model.iter().copied().collect());
+            let mut clones = vec![(set.clone(), model.clone())];
+            for shape in shapes {
+                let mut batch: Vec<u32> = match shape {
+                    Shape::Dense { at, n } => (at..at + n).collect(),
+                    Shape::Spread { at, n, gap } => (0..n).map(|i| at + i * gap).collect(),
+                    Shape::Above { n } => {
+                        let top = model.last().map_or(0, |x| x + 1);
+                        (top..top + n).collect()
+                    }
+                    Shape::Stored { k, n } => {
+                        let mut b: Vec<u32> = model.iter().step_by(k).copied().collect();
+                        b.extend((0..n).map(|i| i * 97 + 1));
+                        b
+                    }
+                };
+                batch.sort_unstable();
+                batch.dedup();
+                let want: Vec<u32> = batch.iter().copied().filter(|x| model.insert(*x)).collect();
+                set.insert_ascending(&mut batch);
+                prop_assert_eq!(batch, want);
+                check_shape(&set);
+                prop_assert!(set.iter().eq(model.iter()));
+                clones.push((set.clone(), model.clone()));
+            }
+            for (set, model) in &clones {
+                check_shape(set);
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert!(set.iter().eq(model.iter()));
+            }
+        }
     }
 
     /// The `i`-th of 600 parameters, interned in order, so they ascend.

@@ -33,11 +33,17 @@ pub fn is_first_order(w: &Formula) -> bool {
     !is_modal(w)
 }
 
-/// Whether `w` mentions `K` at least once (the paper's `modal(w)`).
+/// Whether `w` mentions `K` at least once (the paper's `modal(w)`): one
+/// recursive walk, no allocation.
 pub(crate) fn is_modal(w: &Formula) -> bool {
-    w.subformulas()
-        .iter()
-        .any(|s| matches!(s, Formula::Know(_)))
+    match w {
+        Formula::Know(_) => true,
+        Formula::Atom(_) | Formula::Eq(_, _) => false,
+        Formula::Not(a) | Formula::Forall(_, a) | Formula::Exists(_, a) => is_modal(a),
+        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
+            is_modal(a) || is_modal(b)
+        }
+    }
 }
 
 /// The **subjective** formulas (Definition 5.2): formulas that say nothing

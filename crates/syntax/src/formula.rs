@@ -264,9 +264,35 @@ impl Formula {
         out.into_iter().collect()
     }
 
-    /// Whether the formula is a sentence (no free variables).
+    /// Whether the formula is a sentence (no free variables): one
+    /// recursive walk whose bound variables are a list on the stack, so
+    /// it allocates nothing.
     pub fn is_sentence(&self) -> bool {
-        self.free_vars().is_empty()
+        /// The variables bound above a subformula, innermost first.
+        struct Bound<'a>(Var, Option<&'a Bound<'a>>);
+        fn bound(v: Var, mut scope: Option<&Bound<'_>>) -> bool {
+            while let Some(Bound(x, up)) = scope {
+                if *x == v {
+                    return true;
+                }
+                scope = *up;
+            }
+            false
+        }
+        fn closed(w: &Formula, scope: Option<&Bound<'_>>) -> bool {
+            let term = |t: &Term| t.as_var().is_none_or(|v| bound(v, scope));
+            match w {
+                Formula::Atom(a) => a.terms.iter().all(term),
+                Formula::Eq(a, b) => term(a) && term(b),
+                Formula::Not(w) | Formula::Know(w) => closed(w, scope),
+                Formula::And(a, b)
+                | Formula::Or(a, b)
+                | Formula::Implies(a, b)
+                | Formula::Iff(a, b) => closed(a, scope) && closed(b, scope),
+                Formula::Forall(x, w) | Formula::Exists(x, w) => closed(w, Some(&Bound(*x, scope))),
+            }
+        }
+        closed(self, None)
     }
 
     /// Whether the formula nests within [`MAX_NESTING`] levels as

@@ -47,7 +47,7 @@ pub use classify::{
 };
 pub use formula::{Atom, Formula, MAX_NESTING};
 pub use parse::{parse, parse_theory, ParseError};
-pub use symbols::{Param, Pred, Var};
+pub use symbols::{FoldHasher, FoldState, Param, Pred, Var};
 pub use term::Term;
 pub use theory::Theory;
 pub use transform::{admissible_constraint, nnf};

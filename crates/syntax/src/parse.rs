@@ -76,81 +76,88 @@ enum Tok<'a> {
     Neq,
 }
 
+/// The tokens of one line, pulled by the parser one at a time: nothing
+/// is collected. The first character no token starts with ends the
+/// stream and is kept as the error, which [`parse`] reports in place of
+/// whatever the parser made of the tokens before it — so the diagnostics
+/// are those of lexing the whole line up front.
 struct Lexer<'a> {
+    src: &'a str,
     pos: usize,
-    toks: Vec<(Tok<'a>, usize)>,
+    error: Option<ParseError>,
 }
 
 impl<'a> Lexer<'a> {
-    fn lex(src: &'a str) -> Result<Vec<(Tok<'a>, usize)>, ParseError> {
-        let mut l = Lexer {
+    fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
             pos: 0,
-            toks: Vec::new(),
-        };
-        let bytes = src.as_bytes();
-        let starts_name = |b: &u8| b.is_ascii_alphabetic() || *b == b'_';
-        while l.pos < bytes.len() {
-            let c = bytes[l.pos] as char;
-            let start = l.pos;
-            match c {
-                ' ' | '\t' | '\n' | '\r' => {
-                    l.pos += 1;
-                }
-                '(' => l.push(Tok::LParen, 1, start),
-                ')' => l.push(Tok::RParen, 1, start),
-                ',' => l.push(Tok::Comma, 1, start),
-                '.' => l.push(Tok::Dot, 1, start),
-                '~' => l.push(Tok::Not, 1, start),
-                '&' => l.push(Tok::And, 1, start),
-                '|' => l.push(Tok::Or, 1, start),
-                '=' => l.push(Tok::Eq, 1, start),
-                '!' => {
-                    if bytes.get(l.pos + 1) == Some(&b'=') {
-                        l.push(Tok::Neq, 2, start);
-                    } else {
-                        l.push(Tok::Not, 1, start);
-                    }
-                }
-                '-' if bytes.get(l.pos + 1) == Some(&b'>') => l.push(Tok::Implies, 2, start),
-                '<' if src[l.pos..].starts_with("<->") => l.push(Tok::Iff, 3, start),
-                _ if starts_name(&bytes[start])
-                    || c == '$' && bytes.get(start + 1).is_some_and(starts_name) =>
-                {
-                    // `$` introduces an identifier (the forced-parameter
-                    // escape) but may not continue one. What follows it
-                    // starts a name as any identifier does, so the name
-                    // prints back to text that parses.
-                    let mut end = l.pos + usize::from(c == '$');
-                    while bytes.get(end).is_some_and(|b| {
-                        b.is_ascii_alphanumeric() || matches!(b, b'_' | b'\'' | b'#')
-                    }) {
-                        end += 1;
-                    }
-                    l.toks.push((Tok::Ident(&src[start..end]), start));
-                    l.pos = end;
-                }
-                _ => {
-                    return Err(ParseError {
-                        message: format!("unexpected character '{c}'"),
-                        offset: start,
-                    })
-                }
-            }
+            error: None,
         }
-        Ok(l.toks)
     }
 
-    fn push(&mut self, t: Tok<'a>, len: usize, at: usize) {
-        self.toks.push((t, at));
+    /// The next token and its byte offset; `None` at the end of the input
+    /// or at a character no token starts with (then left in `error`).
+    fn next_token(&mut self) -> Option<(Tok<'a>, usize)> {
+        let (src, bytes) = (self.src, self.src.as_bytes());
+        let starts_name = |b: &u8| b.is_ascii_alphabetic() || *b == b'_';
+        while bytes
+            .get(self.pos)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+        {
+            self.pos += 1;
+        }
+        let start = self.pos;
+        let b = *bytes.get(start)?;
+        let (tok, len) = match b {
+            b'(' => (Tok::LParen, 1),
+            b')' => (Tok::RParen, 1),
+            b',' => (Tok::Comma, 1),
+            b'.' => (Tok::Dot, 1),
+            b'~' => (Tok::Not, 1),
+            b'&' => (Tok::And, 1),
+            b'|' => (Tok::Or, 1),
+            b'=' => (Tok::Eq, 1),
+            b'!' if bytes.get(start + 1) == Some(&b'=') => (Tok::Neq, 2),
+            b'!' => (Tok::Not, 1),
+            b'-' if bytes.get(start + 1) == Some(&b'>') => (Tok::Implies, 2),
+            b'<' if src[start..].starts_with("<->") => (Tok::Iff, 3),
+            _ if starts_name(&b) || b == b'$' && bytes.get(start + 1).is_some_and(starts_name) => {
+                // `$` introduces an identifier (the forced-parameter
+                // escape) but may not continue one. What follows it
+                // starts a name as any identifier does, so the name
+                // prints back to text that parses.
+                let mut end = start + usize::from(b == b'$');
+                while bytes
+                    .get(end)
+                    .is_some_and(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'\'' | b'#'))
+                {
+                    end += 1;
+                }
+                (Tok::Ident(&src[start..end]), end - start)
+            }
+            _ => {
+                // Every token is ASCII, so `start` is a character
+                // boundary: name the whole character there.
+                let c = src[start..].chars().next().expect("a byte is left");
+                self.error = Some(ParseError {
+                    message: format!("unexpected character '{c}'"),
+                    offset: start,
+                });
+                self.pos = bytes.len();
+                return None;
+            }
+        };
         self.pos += len;
+        Some((tok, start))
     }
 }
 
 struct Parser<'a> {
-    toks: Vec<(Tok<'a>, usize)>,
-    i: usize,
+    lexer: Lexer<'a>,
+    /// The token under the cursor, the one lookahead the grammar needs.
+    cur: Option<(Tok<'a>, usize)>,
     bound: Vec<&'a str>,
-    end: usize,
     /// Nesting levels above the point being parsed.
     depth: usize,
 }
@@ -160,24 +167,29 @@ type Nested = Result<(Formula, usize), ParseError>;
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<&Tok<'a>> {
-        self.toks.get(self.i).map(|(t, _)| t)
+        self.cur.as_ref().map(|(t, _)| t)
     }
 
     fn offset(&self) -> usize {
-        self.toks.get(self.i).map(|(_, o)| *o).unwrap_or(self.end)
+        self.cur.map_or(self.lexer.src.len(), |(_, o)| o)
+    }
+
+    /// Step past the token under the cursor.
+    fn advance(&mut self) {
+        self.cur = self.lexer.next_token();
     }
 
     fn bump(&mut self) -> Option<Tok<'a>> {
-        let t = self.toks.get(self.i).map(|&(t, _)| t);
+        let t = self.cur.map(|(t, _)| t);
         if t.is_some() {
-            self.i += 1;
+            self.advance();
         }
         t
     }
 
     fn expect(&mut self, t: &Tok<'a>, what: &str) -> Result<(), ParseError> {
         if self.peek() == Some(t) {
-            self.i += 1;
+            self.advance();
             Ok(())
         } else {
             Err(self.err(format!("expected {what}")))
@@ -226,7 +238,7 @@ impl<'a> Parser<'a> {
     fn formula(&mut self) -> Nested {
         let mut lhs = self.implies()?;
         while self.peek() == Some(&Tok::Iff) {
-            self.i += 1;
+            self.advance();
             let rhs = self.implies()?;
             lhs = self.link(Formula::iff, lhs, rhs)?;
         }
@@ -236,7 +248,7 @@ impl<'a> Parser<'a> {
     fn implies(&mut self) -> Nested {
         let lhs = self.or()?;
         if self.peek() == Some(&Tok::Implies) {
-            self.i += 1;
+            self.advance();
             let rhs = self.below(1, Self::implies)?;
             self.link(Formula::implies, lhs, rhs)
         } else {
@@ -247,7 +259,7 @@ impl<'a> Parser<'a> {
     fn or(&mut self) -> Nested {
         let mut lhs = self.and()?;
         while self.peek() == Some(&Tok::Or) {
-            self.i += 1;
+            self.advance();
             let rhs = self.and()?;
             lhs = self.link(Formula::or, lhs, rhs)?;
         }
@@ -257,7 +269,7 @@ impl<'a> Parser<'a> {
     fn and(&mut self) -> Nested {
         let mut lhs = self.unary()?;
         while self.peek() == Some(&Tok::And) {
-            self.i += 1;
+            self.advance();
             let rhs = self.unary()?;
             lhs = self.link(Formula::and, lhs, rhs)?;
         }
@@ -267,12 +279,12 @@ impl<'a> Parser<'a> {
     fn unary(&mut self) -> Nested {
         match self.peek() {
             Some(Tok::Not) => {
-                self.i += 1;
+                self.advance();
                 let (w, n) = self.below(1, Self::unary)?;
                 Ok((Formula::not(w), n + 1))
             }
             Some(Tok::LParen) => {
-                self.i += 1;
+                self.advance();
                 let (w, n) = self.below(1, Self::formula)?;
                 self.expect(&Tok::RParen, "')'")?;
                 // Allow a parenthesised formula to be the left side of an
@@ -281,16 +293,16 @@ impl<'a> Parser<'a> {
             }
             Some(Tok::Ident(word)) => match *word {
                 "K" => {
-                    self.i += 1;
+                    self.advance();
                     let (w, n) = self.below(1, Self::unary)?;
                     Ok((Formula::know(w), n + 1))
                 }
                 "forall" | "all" => {
-                    self.i += 1;
+                    self.advance();
                     self.quantifier(true)
                 }
                 "exists" | "some" => {
-                    self.i += 1;
+                    self.advance();
                     self.quantifier(false)
                 }
                 _ => Ok((self.atom_or_eq()?, 0)),
@@ -353,7 +365,7 @@ impl<'a> Parser<'a> {
         };
         match self.peek() {
             Some(Tok::LParen) => {
-                self.i += 1;
+                self.advance();
                 let mut terms = Vec::new();
                 loop {
                     match self.bump() {
@@ -371,7 +383,7 @@ impl<'a> Parser<'a> {
                 Ok(Formula::Atom(Atom::new(pred, terms)))
             }
             Some(Tok::Eq) => {
-                self.i += 1;
+                self.advance();
                 let lhs = self.term_of(name);
                 let rhs = match self.bump() {
                     Some(Tok::Ident(t)) => self.term_of(t),
@@ -380,7 +392,7 @@ impl<'a> Parser<'a> {
                 Ok(Formula::Eq(lhs, rhs))
             }
             Some(Tok::Neq) => {
-                self.i += 1;
+                self.advance();
                 let lhs = self.term_of(name);
                 let rhs = match self.bump() {
                     Some(Tok::Ident(t)) => self.term_of(t),
@@ -414,19 +426,25 @@ pub(crate) fn is_conventional_var(name: &str) -> bool {
 /// assert_eq!(w.to_string(), "exists x. K Teach(John, x)");
 /// ```
 pub fn parse(src: &str) -> Result<Formula, ParseError> {
-    let toks = Lexer::lex(src)?;
+    let mut lexer = Lexer::new(src);
+    let cur = lexer.next_token();
     let mut p = Parser {
-        toks,
-        i: 0,
+        lexer,
+        cur,
         bound: Vec::new(),
-        end: src.len(),
         depth: 0,
     };
-    let (w, _) = p.formula()?;
-    if p.i != p.toks.len() {
-        return Err(p.err("trailing input after formula".into()));
+    let parsed = p.formula().and_then(|(w, _)| match p.cur {
+        None => Ok(w),
+        Some(_) => Err(p.err("trailing input after formula".into())),
+    });
+    // A character no token starts with, anywhere on the line, is the
+    // error, as it is when the line is lexed before it is parsed.
+    while p.lexer.error.is_none() && p.lexer.next_token().is_some() {}
+    match p.lexer.error {
+        Some(e) => Err(e),
+        None => parsed,
     }
-    Ok(w)
 }
 
 /// Parse a theory: formulas separated by `;` or newlines. Everything from
@@ -589,6 +607,128 @@ mod tests {
         for src in ["p($_1)", "p($x)", "$p", "$x = $y"] {
             let w = parse(src).unwrap();
             assert_eq!(parse(&w.to_string()).unwrap(), w, "{src}");
+        }
+    }
+
+    #[test]
+    fn a_rejected_character_is_named_whole() {
+        // Not its first byte cast to a `char`: the offset is the byte
+        // offset where the character starts.
+        for (src, c, offset) in [
+            ("p(é)", 'é', 2),
+            ("∀x. p(x)", '∀', 0),
+            ("p(a)\u{a0}", '\u{a0}', 4),
+        ] {
+            let err = parse(src).unwrap_err();
+            assert_eq!(err.message, format!("unexpected character '{c}'"), "{src}");
+            assert_eq!(err.offset, offset, "{src}");
+        }
+    }
+
+    /// Malformed lines with the message and byte offset each is refused
+    /// with, as they read when the whole line was lexed before parsing:
+    /// the streaming lexer moved none of them. A character no token starts
+    /// with is the error wherever it sits, even after one the parser would
+    /// have refused first.
+    #[test]
+    fn diagnostics_are_those_of_lexing_the_whole_line_first() {
+        let args = |n: usize| format!("q({})", vec!["a"; n].join(", "));
+        let cases: Vec<(String, &str, usize)> = vec![
+            ("".into(), "expected a formula", 0),
+            ("   ".into(), "expected a formula", 3),
+            ("p($)".into(), "unexpected character '$'", 2),
+            ("$ = a".into(), "unexpected character '$'", 0),
+            ("p(a) $".into(), "unexpected character '$'", 5),
+            ("p $ q".into(), "unexpected character '$'", 2),
+            ("p(a, $1)".into(), "unexpected character '$'", 5),
+            (args(256), "a predicate takes at most 255 arguments", 767),
+            (
+                format!("K {}", args(256)),
+                "a predicate takes at most 255 arguments",
+                769,
+            ),
+            (
+                format!("p & {}", args(256)),
+                "a predicate takes at most 255 arguments",
+                771,
+            ),
+            ("p q".into(), "trailing input after formula", 2),
+            ("p(a) q(b)".into(), "trailing input after formula", 5),
+            ("p(a))".into(), "trailing input after formula", 4),
+            (
+                "exists x. p(x) x".into(),
+                "trailing input after formula",
+                15,
+            ),
+            ("p(a)(b)".into(), "trailing input after formula", 4),
+            ("a = b = c".into(), "trailing input after formula", 6),
+            ("<-".into(), "unexpected character '<'", 0),
+            ("p <- q".into(), "unexpected character '<'", 2),
+            ("p(a) <- q(a)".into(), "unexpected character '<'", 5),
+            (
+                "~".repeat(257) + "p",
+                "formula nested deeper than 256 levels",
+                257,
+            ),
+            (
+                "(".repeat(300) + "p" + &")".repeat(300),
+                "formula nested deeper than 256 levels",
+                257,
+            ),
+            (
+                "exists x. ".repeat(300) + "p",
+                "formula nested deeper than 256 levels",
+                2570,
+            ),
+            ("(p".into(), "expected ')'", 2),
+            ("p(a".into(), "expected ',' or ')'", 3),
+            ("p(a,".into(), "expected term", 4),
+            ("(p & q".into(), "expected ')'", 6),
+            ("((p | q) & r".into(), "expected ')'", 12),
+            ("p &".into(), "expected a formula", 3),
+            ("exists . p".into(), "quantifier binds no variables", 9),
+            ("forall . p".into(), "quantifier binds no variables", 9),
+            (
+                "forall x p(x)".into(),
+                "expected variable list ending in '.'",
+                11,
+            ),
+            (
+                "exists x y p(x)".into(),
+                "expected variable list ending in '.'",
+                13,
+            ),
+            ("p(a b)".into(), "expected ',' or ')'", 5),
+            ("x =".into(), "expected term after '='", 3),
+            ("a != ".into(), "expected term after '!='", 5),
+            ("K".into(), "expected a formula", 1),
+            ("~".into(), "expected a formula", 1),
+            ("p ->".into(), "expected a formula", 4),
+            ("p <->".into(), "expected a formula", 5),
+            ("p(,)".into(), "expected term", 3),
+            ("-> p".into(), "expected a formula", 0),
+            ("p(a) & & q".into(), "expected a formula", 7),
+            // After what the parser refuses first: trailing input, an
+            // unclosed parenthesis, nesting past the bound.
+            ("p q $".into(), "unexpected character '$'", 4),
+            ("((((p #".into(), "unexpected character '#'", 6),
+            ("~".repeat(300) + "p @", "unexpected character '@'", 302),
+            ("p(a) ?".into(), "unexpected character '?'", 5),
+            ("p - q".into(), "unexpected character '-'", 2),
+            ("p < q".into(), "unexpected character '<'", 2),
+            (
+                "p(a) | q(b) % comment".into(),
+                "unexpected character '%'",
+                12,
+            ),
+        ];
+        for (src, message, offset) in &cases {
+            let err = parse(src).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                (*message, *offset),
+                "{src:?}"
+            );
         }
     }
 

@@ -7,11 +7,153 @@
 //!
 //! All three kinds are interned in a process-global table so that ids are
 //! cheap `u32` handles that can be copied, hashed and compared without
-//! touching the string heap.
+//! touching the string heap. The table stores each name once, as an
+//! `Arc<str>` that its list of names and its map share.
+//!
+//! # The seeded hasher
+//!
+//! The table's maps, [`Theory`](crate::Theory)'s sentence index and a
+//! transaction's op lists hash with [`FoldHasher`]: each write — a
+//! number, or a string's bytes two words at a time — is mixed in by one
+//! 64 × 64 → 128-bit multiply under the map's key, whose halves are
+//! folded together with XOR. On the short keys those maps hold (a name,
+//! a formula's ids) that is two to three times cheaper than `std`'s
+//! SipHash, and every fact a log, a snapshot or a request carries is
+//! hashed at least once.
+//!
+//! It is **seeded**: each map draws its own key from `std`'s
+//! [`RandomState`] when it is made ([`FoldState::default`]). Names and
+//! sentences arrive off the socket, so a fixed key would let a client
+//! compute colliding keys offline and flood one bucket of a map the
+//! server keeps (hash flooding); with a key per map nobody outside the
+//! process knows which keys collide. The mixing is not a keyed PRF as
+//! SipHash is: the key is what keeps collisions out of a client's reach.
+//! None of these maps is iterated, so the key never shows in any
+//! output.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{OnceLock, RwLock};
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Arc, OnceLock, RwLock};
+
+/// Builds [`FoldHasher`]s under one random key, drawn from `std`'s
+/// [`RandomState`] when the map is made (see the module docs). A clone
+/// keeps the key, as the table it hashes for is laid out under it.
+#[derive(Clone, Debug)]
+pub struct FoldState {
+    key: [u64; 2],
+}
+
+impl Default for FoldState {
+    /// A fresh key: every `RandomState` the process makes hashes
+    /// differently, so two maps never share one.
+    fn default() -> Self {
+        let random = RandomState::new();
+        FoldState {
+            key: [random.hash_one(0u64), random.hash_one(1u64)],
+        }
+    }
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            acc: self.key[0],
+            key: self.key[1],
+        }
+    }
+}
+
+/// The folded-multiply hasher (see the module docs): each write is mixed
+/// into the accumulator by one multiply under the map's key.
+#[derive(Clone, Debug)]
+pub struct FoldHasher {
+    acc: u64,
+    key: u64,
+}
+
+/// The 64 × 64 → 128-bit product of `a` and `b`, its halves folded
+/// together.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+/// The `N` bytes of `bytes` from `at`, as a little-endian number.
+#[inline]
+fn read<const N: usize>(bytes: &[u8], at: usize) -> u64 {
+    let mut word = [0; 8];
+    word[..N].copy_from_slice(&bytes[at..at + N]);
+    u64::from_le_bytes(word)
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let len = bytes.len();
+        // The length first, as a word of its own: strings of different
+        // lengths then collide only as the key makes them. Of one length,
+        // the two words read from a short string's ends cover all of it
+        // (they overlap below 16 bytes); a long one is read 16 bytes at
+        // a time from the front, then its last 16.
+        self.write_u64(len as u64);
+        let (lo, hi) = match len {
+            0 => (0, 0),
+            1..=3 => (
+                read::<1>(bytes, 0) | read::<1>(bytes, len / 2) << 8,
+                read::<1>(bytes, len - 1),
+            ),
+            4..=7 => (read::<4>(bytes, 0), read::<4>(bytes, len - 4)),
+            8..=16 => (read::<8>(bytes, 0), read::<8>(bytes, len - 8)),
+            _ => {
+                let mut chunks = bytes[..len - 1].chunks_exact(16);
+                for chunk in &mut chunks {
+                    self.acc = folded_multiply(
+                        self.acc ^ read::<8>(chunk, 0),
+                        self.key ^ read::<8>(chunk, 8),
+                    );
+                }
+                (read::<8>(bytes, len - 16), read::<8>(bytes, len - 8))
+            }
+        };
+        self.acc = folded_multiply(self.acc ^ lo, self.key ^ hi);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.acc = folded_multiply(self.acc ^ x, self.key);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.acc.rotate_left(23)
+    }
+}
 
 /// Which namespace a symbol lives in. Predicates, parameters and variables
 /// are interned in separate namespaces, so `p` the proposition and `p` the
@@ -25,22 +167,22 @@ enum Space {
 
 #[derive(Default)]
 struct Interner {
-    names: Vec<String>,
-    /// One id map per [`Space`], keyed by owned name but **queried by
-    /// `&str`** (via `Borrow<str>`), so the hot lookup-hit path allocates
-    /// nothing.
-    ids: [HashMap<String, u32>; 3],
+    /// Every name, at its id; the maps' keys are these same `Arc`s.
+    names: Vec<Arc<str>>,
+    /// One id map per [`Space`], queried by `&str` (via `Borrow<str>`),
+    /// so a hit allocates nothing and hashes the name once.
+    ids: [HashMap<Arc<str>, u32, FoldState>; 3],
 }
 
 impl Interner {
     fn intern(&mut self, space: Space, name: &str) -> u32 {
-        let map = &mut self.ids[space as usize];
-        if let Some(&id) = map.get(name) {
+        if let Some(id) = self.get(space, name) {
             return id;
         }
         let id = u32::try_from(self.names.len()).expect("symbol table overflow");
-        self.names.push(name.to_owned());
-        map.insert(name.to_owned(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.ids[space as usize].insert(name, id);
         id
     }
 
@@ -59,8 +201,9 @@ fn table() -> &'static RwLock<Interner> {
 }
 
 /// A hit — every symbol of a log or snapshot line after its first
-/// occurrence — is answered under the read lock; only a new name takes
-/// the write lock, and [`Interner::intern`] looks again under it.
+/// occurrence — is answered under the read lock with one hash of the
+/// name; only a new name takes the write lock, and [`Interner::intern`]
+/// looks again under it.
 fn intern(space: Space, name: &str) -> u32 {
     let hit = table()
         .read()
@@ -310,6 +453,80 @@ mod tests {
         let a = Var::fresh("x");
         let b = Var::fresh("x");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn two_maps_hash_under_different_keys() {
+        let (a, b) = (FoldState::default(), FoldState::default());
+        assert_ne!(a.key, b.key);
+        // Each key hashes alike wherever it is used, and the two differ.
+        for key in ["", "a", "sue", "s0n1", "a longer name than sixteen bytes"] {
+            assert_eq!(a.hash_one(key), a.clone().hash_one(key));
+            assert_ne!(a.hash_one(key), b.hash_one(key), "{key:?}");
+        }
+        // Lengths tell apart what zero padding would not.
+        assert_ne!(
+            a.hash_one([0u8; 3].as_slice()),
+            a.hash_one([0u8; 4].as_slice())
+        );
+    }
+
+    #[test]
+    fn ids_are_handed_out_in_first_sight_order_per_space() {
+        // Names no other test interns, seen once each in order: every
+        // one gets an id above the one before, and reads back.
+        let names: Vec<String> = (0..50).map(|i| format!("first-sight-{i}")).collect();
+        let params: Vec<Param> = names.iter().map(|n| Param::new(n)).collect();
+        assert!(params.windows(2).all(|w| w[0].ordinal() < w[1].ordinal()));
+        let vars: Vec<Var> = names.iter().map(|n| Var::new(n)).collect();
+        let preds: Vec<Pred> = names.iter().map(|n| Pred::new(n, 1)).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(params[i].name(), *name);
+            assert_eq!(vars[i].name(), *name);
+            assert_eq!(preds[i].name(), *name);
+            // A name seen again keeps its id, in its space.
+            assert_eq!(Param::new(name), params[i]);
+            assert_eq!(Var::new(name), vars[i]);
+            assert_eq!(Pred::new(name, 1), preds[i]);
+            // The three spaces do not share ids: the later spaces' first
+            // sights came after every parameter's.
+            assert!(vars[i].0 > params[names.len() - 1].0);
+            assert!(preds[i].id > vars[names.len() - 1].0);
+        }
+    }
+
+    #[test]
+    fn threads_interning_one_name_set_agree_on_each_id() {
+        let names: Vec<String> = (0..200).map(|i| format!("raced-{}", i % 150)).collect();
+        let ids: Vec<Vec<(u32, u32, u32)>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let names = &names;
+                    s.spawn(move || {
+                        // Each thread walks the set from its own start.
+                        (0..names.len())
+                            .map(|i| {
+                                let name = &names[(i + 50 * t) % names.len()];
+                                (Param::new(name).0, Var::new(name).0, Pred::new(name, 2).id)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut seen = std::collections::HashMap::new();
+        for (t, got) in ids.iter().enumerate() {
+            for (i, &id) in got.iter().enumerate() {
+                let name = &names[(i + 50 * t) % names.len()];
+                assert_eq!(*seen.entry(name).or_insert(id), id, "{name}");
+                assert_eq!(Param(id.0).name(), *name);
+                assert_eq!(Var(id.1).name(), *name);
+            }
+        }
+        let distinct: std::collections::HashSet<u32> =
+            seen.values().flat_map(|&(p, v, q)| [p, v, q]).collect();
+        assert_eq!(distinct.len(), 3 * 150, "one id per (space, name)");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::classify::is_first_order;
 use crate::formula::{Formula, MAX_NESTING};
 use crate::parse::{parse_theory, ParseError};
-use crate::symbols::{Param, Pred};
+use crate::symbols::{FoldState, Param, Pred};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -60,8 +60,10 @@ impl From<ParseError> for TheoryError {
 ///
 /// The sentences are listed in the order they were asserted (what
 /// [`Theory::sentences`], the log and the snapshot see) and indexed by a
-/// hash set (what makes membership — every update asks it — one
-/// look-up). List and index hold the same `Arc`s, so a sentence is stored
+/// hash set under the seeded hasher of
+/// [`symbols`](crate::symbols#the-seeded-hasher) (what makes membership —
+/// every update asks it — one look-up). List and index hold the same
+/// `Arc`s, so a sentence is stored
 /// once, and a clone of the theory bumps reference counts instead of
 /// copying formulas: the states a server keeps alive side by side share
 /// every sentence they agree on.
@@ -69,7 +71,7 @@ impl From<ParseError> for TheoryError {
 pub struct Theory {
     sentences: Vec<Arc<Formula>>,
     /// Exactly the `Arc`s of `sentences`.
-    index: HashSet<Arc<Formula>>,
+    index: HashSet<Arc<Formula>, FoldState>,
 }
 
 /// Two theories are equal when they list the same sentences in the same
@@ -98,9 +100,13 @@ impl Theory {
         Theory::default()
     }
 
-    /// Construct from sentences, validating each.
+    /// Construct from sentences, validating each. The list and the index
+    /// are sized for all of them up front.
     pub fn new(sentences: Vec<Formula>) -> Result<Self, TheoryError> {
-        let mut t = Theory::empty();
+        let mut t = Theory {
+            sentences: Vec::with_capacity(sentences.len()),
+            index: HashSet::with_capacity_and_hasher(sentences.len(), FoldState::default()),
+        };
         for s in sentences {
             t.assert(s)?;
         }
@@ -115,7 +121,9 @@ impl Theory {
 
     /// Whether `w` may enter a database: nested within [`MAX_NESTING`]
     /// levels (checked first, so the other checks walk a shallow
-    /// formula), free of `K`, and closed.
+    /// formula), free of `K`, and closed. Each check is one recursive
+    /// walk that collects nothing, so a valid sentence costs no
+    /// allocation; only a refusal prints the sentence into its error.
     pub fn validate(w: &Formula) -> Result<(), TheoryError> {
         if !w.within_nesting_bound() {
             return Err(TheoryError::TooDeep);

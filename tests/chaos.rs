@@ -57,9 +57,12 @@ use epilog::persist::{Endpoint, Snapshot, Writer};
 use epilog::prelude::*;
 use epilog::server::{Reply, Session};
 use oracle::{Lcg, Oracle, Write, ICS};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 const READS: [&str; 10] = [
     "ask K emp(E0)",
@@ -119,6 +122,77 @@ fn message(payload: &(dyn std::any::Any + Send)) -> &str {
 fn within<R>(ctx: impl FnOnce() -> String, f: impl FnOnce() -> R) -> R {
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
     ran.unwrap_or_else(|panic| panic!("{}: {}", ctx(), message(&*panic)))
+}
+
+/// How long a queued write's reply may take. The writer is stepped on
+/// the test's thread before any queued reply is waited on (or dropped,
+/// in a crash), so every reply is due at once: one still missing after
+/// this long never comes, and the run is failed rather than left hanging.
+const REPLY_DEADLINE: Duration = Duration::from_secs(60);
+
+/// The replies being waited on, per thread, with when the wait began and
+/// what to print if it never ends.
+#[derive(Default)]
+struct Watchdog {
+    waits: Mutex<HashMap<ThreadId, (Instant, String)>>,
+    bell: Condvar,
+}
+
+impl Watchdog {
+    /// The process's one watchdog, its thread started on first use and
+    /// left detached: it watches until the process ends, and it ends the
+    /// process itself when it fires.
+    fn get() -> &'static Watchdog {
+        static DOG: OnceLock<Watchdog> = OnceLock::new();
+        static START: Once = Once::new();
+        let dog = DOG.get_or_init(Watchdog::default);
+        START.call_once(|| drop(std::thread::spawn(|| dog.watch())));
+        dog
+    }
+
+    /// Sleep until the oldest wait passes the deadline, then print its
+    /// context and end the process: the thread stuck in it cannot be
+    /// interrupted, and a test binary that exits nonzero fails.
+    fn watch(&self) {
+        let mut waits = self.waits.lock().unwrap();
+        loop {
+            let oldest = waits.values().min_by_key(|(since, _)| *since);
+            let Some((since, ctx)) = oldest else {
+                waits = self.bell.wait(waits).unwrap();
+                continue;
+            };
+            let waited = since.elapsed();
+            if waited >= REPLY_DEADLINE {
+                // Past the test harness's capture, which an exit loses.
+                let mut stderr = std::io::stderr();
+                let _ = writeln!(stderr, "no reply after {REPLY_DEADLINE:?}: {ctx}");
+                std::process::exit(1);
+            }
+            waits = self
+                .bell
+                .wait_timeout(waits, REPLY_DEADLINE - waited)
+                .unwrap()
+                .0;
+        }
+    }
+}
+
+/// `reply`'s text; a queued one is waited on under the [`Watchdog`],
+/// which fails the run with `ctx` if it takes [`REPLY_DEADLINE`].
+fn wait(reply: Reply, ctx: impl FnOnce() -> String) -> String {
+    if !matches!(reply, Reply::Pending(_)) {
+        return reply.wait();
+    }
+    let dog = Watchdog::get();
+    let me = std::thread::current().id();
+    dog.waits
+        .lock()
+        .unwrap()
+        .insert(me, (Instant::now(), ctx()));
+    dog.bell.notify_one();
+    let text = reply.wait();
+    dog.waits.lock().unwrap().remove(&me);
+    text
 }
 
 /// A fresh directory. A crash is simulated in process, so what a real
@@ -193,6 +267,9 @@ struct Sim {
     /// Whether the next recovery must find a torn tail.
     torn: bool,
     n: Counts,
+    /// Which run this is — the seed and the writer lifetime, or the
+    /// enumerated stream — for a reply that never comes.
+    run: String,
 }
 
 impl Sim {
@@ -210,11 +287,17 @@ impl Sim {
             frozen: false,
             torn: false,
             n: Counts::default(),
+            run: String::new(),
         }
     }
 
     fn wal(&self) -> PathBuf {
         self.dir.join(WAL_FILE)
+    }
+
+    /// What the watchdog prints for session `c`'s reply to `line`.
+    fn waiting_on(&self, c: usize, line: &str) -> String {
+        format!("{}, session {c}, last line sent {line:?}", self.run)
     }
 
     fn live(&mut self) -> &mut Live {
@@ -306,7 +389,8 @@ impl Sim {
                 self.oracle.read(i, lsn)
             }
             ("stats", _) => {
-                let (text, commits, rejected) = (reply.wait(), live.commits, live.rejected);
+                let (commits, rejected) = (live.commits, live.rejected);
+                let text = wait(reply, || self.waiting_on(c, line));
                 let want = format!("ok stats commits={commits} rejected={rejected} ");
                 return assert!(text.starts_with(&want), "got {text}, want {want}…");
             }
@@ -334,7 +418,11 @@ impl Sim {
                 return live.queued.push((c, line.to_string(), write, reply));
             }
         };
-        assert_eq!(reply.wait(), want, "session {c}: {line}");
+        assert_eq!(
+            wait(reply, || self.waiting_on(c, line)),
+            want,
+            "session {c}: {line}"
+        );
     }
 
     /// Step what the sessions queued as one batch, judge every reply in
@@ -346,8 +434,14 @@ impl Sim {
         live.writer.step(batch);
         let head = self.oracle.lsn;
         let queued = std::mem::take(&mut live.queued).into_iter();
+        let run = &self.run;
         let replies: Vec<_> = queued
-            .map(|(c, l, w, reply)| (c, l, w, reply.wait()))
+            .map(|(c, l, w, reply)| {
+                let text = wait(reply, || {
+                    format!("{run}, session {c}, last line sent {l:?}")
+                });
+                (c, l, w, text)
+            })
             .collect();
         let failed = |r: &str| r.starts_with("err io error") || r.starts_with("err degraded");
         let clean = !replies.iter().any(|(.., r)| failed(r));
@@ -422,8 +516,8 @@ impl Sim {
     fn crash(&mut self) {
         let live = self.live.take().unwrap();
         drop(live.writer);
-        for (_, line, _, reply) in live.queued {
-            let reply = reply.wait();
+        for (c, line, _, reply) in live.queued {
+            let reply = wait(reply, || self.waiting_on(c, &line));
             assert!(reply.ends_with("database is shut down"), "{line}: {reply}");
         }
         let bytes = std::fs::read(self.wal()).unwrap();
@@ -579,10 +673,11 @@ impl Sim {
         let _ = bad.write(&self.dir).unwrap();
         let mut session = Session::new(self.live().endpoint.clone());
         let reply = session.handle("heal");
+        let run = format!("{}, a poisoned heal", self.run);
         let live = self.live();
         let batch = live.writer.drain();
         live.writer.step(batch);
-        let reply = reply.wait();
+        let reply = wait(reply, || run);
         assert!(
             reply.starts_with("err heal failed: internal error"),
             "{reply}"
@@ -602,8 +697,9 @@ fn history(seed: u64, lifetimes: u64) -> Counts {
     let dir = scratch(&format!("history-{seed}"));
     let (mut sim, mut rng) = (Sim::new(&dir, &base(), &READS), Lcg(seed));
     for i in 0..lifetimes {
-        let ctx = || format!("seed {seed}, lifetime {i}");
-        within(ctx, || sim.lifetime(&mut rng, i == 0));
+        let here = format!("seed {seed}, lifetime {i}");
+        sim.run.clone_from(&here);
+        within(|| here, || sim.lifetime(&mut rng, i == 0));
     }
     drop(sim.recover());
     for pin in std::mem::take(&mut sim.pins) {
@@ -636,6 +732,7 @@ fn recovery_is_idempotent() {
     let dir = scratch("idem");
     let mut sim = Sim::new(&dir, &base(), &READS);
     for round in 0..6 {
+        sim.run = format!("recovery_is_idempotent, round {round}");
         let durable = sim.recover();
         sim.open(durable, FaultInjector::new(0), vec![], 1);
         if round == 0 {
@@ -758,9 +855,12 @@ fn every_small_stream_split_and_single_fault_keeps_acked_equal_durable() {
                 let mut go = |fault, heal| {
                     runs += 1;
                     sim.oracle = oracle.clone();
-                    let ctx =
-                        || format!("stream {stream:?}, cuts {cuts:b}, {fault:?}, heal {heal}");
-                    within(ctx, || run(&mut sim, &genesis, &stream, cuts, fault, heal))
+                    let here = format!("stream {stream:?}, cuts {cuts:b}, {fault:?}, heal {heal}");
+                    sim.run.clone_from(&here);
+                    within(
+                        || here,
+                        || run(&mut sim, &genesis, &stream, cuts, fault, heal),
+                    )
                 };
                 let (writes, syncs, _) = go(Fault::None, false);
                 let writes = (0..writes).flat_map(|n| KINDS.map(|kind| Fault::Write(n, kind)));

@@ -407,8 +407,9 @@ fn why_on_the_closure_derives_its_proof_when_asked() {
 /// What `trajectory`'s `closure_write` does before its first request, in
 /// process: the closure built by ten bulk commits on a `DurableDb`,
 /// `compact()`, recovery from the directory, a first read. Printed next
-/// to the same-hour times with rows at their arity and with 24-byte
-/// tuples, at 100 chains; asserted: the receipts, that the directory is one log whose
+/// to the same-hour times with and without the per-fact bookkeeping
+/// taken out of parse, validation, indexing, logging and the fixpoint's
+/// loops, at 100 chains; asserted: the receipts, that the directory is one log whose
 /// only record is a checkpoint of exactly the theory's sentences, that
 /// recovery replayed nothing, and that the recovered state (theory and
 /// least model) is the live one.
@@ -492,10 +493,11 @@ fn bulk_build_compaction_and_recovery_on_the_closure() {
             "closure {chains} x 30 built by 10 commits of {} edges: first commit {:?}, tenth \
              {:?}, all ten {:?}, compact {compact:?} ({} bytes), recover {recover:?}, first demo {demo:?}, \
              Theory::new of its {} sentences {as_set:?} (at 100 chains on a 2-core VM, ten \
-             alternating same-hour pairs: all ten 18.9 ms median (12.4-20.6) and recover \
-             14.0 ms (9.0-15.8) with each row stored at its arity and a prover that reads \
-             nothing of its theory until asked, all ten 24.1 ms (16.6-28.4) and recover \
-             20.7 ms (14.6-23.3) with 24-byte tuples and witnesses picked up front)",
+             alternating same-hour pairs: all ten 9.2 ms median (8.2-14.0) and recover \
+             7.5 ms (6.4-11.6) with a seeded folded-multiply hasher, names stored once, tokens \
+             pulled by the parser, records printed once and run-at-a-time inserts, all ten \
+             12.7 ms (10.7-18.8) and recover 9.4 ms (7.9-13.4) with SipHash, a token vector per \
+             line, a payload copied into its frame and one insert per row)",
             per_commit * 30,
             commits[0],
             commits[9],
